@@ -6,7 +6,7 @@
 //! `Scheduled` network models, the `RegimeActor`, and every churn
 //! generator — the coverage the paper trio lacks).
 //!
-//! The golden-equivalence test (`tests/golden_equivalence.rs`) asserts
+//! The replay suite (`tests/golden_equivalence.rs`) asserts
 //! **every** metric, `events_processed` included: since the PR 5 typed
 //! dispatch rewrite, engine refactors are expected to preserve event
 //! counts exactly, so a changed count is a changed trajectory. A PR that
@@ -17,7 +17,7 @@
 //! (writes into `tests/golden/` relative to the workspace root).
 
 use presence_sim::{
-    builtin_catalog, golden_trio, run_spec_once, DecomposedScenario, Scenario, ScenarioResult,
+    builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult, Topology,
 };
 use std::path::PathBuf;
 
@@ -32,6 +32,9 @@ const TRACE_FIXTURE_SPEC: &str = "paper-dcpp";
 /// Horizon cap (virtual seconds) of the trace fixture: long enough for
 /// several probe cycles per CP, short enough to keep the fixture small.
 const TRACE_FIXTURE_UNTIL: f64 = 10.0;
+
+/// The topology the `decomposed-*` fixtures are recorded on.
+const ONE_REGION_PLANES: Topology = Topology::Planes { regions: 1 };
 
 fn write_fixture(out_dir: &std::path::Path, name: &str, result: &ScenarioResult) {
     let json = serde_json::to_string_pretty(result).expect("result serialises");
@@ -55,10 +58,10 @@ fn main() {
         let mut scenario = Scenario::build(cfg);
         scenario.run();
         write_fixture(&out_dir, name, &scenario.collect());
-        // The same preset on the decomposed (multi-plane) topology,
-        // recorded from the sequential reference engine (regions = 1);
-        // the regioned engine must replay these bit-for-bit.
-        let mut decomposed = DecomposedScenario::build(cfg, 1);
+        // The same preset on the multi-plane topology, recorded from the
+        // sequential reference engine (regions = 1); the regioned engine
+        // must replay these bit-for-bit.
+        let mut decomposed = Scenario::build_on(cfg, ONE_REGION_PLANES);
         decomposed.run();
         write_fixture(
             &out_dir,
@@ -72,7 +75,9 @@ fn main() {
         .expect("lab fixture spec is in the builtin catalog");
     let result = run_spec_once(&spec).expect("lab fixture spec runs");
     write_fixture(&out_dir, "lab-mixed", &result);
-    let mut decomposed_lab = spec.build_decomposed(1).expect("lab fixture spec builds");
+    let mut decomposed_lab = spec
+        .build_on(ONE_REGION_PLANES)
+        .expect("lab fixture spec builds");
     decomposed_lab.run();
     write_fixture(&out_dir, "decomposed-lab-mixed", &decomposed_lab.collect());
 

@@ -16,11 +16,11 @@
 //! Options: `--seeds 1,2,3` (explicit seeds), `--replications N` (seeds
 //! 1..=N), `--jobs N` (worker pool width, default `PRESENCE_JOBS` /
 //! machine parallelism), `--regions N` (run each scenario on the
-//! decomposed one-network-plane-per-region topology across N regions
-//! with N workers, printing the per-scenario region plan — planned
-//! lookahead, or the collapsing route — and the barrier/window counters;
-//! the trajectories are byte-identical to the sequential decomposed run,
-//! pinned by `tests/region_equivalence.rs`), `--json PATH` (write the
+//! multi-plane topology, `Topology::Planes`, across N regions with N
+//! workers, printing the per-scenario region plan — planned lookahead, or
+//! the collapsing route — and the barrier/window counters; the
+//! trajectories are byte-identical to the one-region run on the same
+//! topology, pinned by `tests/golden_equivalence.rs`), `--json PATH` (write the
 //! full `LabReport`, or the decomposed report — region plan, per-seed
 //! window/barrier/relay/unroutable counters — under `--regions`),
 //! `--catalog DIR` (default: the repository's `catalog/`).
@@ -41,7 +41,7 @@
 //! `tests/determinism.rs`).
 
 use presence_sim::{
-    builtin_catalog, job_count, mega_catalog, run_lab, LabReport, MegaSpec, ScenarioSpec,
+    builtin_catalog, job_count, mega_catalog, run_lab, LabReport, MegaSpec, ScenarioSpec, Topology,
 };
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -67,23 +67,13 @@ fn export_trace(
     let mut seeded = spec.clone();
     seeded.seed = seed;
     let err = |e: presence_sim::SpecError| format!("{}: {e}", spec.name);
-    let model = match regions {
-        Some(n) => {
-            let mut scenario = seeded.build_decomposed(n).map_err(err)?;
-            scenario.set_workers(n);
-            scenario.enable_trace(request.until, request.engine);
-            scenario.run();
-            let result = scenario.collect();
-            scenario.collect_trace(&result)
-        }
-        None => {
-            let mut scenario = seeded.build().map_err(err)?;
-            scenario.enable_trace(request.until, request.engine);
-            scenario.run();
-            let result = scenario.collect();
-            scenario.collect_trace(&result)
-        }
-    };
+    let topology = regions.map_or(Topology::Hub, |regions| Topology::Planes { regions });
+    let mut scenario = seeded.build_on(topology).map_err(err)?;
+    scenario.set_workers(regions.unwrap_or(1));
+    scenario.enable_trace(request.until, request.engine);
+    scenario.run();
+    let result = scenario.collect();
+    let model = scenario.collect_trace(&result);
     let json = presence_trace::write_chrome_json(&model);
     std::fs::write(&request.path, &json)
         .map_err(|e| format!("write {}: {e}", request.path.display()))?;
@@ -256,7 +246,7 @@ fn run_one_decomposed(
         let mut seeded = spec.clone();
         seeded.seed = seed;
         let mut scenario = seeded
-            .build_decomposed(regions)
+            .build_on(Topology::Planes { regions })
             .map_err(|e| format!("{}: {e}", spec.name))?;
         scenario.set_workers(regions);
         let plan = scenario.region_plan();

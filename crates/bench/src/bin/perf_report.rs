@@ -9,7 +9,7 @@
 //!   path), print the table, write the report (default
 //!   `BENCH_PR10.json`).
 //! * `perf_report --regions` — additionally run the multi-core scaling
-//!   suite: the decomposed (one-network-plane-per-region) trio at
+//!   suite: the trio on the multi-plane topology (`Topology::Planes`) at
 //!   regions ∈ {1, 2, 4, 8} with workers matched to regions, under both
 //!   window policies, recording wall-clock curves, barrier/window
 //!   counters, and the adaptive-vs-static window ratio; with `--mega`
@@ -23,11 +23,9 @@
 //!   breaks a structural gate: events-per-delivered-message above 2.05,
 //!   `events_processed` differing from the golden fixture recorded in
 //!   `tests/golden/` (dispatch refactors must not change event counts),
-//!   a trio scenario whose regions=2 result is not byte-identical to its
-//!   regions=1 result (the conservative-window engine must never perturb
-//!   a trajectory), a decomposed trio scenario whose adaptive-window run
-//!   is not byte-identical to its static-window run (or executes *more*
-//!   windows than static), or trio throughput collapsing below half of
+//!   a multi-plane trio scenario whose adaptive-window run is not
+//!   byte-identical to its static-window run (or executes *more* windows
+//!   than static), or trio throughput collapsing below half of
 //!   the committed `BENCH_PR8.json` snapshot (the one wall-clock gate;
 //!   halved to absorb CI box noise while still catching
 //!   order-of-magnitude regressions).
@@ -36,8 +34,7 @@ use presence_core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId};
 use presence_des::{SimDuration, SimTime, WindowPolicy};
 use presence_runtime::{shards_from_env, Clock, DeviceHost, HostConfig, ShardedHost, SystemClock};
 use presence_sim::{
-    golden_trio, mega_catalog, region_count, run_mega_sharded, run_mega_spec, DecomposedScenario,
-    MegaResult, Scenario,
+    golden_trio, mega_catalog, run_mega_sharded, run_mega_spec, MegaResult, Scenario, Topology,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -71,9 +68,6 @@ struct ScenarioReport {
     events_per_sec: f64,
     delivered_messages: u64,
     events_per_delivered_message: f64,
-    /// The region plan the run executed under: requested regions,
-    /// effective regions, and the planner's reason.
-    region_plan: String,
 }
 
 #[derive(Debug, Serialize)]
@@ -154,8 +148,6 @@ struct UdpLoopbackReport {
 #[derive(Debug, Serialize)]
 struct Report {
     epm_gate: f64,
-    /// `PRESENCE_REGIONS` the report ran under (1 unless set in the env).
-    regions: usize,
     scenarios: Vec<ScenarioReport>,
     udp_loopback: UdpLoopbackReport,
     mega: Option<MegaReport>,
@@ -211,37 +203,6 @@ fn baseline_events_per_sec(name: &str) -> Result<Option<f64>, String> {
         .iter()
         .find(|s| s.name == name)
         .map(|s| s.events_per_sec))
-}
-
-/// Runs one trio scenario under the given `PRESENCE_REGIONS` setting and
-/// returns the serialised `ScenarioResult` — the byte string the
-/// region-equivalence gate compares. The caller restores the variable.
-fn result_bytes_at_regions(cfg: presence_sim::ScenarioConfig, regions: &str) -> String {
-    std::env::set_var("PRESENCE_REGIONS", regions);
-    let mut scenario = Scenario::build(cfg);
-    scenario.run();
-    serde_json::to_string(&scenario.collect()).expect("result serialises")
-}
-
-/// The `--check` region-equivalence gate: every trio scenario must
-/// produce byte-identical results at `PRESENCE_REGIONS=1` and `=2`. The
-/// trio collapses to one effective region either way, so this pins the
-/// *plan consultation itself* as trajectory-neutral.
-fn check_region_equivalence(gate_failures: &mut Vec<String>) {
-    let previous = std::env::var("PRESENCE_REGIONS").ok();
-    for (name, cfg) in golden_trio() {
-        let one = result_bytes_at_regions(cfg, "1");
-        let two = result_bytes_at_regions(cfg, "2");
-        if one == two {
-            println!("  {name}: regions=2 byte-identical to regions=1");
-        } else {
-            gate_failures.push(format!("{name}: regions=2 result diverges from regions=1"));
-        }
-    }
-    match previous {
-        Some(v) => std::env::set_var("PRESENCE_REGIONS", v),
-        None => std::env::remove_var("PRESENCE_REGIONS"),
-    }
 }
 
 /// Measures the sharded UDP host on loopback: a fleet of DCPP pairs with
@@ -347,16 +308,16 @@ fn run_mega() -> MegaReport {
     report
 }
 
-/// Runs one decomposed trio configuration and returns the scenario plus
+/// Runs one multi-plane trio configuration and returns the scenario plus
 /// its wall time (build + run, collection excluded — same protocol as the
 /// serial table).
 fn run_decomposed(
     cfg: presence_sim::ScenarioConfig,
     regions: usize,
     policy: WindowPolicy,
-) -> (DecomposedScenario, f64) {
+) -> (Scenario, f64) {
     let start = Instant::now();
-    let mut scenario = DecomposedScenario::build(cfg, regions);
+    let mut scenario = Scenario::build_on(cfg, Topology::Planes { regions });
     scenario.set_workers(regions);
     scenario.set_window_policy(policy);
     scenario.run();
@@ -504,21 +465,10 @@ fn main() {
         }
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_PR10.json".to_string());
-    let regions = region_count();
 
     let mut scenarios = Vec::new();
     let mut gate_failures = Vec::new();
     for (name, cfg) in golden_trio() {
-        // Surface the region plan once, outside the timed region: the
-        // trio is hub-coupled, so any multi-region request collapses.
-        let plan = Scenario::build(cfg).region_plan();
-        let plan_line = format!(
-            "requested {} -> effective {} ({})",
-            plan.requested, plan.effective, plan.reason
-        );
-        if regions > 1 {
-            println!("{name:>6}: regions {plan_line}");
-        }
         let mut runs = 0u64;
         let mut last = None;
         // Each repeat is timed individually and the throughput figure
@@ -552,7 +502,6 @@ fn main() {
             events_per_sec: result.events_processed as f64 / best_wall,
             delivered_messages: result.messages_delivered,
             events_per_delivered_message: epm,
-            region_plan: plan_line,
         };
         println!(
             "{:>6}: {:>8} events in {:>8.4} s/run best-of-{runs} \
@@ -603,8 +552,6 @@ fn main() {
     let udp_loopback = run_udp_loopback(&mut gate_failures, check);
 
     if check {
-        println!("region-equivalence gate (regions=2 vs regions=1):");
-        check_region_equivalence(&mut gate_failures);
         println!("adaptive-window gate (decomposed trio, adaptive vs static at regions=4):");
         check_adaptive_equivalence(&mut gate_failures);
     }
@@ -633,7 +580,6 @@ fn main() {
 
     let report = Report {
         epm_gate: EPM_GATE,
-        regions,
         scenarios,
         udp_loopback,
         mega: mega_report,

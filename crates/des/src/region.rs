@@ -780,11 +780,26 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
             }
             return;
         }
-        std::thread::scope(|scope| {
-            for (region, end) in active.drain(..) {
-                scope.spawn(move || region.run_window(end));
-            }
+        // Join in region order and re-raise the first panic with its own
+        // payload: a dropped handle would surface as `scope`'s fixed "a
+        // scoped thread panicked" and lose the lookahead-violation
+        // diagnostic exactly when the engine runs in parallel.
+        let first_panic = std::thread::scope(|scope| {
+            let handles: Vec<_> = active
+                .drain(..)
+                .map(|(region, end)| scope.spawn(move || region.run_window(end)))
+                .collect();
+            // Every handle is joined (an unjoined panic would make `scope`
+            // itself panic); only the first payload is kept.
+            let panics: Vec<_> = handles
+                .into_iter()
+                .filter_map(|handle| handle.join().err())
+                .collect();
+            panics.into_iter().next()
         });
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
     }
 
     /// The barrier merge: drains every region's outbox and admits the
@@ -985,24 +1000,56 @@ mod tests {
         let _: RelayRegionSim = RegionSim::new(1, 2, SimDuration::ZERO);
     }
 
-    #[test]
-    #[should_panic(expected = "lands inside the current window")]
-    fn lookahead_violation_panics_loudly() {
-        // Declared lookahead 10 µs, but the cross-region delay is 1 µs:
-        // the very first cross send must be rejected, not reordered.
-        let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
-        reg.add_member(0, relay(1, 1_000, 10));
-        reg.add_member(1, relay(0, 1_000, 10));
-        reg.run_until(SimTime::from_secs_f64(0.001));
+    /// Runs `build`'s simulation at forced worker counts 1 (inline
+    /// windows) and 4 (one scoped thread per region) and asserts that the
+    /// lookahead-violation diagnostic reaches the caller with its message
+    /// either way — the result must not depend on the box's core count.
+    fn assert_violation_panics(build: impl Fn() -> RelayRegionSim, end_secs: f64) {
+        for workers in [1usize, 4] {
+            let mut reg = build();
+            reg.set_workers(workers);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                reg.run_until(SimTime::from_secs_f64(end_secs));
+            }))
+            .expect_err("a lookahead violation must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .expect("the panic payload is a message");
+            assert!(
+                message.contains("lands inside the current window"),
+                "workers={workers}: diagnostic lost, got {message:?}"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "lands inside the current window")]
+    fn lookahead_violation_panics_loudly() {
+        // Declared lookahead 10 µs, but the cross-region delay is 1 µs:
+        // the very first cross send must be rejected, not reordered.
+        assert_violation_panics(
+            || {
+                let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
+                reg.add_member(0, relay(1, 1_000, 10));
+                reg.add_member(1, relay(0, 1_000, 10));
+                reg
+            },
+            0.001,
+        );
+    }
+
+    #[test]
     fn isolated_partition_rejects_any_cross_send() {
-        let mut reg: RelayRegionSim = RegionSim::isolated(5, 2);
-        reg.add_member(0, relay(1, 1_000_000, 10));
-        reg.add_member(1, relay(0, 1_000_000, 10));
-        reg.run_until(SimTime::from_secs_f64(1.0));
+        assert_violation_panics(
+            || {
+                let mut reg: RelayRegionSim = RegionSim::isolated(5, 2);
+                reg.add_member(0, relay(1, 1_000_000, 10));
+                reg.add_member(1, relay(0, 1_000_000, 10));
+                reg
+            },
+            1.0,
+        );
     }
 
     #[test]
@@ -1076,13 +1123,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lands inside the current window")]
     fn adaptive_keeps_the_violation_panic() {
-        let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
-        reg.set_window_policy(WindowPolicy::Adaptive);
-        reg.add_member(0, relay(1, 1_000, 10));
-        reg.add_member(1, relay(0, 1_000, 10));
-        reg.run_until(SimTime::from_secs_f64(0.001));
+        assert_violation_panics(
+            || {
+                let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
+                reg.set_window_policy(WindowPolicy::Adaptive);
+                reg.add_member(0, relay(1, 1_000, 10));
+                reg.add_member(1, relay(0, 1_000, 10));
+                reg
+            },
+            0.001,
+        );
     }
 
     /// The canonical structured trace is engine-invariant: the regioned

@@ -203,16 +203,6 @@ impl Fabric {
         self.capacity
     }
 
-    /// The guaranteed minimum delivery delay of this fabric's delay model —
-    /// the cross-region *lookahead* a conservative parallel run may claim
-    /// for routes through this fabric (see [`DelayModel::min_delay`]).
-    /// Zero means the fabric provides no lookahead and its routes cannot
-    /// cross a region boundary.
-    #[must_use]
-    pub fn min_delay(&self) -> SimDuration {
-        self.delay.min_delay()
-    }
-
     /// Lifetime counters as of `now` (deliveries due by `now` are settled
     /// first).
     #[must_use]
@@ -350,21 +340,5 @@ mod tests {
         let mut f = Fabric::paper_default();
         assert_eq!(f.capacity(), 20_000);
         assert_eq!(f.in_flight_at(SimTime::ZERO), 0);
-    }
-
-    #[test]
-    fn min_delay_reports_the_lookahead_bound() {
-        let f = Fabric::paper_default();
-        // ThreeMode's fast mode: the paper fabric offers 100 µs lookahead.
-        assert_eq!(f.min_delay(), SimDuration::from_micros(100));
-        let zero = Fabric::new(
-            10,
-            Box::new(crate::delay::ExponentialDelay::new(
-                0.001,
-                SimDuration::from_secs(1),
-            )),
-            Box::new(NoLoss),
-        );
-        assert_eq!(zero.min_delay(), SimDuration::ZERO, "no lookahead");
     }
 }

@@ -1,23 +1,11 @@
-//! Threaded hosts that drive the sans-io machines against a [`Transport`]
-//! and a [`Clock`].
-//!
-//! The device host is a serve loop: receive probe → answer. The CP host is
-//! an event loop with a timer wheel: it executes every [`CpAction`] the
-//! prober emits, sleeping no longer than the next timer deadline. Both
-//! respect a shared stop flag for graceful shutdown.
+//! What a [`ShardedHost`](crate::ShardedHost) serves and how it is told
+//! to stop: the device machine of either protocol, and the shared
+//! cooperative shutdown flag.
 
-use crate::clock::Clock;
-use crate::transport::Transport;
-use crate::wheel::TimerWheel;
-use presence_core::{
-    AbsenceReason, CpAction, DcppConfig, DcppDevice, DeviceId, Probe, Prober, Reply, TimerToken,
-    WireMessage,
-};
-use presence_core::{SappDevice, SappDeviceConfig};
+use presence_core::{DcppConfig, DcppDevice, DeviceId, Probe, Reply, SappDevice, SappDeviceConfig};
 use presence_des::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Cooperative shutdown flag shared between hosts and their controller.
 #[derive(Debug, Clone, Default)]
@@ -42,7 +30,7 @@ impl StopFlag {
     }
 }
 
-/// The device machine a [`run_device`] host serves.
+/// The device machine a shard serves.
 pub enum DeviceHost {
     /// A SAPP device.
     Sapp(SappDevice),
@@ -87,325 +75,5 @@ impl DeviceHost {
             DeviceHost::Sapp(d) => d.on_probe(now, probe),
             DeviceHost::Dcpp(d) => d.on_probe(now, probe),
         }
-    }
-}
-
-/// Serves probes until the stop flag is raised. Returns the device (with
-/// its final state) for inspection.
-pub fn run_device<T: Transport>(
-    mut device: DeviceHost,
-    mut transport: T,
-    clock: &dyn Clock,
-    stop: &StopFlag,
-) -> DeviceHost {
-    while !stop.is_stopped() {
-        match transport.recv(Duration::from_millis(50)) {
-            Ok(Some(WireMessage::Probe(probe))) => {
-                let now = clock.now();
-                let reply = match &mut device {
-                    DeviceHost::Sapp(d) => d.on_probe(now, probe),
-                    DeviceHost::Dcpp(d) => d.on_probe(now, probe),
-                };
-                // Best-effort: a vanished peer is the prober's problem.
-                let _ = transport.send(&WireMessage::Reply(reply));
-            }
-            Ok(Some(_)) | Ok(None) => {}
-            Err(_) => break,
-        }
-    }
-    device
-}
-
-/// What happened during a CP host run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpOutcome {
-    /// Whether (and when, on the runtime clock) the device was declared
-    /// absent.
-    pub device_absent_at: Option<SimTime>,
-    /// Why, if it was.
-    pub reason: Option<AbsenceReason>,
-    /// Successful probe cycles completed.
-    pub cycles_succeeded: u64,
-    /// Probes sent (including retransmissions).
-    pub probes_sent: u64,
-}
-
-/// Drives a [`Prober`] until it stops (device declared absent) or the stop
-/// flag is raised.
-pub fn run_cp<T: Transport, P: Prober>(
-    mut prober: P,
-    mut transport: T,
-    clock: &dyn Clock,
-    stop: &StopFlag,
-) -> CpOutcome {
-    let mut timers: TimerWheel<TimerToken> = TimerWheel::new();
-    let mut outcome = CpOutcome {
-        device_absent_at: None,
-        reason: None,
-        cycles_succeeded: 0,
-        probes_sent: 0,
-    };
-    let mut actions = Vec::new();
-    // The instant the prober last observed. Timers arm relative to THIS,
-    // not to a fresh clock read at drain time: the prober computed its
-    // deadlines against the `now` it was called with, and re-reading the
-    // clock after a slow send (or under load) would drift every deadline
-    // late by the handling latency.
-    let mut emitted_at = clock.now();
-    prober.start(emitted_at, &mut actions);
-
-    loop {
-        // Execute pending actions.
-        for action in actions.drain(..) {
-            match action {
-                CpAction::SendProbe(p) => {
-                    let _ = transport.send(&WireMessage::Probe(p));
-                }
-                CpAction::StartTimer { token, after } => {
-                    timers.insert(token, emitted_at + after);
-                }
-                CpAction::CancelTimer { token } => {
-                    timers.cancel(token);
-                }
-                CpAction::DeviceAbsent { at, reason } => {
-                    outcome.device_absent_at = Some(at);
-                    outcome.reason = Some(reason);
-                }
-            }
-        }
-        if outcome.device_absent_at.is_some() || stop.is_stopped() {
-            break;
-        }
-
-        // Fire due timers.
-        let now = clock.now();
-        let mut fired = false;
-        while let Some((token, _)) = timers.pop_due(now) {
-            emitted_at = now;
-            prober.on_timer(now, token, &mut actions);
-            fired = true;
-        }
-        if fired {
-            continue; // execute the new actions before sleeping
-        }
-
-        // Sleep until the next deadline (bounded so the stop flag is
-        // observed promptly) while listening for messages.
-        let wait = match timers.next_deadline() {
-            Some(at) => {
-                let gap = at.saturating_since(now).as_secs_f64();
-                Duration::from_secs_f64(gap.clamp(0.0, 0.05))
-            }
-            None => Duration::from_millis(50),
-        };
-        match transport.recv(wait) {
-            Ok(Some(WireMessage::Reply(reply))) => {
-                emitted_at = clock.now();
-                prober.on_reply(emitted_at, &reply, &mut actions);
-            }
-            Ok(Some(WireMessage::Bye(_))) => {
-                emitted_at = clock.now();
-                prober.on_bye(emitted_at, &mut actions);
-            }
-            Ok(Some(WireMessage::LeaveNotice(_))) => {
-                emitted_at = clock.now();
-                prober.on_leave_notice(emitted_at, &mut actions);
-            }
-            Ok(Some(WireMessage::Probe(_))) | Ok(None) => {}
-            Err(_) => break,
-        }
-    }
-
-    let stats = prober.stats();
-    outcome.cycles_succeeded = stats.cycles_succeeded;
-    outcome.probes_sent = stats.probes_sent;
-    outcome
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::clock::SystemClock;
-    use crate::transport::InMemoryTransport;
-    use presence_core::{CpId, DcppCp};
-    use std::thread;
-
-    // NOTE: the old `dcpp_over_in_memory_transport` test (sleep 400 ms of
-    // wall time, hope for ≥ 3 cycles) lived here; it was inherently flaky
-    // under CI load. Its deflaked successor runs on the conformance
-    // harness's virtual clock: see `dcpp_runtime_cycles_are_exact_on_
-    // virtual_clock` in the workspace-root `tests/conformance.rs`.
-
-    #[test]
-    fn run_device_answers_probes_in_memory() {
-        // Deterministic replacement for the transport-level half of the
-        // old test: a device host must answer exactly what it is sent,
-        // with no wall-clock cycle-count assumptions.
-        let (mut cp_side, dev_side) = InMemoryTransport::pair();
-        let stop = StopFlag::new();
-        let dev_stop = stop.clone();
-        let device = thread::spawn(move || {
-            run_device(
-                DeviceHost::dcpp_paper(DeviceId(0)),
-                dev_side,
-                &SystemClock::new(),
-                &dev_stop,
-            )
-        });
-        for seq in 0..5u64 {
-            cp_side
-                .send(&WireMessage::Probe(presence_core::Probe {
-                    cp: CpId(1),
-                    seq,
-                }))
-                .unwrap();
-            let got = cp_side
-                .recv(Duration::from_secs(5))
-                .unwrap()
-                .expect("device did not answer");
-            match got {
-                WireMessage::Reply(r) => assert_eq!(r.probe.seq, seq),
-                other => panic!("unexpected message {other:?}"),
-            }
-        }
-        stop.stop();
-        let device = device.join().unwrap();
-        assert_eq!(device.probes_received(), 5);
-    }
-
-    /// A clock that advances by a fixed step on every read — models a
-    /// heavily loaded host where real time passes between the prober
-    /// emitting an action and the loop draining it.
-    struct TickingClock {
-        now: std::sync::Mutex<SimTime>,
-        step: presence_des::SimDuration,
-    }
-
-    impl TickingClock {
-        fn new(step_ms: u64) -> Self {
-            Self {
-                now: std::sync::Mutex::new(SimTime::ZERO),
-                step: presence_des::SimDuration::from_millis(step_ms),
-            }
-        }
-    }
-
-    impl Clock for TickingClock {
-        fn now(&self) -> SimTime {
-            let mut now = self.now.lock().unwrap();
-            *now += self.step;
-            *now
-        }
-    }
-
-    /// A transport that never delivers and never blocks.
-    struct NullTransport;
-
-    impl Transport for NullTransport {
-        fn send(&mut self, _msg: &WireMessage) -> std::io::Result<()> {
-            Ok(())
-        }
-        fn recv(&mut self, _timeout: Duration) -> std::io::Result<Option<WireMessage>> {
-            Ok(None)
-        }
-    }
-
-    /// A prober that arms one 100 ms timer at start and declares absence
-    /// the instant it fires — exposing exactly when the driver fired it.
-    struct OneShotProber {
-        started_at: Option<SimTime>,
-        stats: presence_core::CpStats,
-    }
-
-    impl Prober for OneShotProber {
-        fn cp(&self) -> presence_core::CpId {
-            presence_core::CpId(0)
-        }
-        fn start(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-            self.started_at = Some(now);
-            out.push(CpAction::StartTimer {
-                token: TimerToken(1),
-                after: presence_des::SimDuration::from_millis(100),
-            });
-        }
-        fn on_reply(&mut self, _: SimTime, _: &presence_core::Reply, _: &mut Vec<CpAction>) {}
-        fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
-            assert_eq!(token, TimerToken(1));
-            out.push(CpAction::DeviceAbsent {
-                at: now,
-                reason: AbsenceReason::ProbeTimeout,
-            });
-        }
-        fn on_bye(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
-        fn on_leave_notice(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
-        fn stats(&self) -> &presence_core::CpStats {
-            &self.stats
-        }
-        fn is_stopped(&self) -> bool {
-            false
-        }
-        fn verdict(&self) -> Option<presence_core::Verdict> {
-            None
-        }
-        fn current_delay(&self) -> Option<presence_des::SimDuration> {
-            None
-        }
-    }
-
-    #[test]
-    fn timers_arm_at_emission_instant_not_drain_instant() {
-        // Regression: with a 5 ms-per-read clock, arming at `clock.now() +
-        // after` during the drain (one read later than the prober's `now`)
-        // would fire the timer at start + 105 ms. The deadline must be
-        // pinned to the emission instant: start + 100 ms exactly (the
-        // driver polls the clock in 5 ms steps, and 100 is a multiple).
-        let clock = TickingClock::new(5);
-        let stop = StopFlag::new();
-        let prober = OneShotProber {
-            started_at: None,
-            stats: presence_core::CpStats::default(),
-        };
-        let outcome = run_cp(prober, NullTransport, &clock, &stop);
-        let fired_at = outcome.device_absent_at.expect("timer never fired");
-        // start() saw the first clock read (5 ms); the deadline is 105 ms
-        // on the absolute axis and the due-poll lands on it exactly.
-        assert_eq!(
-            fired_at,
-            SimTime::from_nanos(105 * 1_000_000),
-            "deadline drifted: fired at {} s",
-            fired_at.as_secs_f64()
-        );
-    }
-
-    #[test]
-    fn cp_declares_absent_when_device_silent() {
-        // No device at all: the CP must reach the verdict in TOF + 3 TOS.
-        let (cp_side, _dev_side) = InMemoryTransport::pair();
-        let stop = StopFlag::new();
-        let clock = SystemClock::new();
-        let prober = DcppCp::new(CpId(1), DcppConfig::paper_default());
-        let outcome = run_cp(prober, cp_side, &clock, &stop);
-        assert!(outcome.device_absent_at.is_some());
-        assert_eq!(outcome.reason, Some(AbsenceReason::ProbeTimeout));
-        assert_eq!(outcome.probes_sent, 4, "initial probe + 3 retransmissions");
-        let at = outcome.device_absent_at.unwrap().as_secs_f64();
-        assert!(
-            (0.085..0.5).contains(&at),
-            "verdict at {at}s, expected shortly after 85 ms"
-        );
-    }
-
-    #[test]
-    fn stop_flag_interrupts_cp() {
-        let (cp_side, dev_side) = InMemoryTransport::pair();
-        let stop = StopFlag::new();
-        let clock = SystemClock::new();
-        // Keep the device silent but alive so no verdict occurs… actually
-        // without replies the CP would conclude absence; stop it first.
-        stop.stop();
-        let prober = DcppCp::new(CpId(1), DcppConfig::paper_default());
-        let outcome = run_cp(prober, cp_side, &clock, &stop);
-        assert!(outcome.device_absent_at.is_none());
-        drop(dev_side);
     }
 }

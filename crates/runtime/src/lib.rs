@@ -5,31 +5,44 @@
 //! real time and real sockets:
 //!
 //! * [`codec`] — a compact binary wire format (13-byte probes);
-//! * [`Transport`] — UDP ([`UdpTransport`]) and in-memory
-//!   ([`InMemoryTransport`]) message transports;
+//! * [`ShardedHost`] — the one UDP host: device and prober machines hashed
+//!   over worker threads, one socket and one [`TimerWheel`] per shard;
+//!   a single shard is the small case, not a separate code path;
 //! * [`Clock`] — wall-clock ([`SystemClock`]) or hand-cranked
 //!   ([`ManualClock`]) time sources;
-//! * [`run_device`] / [`run_cp`] — serve loops hosting a device machine or
-//!   a [`presence_core::Prober`].
+//! * [`conformance`] — the DES-as-oracle harness the host is pinned
+//!   against.
 //!
 //! Because simulation and deployment share one protocol implementation,
 //! the behaviours measured in `presence-sim`'s experiments are the
 //! behaviours of the deployable code — the property the paper's
 //! MODEST-based methodology argues for ("a trustworthy analysis chain").
 //!
-//! ```no_run
-//! use presence_core::DeviceId;
-//! use presence_runtime::{run_device, DeviceHost, StopFlag, SystemClock, UdpTransport};
+//! ```
+//! use presence_core::{CpId, DcppConfig, DcppCp, DeviceId};
+//! use presence_des::SimTime;
+//! use presence_runtime::{DeviceHost, HostConfig, ShardedHost, SystemClock};
+//! use std::sync::Arc;
 //!
-//! // Device side (one thread / process):
-//! let transport = UdpTransport::server("127.0.0.1:7878").unwrap();
-//! let stop = StopFlag::new();
-//! run_device(
-//!     DeviceHost::dcpp_paper(DeviceId(0)),
-//!     transport,
-//!     &SystemClock::new(),
-//!     &stop,
+//! // One shard serves a device and the control point probing it.
+//! let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+//! host.add_device(DeviceHost::dcpp_paper(DeviceId(0)), None);
+//! let device_addr = host.addr_of(DeviceId(0));
+//! host.add_prober(
+//!     Box::new(DcppCp::new(CpId(0), DcppConfig::paper_default())),
+//!     device_addr,
+//!     DeviceId(0),
+//!     SimTime::ZERO,
 //! );
+//! let handle = host.start(Arc::new(SystemClock::new()));
+//! // Serve until the first probe and its reply have both arrived.
+//! let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+//! while handle.stats().datagrams_received < 2 && std::time::Instant::now() < deadline {
+//!     std::thread::sleep(std::time::Duration::from_millis(1));
+//! }
+//! let report = handle.join();
+//! assert!(report.probers[0].verdict.is_none());
+//! assert!(report.devices[0].probes_received >= 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,14 +55,12 @@ mod clock;
 mod host;
 mod shard;
 mod stats;
-mod transport;
 mod wheel;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use host::{run_cp, run_device, CpOutcome, DeviceHost, StopFlag};
+pub use host::{DeviceHost, StopFlag};
 pub use shard::{
     shards_from_env, DeviceReport, HostConfig, HostHandle, HostReport, ProberReport, ShardedHost,
 };
 pub use stats::{ShardCounters, ShardStats, NO_DEADLINE};
-pub use transport::{InMemoryTransport, Transport, UdpTransport};
 pub use wheel::TimerWheel;

@@ -1,10 +1,10 @@
 //! The sharded presence host: a multi-socket UDP event loop serving many
 //! device and prober machines from a fixed pool of worker threads.
 //!
-//! [`run_device`]/[`run_cp`] host *one* machine per thread — fine for a
-//! demo, hopeless for the paper's deployment target of thousands of
-//! devices. [`ShardedHost`] hashes machines across `RUNTIME_SHARDS` worker
-//! threads. Each shard owns exactly one UDP socket (no cross-thread socket
+//! One machine per thread is hopeless for the paper's deployment target
+//! of thousands of devices, so [`ShardedHost`] hashes machines across
+//! `RUNTIME_SHARDS` worker threads; a single pair is simply a one-shard
+//! host. Each shard owns exactly one UDP socket (no cross-thread socket
 //! contention), a [`TimerWheel`] keyed by `(machine, token)`, and a batch
 //! buffer: per loop iteration it fires every due timer, drains up to a
 //! batch of datagrams non-blockingly, routes each through the
@@ -26,9 +26,6 @@
 //! instrument: `loop_iterations` proves a shard completed full
 //! drain-and-fire passes, `activity()` proves those passes found nothing
 //! to do.
-//!
-//! [`run_device`]: crate::run_device
-//! [`run_cp`]: crate::run_cp
 
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
@@ -184,7 +181,10 @@ impl Shard {
 
     /// Executes one prober's pending actions. `emitted_at` is the instant
     /// the machine was called with — timers arm relative to it, not to a
-    /// fresh clock read (see `run_cp`'s emission-instant rule).
+    /// fresh clock read: the prober computed its deadlines against the
+    /// `now` it was handed, and re-reading the clock after a slow send (or
+    /// under load) would drift every deadline late by the handling
+    /// latency.
     fn execute(
         &mut self,
         cp: u32,
@@ -612,15 +612,33 @@ impl HostHandle {
     }
 
     /// Stops the host and collects the final report.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the first shard thread (in shard order) that
+    /// panicked, after every shard has been joined.
     #[must_use]
     pub fn join(self) -> HostReport {
         self.stop.stop();
         let mut probers = Vec::new();
         let mut devices = Vec::new();
+        // Every shard is joined even after one panicked; the first panic
+        // in shard order is re-raised with its own payload, so the
+        // machine's message reaches whoever called `join`.
+        let mut first_panic = None;
         for t in self.threads {
-            let (p, d) = t.join().expect("shard thread panicked");
-            probers.extend(p);
-            devices.extend(d);
+            match t.join() {
+                Ok((p, d)) => {
+                    probers.extend(p);
+                    devices.extend(d);
+                }
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
         probers.sort_by_key(|r| r.cp.0);
         devices.sort_by_key(|r| r.device.0);
@@ -738,8 +756,155 @@ mod tests {
             "wrong reason"
         );
         assert_eq!(p.stats.probes_sent, 4, "initial probe + 3 retransmissions");
+        // TOF + 3·TOS after a start at clock zero, on the host clock.
+        let at = v.at.as_secs_f64();
+        assert!(
+            (0.085..0.5).contains(&at),
+            "verdict at {at}s, expected shortly after 85 ms"
+        );
         assert_eq!(dev_report.stats.dropped_departed, 4);
         assert_eq!(dev_report.devices[0].probes_received, 0);
+    }
+
+    #[test]
+    fn device_answers_each_addressed_probe() {
+        // A device must answer exactly what it is sent, to whoever sent
+        // it, with no wall-clock cycle-count assumptions.
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        host.add_device(DeviceHost::dcpp_paper(DeviceId(0)), None);
+        let addr = host.addr_of(DeviceId(0));
+        let handle = host.start(Arc::new(SystemClock::new()));
+
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; MAX_DATAGRAM];
+        for seq in 0..5u64 {
+            let probe = presence_core::Probe { cp: CpId(1), seq };
+            sock.send_to(
+                &encode_addressed(DeviceId(0), &WireMessage::Probe(probe)),
+                addr,
+            )
+            .unwrap();
+            let (n, _) = sock.recv_from(&mut buf).expect("device did not answer");
+            match decode_datagram(&buf[..n]).unwrap() {
+                Datagram::Direct(WireMessage::Reply(r)) => assert_eq!(r.probe.seq, seq),
+                other => panic!("unexpected datagram {other:?}"),
+            }
+        }
+        let report = handle.join();
+        assert_eq!(report.devices[0].probes_received, 5);
+    }
+
+    /// A clock that advances by a fixed step on every read — models a
+    /// heavily loaded host where real time passes between the prober
+    /// emitting an action and the loop draining it.
+    struct TickingClock {
+        now: std::sync::Mutex<SimTime>,
+        step: presence_des::SimDuration,
+    }
+
+    impl Clock for TickingClock {
+        fn now(&self) -> SimTime {
+            let mut now = self.now.lock().unwrap();
+            *now += self.step;
+            *now
+        }
+    }
+
+    /// A prober that arms one 100 ms timer at start and declares absence
+    /// the instant it fires — exposing exactly when the shard fired it —
+    /// or, with `panic_on_start`, takes its shard thread down.
+    #[derive(Default)]
+    struct OneShotProber {
+        panic_on_start: bool,
+        verdict: Option<Verdict>,
+        stats: CpStats,
+    }
+
+    impl Prober for OneShotProber {
+        fn cp(&self) -> CpId {
+            CpId(0)
+        }
+        fn start(&mut self, _: SimTime, out: &mut Vec<CpAction>) {
+            assert!(!self.panic_on_start, "boom");
+            out.push(CpAction::StartTimer {
+                token: TimerToken(1),
+                after: presence_des::SimDuration::from_millis(100),
+            });
+        }
+        fn on_reply(&mut self, _: SimTime, _: &presence_core::Reply, _: &mut Vec<CpAction>) {}
+        fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
+            assert_eq!(token, TimerToken(1));
+            let reason = presence_core::AbsenceReason::ProbeTimeout;
+            self.verdict = Some(Verdict { at: now, reason });
+            out.push(CpAction::DeviceAbsent { at: now, reason });
+        }
+        fn on_bye(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
+        fn on_leave_notice(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
+        fn stats(&self) -> &CpStats {
+            &self.stats
+        }
+        fn is_stopped(&self) -> bool {
+            self.verdict.is_some()
+        }
+        fn verdict(&self) -> Option<Verdict> {
+            self.verdict
+        }
+        fn current_delay(&self) -> Option<presence_des::SimDuration> {
+            None
+        }
+    }
+
+    fn one_shot_host(prober: OneShotProber) -> ShardedHost {
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        let nowhere = host.local_addrs()[0];
+        host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
+        host
+    }
+
+    #[test]
+    fn timers_arm_at_emission_instant_not_drain_instant() {
+        // Regression: with a 5 ms-per-read clock, arming at `clock.now() +
+        // after` during the drain (one read later than the prober's `now`)
+        // would fire the timer at start + 105 ms. The deadline must be
+        // pinned to the emission instant: start + 100 ms exactly (the
+        // shard reads the clock once per idle iteration, in 5 ms steps,
+        // and 100 is a multiple).
+        let clock = TickingClock {
+            now: std::sync::Mutex::new(SimTime::ZERO),
+            step: presence_des::SimDuration::from_millis(5),
+        };
+        let handle = one_shot_host(OneShotProber::default()).start(Arc::new(clock));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        // Two wheel entries fire: the prober's start, then its timer.
+        while handle.stats().timers_fired < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let report = handle.join();
+        let fired_at = report.probers[0].verdict.expect("timer never fired").at;
+        // start() saw the first clock read (5 ms); the deadline is 105 ms
+        // on the absolute axis and the due-poll lands on it exactly.
+        assert_eq!(
+            fired_at,
+            SimTime::from_nanos(105 * 1_000_000),
+            "deadline drifted: fired at {} s",
+            fired_at.as_secs_f64()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn join_reraises_a_shard_panic_with_its_message() {
+        let prober = OneShotProber {
+            panic_on_start: true,
+            ..OneShotProber::default()
+        };
+        let handle = one_shot_host(prober).start(Arc::new(SystemClock::new()));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !handle.threads[0].is_finished() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = handle.join();
     }
 
     #[test]

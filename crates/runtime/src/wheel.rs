@@ -1,8 +1,8 @@
 //! A lazily-reconciled timer wheel for the wall-clock hosts.
 //!
-//! `run_cp`'s original timer store was a `BTreeMap<TimerToken, SimTime>`
-//! scanned in full on every loop iteration — fine for one prober with two
-//! timers, hopeless for a shard hosting thousands. [`TimerWheel`] follows
+//! A `BTreeMap<TimerToken, SimTime>` scanned in full on every loop
+//! iteration is fine for one prober with two timers and hopeless for a
+//! shard hosting thousands. [`TimerWheel`] follows
 //! the `TimerSlots` philosophy from the simulator: the *authoritative*
 //! state is a plain map from key to deadline, and the ordered structure is
 //! only a schedule cache that is reconciled lazily.
@@ -16,11 +16,7 @@
 //!   `insert` calls and each is discarded exactly once: amortised
 //!   O(log n) per armed timer, no tombstone leak.
 //!
-//! Keys are generic so one wheel serves both the single-prober [`run_cp`]
-//! loop (keys are [`presence_core::TimerToken`]) and a shard loop (keys
-//! are `(slot, token)` pairs).
-//!
-//! [`run_cp`]: crate::run_cp
+//! Keys are generic: a shard keys its wheel by `(machine, token)`.
 
 use presence_des::SimTime;
 use std::cmp::Reverse;

@@ -302,13 +302,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Take the whole run up to the next quote or escape in
+                    // one slice. Both delimiters are ASCII and so never
+                    // fall inside a multi-byte scalar: the run starts and
+                    // ends on character boundaries, and validating only
+                    // the run keeps the parse linear in the input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error("invalid utf-8 in string".to_string()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -371,6 +376,57 @@ mod tests {
         assert_eq!(to_string(&true).unwrap(), "true");
         assert_eq!(to_string("a\"b\n").unwrap(), "\"a\\\"b\\n\"");
         assert_eq!(from_str::<String>("\"a\\\"b\\n\"").unwrap(), "a\"b\n");
+    }
+
+    fn parse(json: &str) -> Result<String, Error> {
+        from_str::<String>(json)
+    }
+
+    #[test]
+    fn every_string_escape_roundtrips() {
+        let raw = "q\" b\\ s/ n\n r\r t\t b\u{8} f\u{c} nul\u{0} esc\u{1b}";
+        let json = to_string(raw).unwrap();
+        assert_eq!(parse(&json).unwrap(), raw);
+        // Every escape the grammar allows, including the optional `\/`.
+        assert_eq!(
+            parse(r#""\" \\ \/ \n \r \t \b \f""#).unwrap(),
+            "\" \\ / \n \r \t \u{8} \u{c}"
+        );
+        assert_eq!(parse(r#""\u0041\u00e9\u20ac\u001f""#).unwrap(), "Aé€\u{1f}");
+        assert_eq!(parse(r#""""#).unwrap(), "");
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes_roundtrips() {
+        // 2-, 3- and 4-byte scalars touching quotes, escapes, `\u` forms
+        // and both ends of the string: run slicing must stay on character
+        // boundaries.
+        let raw = "é\"€\\𝄞\n→é€𝄞\tü";
+        let json = to_string(raw).unwrap();
+        assert_eq!(parse(&json).unwrap(), raw);
+        assert_eq!(parse(r#""é\u00e9€\n𝄞\\é""#).unwrap(), "éé€\n𝄞\\é");
+        assert_eq!(parse("\"𝄞\"").unwrap(), "𝄞");
+    }
+
+    #[test]
+    fn broken_strings_are_errors() {
+        for (json, want) in [
+            ("\"abc", "unterminated string"),
+            ("\"abc é", "unterminated string"),
+            ("\"abc\\", "bad escape"),
+            ("\"abc\\x\"", "bad escape"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\uzzzz\"", "bad \\u escape"),
+            ("\"\\ud800\"", "bad \\u codepoint"),
+        ] {
+            let err = parse(json).expect_err(json);
+            assert!(
+                err.0.contains(want),
+                "{json:?}: got {:?}, want {want:?}",
+                err.0
+            );
+        }
     }
 
     #[test]

@@ -240,13 +240,11 @@ impl CpActor {
                         .rearm_slot
                         .take()
                         .and_then(|h| ctx.rearm_timer(h, after, SimEvent::Timer(token)));
-                    let handle = match rearmed {
-                        Some(handle) => handle,
-                        None => {
-                            let me = ctx.me();
-                            ctx.schedule_in(after, me, SimEvent::Timer(token))
-                        }
-                    };
+                    // `set_timer`, not a bare self-`schedule_in`: same
+                    // queue push, same sequence number, but the engine
+                    // trace then classifies the event as a timer.
+                    let handle =
+                        rearmed.unwrap_or_else(|| ctx.set_timer(after, SimEvent::Timer(token)));
                     self.timers.insert(token, handle);
                 }
                 CpAction::CancelTimer { token } => {

@@ -31,7 +31,7 @@ pub enum SimEvent {
     },
     /// (plane → plane, decomposed topology) A unicast whose destination is
     /// owned by another network plane, forwarded over the inter-plane leg
-    /// (one [`crate::NetworkActor::min_delay`] of wire time). The owning
+    /// (one [`presence_net::DelayModel::min_delay`] of wire time). The owning
     /// plane admits it with the leg already discounted from the sampled
     /// delay, so end-to-end delivery time matches the hub topology's
     /// single-fabric draw distributionally (exactly, when the delay model's

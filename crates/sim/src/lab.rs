@@ -27,7 +27,7 @@
 use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
-use crate::scenario::{DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};
+use crate::scenario::{DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, Topology};
 use presence_core::AutoTuneConfig;
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
@@ -296,8 +296,8 @@ impl ScenarioSpec {
         slice_windows(&self.regime_starts(), self.duration)
     }
 
-    /// Builds the runnable scenario this spec describes. A single-phase
-    /// spec produces an actor graph identical to
+    /// Builds the runnable scenario this spec describes on the paper's hub
+    /// network. A single-phase spec produces an actor graph identical to
     /// [`Scenario::build`]`(self.base_config())` — same actors, same RNG
     /// streams, bit-identical trajectory.
     ///
@@ -306,41 +306,24 @@ impl ScenarioSpec {
     /// Returns the first violated invariant (the spec is re-validated so
     /// hand-built specs cannot skip it).
     pub fn build(&self) -> Result<Scenario, SpecError> {
-        self.validate()?;
-        let switches = self.churn_switches();
-        let mut scenario = Scenario::assemble(
-            self.base_config(),
-            self.delay_model(),
-            self.loss_model(),
-            &switches,
-        );
-        if let Some(at) = self.crash_at {
-            scenario.crash_device_at(at);
-        }
-        if let Some(at) = self.bye_at {
-            scenario.device_bye_at(at);
-        }
-        Ok(scenario)
+        self.build_on(Topology::Hub)
     }
 
-    /// Builds this spec on the decomposed (multi-plane) topology across
-    /// `regions` regions — the parallel mirror of [`ScenarioSpec::build`].
-    /// Each plane instantiates its own copies of the (possibly
-    /// time-varying) delay/loss models.
+    /// [`ScenarioSpec::build`] on an explicit [`Topology`]. Each network
+    /// plane instantiates its own copies of the (possibly time-varying)
+    /// delay/loss models.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant, like [`ScenarioSpec::build`].
-    pub fn build_decomposed(&self, regions: usize) -> Result<crate::DecomposedScenario, SpecError> {
+    pub fn build_on(&self, topology: Topology) -> Result<Scenario, SpecError> {
         self.validate()?;
-        let switches = self.churn_switches();
-        let mut scenario = crate::DecomposedScenario::assemble(
+        let mut scenario = Scenario::assemble(
             self.base_config(),
-            regions,
+            topology,
             &|| self.delay_model(),
             &|| self.loss_model(),
-            &switches,
-            crate::RecorderMode::Full,
+            &self.churn_switches(),
         );
         if let Some(at) = self.crash_at {
             scenario.crash_device_at(at);

@@ -6,7 +6,9 @@
 //! (`presence-net`), under the workloads the paper studies.
 //!
 //! * [`Scenario`] / [`ScenarioConfig`] — build and run one experiment
-//!   (protocol, population, network, churn, seed, duration).
+//!   (protocol, population, network, churn, seed, duration) on a
+//!   [`Topology`]: the paper's hub, or network planes grouped into regions
+//!   for single-run parallelism.
 //! * [`ChurnModel`] — static populations, the Figure 4 burst-leave, and the
 //!   Figure 5 uniform-resample churn.
 //! * [`ScenarioResult`] — device load series, per-CP frequency series
@@ -69,12 +71,10 @@ pub use output::{ascii_chart, kv_table, series_to_columns, series_to_csv};
 pub use parallel::{for_each_indexed, job_count, run_indexed, ParamSweep};
 pub use recorder::RecorderMode;
 pub use regime::RegimeActor;
-pub use region::{
-    parse_regions, plan_partitioned, region_count, PartitionError, RegionPartition, RegionPlan,
-};
+pub use region::{plan_partitioned, PartitionError, RegionPartition, RegionPlan};
 pub use replication::{replicate, replicate_with_jobs, ReplicationPoint, ReplicationSummary};
 pub use scenario::{
-    golden_trio, DecomposedScenario, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig,
+    golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, Topology,
     DECOMPOSED_PLANES, WAN_LEG_FLOOR,
 };
 pub use trace::flow_id;

@@ -628,7 +628,7 @@ pub fn shard_configs(cfg: &MegaConfig, shards: usize) -> Vec<MegaConfig> {
 ///
 /// Note this is an *explicit* scaling API: the mega catalog and
 /// `run_mega_spec` stay single-shard, so their pinned results never
-/// depend on `PRESENCE_REGIONS`.
+/// depend on a shard count.
 ///
 /// # Panics
 ///

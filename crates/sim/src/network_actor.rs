@@ -33,7 +33,7 @@
 //! *decomposed* network replaces the hub with several network **planes**
 //! — each a full `NetworkActor` owning the routes of the participants
 //! co-located with it — joined by inter-plane legs of exactly the
-//! fabric's [`min_delay`](NetworkActor::min_delay). A `Send` whose
+//! delay model's [`min_delay`](presence_net::DelayModel::min_delay). A `Send` whose
 //! destination lives on another plane is forwarded as
 //! [`SimEvent::Relay`] after one leg; the owning plane then admits it
 //! with the leg *discounted* from its sampled delay
@@ -168,15 +168,6 @@ impl NetworkActor {
             Addr::Device(id) => (&self.device_routes, id.0 as usize),
         };
         table.get(idx).copied().flatten()
-    }
-
-    /// The fabric's lookahead bound: no delivery this hub schedules can
-    /// land sooner than this after its send (see
-    /// `presence_net::DelayModel::min_delay`). Region planning uses it to
-    /// decide whether a route through this hub can cross a region cut.
-    #[must_use]
-    pub fn min_delay(&self) -> SimDuration {
-        self.fabric.min_delay()
     }
 
     /// Fabric counters (offered/admitted/dropped/delivered/unroutable) as

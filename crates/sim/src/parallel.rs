@@ -63,7 +63,8 @@ pub fn parse_jobs(var: Option<&str>) -> usize {
 
 /// Spawns the shared work-stealing loop: `jobs.min(n)` workers pull
 /// indices from `cursor` and send `(index, task(index))` down `tx`. The
-/// caller owns the drain strategy (collect-then-merge, or streamed).
+/// caller owns the drain strategy (collect-then-merge, or streamed) and
+/// must hand the returned handles to [`join_workers`].
 fn spawn_workers<'scope, T, F>(
     scope: &'scope thread::Scope<'scope, '_>,
     n: usize,
@@ -71,23 +72,39 @@ fn spawn_workers<'scope, T, F>(
     cursor: &'scope AtomicUsize,
     tx: &mpsc::Sender<(usize, T)>,
     task: &'scope F,
-) where
+) -> Vec<thread::ScopedJoinHandle<'scope, ()>>
+where
     T: Send + 'scope,
     F: Fn(usize) -> T + Sync,
 {
-    for _ in 0..jobs.min(n) {
-        let tx = tx.clone();
-        scope.spawn(move || loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            // A send only fails when the receiver is gone, i.e. the caller
-            // is already unwinding from another worker's panic.
-            if tx.send((i, task(i))).is_err() {
-                break;
-            }
-        });
+    (0..jobs.min(n))
+        .map(|_| {
+            let tx = tx.clone();
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                // A send only fails when the receiver is gone, i.e. the
+                // caller is already unwinding from another worker's panic.
+                if tx.send((i, task(i))).is_err() {
+                    break;
+                }
+            })
+        })
+        .collect()
+}
+
+/// Joins every worker and re-raises the first panic (in spawn order) with
+/// its own payload. Leaving the join to `thread::scope` would replace the
+/// task's message with the fixed "a scoped thread panicked".
+fn join_workers(handles: Vec<thread::ScopedJoinHandle<'_, ()>>) {
+    let panics: Vec<_> = handles
+        .into_iter()
+        .filter_map(|handle| handle.join().err())
+        .collect();
+    if let Some(payload) = panics.into_iter().next() {
+        std::panic::resume_unwind(payload);
     }
 }
 
@@ -117,7 +134,7 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel();
-    thread::scope(|scope| spawn_workers(scope, n, jobs, &cursor, &tx, &task));
+    thread::scope(|scope| join_workers(spawn_workers(scope, n, jobs, &cursor, &tx, &task)));
     drop(tx);
     merge_indexed(rx.into_iter().collect())
 }
@@ -151,11 +168,11 @@ where
     let (tx, rx) = mpsc::channel();
     let mut next = 0usize;
     thread::scope(|scope| {
-        spawn_workers(scope, n, jobs, &cursor, &tx, &task);
+        let workers = spawn_workers(scope, n, jobs, &cursor, &tx, &task);
         drop(tx);
         // Drain inside the scope so delivery overlaps the workers. If a
-        // worker panics, the channel just closes early here and the scope
-        // re-raises the worker's panic on exit.
+        // worker panics, the channel just closes early here and the join
+        // below re-raises the worker's panic.
         let mut parked: BTreeMap<usize, T> = BTreeMap::new();
         for (i, result) in rx {
             parked.insert(i, result);
@@ -164,6 +181,7 @@ where
                 next += 1;
             }
         }
+        join_workers(workers);
     });
     // Only reachable when every worker exited cleanly, so every index must
     // have been delivered exactly once.
@@ -277,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         let _ = run_indexed(4, 2, |i| {
             if i == 3 {
@@ -285,6 +303,22 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn for_each_worker_panics_propagate() {
+        for_each_indexed(
+            4,
+            2,
+            |i| {
+                if i == 3 {
+                    panic!("boom");
+                }
+                i
+            },
+            |_, _| {},
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Region planning for single-run parallelism (`PRESENCE_REGIONS`).
+//! Region planning for single-run parallelism.
 //!
 //! `presence-des` provides the conservative engine
 //! ([`presence_des::RegionSim`]); this module decides *whether a given
@@ -8,55 +8,19 @@
 //! crossing the cut would admit same-instant causality across regions,
 //! which no safe window can contain.
 //!
-//! The paper's trio scenarios are **hub-coupled**: every CP and the
-//! device reach each other through one `NetworkActor`, and the CP→network
-//! leg is a same-instant `send_now`. Any cut separating a participant
-//! from the hub therefore fails validation and the planner collapses to
-//! one effective region — which is exactly why the golden fixtures replay
-//! byte-for-byte at any `PRESENCE_REGIONS` setting. Partitions that *do*
-//! parallelise are the hub-free ones: independent population shards
-//! ([`crate::run_mega_sharded`]) and multi-hub topologies with one
-//! network per region.
-//!
-//! The region count mirrors the `PRESENCE_JOBS` convention (see
-//! [`crate::parallel`]) but defaults to **1**, not the machine
-//! parallelism: regions change nothing for hub scenarios, so single-run
-//! parallelism is explicit opt-in.
+//! The paper's hub network is **one region by construction**: every CP
+//! and the device reach each other through one `NetworkActor`, and the
+//! CP→network leg is a same-instant `send_now`, so any cut separating a
+//! participant from the hub has zero lookahead. Partitions that *do*
+//! parallelise are the hub-free ones: the multi-plane topology
+//! ([`crate::Topology::Planes`], one or more network planes per region,
+//! joined by legs of positive wire time) and independent population
+//! shards ([`crate::run_mega_sharded`]). Regions are always asked for
+//! explicitly — a topology argument or a `--regions` flag — never through
+//! the environment.
 
 use presence_des::SimDuration;
-use std::env;
 use std::fmt;
-
-/// Resolves the requested region count: `PRESENCE_REGIONS` if set,
-/// otherwise 1 (single-run parallelism is opt-in).
-///
-/// # Panics
-///
-/// Panics if `PRESENCE_REGIONS` is set to anything but a positive
-/// integer, so a typo cannot silently serialise a study.
-#[must_use]
-pub fn region_count() -> usize {
-    parse_regions(env::var("PRESENCE_REGIONS").ok().as_deref())
-}
-
-/// Pure core of [`region_count`]: interprets an optional
-/// `PRESENCE_REGIONS` value.
-///
-/// # Panics
-///
-/// Panics on a non-numeric or zero value.
-#[must_use]
-pub fn parse_regions(var: Option<&str>) -> usize {
-    match var {
-        // `PRESENCE_REGIONS= cmd` clears the variable for one command;
-        // treat it as unset, not as a typo.
-        Some(raw) if !raw.trim().is_empty() => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("PRESENCE_REGIONS must be a positive integer, got {raw:?}"),
-        },
-        _ => 1,
-    }
-}
 
 /// Why a candidate partition cannot run conservatively in parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,21 +56,6 @@ pub struct RegionPartition {
 }
 
 impl RegionPartition {
-    /// Assigns `members` actors round-robin across `regions` regions
-    /// (actor `i` → region `i % regions`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regions == 0`.
-    #[must_use]
-    pub fn round_robin(members: usize, regions: usize) -> Self {
-        assert!(regions > 0, "a partition needs at least one region");
-        Self {
-            region_of: (0..members).map(|i| (i % regions) as u32).collect(),
-            regions,
-        }
-    }
-
     /// Builds a partition from an explicit assignment.
     ///
     /// # Panics
@@ -171,7 +120,7 @@ impl RegionPartition {
 /// actually supports, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionPlan {
-    /// Regions requested (`PRESENCE_REGIONS` or an explicit `--regions`).
+    /// Regions requested (a [`crate::Topology`] or an explicit `--regions`).
     pub requested: usize,
     /// Regions the run will actually use.
     pub effective: usize,
@@ -179,36 +128,26 @@ pub struct RegionPlan {
     pub reason: String,
 }
 
-/// Plans a run: validates a round-robin split of `members` actors into
-/// `requested` regions against `routes`, collapsing to one region when
-/// the topology cannot support the cut.
-///
-/// Collapse is a *planning* outcome, not an error: the run proceeds
-/// sequentially and stays bit-identical to every other region setting.
-/// A genuinely unsound configuration never reaches the engine.
-#[must_use]
-pub fn plan(
-    requested: usize,
-    members: usize,
-    routes: &[(usize, usize, SimDuration)],
-) -> RegionPlan {
-    if requested <= 1 {
-        return RegionPlan {
+impl RegionPlan {
+    /// The plan of a run that needs no cut: one region, nothing to validate.
+    #[must_use]
+    pub fn single(requested: usize) -> Self {
+        Self {
             requested,
             effective: 1,
             reason: "single region requested".into(),
-        };
+        }
     }
-    let regions = requested.min(members.max(1));
-    let partition = RegionPartition::round_robin(members, regions);
-    plan_partitioned(requested, &partition, routes)
 }
 
-/// [`plan`] for an explicit actor → region assignment (the decomposed
-/// multi-plane topologies, where co-location is structural rather than
-/// round-robin). The reason string always carries the decision's
-/// evidence: the planned cross-region lookahead on success, or the
-/// offending zero-delay route on collapse.
+/// Plans a run: validates an explicit actor → region assignment against
+/// `routes`, collapsing to one region when the topology cannot support the
+/// cut. The reason string always carries the decision's evidence: the
+/// planned cross-region lookahead on success, or the offending zero-delay
+/// route on collapse.
+///
+/// Collapse is a *planning* outcome, not an error: a genuinely unsound
+/// configuration never reaches the engine.
 #[must_use]
 pub fn plan_partitioned(
     requested: usize,
@@ -216,11 +155,7 @@ pub fn plan_partitioned(
     routes: &[(usize, usize, SimDuration)],
 ) -> RegionPlan {
     if requested <= 1 {
-        return RegionPlan {
-            requested,
-            effective: 1,
-            reason: "single region requested".into(),
-        };
+        return RegionPlan::single(requested);
     }
     let regions = partition.regions();
     match partition.lookahead(routes) {
@@ -251,30 +186,17 @@ mod tests {
 
     const MS: SimDuration = SimDuration::from_millis(1);
 
-    #[test]
-    fn parse_regions_defaults_to_one() {
-        assert_eq!(parse_regions(None), 1);
-        assert_eq!(parse_regions(Some("")), 1);
-        assert_eq!(parse_regions(Some("  ")), 1);
-        assert_eq!(parse_regions(Some("4")), 4);
-        assert_eq!(parse_regions(Some(" 2 ")), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn parse_regions_rejects_zero() {
-        let _ = parse_regions(Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn parse_regions_rejects_garbage() {
-        let _ = parse_regions(Some("lots"));
+    /// Actor `i` → region `i % regions`.
+    fn round_robin(members: usize, regions: usize) -> RegionPartition {
+        RegionPartition::from_assignment(
+            (0..members).map(|i| (i % regions) as u32).collect(),
+            regions,
+        )
     }
 
     #[test]
     fn lookahead_is_min_over_cross_routes() {
-        let p = RegionPartition::round_robin(4, 2);
+        let p = round_robin(4, 2);
         // 0,2 → region 0; 1,3 → region 1.
         let routes = [
             (0, 2, MS),
@@ -286,14 +208,14 @@ mod tests {
 
     #[test]
     fn no_cross_routes_is_isolated() {
-        let p = RegionPartition::round_robin(4, 2);
+        let p = round_robin(4, 2);
         let routes = [(0, 2, SimDuration::ZERO), (1, 3, SimDuration::ZERO)];
         assert_eq!(p.lookahead(&routes), Ok(None));
     }
 
     #[test]
     fn zero_delay_cross_route_is_rejected() {
-        let p = RegionPartition::round_robin(2, 2);
+        let p = round_robin(2, 2);
         let routes = [(0, 1, SimDuration::ZERO)];
         assert_eq!(
             p.lookahead(&routes),
@@ -306,7 +228,7 @@ mod tests {
         // Star around actor 0 with instant spokes: every multi-region cut
         // severs a spoke, so the planner must fall back to one region.
         let routes: Vec<_> = (1..6).map(|i| (i, 0, SimDuration::ZERO)).collect();
-        let plan = plan(4, 6, &routes);
+        let plan = plan_partitioned(4, &round_robin(6, 4), &routes);
         assert_eq!(plan.effective, 1);
         assert!(
             plan.reason.contains("zero minimum delay"),
@@ -318,15 +240,9 @@ mod tests {
     #[test]
     fn plan_keeps_sound_partitions() {
         let routes = [(0, 1, MS)];
-        let plan = plan(2, 2, &routes);
+        let plan = plan_partitioned(2, &round_robin(2, 2), &routes);
         assert_eq!(plan.effective, 2);
         assert!(plan.reason.contains("lookahead"), "{}", plan.reason);
-    }
-
-    #[test]
-    fn plan_caps_regions_at_member_count() {
-        let plan = plan(8, 3, &[]);
-        assert_eq!(plan.effective, 3);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A [`ScenarioConfig`] is a complete, serialisable description of one
 //! simulation run: protocol, population, network, churn, and seed.
-//! [`Scenario::build`] wires the actors together; [`Scenario::run_for`]
+//! [`Scenario::build`] wires the actors together on the paper's hub
+//! network ([`Scenario::build_on`] on any [`Topology`]); [`Scenario::run`]
 //! executes and [`Scenario::collect`] extracts a [`ScenarioResult`].
 
 use crate::actor_set::{PresenceActorSet, PresenceSim};
@@ -222,480 +223,35 @@ pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
     [("sapp", sapp), ("dcpp", dcpp), ("churn", churn)]
 }
 
-/// A built, runnable scenario.
-///
-/// Runs on the typed actor set ([`crate::PresenceSim`]): every node is an
-/// inline [`crate::PresenceActorSet`] member and the engine dispatches
-/// events through a direct variant match — the hot path carries no boxed
-/// trait objects.
-pub struct Scenario {
-    sim: PresenceSim,
-    cfg: ScenarioConfig,
-    mode: RecorderMode,
-    device: ActorId,
-    network: ActorId,
-    churn: ActorId,
-    cps: Vec<ActorId>,
-    /// Trace horizon (ns) when [`Scenario::enable_trace`] armed tracing.
-    trace_until_ns: Option<u64>,
+/// How a scenario's network is laid out — and with it, which engine runs
+/// it. The population, the actor add order (planes, device, CPs, churn,
+/// regime) and every RNG stream are the same on both; the hub is simply
+/// the one-plane case with nothing between the planes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// One [`NetworkActor`] every participant reaches directly, on the
+    /// sequential engine: the paper's setup, and one region by
+    /// construction (the participant → hub leg is a same-instant
+    /// `send_now`, so no cut through it has any lookahead).
+    Hub,
+    /// [`DECOMPOSED_PLANES`] network planes, each serving its slice of the
+    /// CP pool, joined by inter-plane legs of one fabric `min_delay` — the
+    /// topology whose region cuts carry positive lookahead. The planes are
+    /// grouped into `regions` contiguous regions (clamped to
+    /// `1..=DECOMPOSED_PLANES`): one region runs on the sequential engine,
+    /// more on the conservative windowed [`RegionSim`]. All planes are
+    /// always built, in the same order, so trajectories are bit-identical
+    /// across region counts, worker counts, and window policies.
+    Planes {
+        /// Requested region count.
+        regions: usize,
+    },
 }
 
-impl Scenario {
-    /// Wires up all actors for `cfg`.
-    #[must_use]
-    pub fn build(cfg: ScenarioConfig) -> Self {
-        Self::assemble(cfg, cfg.delay.build(), cfg.loss.build(), &[])
-    }
-
-    /// [`Scenario::build`] with an explicit recorder granularity. Under
-    /// [`RecorderMode::Streaming`] the actors keep constant-size
-    /// accumulators instead of per-sample series: the simulated trajectory
-    /// (and every scalar metric) is unchanged, but the series fields of
-    /// the collected [`ScenarioResult`] come back empty and memory stays
-    /// flat at any horizon.
-    #[must_use]
-    pub fn build_with_recorder(cfg: ScenarioConfig, mode: RecorderMode) -> Self {
-        Self::assemble_with_recorder(cfg, cfg.delay.build(), cfg.loss.build(), &[], mode)
-    }
-
-    /// [`Scenario::build`] with explicit (possibly time-varying) network
-    /// models and mid-run churn regime switches — the scenario-lab entry
-    /// point. `cfg.delay`/`cfg.loss` are ignored in favour of the passed
-    /// models; `churn_switches` (absolute seconds, ascending) are driven
-    /// by a [`crate::RegimeActor`] spawned only when the list is
-    /// non-empty, so a switch-free scenario is actor-for-actor identical
-    /// to [`Scenario::build`].
-    #[must_use]
-    pub fn assemble(
-        cfg: ScenarioConfig,
-        delay: Box<dyn DelayModel>,
-        loss: Box<dyn LossModel>,
-        churn_switches: &[(f64, ChurnModel)],
-    ) -> Self {
-        Self::assemble_with_recorder(cfg, delay, loss, churn_switches, RecorderMode::Full)
-    }
-
-    /// [`Scenario::assemble`] with an explicit recorder granularity (see
-    /// [`Scenario::build_with_recorder`]).
-    #[must_use]
-    pub fn assemble_with_recorder(
-        cfg: ScenarioConfig,
-        delay: Box<dyn DelayModel>,
-        loss: Box<dyn LossModel>,
-        churn_switches: &[(f64, ChurnModel)],
-        mode: RecorderMode,
-    ) -> Self {
-        cfg.validate();
-
-        let mut sim: PresenceSim = Simulation::with_actor_set(cfg.seed);
-
-        let fabric = Fabric::new(cfg.buffer_capacity, delay, loss);
-        let network = sim.add_member(NetworkActor::new(fabric).into());
-
-        let device_id = DeviceId(0);
-        let machine = match cfg.protocol {
-            Protocol::Sapp { device, .. } => {
-                DeviceMachine::Sapp(SappDevice::new(device_id, device))
-            }
-            Protocol::Dcpp { cfg: c } => DeviceMachine::Dcpp(DcppDevice::new(device_id, c)),
-            // The fixed-rate baseline probes a DCPP device (any responder
-            // works; the baseline ignores reply payloads).
-            Protocol::FixedRate { .. } => {
-                DeviceMachine::Dcpp(DcppDevice::new(device_id, DcppConfig::paper_default()))
-            }
-        };
-        let processing = ProcessingModel {
-            min: SimDuration::from_secs_f64(cfg.processing.0),
-            max: SimDuration::from_secs_f64(cfg.processing.1),
-        };
-        let mut device_actor =
-            DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
-        if let (
-            Some(tune),
-            Protocol::Sapp {
-                device: dev_cfg, ..
-            },
-        ) = (cfg.sapp_auto_tune, cfg.protocol)
-        {
-            device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
-        }
-        device_actor.set_recorder_mode(mode);
-        let device = sim.add_member(device_actor.into());
-
-        let factory = match cfg.protocol {
-            Protocol::Sapp { cp, .. } => ProberFactory::Sapp(cp),
-            Protocol::Dcpp { cfg: c } => ProberFactory::Dcpp(c),
-            Protocol::FixedRate { cycle, period } => {
-                ProberFactory::FixedRate(cycle, SimDuration::from_secs_f64(period))
-            }
-        };
-
-        // One frequency sample lands per completed cycle; the protocols
-        // hold the device near L_nom = 10 cycles/s shared across the pool,
-        // so this hint is the fair-share expectation with 2× headroom for
-        // the unfair (SAPP) trajectories.
-        let samples_hint =
-            ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
-        let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
-        for i in 0..cfg.cp_pool {
-            let id = CpId(i);
-            let mut cp_actor = CpActor::new(
-                id,
-                factory.clone(),
-                network,
-                device_id,
-                cfg.disseminate,
-                samples_hint,
-            );
-            cp_actor.set_recorder_mode(mode);
-            let actor = sim.add_member(cp_actor.into());
-            cps.push(actor);
-        }
-
-        // Register routes.
-        {
-            let net = sim
-                .actor_mut::<NetworkActor>(network)
-                .expect("network actor");
-            net.register(Addr::Device(device_id), device);
-            for (i, &actor) in cps.iter().enumerate() {
-                net.register(Addr::Cp(CpId(i as u32)), actor);
-            }
-        }
-
-        let churn = sim.add_member(
-            ChurnActor::new(
-                cfg.churn,
-                cps.clone(),
-                cfg.initially_active,
-                SimDuration::from_secs_f64(cfg.join_stagger),
-                cfg.duration,
-            )
-            .into(),
-        );
-
-        if !churn_switches.is_empty() {
-            sim.add_member(crate::RegimeActor::new(churn, churn_switches.to_vec()).into());
-        }
-
-        Self {
-            sim,
-            cfg,
-            mode,
-            device,
-            network,
-            churn,
-            cps,
-            trace_until_ns: None,
-        }
-    }
-
-    /// Arms presence tracing on every actor (and, when `engine` is set,
-    /// the structured engine event stream). `until` caps the horizon in
-    /// virtual seconds (`None` = the whole run). Call before [`Scenario::run`];
-    /// drain with [`Scenario::collect_trace`]. The simulated trajectory is
-    /// unchanged — tracing only buffers observations.
-    pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
-        let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
-        self.trace_until_ns = Some(until_ns);
-        if engine {
-            self.sim.enable_engine_trace();
-        }
-        let network = self.network;
-        self.sim
-            .actor_mut::<NetworkActor>(network)
-            .expect("network actor")
-            .set_trace(until_ns);
-        let device = self.device;
-        self.sim
-            .actor_mut::<DeviceActor>(device)
-            .expect("device actor")
-            .set_trace(until_ns);
-        for &cp in &self.cps.clone() {
-            self.sim
-                .actor_mut::<CpActor>(cp)
-                .expect("cp actor")
-                .set_trace(until_ns);
-        }
-        let churn = self.churn;
-        self.sim
-            .actor_mut::<ChurnActor>(churn)
-            .expect("churn actor")
-            .set_trace(until_ns);
-    }
-
-    /// Drains the trace buffers into a [`presence_trace::TraceModel`]
-    /// (counter tracks are synthesised from `result`'s series, so pass the
-    /// [`Scenario::collect`] output of the same run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::enable_trace`] was not called.
-    #[must_use]
-    pub fn collect_trace(&mut self, result: &ScenarioResult) -> presence_trace::TraceModel {
-        let until_ns = self
-            .trace_until_ns
-            .expect("enable_trace before collect_trace");
-        let network = self.network;
-        let device = self.device;
-        let churn = self.churn;
-        let nets = vec![(
-            network.index(),
-            self.sim
-                .actor_mut::<NetworkActor>(network)
-                .expect("network actor")
-                .take_trace(),
-        )];
-        let device_buf = self
-            .sim
-            .actor_mut::<DeviceActor>(device)
-            .expect("device actor")
-            .take_trace();
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &cp in &self.cps.clone() {
-            cps.push((
-                cp.index(),
-                self.sim
-                    .actor_mut::<CpActor>(cp)
-                    .expect("cp actor")
-                    .take_trace(),
-            ));
-        }
-        let churn_buf = self
-            .sim
-            .actor_mut::<ChurnActor>(churn)
-            .expect("churn actor")
-            .take_trace();
-        TraceCapture {
-            until_ns,
-            nets,
-            device: (device.index(), device_buf),
-            cps,
-            churn: (churn.index(), churn_buf),
-            engine: self.sim.take_engine_trace(),
-            barriers: Vec::new(),
-        }
-        .into_model(result)
-    }
-
-    /// The configuration this scenario was built from.
-    #[must_use]
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.cfg
-    }
-
-    /// The underlying simulation (for custom interventions: crashes,
-    /// Δ-retuning, extra probes).
-    pub fn sim_mut(&mut self) -> &mut PresenceSim {
-        &mut self.sim
-    }
-
-    /// Actor id of the device.
-    #[must_use]
-    pub fn device_actor(&self) -> ActorId {
-        self.device
-    }
-
-    /// Actor ids of the CP pool.
-    #[must_use]
-    pub fn cp_actors(&self) -> &[ActorId] {
-        &self.cps
-    }
-
-    /// Actor id of the churn driver.
-    #[must_use]
-    pub fn churn_actor(&self) -> ActorId {
-        self.churn
-    }
-
-    /// Schedules a device crash (silent leave) at `at` seconds.
-    pub fn crash_device_at(&mut self, at: f64) {
-        let device = self.device;
-        self.sim
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::Crash);
-    }
-
-    /// Schedules a graceful device leave (Bye broadcast) at `at` seconds.
-    pub fn device_bye_at(&mut self, at: f64) {
-        let device = self.device;
-        self.sim
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::GracefulLeave);
-    }
-
-    /// Schedules a SAPP device Δ-doubling at `at` seconds (A2 ablation).
-    pub fn double_delta_at(&mut self, at: f64) {
-        let device = self.device;
-        self.sim
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::DoubleDelta);
-    }
-
-    /// Plans the region split a `PRESENCE_REGIONS` request would produce
-    /// for this scenario, by running the partition validator over the
-    /// actual actor topology.
-    ///
-    /// The trio scenarios are hub-coupled: every CP and the device reach
-    /// each other through the single [`NetworkActor`], and the
-    /// participant→hub leg is a same-instant `send_now` (zero lookahead).
-    /// Any cut separating a participant from the hub therefore fails
-    /// validation and the plan collapses to one effective region — which
-    /// is also why the golden fixtures replay byte-for-byte at any
-    /// `PRESENCE_REGIONS` setting. Single-run parallelism needs hub-free
-    /// topologies (independent shards, or one hub per region); see
-    /// [`crate::run_mega_sharded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `PRESENCE_REGIONS` is set to a non-positive or
-    /// non-numeric value (same contract as `PRESENCE_JOBS`).
-    #[must_use]
-    pub fn region_plan(&self) -> crate::RegionPlan {
-        self.region_plan_for(crate::region_count())
-    }
-
-    /// [`Scenario::region_plan`] for an explicit request (the `--regions`
-    /// flag path; also lets tests exercise the planner without touching
-    /// the process environment).
-    #[must_use]
-    pub fn region_plan_for(&self, requested: usize) -> crate::RegionPlan {
-        let hub = self.network.index();
-        let fabric_min = self
-            .sim
-            .actor::<NetworkActor>(self.network)
-            .expect("network actor")
-            .min_delay();
-        let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
-        // Participant → hub: probes and replies are same-instant offers.
-        routes.push((self.device.index(), hub, SimDuration::ZERO));
-        // Hub → participant: deliveries carry at least the fabric's
-        // minimum delay.
-        routes.push((hub, self.device.index(), fabric_min));
-        for &cp in &self.cps {
-            routes.push((cp.index(), hub, SimDuration::ZERO));
-            routes.push((hub, cp.index(), fabric_min));
-        }
-        // Churn flips CP membership instantly.
-        for &cp in &self.cps {
-            routes.push((self.churn.index(), cp.index(), SimDuration::ZERO));
-        }
-        crate::region::plan(requested, self.sim.actor_count(), &routes)
-    }
-
-    /// Runs the scenario for its configured duration.
-    ///
-    /// Consults [`Scenario::region_plan`] first, so a malformed
-    /// `PRESENCE_REGIONS` fails loudly and the collapse decision is made
-    /// by the validator, never assumed: hub scenarios always plan one
-    /// effective region, i.e. exactly the sequential engine.
-    pub fn run(&mut self) {
-        let plan = self.region_plan();
-        assert_eq!(
-            plan.effective, 1,
-            "hub scenarios must collapse to one region (got: {})",
-            plan.reason
-        );
-        let end = SimTime::from_secs_f64(self.cfg.duration);
-        self.sim.run_until(end);
-    }
-
-    /// Runs until the given virtual time (may be called repeatedly for
-    /// checkpointed collection).
-    pub fn run_until(&mut self, at: f64) {
-        self.sim.run_until(SimTime::from_secs_f64(at));
-    }
-
-    /// Extracts the results accumulated so far.
-    #[must_use]
-    pub fn collect(&mut self) -> ScenarioResult {
-        let now = self.sim.now();
-
-        let (load_series, load_mean, load_variance) = {
-            let dev = self
-                .sim
-                .actor_mut::<DeviceActor>(self.device)
-                .expect("device actor");
-            match self.mode {
-                RecorderMode::Full => {
-                    let series = dev.load_series_until(now);
-                    // Load over the steady part (skip the first window).
-                    let mut acc = presence_stats::Welford::new();
-                    for &(_, rate) in series.iter().skip(1) {
-                        acc.push(rate);
-                    }
-                    (series, acc.mean(), acc.sample_variance())
-                }
-                RecorderMode::Streaming => {
-                    let (mean, variance) = dev.streaming_load_stats(now);
-                    (Vec::new(), mean, variance)
-                }
-            }
-        };
-
-        let device_probes = self
-            .sim
-            .actor::<DeviceActor>(self.device)
-            .expect("device actor")
-            .probes_received();
-
-        let (fabric_stats, mean_buffer_occupancy) = {
-            // Mutable: the fabric settles delivery deadlines ≤ now before
-            // reporting (lazy delivery accounting).
-            let net = self
-                .sim
-                .actor_mut::<NetworkActor>(self.network)
-                .expect("network actor");
-            (net.fabric_stats(now), net.mean_occupancy(now))
-        };
-
-        let population_series: Vec<(f64, f64)> = self
-            .sim
-            .actor::<ChurnActor>(self.churn)
-            .expect("churn actor")
-            .population_series()
-            .samples()
-            .iter()
-            .map(|s| (s.t, s.value))
-            .collect();
-
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &actor in &self.cps {
-            let cp = self.sim.actor::<CpActor>(actor).expect("cp actor");
-            let rec = cp.record_snapshot();
-            cps.push(CpSummary::from_record(&rec, now.as_secs_f64()));
-        }
-
-        // Fairness over CPs that ever probed.
-        let freqs: Vec<f64> = cps
-            .iter()
-            .filter(|c| c.cycles_succeeded > 0)
-            .map(|c| c.mean_frequency)
-            .collect();
-        let fairness = jain_index(&freqs);
-
-        ScenarioResult {
-            duration: now.as_secs_f64(),
-            events_processed: self.sim.events_processed(),
-            device_probes,
-            load_series,
-            load_mean,
-            load_variance,
-            mean_buffer_occupancy,
-            messages_offered: fabric_stats.offered,
-            messages_delivered: fabric_stats.delivered,
-            messages_dropped_overflow: fabric_stats.dropped_overflow,
-            messages_dropped_loss: fabric_stats.dropped_loss,
-            messages_unroutable: fabric_stats.unroutable,
-            population_series,
-            cps,
-            fairness_jain: fairness,
-        }
-    }
-}
-
-/// Number of network planes a decomposed topology always builds. Fixed
+/// Number of network planes [`Topology::Planes`] always builds. Fixed
 /// (rather than one per region) so the actor-id layout — and with it
 /// every RNG stream — is identical at every region count: regions only
-/// re-*group* the same planes, which is what makes decomposed runs
-/// bit-identical across `regions ∈ {1, 2, 4, 8}`.
+/// re-*group* the same planes.
 pub const DECOMPOSED_PLANES: usize = 8;
 
 /// WAN-leg delay floor layered under delay models whose own minimum is
@@ -705,10 +261,10 @@ pub const DECOMPOSED_PLANES: usize = 8;
 /// untouched, so their delivery distributions are exactly the hub's.
 pub const WAN_LEG_FLOOR: SimDuration = SimDuration::from_micros(100);
 
-/// The execution engine behind a [`DecomposedScenario`]: the plain
-/// sequential simulation when one region is effective, the conservative
-/// windowed engine otherwise. Both run the *same* actor graph with the
-/// same RNG streams, so the trajectory is engine-invariant.
+/// The execution engine behind a [`Scenario`]: the plain sequential
+/// simulation when one region is effective, the conservative windowed
+/// engine otherwise. Both run the *same* actor graph with the same RNG
+/// streams, so the trajectory is engine-invariant.
 enum Engine {
     Seq(Box<PresenceSim>),
     Regioned(Box<RegionSim<SimEvent, PresenceActorSet>>),
@@ -798,55 +354,55 @@ impl Engine {
     }
 }
 
-/// A scenario on the decomposed (multi-plane) network topology: one
-/// [`NetworkActor`] plane per [`DECOMPOSED_PLANES`] slice of the CP pool,
-/// joined by inter-plane legs of one fabric `min_delay` — the topology
-/// whose region cuts carry positive lookahead, so the paper trio
-/// genuinely parallelises instead of collapsing (see
-/// [`Scenario::region_plan`] for why the hub cannot).
+/// A built, runnable scenario.
 ///
-/// Construction always builds all [`DECOMPOSED_PLANES`] planes in the
-/// same order regardless of the requested region count; `regions` only
-/// choose the engine (sequential for one effective region, the windowed
-/// [`RegionSim`] otherwise) and the plane → region grouping. Trajectories
-/// are therefore bit-identical across region counts, worker counts, and
-/// window policies — pinned by `region_integration` and the decomposed
-/// golden fixtures.
-pub struct DecomposedScenario {
+/// Runs on the typed actor set ([`crate::PresenceSim`]): every node is an
+/// inline [`crate::PresenceActorSet`] member and the engine dispatches
+/// events through a direct variant match — the hot path carries no boxed
+/// trait objects. The [`Topology`] it was built on decides the network
+/// layout and the engine; everything else — assembly, interventions,
+/// tracing, collection — is one code path.
+pub struct Scenario {
     engine: Engine,
     cfg: ScenarioConfig,
     mode: RecorderMode,
     device: ActorId,
+    /// The network planes (exactly one on the hub).
     planes: Vec<ActorId>,
     churn: ActorId,
     cps: Vec<ActorId>,
     plan: RegionPlan,
-    leg: SimDuration,
-    /// Trace horizon (ns) when [`DecomposedScenario::enable_trace`] armed
-    /// tracing.
+    /// Trace horizon (ns) when [`Scenario::enable_trace`] armed tracing.
     trace_until_ns: Option<u64>,
 }
 
-impl DecomposedScenario {
-    /// Wires up the decomposed topology for `cfg` across `requested`
-    /// regions (capped at [`DECOMPOSED_PLANES`]).
+impl Scenario {
+    /// Wires up all actors for `cfg` on the paper's hub network.
     #[must_use]
-    pub fn build(cfg: ScenarioConfig, requested: usize) -> Self {
+    pub fn build(cfg: ScenarioConfig) -> Self {
+        Self::build_on(cfg, Topology::Hub)
+    }
+
+    /// [`Scenario::build`] on an explicit [`Topology`].
+    #[must_use]
+    pub fn build_on(cfg: ScenarioConfig, topology: Topology) -> Self {
         Self::assemble(
             cfg,
-            requested,
+            topology,
             &|| cfg.delay.build(),
             &|| cfg.loss.build(),
             &[],
-            RecorderMode::Full,
         )
     }
 
-    /// [`DecomposedScenario::build`] with explicit per-plane model
-    /// factories (each plane owns its own fabric, so time-varying lab
-    /// models are instantiated once per plane), mid-run churn switches,
-    /// and a recorder granularity — the decomposed mirror of
-    /// [`Scenario::assemble_with_recorder`].
+    /// [`Scenario::build_on`] with explicit (possibly time-varying)
+    /// network models and mid-run churn regime switches — the scenario-lab
+    /// entry point. `cfg.delay`/`cfg.loss` are ignored in favour of the
+    /// factories, which are called once per network plane (each plane owns
+    /// its own fabric); `churn_switches` (absolute seconds, ascending) are
+    /// driven by a [`crate::RegimeActor`] spawned only when the list is
+    /// non-empty, so a switch-free scenario is actor-for-actor identical
+    /// to [`Scenario::build_on`].
     ///
     /// # Panics
     ///
@@ -854,28 +410,34 @@ impl DecomposedScenario {
     #[must_use]
     pub fn assemble(
         cfg: ScenarioConfig,
-        requested: usize,
+        topology: Topology,
         delay_factory: &dyn Fn() -> Box<dyn DelayModel>,
         loss_factory: &dyn Fn() -> Box<dyn LossModel>,
         churn_switches: &[(f64, ChurnModel)],
-        mode: RecorderMode,
     ) -> Self {
         cfg.validate();
-        let planes_n = DECOMPOSED_PLANES;
+
+        // The inter-plane leg: the delay model's own minimum when positive
+        // (distributions unchanged — `max(sample, leg)` is the identity),
+        // the WAN floor otherwise (`floored`: the floor then truncates only
+        // the sub-100 µs tail of the plane-local distribution). The hub
+        // has one plane and therefore no leg.
+        let (planes_n, requested, leg, floored) = match topology {
+            Topology::Hub => (1, 1, None, false),
+            Topology::Planes { regions } => {
+                let raw_min = delay_factory().min_delay();
+                let floored = raw_min == SimDuration::ZERO;
+                let leg = if floored { WAN_LEG_FLOOR } else { raw_min };
+                (DECOMPOSED_PLANES, regions, Some(leg), floored)
+            }
+        };
         let effective = requested.clamp(1, planes_n);
 
-        // The inter-plane leg: the delay model's own minimum when
-        // positive (distributions unchanged — `max(sample, leg)` is the
-        // identity), the WAN floor otherwise (the floor then truncates
-        // only the sub-100 µs tail of the plane-local distribution).
-        let raw_min = delay_factory().min_delay();
-        let needs_floor = raw_min == SimDuration::ZERO;
-        let leg = if needs_floor { WAN_LEG_FLOOR } else { raw_min };
-
-        let mut engine = if effective == 1 {
-            Engine::Seq(Box::new(Simulation::with_actor_set(cfg.seed)))
-        } else {
-            Engine::Regioned(Box::new(RegionSim::new(cfg.seed, effective, leg)))
+        let mut engine = match leg {
+            Some(leg) if effective > 1 => {
+                Engine::Regioned(Box::new(RegionSim::new(cfg.seed, effective, leg)))
+            }
+            _ => Engine::Seq(Box::new(Simulation::with_actor_set(cfg.seed))),
         };
 
         // Region of each plane: contiguous blocks, `planes_n / effective`
@@ -891,7 +453,7 @@ impl DecomposedScenario {
 
         let mut planes = Vec::with_capacity(planes_n);
         for p in 0..planes_n {
-            let delay: Box<dyn DelayModel> = if needs_floor {
+            let delay: Box<dyn DelayModel> = if floored {
                 Box::new(FlooredDelay::new(WAN_LEG_FLOOR, delay_factory()))
             } else {
                 delay_factory()
@@ -905,14 +467,16 @@ impl DecomposedScenario {
             ));
         }
 
-        // Device, CPs, churn: same construction as the hub assembly, but
-        // each participant points at (and is co-located with) its plane.
+        // Each participant points at (and is co-located with) its plane:
+        // the device on plane 0, CP `i` on plane `i mod planes_n`.
         let device_id = DeviceId(0);
         let machine = match cfg.protocol {
             Protocol::Sapp { device, .. } => {
                 DeviceMachine::Sapp(SappDevice::new(device_id, device))
             }
             Protocol::Dcpp { cfg: c } => DeviceMachine::Dcpp(DcppDevice::new(device_id, c)),
+            // The fixed-rate baseline probes a DCPP device (any responder
+            // works; the baseline ignores reply payloads).
             Protocol::FixedRate { .. } => {
                 DeviceMachine::Dcpp(DcppDevice::new(device_id, DcppConfig::paper_default()))
             }
@@ -937,7 +501,6 @@ impl DecomposedScenario {
         {
             device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
         }
-        device_actor.set_recorder_mode(mode);
         let device = add(
             &mut engine,
             &mut region_of,
@@ -952,45 +515,52 @@ impl DecomposedScenario {
                 ProberFactory::FixedRate(cycle, SimDuration::from_secs_f64(period))
             }
         };
+
+        // One frequency sample lands per completed cycle; the protocols
+        // hold the device near L_nom = 10 cycles/s shared across the pool,
+        // so this hint is the fair-share expectation with 2× headroom for
+        // the unfair (SAPP) trajectories.
         let samples_hint =
             ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
         let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
         for i in 0..cfg.cp_pool {
             let plane = i as usize % planes_n;
-            let id = CpId(i);
-            let mut cp_actor = CpActor::new(
-                id,
+            let cp_actor = CpActor::new(
+                CpId(i),
                 factory.clone(),
                 planes[plane],
                 device_id,
                 cfg.disseminate,
                 samples_hint,
             );
-            cp_actor.set_recorder_mode(mode);
-            let actor = add(
+            cps.push(add(
                 &mut engine,
                 &mut region_of,
                 region_of_plane(plane),
                 cp_actor.into(),
-            );
-            cps.push(actor);
+            ));
         }
 
-        // Register each participant's route on its owning plane only,
-        // and hand every plane the shared topology map.
-        let topology = Arc::new(PlaneTopology {
-            planes: planes.clone(),
-            plane_of_cp: (0..cfg.cp_pool)
-                .map(|i| (i as usize % planes_n) as u32)
-                .collect(),
-            plane_of_device: vec![0],
-            leg,
+        // Register each participant's route on its owning plane only; in
+        // a multi-plane network every plane also gets the shared topology
+        // map it forwards by.
+        let plane_map = leg.map(|leg| {
+            Arc::new(PlaneTopology {
+                planes: planes.clone(),
+                plane_of_cp: (0..cfg.cp_pool)
+                    .map(|i| (i as usize % planes_n) as u32)
+                    .collect(),
+                plane_of_device: vec![0],
+                leg,
+            })
         });
         for (p, &plane) in planes.iter().enumerate() {
             let net = engine
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor");
-            net.set_plane(p as u32, Arc::clone(&topology));
+            if let Some(map) = &plane_map {
+                net.set_plane(p as u32, Arc::clone(map));
+            }
             if p == 0 {
                 net.register(Addr::Device(device_id), device);
             }
@@ -1008,9 +578,11 @@ impl DecomposedScenario {
             SimDuration::from_secs_f64(cfg.join_stagger),
             cfg.duration,
         );
-        // The churn driver lives in region 0 while its CPs are spread
-        // over all regions: membership events must carry wire time.
-        churn_actor.set_notify_delay(leg);
+        if let Some(leg) = leg {
+            // The churn driver lives in region 0 while its CPs are spread
+            // over all regions: membership events must carry wire time.
+            churn_actor.set_notify_delay(leg);
+        }
         let churn = add(&mut engine, &mut region_of, 0, churn_actor.into());
 
         let mut regime = None;
@@ -1023,100 +595,128 @@ impl DecomposedScenario {
             ));
         }
 
-        // Plan over the actual topology: the validator sees the same
-        // partition and routes the engine runs, so the decision is
-        // checked, never assumed.
-        let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
-        for (p, &a) in planes.iter().enumerate() {
-            for (q, &b) in planes.iter().enumerate() {
-                if p != q {
-                    routes.push((a.index(), b.index(), leg));
+        // A multi-region run is planned over the actual topology: the
+        // validator sees the same partition and routes the engine runs, so
+        // the decision is checked, never assumed. One region needs no cut.
+        let plan = match leg {
+            Some(leg) if effective > 1 => {
+                let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
+                for (p, &a) in planes.iter().enumerate() {
+                    for (q, &b) in planes.iter().enumerate() {
+                        if p != q {
+                            routes.push((a.index(), b.index(), leg));
+                        }
+                    }
                 }
+                routes.push((device.index(), planes[0].index(), SimDuration::ZERO));
+                routes.push((planes[0].index(), device.index(), leg));
+                for (i, &cp) in cps.iter().enumerate() {
+                    let plane = planes[i % planes_n];
+                    routes.push((cp.index(), plane.index(), SimDuration::ZERO));
+                    routes.push((plane.index(), cp.index(), leg));
+                    routes.push((churn.index(), cp.index(), leg));
+                }
+                if let Some(regime) = regime {
+                    routes.push((regime.index(), churn.index(), SimDuration::ZERO));
+                }
+                let partition = RegionPartition::from_assignment(region_of, effective);
+                let plan = plan_partitioned(requested, &partition, &routes);
+                assert_eq!(
+                    plan.effective, effective,
+                    "the topology must support its own partition (got: {})",
+                    plan.reason
+                );
+                plan
             }
-        }
-        routes.push((device.index(), planes[0].index(), SimDuration::ZERO));
-        routes.push((planes[0].index(), device.index(), leg));
-        for (i, &cp) in cps.iter().enumerate() {
-            let plane = planes[i % planes_n];
-            routes.push((cp.index(), plane.index(), SimDuration::ZERO));
-            routes.push((plane.index(), cp.index(), leg));
-            routes.push((churn.index(), cp.index(), leg));
-        }
-        if let Some(regime) = regime {
-            routes.push((regime.index(), churn.index(), SimDuration::ZERO));
-        }
-        let partition = RegionPartition::from_assignment(region_of, effective);
-        let plan = plan_partitioned(requested, &partition, &routes);
-        assert_eq!(
-            plan.effective, effective,
-            "decomposed topology must support its own partition (got: {})",
-            plan.reason
-        );
+            _ => RegionPlan::single(requested),
+        };
 
         Self {
             engine,
             cfg,
-            mode,
+            mode: RecorderMode::Full,
             device,
             planes,
             churn,
             cps,
             plan,
-            leg,
             trace_until_ns: None,
         }
     }
 
-    /// Arms presence tracing on every actor of the decomposed topology
-    /// (see [`Scenario::enable_trace`]). The emitted trace is bit-identical
-    /// across region counts: per-actor trajectories are region-invariant
-    /// and the engine stream is canonically ordered — only the barrier
-    /// marks (regioned runs only) differ, on their own track.
+    /// Selects the recorder granularity; call before the first event.
+    /// Under [`RecorderMode::Streaming`] the actors keep constant-size
+    /// accumulators instead of per-sample series: the simulated trajectory
+    /// (and every scalar metric) is unchanged, but the series fields of
+    /// the collected [`ScenarioResult`] come back empty and memory stays
+    /// flat at any horizon.
+    pub fn set_recorder_mode(&mut self, mode: RecorderMode) {
+        self.mode = mode;
+        self.engine
+            .actor_mut::<DeviceActor>(self.device)
+            .expect("device actor")
+            .set_recorder_mode(mode);
+        for &cp in &self.cps {
+            self.engine
+                .actor_mut::<CpActor>(cp)
+                .expect("cp actor")
+                .set_recorder_mode(mode);
+        }
+    }
+
+    /// Arms presence tracing on every actor (and, when `engine` is set,
+    /// the structured engine event stream). `until` caps the horizon in
+    /// virtual seconds (`None` = the whole run). Call before [`Scenario::run`];
+    /// drain with [`Scenario::collect_trace`]. The simulated trajectory is
+    /// unchanged — tracing only buffers observations — and the emitted
+    /// trace is bit-identical across region counts: per-actor trajectories
+    /// are region-invariant and the engine stream is canonically ordered;
+    /// only the barrier marks (regioned runs only) differ, on their own
+    /// track.
     pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
         let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
         self.trace_until_ns = Some(until_ns);
         if engine {
             self.engine.enable_engine_trace();
         }
-        for &plane in &self.planes.clone() {
+        for &plane in &self.planes {
             self.engine
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor")
                 .set_trace(until_ns);
         }
-        let device = self.device;
         self.engine
-            .actor_mut::<DeviceActor>(device)
+            .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .set_trace(until_ns);
-        for &cp in &self.cps.clone() {
+        for &cp in &self.cps {
             self.engine
                 .actor_mut::<CpActor>(cp)
                 .expect("cp actor")
                 .set_trace(until_ns);
         }
-        let churn = self.churn;
         self.engine
-            .actor_mut::<ChurnActor>(churn)
+            .actor_mut::<ChurnActor>(self.churn)
             .expect("churn actor")
             .set_trace(until_ns);
     }
 
-    /// Drains the trace buffers into a [`presence_trace::TraceModel`] —
-    /// the decomposed mirror of [`Scenario::collect_trace`], with one
-    /// `net{p}` track per plane and the regioned engine's barrier marks
-    /// attached when the run was genuinely parallel.
+    /// Drains the trace buffers into a [`presence_trace::TraceModel`] with
+    /// one `net{p}` track per plane and, when the run was genuinely
+    /// parallel, the regioned engine's barrier marks (counter tracks are
+    /// synthesised from `result`'s series, so pass the
+    /// [`Scenario::collect`] output of the same run).
     ///
     /// # Panics
     ///
-    /// Panics if [`DecomposedScenario::enable_trace`] was not called.
+    /// Panics if [`Scenario::enable_trace`] was not called.
     #[must_use]
     pub fn collect_trace(&mut self, result: &ScenarioResult) -> presence_trace::TraceModel {
         let until_ns = self
             .trace_until_ns
             .expect("enable_trace before collect_trace");
         let mut nets = Vec::with_capacity(self.planes.len());
-        for &plane in &self.planes.clone() {
+        for &plane in &self.planes {
             nets.push((
                 plane.index(),
                 self.engine
@@ -1125,14 +725,13 @@ impl DecomposedScenario {
                     .take_trace(),
             ));
         }
-        let device = self.device;
         let device_buf = self
             .engine
-            .actor_mut::<DeviceActor>(device)
+            .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .take_trace();
         let mut cps = Vec::with_capacity(self.cps.len());
-        for &cp in &self.cps.clone() {
+        for &cp in &self.cps {
             cps.push((
                 cp.index(),
                 self.engine
@@ -1141,53 +740,64 @@ impl DecomposedScenario {
                     .take_trace(),
             ));
         }
-        let churn = self.churn;
         let churn_buf = self
             .engine
-            .actor_mut::<ChurnActor>(churn)
+            .actor_mut::<ChurnActor>(self.churn)
             .expect("churn actor")
             .take_trace();
         TraceCapture {
             until_ns,
             nets,
-            device: (device.index(), device_buf),
+            device: (self.device.index(), device_buf),
             cps,
-            churn: (churn.index(), churn_buf),
+            churn: (self.churn.index(), churn_buf),
             engine: self.engine.take_engine_trace(),
             barriers: self.engine.take_barrier_marks(),
         }
         .into_model(result)
     }
 
-    /// The configuration this scenario was built from.
-    #[must_use]
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.cfg
+    /// The underlying sequential simulation (for custom interventions:
+    /// crashes, Δ-retuning, extra probes, dispatch hooks).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a scenario running more than one region: the windowed
+    /// engine has no single simulation to hand out.
+    pub fn sim_mut(&mut self) -> &mut PresenceSim {
+        match &mut self.engine {
+            Engine::Seq(sim) => sim,
+            Engine::Regioned(_) => panic!(
+                "sim_mut needs the sequential engine, but this scenario runs {} regions; \
+                 build it on Topology::Hub or Topology::Planes {{ regions: 1 }}",
+                self.plan.effective
+            ),
+        }
     }
 
-    /// The planning decision made at construction (requested vs effective
-    /// regions, with the lookahead or collapse evidence).
+    /// Actor id of the device.
     #[must_use]
-    pub fn region_plan(&self) -> &RegionPlan {
-        &self.plan
-    }
-
-    /// The inter-plane leg (also the cross-region lookahead).
-    #[must_use]
-    pub fn leg(&self) -> SimDuration {
-        self.leg
-    }
-
-    /// Actor ids of the network planes.
-    #[must_use]
-    pub fn plane_actors(&self) -> &[ActorId] {
-        &self.planes
+    pub fn device_actor(&self) -> ActorId {
+        self.device
     }
 
     /// Actor ids of the CP pool.
     #[must_use]
     pub fn cp_actors(&self) -> &[ActorId] {
         &self.cps
+    }
+
+    /// Actor id of the churn driver.
+    #[must_use]
+    pub fn churn_actor(&self) -> ActorId {
+        self.churn
+    }
+
+    /// The planning decision made at construction (requested vs effective
+    /// regions, with the lookahead evidence the partition validator found).
+    #[must_use]
+    pub fn region_plan(&self) -> &RegionPlan {
+        &self.plan
     }
 
     /// Caps the worker threads the windowed engine may use (no-op on the
@@ -1221,7 +831,8 @@ impl DecomposedScenario {
         }
     }
 
-    /// Unicasts forwarded over inter-plane legs, summed over planes.
+    /// Unicasts forwarded over inter-plane legs, summed over planes
+    /// (always 0 on the hub).
     #[must_use]
     pub fn relays_forwarded(&self) -> u64 {
         self.planes
@@ -1235,31 +846,40 @@ impl DecomposedScenario {
             .sum()
     }
 
+    fn schedule_on_device(&mut self, at: f64, event: SimEvent) {
+        self.engine
+            .schedule_at(SimTime::from_secs_f64(at), self.device, event);
+    }
+
     /// Schedules a device crash (silent leave) at `at` seconds.
     pub fn crash_device_at(&mut self, at: f64) {
-        let device = self.device;
-        self.engine
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::Crash);
+        self.schedule_on_device(at, SimEvent::Crash);
     }
 
     /// Schedules a graceful device leave (Bye broadcast) at `at` seconds.
     pub fn device_bye_at(&mut self, at: f64) {
-        let device = self.device;
-        self.engine
-            .schedule_at(SimTime::from_secs_f64(at), device, SimEvent::GracefulLeave);
+        self.schedule_on_device(at, SimEvent::GracefulLeave);
+    }
+
+    /// Schedules a SAPP device Δ-doubling at `at` seconds (A2 ablation).
+    pub fn double_delta_at(&mut self, at: f64) {
+        self.schedule_on_device(at, SimEvent::DoubleDelta);
     }
 
     /// Runs the scenario for its configured duration.
     pub fn run(&mut self) {
-        let end = SimTime::from_secs_f64(self.cfg.duration);
-        self.engine.run_until(end);
+        self.run_until(self.cfg.duration);
     }
 
-    /// Extracts the results accumulated so far. Mirrors
-    /// [`Scenario::collect`], with fabric counters summed over the planes
-    /// (each plane owns an independent fabric; the hub totals are the
-    /// plane totals' sum, and mean occupancy adds because in-flight
-    /// counts add).
+    /// Runs until the given virtual time (may be called repeatedly for
+    /// checkpointed collection).
+    pub fn run_until(&mut self, at: f64) {
+        self.engine.run_until(SimTime::from_secs_f64(at));
+    }
+
+    /// Extracts the results accumulated so far. Fabric counters are
+    /// summed over the planes (each plane owns an independent fabric, and
+    /// mean occupancy adds because in-flight counts add).
     #[must_use]
     pub fn collect(&mut self) -> ScenarioResult {
         let now = self.engine.now();
@@ -1272,6 +892,7 @@ impl DecomposedScenario {
             match self.mode {
                 RecorderMode::Full => {
                     let series = dev.load_series_until(now);
+                    // Load over the steady part (skip the first window).
                     let mut acc = presence_stats::Welford::new();
                     for &(_, rate) in series.iter().skip(1) {
                         acc.push(rate);
@@ -1291,13 +912,12 @@ impl DecomposedScenario {
             .expect("device actor")
             .probes_received();
 
-        let mut offered = 0;
-        let mut delivered = 0;
-        let mut dropped_overflow = 0;
-        let mut dropped_loss = 0;
-        let mut unroutable = 0;
+        let (mut offered, mut delivered, mut unroutable) = (0, 0, 0);
+        let (mut dropped_overflow, mut dropped_loss) = (0, 0);
         let mut mean_buffer_occupancy: Option<f64> = None;
         for &plane in &self.planes {
+            // Mutable: the fabric settles delivery deadlines ≤ now before
+            // reporting (lazy delivery accounting).
             let net = self
                 .engine
                 .actor_mut::<NetworkActor>(plane)
@@ -1309,7 +929,7 @@ impl DecomposedScenario {
             dropped_loss += stats.dropped_loss;
             unroutable += stats.unroutable;
             if let Some(occ) = net.mean_occupancy(now) {
-                mean_buffer_occupancy = Some(mean_buffer_occupancy.unwrap_or(0.0) + occ);
+                mean_buffer_occupancy = Some(mean_buffer_occupancy.map_or(occ, |sum| sum + occ));
             }
         }
 
@@ -1330,6 +950,7 @@ impl DecomposedScenario {
             cps.push(CpSummary::from_record(&rec, now.as_secs_f64()));
         }
 
+        // Fairness over CPs that ever probed.
         let freqs: Vec<f64> = cps
             .iter()
             .filter(|c| c.cycles_succeeded > 0)
@@ -1575,7 +1196,8 @@ mod tests {
         let mut full = Scenario::build(cfg);
         full.run();
         let rf = full.collect();
-        let mut streaming = Scenario::build_with_recorder(cfg, RecorderMode::Streaming);
+        let mut streaming = Scenario::build(cfg);
+        streaming.set_recorder_mode(RecorderMode::Streaming);
         streaming.run();
         let rs = streaming.collect();
         // Identical trajectory: every counter matches exactly.

@@ -1,36 +1,18 @@
-//! Sim-layer integration tests for the regioned engine: hub collapse,
-//! one-network-per-region cross-delivery, and the sharded mega path.
+//! Sim-layer integration tests for the regioned engine:
+//! one-network-per-region cross-delivery, the multi-plane scenario's
+//! window accounting, and the sharded mega path. (Trajectory equivalence
+//! across topologies, regions, workers and window policies is the golden
+//! replay suite's job: `tests/golden_equivalence.rs` at the workspace
+//! root.)
 
 use presence_core::{CpId, DeviceId, Probe, WireMessage};
 use presence_des::WindowPolicy;
 use presence_des::{ActorId, RegionSim, SimDuration, SimTime, Simulation};
 use presence_net::{ConstantDelay, Fabric, NoLoss};
 use presence_sim::{
-    golden_trio, run_mega_sharded, shard_configs, Addr, CollectorActor, DecomposedScenario,
-    MegaConfig, MegaScenario, NetworkActor, PresenceActorSet, PresenceSim, Protocol, Scenario,
-    ScenarioConfig, SimEvent,
+    run_mega_sharded, shard_configs, Addr, CollectorActor, MegaConfig, MegaScenario, NetworkActor,
+    PresenceActorSet, PresenceSim, Protocol, Scenario, ScenarioConfig, SimEvent, Topology,
 };
-
-/// The trio scenarios are hub-coupled: any multi-region request must
-/// collapse to one effective region via the zero-lookahead validator —
-/// never run unsound, never deadlock.
-#[test]
-fn hub_scenarios_collapse_to_one_region() {
-    let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 42);
-    let scenario = Scenario::build(cfg);
-    for requested in [2usize, 4, 8] {
-        let plan = scenario.region_plan_for(requested);
-        assert_eq!(plan.requested, requested);
-        assert_eq!(plan.effective, 1, "{}", plan.reason);
-        assert!(
-            plan.reason.contains("zero minimum delay"),
-            "collapse must come from the validator, got: {}",
-            plan.reason
-        );
-    }
-    let single = scenario.region_plan_for(1);
-    assert_eq!(single.effective, 1);
-}
 
 const LINK_DELAY: SimDuration = SimDuration::from_millis(2);
 
@@ -174,72 +156,15 @@ fn sharded_serial_and_threaded_are_byte_identical() {
     );
 }
 
-/// The tentpole acceptance: under the decomposed topology the paper trio
-/// genuinely partitions — every scenario plans ≥ 2 effective regions with
-/// a positive lookahead, instead of collapsing like the hub.
-#[test]
-fn decomposed_trio_plans_multiple_regions() {
-    for (name, cfg) in golden_trio() {
-        for requested in [2usize, 4, 8] {
-            let scenario = DecomposedScenario::build(cfg, requested);
-            let plan = scenario.region_plan();
-            assert_eq!(plan.requested, requested, "{name}");
-            assert!(
-                plan.effective >= 2,
-                "{name} collapsed at requested={requested}: {}",
-                plan.reason
-            );
-            assert!(
-                plan.reason.contains("lookahead"),
-                "{name} plan must state the lookahead: {}",
-                plan.reason
-            );
-        }
-    }
-}
-
-/// Decomposed runs are bit-identical across region counts, worker counts,
-/// and window policies: regions {2, 4} × policies on the windowed engine
-/// must reproduce the sequential (regions = 1) trajectory exactly.
-#[test]
-fn decomposed_runs_match_sequential_across_regions() {
-    let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 12, 30.0, 42);
-    cfg.load_window = 2.0;
-    let mut reference = DecomposedScenario::build(cfg, 1);
-    assert!(reference.region_counters().is_none());
-    reference.run();
-    let expected = serde_json::to_string(&reference.collect()).unwrap();
-    assert!(reference.relays_forwarded() > 0, "no cross-plane traffic");
-
-    for regions in [2usize, 4] {
-        for policy in [WindowPolicy::Adaptive, WindowPolicy::Static] {
-            let mut sc = DecomposedScenario::build(cfg, regions);
-            sc.set_workers(regions);
-            sc.set_window_policy(policy);
-            sc.run();
-            let got = serde_json::to_string(&sc.collect()).unwrap();
-            assert_eq!(
-                got, expected,
-                "regions={regions} policy={policy:?} diverged from sequential"
-            );
-            let (windows, exchanges, _) = sc.region_counters().expect("windowed engine");
-            assert!(windows > 0, "regions={regions}: no windows executed");
-            assert!(
-                exchanges > 0,
-                "regions={regions}: no cross-region events exchanged"
-            );
-        }
-    }
-}
-
 /// Adaptive windows never barrier more than static ones on the same
-/// decomposed run (the tentpole's efficiency claim, on a real scenario).
+/// multi-plane run (the adaptive policy's efficiency claim, on a real
+/// scenario).
 #[test]
 fn decomposed_adaptive_windows_at_most_static() {
     let mut cfg = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 10, 20.0, 11);
     cfg.load_window = 2.0;
     let windows = |policy: WindowPolicy| {
-        let mut sc = DecomposedScenario::build(cfg, 4);
+        let mut sc = Scenario::build_on(cfg, Topology::Planes { regions: 4 });
         sc.set_workers(1);
         sc.set_window_policy(policy);
         sc.run();
@@ -253,23 +178,26 @@ fn decomposed_adaptive_windows_at_most_static() {
     );
 }
 
-/// The churn scenario exercises cross-region membership notifications
-/// (the churn driver lives in region 0, its CPs everywhere): it must run
-/// to completion and stay engine-invariant too.
+/// A region count beyond the plane count is clamped, and the plan says
+/// so: the request is recorded as asked, the effective count is what ran.
 #[test]
-fn decomposed_churn_scenario_matches_sequential() {
-    let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 16, 60.0, 21);
-    cfg.initially_active = 6;
-    cfg.churn = presence_sim::ChurnModel::paper_fig5();
-    cfg.load_window = 5.0;
-    let mut reference = DecomposedScenario::build(cfg, 1);
-    reference.run();
-    let expected = serde_json::to_string(&reference.collect()).unwrap();
-    let mut sc = DecomposedScenario::build(cfg, 4);
-    sc.set_workers(2);
-    sc.run();
-    let got = serde_json::to_string(&sc.collect()).unwrap();
-    assert_eq!(got, expected, "churn trajectory diverged across engines");
+fn region_request_is_clamped_to_the_plane_count() {
+    let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 12, 5.0, 42);
+    let scenario = Scenario::build_on(cfg, Topology::Planes { regions: 64 });
+    let plan = scenario.region_plan();
+    assert_eq!(plan.requested, 64);
+    assert_eq!(plan.effective, presence_sim::DECOMPOSED_PLANES);
+}
+
+/// `sim_mut` hands out the sequential simulation, which a multi-region
+/// scenario does not have: it must say so rather than return something
+/// that is not the running engine.
+#[test]
+#[should_panic(expected = "sim_mut needs the sequential engine")]
+fn sim_mut_on_a_regioned_scenario_panics_clearly() {
+    let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 12, 5.0, 42);
+    let mut scenario = Scenario::build_on(cfg, Topology::Planes { regions: 2 });
+    let _ = scenario.sim_mut();
 }
 
 /// The population split is even, total-preserving, and clamps the shard

@@ -1,19 +1,20 @@
 //! Live demo: the same protocol machines, on real UDP sockets.
 //!
-//! Spawns a DCPP device on a loopback UDP socket and three control points
-//! probing it from their own sockets and threads — no simulator involved.
-//! After two wall-clock seconds the device is shut down and the CPs must
-//! detect its absence via probe timeouts. Run with:
+//! Serves a DCPP device from one single-shard [`ShardedHost`] and three
+//! control points from another, over loopback UDP — no simulator involved.
+//! After two wall-clock seconds the device host is shut down and the CPs
+//! must detect its absence via probe timeouts. Run with:
 //!
 //! ```text
 //! cargo run --example udp_live_demo
 //! ```
 
-use presence::core::{CpId, DcppConfig, DcppCp, DeviceId};
-use presence::des::SimDuration;
-use presence::runtime::{run_cp, run_device, DeviceHost, StopFlag, SystemClock, UdpTransport};
+use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId};
+use presence::des::{SimDuration, SimTime};
+use presence::runtime::{Clock, DeviceHost, HostConfig, ShardedHost, SystemClock};
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     // Scaled-down timing so the demo finishes in seconds: the device
@@ -22,69 +23,65 @@ fn main() {
     cfg.delta_min = SimDuration::from_millis(10);
     cfg.d_min = SimDuration::from_millis(50);
 
-    let clock = SystemClock::new();
-    let device_stop = StopFlag::new();
+    let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+    let device_id = DeviceId(0);
 
-    let device_transport = UdpTransport::server("127.0.0.1:0").expect("bind device socket");
-    let device_addr = device_transport.local_addr().expect("device addr");
+    let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind device socket");
+    devices.add_device(DeviceHost::Dcpp(DcppDevice::new(device_id, cfg)), None);
+    let device_addr = devices.addr_of(device_id);
     println!("device listening on {device_addr} (DCPP, L_nom = 100/s, f_max = 20/s)");
 
-    let dev_stop = device_stop.clone();
-    let dev_clock = clock.clone();
-    let device = thread::spawn(move || {
-        run_device(
-            DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-            device_transport,
-            &dev_clock,
-            &dev_stop,
-        )
-    });
-
-    // Three CPs, each on its own socket and thread.
-    let cp_stop = StopFlag::new();
-    let mut cps = Vec::new();
+    // Three CPs on their own host (own socket, own thread).
+    let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind CP socket");
     for i in 0..3u32 {
-        let transport = UdpTransport::client("127.0.0.1:0", device_addr).expect("bind CP socket");
-        let prober = DcppCp::new(CpId(i), cfg);
-        let stop = cp_stop.clone();
-        let cp_clock = clock.clone();
-        cps.push(thread::spawn(move || {
-            run_cp(prober, transport, &cp_clock, &stop)
-        }));
+        cps.add_prober(
+            Box::new(DcppCp::new(CpId(i), cfg)),
+            device_addr,
+            device_id,
+            SimTime::ZERO,
+        );
     }
+    let devices = devices.start(Arc::clone(&clock));
+    let cps = cps.start(clock);
 
     // Let them probe for two real seconds…
     thread::sleep(Duration::from_secs(2));
     println!("stopping the device (silent crash — no Bye)…");
-    device_stop.stop();
-    let device = device.join().expect("device thread");
+    let devices = devices.join();
 
-    // …the CPs now run into four straight timeouts and conclude absence.
+    // …the CPs now run into four straight timeouts and conclude absence:
+    // a prober that has reached its verdict leaves no timer armed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cps.next_deadline().is_some() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+    }
+    let cps = cps.join();
+
     let mut detected = 0;
-    for (i, cp) in cps.into_iter().enumerate() {
-        let outcome = cp.join().expect("cp thread");
+    for p in &cps.probers {
         println!(
             "cp{:02}: {} cycles, {} probes, absent verdict: {}",
-            i,
-            outcome.cycles_succeeded,
-            outcome.probes_sent,
-            outcome.device_absent_at.map_or("none".into(), |t| format!(
+            p.cp.0,
+            p.stats.cycles_succeeded,
+            p.stats.probes_sent,
+            p.verdict.map_or("none".into(), |v| format!(
                 "{:.3}s on the runtime clock",
-                t.as_secs_f64()
+                v.at.as_secs_f64()
             ))
         );
         assert!(
-            outcome.cycles_succeeded > 5,
-            "cp{i} barely probed; expected dozens of cycles in 2 s"
+            p.stats.cycles_succeeded > 5,
+            "cp{} barely probed; expected dozens of cycles in 2 s",
+            p.cp.0
         );
-        if outcome.device_absent_at.is_some() {
+        if p.verdict.is_some() {
             detected += 1;
         }
     }
 
     println!(
         "device answered {} probes before shutdown; {detected}/3 CPs detected the crash",
-        device.probes_received()
+        devices.devices[0].probes_received
     );
     assert_eq!(detected, 3, "all CPs must detect the crash");
     println!("\nSame state machines as the simulator, real sockets, same behaviour. ✓");

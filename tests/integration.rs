@@ -2,11 +2,12 @@
 //! can check alone — protocol machines under the full simulator, simulator
 //! vs wall-clock runtime agreement, and the overlay dissemination path.
 
-use presence::core::{CpId, DcppConfig, DcppCp, DeviceId};
-use presence::des::SimDuration;
-use presence::runtime::{run_cp, run_device, DeviceHost, InMemoryTransport, StopFlag, SystemClock};
+use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId};
+use presence::des::{SimDuration, SimTime};
+use presence::runtime::{DeviceHost, HostConfig, ShardedHost, SystemClock};
 use presence::sim::test_profile::horizon;
 use presence::sim::{ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -49,25 +50,20 @@ fn simulator_and_runtime_agree_on_dcpp_cadence() {
     cfg.delta_min = SimDuration::from_millis(10);
     cfg.d_min = SimDuration::from_millis(50);
 
-    let (cp_side, dev_side) = InMemoryTransport::pair();
-    let stop = StopFlag::new();
-    let clock = SystemClock::new();
-    let dev_stop = stop.clone();
-    let dev_clock = clock.clone();
-    let dev = thread::spawn(move || {
-        run_device(
-            DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-            dev_side,
-            &dev_clock,
-            &dev_stop,
-        )
-    });
-    let cp_stop = stop.clone();
-    let cp = thread::spawn(move || run_cp(DcppCp::new(CpId(0), cfg), cp_side, &clock, &cp_stop));
+    // One shard hosts both machines; the probes still cross its socket.
+    let mut host = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind host");
+    host.add_device(DeviceHost::Dcpp(DcppDevice::new(DeviceId(0), cfg)), None);
+    let device_addr = host.addr_of(DeviceId(0));
+    host.add_prober(
+        Box::new(DcppCp::new(CpId(0), cfg)),
+        device_addr,
+        DeviceId(0),
+        SimTime::ZERO,
+    );
+    let handle = host.start(Arc::new(SystemClock::new()));
     thread::sleep(Duration::from_millis(1_000));
-    stop.stop();
-    let outcome = cp.join().unwrap();
-    let _ = dev.join().unwrap();
+    let report = handle.join();
+    assert!(report.probers[0].verdict.is_none(), "false verdict");
 
     // --- simulator: the same config, 1 CP, 1 virtual second.
     let mut sim_cfg = ScenarioConfig::paper_defaults(Protocol::Dcpp { cfg }, 1, 1.0, 9);
@@ -79,7 +75,7 @@ fn simulator_and_runtime_agree_on_dcpp_cadence() {
 
     // Both should complete ≈ 1 s / 50 ms = 20 cycles; allow generous slack
     // for wall-clock scheduling noise.
-    let rt = outcome.cycles_succeeded as f64;
+    let rt = report.probers[0].stats.cycles_succeeded as f64;
     let sim = sim_cycles as f64;
     assert!(rt > 10.0, "runtime managed only {rt} cycles");
     assert!(sim > 10.0, "simulator managed only {sim} cycles");

@@ -6,7 +6,8 @@
 //! is a pure function of the simulated trajectory and the trajectory is
 //! region-invariant.
 
-use presence::sim::{DecomposedScenario, Protocol, Scenario, ScenarioConfig};
+use presence::des::EngineEventKind;
+use presence::sim::{Protocol, Scenario, ScenarioConfig, Topology};
 use presence::trace::{analyze, parse, validate, write_chrome_json};
 
 /// The full pipeline on a paper-default DCPP hub: model → Chrome JSON →
@@ -79,7 +80,7 @@ fn trace_export_is_deterministic() {
 }
 
 fn decomposed_trace(cfg: ScenarioConfig, regions: usize, until: Option<f64>) -> String {
-    let mut scenario = DecomposedScenario::build(cfg, regions);
+    let mut scenario = Scenario::build_on(cfg, Topology::Planes { regions });
     scenario.set_workers(regions);
     scenario.enable_trace(until, true);
     scenario.run();
@@ -132,6 +133,31 @@ fn paper_dcpp_trace_matches_golden_fixture() {
     // The fixture itself must stay a valid trace.
     let check = validate(&parse(&golden).expect("fixture parses")).expect("fixture validates");
     assert!(check.flows_started > 0 && check.counter_tracks >= 3);
+}
+
+/// The engine stream classifies the protocol machines' timers as timers:
+/// every probe cycle arms a timeout and every wait arms a wake, so a
+/// paper-default DCPP run must show arms and fires (and no more fires
+/// than arms), not a stream of plain dispatches.
+#[test]
+fn paper_dcpp_engine_trace_sees_protocol_timers() {
+    let spec = presence::sim::builtin_catalog()
+        .into_iter()
+        .find(|s| s.name == "paper-dcpp")
+        .expect("paper-dcpp is in the builtin catalog");
+    let mut scenario = spec.build().expect("spec builds");
+    scenario.enable_trace(Some(10.0), true);
+    scenario.run();
+    let result = scenario.collect();
+    let model = scenario.collect_trace(&result);
+    let count = |kind| model.engine.iter().filter(|e| e.kind == kind).count();
+    let (arms, fires) = (
+        count(EngineEventKind::TimerArm),
+        count(EngineEventKind::TimerFire),
+    );
+    assert!(arms > 0, "no timer-arm events in the engine stream");
+    assert!(fires > 0, "no timer-fire events in the engine stream");
+    assert!(fires <= arms, "{fires} timer fires but only {arms} arms");
 }
 
 /// The regioned engine's trace — dispatch spans, timer events, probe

@@ -1,28 +1,46 @@
 //! End-to-end tests over real loopback UDP sockets: both protocols, real
 //! threads, real timers — the deployment configuration, not the simulator.
+//! Devices and control points each run on their own one-shard
+//! [`ShardedHost`], so every probe and reply crosses a socket pair.
 
 use presence::core::{
-    CpId, DcppConfig, DcppCp, DeviceId, ProbeCycleConfig, SappConfig, SappCp, SappDeviceConfig,
+    CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, ProbeCycleConfig, Prober, SappConfig, SappCp,
+    SappDevice, SappDeviceConfig,
 };
-use presence::des::SimDuration;
+use presence::des::{SimDuration, SimTime};
 use presence::runtime::{
-    run_cp, run_device, CpOutcome, DeviceHost, StopFlag, SystemClock, UdpTransport,
+    Clock, DeviceHost, HostConfig, HostHandle, HostReport, ShardedHost, SystemClock,
 };
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn spawn_device(
-    host: DeviceHost,
-    stop: &StopFlag,
-) -> (std::net::SocketAddr, thread::JoinHandle<DeviceHost>) {
-    let transport = UdpTransport::server("127.0.0.1:0").expect("bind device");
-    let addr = transport.local_addr().expect("addr");
-    let stop = stop.clone();
-    let handle = thread::spawn(move || {
-        let clock = SystemClock::new();
-        run_device(host, transport, &clock, &stop)
-    });
-    (addr, handle)
+const DEVICE: DeviceId = DeviceId(0);
+
+/// Binds `device` on one one-shard host and `probers` (all watching it)
+/// on another; returns `(device host, prober host)`.
+fn bind(device: DeviceHost, probers: Vec<Box<dyn Prober + Send>>) -> (ShardedHost, ShardedHost) {
+    let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind device host");
+    devices.add_device(device, None);
+    let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind cp host");
+    for prober in probers {
+        cps.add_prober(prober, devices.addr_of(DEVICE), DEVICE, SimTime::ZERO);
+    }
+    (devices, cps)
+}
+
+/// Starts both hosts of a [`bind`] pair on one wall clock.
+fn start((devices, cps): (ShardedHost, ShardedHost)) -> (HostHandle, HostHandle) {
+    let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+    (devices.start(Arc::clone(&clock)), cps.start(clock))
+}
+
+fn total_cycles(report: &HostReport) -> u64 {
+    report
+        .probers
+        .iter()
+        .map(|p| p.stats.cycles_succeeded)
+        .sum()
 }
 
 #[test]
@@ -32,38 +50,27 @@ fn dcpp_over_udp_many_cps() {
     cfg.delta_min = SimDuration::from_millis(10);
     cfg.d_min = SimDuration::from_millis(40);
 
-    let stop = StopFlag::new();
-    let (addr, device) = spawn_device(
-        DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-        &stop,
-    );
-
-    let mut cps: Vec<thread::JoinHandle<CpOutcome>> = Vec::new();
-    for i in 0..5u32 {
-        let transport = UdpTransport::client("127.0.0.1:0", addr).expect("bind cp");
-        let prober = DcppCp::new(CpId(i), cfg);
-        let stop = stop.clone();
-        cps.push(thread::spawn(move || {
-            let clock = SystemClock::new();
-            run_cp(prober, transport, &clock, &stop)
-        }));
-    }
+    let (device, cps) = start(bind(
+        DeviceHost::Dcpp(DcppDevice::new(DEVICE, cfg)),
+        (0..5u32)
+            .map(|i| Box::new(DcppCp::new(CpId(i), cfg)) as Box<dyn Prober + Send>)
+            .collect(),
+    ));
 
     thread::sleep(Duration::from_millis(800));
-    stop.stop();
-    let device = device.join().expect("device thread");
+    // Probers first, so the device has seen every probe they count.
+    let cps = cps.join();
+    let device = device.join();
 
-    let mut total_cycles = 0;
-    for cp in cps {
-        let outcome = cp.join().expect("cp thread");
-        assert!(outcome.device_absent_at.is_none(), "false verdict over UDP");
-        total_cycles += outcome.cycles_succeeded;
+    for p in &cps.probers {
+        assert!(p.verdict.is_none(), "false verdict over UDP for {:?}", p.cp);
     }
+    let total_cycles = total_cycles(&cps);
     assert!(
         total_cycles >= 20,
         "only {total_cycles} cycles across 5 CPs in 800 ms"
     );
-    assert!(device.probes_received() >= total_cycles);
+    assert!(device.devices[0].probes_received >= total_cycles);
 }
 
 #[test]
@@ -78,31 +85,31 @@ fn sapp_over_udp_adapts_and_detects_crash() {
     };
     let dev_cfg = SappDeviceConfig::paper_default();
 
-    let stop = StopFlag::new();
-    let (addr, device) = spawn_device(
-        DeviceHost::Sapp(presence::core::SappDevice::new(DeviceId(0), dev_cfg)),
-        &stop,
-    );
-
-    let transport = UdpTransport::client("127.0.0.1:0", addr).expect("bind cp");
-    let prober = SappCp::new(CpId(0), cp_cfg);
-    let cp_stop = StopFlag::new();
-    let cp = thread::spawn(move || {
-        let clock = SystemClock::new();
-        run_cp(prober, transport, &clock, &cp_stop)
-    });
+    let (device, cp) = start(bind(
+        DeviceHost::Sapp(SappDevice::new(DEVICE, dev_cfg)),
+        vec![Box::new(SappCp::new(CpId(0), cp_cfg))],
+    ));
 
     thread::sleep(Duration::from_millis(500));
-    stop.stop(); // kill the device only; the CP keeps probing
-    let device = device.join().expect("device thread");
-    assert!(device.probes_received() > 3, "device barely probed");
-
-    let outcome = cp.join().expect("cp thread");
+    // Kill the device only; the CP keeps probing into the void.
+    let device = device.join();
     assert!(
-        outcome.device_absent_at.is_some(),
+        device.devices[0].probes_received > 3,
+        "device barely probed"
+    );
+
+    // A live prober always has a timer armed (cycle timeout or next
+    // wake); the wheel runs empty only once it has reached its verdict.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while cp.next_deadline().is_some() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+    }
+    let cp = cp.join();
+    assert!(
+        cp.probers[0].verdict.is_some(),
         "CP never noticed the crash"
     );
-    assert!(outcome.cycles_succeeded > 3);
+    assert!(cp.probers[0].stats.cycles_succeeded > 3);
 }
 
 #[test]
@@ -114,41 +121,36 @@ fn udp_cp_survives_garbage_datagrams() {
     cfg.d_min = SimDuration::from_millis(30);
     cfg.cycle = ProbeCycleConfig::paper_default();
 
-    let stop = StopFlag::new();
-    let (addr, device) = spawn_device(
-        DeviceHost::Dcpp(presence::core::DcppDevice::new(DeviceId(0), cfg)),
-        &stop,
+    let hosts = bind(
+        DeviceHost::Dcpp(DcppDevice::new(DEVICE, cfg)),
+        vec![Box::new(DcppCp::new(CpId(0), cfg))],
     );
-
-    let transport = UdpTransport::client("127.0.0.1:0", addr).expect("bind cp");
-    let cp_local = transport.local_addr().expect("local");
-    let prober = DcppCp::new(CpId(0), cfg);
-    let cp_stop = stop.clone();
-    let cp = thread::spawn(move || {
-        let clock = SystemClock::new();
-        run_cp(prober, transport, &clock, &cp_stop)
-    });
+    let cp_local = hosts.1.local_addrs()[0];
+    let (device, cp) = start(hosts);
 
     // Garbage sprayer.
     let noise = std::net::UdpSocket::bind("127.0.0.1:0").expect("noise socket");
+    let mut sprayed = 0;
     for i in 0..200u8 {
-        let _ = noise.send_to(&[0xff, i, i, i, i, i], cp_local);
+        if noise.send_to(&[0xff, i, i, i, i, i], cp_local).is_ok() {
+            sprayed += 1;
+        }
         if i % 50 == 0 {
             thread::sleep(Duration::from_millis(10));
         }
     }
 
     thread::sleep(Duration::from_millis(400));
-    stop.stop();
-    let outcome = cp.join().expect("cp thread");
-    let _ = device.join().expect("device thread");
+    let cp = cp.join();
+    let _ = device.join();
     assert!(
-        outcome.device_absent_at.is_none(),
+        cp.probers[0].verdict.is_none(),
         "garbage datagrams tricked the CP into a verdict"
     );
-    assert!(
-        outcome.cycles_succeeded >= 5,
-        "garbage stalled the protocol: {} cycles",
-        outcome.cycles_succeeded
-    );
+    let cycles = total_cycles(&cp);
+    assert!(cycles >= 5, "garbage stalled the protocol: {cycles} cycles");
+    // Dropped loudly, not silently: every garbage datagram that reached
+    // the socket is counted as a decode error.
+    assert!(sprayed > 0 && cp.stats.decode_errors > 0);
+    assert!(cp.stats.decode_errors <= sprayed);
 }
