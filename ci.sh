@@ -47,25 +47,39 @@ cargo test -q
 echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test proptests --test dispatch
 
-# Region soak: the conservative-window engine's model proptests (random
-# token-ring topologies × region counts × worker counts, regioned run
-# vs sequential reference, bit-for-bit — including the adaptive-window
-# arm, which additionally pins adaptive windows_executed ≤ static) at
+# Region soak: the window driver's model proptests (random token-ring
+# topologies × lane counts × worker counts, multi-lane run vs one-lane
+# reference, bit-for-bit — including the adaptive-window arm, which
+# additionally pins adaptive windows_executed ≤ static, and the arm that
+# holds step()/run(n)/run_until to one trace across spawns and stops) at
 # 1024 cases — far beyond the tier-1 default.
-echo "==> region soak: regioned engine vs sequential model proptests incl. adaptive windows (PROPTEST_CASES=1024)"
+echo "==> region soak: multi-lane vs one-lane model proptests incl. adaptive windows and driver agreement (PROPTEST_CASES=1024)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test region_model
 
-# Forced-worker region stage: every suite that drives the windowed
-# engine does so at explicit worker counts 1 (inline windows) and 4 (one
-# scoped thread per active region), whatever this box's core count — the
-# des engine's own tests (including the lookahead-violation diagnostic,
-# which must survive the thread boundary), the sim-layer integration
-# tests, and the golden replay suite: every fixture on its topology at
-# regions {1, 2, 4, 8} × workers {1, 4} × both window policies.
+# Forced-worker region stage: every suite that drives a multi-lane
+# simulation does so at explicit worker counts 1 (inline windows) and 4
+# (one scoped thread per active lane), whatever this box's core count —
+# the des window driver's own tests (including the lookahead-violation
+# diagnostic, which must survive the thread boundary), the sim-layer
+# integration tests, and the golden replay suite: every fixture on its
+# topology at regions {1, 2, 4, 8} × workers {1, 4} × both window policies.
 echo "==> region suites at forced workers {1, 4}: des region tests + sim region_integration + golden replay"
-cargo test --release -q -p presence-des --lib region::
-cargo test --release -q -p presence-sim --test region_integration
-cargo test --release -q --test golden_equivalence
+# A filter that matches nothing passes on zero tests, so a moved or renamed
+# test would silently leave this stage: an empty run is a failure here.
+test_nonempty() {
+    local log
+    log="$(mktemp)"
+    cargo test "$@" 2>&1 | tee "$log"
+    if grep -q '^running 0 tests' "$log"; then
+        rm -f "$log"
+        echo "ci.sh: 'cargo test $*' ran 0 tests in a target — stale filter?" >&2
+        return 1
+    fi
+    rm -f "$log"
+}
+test_nonempty --release -q -p presence-des --lib region::
+test_nonempty --release -q -p presence-sim --test region_integration
+test_nonempty --release -q --test golden_equivalence
 
 # Structural perf gates: the single-hop delivery path must hold
 # events-per-delivered-message at ≤ 2.05, the trio's events_processed

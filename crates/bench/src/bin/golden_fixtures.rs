@@ -58,9 +58,9 @@ fn main() {
         let mut scenario = Scenario::build(cfg);
         scenario.run();
         write_fixture(&out_dir, name, &scenario.collect());
-        // The same preset on the multi-plane topology, recorded from the
-        // sequential reference engine (regions = 1); the regioned engine
-        // must replay these bit-for-bit.
+        // The same preset on the multi-plane topology, recorded on one
+        // region (the reference); every multi-region run must replay these
+        // bit-for-bit.
         let mut decomposed = Scenario::build_on(cfg, ONE_REGION_PLANES);
         decomposed.run();
         write_fixture(

@@ -270,7 +270,7 @@ fn run_one_decomposed(
                 scenario.relays_forwarded()
             ),
             None => println!(
-                "seed {seed}: {} events on the sequential engine, {} cross-plane relays",
+                "seed {seed}: {} events on one region (no windows), {} cross-plane relays",
                 result.events_processed,
                 scenario.relays_forwarded()
             ),

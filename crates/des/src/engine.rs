@@ -1,6 +1,7 @@
 //! The discrete-event simulation engine.
 //!
-//! A [`Simulation`] owns a set of actors, a virtual clock, and a stable
+//! A [`Simulation`] owns a set of actors and, per lane (one unless built
+//! by [`Simulation::with_lanes`]), a virtual clock and a stable
 //! time-ordered event queue. Determinism guarantees:
 //!
 //! * Events fire in `(time, sequence-number)` order — two events scheduled
@@ -33,10 +34,12 @@
 //! inspection (the paper stresses that simulation results are only
 //! trustworthy when the simulator's semantics are).
 
-use crate::queue::{EventQueue, QueueProfile};
+use crate::queue::{EventKey, EventQueue, QueueProfile};
+use crate::region::{BarrierMark, ThreadedWindows, WindowPolicy};
 use crate::rng::StreamRng;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
+use std::sync::Arc;
 
 /// Identifies an actor within one [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -204,9 +207,9 @@ pub enum EngineEventKind {
 /// One entry of the structured engine trace (see
 /// [`Simulation::enable_engine_trace`]): what the scheduler did, when,
 /// and to whom. Engine sequence numbers are deliberately absent — they
-/// are scheduler-internal and differ between a sequential and a regioned
+/// are scheduler-internal and differ between a one-lane and a multi-lane
 /// run of the same trajectory, whereas the `(time, actor, kind)` stream
-/// in canonical order is bit-identical across engines.
+/// in canonical order is bit-identical at any lane count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineEvent {
     /// Virtual time of the action.
@@ -226,8 +229,8 @@ pub(crate) struct EngineTraceState {
     /// Buffer structured [`EngineEvent`]s (drained by
     /// `take_engine_trace`).
     pub(crate) record_events: bool,
-    /// Buffer raw [`TraceRecord`]s at dispatch — the regioned engine's
-    /// path to `set_trace` parity (collected and merged at each barrier).
+    /// Buffer raw [`TraceRecord`]s at dispatch — how several lanes serve
+    /// `set_trace` (collected and merged at each barrier).
     pub(crate) record_raw: bool,
     pub(crate) events: Vec<EngineEvent>,
     pub(crate) records: Vec<TraceRecord>,
@@ -267,10 +270,10 @@ pub(crate) enum Dest {
     Batch(Box<[ActorId]>),
 }
 
-/// One cross-region event parked in a region's outbox until the next
-/// window barrier (see [`crate::region::RegionSim`]). `mint_time` is the
-/// minting region's clock at the scheduling call — the first component of
-/// the deterministic barrier merge key.
+/// One cross-lane event parked in a lane's outbox until the next window
+/// barrier (see [`crate::region`]). `mint_time` is the minting lane's
+/// clock at the scheduling call — the first component of the
+/// deterministic barrier merge key.
 pub(crate) struct Outbound<E> {
     pub(crate) mint_time: SimTime,
     pub(crate) time: SimTime,
@@ -278,35 +281,35 @@ pub(crate) struct Outbound<E> {
     pub(crate) payload: E,
 }
 
-/// Region-routing state a [`crate::region::RegionSim`] installs into each
-/// region's scheduler core. When present, events scheduled for an actor
-/// owned by another region are diverted to the outbox instead of the local
-/// queue — after proving they land at or past the current window's end
-/// (the conservative-lookahead soundness check, which fails loudly rather
-/// than silently reordering).
-pub(crate) struct RegionRouter<E> {
-    /// Global actor index → owning region.
-    pub(crate) region_of: std::sync::Arc<[u32]>,
-    pub(crate) my_region: u32,
-    /// Exclusive end of the window each region is currently executing
-    /// (indexed by region). A cross-region event must land at or after its
-    /// *target's* window end — with adaptive windows the regions advance
+/// Routing state the window driver ([`crate::region`]) installs into each
+/// lane's scheduler core of a multi-lane simulation. When present, events
+/// scheduled for an actor owned by another lane are diverted to the outbox
+/// instead of the local queue — after proving they land at or past the
+/// target's current window end (the conservative-lookahead soundness
+/// check, which fails loudly rather than silently reordering).
+pub(crate) struct LaneRouter<E> {
+    /// Global actor index → (owning lane, slot in it).
+    pub(crate) locate: Arc<[(usize, usize)]>,
+    pub(crate) my_lane: usize,
+    /// Exclusive end of the window each lane is currently executing
+    /// (indexed by lane). A cross-lane event must land at or after its
+    /// *target's* window end — with adaptive windows the lanes advance
     /// unevenly, so the soundness bound is per-target, not global.
-    /// `SimTime::MAX` means cross-region scheduling is forbidden outright
+    /// `SimTime::MAX` means cross-lane scheduling is forbidden outright
     /// (an isolated partition).
     ///
-    /// The entry for `my_region` doubles as this region's own execution
-    /// bound, *cut* on every cross-region mint to `arrival + lookahead`:
-    /// once this region has sent something out, a reactivation chain can
+    /// The entry for `my_lane` doubles as this lane's own execution
+    /// bound, *cut* on every cross-lane mint to `arrival + lookahead`:
+    /// once this lane has sent something out, a reactivation chain can
     /// reach back one lookahead after that arrival, so an adaptive window
     /// that leapt ahead must stop there (see `region::WindowPolicy`).
     pub(crate) window_ends: Vec<SimTime>,
-    /// The declared cross-region lookahead (zero in an isolated partition,
+    /// The declared cross-lane lookahead (zero in an isolated partition,
     /// where every cross mint panics before reading it).
     pub(crate) lookahead: SimDuration,
     /// Handles for outbound events count down from `u64::MAX` so they can
     /// never collide with a live local sequence number: cancelling or
-    /// rescheduling a cross-region event is a documented no-op (`false` /
+    /// rescheduling a cross-lane event is a documented no-op (`false` /
     /// `None`), not an aliasing hazard.
     pub(crate) sentinel_seq: u64,
     pub(crate) outbox: Vec<Outbound<E>>,
@@ -321,9 +324,9 @@ pub(crate) struct Core<E> {
     pub(crate) next_seq: u64,
     pub(crate) stop_requested: bool,
     pub(crate) actor_count: usize,
-    /// `Some` only inside a regioned run; `None` keeps the sequential
-    /// engine's push path branch-free apart from one predictable test.
-    pub(crate) router: Option<RegionRouter<E>>,
+    /// `Some` only in a sealed multi-lane simulation; `None` keeps the
+    /// one-lane push path branch-free apart from one predictable test.
+    pub(crate) router: Option<LaneRouter<E>>,
     /// `Some` only while structured tracing is enabled; `None` keeps the
     /// hot loop allocation-free (one predictable branch per operation).
     pub(crate) etrace: Option<Box<EngineTraceState>>,
@@ -337,9 +340,9 @@ impl<E> Core<E> {
             self.now
         );
         if let Some(router) = self.router.as_mut() {
-            let target_region = router.region_of[target.0];
-            if target_region != router.my_region {
-                let target_end = router.window_ends[target_region as usize];
+            let (target_lane, _) = router.locate[target.0];
+            if target_lane != router.my_lane {
+                let target_end = router.window_ends[target_lane];
                 assert!(
                     time >= target_end,
                     "cross-region event for {target:?} at {time} lands inside the current \
@@ -352,10 +355,10 @@ impl<E> Core<E> {
                     target,
                     payload,
                 });
-                // Cut this region's own window: a reactivation chain can
+                // Cut this lane's own window: a reactivation chain can
                 // reach back one lookahead after the arrival just minted.
                 let cut = time.checked_add(router.lookahead).unwrap_or(SimTime::MAX);
-                let mine = &mut router.window_ends[router.my_region as usize];
+                let mine = &mut router.window_ends[router.my_lane];
                 if cut < *mine {
                     *mine = cut;
                 }
@@ -365,6 +368,14 @@ impl<E> Core<E> {
                 };
             }
         }
+        self.push_local(time, target, payload)
+    }
+
+    /// Queues an event for an actor this lane owns, minting the next local
+    /// sequence number. Also the entry for what is not an actor's
+    /// cross-lane mint and so bypasses the router: external stimuli and
+    /// the barrier merge.
+    pub(crate) fn push_local(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(time, seq, (Dest::One(target), payload));
@@ -383,7 +394,7 @@ impl<E> Core<E> {
             // member is by definition inside the current window.
             for &target in targets.iter() {
                 assert!(
-                    router.region_of[target.0] == router.my_region,
+                    router.locate[target.0].0 == router.my_lane,
                     "batch event includes cross-region target {target:?}: same-instant \
                      batches cannot cross a region boundary (zero lookahead)"
                 );
@@ -487,7 +498,7 @@ impl<E> Core<E> {
 
     /// Records the pop of event `seq` for `actor` when tracing is on: a
     /// structured dispatch/fire event, and (under `record_raw`) the raw
-    /// [`TraceRecord`] the regioned engine merges at its barriers.
+    /// [`TraceRecord`] a multi-lane run merges at its barriers.
     pub(crate) fn note_dispatch(&mut self, time: SimTime, actor: ActorId, seq: u64) {
         if let Some(t) = self.etrace.as_deref_mut() {
             if t.record_events {
@@ -514,7 +525,7 @@ impl<E> Core<E> {
     }
 
     /// Enables raw [`TraceRecord`] buffering at dispatch (idempotent) —
-    /// the regioned engine's `set_trace` substrate.
+    /// the `set_trace` substrate of a multi-lane run.
     pub(crate) fn enable_raw_records(&mut self) {
         self.etrace.get_or_insert_with(Box::default).record_raw = true;
     }
@@ -746,8 +757,221 @@ impl<'a, E> Context<'a, E> {
     }
 }
 
+/// Observer hook invoked for every processed event when tracing is on.
+pub(crate) type TraceHook = Box<dyn FnMut(&TraceRecord)>;
+
+/// One lane of a [`Simulation`]: a private slice of the actor population
+/// with its RNG streams and its own scheduler core (clock, event queue,
+/// outbox) — and the engine's only pop → dispatch loop. What the
+/// simulation layer calls a *region* runs on one lane.
+pub(crate) struct Lane<E: 'static, S: Actor<E>> {
+    pub(crate) core: Core<E>,
+    pub(crate) actors: Vec<S>,
+    /// Slot → global actor index (`ActorId`s and RNG streams are global).
+    global_ids: Vec<usize>,
+    rngs: Vec<StreamRng>,
+    /// Members `[..next_start]` have had `on_start`: members join, and
+    /// start, in slot order.
+    next_start: usize,
+    pub(crate) events_processed: u64,
+    root_seed: u64,
+}
+
+impl<E: 'static, S: Actor<E>> Lane<E, S> {
+    pub(crate) fn new(root_seed: u64, profile: QueueProfile) -> Self {
+        Self {
+            core: Core {
+                now: SimTime::ZERO,
+                queue: EventQueue::with_profile(profile),
+                next_seq: 0,
+                stop_requested: false,
+                actor_count: 0,
+                router: None,
+                etrace: None,
+            },
+            actors: Vec::new(),
+            global_ids: Vec::new(),
+            rngs: Vec::new(),
+            next_start: 0,
+            events_processed: 0,
+            root_seed,
+        }
+    }
+
+    /// Appends `member` as global actor `global`, on the RNG stream of
+    /// that index; its `on_start` runs at the next flush.
+    fn push_member(&mut self, global: usize, member: S) {
+        self.actors.push(member);
+        self.global_ids.push(global);
+        self.rngs
+            .push(StreamRng::new(self.root_seed, global as u64));
+    }
+
+    /// The earliest instant at which this lane could possibly act: its
+    /// next queued event, or the current clock if starts are pending.
+    pub(crate) fn next_activity(&self) -> Option<SimTime> {
+        if self.next_start < self.actors.len() {
+            return Some(self.core.now);
+        }
+        self.core.queue.peek().map(|k| k.time)
+    }
+
+    /// One lane (no router) stores every actor at its global index.
+    fn slot(&self, target: ActorId) -> usize {
+        self.core
+            .router
+            .as_ref()
+            .map_or(target.0, |r| r.locate[target.0].1)
+    }
+
+    /// Dispatches either `on_start` (payload `None`) or `on_event` to the
+    /// actor in `slot`, then absorbs any spawned actors.
+    ///
+    /// The member is borrowed **in place**: the actor table, the scheduler
+    /// core, and the RNG table are disjoint, so no take/put-back swap is
+    /// needed. Re-entrant dispatch is impossible by construction — an
+    /// actor interacts with others only through queued events, and a
+    /// message to itself fires in a later dispatch that observes every
+    /// state change made here (pinned by the engine's self-send test).
+    fn dispatch(&mut self, slot: usize, me: ActorId, payload: Option<E>) {
+        // Parked spawns: allocation-free unless a spawn actually happens.
+        let mut pending: Vec<S> = Vec::new();
+        {
+            let actor = &mut self.actors[slot];
+            let mut ctx = Context {
+                core: &mut self.core,
+                rng: &mut self.rngs[slot],
+                pending_spawns: &mut pending,
+                me,
+            };
+            match payload {
+                Some(ev) => actor.on_event(&mut ctx, ev),
+                None => actor.on_start(&mut ctx),
+            }
+        }
+        for spawned in pending {
+            assert!(
+                self.core.router.is_none(),
+                "mid-run actor spawn is not supported in a multi-lane simulation \
+                 (the global actor table is fixed at run start)"
+            );
+            self.push_member(self.actors.len(), spawned);
+            debug_assert!(self.actors.len() <= self.core.actor_count);
+        }
+    }
+
+    /// Runs `on_start` for every member that has not started yet —
+    /// including members spawned by the starts themselves.
+    fn flush_starts(&mut self) {
+        while self.next_start < self.actors.len() {
+            let slot = self.next_start;
+            self.next_start += 1;
+            self.dispatch(slot, ActorId(self.global_ids[slot]), None);
+        }
+    }
+
+    /// Clears a pending [`Context::stop`] request and classifies the run
+    /// that just returned; `unfinished` is the outcome when live events
+    /// remain and nobody stopped.
+    fn outcome(&mut self, unfinished: RunOutcome) -> RunOutcome {
+        if std::mem::take(&mut self.core.stop_requested) {
+            RunOutcome::Stopped
+        } else if self.core.queue.is_empty() {
+            RunOutcome::Idle
+        } else {
+            unfinished
+        }
+    }
+}
+
+/// The run loop. Requires `E: Clone` so a batch event
+/// ([`Context::send_now_batch`]) can hand each target its own copy of the
+/// payload (the final target receives the original without cloning).
+impl<E: Clone + 'static, S: Actor<E>> Lane<E, S> {
+    /// Hands one popped event to one target. Observers see one record per
+    /// member dispatch (a batch's members share its time and seq), so they
+    /// still see every delivery.
+    fn deliver(
+        &mut self,
+        key: EventKey,
+        target: ActorId,
+        payload: E,
+        trace: &mut Option<TraceHook>,
+    ) {
+        if let Some(hook) = trace {
+            hook(&TraceRecord {
+                time: key.time,
+                target,
+                seq: key.seq,
+            });
+        }
+        self.core.note_dispatch(key.time, target, key.seq);
+        self.dispatch(self.slot(target), target, Some(payload));
+    }
+
+    /// Pops and dispatches the next event — which may be a batch
+    /// delivering to several actors in order — then starts whatever it
+    /// spawned. Returns `false` when the queue is empty. Cancelled events
+    /// were removed at cancel time, so every pop is live.
+    fn fire_next(&mut self, trace: &mut Option<TraceHook>) -> bool {
+        let Some((key, (dest, payload))) = self.core.queue.pop() else {
+            return false;
+        };
+        debug_assert!(key.time >= self.core.now, "event queue went backwards");
+        self.core.now = key.time;
+        self.events_processed += 1;
+        match dest {
+            Dest::One(target) => self.deliver(key, target, payload, trace),
+            Dest::Batch(targets) => {
+                let (&last, rest) = targets.split_last().expect("batch is never empty");
+                for &target in rest {
+                    self.deliver(key, target, payload.clone(), trace);
+                }
+                self.deliver(key, last, payload, trace);
+            }
+        }
+        self.flush_starts();
+        true
+    }
+
+    /// Advances this lane through one window: runs the `on_start` backlog,
+    /// then fires every queued event strictly before `window_end`, or
+    /// until an actor stops the run. A lane whose queue empties (or never
+    /// had events this window) simply returns — going idle mid-window is
+    /// the normal case, not an error. One lane runs a whole `run_until` as
+    /// a single window.
+    pub(crate) fn run_window(&mut self, window_end: SimTime, trace: &mut Option<TraceHook>) {
+        self.flush_starts();
+        loop {
+            // Re-read the bound each iteration: a cross-lane mint cuts
+            // this lane's own window end (see `LaneRouter`), so an
+            // adaptive window that leapt ahead stops as soon as its own
+            // outbound traffic could circle back.
+            let bound = self
+                .core
+                .router
+                .as_ref()
+                .map_or(window_end, |r| r.window_ends[r.my_lane]);
+            // The head of the queue is always live (true cancellation).
+            match self.core.queue.peek() {
+                Some(key) if key.time < bound && !self.core.stop_requested => {}
+                _ => return,
+            }
+            self.fire_next(trace);
+        }
+    }
+}
+
 /// A deterministic discrete-event simulation over actor storage `S`
 /// (default: [`DynActorSet`], which accepts any mix of actor types).
+///
+/// The population lives in one or more *lanes*, each with its own event
+/// queue and clock. [`Simulation::new`] and [`Simulation::with_actor_set`]
+/// build one lane, which a run executes as a single unbounded window;
+/// [`Simulation::with_lanes`] builds several, advanced by conservative
+/// time windows with a barrier exchange between them (see
+/// [`crate::region`]) — same loop, same trajectory, possibly on several
+/// threads.
 ///
 /// # Examples
 ///
@@ -778,17 +1002,29 @@ impl<'a, E> Context<'a, E> {
 /// assert_eq!(sim.actor::<Counter>(id).unwrap().fired, 3);
 /// ```
 pub struct Simulation<E: 'static, S: Actor<E> = DynActorSet<E>> {
-    core: Core<E>,
-    actors: Vec<S>,
-    rngs: Vec<StreamRng>,
-    root_seed: u64,
-    started: Vec<bool>,
-    events_processed: u64,
-    trace: Option<TraceHook>,
+    pub(crate) lanes: Vec<Lane<E, S>>,
+    pub(crate) trace: Option<TraceHook>,
+    // The rest is the window driver's ([`crate::region`]); one lane never
+    // touches it.
+    /// Global actor index → (lane, slot), for several lanes only.
+    pub(crate) locate: Vec<(usize, usize)>,
+    /// `None`: the lanes are *isolated* — no cross-lane event is permitted
+    /// (infinite lookahead, one window per run).
+    pub(crate) lookahead: Option<SimDuration>,
+    /// Cap on worker threads per round of windows; 1 runs them inline.
+    pub(crate) workers: usize,
+    /// Runs one round of windows on scoped threads. Captured by
+    /// [`Simulation::with_lanes`], the only constructor that demands
+    /// `Send` members, so that running a simulation never does.
+    pub(crate) threaded: Option<ThreadedWindows<E, S>>,
+    pub(crate) policy: WindowPolicy,
+    pub(crate) windows_executed: u64,
+    pub(crate) barrier_exchanges: u64,
+    /// Reusable scratch for the per-barrier trace merge.
+    pub(crate) trace_scratch: Vec<TraceRecord>,
+    /// Barrier marks buffered while structured tracing is on.
+    pub(crate) barriers: Vec<BarrierMark>,
 }
-
-/// Observer hook invoked for every processed event when tracing is on.
-type TraceHook = Box<dyn FnMut(&TraceRecord)>;
 
 impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     /// Creates an empty simulation with the given root seed, storing
@@ -807,95 +1043,156 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     #[must_use]
     pub fn with_actor_set_and_profile(root_seed: u64, profile: QueueProfile) -> Self {
         Self {
-            core: Core {
-                now: SimTime::ZERO,
-                queue: EventQueue::with_profile(profile),
-                next_seq: 0,
-                stop_requested: false,
-                actor_count: 0,
-                router: None,
-                etrace: None,
-            },
-            actors: Vec::new(),
-            rngs: Vec::new(),
-            root_seed,
-            started: Vec::new(),
-            events_processed: 0,
+            lanes: vec![Lane::new(root_seed, profile)],
             trace: None,
+            locate: Vec::new(),
+            lookahead: None,
+            workers: 1,
+            threaded: None,
+            policy: WindowPolicy::default(),
+            windows_executed: 0,
+            barrier_exchanges: 0,
+            trace_scratch: Vec::new(),
+            barriers: Vec::new(),
         }
     }
 
-    /// The root seed of this run.
-    #[must_use]
-    pub fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-
-    /// Installs a trace hook invoked for every processed event.
+    /// Installs a trace hook that observes every processed event exactly
+    /// once. One lane invokes it at each dispatch, in firing order. Several
+    /// lanes buffer their records while a window runs and hand them over
+    /// at each barrier, merged in `(time, target)` order — fixed by the
+    /// trajectory, not by worker scheduling; `seq` is then lane-local,
+    /// while `time` and `target` match a one-lane run's records exactly.
     pub fn set_trace<F: FnMut(&TraceRecord) + 'static>(&mut self, hook: F) {
+        if self.lanes.len() > 1 {
+            for lane in &mut self.lanes {
+                lane.core.enable_raw_records();
+            }
+        }
         self.trace = Some(Box::new(hook));
     }
 
     /// Switches the structured engine trace on (idempotent): every
     /// dispatch, timer arm, timer cancel, and timer fire is buffered as
     /// an [`EngineEvent`] until [`Simulation::take_engine_trace`] drains
-    /// it. Disabled (the default), the scheduler pays one predictable
-    /// branch per operation and allocates nothing.
+    /// it, and every window barrier of a multi-lane run as a
+    /// [`BarrierMark`]. Disabled (the default), the scheduler pays one
+    /// predictable branch per operation and allocates nothing.
     pub fn enable_engine_trace(&mut self) {
-        self.core.enable_etrace();
+        for lane in &mut self.lanes {
+            lane.core.enable_etrace();
+        }
     }
 
     /// Drains the buffered structured trace in canonical `(time, actor)`
-    /// order — the region-invariant order. Engine sequence numbers
-    /// differ between a sequential and a regioned run of the same
-    /// trajectory, but each actor's own event order does not (per-actor
-    /// trajectories are bit-identical, and every actor lives in exactly
-    /// one region), so a *stable* sort keyed on `(time, actor)` yields
-    /// the identical stream from either engine. Empty when tracing was
-    /// never enabled.
+    /// order — the lane-invariant order. Engine sequence numbers differ
+    /// between a one-lane and a multi-lane run of the same trajectory,
+    /// but each actor's own event order does not (per-actor trajectories
+    /// are bit-identical, and every actor lives in exactly one lane), so
+    /// a *stable* sort keyed on `(time, actor)` yields the identical
+    /// stream at any lane count. Empty when tracing was never enabled.
     pub fn take_engine_trace(&mut self) -> Vec<EngineEvent> {
-        let mut events = self.core.take_etrace_events();
+        let mut events = Vec::new();
+        for lane in &mut self.lanes {
+            events.append(&mut lane.core.take_etrace_events());
+        }
         events.sort_by_key(|e| (e.time, e.actor));
         events
     }
 
-    /// Registers an actor given as the simulation's member type and
-    /// returns its id. Its `on_start` runs when the first run method is
-    /// called (or immediately if the run has begun). Typed simulations
+    /// Registers an actor given as the simulation's member type in lane 0
+    /// and returns its id. Its `on_start` runs when the first run method
+    /// is called (or immediately if the run has begun). Typed simulations
     /// pass their enum (usually via a `From` impl); dynamic simulations
     /// can use [`Simulation::add_actor`] instead.
     pub fn add_member(&mut self, member: S) -> ActorId {
-        let id = ActorId(self.actors.len());
-        self.actors.push(member);
-        self.started.push(false);
-        self.core.actor_count = self.actors.len();
-        id
+        self.add_member_in(0, member)
     }
 
-    /// Current virtual time.
+    /// [`Simulation::add_member`] into an explicit lane. Global ids (and
+    /// therefore RNG streams) are assigned in call order, independent of
+    /// the lane — assembling the same population in the same order at any
+    /// lane count yields the same actor-id layout and the same random
+    /// streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn add_member_in(&mut self, lane: usize, member: S) -> ActorId {
+        assert!(lane < self.lanes.len(), "unknown lane {lane}");
+        let global = self.actor_count();
+        if self.lanes.len() > 1 {
+            self.locate.push((lane, self.lanes[lane].actors.len()));
+        }
+        self.lanes[lane].push_member(global, member);
+        for lane in &mut self.lanes {
+            lane.core.actor_count = global + 1;
+        }
+        ActorId(global)
+    }
+
+    /// Where actor `id` lives, as `(lane, slot)`.
+    fn find(&self, id: ActorId) -> Option<(usize, usize)> {
+        match &self.lanes[..] {
+            // One lane stores actors at their global index — including
+            // those spawned mid-run, which no table has heard of.
+            [lane] => (id.0 < lane.actors.len()).then_some((0, id.0)),
+            _ => self.locate.get(id.0).copied(),
+        }
+    }
+
+    /// The only lane, for the operations that address single events: with
+    /// several lanes an event handle or an event count names no lane.
+    fn sole_lane(&mut self, op: &str) -> (&mut Lane<E, S>, &mut Option<TraceHook>) {
+        let lanes = self.lanes.len();
+        assert!(
+            lanes == 1,
+            "`{op}` is event-granular and needs a one-lane simulation, \
+             but this one has {lanes} lanes"
+        );
+        (&mut self.lanes[0], &mut self.trace)
+    }
+
+    /// Current virtual time: the latest lane clock — the time of the last
+    /// executed event, or the `end` of the last [`Simulation::run_until`]
+    /// that reached it.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.core.now
+        let clocks = self.lanes.iter().map(|lane| lane.core.now);
+        clocks.max().expect("a simulation has at least one lane")
     }
 
-    /// Number of events processed so far.
+    /// Number of events processed so far, over all lanes — the same at
+    /// any lane count: every event is minted once and fired once, on
+    /// whichever side of a barrier it lands.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.lanes.iter().map(|lane| lane.events_processed).sum()
     }
 
-    /// Number of live events currently queued. Cancelled events are
-    /// removed eagerly, so this is the exact count a backpressure or
-    /// diagnostic reader should act on — never inflated by tombstones.
+    /// Events processed by one lane alone (fan-out observability for
+    /// isolated shard-per-lane runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    #[must_use]
+    pub fn lane_events_processed(&self, lane: usize) -> u64 {
+        self.lanes[lane].events_processed
+    }
+
+    /// Number of live events currently queued, over all lanes. Cancelled
+    /// events are removed eagerly, so the count is exact — never inflated
+    /// by tombstones.
     #[must_use]
     pub fn queue_len(&self) -> usize {
-        self.core.queue.len()
+        self.lanes.iter().map(|lane| lane.core.queue.len()).sum()
     }
 
     /// Number of registered actors.
     #[must_use]
     pub fn actor_count(&self) -> usize {
-        self.actors.len()
+        self.lanes.iter().map(|lane| lane.actors.len()).sum()
     }
 
     /// Immutable access to an actor, projected to its concrete type
@@ -908,7 +1205,8 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     where
         S: ProjectActor<A>,
     {
-        self.actors.get(id.0)?.project()
+        let (lane, slot) = self.find(id)?;
+        self.lanes[lane].actors[slot].project()
     }
 
     /// Mutable access to an actor, projected to its concrete type.
@@ -917,25 +1215,41 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     where
         S: ProjectActor<A>,
     {
-        self.actors.get_mut(id.0)?.project_mut()
+        let (lane, slot) = self.find(id)?;
+        self.lanes[lane].actors[slot].project_mut()
     }
 
     /// Schedules an event from outside the simulation (e.g. initial stimuli
-    /// or experiment-driven interventions).
+    /// or experiment-driven interventions) into the lane that owns
+    /// `target`. With several lanes the handle is lane-local and cannot be
+    /// cancelled or rescheduled from outside.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past or the target is unknown.
     pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: E) -> EventHandle {
-        assert!(target.0 < self.core.actor_count, "unknown actor {target:?}");
-        self.core.push(at, target, payload)
+        let Some((lane, _)) = self.find(target) else {
+            panic!("unknown actor {target:?}");
+        };
+        let core = &mut self.lanes[lane].core;
+        assert!(
+            at >= core.now,
+            "cannot schedule into the past: {at} < now {}",
+            core.now
+        );
+        // Not a mint by an actor of another lane: no router, no outbox.
+        core.push_local(at, target, payload)
     }
 
     /// Cancels an event scheduled with [`Simulation::schedule_at`] or from a
     /// context, returning whether it was still pending. Cancelling a fired
     /// or already-cancelled handle is a true no-op (nothing is retained).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a simulation with several lanes.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.core.cancel(handle)
+        self.sole_lane("cancel").0.core.cancel(handle)
     }
 
     /// Moves a pending event to `at` in place, returning the fresh handle
@@ -944,68 +1258,10 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past.
+    /// Panics if `at` is in the past, or on a simulation with several
+    /// lanes.
     pub fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
-        self.core.reschedule(handle, at)
-    }
-
-    fn rng_for(&mut self, idx: usize) {
-        while self.rngs.len() <= idx {
-            let stream = self.rngs.len() as u64;
-            self.rngs.push(StreamRng::new(self.root_seed, stream));
-        }
-    }
-
-    /// Runs `on_start` for any actor that has not started yet.
-    fn flush_starts(&mut self) {
-        // New spawns during on_start are appended and handled by the loop.
-        let mut idx = 0;
-        while idx < self.actors.len() {
-            if !self.started[idx] {
-                self.started[idx] = true;
-                self.dispatch(idx, None);
-            }
-            idx += 1;
-        }
-    }
-
-    /// Dispatches either `on_start` (payload `None`) or `on_event` to the
-    /// actor at `idx`, then absorbs any spawned actors.
-    ///
-    /// The member is borrowed **in place**: the actor table, the scheduler
-    /// core, and the RNG table are disjoint, so no take/put-back swap is
-    /// needed. Re-entrant dispatch is impossible by construction — an
-    /// actor interacts with others only through queued events, and a
-    /// message to itself fires in a later dispatch that observes every
-    /// state change made here (pinned by the engine's self-send test).
-    fn dispatch(&mut self, idx: usize, payload: Option<E>) {
-        self.rng_for(idx);
-        // Parked spawns: allocation-free unless a spawn actually happens.
-        let mut pending: Vec<S> = Vec::new();
-        {
-            let actor = &mut self.actors[idx];
-            let mut ctx = Context {
-                core: &mut self.core,
-                rng: &mut self.rngs[idx],
-                pending_spawns: &mut pending,
-                me: ActorId(idx),
-            };
-            match payload {
-                Some(ev) => actor.on_event(&mut ctx, ev),
-                None => actor.on_start(&mut ctx),
-            }
-        }
-        for spawned in pending {
-            self.actors.push(spawned);
-            self.started.push(false);
-        }
-        debug_assert_eq!(self.core.actor_count, self.actors.len());
-    }
-
-    fn trace_dispatch(&mut self, time: SimTime, target: ActorId, seq: u64) {
-        if let Some(hook) = self.trace.as_mut() {
-            hook(&TraceRecord { time, target, seq });
-        }
+        self.sole_lane("reschedule").0.core.reschedule(handle, at)
     }
 }
 
@@ -1024,44 +1280,19 @@ impl<E: 'static> Simulation<E> {
     }
 }
 
-/// The run loop. Requires `E: Clone` so a batch event
-/// ([`Context::send_now_batch`]) can hand each target its own copy of the
-/// payload (the final target receives the original without cloning).
+/// Running. None of it asks for `Send`: worker threads come with how a
+/// multi-lane simulation was built, not with the call that runs it.
 impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     /// Processes a single event — which may be a batch delivering to
     /// several actors in order. Returns `false` when the queue is empty.
-    /// Cancelled events were removed at cancel time, so every pop is live.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a simulation with several lanes.
     pub fn step(&mut self) -> bool {
-        self.flush_starts();
-        let Some((key, (dest, payload))) = self.core.queue.pop() else {
-            return false;
-        };
-        debug_assert!(key.time >= self.core.now, "event queue went backwards");
-        self.core.now = key.time;
-        self.events_processed += 1;
-        match dest {
-            Dest::One(target) => {
-                self.trace_dispatch(key.time, target, key.seq);
-                self.core.note_dispatch(key.time, target, key.seq);
-                self.dispatch(target.0, Some(payload));
-            }
-            Dest::Batch(targets) => {
-                // The trace hook sees one record per member dispatch (all
-                // sharing the batch's time and seq), so observers still
-                // see every delivery.
-                let (&last, rest) = targets.split_last().expect("batch is never empty");
-                for &target in rest {
-                    self.trace_dispatch(key.time, target, key.seq);
-                    self.core.note_dispatch(key.time, target, key.seq);
-                    self.dispatch(target.0, Some(payload.clone()));
-                }
-                self.trace_dispatch(key.time, last, key.seq);
-                self.core.note_dispatch(key.time, last, key.seq);
-                self.dispatch(last.0, Some(payload));
-            }
-        }
-        self.flush_starts();
-        true
+        let (lane, trace) = self.sole_lane("step");
+        lane.flush_starts();
+        lane.fire_next(trace)
     }
 
     /// Runs until the queue drains, an actor stops the run, or `max_events`
@@ -1070,66 +1301,57 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     /// [`RunOutcome::EventBudget`] is returned only when live events remain
     /// unprocessed: `run(0)` on an idle simulation, or a budget that is
     /// consumed exactly as the queue drains, report [`RunOutcome::Idle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a simulation with several lanes.
     pub fn run(&mut self, max_events: u64) -> RunOutcome {
-        self.flush_starts();
+        let (lane, trace) = self.sole_lane("run");
+        lane.flush_starts();
         for _ in 0..max_events {
-            if self.core.stop_requested {
-                self.core.stop_requested = false;
-                return RunOutcome::Stopped;
-            }
-            if !self.step() {
-                return RunOutcome::Idle;
+            if lane.core.stop_requested || !lane.fire_next(trace) {
+                break;
             }
         }
-        if self.core.stop_requested {
-            self.core.stop_requested = false;
-            RunOutcome::Stopped
-        } else if self.core.queue.is_empty() {
-            RunOutcome::Idle
-        } else {
-            RunOutcome::EventBudget
-        }
+        lane.outcome(RunOutcome::EventBudget)
     }
 
     /// Runs until the virtual clock reaches `end` (processing every event
-    /// with `time ≤ end`), the queue drains, or an actor stops the run.
-    /// On [`RunOutcome::ReachedTime`] the clock is left exactly at `end`.
+    /// with `time ≤ end`), the queues drain, or an actor stops the run.
+    /// Unless stopped, the clock is left exactly at `end` (or where it
+    /// was, if already past). With several lanes a stop is
+    /// barrier-granular: the other lanes finish the window in which an
+    /// actor called [`Context::stop`].
     pub fn run_until(&mut self, end: SimTime) -> RunOutcome {
-        self.flush_starts();
-        loop {
-            if self.core.stop_requested {
-                self.core.stop_requested = false;
-                return RunOutcome::Stopped;
-            }
-            // The head of the queue is always live (true cancellation).
-            match self.core.queue.peek() {
-                None => {
-                    self.core.now = self.core.now.max(end);
-                    return RunOutcome::Idle;
-                }
-                Some(head) if head.time > end => {
-                    self.core.now = end;
-                    return RunOutcome::ReachedTime;
-                }
-                Some(_) => {
-                    self.step();
-                }
+        let outcome = self.advance(Some(end));
+        if outcome != RunOutcome::Stopped {
+            for lane in &mut self.lanes {
+                lane.core.now = lane.core.now.max(end);
             }
         }
+        outcome
     }
 
-    /// Runs until the event queue is empty or an actor stops the run.
+    /// Runs until every queue is empty (and no cross-lane events remain
+    /// in flight) or an actor stops the run.
     pub fn run_until_idle(&mut self) -> RunOutcome {
-        self.flush_starts();
-        loop {
-            if self.core.stop_requested {
-                self.core.stop_requested = false;
-                return RunOutcome::Stopped;
-            }
-            if !self.step() {
-                return RunOutcome::Idle;
-            }
+        self.advance(None)
+    }
+
+    /// Runs to `end` (inclusive; `None` runs to global idle): one lane as
+    /// a single window, several lanes window by window.
+    fn advance(&mut self, end: Option<SimTime>) -> RunOutcome {
+        // Exclusive horizon: `end` is inclusive and the clock is integer
+        // nanoseconds, so the half-open window machinery uses `end + 1ns`.
+        let horizon = end.map_or(SimTime::MAX, |e| {
+            e.checked_add(SimDuration::from_nanos(1))
+                .unwrap_or(SimTime::MAX)
+        });
+        if let [lane] = &mut self.lanes[..] {
+            lane.run_window(horizon, &mut self.trace);
+            return lane.outcome(RunOutcome::ReachedTime);
         }
+        self.drive(end, horizon)
     }
 }
 
@@ -1775,6 +1997,28 @@ mod tests {
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.run_until_idle();
         assert!(sim.take_engine_trace().is_empty());
+    }
+
+    /// No run method asks for `Send`: an actor may share an `Rc` with the
+    /// test that drives it (only `Simulation::with_lanes` would refuse it).
+    #[test]
+    fn rc_holding_actors_run_without_send() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Shared(Rc<Cell<Ev>>);
+        impl Actor<Ev> for Shared {
+            fn on_event(&mut self, _: &mut Context<'_, Ev>, ev: Ev) {
+                self.0.set(self.0.get() + ev);
+            }
+        }
+        let total = Rc::new(Cell::new(0));
+        let mut sim = Simulation::new(1);
+        let id = sim.add_actor(Shared(Rc::clone(&total)));
+        sim.schedule_at(SimTime::from_secs_f64(1.0), id, 2);
+        sim.schedule_at(SimTime::from_secs_f64(2.0), id, 3);
+        assert!(sim.step());
+        assert_eq!(sim.run_until(SimTime::from_secs_f64(5.0)), RunOutcome::Idle);
+        assert_eq!(total.get(), 5);
     }
 
     #[test]

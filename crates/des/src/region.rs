@@ -1,22 +1,26 @@
-//! Conservative time-windowed parallel simulation: one run, many regions.
+//! Conservative time-windowed parallel simulation: one run, many lanes.
 //!
-//! A [`RegionSim`] partitions one simulation's actors into *regions*, each
+//! This module is the N-lane driver of the engine's one run loop. A
+//! [`Simulation`] built by [`Simulation::with_lanes`] partitions its
+//! actors into *lanes* (one per region of the simulated system), each
 //! owning its own event queue (reusing [`QueueProfile`]) and advancing
 //! independently inside a safe window `[t, t + lookahead)`. Events whose
-//! target lives in another region are parked in the minting region's
-//! outbox and exchanged at the window barrier, where a deterministic merge
-//! admits them in `(mint_time, source_region, source_order)` order —
+//! target lives in another lane are parked in the minting lane's outbox
+//! and exchanged at the window barrier, where a deterministic merge admits
+//! them in `(mint_time, source_lane, source_order)` order —
 //! thread-schedule-independent by construction, so a run is a pure
-//! function of its seed and partition, never of worker timing.
+//! function of its seed and partition, never of worker timing. A one-lane
+//! simulation is the degenerate case — one unbounded window, no barrier —
+//! and never enters this module.
 //!
 //! # The lookahead contract
 //!
-//! The engine is *conservative*: region R may execute its window only if
+//! The engine is *conservative*: lane R may execute its window only if
 //! every event that will ever arrive in that window is already queued.
-//! That holds when every cross-region scheduling delay is at least the
+//! That holds when every cross-lane scheduling delay is at least the
 //! declared `lookahead` (in the presence stack, the fabric's
 //! [`DelayModel::min_delay`] bound; see `presence_net`). The engine does
-//! not trust the declaration: a cross-region event landing inside the
+//! not trust the declaration: a cross-lane event landing inside the
 //! current window **panics** at the scheduling call — the violation is
 //! loud and attributed, never a silent reorder or a deadlock. A zero
 //! lookahead is rejected at construction for the same reason.
@@ -24,387 +28,162 @@
 //! # Adaptive windows
 //!
 //! The static window `[t_min, t_min + lookahead)` is sound but pays one
-//! barrier per lookahead of virtual time even when cross-region traffic
+//! barrier per lookahead of virtual time even when cross-lane traffic
 //! is sparse (a ping-pong with a 250 µs gap and 10 µs lookahead crosses
 //! 25 barriers per hop). Under [`WindowPolicy::Adaptive`] (the default)
-//! each region reports its earliest possible next activity `h_R` at the
+//! each lane reports its earliest possible next activity `h_R` at the
 //! barrier (queue head, or its clock if starts are pending), and the
-//! region `M` *uniquely* holding `t_min = min h_R` runs a wider window:
+//! lane `M` *uniquely* holding `t_min = min h_R` runs a wider window:
 //!
 //! ```text
 //! end_M = max(t_min + lookahead, m2 + lookahead)
 //! ```
 //!
 //! where `m2 = min over R ≠ M of h_R` (the run horizon when no other
-//! region has work), **dynamically cut** while the window runs: the
-//! moment `M` mints a cross-region event arriving at `c`, its bound
-//! drops to `min(end_M, c + lookahead)`. Every other region keeps the
+//! lane has work), **dynamically cut** while the window runs: the
+//! moment `M` mints a cross-lane event arriving at `c`, its bound
+//! drops to `min(end_M, c + lookahead)`. Every other lane keeps the
 //! static `t_min + lookahead` end.
 //!
-//! *Safety:* an event arriving in `M` is minted by some region `R ≠ M`,
+//! *Safety:* an event arriving in `M` is minted by some lane `R ≠ M`,
 //! reacting either to an event already queued somewhere else — every
 //! such event sits at ≥ `m2`, so the arrival is ≥ `m2 + lookahead` — or
 //! to traffic `M` itself emitted; `M`'s earliest outbound arrival is
 //! some `c`, so the re-mint reaches `M` at ≥ `c + lookahead`, which is
 //! exactly where the dynamic cut stopped it. Chains of more hops only
-//! add lookahead. Non-minimal regions cannot widen (the `t_min` holder
-//! can mint into them at `t_min + lookahead` directly). The cross-region
+//! add lookahead. Non-minimal lanes cannot widen (the `t_min` holder
+//! can mint into them at `t_min + lookahead` directly). The cross-lane
 //! soundness check accordingly becomes per-target — an event must land
 //! at or after its *target's* window end — and the lookahead-violation
 //! panic stays as the net underneath. Both policies produce bit-identical
 //! trajectories; adaptive executes the same events in fewer, wider
-//! windows ([`RegionSim::windows_executed`] adaptive ≤ static, round by
+//! windows ([`Simulation::windows_executed`] adaptive ≤ static, round by
 //! round).
 //!
-//! # Bit-identity with the sequential engine
+//! # Bit-identity across lane counts
 //!
-//! Each actor keeps the [`StreamRng`] stream of its *global* index —
-//! identical to the same population in a sequential [`Simulation`] — and
-//! regions preserve local FIFO mint order, so a regioned run reproduces
-//! the sequential run event-for-event provided no two events minted in
-//! *different* regions tie at the same `(time, target)` instant (ties
-//! wholly within one region keep their FIFO order exactly). Continuous or
-//! positive-gap cross-region delays satisfy this; the region-model
-//! proptest in `tests/region_model.rs` pins the equivalence over random
-//! partitions, topologies, and seeds, at every worker count.
+//! Each actor keeps the [`StreamRng`](crate::StreamRng) stream of its
+//! *global* index, whatever lane it lives in, and lanes preserve local
+//! FIFO mint order, so an N-lane run reproduces the one-lane run
+//! event-for-event provided no two events minted in *different* lanes tie
+//! at the same `(time, target)` instant (ties wholly within one lane keep
+//! their FIFO order exactly). Continuous or positive-gap cross-lane delays
+//! satisfy this; the model proptest in `tests/region_model.rs` pins the
+//! equivalence over random partitions, topologies, and seeds, at every
+//! worker count.
 //!
 //! [`DelayModel::min_delay`]: trait method in `presence-net`
 
-use crate::engine::{
-    Actor, ActorId, Context, Core, Dest, EngineEvent, RegionRouter, RunOutcome, TraceRecord,
-};
-use crate::queue::{EventQueue, QueueProfile};
-use crate::rng::StreamRng;
+use crate::engine::{Actor, Lane, LaneRouter, RunOutcome, Simulation};
+use crate::queue::QueueProfile;
 use crate::time::{SimDuration, SimTime};
 use std::sync::Arc;
 
-/// The raw trace hook installed by [`RegionSim::set_trace`].
-type TraceHook = Box<dyn FnMut(&TraceRecord)>;
-
-/// How a [`RegionSim`] sizes its conservative windows (see the
-/// [module docs](self) for the safety argument).
+/// How a multi-lane [`Simulation`] sizes its conservative windows (see
+/// the [module docs](self) for the safety argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowPolicy {
-    /// Every region runs `[t_min, t_min + lookahead)` — the classic
+    /// Every lane runs `[t_min, t_min + lookahead)` — the classic
     /// conservative advance, one barrier per lookahead of busy time.
     Static,
-    /// The region uniquely holding the earliest activity runs to
+    /// The lane uniquely holding the earliest activity runs to
     /// `max(t_min + lookahead, m2 + lookahead)` — `m2` being the other
-    /// regions' earliest activity — cut dynamically to one lookahead past
-    /// its own first cross-region arrival: strictly wider windows,
-    /// bit-identical trajectory, fewer barriers when cross-region traffic
+    /// lanes' earliest activity — cut dynamically to one lookahead past
+    /// its own first cross-lane arrival: strictly wider windows,
+    /// bit-identical trajectory, fewer barriers when cross-lane traffic
     /// is sparse (see the [module docs](self) for the safety argument).
     #[default]
     Adaptive,
 }
 
-/// One region's private slice of the simulation: its actors, their RNG
-/// streams, and a scheduler core with its own event queue and outbox.
-struct RegionState<E: 'static, S: Actor<E>> {
-    core: Core<E>,
-    actors: Vec<S>,
-    /// Slot → global actor index (RNG streams and `ActorId`s are global).
-    global_ids: Vec<usize>,
-    rngs: Vec<StreamRng>,
-    started: Vec<bool>,
-    /// Whether any actor in this region still awaits `on_start`.
-    starts_pending: bool,
-    events_processed: u64,
-    /// Global actor index → (region, slot), shared by every region so
-    /// batch dispatch can resolve targets locally.
-    locate: Arc<Vec<(u32, u32)>>,
-}
-
-impl<E: 'static, S: Actor<E>> RegionState<E, S> {
-    /// The earliest instant at which this region could possibly act: its
-    /// next queued event, or the current clock if starts are pending.
-    fn next_activity(&self) -> Option<SimTime> {
-        if self.starts_pending {
-            return Some(self.core.now);
-        }
-        self.core.queue.peek().map(|k| k.time)
-    }
-
-    fn dispatch(&mut self, slot: usize, payload: Option<E>) {
-        let mut pending: Vec<S> = Vec::new();
-        {
-            let actor = &mut self.actors[slot];
-            let mut ctx = Context {
-                core: &mut self.core,
-                rng: &mut self.rngs[slot],
-                pending_spawns: &mut pending,
-                me: ActorId(self.global_ids[slot]),
-            };
-            match payload {
-                Some(ev) => actor.on_event(&mut ctx, ev),
-                None => actor.on_start(&mut ctx),
-            }
-        }
-        assert!(
-            pending.is_empty(),
-            "mid-run actor spawn is not supported in a regioned simulation \
-             (the global actor table is fixed at run start)"
-        );
-    }
-
-    fn flush_starts(&mut self) {
-        if !self.starts_pending {
-            return;
-        }
-        for slot in 0..self.actors.len() {
-            if !self.started[slot] {
-                self.started[slot] = true;
-                self.dispatch(slot, None);
-            }
-        }
-        self.starts_pending = false;
-    }
-}
-
-impl<E: Clone + 'static, S: Actor<E>> RegionState<E, S> {
-    /// Advances this region through one window: runs `on_start` backlog,
-    /// then fires every queued event strictly before `window_end`. A
-    /// region whose queue empties (or never had events this window) simply
-    /// returns — going idle mid-window is the normal case, not an error.
-    fn run_window(&mut self, window_end: SimTime) {
-        self.flush_starts();
-        loop {
-            // Re-read the bound each iteration: a cross-region mint cuts
-            // this region's own window end (see `RegionRouter`), so an
-            // adaptive window that leapt ahead stops as soon as its own
-            // outbound traffic could circle back.
-            let bound = self
-                .core
-                .router
-                .as_ref()
-                .map_or(window_end, |r| r.window_ends[r.my_region as usize]);
-            match self.core.queue.peek() {
-                Some(key) if key.time < bound => {}
-                _ => return,
-            }
-            if self.core.stop_requested {
-                return;
-            }
-            let (key, (dest, payload)) = self.core.queue.pop().expect("peeked event pops");
-            debug_assert!(key.time >= self.core.now, "region queue went backwards");
-            self.core.now = key.time;
-            self.events_processed += 1;
-            match dest {
-                Dest::One(target) => {
-                    self.core.note_dispatch(key.time, target, key.seq);
-                    let (_, slot) = self.locate[target.0];
-                    self.dispatch(slot as usize, Some(payload));
-                }
-                Dest::Batch(targets) => {
-                    let (&last, rest) = targets.split_last().expect("batch is never empty");
-                    for &target in rest {
-                        self.core.note_dispatch(key.time, target, key.seq);
-                        let (_, slot) = self.locate[target.0];
-                        self.dispatch(slot as usize, Some(payload.clone()));
-                    }
-                    self.core.note_dispatch(key.time, last, key.seq);
-                    let (_, slot) = self.locate[last.0];
-                    self.dispatch(slot as usize, Some(payload));
-                }
-            }
-        }
-    }
-}
-
-/// A conservative time-windowed parallel simulation over actor storage `S`
-/// (see the [module docs](self) for the protocol and its guarantees).
-///
-/// Construction mirrors [`Simulation`]: actors join via
-/// [`RegionSim::add_member`] with an explicit region, receiving globally
-/// numbered [`ActorId`]s (and therefore the same RNG streams the
-/// sequential engine would hand them). Unlike `Simulation` there is no
-/// dynamic-storage default: a parallel run hands regions to worker
-/// threads, so the member type must be `Send` (typed actor-set enums are;
-/// the `Rc`-friendly [`crate::DynActorSet`] is not).
-///
-/// [`Simulation`]: crate::Simulation
-pub struct RegionSim<E: 'static, S: Actor<E>> {
-    regions: Vec<RegionState<E, S>>,
-    /// Global actor index → (region, slot).
-    locate: Vec<(u32, u32)>,
-    /// `None` means the partition is *isolated*: no cross-region events
-    /// are permitted at all (infinite lookahead — one window per run).
-    lookahead: Option<SimDuration>,
-    root_seed: u64,
-    now: SimTime,
-    /// Upper bound on worker threads per window barrier; 1 executes the
-    /// windows inline (bit-identical results either way).
-    workers: usize,
-    /// Window sizing policy (trajectory-invariant; affects barrier count
-    /// only).
-    policy: WindowPolicy,
-    /// Windows executed (drive-loop rounds ending in a barrier).
-    windows_executed: u64,
-    /// Cross-region events exchanged at barriers over the sim's lifetime.
-    barrier_exchanges: u64,
-    /// Whether the per-region routers have been (re)installed since the
-    /// last membership change.
-    sealed: bool,
-    /// Trace hook with [`crate::Simulation::set_trace`] parity: invoked
-    /// for every processed event, in deterministic barrier-merge order.
-    trace: Option<TraceHook>,
-    /// Reusable scratch for the per-barrier trace merge.
-    trace_scratch: Vec<TraceRecord>,
-    /// Barrier marks buffered while structured tracing is on.
-    barriers: Vec<BarrierMark>,
-    /// Whether structured tracing (and barrier marks) are enabled.
-    etrace_enabled: bool,
-}
-
-/// One window-barrier mark from a regioned run's structured trace: when
-/// the barrier completed (the global frontier) and how many cross-region
-/// events it exchanged. Sequential runs have no barriers, so these live
-/// beside the [`EngineEvent`] stream rather than in it — stripping them
-/// recovers the engine-invariant trace.
+/// One window-barrier mark from a multi-lane run's structured trace: the
+/// global frontier the barrier completed at and how many cross-lane
+/// events it exchanged. One-lane runs have no barriers, so these live
+/// beside the [`EngineEvent`](crate::EngineEvent) stream rather than in it
+/// — stripping them recovers the lane-invariant trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrierMark {
     /// Global frontier when the barrier completed.
     pub time: SimTime,
-    /// Cross-region events exchanged at this barrier.
+    /// Cross-lane events exchanged at this barrier.
     pub exchanged: u64,
 }
 
-impl<E: 'static, S: Actor<E>> RegionSim<E, S> {
-    /// Creates a regioned simulation with `regions` regions and the given
-    /// cross-region lookahead, on the default heap queue profile.
+/// Executes one round of windows, one scoped thread per active lane.
+pub(crate) type ThreadedWindows<E, S> = fn(Vec<(&mut Lane<E, S>, SimTime)>);
+
+fn run_windows_threaded<E: Clone + Send + 'static, S: Actor<E> + Send>(
+    active: Vec<(&mut Lane<E, S>, SimTime)>,
+) {
+    // Join in lane order and re-raise the first panic with its own
+    // payload: a dropped handle would surface as `scope`'s fixed "a
+    // scoped thread panicked" and lose the lookahead-violation
+    // diagnostic exactly when the engine runs in parallel.
+    let first_panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = active
+            .into_iter()
+            .map(|(lane, end)| scope.spawn(move || lane.run_window(end, &mut None)))
+            .collect();
+        // Every handle is joined (an unjoined panic would make `scope`
+        // itself panic); only the first payload is kept.
+        let panics: Vec<_> = handles
+            .into_iter()
+            .filter_map(|handle| handle.join().err())
+            .collect();
+        panics.into_iter().next()
+    });
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+impl<E: Clone + Send + 'static, S: Actor<E> + Send> Simulation<E, S> {
+    /// Creates a simulation of `lanes` lanes on the given queue profile
+    /// (one lane is exactly [`Simulation::with_actor_set_and_profile`]).
+    /// `lookahead` is the least delay of any cross-lane event; `None`
+    /// declares the lanes *isolated* (e.g. one population shard each):
+    /// any cross-lane scheduling call panics, and each run is one window.
+    ///
+    /// Windows may execute on worker threads ([`Simulation::set_workers`]),
+    /// which is why this constructor — and no run method — asks for `Send`
+    /// members: typed actor-set enums are, [`crate::DynActorSet`] is not.
     ///
     /// # Panics
     ///
-    /// Panics if `regions == 0`, or if `lookahead` is zero — a route that
-    /// can deliver instantly admits no safe window, so the configuration
-    /// is rejected loudly at construction instead of deadlocking or
-    /// reordering at run time. (Use [`RegionSim::isolated`] for partitions
-    /// with no cross-region communication at all.)
+    /// Panics if `lanes == 0`, or if `lookahead` is zero — a route that
+    /// can deliver instantly admits no safe window, so it is rejected here
+    /// instead of deadlocking or reordering at run time.
     #[must_use]
-    pub fn new(root_seed: u64, regions: usize, lookahead: SimDuration) -> Self {
-        Self::with_profile(root_seed, regions, Some(lookahead), QueueProfile::Heap)
-    }
-
-    /// A partition whose regions never exchange events (e.g. one
-    /// independent population shard per region): any cross-region
-    /// scheduling call panics, and each run is a single window.
-    #[must_use]
-    pub fn isolated(root_seed: u64, regions: usize) -> Self {
-        Self::with_profile(root_seed, regions, None, QueueProfile::Heap)
-    }
-
-    /// [`RegionSim::new`]/[`RegionSim::isolated`] with an explicit queue
-    /// profile per region (`lookahead: None` means isolated). Mega-scale
-    /// regions select [`QueueProfile::calendar`] here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regions == 0` or `lookahead == Some(SimDuration::ZERO)`.
-    #[must_use]
-    pub fn with_profile(
+    pub fn with_lanes(
         root_seed: u64,
-        regions: usize,
+        lanes: usize,
         lookahead: Option<SimDuration>,
         profile: QueueProfile,
     ) -> Self {
-        assert!(
-            regions > 0,
-            "a regioned simulation needs at least one region"
-        );
+        assert!(lanes > 0, "a simulation needs at least one lane");
         assert!(
             lookahead != Some(SimDuration::ZERO),
             "zero lookahead rejected: a cross-region route that can deliver \
              instantly admits no safe window (fix the partition, or add a \
              delay floor to the route)"
         );
-        let locate = Arc::new(Vec::new());
-        let regions = (0..regions)
-            .map(|_| RegionState {
-                core: Core {
-                    now: SimTime::ZERO,
-                    queue: EventQueue::with_profile(profile),
-                    next_seq: 0,
-                    stop_requested: false,
-                    actor_count: 0,
-                    router: None,
-                    etrace: None,
-                },
-                actors: Vec::new(),
-                global_ids: Vec::new(),
-                rngs: Vec::new(),
-                started: Vec::new(),
-                starts_pending: false,
-                events_processed: 0,
-                locate: Arc::clone(&locate),
-            })
-            .collect();
-        Self {
-            regions,
-            locate: Vec::new(),
-            lookahead,
-            root_seed,
-            now: SimTime::ZERO,
-            workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            policy: WindowPolicy::default(),
-            windows_executed: 0,
-            barrier_exchanges: 0,
-            sealed: false,
-            trace: None,
-            trace_scratch: Vec::new(),
-            barriers: Vec::new(),
-            etrace_enabled: false,
+        let mut sim = Self::with_actor_set_and_profile(root_seed, profile);
+        if lanes > 1 {
+            sim.lanes
+                .extend((1..lanes).map(|_| Lane::new(root_seed, profile)));
+            sim.lookahead = lookahead;
+            sim.workers =
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            sim.threaded = Some(run_windows_threaded::<E, S>);
         }
+        sim
     }
+}
 
-    /// Installs a trace hook with [`crate::Simulation::set_trace`]
-    /// parity: the hook observes every processed event exactly once.
-    /// Regions buffer their records while a window runs and the hook is
-    /// invoked at each barrier, merged in `(time, target)` order — a
-    /// total order fixed by the trajectory, independent of worker
-    /// scheduling. The `seq` field is the *region-local* sequence number
-    /// (engine sequence numbering is per-region here); `time` and
-    /// `target` match the sequential engine's records exactly.
-    pub fn set_trace<F: FnMut(&TraceRecord) + 'static>(&mut self, hook: F) {
-        for region in &mut self.regions {
-            region.core.enable_raw_records();
-        }
-        self.trace = Some(Box::new(hook));
-    }
-
-    /// Switches the structured engine trace on for every region
-    /// (idempotent) — the regioned mirror of
-    /// [`crate::Simulation::enable_engine_trace`]. Window barriers are
-    /// additionally recorded as [`BarrierMark`]s.
-    pub fn enable_engine_trace(&mut self) {
-        for region in &mut self.regions {
-            region.core.enable_etrace();
-        }
-        self.etrace_enabled = true;
-    }
-
-    /// Drains the structured trace in canonical `(time, actor)` order —
-    /// bit-identical to [`crate::Simulation::take_engine_trace`] on the
-    /// same population and seed (each actor's trajectory is identical
-    /// and lives in exactly one region, so the stable cross-region sort
-    /// reconstructs the sequential stream exactly).
-    pub fn take_engine_trace(&mut self) -> Vec<EngineEvent> {
-        let mut events = Vec::new();
-        for region in &mut self.regions {
-            events.append(&mut region.core.take_etrace_events());
-        }
-        events.sort_by_key(|e| (e.time, e.actor));
-        events
-    }
-
-    /// Drains the buffered [`BarrierMark`]s (one per window barrier
-    /// executed while [`RegionSim::enable_engine_trace`] was on).
-    pub fn take_barrier_marks(&mut self) -> Vec<BarrierMark> {
-        std::mem::take(&mut self.barriers)
-    }
-
-    /// Caps the worker threads used per window (1 forces inline serial
-    /// execution). Results are bit-identical at any setting; only wall
-    /// time changes.
+impl<E: 'static, S: Actor<E>> Simulation<E, S> {
+    /// Caps the worker threads used per round of windows (1 forces inline
+    /// serial execution; one lane never uses any). Results are
+    /// bit-identical at any setting; only wall time changes.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -416,259 +195,102 @@ impl<E: 'static, S: Actor<E>> RegionSim<E, S> {
         self.policy = policy;
     }
 
-    /// The active window sizing policy.
-    #[must_use]
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.policy
-    }
-
-    /// The configured cross-region lookahead (`None` for an isolated
-    /// partition).
-    #[must_use]
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
-    /// Windows executed so far: one per drive-loop round (every region
-    /// with work runs one window per round, then all regions barrier).
+    /// Windows executed so far: one per drive-loop round (every lane
+    /// with work runs one window per round, then all lanes barrier).
+    /// Always 0 on one lane.
     #[must_use]
     pub fn windows_executed(&self) -> u64 {
         self.windows_executed
     }
 
-    /// Cross-region events exchanged at barriers so far.
+    /// Cross-lane events exchanged at barriers so far.
     #[must_use]
     pub fn barrier_exchanges(&self) -> u64 {
         self.barrier_exchanges
     }
 
-    /// Mean events processed per window (0 before the first window) —
-    /// the figure of merit for window sizing: higher means less barrier
-    /// overhead per unit of work.
-    #[must_use]
-    pub fn events_per_window(&self) -> f64 {
-        if self.windows_executed == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.events_processed() as f64 / self.windows_executed as f64
-        }
+    /// Drains the buffered [`BarrierMark`]s (one per window barrier
+    /// executed while [`Simulation::enable_engine_trace`] was on).
+    pub fn take_barrier_marks(&mut self) -> Vec<BarrierMark> {
+        std::mem::take(&mut self.barriers)
     }
 
-    /// The number of regions.
-    #[must_use]
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Registers `member` in `region`, returning its globally numbered id.
-    /// Global ids (and therefore RNG streams) are assigned in call order,
-    /// independent of the region — assembling the same population in the
-    /// same order into a sequential [`Simulation`] yields the same
-    /// actor-id layout and the same random streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range.
-    pub fn add_member(&mut self, region: usize, member: S) -> ActorId {
-        assert!(region < self.regions.len(), "unknown region {region}");
-        let global = self.locate.len();
-        let slot = self.regions[region].actors.len();
-        self.locate
-            .push((u32::try_from(region).expect("region fits u32"), {
-                u32::try_from(slot).expect("slot fits u32")
-            }));
-        let state = &mut self.regions[region];
-        state.actors.push(member);
-        state.global_ids.push(global);
-        state
-            .rngs
-            .push(StreamRng::new(self.root_seed, global as u64));
-        state.started.push(false);
-        state.starts_pending = true;
-        self.sealed = false;
-        ActorId(global)
-    }
-
-    /// Current virtual time: the last completed barrier (or the end passed
-    /// to [`RegionSim::run_until`]).
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total events processed across all regions. With identical
-    /// trajectories this equals the sequential engine's count exactly:
-    /// every event is minted once and fired once, on whichever side of a
-    /// barrier it lands.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.regions.iter().map(|r| r.events_processed).sum()
-    }
-
-    /// Events processed by one region alone (fan-out observability for
-    /// isolated shard-per-region runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range.
-    #[must_use]
-    pub fn region_events_processed(&self, region: usize) -> u64 {
-        self.regions[region].events_processed
-    }
-
-    /// Number of registered actors (across all regions).
-    #[must_use]
-    pub fn actor_count(&self) -> usize {
-        self.locate.len()
-    }
-
-    /// Immutable access to an actor by its global id, projected to its
-    /// concrete type (the regioned mirror of [`crate::Simulation::actor`]).
-    #[must_use]
-    pub fn actor<A>(&self, id: ActorId) -> Option<&A>
-    where
-        S: crate::engine::ProjectActor<A>,
-    {
-        let &(region, slot) = self.locate.get(id.0)?;
-        self.regions[region as usize].actors[slot as usize].project()
-    }
-
-    /// Mutable access to an actor by its global id.
-    #[must_use]
-    pub fn actor_mut<A>(&mut self, id: ActorId) -> Option<&mut A>
-    where
-        S: crate::engine::ProjectActor<A>,
-    {
-        let &(region, slot) = self.locate.get(id.0)?;
-        self.regions[region as usize].actors[slot as usize].project_mut()
-    }
-
-    /// Schedules an external stimulus for `target` (any region) at `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target is unknown or `at` is in the past.
-    pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: E) {
-        let &(region, _) = self.locate.get(target.0).expect("unknown actor");
-        let state = &mut self.regions[region as usize];
-        // Bypass the router (external injection is not a cross-region
-        // event minted by an actor): push straight into the owning queue.
-        let seq = state.core.next_seq;
-        state.core.next_seq += 1;
-        assert!(at >= state.core.now, "cannot schedule into the past");
-        state.core.queue.push(at, seq, (Dest::One(target), payload));
-    }
-
-    /// (Re)installs the routers after membership changes: every region
-    /// learns the global actor count and the shared global→region map.
+    /// (Re)installs the routers after membership changes (the actor table
+    /// only grows): every lane learns the shared global → (lane, slot) map.
     fn seal(&mut self) {
-        if self.sealed {
+        let router = self.lanes[0].core.router.as_ref();
+        if router.is_some_and(|r| r.locate.len() == self.locate.len()) {
             return;
         }
-        let region_of: Arc<[u32]> = self.locate.iter().map(|&(r, _)| r).collect();
-        let locate = Arc::new(self.locate.clone());
-        let total = self.locate.len();
-        let count = self.regions.len();
-        for (index, state) in self.regions.iter_mut().enumerate() {
-            state.core.actor_count = total;
-            state.locate = Arc::clone(&locate);
-            let sentinel = state
+        let locate: Arc<[(usize, usize)]> = self.locate.as_slice().into();
+        let count = self.lanes.len();
+        for (index, lane) in self.lanes.iter_mut().enumerate() {
+            let sentinel = lane
                 .core
                 .router
                 .as_ref()
                 .map_or(u64::MAX, |r| r.sentinel_seq);
-            state.core.router = Some(RegionRouter {
-                region_of: Arc::clone(&region_of),
-                my_region: u32::try_from(index).expect("region fits u32"),
+            lane.core.router = Some(LaneRouter {
+                locate: Arc::clone(&locate),
+                my_lane: index,
                 window_ends: vec![SimTime::MAX; count],
                 lookahead: self.lookahead.unwrap_or(SimDuration::ZERO),
                 sentinel_seq: sentinel,
                 outbox: Vec::new(),
             });
         }
-        self.sealed = true;
     }
 }
 
-impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
-    /// Runs until the virtual clock reaches `end` (processing every event
-    /// with `time ≤ end`), the queues drain, or an actor stops the run.
-    /// On [`RunOutcome::ReachedTime`] the clock is left exactly at `end`
-    /// (mirroring [`crate::Simulation::run_until`]).
-    pub fn run_until(&mut self, end: SimTime) -> RunOutcome {
-        let outcome = self.drive(Some(end));
-        if outcome != RunOutcome::Stopped {
-            self.now = self.now.max(end);
-            for region in &mut self.regions {
-                region.core.now = region.core.now.max(end);
-            }
-        }
-        outcome
-    }
-
-    /// Runs until every region's queue is empty (and no cross-region
-    /// events remain in flight) or an actor stops the run.
-    pub fn run_until_idle(&mut self) -> RunOutcome {
-        self.drive(None)
-    }
-
-    /// The window loop. `end` bounds the run (inclusive, like
-    /// [`crate::Simulation::run_until`]); `None` runs to global idle.
-    fn drive(&mut self, end: Option<SimTime>) -> RunOutcome {
+impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
+    /// The window loop of a multi-lane run. `end` bounds the run
+    /// (inclusive); `None` runs to global idle. `horizon` is the same
+    /// bound as an exclusive instant.
+    pub(crate) fn drive(&mut self, end: Option<SimTime>, horizon: SimTime) -> RunOutcome {
         self.seal();
-        // Exclusive horizon: `end` is inclusive and the clock is integer
-        // nanoseconds, so the half-open window machinery uses `end + 1ns`.
-        let horizon = end.map_or(SimTime::MAX, |e| {
-            e.checked_add(SimDuration::from_nanos(1))
-                .unwrap_or(SimTime::MAX)
-        });
-        let mut ends: Vec<SimTime> = Vec::with_capacity(self.regions.len());
+        let mut ends: Vec<SimTime> = Vec::with_capacity(self.lanes.len());
         loop {
-            if self.take_stop_request() {
+            // Stop is barrier-granular: the lane whose actor called
+            // `Context::stop` halts at once, the others finish the window,
+            // and the barrier below completes before this returns — a
+            // later run resumes from queues that hold every minted event.
+            let stopped = self.lanes.iter_mut().fold(false, |stopped, lane| {
+                stopped | std::mem::take(&mut lane.core.stop_requested)
+            });
+            if stopped {
                 return RunOutcome::Stopped;
             }
-            let activity: Vec<Option<SimTime>> = self
-                .regions
-                .iter()
-                .map(RegionState::next_activity)
-                .collect();
+            let activity: Vec<Option<SimTime>> =
+                self.lanes.iter().map(Lane::next_activity).collect();
             let Some(t_min) = activity.iter().flatten().copied().min() else {
                 // Queues drained and no starts pending; outboxes are
                 // always empty at the top of the loop (drained at every
                 // barrier), so the simulation is globally idle.
                 return RunOutcome::Idle;
             };
-            if let Some(end) = end {
-                if t_min > end {
-                    return RunOutcome::ReachedTime;
-                }
+            if end.is_some_and(|end| t_min > end) {
+                return RunOutcome::ReachedTime;
             }
             self.window_ends(t_min, horizon, &activity, &mut ends);
-            // Every router learns the full per-region frontier: a minting
-            // region checks cross events against the *target's* end.
-            for state in &mut self.regions {
-                let router = state.core.router.as_mut().expect("sealed run has routers");
+            // Every router learns the full per-lane frontier: a minting
+            // lane checks cross events against the *target's* end.
+            for lane in &mut self.lanes {
+                let router = lane.core.router.as_mut().expect("sealed run has routers");
                 router.window_ends.clear();
                 router.window_ends.extend_from_slice(&ends);
             }
             self.run_windows(&ends);
             self.windows_executed += 1;
             self.flush_trace();
-            if self.take_stop_request() {
-                return RunOutcome::Stopped;
-            }
-            // The global frontier is the smallest window end: everything
-            // before it has executed in every region.
-            let frontier = ends.iter().copied().min().unwrap_or(horizon);
-            self.now = self.now.max(frontier.min(end.unwrap_or(SimTime::MAX)));
-            let before = self.barrier_exchanges;
-            self.merge_outboxes();
-            if self.etrace_enabled {
+            let exchanged = self.merge_outboxes();
+            let etrace = self.lanes[0].core.etrace.as_deref();
+            if etrace.is_some_and(|t| t.record_events) {
+                // The global frontier is the smallest window end:
+                // everything before it has executed in every lane.
+                let frontier = ends.iter().copied().min().unwrap_or(horizon);
                 self.barriers.push(BarrierMark {
-                    time: self.now,
-                    exchanged: self.barrier_exchanges - before,
+                    time: frontier.min(end.unwrap_or(SimTime::MAX)),
+                    exchanged,
                 });
             }
         }
@@ -676,14 +298,14 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
 
     /// Delivers every record buffered during the last round of windows to
     /// the trace hook, merged in `(time, target)` order (see
-    /// [`RegionSim::set_trace`]).
+    /// [`Simulation::set_trace`]).
     fn flush_trace(&mut self) {
         let Some(hook) = self.trace.as_mut() else {
             return;
         };
         let records = &mut self.trace_scratch;
-        for region in &mut self.regions {
-            region.core.drain_raw_records_into(records);
+        for lane in &mut self.lanes {
+            lane.core.drain_raw_records_into(records);
         }
         records.sort_by_key(|r| (r.time, r.target));
         for record in records.iter() {
@@ -692,14 +314,14 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
         records.clear();
     }
 
-    /// Computes each region's window end for the next round (see the
+    /// Computes each lane's window end for the next round (see the
     /// [module docs](self)): the classic conservative `t_min + lookahead`
     /// under [`WindowPolicy::Static`]; under [`WindowPolicy::Adaptive`]
     /// the unique `t_min` holder widens to `m2 + lookahead` — nothing can
     /// reach it earlier unless its own outbound traffic circles back,
     /// which the router's dynamic cut bounds at run time. All ends are
-    /// clamped to the run horizon; an isolated partition always runs
-    /// straight to the horizon.
+    /// clamped to the run horizon; isolated lanes always run straight to
+    /// the horizon.
     fn window_ends(
         &self,
         t_min: SimTime,
@@ -708,7 +330,7 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
         ends: &mut Vec<SimTime>,
     ) {
         ends.clear();
-        let count = self.regions.len();
+        let count = self.lanes.len();
         let Some(lookahead) = self.lookahead else {
             ends.resize(count, horizon);
             return;
@@ -718,12 +340,6 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
             ends.resize(count, static_end.min(horizon));
             return;
         }
-        if count == 1 {
-            // Degenerate single region: no cross-region events can exist,
-            // so the whole run is one window.
-            ends.push(horizon);
-            return;
-        }
         let minimal = activity
             .iter()
             .filter(|h| **h == Some(t_min))
@@ -731,13 +347,13 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
             .count();
         ends.extend((0..count).map(|target| {
             if minimal != 1 || activity[target] != Some(t_min) {
-                // Tied minima, or not the frontier region: another region
+                // Tied minima, or not the frontier lane: another lane
                 // can mint a direct arrival at t_min + lookahead.
                 return static_end.min(horizon);
             }
-            // The unique frontier region leaps to the others' earliest
+            // The unique frontier lane leaps to the others' earliest
             // possible direct mint; its own cross mints cut the window
-            // further at run time (see `RegionRouter::window_ends`).
+            // further at run time (see `LaneRouter::window_ends`).
             let direct = activity
                 .iter()
                 .enumerate()
@@ -751,96 +367,61 @@ impl<E: Clone + Send + 'static, S: Actor<E> + Send> RegionSim<E, S> {
         }));
     }
 
-    /// Clears and reports any region's stop request (stop is
-    /// barrier-granular: the whole run halts at the end of the window in
-    /// which any actor called [`crate::Context::stop`]).
-    fn take_stop_request(&mut self) -> bool {
-        let mut stopped = false;
-        for region in &mut self.regions {
-            stopped |= region.core.stop_requested;
-            region.core.stop_requested = false;
-        }
-        stopped
-    }
-
-    /// Executes one window on every region that has work, in parallel when
-    /// more than one worker is configured. Regions are mutually disjoint,
+    /// Executes one window on every lane that has work, in parallel when
+    /// more than one worker is configured. Lanes are mutually disjoint,
     /// so the windows are data-race-free by construction; results do not
-    /// depend on the worker count.
+    /// depend on the worker count. The trace hook is not handed to the
+    /// lanes: they buffer raw records for [`Self::flush_trace`].
     fn run_windows(&mut self, ends: &[SimTime]) {
-        let mut active: Vec<(&mut RegionState<E, S>, SimTime)> = self
-            .regions
+        let active: Vec<(&mut Lane<E, S>, SimTime)> = self
+            .lanes
             .iter_mut()
             .zip(ends.iter().copied())
-            .filter(|(r, end)| r.next_activity().is_some_and(|t| t < *end))
+            .filter(|(lane, end)| lane.next_activity().is_some_and(|t| t < *end))
             .collect();
-        if self.workers <= 1 || active.len() <= 1 {
-            for (region, end) in active {
-                region.run_window(end);
+        match self.threaded {
+            Some(threaded) if self.workers > 1 && active.len() > 1 => threaded(active),
+            _ => {
+                for (lane, end) in active {
+                    lane.run_window(end, &mut None);
+                }
             }
-            return;
-        }
-        // Join in region order and re-raise the first panic with its own
-        // payload: a dropped handle would surface as `scope`'s fixed "a
-        // scoped thread panicked" and lose the lookahead-violation
-        // diagnostic exactly when the engine runs in parallel.
-        let first_panic = std::thread::scope(|scope| {
-            let handles: Vec<_> = active
-                .drain(..)
-                .map(|(region, end)| scope.spawn(move || region.run_window(end)))
-                .collect();
-            // Every handle is joined (an unjoined panic would make `scope`
-            // itself panic); only the first payload is kept.
-            let panics: Vec<_> = handles
-                .into_iter()
-                .filter_map(|handle| handle.join().err())
-                .collect();
-            panics.into_iter().next()
-        });
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
         }
     }
 
-    /// The barrier merge: drains every region's outbox and admits the
-    /// events into their target regions in `(mint_time, source_region,
+    /// The barrier merge: drains every lane's outbox and admits the
+    /// events into their target lanes in `(mint_time, source_lane,
     /// source_order)` order — a total order fixed by the simulation's own
-    /// trajectory, independent of thread scheduling.
-    fn merge_outboxes(&mut self) {
+    /// trajectory, independent of thread scheduling. Returns how many
+    /// events it moved.
+    fn merge_outboxes(&mut self) -> u64 {
         let mut moves = Vec::new();
-        for (source, region) in self.regions.iter_mut().enumerate() {
-            let router = region.core.router.as_mut().expect("sealed run has routers");
-            for (order, outbound) in router.outbox.drain(..).enumerate() {
-                moves.push((outbound.mint_time, source, order, outbound));
-            }
+        for lane in &mut self.lanes {
+            let router = lane.core.router.as_mut().expect("sealed run has routers");
+            moves.append(&mut router.outbox);
         }
-        if moves.is_empty() {
-            return;
-        }
-        self.barrier_exchanges += moves.len() as u64;
-        moves.sort_by_key(|m| (m.0, m.1, m.2));
-        for (_, _, _, outbound) in moves {
-            let (region, _) = self.locate[outbound.target.0];
-            let state = &mut self.regions[region as usize];
-            let seq = state.core.next_seq;
-            state.core.next_seq += 1;
+        let exchanged = moves.len() as u64;
+        self.barrier_exchanges += exchanged;
+        // Stable: equal mint times stay in (source lane, source order),
+        // the order they were just collected in.
+        moves.sort_by_key(|outbound| outbound.mint_time);
+        for outbound in moves {
+            let (lane, _) = self.locate[outbound.target.0];
+            let core = &mut self.lanes[lane].core;
             debug_assert!(
-                outbound.time >= state.core.now,
+                outbound.time >= core.now,
                 "barrier admitted an event into the past: lookahead violation"
             );
-            state.core.queue.push(
-                outbound.time,
-                seq,
-                (Dest::One(outbound.target), outbound.payload),
-            );
+            core.push_local(outbound.time, outbound.target, outbound.payload);
         }
+        exchanged
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ProjectActor, Simulation};
+    use crate::engine::{ActorId, Context, ProjectActor};
 
     type Ev = u32;
 
@@ -880,9 +461,18 @@ mod tests {
         }
     }
 
-    /// A regioned simulation whose member type is the relay itself.
-    type RelayRegionSim = RegionSim<Ev, Relay>;
+    /// A simulation whose member type is the relay itself.
     type RelaySim = Simulation<Ev, Relay>;
+
+    /// `lanes` lanes joined by [`LOOKAHEAD`].
+    fn laned(seed: u64, lanes: usize) -> RelaySim {
+        Simulation::with_lanes(seed, lanes, Some(LOOKAHEAD), QueueProfile::Heap)
+    }
+
+    /// `lanes` lanes that may not talk to each other.
+    fn isolated(seed: u64, lanes: usize) -> RelaySim {
+        Simulation::with_lanes(seed, lanes, None, QueueProfile::Heap)
+    }
 
     fn relay(peer: usize, delay_nanos: u64, limit: u32) -> Relay {
         Relay {
@@ -905,9 +495,9 @@ mod tests {
         let b_seq = seq.add_member(relay(0, delay_b, limit));
         seq.run_until(end);
 
-        let mut reg: RelayRegionSim = RegionSim::new(0xabcd, 2, LOOKAHEAD);
-        let a_reg = reg.add_member(0, relay(1, delay_a, limit));
-        let b_reg = reg.add_member(1, relay(0, delay_b, limit));
+        let mut reg = laned(0xabcd, 2);
+        let a_reg = reg.add_member_in(0, relay(1, delay_a, limit));
+        let b_reg = reg.add_member_in(1, relay(0, delay_b, limit));
         assert_eq!((a_seq, b_seq), (a_reg, b_reg), "global id layout matches");
         reg.run_until(end);
 
@@ -949,9 +539,9 @@ mod tests {
         let b = seq.add_member(relay(1, 30_000, 3)); // self-loop, dies early
         seq.run_until(end);
 
-        let mut reg: RelayRegionSim = RegionSim::new(7, 2, LOOKAHEAD);
-        let ra = reg.add_member(0, relay(0, 20_000, 100));
-        let rb = reg.add_member(1, relay(1, 30_000, 3));
+        let mut reg = laned(7, 2);
+        let ra = reg.add_member_in(0, relay(0, 20_000, 100));
+        let rb = reg.add_member_in(1, relay(1, 30_000, 3));
         reg.run_until(end);
 
         assert_eq!(
@@ -968,9 +558,9 @@ mod tests {
     #[test]
     fn serial_and_threaded_execution_are_bit_identical() {
         let run = |workers: usize| {
-            let mut reg: RelayRegionSim = RegionSim::new(99, 4, LOOKAHEAD);
+            let mut reg = laned(99, 4);
             let ids: Vec<ActorId> = (0..4)
-                .map(|r| reg.add_member(r, relay((r + 1) % 4, 15_000 + r as u64, 60)))
+                .map(|r| reg.add_member_in(r, relay((r + 1) % 4, 15_000 + r as u64, 60)))
                 .collect();
             reg.set_workers(workers);
             reg.run_until(SimTime::from_secs_f64(0.01));
@@ -985,9 +575,9 @@ mod tests {
 
     #[test]
     fn run_until_idle_drains_everything() {
-        let mut reg: RelayRegionSim = RegionSim::new(3, 2, LOOKAHEAD);
-        let a = reg.add_member(0, relay(1, 12_000, 10));
-        let _b = reg.add_member(1, relay(0, 13_000, 10));
+        let mut reg = laned(3, 2);
+        let a = reg.add_member_in(0, relay(1, 12_000, 10));
+        let _b = reg.add_member_in(1, relay(0, 13_000, 10));
         assert_eq!(reg.run_until_idle(), RunOutcome::Idle);
         // 2 starts mint one event each; the chain then runs to the limit.
         assert!(reg.actor::<Relay>(a).unwrap().log.len() >= 5);
@@ -997,14 +587,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero lookahead rejected")]
     fn zero_lookahead_is_rejected_at_construction() {
-        let _: RelayRegionSim = RegionSim::new(1, 2, SimDuration::ZERO);
+        let _: RelaySim = Simulation::with_lanes(1, 2, Some(SimDuration::ZERO), QueueProfile::Heap);
     }
 
     /// Runs `build`'s simulation at forced worker counts 1 (inline
     /// windows) and 4 (one scoped thread per region) and asserts that the
     /// lookahead-violation diagnostic reaches the caller with its message
     /// either way — the result must not depend on the box's core count.
-    fn assert_violation_panics(build: impl Fn() -> RelayRegionSim, end_secs: f64) {
+    fn assert_violation_panics(build: impl Fn() -> RelaySim, end_secs: f64) {
         for workers in [1usize, 4] {
             let mut reg = build();
             reg.set_workers(workers);
@@ -1030,9 +620,9 @@ mod tests {
         // the very first cross send must be rejected, not reordered.
         assert_violation_panics(
             || {
-                let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
-                reg.add_member(0, relay(1, 1_000, 10));
-                reg.add_member(1, relay(0, 1_000, 10));
+                let mut reg = laned(5, 2);
+                reg.add_member_in(0, relay(1, 1_000, 10));
+                reg.add_member_in(1, relay(0, 1_000, 10));
                 reg
             },
             0.001,
@@ -1043,9 +633,9 @@ mod tests {
     fn isolated_partition_rejects_any_cross_send() {
         assert_violation_panics(
             || {
-                let mut reg: RelayRegionSim = RegionSim::isolated(5, 2);
-                reg.add_member(0, relay(1, 1_000_000, 10));
-                reg.add_member(1, relay(0, 1_000_000, 10));
+                let mut reg = isolated(5, 2);
+                reg.add_member_in(0, relay(1, 1_000_000, 10));
+                reg.add_member_in(1, relay(0, 1_000_000, 10));
                 reg
             },
             1.0,
@@ -1056,16 +646,16 @@ mod tests {
     fn isolated_regions_match_sequential() {
         // Two self-contained timer chains, one per region: an isolated
         // partition runs them in a single window each and still matches
-        // the sequential engine exactly.
+        // the one-lane run exactly.
         let end = SimTime::from_secs_f64(0.01);
         let mut seq: RelaySim = Simulation::with_actor_set(11);
         let a = seq.add_member(relay(0, 21_000, 50));
         let b = seq.add_member(relay(1, 17_000, 50));
         seq.run_until(end);
 
-        let mut reg: RelayRegionSim = RegionSim::isolated(11, 2);
-        let ra = reg.add_member(0, relay(0, 21_000, 50));
-        let rb = reg.add_member(1, relay(1, 17_000, 50));
+        let mut reg = isolated(11, 2);
+        let ra = reg.add_member_in(0, relay(0, 21_000, 50));
+        let rb = reg.add_member_in(1, relay(1, 17_000, 50));
         reg.run_until(end);
 
         assert_eq!(
@@ -1086,10 +676,10 @@ mod tests {
         // time; adaptive jumps straight to the next activity.
         let end = SimTime::from_secs_f64(0.01);
         let run = |policy: WindowPolicy| {
-            let mut reg: RelayRegionSim = RegionSim::new(0xfeed, 2, LOOKAHEAD);
+            let mut reg = laned(0xfeed, 2);
             reg.set_window_policy(policy);
-            let a = reg.add_member(0, relay(1, 250_000, 30));
-            let b = reg.add_member(1, relay(0, 330_000, 30));
+            let a = reg.add_member_in(0, relay(1, 250_000, 30));
+            let b = reg.add_member_in(1, relay(0, 330_000, 30));
             reg.run_until(end);
             let logs = (
                 reg.actor::<Relay>(a).unwrap().log.clone(),
@@ -1110,15 +700,15 @@ mod tests {
 
     #[test]
     fn adaptive_counts_windows_and_barrier_exchanges() {
-        let mut reg: RelayRegionSim = RegionSim::new(21, 2, LOOKAHEAD);
-        let a = reg.add_member(0, relay(1, 50_000, 9));
-        let _b = reg.add_member(1, relay(0, 50_000, 9));
+        let mut reg = laned(21, 2);
+        let a = reg.add_member_in(0, relay(1, 50_000, 9));
+        let _b = reg.add_member_in(1, relay(0, 50_000, 9));
         reg.run_until_idle();
         assert!(reg.windows_executed() > 0);
         // Every forwarded token crosses the cut: 2 start tokens + 10
         // forwards (hops 0..=9 fire on each side, minting until the limit).
         assert!(reg.barrier_exchanges() > 0);
-        assert!(reg.events_per_window() > 0.0);
+        assert!(reg.events_processed() > 0);
         let _ = reg.actor::<Relay>(a);
     }
 
@@ -1126,10 +716,10 @@ mod tests {
     fn adaptive_keeps_the_violation_panic() {
         assert_violation_panics(
             || {
-                let mut reg: RelayRegionSim = RegionSim::new(5, 2, LOOKAHEAD);
+                let mut reg = laned(5, 2);
                 reg.set_window_policy(WindowPolicy::Adaptive);
-                reg.add_member(0, relay(1, 1_000, 10));
-                reg.add_member(1, relay(0, 1_000, 10));
+                reg.add_member_in(0, relay(1, 1_000, 10));
+                reg.add_member_in(1, relay(0, 1_000, 10));
                 reg
             },
             0.001,
@@ -1151,10 +741,10 @@ mod tests {
         assert!(!sequential.is_empty());
 
         for workers in [1, 4] {
-            let mut reg: RelayRegionSim = RegionSim::new(0xabcd, 2, LOOKAHEAD);
+            let mut reg = laned(0xabcd, 2);
             reg.enable_engine_trace();
-            reg.add_member(0, relay(1, 25_000, 40));
-            reg.add_member(1, relay(0, 35_000, 40));
+            reg.add_member_in(0, relay(1, 25_000, 40));
+            reg.add_member_in(1, relay(0, 35_000, 40));
             reg.set_workers(workers);
             reg.run_until(end);
             assert_eq!(
@@ -1175,9 +765,9 @@ mod tests {
         use std::cell::RefCell;
         use std::rc::Rc;
         let run = |workers: usize| {
-            let mut reg: RelayRegionSim = RegionSim::new(9, 2, LOOKAHEAD);
-            reg.add_member(0, relay(1, 25_000, 20));
-            reg.add_member(1, relay(0, 35_000, 20));
+            let mut reg = laned(9, 2);
+            reg.add_member_in(0, relay(1, 25_000, 20));
+            reg.add_member_in(1, relay(0, 35_000, 20));
             let log = Rc::new(RefCell::new(Vec::new()));
             let log2 = Rc::clone(&log);
             reg.set_trace(move |rec| log2.borrow_mut().push((rec.time, rec.target)));
@@ -1190,9 +780,102 @@ mod tests {
         assert_eq!(run(1), run(4));
     }
 
+    /// `now()` after `run_until_idle` is the last executed event at any
+    /// lane count — not the last window frontier (one lookahead later),
+    /// and not the end of time on isolated lanes — while `run_until`
+    /// leaves the clock exactly at `end`.
+    #[test]
+    fn now_is_the_last_event_at_any_lane_count() {
+        // One self-looping relay per lane, three ticks a second apart.
+        const SECOND: u64 = 1_000_000_000;
+        let ten_ms = Some(SimDuration::from_millis(10));
+        for (lanes, lookahead) in [(1usize, None), (2, ten_ms), (2, None)] {
+            let build = || {
+                let mut sim: RelaySim =
+                    Simulation::with_lanes(1, lanes, lookahead, QueueProfile::Heap);
+                for lane in 0..lanes {
+                    sim.add_member_in(lane, relay(lane, SECOND, 2));
+                }
+                sim
+            };
+            let mut sim = build();
+            assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+            assert_eq!(
+                sim.now(),
+                SimTime::from_secs_f64(3.0),
+                "lanes={lanes} lookahead={lookahead:?}"
+            );
+            let mut sim = build();
+            sim.run_until(SimTime::from_secs_f64(2.5));
+            assert_eq!(sim.now(), SimTime::from_secs_f64(2.5));
+        }
+    }
+
+    /// What addresses a single event needs one lane and says so; what is
+    /// a plain sum over lanes is defined at any count.
+    #[test]
+    fn event_granular_operations_name_the_lane_count() {
+        let build = || {
+            let mut sim = laned(1, 3);
+            let ids: Vec<ActorId> = (0..3)
+                .map(|lane| sim.add_member_in(lane, relay(lane, 20_000, 0)))
+                .collect();
+            for &id in &ids {
+                sim.schedule_at(SimTime::from_nanos(5), id, 9);
+            }
+            (sim, ids)
+        };
+        let (sim, ids) = build();
+        assert_eq!(sim.queue_len(), 3);
+        assert_eq!(sim.actor_count(), ids.len());
+        let refused = |op: fn(&mut RelaySim)| {
+            let (mut sim, _) = build();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut sim)))
+                .expect_err("event-granular operation on three lanes must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains("this one has 3 lanes"), "got {message:?}");
+        };
+        refused(|sim| {
+            sim.step();
+        });
+        refused(|sim| {
+            sim.run(10);
+        });
+        refused(|sim| {
+            let handle = sim.schedule_at(SimTime::from_nanos(7), ActorId(0), 1);
+            sim.cancel(handle);
+        });
+        refused(|sim| {
+            let handle = sim.schedule_at(SimTime::from_nanos(7), ActorId(0), 1);
+            sim.reschedule(handle, SimTime::from_nanos(8));
+        });
+    }
+
+    /// Mid-run spawn mints global ids from one lane's view of the actor
+    /// table: with several lanes it must refuse, not collide.
+    #[test]
+    #[should_panic(expected = "mid-run actor spawn is not supported in a multi-lane")]
+    fn mid_run_spawn_on_several_lanes_is_refused() {
+        struct Spawner;
+        impl Actor<Ev> for Spawner {
+            fn on_event(&mut self, ctx: &mut Context<'_, Ev>, _: Ev) {
+                ctx.spawn_member(Spawner);
+            }
+        }
+        let mut sim: Simulation<Ev, Spawner> =
+            Simulation::with_lanes(1, 2, Some(LOOKAHEAD), QueueProfile::Heap);
+        sim.set_workers(1);
+        let spawner = sim.add_member_in(0, Spawner);
+        sim.add_member_in(1, Spawner);
+        sim.schedule_at(SimTime::from_nanos(5), spawner, 0);
+        sim.run_until_idle();
+    }
+
     #[test]
     fn external_stimuli_and_single_region_degenerate() {
-        // One region is the sequential engine with extra bookkeeping:
+        // `with_lanes` at one lane is the plain one-lane simulation:
         // inject external events and compare.
         let end = SimTime::from_secs_f64(0.01);
         let mut seq: RelaySim = Simulation::with_actor_set(13);
@@ -1200,8 +883,8 @@ mod tests {
         seq.schedule_at(SimTime::from_nanos(500), a, 100);
         seq.run_until(end);
 
-        let mut reg: RelayRegionSim = RegionSim::new(13, 1, LOOKAHEAD);
-        let ra = reg.add_member(0, relay(0, 40_000, 5));
+        let mut reg = laned(13, 1);
+        let ra = reg.add_member_in(0, relay(0, 40_000, 5));
         reg.schedule_at(SimTime::from_nanos(500), ra, 100);
         reg.run_until(end);
 

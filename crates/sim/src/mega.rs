@@ -30,8 +30,7 @@ use crate::event::SimEvent;
 use crate::recorder::RecorderMode;
 use presence_core::{CpStats, DcppConfig};
 use presence_des::{
-    Actor, ActorId, Context, EventHandle, QueueProfile, RegionSim, SimDuration, SimTime,
-    Simulation, StreamRng,
+    Actor, ActorId, Context, EventHandle, QueueProfile, SimDuration, SimTime, Simulation, StreamRng,
 };
 use presence_stats::{JumpingWindowRate, P2Quantile, Welford};
 use serde::{Deserialize, Serialize};
@@ -613,12 +612,12 @@ pub fn shard_configs(cfg: &MegaConfig, shards: usize) -> Vec<MegaConfig> {
         .collect()
 }
 
-/// Runs `cfg` as independent shards, one per region of an *isolated*
-/// [`RegionSim`] — the shard-per-core path for mega populations. Shards
-/// never exchange events, so the partition needs no lookahead and each
-/// run is a single window per region, executed by up to `workers`
+/// Runs `cfg` as independent shards, one per lane of a [`Simulation`]
+/// with *isolated* lanes — the shard-per-core path for mega populations.
+/// Shards never exchange events, so the partition needs no lookahead and
+/// each run is a single window per lane, executed by up to `workers`
 /// threads. Returns one [`MegaResult`] per shard, in shard order, each
-/// carrying its own region's event count.
+/// carrying its own lane's event count.
 ///
 /// Determinism: shard `i` is global actor `i` in join order, so its RNG
 /// stream is exactly what the same membership gets sequentially — results
@@ -637,20 +636,20 @@ pub fn shard_configs(cfg: &MegaConfig, shards: usize) -> Vec<MegaConfig> {
 pub fn run_mega_sharded(cfg: &MegaConfig, shards: usize, workers: usize) -> Vec<MegaResult> {
     assert!(workers > 0, "need at least one worker");
     let configs = shard_configs(cfg, shards);
-    let mut reg: RegionSim<SimEvent, crate::PresenceActorSet> =
-        RegionSim::with_profile(cfg.seed, configs.len(), None, QueueProfile::calendar());
+    let mut reg: PresenceSim =
+        Simulation::with_lanes(cfg.seed, configs.len(), None, QueueProfile::calendar());
     reg.set_workers(workers);
     let ids: Vec<ActorId> = configs
         .iter()
         .enumerate()
-        .map(|(i, c)| reg.add_member(i, MegaDcppShard::new(*c, RecorderMode::Streaming).into()))
+        .map(|(i, c)| reg.add_member_in(i, MegaDcppShard::new(*c, RecorderMode::Streaming).into()))
         .collect();
     reg.run_until(SimTime::from_secs_f64(cfg.duration));
     let now = reg.now();
     ids.iter()
         .enumerate()
         .map(|(i, &id)| {
-            let events = reg.region_events_processed(i);
+            let events = reg.lane_events_processed(i);
             reg.actor_mut::<MegaDcppShard>(id)
                 .expect("mega shard")
                 .result(now, events)

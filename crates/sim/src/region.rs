@@ -1,12 +1,12 @@
 //! Region planning for single-run parallelism.
 //!
-//! `presence-des` provides the conservative engine
-//! ([`presence_des::RegionSim`]); this module decides *whether a given
-//! scenario topology can use it*. A partition is sound only if every
-//! cross-region route carries a positive minimum delay (the lookahead —
-//! see [`presence_net::DelayModel::min_delay`]): a zero-delay route
-//! crossing the cut would admit same-instant causality across regions,
-//! which no safe window can contain.
+//! `presence-des` provides the conservative windowed driver
+//! ([`presence_des::region`], one engine lane per region); this module
+//! decides *whether a given scenario topology can use it*. A partition
+//! is sound only if every cross-region route carries a positive minimum
+//! delay (the lookahead — see [`presence_net::DelayModel::min_delay`]): a
+//! zero-delay route crossing the cut would admit same-instant causality
+//! across regions, which no safe window can contain.
 //!
 //! The paper's hub network is **one region by construction**: every CP
 //! and the device reach each other through one `NetworkActor`, and the

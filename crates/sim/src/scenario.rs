@@ -6,7 +6,7 @@
 //! network ([`Scenario::build_on`] on any [`Topology`]); [`Scenario::run`]
 //! executes and [`Scenario::collect`] extracts a [`ScenarioResult`].
 
-use crate::actor_set::{PresenceActorSet, PresenceSim};
+use crate::actor_set::PresenceSim;
 use crate::churn::{ChurnActor, ChurnModel};
 use crate::cp_actor::{CpActor, ProberFactory};
 use crate::device_actor::{DeviceActor, DeviceMachine, ProcessingModel};
@@ -20,9 +20,7 @@ use presence_core::{
     AutoTuneConfig, AutoTuner, CpId, DcppConfig, DcppDevice, DeviceId, ProbeCycleConfig,
     SappConfig, SappDevice, SappDeviceConfig,
 };
-use presence_des::{
-    ActorId, ProjectActor, RegionSim, SimDuration, SimTime, Simulation, WindowPolicy,
-};
+use presence_des::{ActorId, QueueProfile, SimDuration, SimTime, WindowPolicy};
 use presence_net::{
     BernoulliLoss, ConstantDelay, DelayModel, ExponentialDelay, Fabric, FlooredDelay,
     GilbertElliott, LossModel, NoLoss, ThreeMode, UniformDelay,
@@ -223,25 +221,26 @@ pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
     [("sapp", sapp), ("dcpp", dcpp), ("churn", churn)]
 }
 
-/// How a scenario's network is laid out — and with it, which engine runs
-/// it. The population, the actor add order (planes, device, CPs, churn,
-/// regime) and every RNG stream are the same on both; the hub is simply
-/// the one-plane case with nothing between the planes.
+/// How a scenario's network is laid out — and with it, how many engine
+/// lanes run it. The population, the actor add order (planes, device, CPs,
+/// churn, regime) and every RNG stream are the same on both; the hub is
+/// simply the one-plane case with nothing between the planes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// One [`NetworkActor`] every participant reaches directly, on the
-    /// sequential engine: the paper's setup, and one region by
-    /// construction (the participant → hub leg is a same-instant
-    /// `send_now`, so no cut through it has any lookahead).
+    /// One [`NetworkActor`] every participant reaches directly: the
+    /// paper's setup, and one region — one engine lane — by construction
+    /// (the participant → hub leg is a same-instant `send_now`, so no cut
+    /// through it has any lookahead).
     Hub,
     /// [`DECOMPOSED_PLANES`] network planes, each serving its slice of the
     /// CP pool, joined by inter-plane legs of one fabric `min_delay` — the
     /// topology whose region cuts carry positive lookahead. The planes are
     /// grouped into `regions` contiguous regions (clamped to
-    /// `1..=DECOMPOSED_PLANES`): one region runs on the sequential engine,
-    /// more on the conservative windowed [`RegionSim`]. All planes are
-    /// always built, in the same order, so trajectories are bit-identical
-    /// across region counts, worker counts, and window policies.
+    /// `1..=DECOMPOSED_PLANES`), one engine lane each: more than one
+    /// advance by conservative time windows (see
+    /// [`presence_des::region`]). All planes are always built, in the same
+    /// order, so trajectories are bit-identical across region counts,
+    /// worker counts, and window policies.
     Planes {
         /// Requested region count.
         regions: usize,
@@ -261,109 +260,16 @@ pub const DECOMPOSED_PLANES: usize = 8;
 /// untouched, so their delivery distributions are exactly the hub's.
 pub const WAN_LEG_FLOOR: SimDuration = SimDuration::from_micros(100);
 
-/// The execution engine behind a [`Scenario`]: the plain sequential
-/// simulation when one region is effective, the conservative windowed
-/// engine otherwise. Both run the *same* actor graph with the same RNG
-/// streams, so the trajectory is engine-invariant.
-enum Engine {
-    Seq(Box<PresenceSim>),
-    Regioned(Box<RegionSim<SimEvent, PresenceActorSet>>),
-}
-
-impl Engine {
-    fn add(&mut self, region: usize, member: PresenceActorSet) -> ActorId {
-        match self {
-            Engine::Seq(sim) => sim.add_member(member),
-            Engine::Regioned(sim) => sim.add_member(region, member),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Engine::Seq(sim) => sim.now(),
-            Engine::Regioned(sim) => sim.now(),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Seq(sim) => sim.events_processed(),
-            Engine::Regioned(sim) => sim.events_processed(),
-        }
-    }
-
-    fn actor<A>(&self, id: ActorId) -> Option<&A>
-    where
-        PresenceActorSet: ProjectActor<A>,
-    {
-        match self {
-            Engine::Seq(sim) => sim.actor(id),
-            Engine::Regioned(sim) => sim.actor(id),
-        }
-    }
-
-    fn actor_mut<A>(&mut self, id: ActorId) -> Option<&mut A>
-    where
-        PresenceActorSet: ProjectActor<A>,
-    {
-        match self {
-            Engine::Seq(sim) => sim.actor_mut(id),
-            Engine::Regioned(sim) => sim.actor_mut(id),
-        }
-    }
-
-    fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: SimEvent) {
-        match self {
-            Engine::Seq(sim) => {
-                sim.schedule_at(at, target, payload);
-            }
-            Engine::Regioned(sim) => sim.schedule_at(at, target, payload),
-        }
-    }
-
-    fn run_until(&mut self, end: SimTime) {
-        match self {
-            Engine::Seq(sim) => {
-                sim.run_until(end);
-            }
-            Engine::Regioned(sim) => {
-                sim.run_until(end);
-            }
-        }
-    }
-
-    fn enable_engine_trace(&mut self) {
-        match self {
-            Engine::Seq(sim) => sim.enable_engine_trace(),
-            Engine::Regioned(sim) => sim.enable_engine_trace(),
-        }
-    }
-
-    fn take_engine_trace(&mut self) -> Vec<presence_des::EngineEvent> {
-        match self {
-            Engine::Seq(sim) => sim.take_engine_trace(),
-            Engine::Regioned(sim) => sim.take_engine_trace(),
-        }
-    }
-
-    fn take_barrier_marks(&mut self) -> Vec<presence_des::BarrierMark> {
-        match self {
-            Engine::Seq(_) => Vec::new(),
-            Engine::Regioned(sim) => sim.take_barrier_marks(),
-        }
-    }
-}
-
 /// A built, runnable scenario.
 ///
 /// Runs on the typed actor set ([`crate::PresenceSim`]): every node is an
 /// inline [`crate::PresenceActorSet`] member and the engine dispatches
 /// events through a direct variant match — the hot path carries no boxed
 /// trait objects. The [`Topology`] it was built on decides the network
-/// layout and the engine; everything else — assembly, interventions,
+/// layout and the lane count; everything else — assembly, interventions,
 /// tracing, collection — is one code path.
 pub struct Scenario {
-    engine: Engine,
+    sim: PresenceSim,
     cfg: ScenarioConfig,
     mode: RecorderMode,
     device: ActorId,
@@ -433,12 +339,9 @@ impl Scenario {
         };
         let effective = requested.clamp(1, planes_n);
 
-        let mut engine = match leg {
-            Some(leg) if effective > 1 => {
-                Engine::Regioned(Box::new(RegionSim::new(cfg.seed, effective, leg)))
-            }
-            _ => Engine::Seq(Box::new(Simulation::with_actor_set(cfg.seed))),
-        };
+        // One lane per region; the inter-plane leg is the least delay of
+        // anything that crosses between them.
+        let mut sim = PresenceSim::with_lanes(cfg.seed, effective, leg, QueueProfile::Heap);
 
         // Region of each plane: contiguous blocks, `planes_n / effective`
         // planes per region.
@@ -446,9 +349,9 @@ impl Scenario {
         // Track every actor's region in add order — the partition the
         // plan validates is exactly the one the engine runs.
         let mut region_of: Vec<u32> = Vec::new();
-        let add = |engine: &mut Engine, region_of: &mut Vec<u32>, region: usize, member| {
+        let add = |sim: &mut PresenceSim, region_of: &mut Vec<u32>, region: usize, member| {
             region_of.push(u32::try_from(region).expect("region fits u32"));
-            engine.add(region, member)
+            sim.add_member_in(region, member)
         };
 
         let mut planes = Vec::with_capacity(planes_n);
@@ -460,7 +363,7 @@ impl Scenario {
             };
             let fabric = Fabric::new(cfg.buffer_capacity, delay, loss_factory());
             planes.push(add(
-                &mut engine,
+                &mut sim,
                 &mut region_of,
                 region_of_plane(p),
                 NetworkActor::new(fabric).into(),
@@ -502,7 +405,7 @@ impl Scenario {
             device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
         }
         let device = add(
-            &mut engine,
+            &mut sim,
             &mut region_of,
             region_of_plane(0),
             device_actor.into(),
@@ -534,7 +437,7 @@ impl Scenario {
                 samples_hint,
             );
             cps.push(add(
-                &mut engine,
+                &mut sim,
                 &mut region_of,
                 region_of_plane(plane),
                 cp_actor.into(),
@@ -555,9 +458,7 @@ impl Scenario {
             })
         });
         for (p, &plane) in planes.iter().enumerate() {
-            let net = engine
-                .actor_mut::<NetworkActor>(plane)
-                .expect("plane actor");
+            let net = sim.actor_mut::<NetworkActor>(plane).expect("plane actor");
             if let Some(map) = &plane_map {
                 net.set_plane(p as u32, Arc::clone(map));
             }
@@ -583,12 +484,12 @@ impl Scenario {
             // over all regions: membership events must carry wire time.
             churn_actor.set_notify_delay(leg);
         }
-        let churn = add(&mut engine, &mut region_of, 0, churn_actor.into());
+        let churn = add(&mut sim, &mut region_of, 0, churn_actor.into());
 
         let mut regime = None;
         if !churn_switches.is_empty() {
             regime = Some(add(
-                &mut engine,
+                &mut sim,
                 &mut region_of,
                 0,
                 crate::RegimeActor::new(churn, churn_switches.to_vec()).into(),
@@ -632,7 +533,7 @@ impl Scenario {
         };
 
         Self {
-            engine,
+            sim,
             cfg,
             mode: RecorderMode::Full,
             device,
@@ -652,12 +553,12 @@ impl Scenario {
     /// flat at any horizon.
     pub fn set_recorder_mode(&mut self, mode: RecorderMode) {
         self.mode = mode;
-        self.engine
+        self.sim
             .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .set_recorder_mode(mode);
         for &cp in &self.cps {
-            self.engine
+            self.sim
                 .actor_mut::<CpActor>(cp)
                 .expect("cp actor")
                 .set_recorder_mode(mode);
@@ -671,31 +572,31 @@ impl Scenario {
     /// unchanged — tracing only buffers observations — and the emitted
     /// trace is bit-identical across region counts: per-actor trajectories
     /// are region-invariant and the engine stream is canonically ordered;
-    /// only the barrier marks (regioned runs only) differ, on their own
-    /// track.
+    /// only the barrier marks (multi-region runs only) differ, on their
+    /// own track.
     pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
         let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
         self.trace_until_ns = Some(until_ns);
         if engine {
-            self.engine.enable_engine_trace();
+            self.sim.enable_engine_trace();
         }
         for &plane in &self.planes {
-            self.engine
+            self.sim
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor")
                 .set_trace(until_ns);
         }
-        self.engine
+        self.sim
             .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .set_trace(until_ns);
         for &cp in &self.cps {
-            self.engine
+            self.sim
                 .actor_mut::<CpActor>(cp)
                 .expect("cp actor")
                 .set_trace(until_ns);
         }
-        self.engine
+        self.sim
             .actor_mut::<ChurnActor>(self.churn)
             .expect("churn actor")
             .set_trace(until_ns);
@@ -703,7 +604,7 @@ impl Scenario {
 
     /// Drains the trace buffers into a [`presence_trace::TraceModel`] with
     /// one `net{p}` track per plane and, when the run was genuinely
-    /// parallel, the regioned engine's barrier marks (counter tracks are
+    /// multi-region, the engine's barrier marks (counter tracks are
     /// synthesised from `result`'s series, so pass the
     /// [`Scenario::collect`] output of the same run).
     ///
@@ -719,14 +620,14 @@ impl Scenario {
         for &plane in &self.planes {
             nets.push((
                 plane.index(),
-                self.engine
+                self.sim
                     .actor_mut::<NetworkActor>(plane)
                     .expect("plane actor")
                     .take_trace(),
             ));
         }
         let device_buf = self
-            .engine
+            .sim
             .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
             .take_trace();
@@ -734,14 +635,14 @@ impl Scenario {
         for &cp in &self.cps {
             cps.push((
                 cp.index(),
-                self.engine
+                self.sim
                     .actor_mut::<CpActor>(cp)
                     .expect("cp actor")
                     .take_trace(),
             ));
         }
         let churn_buf = self
-            .engine
+            .sim
             .actor_mut::<ChurnActor>(self.churn)
             .expect("churn actor")
             .take_trace();
@@ -751,28 +652,16 @@ impl Scenario {
             device: (self.device.index(), device_buf),
             cps,
             churn: (self.churn.index(), churn_buf),
-            engine: self.engine.take_engine_trace(),
-            barriers: self.engine.take_barrier_marks(),
+            engine: self.sim.take_engine_trace(),
+            barriers: self.sim.take_barrier_marks(),
         }
         .into_model(result)
     }
 
-    /// The underlying sequential simulation (for custom interventions:
-    /// crashes, Δ-retuning, extra probes, dispatch hooks).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a scenario running more than one region: the windowed
-    /// engine has no single simulation to hand out.
+    /// The underlying simulation, on any topology (for custom
+    /// interventions: crashes, Δ-retuning, extra probes, dispatch hooks).
     pub fn sim_mut(&mut self) -> &mut PresenceSim {
-        match &mut self.engine {
-            Engine::Seq(sim) => sim,
-            Engine::Regioned(_) => panic!(
-                "sim_mut needs the sequential engine, but this scenario runs {} regions; \
-                 build it on Topology::Hub or Topology::Planes {{ regions: 1 }}",
-                self.plan.effective
-            ),
-        }
+        &mut self.sim
     }
 
     /// Actor id of the device.
@@ -800,35 +689,29 @@ impl Scenario {
         &self.plan
     }
 
-    /// Caps the worker threads the windowed engine may use (no-op on the
-    /// sequential engine). Trajectories are worker-count-invariant.
+    /// Caps the worker threads a multi-region run may use (one region
+    /// never uses any). Trajectories are worker-count-invariant.
     pub fn set_workers(&mut self, workers: usize) {
-        if let Engine::Regioned(sim) = &mut self.engine {
-            sim.set_workers(workers);
-        }
+        self.sim.set_workers(workers);
     }
 
-    /// Selects the window sizing policy (no-op on the sequential engine).
+    /// Selects the window sizing policy of a multi-region run.
     /// Trajectories are policy-invariant; only barrier counts change.
     pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        if let Engine::Regioned(sim) = &mut self.engine {
-            sim.set_window_policy(policy);
-        }
+        self.sim.set_window_policy(policy);
     }
 
-    /// Parallel-engine counters so far: `(windows_executed,
-    /// barrier_exchanges, events_per_window)`; `None` when the run is on
-    /// the sequential engine.
+    /// Window counters so far: `(windows_executed, barrier_exchanges,
+    /// events_per_window)`; `None` when the run is one region, which has
+    /// no windows.
     #[must_use]
     pub fn region_counters(&self) -> Option<(u64, u64, f64)> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Regioned(sim) => Some((
-                sim.windows_executed(),
-                sim.barrier_exchanges(),
-                sim.events_per_window(),
-            )),
-        }
+        (self.plan.effective > 1).then(|| {
+            let windows = self.sim.windows_executed();
+            #[allow(clippy::cast_precision_loss)]
+            let per_window = self.sim.events_processed() as f64 / windows.max(1) as f64;
+            (windows, self.sim.barrier_exchanges(), per_window)
+        })
     }
 
     /// Unicasts forwarded over inter-plane legs, summed over planes
@@ -838,7 +721,7 @@ impl Scenario {
         self.planes
             .iter()
             .map(|&p| {
-                self.engine
+                self.sim
                     .actor::<NetworkActor>(p)
                     .expect("plane actor")
                     .relays_forwarded()
@@ -847,7 +730,7 @@ impl Scenario {
     }
 
     fn schedule_on_device(&mut self, at: f64, event: SimEvent) {
-        self.engine
+        self.sim
             .schedule_at(SimTime::from_secs_f64(at), self.device, event);
     }
 
@@ -874,7 +757,7 @@ impl Scenario {
     /// Runs until the given virtual time (may be called repeatedly for
     /// checkpointed collection).
     pub fn run_until(&mut self, at: f64) {
-        self.engine.run_until(SimTime::from_secs_f64(at));
+        self.sim.run_until(SimTime::from_secs_f64(at));
     }
 
     /// Extracts the results accumulated so far. Fabric counters are
@@ -882,11 +765,11 @@ impl Scenario {
     /// mean occupancy adds because in-flight counts add).
     #[must_use]
     pub fn collect(&mut self) -> ScenarioResult {
-        let now = self.engine.now();
+        let now = self.sim.now();
 
         let (load_series, load_mean, load_variance) = {
             let dev = self
-                .engine
+                .sim
                 .actor_mut::<DeviceActor>(self.device)
                 .expect("device actor");
             match self.mode {
@@ -907,7 +790,7 @@ impl Scenario {
         };
 
         let device_probes = self
-            .engine
+            .sim
             .actor::<DeviceActor>(self.device)
             .expect("device actor")
             .probes_received();
@@ -919,7 +802,7 @@ impl Scenario {
             // Mutable: the fabric settles delivery deadlines ≤ now before
             // reporting (lazy delivery accounting).
             let net = self
-                .engine
+                .sim
                 .actor_mut::<NetworkActor>(plane)
                 .expect("plane actor");
             let stats = net.fabric_stats(now);
@@ -934,7 +817,7 @@ impl Scenario {
         }
 
         let population_series: Vec<(f64, f64)> = self
-            .engine
+            .sim
             .actor::<ChurnActor>(self.churn)
             .expect("churn actor")
             .population_series()
@@ -945,7 +828,7 @@ impl Scenario {
 
         let mut cps = Vec::with_capacity(self.cps.len());
         for &actor in &self.cps {
-            let cp = self.engine.actor::<CpActor>(actor).expect("cp actor");
+            let cp = self.sim.actor::<CpActor>(actor).expect("cp actor");
             let rec = cp.record_snapshot();
             cps.push(CpSummary::from_record(&rec, now.as_secs_f64()));
         }
@@ -960,7 +843,7 @@ impl Scenario {
 
         ScenarioResult {
             duration: now.as_secs_f64(),
-            events_processed: self.engine.events_processed(),
+            events_processed: self.sim.events_processed(),
             device_probes,
             load_series,
             load_mean,

@@ -1,4 +1,4 @@
-//! Sim-layer integration tests for the regioned engine:
+//! Sim-layer integration tests for multi-lane runs:
 //! one-network-per-region cross-delivery, the multi-plane scenario's
 //! window accounting, and the sharded mega path. (Trajectory equivalence
 //! across topologies, regions, workers and window policies is the golden
@@ -6,12 +6,11 @@
 //! root.)
 
 use presence_core::{CpId, DeviceId, Probe, WireMessage};
-use presence_des::WindowPolicy;
-use presence_des::{ActorId, RegionSim, SimDuration, SimTime, Simulation};
+use presence_des::{QueueProfile, SimDuration, SimTime, Simulation, WindowPolicy};
 use presence_net::{ConstantDelay, Fabric, NoLoss};
 use presence_sim::{
     run_mega_sharded, shard_configs, Addr, CollectorActor, MegaConfig, MegaScenario, NetworkActor,
-    PresenceActorSet, PresenceSim, Protocol, Scenario, ScenarioConfig, SimEvent, Topology,
+    PresenceSim, Protocol, Scenario, ScenarioConfig, SimEvent, Topology,
 };
 
 const LINK_DELAY: SimDuration = SimDuration::from_millis(2);
@@ -24,29 +23,31 @@ fn fabric() -> Fabric {
     Fabric::new(1024, Box::new(ConstantDelay(LINK_DELAY)), Box::new(NoLoss))
 }
 
-/// Builds the two-hub population in fixed membership order; `add` places
-/// each member (hub A, collector A, hub B, collector B) in its region and
-/// returns its id. Ids come out identical on both engines because the
-/// join order is identical.
-fn build_two_hubs<F>(mut add: F) -> [ActorId; 4]
-where
-    F: FnMut(usize, PresenceActorSet) -> ActorId,
-{
-    let net_a = add(0, NetworkActor::new(fabric()).into());
-    let col_a = add(0, CollectorActor::new().into());
-    let net_b = add(1, NetworkActor::new(fabric()).into());
-    let col_b = add(1, CollectorActor::new().into());
-    [net_a, col_a, net_b, col_b]
-}
+const END: SimTime = SimTime::from_nanos(100_000_000);
 
-fn inject_sends<S>(mut schedule: S, net_a: ActorId, net_b: ActorId)
-where
-    S: FnMut(SimTime, ActorId, SimEvent),
-{
+/// Runs the two-hub population — hub A, collector A, hub B, collector B,
+/// in that membership order, so ids are the same at any lane count — with
+/// half B in lane `lanes - 1`: `lanes == 1` is the one-lane reference.
+fn run_two_hubs(lanes: usize, workers: usize) -> (String, u64) {
+    let mut sim: PresenceSim =
+        Simulation::with_lanes(7, lanes, Some(LINK_DELAY), QueueProfile::Heap);
+    sim.set_workers(workers);
+    let b = lanes - 1;
+    let net_a = sim.add_member_in(0, NetworkActor::new(fabric()).into());
+    let col_a = sim.add_member_in(0, CollectorActor::new().into());
+    let net_b = sim.add_member_in(b, NetworkActor::new(fabric()).into());
+    let col_b = sim.add_member_in(b, CollectorActor::new().into());
+    // Hub A delivers into B's half and vice versa.
+    sim.actor_mut::<NetworkActor>(net_a)
+        .unwrap()
+        .register(Addr::Device(DeviceId(0)), col_b);
+    sim.actor_mut::<NetworkActor>(net_b)
+        .unwrap()
+        .register(Addr::Device(DeviceId(0)), col_a);
     for i in 0..40u32 {
         let t = SimTime::from_nanos(u64::from(i) * 137_000 + 13);
         let target = if i % 3 == 0 { net_b } else { net_a };
-        schedule(
+        sim.schedule_at(
             t,
             target,
             SimEvent::Send {
@@ -55,28 +56,6 @@ where
             },
         );
     }
-}
-
-const END: SimTime = SimTime::from_nanos(100_000_000);
-
-/// Sequential reference: both hubs and collectors on one engine.
-fn run_two_hub_sequential() -> (String, u64) {
-    let mut sim: PresenceSim = Simulation::with_actor_set(7);
-    let [net_a, col_a, net_b, col_b] = build_two_hubs(|_, m| sim.add_member(m));
-    // Hub A delivers into B's half and vice versa.
-    sim.actor_mut::<NetworkActor>(net_a)
-        .unwrap()
-        .register(Addr::Device(DeviceId(0)), col_b);
-    sim.actor_mut::<NetworkActor>(net_b)
-        .unwrap()
-        .register(Addr::Device(DeviceId(0)), col_a);
-    inject_sends(
-        |t, target, ev| {
-            sim.schedule_at(t, target, ev);
-        },
-        net_a,
-        net_b,
-    );
     sim.run_until(END);
     let log = format!(
         "{:?} / {:?}",
@@ -86,37 +65,17 @@ fn run_two_hub_sequential() -> (String, u64) {
     (log, sim.events_processed())
 }
 
-fn run_two_hub_regioned(workers: usize) -> (String, u64) {
-    let mut reg: RegionSim<SimEvent, PresenceActorSet> = RegionSim::new(7, 2, LINK_DELAY);
-    reg.set_workers(workers);
-    let [net_a, col_a, net_b, col_b] = build_two_hubs(|r, m| reg.add_member(r, m));
-    reg.actor_mut::<NetworkActor>(net_a)
-        .unwrap()
-        .register(Addr::Device(DeviceId(0)), col_b);
-    reg.actor_mut::<NetworkActor>(net_b)
-        .unwrap()
-        .register(Addr::Device(DeviceId(0)), col_a);
-    inject_sends(|t, target, ev| reg.schedule_at(t, target, ev), net_a, net_b);
-    reg.run_until(END);
-    let log = format!(
-        "{:?} / {:?}",
-        reg.actor::<CollectorActor>(col_a).unwrap().events(),
-        reg.actor::<CollectorActor>(col_b).unwrap().events()
-    );
-    (log, reg.events_processed())
-}
-
 /// One `NetworkActor` per region, every delivery routed into the *other*
 /// region: the fabric's constant delay equals the declared lookahead, so
-/// each delivery lands exactly on a window boundary — and the regioned
-/// run must still match the sequential engine bit-for-bit, at any worker
+/// each delivery lands exactly on a window boundary — and the two-lane
+/// run must still match the one-lane run bit-for-bit, at any worker
 /// count.
 #[test]
 fn network_per_region_cross_delivery_matches_sequential() {
-    let expected = run_two_hub_sequential();
+    let expected = run_two_hubs(1, 1);
     assert!(expected.1 > 40, "stimuli produced no deliveries");
     for workers in [1usize, 4] {
-        let got = run_two_hub_regioned(workers);
+        let got = run_two_hubs(2, workers);
         assert_eq!(got, expected, "workers={workers}");
     }
 }
@@ -168,7 +127,7 @@ fn decomposed_adaptive_windows_at_most_static() {
         sc.set_workers(1);
         sc.set_window_policy(policy);
         sc.run();
-        sc.region_counters().expect("windowed engine").0
+        sc.region_counters().expect("four regions run windows").0
     };
     let adaptive = windows(WindowPolicy::Adaptive);
     let static_ = windows(WindowPolicy::Static);
@@ -189,15 +148,38 @@ fn region_request_is_clamped_to_the_plane_count() {
     assert_eq!(plan.effective, presence_sim::DECOMPOSED_PLANES);
 }
 
-/// `sim_mut` hands out the sequential simulation, which a multi-region
-/// scenario does not have: it must say so rather than return something
-/// that is not the running engine.
+/// `sim_mut` hands out the running simulation on every topology: a trace
+/// hook installed through it on four regions sees the same dispatches as
+/// on one, at any worker count. (The hook order differs by design — one
+/// region streams in firing order, several merge each barrier's records
+/// by `(time, target)` — so both sides are put in that canonical order.)
 #[test]
-#[should_panic(expected = "sim_mut needs the sequential engine")]
-fn sim_mut_on_a_regioned_scenario_panics_clearly() {
+fn sim_mut_installs_a_trace_hook_on_any_region_count() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
     let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 12, 5.0, 42);
-    let mut scenario = Scenario::build_on(cfg, Topology::Planes { regions: 2 });
-    let _ = scenario.sim_mut();
+    let traced = |regions: usize, workers: usize| {
+        let mut scenario = Scenario::build_on(cfg, Topology::Planes { regions });
+        scenario.set_workers(workers);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&log);
+        scenario
+            .sim_mut()
+            .set_trace(move |r| sink.borrow_mut().push((r.time, r.target)));
+        scenario.run();
+        assert_eq!(
+            log.borrow().len() as u64,
+            scenario.sim_mut().events_processed()
+        );
+        let mut records = log.take();
+        records.sort();
+        records
+    };
+    let one_region = traced(1, 1);
+    assert!(one_region.len() > 200, "the scenario must have run");
+    for workers in [1usize, 4] {
+        assert_eq!(traced(4, workers), one_region, "workers={workers}");
+    }
 }
 
 /// The population split is even, total-preserving, and clamps the shard

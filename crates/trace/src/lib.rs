@@ -13,8 +13,8 @@
 //! Everything is std-only: JSON goes through the workspace's serde shim,
 //! so the output is byte-deterministic (insertion-ordered object keys,
 //! shortest round-trip float formatting) — deterministic enough to pin a
-//! golden fixture bit-for-bit and to compare a regioned run's trace
-//! against the sequential engine's byte-for-byte.
+//! golden fixture bit-for-bit and to compare a multi-region run's trace
+//! against the one-region run's byte-for-byte.
 //!
 //! [Chrome JSON trace format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU

@@ -8,10 +8,10 @@
 //! | [`Topology::Hub`] | `sapp`, `dcpp`, `churn`, `lab-mixed` | — (one region by construction) |
 //! | [`Topology::Planes`] | `decomposed-*` of the same four | regions {1, 2, 4, 8} × workers {1, 4} × window policy |
 //!
-//! The fixtures are full `ScenarioResult` dumps recorded on the
-//! sequential engine — the hub ones **before** the typed-dispatch +
-//! timer-slot rewrite (PR 5) — so a divergence on a regioned row is a
-//! barrier-ordering or lookahead bug, and one on a sequential row a
+//! The fixtures are full `ScenarioResult` dumps recorded on one region
+//! (one engine lane) — the hub ones **before** the typed-dispatch +
+//! timer-slot rewrite (PR 5) — so a divergence on a multi-region row is a
+//! barrier-ordering or lookahead bug, and one on a one-region row a
 //! changed trajectory; never fixture drift. Every metric must match,
 //! **including `events_processed`**: dispatch and timer refactors must not
 //! change what is scheduled.
@@ -23,8 +23,8 @@
 use presence::des::WindowPolicy;
 use presence::sim::{builtin_catalog, golden_trio, Scenario, ScenarioResult, Topology};
 
-/// One row of the sweep: where the scenario runs and how the windowed
-/// engine (when there is one) is driven.
+/// One row of the sweep: where the scenario runs and how its windows
+/// (when it has more than one region) are driven.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     topology: Topology,
@@ -32,8 +32,8 @@ struct Row {
     policy: WindowPolicy,
 }
 
-/// A row on the sequential engine, where workers and window policy have
-/// nothing to act on.
+/// A one-region row, where workers and window policy have nothing to act
+/// on.
 fn sequential(topology: Topology) -> Row {
     Row {
         topology,
@@ -42,13 +42,13 @@ fn sequential(topology: Topology) -> Row {
     }
 }
 
-/// The hub is one region on the sequential engine: nothing to sweep.
+/// The hub is one region: nothing to sweep.
 fn hub_rows() -> Vec<Row> {
     vec![sequential(Topology::Hub)]
 }
 
 /// Regions {1, 2, 4, 8} × workers {1, 4} × both window policies; the
-/// one-region case runs sequentially and so contributes a single row.
+/// one-region case has no windows and so contributes a single row.
 fn planes_rows() -> Vec<Row> {
     let mut rows = vec![sequential(Topology::Planes { regions: 1 })];
     for regions in [2usize, 4, 8] {
@@ -113,16 +113,16 @@ fn replay(name: &str, rows: &[Row], build: &dyn Fn(Topology) -> Scenario) {
             "{fixture_name} {row:?}: trajectory diverged from the recorded run"
         );
 
-        // The row ran on the engine it claims: a multi-region row really
+        // The row ran the way it claims: a multi-region row really
         // planned its cut (with the lookahead as evidence), executed
         // windows and exchanged events across them; a one-region row ran
-        // sequentially; only the multi-plane network relays.
+        // none; only the multi-plane network relays.
         let plan = scenario.region_plan();
         match row.topology {
             Topology::Planes { regions } if regions > 1 => {
                 assert_eq!(plan.effective, regions, "{fixture_name}: {}", plan.reason);
                 assert!(plan.reason.contains("lookahead"), "{}", plan.reason);
-                let (windows, exchanges, _) = scenario.region_counters().expect("windowed engine");
+                let (windows, exchanges, _) = scenario.region_counters().expect("several regions");
                 assert!(windows > 0, "{fixture_name} {row:?}: no windows executed");
                 assert!(
                     exchanges > 0,
@@ -177,8 +177,8 @@ fn typed_dispatch_preserves_mixed_regime_lab_trajectory() {
 }
 
 /// The soundness pin for the multi-plane topology: fixtures recorded on
-/// the sequential engine must replay on the windowed engine at every
-/// region count, worker count and window policy.
+/// one region must replay window by window at every region count, worker
+/// count and window policy.
 #[test]
 fn decomposed_trio_replays_on_every_regioned_row() {
     replay_trio(&planes_rows());

@@ -1,8 +1,8 @@
 //! End-to-end pins for the presence-trace pipeline: a hub scenario must
 //! export a Perfetto-loadable Chrome JSON trace with actor tracks, probe
-//! flow events, and counter tracks; and a regioned run's trace (barrier
-//! marks aside — they only exist on the windowed engine) must be
-//! byte-for-byte identical to the sequential engine's, because the trace
+//! flow events, and counter tracks; and a multi-region run's trace (barrier
+//! marks aside — one region has no barriers) must be byte-for-byte
+//! identical to the one-region run's, because the trace
 //! is a pure function of the simulated trajectory and the trajectory is
 //! region-invariant.
 
@@ -89,14 +89,14 @@ fn decomposed_trace(cfg: ScenarioConfig, regions: usize, until: Option<f64>) -> 
     if regions > 1 {
         assert!(
             !model.barriers.is_empty(),
-            "regions={regions}: windowed engine produced no barrier marks"
+            "regions={regions}: the windows produced no barrier marks"
         );
     } else {
-        assert!(model.barriers.is_empty(), "sequential run has no barriers");
+        assert!(model.barriers.is_empty(), "one region has no barriers");
     }
-    // Barrier marks are an engine artifact (they exist only on the
-    // windowed engine), not part of the simulated trajectory — strip
-    // them before comparing regioned against sequential.
+    // Barrier marks are an engine artifact (they exist only when there
+    // are several regions), not part of the simulated trajectory — strip
+    // them before comparing across region counts.
     model.barriers.clear();
     write_chrome_json(&model)
 }
@@ -160,9 +160,8 @@ fn paper_dcpp_engine_trace_sees_protocol_timers() {
     assert!(fires <= arms, "{fires} timer fires but only {arms} arms");
 }
 
-/// The regioned engine's trace — dispatch spans, timer events, probe
-/// flows, counters — is byte-identical to the sequential engine's at
-/// every region count, on the decomposed trio.
+/// The trace — dispatch spans, timer events, probe flows, counters — is
+/// byte-identical at every region count, on the decomposed trio.
 #[test]
 fn decomposed_trio_trace_is_byte_identical_across_regions() {
     for (name, cfg) in presence::sim::golden_trio() {
