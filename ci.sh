@@ -31,6 +31,15 @@ cargo bench --no-run
 echo "==> benchmark compile gate (benchmark/Cargo.toml against this tree)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+# Then run it once, shortened (~40 s on a 2-core box): every workload
+# checks its own outputs (sim-hub's events_processed against the golden
+# counts and a byte-identical repeat, the UDP workloads zero failed
+# operations) and exits non-zero on a miss, so an event-queue or
+# shard-loop change that alters what gets scheduled stops here, not in
+# the driver.
+echo "==> benchmark smoke (--smoke: every workload once, own correctness checks)"
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
 # Tier-1 runs with two replication workers so the parallel fan-out path
 # (PRESENCE_JOBS → thread::scope pool → seed-ordered merge) is exercised
 # by every replication-touching test, not just the dedicated ones.

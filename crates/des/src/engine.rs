@@ -423,10 +423,9 @@ impl<E> Core<E> {
             "cannot reschedule into the past: {at} < now {}",
             self.now
         );
-        if !self.queue.contains(handle.seq) {
-            return None;
-        }
+        // The sequence number is minted only if the event was pending.
         let seq = self.next_seq;
+        let entry = self.queue.reschedule(handle.seq, at, seq)?;
         self.next_seq += 1;
         // A rearmed timer keeps its timer identity under the fresh
         // sequence number; the trace sees the rearm as a new arm.
@@ -434,10 +433,6 @@ impl<E> Core<E> {
             .etrace
             .as_deref_mut()
             .is_some_and(|t| t.armed.remove(&handle.seq) && t.armed.insert(seq));
-        let entry = self
-            .queue
-            .reschedule(handle.seq, at, seq)
-            .expect("pending event reschedules");
         if rearmed_timer {
             let Dest::One(actor) = entry.0 else {
                 unreachable!("timers are never batch events")

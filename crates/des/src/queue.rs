@@ -30,12 +30,48 @@
 //! comparisons walk contiguous memory exactly like a plain binary heap;
 //! payloads live in a slab (`Vec<Option<_>>` with a free list) whose slots
 //! the heap references, so payloads never move during sifts; and the
-//! `seq → slot` index is a `HashMap` with a splitmix64 finalizer instead of
-//! SipHash (sequence numbers are internal, monotonic `u64`s — no DoS
-//! surface, so the cheap avalanche is the right trade). Each
-//! `push`/`pop`/`cancel` performs exactly one hash-map operation, and the
-//! slab never grows beyond the high-water mark of *concurrently live*
-//! events.
+//! `seq → slot` index is a `HashMap` hashed by one golden-ratio multiply
+//! folded high-into-low ([`SeqHasher`]) instead of SipHash (sequence
+//! numbers are internal, monotonic `u64`s — no DoS surface; the table
+//! takes its bucket from the hash's low bits and a 7-bit tag from its top,
+//! and one multiply plus the fold mixes both ends).
+//! Each `push`/`pop`/`cancel` of a tiered event performs exactly one
+//! hash-map operation, and the slab never grows beyond the high-water mark
+//! of *concurrently live* events.
+//!
+//! # The same-instant run
+//!
+//! An actor that sends "now" pushes an event at the instant just popped.
+//! Through the tiers that event would sift to the heap root, take a slab
+//! slot and an index entry, and be popped again one dispatch later — all to
+//! order it against events it is already known to follow. Such a push goes
+//! to a **run buffer** instead, a `VecDeque<(EventKey, T)>` outside slab,
+//! index and tiers. A push is eligible when
+//!
+//! * its time equals the run's instant — the time of the last event popped
+//!   from the tiers, frozen while the buffer holds events — and
+//! * its seq exceeds every seq this queue has been handed (pushes and
+//!   reschedules; one `u64` high-water mark), which is what the engine's
+//!   monotonic counter always mints.
+//!
+//! The second condition makes the buffer strictly ascending by
+//! construction (the new seq exceeds the buffer's back) and proves the seq
+//! is not pending anywhere, so the duplicate-seq check costs a comparison,
+//! not a lookup. Anything else — another instant, a seq below the mark —
+//! takes the tiers as before, after a binary search of the buffer for a
+//! duplicate when the seq is below the mark.
+//!
+//! Order is unchanged because nothing about order is assumed: `pop` and
+//! `peek` compare the buffer's front with the heap root (the minimum of
+//! the tiers) and take the smaller `(time, seq)` key, so an equal-time heap
+//! event of smaller seq still goes first, and so does a later push into
+//! the past. The buffer is one more sorted source in a two-way merge; the
+//! pop sequence is the same total order on both profiles, which the
+//! `event_queue_model` and `calendar_queue_model` proptests pin with half
+//! their pushes landing on the instant last popped. `cancel`, `contains`
+//! and `reschedule` fall back to a binary search of the buffer when the
+//! index misses; a rescheduled buffer entry moves to the tiers (the buffer
+//! holds one instant). `len` counts both.
 //!
 //! # The calendar tier ([`QueueProfile::Calendar`])
 //!
@@ -60,9 +96,8 @@
 //! exact sorted `(time, seq)` order — **bit-for-bit identical** to the
 //! plain heap profile, which the `calendar_queue_model` proptest pins.
 
-use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Heap arity. A 4-ary heap halves the tree depth of a binary heap at the
@@ -71,9 +106,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// misses.
 const ARITY: usize = 4;
 
-/// Hasher for the `seq → slot` index: a single splitmix64 finalizer.
-/// Sequence numbers are engine-internal monotonic counters, so collision
-/// attacks are impossible and SipHash's keyed security buys nothing here.
+/// Hasher for the `seq → slot` index: one golden-ratio multiply, folded
+/// high-into-low. Sequence numbers are engine-internal monotonic counters,
+/// so collision attacks are impossible and SipHash's keyed security buys
+/// nothing here. The multiply alone mixes only upwards (its low bits are
+/// the key's low bits times an odd constant), and the table reads both
+/// ends of the hash — bucket from the low bits, 7-bit tag from the top —
+/// so the fold brings the well-mixed high half down while the tag bits
+/// stay the product's own.
 #[derive(Debug, Default)]
 pub struct SeqHasher(u64);
 
@@ -85,7 +125,8 @@ impl Hasher for SeqHasher {
         unreachable!("seq keys are u64 and hash via write_u64");
     }
     fn write_u64(&mut self, n: u64) {
-        self.0 = splitmix64(n);
+        let m = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = m ^ (m >> 32);
     }
 }
 
@@ -232,6 +273,16 @@ pub struct EventQueue<T> {
     index: SeqMap,
     /// The calendar tiers; `None` for [`QueueProfile::Heap`].
     cal: Option<Box<Calendar>>,
+    /// The same-instant run: events all at `run_time`, strictly ascending
+    /// in seq, held outside slab, index and tiers (see the module docs).
+    run: VecDeque<(EventKey, T)>,
+    /// The one instant whose pushes may join `run`: the time of the last
+    /// event popped from the tiers while `run` was empty, so it cannot
+    /// move under the events `run` holds. `None` until the first pop.
+    run_time: Option<SimTime>,
+    /// Largest seq ever pushed (tiers or run). A seq above it cannot be
+    /// pending anywhere, which is what lets a run push skip the index.
+    max_seq: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -283,6 +334,9 @@ impl<T> EventQueue<T> {
             free: Vec::new(),
             index: SeqMap::default(),
             cal,
+            run: VecDeque::new(),
+            run_time: None,
+            max_seq: 0,
         }
     }
 
@@ -292,9 +346,8 @@ impl<T> EventQueue<T> {
         Self {
             heap: Vec::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
             index: SeqMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            cal: None,
+            ..Self::new()
         }
     }
 
@@ -317,7 +370,7 @@ impl<T> EventQueue<T> {
             .cal
             .as_ref()
             .map_or(0, |cal| cal.in_ring + cal.far.len());
-        self.heap.len() + future
+        self.heap.len() + future + self.run.len()
     }
 
     /// Whether no live events are queued.
@@ -329,7 +382,7 @@ impl<T> EventQueue<T> {
     /// Whether the event with this sequence number is still pending.
     #[must_use]
     pub fn contains(&self, seq: u64) -> bool {
-        self.index.contains_key(&seq)
+        self.index.contains_key(&seq) || self.run_position(seq).is_some()
     }
 
     /// Key of the next event to fire, if any.
@@ -340,6 +393,16 @@ impl<T> EventQueue<T> {
     /// runs if that discipline is ever broken.
     #[must_use]
     pub fn peek(&self) -> Option<EventKey> {
+        let run = self.run.front().map(|&(key, _)| key);
+        let tiers = self.peek_tiers();
+        match (run, tiers) {
+            (Some(r), Some(t)) => Some(r.min(t)),
+            (r, t) => r.or(t),
+        }
+    }
+
+    /// Earliest key across heap, ring and far.
+    fn peek_tiers(&self) -> Option<EventKey> {
         if let Some(&(key, _)) = self.heap.first() {
             return Some(key);
         }
@@ -372,6 +435,29 @@ impl<T> EventQueue<T> {
     /// Panics if `seq` is already pending (sequence numbers must be unique)
     /// or the queue holds `u32::MAX` live events.
     pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
+        let key = EventKey { time, seq };
+        if seq > self.max_seq {
+            self.max_seq = seq;
+            if self.run_time == Some(time) {
+                // A same-instant run: above every seq pushed so far, so it
+                // is not pending and sorts behind the buffer's back.
+                self.run.push_back((key, item));
+                return;
+            }
+        } else {
+            assert!(
+                self.run_position(seq).is_none(),
+                "duplicate event sequence number {seq}"
+            );
+        }
+        self.push_tiers(key, item);
+    }
+
+    /// Enqueues into slab, index and the tier `key.time` routes to,
+    /// returning the slab slot. Panics (queue unchanged) if `key.seq` is
+    /// already in the index; the caller has checked the run buffer.
+    fn push_tiers(&mut self, key: EventKey, item: T) -> u32 {
+        let seq = key.seq;
         // Loc is provisional until `attach` routes the key to its tier.
         let entry = Entry {
             loc: Loc::Heap(0),
@@ -396,14 +482,21 @@ impl<T> EventQueue<T> {
             self.free.push(slot);
             panic!("duplicate event sequence number {seq}");
         }
-        self.attach(EventKey { time, seq }, slot);
+        self.attach(key, slot);
         if self.heap.is_empty() {
             self.ensure_front();
         }
+        slot
     }
 
     /// Removes and returns the earliest event (ties broken FIFO by `seq`).
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
+        if let Some(&(run_key, _)) = self.run.front() {
+            if self.heap.first().is_none_or(|&(key, _)| run_key < key) {
+                // `run_time` stays: it is this event's own instant.
+                return self.run.pop_front();
+            }
+        }
         if self.heap.is_empty() {
             self.ensure_front();
             if self.heap.is_empty() {
@@ -415,6 +508,9 @@ impl<T> EventQueue<T> {
         if self.heap.is_empty() {
             self.ensure_front();
         }
+        if self.run.is_empty() {
+            self.run_time = Some(key.time);
+        }
         Some((key, item))
     }
 
@@ -423,7 +519,10 @@ impl<T> EventQueue<T> {
     /// or already cancelled — return `None` and leave the queue untouched:
     /// nothing is retained, so cancel-after-fire cannot leak.
     pub fn cancel(&mut self, seq: u64) -> Option<T> {
-        let slot = *self.index.get(&seq)?;
+        let Some(&slot) = self.index.get(&seq) else {
+            let pos = self.run_position(seq)?;
+            return self.run.remove(pos).map(|(_, item)| item);
+        };
         let loc = self.slab[slot as usize]
             .as_ref()
             .expect("indexed slab slot is occupied")
@@ -442,7 +541,9 @@ impl<T> EventQueue<T> {
     /// rewritten and re-seated with a single sift, and the index swaps one
     /// mapping. Compared to `cancel` + `push` this skips the slab
     /// free/realloc and one full heap remove/insert pair — the win behind
-    /// the engine's cancel-then-rearm timer fast path.
+    /// the engine's cancel-then-rearm timer fast path. (An event waiting in
+    /// the same-instant run has no slot or heap entry yet and is moved to
+    /// the tiers.)
     ///
     /// Returns a mutable reference to the (still in place) payload so the
     /// caller can rewrite it for the new firing — e.g. a rearmed timer
@@ -454,20 +555,35 @@ impl<T> EventQueue<T> {
     /// Panics if `new_seq` is already pending (sequence numbers must be
     /// unique, exactly as for [`push`](EventQueue::push)).
     pub fn reschedule(&mut self, seq: u64, new_time: SimTime, new_seq: u64) -> Option<&mut T> {
-        let slot = self.index.remove(&seq)?;
-        assert!(
-            !self.index.contains_key(&new_seq),
-            "duplicate event sequence number {new_seq}"
-        );
+        // Every check comes before the first mutation, so a caught panic
+        // leaves `seq` pending and findable. A `new_seq` above every seq
+        // pushed so far (what the engine always mints) needs no lookup.
+        if new_seq <= self.max_seq {
+            if !self.contains(seq) {
+                return None;
+            }
+            assert!(
+                new_seq == seq || !self.contains(new_seq),
+                "duplicate event sequence number {new_seq}"
+            );
+        }
+        let new_key = EventKey {
+            time: new_time,
+            seq: new_seq,
+        };
+        let Some(slot) = self.index.remove(&seq) else {
+            // A run entry moves to the tiers: the buffer holds one instant.
+            let (_, item) = self.run.remove(self.run_position(seq)?)?;
+            self.max_seq = self.max_seq.max(new_seq);
+            let slot = self.push_tiers(new_key, item);
+            return self.slab[slot as usize].as_mut().map(|e| &mut e.item);
+        };
+        self.max_seq = self.max_seq.max(new_seq);
         self.index.insert(new_seq, slot);
         let loc = self.slab[slot as usize]
             .as_ref()
             .expect("indexed slab slot is occupied")
             .loc;
-        let new_key = EventKey {
-            time: new_time,
-            seq: new_seq,
-        };
         if let (Loc::Heap(pos), Route::Heap) = (loc, self.route(new_time)) {
             // Fast path: the key stays in the heap and re-seats with a
             // single sift — the engine's cancel-then-rearm timer pattern.
@@ -491,6 +607,9 @@ impl<T> EventQueue<T> {
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
+        self.run.clear();
+        self.run_time = None;
+        self.max_seq = 0;
         self.heap.clear();
         self.slab.clear();
         self.free.clear();
@@ -504,6 +623,14 @@ impl<T> EventQueue<T> {
             cal.far.clear();
             cal.far_min_idx = u64::MAX;
         }
+    }
+
+    /// Position of `seq` in the run buffer (sorted by seq: binary search).
+    fn run_position(&self, seq: u64) -> Option<usize> {
+        if self.run.is_empty() {
+            return None;
+        }
+        self.run.binary_search_by_key(&seq, |(key, _)| key.seq).ok()
     }
 
     /// Which tier a key scheduled at `time` belongs to right now.
@@ -796,11 +923,23 @@ mod tests {
         SimTime::from_nanos(nanos)
     }
 
-    /// Checks every structural invariant the queue relies on, across all
-    /// three tiers.
+    /// Checks every structural invariant the queue relies on, across the
+    /// run buffer and all three tiers.
     fn assert_invariants<T>(q: &EventQueue<T>) {
-        let live = q.len();
-        assert_eq!(live, q.index.len(), "index out of sync");
+        for (pos, &(key, _)) in q.run.iter().enumerate() {
+            assert_eq!(Some(key.time), q.run_time, "run entry off its instant");
+            assert!(!q.index.contains_key(&key.seq), "run entry indexed");
+            assert!(key.seq <= q.max_seq, "max_seq below a run entry");
+            if pos > 0 {
+                assert!(q.run[pos - 1].0.seq < key.seq, "run not ascending");
+            }
+        }
+        assert!(
+            q.index.keys().all(|&seq| seq <= q.max_seq),
+            "max_seq below an indexed entry"
+        );
+        assert_eq!(q.len(), q.index.len() + q.run.len(), "len out of sync");
+        let live = q.index.len();
         assert_eq!(
             q.slab.iter().filter(|e| e.is_some()).count(),
             live,
@@ -1055,6 +1194,172 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.cancel(7), Some('a'), "original event must survive");
         assert_invariants(&q);
+    }
+
+    #[test]
+    fn reschedule_duplicate_panic_leaves_queue_consistent() {
+        let mut q = EventQueue::new();
+        q.push(t(1), 0, 'a');
+        q.push(t(2), 1, 'b');
+        q.push(t(2), 2, 'c');
+        assert_eq!(q.pop().map(|(_, c)| c), Some('a'));
+        q.push(t(1), 3, 'r'); // joins the run
+        for (seq, survivor) in [(1, 'b'), (3, 'r')] {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = q.reschedule(seq, t(9), 2);
+            }));
+            assert!(panicked.is_err());
+            assert_invariants(&q);
+            assert_eq!(q.len(), 3);
+            assert!(q.contains(seq), "entry {seq} vanished from lookup");
+            assert_eq!(q.cancel(seq), Some(survivor), "original must survive");
+            assert_invariants(&q);
+            q.push(t(5), 10 + seq, survivor);
+        }
+    }
+
+    // -- same-instant run ---------------------------------------------------
+
+    /// A queue that has just popped an event at `t(10)`, so pushes at
+    /// `t(10)` with fresh seqs are run-eligible; `t(10)`/seq 1 and
+    /// `t(20)`/seq 2 are still in the heap.
+    fn mid_instant() -> EventQueue<char> {
+        let mut q = EventQueue::new();
+        q.push(t(10), 0, 'p');
+        q.push(t(10), 1, 'h');
+        q.push(t(20), 2, 'l');
+        assert_eq!(q.pop().map(|(_, c)| c), Some('p'));
+        q
+    }
+
+    #[test]
+    fn same_instant_push_bypasses_slab_index_and_heap() {
+        let mut q = mid_instant();
+        let (slab, index, heap) = (q.slab.len(), q.index.len(), q.heap.len());
+        q.push(t(10), 3, 'x');
+        q.push(t(10), 4, 'y');
+        assert_eq!(q.run.len(), 2);
+        assert_eq!(
+            (q.slab.len(), q.index.len(), q.heap.len()),
+            (slab, index, heap)
+        );
+        assert_eq!(q.len(), 4);
+        assert!(q.contains(3) && q.contains(4) && !q.contains(5));
+        assert_invariants(&q);
+        // The equal-time heap entry has the smaller seq and goes first.
+        assert_eq!(q.peek().map(|k| k.seq), Some(1));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, c)| c)).collect();
+        assert_eq!(order, vec!['h', 'x', 'y', 'l']);
+        assert_invariants(&q);
+    }
+
+    #[test]
+    fn only_the_popped_instant_and_fresh_seqs_join_the_run() {
+        let mut q = mid_instant();
+        q.push(t(11), 3, 'a'); // another instant
+        assert!(q.run.is_empty());
+        q.push(t(10), 5, 'b');
+        assert_eq!(q.run.len(), 1);
+        q.push(t(10), 4, 'c'); // seq below one already pushed: heap
+        assert_eq!(q.run.len(), 1);
+        q.push(t(5), 6, 'd'); // into the past: heap, pops before the run
+        assert_invariants(&q);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, c)| c)).collect();
+        assert_eq!(order, vec!['d', 'h', 'c', 'b', 'a', 'l']);
+    }
+
+    #[test]
+    fn run_entries_cancel_and_reschedule() {
+        let mut q = mid_instant();
+        for seq in 3..8 {
+            q.push(t(10), seq, 'r');
+        }
+        assert_eq!(q.cancel(5), Some('r'));
+        assert_eq!(q.cancel(5), None, "double cancel");
+        assert_eq!(q.len(), 6);
+        assert_invariants(&q);
+        // A rescheduled run entry moves to the tiers, even at its own time.
+        *q.reschedule(4, t(10), 8).expect("pending") = 's';
+        *q.reschedule(6, t(15), 9).expect("pending") = 'u';
+        assert!(q.reschedule(4, t(10), 10).is_none(), "old seq is gone");
+        assert_eq!(q.run.len(), 2);
+        assert_invariants(&q);
+        let order: Vec<(u64, char)> =
+            std::iter::from_fn(|| q.pop().map(|(k, c)| (k.seq, c))).collect();
+        assert_eq!(
+            order,
+            vec![(1, 'h'), (3, 'r'), (7, 'r'), (8, 's'), (9, 'u'), (2, 'l')]
+        );
+    }
+
+    #[test]
+    fn run_survives_a_pop_of_an_earlier_instant() {
+        let mut q = mid_instant();
+        q.push(t(10), 3, 'x');
+        q.push(t(4), 4, 'e'); // into the past
+        assert_eq!(q.pop().map(|(_, c)| c), Some('e'));
+        // The run keeps its own instant, not the one just popped.
+        q.push(t(4), 5, 'f');
+        q.push(t(10), 6, 'y');
+        assert_eq!(q.run.len(), 2);
+        assert_invariants(&q);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, c)| c)).collect();
+        assert_eq!(order, vec!['f', 'h', 'x', 'y', 'l']);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate event sequence number")]
+    fn duplicate_of_a_run_seq_panics() {
+        let mut q = mid_instant();
+        q.push(t(10), 3, 'x');
+        q.push(t(30), 3, 'y');
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate event sequence number")]
+    fn reschedule_to_a_run_seq_panics() {
+        let mut q = mid_instant();
+        q.push(t(10), 3, 'x');
+        let _ = q.reschedule(2, t(30), 3);
+    }
+
+    #[test]
+    fn clear_drops_the_run() {
+        let mut q = mid_instant();
+        q.push(t(10), 3, 'x');
+        q.clear();
+        assert!(q.is_empty() && q.pop().is_none() && !q.contains(3));
+        // Nothing has been popped since the clear: no instant is eligible.
+        q.push(t(10), 0, 'a');
+        assert!(q.run.is_empty());
+        assert_invariants(&q);
+    }
+
+    /// The index hashes seqs the engine mints consecutively, and the table
+    /// reads the hash at both ends: low bits pick the bucket, the top seven
+    /// are the tag compared before any key. Identity hashing fails the
+    /// second half (one tag for every seq below 2⁵⁷).
+    #[test]
+    fn seq_hasher_spreads_consecutive_seqs_at_both_ends() {
+        const N: u64 = 1 << 16;
+        let mut buckets = vec![false; N as usize];
+        let mut tags = [0u64; 128];
+        for seq in 1_000_000..1_000_000 + N {
+            let mut h = SeqHasher::default();
+            h.write_u64(seq);
+            let hash = h.finish();
+            buckets[(hash & (N - 1)) as usize] = true;
+            tags[(hash >> 57) as usize] += 1;
+        }
+        let hit = buckets.iter().filter(|&&b| b).count() as u64;
+        assert!(hit >= N / 2, "only {hit} of {N} low-16-bit buckets hit");
+        let uniform = N / 128;
+        for (tag, &count) in tags.iter().enumerate() {
+            assert!(
+                (uniform / 2..=uniform * 2).contains(&count),
+                "tag {tag} seen {count} times, uniform is {uniform}"
+            );
+        }
     }
 
     #[test]

@@ -139,8 +139,31 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // EventQueue model checking: the indexed d-ary heap must agree with a
-// brute-force reference model under arbitrary push/pop/cancel interleavings.
+// brute-force reference model under arbitrary push/pop/cancel/reschedule
+// interleavings. About half the pushes land on the instant last popped (the
+// engine's `send_now`), so the same-instant run buffer is filled, cancelled
+// from, rescheduled out of, overtaken by pushes into the past and popped
+// interleaved with equal-time heap entries of smaller seq.
 // ---------------------------------------------------------------------------
+
+/// The seq a destructive op aims at: an arbitrary one when bit 0 of the pick
+/// is clear, else one of the last six minted (where run-buffer entries are).
+fn target_seq(pick: u64, next_seq: u64) -> u64 {
+    if pick & 1 == 0 {
+        pick >> 1
+    } else {
+        next_seq.saturating_sub(1 + (pick >> 2) % 6)
+    }
+}
+
+/// The instant an op schedules at: the one last popped when bit 1 of the
+/// pick is clear (once something has been popped), else the drawn time.
+fn target_time(pick: u64, drawn: u64, last_popped: Option<u64>) -> u64 {
+    match last_popped {
+        Some(t) if pick & 2 == 0 => t,
+        _ => drawn,
+    }
+}
 
 mod event_queue_model {
     use presence_des::{EventQueue, SimTime};
@@ -170,6 +193,16 @@ mod event_queue_model {
                 None => false,
             }
         }
+        fn contains(&self, seq: u64) -> bool {
+            self.live.iter().any(|&(_, s)| s == seq)
+        }
+        fn reschedule(&mut self, seq: u64, time: u64, new_seq: u64) -> bool {
+            let pending = self.cancel(seq);
+            if pending {
+                self.push(time, new_seq);
+            }
+            pending
+        }
     }
 
     proptest! {
@@ -193,38 +226,62 @@ mod event_queue_model {
             prop_assert!(model.pop().is_none(), "queue drained early");
         }
 
-        /// Arbitrary interleavings of push / cancel / pop agree with the
-        /// model at every step: cancel hits exactly the pending seqs, pops
-        /// come out in model order, and `len` stays exact.
+        /// Arbitrary interleavings of push / cancel / reschedule / pop
+        /// agree with the model at every step: cancel and reschedule hit
+        /// exactly the pending seqs, pops come out in model order, and
+        /// `len` / `contains` / `peek` stay exact.
         #[test]
         fn interleaved_ops_match_reference(
-            ops in prop::collection::vec((0u64..64, 0u64..200, 0u32..4), 1..300),
+            ops in prop::collection::vec((0u64..64, 0u64..200, 0u32..6), 1..300),
         ) {
             let mut q = EventQueue::new();
             let mut model = Model::default();
             let mut next_seq = 0u64;
+            let mut last_popped = None;
             for &(time, pick, kind) in &ops {
+                let at = super::target_time(pick, time, last_popped);
+                let seq = super::target_seq(pick, next_seq);
                 match kind {
                     // Push twice as often as the other ops so the queue
                     // actually fills up.
                     0 | 1 => {
-                        q.push(SimTime::from_nanos(time), next_seq, ());
-                        model.push(time, next_seq);
+                        q.push(SimTime::from_nanos(at), next_seq, ());
+                        model.push(at, next_seq);
                         next_seq += 1;
                     }
                     2 => {
-                        // Cancel an arbitrary seq — pending, fired, or
-                        // never issued; queue and model must agree.
-                        let seq = pick;
+                        // Cancel a seq — pending, fired, or never issued;
+                        // queue and model must agree.
                         let got = q.cancel(seq).is_some();
                         let expect = model.cancel(seq);
                         prop_assert_eq!(got, expect, "cancel({}) disagreed", seq);
                         prop_assert!(!q.contains(seq), "cancelled seq still pending");
                     }
+                    3 => {
+                        // The fresh seq is minted like the engine does:
+                        // only when the event was pending.
+                        let got = q.reschedule(seq, SimTime::from_nanos(at), next_seq).is_some();
+                        let expect = model.reschedule(seq, at, next_seq);
+                        prop_assert_eq!(got, expect, "reschedule({}) disagreed", seq);
+                        if got {
+                            prop_assert!(q.contains(next_seq) && !q.contains(seq));
+                            next_seq += 1;
+                        }
+                    }
+                    4 => {
+                        prop_assert_eq!(q.contains(seq), model.contains(seq));
+                        let head = model.live.iter().min().copied();
+                        prop_assert_eq!(
+                            q.peek().map(|k| (k.time.as_nanos(), k.seq)),
+                            head,
+                            "peek disagreed"
+                        );
+                    }
                     _ => {
                         let got = q.pop().map(|(k, ())| (k.time.as_nanos(), k.seq));
                         let expect = model.pop();
                         prop_assert_eq!(got, expect, "pop disagreed");
+                        last_popped = got.map(|(t, _)| t).or(last_popped);
                     }
                 }
                 prop_assert_eq!(q.len(), model.live.len(), "live count diverged");
@@ -322,40 +379,43 @@ mod calendar_queue_model {
             });
             let mut heap = EventQueue::new();
             let mut next_seq = 0u64;
+            let mut last_popped = None;
             for &(time, pick, kind) in &ops {
+                let at = SimTime::from_nanos(super::target_time(pick, time, last_popped));
+                let seq = super::target_seq(pick, next_seq);
                 match kind {
                     // Push three times as often as the destructive ops so
                     // the tiers actually fill up.
                     0..=2 => {
-                        cal.push(SimTime::from_nanos(time), next_seq, next_seq);
-                        heap.push(SimTime::from_nanos(time), next_seq, next_seq);
+                        cal.push(at, next_seq, next_seq);
+                        heap.push(at, next_seq, next_seq);
                         next_seq += 1;
                     }
                     3 => {
-                        let got = cal.cancel(pick);
-                        let expect = heap.cancel(pick);
-                        prop_assert_eq!(got, expect, "cancel({}) disagreed", pick);
-                        prop_assert_eq!(cal.contains(pick), heap.contains(pick));
+                        let got = cal.cancel(seq);
+                        let expect = heap.cancel(seq);
+                        prop_assert_eq!(got, expect, "cancel({}) disagreed", seq);
+                        prop_assert_eq!(cal.contains(seq), heap.contains(seq));
                     }
                     4 => {
-                        // Reschedule an arbitrary seq to an arbitrary time;
-                        // the fresh seq is minted like the engine does.
-                        let new_time = SimTime::from_nanos(time);
+                        // The fresh seq is minted like the engine does.
                         let new_seq = next_seq;
-                        let got = cal.reschedule(pick, new_time, new_seq).map(|item| *item);
-                        let expect = heap.reschedule(pick, new_time, new_seq).map(|item| *item);
-                        prop_assert_eq!(got, expect, "reschedule({}) disagreed", pick);
+                        let got = cal.reschedule(seq, at, new_seq).map(|item| *item);
+                        let expect = heap.reschedule(seq, at, new_seq).map(|item| *item);
+                        prop_assert_eq!(got, expect, "reschedule({}) disagreed", seq);
                         if got.is_some() {
                             next_seq += 1;
                         }
                     }
                     5 => {
                         prop_assert_eq!(cal.peek(), heap.peek(), "peek disagreed");
+                        prop_assert_eq!(cal.contains(seq), heap.contains(seq));
                     }
                     _ => {
                         let got = cal.pop();
                         let expect = heap.pop();
                         prop_assert_eq!(got, expect, "pop disagreed");
+                        last_popped = got.map(|(k, _)| k.time.as_nanos()).or(last_popped);
                     }
                 }
                 prop_assert_eq!(cal.len(), heap.len(), "len diverged");

@@ -215,24 +215,29 @@ impl Shard {
         }
     }
 
-    fn fire_due(&mut self, now: SimTime, sends: &mut Vec<(SocketAddr, Vec<u8>)>) -> u64 {
+    /// `actions` is `run`'s scratch buffer: empty on entry and on return.
+    fn fire_due(
+        &mut self,
+        now: SimTime,
+        actions: &mut Vec<CpAction>,
+        sends: &mut Vec<(SocketAddr, Vec<u8>)>,
+    ) -> u64 {
         let mut fired = 0;
-        let mut actions = Vec::new();
         while let Some((key, _at)) = self.wheel.pop_due(now) {
             fired += 1;
             match key {
                 WheelKey::StartProber(cp) => {
                     if let Some(slot) = self.probers.get_mut(&cp) {
                         slot.started = true;
-                        slot.prober.start(now, &mut actions);
-                        self.execute(cp, now, &mut actions, sends);
+                        slot.prober.start(now, actions);
+                        self.execute(cp, now, actions, sends);
                     }
                 }
                 WheelKey::ProberTimer(cp, token) => {
                     if let Some(slot) = self.probers.get_mut(&cp) {
                         if !slot.prober.is_stopped() {
-                            slot.prober.on_timer(now, token, &mut actions);
-                            self.execute(cp, now, &mut actions, sends);
+                            slot.prober.on_timer(now, token, actions);
+                            self.execute(cp, now, actions, sends);
                         }
                     }
                 }
@@ -249,11 +254,13 @@ impl Shard {
         fired
     }
 
+    /// `actions` is `run`'s scratch buffer: empty on entry and on return.
     fn handle_datagram(
         &mut self,
         now: SimTime,
         buf: &[u8],
         from: SocketAddr,
+        actions: &mut Vec<CpAction>,
         sends: &mut Vec<(SocketAddr, Vec<u8>)>,
     ) {
         let datagram = match decode_datagram(buf) {
@@ -266,7 +273,6 @@ impl Shard {
         self.counters
             .datagrams_received
             .fetch_add(1, Ordering::Release);
-        let mut actions = Vec::new();
         match datagram {
             Datagram::Addressed(device, WireMessage::Probe(probe)) => {
                 match self.devices.get_mut(&device.0) {
@@ -288,8 +294,8 @@ impl Shard {
                 let cp = reply.probe.cp.0;
                 match self.probers.get_mut(&cp) {
                     Some(slot) if slot.started && !slot.prober.is_stopped() => {
-                        slot.prober.on_reply(now, &reply, &mut actions);
-                        self.execute(cp, now, &mut actions, sends);
+                        slot.prober.on_reply(now, &reply, actions);
+                        self.execute(cp, now, actions, sends);
                     }
                     Some(_) => {}
                     None => {
@@ -307,9 +313,9 @@ impl Shard {
                     .collect();
                 for cp in watching {
                     if let Some(slot) = self.probers.get_mut(&cp) {
-                        slot.prober.on_bye(now, &mut actions);
+                        slot.prober.on_bye(now, actions);
                     }
-                    self.execute(cp, now, &mut actions, sends);
+                    self.execute(cp, now, actions, sends);
                 }
             }
             Datagram::Direct(WireMessage::LeaveNotice(notice))
@@ -324,9 +330,9 @@ impl Shard {
                     .collect();
                 for cp in watching {
                     if let Some(slot) = self.probers.get_mut(&cp) {
-                        slot.prober.on_leave_notice(now, &mut actions);
+                        slot.prober.on_leave_notice(now, actions);
                     }
-                    self.execute(cp, now, &mut actions, sends);
+                    self.execute(cp, now, actions, sends);
                 }
             }
             // A bare probe has no target on a shared socket; an addressed
@@ -359,20 +365,18 @@ impl Shard {
     ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
         let mut buf = [0u8; MAX_DATAGRAM];
         let mut sends: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
+        let mut actions: Vec<CpAction> = Vec::new();
         while !stop.is_stopped() {
             let mut work = 0u64;
             let now = clock.now();
-            work += self.fire_due(now, &mut sends);
+            work += self.fire_due(now, &mut actions, &mut sends);
 
             for _ in 0..self.recv_batch {
                 match self.socket.recv_from(&mut buf) {
                     Ok((n, from)) => {
                         work += 1;
                         let now = clock.now();
-                        // Split borrow: copy out the datagram so handle_
-                        // datagram can take &mut self.
-                        let bytes = buf[..n].to_vec();
-                        self.handle_datagram(now, &bytes, from, &mut sends);
+                        self.handle_datagram(now, &buf[..n], from, &mut actions, &mut sends);
                     }
                     Err(e)
                         if e.kind() == io::ErrorKind::WouldBlock
