@@ -22,9 +22,6 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo bench --no-run (criterion harness compile check)"
-cargo bench --no-run
-
 # The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
 # outside the workspace, so nothing above notices when a public item it
 # uses is renamed or removed. Compile it against this tree.
@@ -90,22 +87,6 @@ test_nonempty --release -q -p presence-des --lib region::
 test_nonempty --release -q -p presence-sim --test region_integration
 test_nonempty --release -q --test golden_equivalence
 
-# Structural perf gates: the single-hop delivery path must hold
-# events-per-delivered-message at ≤ 2.05, the trio's events_processed
-# must equal the golden fixtures exactly (a dispatch or timer refactor
-# must not change what gets scheduled), the multi-plane trio's
-# adaptive-window runs must be byte-identical to static and never
-# barrier more often, and
-# best-of-run trio throughput must stay above half the committed
-# BENCH_PR8.json snapshot — the best-of estimator holds steady even on
-# the noisy 1-core CI box. --regions also runs the multi-core scaling
-# suite (multi-plane trio at regions {1,2,4,8}, workers matched) so the
-# window/barrier counters it gates on are recorded every CI run. The
-# throwaway report path keeps the committed BENCH_PR10.json a recorded
-# snapshot rather than overwriting it with this machine's timings.
-echo "==> perf gates: events/delivered-msg <= 2.05 + events_processed == golden + adaptive==static + throughput floor + scaling suite (perf_report --check --regions)"
-cargo run --release -q -p presence-bench --bin perf_report -- --check --regions target/perf_report_ci.json
-
 # Conformance stage: the DES is the oracle for the sharded UDP serving
 # runtime. The suite drives identical machine populations through the
 # discrete-event engine (zero-delay network) and through real loopback
@@ -149,11 +130,9 @@ cargo run --release -q -p presence-bench --bin spotter -- target/trace_ci.json
 rm -f target/trace_ci.json
 
 # Zero-cost-when-off: with tracing disarmed (the default everywhere
-# else), the steady-state loop must still allocate nothing and the trio
-# must still clear the committed throughput floor — the trace layer may
-# only cost when a trace was asked for.
-echo "==> tracing-off re-check: alloc steady-state gate + throughput floor"
+# else), the steady-state loop must allocate nothing — in release mode
+# too, where tier-1's debug-profile run of the same suite does not reach.
+echo "==> tracing-off re-check: alloc steady-state gate (release)"
 cargo test --release -q --test alloc_steady_state
-cargo run --release -q -p presence-bench --bin perf_report -- --check target/perf_report_traceoff.json
 
 echo "==> ci.sh: all green"

@@ -86,12 +86,7 @@ fn settle(host: &HostHandle, limit: Duration) {
 
 fn run_stress(devices_n: u32, shards: usize) -> bool {
     let cfg = DcppConfig::paper_default(); // d_min = 500 ms: ~2 probes/s/CP
-    let host_cfg = HostConfig {
-        shards,
-        bind: "127.0.0.1:0".to_string(),
-        recv_batch: 64,
-        poll_interval: Duration::from_millis(1),
-    };
+    let host_cfg = HostConfig::loopback(shards);
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
 
     let mut devices = ShardedHost::bind(&host_cfg).expect("bind device host");

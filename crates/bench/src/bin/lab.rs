@@ -514,8 +514,8 @@ fn main() -> ExitCode {
             }
             for (_, spec) in load_mega_dir(&catalog_dir)? {
                 println!(
-                    "{:<22} {:>6.0} s  {} (mega: run via perf_report --mega / mega_smoke)",
-                    spec.name, spec.config.duration, spec.description
+                    "{:<22} {:>6.0} s  {} (mega: run via `mega_smoke {}`)",
+                    spec.name, spec.config.duration, spec.description, spec.name
                 );
             }
             return Ok(());

@@ -1,23 +1,44 @@
-//! Bounded-memory smoke test for the mega-scale path: runs the `mega-ci`
-//! catalog scenario (10⁵ devices on the calendar queue with streaming
-//! recorders) and fails if the process high-water RSS exceeds the budget —
-//! the guard that the struct-of-arrays shard and streaming recorders
-//! actually hold memory flat, not just that they finish.
+//! Bounded-memory smoke test for the mega-scale path: runs one mega
+//! catalog scenario (default `mega-ci`: 10⁵ devices on the calendar queue
+//! with streaming recorders) and fails if the process high-water RSS
+//! exceeds the budget — the guard that the struct-of-arrays shard and
+//! streaming recorders actually hold memory flat, not just that they
+//! finish.
 //!
 //! ```text
 //! mega_smoke                 # run mega-ci, assert VmHWM < 512 MiB
-//! mega_smoke --budget-mb N   # override the budget
+//! mega_smoke mega-1m         # any mega catalog name (`lab --list` shows them)
+//! mega_smoke --budget-mb N   # override the budget (512 is sized for mega-ci)
 //! ```
 //!
 //! The RSS probe reads `/proc/self/status` (Linux). Where that is absent
 //! the run still validates the protocol invariants and reports throughput,
 //! skipping only the memory assertion.
 
-use presence_sim::{mega_catalog, run_mega_spec};
+use presence_sim::{mega_catalog, run_mega_spec, MegaSpec};
 use std::process::ExitCode;
 use std::time::Instant;
 
 const DEFAULT_BUDGET_MB: u64 = 512;
+const DEFAULT_SPEC: &str = "mega-ci";
+
+/// The mega catalog entry called `name`, or the message listing what the
+/// catalog does hold.
+fn resolve(name: &str) -> Result<MegaSpec, String> {
+    let catalog = mega_catalog();
+    let known: Vec<&str> = catalog.iter().map(|s| s.name.as_str()).collect();
+    let unknown = format!(
+        "unknown mega scenario {name} (catalog: {})",
+        known.join(", ")
+    );
+    catalog.into_iter().find(|s| s.name == name).ok_or(unknown)
+}
+
+/// Whether the lossless physics assertions (no failed cycle, wait mean at
+/// the d_min floor) apply to `spec`.
+fn is_lossless(spec: &MegaSpec) -> bool {
+    spec.config.loss == 0.0
+}
 
 /// Peak resident set size in KiB from `/proc/self/status`, if available.
 fn vm_hwm_kib() -> Option<u64> {
@@ -29,6 +50,7 @@ fn vm_hwm_kib() -> Option<u64> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut budget_mb = DEFAULT_BUDGET_MB;
+    let mut name = DEFAULT_SPEC;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -38,26 +60,30 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--budget-mb N");
             }
-            other => {
+            other if other.starts_with("--") => {
                 eprintln!("mega_smoke: unknown argument {other}");
                 return ExitCode::FAILURE;
             }
+            other => name = other,
         }
     }
 
-    let spec = mega_catalog()
-        .into_iter()
-        .find(|s| s.name == "mega-ci")
-        .expect("mega-ci catalog entry");
+    let spec = match resolve(name) {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("mega_smoke: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!(
-        "mega-ci: {} devices / {} CPs, {} s virtual, budget {budget_mb} MiB…",
+        "{name}: {} devices / {} CPs, {} s virtual, budget {budget_mb} MiB…",
         spec.config.devices, spec.config.cps, spec.config.duration
     );
     let start = Instant::now();
     let result = run_mega_spec(&spec);
     let wall = start.elapsed().as_secs_f64();
     println!(
-        "mega-ci: {} events in {wall:.2} s ({:.0} events/s), {} cycles, \
+        "{name}: {} events in {wall:.2} s ({:.0} events/s), {} cycles, \
          wait mean {:.3} s, {:.2} probes/s/device",
         result.events_processed,
         result.events_processed as f64 / wall,
@@ -70,18 +96,20 @@ fn main() -> ExitCode {
     if result.cycles_succeeded == 0 {
         failures.push("no probe cycle completed".to_string());
     }
-    if result.cycles_failed != 0 || result.stopped_pairs != 0 {
-        failures.push(format!(
-            "lossless run failed cycles: {} failed, {} stopped pairs",
-            result.cycles_failed, result.stopped_pairs
-        ));
-    }
-    // One watcher per device: the d_min = 0.5 s frequency floor binds.
-    if (result.wait_mean - 0.5).abs() > 0.05 {
-        failures.push(format!(
-            "wait mean {:.4} s strayed from the d_min floor",
-            result.wait_mean
-        ));
+    if is_lossless(&spec) {
+        if result.cycles_failed != 0 || result.stopped_pairs != 0 {
+            failures.push(format!(
+                "lossless run failed cycles: {} failed, {} stopped pairs",
+                result.cycles_failed, result.stopped_pairs
+            ));
+        }
+        // One watcher per device: the d_min = 0.5 s frequency floor binds.
+        if (result.wait_mean - 0.5).abs() > 0.05 {
+            failures.push(format!(
+                "wait mean {:.4} s strayed from the d_min floor",
+                result.wait_mean
+            ));
+        }
     }
     match vm_hwm_kib() {
         Some(kib) => {
@@ -104,5 +132,24 @@ fn main() -> ExitCode {
             eprintln!("mega_smoke: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn catalog_names_resolve_and_the_lossless_switch_follows_loss() {
+        for spec in mega_catalog() {
+            assert_eq!(resolve(&spec.name), Ok(spec));
+        }
+        assert!(is_lossless(&resolve("mega-ci").unwrap()));
+        assert!(is_lossless(&resolve("mega-1m").unwrap()));
+        assert!(!is_lossless(&resolve("mega-1m-lossy").unwrap()));
+        let err = resolve("mega-2m").unwrap_err();
+        for spec in mega_catalog() {
+            assert!(err.contains(&spec.name), "{err}");
+        }
     }
 }

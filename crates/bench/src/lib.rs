@@ -1,6 +1,10 @@
-//! Shared plumbing for the experiment binaries.
+//! Shared flag parsing for the `experiments` and `replications` binaries
+//! (the other bins — `lab`, `conformance`, `mega_smoke`, `spotter`,
+//! `golden_fixtures` — parse their own arguments; timing lives in the
+//! repo's `benchmark/` package, not here).
 //!
-//! Every `e*`/`a*` binary accepts the same optional flags:
+//! `experiments <id|all>` and `replications` accept the same optional
+//! flags:
 //!
 //! ```text
 //! --seed <u64>        root seed (default 3)

@@ -60,42 +60,56 @@ pub struct HostConfig {
 
 impl HostConfig {
     /// Loopback defaults: shard count from the `RUNTIME_SHARDS`
-    /// environment variable (falling back to available parallelism,
-    /// capped at 4), OS-assigned ports.
+    /// environment variable (see [`shards_from_env`]), OS-assigned ports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `RUNTIME_SHARDS` is set to anything but a positive
+    /// integer.
     #[must_use]
     pub fn default_loopback() -> Self {
+        Self::loopback(shards_from_env())
+    }
+
+    /// Loopback defaults with an explicit shard count (at least 1); the
+    /// environment is never consulted.
+    #[must_use]
+    pub fn loopback(shards: usize) -> Self {
         Self {
-            shards: shards_from_env(),
+            shards: shards.max(1),
             bind: "127.0.0.1:0".to_string(),
             recv_batch: 64,
             poll_interval: Duration::from_millis(1),
         }
     }
-
-    /// Like [`HostConfig::default_loopback`] with an explicit shard
-    /// count.
-    #[must_use]
-    pub fn loopback(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            ..Self::default_loopback()
-        }
-    }
 }
 
-/// The shard count the environment asks for: `RUNTIME_SHARDS` if set and
-/// parseable, else available parallelism capped at 4.
+/// The shard count the environment asks for: `RUNTIME_SHARDS` if set,
+/// else available parallelism capped at 4.
+///
+/// # Panics
+///
+/// Panics if `RUNTIME_SHARDS` is set to anything but a positive integer,
+/// so a typo cannot silently run a shard-count gate on the wrong count.
 #[must_use]
 pub fn shards_from_env() -> usize {
-    std::env::var("RUNTIME_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            thread::available_parallelism()
-                .map(|n| n.get().min(4))
-                .unwrap_or(1)
-        })
+    parse_shards(std::env::var("RUNTIME_SHARDS").ok().as_deref())
+}
+
+/// Pure core of [`shards_from_env`]: interprets an optional
+/// `RUNTIME_SHARDS` value, panicking on a non-numeric or zero one.
+fn parse_shards(var: Option<&str>) -> usize {
+    match var {
+        // `RUNTIME_SHARDS= cmd` is the shell idiom for clearing a variable
+        // for one command; treat it as unset, not as a typo.
+        Some(raw) if !raw.trim().is_empty() => match raw.trim().parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => panic!("RUNTIME_SHARDS must be a positive integer, got {raw:?}"),
+        },
+        _ => thread::available_parallelism()
+            .map(|n| n.get().min(4))
+            .unwrap_or(1),
+    }
 }
 
 /// Timer-wheel key for one shard: which machine, which timer.
@@ -664,6 +678,45 @@ mod tests {
     use super::*;
     use crate::clock::SystemClock;
     use presence_core::{DcppConfig, DcppCp, DcppDevice};
+
+    #[test]
+    fn parse_shards_resolves_env_values() {
+        assert_eq!(parse_shards(Some("1")), 1);
+        assert_eq!(parse_shards(Some(" 4 ")), 4);
+        let default = parse_shards(None);
+        assert!((1..=4).contains(&default), "default {default}");
+        // `RUNTIME_SHARDS= cmd` clears the variable: same as unset.
+        assert_eq!(parse_shards(Some("")), default);
+        assert_eq!(parse_shards(Some(" ")), default);
+    }
+
+    #[test]
+    #[should_panic(expected = "RUNTIME_SHARDS must be a positive integer, got \"0\"")]
+    fn parse_shards_rejects_zero() {
+        let _ = parse_shards(Some("0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "RUNTIME_SHARDS must be a positive integer, got \"four\"")]
+    fn parse_shards_rejects_garbage() {
+        let _ = parse_shards(Some("four"));
+    }
+
+    #[test]
+    #[should_panic(expected = "RUNTIME_SHARDS must be a positive integer, got \"-1\"")]
+    fn parse_shards_rejects_negative() {
+        let _ = parse_shards(Some("-1"));
+    }
+
+    #[test]
+    fn explicit_shard_count_never_consults_the_environment() {
+        // `loopback(n)` is a literal: were it built from
+        // `default_loopback()`, this test would panic like
+        // `parse_shards_rejects_garbage` when the suite runs under
+        // `RUNTIME_SHARDS=four`.
+        assert_eq!(HostConfig::loopback(3).shards, 3);
+        assert_eq!(HostConfig::loopback(0).shards, 1);
+    }
 
     #[test]
     fn sharded_host_serves_dcpp_pairs_over_loopback() {

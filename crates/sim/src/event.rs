@@ -55,7 +55,8 @@ pub enum SimEvent {
     /// time, for the sampled delivery instant — the single-hop fast path.
     /// One `Send` dispatch plus one `Deliver` firing is the complete
     /// per-message event cost (the events-per-delivered-message ≤ 2
-    /// contract pinned by the `perf_report` CI gate).
+    /// contract pinned by
+    /// `tests/golden_equivalence.rs::golden_trio_meets_two_events_per_message_contract`).
     Deliver(WireMessage),
     /// (to a node actor) A protocol timer fired.
     Timer(TimerToken),

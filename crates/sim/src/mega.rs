@@ -583,8 +583,7 @@ impl MegaScenario {
     }
 }
 
-/// Builds, runs, and collects one mega spec — the `perf_report --mega` and
-/// `mega_smoke` entry point.
+/// Builds, runs, and collects one mega spec — the `mega_smoke` entry point.
 #[must_use]
 pub fn run_mega_spec(spec: &MegaSpec) -> MegaResult {
     let mut scenario = MegaScenario::build(spec.config);

@@ -116,8 +116,9 @@ impl ScenarioResult {
     /// computed as `(offered + delivered) / delivered`: one `Send`
     /// dispatch per offered message plus one `Deliver` firing per
     /// delivered one. The single-hop delivery path holds this at 2 plus
-    /// the drop/in-flight share (the old route cost 3); the `perf_report`
-    /// CI gate fails above 2.05. `None` when nothing was delivered.
+    /// the drop/in-flight share (the old route cost 3);
+    /// `tests/golden_equivalence.rs::golden_trio_meets_two_events_per_message_contract`
+    /// fails above 2.05. `None` when nothing was delivered.
     ///
     /// Approximation: a `Broadcast` is one engine dispatch but increments
     /// `offered` once per copy, so broadcast-heavy runs *over*state the

@@ -124,7 +124,7 @@ pub struct RegionPlan {
     pub requested: usize,
     /// Regions the run will actually use.
     pub effective: usize,
-    /// Human-readable planning decision (surfaced by `perf_report`).
+    /// Human-readable planning decision (surfaced by `lab --regions`).
     pub reason: String,
 }
 
