@@ -87,18 +87,19 @@ test_nonempty --release -q -p presence-des --lib region::
 test_nonempty --release -q -p presence-sim --test region_integration
 test_nonempty --release -q --test golden_equivalence
 
-# Conformance stage: the DES is the oracle for the sharded UDP serving
-# runtime. The suite drives identical machine populations through the
-# discrete-event engine (zero-delay network) and through real loopback
-# sockets under a lockstep virtual clock, requiring verdict-for-verdict
-# agreement — at one shard and at four, so both the single-socket path
-# and the cross-shard routing/demux paths are proven. Then the stress
-# gate: the sharded host must sustain 10k devices + 10k probers on the
-# wall clock with zero backpressure drops, zero decode errors, zero
-# unroutable datagrams, and zero false verdicts.
-echo "==> conformance: DES oracle vs UDP runtime at RUNTIME_SHARDS=1 and =4"
-RUNTIME_SHARDS=1 cargo test --release -q --test conformance
-RUNTIME_SHARDS=4 cargo test --release -q --test conformance
+# Conformance stage: the simulator is the oracle for the sharded UDP
+# serving runtime. The suite drives identical machine populations through
+# the simulator's own actors (zero-delay lossless fabric) and through real
+# loopback sockets under a lockstep virtual clock, requiring
+# verdict-for-verdict agreement — at one shard and at four, so both the
+# single-socket path and the cross-shard routing/demux paths are proven.
+# Then the stress gate: the sharded host must sustain 10k devices + 10k
+# probers on the wall clock with zero backpressure drops, zero decode
+# errors, zero receive errors, zero unroutable datagrams, and zero false
+# verdicts.
+echo "==> conformance: sim oracle vs UDP runtime at RUNTIME_SHARDS=1 and =4"
+RUNTIME_SHARDS=1 cargo test --release -q -p presence-bench --test conformance
+RUNTIME_SHARDS=4 cargo test --release -q -p presence-bench --test conformance
 RUNTIME_SHARDS=1 cargo run --release -q -p presence-bench --bin conformance
 RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance
 echo "==> conformance stress: 10k devices on loopback, zero-drop gate (RUNTIME_SHARDS=4)"

@@ -1,33 +1,38 @@
 //! Sim/runtime conformance inspector and loopback stress driver.
 //!
 //! * `conformance` — run the standard conformance scenarios (the same
-//!   catalogue `tests/conformance.rs` pins) through both the DES oracle
-//!   and the sharded UDP runtime at `RUNTIME_SHARDS`, print the
+//!   catalogue `tests/conformance.rs` pins) through both the simulator
+//!   as oracle and the sharded UDP runtime at `RUNTIME_SHARDS`, print the
 //!   agreement table, and exit non-zero on any divergence.
 //! * `conformance --stress [N]` — serve `N` (default 10 000) DCPP
 //!   devices and `N` probers over loopback UDP on the wall clock for a
 //!   few seconds and require **zero** backpressure drops, zero decode
-//!   errors, zero unroutable datagrams, and zero false absence verdicts
-//!   from the new `ShardCounters` surface. This is the serving-runtime
-//!   acceptance gate: the sharded host must sustain a five-digit device
-//!   population on a CI container without shedding load.
+//!   errors, zero receive errors, zero unroutable datagrams, and zero
+//!   false absence verdicts from the `ShardCounters` surface. This is
+//!   the serving-runtime acceptance gate: the sharded host must sustain
+//!   a five-digit device population on a CI container without shedding
+//!   load.
 //!
 //! `RUNTIME_SHARDS` controls the shard count of every host either way.
 
-use presence_core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId};
+use presence_bench::conformance::{
+    dcpp_fleet, dcpp_pair, fixed_rate_pair, mixed_fleet, run_oracle, run_udp, sapp_pair,
+    ConformanceScenario,
+};
+use presence_core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine};
 use presence_des::{SimDuration, SimTime};
-use presence_runtime::conformance::{
-    dcpp_fleet, dcpp_pair, mixed_fleet, run_oracle, run_udp, sapp_pair, ConformanceScenario,
-};
-use presence_runtime::{
-    shards_from_env, Clock, DeviceHost, HostConfig, HostHandle, ShardedHost, SystemClock,
-};
+use presence_runtime::{shards_from_env, Clock, HostConfig, HostHandle, ShardedHost, SystemClock};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn run_catalogue(shards: usize) -> bool {
-    let scenarios: Vec<ConformanceScenario> =
-        vec![dcpp_pair(), dcpp_fleet(6), sapp_pair(), mixed_fleet()];
+    let scenarios: Vec<ConformanceScenario> = vec![
+        dcpp_pair(),
+        dcpp_fleet(6),
+        sapp_pair(),
+        mixed_fleet(),
+        fixed_rate_pair(),
+    ];
     let mut all_ok = true;
     println!("scenario        shards  cps  devices  verdicts  probes   agreement");
     for scenario in &scenarios {
@@ -64,6 +69,12 @@ fn run_catalogue(shards: usize) -> bool {
                     println!("  device {:?}: oracle {o:?} udp {u:?}", o.device);
                 }
             }
+            if oracle.timers_fired != udp.timers_fired {
+                println!(
+                    "  timers fired: oracle {} udp {}",
+                    oracle.timers_fired, udp.timers_fired
+                );
+            }
         }
     }
     all_ok
@@ -91,7 +102,7 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
 
     let mut devices = ShardedHost::bind(&host_cfg).expect("bind device host");
     for d in 0..devices_n {
-        devices.add_device(DeviceHost::Dcpp(DcppDevice::new(DeviceId(d), cfg)), None);
+        devices.add_device(DeviceMachine::Dcpp(DcppDevice::new(DeviceId(d), cfg)), None);
     }
     let mut cps = ShardedHost::bind(&host_cfg).expect("bind cp host");
     // Stagger starts across one full probe period so the steady state is
@@ -137,6 +148,7 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
         .count();
     let drops = cp_report.stats.dropped() + device_report.stats.dropped();
     let decode_errors = cp_report.stats.decode_errors + device_report.stats.decode_errors;
+    let recv_errors = cp_report.stats.recv_errors + device_report.stats.recv_errors;
     let unroutable = cp_report.stats.unroutable + device_report.stats.unroutable;
 
     println!(
@@ -146,7 +158,7 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
     );
     println!(
         "stress: backpressure drops {drops}, decode errors {decode_errors}, \
-         unroutable {unroutable}, false verdicts {false_verdicts}"
+         recv_errors {recv_errors}, unroutable {unroutable}, false verdicts {false_verdicts}"
     );
     for (i, s) in cp_report.per_shard.iter().enumerate() {
         println!(
@@ -156,7 +168,7 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
     }
 
     let mut ok = true;
-    if drops != 0 || decode_errors != 0 || unroutable != 0 {
+    if drops != 0 || decode_errors != 0 || recv_errors != 0 || unroutable != 0 {
         println!("FAIL: host shed load (the backpressure counters must read zero)");
         ok = false;
     }

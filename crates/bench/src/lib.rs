@@ -1,7 +1,10 @@
-//! Shared flag parsing for the `experiments` and `replications` binaries
-//! (the other bins — `lab`, `conformance`, `mega_smoke`, `spotter`,
-//! `golden_fixtures` — parse their own arguments; timing lives in the
-//! repo's `benchmark/` package, not here).
+//! What the `presence-bench` binaries share: the sim/runtime
+//! [`conformance`] harness (the `conformance` bin and
+//! `tests/conformance.rs` drive it), and flag parsing for the
+//! `experiments` and `replications` binaries (the other bins — `lab`,
+//! `conformance`, `mega_smoke`, `spotter`, `golden_fixtures` — parse their
+//! own arguments; timing lives in the repo's `benchmark/` package, not
+//! here).
 //!
 //! `experiments <id|all>` and `replications` accept the same optional
 //! flags:
@@ -14,6 +17,8 @@
 //! --json              emit the report as JSON instead of text
 //! --csv               emit the figure's data series as CSV (figure bins)
 //! ```
+
+pub mod conformance;
 
 use std::env;
 

@@ -1,20 +1,21 @@
-//! Sim/runtime conformance: the discrete-event engine is the oracle for
-//! the sharded UDP host.
+//! Sim/runtime conformance: the simulator is the oracle for the sharded
+//! UDP host.
 //!
-//! Every scenario here runs twice — once through `presence_des` with a
-//! zero-delay network, once over real loopback UDP sockets under a
-//! lockstep virtual clock — and the two reports must agree **exactly**:
-//! verdicts (instant and reason), cycle counts, probes sent, probes
-//! answered. See `presence_runtime::conformance` for why exact agreement
-//! is the correct expectation and not flakiness-bait.
+//! Every scenario here runs twice — once through the simulator's own
+//! actors over a zero-delay lossless fabric, once over real loopback UDP
+//! sockets under a lockstep virtual clock — and the two reports must agree
+//! **exactly**: verdicts (instant and reason), cycle counts, probes sent,
+//! probes answered, timers that came due. See `presence_bench::conformance` for why exact
+//! agreement is the correct expectation and not flakiness-bait.
 //!
 //! The UDP side honours `RUNTIME_SHARDS` (the ci.sh conformance stage
 //! runs the suite at 1 and at 4); each test also pins one explicit shard
 //! count so a plain `cargo test` covers both single- and multi-shard
 //! routing.
 
-use presence::runtime::conformance::{
-    dcpp_fleet, dcpp_pair, mixed_fleet, run_oracle, run_udp, sapp_pair, ConformanceScenario,
+use presence_bench::conformance::{
+    dcpp_fleet, dcpp_pair, fixed_rate_pair, mixed_fleet, run_oracle, run_udp, sapp_pair,
+    ConformanceScenario,
 };
 use presence_runtime::shards_from_env;
 
@@ -23,7 +24,7 @@ fn assert_conformance(scenario: &ConformanceScenario, shards: usize) {
     let udp = run_udp(scenario, shards).expect("udp conformance run failed");
     assert_eq!(
         oracle, udp,
-        "scenario `{}` diverged between DES oracle and UDP runtime at {} shard(s)",
+        "scenario `{}` diverged between sim oracle and UDP runtime at {} shard(s)",
         scenario.name, shards
     );
 }
@@ -51,6 +52,18 @@ fn sapp_pair_conforms() {
 #[test]
 fn mixed_fleet_conforms() {
     assert_conformance(&mixed_fleet(), shards_from_env());
+}
+
+/// `FixedRateCp` is the one `Prober` the UDP host had never run under the
+/// oracle; pinned at both shard counts like the DCPP fleet.
+#[test]
+fn fixed_rate_pair_conforms_single_shard() {
+    assert_conformance(&fixed_rate_pair(), 1);
+}
+
+#[test]
+fn fixed_rate_pair_conforms_multi_shard() {
+    assert_conformance(&fixed_rate_pair(), 4);
 }
 
 /// The deflaked successor of the old `dcpp_over_in_memory_transport`

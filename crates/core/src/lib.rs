@@ -88,7 +88,7 @@ pub use dcpp::{DcppCp, DcppDevice};
 pub use error::ConfigError;
 pub use overlay::{Disseminator, NoticeDisposition, OverlayView};
 pub use prober::Prober;
-pub use responder::Responder;
+pub use responder::{DeviceMachine, Responder};
 pub use sapp::{AdaptationStats, AutoTuneConfig, AutoTuner, SappCp, SappDevice, TuneDecision};
 pub use types::{
     AbsenceReason, Bye, CpAction, CpId, CpStats, DeviceId, LeaveNotice, Probe, Reply, ReplyBody,

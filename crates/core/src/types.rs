@@ -154,9 +154,10 @@ pub enum AbsenceReason {
 /// A terminal absence verdict: when it was reached and why.
 ///
 /// Every [`crate::Prober`] records its verdict internally the moment it
-/// emits [`CpAction::DeviceAbsent`], so drivers (the simulator's CP actor,
-/// the wall-clock hosts, the sim/runtime conformance harness) can read the
-/// outcome directly from the machine instead of scraping the action stream.
+/// emits [`CpAction::DeviceAbsent`], so its drivers (the simulator's CP
+/// actor, which is also the conformance oracle, and the wall-clock UDP
+/// host) read the outcome from the machine instead of scraping the action
+/// stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Verdict {
     /// When the verdict was reached (protocol time).
@@ -182,9 +183,47 @@ pub struct CpStats {
     pub retransmissions: u64,
 }
 
+/// Field-wise sum: how a driver folds one session's statistics into a
+/// running total.
+impl std::ops::AddAssign<&CpStats> for CpStats {
+    fn add_assign(&mut self, other: &CpStats) {
+        self.probes_sent += other.probes_sent;
+        self.cycles_started += other.cycles_started;
+        self.cycles_succeeded += other.cycles_succeeded;
+        self.cycles_failed += other.cycles_failed;
+        self.stale_replies += other.stale_replies;
+        self.retransmissions += other.retransmissions;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cp_stats_add_assign_is_field_wise_with_default_identity() {
+        let a = CpStats {
+            probes_sent: 1,
+            cycles_started: 2,
+            cycles_succeeded: 3,
+            cycles_failed: 4,
+            stale_replies: 5,
+            retransmissions: 6,
+        };
+        let mut sum = CpStats::default();
+        sum += &a;
+        assert_eq!(sum, a, "Default is the identity");
+        sum += &a;
+        let doubled = CpStats {
+            probes_sent: 2,
+            cycles_started: 4,
+            cycles_succeeded: 6,
+            cycles_failed: 8,
+            stale_replies: 10,
+            retransmissions: 12,
+        };
+        assert_eq!(sum, doubled);
+    }
 
     #[test]
     fn display_formats() {

@@ -9,9 +9,12 @@
 //!   over worker threads, one socket and one [`TimerWheel`] per shard;
 //!   a single shard is the small case, not a separate code path;
 //! * [`Clock`] — wall-clock ([`SystemClock`]) or hand-cranked
-//!   ([`ManualClock`]) time sources;
-//! * [`conformance`] — the DES-as-oracle harness the host is pinned
-//!   against.
+//!   ([`ManualClock`]) time sources.
+//!
+//! The crate is the host and nothing else: it takes only
+//! `SimTime`/`SimDuration` from `presence-des`. The harness that pins it
+//! against the simulator as oracle needs both sides, so it lives above
+//! both, in `presence-bench` (`crates/bench/src/conformance.rs`).
 //!
 //! Because simulation and deployment share one protocol implementation,
 //! the behaviours measured in `presence-sim`'s experiments are the
@@ -19,14 +22,14 @@
 //! MODEST-based methodology argues for ("a trustworthy analysis chain").
 //!
 //! ```
-//! use presence_core::{CpId, DcppConfig, DcppCp, DeviceId};
+//! use presence_core::{CpId, DcppConfig, DcppCp, DeviceId, DeviceMachine};
 //! use presence_des::SimTime;
-//! use presence_runtime::{DeviceHost, HostConfig, ShardedHost, SystemClock};
+//! use presence_runtime::{HostConfig, ShardedHost, SystemClock};
 //! use std::sync::Arc;
 //!
 //! // One shard serves a device and the control point probing it.
 //! let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-//! host.add_device(DeviceHost::dcpp_paper(DeviceId(0)), None);
+//! host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
 //! let device_addr = host.addr_of(DeviceId(0));
 //! host.add_prober(
 //!     Box::new(DcppCp::new(CpId(0), DcppConfig::paper_default())),
@@ -49,16 +52,16 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod conformance;
 
 mod clock;
-mod host;
 mod shard;
 mod stats;
 mod wheel;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use host::{DeviceHost, StopFlag};
+/// `presence_core::DeviceMachine` under the name `benchmark/` imports;
+/// goes in the `benchmark`-archetype PR that retires `TimerWheel`.
+pub use presence_core::DeviceMachine as DeviceHost;
 pub use shard::{
     shards_from_env, DeviceReport, HostConfig, HostHandle, HostReport, ProberReport, ShardedHost,
 };

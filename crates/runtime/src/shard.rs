@@ -29,18 +29,22 @@
 
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
-use crate::host::{DeviceHost, StopFlag};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
 use crate::wheel::TimerWheel;
-use presence_core::{CpAction, CpId, CpStats, DeviceId, Prober, TimerToken, Verdict, WireMessage};
+use presence_core::{
+    CpAction, CpId, CpStats, DeviceId, DeviceMachine, Prober, TimerToken, Verdict, WireMessage,
+};
 use presence_des::SimTime;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// Maximum datagrams drained from the socket per loop iteration.
+const RECV_BATCH: usize = 64;
 
 /// Configuration of a [`ShardedHost`].
 #[derive(Debug, Clone)]
@@ -51,26 +55,12 @@ pub struct HostConfig {
     /// Bind address for every shard socket (use port `0` to let the OS
     /// pick distinct ports).
     pub bind: String,
-    /// Maximum datagrams drained from the socket per loop iteration.
-    pub recv_batch: usize,
     /// Sleep when an iteration finds no work. Bounds both timer-firing
     /// latency and stop-flag reaction time.
     pub poll_interval: Duration,
 }
 
 impl HostConfig {
-    /// Loopback defaults: shard count from the `RUNTIME_SHARDS`
-    /// environment variable (see [`shards_from_env`]), OS-assigned ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `RUNTIME_SHARDS` is set to anything but a positive
-    /// integer.
-    #[must_use]
-    pub fn default_loopback() -> Self {
-        Self::loopback(shards_from_env())
-    }
-
     /// Loopback defaults with an explicit shard count (at least 1); the
     /// environment is never consulted.
     #[must_use]
@@ -78,7 +68,6 @@ impl HostConfig {
         Self {
             shards: shards.max(1),
             bind: "127.0.0.1:0".to_string(),
-            recv_batch: 64,
             poll_interval: Duration::from_millis(1),
         }
     }
@@ -124,7 +113,7 @@ enum WheelKey {
 }
 
 struct DeviceSlot {
-    host: DeviceHost,
+    host: DeviceMachine,
     /// A silenced device models departure: probes to it are dropped.
     silenced: bool,
 }
@@ -139,7 +128,7 @@ struct ProberSlot {
 }
 
 /// Final state of one hosted prober.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProberReport {
     /// The prober's identity.
     pub cp: CpId,
@@ -178,7 +167,6 @@ struct Shard {
     devices: HashMap<u32, DeviceSlot>,
     probers: HashMap<u32, ProberSlot>,
     wheel: TimerWheel<WheelKey>,
-    recv_batch: usize,
     poll_interval: Duration,
 }
 
@@ -317,42 +305,35 @@ impl Shard {
                     }
                 }
             }
-            Datagram::Direct(WireMessage::Bye(bye))
-            | Datagram::Addressed(_, WireMessage::Bye(bye)) => {
+            Datagram::Direct(msg) | Datagram::Addressed(_, msg) => {
+                // A device's own Bye and a peer's leave notice both reach
+                // every hosted prober watching the named device.
+                let (device, is_bye) = match msg {
+                    WireMessage::Bye(bye) => (bye.device, true),
+                    WireMessage::LeaveNotice(notice) => (notice.device, false),
+                    // A bare probe has no target on a shared socket; an
+                    // addressed reply makes no sense either.
+                    WireMessage::Probe(_) | WireMessage::Reply(_) => {
+                        self.counters.unroutable.fetch_add(1, Ordering::Release);
+                        return;
+                    }
+                };
                 let watching: Vec<u32> = self
                     .probers
                     .iter()
-                    .filter(|(_, s)| s.target == bye.device && s.started && !s.prober.is_stopped())
+                    .filter(|(_, s)| s.target == device && s.started && !s.prober.is_stopped())
                     .map(|(&cp, _)| cp)
                     .collect();
                 for cp in watching {
                     if let Some(slot) = self.probers.get_mut(&cp) {
-                        slot.prober.on_bye(now, actions);
+                        if is_bye {
+                            slot.prober.on_bye(now, actions);
+                        } else {
+                            slot.prober.on_leave_notice(now, actions);
+                        }
                     }
                     self.execute(cp, now, actions, sends);
                 }
-            }
-            Datagram::Direct(WireMessage::LeaveNotice(notice))
-            | Datagram::Addressed(_, WireMessage::LeaveNotice(notice)) => {
-                let watching: Vec<u32> = self
-                    .probers
-                    .iter()
-                    .filter(|(_, s)| {
-                        s.target == notice.device && s.started && !s.prober.is_stopped()
-                    })
-                    .map(|(&cp, _)| cp)
-                    .collect();
-                for cp in watching {
-                    if let Some(slot) = self.probers.get_mut(&cp) {
-                        slot.prober.on_leave_notice(now, actions);
-                    }
-                    self.execute(cp, now, actions, sends);
-                }
-            }
-            // A bare probe has no target on a shared socket; an addressed
-            // reply makes no sense either.
-            Datagram::Direct(WireMessage::Probe(_)) | Datagram::Addressed(_, _) => {
-                self.counters.unroutable.fetch_add(1, Ordering::Release);
             }
         }
     }
@@ -375,17 +356,17 @@ impl Shard {
     fn run(
         mut self,
         clock: Arc<dyn Clock>,
-        stop: StopFlag,
+        stop: Arc<AtomicBool>,
     ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
         let mut buf = [0u8; MAX_DATAGRAM];
         let mut sends: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
         let mut actions: Vec<CpAction> = Vec::new();
-        while !stop.is_stopped() {
+        while !stop.load(Ordering::SeqCst) {
             let mut work = 0u64;
             let now = clock.now();
             work += self.fire_due(now, &mut actions, &mut sends);
 
-            for _ in 0..self.recv_batch {
+            for _ in 0..RECV_BATCH {
                 match self.socket.recv_from(&mut buf) {
                     Ok((n, from)) => {
                         work += 1;
@@ -398,7 +379,10 @@ impl Shard {
                     {
                         break;
                     }
-                    Err(_) => break,
+                    Err(_) => {
+                        self.counters.recv_errors.fetch_add(1, Ordering::Release);
+                        break;
+                    }
                 }
             }
 
@@ -467,7 +451,6 @@ impl ShardedHost {
                 devices: HashMap::new(),
                 probers: HashMap::new(),
                 wheel: TimerWheel::new(),
-                recv_batch: config.recv_batch.max(1),
                 poll_interval: config.poll_interval,
             });
         }
@@ -488,7 +471,7 @@ impl ShardedHost {
 
     /// Adds a device machine, optionally scheduling the instant it goes
     /// silent (models departure without deregistration).
-    pub fn add_device(&mut self, host: DeviceHost, silence_at: Option<SimTime>) {
+    pub fn add_device(&mut self, host: DeviceMachine, silence_at: Option<SimTime>) {
         let id = host.id();
         let idx = self.shard_of_device(id);
         let shard = &mut self.shards[idx];
@@ -545,7 +528,7 @@ impl ShardedHost {
     /// [`HostHandle::stop`].
     #[must_use]
     pub fn start(mut self, clock: Arc<dyn Clock>) -> HostHandle {
-        let stop = StopFlag::new();
+        let stop = Arc::new(AtomicBool::new(false));
         // Publish each shard's seeded deadline BEFORE its thread exists,
         // so a controller sampling immediately after `start` never sees
         // an empty wheel that is about to become non-empty.
@@ -558,7 +541,7 @@ impl ShardedHost {
             .enumerate()
             .map(|(i, shard)| {
                 let clock = Arc::clone(&clock);
-                let stop = stop.clone();
+                let stop = Arc::clone(&stop);
                 thread::Builder::new()
                     .name(format!("presence-shard-{i}"))
                     .spawn(move || shard.run(clock, stop))
@@ -580,7 +563,8 @@ pub struct HostHandle {
     threads: Vec<JoinHandle<(Vec<ProberReport>, Vec<DeviceReport>)>>,
     counters: Vec<Arc<ShardCounters>>,
     addrs: Vec<SocketAddr>,
-    stop: StopFlag,
+    /// Cooperative shutdown flag every shard loop polls.
+    stop: Arc<AtomicBool>,
 }
 
 impl HostHandle {
@@ -626,7 +610,7 @@ impl HostHandle {
 
     /// Requests shutdown (idempotent).
     pub fn stop(&self) {
-        self.stop.stop();
+        self.stop.store(true, Ordering::SeqCst);
     }
 
     /// Stops the host and collects the final report.
@@ -637,7 +621,7 @@ impl HostHandle {
     /// panicked, after every shard has been joined.
     #[must_use]
     pub fn join(self) -> HostReport {
-        self.stop.stop();
+        self.stop();
         let mut probers = Vec::new();
         let mut devices = Vec::new();
         // Every shard is joined even after one panicked; the first panic
@@ -710,8 +694,8 @@ mod tests {
 
     #[test]
     fn explicit_shard_count_never_consults_the_environment() {
-        // `loopback(n)` is a literal: were it built from
-        // `default_loopback()`, this test would panic like
+        // `loopback(n)` is a literal: were it to read
+        // `shards_from_env()`, this test would panic like
         // `parse_shards_rejects_garbage` when the suite runs under
         // `RUNTIME_SHARDS=four`.
         assert_eq!(HostConfig::loopback(3).shards, 3);
@@ -729,7 +713,7 @@ mod tests {
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let mut devices = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
         for d in 0..8u32 {
-            devices.add_device(DeviceHost::Dcpp(DcppDevice::new(DeviceId(d), cfg)), None);
+            devices.add_device(DeviceMachine::Dcpp(DcppDevice::new(DeviceId(d), cfg)), None);
         }
         let mut cps = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
         for d in 0..8u32 {
@@ -779,7 +763,7 @@ mod tests {
         let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
         // Silent from the very start.
         devices.add_device(
-            DeviceHost::Dcpp(DcppDevice::new(DeviceId(0), cfg)),
+            DeviceMachine::Dcpp(DcppDevice::new(DeviceId(0), cfg)),
             Some(SimTime::ZERO),
         );
         let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
@@ -828,7 +812,7 @@ mod tests {
         // A device must answer exactly what it is sent, to whoever sent
         // it, with no wall-clock cycle-count assumptions.
         let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        host.add_device(DeviceHost::dcpp_paper(DeviceId(0)), None);
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
         let addr = host.addr_of(DeviceId(0));
         let handle = host.start(Arc::new(SystemClock::new()));
 
@@ -968,7 +952,7 @@ mod tests {
     fn unroutable_and_garbage_datagrams_are_counted() {
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        host.add_device(DeviceHost::dcpp_paper(DeviceId(0)), None);
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
         let addr = host.addr_of(DeviceId(0));
         let handle = host.start(clock);
 

@@ -28,6 +28,9 @@ pub struct ShardCounters {
     pub datagrams_sent: AtomicU64,
     /// Datagrams that failed to decode (garbage, truncation).
     pub decode_errors: AtomicU64,
+    /// Socket receive calls that failed with anything but "no datagram
+    /// waiting".
+    pub recv_errors: AtomicU64,
     /// Decoded datagrams with no hosted device or prober to route to.
     pub unroutable: AtomicU64,
     /// Datagrams addressed to a device that has gone silent (departed).
@@ -60,6 +63,7 @@ impl ShardCounters {
         self.datagrams_received.load(Ordering::Acquire)
             + self.datagrams_sent.load(Ordering::Acquire)
             + self.decode_errors.load(Ordering::Acquire)
+            + self.recv_errors.load(Ordering::Acquire)
             + self.unroutable.load(Ordering::Acquire)
             + self.dropped_departed.load(Ordering::Acquire)
             + self.dropped_sendpressure.load(Ordering::Acquire)
@@ -73,6 +77,7 @@ impl ShardCounters {
             datagrams_received: self.datagrams_received.load(Ordering::Acquire),
             datagrams_sent: self.datagrams_sent.load(Ordering::Acquire),
             decode_errors: self.decode_errors.load(Ordering::Acquire),
+            recv_errors: self.recv_errors.load(Ordering::Acquire),
             unroutable: self.unroutable.load(Ordering::Acquire),
             dropped_departed: self.dropped_departed.load(Ordering::Acquire),
             dropped_sendpressure: self.dropped_sendpressure.load(Ordering::Acquire),
@@ -91,6 +96,8 @@ pub struct ShardStats {
     pub datagrams_sent: u64,
     /// Datagrams that failed to decode.
     pub decode_errors: u64,
+    /// Failed socket receive calls (other than "no datagram waiting").
+    pub recv_errors: u64,
     /// Decoded datagrams with no hosted device or prober.
     pub unroutable: u64,
     /// Datagrams addressed to a departed (silenced) device.
@@ -116,6 +123,7 @@ impl ShardStats {
             datagrams_received: self.datagrams_received + other.datagrams_received,
             datagrams_sent: self.datagrams_sent + other.datagrams_sent,
             decode_errors: self.decode_errors + other.decode_errors,
+            recv_errors: self.recv_errors + other.recv_errors,
             unroutable: self.unroutable + other.unroutable,
             dropped_departed: self.dropped_departed + other.dropped_departed,
             dropped_sendpressure: self.dropped_sendpressure + other.dropped_sendpressure,
@@ -146,15 +154,18 @@ mod tests {
         let c = ShardCounters::new();
         c.datagrams_sent.fetch_add(4, Ordering::Release);
         c.unroutable.fetch_add(1, Ordering::Release);
+        c.recv_errors.fetch_add(2, Ordering::Release);
         let a = c.snapshot();
         let b = ShardStats {
             datagrams_sent: 1,
+            recv_errors: 1,
             dropped_sendpressure: 2,
             ..ShardStats::default()
         };
         let m = a.merged(b);
         assert_eq!(m.datagrams_sent, 5);
         assert_eq!(m.unroutable, 1);
+        assert_eq!(m.recv_errors, 3);
         assert_eq!(m.dropped(), 2);
     }
 }

@@ -9,7 +9,7 @@ use crate::trace::CpTrace;
 use presence_core::{
     CpAction, CpId, CpStats, DcppConfig, DcppCp, Disseminator, FixedRateCp, LeaveNotice,
     NoticeDisposition, OverlayView, ProbeCycleConfig, Prober, Reply, ReplyBody, SappConfig, SappCp,
-    TimerToken, WireMessage,
+    TimerToken, Verdict, WireMessage,
 };
 use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime, TimerSlots};
 use presence_stats::{TimeSeries, Welford};
@@ -26,7 +26,9 @@ pub enum ProberFactory {
 }
 
 impl ProberFactory {
-    fn build(&self, id: CpId) -> Box<dyn Prober + Send> {
+    /// A fresh prober machine for CP `id`.
+    #[must_use]
+    pub fn build(&self, id: CpId) -> Box<dyn Prober + Send> {
         match self {
             ProberFactory::Sapp(cfg) => Box::new(SappCp::new(id, *cfg)),
             ProberFactory::Dcpp(cfg) => Box::new(DcppCp::new(id, *cfg)),
@@ -178,15 +180,16 @@ impl CpActor {
     pub fn record_snapshot(&self) -> CpRecord {
         let mut rec = self.record.clone();
         if let Some(p) = &self.prober {
-            let s = p.stats();
-            rec.stats.probes_sent += s.probes_sent;
-            rec.stats.cycles_started += s.cycles_started;
-            rec.stats.cycles_succeeded += s.cycles_succeeded;
-            rec.stats.cycles_failed += s.cycles_failed;
-            rec.stats.stale_replies += s.stale_replies;
-            rec.stats.retransmissions += s.retransmissions;
+            rec.stats += p.stats();
         }
         rec
+    }
+
+    /// The live prober's terminal verdict, reason included ([`CpRecord`]
+    /// keeps only the instant). `None` while the CP is offline.
+    #[must_use]
+    pub fn verdict(&self) -> Option<Verdict> {
+        self.prober.as_ref().and_then(|p| p.verdict())
     }
 
     /// The overlay view (peers learned from replies).
@@ -197,13 +200,7 @@ impl CpActor {
 
     fn accumulate_session_stats(&mut self) {
         if let Some(p) = &self.prober {
-            let s = p.stats();
-            self.record.stats.probes_sent += s.probes_sent;
-            self.record.stats.cycles_started += s.cycles_started;
-            self.record.stats.cycles_succeeded += s.cycles_succeeded;
-            self.record.stats.cycles_failed += s.cycles_failed;
-            self.record.stats.stale_replies += s.stale_replies;
-            self.record.stats.retransmissions += s.retransmissions;
+            self.record.stats += p.stats();
         }
     }
 

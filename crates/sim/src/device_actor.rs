@@ -5,9 +5,7 @@
 use crate::event::{Addr, SimEvent};
 use crate::recorder::RecorderMode;
 use crate::trace::DeviceTrace;
-use presence_core::{
-    AutoTuner, Bye, DcppDevice, DeviceId, Probe, Reply, SappDevice, TuneDecision, WireMessage,
-};
+use presence_core::{AutoTuner, Bye, DeviceMachine, TuneDecision, WireMessage};
 use presence_des::{Actor, ActorId, Context, SimDuration, SimTime, StreamRng, TimerSlots};
 use presence_stats::{JumpingWindowRate, TimeSeries, Welford};
 
@@ -46,42 +44,6 @@ impl ProcessingModel {
             SimDuration::from_nanos(
                 rng.uniform(self.min.as_nanos() as f64, self.max.as_nanos() as f64) as u64,
             )
-        }
-    }
-}
-
-/// The concrete device state machine a [`DeviceActor`] hosts.
-#[derive(Debug, Clone)]
-pub enum DeviceMachine {
-    /// A self-adaptive-protocol device.
-    Sapp(SappDevice),
-    /// A device-controlled-protocol device.
-    Dcpp(DcppDevice),
-}
-
-impl DeviceMachine {
-    fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
-        match self {
-            DeviceMachine::Sapp(d) => d.on_probe(now, probe),
-            DeviceMachine::Dcpp(d) => d.on_probe(now, probe),
-        }
-    }
-
-    /// The device identity.
-    #[must_use]
-    pub fn id(&self) -> DeviceId {
-        match self {
-            DeviceMachine::Sapp(d) => d.id(),
-            DeviceMachine::Dcpp(d) => d.id(),
-        }
-    }
-
-    /// Total probes answered.
-    #[must_use]
-    pub fn probes_received(&self) -> u64 {
-        match self {
-            DeviceMachine::Sapp(d) => d.probes_received(),
-            DeviceMachine::Dcpp(d) => d.probes_received(),
         }
     }
 }
@@ -240,12 +202,6 @@ impl DeviceActor {
     #[must_use]
     pub fn probes_received(&self) -> u64 {
         self.machine.probes_received()
-    }
-
-    /// The hosted state machine (for protocol-specific inspection).
-    #[must_use]
-    pub fn machine(&self) -> &DeviceMachine {
-        &self.machine
     }
 
     /// Flushes load windows up to `now` and returns the full series of

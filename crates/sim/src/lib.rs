@@ -55,7 +55,7 @@ pub mod trace;
 pub use actor_set::{CollectorActor, PresenceActorSet, PresenceSim};
 pub use churn::{ChurnActor, ChurnModel};
 pub use cp_actor::{CpActor, CpRecord, ProberFactory};
-pub use device_actor::{DeviceActor, DeviceMachine, ProcessingModel};
+pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{
     builtin_catalog, run_lab, run_spec_once, slice_result, ChurnPhase, DelayPhase, LabReport,

@@ -928,13 +928,7 @@ mod tests {
             let device_probes = devs.iter().map(DcppDevice::probes_received).sum();
             let mut stats = CpStats::default();
             for cp in &cps {
-                let s = cp.stats();
-                stats.probes_sent += s.probes_sent;
-                stats.cycles_started += s.cycles_started;
-                stats.cycles_succeeded += s.cycles_succeeded;
-                stats.cycles_failed += s.cycles_failed;
-                stats.stale_replies += s.stale_replies;
-                stats.retransmissions += s.retransmissions;
+                stats += cp.stats();
             }
             (completions, device_probes, stats)
         }

@@ -9,7 +9,7 @@
 use crate::actor_set::PresenceSim;
 use crate::churn::{ChurnActor, ChurnModel};
 use crate::cp_actor::{CpActor, ProberFactory};
-use crate::device_actor::{DeviceActor, DeviceMachine, ProcessingModel};
+use crate::device_actor::{DeviceActor, ProcessingModel};
 use crate::event::{Addr, SimEvent};
 use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::{NetworkActor, PlaneTopology};
@@ -17,8 +17,8 @@ use crate::recorder::RecorderMode;
 use crate::region::{plan_partitioned, RegionPartition, RegionPlan};
 use crate::trace::TraceCapture;
 use presence_core::{
-    AutoTuneConfig, AutoTuner, CpId, DcppConfig, DcppDevice, DeviceId, ProbeCycleConfig,
-    SappConfig, SappDevice, SappDeviceConfig,
+    AutoTuneConfig, AutoTuner, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine,
+    ProbeCycleConfig, SappConfig, SappDevice, SappDeviceConfig,
 };
 use presence_des::{ActorId, QueueProfile, SimDuration, SimTime, WindowPolicy};
 use presence_net::{
@@ -380,9 +380,7 @@ impl Scenario {
             Protocol::Dcpp { cfg: c } => DeviceMachine::Dcpp(DcppDevice::new(device_id, c)),
             // The fixed-rate baseline probes a DCPP device (any responder
             // works; the baseline ignores reply payloads).
-            Protocol::FixedRate { .. } => {
-                DeviceMachine::Dcpp(DcppDevice::new(device_id, DcppConfig::paper_default()))
-            }
+            Protocol::FixedRate { .. } => DeviceMachine::dcpp_paper(device_id),
         };
         let processing = ProcessingModel {
             min: SimDuration::from_secs_f64(cfg.processing.0),

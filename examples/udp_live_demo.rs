@@ -9,9 +9,9 @@
 //! cargo run --example udp_live_demo
 //! ```
 
-use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId};
+use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine};
 use presence::des::{SimDuration, SimTime};
-use presence::runtime::{Clock, DeviceHost, HostConfig, ShardedHost, SystemClock};
+use presence::runtime::{Clock, HostConfig, ShardedHost, SystemClock};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -27,7 +27,7 @@ fn main() {
     let device_id = DeviceId(0);
 
     let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind device socket");
-    devices.add_device(DeviceHost::Dcpp(DcppDevice::new(device_id, cfg)), None);
+    devices.add_device(DeviceMachine::Dcpp(DcppDevice::new(device_id, cfg)), None);
     let device_addr = devices.addr_of(device_id);
     println!("device listening on {device_addr} (DCPP, L_nom = 100/s, f_max = 20/s)");
 

@@ -38,7 +38,8 @@
 //! See `examples/` for runnable scenarios (including a live UDP demo) and
 //! `crates/bench/src/bin/` for the binaries that regenerate every figure
 //! and in-text number of the paper's evaluation. `EXPERIMENTS.md` records
-//! paper-vs-measured for each.
+//! paper-vs-measured for each. `crates/bench/src/conformance.rs` is the
+//! harness that pins the UDP host against the simulator as oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

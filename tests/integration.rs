@@ -2,9 +2,9 @@
 //! can check alone — protocol machines under the full simulator, simulator
 //! vs wall-clock runtime agreement, and the overlay dissemination path.
 
-use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId};
+use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine};
 use presence::des::{SimDuration, SimTime};
-use presence::runtime::{DeviceHost, HostConfig, ShardedHost, SystemClock};
+use presence::runtime::{HostConfig, ShardedHost, SystemClock};
 use presence::sim::test_profile::horizon;
 use presence::sim::{ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
 use std::sync::Arc;
@@ -52,7 +52,7 @@ fn simulator_and_runtime_agree_on_dcpp_cadence() {
 
     // One shard hosts both machines; the probes still cross its socket.
     let mut host = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind host");
-    host.add_device(DeviceHost::Dcpp(DcppDevice::new(DeviceId(0), cfg)), None);
+    host.add_device(DeviceMachine::Dcpp(DcppDevice::new(DeviceId(0), cfg)), None);
     let device_addr = host.addr_of(DeviceId(0));
     host.add_prober(
         Box::new(DcppCp::new(CpId(0), cfg)),

@@ -4,13 +4,11 @@
 //! [`ShardedHost`], so every probe and reply crosses a socket pair.
 
 use presence::core::{
-    CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, ProbeCycleConfig, Prober, SappConfig, SappCp,
-    SappDevice, SappDeviceConfig,
+    CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine, ProbeCycleConfig, Prober,
+    SappConfig, SappCp, SappDevice, SappDeviceConfig,
 };
 use presence::des::{SimDuration, SimTime};
-use presence::runtime::{
-    Clock, DeviceHost, HostConfig, HostHandle, HostReport, ShardedHost, SystemClock,
-};
+use presence::runtime::{Clock, HostConfig, HostHandle, HostReport, ShardedHost, SystemClock};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -19,7 +17,7 @@ const DEVICE: DeviceId = DeviceId(0);
 
 /// Binds `device` on one one-shard host and `probers` (all watching it)
 /// on another; returns `(device host, prober host)`.
-fn bind(device: DeviceHost, probers: Vec<Box<dyn Prober + Send>>) -> (ShardedHost, ShardedHost) {
+fn bind(device: DeviceMachine, probers: Vec<Box<dyn Prober + Send>>) -> (ShardedHost, ShardedHost) {
     let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind device host");
     devices.add_device(device, None);
     let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).expect("bind cp host");
@@ -51,7 +49,7 @@ fn dcpp_over_udp_many_cps() {
     cfg.d_min = SimDuration::from_millis(40);
 
     let (device, cps) = start(bind(
-        DeviceHost::Dcpp(DcppDevice::new(DEVICE, cfg)),
+        DeviceMachine::Dcpp(DcppDevice::new(DEVICE, cfg)),
         (0..5u32)
             .map(|i| Box::new(DcppCp::new(CpId(i), cfg)) as Box<dyn Prober + Send>)
             .collect(),
@@ -86,7 +84,7 @@ fn sapp_over_udp_adapts_and_detects_crash() {
     let dev_cfg = SappDeviceConfig::paper_default();
 
     let (device, cp) = start(bind(
-        DeviceHost::Sapp(SappDevice::new(DEVICE, dev_cfg)),
+        DeviceMachine::Sapp(SappDevice::new(DEVICE, dev_cfg)),
         vec![Box::new(SappCp::new(CpId(0), cp_cfg))],
     ));
 
@@ -122,7 +120,7 @@ fn udp_cp_survives_garbage_datagrams() {
     cfg.cycle = ProbeCycleConfig::paper_default();
 
     let hosts = bind(
-        DeviceHost::Dcpp(DcppDevice::new(DEVICE, cfg)),
+        DeviceMachine::Dcpp(DcppDevice::new(DEVICE, cfg)),
         vec![Box::new(DcppCp::new(CpId(0), cfg))],
     );
     let cp_local = hosts.1.local_addrs()[0];
