@@ -95,8 +95,8 @@ test_nonempty --release -q --test golden_equivalence
 # single-socket path and the cross-shard routing/demux paths are proven.
 # Then the stress gate: the sharded host must sustain 10k devices + 10k
 # probers on the wall clock with zero backpressure drops, zero decode
-# errors, zero receive errors, zero unroutable datagrams, and zero false
-# verdicts.
+# errors, zero receive or send errors, zero unroutable datagrams, and zero
+# false verdicts.
 echo "==> conformance: sim oracle vs UDP runtime at RUNTIME_SHARDS=1 and =4"
 RUNTIME_SHARDS=1 cargo test --release -q -p presence-bench --test conformance
 RUNTIME_SHARDS=4 cargo test --release -q -p presence-bench --test conformance
@@ -104,6 +104,13 @@ RUNTIME_SHARDS=1 cargo run --release -q -p presence-bench --bin conformance
 RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance
 echo "==> conformance stress: 10k devices on loopback, zero-drop gate (RUNTIME_SHARDS=4)"
 RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance -- --stress 10000
+# The stress line gates the shard loop's busy path (batching); this one
+# gates its idle path: with no CP, and with five CPs at the paper's own
+# 10 probes/s, a shard must block rather than poll (loop-iteration
+# budgets), still fire every timer and answer every probe, and `join`
+# must not wait for a blocked shard.
+echo "==> conformance idle: blocked shards at 0 and 10 probes/s, wake budgets"
+cargo run --release -q -p presence-bench --bin conformance -- --idle
 
 # Mega-scale smoke: the 100k-device calendar-queue + streaming-recorder
 # configuration (mega-ci) must finish with sane physics (wait mean at the

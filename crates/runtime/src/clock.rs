@@ -7,12 +7,22 @@
 
 use presence_des::SimTime;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A source of protocol time.
 pub trait Clock: Send + Sync {
     /// Nanoseconds since this runtime's epoch.
     fn now(&self) -> SimTime;
+
+    /// How long, on the wall, until this clock reads `deadline` (zero once
+    /// it has) — or `None` when the clock does not move with the wall
+    /// (hand-cranked, stepped per read) and only polling can tell. The
+    /// shard loop blocks an idle thread for this long; the default reads
+    /// nothing, so a clock that leaves it alone is polled exactly as often
+    /// as it always was.
+    fn wall_until(&self, _deadline: SimTime) -> Option<Duration> {
+        None
+    }
 }
 
 /// The real wall clock, anchored at construction.
@@ -41,6 +51,11 @@ impl Clock for SystemClock {
     fn now(&self) -> SimTime {
         let elapsed = self.origin.elapsed();
         SimTime::from_nanos(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX))
+    }
+
+    fn wall_until(&self, deadline: SimTime) -> Option<Duration> {
+        let left = deadline.saturating_since(self.now());
+        Some(Duration::from_nanos(left.as_nanos()))
     }
 }
 
@@ -91,6 +106,17 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn only_the_system_clock_knows_the_wall_distance_to_a_deadline() {
+        let c = SystemClock::new();
+        assert_eq!(c.wall_until(SimTime::ZERO), Some(Duration::ZERO));
+        let far = c.now() + presence_des::SimDuration::from_secs(60);
+        let left = c.wall_until(far).expect("wall clock");
+        assert!(left > Duration::from_secs(59) && left <= Duration::from_secs(60));
+        assert!(c.wall_until(SimTime::MAX).expect("wall clock") > Duration::from_secs(60));
+        assert_eq!(ManualClock::new().wall_until(far), None);
     }
 
     #[test]

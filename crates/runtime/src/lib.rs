@@ -9,7 +9,14 @@
 //!   over worker threads, one socket and one [`TimerWheel`] per shard;
 //!   a single shard is the small case, not a separate code path;
 //! * [`Clock`] — wall-clock ([`SystemClock`]) or hand-cranked
-//!   ([`ManualClock`]) time sources.
+//!   ([`ManualClock`]) time sources; [`Clock::wall_until`] is how an idle
+//!   shard learns how long it may block.
+//!
+//! The crate is safe Rust except for one private module, `wait`: an idle
+//! shard blocks in `ppoll(2)` until its socket is readable or its next
+//! timer is due, and std offers no such wait — it has no poll, and its
+//! only timed receive (`set_read_timeout`, i.e. `SO_RCVTIMEO`) is rounded
+//! to scheduler ticks, 8 ms for a 1 ms timeout at HZ = 250. Linux only.
 //!
 //! The crate is the host and nothing else: it takes only
 //! `SimTime`/`SimDuration` from `presence-des`. The harness that pins it
@@ -48,7 +55,8 @@
 //! assert!(report.devices[0].probes_received >= 1);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: exactly one module, `wait`, allows `unsafe`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -56,6 +64,7 @@ pub mod codec;
 mod clock;
 mod shard;
 mod stats;
+mod wait;
 mod wheel;
 
 pub use clock::{Clock, ManualClock, SystemClock};

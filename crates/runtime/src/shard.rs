@@ -8,8 +8,21 @@
 //! contention), a [`TimerWheel`] keyed by `(machine, token)`, and a batch
 //! buffer: per loop iteration it fires every due timer, drains up to a
 //! batch of datagrams non-blockingly, routes each through the
-//! [`codec`](crate::codec), flushes queued sends, republishes its earliest
-//! deadline, and only sleeps when a full iteration found no work.
+//! [`codec`](crate::codec), flushes queued sends and republishes its
+//! earliest deadline.
+//!
+//! What an iteration that found no work does next is the loop's one idle
+//! rule. A wake-up costs tens of microseconds of CPU where a datagram
+//! costs a few, so under load the shard must not wake per datagram: right
+//! after work it sleeps one `poll_interval` — deaf to the socket, so the
+//! next batch gathers — and a second one if that window stayed empty.
+//! Only after two consecutive empty windows is the shard idle rather than
+//! between batches, and then it blocks (`wait::wait_readable`) until a
+//! datagram arrives or the wheel's next deadline is due on the wall
+//! ([`Clock::wall_until`]), re-checking the stop flag every
+//! `MAX_BLOCK`. A clock that cannot say how far away a deadline is (the
+//! lockstep `ManualClock`) is polled every `poll_interval` as before, the
+//! wait merely ending early on a datagram.
 //!
 //! Routing on a shared socket:
 //!
@@ -30,6 +43,7 @@
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
+use crate::wait::wait_readable;
 use crate::wheel::TimerWheel;
 use presence_core::{
     CpAction, CpId, CpStats, DeviceId, DeviceMachine, Prober, TimerToken, Verdict, WireMessage,
@@ -46,6 +60,16 @@ use std::time::Duration;
 /// Maximum datagrams drained from the socket per loop iteration.
 const RECV_BATCH: usize = 64;
 
+/// Consecutive `poll_interval` windows that must gather nothing before a
+/// shard blocks. One is not enough: a fleet whose bursts arrive a little
+/// further apart than the window sees an empty window between bursts by
+/// accident of phase, and blocking on it adds a wake-up per burst.
+const EMPTY_WINDOWS_BEFORE_BLOCK: u32 = 2;
+
+/// Longest single block of an idle shard: how stale its view of the stop
+/// flag can get.
+const MAX_BLOCK: Duration = Duration::from_millis(20);
+
 /// Configuration of a [`ShardedHost`].
 #[derive(Debug, Clone)]
 pub struct HostConfig {
@@ -55,8 +79,11 @@ pub struct HostConfig {
     /// Bind address for every shard socket (use port `0` to let the OS
     /// pick distinct ports).
     pub bind: String,
-    /// Sleep when an iteration finds no work. Bounds both timer-firing
-    /// latency and stop-flag reaction time.
+    /// The coalescing window: how long a shard that has just done work
+    /// sleeps, deaf to its socket, so that the next batch gathers (an idle
+    /// shard blocks until a datagram or a due timer instead). Also the
+    /// polling period under a [`Clock`] without
+    /// [`wall_until`](Clock::wall_until).
     pub poll_interval: Duration,
 }
 
@@ -99,6 +126,12 @@ fn parse_shards(var: Option<&str>) -> usize {
             .map(|n| n.get().min(4))
             .unwrap_or(1),
     }
+}
+
+/// The shard serving `device` on a host of `shards` shards: where
+/// [`ShardedHost::add_device`] puts it and where both `addr_of`s look.
+fn shard_of_device(device: DeviceId, shards: usize) -> usize {
+    device.0 as usize % shards
 }
 
 /// Timer-wheel key for one shard: which machine, which timer.
@@ -344,10 +377,13 @@ impl Shard {
                 Ok(_) => {
                     self.counters.datagrams_sent.fetch_add(1, Ordering::Release);
                 }
-                Err(_) => {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.counters
                         .dropped_sendpressure
                         .fetch_add(1, Ordering::Release);
+                }
+                Err(_) => {
+                    self.counters.send_errors.fetch_add(1, Ordering::Release);
                 }
             }
         }
@@ -361,6 +397,9 @@ impl Shard {
         let mut buf = [0u8; MAX_DATAGRAM];
         let mut sends: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
         let mut actions: Vec<CpAction> = Vec::new();
+        // Zero from the start: a shard that has served nothing yet has no
+        // next batch to gather, so its first empty iteration blocks.
+        let mut windows_left = 0;
         while !stop.load(Ordering::SeqCst) {
             let mut work = 0u64;
             let now = clock.now();
@@ -393,8 +432,17 @@ impl Shard {
                 .loop_iterations
                 .fetch_add(1, Ordering::Release);
 
-            if work == 0 {
+            if work > 0 {
+                windows_left = EMPTY_WINDOWS_BEFORE_BLOCK;
+            } else if windows_left > 0 {
+                windows_left -= 1;
                 thread::sleep(self.poll_interval);
+            } else {
+                let deadline = self.wheel.next_deadline().unwrap_or(SimTime::MAX);
+                let timeout = clock
+                    .wall_until(deadline)
+                    .map_or(self.poll_interval, |wall| wall.min(MAX_BLOCK));
+                wait_readable(&self.socket, timeout);
             }
         }
 
@@ -461,10 +509,6 @@ impl ShardedHost {
         })
     }
 
-    fn shard_of_device(&self, device: DeviceId) -> usize {
-        device.0 as usize % self.shards.len()
-    }
-
     fn shard_of_cp(&self, cp: CpId) -> usize {
         cp.0 as usize % self.shards.len()
     }
@@ -473,7 +517,7 @@ impl ShardedHost {
     /// silent (models departure without deregistration).
     pub fn add_device(&mut self, host: DeviceMachine, silence_at: Option<SimTime>) {
         let id = host.id();
-        let idx = self.shard_of_device(id);
+        let idx = shard_of_device(id, self.shards.len());
         let shard = &mut self.shards[idx];
         if let Some(at) = silence_at {
             shard.wheel.insert(WheelKey::SilenceDevice(id.0), at);
@@ -515,7 +559,7 @@ impl ShardedHost {
     /// added; stable across [`start`](ShardedHost::start)).
     #[must_use]
     pub fn addr_of(&self, device: DeviceId) -> SocketAddr {
-        self.addrs[self.shard_of_device(device)]
+        self.addrs[shard_of_device(device, self.addrs.len())]
     }
 
     /// All shard socket addresses, in shard order.
@@ -571,7 +615,7 @@ impl HostHandle {
     /// The socket address serving `device`.
     #[must_use]
     pub fn addr_of(&self, device: DeviceId) -> SocketAddr {
-        self.addrs[device.0 as usize % self.addrs.len()]
+        self.addrs[shard_of_device(device, self.addrs.len())]
     }
 
     /// Summed live counters across shards.
@@ -663,6 +707,21 @@ mod tests {
     use crate::clock::SystemClock;
     use presence_core::{DcppConfig, DcppCp, DcppDevice};
 
+    /// Waits (2 s at most) until the host's activity counter stops moving:
+    /// whatever was in flight has been drained.
+    fn settle(host: &HostHandle) {
+        let limit = std::time::Instant::now() + Duration::from_secs(2);
+        let mut last = host.activity();
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = host.activity();
+            if now == last || std::time::Instant::now() > limit {
+                break;
+            }
+            last = now;
+        }
+    }
+
     #[test]
     fn parse_shards_resolves_env_values() {
         assert_eq!(parse_shards(Some("1")), 1);
@@ -731,16 +790,7 @@ mod tests {
         // Stop the probers first, then let the device side drain whatever
         // is still in flight before counting.
         let cp_report = cp_handle.join();
-        let settle = std::time::Instant::now() + Duration::from_secs(2);
-        let mut last = dev_handle.activity();
-        loop {
-            std::thread::sleep(Duration::from_millis(20));
-            let now = dev_handle.activity();
-            if now == last || std::time::Instant::now() > settle {
-                break;
-            }
-            last = now;
-        }
+        settle(&dev_handle);
         let dev_report = dev_handle.join();
 
         let total_probes: u64 = cp_report.probers.iter().map(|p| p.stats.probes_sent).sum();
@@ -834,6 +884,80 @@ mod tests {
         }
         let report = handle.join();
         assert_eq!(report.devices[0].probes_received, 5);
+    }
+
+    /// `per_500ms` iterations scaled to however long the test thread
+    /// actually slept, so a stretched sleep on a loaded box does not read
+    /// as a busy loop.
+    fn iteration_budget(per_500ms: u64, slept: Duration) -> u64 {
+        let ms = u64::try_from(slept.as_millis()).unwrap();
+        per_500ms * ms.max(500) / 500
+    }
+
+    #[test]
+    fn idle_host_blocks_instead_of_polling_and_still_joins_promptly() {
+        // No prober, no timer: nothing can wake the shards but the stop
+        // re-check every MAX_BLOCK (25 iterations in 500 ms; the polling
+        // loop made ~400).
+        let mut host = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
+        let handle = host.start(Arc::new(SystemClock::new()));
+        let t0 = std::time::Instant::now();
+        std::thread::sleep(Duration::from_millis(500));
+        let iterations = handle.iterations();
+        let budget = iteration_budget(60, t0.elapsed());
+        assert!(
+            iterations.iter().all(|&n| n <= budget),
+            "idle shards iterated {iterations:?} times, budget {budget} each"
+        );
+        // Both shards are blocked right now; the stop flag must still
+        // reach them.
+        let t0 = std::time::Instant::now();
+        let report = handle.join();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(250), "join took {took:?}");
+        assert_eq!(report.stats, ShardStats::default());
+    }
+
+    #[test]
+    fn paper_rate_pair_wakes_per_event_not_per_millisecond() {
+        // The paper's own load: five paper-default DCPP CPs hold one
+        // device at L_nom = 10 probes/s. Twenty probe cycles in 2 s cost
+        // a few hundred iterations across both hosts (the polling loop
+        // made ~3 400), and blocking loses nothing.
+        let cfg = DcppConfig::paper_default();
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        devices.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
+        let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        for cp in 0..5u32 {
+            cps.add_prober(
+                Box::new(DcppCp::new(CpId(cp), cfg)),
+                devices.addr_of(DeviceId(0)),
+                DeviceId(0),
+                SimTime::from_nanos(u64::from(cp) * 100_000_000),
+            );
+        }
+        let dev_handle = devices.start(Arc::clone(&clock));
+        let cp_handle = cps.start(Arc::clone(&clock));
+        let t0 = std::time::Instant::now();
+        std::thread::sleep(Duration::from_secs(2));
+        let iterations = dev_handle.iterations()[0] + cp_handle.iterations()[0];
+        let budget = iteration_budget(200, t0.elapsed());
+
+        let cp_report = cp_handle.join();
+        settle(&dev_handle);
+        let dev_report = dev_handle.join();
+
+        let sent: u64 = cp_report.probers.iter().map(|p| p.stats.probes_sent).sum();
+        assert!(sent >= 15, "only {sent} probes in 2 s");
+        assert_eq!(dev_report.devices[0].probes_received, sent);
+        assert!(cp_report.probers.iter().all(|p| p.verdict.is_none()));
+        assert_eq!(cp_report.stats.dropped() + dev_report.stats.dropped(), 0);
+        assert!(
+            iterations <= budget,
+            "{iterations} loop iterations for {sent} probe cycles, budget {budget}"
+        );
     }
 
     /// A clock that advances by a fixed step on every read — models a

@@ -36,8 +36,11 @@ pub struct ShardCounters {
     /// Datagrams addressed to a device that has gone silent (departed).
     pub dropped_departed: AtomicU64,
     /// Outbound datagrams dropped because the kernel would not accept
-    /// them (send buffer full) or the send errored.
+    /// them yet (send buffer full).
     pub dropped_sendpressure: AtomicU64,
+    /// Outbound datagrams lost to a send that failed with anything but
+    /// "would block".
+    pub send_errors: AtomicU64,
     /// Timer-wheel entries fired.
     pub timers_fired: AtomicU64,
     /// Completed shard-loop iterations (drain + fire + publish).
@@ -67,6 +70,7 @@ impl ShardCounters {
             + self.unroutable.load(Ordering::Acquire)
             + self.dropped_departed.load(Ordering::Acquire)
             + self.dropped_sendpressure.load(Ordering::Acquire)
+            + self.send_errors.load(Ordering::Acquire)
             + self.timers_fired.load(Ordering::Acquire)
     }
 
@@ -81,6 +85,7 @@ impl ShardCounters {
             unroutable: self.unroutable.load(Ordering::Acquire),
             dropped_departed: self.dropped_departed.load(Ordering::Acquire),
             dropped_sendpressure: self.dropped_sendpressure.load(Ordering::Acquire),
+            send_errors: self.send_errors.load(Ordering::Acquire),
             timers_fired: self.timers_fired.load(Ordering::Acquire),
         }
     }
@@ -102,8 +107,10 @@ pub struct ShardStats {
     pub unroutable: u64,
     /// Datagrams addressed to a departed (silenced) device.
     pub dropped_departed: u64,
-    /// Outbound datagrams the kernel refused.
+    /// Outbound datagrams the kernel would not take yet (buffer full).
     pub dropped_sendpressure: u64,
+    /// Failed socket sends (other than "would block").
+    pub send_errors: u64,
     /// Timer-wheel entries fired.
     pub timers_fired: u64,
 }
@@ -127,6 +134,7 @@ impl ShardStats {
             unroutable: self.unroutable + other.unroutable,
             dropped_departed: self.dropped_departed + other.dropped_departed,
             dropped_sendpressure: self.dropped_sendpressure + other.dropped_sendpressure,
+            send_errors: self.send_errors + other.send_errors,
             timers_fired: self.timers_fired + other.timers_fired,
         }
     }
@@ -143,10 +151,11 @@ mod tests {
         c.datagrams_received.fetch_add(2, Ordering::Release);
         c.dropped_sendpressure.fetch_add(1, Ordering::Release);
         c.timers_fired.fetch_add(3, Ordering::Release);
-        assert_eq!(c.activity(), 6);
+        c.send_errors.fetch_add(4, Ordering::Release);
+        assert_eq!(c.activity(), 10);
         // loop_iterations is liveness, not activity.
         c.loop_iterations.fetch_add(10, Ordering::Release);
-        assert_eq!(c.activity(), 6);
+        assert_eq!(c.activity(), 10);
     }
 
     #[test]
@@ -155,10 +164,12 @@ mod tests {
         c.datagrams_sent.fetch_add(4, Ordering::Release);
         c.unroutable.fetch_add(1, Ordering::Release);
         c.recv_errors.fetch_add(2, Ordering::Release);
+        c.send_errors.fetch_add(3, Ordering::Release);
         let a = c.snapshot();
         let b = ShardStats {
             datagrams_sent: 1,
             recv_errors: 1,
+            send_errors: 1,
             dropped_sendpressure: 2,
             ..ShardStats::default()
         };
@@ -166,6 +177,7 @@ mod tests {
         assert_eq!(m.datagrams_sent, 5);
         assert_eq!(m.unroutable, 1);
         assert_eq!(m.recv_errors, 3);
+        assert_eq!(m.send_errors, 4);
         assert_eq!(m.dropped(), 2);
     }
 }
