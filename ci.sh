@@ -46,12 +46,30 @@ echo "==> tier-1: cargo build --release && cargo test -q (PRESENCE_JOBS=$PRESENC
 cargo build --release
 cargo test -q
 
+# A filter that matches nothing passes on zero tests, so a moved or renamed
+# test or module would silently leave its stage: where a stage names tests
+# by filter, an empty run is a failure.
+test_nonempty() {
+    local log
+    log="$(mktemp)"
+    cargo test "$@" 2>&1 | tee "$log"
+    if grep -q '^running 0 tests' "$log"; then
+        rm -f "$log"
+        echo "ci.sh: 'cargo test $*' ran 0 tests in a target — stale filter?" >&2
+        return 1
+    fi
+    rm -f "$log"
+}
+
 # Engine soak: the dispatch/timer machinery PR 5 rewrote gets a deeper
 # property-test pass than the tier-1 default (256 cases) — the EventQueue
 # and TimerSlots model-based suites plus the dispatch-semantics regression
-# battery, at 1024 cases.
-echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024)"
+# battery, at 1024 cases — and the queue's white-box unit tests (the
+# invariant checker after every step of a seeded walk) run optimised, as
+# the simulator runs them.
+echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue tests (release)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test proptests --test dispatch
+test_nonempty --release -q -p presence-des --lib queue::
 
 # Region soak: the window driver's model proptests (random token-ring
 # topologies × lane counts × worker counts, multi-lane run vs one-lane
@@ -70,19 +88,6 @@ PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test region_model
 # integration tests, and the golden replay suite: every fixture on its
 # topology at regions {1, 2, 4, 8} × workers {1, 4} × both window policies.
 echo "==> region suites at forced workers {1, 4}: des region tests + sim region_integration + golden replay"
-# A filter that matches nothing passes on zero tests, so a moved or renamed
-# test would silently leave this stage: an empty run is a failure here.
-test_nonempty() {
-    local log
-    log="$(mktemp)"
-    cargo test "$@" 2>&1 | tee "$log"
-    if grep -q '^running 0 tests' "$log"; then
-        rm -f "$log"
-        echo "ci.sh: 'cargo test $*' ran 0 tests in a target — stale filter?" >&2
-        return 1
-    fi
-    rm -f "$log"
-}
 test_nonempty --release -q -p presence-des --lib region::
 test_nonempty --release -q -p presence-sim --test region_integration
 test_nonempty --release -q --test golden_equivalence

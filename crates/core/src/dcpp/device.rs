@@ -91,6 +91,7 @@ impl DcppDevice {
 
     /// Handles a probe arriving at `now`: advances the schedule and replies
     /// with the wait time.
+    #[inline]
     pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
         self.probes_received += 1;
         // nt' = max(max(nt, now) + δ_min, now + d_min)  — see module docs.

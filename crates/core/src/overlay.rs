@@ -62,10 +62,15 @@ impl OverlayView {
             if peer == self.me {
                 continue;
             }
+            // A full view would evict a peer below its minimum at once:
+            // same final set, so the tree is left alone.
+            let full = self.neighbors.len() >= self.capacity;
+            if full && self.neighbors.first().is_some_and(|&min| peer < min) {
+                continue;
+            }
             self.neighbors.insert(peer);
             while self.neighbors.len() > self.capacity {
-                let evict = *self.neighbors.iter().next().expect("non-empty");
-                self.neighbors.remove(&evict);
+                self.neighbors.pop_first();
             }
         }
     }
@@ -217,6 +222,26 @@ mod tests {
         assert!(!v.neighbors().contains(&CpId(1)));
         assert!(v.neighbors().contains(&CpId(2)));
         assert!(v.neighbors().contains(&CpId(3)));
+    }
+
+    #[test]
+    fn full_view_ignores_a_peer_below_its_minimum() {
+        let mut v = OverlayView::with_capacity(CpId(0), 3);
+        v.observe([Some(CpId(5)), Some(CpId(7))]);
+        v.observe([Some(CpId(9)), None]);
+        let full = v.clone();
+        // Below the minimum: would be inserted and evicted again.
+        v.observe([Some(CpId(2)), Some(CpId(4))]);
+        assert_eq!(v, full);
+        assert_eq!(v.len(), 3);
+        // Above the minimum: the minimum goes, as before.
+        v.observe([Some(CpId(6)), None]);
+        let ids: Vec<CpId> = v.neighbors().iter().copied().collect();
+        assert_eq!(ids, vec![CpId(6), CpId(7), CpId(9)]);
+        // Already a neighbour: nothing to evict.
+        v.observe([Some(CpId(7)), None]);
+        assert_eq!(v.len(), 3);
+        assert!(v.neighbors().contains(&CpId(6)));
     }
 
     #[test]

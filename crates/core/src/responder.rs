@@ -79,6 +79,7 @@ impl DeviceMachine {
     }
 
     /// Answers one probe, whichever protocol the device speaks.
+    #[inline]
     pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
         match self {
             DeviceMachine::Sapp(d) => d.on_probe(now, probe),

@@ -76,6 +76,7 @@ impl SappDevice {
 
     /// Handles a probe arriving at `now`: increments `pc` by `Δ`, updates
     /// the last-probers list, and produces the reply.
+    #[inline]
     pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
         self.pc = self.pc.saturating_add(self.delta);
         self.probes_received += 1;

@@ -555,6 +555,49 @@ mod tests {
         assert_eq!(seq.events_processed(), reg.events_processed());
     }
 
+    /// A lane whose window ends on an event that schedules nothing stands
+    /// at the barrier with the root of its queue vacant (see
+    /// [`crate::queue`]): the merge's `push_local` seats inbound events
+    /// there and the next round reads `next_activity` across it. Both ends
+    /// of a cross-lane relay pair are also fed from outside every ~7 µs
+    /// (payloads past the limit: logged, never forwarded) against a 10 µs
+    /// lookahead, so most windows end that way with more pending — and a
+    /// lane that ran ahead on a stale root would log out of order.
+    #[test]
+    fn barrier_merge_over_a_vacant_queue_root_matches_sequential() {
+        let end = SimTime::from_secs_f64(0.002);
+        let populate = |sim: &mut RelaySim, lanes: usize| -> [ActorId; 2] {
+            let ids = [
+                sim.add_member_in(0, relay(1, 10_000, 150)),
+                sim.add_member_in(lanes - 1, relay(0, 11_000, 150)),
+            ];
+            for k in 0..250u64 {
+                sim.schedule_at(SimTime::from_nanos(1_000 + k * 7_300), ids[0], 1_000);
+                sim.schedule_at(SimTime::from_nanos(2_000 + k * 6_100), ids[1], 1_000);
+            }
+            ids
+        };
+        let logs = |sim: &RelaySim, ids: [ActorId; 2]| {
+            ids.map(|id| sim.actor::<Relay>(id).unwrap().log.clone())
+        };
+
+        let mut seq = laned(21, 1);
+        let seq_ids = populate(&mut seq, 1);
+        seq.run_until(end);
+        assert!(seq.events_processed() > 500);
+
+        for workers in [1usize, 4] {
+            let mut reg = laned(21, 2);
+            reg.set_workers(workers);
+            let ids = populate(&mut reg, 2);
+            assert_eq!(ids, seq_ids, "global id layout matches");
+            reg.run_until(end);
+            assert_eq!(logs(&reg, ids), logs(&seq, seq_ids), "workers={workers}");
+            assert_eq!(reg.events_processed(), seq.events_processed());
+            assert_eq!(reg.queue_len(), seq.queue_len());
+        }
+    }
+
     #[test]
     fn serial_and_threaded_execution_are_bit_identical() {
         let run = |workers: usize| {

@@ -74,6 +74,7 @@ impl StreamRng {
     }
 
     /// Uniform `u64` in `[0, bound)` by rejection sampling (unbiased).
+    #[inline]
     fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         if bound.is_power_of_two() {
@@ -89,6 +90,7 @@ impl StreamRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn uniform01(&mut self) -> f64 {
         // 53 random mantissa bits — the standard uniform-double recipe.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -99,6 +101,7 @@ impl StreamRng {
     /// # Panics
     ///
     /// Panics if the bounds are not finite or `low >= high`.
+    #[inline]
     pub fn uniform(&mut self, low: f64, high: f64) -> f64 {
         assert!(
             low.is_finite() && high.is_finite() && low < high,
@@ -157,12 +160,14 @@ impl StreamRng {
     /// # Panics
     ///
     /// Panics if `len == 0`.
+    #[inline]
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "cannot index an empty collection");
         self.below(len as u64) as usize
     }
 
     /// Raw uniform `u64` (xoshiro256++ step).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);

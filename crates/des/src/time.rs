@@ -201,6 +201,7 @@ impl fmt::Display for SimTime {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         self.checked_add(rhs).expect("virtual clock overflow")
     }

@@ -10,10 +10,15 @@
 //!   change the earlier dispatch made (the old take/put-back dance and
 //!   the new in-place borrow must be indistinguishable);
 //! * the dynamic `Context::spawn` API panics loudly inside a typed
-//!   simulation instead of corrupting the actor table.
+//!   simulation instead of corrupting the actor table;
+//! * the queue's vacant root (a pop defers its heap repair to whoever
+//!   comes next) is invisible at the engine's surface: `queue_len`,
+//!   `is_pending` and external `cancel`/`reschedule`/`schedule_at` between
+//!   `step`s and after a `stop`.
 
 use presence_des::{
-    Actor, ActorId, Context, ProjectActor, RunOutcome, SimDuration, SimTime, Simulation,
+    Actor, ActorId, Context, EventHandle, ProjectActor, RunOutcome, SimDuration, SimTime,
+    Simulation,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -307,4 +312,117 @@ fn dynamic_spawn_inside_typed_simulation_panics() {
     let id = sim.add_member(Solo::Bad(BadSpawn));
     sim.schedule_at(SimTime::ZERO, id, 0);
     sim.run_until_idle();
+}
+
+/// Logs its events with, for each, which of `handles` were pending while
+/// the handler ran; stops the run on `stop_on`. Never schedules anything,
+/// so every event it handles leaves the queue's root vacant.
+struct Watcher {
+    handles: Vec<EventHandle>,
+    stop_on: Option<Ev>,
+    log: Vec<(SimTime, Ev, Vec<bool>)>,
+}
+
+impl Actor<Ev> for Watcher {
+    fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
+        let pending = self.handles.iter().map(|&h| ctx.is_pending(h)).collect();
+        self.log.push((ctx.now(), ev, pending));
+        if self.stop_on == Some(ev) {
+            ctx.stop();
+        }
+    }
+}
+
+/// Six events for one [`Watcher`] at 1 µs … 6 µs, payloads 0 … 5.
+fn watched(stop_on: Option<Ev>) -> (Simulation<Ev>, ActorId, Vec<EventHandle>) {
+    let mut sim: Simulation<Ev> = Simulation::new(1);
+    let id = sim.add_actor(Watcher {
+        handles: Vec::new(),
+        stop_on,
+        log: Vec::new(),
+    });
+    let handles: Vec<EventHandle> = (0..6)
+        .map(|i| sim.schedule_at(SimTime::from_nanos(1_000 * (u64::from(i) + 1)), id, i))
+        .collect();
+    sim.actor_mut::<Watcher>(id).unwrap().handles = handles.clone();
+    (sim, id, handles)
+}
+
+/// `step()` returns with the root of the queue vacant. Between steps the
+/// engine's readers must neither count nor find the fired event, and an
+/// external `cancel` / `reschedule` must land on a whole heap.
+#[test]
+fn step_keeps_queue_len_and_is_pending_exact() {
+    let (mut sim, id, handles) = watched(None);
+    assert!(sim.step());
+    assert_eq!(sim.queue_len(), 5);
+    assert!(sim.cancel(handles[3]), "pending event");
+    assert!(!sim.cancel(handles[0]), "fired event");
+    assert_eq!(sim.queue_len(), 4);
+    let moved = sim
+        .reschedule(handles[1], SimTime::from_nanos(10_000))
+        .expect("pending event");
+    assert_eq!(sim.queue_len(), 4);
+    let mut left = 4;
+    while sim.step() {
+        left -= 1;
+        assert_eq!(sim.queue_len(), left);
+    }
+    assert_eq!(left, 0);
+    let log = &sim.actor::<Watcher>(id).unwrap().log;
+    let fired: Vec<Ev> = log.iter().map(|&(_, ev, _)| ev).collect();
+    assert_eq!(fired, vec![0, 2, 4, 5, 1]);
+    assert_eq!(log[4].0, SimTime::from_nanos(10_000));
+    // What each handler saw pending: the events still to fire, never its
+    // own, never the cancelled one, and the rescheduled one's old handle
+    // dead from the moment it moved.
+    let expect = |pending: [usize; 6]| pending.map(|p| p == 1).to_vec();
+    assert_eq!(log[0].2, expect([0, 1, 1, 1, 1, 1]));
+    assert_eq!(log[1].2, expect([0, 0, 0, 0, 1, 1]));
+    assert_eq!(log[2].2, expect([0, 0, 0, 0, 0, 1]));
+    assert_eq!(log[3].2, expect([0, 0, 0, 0, 0, 0]));
+    assert!(!sim.cancel(moved), "fired under its new handle");
+}
+
+/// A `stop()` from a handler that schedules nothing hands the caller a
+/// queue with a vacant root; events scheduled from outside — before, among
+/// and after what is pending — and the run that follows must fire in plain
+/// `(time, seq)` order.
+#[test]
+fn stop_then_external_schedule_then_run_until_fires_in_order() {
+    let (mut sim, id, _) = watched(Some(2));
+    assert_eq!(sim.run_until_idle(), RunOutcome::Stopped);
+    assert_eq!((sim.events_processed(), sim.queue_len()), (3, 3));
+    for (nanos, ev) in [(3_000, 10), (4_500, 11), (9_000, 12), (5_000, 13)] {
+        sim.schedule_at(SimTime::from_nanos(nanos), id, ev);
+    }
+    assert_eq!(sim.queue_len(), 7);
+    assert_eq!(
+        sim.run_until(SimTime::from_nanos(8_000)),
+        RunOutcome::ReachedTime
+    );
+    assert_eq!(sim.queue_len(), 1);
+    assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+    let fired: Vec<(u64, Ev)> = sim
+        .actor::<Watcher>(id)
+        .unwrap()
+        .log
+        .iter()
+        .map(|(at, ev, _)| (at.as_nanos(), *ev))
+        .collect();
+    assert_eq!(
+        fired,
+        vec![
+            (1_000, 0),
+            (2_000, 1),
+            (3_000, 2),
+            (3_000, 10),
+            (4_000, 3),
+            (4_500, 11),
+            (5_000, 4),
+            (5_000, 13),
+            (6_000, 5),
+            (9_000, 12),
+        ]
+    );
 }

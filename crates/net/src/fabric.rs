@@ -125,6 +125,7 @@ impl Fabric {
     /// Settles every pending delivery deadline `≤ now`, in time order:
     /// frees the buffer slot, counts the delivery, and extends the
     /// occupancy integral at the deadline's own timestamp.
+    #[inline]
     pub fn settle(&mut self, now: SimTime) {
         while let Some(&Reverse(at)) = self.pending.peek() {
             if at > now {
@@ -158,6 +159,7 @@ impl Fabric {
     /// below zero), so the total delivery delay is `max(sample, discount)`
     /// — bit-equal to the sampled delay whenever the model's
     /// [`DelayModel::min_delay`] covers the leg.
+    #[inline]
     pub fn send_relayed(
         &mut self,
         now: SimTime,

@@ -153,6 +153,7 @@ impl JumpingWindowRate {
     ///
     /// Panics if `t` precedes the origin or moves backwards past an already
     /// closed window.
+    #[inline]
     pub fn record(&mut self, t: f64) {
         let idx = self.index_of(t);
         assert!(
@@ -163,11 +164,13 @@ impl JumpingWindowRate {
         self.current_count += 1;
     }
 
+    #[inline]
     fn index_of(&self, t: f64) -> u64 {
         assert!(t >= self.origin, "event precedes origin");
         ((t - self.origin) / self.width) as u64
     }
 
+    #[inline]
     fn close_until(&mut self, idx: u64) {
         while self.current_index < idx {
             let start = self.origin + self.current_index as f64 * self.width;

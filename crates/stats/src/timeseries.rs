@@ -62,6 +62,7 @@ impl TimeSeries {
     /// Panics if `t` is not finite or moves backwards in time — simulation
     /// clocks are monotone, so a violation is a harness bug worth failing
     /// loudly on.
+    #[inline]
     pub fn push(&mut self, t: f64, value: f64) {
         assert!(t.is_finite(), "timestamp must be finite");
         if let Some(last) = self.samples.last() {
@@ -254,6 +255,7 @@ impl TimeWeighted {
     /// # Panics
     ///
     /// Panics if time moves backwards.
+    #[inline]
     pub fn set(&mut self, t: f64, v: f64) {
         if self.started {
             assert!(t >= self.last_t, "time must not move backwards");

@@ -49,6 +49,7 @@ impl Welford {
     /// Non-finite samples are ignored (and not counted); simulation code can
     /// therefore push raw ratios without pre-filtering division-by-zero
     /// artefacts.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         if !x.is_finite() {
             return;
