@@ -64,32 +64,18 @@ test_nonempty() {
 # Engine soak: the dispatch/timer machinery PR 5 rewrote gets a deeper
 # property-test pass than the tier-1 default (256 cases) — the EventQueue
 # and TimerSlots model-based suites plus the dispatch-semantics regression
-# battery, at 1024 cases — and the queue's white-box unit tests (the
-# invariant checker after every step of a seeded walk) run optimised, as
-# the simulator runs them.
+# battery (including the arm that holds step()/run(n)/run_until to one
+# trace across spawns and stops), at 1024 cases — and the queue's
+# white-box unit tests (the invariant checker after every step of a seeded
+# walk) run optimised, as the simulator runs them.
 echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue tests (release)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test proptests --test dispatch
 test_nonempty --release -q -p presence-des --lib queue::
 
-# Region soak: the window driver's model proptests (random token-ring
-# topologies × lane counts × worker counts, multi-lane run vs one-lane
-# reference, bit-for-bit — including the adaptive-window arm, which
-# additionally pins adaptive windows_executed ≤ static, and the arm that
-# holds step()/run(n)/run_until to one trace across spawns and stops) at
-# 1024 cases — far beyond the tier-1 default.
-echo "==> region soak: multi-lane vs one-lane model proptests incl. adaptive windows and driver agreement (PROPTEST_CASES=1024)"
-PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test region_model
-
-# Forced-worker region stage: every suite that drives a multi-lane
-# simulation does so at explicit worker counts 1 (inline windows) and 4
-# (one scoped thread per active lane), whatever this box's core count —
-# the des window driver's own tests (including the lookahead-violation
-# diagnostic, which must survive the thread boundary), the sim-layer
-# integration tests, and the golden replay suite: every fixture on its
-# topology at regions {1, 2, 4, 8} × workers {1, 4} × both window policies.
-echo "==> region suites at forced workers {1, 4}: des region tests + sim region_integration + golden replay"
-test_nonempty --release -q -p presence-des --lib region::
-test_nonempty --release -q -p presence-sim --test region_integration
+# Release replay of the golden fixtures: tier-1 replays `sapp`, `dcpp`,
+# `churn` and `lab-mixed` in the debug profile; this is the same suite
+# optimised, as the benchmark and the bins run the simulator.
+echo "==> golden replay (release)"
 test_nonempty --release -q --test golden_equivalence
 
 # Conformance stage: the simulator is the oracle for the sharded UDP

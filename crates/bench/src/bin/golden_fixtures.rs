@@ -16,9 +16,7 @@
 //! Usage: `cargo run --release -p presence-bench --bin golden_fixtures`
 //! (writes into `tests/golden/` relative to the workspace root).
 
-use presence_sim::{
-    builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult, Topology,
-};
+use presence_sim::{builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult};
 use std::path::PathBuf;
 
 /// The lab spec pinned alongside the trio: regime switches in all three
@@ -32,9 +30,6 @@ const TRACE_FIXTURE_SPEC: &str = "paper-dcpp";
 /// Horizon cap (virtual seconds) of the trace fixture: long enough for
 /// several probe cycles per CP, short enough to keep the fixture small.
 const TRACE_FIXTURE_UNTIL: f64 = 10.0;
-
-/// The topology the `decomposed-*` fixtures are recorded on.
-const ONE_REGION_PLANES: Topology = Topology::Planes { regions: 1 };
 
 fn write_fixture(out_dir: &std::path::Path, name: &str, result: &ScenarioResult) {
     let json = serde_json::to_string_pretty(result).expect("result serialises");
@@ -58,16 +53,6 @@ fn main() {
         let mut scenario = Scenario::build(cfg);
         scenario.run();
         write_fixture(&out_dir, name, &scenario.collect());
-        // The same preset on the multi-plane topology, recorded on one
-        // region (the reference); every multi-region run must replay these
-        // bit-for-bit.
-        let mut decomposed = Scenario::build_on(cfg, ONE_REGION_PLANES);
-        decomposed.run();
-        write_fixture(
-            &out_dir,
-            &format!("decomposed-{name}"),
-            &decomposed.collect(),
-        );
     }
     let spec = builtin_catalog()
         .into_iter()
@@ -75,11 +60,6 @@ fn main() {
         .expect("lab fixture spec is in the builtin catalog");
     let result = run_spec_once(&spec).expect("lab fixture spec runs");
     write_fixture(&out_dir, "lab-mixed", &result);
-    let mut decomposed_lab = spec
-        .build_on(ONE_REGION_PLANES)
-        .expect("lab fixture spec builds");
-    decomposed_lab.run();
-    write_fixture(&out_dir, "decomposed-lab-mixed", &decomposed_lab.collect());
 
     // The Chrome JSON trace fixture: the full export pipeline on the
     // paper-default DCPP entry, horizon-capped, pinned byte-for-byte by

@@ -15,14 +15,7 @@
 //!
 //! Options: `--seeds 1,2,3` (explicit seeds), `--replications N` (seeds
 //! 1..=N), `--jobs N` (worker pool width, default `PRESENCE_JOBS` /
-//! machine parallelism), `--regions N` (run each scenario on the
-//! multi-plane topology, `Topology::Planes`, across N regions with N
-//! workers, printing the per-scenario region plan — planned lookahead, or
-//! the collapsing route — and the barrier/window counters; the
-//! trajectories are byte-identical to the one-region run on the same
-//! topology, pinned by `tests/golden_equivalence.rs`), `--json PATH` (write the
-//! full `LabReport`, or the decomposed report — region plan, per-seed
-//! window/barrier/relay/unroutable counters — under `--regions`),
+//! machine parallelism), `--json PATH` (write the full `LabReport`),
 //! `--catalog DIR` (default: the repository's `catalog/`).
 //!
 //! Tracing: `--trace PATH` re-runs the first seed with presence tracing
@@ -31,19 +24,15 @@
 //! tracks for load/frequency/fabric occupancy. `--trace-until SECS` caps
 //! the traced horizon (the run still completes; only the buffers stop),
 //! `--trace-engine` adds the dense engine stream (dispatch spans, timer
-//! arm/cancel/fire). Works on the hub topology and under `--regions N`
-//! (where the exported trace is byte-identical to the sequential one —
-//! pinned by `tests/trace_export.rs`). Inspect traces offline with the
-//! `spotter` bin.
+//! arm/cancel/fire). Inspect traces offline with the `spotter` bin.
 //!
 //! Reports are **byte-identical at any `--jobs` value** — replications
 //! merge in seed order before any cross-seed folding (pinned by
 //! `tests/determinism.rs`).
 
 use presence_sim::{
-    builtin_catalog, job_count, mega_catalog, run_lab, LabReport, MegaSpec, ScenarioSpec, Topology,
+    builtin_catalog, job_count, mega_catalog, run_lab, LabReport, MegaSpec, ScenarioSpec,
 };
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -58,18 +47,11 @@ struct TraceRequest {
 /// Chrome JSON trace. A dedicated run keeps the report path untouched:
 /// the replications the report aggregates stay untraced (and unperturbed
 /// — tracing does not change trajectories, but it does cost memory).
-fn export_trace(
-    spec: &ScenarioSpec,
-    seed: u64,
-    regions: Option<usize>,
-    request: &TraceRequest,
-) -> Result<(), String> {
+fn export_trace(spec: &ScenarioSpec, seed: u64, request: &TraceRequest) -> Result<(), String> {
     let mut seeded = spec.clone();
     seeded.seed = seed;
     let err = |e: presence_sim::SpecError| format!("{}: {e}", spec.name);
-    let topology = regions.map_or(Topology::Hub, |regions| Topology::Planes { regions });
-    let mut scenario = seeded.build_on(topology).map_err(err)?;
-    scenario.set_workers(regions.unwrap_or(1));
+    let mut scenario = seeded.build().map_err(err)?;
     scenario.enable_trace(request.until, request.engine);
     scenario.run();
     let result = scenario.collect();
@@ -189,110 +171,7 @@ fn run_one(
         println!("report -> {}", path.display());
     }
     if let Some(request) = trace {
-        export_trace(spec, seeds[0], None, request)?;
-    }
-    Ok(())
-}
-
-/// One seed of the `--regions` path, as `--json` reports it: the
-/// parallel-engine counters (window/barrier) next to the fabric's
-/// relay/unroutable tallies.
-#[derive(Debug, Serialize)]
-struct DecomposedSeedReport {
-    seed: u64,
-    events_processed: u64,
-    windows_executed: u64,
-    barrier_exchanges: u64,
-    events_per_window: f64,
-    cross_plane_relays: u64,
-    messages_delivered: u64,
-    messages_unroutable: u64,
-}
-
-/// The `--regions … --json` envelope: region plan plus per-seed counters.
-#[derive(Debug, Serialize)]
-struct DecomposedLabReport {
-    name: String,
-    regions: usize,
-    plan_requested: usize,
-    plan_effective: usize,
-    plan_reason: String,
-    per_seed: Vec<DecomposedSeedReport>,
-}
-
-/// The `--regions N` path: run each seed on the decomposed
-/// (one-network-plane-per-region) topology, print the region plan once
-/// and the barrier/window counters per seed. Trajectories are
-/// byte-identical to the hub-free sequential reference at any region
-/// count, so the numbers of interest here are the parallel-engine
-/// counters, not the metrics.
-fn run_one_decomposed(
-    spec: &ScenarioSpec,
-    seeds: &[u64],
-    regions: usize,
-    json_out: Option<&Path>,
-    trace: Option<&TraceRequest>,
-) -> Result<(), String> {
-    println!("\n=== {} · decomposed @ {regions} region(s) ===", spec.name);
-    let mut report = DecomposedLabReport {
-        name: spec.name.clone(),
-        regions,
-        plan_requested: regions,
-        plan_effective: 1,
-        plan_reason: String::new(),
-        per_seed: Vec::with_capacity(seeds.len()),
-    };
-    for (i, &seed) in seeds.iter().enumerate() {
-        let mut seeded = spec.clone();
-        seeded.seed = seed;
-        let mut scenario = seeded
-            .build_on(Topology::Planes { regions })
-            .map_err(|e| format!("{}: {e}", spec.name))?;
-        scenario.set_workers(regions);
-        let plan = scenario.region_plan();
-        if i == 0 {
-            println!(
-                "plan: requested {} -> effective {} ({})",
-                plan.requested, plan.effective, plan.reason
-            );
-            report.plan_requested = plan.requested;
-            report.plan_effective = plan.effective;
-            report.plan_reason = plan.reason.clone();
-        }
-        scenario.run();
-        let result = scenario.collect();
-        let (windows, exchanges, per_window) = scenario.region_counters().unwrap_or((0, 0, 0.0));
-        match scenario.region_counters() {
-            Some(_) => println!(
-                "seed {seed}: {} events in {windows} windows ({per_window:.1} events/window), \
-                 {exchanges} barrier events, {} cross-plane relays",
-                result.events_processed,
-                scenario.relays_forwarded()
-            ),
-            None => println!(
-                "seed {seed}: {} events on one region (no windows), {} cross-plane relays",
-                result.events_processed,
-                scenario.relays_forwarded()
-            ),
-        }
-        report.per_seed.push(DecomposedSeedReport {
-            seed,
-            events_processed: result.events_processed,
-            windows_executed: windows,
-            barrier_exchanges: exchanges,
-            events_per_window: per_window,
-            cross_plane_relays: scenario.relays_forwarded(),
-            messages_delivered: result.messages_delivered,
-            messages_unroutable: result.messages_unroutable,
-        });
-    }
-    if let Some(path) = json_out {
-        let text = serde_json::to_string_pretty(&report).expect("report serialises");
-        std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
-        println!("report -> {}", path.display());
-    }
-    if let Some(request) = trace {
-        export_trace(spec, seeds[0], Some(regions), request)?;
+        export_trace(spec, seeds[0], request)?;
     }
     Ok(())
 }
@@ -437,7 +316,6 @@ fn main() -> ExitCode {
     let mut do_check = false;
     let mut emit: Option<PathBuf> = None;
     let mut target: Option<String> = None;
-    let mut regions: Option<usize> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut trace_until: Option<f64> = None;
     let mut trace_engine = false;
@@ -452,13 +330,6 @@ fn main() -> ExitCode {
             "--emit-catalog" => emit = Some(PathBuf::from(value("--emit-catalog"))),
             "--catalog" => catalog_dir = PathBuf::from(value("--catalog")),
             "--jobs" => jobs = value("--jobs").parse().expect("--jobs N"),
-            "--regions" => {
-                let n: usize = value("--regions")
-                    .parse()
-                    .expect("--regions N (a positive integer)");
-                assert!(n >= 1, "--regions must be at least 1");
-                regions = Some(n);
-            }
             "--json" => json_out = Some(PathBuf::from(value("--json"))),
             "--trace" => trace_path = Some(PathBuf::from(value("--trace"))),
             "--trace-until" => {
@@ -522,17 +393,14 @@ fn main() -> ExitCode {
         }
         if all {
             for (_, spec) in load_catalog_dir(&catalog_dir)? {
-                match regions {
-                    Some(n) => run_one_decomposed(&spec, &seeds, n, None, None)?,
-                    None => run_one(&spec, &seeds, jobs, None, None)?,
-                }
+                run_one(&spec, &seeds, jobs, None, None)?;
             }
             return Ok(());
         }
         let Some(target) = target else {
             return Err(
                 "usage: lab [--list | --all | --check | --emit-catalog DIR | <name|spec.json>] \
-                 [--seeds a,b,c | --replications N] [--jobs N] [--regions N] [--json PATH] \
+                 [--seeds a,b,c | --replications N] [--jobs N] [--json PATH] \
                  [--trace PATH [--trace-until SECS] [--trace-engine]] [--catalog DIR]"
                     .into(),
             );
@@ -548,10 +416,7 @@ fn main() -> ExitCode {
                 .find(|s| s.name == target)
                 .ok_or_else(|| format!("no catalog entry named {target:?} (try --list)"))?
         };
-        match regions {
-            Some(n) => run_one_decomposed(&spec, &seeds, n, json_out.as_deref(), trace.as_ref()),
-            None => run_one(&spec, &seeds, jobs, json_out.as_deref(), trace.as_ref()),
-        }
+        run_one(&spec, &seeds, jobs, json_out.as_deref(), trace.as_ref())
     })();
 
     match outcome {

@@ -1,8 +1,8 @@
 //! The discrete-event simulation engine.
 //!
-//! A [`Simulation`] owns a set of actors and, per lane (one unless built
-//! by [`Simulation::with_lanes`]), a virtual clock and a stable
-//! time-ordered event queue. Determinism guarantees:
+//! A [`Simulation`] owns a set of actors, one virtual clock and one stable
+//! time-ordered event queue, and runs one pop → dispatch loop over them.
+//! Determinism guarantees:
 //!
 //! * Events fire in `(time, sequence-number)` order — two events scheduled
 //!   for the same instant fire in the order they were scheduled, regardless
@@ -35,11 +35,9 @@
 //! trustworthy when the simulator's semantics are).
 
 use crate::queue::{EventKey, EventQueue, QueueProfile};
-use crate::region::{BarrierMark, ThreadedWindows, WindowPolicy};
 use crate::rng::StreamRng;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::sync::Arc;
 
 /// Identifies an actor within one [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -206,10 +204,8 @@ pub enum EngineEventKind {
 
 /// One entry of the structured engine trace (see
 /// [`Simulation::enable_engine_trace`]): what the scheduler did, when,
-/// and to whom. Engine sequence numbers are deliberately absent — they
-/// are scheduler-internal and differ between a one-lane and a multi-lane
-/// run of the same trajectory, whereas the `(time, actor, kind)` stream
-/// in canonical order is bit-identical at any lane count.
+/// and to whom. Engine sequence numbers are deliberately absent: they
+/// are scheduler-internal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineEvent {
     /// Virtual time of the action.
@@ -225,15 +221,9 @@ pub struct EngineEvent {
 /// predictable branch per scheduler operation and zero allocation —
 /// the PR 5 steady-state alloc gate stays green with tracing off.
 #[derive(Default)]
-pub(crate) struct EngineTraceState {
-    /// Buffer structured [`EngineEvent`]s (drained by
-    /// `take_engine_trace`).
-    pub(crate) record_events: bool,
-    /// Buffer raw [`TraceRecord`]s at dispatch — how several lanes serve
-    /// `set_trace` (collected and merged at each barrier).
-    pub(crate) record_raw: bool,
-    pub(crate) events: Vec<EngineEvent>,
-    pub(crate) records: Vec<TraceRecord>,
+struct EngineTraceState {
+    /// Structured [`EngineEvent`]s, drained by `take_engine_trace`.
+    events: Vec<EngineEvent>,
     /// Sequence numbers of pending self-armed timers, so pops and
     /// cancels can classify themselves. A rearm mints a fresh sequence
     /// number ([`Core::reschedule_slot`]) and migrates membership to it.
@@ -265,117 +255,32 @@ pub enum RunOutcome {
 /// queue operation instead of k (the churn actor's `drive_to` is the
 /// motivating caller).
 #[derive(Debug)]
-pub(crate) enum Dest {
+enum Dest {
     One(ActorId),
     Batch(Box<[ActorId]>),
 }
 
-/// One cross-lane event parked in a lane's outbox until the next window
-/// barrier (see [`crate::region`]). `mint_time` is the minting lane's
-/// clock at the scheduling call — the first component of the
-/// deterministic barrier merge key.
-pub(crate) struct Outbound<E> {
-    pub(crate) mint_time: SimTime,
-    pub(crate) time: SimTime,
-    pub(crate) target: ActorId,
-    pub(crate) payload: E,
-}
-
-/// Routing state the window driver ([`crate::region`]) installs into each
-/// lane's scheduler core of a multi-lane simulation. When present, events
-/// scheduled for an actor owned by another lane are diverted to the outbox
-/// instead of the local queue — after proving they land at or past the
-/// target's current window end (the conservative-lookahead soundness
-/// check, which fails loudly rather than silently reordering).
-pub(crate) struct LaneRouter<E> {
-    /// Global actor index → (owning lane, slot in it).
-    pub(crate) locate: Arc<[(usize, usize)]>,
-    pub(crate) my_lane: usize,
-    /// Exclusive end of the window each lane is currently executing
-    /// (indexed by lane). A cross-lane event must land at or after its
-    /// *target's* window end — with adaptive windows the lanes advance
-    /// unevenly, so the soundness bound is per-target, not global.
-    /// `SimTime::MAX` means cross-lane scheduling is forbidden outright
-    /// (an isolated partition).
-    ///
-    /// The entry for `my_lane` doubles as this lane's own execution
-    /// bound, *cut* on every cross-lane mint to `arrival + lookahead`:
-    /// once this lane has sent something out, a reactivation chain can
-    /// reach back one lookahead after that arrival, so an adaptive window
-    /// that leapt ahead must stop there (see `region::WindowPolicy`).
-    pub(crate) window_ends: Vec<SimTime>,
-    /// The declared cross-lane lookahead (zero in an isolated partition,
-    /// where every cross mint panics before reading it).
-    pub(crate) lookahead: SimDuration,
-    /// Handles for outbound events count down from `u64::MAX` so they can
-    /// never collide with a live local sequence number: cancelling or
-    /// rescheduling a cross-lane event is a documented no-op (`false` /
-    /// `None`), not an aliasing hazard.
-    pub(crate) sentinel_seq: u64,
-    pub(crate) outbox: Vec<Outbound<E>>,
-}
-
 /// Mutable scheduler state shared between the engine loop and [`Context`].
-pub(crate) struct Core<E> {
-    pub(crate) now: SimTime,
+struct Core<E> {
+    now: SimTime,
     /// Live events only: cancellation removes entries immediately (see
     /// [`crate::queue`]), so there are no tombstones to skip at pop time.
-    pub(crate) queue: EventQueue<(Dest, E)>,
-    pub(crate) next_seq: u64,
-    pub(crate) stop_requested: bool,
-    pub(crate) actor_count: usize,
-    /// `Some` only in a sealed multi-lane simulation; `None` keeps the
-    /// one-lane push path branch-free apart from one predictable test.
-    pub(crate) router: Option<LaneRouter<E>>,
+    queue: EventQueue<(Dest, E)>,
+    next_seq: u64,
+    stop_requested: bool,
+    actor_count: usize,
     /// `Some` only while structured tracing is enabled; `None` keeps the
     /// hot loop allocation-free (one predictable branch per operation).
-    pub(crate) etrace: Option<Box<EngineTraceState>>,
+    etrace: Option<Box<EngineTraceState>>,
 }
 
 impl<E> Core<E> {
-    pub(crate) fn push(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
+    fn push(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < now {}",
             self.now
         );
-        if let Some(router) = self.router.as_mut() {
-            let (target_lane, _) = router.locate[target.0];
-            if target_lane != router.my_lane {
-                let target_end = router.window_ends[target_lane];
-                assert!(
-                    time >= target_end,
-                    "cross-region event for {target:?} at {time} lands inside the current \
-                     window (end {target_end}): the route's real delay undercuts the declared \
-                     lookahead — conservative parallel execution would be unsound"
-                );
-                router.outbox.push(Outbound {
-                    mint_time: self.now,
-                    time,
-                    target,
-                    payload,
-                });
-                // Cut this lane's own window: a reactivation chain can
-                // reach back one lookahead after the arrival just minted.
-                let cut = time.checked_add(router.lookahead).unwrap_or(SimTime::MAX);
-                let mine = &mut router.window_ends[router.my_lane];
-                if cut < *mine {
-                    *mine = cut;
-                }
-                router.sentinel_seq -= 1;
-                return EventHandle {
-                    seq: router.sentinel_seq,
-                };
-            }
-        }
-        self.push_local(time, target, payload)
-    }
-
-    /// Queues an event for an actor this lane owns, minting the next local
-    /// sequence number. Also the entry for what is not an actor's
-    /// cross-lane mint and so bypasses the router: external stimuli and
-    /// the barrier merge.
-    pub(crate) fn push_local(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(time, seq, (Dest::One(target), payload));
@@ -389,17 +294,6 @@ impl<E> Core<E> {
             self.now
         );
         assert!(!targets.is_empty(), "batch needs at least one target");
-        if let Some(router) = self.router.as_ref() {
-            // Batches are minted by same-instant sends only, so a remote
-            // member is by definition inside the current window.
-            for &target in targets.iter() {
-                assert!(
-                    router.locate[target.0].0 == router.my_lane,
-                    "batch event includes cross-region target {target:?}: same-instant \
-                     batches cannot cross a region boundary (zero lookahead)"
-                );
-            }
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(time, seq, (Dest::Batch(targets), payload));
@@ -439,25 +333,6 @@ impl<E> Core<E> {
             };
             let now = self.now;
             if let Some(t) = self.etrace.as_deref_mut() {
-                if t.record_events {
-                    t.events.push(EngineEvent {
-                        time: now,
-                        actor,
-                        kind: EngineEventKind::TimerArm,
-                    });
-                }
-            }
-        }
-        Some((EventHandle { seq }, entry))
-    }
-
-    /// Marks the event behind `handle` as a self-armed timer and records
-    /// the arm, when structured tracing is on (no-op otherwise).
-    pub(crate) fn note_timer_armed(&mut self, actor: ActorId, handle: EventHandle) {
-        let now = self.now;
-        if let Some(t) = self.etrace.as_deref_mut() {
-            if t.record_events {
-                t.armed.insert(handle.seq);
                 t.events.push(EngineEvent {
                     time: now,
                     actor,
@@ -465,17 +340,32 @@ impl<E> Core<E> {
                 });
             }
         }
+        Some((EventHandle { seq }, entry))
+    }
+
+    /// Marks the event behind `handle` as a self-armed timer and records
+    /// the arm, when structured tracing is on (no-op otherwise).
+    fn note_timer_armed(&mut self, actor: ActorId, handle: EventHandle) {
+        let now = self.now;
+        if let Some(t) = self.etrace.as_deref_mut() {
+            t.armed.insert(handle.seq);
+            t.events.push(EngineEvent {
+                time: now,
+                actor,
+                kind: EngineEventKind::TimerArm,
+            });
+        }
     }
 
     /// Cancels a pending event, classifying a cancelled timer for the
     /// structured trace. Returns whether the event was still pending.
-    pub(crate) fn cancel(&mut self, handle: EventHandle) -> bool {
+    fn cancel(&mut self, handle: EventHandle) -> bool {
         let now = self.now;
         match self.queue.cancel(handle.seq) {
             None => false,
             Some((dest, _payload)) => {
                 if let Some(t) = self.etrace.as_deref_mut() {
-                    if t.armed.remove(&handle.seq) && t.record_events {
+                    if t.armed.remove(&handle.seq) {
                         let Dest::One(actor) = dest else {
                             unreachable!("timers are never batch events")
                         };
@@ -491,52 +381,17 @@ impl<E> Core<E> {
         }
     }
 
-    /// Records the pop of event `seq` for `actor` when tracing is on: a
-    /// structured dispatch/fire event, and (under `record_raw`) the raw
-    /// [`TraceRecord`] a multi-lane run merges at its barriers.
-    pub(crate) fn note_dispatch(&mut self, time: SimTime, actor: ActorId, seq: u64) {
+    /// Records the pop of event `seq` for `actor` when tracing is on, as
+    /// a timer fire or a plain dispatch.
+    fn note_dispatch(&mut self, time: SimTime, actor: ActorId, seq: u64) {
         if let Some(t) = self.etrace.as_deref_mut() {
-            if t.record_events {
-                let kind = if t.armed.remove(&seq) {
-                    EngineEventKind::TimerFire
-                } else {
-                    EngineEventKind::Dispatch
-                };
-                t.events.push(EngineEvent { time, actor, kind });
-            }
-            if t.record_raw {
-                t.records.push(TraceRecord {
-                    time,
-                    target: actor,
-                    seq,
-                });
-            }
+            let kind = if t.armed.remove(&seq) {
+                EngineEventKind::TimerFire
+            } else {
+                EngineEventKind::Dispatch
+            };
+            t.events.push(EngineEvent { time, actor, kind });
         }
-    }
-
-    /// Enables structured tracing (idempotent).
-    pub(crate) fn enable_etrace(&mut self) {
-        self.etrace.get_or_insert_with(Box::default).record_events = true;
-    }
-
-    /// Enables raw [`TraceRecord`] buffering at dispatch (idempotent) —
-    /// the `set_trace` substrate of a multi-lane run.
-    pub(crate) fn enable_raw_records(&mut self) {
-        self.etrace.get_or_insert_with(Box::default).record_raw = true;
-    }
-
-    /// Drains the raw record buffer into `out` (engine execution order).
-    pub(crate) fn drain_raw_records_into(&mut self, out: &mut Vec<TraceRecord>) {
-        if let Some(t) = self.etrace.as_deref_mut() {
-            out.append(&mut t.records);
-        }
-    }
-
-    /// Drains the structured trace buffer (raw, engine execution order).
-    pub(crate) fn take_etrace_events(&mut self) -> Vec<EngineEvent> {
-        self.etrace
-            .as_deref_mut()
-            .map_or_else(Vec::new, |t| std::mem::take(&mut t.events))
     }
 
     fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
@@ -561,15 +416,15 @@ impl<E> Core<E> {
 /// The API an actor uses to interact with the simulation while handling an
 /// event.
 pub struct Context<'a, E> {
-    pub(crate) core: &'a mut Core<E>,
-    pub(crate) rng: &'a mut StreamRng,
+    core: &'a mut Core<E>,
+    rng: &'a mut StreamRng,
     /// Mid-event spawns, parked until the current handler returns. Stored
     /// as `&mut dyn Any` over the engine's `Vec<S>` so the context (and
     /// therefore every `Actor` impl's signature) stays independent of the
     /// simulation's member type; [`Context::spawn_member`] downcasts it
     /// back, which is exact by construction for the owning engine.
-    pub(crate) pending_spawns: &'a mut dyn Any,
-    pub(crate) me: ActorId,
+    pending_spawns: &'a mut dyn Any,
+    me: ActorId,
 }
 
 impl<'a, E> Context<'a, E> {
@@ -613,8 +468,6 @@ impl<'a, E> Context<'a, E> {
     pub fn set_timer(&mut self, delay: SimDuration, payload: E) -> EventHandle {
         let me = self.me;
         let handle = self.schedule_in(delay, me, payload);
-        // Self-sends never cross a region boundary, so the handle is
-        // always a live local sequence number.
         self.core.note_timer_armed(me, handle);
         handle
     }
@@ -753,220 +606,13 @@ impl<'a, E> Context<'a, E> {
 }
 
 /// Observer hook invoked for every processed event when tracing is on.
-pub(crate) type TraceHook = Box<dyn FnMut(&TraceRecord)>;
-
-/// One lane of a [`Simulation`]: a private slice of the actor population
-/// with its RNG streams and its own scheduler core (clock, event queue,
-/// outbox) — and the engine's only pop → dispatch loop. What the
-/// simulation layer calls a *region* runs on one lane.
-pub(crate) struct Lane<E: 'static, S: Actor<E>> {
-    pub(crate) core: Core<E>,
-    pub(crate) actors: Vec<S>,
-    /// Slot → global actor index (`ActorId`s and RNG streams are global).
-    global_ids: Vec<usize>,
-    rngs: Vec<StreamRng>,
-    /// Members `[..next_start]` have had `on_start`: members join, and
-    /// start, in slot order.
-    next_start: usize,
-    pub(crate) events_processed: u64,
-    root_seed: u64,
-}
-
-impl<E: 'static, S: Actor<E>> Lane<E, S> {
-    pub(crate) fn new(root_seed: u64, profile: QueueProfile) -> Self {
-        Self {
-            core: Core {
-                now: SimTime::ZERO,
-                queue: EventQueue::with_profile(profile),
-                next_seq: 0,
-                stop_requested: false,
-                actor_count: 0,
-                router: None,
-                etrace: None,
-            },
-            actors: Vec::new(),
-            global_ids: Vec::new(),
-            rngs: Vec::new(),
-            next_start: 0,
-            events_processed: 0,
-            root_seed,
-        }
-    }
-
-    /// Appends `member` as global actor `global`, on the RNG stream of
-    /// that index; its `on_start` runs at the next flush.
-    fn push_member(&mut self, global: usize, member: S) {
-        self.actors.push(member);
-        self.global_ids.push(global);
-        self.rngs
-            .push(StreamRng::new(self.root_seed, global as u64));
-    }
-
-    /// The earliest instant at which this lane could possibly act: its
-    /// next queued event, or the current clock if starts are pending.
-    pub(crate) fn next_activity(&self) -> Option<SimTime> {
-        if self.next_start < self.actors.len() {
-            return Some(self.core.now);
-        }
-        self.core.queue.peek().map(|k| k.time)
-    }
-
-    /// One lane (no router) stores every actor at its global index.
-    fn slot(&self, target: ActorId) -> usize {
-        self.core
-            .router
-            .as_ref()
-            .map_or(target.0, |r| r.locate[target.0].1)
-    }
-
-    /// Dispatches either `on_start` (payload `None`) or `on_event` to the
-    /// actor in `slot`, then absorbs any spawned actors.
-    ///
-    /// The member is borrowed **in place**: the actor table, the scheduler
-    /// core, and the RNG table are disjoint, so no take/put-back swap is
-    /// needed. Re-entrant dispatch is impossible by construction — an
-    /// actor interacts with others only through queued events, and a
-    /// message to itself fires in a later dispatch that observes every
-    /// state change made here (pinned by the engine's self-send test).
-    fn dispatch(&mut self, slot: usize, me: ActorId, payload: Option<E>) {
-        // Parked spawns: allocation-free unless a spawn actually happens.
-        let mut pending: Vec<S> = Vec::new();
-        {
-            let actor = &mut self.actors[slot];
-            let mut ctx = Context {
-                core: &mut self.core,
-                rng: &mut self.rngs[slot],
-                pending_spawns: &mut pending,
-                me,
-            };
-            match payload {
-                Some(ev) => actor.on_event(&mut ctx, ev),
-                None => actor.on_start(&mut ctx),
-            }
-        }
-        for spawned in pending {
-            assert!(
-                self.core.router.is_none(),
-                "mid-run actor spawn is not supported in a multi-lane simulation \
-                 (the global actor table is fixed at run start)"
-            );
-            self.push_member(self.actors.len(), spawned);
-            debug_assert!(self.actors.len() <= self.core.actor_count);
-        }
-    }
-
-    /// Runs `on_start` for every member that has not started yet —
-    /// including members spawned by the starts themselves.
-    fn flush_starts(&mut self) {
-        while self.next_start < self.actors.len() {
-            let slot = self.next_start;
-            self.next_start += 1;
-            self.dispatch(slot, ActorId(self.global_ids[slot]), None);
-        }
-    }
-
-    /// Clears a pending [`Context::stop`] request and classifies the run
-    /// that just returned; `unfinished` is the outcome when live events
-    /// remain and nobody stopped.
-    fn outcome(&mut self, unfinished: RunOutcome) -> RunOutcome {
-        if std::mem::take(&mut self.core.stop_requested) {
-            RunOutcome::Stopped
-        } else if self.core.queue.is_empty() {
-            RunOutcome::Idle
-        } else {
-            unfinished
-        }
-    }
-}
-
-/// The run loop. Requires `E: Clone` so a batch event
-/// ([`Context::send_now_batch`]) can hand each target its own copy of the
-/// payload (the final target receives the original without cloning).
-impl<E: Clone + 'static, S: Actor<E>> Lane<E, S> {
-    /// Hands one popped event to one target. Observers see one record per
-    /// member dispatch (a batch's members share its time and seq), so they
-    /// still see every delivery.
-    fn deliver(
-        &mut self,
-        key: EventKey,
-        target: ActorId,
-        payload: E,
-        trace: &mut Option<TraceHook>,
-    ) {
-        if let Some(hook) = trace {
-            hook(&TraceRecord {
-                time: key.time,
-                target,
-                seq: key.seq,
-            });
-        }
-        self.core.note_dispatch(key.time, target, key.seq);
-        self.dispatch(self.slot(target), target, Some(payload));
-    }
-
-    /// Pops and dispatches the next event — which may be a batch
-    /// delivering to several actors in order — then starts whatever it
-    /// spawned. Returns `false` when the queue is empty. Cancelled events
-    /// were removed at cancel time, so every pop is live.
-    fn fire_next(&mut self, trace: &mut Option<TraceHook>) -> bool {
-        let Some((key, (dest, payload))) = self.core.queue.pop() else {
-            return false;
-        };
-        debug_assert!(key.time >= self.core.now, "event queue went backwards");
-        self.core.now = key.time;
-        self.events_processed += 1;
-        match dest {
-            Dest::One(target) => self.deliver(key, target, payload, trace),
-            Dest::Batch(targets) => {
-                let (&last, rest) = targets.split_last().expect("batch is never empty");
-                for &target in rest {
-                    self.deliver(key, target, payload.clone(), trace);
-                }
-                self.deliver(key, last, payload, trace);
-            }
-        }
-        self.flush_starts();
-        true
-    }
-
-    /// Advances this lane through one window: runs the `on_start` backlog,
-    /// then fires every queued event strictly before `window_end`, or
-    /// until an actor stops the run. A lane whose queue empties (or never
-    /// had events this window) simply returns — going idle mid-window is
-    /// the normal case, not an error. One lane runs a whole `run_until` as
-    /// a single window.
-    pub(crate) fn run_window(&mut self, window_end: SimTime, trace: &mut Option<TraceHook>) {
-        self.flush_starts();
-        loop {
-            // Re-read the bound each iteration: a cross-lane mint cuts
-            // this lane's own window end (see `LaneRouter`), so an
-            // adaptive window that leapt ahead stops as soon as its own
-            // outbound traffic could circle back.
-            let bound = self
-                .core
-                .router
-                .as_ref()
-                .map_or(window_end, |r| r.window_ends[r.my_lane]);
-            // The head of the queue is always live (true cancellation).
-            match self.core.queue.peek() {
-                Some(key) if key.time < bound && !self.core.stop_requested => {}
-                _ => return,
-            }
-            self.fire_next(trace);
-        }
-    }
-}
+type TraceHook = Box<dyn FnMut(&TraceRecord)>;
 
 /// A deterministic discrete-event simulation over actor storage `S`
 /// (default: [`DynActorSet`], which accepts any mix of actor types).
 ///
-/// The population lives in one or more *lanes*, each with its own event
-/// queue and clock. [`Simulation::new`] and [`Simulation::with_actor_set`]
-/// build one lane, which a run executes as a single unbounded window;
-/// [`Simulation::with_lanes`] builds several, advanced by conservative
-/// time windows with a barrier exchange between them (see
-/// [`crate::region`]) — same loop, same trajectory, possibly on several
-/// threads.
+/// One event queue, one clock, one actor table: actor `ActorId(i)` is
+/// member `i` of the table and draws from RNG stream `i`.
 ///
 /// # Examples
 ///
@@ -997,28 +643,16 @@ impl<E: Clone + 'static, S: Actor<E>> Lane<E, S> {
 /// assert_eq!(sim.actor::<Counter>(id).unwrap().fired, 3);
 /// ```
 pub struct Simulation<E: 'static, S: Actor<E> = DynActorSet<E>> {
-    pub(crate) lanes: Vec<Lane<E, S>>,
-    pub(crate) trace: Option<TraceHook>,
-    // The rest is the window driver's ([`crate::region`]); one lane never
-    // touches it.
-    /// Global actor index → (lane, slot), for several lanes only.
-    pub(crate) locate: Vec<(usize, usize)>,
-    /// `None`: the lanes are *isolated* — no cross-lane event is permitted
-    /// (infinite lookahead, one window per run).
-    pub(crate) lookahead: Option<SimDuration>,
-    /// Cap on worker threads per round of windows; 1 runs them inline.
-    pub(crate) workers: usize,
-    /// Runs one round of windows on scoped threads. Captured by
-    /// [`Simulation::with_lanes`], the only constructor that demands
-    /// `Send` members, so that running a simulation never does.
-    pub(crate) threaded: Option<ThreadedWindows<E, S>>,
-    pub(crate) policy: WindowPolicy,
-    pub(crate) windows_executed: u64,
-    pub(crate) barrier_exchanges: u64,
-    /// Reusable scratch for the per-barrier trace merge.
-    pub(crate) trace_scratch: Vec<TraceRecord>,
-    /// Barrier marks buffered while structured tracing is on.
-    pub(crate) barriers: Vec<BarrierMark>,
+    core: Core<E>,
+    actors: Vec<S>,
+    /// One stream per actor, at the actor's index.
+    rngs: Vec<StreamRng>,
+    /// Members `[..next_start]` have had `on_start`: members join, and
+    /// start, in index order.
+    next_start: usize,
+    events_processed: u64,
+    root_seed: u64,
+    trace: Option<TraceHook>,
 }
 
 impl<E: 'static, S: Actor<E>> Simulation<E, S> {
@@ -1038,156 +672,97 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     #[must_use]
     pub fn with_actor_set_and_profile(root_seed: u64, profile: QueueProfile) -> Self {
         Self {
-            lanes: vec![Lane::new(root_seed, profile)],
+            core: Core {
+                now: SimTime::ZERO,
+                queue: EventQueue::with_profile(profile),
+                next_seq: 0,
+                stop_requested: false,
+                actor_count: 0,
+                etrace: None,
+            },
+            actors: Vec::new(),
+            rngs: Vec::new(),
+            next_start: 0,
+            events_processed: 0,
+            root_seed,
             trace: None,
-            locate: Vec::new(),
-            lookahead: None,
-            workers: 1,
-            threaded: None,
-            policy: WindowPolicy::default(),
-            windows_executed: 0,
-            barrier_exchanges: 0,
-            trace_scratch: Vec::new(),
-            barriers: Vec::new(),
         }
     }
 
     /// Installs a trace hook that observes every processed event exactly
-    /// once. One lane invokes it at each dispatch, in firing order. Several
-    /// lanes buffer their records while a window runs and hand them over
-    /// at each barrier, merged in `(time, target)` order — fixed by the
-    /// trajectory, not by worker scheduling; `seq` is then lane-local,
-    /// while `time` and `target` match a one-lane run's records exactly.
+    /// once, at its dispatch, in firing order.
     pub fn set_trace<F: FnMut(&TraceRecord) + 'static>(&mut self, hook: F) {
-        if self.lanes.len() > 1 {
-            for lane in &mut self.lanes {
-                lane.core.enable_raw_records();
-            }
-        }
         self.trace = Some(Box::new(hook));
     }
 
     /// Switches the structured engine trace on (idempotent): every
     /// dispatch, timer arm, timer cancel, and timer fire is buffered as
     /// an [`EngineEvent`] until [`Simulation::take_engine_trace`] drains
-    /// it, and every window barrier of a multi-lane run as a
-    /// [`BarrierMark`]. Disabled (the default), the scheduler pays one
-    /// predictable branch per operation and allocates nothing.
+    /// it. Disabled (the default), the scheduler pays one predictable
+    /// branch per operation and allocates nothing.
     pub fn enable_engine_trace(&mut self) {
-        for lane in &mut self.lanes {
-            lane.core.enable_etrace();
-        }
+        self.core.etrace.get_or_insert_with(Box::default);
     }
 
     /// Drains the buffered structured trace in canonical `(time, actor)`
-    /// order — the lane-invariant order. Engine sequence numbers differ
-    /// between a one-lane and a multi-lane run of the same trajectory,
-    /// but each actor's own event order does not (per-actor trajectories
-    /// are bit-identical, and every actor lives in exactly one lane), so
-    /// a *stable* sort keyed on `(time, actor)` yields the identical
-    /// stream at any lane count. Empty when tracing was never enabled.
+    /// order: a *stable* sort of the execution order, so each actor's own
+    /// events keep the order they happened in. Empty when tracing was
+    /// never enabled.
     pub fn take_engine_trace(&mut self) -> Vec<EngineEvent> {
-        let mut events = Vec::new();
-        for lane in &mut self.lanes {
-            events.append(&mut lane.core.take_etrace_events());
-        }
+        let mut events = self
+            .core
+            .etrace
+            .as_deref_mut()
+            .map_or_else(Vec::new, |t| std::mem::take(&mut t.events));
         events.sort_by_key(|e| (e.time, e.actor));
         events
     }
 
-    /// Registers an actor given as the simulation's member type in lane 0
-    /// and returns its id. Its `on_start` runs when the first run method
-    /// is called (or immediately if the run has begun). Typed simulations
+    /// Registers an actor given as the simulation's member type and
+    /// returns its id. Its `on_start` runs when the first run method is
+    /// called (or immediately if the run has begun). Typed simulations
     /// pass their enum (usually via a `From` impl); dynamic simulations
     /// can use [`Simulation::add_actor`] instead.
     pub fn add_member(&mut self, member: S) -> ActorId {
-        self.add_member_in(0, member)
+        let id = ActorId(self.actors.len());
+        self.push_member(member);
+        self.core.actor_count = self.actors.len();
+        id
     }
 
-    /// [`Simulation::add_member`] into an explicit lane. Global ids (and
-    /// therefore RNG streams) are assigned in call order, independent of
-    /// the lane — assembling the same population in the same order at any
-    /// lane count yields the same actor-id layout and the same random
-    /// streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn add_member_in(&mut self, lane: usize, member: S) -> ActorId {
-        assert!(lane < self.lanes.len(), "unknown lane {lane}");
-        let global = self.actor_count();
-        if self.lanes.len() > 1 {
-            self.locate.push((lane, self.lanes[lane].actors.len()));
-        }
-        self.lanes[lane].push_member(global, member);
-        for lane in &mut self.lanes {
-            lane.core.actor_count = global + 1;
-        }
-        ActorId(global)
+    /// Appends `member` at the next index, on the RNG stream of that
+    /// index; its `on_start` runs at the next flush.
+    fn push_member(&mut self, member: S) {
+        self.rngs
+            .push(StreamRng::new(self.root_seed, self.actors.len() as u64));
+        self.actors.push(member);
     }
 
-    /// Where actor `id` lives, as `(lane, slot)`.
-    fn find(&self, id: ActorId) -> Option<(usize, usize)> {
-        match &self.lanes[..] {
-            // One lane stores actors at their global index — including
-            // those spawned mid-run, which no table has heard of.
-            [lane] => (id.0 < lane.actors.len()).then_some((0, id.0)),
-            _ => self.locate.get(id.0).copied(),
-        }
-    }
-
-    /// The only lane, for the operations that address single events: with
-    /// several lanes an event handle or an event count names no lane.
-    fn sole_lane(&mut self, op: &str) -> (&mut Lane<E, S>, &mut Option<TraceHook>) {
-        let lanes = self.lanes.len();
-        assert!(
-            lanes == 1,
-            "`{op}` is event-granular and needs a one-lane simulation, \
-             but this one has {lanes} lanes"
-        );
-        (&mut self.lanes[0], &mut self.trace)
-    }
-
-    /// Current virtual time: the latest lane clock — the time of the last
-    /// executed event, or the `end` of the last [`Simulation::run_until`]
-    /// that reached it.
+    /// Current virtual time: the time of the last executed event, or the
+    /// `end` of the last [`Simulation::run_until`] that reached it.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        let clocks = self.lanes.iter().map(|lane| lane.core.now);
-        clocks.max().expect("a simulation has at least one lane")
+        self.core.now
     }
 
-    /// Number of events processed so far, over all lanes — the same at
-    /// any lane count: every event is minted once and fired once, on
-    /// whichever side of a barrier it lands.
+    /// Number of events processed so far.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.lanes.iter().map(|lane| lane.events_processed).sum()
+        self.events_processed
     }
 
-    /// Events processed by one lane alone (fan-out observability for
-    /// isolated shard-per-lane runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[must_use]
-    pub fn lane_events_processed(&self, lane: usize) -> u64 {
-        self.lanes[lane].events_processed
-    }
-
-    /// Number of live events currently queued, over all lanes. Cancelled
-    /// events are removed eagerly, so the count is exact — never inflated
-    /// by tombstones.
+    /// Number of live events currently queued. Cancelled events are
+    /// removed eagerly, so the count is exact — never inflated by
+    /// tombstones.
     #[must_use]
     pub fn queue_len(&self) -> usize {
-        self.lanes.iter().map(|lane| lane.core.queue.len()).sum()
+        self.core.queue.len()
     }
 
     /// Number of registered actors.
     #[must_use]
     pub fn actor_count(&self) -> usize {
-        self.lanes.iter().map(|lane| lane.actors.len()).sum()
+        self.actors.len()
     }
 
     /// Immutable access to an actor, projected to its concrete type
@@ -1200,8 +775,7 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     where
         S: ProjectActor<A>,
     {
-        let (lane, slot) = self.find(id)?;
-        self.lanes[lane].actors[slot].project()
+        self.actors.get(id.0)?.project()
     }
 
     /// Mutable access to an actor, projected to its concrete type.
@@ -1210,41 +784,25 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     where
         S: ProjectActor<A>,
     {
-        let (lane, slot) = self.find(id)?;
-        self.lanes[lane].actors[slot].project_mut()
+        self.actors.get_mut(id.0)?.project_mut()
     }
 
     /// Schedules an event from outside the simulation (e.g. initial stimuli
-    /// or experiment-driven interventions) into the lane that owns
-    /// `target`. With several lanes the handle is lane-local and cannot be
-    /// cancelled or rescheduled from outside.
+    /// or experiment-driven interventions).
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past or the target is unknown.
     pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: E) -> EventHandle {
-        let Some((lane, _)) = self.find(target) else {
-            panic!("unknown actor {target:?}");
-        };
-        let core = &mut self.lanes[lane].core;
-        assert!(
-            at >= core.now,
-            "cannot schedule into the past: {at} < now {}",
-            core.now
-        );
-        // Not a mint by an actor of another lane: no router, no outbox.
-        core.push_local(at, target, payload)
+        assert!(target.0 < self.actors.len(), "unknown actor {target:?}");
+        self.core.push(at, target, payload)
     }
 
     /// Cancels an event scheduled with [`Simulation::schedule_at`] or from a
     /// context, returning whether it was still pending. Cancelling a fired
     /// or already-cancelled handle is a true no-op (nothing is retained).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a simulation with several lanes.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.sole_lane("cancel").0.core.cancel(handle)
+        self.core.cancel(handle)
     }
 
     /// Moves a pending event to `at` in place, returning the fresh handle
@@ -1253,10 +811,63 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past, or on a simulation with several
-    /// lanes.
+    /// Panics if `at` is in the past.
     pub fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
-        self.sole_lane("reschedule").0.core.reschedule(handle, at)
+        self.core.reschedule(handle, at)
+    }
+
+    /// Dispatches either `on_start` (payload `None`) or `on_event` to
+    /// actor `me`, then absorbs any spawned actors.
+    ///
+    /// The member is borrowed **in place**: the actor table, the scheduler
+    /// core, and the RNG table are disjoint, so no take/put-back swap is
+    /// needed. Re-entrant dispatch is impossible by construction — an
+    /// actor interacts with others only through queued events, and a
+    /// message to itself fires in a later dispatch that observes every
+    /// state change made here (pinned by the engine's self-send test).
+    fn dispatch(&mut self, me: ActorId, payload: Option<E>) {
+        // Parked spawns: allocation-free unless a spawn actually happens.
+        let mut pending: Vec<S> = Vec::new();
+        {
+            let actor = &mut self.actors[me.0];
+            let mut ctx = Context {
+                core: &mut self.core,
+                rng: &mut self.rngs[me.0],
+                pending_spawns: &mut pending,
+                me,
+            };
+            match payload {
+                Some(ev) => actor.on_event(&mut ctx, ev),
+                None => actor.on_start(&mut ctx),
+            }
+        }
+        for spawned in pending {
+            self.push_member(spawned);
+            debug_assert!(self.actors.len() <= self.core.actor_count);
+        }
+    }
+
+    /// Runs `on_start` for every member that has not started yet —
+    /// including members spawned by the starts themselves.
+    fn flush_starts(&mut self) {
+        while self.next_start < self.actors.len() {
+            let me = ActorId(self.next_start);
+            self.next_start += 1;
+            self.dispatch(me, None);
+        }
+    }
+
+    /// Clears a pending [`Context::stop`] request and classifies the run
+    /// that just returned; `unfinished` is the outcome when live events
+    /// remain and nobody stopped.
+    fn outcome(&mut self, unfinished: RunOutcome) -> RunOutcome {
+        if std::mem::take(&mut self.core.stop_requested) {
+            RunOutcome::Stopped
+        } else if self.core.queue.is_empty() {
+            RunOutcome::Idle
+        } else {
+            unfinished
+        }
     }
 }
 
@@ -1275,19 +886,55 @@ impl<E: 'static> Simulation<E> {
     }
 }
 
-/// Running. None of it asks for `Send`: worker threads come with how a
-/// multi-lane simulation was built, not with the call that runs it.
+/// The run loop. Requires `E: Clone` so a batch event
+/// ([`Context::send_now_batch`]) can hand each target its own copy of the
+/// payload (the final target receives the original without cloning).
 impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
+    /// Hands one popped event to one target. Observers see one record per
+    /// member dispatch (a batch's members share its time and seq), so they
+    /// still see every delivery.
+    fn deliver(&mut self, key: EventKey, target: ActorId, payload: E) {
+        if let Some(hook) = &mut self.trace {
+            hook(&TraceRecord {
+                time: key.time,
+                target,
+                seq: key.seq,
+            });
+        }
+        self.core.note_dispatch(key.time, target, key.seq);
+        self.dispatch(target, Some(payload));
+    }
+
+    /// Pops and dispatches the next event — which may be a batch
+    /// delivering to several actors in order — then starts whatever it
+    /// spawned. Returns `false` when the queue is empty. Cancelled events
+    /// were removed at cancel time, so every pop is live.
+    fn fire_next(&mut self) -> bool {
+        let Some((key, (dest, payload))) = self.core.queue.pop() else {
+            return false;
+        };
+        debug_assert!(key.time >= self.core.now, "event queue went backwards");
+        self.core.now = key.time;
+        self.events_processed += 1;
+        match dest {
+            Dest::One(target) => self.deliver(key, target, payload),
+            Dest::Batch(targets) => {
+                let (&last, rest) = targets.split_last().expect("batch is never empty");
+                for &target in rest {
+                    self.deliver(key, target, payload.clone());
+                }
+                self.deliver(key, last, payload);
+            }
+        }
+        self.flush_starts();
+        true
+    }
+
     /// Processes a single event — which may be a batch delivering to
     /// several actors in order. Returns `false` when the queue is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a simulation with several lanes.
     pub fn step(&mut self) -> bool {
-        let (lane, trace) = self.sole_lane("step");
-        lane.flush_starts();
-        lane.fire_next(trace)
+        self.flush_starts();
+        self.fire_next()
     }
 
     /// Runs until the queue drains, an actor stops the run, or `max_events`
@@ -1296,57 +943,46 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     /// [`RunOutcome::EventBudget`] is returned only when live events remain
     /// unprocessed: `run(0)` on an idle simulation, or a budget that is
     /// consumed exactly as the queue drains, report [`RunOutcome::Idle`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a simulation with several lanes.
     pub fn run(&mut self, max_events: u64) -> RunOutcome {
-        let (lane, trace) = self.sole_lane("run");
-        lane.flush_starts();
+        self.flush_starts();
         for _ in 0..max_events {
-            if lane.core.stop_requested || !lane.fire_next(trace) {
+            if self.core.stop_requested || !self.fire_next() {
                 break;
             }
         }
-        lane.outcome(RunOutcome::EventBudget)
+        self.outcome(RunOutcome::EventBudget)
     }
 
     /// Runs until the virtual clock reaches `end` (processing every event
-    /// with `time ≤ end`), the queues drain, or an actor stops the run.
+    /// with `time ≤ end`), the queue drains, or an actor stops the run.
     /// Unless stopped, the clock is left exactly at `end` (or where it
-    /// was, if already past). With several lanes a stop is
-    /// barrier-granular: the other lanes finish the window in which an
-    /// actor called [`Context::stop`].
+    /// was, if already past).
     pub fn run_until(&mut self, end: SimTime) -> RunOutcome {
-        let outcome = self.advance(Some(end));
+        let outcome = self.run_through(end);
         if outcome != RunOutcome::Stopped {
-            for lane in &mut self.lanes {
-                lane.core.now = lane.core.now.max(end);
-            }
+            self.core.now = self.core.now.max(end);
         }
         outcome
     }
 
-    /// Runs until every queue is empty (and no cross-lane events remain
-    /// in flight) or an actor stops the run.
+    /// Runs until the queue is empty or an actor stops the run.
     pub fn run_until_idle(&mut self) -> RunOutcome {
-        self.advance(None)
+        self.run_through(SimTime::MAX)
     }
 
-    /// Runs to `end` (inclusive; `None` runs to global idle): one lane as
-    /// a single window, several lanes window by window.
-    fn advance(&mut self, end: Option<SimTime>) -> RunOutcome {
-        // Exclusive horizon: `end` is inclusive and the clock is integer
-        // nanoseconds, so the half-open window machinery uses `end + 1ns`.
-        let horizon = end.map_or(SimTime::MAX, |e| {
-            e.checked_add(SimDuration::from_nanos(1))
-                .unwrap_or(SimTime::MAX)
-        });
-        if let [lane] = &mut self.lanes[..] {
-            lane.run_window(horizon, &mut self.trace);
-            return lane.outcome(RunOutcome::ReachedTime);
+    /// Runs the `on_start` backlog, then fires every queued event up to
+    /// and including `end`, or until an actor stops the run.
+    fn run_through(&mut self, end: SimTime) -> RunOutcome {
+        self.flush_starts();
+        loop {
+            // The head of the queue is always live (true cancellation).
+            match self.core.queue.peek() {
+                Some(key) if key.time <= end && !self.core.stop_requested => {}
+                _ => break,
+            }
+            self.fire_next();
         }
-        self.drive(end, horizon)
+        self.outcome(RunOutcome::ReachedTime)
     }
 }
 
@@ -1995,7 +1631,7 @@ mod tests {
     }
 
     /// No run method asks for `Send`: an actor may share an `Rc` with the
-    /// test that drives it (only `Simulation::with_lanes` would refuse it).
+    /// test that drives it.
     #[test]
     fn rc_holding_actors_run_without_send() {
         use std::cell::Cell;

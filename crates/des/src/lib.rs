@@ -17,13 +17,10 @@
 //!   from the root seed and its actor id; a run is a pure function of its
 //!   seed and configuration.
 //!
-//! There is one engine. A [`Simulation`] keeps its actors in *lanes*, each
-//! with its own queue and clock, and one loop pops and dispatches their
-//! events. One lane (the default) runs as a single unbounded window;
-//! several ([`Simulation::with_lanes`]) advance by conservative time
-//! windows with a deterministic exchange at each barrier, on worker
-//! threads if allowed — the [`region`] module drives that, and the
-//! trajectory is the same at any lane and worker count.
+//! There is one engine and one loop: a [`Simulation`] owns one event
+//! queue, one clock and one actor table, and pops and dispatches events in
+//! order until the queue drains, a horizon is reached or an actor stops
+//! the run.
 //!
 //! See [`Simulation`] for the entry point and an end-to-end example.
 
@@ -32,7 +29,6 @@
 
 mod engine;
 pub mod queue;
-pub mod region;
 mod rng;
 mod time;
 mod timer_slots;
@@ -42,7 +38,6 @@ pub use engine::{
     RunOutcome, Simulation, TraceRecord,
 };
 pub use queue::{EventKey, EventQueue, QueueProfile};
-pub use region::{BarrierMark, WindowPolicy};
 pub use rng::{derive_seed, splitmix64, StreamRng};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};
 pub use timer_slots::TimerSlots;

@@ -14,12 +14,17 @@
 //! * the queue's vacant root (a pop defers its heap repair to whoever
 //!   comes next) is invisible at the engine's surface: `queue_len`,
 //!   `is_pending` and external `cancel`/`reschedule`/`schedule_at` between
-//!   `step`s and after a `stop`.
+//!   `step`s and after a `stop`;
+//! * the three ways to drive a simulation (`step`, `run(n)`, `run_until`)
+//!   agree event for event across a mid-run spawn and repeated stops
+//!   (a proptest over random token rings; soaked in CI at
+//!   `PROPTEST_CASES=1024`, see `ci.sh`).
 
 use presence_des::{
     Actor, ActorId, Context, EventHandle, ProjectActor, RunOutcome, SimDuration, SimTime,
     Simulation,
 };
+use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -425,4 +430,193 @@ fn stop_then_external_schedule_then_run_until_fires_in_order() {
             (9_000, 12),
         ]
     );
+}
+
+/// Least link delay of a generated ring, so no hop is instantaneous.
+const MIN_LINK: SimDuration = SimDuration::from_micros(10);
+
+/// Hop budget of the ring a spawning node starts mid-run.
+const SPAWNED_HOPS: u32 = 5;
+
+/// Ring node: on start (if a token source) and on each received token,
+/// draw from its RNG stream, log, and forward to its successor until the
+/// token's hop budget runs out. `next` is patched in after every node has
+/// joined (actor ids are only minted at `add_member` time); a node left
+/// without one is a ring of its own. One node spawns such a ring on its
+/// first token, and one node stops the run on every token.
+struct Node {
+    next: Option<ActorId>,
+    delay: SimDuration,
+    source_hops: Option<u32>,
+    spawns: bool,
+    stops: bool,
+    log: Vec<(u64, u32, u64)>,
+}
+
+impl Actor<u32> for Node {
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        if let Some(hops) = self.source_hops {
+            let next = self.next.unwrap_or_else(|| ctx.me());
+            ctx.schedule_in(self.delay, next, hops);
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut Context<'_, u32>, hops_left: u32) {
+        let draw = ctx.rng().next_u64();
+        self.log.push((ctx.now().as_nanos(), hops_left, draw));
+        if std::mem::take(&mut self.spawns) {
+            ctx.spawn_member(Node {
+                next: None,
+                delay: self.delay,
+                source_hops: Some(SPAWNED_HOPS),
+                spawns: false,
+                stops: false,
+                log: Vec::new(),
+            });
+        }
+        if self.stops {
+            ctx.stop();
+        }
+        if hops_left > 0 {
+            let next = self.next.unwrap_or_else(|| ctx.me());
+            ctx.schedule_in(self.delay, next, hops_left - 1);
+        }
+    }
+}
+
+impl ProjectActor<Node> for Node {
+    fn project(&self) -> Option<&Node> {
+        Some(self)
+    }
+    fn project_mut(&mut self) -> Option<&mut Node> {
+        Some(self)
+    }
+}
+
+/// One generated ring: per-node link delays (nanoseconds past
+/// [`MIN_LINK`]) and the token's hop budget.
+#[derive(Debug, Clone)]
+struct RingSpec {
+    delays: Vec<u64>,
+    hops: u32,
+}
+
+fn ring_spec() -> impl Strategy<Value = RingSpec> {
+    (prop::collection::vec(0u64..1_000_000, 1..5), 1u32..40)
+        .prop_map(|(delays, hops)| RingSpec { delays, hops })
+}
+
+/// `(time, target, seq)` of every dispatch, in hook order.
+type Trace = Rc<RefCell<Vec<(u64, usize, u64)>>>;
+
+/// The driver-agreement population: disjoint token rings joined ring
+/// after ring (node 0 of each is its token source), a trace hook, and the
+/// spawning and stopping behaviours switched on for one node each.
+fn build_for_drivers(
+    rings: &[RingSpec],
+    seed: u64,
+    spawner: usize,
+    stopper: usize,
+) -> (Simulation<u32, Node>, Vec<ActorId>, Trace) {
+    let mut sim = Simulation::with_actor_set(seed);
+    let mut ids = Vec::new();
+    for ring in rings {
+        let base = ids.len();
+        for (i, &extra) in ring.delays.iter().enumerate() {
+            ids.push(sim.add_member(Node {
+                next: None,
+                delay: MIN_LINK + SimDuration::from_nanos(extra),
+                source_hops: (i == 0).then_some(ring.hops),
+                spawns: false,
+                stops: false,
+                log: Vec::new(),
+            }));
+        }
+        let n = ring.delays.len();
+        for i in 0..n {
+            sim.actor_mut::<Node>(ids[base + i]).unwrap().next = Some(ids[base + (i + 1) % n]);
+        }
+    }
+    sim.actor_mut::<Node>(ids[spawner % ids.len()])
+        .unwrap()
+        .spawns = true;
+    sim.actor_mut::<Node>(ids[stopper % ids.len()])
+        .unwrap()
+        .stops = true;
+    let trace = Trace::default();
+    let sink = Rc::clone(&trace);
+    sim.set_trace(move |r| {
+        sink.borrow_mut()
+            .push((r.time.as_nanos(), r.target.index(), r.seq));
+    });
+    (sim, ids, trace)
+}
+
+proptest! {
+    /// The three ways to drive a simulation agree: `step()` until it
+    /// returns `false` and `run(n)` in random chunks pop one event at a
+    /// time, `run_until` runs the bounded loop — same trace, same event
+    /// count, same clock, with one node spawning a ring mid-run and one
+    /// calling `Context::stop()` on every token. Each stop ends the run
+    /// right after its own event, and a resumed run loses nothing.
+    #[test]
+    fn one_lane_drivers_agree_and_stop_resumes(
+        rings in prop::collection::vec(ring_spec(), 1..4),
+        seed in any::<u64>(),
+        spawner in 0usize..16,
+        stopper in 0usize..16,
+        chunks in prop::collection::vec(1u64..8, 1..6),
+    ) {
+        // Hop budgets (< 40) times max per-hop delay (< 10 µs + 1 ms) keep
+        // every token comfortably inside a 100 ms horizon.
+        let end = SimTime::from_nanos(100_000_000);
+        let last_time = |trace: &Trace| SimTime::from_nanos(trace.borrow().last().unwrap().0);
+
+        // `step()` neither honours nor clears a stop request.
+        let (mut stepped, ids, step_trace) = build_for_drivers(&rings, seed, spawner, stopper);
+        while stepped.step() {}
+        prop_assert_eq!(stepped.now(), last_time(&step_trace));
+        let stopper_id = ids[stopper % ids.len()];
+        let stops = stepped.actor::<Node>(stopper_id).unwrap().log.len();
+        // A short token never reaches the far side of its ring.
+        let spawner_id = ids[spawner % ids.len()];
+        let spawned = usize::from(!stepped.actor::<Node>(spawner_id).unwrap().log.is_empty());
+
+        let (mut chunked, _, run_trace) = build_for_drivers(&rings, seed, spawner, stopper);
+        let mut run_stops = 0;
+        for &chunk in chunks.iter().cycle() {
+            match chunked.run(chunk) {
+                RunOutcome::Idle => break,
+                RunOutcome::Stopped => {
+                    run_stops += 1;
+                    prop_assert_eq!(run_trace.borrow().last().unwrap().1, stopper_id.index());
+                }
+                outcome => prop_assert_eq!(outcome, RunOutcome::EventBudget),
+            }
+        }
+        prop_assert_eq!(run_stops, stops);
+        prop_assert_eq!(chunked.now(), last_time(&run_trace));
+
+        let (mut bounded, _, bounded_trace) = build_for_drivers(&rings, seed, spawner, stopper);
+        let mut bounded_stops = 0;
+        while bounded.run_until(end) == RunOutcome::Stopped {
+            bounded_stops += 1;
+            prop_assert_eq!(bounded_trace.borrow().last().unwrap().1, stopper_id.index());
+            prop_assert_eq!(bounded.now(), last_time(&bounded_trace));
+        }
+        prop_assert_eq!(bounded_stops, stops);
+
+        // Bring the event-at-a-time runs to `end` as well (the first call
+        // of the stepped one only clears its stale stop request).
+        for sim in [&mut stepped, &mut chunked] {
+            while sim.run_until(end) == RunOutcome::Stopped {}
+        }
+        prop_assert_eq!(&*step_trace.borrow(), &*bounded_trace.borrow());
+        prop_assert_eq!(&*run_trace.borrow(), &*bounded_trace.borrow());
+        for sim in [&stepped, &chunked, &bounded] {
+            prop_assert_eq!(sim.now(), end);
+            prop_assert_eq!(sim.events_processed(), bounded_trace.borrow().len() as u64);
+            prop_assert_eq!(sim.actor_count(), ids.len() + spawned, "the spawned ring joined");
+        }
+    }
 }

@@ -25,14 +25,10 @@ pub trait DelayModel: std::fmt::Debug + Send {
     fn max_delay(&self) -> Option<SimDuration>;
 
     /// A guaranteed lower bound: every [`DelayModel::sample`] call, at any
-    /// `now`, returns at least this much. This is the *lookahead* of a
-    /// conservative parallel simulation — a region may safely advance
-    /// `min_delay` past the barrier before a cross-region message could
-    /// possibly arrive — so soundness demands the bound hold for every
-    /// sample, never just in expectation (pinned by the
-    /// `samples_never_undershoot_min_delay` proptest). Models that can
-    /// produce arbitrarily small delays must return
-    /// [`SimDuration::ZERO`], which region partitioning rejects.
+    /// `now`, returns at least this much — for every sample, never just in
+    /// expectation (pinned by the `samples_never_undershoot_min_delay`
+    /// proptest). Models that can produce arbitrarily small delays return
+    /// [`SimDuration::ZERO`].
     fn min_delay(&self) -> SimDuration {
         SimDuration::ZERO
     }
@@ -185,9 +181,8 @@ impl DelayModel for ExponentialDelay {
         Some(self.cap)
     }
     // An exponential can land arbitrarily close to zero, so the inherited
-    // `min_delay() == ZERO` default is the honest bound: exponential links
-    // provide no lookahead on their own (wrap in `ShiftedDelay` to add a
-    // propagation floor).
+    // `min_delay() == ZERO` default is the honest bound (wrap in
+    // `ShiftedDelay` to add a propagation floor).
 }
 
 /// A fixed minimum plus a random component from an inner model — useful to
@@ -215,42 +210,6 @@ impl<M: DelayModel> DelayModel for ShiftedDelay<M> {
     }
     fn min_delay(&self) -> SimDuration {
         self.floor + self.inner.min_delay()
-    }
-}
-
-/// Clamps an inner model's samples to a hard lower bound:
-/// `max(inner.sample(), floor)`.
-///
-/// Unlike [`ShiftedDelay`] (which *adds* the floor and shifts the whole
-/// distribution), flooring leaves every sample at or above the floor
-/// untouched — the distribution is unchanged wherever the inner model
-/// already respects the bound. A decomposed network topology uses this to
-/// give zero-`min_delay` fabrics a positive WAN-leg floor (and thereby a
-/// usable cross-region lookahead) while perturbing as little of the delay
-/// distribution as possible.
-#[derive(Debug)]
-pub struct FlooredDelay<M> {
-    floor: SimDuration,
-    inner: M,
-}
-
-impl<M: DelayModel> FlooredDelay<M> {
-    /// Creates a delay of `max(inner.sample(), floor)`.
-    #[must_use]
-    pub fn new(floor: SimDuration, inner: M) -> Self {
-        Self { floor, inner }
-    }
-}
-
-impl<M: DelayModel> DelayModel for FlooredDelay<M> {
-    fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration {
-        self.inner.sample(now, rng).max(self.floor)
-    }
-    fn max_delay(&self) -> Option<SimDuration> {
-        self.inner.max_delay().map(|d| d.max(self.floor))
-    }
-    fn min_delay(&self) -> SimDuration {
-        self.inner.min_delay().max(self.floor)
     }
 }
 
@@ -385,7 +344,7 @@ mod tests {
             ThreeMode::paper_default().min_delay(),
             SimDuration::from_micros(100)
         );
-        // Exponential links admit arbitrarily small delays: no lookahead.
+        // Exponential links admit arbitrarily small delays.
         assert_eq!(
             ExponentialDelay::new(0.001, SimDuration::from_secs(1)).min_delay(),
             SimDuration::ZERO

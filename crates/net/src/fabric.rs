@@ -28,7 +28,7 @@
 
 use crate::delay::DelayModel;
 use crate::loss::LossModel;
-use presence_des::{SimDuration, SimTime, StreamRng};
+use presence_des::{SimTime, StreamRng};
 use presence_stats::TimeWeighted;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -147,25 +147,8 @@ impl Fabric {
     /// Deadlines `≤ now` settle first, so a delivery tying with this send
     /// frees its slot before the overflow check — the same order an eager
     /// engine would process the two events in.
-    pub fn send(&mut self, now: SimTime, rng: &mut StreamRng) -> SendOutcome {
-        self.send_relayed(now, rng, SimDuration::ZERO)
-    }
-
-    /// [`Fabric::send`] for a message that already spent `discount` of its
-    /// end-to-end delay in transit before reaching this fabric — the
-    /// decomposed-topology relay path, where an inter-plane leg of
-    /// `min_delay` precedes admission on the plane that owns the
-    /// destination. The sampled delay is reduced by `discount` (never
-    /// below zero), so the total delivery delay is `max(sample, discount)`
-    /// — bit-equal to the sampled delay whenever the model's
-    /// [`DelayModel::min_delay`] covers the leg.
     #[inline]
-    pub fn send_relayed(
-        &mut self,
-        now: SimTime,
-        rng: &mut StreamRng,
-        discount: SimDuration,
-    ) -> SendOutcome {
+    pub fn send(&mut self, now: SimTime, rng: &mut StreamRng) -> SendOutcome {
         self.settle(now);
         self.stats.offered += 1;
         if self.in_flight >= self.capacity {
@@ -180,8 +163,7 @@ impl Fabric {
         self.stats.admitted += 1;
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
         self.occupancy.set(now.as_secs_f64(), self.in_flight as f64);
-        let delay = self.delay.sample(now, rng).saturating_sub(discount);
-        let at = now + delay;
+        let at = now + self.delay.sample(now, rng);
         self.pending.push(Reverse(at));
         SendOutcome::Deliver(at)
     }

@@ -34,8 +34,7 @@ mod scheduled;
 
 pub use buffer::{BoundedFifo, BufferStats};
 pub use delay::{
-    ConstantDelay, DelayModel, ExponentialDelay, FlooredDelay, ShiftedDelay, ThreeMode,
-    UniformDelay,
+    ConstantDelay, DelayModel, ExponentialDelay, ShiftedDelay, ThreeMode, UniformDelay,
 };
 pub use fabric::{Fabric, FabricStats, SendOutcome};
 pub use loss::{BernoulliLoss, GilbertElliott, LossModel, NoLoss};

@@ -132,8 +132,8 @@ impl<M: DelayModel> DelayModel for Scheduled<M> {
             .try_fold(SimDuration::ZERO, |acc, d| d.map(|d| acc.max(d)))
     }
 
-    /// The minimum over *all* segments — a lookahead bound must survive
-    /// every regime the run will visit, including ones not yet active.
+    /// The minimum over *all* segments — a lower bound must survive every
+    /// regime the run will visit, including ones not yet active.
     fn min_delay(&self) -> SimDuration {
         self.segments
             .iter()

@@ -9,7 +9,7 @@ use presence_net::{
 use proptest::prelude::*;
 
 /// One kind per stationary delay model, plus the min-plus wrapper
-/// (`ShiftedDelay`, a floor over a zero-lookahead exponential).
+/// (`ShiftedDelay`, a floor over a zero-minimum exponential).
 const DELAY_KINDS: u8 = 5;
 
 fn any_delay() -> impl Strategy<Value = (u8, u64, u64)> {
@@ -56,9 +56,8 @@ proptest! {
     }
 
     /// Every delay model respects its own stated minimum at every query
-    /// time — the lookahead soundness condition: a conservative parallel
-    /// run advances a region `min_delay` past the barrier on the promise
-    /// that no sample can undershoot it, ever, not just in expectation.
+    /// time: `min_delay` is a lower bound on every sample, ever, not just
+    /// in expectation.
     /// Covers Constant, Uniform, ThreeMode, the capped exponential, and
     /// the min-plus wrapper (`ShiftedDelay`) directly, plus `Scheduled`
     /// over a random mix of all of them (the bound must hold across every

@@ -23,11 +23,10 @@ use crate::regime::RegimeActor;
 use presence_des::{Actor, Context, ProjectActor, SimTime, Simulation};
 
 /// A presence simulation with typed actor storage: the hot-path variant of
-/// `Simulation<SimEvent>` every scenario runs on, at any lane count — one
-/// lane for the hub and [`crate::MegaScenario`], one per region on
-/// [`crate::Topology::Planes`], one per [`crate::run_mega_sharded`] shard.
-/// The set is `Send`, which is all [`Simulation::with_lanes`] asks before
-/// it may run lanes on worker threads.
+/// `Simulation<SimEvent>` that [`crate::Scenario`] and
+/// [`crate::MegaScenario`] run on. Nothing requires the set to be `Send`:
+/// the parallel study runners ([`crate::parallel`]) build each scenario
+/// inside the worker that runs it and send back only its result.
 pub type PresenceSim = Simulation<SimEvent, PresenceActorSet>;
 
 /// A passive recorder node: logs every event delivered to it, with its

@@ -147,12 +147,6 @@ pub struct ChurnActor {
     /// How many mid-run model switches have been applied (lab
     /// diagnostics; see [`ChurnActor::switches_applied`]).
     switches: u64,
-    /// Wire time between the churn driver and the CPs it notifies. Zero
-    /// (the default) keeps the instantaneous `send_now` membership paths
-    /// of the hub topology; a decomposed topology sets it to the
-    /// inter-plane leg so every `Join`/`Leave` crosses region cuts with
-    /// positive lookahead (see [`ChurnActor::set_notify_delay`]).
-    notify_delay: SimDuration,
     /// Regime-switch trace buffer; `None` (one predictable branch per
     /// switch) unless [`ChurnActor::set_trace`] armed it.
     trace: Option<Box<ChurnTrace>>,
@@ -194,7 +188,6 @@ impl ChurnActor {
             flash_step: 0,
             flash_baseline: 0,
             switches: 0,
-            notify_delay: SimDuration::ZERO,
             trace: None,
         }
     }
@@ -207,17 +200,6 @@ impl ChurnActor {
     /// Takes the trace buffer accumulated since [`ChurnActor::set_trace`].
     pub fn take_trace(&mut self) -> Option<Box<ChurnTrace>> {
         self.trace.take()
-    }
-
-    /// Makes every membership notification (`Join`/`Leave`, wave steps,
-    /// the initial staggered joins) travel `delay` of wire time instead of
-    /// arriving instantaneously. A decomposed scenario sets this to the
-    /// inter-plane leg: the churn driver lives in one region while its CPs
-    /// are spread across all of them, and a zero-delay cross-region event
-    /// would (correctly) trip the engine's lookahead check. Zero keeps the
-    /// hub's exact legacy trajectories.
-    pub fn set_notify_delay(&mut self, delay: SimDuration) {
-        self.notify_delay = delay;
     }
 
     /// One sample at start plus one per resample; 1.5× headroom keeps an
@@ -287,7 +269,7 @@ impl ChurnActor {
                 changed.push(self.cps[idx]);
                 current += 1;
             }
-            self.send_membership(ctx, changed, SimEvent::Join);
+            Self::send_membership(ctx, changed, SimEvent::Join);
         } else if current > target {
             let mut changed = Vec::with_capacity((current - target) as usize);
             let mut current = current;
@@ -299,35 +281,14 @@ impl ChurnActor {
                 changed.push(self.cps[idx]);
                 current -= 1;
             }
-            self.send_membership(ctx, changed, SimEvent::Leave);
+            Self::send_membership(ctx, changed, SimEvent::Leave);
         }
         self.record_population(ctx.now());
     }
 
     /// One membership event for the whole change set: nothing for an
     /// empty set, a plain `send_now` for a single CP, a batch otherwise.
-    /// With a nonzero [`notify_delay`](ChurnActor::set_notify_delay) the
-    /// batch fast path is skipped, and the k-th change is skewed by k
-    /// extra nanoseconds: a same-instant mass join would otherwise make
-    /// every newly joined CP's first probe relay into the device's plane
-    /// at one identical nanosecond, and simultaneous arrivals minted in
-    /// *different* regions are the one case where barrier merge order is
-    /// not the sequential mint order. One ns of skew per member keeps the
-    /// decomposed trajectory engine-invariant and is far below the wire
-    /// delays' microsecond scale.
-    fn send_membership(
-        &self,
-        ctx: &mut Context<'_, SimEvent>,
-        changed: Vec<ActorId>,
-        event: SimEvent,
-    ) {
-        if self.notify_delay > SimDuration::ZERO {
-            for (k, cp) in changed.into_iter().enumerate() {
-                let skew = SimDuration::from_nanos(k as u64);
-                ctx.schedule_in(self.notify_delay + skew, cp, event.clone());
-            }
-            return;
-        }
+    fn send_membership(ctx: &mut Context<'_, SimEvent>, changed: Vec<ActorId>, event: SimEvent) {
         match changed.len() {
             0 => {}
             1 => {
@@ -483,9 +444,7 @@ impl Actor<SimEvent> for ChurnActor {
                 )
             };
             self.active[idx] = true;
-            // With a notify delay the join still counts from its staggered
-            // instant; the delay is pure wire time on top.
-            ctx.schedule_in(offset + self.notify_delay, self.cps[idx], SimEvent::Join);
+            ctx.schedule_in(offset, self.cps[idx], SimEvent::Join);
         }
         self.record_population(ctx.now());
         self.arm(ctx);
@@ -547,11 +506,7 @@ impl Actor<SimEvent> for ChurnActor {
                 } else {
                     SimEvent::Leave
                 };
-                if self.notify_delay > SimDuration::ZERO {
-                    ctx.schedule_in(self.notify_delay, self.cps[idx], event);
-                } else {
-                    ctx.send_now(self.cps[idx], event);
-                }
+                ctx.send_now(self.cps[idx], event);
                 self.record_population(ctx.now());
                 self.wave.retain(|&h| ctx.is_pending(h));
             }

@@ -29,26 +29,6 @@ pub enum SimEvent {
         /// The message.
         msg: WireMessage,
     },
-    /// (plane → plane, decomposed topology) A unicast whose destination is
-    /// owned by another network plane, forwarded over the inter-plane leg
-    /// (one [`presence_net::DelayModel::min_delay`] of wire time). The owning
-    /// plane admits it with the leg already discounted from the sampled
-    /// delay, so end-to-end delivery time matches the hub topology's
-    /// single-fabric draw distributionally (exactly, when the delay model's
-    /// minimum covers the leg).
-    Relay {
-        /// Final destination.
-        to: Addr,
-        /// The message.
-        msg: WireMessage,
-    },
-    /// (plane → plane, decomposed topology) A device Bye broadcast
-    /// forwarded to another plane, which admits one copy per locally owned
-    /// CP (ascending id), leg-discounted like [`SimEvent::Relay`].
-    RelayBroadcast {
-        /// The message.
-        msg: WireMessage,
-    },
     /// (to a node actor) A message arrives from the network.
     ///
     /// Scheduled by the network actor directly on the destination at admit

@@ -27,7 +27,7 @@
 use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
-use crate::scenario::{DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, Topology};
+use crate::scenario::{DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};
 use presence_core::AutoTuneConfig;
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
@@ -296,8 +296,8 @@ impl ScenarioSpec {
         slice_windows(&self.regime_starts(), self.duration)
     }
 
-    /// Builds the runnable scenario this spec describes on the paper's hub
-    /// network. A single-phase spec produces an actor graph identical to
+    /// Builds the runnable scenario this spec describes. A single-phase
+    /// spec produces an actor graph identical to
     /// [`Scenario::build`]`(self.base_config())` — same actors, same RNG
     /// streams, bit-identical trajectory.
     ///
@@ -306,23 +306,11 @@ impl ScenarioSpec {
     /// Returns the first violated invariant (the spec is re-validated so
     /// hand-built specs cannot skip it).
     pub fn build(&self) -> Result<Scenario, SpecError> {
-        self.build_on(Topology::Hub)
-    }
-
-    /// [`ScenarioSpec::build`] on an explicit [`Topology`]. Each network
-    /// plane instantiates its own copies of the (possibly time-varying)
-    /// delay/loss models.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant, like [`ScenarioSpec::build`].
-    pub fn build_on(&self, topology: Topology) -> Result<Scenario, SpecError> {
         self.validate()?;
         let mut scenario = Scenario::assemble(
             self.base_config(),
-            topology,
-            &|| self.delay_model(),
-            &|| self.loss_model(),
+            self.delay_model(),
+            self.loss_model(),
             &self.churn_switches(),
         );
         if let Some(at) = self.crash_at {
@@ -334,8 +322,7 @@ impl ScenarioSpec {
         Ok(scenario)
     }
 
-    /// One instance of the spec's delay model (phased specs get a
-    /// [`Scheduled`] wrapper).
+    /// The spec's delay model (phased specs get a [`Scheduled`] wrapper).
     fn delay_model(&self) -> Box<dyn DelayModel> {
         if self.delay.len() == 1 {
             self.delay[0].delay.build()
@@ -349,7 +336,7 @@ impl ScenarioSpec {
         }
     }
 
-    /// One instance of the spec's loss model.
+    /// The spec's loss model.
     fn loss_model(&self) -> Box<dyn LossModel> {
         if self.loss.len() == 1 {
             self.loss[0].loss.build()

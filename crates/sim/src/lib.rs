@@ -6,9 +6,8 @@
 //! (`presence-net`), under the workloads the paper studies.
 //!
 //! * [`Scenario`] / [`ScenarioConfig`] — build and run one experiment
-//!   (protocol, population, network, churn, seed, duration) on a
-//!   [`Topology`]: the paper's hub, or network planes grouped into regions
-//!   for single-run parallelism.
+//!   (protocol, population, network, churn, seed, duration) on the
+//!   paper's network: one process, one bounded buffer.
 //! * [`ChurnModel`] — static populations, the Figure 4 burst-leave, and the
 //!   Figure 5 uniform-resample churn.
 //! * [`ScenarioResult`] — device load series, per-CP frequency series
@@ -46,7 +45,6 @@ mod output;
 pub mod parallel;
 mod recorder;
 mod regime;
-pub mod region;
 mod replication;
 mod scenario;
 pub mod test_profile;
@@ -62,8 +60,7 @@ pub use lab::{
     LabSeedResult, LossPhase, RegimeSlice, ScenarioSpec, SpecError,
 };
 pub use mega::{
-    mega_catalog, run_mega_sharded, run_mega_spec, shard_configs, MegaConfig, MegaDcppShard,
-    MegaResult, MegaScenario, MegaSpec,
+    mega_catalog, run_mega_spec, MegaConfig, MegaDcppShard, MegaResult, MegaScenario, MegaSpec,
 };
 pub use metrics::{CpSummary, ScenarioResult};
 pub use network_actor::NetworkActor;
@@ -71,10 +68,6 @@ pub use output::{ascii_chart, kv_table, series_to_columns, series_to_csv};
 pub use parallel::{for_each_indexed, job_count, run_indexed, ParamSweep};
 pub use recorder::RecorderMode;
 pub use regime::RegimeActor;
-pub use region::{plan_partitioned, PartitionError, RegionPartition, RegionPlan};
 pub use replication::{replicate, replicate_with_jobs, ReplicationPoint, ReplicationSummary};
-pub use scenario::{
-    golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, Topology,
-    DECOMPOSED_PLANES, WAN_LEG_FLOOR,
-};
+pub use scenario::{golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};
 pub use trace::flow_id;

@@ -591,71 +591,6 @@ pub fn run_mega_spec(spec: &MegaSpec) -> MegaResult {
     scenario.collect()
 }
 
-/// Splits `cfg`'s population into at most `shards` independent
-/// sub-populations: devices (and CPs) are divided as evenly as possible,
-/// with the remainder spread over the leading shards; every other field is
-/// inherited. At most one shard per device, and every shard keeps at least
-/// one CP.
-#[must_use]
-pub fn shard_configs(cfg: &MegaConfig, shards: usize) -> Vec<MegaConfig> {
-    cfg.validate();
-    let shards = shards.clamp(1, cfg.devices as usize) as u32;
-    let (dev_base, dev_rem) = (cfg.devices / shards, cfg.devices % shards);
-    let (cp_base, cp_rem) = (cfg.cps / shards, cfg.cps % shards);
-    (0..shards)
-        .map(|i| MegaConfig {
-            devices: dev_base + u32::from(i < dev_rem),
-            cps: (cp_base + u32::from(i < cp_rem)).max(1),
-            ..*cfg
-        })
-        .collect()
-}
-
-/// Runs `cfg` as independent shards, one per lane of a [`Simulation`]
-/// with *isolated* lanes — the shard-per-core path for mega populations.
-/// Shards never exchange events, so the partition needs no lookahead and
-/// each run is a single window per lane, executed by up to `workers`
-/// threads. Returns one [`MegaResult`] per shard, in shard order, each
-/// carrying its own lane's event count.
-///
-/// Determinism: shard `i` is global actor `i` in join order, so its RNG
-/// stream is exactly what the same membership gets sequentially — results
-/// are bit-identical at any `workers` setting, and with `shards == 1`
-/// they equal a plain [`MegaScenario`] run of `cfg` byte for byte (same
-/// root seed, same stream 0, same calendar queue profile).
-///
-/// Note this is an *explicit* scaling API: the mega catalog and
-/// `run_mega_spec` stay single-shard, so their pinned results never
-/// depend on a shard count.
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid or `workers == 0`.
-#[must_use]
-pub fn run_mega_sharded(cfg: &MegaConfig, shards: usize, workers: usize) -> Vec<MegaResult> {
-    assert!(workers > 0, "need at least one worker");
-    let configs = shard_configs(cfg, shards);
-    let mut reg: PresenceSim =
-        Simulation::with_lanes(cfg.seed, configs.len(), None, QueueProfile::calendar());
-    reg.set_workers(workers);
-    let ids: Vec<ActorId> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| reg.add_member_in(i, MegaDcppShard::new(*c, RecorderMode::Streaming).into()))
-        .collect();
-    reg.run_until(SimTime::from_secs_f64(cfg.duration));
-    let now = reg.now();
-    ids.iter()
-        .enumerate()
-        .map(|(i, &id)| {
-            let events = reg.lane_events_processed(i);
-            reg.actor_mut::<MegaDcppShard>(id)
-                .expect("mega shard")
-                .result(now, events)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,59 +25,11 @@
 //! Messages addressed to an unregistered destination are counted as
 //! `unroutable` in [`FabricStats`] — they never reach the fabric, so a
 //! wiring bug cannot masquerade as network loss.
-//!
-//! # Decomposed topology: one plane per region
-//!
-//! The paper's single hub couples every participant at zero delay, which
-//! provably collapses any region partition (see [`crate::region`]). A
-//! *decomposed* network replaces the hub with several network **planes**
-//! — each a full `NetworkActor` owning the routes of the participants
-//! co-located with it — joined by inter-plane legs of exactly the
-//! delay model's [`min_delay`](presence_net::DelayModel::min_delay). A `Send` whose
-//! destination lives on another plane is forwarded as
-//! [`SimEvent::Relay`] after one leg; the owning plane then admits it
-//! with the leg *discounted* from its sampled delay
-//! ([`Fabric::send_relayed`]), so delivery happens at
-//! `t_send + max(sample, leg)` — bit-equal in distribution to the hub's
-//! single draw whenever the delay model's minimum covers the leg (the
-//! paper's three-mode model: `leg = fast = 100 µs`). The leg is real
-//! wire time, which is exactly what gives a region cut between planes a
-//! positive lookahead.
 
 use crate::event::{Addr, SimEvent};
 use crate::trace::NetTrace;
-use presence_des::{Actor, ActorId, Context, SimDuration, SimTime};
+use presence_des::{Actor, ActorId, Context, SimTime};
 use presence_net::{Fabric, FabricStats, SendOutcome};
-use std::sync::Arc;
-
-/// Where every participant lives in a decomposed (multi-plane) network:
-/// the plane actor ids and the owning plane of each address, shared by
-/// all planes of one scenario.
-#[derive(Debug, Clone)]
-pub struct PlaneTopology {
-    /// Actor ids of every plane, indexed by plane number.
-    pub planes: Vec<ActorId>,
-    /// Owning plane of each CP, indexed by raw `CpId`.
-    pub plane_of_cp: Vec<u32>,
-    /// Owning plane of each device, indexed by raw `DeviceId`.
-    pub plane_of_device: Vec<u32>,
-    /// The inter-plane leg: one fabric `min_delay` of wire time, and the
-    /// cross-region lookahead the decomposed topology offers.
-    pub leg: SimDuration,
-}
-
-impl PlaneTopology {
-    /// The plane owning `addr`, or `None` for an address outside the
-    /// topology (reported unroutable by whichever plane first sees it).
-    #[must_use]
-    pub fn owner_of(&self, addr: Addr) -> Option<u32> {
-        let (table, idx) = match addr {
-            Addr::Cp(id) => (&self.plane_of_cp, id.0 as usize),
-            Addr::Device(id) => (&self.plane_of_device, id.0 as usize),
-        };
-        table.get(idx).copied()
-    }
-}
 
 /// Routes wire messages between node actors through a [`Fabric`].
 pub struct NetworkActor {
@@ -86,11 +38,6 @@ pub struct NetworkActor {
     cp_routes: Vec<Option<ActorId>>,
     /// Device routes, indexed by raw `DeviceId`.
     device_routes: Vec<Option<ActorId>>,
-    /// `Some((my_plane, topology))` in a decomposed topology; `None` for
-    /// the classic hub.
-    plane: Option<(u32, Arc<PlaneTopology>)>,
-    /// Unicasts this plane forwarded to another plane's fabric.
-    relays_forwarded: u64,
     /// Counter-sample buffer; `None` (one predictable branch per message
     /// event) unless [`NetworkActor::set_trace`] armed it.
     trace: Option<Box<NetTrace>>,
@@ -105,8 +52,6 @@ impl NetworkActor {
             fabric,
             cp_routes: Vec::new(),
             device_routes: Vec::new(),
-            plane: None,
-            relays_forwarded: 0,
             trace: None,
         }
     }
@@ -121,33 +66,18 @@ impl NetworkActor {
         self.trace.take()
     }
 
-    /// Samples the in-flight and relay counters (at most once per
-    /// simulated millisecond) when tracing is armed.
+    /// Samples the in-flight counter (at most once per simulated
+    /// millisecond) when tracing is armed.
     fn trace_sample(&mut self, now: SimTime) {
         let Some(t) = self.trace.as_deref_mut() else {
             return;
         };
         if t.wants_sample(now.as_nanos()) {
             let in_flight = self.fabric.in_flight_at(now);
-            let relays = self.relays_forwarded;
             if let Some(t) = self.trace.as_deref_mut() {
-                t.sample(now.as_nanos(), in_flight, relays);
+                t.sample(now.as_nanos(), in_flight);
             }
         }
-    }
-
-    /// Turns this actor into plane `index` of a decomposed topology (see
-    /// the [module docs](self)). Only locally owned routes should be
-    /// [`register`](NetworkActor::register)ed on a plane.
-    pub fn set_plane(&mut self, index: u32, topology: Arc<PlaneTopology>) {
-        self.plane = Some((index, topology));
-    }
-
-    /// Unicasts this plane forwarded over an inter-plane leg (0 for a
-    /// hub).
-    #[must_use]
-    pub fn relays_forwarded(&self) -> u64 {
-        self.relays_forwarded
     }
 
     /// Registers (or re-registers) the actor behind a network address.
@@ -185,17 +115,14 @@ impl NetworkActor {
     }
 
     /// Offers `msg` to the fabric and, when admitted, schedules its
-    /// `Deliver` on `target` at the sampled delivery time. `discount` is
-    /// the wire time the message already spent on an inter-plane leg
-    /// (zero on the hub and for plane-local traffic).
+    /// `Deliver` on `target` at the sampled delivery time.
     fn admit(
         &mut self,
         ctx: &mut Context<'_, SimEvent>,
         target: ActorId,
         msg: presence_core::WireMessage,
-        discount: SimDuration,
     ) {
-        match self.fabric.send_relayed(ctx.now(), ctx.rng(), discount) {
+        match self.fabric.send(ctx.now(), ctx.rng()) {
             SendOutcome::Deliver(at) => {
                 ctx.schedule_at(at, target, SimEvent::Deliver(msg));
             }
@@ -205,96 +132,23 @@ impl NetworkActor {
             }
         }
     }
-
-    /// Resolves a locally owned address and admits the message, counting
-    /// a failed lookup as unroutable.
-    fn admit_local(
-        &mut self,
-        ctx: &mut Context<'_, SimEvent>,
-        to: Addr,
-        msg: presence_core::WireMessage,
-        discount: SimDuration,
-    ) {
-        match self.resolve(to) {
-            Some(target) => self.admit(ctx, target, msg, discount),
-            None => self.fabric.count_unroutable(),
-        }
-    }
-
-    /// Admits one copy of a broadcast per locally registered CP, in
-    /// ascending id order.
-    fn broadcast_local(
-        &mut self,
-        ctx: &mut Context<'_, SimEvent>,
-        msg: &presence_core::WireMessage,
-        discount: SimDuration,
-    ) {
-        // Indexed walk: no allocation, deterministic CP order.
-        for i in 0..self.cp_routes.len() {
-            if let Some(target) = self.cp_routes[i] {
-                self.admit(ctx, target, *msg, discount);
-            }
-        }
-    }
 }
 
 impl Actor<SimEvent> for NetworkActor {
     fn on_event(&mut self, ctx: &mut Context<'_, SimEvent>, event: SimEvent) {
         match event {
-            SimEvent::Send { to, msg } => {
-                if let Some((my_plane, topology)) = self.plane.clone() {
-                    match topology.owner_of(to) {
-                        Some(owner) if owner != my_plane => {
-                            // Another plane owns the destination: forward
-                            // over the inter-plane leg; the owner admits
-                            // with the leg discounted.
-                            self.relays_forwarded += 1;
-                            ctx.schedule_in(
-                                topology.leg,
-                                topology.planes[owner as usize],
-                                SimEvent::Relay { to, msg },
-                            );
-                        }
-                        Some(_) => self.admit_local(ctx, to, msg, SimDuration::ZERO),
-                        None => self.fabric.count_unroutable(),
-                    }
-                } else {
-                    self.admit_local(ctx, to, msg, SimDuration::ZERO);
-                }
-            }
-            SimEvent::Relay { to, msg } => {
-                let leg = self
-                    .plane
-                    .as_ref()
-                    .map_or(SimDuration::ZERO, |(_, t)| t.leg);
-                debug_assert!(
-                    self.plane
-                        .as_ref()
-                        .is_some_and(|(me, t)| t.owner_of(to) == Some(*me)),
-                    "relay arrived at a plane that does not own {to:?}"
-                );
-                self.admit_local(ctx, to, msg, leg);
-            }
+            SimEvent::Send { to, msg } => match self.resolve(to) {
+                Some(target) => self.admit(ctx, target, msg),
+                None => self.fabric.count_unroutable(),
+            },
             SimEvent::Broadcast { msg } => {
-                if let Some((my_plane, topology)) = self.plane.clone() {
-                    self.broadcast_local(ctx, &msg, SimDuration::ZERO);
-                    // Every other plane re-admits for its own CPs, in
-                    // ascending plane order.
-                    for (plane, &id) in topology.planes.iter().enumerate() {
-                        if plane as u32 != my_plane {
-                            ctx.schedule_in(topology.leg, id, SimEvent::RelayBroadcast { msg });
-                        }
+                // One copy per registered CP, in ascending id order (an
+                // indexed walk: no allocation).
+                for i in 0..self.cp_routes.len() {
+                    if let Some(target) = self.cp_routes[i] {
+                        self.admit(ctx, target, msg);
                     }
-                } else {
-                    self.broadcast_local(ctx, &msg, SimDuration::ZERO);
                 }
-            }
-            SimEvent::RelayBroadcast { msg } => {
-                let leg = self
-                    .plane
-                    .as_ref()
-                    .map_or(SimDuration::ZERO, |(_, t)| t.leg);
-                self.broadcast_local(ctx, &msg, leg);
             }
             other => {
                 debug_assert!(false, "network actor got unexpected event {other:?}");
@@ -429,133 +283,5 @@ mod tests {
         );
         // 1 Broadcast dispatch + 4 Deliver firings.
         assert_eq!(sim.events_processed(), 5);
-    }
-
-    /// Builds a two-plane decomposed network with a constant-delay fabric:
-    /// plane 0 owns CP 0, plane 1 owns CP 1. Returns
-    /// `(sim, [plane0, plane1], [sink0, sink1], leg)`.
-    fn two_planes(delay: SimDuration) -> (PresenceSim, [ActorId; 2], [ActorId; 2], SimDuration) {
-        use presence_net::{ConstantDelay, NoLoss};
-        let fabric = || Fabric::new(20_000, Box::new(ConstantDelay(delay)), Box::new(NoLoss));
-        let mut sim: PresenceSim = Simulation::with_actor_set(1);
-        let planes = [
-            sim.add_member(NetworkActor::new(fabric()).into()),
-            sim.add_member(NetworkActor::new(fabric()).into()),
-        ];
-        let sinks = [
-            sim.add_member(CollectorActor::new().into()),
-            sim.add_member(CollectorActor::new().into()),
-        ];
-        let leg = delay;
-        let topology = Arc::new(PlaneTopology {
-            planes: planes.to_vec(),
-            plane_of_cp: vec![0, 1],
-            plane_of_device: Vec::new(),
-            leg,
-        });
-        for (i, &plane) in planes.iter().enumerate() {
-            let net = sim.actor_mut::<NetworkActor>(plane).expect("plane");
-            net.set_plane(i as u32, Arc::clone(&topology));
-            net.register(Addr::Cp(CpId(i as u32)), sinks[i]);
-        }
-        (sim, planes, sinks, leg)
-    }
-
-    /// A cross-plane unicast is forwarded as a `Relay` after one leg, and
-    /// the owning plane's leg discount makes end-to-end delivery equal the
-    /// hub's single constant draw.
-    #[test]
-    fn cross_plane_send_delivers_at_hub_time() {
-        let delay = SimDuration::from_micros(100);
-        let (mut sim, planes, sinks, _leg) = two_planes(delay);
-        // CP 1 lives on plane 1; send from plane 0.
-        sim.schedule_at(
-            SimTime::ZERO,
-            planes[0],
-            SimEvent::Send {
-                to: Addr::Cp(CpId(1)),
-                msg: probe(),
-            },
-        );
-        sim.run_until_idle();
-        assert_eq!(
-            sim.actor::<CollectorActor>(sinks[1])
-                .expect("sink")
-                .deliveries(),
-            1
-        );
-        // One leg (100 µs) + a fully discounted constant sample: delivery
-        // at exactly the hub's 100 µs, not 200 µs.
-        assert_eq!(sim.now(), SimTime::ZERO + delay);
-        assert_eq!(
-            sim.actor::<NetworkActor>(planes[0])
-                .expect("plane 0")
-                .relays_forwarded(),
-            1
-        );
-        // The forwarding plane never offered the message to its own fabric.
-        let now = sim.now();
-        let stats0 = sim
-            .actor_mut::<NetworkActor>(planes[0])
-            .expect("plane 0")
-            .fabric_stats(now);
-        assert_eq!(stats0.offered, 0);
-        let stats1 = sim
-            .actor_mut::<NetworkActor>(planes[1])
-            .expect("plane 1")
-            .fabric_stats(now);
-        assert_eq!((stats1.offered, stats1.delivered), (1, 1));
-    }
-
-    /// A plane-local unicast never touches the other plane.
-    #[test]
-    fn plane_local_send_stays_local() {
-        let delay = SimDuration::from_micros(100);
-        let (mut sim, planes, sinks, _leg) = two_planes(delay);
-        sim.schedule_at(
-            SimTime::ZERO,
-            planes[0],
-            SimEvent::Send {
-                to: Addr::Cp(CpId(0)),
-                msg: probe(),
-            },
-        );
-        sim.run_until_idle();
-        assert_eq!(
-            sim.actor::<CollectorActor>(sinks[0])
-                .expect("sink")
-                .deliveries(),
-            1
-        );
-        assert_eq!(sim.events_processed(), 2);
-        assert_eq!(
-            sim.actor::<NetworkActor>(planes[0])
-                .expect("plane 0")
-                .relays_forwarded(),
-            0
-        );
-    }
-
-    /// A broadcast reaches every CP on every plane exactly once, remote
-    /// copies arriving at the same instant as the hub would deliver them.
-    #[test]
-    fn broadcast_fans_out_across_planes() {
-        let delay = SimDuration::from_micros(100);
-        let (mut sim, planes, sinks, _leg) = two_planes(delay);
-        sim.schedule_at(
-            SimTime::ZERO,
-            planes[0],
-            SimEvent::Broadcast { msg: probe() },
-        );
-        sim.run_until_idle();
-        for &sink in &sinks {
-            assert_eq!(
-                sim.actor::<CollectorActor>(sink)
-                    .expect("sink")
-                    .deliveries(),
-                1
-            );
-        }
-        assert_eq!(sim.now(), SimTime::ZERO + delay);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A [`ScenarioConfig`] is a complete, serialisable description of one
 //! simulation run: protocol, population, network, churn, and seed.
-//! [`Scenario::build`] wires the actors together on the paper's hub
-//! network ([`Scenario::build_on`] on any [`Topology`]); [`Scenario::run`]
-//! executes and [`Scenario::collect`] extracts a [`ScenarioResult`].
+//! [`Scenario::build`] wires the actors together on the paper's network
+//! (one process, one bounded buffer); [`Scenario::run`] executes and
+//! [`Scenario::collect`] extracts a [`ScenarioResult`].
 
 use crate::actor_set::PresenceSim;
 use crate::churn::{ChurnActor, ChurnModel};
@@ -12,22 +12,20 @@ use crate::cp_actor::{CpActor, ProberFactory};
 use crate::device_actor::{DeviceActor, ProcessingModel};
 use crate::event::{Addr, SimEvent};
 use crate::metrics::{CpSummary, ScenarioResult};
-use crate::network_actor::{NetworkActor, PlaneTopology};
+use crate::network_actor::NetworkActor;
 use crate::recorder::RecorderMode;
-use crate::region::{plan_partitioned, RegionPartition, RegionPlan};
 use crate::trace::TraceCapture;
 use presence_core::{
     AutoTuneConfig, AutoTuner, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine,
     ProbeCycleConfig, SappConfig, SappDevice, SappDeviceConfig,
 };
-use presence_des::{ActorId, QueueProfile, SimDuration, SimTime, WindowPolicy};
+use presence_des::{ActorId, SimDuration, SimTime};
 use presence_net::{
-    BernoulliLoss, ConstantDelay, DelayModel, ExponentialDelay, Fabric, FlooredDelay,
-    GilbertElliott, LossModel, NoLoss, ThreeMode, UniformDelay,
+    BernoulliLoss, ConstantDelay, DelayModel, ExponentialDelay, Fabric, GilbertElliott, LossModel,
+    NoLoss, ThreeMode, UniformDelay,
 };
 use presence_stats::jain_index;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Serialisable choice of one-way network delay model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -221,94 +219,39 @@ pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
     [("sapp", sapp), ("dcpp", dcpp), ("churn", churn)]
 }
 
-/// How a scenario's network is laid out — and with it, how many engine
-/// lanes run it. The population, the actor add order (planes, device, CPs,
-/// churn, regime) and every RNG stream are the same on both; the hub is
-/// simply the one-plane case with nothing between the planes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// One [`NetworkActor`] every participant reaches directly: the
-    /// paper's setup, and one region — one engine lane — by construction
-    /// (the participant → hub leg is a same-instant `send_now`, so no cut
-    /// through it has any lookahead).
-    Hub,
-    /// [`DECOMPOSED_PLANES`] network planes, each serving its slice of the
-    /// CP pool, joined by inter-plane legs of one fabric `min_delay` — the
-    /// topology whose region cuts carry positive lookahead. The planes are
-    /// grouped into `regions` contiguous regions (clamped to
-    /// `1..=DECOMPOSED_PLANES`), one engine lane each: more than one
-    /// advance by conservative time windows (see
-    /// [`presence_des::region`]). All planes are always built, in the same
-    /// order, so trajectories are bit-identical across region counts,
-    /// worker counts, and window policies.
-    Planes {
-        /// Requested region count.
-        regions: usize,
-    },
-}
-
-/// Number of network planes [`Topology::Planes`] always builds. Fixed
-/// (rather than one per region) so the actor-id layout — and with it
-/// every RNG stream — is identical at every region count: regions only
-/// re-*group* the same planes.
-pub const DECOMPOSED_PLANES: usize = 8;
-
-/// WAN-leg delay floor layered under delay models whose own minimum is
-/// zero (`FlooredDelay`): an inter-plane leg must carry real wire time
-/// or the region cut has no lookahead. Models with a positive minimum
-/// (the paper's three-mode network: 100 µs fast mode) are left
-/// untouched, so their delivery distributions are exactly the hub's.
-pub const WAN_LEG_FLOOR: SimDuration = SimDuration::from_micros(100);
-
 /// A built, runnable scenario.
 ///
 /// Runs on the typed actor set ([`crate::PresenceSim`]): every node is an
 /// inline [`crate::PresenceActorSet`] member and the engine dispatches
 /// events through a direct variant match — the hot path carries no boxed
-/// trait objects. The [`Topology`] it was built on decides the network
-/// layout and the lane count; everything else — assembly, interventions,
-/// tracing, collection — is one code path.
+/// trait objects. Every participant reaches the one [`NetworkActor`]
+/// directly, as in the paper.
 pub struct Scenario {
     sim: PresenceSim,
     cfg: ScenarioConfig,
     mode: RecorderMode,
     device: ActorId,
-    /// The network planes (exactly one on the hub).
-    planes: Vec<ActorId>,
+    network: ActorId,
     churn: ActorId,
     cps: Vec<ActorId>,
-    plan: RegionPlan,
     /// Trace horizon (ns) when [`Scenario::enable_trace`] armed tracing.
     trace_until_ns: Option<u64>,
 }
 
 impl Scenario {
-    /// Wires up all actors for `cfg` on the paper's hub network.
+    /// Wires up all actors for `cfg`.
     #[must_use]
     pub fn build(cfg: ScenarioConfig) -> Self {
-        Self::build_on(cfg, Topology::Hub)
+        Self::assemble(cfg, cfg.delay.build(), cfg.loss.build(), &[])
     }
 
-    /// [`Scenario::build`] on an explicit [`Topology`].
-    #[must_use]
-    pub fn build_on(cfg: ScenarioConfig, topology: Topology) -> Self {
-        Self::assemble(
-            cfg,
-            topology,
-            &|| cfg.delay.build(),
-            &|| cfg.loss.build(),
-            &[],
-        )
-    }
-
-    /// [`Scenario::build_on`] with explicit (possibly time-varying)
-    /// network models and mid-run churn regime switches — the scenario-lab
-    /// entry point. `cfg.delay`/`cfg.loss` are ignored in favour of the
-    /// factories, which are called once per network plane (each plane owns
-    /// its own fabric); `churn_switches` (absolute seconds, ascending) are
-    /// driven by a [`crate::RegimeActor`] spawned only when the list is
-    /// non-empty, so a switch-free scenario is actor-for-actor identical
-    /// to [`Scenario::build_on`].
+    /// [`Scenario::build`] with explicit (possibly time-varying) network
+    /// models and mid-run churn regime switches — the scenario-lab entry
+    /// point. `cfg.delay`/`cfg.loss` are ignored in favour of `delay` and
+    /// `loss`; `churn_switches` (absolute seconds, ascending) are driven by
+    /// a [`crate::RegimeActor`] spawned only when the list is non-empty,
+    /// so a switch-free scenario is actor-for-actor identical to
+    /// [`Scenario::build`].
     ///
     /// # Panics
     ///
@@ -316,62 +259,18 @@ impl Scenario {
     #[must_use]
     pub fn assemble(
         cfg: ScenarioConfig,
-        topology: Topology,
-        delay_factory: &dyn Fn() -> Box<dyn DelayModel>,
-        loss_factory: &dyn Fn() -> Box<dyn LossModel>,
+        delay: Box<dyn DelayModel>,
+        loss: Box<dyn LossModel>,
         churn_switches: &[(f64, ChurnModel)],
     ) -> Self {
         cfg.validate();
 
-        // The inter-plane leg: the delay model's own minimum when positive
-        // (distributions unchanged — `max(sample, leg)` is the identity),
-        // the WAN floor otherwise (`floored`: the floor then truncates only
-        // the sub-100 µs tail of the plane-local distribution). The hub
-        // has one plane and therefore no leg.
-        let (planes_n, requested, leg, floored) = match topology {
-            Topology::Hub => (1, 1, None, false),
-            Topology::Planes { regions } => {
-                let raw_min = delay_factory().min_delay();
-                let floored = raw_min == SimDuration::ZERO;
-                let leg = if floored { WAN_LEG_FLOOR } else { raw_min };
-                (DECOMPOSED_PLANES, regions, Some(leg), floored)
-            }
-        };
-        let effective = requested.clamp(1, planes_n);
+        // Actor add order (network, device, CPs, churn, regime) fixes the
+        // actor ids and with them every RNG stream.
+        let mut sim = PresenceSim::with_actor_set(cfg.seed);
+        let fabric = Fabric::new(cfg.buffer_capacity, delay, loss);
+        let network = sim.add_member(NetworkActor::new(fabric).into());
 
-        // One lane per region; the inter-plane leg is the least delay of
-        // anything that crosses between them.
-        let mut sim = PresenceSim::with_lanes(cfg.seed, effective, leg, QueueProfile::Heap);
-
-        // Region of each plane: contiguous blocks, `planes_n / effective`
-        // planes per region.
-        let region_of_plane = |p: usize| p * effective / planes_n;
-        // Track every actor's region in add order — the partition the
-        // plan validates is exactly the one the engine runs.
-        let mut region_of: Vec<u32> = Vec::new();
-        let add = |sim: &mut PresenceSim, region_of: &mut Vec<u32>, region: usize, member| {
-            region_of.push(u32::try_from(region).expect("region fits u32"));
-            sim.add_member_in(region, member)
-        };
-
-        let mut planes = Vec::with_capacity(planes_n);
-        for p in 0..planes_n {
-            let delay: Box<dyn DelayModel> = if floored {
-                Box::new(FlooredDelay::new(WAN_LEG_FLOOR, delay_factory()))
-            } else {
-                delay_factory()
-            };
-            let fabric = Fabric::new(cfg.buffer_capacity, delay, loss_factory());
-            planes.push(add(
-                &mut sim,
-                &mut region_of,
-                region_of_plane(p),
-                NetworkActor::new(fabric).into(),
-            ));
-        }
-
-        // Each participant points at (and is co-located with) its plane:
-        // the device on plane 0, CP `i` on plane `i mod planes_n`.
         let device_id = DeviceId(0);
         let machine = match cfg.protocol {
             Protocol::Sapp { device, .. } => {
@@ -386,13 +285,8 @@ impl Scenario {
             min: SimDuration::from_secs_f64(cfg.processing.0),
             max: SimDuration::from_secs_f64(cfg.processing.1),
         };
-        let mut device_actor = DeviceActor::new(
-            machine,
-            planes[0],
-            processing,
-            cfg.load_window,
-            cfg.duration,
-        );
+        let mut device_actor =
+            DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
         if let (
             Some(tune),
             Protocol::Sapp {
@@ -402,12 +296,7 @@ impl Scenario {
         {
             device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
         }
-        let device = add(
-            &mut sim,
-            &mut region_of,
-            region_of_plane(0),
-            device_actor.into(),
-        );
+        let device = sim.add_member(device_actor.into());
 
         let factory = match cfg.protocol {
             Protocol::Sapp { cp, .. } => ProberFactory::Sapp(cp),
@@ -425,120 +314,44 @@ impl Scenario {
             ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
         let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
         for i in 0..cfg.cp_pool {
-            let plane = i as usize % planes_n;
             let cp_actor = CpActor::new(
                 CpId(i),
                 factory.clone(),
-                planes[plane],
+                network,
                 device_id,
                 cfg.disseminate,
                 samples_hint,
             );
-            cps.push(add(
-                &mut sim,
-                &mut region_of,
-                region_of_plane(plane),
-                cp_actor.into(),
-            ));
+            cps.push(sim.add_member(cp_actor.into()));
         }
 
-        // Register each participant's route on its owning plane only; in
-        // a multi-plane network every plane also gets the shared topology
-        // map it forwards by.
-        let plane_map = leg.map(|leg| {
-            Arc::new(PlaneTopology {
-                planes: planes.clone(),
-                plane_of_cp: (0..cfg.cp_pool)
-                    .map(|i| (i as usize % planes_n) as u32)
-                    .collect(),
-                plane_of_device: vec![0],
-                leg,
-            })
-        });
-        for (p, &plane) in planes.iter().enumerate() {
-            let net = sim.actor_mut::<NetworkActor>(plane).expect("plane actor");
-            if let Some(map) = &plane_map {
-                net.set_plane(p as u32, Arc::clone(map));
-            }
-            if p == 0 {
-                net.register(Addr::Device(device_id), device);
-            }
-            for (i, &actor) in cps.iter().enumerate() {
-                if i % planes_n == p {
-                    net.register(Addr::Cp(CpId(i as u32)), actor);
-                }
-            }
+        let net = sim.actor_mut::<NetworkActor>(network).expect("network");
+        net.register(Addr::Device(device_id), device);
+        for (i, &actor) in cps.iter().enumerate() {
+            net.register(Addr::Cp(CpId(i as u32)), actor);
         }
 
-        let mut churn_actor = ChurnActor::new(
+        let churn_actor = ChurnActor::new(
             cfg.churn,
             cps.clone(),
             cfg.initially_active,
             SimDuration::from_secs_f64(cfg.join_stagger),
             cfg.duration,
         );
-        if let Some(leg) = leg {
-            // The churn driver lives in region 0 while its CPs are spread
-            // over all regions: membership events must carry wire time.
-            churn_actor.set_notify_delay(leg);
-        }
-        let churn = add(&mut sim, &mut region_of, 0, churn_actor.into());
+        let churn = sim.add_member(churn_actor.into());
 
-        let mut regime = None;
         if !churn_switches.is_empty() {
-            regime = Some(add(
-                &mut sim,
-                &mut region_of,
-                0,
-                crate::RegimeActor::new(churn, churn_switches.to_vec()).into(),
-            ));
+            sim.add_member(crate::RegimeActor::new(churn, churn_switches.to_vec()).into());
         }
-
-        // A multi-region run is planned over the actual topology: the
-        // validator sees the same partition and routes the engine runs, so
-        // the decision is checked, never assumed. One region needs no cut.
-        let plan = match leg {
-            Some(leg) if effective > 1 => {
-                let mut routes: Vec<(usize, usize, SimDuration)> = Vec::new();
-                for (p, &a) in planes.iter().enumerate() {
-                    for (q, &b) in planes.iter().enumerate() {
-                        if p != q {
-                            routes.push((a.index(), b.index(), leg));
-                        }
-                    }
-                }
-                routes.push((device.index(), planes[0].index(), SimDuration::ZERO));
-                routes.push((planes[0].index(), device.index(), leg));
-                for (i, &cp) in cps.iter().enumerate() {
-                    let plane = planes[i % planes_n];
-                    routes.push((cp.index(), plane.index(), SimDuration::ZERO));
-                    routes.push((plane.index(), cp.index(), leg));
-                    routes.push((churn.index(), cp.index(), leg));
-                }
-                if let Some(regime) = regime {
-                    routes.push((regime.index(), churn.index(), SimDuration::ZERO));
-                }
-                let partition = RegionPartition::from_assignment(region_of, effective);
-                let plan = plan_partitioned(requested, &partition, &routes);
-                assert_eq!(
-                    plan.effective, effective,
-                    "the topology must support its own partition (got: {})",
-                    plan.reason
-                );
-                plan
-            }
-            _ => RegionPlan::single(requested),
-        };
 
         Self {
             sim,
             cfg,
             mode: RecorderMode::Full,
             device,
-            planes,
+            network,
             churn,
             cps,
-            plan,
             trace_until_ns: None,
         }
     }
@@ -567,23 +380,17 @@ impl Scenario {
     /// the structured engine event stream). `until` caps the horizon in
     /// virtual seconds (`None` = the whole run). Call before [`Scenario::run`];
     /// drain with [`Scenario::collect_trace`]. The simulated trajectory is
-    /// unchanged — tracing only buffers observations — and the emitted
-    /// trace is bit-identical across region counts: per-actor trajectories
-    /// are region-invariant and the engine stream is canonically ordered;
-    /// only the barrier marks (multi-region runs only) differ, on their
-    /// own track.
+    /// unchanged — tracing only buffers observations.
     pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
         let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
         self.trace_until_ns = Some(until_ns);
         if engine {
             self.sim.enable_engine_trace();
         }
-        for &plane in &self.planes {
-            self.sim
-                .actor_mut::<NetworkActor>(plane)
-                .expect("plane actor")
-                .set_trace(until_ns);
-        }
+        self.sim
+            .actor_mut::<NetworkActor>(self.network)
+            .expect("network actor")
+            .set_trace(until_ns);
         self.sim
             .actor_mut::<DeviceActor>(self.device)
             .expect("device actor")
@@ -600,10 +407,8 @@ impl Scenario {
             .set_trace(until_ns);
     }
 
-    /// Drains the trace buffers into a [`presence_trace::TraceModel`] with
-    /// one `net{p}` track per plane and, when the run was genuinely
-    /// multi-region, the engine's barrier marks (counter tracks are
-    /// synthesised from `result`'s series, so pass the
+    /// Drains the trace buffers into a [`presence_trace::TraceModel`]
+    /// (counter tracks are synthesised from `result`'s series, so pass the
     /// [`Scenario::collect`] output of the same run).
     ///
     /// # Panics
@@ -614,16 +419,11 @@ impl Scenario {
         let until_ns = self
             .trace_until_ns
             .expect("enable_trace before collect_trace");
-        let mut nets = Vec::with_capacity(self.planes.len());
-        for &plane in &self.planes {
-            nets.push((
-                plane.index(),
-                self.sim
-                    .actor_mut::<NetworkActor>(plane)
-                    .expect("plane actor")
-                    .take_trace(),
-            ));
-        }
+        let net_buf = self
+            .sim
+            .actor_mut::<NetworkActor>(self.network)
+            .expect("network actor")
+            .take_trace();
         let device_buf = self
             .sim
             .actor_mut::<DeviceActor>(self.device)
@@ -646,17 +446,16 @@ impl Scenario {
             .take_trace();
         TraceCapture {
             until_ns,
-            nets,
+            net: (self.network.index(), net_buf),
             device: (self.device.index(), device_buf),
             cps,
             churn: (self.churn.index(), churn_buf),
             engine: self.sim.take_engine_trace(),
-            barriers: self.sim.take_barrier_marks(),
         }
         .into_model(result)
     }
 
-    /// The underlying simulation, on any topology (for custom
+    /// The underlying simulation (for custom
     /// interventions: crashes, Δ-retuning, extra probes, dispatch hooks).
     pub fn sim_mut(&mut self) -> &mut PresenceSim {
         &mut self.sim
@@ -678,53 +477,6 @@ impl Scenario {
     #[must_use]
     pub fn churn_actor(&self) -> ActorId {
         self.churn
-    }
-
-    /// The planning decision made at construction (requested vs effective
-    /// regions, with the lookahead evidence the partition validator found).
-    #[must_use]
-    pub fn region_plan(&self) -> &RegionPlan {
-        &self.plan
-    }
-
-    /// Caps the worker threads a multi-region run may use (one region
-    /// never uses any). Trajectories are worker-count-invariant.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.sim.set_workers(workers);
-    }
-
-    /// Selects the window sizing policy of a multi-region run.
-    /// Trajectories are policy-invariant; only barrier counts change.
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        self.sim.set_window_policy(policy);
-    }
-
-    /// Window counters so far: `(windows_executed, barrier_exchanges,
-    /// events_per_window)`; `None` when the run is one region, which has
-    /// no windows.
-    #[must_use]
-    pub fn region_counters(&self) -> Option<(u64, u64, f64)> {
-        (self.plan.effective > 1).then(|| {
-            let windows = self.sim.windows_executed();
-            #[allow(clippy::cast_precision_loss)]
-            let per_window = self.sim.events_processed() as f64 / windows.max(1) as f64;
-            (windows, self.sim.barrier_exchanges(), per_window)
-        })
-    }
-
-    /// Unicasts forwarded over inter-plane legs, summed over planes
-    /// (always 0 on the hub).
-    #[must_use]
-    pub fn relays_forwarded(&self) -> u64 {
-        self.planes
-            .iter()
-            .map(|&p| {
-                self.sim
-                    .actor::<NetworkActor>(p)
-                    .expect("plane actor")
-                    .relays_forwarded()
-            })
-            .sum()
     }
 
     fn schedule_on_device(&mut self, at: f64, event: SimEvent) {
@@ -758,9 +510,7 @@ impl Scenario {
         self.sim.run_until(SimTime::from_secs_f64(at));
     }
 
-    /// Extracts the results accumulated so far. Fabric counters are
-    /// summed over the planes (each plane owns an independent fabric, and
-    /// mean occupancy adds because in-flight counts add).
+    /// Extracts the results accumulated so far.
     #[must_use]
     pub fn collect(&mut self) -> ScenarioResult {
         let now = self.sim.now();
@@ -793,26 +543,14 @@ impl Scenario {
             .expect("device actor")
             .probes_received();
 
-        let (mut offered, mut delivered, mut unroutable) = (0, 0, 0);
-        let (mut dropped_overflow, mut dropped_loss) = (0, 0);
-        let mut mean_buffer_occupancy: Option<f64> = None;
-        for &plane in &self.planes {
-            // Mutable: the fabric settles delivery deadlines ≤ now before
-            // reporting (lazy delivery accounting).
-            let net = self
-                .sim
-                .actor_mut::<NetworkActor>(plane)
-                .expect("plane actor");
-            let stats = net.fabric_stats(now);
-            offered += stats.offered;
-            delivered += stats.delivered;
-            dropped_overflow += stats.dropped_overflow;
-            dropped_loss += stats.dropped_loss;
-            unroutable += stats.unroutable;
-            if let Some(occ) = net.mean_occupancy(now) {
-                mean_buffer_occupancy = Some(mean_buffer_occupancy.map_or(occ, |sum| sum + occ));
-            }
-        }
+        // Mutable: the fabric settles delivery deadlines ≤ now before
+        // reporting (lazy delivery accounting).
+        let net = self
+            .sim
+            .actor_mut::<NetworkActor>(self.network)
+            .expect("network actor");
+        let stats = net.fabric_stats(now);
+        let mean_buffer_occupancy = net.mean_occupancy(now);
 
         let population_series: Vec<(f64, f64)> = self
             .sim
@@ -847,11 +585,11 @@ impl Scenario {
             load_mean,
             load_variance,
             mean_buffer_occupancy,
-            messages_offered: offered,
-            messages_delivered: delivered,
-            messages_dropped_overflow: dropped_overflow,
-            messages_dropped_loss: dropped_loss,
-            messages_unroutable: unroutable,
+            messages_offered: stats.offered,
+            messages_delivered: stats.delivered,
+            messages_dropped_overflow: stats.dropped_overflow,
+            messages_dropped_loss: stats.dropped_loss,
+            messages_unroutable: stats.unroutable,
             population_series,
             cps,
             fairness_jain: fairness,

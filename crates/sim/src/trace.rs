@@ -6,10 +6,9 @@
 //! nothing while tracing is off (the PR 5 alloc gate runs with tracing
 //! disabled and stays green). [`crate::Scenario::enable_trace`] installs
 //! the buffers; `collect_trace` drains them into a
-//! [`presence_trace::TraceModel`] in global actor-id order, which is what
-//! makes the assembled model — and the serialised Chrome JSON —
-//! bit-identical across region counts (per-actor trajectories are
-//! region-invariant, and each buffer is filled by exactly one actor).
+//! [`presence_trace::TraceModel`] in actor-id order (each buffer is filled
+//! by exactly one actor), so the assembled model — and the serialised
+//! Chrome JSON — is a pure function of the trajectory.
 //!
 //! All buffers share an `until_ns` horizon so a `--trace-until` cap bounds
 //! trace size uniformly: an event past the horizon is dropped by every
@@ -17,7 +16,7 @@
 
 use crate::metrics::ScenarioResult;
 use presence_core::CpId;
-use presence_des::{BarrierMark, EngineEvent};
+use presence_des::EngineEvent;
 use presence_trace::{FlowPhase, PointKind, TraceModel};
 use std::collections::BTreeSet;
 
@@ -123,16 +122,14 @@ impl DeviceTrace {
     }
 }
 
-/// Network-plane recorder: in-flight and relay counter samples, at most
-/// one per [`SAMPLE_BUCKET_NS`] of simulated time.
+/// Network recorder: in-flight counter samples, at most one per
+/// [`SAMPLE_BUCKET_NS`] of simulated time.
 #[derive(Debug)]
 pub struct NetTrace {
     until_ns: u64,
     last_bucket: Option<u64>,
     /// `(time_ns, fabric in-flight count)`.
     pub in_flight: Vec<(u64, f64)>,
-    /// `(time_ns, cumulative relays forwarded)`.
-    pub relays: Vec<(u64, f64)>,
 }
 
 impl NetTrace {
@@ -141,7 +138,6 @@ impl NetTrace {
             until_ns,
             last_bucket: None,
             in_flight: Vec::new(),
-            relays: Vec::new(),
         }
     }
 
@@ -159,9 +155,8 @@ impl NetTrace {
     }
 
     #[allow(clippy::cast_precision_loss)]
-    pub(crate) fn sample(&mut self, time_ns: u64, in_flight: usize, relays: u64) {
+    pub(crate) fn sample(&mut self, time_ns: u64, in_flight: usize) {
         self.in_flight.push((time_ns, in_flight as f64));
-        self.relays.push((time_ns, relays as f64));
     }
 }
 
@@ -189,18 +184,15 @@ impl ChurnTrace {
 }
 
 /// Everything a scenario drains out of its actors and engine after a
-/// traced run, keyed by global actor index so track assembly is identical
-/// at every region count.
+/// traced run, keyed by actor index.
 pub(crate) struct TraceCapture {
     pub(crate) until_ns: u64,
-    /// `(actor index, buffer)` per network plane, in plane order.
-    pub(crate) nets: Vec<(usize, Option<Box<NetTrace>>)>,
+    pub(crate) net: (usize, Option<Box<NetTrace>>),
     pub(crate) device: (usize, Option<Box<DeviceTrace>>),
     /// `(actor index, buffer)` per CP, in `CpId` order.
     pub(crate) cps: Vec<(usize, Option<Box<CpTrace>>)>,
     pub(crate) churn: (usize, Option<Box<ChurnTrace>>),
     pub(crate) engine: Vec<EngineEvent>,
-    pub(crate) barriers: Vec<BarrierMark>,
 }
 
 /// Seconds → virtual nanoseconds, for series recorded in float seconds.
@@ -212,15 +204,13 @@ fn secs_ns(t: f64) -> u64 {
 impl TraceCapture {
     /// Assembles the final [`TraceModel`]: one track per actor, lifecycle
     /// points from the live buffers, counter tracks synthesised from the
-    /// collected result's series (which are region-invariant by
-    /// construction), and the engine/barrier streams capped at the trace
-    /// horizon.
+    /// collected result's series, and the engine stream capped at the
+    /// trace horizon.
     pub(crate) fn into_model(self, result: &ScenarioResult) -> TraceModel {
         let cap = self.until_ns;
         let mut model = TraceModel::default();
-        for (p, &(actor, _)) in self.nets.iter().enumerate() {
-            model.add_track(format!("net{p}"), Some(actor));
-        }
+        // `net0`: the track and counter names the trace fixture pins.
+        model.add_track("net0", Some(self.net.0));
         let device_track = model.add_track("device", Some(self.device.0));
         let mut cp_tracks = Vec::with_capacity(self.cps.len());
         for (i, &(actor, _)) in self.cps.iter().enumerate() {
@@ -248,13 +238,9 @@ impl TraceCapture {
             }
         }
 
-        for (p, (_, buf)) in self.nets.into_iter().enumerate() {
-            let Some(buf) = buf else { continue };
+        if let Some(buf) = self.net.1 {
             if !buf.in_flight.is_empty() {
-                model.add_counter(format!("net{p}.in_flight"), buf.in_flight);
-            }
-            if !buf.relays.is_empty() {
-                model.add_counter(format!("net{p}.relays"), buf.relays);
+                model.add_counter("net0.in_flight", buf.in_flight);
             }
         }
         let capped = |series: &[(f64, f64)]| -> Vec<(u64, f64)> {
@@ -283,11 +269,6 @@ impl TraceCapture {
             .engine
             .into_iter()
             .filter(|e| e.time.as_nanos() <= cap)
-            .collect();
-        model.barriers = self
-            .barriers
-            .into_iter()
-            .filter(|b| b.time.as_nanos() <= cap)
             .collect();
         model
     }
@@ -346,8 +327,7 @@ mod tests {
         assert!(net.wants_sample(0));
         assert!(!net.wants_sample(999_999));
         assert!(net.wants_sample(1_000_000));
-        net.sample(1_000_000, 3, 2);
+        net.sample(1_000_000, 3);
         assert_eq!(net.in_flight, vec![(1_000_000, 3.0)]);
-        assert_eq!(net.relays, vec![(1_000_000, 2.0)]);
     }
 }

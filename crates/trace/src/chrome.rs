@@ -6,12 +6,11 @@
 //! slices to bind to), a real-duration `process` slice on the device track
 //! for each probe's service time, `s`/`t`/`f` flow events stitching every
 //! probe→reply lifecycle across the network hops, `i` instants for absence
-//! verdicts / regime switches / region barriers, and `C` counter samples.
+//! verdicts / regime switches, and `C` counter samples.
 //!
-//! Output is byte-deterministic: events are emitted in model order (which
-//! the simulation layer constructs region-invariantly), object keys are
-//! insertion-ordered, and floats use shortest round-trip formatting — the
-//! properties the golden-fixture and regioned-equivalence tests pin.
+//! Output is byte-deterministic: events are emitted in model order, object
+//! keys are insertion-ordered, and floats use shortest round-trip
+//! formatting — the properties the golden-fixture test pins.
 
 use crate::model::{FlowPhase, PointKind, TraceModel};
 use presence_des::EngineEventKind;
@@ -93,25 +92,18 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
             ("args", obj(vec![("name", s("presence"))])),
         ]),
     );
-    let barrier_tid = model.tracks.len() as u64;
-    let thread_meta = |out: &mut String, first: &mut bool, tid: u64, name: &str| {
+    for (tid, track) in model.tracks.iter().enumerate() {
         push_event(
-            out,
-            first,
+            &mut out,
+            &mut first,
             &obj(vec![
                 ("name", s("thread_name")),
                 ("ph", s("M")),
                 ("pid", Value::U64(0)),
-                ("tid", Value::U64(tid)),
-                ("args", obj(vec![("name", s(name))])),
+                ("tid", Value::U64(tid as u64)),
+                ("args", obj(vec![("name", s(&track.name))])),
             ]),
         );
-    };
-    for (tid, track) in model.tracks.iter().enumerate() {
-        thread_meta(&mut out, &mut first, tid as u64, &track.name);
-    }
-    if !model.barriers.is_empty() {
-        thread_meta(&mut out, &mut first, barrier_tid, "region");
     }
 
     // Device service spans: a real-duration `process` slice per probe that
@@ -253,45 +245,6 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
                 ("tid", Value::U64(u64::from(track))),
             ]),
         );
-    }
-
-    // Barrier marks (regioned runs only): instants plus the two derived
-    // region counters.
-    let mut exchanged_total = 0;
-    for (index, mark) in model.barriers.iter().enumerate() {
-        let ts = Value::F64(ts_us(mark.time.as_nanos()));
-        push_event(
-            &mut out,
-            &mut first,
-            &obj(vec![
-                ("name", s("barrier")),
-                ("cat", s("region")),
-                ("ph", s("i")),
-                ("ts", ts.clone()),
-                ("pid", Value::U64(0)),
-                ("tid", Value::U64(barrier_tid)),
-                ("s", s("t")),
-                ("args", obj(vec![("exchanged", Value::U64(mark.exchanged))])),
-            ]),
-        );
-        exchanged_total += mark.exchanged;
-        #[allow(clippy::cast_precision_loss)]
-        for (name, value) in [
-            ("region.windows_executed", (index + 1) as f64),
-            ("region.barrier_exchanges", exchanged_total as f64),
-        ] {
-            push_event(
-                &mut out,
-                &mut first,
-                &obj(vec![
-                    ("name", s(name)),
-                    ("ph", s("C")),
-                    ("ts", ts.clone()),
-                    ("pid", Value::U64(0)),
-                    ("args", obj(vec![("value", Value::F64(value))])),
-                ]),
-            );
-        }
     }
 
     out.push_str("\n]}\n");

@@ -2,10 +2,10 @@
 //! simulations.
 //!
 //! The simulation layer fills a [`TraceModel`] — actor tracks, probe→reply
-//! flow points, counter series, the engine's structured event stream, and
-//! (regioned runs only) window-barrier marks. This crate turns that model
-//! into the [Chrome JSON trace format] that Perfetto's trace viewer loads
-//! directly ([`chrome::write_chrome_json`]), parses such a file back
+//! flow points, counter series, and the engine's structured event stream.
+//! This crate turns that model into the [Chrome JSON trace format] that
+//! Perfetto's trace viewer loads directly
+//! ([`chrome::write_chrome_json`]), parses such a file back
 //! ([`reader::parse`]), checks its structural invariants
 //! ([`validate::validate`]), and distils terminal-friendly statistics from
 //! it ([`stats::analyze`] — the `spotter` bin's engine).
@@ -13,8 +13,7 @@
 //! Everything is std-only: JSON goes through the workspace's serde shim,
 //! so the output is byte-deterministic (insertion-ordered object keys,
 //! shortest round-trip float formatting) — deterministic enough to pin a
-//! golden fixture bit-for-bit and to compare a multi-region run's trace
-//! against the one-region run's byte-for-byte.
+//! golden fixture bit-for-bit.
 //!
 //! [Chrome JSON trace format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU

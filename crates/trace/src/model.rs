@@ -1,17 +1,10 @@
 //! The engine-agnostic trace model the simulation layer fills.
 //!
-//! A [`TraceModel`] is ordinary data — no handles into a live simulation —
-//! so it can be built from either engine (sequential or regioned) and
-//! compared across them. Two invariants make regioned traces bit-identical
-//! to sequential ones:
-//!
-//! * every point carries its global actor track and virtual time, and the
-//!   writer orders output by construction, not by engine internals;
-//! * barrier marks (which exist only in regioned runs) live in their own
-//!   field, so stripping [`TraceModel::barriers`] recovers the
-//!   engine-invariant trace.
+//! A [`TraceModel`] is ordinary data — no handles into a live simulation:
+//! every point carries its actor track and virtual time, and the writer
+//! orders output by construction, not by engine internals.
 
-use presence_des::{BarrierMark, EngineEvent};
+use presence_des::EngineEvent;
 
 /// One step of a probe→reply lifecycle, in flow order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +53,7 @@ pub struct TracePoint {
 /// One named timeline (a Perfetto "thread").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Track {
-    /// Display name (e.g. `cp3`, `device`, `plane0`, `churn`).
+    /// Display name (e.g. `cp3`, `device`, `net0`, `churn`).
     pub name: String,
     /// Global actor index backing this track, when there is one — engine
     /// events are routed onto tracks through this mapping.
@@ -89,10 +82,6 @@ pub struct TraceModel {
     /// canonical `(time, actor)` order. Empty unless engine tracing was
     /// requested — it is by far the densest part of a trace.
     pub engine: Vec<EngineEvent>,
-    /// Window-barrier marks — regioned runs only. Clearing this field
-    /// yields the engine-invariant trace (the regioned-vs-sequential
-    /// byte-identity tests do exactly that).
-    pub barriers: Vec<BarrierMark>,
 }
 
 impl TraceModel {
