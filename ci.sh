@@ -22,6 +22,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A deleted or renamed item leaves [`links`] to it behind in prose that
+# nothing compiles; rustdoc resolves them, so a dead link fails here.
+echo "==> cargo doc (presence crates + facade, broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace \
+    --exclude proptest --exclude serde --exclude serde_derive --exclude serde_json
+
 # The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own
 # outside the workspace, so nothing above notices when a public item it
 # uses is renamed or removed. Compile it against this tree.
@@ -65,7 +71,7 @@ test_nonempty() {
 # property-test pass than the tier-1 default (256 cases) — the EventQueue
 # and TimerSlots model-based suites plus the dispatch-semantics regression
 # battery (including the arm that holds step()/run(n)/run_until to one
-# trace across spawns and stops), at 1024 cases — and the queue's
+# trace across repeated stops), at 1024 cases — and the queue's
 # white-box unit tests (the invariant checker after every step of a seeded
 # walk) run optimised, as the simulator runs them.
 echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue tests (release)"

@@ -196,7 +196,7 @@ pub fn run_oracle(scenario: &ConformanceScenario) -> ConformanceReport {
                 report.cps.push(ProberReport {
                     cp,
                     verdict: actor.verdict(),
-                    stats: actor.record_snapshot().stats,
+                    stats: actor.stats(),
                 });
             }
             Addr::Device(device) => {

@@ -13,21 +13,19 @@
 //!
 //! # Typed actor storage
 //!
-//! `Simulation<E, S>` is generic over its actor storage `S` — any type
-//! implementing [`Actor<E>`] can be the population's member type:
-//!
-//! * The default, [`DynActorSet<E>`], boxes heterogeneous actors behind a
-//!   trait object, which keeps unit tests and examples ergonomic
-//!   ([`Simulation::add_actor`] accepts any `Actor<E>`, and
-//!   [`Simulation::actor`] downcasts back to the concrete type).
-//! * A closed simulation domain supplies its own enum over its actor
-//!   kinds (see [`ProjectActor`]), so the per-event hot path dispatches
-//!   through a direct `match` instead of a vtable call — no box per
-//!   actor, no pointer chase per event. There is also no take/put-back
-//!   dance: the engine borrows the member in place (the actor table and
-//!   the scheduler core are disjoint), and mid-event spawns are parked in
-//!   a pending list absorbed after the handler returns, so dispatch is a
-//!   plain indexed borrow either way.
+//! `Simulation<E, S>` is generic over its member type `S`, any type
+//! implementing [`Actor<E>`]. A one-kind simulation names the actor type
+//! itself (`Simulation<E, A>`: every `A` projects to itself, see
+//! [`ProjectActor`]); a simulation domain with several kinds supplies an
+//! enum over them whose `Actor` impl is a `match`, so the per-event hot
+//! path dispatches without a vtable call — no box per actor, no pointer
+//! chase per event. The table is closed while an event is handled: an
+//! actor cannot add members, so the engine borrows the member in place
+//! (the actor table and the scheduler core are disjoint) and dispatch is a
+//! plain indexed borrow. Populations that grow and shrink are modelled the
+//! way the paper's CP pool is — members built up front and toggled by
+//! events — and [`Simulation::add_member`] between two runs is the only
+//! late join.
 //!
 //! This is the stand-in for the paper's MODEST/MÖBIUS tool chain: a small,
 //! auditable kernel whose event semantics are plain enough to validate by
@@ -37,7 +35,6 @@
 use crate::queue::{EventKey, EventQueue, QueueProfile};
 use crate::rng::StreamRng;
 use crate::time::{SimDuration, SimTime};
-use std::any::Any;
 
 /// Identifies an actor within one [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,59 +65,21 @@ pub struct EventHandle {
 /// simulation stores an enum over its actor kinds whose `Actor` impl is a
 /// `match` delegating to the active variant.
 pub trait Actor<E>: 'static {
-    /// Called once when the simulation starts (or, for actors spawned
-    /// mid-run, when they are absorbed into the actor table).
+    /// Called once, at the entry of the first run method after the actor
+    /// was added — before any of its events fire.
     fn on_start(&mut self, _ctx: &mut Context<'_, E>) {}
 
     /// Called for every event addressed to this actor.
     fn on_event(&mut self, ctx: &mut Context<'_, E>, event: E);
 }
 
-/// Object-safe supertrait adding downcasting, implemented for every actor.
-trait AnyActor<E>: Actor<E> {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<E: 'static, T: Actor<E>> AnyActor<E> for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The default actor storage: a boxed trait object per actor, so one
-/// simulation can host any mix of actor types without declaring a closed
-/// set. This is the ergonomic path for unit tests and examples; hot
-/// simulation domains define an enum member type instead and dispatch
-/// without the vtable (see the [module docs](self)).
-pub struct DynActorSet<E: 'static>(Box<dyn AnyActor<E>>);
-
-impl<E: 'static> DynActorSet<E> {
-    /// Boxes a concrete actor as a dynamic set member.
-    #[must_use]
-    pub fn wrap<A: Actor<E>>(actor: A) -> Self {
-        Self(Box::new(actor))
-    }
-}
-
-impl<E: 'static> Actor<E> for DynActorSet<E> {
-    fn on_start(&mut self, ctx: &mut Context<'_, E>) {
-        self.0.on_start(ctx);
-    }
-    fn on_event(&mut self, ctx: &mut Context<'_, E>, event: E) {
-        self.0.on_event(ctx, event);
-    }
-}
-
 /// Projection from a simulation's member type to one concrete actor kind —
 /// what [`Simulation::actor`]/[`Simulation::actor_mut`] use to hand out
 /// typed access.
 ///
-/// [`DynActorSet`] projects by `Any`-downcast to *every* actor type; an
-/// enum member type implements it per variant:
+/// Every type projects to itself, which is all a one-kind simulation
+/// (`Simulation<E, A>`) needs; an enum member type implements it per
+/// variant:
 ///
 /// ```
 /// use presence_des::{Actor, Context, ProjectActor};
@@ -165,12 +124,12 @@ pub trait ProjectActor<A> {
     fn project_mut(&mut self) -> Option<&mut A>;
 }
 
-impl<E: 'static, A: Actor<E>> ProjectActor<A> for DynActorSet<E> {
+impl<A> ProjectActor<A> for A {
     fn project(&self) -> Option<&A> {
-        self.0.as_any().downcast_ref::<A>()
+        Some(self)
     }
     fn project_mut(&mut self) -> Option<&mut A> {
-        self.0.as_any_mut().downcast_mut::<A>()
+        Some(self)
     }
 }
 
@@ -418,12 +377,6 @@ impl<E> Core<E> {
 pub struct Context<'a, E> {
     core: &'a mut Core<E>,
     rng: &'a mut StreamRng,
-    /// Mid-event spawns, parked until the current handler returns. Stored
-    /// as `&mut dyn Any` over the engine's `Vec<S>` so the context (and
-    /// therefore every `Actor` impl's signature) stays independent of the
-    /// simulation's member type; [`Context::spawn_member`] downcasts it
-    /// back, which is exact by construction for the owning engine.
-    pending_spawns: &'a mut dyn Any,
     me: ActorId,
 }
 
@@ -449,7 +402,7 @@ impl<'a, E> Context<'a, E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past or `target` does not exist (yet).
+    /// Panics if `at` is in the past or `target` does not exist.
     pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: E) -> EventHandle {
         assert!(
             target.0 < self.core.actor_count,
@@ -567,49 +520,13 @@ impl<'a, E> Context<'a, E> {
     pub fn stop(&mut self) {
         self.core.stop_requested = true;
     }
-
-    /// Adds a new actor mid-run **in a dynamically stored simulation**
-    /// (the default). The actor's `on_start` runs after the current event
-    /// handler returns, at the current virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation stores a typed member set — spawn the set's
-    /// own type with [`Context::spawn_member`] instead.
-    pub fn spawn<A: Actor<E>>(&mut self, actor: A) -> ActorId
-    where
-        E: 'static,
-    {
-        self.spawn_member(DynActorSet::wrap(actor))
-    }
-
-    /// Adds a new actor mid-run, given as the simulation's member type
-    /// `S` (for a typed simulation, the actor-set enum; for the default
-    /// dynamic storage, a [`DynActorSet`] — or just use
-    /// [`Context::spawn`]). The member's `on_start` runs after the
-    /// current event handler returns, at the current virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `S` is not the member type of the simulation dispatching
-    /// this context.
-    pub fn spawn_member<S: 'static>(&mut self, member: S) -> ActorId {
-        let pending = self
-            .pending_spawns
-            .downcast_mut::<Vec<S>>()
-            .expect("spawned member type must match the simulation's actor storage");
-        let id = ActorId(self.core.actor_count);
-        self.core.actor_count += 1;
-        pending.push(member);
-        id
-    }
 }
 
 /// Observer hook invoked for every processed event when tracing is on.
 type TraceHook = Box<dyn FnMut(&TraceRecord)>;
 
-/// A deterministic discrete-event simulation over actor storage `S`
-/// (default: [`DynActorSet`], which accepts any mix of actor types).
+/// A deterministic discrete-event simulation over members of type `S`
+/// (one actor type, or an enum over several).
 ///
 /// One event queue, one clock, one actor table: actor `ActorId(i)` is
 /// member `i` of the table and draws from RNG stream `i`.
@@ -636,13 +553,13 @@ type TraceHook = Box<dyn FnMut(&TraceRecord)>;
 ///     }
 /// }
 ///
-/// let mut sim = Simulation::new(42);
-/// let id = sim.add_actor(Counter { fired: 0 });
+/// let mut sim: Simulation<&'static str, Counter> = Simulation::with_actor_set(42);
+/// let id = sim.add_member(Counter { fired: 0 });
 /// sim.run_until_idle();
 /// assert_eq!(sim.now(), SimTime::from_secs_f64(3.0));
 /// assert_eq!(sim.actor::<Counter>(id).unwrap().fired, 3);
 /// ```
-pub struct Simulation<E: 'static, S: Actor<E> = DynActorSet<E>> {
+pub struct Simulation<E: 'static, S: Actor<E>> {
     core: Core<E>,
     actors: Vec<S>,
     /// One stream per actor, at the actor's index.
@@ -657,8 +574,7 @@ pub struct Simulation<E: 'static, S: Actor<E> = DynActorSet<E>> {
 
 impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     /// Creates an empty simulation with the given root seed, storing
-    /// actors as the member type `S` (a typed simulation names its
-    /// actor-set enum here; the dynamic default is [`Simulation::new`]).
+    /// actors as the member type `S`.
     #[must_use]
     pub fn with_actor_set(root_seed: u64) -> Self {
         Self::with_actor_set_and_profile(root_seed, QueueProfile::Heap)
@@ -718,24 +634,17 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         events
     }
 
-    /// Registers an actor given as the simulation's member type and
-    /// returns its id. Its `on_start` runs when the first run method is
-    /// called (or immediately if the run has begun). Typed simulations
-    /// pass their enum (usually via a `From` impl); dynamic simulations
-    /// can use [`Simulation::add_actor`] instead.
+    /// Registers an actor, given as the simulation's member type (for an
+    /// enum set usually through a `From` impl), and returns its id. It
+    /// joins at the next index, on the RNG stream of that index, and its
+    /// `on_start` runs at the entry of the next run method — also when
+    /// earlier runs have already happened.
     pub fn add_member(&mut self, member: S) -> ActorId {
         let id = ActorId(self.actors.len());
-        self.push_member(member);
+        self.rngs.push(StreamRng::new(self.root_seed, id.0 as u64));
+        self.actors.push(member);
         self.core.actor_count = self.actors.len();
         id
-    }
-
-    /// Appends `member` at the next index, on the RNG stream of that
-    /// index; its `on_start` runs at the next flush.
-    fn push_member(&mut self, member: S) {
-        self.rngs
-            .push(StreamRng::new(self.root_seed, self.actors.len() as u64));
-        self.actors.push(member);
     }
 
     /// Current virtual time: the time of the last executed event, or the
@@ -765,11 +674,10 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         self.actors.len()
     }
 
-    /// Immutable access to an actor, projected to its concrete type
-    /// (an `Any`-downcast for dynamic storage, a variant match for a
-    /// typed set).
+    /// Immutable access to an actor, projected to its concrete type (a
+    /// variant match for an enum set).
     ///
-    /// Returns `None` if the id is unknown or the type does not match.
+    /// Returns `None` if the id is unknown or the kind does not match.
     #[must_use]
     pub fn actor<A>(&self, id: ActorId) -> Option<&A>
     where
@@ -817,7 +725,7 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     }
 
     /// Dispatches either `on_start` (payload `None`) or `on_event` to
-    /// actor `me`, then absorbs any spawned actors.
+    /// actor `me`.
     ///
     /// The member is borrowed **in place**: the actor table, the scheduler
     /// core, and the RNG table are disjoint, so no take/put-back swap is
@@ -826,29 +734,21 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     /// message to itself fires in a later dispatch that observes every
     /// state change made here (pinned by the engine's self-send test).
     fn dispatch(&mut self, me: ActorId, payload: Option<E>) {
-        // Parked spawns: allocation-free unless a spawn actually happens.
-        let mut pending: Vec<S> = Vec::new();
-        {
-            let actor = &mut self.actors[me.0];
-            let mut ctx = Context {
-                core: &mut self.core,
-                rng: &mut self.rngs[me.0],
-                pending_spawns: &mut pending,
-                me,
-            };
-            match payload {
-                Some(ev) => actor.on_event(&mut ctx, ev),
-                None => actor.on_start(&mut ctx),
-            }
-        }
-        for spawned in pending {
-            self.push_member(spawned);
-            debug_assert!(self.actors.len() <= self.core.actor_count);
+        let actor = &mut self.actors[me.0];
+        let mut ctx = Context {
+            core: &mut self.core,
+            rng: &mut self.rngs[me.0],
+            me,
+        };
+        match payload {
+            Some(ev) => actor.on_event(&mut ctx, ev),
+            None => actor.on_start(&mut ctx),
         }
     }
 
-    /// Runs `on_start` for every member that has not started yet —
-    /// including members spawned by the starts themselves.
+    /// Runs `on_start` for every member added since the last run. Called
+    /// at the entry of every run method: the table cannot grow while
+    /// events fire.
     fn flush_starts(&mut self) {
         while self.next_start < self.actors.len() {
             let me = ActorId(self.next_start);
@@ -868,21 +768,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         } else {
             unfinished
         }
-    }
-}
-
-impl<E: 'static> Simulation<E> {
-    /// Creates an empty simulation with the given root seed, using the
-    /// default dynamic actor storage ([`DynActorSet`]).
-    #[must_use]
-    pub fn new(root_seed: u64) -> Self {
-        Self::with_actor_set(root_seed)
-    }
-
-    /// Registers an actor and returns its id. Its `on_start` runs when the
-    /// first run method is called (or immediately if the run has begun).
-    pub fn add_actor<A: Actor<E>>(&mut self, actor: A) -> ActorId {
-        self.add_member(DynActorSet::wrap(actor))
     }
 }
 
@@ -906,9 +791,9 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     }
 
     /// Pops and dispatches the next event — which may be a batch
-    /// delivering to several actors in order — then starts whatever it
-    /// spawned. Returns `false` when the queue is empty. Cancelled events
-    /// were removed at cancel time, so every pop is live.
+    /// delivering to several actors in order. Returns `false` when the
+    /// queue is empty. Cancelled events were removed at cancel time, so
+    /// every pop is live.
     fn fire_next(&mut self) -> bool {
         let Some((key, (dest, payload))) = self.core.queue.pop() else {
             return false;
@@ -926,7 +811,6 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
                 self.deliver(key, last, payload);
             }
         }
-        self.flush_starts();
         true
     }
 
@@ -1003,10 +887,46 @@ mod tests {
         }
     }
 
+    /// Member type of the tests that mix kinds: [`Recorder`] peers beside
+    /// the one actor `D` that drives them.
+    enum Cast<D> {
+        Peer(Recorder),
+        Driver(D),
+    }
+
+    impl<D> Cast<D> {
+        fn peer() -> Self {
+            Cast::Peer(Recorder { log: vec![] })
+        }
+
+        /// The events a peer received, in firing order.
+        fn received(&self) -> Vec<Ev> {
+            match self {
+                Cast::Peer(r) => r.log.iter().map(|&(_, e)| e).collect(),
+                Cast::Driver(_) => panic!("not a peer"),
+            }
+        }
+    }
+
+    impl<D: Actor<Ev>> Actor<Ev> for Cast<D> {
+        fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
+            match self {
+                Cast::Peer(a) => a.on_start(ctx),
+                Cast::Driver(a) => a.on_start(ctx),
+            }
+        }
+        fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
+            match self {
+                Cast::Peer(a) => a.on_event(ctx, ev),
+                Cast::Driver(a) => a.on_event(ctx, ev),
+            }
+        }
+    }
+
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         sim.schedule_at(SimTime::from_secs_f64(3.0), id, 3);
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.schedule_at(SimTime::from_secs_f64(2.0), id, 2);
@@ -1024,8 +944,8 @@ mod tests {
 
     #[test]
     fn simultaneous_events_fifo() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         let t = SimTime::from_secs_f64(1.0);
         for i in 0..100 {
             sim.schedule_at(t, id, i);
@@ -1043,8 +963,8 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_boundary() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.schedule_at(SimTime::from_secs_f64(5.0), id, 5);
         let outcome = sim.run_until(SimTime::from_secs_f64(2.0));
@@ -1058,8 +978,8 @@ mod tests {
 
     #[test]
     fn run_until_inclusive_of_end_instant() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         sim.schedule_at(SimTime::from_secs_f64(2.0), id, 7);
         sim.run_until(SimTime::from_secs_f64(2.0));
         assert_eq!(sim.actor::<Recorder>(id).unwrap().log.len(), 1);
@@ -1067,8 +987,8 @@ mod tests {
 
     #[test]
     fn idle_run_until_advances_clock() {
-        let mut sim: Simulation<Ev> = Simulation::new(1);
-        let _ = sim.add_actor(Recorder { log: vec![] });
+        let mut sim: Simulation<Ev, Recorder> = Simulation::with_actor_set(1);
+        let _ = sim.add_member(Recorder { log: vec![] });
         assert_eq!(
             sim.run_until(SimTime::from_secs_f64(10.0)),
             RunOutcome::Idle
@@ -1083,8 +1003,8 @@ mod tests {
         impl Actor<Ev> for Bad {
             fn on_event(&mut self, _: &mut Context<'_, Ev>, _: Ev) {}
         }
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Bad);
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Bad);
         sim.schedule_at(SimTime::from_secs_f64(5.0), id, 0);
         sim.run_until_idle();
         // now == 5.0; scheduling at 1.0 must panic.
@@ -1094,7 +1014,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown actor")]
     fn scheduling_for_unknown_actor_panics() {
-        let mut sim: Simulation<Ev> = Simulation::new(1);
+        let mut sim: Simulation<Ev, Recorder> = Simulation::with_actor_set(1);
         sim.schedule_at(SimTime::ZERO, ActorId(3), 0);
     }
 
@@ -1117,8 +1037,8 @@ mod tests {
 
     #[test]
     fn cancelled_events_do_not_fire() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Canceller { fired: false });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Canceller { fired: false });
         sim.run_until_idle();
         assert!(sim.actor::<Canceller>(id).unwrap().fired);
         assert_eq!(sim.events_processed(), 1);
@@ -1126,8 +1046,8 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         let h = sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.run_until_idle();
         // Already fired — must not disturb anything, and must report the
@@ -1140,8 +1060,8 @@ mod tests {
 
     #[test]
     fn cancel_reports_whether_the_event_was_pending() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         let h = sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         assert!(sim.cancel(h), "pending event");
         assert!(!sim.cancel(h), "double cancel");
@@ -1153,8 +1073,8 @@ mod tests {
     /// the tombstone design counted cancelled events as queued.
     #[test]
     fn queue_len_counts_only_live_events() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         let handles: Vec<_> = (0..10)
             .map(|i| sim.schedule_at(SimTime::from_secs_f64(f64::from(i) + 1.0), id, i as Ev))
             .collect();
@@ -1193,8 +1113,8 @@ mod tests {
 
     #[test]
     fn reschedule_moves_timer_and_kills_old_handle() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Rearmer {
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Rearmer {
             handle: None,
             fired: vec![],
         });
@@ -1229,12 +1149,12 @@ mod tests {
                 }
                 fn on_event(&mut self, _: &mut Context<'_, Ev>, _: Ev) {}
             }
-            let mut sim = Simulation::new(1);
-            let peer = sim.add_actor(Recorder { log: vec![] });
-            sim.add_actor(Driver {
+            let mut sim = Simulation::with_actor_set(1);
+            let peer = sim.add_member(Cast::peer());
+            sim.add_member(Cast::Driver(Driver {
                 rearm_in_place,
                 peer,
-            });
+            }));
             use std::cell::RefCell;
             use std::rc::Rc;
             let log = Rc::new(RefCell::new(Vec::new()));
@@ -1272,32 +1192,17 @@ mod tests {
                     ctx.send_now(self.peers[2], 42);
                 }
             }
-            let mut sim = Simulation::new(1);
-            let peers: Vec<ActorId> = (0..3)
-                .map(|_| sim.add_actor(Recorder { log: vec![] }))
-                .collect();
-            let d = sim.add_actor(Driver {
+            let mut sim = Simulation::with_actor_set(1);
+            let peers: Vec<ActorId> = (0..3).map(|_| sim.add_member(Cast::peer())).collect();
+            let d = sim.add_member(Cast::Driver(Driver {
                 batch,
                 peers: peers.clone(),
-            });
+            }));
             sim.schedule_at(SimTime::from_secs_f64(1.0), d, 0);
             sim.run_until_idle();
             let mut log = Vec::new();
-            use std::collections::BTreeMap;
-            let mut per_peer: BTreeMap<usize, Vec<Ev>> = BTreeMap::new();
             for (i, &p) in peers.iter().enumerate() {
-                per_peer.insert(
-                    i,
-                    sim.actor::<Recorder>(p)
-                        .unwrap()
-                        .log
-                        .iter()
-                        .map(|&(_, e)| e)
-                        .collect(),
-                );
-            }
-            for (i, evs) in per_peer {
-                for e in evs {
+                for e in sim.actor::<Cast<Driver>>(p).unwrap().received() {
                     log.push((i, e));
                 }
             }
@@ -1329,14 +1234,12 @@ mod tests {
             }
         }
         for cancel_it in [false, true] {
-            let mut sim = Simulation::new(1);
-            let peers: Vec<ActorId> = (0..4)
-                .map(|_| sim.add_actor(Recorder { log: vec![] }))
-                .collect();
-            let b = sim.add_actor(Batcher {
+            let mut sim = Simulation::with_actor_set(1);
+            let peers: Vec<ActorId> = (0..4).map(|_| sim.add_member(Cast::peer())).collect();
+            let b = sim.add_member(Cast::Driver(Batcher {
                 peers: peers.clone(),
                 cancel_it,
-            });
+            }));
             let records = Rc::new(RefCell::new(Vec::new()));
             let r2 = Rc::clone(&records);
             sim.set_trace(move |rec| r2.borrow_mut().push((rec.seq, rec.target)));
@@ -1344,7 +1247,7 @@ mod tests {
             sim.run_until_idle();
             let delivered: usize = peers
                 .iter()
-                .map(|&p| sim.actor::<Recorder>(p).unwrap().log.len())
+                .map(|&p| sim.actor::<Cast<Batcher>>(p).unwrap().received().len())
                 .sum();
             if cancel_it {
                 assert_eq!(delivered, 0, "cancelled batch must not deliver");
@@ -1369,8 +1272,8 @@ mod tests {
                 ctx.send_now_batch(Vec::new(), 1);
             }
         }
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Empty);
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Empty);
         sim.schedule_at(SimTime::ZERO, id, 0);
         sim.run_until_idle();
     }
@@ -1394,13 +1297,13 @@ mod tests {
 
     #[test]
     fn ping_pong() {
-        let mut sim = Simulation::new(1);
-        let a = sim.add_actor(Ping {
+        let mut sim = Simulation::with_actor_set(1);
+        let a = sim.add_member(Ping {
             peer: None,
             rounds: 0,
             max: 10,
         });
-        let b = sim.add_actor(Ping {
+        let b = sim.add_member(Ping {
             peer: None,
             rounds: 0,
             max: 10,
@@ -1425,8 +1328,8 @@ mod tests {
                 ctx.set_timer(SimDuration::from_secs(1), ev + 1);
             }
         }
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Stopper);
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Stopper);
         sim.schedule_at(SimTime::ZERO, id, 0);
         let outcome = sim.run_until_idle();
         assert_eq!(outcome, RunOutcome::Stopped);
@@ -1438,8 +1341,8 @@ mod tests {
     /// nothing was pending.
     #[test]
     fn run_zero_on_idle_sim_reports_idle() {
-        let mut sim: Simulation<Ev> = Simulation::new(1);
-        let _ = sim.add_actor(Recorder { log: vec![] });
+        let mut sim: Simulation<Ev, Recorder> = Simulation::with_actor_set(1);
+        let _ = sim.add_member(Recorder { log: vec![] });
         assert_eq!(sim.run(0), RunOutcome::Idle);
         assert_eq!(sim.run(10), RunOutcome::Idle);
     }
@@ -1448,8 +1351,8 @@ mod tests {
     /// must report `Idle` (nothing pending), not `EventBudget`.
     #[test]
     fn run_budget_exactly_consumed_by_drain_reports_idle() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         for i in 0..5 {
             sim.schedule_at(SimTime::from_secs_f64(f64::from(i)), id, i as Ev);
         }
@@ -1460,8 +1363,8 @@ mod tests {
     /// A budget smaller than the queue still reports `EventBudget`.
     #[test]
     fn run_budget_with_events_left_reports_event_budget() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         for i in 0..5 {
             sim.schedule_at(SimTime::from_secs_f64(f64::from(i)), id, i as Ev);
         }
@@ -1481,58 +1384,64 @@ mod tests {
                 ctx.set_timer(SimDuration::from_secs(1), 0);
             }
         }
-        let mut sim = Simulation::new(1);
-        sim.add_actor(Endless);
+        let mut sim = Simulation::with_actor_set(1);
+        sim.add_member(Endless);
         assert_eq!(sim.run(100), RunOutcome::EventBudget);
         assert_eq!(sim.events_processed(), 100);
     }
 
-    /// Spawner creates a child mid-run; the child must receive on_start and
-    /// be addressable.
-    struct Spawner {
-        child: Option<ActorId>,
-    }
-    struct Child {
-        started: bool,
-        got: u32,
-    }
-    impl Actor<Ev> for Child {
-        fn on_start(&mut self, _ctx: &mut Context<'_, Ev>) {
-            self.started = true;
-        }
-        fn on_event(&mut self, _ctx: &mut Context<'_, Ev>, ev: Ev) {
-            self.got = ev;
-        }
-    }
-    impl Actor<Ev> for Spawner {
-        fn on_event(&mut self, ctx: &mut Context<'_, Ev>, _: Ev) {
-            let child = ctx.spawn(Child {
-                started: false,
-                got: 0,
-            });
-            self.child = Some(child);
-            ctx.schedule_in(SimDuration::from_secs(1), child, 99);
-        }
-    }
-
     #[test]
-    fn mid_run_spawn() {
-        let mut sim = Simulation::new(1);
-        let s = sim.add_actor(Spawner { child: None });
-        sim.schedule_at(SimTime::from_secs_f64(1.0), s, 0);
-        sim.run_until_idle();
-        let child = sim.actor::<Spawner>(s).unwrap().child.unwrap();
-        let c = sim.actor::<Child>(child).unwrap();
-        assert!(c.started);
-        assert_eq!(c.got, 99);
-    }
-
-    #[test]
-    fn downcast_type_mismatch_is_none() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
-        assert!(sim.actor::<Child>(id).is_none());
+    fn unknown_actor_id_is_none() {
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
+        assert!(sim.actor::<Recorder>(id).is_some());
         assert!(sim.actor::<Recorder>(ActorId(99)).is_none());
+        assert!(sim.actor_mut::<Recorder>(ActorId(99)).is_none());
+    }
+
+    /// The only late join there is: a member added between two runs is
+    /// started at the entry of the next run, at the clock of that moment
+    /// and before any event fires — its own included.
+    #[test]
+    fn member_added_between_runs_starts_at_next_run_entry() {
+        #[derive(Default)]
+        struct Joiner {
+            started_at: Option<SimTime>,
+            got: Vec<Ev>,
+        }
+        impl Actor<Ev> for Joiner {
+            fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
+                assert!(self.got.is_empty(), "an event fired before on_start");
+                self.started_at = Some(ctx.now());
+                ctx.set_timer(SimDuration::from_secs(1), 100);
+            }
+            fn on_event(&mut self, _: &mut Context<'_, Ev>, ev: Ev) {
+                assert!(self.started_at.is_some(), "an event fired before on_start");
+                self.got.push(ev);
+            }
+        }
+        let mut sim = Simulation::with_actor_set(1);
+        let first = sim.add_member(Joiner::default());
+        let two = SimTime::from_secs_f64(2.0);
+        assert_eq!(sim.run_until(two), RunOutcome::Idle);
+        assert_eq!(sim.actor::<Joiner>(first).unwrap().got, vec![100]);
+
+        let late = sim.add_member(Joiner::default());
+        // Queued for the newcomer before it has started, at this instant.
+        sim.schedule_at(two, late, 2);
+        assert!(
+            sim.actor::<Joiner>(late).unwrap().started_at.is_none(),
+            "nothing starts outside a run"
+        );
+        assert!(sim.step());
+        let joiner = sim.actor::<Joiner>(late).unwrap();
+        assert_eq!(joiner.started_at, Some(two));
+        assert_eq!(joiner.got, vec![2]);
+        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        assert_eq!(sim.actor::<Joiner>(late).unwrap().got, vec![2, 100]);
+        assert_eq!(sim.now(), SimTime::from_secs_f64(3.0));
+        // The first member was not started a second time.
+        assert_eq!(sim.actor::<Joiner>(first).unwrap().got, vec![100]);
     }
 
     #[test]
@@ -1550,8 +1459,8 @@ mod tests {
                     }
                 }
             }
-            let mut sim = Simulation::new(seed);
-            sim.add_actor(Jitter);
+            let mut sim = Simulation::with_actor_set(seed);
+            sim.add_member(Jitter);
             let mut times = Vec::new();
             // Collect event times via trace hook into a shared Vec.
             use std::cell::RefCell;
@@ -1595,10 +1504,10 @@ mod tests {
                 assert_eq!(ev, 2, "only the rearmed timer fires");
             }
         }
-        let mut sim = Simulation::new(1);
+        let mut sim = Simulation::with_actor_set(1);
         sim.enable_engine_trace();
-        let peer = sim.add_actor(Recorder { log: vec![] });
-        let t = sim.add_actor(Timers { peer });
+        let peer = sim.add_member(Cast::peer());
+        let t = sim.add_member(Cast::Driver(Timers { peer }));
         sim.run_until_idle();
         let kinds: Vec<(usize, K)> = sim
             .take_engine_trace()
@@ -1623,8 +1532,8 @@ mod tests {
     /// empty.
     #[test]
     fn engine_trace_disabled_is_empty() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.run_until_idle();
         assert!(sim.take_engine_trace().is_empty());
@@ -1643,8 +1552,8 @@ mod tests {
             }
         }
         let total = Rc::new(Cell::new(0));
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Shared(Rc::clone(&total)));
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Shared(Rc::clone(&total)));
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 2);
         sim.schedule_at(SimTime::from_secs_f64(2.0), id, 3);
         assert!(sim.step());
@@ -1656,8 +1565,8 @@ mod tests {
     fn trace_hook_sees_every_event() {
         use std::cell::RefCell;
         use std::rc::Rc;
-        let mut sim = Simulation::new(1);
-        let id = sim.add_actor(Recorder { log: vec![] });
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Recorder { log: vec![] });
         let count = Rc::new(RefCell::new(0u32));
         let c2 = Rc::clone(&count);
         sim.set_trace(move |_| *c2.borrow_mut() += 1);

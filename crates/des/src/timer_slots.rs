@@ -32,12 +32,12 @@ use std::hash::Hash;
 /// ```
 /// use presence_des::{SimTime, Simulation, TimerSlots};
 ///
-/// let mut sim: Simulation<u32> = Simulation::new(1);
 /// # struct Sink;
 /// # impl presence_des::Actor<u32> for Sink {
 /// #     fn on_event(&mut self, _: &mut presence_des::Context<'_, u32>, _: u32) {}
 /// # }
-/// let id = sim.add_actor(Sink);
+/// let mut sim: Simulation<u32, Sink> = Simulation::with_actor_set(1);
+/// let id = sim.add_member(Sink);
 /// let mut timers: TimerSlots<u8> = TimerSlots::new();
 /// let h = sim.schedule_at(SimTime::from_secs_f64(1.0), id, 7);
 /// assert_eq!(timers.insert(3, h), None);
@@ -209,8 +209,8 @@ mod tests {
 
     /// Mints distinct handles from a throwaway simulation.
     fn handles(n: usize) -> Vec<EventHandle> {
-        let mut sim: Simulation<u32> = Simulation::new(1);
-        let id = sim.add_actor(Sink);
+        let mut sim: Simulation<u32, Sink> = Simulation::with_actor_set(1);
+        let id = sim.add_member(Sink);
         (0..n)
             .map(|i| sim.schedule_at(SimTime::from_secs_f64(1.0 + i as f64), id, 0))
             .collect()

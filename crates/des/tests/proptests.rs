@@ -19,8 +19,8 @@ proptest! {
     /// Events always fire in non-decreasing time order, FIFO within a time.
     #[test]
     fn firing_order_is_total(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut sim = Simulation::new(0);
-        let id = sim.add_actor(Sink { log: vec![] });
+        let mut sim = Simulation::with_actor_set(0);
+        let id = sim.add_member(Sink { log: vec![] });
         for (tag, &t) in times.iter().enumerate() {
             sim.schedule_at(SimTime::from_nanos(t), id, tag as u32);
         }
@@ -39,8 +39,8 @@ proptest! {
     #[test]
     fn deterministic_under_seed(seed in any::<u64>(), times in prop::collection::vec(0u64..1_000_000, 1..100)) {
         let run = |seed: u64| {
-            let mut sim = Simulation::new(seed);
-            let id = sim.add_actor(Sink { log: vec![] });
+            let mut sim = Simulation::with_actor_set(seed);
+            let id = sim.add_member(Sink { log: vec![] });
             for (tag, &t) in times.iter().enumerate() {
                 sim.schedule_at(SimTime::from_nanos(t), id, tag as u32);
             }
@@ -56,8 +56,8 @@ proptest! {
         times in prop::collection::vec(0u64..1_000_000, 1..100),
         cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
     ) {
-        let mut sim = Simulation::new(0);
-        let id = sim.add_actor(Sink { log: vec![] });
+        let mut sim = Simulation::with_actor_set(0);
+        let id = sim.add_member(Sink { log: vec![] });
         let mut expected = Vec::new();
         for (tag, &t) in times.iter().enumerate() {
             let h = sim.schedule_at(SimTime::from_nanos(t), id, tag as u32);
@@ -77,8 +77,8 @@ proptest! {
     /// run_until(t) processes exactly the events with time <= t.
     #[test]
     fn run_until_boundary(times in prop::collection::vec(0u64..1_000_000, 1..100), cut in 0u64..1_000_000) {
-        let mut sim = Simulation::new(0);
-        let id = sim.add_actor(Sink { log: vec![] });
+        let mut sim = Simulation::with_actor_set(0);
+        let id = sim.add_member(Sink { log: vec![] });
         for (tag, &t) in times.iter().enumerate() {
             sim.schedule_at(SimTime::from_nanos(t), id, tag as u32);
         }
@@ -111,8 +111,8 @@ proptest! {
             }
         }
         let total: u64 = delays.iter().sum();
-        let mut sim = Simulation::new(0);
-        sim.add_actor(Chain { delays, next: 0 });
+        let mut sim = Simulation::with_actor_set(0);
+        sim.add_member(Chain { delays, next: 0 });
         let outcome = sim.run_until_idle();
         prop_assert_eq!(outcome, RunOutcome::Idle);
         prop_assert_eq!(sim.now().as_nanos(), total);
@@ -130,8 +130,8 @@ proptest! {
                 ctx.set_timer(SimDuration::from_nanos(1), 0);
             }
         }
-        let mut sim = Simulation::new(0);
-        sim.add_actor(Endless);
+        let mut sim = Simulation::with_actor_set(0);
+        sim.add_member(Endless);
         prop_assert_eq!(sim.run(budget), RunOutcome::EventBudget);
         prop_assert_eq!(sim.events_processed(), budget);
     }
@@ -464,8 +464,8 @@ mod timer_slots_model {
         fn matches_hashmap_reference(
             ops in prop::collection::vec((0u8..6, 0u8..KEYS), 1..300),
         ) {
-            let mut sim: Simulation<u32> = Simulation::new(1);
-            let actor = sim.add_actor(Sink);
+            let mut sim: Simulation<u32, Sink> = Simulation::with_actor_set(1);
+            let actor = sim.add_member(Sink);
             let mut at = 1.0f64;
             let mut slots: TimerSlots<u8> = TimerSlots::new();
             let mut model: HashMap<u8, EventHandle> = HashMap::new();

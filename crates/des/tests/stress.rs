@@ -27,10 +27,10 @@ impl Actor<Ev> for Gossiper {
 #[test]
 fn thousand_actor_gossip_terminates_deterministically() {
     let run = |seed: u64| -> (u64, u64) {
-        let mut sim = Simulation::new(seed);
+        let mut sim = Simulation::with_actor_set(seed);
         let ids: Vec<_> = (0..1_000)
             .map(|_| {
-                sim.add_actor(Gossiper {
+                sim.add_member(Gossiper {
                     peers: Vec::new(),
                     received: 0,
                 })
@@ -83,8 +83,8 @@ fn heavy_cancellation_churn() {
             ctx.set_timer(SimDuration::from_nanos(10), 1);
         }
     }
-    let mut sim = Simulation::new(7);
-    let id = sim.add_actor(Churner {
+    let mut sim = Simulation::with_actor_set(7);
+    let id = sim.add_member(Churner {
         remaining: 100_000,
         live_fired: 0,
     });
@@ -109,8 +109,8 @@ fn million_fire_then_cancel_cycles_retain_nothing() {
             self.fired += 1;
         }
     }
-    let mut sim = Simulation::new(1);
-    let id = sim.add_actor(Sink { fired: 0 });
+    let mut sim = Simulation::with_actor_set(1);
+    let id = sim.add_member(Sink { fired: 0 });
     for round in 0..1_000_000u64 {
         let h = sim.schedule_at(SimTime::from_nanos(round), id, round);
         assert!(sim.step(), "event {round} must fire");
@@ -140,8 +140,8 @@ fn long_chain_no_time_drift() {
         }
     }
     const STEPS: u64 = 1_000_000;
-    let mut sim = Simulation::new(1);
-    sim.add_actor(Chain { remaining: STEPS });
+    let mut sim = Simulation::with_actor_set(1);
+    sim.add_member(Chain { remaining: STEPS });
     sim.run_until_idle();
     assert_eq!(sim.now().as_nanos(), (STEPS + 1) * 3);
     assert_eq!(sim.events_processed(), STEPS + 1);
@@ -151,11 +151,11 @@ fn long_chain_no_time_drift() {
 /// single run_until over the whole horizon.
 #[test]
 fn incremental_run_until_equivalence() {
-    fn build(seed: u64) -> (Simulation<Ev>, Vec<presence_des::ActorId>) {
-        let mut sim = Simulation::new(seed);
+    fn build(seed: u64) -> (Simulation<Ev, Gossiper>, Vec<presence_des::ActorId>) {
+        let mut sim = Simulation::with_actor_set(seed);
         let ids: Vec<_> = (0..20)
             .map(|_| {
-                sim.add_actor(Gossiper {
+                sim.add_member(Gossiper {
                     peers: Vec::new(),
                     received: 0,
                 })

@@ -19,9 +19,9 @@ pub trait DelayModel: std::fmt::Debug + Send {
     /// Draws the delay for one message sent at `now`.
     fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration;
 
-    /// An upper bound on the delay, if the model has one. Used by protocol
-    /// configuration validation: the paper sets `TOF = 2·RTT_max + C_max`,
-    /// which requires knowing the maximum round-trip delay.
+    /// An upper bound on the delay, if the model has one: what the paper's
+    /// `TOF = 2·RTT_max + C_max` needs to know of a network. Nothing
+    /// outside this crate's tests reads it today.
     fn max_delay(&self) -> Option<SimDuration>;
 
     /// A guaranteed lower bound: every [`DelayModel::sample`] call, at any
@@ -181,36 +181,7 @@ impl DelayModel for ExponentialDelay {
         Some(self.cap)
     }
     // An exponential can land arbitrarily close to zero, so the inherited
-    // `min_delay() == ZERO` default is the honest bound (wrap in
-    // `ShiftedDelay` to add a propagation floor).
-}
-
-/// A fixed minimum plus a random component from an inner model — useful to
-/// model a propagation floor plus queueing jitter.
-#[derive(Debug)]
-pub struct ShiftedDelay<M> {
-    floor: SimDuration,
-    inner: M,
-}
-
-impl<M: DelayModel> ShiftedDelay<M> {
-    /// Creates a delay of `floor + inner.sample()`.
-    #[must_use]
-    pub fn new(floor: SimDuration, inner: M) -> Self {
-        Self { floor, inner }
-    }
-}
-
-impl<M: DelayModel> DelayModel for ShiftedDelay<M> {
-    fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration {
-        self.floor + self.inner.sample(now, rng)
-    }
-    fn max_delay(&self) -> Option<SimDuration> {
-        self.inner.max_delay().map(|d| self.floor + d)
-    }
-    fn min_delay(&self) -> SimDuration {
-        self.floor + self.inner.min_delay()
-    }
+    // `min_delay() == ZERO` default is the honest bound.
 }
 
 /// Boxed models forward to their contents, so `Box<dyn DelayModel>` is
@@ -349,24 +320,7 @@ mod tests {
             ExponentialDelay::new(0.001, SimDuration::from_secs(1)).min_delay(),
             SimDuration::ZERO
         );
-        // A floor restores a positive bound even over an exponential.
-        let shifted = ShiftedDelay::new(
-            SimDuration::from_micros(50),
-            ExponentialDelay::new(0.001, SimDuration::from_secs(1)),
-        );
-        assert_eq!(shifted.min_delay(), SimDuration::from_micros(50));
         let boxed: Box<dyn DelayModel> = Box::new(ThreeMode::paper_default());
         assert_eq!(boxed.min_delay(), SimDuration::from_micros(100));
-    }
-
-    #[test]
-    fn shifted_adds_floor() {
-        let floor = SimDuration::from_millis(1);
-        let mut m = ShiftedDelay::new(floor, ConstantDelay(SimDuration::from_millis(2)));
-        assert_eq!(
-            m.sample(SimTime::ZERO, &mut rng()),
-            SimDuration::from_millis(3)
-        );
-        assert_eq!(m.max_delay(), Some(SimDuration::from_millis(3)));
     }
 }

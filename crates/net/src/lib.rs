@@ -8,17 +8,16 @@
 //! parts:
 //!
 //! * [`DelayModel`] with [`ThreeMode`] (the paper's model),
-//!   [`ConstantDelay`], [`UniformDelay`], [`ExponentialDelay`], and
-//!   [`ShiftedDelay`];
+//!   [`ConstantDelay`], [`UniformDelay`], and [`ExponentialDelay`];
 //! * [`LossModel`] with [`NoLoss`], [`BernoulliLoss`], and the bursty
 //!   [`GilbertElliott`] channel (for the paper's §5 loss conjecture);
 //! * [`Scheduled`] — a piecewise wrapper that switches any delay or loss
 //!   model at configured sim-time boundaries (the scenario lab's
 //!   time-varying network regimes);
-//! * [`BoundedFifo`] — a bounded queue with time-weighted occupancy
-//!   accounting (the paper's "average buffer length ≈ 0.004");
-//! * [`Fabric`] — the complete network: admission, loss, delay, and
-//!   delivery bookkeeping, independent of any particular event loop.
+//! * [`Fabric`] — the complete network: bounded-buffer admission with
+//!   time-weighted occupancy accounting (the paper's "average buffer
+//!   length ≈ 0.004"), loss, delay, and delivery bookkeeping, independent
+//!   of any particular event loop.
 //!
 //! Everything is payload-agnostic; the simulation glue in `presence-sim`
 //! marries the fabric to the DES engine and to protocol messages.
@@ -26,16 +25,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod delay;
 mod fabric;
 mod loss;
 mod scheduled;
 
-pub use buffer::{BoundedFifo, BufferStats};
-pub use delay::{
-    ConstantDelay, DelayModel, ExponentialDelay, ShiftedDelay, ThreeMode, UniformDelay,
-};
+pub use delay::{ConstantDelay, DelayModel, ExponentialDelay, ThreeMode, UniformDelay};
 pub use fabric::{Fabric, FabricStats, SendOutcome};
 pub use loss::{BernoulliLoss, GilbertElliott, LossModel, NoLoss};
 pub use scheduled::Scheduled;

@@ -3,15 +3,12 @@
 //! A presence scenario is built from a closed set of actor kinds. Naming them
 //! in one enum lets [`presence_des::Simulation`] store members inline and
 //! dispatch each event through a direct `match` — no `Box<dyn Actor>` per
-//! node, no vtable call per event, no downcast on the per-event path. The
-//! engine keeps its dynamic storage ([`presence_des::DynActorSet`]) as the
-//! default for unit tests and examples; everything scenario-shaped in this
+//! node, no vtable call per event. Everything scenario-shaped in this
 //! crate runs on [`PresenceActorSet`] via the [`PresenceSim`] alias.
 //!
 //! Every actor kind gets a `From` impl (so assembly reads
 //! `sim.add_member(actor.into())`) and a [`ProjectActor`] impl (so
-//! `sim.actor::<CpActor>(id)` keeps working, now as a variant match
-//! instead of an `Any`-downcast).
+//! `sim.actor::<CpActor>(id)` is a variant match).
 
 use crate::churn::ChurnActor;
 use crate::cp_actor::CpActor;
@@ -22,9 +19,9 @@ use crate::network_actor::NetworkActor;
 use crate::regime::RegimeActor;
 use presence_des::{Actor, Context, ProjectActor, SimTime, Simulation};
 
-/// A presence simulation with typed actor storage: the hot-path variant of
-/// `Simulation<SimEvent>` that [`crate::Scenario`] and
-/// [`crate::MegaScenario`] run on. Nothing requires the set to be `Send`:
+/// A presence simulation: the engine over [`PresenceActorSet`] members
+/// that [`crate::Scenario`] and [`crate::MegaScenario`] run on. Nothing
+/// requires the set to be `Send`:
 /// the parallel study runners ([`crate::parallel`]) build each scenario
 /// inside the worker that runs it and send back only its result.
 pub type PresenceSim = Simulation<SimEvent, PresenceActorSet>;

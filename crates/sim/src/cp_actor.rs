@@ -4,7 +4,7 @@
 //! the overlay dissemination of leave notices.
 
 use crate::event::{Addr, SimEvent};
-use crate::recorder::RecorderMode;
+use crate::metrics::CpSummary;
 use crate::trace::CpTrace;
 use presence_core::{
     CpAction, CpId, CpStats, DcppConfig, DcppCp, Disseminator, FixedRateCp, LeaveNotice,
@@ -45,16 +45,12 @@ pub struct CpRecord {
     /// The CP's identity.
     pub id: CpId,
     /// `(t, 1/δ)` samples — one per completed probe cycle (the exact series
-    /// plotted in Figures 2–4). Empty under
-    /// [`RecorderMode::Streaming`], where only `freq_stats` accumulates.
+    /// plotted in Figures 2–4).
     pub frequency_series: TimeSeries,
     /// Welford accumulator over the per-cycle delay δ (seconds).
     pub delay_stats: Welford,
-    /// Welford accumulator over the `1/δ` frequency samples — the
-    /// constant-memory companion of `frequency_series`, maintained in both
-    /// recorder modes.
-    pub freq_stats: Welford,
-    /// Probe-cycle statistics accumulated over all sessions.
+    /// Probe-cycle statistics accumulated over all *finished* sessions;
+    /// [`CpActor::stats`] adds the one in progress.
     pub stats: CpStats,
     /// When this CP declared the device absent, if it did.
     pub detected_absent_at: Option<SimTime>,
@@ -93,8 +89,6 @@ pub struct CpActor {
     gossip: Disseminator,
     record: CpRecord,
     active: bool,
-    /// Recorder granularity; streaming skips the frequency series.
-    mode: RecorderMode,
     /// Lifecycle trace buffer; `None` (a single predictable branch per
     /// emission point) unless [`CpActor::set_trace`] armed it.
     trace: Option<Box<CpTrace>>,
@@ -130,14 +124,12 @@ impl CpActor {
                 id,
                 frequency_series: TimeSeries::with_capacity(samples_hint),
                 delay_stats: Welford::new(),
-                freq_stats: Welford::new(),
                 stats: CpStats::default(),
                 detected_absent_at: None,
                 joins: 0,
                 notices_forwarded: 0,
             },
             active: false,
-            mode: RecorderMode::Full,
             trace: None,
         }
     }
@@ -152,16 +144,6 @@ impl CpActor {
         self.trace.take()
     }
 
-    /// Switches the recorder granularity. Call before the first event:
-    /// streaming mode drops the pre-sized frequency-series storage and
-    /// keeps only the Welford accumulators.
-    pub fn set_recorder_mode(&mut self, mode: RecorderMode) {
-        self.mode = mode;
-        if mode == RecorderMode::Streaming {
-            self.record.frequency_series = TimeSeries::new();
-        }
-    }
-
     /// The CP's identity.
     #[must_use]
     pub fn id(&self) -> CpId {
@@ -174,15 +156,20 @@ impl CpActor {
         self.active
     }
 
-    /// A snapshot of the per-CP record, including the statistics of the
-    /// session currently in progress (if any).
+    /// Probe-cycle statistics over all sessions, the one in progress (if
+    /// any) included.
     #[must_use]
-    pub fn record_snapshot(&self) -> CpRecord {
-        let mut rec = self.record.clone();
+    pub fn stats(&self) -> CpStats {
+        let mut stats = self.record.stats;
         if let Some(p) = &self.prober {
-            rec.stats += p.stats();
+            stats += p.stats();
         }
-        rec
+        stats
+    }
+
+    /// The per-CP summary as of now, the session in progress included.
+    pub(crate) fn summary(&self) -> CpSummary {
+        CpSummary::from_record(&self.record, self.prober.as_ref().map(|p| p.stats()))
     }
 
     /// The live prober's terminal verdict, reason included ([`CpRecord`]
@@ -287,12 +274,9 @@ impl CpActor {
         if let Some(p) = &self.prober {
             if let Some(delay) = p.current_delay() {
                 let d = delay.as_secs_f64();
-                if self.mode.retains_series() {
-                    self.record
-                        .frequency_series
-                        .push(now.as_secs_f64(), 1.0 / d);
-                }
-                self.record.freq_stats.push(1.0 / d);
+                self.record
+                    .frequency_series
+                    .push(now.as_secs_f64(), 1.0 / d);
                 self.record.delay_stats.push(d);
             }
         }

@@ -3,11 +3,10 @@
 //! plots.
 
 use crate::event::{Addr, SimEvent};
-use crate::recorder::RecorderMode;
 use crate::trace::DeviceTrace;
 use presence_core::{AutoTuner, Bye, DeviceMachine, TuneDecision, WireMessage};
 use presence_des::{Actor, ActorId, Context, SimDuration, SimTime, StreamRng, TimerSlots};
-use presence_stats::{JumpingWindowRate, TimeSeries, Welford};
+use presence_stats::JumpingWindowRate;
 
 /// How long the device takes to process a probe before the reply leaves.
 ///
@@ -59,8 +58,6 @@ pub struct DeviceActor {
     alive: bool,
     /// Probes-per-second series in jumping windows (Figure 5's load curve).
     load: JumpingWindowRate,
-    /// Probe arrival timestamps (seconds) — kept for summary statistics.
-    arrivals: TimeSeries,
     /// Replies scheduled on the network but still inside the processing
     /// window, keyed by a private emission counter. A crash or leave
     /// cancels them — the device dies *mid computation*, so a reply whose
@@ -73,15 +70,6 @@ pub struct DeviceActor {
     /// Monotone key source for `processing_replies`.
     reply_seq: u64,
     stopped_at: Option<SimTime>,
-    /// Recorder granularity; [`RecorderMode::Streaming`] skips the arrival
-    /// series and folds closed load windows into `load_acc` on the fly.
-    mode: RecorderMode,
-    /// Streaming-mode accumulator over closed load windows (excluding the
-    /// first, warm-up window — matching the full-mode summary).
-    load_acc: Welford,
-    /// Closed load windows seen so far in streaming mode (to skip the
-    /// warm-up window).
-    load_windows_seen: u64,
     /// Lifecycle trace buffer; `None` (one predictable branch per probe)
     /// unless [`DeviceActor::set_trace`] armed it.
     trace: Option<Box<DeviceTrace>>,
@@ -93,7 +81,7 @@ impl DeviceActor {
     /// `load_window` is the width (seconds) of the jumping windows used for
     /// the load series; the paper's Figure 5 resolution is a few seconds.
     /// `horizon` is the configured run length (seconds), used only to
-    /// pre-size the recorders so 20 000 s runs don't regrow them.
+    /// pre-size the load series so 20 000 s runs don't regrow it.
     #[must_use]
     pub fn new(
         machine: DeviceMachine,
@@ -102,9 +90,6 @@ impl DeviceActor {
         load_window: f64,
         horizon: f64,
     ) -> Self {
-        // The protocols hold the device near L_nom = 10 probes/s; a small
-        // headroom factor covers overload phases without overcommitting.
-        let arrivals_hint = (horizon * 12.0).min(4e6) as usize;
         let windows_hint = (horizon / load_window).min(4e6) as usize + 1;
         Self {
             machine,
@@ -113,13 +98,9 @@ impl DeviceActor {
             tuner: None,
             alive: true,
             load: JumpingWindowRate::with_capacity(0.0, load_window, windows_hint),
-            arrivals: TimeSeries::with_capacity(arrivals_hint),
             processing_replies: TimerSlots::with_spill_capacity(8),
             reply_seq: 0,
             stopped_at: None,
-            mode: RecorderMode::Full,
-            load_acc: Welford::new(),
-            load_windows_seen: 0,
             trace: None,
         }
     }
@@ -132,46 +113,6 @@ impl DeviceActor {
     /// Takes the trace buffer accumulated since [`DeviceActor::set_trace`].
     pub fn take_trace(&mut self) -> Option<Box<DeviceTrace>> {
         self.trace.take()
-    }
-
-    /// Switches the recorder granularity. Call before the first event:
-    /// streaming mode drops the (pre-sized) arrival series and load-series
-    /// backing storage so memory stays flat at any horizon.
-    pub fn set_recorder_mode(&mut self, mode: RecorderMode) {
-        self.mode = mode;
-        if mode == RecorderMode::Streaming {
-            self.arrivals = TimeSeries::new();
-            self.load = JumpingWindowRate::new(0.0, self.load.width());
-        }
-    }
-
-    /// Folds every closed load window into the streaming accumulator,
-    /// skipping the first (warm-up) window — the same exclusion the
-    /// full-mode summary applies.
-    fn stream_closed_windows(&mut self) {
-        let seen = &mut self.load_windows_seen;
-        let acc = &mut self.load_acc;
-        self.load.drain_closed(|_, rate| {
-            if *seen > 0 {
-                acc.push(rate);
-            }
-            *seen += 1;
-        });
-    }
-
-    /// Streaming-mode load summary `(mean, sample_variance)` over all
-    /// windows closed by `now`, excluding the warm-up window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the actor is in [`RecorderMode::Full`] — the full-mode
-    /// summary is computed from [`DeviceActor::load_series_until`].
-    #[must_use]
-    pub fn streaming_load_stats(&mut self, now: SimTime) -> (f64, f64) {
-        assert_eq!(self.mode, RecorderMode::Streaming, "streaming mode only");
-        self.load.advance_to(now.as_secs_f64());
-        self.stream_closed_windows();
-        (self.load_acc.mean(), self.load_acc.sample_variance())
     }
 
     /// Installs a device-side Δ auto-tuner (meaningful for SAPP devices;
@@ -212,12 +153,6 @@ impl DeviceActor {
         self.load.series().to_vec()
     }
 
-    /// Probe arrival timestamps.
-    #[must_use]
-    pub fn arrivals(&self) -> &TimeSeries {
-        &self.arrivals
-    }
-
     /// Cancels every reply still inside its processing window: the device
     /// stopped mid-computation, so those replies never hit the wire.
     fn abort_processing(&mut self, ctx: &mut Context<'_, SimEvent>) {
@@ -236,10 +171,6 @@ impl Actor<SimEvent> for DeviceActor {
                 }
                 let now = ctx.now();
                 self.load.record(now.as_secs_f64());
-                match self.mode {
-                    RecorderMode::Full => self.arrivals.push(now.as_secs_f64(), 1.0),
-                    RecorderMode::Streaming => self.stream_closed_windows(),
-                }
                 if let (Some(tuner), DeviceMachine::Sapp(dev)) =
                     (self.tuner.as_mut(), &mut self.machine)
                 {

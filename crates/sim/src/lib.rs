@@ -43,7 +43,6 @@ mod metrics;
 mod network_actor;
 mod output;
 pub mod parallel;
-mod recorder;
 mod regime;
 mod replication;
 mod scenario;
@@ -64,9 +63,8 @@ pub use mega::{
 };
 pub use metrics::{CpSummary, ScenarioResult};
 pub use network_actor::NetworkActor;
-pub use output::{ascii_chart, kv_table, series_to_columns, series_to_csv};
+pub use output::{ascii_chart, kv_table, series_to_csv};
 pub use parallel::{for_each_indexed, job_count, run_indexed, ParamSweep};
-pub use recorder::RecorderMode;
 pub use regime::RegimeActor;
 pub use replication::{replicate, replicate_with_jobs, ReplicationPoint, ReplicationSummary};
 pub use scenario::{golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};

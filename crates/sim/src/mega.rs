@@ -20,14 +20,18 @@
 //! drives the real machines over a hand-rolled mini-DES and asserts the
 //! shard reproduces every completion instant and wait bit-for-bit.
 //!
-//! Recorders are streaming by construction (aggregate [`Welford`]/P²
-//! accumulators, drained load windows); [`RecorderMode::Full`]
-//! additionally retains the per-completion `(t, pair, wait)` log for
-//! differential testing.
+//! Recorders are streaming by construction. Every figure in the paper is
+//! plotted from a per-sample series (per-cycle frequencies, load windows),
+//! so the hub scenarios ([`crate::Scenario`]) retain theirs; at this scale
+//! the series themselves would dominate memory, so the shard folds each
+//! sample into constant-size accumulators ([`Welford`] moments, P²
+//! quantiles, drained window rates) the moment it lands, and memory stays
+//! flat at any horizon or population size. Only test builds can switch on
+//! the per-completion `(t, pair, wait)` log the differential test
+//! compares.
 
 use crate::actor_set::PresenceSim;
 use crate::event::SimEvent;
-use crate::recorder::RecorderMode;
 use presence_core::{CpStats, DcppConfig};
 use presence_des::{
     Actor, ActorId, Context, EventHandle, QueueProfile, SimDuration, SimTime, Simulation, StreamRng,
@@ -215,7 +219,6 @@ pub struct MegaResult {
 /// vectors, every recorder an aggregate (see the [module docs](self)).
 pub struct MegaDcppShard {
     cfg: MegaConfig,
-    mode: RecorderMode,
     /// Per-pair phase: [`PROBING`], [`SLEEPING`], or [`STOPPED`].
     phase: Vec<u8>,
     /// Per-pair current cycle sequence number (`u32::MAX` before the first
@@ -239,9 +242,10 @@ pub struct MegaDcppShard {
     load: JumpingWindowRate,
     load_acc: Welford,
     load_windows_seen: u64,
-    /// Full-mode only: `(t, pair, wait)` per accepted reply, for the
-    /// differential test. Empty under streaming.
-    completions: Vec<(SimTime, u32, SimDuration)>,
+    /// `(t, pair, wait)` per accepted reply, once
+    /// [`MegaScenario::build_logged`] switched the log on.
+    #[cfg(test)]
+    completions: Option<Vec<(SimTime, u32, SimDuration)>>,
 }
 
 impl MegaDcppShard {
@@ -251,11 +255,10 @@ impl MegaDcppShard {
     ///
     /// Panics if `cfg` is invalid (see [`MegaConfig::validate`]).
     #[must_use]
-    pub fn new(cfg: MegaConfig, mode: RecorderMode) -> Self {
+    pub fn new(cfg: MegaConfig) -> Self {
         cfg.validate();
         let pairs = cfg.pairs() as usize;
         Self {
-            mode,
             phase: vec![SLEEPING; pairs],
             seq: vec![u32::MAX; pairs],
             transmissions: vec![0; pairs],
@@ -269,7 +272,8 @@ impl MegaDcppShard {
             load: JumpingWindowRate::new(0.0, cfg.load_window),
             load_acc: Welford::new(),
             load_windows_seen: 0,
-            completions: Vec::new(),
+            #[cfg(test)]
+            completions: None,
             cfg,
         }
     }
@@ -280,10 +284,11 @@ impl MegaDcppShard {
         &self.cfg
     }
 
-    /// Full-mode completion log: `(t, pair, wait)` per accepted reply.
-    #[must_use]
-    pub fn completions(&self) -> &[(SimTime, u32, SimDuration)] {
-        &self.completions
+    /// The completion log: `(t, pair, wait)` per accepted reply; empty
+    /// unless [`MegaScenario::build_logged`] built the scenario.
+    #[cfg(test)]
+    fn completions(&self) -> &[(SimTime, u32, SimDuration)] {
+        self.completions.as_deref().unwrap_or_default()
     }
 
     /// Probes the devices answered so far.
@@ -393,7 +398,7 @@ impl MegaDcppShard {
         let d = (p / self.cfg.watchers_per_device) as usize;
         self.device_probes += 1;
         self.load.record(now.as_secs_f64());
-        self.stream_closed_windows();
+        self.fold_closed_windows();
         // nt' = max(max(nt, now) + δ_min, now + d_min)
         let serialised = self.nt[d].max(now) + self.cfg.dcpp.delta_min;
         let per_cp_floor = now + self.cfg.dcpp.d_min;
@@ -435,8 +440,9 @@ impl MegaDcppShard {
             self.wait_stats.push(wait.as_secs_f64());
             self.wait_p50.push(wait.as_secs_f64());
             self.wait_p99.push(wait.as_secs_f64());
-            if self.mode.retains_series() {
-                self.completions.push((ctx.now(), p, wait));
+            #[cfg(test)]
+            if let Some(log) = &mut self.completions {
+                log.push((ctx.now(), p, wait));
             }
             self.phase[i] = SLEEPING;
             let me = ctx.me();
@@ -449,7 +455,7 @@ impl MegaDcppShard {
 
     /// Folds every closed aggregate load window into the accumulator,
     /// skipping the first (warm-up) window.
-    fn stream_closed_windows(&mut self) {
+    fn fold_closed_windows(&mut self) {
         let seen = &mut self.load_windows_seen;
         let acc = &mut self.load_acc;
         self.load.drain_closed(|_, rate| {
@@ -463,7 +469,7 @@ impl MegaDcppShard {
     /// Builds the aggregate result as of `now`.
     fn result(&mut self, now: SimTime, events_processed: u64) -> MegaResult {
         self.load.advance_to(now.as_secs_f64());
-        self.stream_closed_windows();
+        self.fold_closed_windows();
         let stopped_pairs = self.phase.iter().filter(|&&ph| ph == STOPPED).count() as u64;
         MegaResult {
             duration: now.as_secs_f64(),
@@ -522,22 +528,25 @@ pub struct MegaScenario {
 }
 
 impl MegaScenario {
-    /// Builds a mega scenario with streaming recorders (the default at
-    /// this scale) on the calendar queue profile.
+    /// Builds a mega scenario on the calendar queue profile.
     #[must_use]
     pub fn build(cfg: MegaConfig) -> Self {
-        Self::build_with_recorder(cfg, RecorderMode::Streaming)
-    }
-
-    /// [`MegaScenario::build`] with an explicit recorder granularity
-    /// ([`RecorderMode::Full`] retains the per-completion log — intended
-    /// for differential tests at small scale, not for 10⁶-pair runs).
-    #[must_use]
-    pub fn build_with_recorder(cfg: MegaConfig, mode: RecorderMode) -> Self {
         let mut sim: PresenceSim =
             Simulation::with_actor_set_and_profile(cfg.seed, QueueProfile::calendar());
-        let shard = sim.add_member(MegaDcppShard::new(cfg, mode).into());
+        let shard = sim.add_member(MegaDcppShard::new(cfg).into());
         Self { sim, shard, cfg }
+    }
+
+    /// [`MegaScenario::build`] with the shard's completion log switched on.
+    #[cfg(test)]
+    fn build_logged(cfg: MegaConfig) -> Self {
+        let mut scenario = Self::build(cfg);
+        scenario
+            .sim
+            .actor_mut::<MegaDcppShard>(scenario.shard)
+            .expect("mega shard")
+            .completions = Some(Vec::new());
+        scenario
     }
 
     /// The configuration this scenario was built from.
@@ -557,7 +566,7 @@ impl MegaScenario {
         &mut self.sim
     }
 
-    /// The shard (for inspection: completions, config).
+    /// The shard (for inspection: config, probes answered so far).
     #[must_use]
     pub fn shard(&self) -> &MegaDcppShard {
         self.sim
@@ -705,20 +714,19 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_full_agree() {
+    fn test_log_does_not_perturb_the_result() {
         let cfg = MegaConfig {
             loss: 0.05,
             ..tiny(30, 2, 3.0, 5)
         };
-        let mut full = MegaScenario::build_with_recorder(cfg, RecorderMode::Full);
-        full.run();
-        assert!(!full.shard().completions().is_empty());
-        let rf = full.collect();
-        let mut streaming = MegaScenario::build(cfg);
-        streaming.run();
-        assert!(streaming.shard().completions().is_empty());
-        let rs = streaming.collect();
-        assert_eq!(rf, rs, "recorder mode must not perturb the trajectory");
+        let mut logged = MegaScenario::build_logged(cfg);
+        logged.run();
+        assert!(!logged.shard().completions().is_empty());
+        let with_log = logged.collect();
+        let mut plain = MegaScenario::build(cfg);
+        plain.run();
+        assert!(plain.shard().completions().is_empty());
+        assert_eq!(with_log, plain.collect(), "the log only observes");
     }
 
     /// The differential battery: a hand-rolled mini-DES drives the *real*
@@ -898,7 +906,7 @@ mod tests {
                 seed,
                 duration,
             };
-            let mut sc = MegaScenario::build_with_recorder(cfg, RecorderMode::Full);
+            let mut sc = MegaScenario::build_logged(cfg);
             sc.run();
             let pairs = (devices * watchers) as usize;
             let shard_completions: Vec<Vec<(u64, u64)>> = {

@@ -1,7 +1,7 @@
 //! Result types extracted from finished scenarios.
 
 use crate::cp_actor::CpRecord;
-use presence_core::CpId;
+use presence_core::{CpId, CpStats};
 use serde::{Deserialize, Serialize};
 
 /// Per-CP summary, flattened for serialisation and table rendering.
@@ -36,36 +36,37 @@ pub struct CpSummary {
 }
 
 impl CpSummary {
-    /// Builds a summary from an actor record. `_now` reserved for
-    /// rate-normalised metrics.
+    /// Builds a summary from an actor record, borrowed: the frequency
+    /// series is copied once, into the summary. `live` is the statistics
+    /// of a session still in progress, which the record has not folded in
+    /// yet.
     #[must_use]
-    pub fn from_record(rec: &CpRecord, _now: f64) -> Self {
+    pub fn from_record(rec: &CpRecord, live: Option<&CpStats>) -> Self {
         let freq_series: Vec<(f64, f64)> = rec
             .frequency_series
             .samples()
             .iter()
             .map(|s| (s.t, s.value))
             .collect();
-        let mean_freq = if !freq_series.is_empty() {
-            freq_series.iter().map(|&(_, f)| f).sum::<f64>() / freq_series.len() as f64
-        } else if !rec.freq_stats.is_empty() {
-            // Streaming recorders keep no series; fall back to the Welford
-            // accumulator (numerically equal up to floating-point
-            // summation order).
-            rec.freq_stats.mean()
-        } else {
+        let mean_freq = if freq_series.is_empty() {
             f64::NAN
+        } else {
+            freq_series.iter().map(|&(_, f)| f).sum::<f64>() / freq_series.len() as f64
         };
+        let mut stats = rec.stats;
+        if let Some(live) = live {
+            stats += live;
+        }
         Self {
             id: rec.id,
             mean_delay: rec.delay_stats.mean(),
             delay_variance: rec.delay_stats.sample_variance(),
             mean_frequency: mean_freq,
             frequency_series: freq_series,
-            probes_sent: rec.stats.probes_sent,
-            cycles_succeeded: rec.stats.cycles_succeeded,
-            cycles_failed: rec.stats.cycles_failed,
-            retransmissions: rec.stats.retransmissions,
+            probes_sent: stats.probes_sent,
+            cycles_succeeded: stats.cycles_succeeded,
+            cycles_failed: stats.cycles_failed,
+            retransmissions: stats.retransmissions,
             detected_absent_at: rec.detected_absent_at.map(|t| t.as_secs_f64()),
             joins: rec.joins,
             notices_forwarded: rec.notices_forwarded,
@@ -184,18 +185,15 @@ mod tests {
     fn record(id: u32, delays: &[f64]) -> CpRecord {
         let mut freq = TimeSeries::new();
         let mut stats = Welford::new();
-        let mut freq_stats = Welford::new();
         for (i, &d) in delays.iter().enumerate() {
             freq.push(i as f64, 1.0 / d);
-            freq_stats.push(1.0 / d);
             stats.push(d);
         }
         CpRecord {
             id: CpId(id),
             frequency_series: freq,
             delay_stats: stats,
-            freq_stats,
-            stats: presence_core::CpStats {
+            stats: CpStats {
                 probes_sent: delays.len() as u64,
                 cycles_started: delays.len() as u64,
                 cycles_succeeded: delays.len() as u64,
@@ -212,7 +210,7 @@ mod tests {
     #[test]
     fn summary_from_record() {
         let rec = record(3, &[2.0, 2.0, 4.0]);
-        let s = CpSummary::from_record(&rec, 100.0);
+        let s = CpSummary::from_record(&rec, None);
         assert_eq!(s.id, CpId(3));
         assert!((s.mean_delay - 8.0 / 3.0).abs() < 1e-9);
         assert_eq!(s.cycles_succeeded, 3);
@@ -220,24 +218,17 @@ mod tests {
         assert_eq!(s.frequency_series.len(), 3);
         // mean of (0.5, 0.5, 0.25)
         assert!((s.mean_frequency - 1.25 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_record_falls_back_to_welford_mean() {
-        // A streaming-mode record has no series; the summary must still
-        // report the mean frequency from the Welford accumulator.
-        let mut rec = record(1, &[2.0, 4.0]);
-        rec.frequency_series = TimeSeries::new();
-        let s = CpSummary::from_record(&rec, 10.0);
-        assert!(s.frequency_series.is_empty());
-        assert!((s.mean_frequency - 0.375).abs() < 1e-12);
+        // A session in progress adds its counters and nothing else.
+        let live = CpSummary::from_record(&rec, Some(&rec.stats));
+        assert_eq!((live.cycles_succeeded, live.probes_sent), (6, 6));
+        assert_eq!(live.frequency_series, s.frequency_series);
     }
 
     #[test]
     fn result_helpers() {
         let cps = vec![
-            CpSummary::from_record(&record(0, &[1.0, 1.0]), 10.0),
-            CpSummary::from_record(&record(1, &[4.0, 4.0]), 10.0),
+            CpSummary::from_record(&record(0, &[1.0, 1.0]), None),
+            CpSummary::from_record(&record(1, &[4.0, 4.0]), None),
         ];
         let r = ScenarioResult {
             duration: 10.0,

@@ -1,19 +1,7 @@
-//! Rendering helpers: CSV series export (gnuplot-compatible, matching the
-//! paper's `cp_XX_delay.txt` files) and quick ASCII charts for terminal
-//! inspection.
+//! Rendering helpers: CSV series export, key/value tables, and quick ASCII
+//! charts for terminal inspection.
 
 use std::fmt::Write as _;
-
-/// Renders one `(x, y)` series as two-column whitespace-separated text —
-/// the same shape as the paper's `cp_01_delay.txt` gnuplot inputs.
-#[must_use]
-pub fn series_to_columns(series: &[(f64, f64)]) -> String {
-    let mut s = String::with_capacity(series.len() * 24);
-    for &(x, y) in series {
-        let _ = writeln!(s, "{x:.6} {y:.6}");
-    }
-    s
-}
 
 /// Renders several aligned series as CSV with the given header names.
 /// Series may have different lengths; missing cells are left empty.
@@ -111,15 +99,6 @@ pub fn kv_table(rows: &[(&str, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn columns_format() {
-        let out = series_to_columns(&[(0.0, 1.0), (1.5, 2.25)]);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "0.000000 1.000000");
-        assert_eq!(lines[1], "1.500000 2.250000");
-    }
 
     #[test]
     fn csv_ragged_series() {

@@ -13,7 +13,6 @@ use crate::device_actor::{DeviceActor, ProcessingModel};
 use crate::event::{Addr, SimEvent};
 use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::NetworkActor;
-use crate::recorder::RecorderMode;
 use crate::trace::TraceCapture;
 use presence_core::{
     AutoTuneConfig, AutoTuner, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine,
@@ -208,7 +207,7 @@ impl ScenarioConfig {
 /// acceptance gate measures), and one Figure-5 churn run. The recorded
 /// fixtures live in `tests/golden/` and are regenerated with the
 /// `golden_fixtures` bin; the golden test asserts that engine refactors
-/// preserve every `ScenarioResult` metric except `events_processed`.
+/// preserve every `ScenarioResult` field, `events_processed` included.
 #[must_use]
 pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
     let sapp = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 10, 200.0, 11);
@@ -229,7 +228,6 @@ pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
 pub struct Scenario {
     sim: PresenceSim,
     cfg: ScenarioConfig,
-    mode: RecorderMode,
     device: ActorId,
     network: ActorId,
     churn: ActorId,
@@ -347,32 +345,11 @@ impl Scenario {
         Self {
             sim,
             cfg,
-            mode: RecorderMode::Full,
             device,
             network,
             churn,
             cps,
             trace_until_ns: None,
-        }
-    }
-
-    /// Selects the recorder granularity; call before the first event.
-    /// Under [`RecorderMode::Streaming`] the actors keep constant-size
-    /// accumulators instead of per-sample series: the simulated trajectory
-    /// (and every scalar metric) is unchanged, but the series fields of
-    /// the collected [`ScenarioResult`] come back empty and memory stays
-    /// flat at any horizon.
-    pub fn set_recorder_mode(&mut self, mode: RecorderMode) {
-        self.mode = mode;
-        self.sim
-            .actor_mut::<DeviceActor>(self.device)
-            .expect("device actor")
-            .set_recorder_mode(mode);
-        for &cp in &self.cps {
-            self.sim
-                .actor_mut::<CpActor>(cp)
-                .expect("cp actor")
-                .set_recorder_mode(mode);
         }
     }
 
@@ -520,21 +497,13 @@ impl Scenario {
                 .sim
                 .actor_mut::<DeviceActor>(self.device)
                 .expect("device actor");
-            match self.mode {
-                RecorderMode::Full => {
-                    let series = dev.load_series_until(now);
-                    // Load over the steady part (skip the first window).
-                    let mut acc = presence_stats::Welford::new();
-                    for &(_, rate) in series.iter().skip(1) {
-                        acc.push(rate);
-                    }
-                    (series, acc.mean(), acc.sample_variance())
-                }
-                RecorderMode::Streaming => {
-                    let (mean, variance) = dev.streaming_load_stats(now);
-                    (Vec::new(), mean, variance)
-                }
+            let series = dev.load_series_until(now);
+            // Load over the steady part (skip the first window).
+            let mut acc = presence_stats::Welford::new();
+            for &(_, rate) in series.iter().skip(1) {
+                acc.push(rate);
             }
+            (series, acc.mean(), acc.sample_variance())
         };
 
         let device_probes = self
@@ -562,12 +531,11 @@ impl Scenario {
             .map(|s| (s.t, s.value))
             .collect();
 
-        let mut cps = Vec::with_capacity(self.cps.len());
-        for &actor in &self.cps {
-            let cp = self.sim.actor::<CpActor>(actor).expect("cp actor");
-            let rec = cp.record_snapshot();
-            cps.push(CpSummary::from_record(&rec, now.as_secs_f64()));
-        }
+        let cps: Vec<CpSummary> = self
+            .cps
+            .iter()
+            .map(|&cp| self.sim.actor::<CpActor>(cp).expect("cp actor").summary())
+            .collect();
 
         // Fairness over CPs that ever probed.
         let freqs: Vec<f64> = cps
@@ -806,46 +774,6 @@ mod tests {
             !actor.overlay().is_empty(),
             "cp00 learned no overlay peers from 60 s of SAPP replies"
         );
-    }
-
-    #[test]
-    fn streaming_recorder_matches_full_scalars() {
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 60.0, 17);
-        cfg.load_window = 2.0;
-        let mut full = Scenario::build(cfg);
-        full.run();
-        let rf = full.collect();
-        let mut streaming = Scenario::build(cfg);
-        streaming.set_recorder_mode(RecorderMode::Streaming);
-        streaming.run();
-        let rs = streaming.collect();
-        // Identical trajectory: every counter matches exactly.
-        assert_eq!(rf.events_processed, rs.events_processed);
-        assert_eq!(rf.device_probes, rs.device_probes);
-        assert_eq!(rf.messages_delivered, rs.messages_delivered);
-        // Streaming retains no series…
-        assert!(rs.load_series.is_empty());
-        assert!(rs.cps.iter().all(|c| c.frequency_series.is_empty()));
-        // …but the scalar summaries agree: the load stats bitwise (the
-        // same rates fold into a Welford in the same order), the
-        // frequency means up to floating-point summation order.
-        assert_eq!(rf.load_mean.to_bits(), rs.load_mean.to_bits());
-        assert_eq!(rf.load_variance.to_bits(), rs.load_variance.to_bits());
-        assert_eq!(rf.cps.len(), rs.cps.len());
-        for (a, b) in rf.cps.iter().zip(&rs.cps) {
-            assert_eq!(a.cycles_succeeded, b.cycles_succeeded);
-            assert_eq!(a.probes_sent, b.probes_sent);
-            assert_eq!(a.mean_delay.to_bits(), b.mean_delay.to_bits());
-            assert!(
-                (a.mean_frequency - b.mean_frequency).abs() < 1e-9
-                    || (a.mean_frequency.is_nan() && b.mean_frequency.is_nan()),
-                "cp{} mean frequency {} vs {}",
-                a.id.0,
-                a.mean_frequency,
-                b.mean_frequency
-            );
-        }
-        assert!((rf.fairness_jain - rs.fairness_jain).abs() < 1e-9);
     }
 
     #[test]

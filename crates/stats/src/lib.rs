@@ -12,8 +12,7 @@
 //! This crate provides exactly those tools, implemented from first
 //! principles so that the whole analysis chain is auditable:
 //!
-//! * [`Welford`] — numerically stable online mean/variance (and
-//!   [`Covariance`] for paired samples),
+//! * [`Welford`] — numerically stable online mean/variance,
 //! * [`BatchMeans`] — steady-state point estimates with Student-t
 //!   confidence intervals and a relative-half-width stopping rule,
 //! * [`ConfidenceInterval`] and Student-t quantiles ([`t_quantile`]),
@@ -23,11 +22,10 @@
 //!   resampling (the substrate for reproducing Figures 2–5),
 //! * [`TimeWeighted`] — time-weighted averages (e.g. mean buffer
 //!   occupancy ≈ 0.004 in the paper's steady-state study),
-//! * [`RateMeter`] — event rates over sliding/jumping windows (device
+//! * [`JumpingWindowRate`] — event rates over jumping windows (device
 //!   load in probes/second, Figure 5),
 //! * fairness metrics ([`jain_index`], [`coefficient_of_variation`]) used to
 //!   quantify the unfairness the paper demonstrates graphically,
-//! * [`autocorrelation`] and batch-size selection helpers,
 //! * [`merge_indexed`] — seed-ordered merging of parallel worker results,
 //!   so cross-seed summaries stay bit-identical to a serial fold,
 //! * [`slice_windows`] / [`window_slice`] — per-regime-window slicing of
@@ -40,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod autocorr;
 mod batch_means;
 mod ci;
 mod fairness;
@@ -53,15 +50,14 @@ mod summary;
 mod timeseries;
 mod welford;
 
-pub use autocorr::{autocorrelation, lag1_autocorrelation, suggest_batch_count, von_neumann_ratio};
 pub use batch_means::{BatchMeans, BatchMeansConfig, SteadyStateVerdict};
 pub use ci::{t_quantile, z_quantile, ConfidenceInterval};
 pub use fairness::{coefficient_of_variation, jain_index, max_min_ratio};
 pub use histogram::{Histogram, HistogramBin};
 pub use merge::merge_indexed;
 pub use quantile::P2Quantile;
-pub use rate::{JumpingWindowRate, RateMeter};
+pub use rate::JumpingWindowRate;
 pub use slice::{merge_boundaries, slice_windows, step_mean, window_mean, window_slice};
 pub use summary::{describe, Summary};
 pub use timeseries::{Sample, TimeSeries, TimeSeriesSummary, TimeWeighted};
-pub use welford::{Covariance, Welford};
+pub use welford::Welford;

@@ -3,105 +3,9 @@
 //! The central quantity in both protocols is a *load* measured in probes per
 //! second: the device's nominal load `L_nom` is 10 probes/s in every paper
 //! experiment, and Figure 5 plots the DCPP device's observed load over time.
-//! [`RateMeter`] measures such rates with a sliding window; [`JumpingWindowRate`]
-//! produces the per-interval series used for plotting.
+//! [`JumpingWindowRate`] produces the per-interval series used for plotting.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-/// Sliding-window event-rate meter.
-///
-/// Records event timestamps and reports the rate over the trailing window.
-/// Memory is bounded by the number of events inside the window.
-///
-/// # Examples
-///
-/// ```
-/// use presence_stats::RateMeter;
-///
-/// let mut m = RateMeter::new(1.0); // 1-second window
-/// for i in 0..10 {
-///     m.record(i as f64 * 0.1); // 10 events spread over [0, 0.9]
-/// }
-/// assert!((m.rate_at(0.9) - 10.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RateMeter {
-    window: f64,
-    events: VecDeque<f64>,
-    total: u64,
-    last_t: f64,
-}
-
-impl RateMeter {
-    /// Creates a meter with the given trailing window length (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is not positive and finite.
-    #[must_use]
-    pub fn new(window: f64) -> Self {
-        assert!(
-            window > 0.0 && window.is_finite(),
-            "window must be positive"
-        );
-        Self {
-            window,
-            events: VecDeque::new(),
-            total: 0,
-            last_t: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one event at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if time moves backwards.
-    pub fn record(&mut self, t: f64) {
-        assert!(t >= self.last_t, "time must not move backwards");
-        self.last_t = t;
-        self.events.push_back(t);
-        self.total += 1;
-        self.evict(t);
-    }
-
-    fn evict(&mut self, now: f64) {
-        while let Some(&front) = self.events.front() {
-            if front <= now - self.window {
-                self.events.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Events per second over the window ending at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` moves backwards past a previous `record` or
-    /// `rate_at` call: eviction is destructive, so querying an earlier
-    /// window after a later one would silently under-count.
-    pub fn rate_at(&mut self, now: f64) -> f64 {
-        assert!(now >= self.last_t, "time must not move backwards");
-        self.last_t = now;
-        self.evict(now);
-        self.events.len() as f64 / self.window
-    }
-
-    /// Total events ever recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The window length in seconds.
-    #[must_use]
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-}
 
 /// Jumping (non-overlapping) window rate series.
 ///
@@ -193,12 +97,6 @@ impl JumpingWindowRate {
         &self.closed
     }
 
-    /// The window width in seconds.
-    #[must_use]
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
     /// Removes every closed window, yielding each `(window_start, rate)`
     /// pair in time order; the in-progress window is untouched. Streaming
     /// recorders call this after each `record`/`advance_to` to fold closed
@@ -232,38 +130,6 @@ impl JumpingWindowRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sliding_rate_basic() {
-        let mut m = RateMeter::new(2.0);
-        m.record(0.0);
-        m.record(0.5);
-        m.record(1.0);
-        assert!((m.rate_at(1.0) - 1.5).abs() < 1e-12);
-        // At t=2.9, only the event at t=1.0 is within (0.9, 2.9].
-        assert!((m.rate_at(2.9) - 0.5).abs() < 1e-12);
-        // At t=3.0 the event at 1.0 sits exactly on the (excluded) boundary.
-        assert_eq!(m.rate_at(3.0), 0.0);
-        // Far in the future everything expired.
-        assert_eq!(m.rate_at(100.0), 0.0);
-        assert_eq!(m.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn sliding_rejects_backwards_time() {
-        let mut m = RateMeter::new(1.0);
-        m.record(2.0);
-        m.record(1.0);
-    }
-
-    #[test]
-    fn sliding_rate_eviction_boundary() {
-        let mut m = RateMeter::new(1.0);
-        m.record(0.0);
-        // An event exactly window-old is evicted (half-open window).
-        assert_eq!(m.rate_at(1.0), 0.0);
-    }
 
     #[test]
     fn jumping_windows_close_in_order() {
@@ -358,26 +224,5 @@ mod tests {
         // The in-progress window survives the drain.
         j.advance_to(3.0);
         assert_eq!(j.series(), &[(2.0, 1.0)]);
-        assert_eq!(j.width(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn rate_at_rejects_backwards_time() {
-        // Regression: a non-monotone `rate_at` used to destructively evict
-        // events that were still inside the earlier window.
-        let mut m = RateMeter::new(1.0);
-        m.record(0.0);
-        m.record(5.0);
-        let _ = m.rate_at(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn rate_at_then_earlier_record_rejected() {
-        let mut m = RateMeter::new(1.0);
-        m.record(0.0);
-        let _ = m.rate_at(5.0);
-        m.record(1.0);
     }
 }

@@ -166,84 +166,6 @@ impl Welford {
     }
 }
 
-/// Online covariance accumulator for paired samples `(x, y)`.
-///
-/// Used by the analysis code to check, e.g., whether a control point's probe
-/// delay correlates with its join order (one of the hypotheses raised while
-/// reproducing the paper's fairness findings).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Covariance {
-    count: u64,
-    mean_x: f64,
-    mean_y: f64,
-    c: f64,
-    wx: Welford,
-    wy: Welford,
-}
-
-impl Covariance {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one paired observation. Pairs with any non-finite coordinate are
-    /// ignored.
-    pub fn push(&mut self, x: f64, y: f64) {
-        if !x.is_finite() || !y.is_finite() {
-            return;
-        }
-        self.count += 1;
-        let dx = x - self.mean_x;
-        self.mean_x += dx / self.count as f64;
-        self.mean_y += (y - self.mean_y) / self.count as f64;
-        self.c += dx * (y - self.mean_y);
-        self.wx.push(x);
-        self.wy.push(y);
-    }
-
-    /// Number of pairs recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Unbiased sample covariance; `NaN` for fewer than two pairs.
-    #[must_use]
-    pub fn sample_covariance(&self) -> f64 {
-        if self.count < 2 {
-            f64::NAN
-        } else {
-            self.c / (self.count - 1) as f64
-        }
-    }
-
-    /// Pearson correlation coefficient in `[-1, 1]`; `NaN` when undefined
-    /// (fewer than two pairs or zero variance in either coordinate).
-    #[must_use]
-    pub fn correlation(&self) -> f64 {
-        let sx = self.wx.sample_std_dev();
-        let sy = self.wy.sample_std_dev();
-        if sx == 0.0 || sy == 0.0 {
-            return f64::NAN;
-        }
-        self.sample_covariance() / (sx * sy)
-    }
-
-    /// Marginal accumulator over the `x` coordinates.
-    #[must_use]
-    pub fn x(&self) -> &Welford {
-        &self.wx
-    }
-
-    /// Marginal accumulator over the `y` coordinates.
-    #[must_use]
-    pub fn y(&self) -> &Welford {
-        &self.wy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,47 +259,6 @@ mod tests {
         }
         assert_close(w.mean(), offset + 0.5, 1e-3);
         assert_close(w.sample_variance(), 0.25, 1e-3);
-    }
-
-    #[test]
-    fn covariance_perfect_linear() {
-        let mut c = Covariance::new();
-        for i in 0..100 {
-            let x = i as f64;
-            c.push(x, 3.0 * x + 1.0);
-        }
-        assert_close(c.correlation(), 1.0, 1e-12);
-        assert!(c.sample_covariance() > 0.0);
-    }
-
-    #[test]
-    fn covariance_anticorrelated() {
-        let mut c = Covariance::new();
-        for i in 0..100 {
-            let x = i as f64;
-            c.push(x, -2.0 * x);
-        }
-        assert_close(c.correlation(), -1.0, 1e-12);
-    }
-
-    #[test]
-    fn covariance_independent_is_near_zero() {
-        let mut c = Covariance::new();
-        for i in 0..1000 {
-            // x cycles fast, y cycles slow: empirically near-uncorrelated.
-            c.push((i % 7) as f64, ((i / 7) % 5) as f64);
-        }
-        assert!(c.correlation().abs() < 0.05, "corr = {}", c.correlation());
-    }
-
-    #[test]
-    fn covariance_skips_non_finite_pairs() {
-        let mut c = Covariance::new();
-        c.push(1.0, 1.0);
-        c.push(f64::NAN, 2.0);
-        c.push(2.0, f64::INFINITY);
-        c.push(2.0, 2.0);
-        assert_eq!(c.count(), 2);
     }
 
     #[test]

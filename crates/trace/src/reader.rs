@@ -3,7 +3,7 @@
 //! The reader is intentionally tolerant of fields it does not know (it
 //! keeps raw `args`) but strict about the structure it relies on: a top
 //! level `traceEvents` array of objects, each with at least `ph` — the
-//! contract [`crate::validate`] and the `spotter` analytics build on.
+//! contract [`crate::validate()`] and the `spotter` analytics build on.
 
 use serde::Value;
 
