@@ -116,12 +116,18 @@ cargo run --release -q -p presence-bench --bin conformance -- --idle
 echo "==> mega smoke: 100k-device shard, bounded RSS (mega_smoke --budget-mb 512)"
 cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 
-# Scenario-lab gate: every shipped catalog file parses, validates, and
-# matches its built-in definition, then the mixed-regime acceptance
-# scenario (delay + loss + churn all switching mid-run) smoke-runs with
-# per-regime metric slices — under the same 2-worker pool as tier-1.
-echo "==> scenario lab: catalog validation + mixed-regime smoke (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
+# Scenario-lab gate: every embedded catalog file (catalog/*.json is the
+# catalog) parses, validates, and is named after its stem, then the
+# mixed-regime acceptance scenario (delay + loss + churn all switching
+# mid-run) smoke-runs with per-regime metric slices — under the same
+# 2-worker pool as tier-1. Then a spec file with a bad protocol block
+# must be an error message and exit status 1, not a panic.
+echo "==> scenario lab: catalog validation + mixed-regime smoke + bad-spec rejection (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo run --release -q -p presence-bench --bin lab -- --check
+bad_spec="$(mktemp --suffix=.json)"
+sed 's/"delta_min": [0-9]*/"delta_min": 0/' catalog/paper-dcpp.json >"$bad_spec"
+{ cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'invalid scenario spec'
+rm -f "$bad_spec"
 
 # Trace stage: export a Perfetto trace from the mixed-regime acceptance
 # scenario (horizon-capped to keep the buffers CI-sized) and put it

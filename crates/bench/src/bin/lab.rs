@@ -1,22 +1,22 @@
-//! The scenario-lab runner: load a declarative catalog scenario, fan
-//! replications across the worker pool, and print per-regime-sliced
-//! metrics.
+//! The scenario-lab runner: take a declarative scenario — a catalog entry
+//! (the repository's `catalog/*.json`, embedded at build time) or any spec
+//! file — fan replications across the worker pool, and print
+//! per-regime-sliced metrics.
 //!
 //! ```text
 //! lab --list                         # show the catalog
 //! lab mixed-regime-stress            # run one entry (3 seeds by default)
-//! lab catalog/flash-crowd.json       # …or any spec file by path
+//! lab path/to/spec.json              # …or any spec file by path
 //! lab --all                          # run every catalog entry
-//! lab --check                        # CI gate: validate every file, pin
-//!                                    # them to the built-ins, smoke-run
-//!                                    # the mixed-regime scenario
-//! lab --emit-catalog catalog         # (re)generate the shipped files
+//! lab --check                        # CI gate: every embedded catalog
+//!                                    # file parses, validates and is named
+//!                                    # after its stem; smoke-run the
+//!                                    # mixed-regime scenario
 //! ```
 //!
 //! Options: `--seeds 1,2,3` (explicit seeds), `--replications N` (seeds
 //! 1..=N), `--jobs N` (worker pool width, default `PRESENCE_JOBS` /
-//! machine parallelism), `--json PATH` (write the full `LabReport`),
-//! `--catalog DIR` (default: the repository's `catalog/`).
+//! machine parallelism), `--json PATH` (write the full `LabReport`).
 //!
 //! Tracing: `--trace PATH` re-runs the first seed with presence tracing
 //! armed and writes a Chrome JSON trace that Perfetto's viewer loads
@@ -30,9 +30,7 @@
 //! merge in seed order before any cross-seed folding (pinned by
 //! `tests/determinism.rs`).
 
-use presence_sim::{
-    builtin_catalog, job_count, mega_catalog, run_lab, LabReport, MegaSpec, ScenarioSpec,
-};
+use presence_sim::{builtin_catalog, job_count, mega_catalog, run_lab, LabReport, ScenarioSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -68,47 +66,6 @@ fn export_trace(spec: &ScenarioSpec, seed: u64, request: &TraceRequest) -> Resul
         json.len()
     );
     Ok(())
-}
-
-fn default_catalog_dir() -> PathBuf {
-    // crates/bench/../../catalog — the repository's shipped catalog.
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../catalog")
-}
-
-fn load_catalog_dir(dir: &Path) -> Result<Vec<(PathBuf, ScenarioSpec)>, String> {
-    let mut entries = Vec::new();
-    let listing = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read catalog dir {}: {e}", dir.display()))?;
-    for entry in listing {
-        let path = entry.map_err(|e| e.to_string())?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("json") {
-            entries.push(path);
-        }
-    }
-    entries.sort();
-    let mut specs = Vec::new();
-    for path in entries {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let spec =
-            ScenarioSpec::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        if stem != spec.name {
-            return Err(format!(
-                "{}: file stem does not match spec name {:?}",
-                path.display(),
-                spec.name
-            ));
-        }
-        specs.push((path, spec));
-    }
-    if specs.is_empty() {
-        return Err(format!(
-            "catalog dir {} holds no .json specs",
-            dir.display()
-        ));
-    }
-    Ok(specs)
 }
 
 fn fmt_opt(v: Option<f64>, width: usize, precision: usize) -> String {
@@ -176,67 +133,17 @@ fn run_one(
     Ok(())
 }
 
-/// Loads the shipped `catalog/mega/` definitions (absence of the subdir is
-/// an empty catalog, reported by the caller).
-fn load_mega_dir(dir: &Path) -> Result<Vec<(PathBuf, MegaSpec)>, String> {
-    let mega_dir = dir.join("mega");
-    if !mega_dir.is_dir() {
-        return Ok(Vec::new());
+/// The CI gate. Reading either catalog panics, naming the file, on an
+/// embedded entry that does not parse, does not validate, or is not named
+/// after its stem; then the mixed-regime acceptance scenario runs with
+/// per-regime slices under 2 seeds.
+fn check(jobs: usize) -> Result<(), String> {
+    let catalog = builtin_catalog();
+    for spec in &catalog {
+        println!("ok  catalog/{}.json", spec.name);
     }
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&mega_dir)
-        .map_err(|e| format!("cannot read {}: {e}", mega_dir.display()))?
-        .map(|e| e.map(|e| e.path()).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    paths.retain(|p| p.extension().and_then(|e| e.to_str()) == Some("json"));
-    paths.sort();
-    let mut specs = Vec::new();
-    for path in paths {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let spec: MegaSpec =
-            serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        if stem != spec.name {
-            return Err(format!(
-                "{}: file stem does not match spec name {:?}",
-                path.display(),
-                spec.name
-            ));
-        }
-        specs.push((path, spec));
-    }
-    Ok(specs)
-}
-
-/// The CI gate: every shipped file parses, validates, matches its
-/// built-in definition, and the mixed-regime acceptance scenario runs
-/// with per-regime slices under 2 seeds.
-fn check(dir: &Path, jobs: usize) -> Result<(), String> {
-    let files = load_catalog_dir(dir)?;
-    let builtins = builtin_catalog();
-    if files.len() != builtins.len() {
-        return Err(format!(
-            "catalog drift: {} files on disk, {} built-in definitions",
-            files.len(),
-            builtins.len()
-        ));
-    }
-    for (path, spec) in &files {
-        let builtin = builtins
-            .iter()
-            .find(|b| b.name == spec.name)
-            .ok_or_else(|| format!("{}: no built-in definition", path.display()))?;
-        if builtin != spec {
-            return Err(format!(
-                "{}: drifted from the built-in definition (regenerate with --emit-catalog)",
-                path.display()
-            ));
-        }
-        println!("ok  {}", path.display());
-    }
-    let mixed = files
+    let mixed = catalog
         .iter()
-        .map(|(_, s)| s)
         .find(|s| s.name == "mixed-regime-stress")
         .ok_or("catalog is missing the mixed-regime-stress acceptance scenario")?;
     let report = run_lab(mixed, &[1, 2], jobs).map_err(|e| e.to_string())?;
@@ -258,63 +165,20 @@ fn check(dir: &Path, jobs: usize) -> Result<(), String> {
             .map(|s| s.events_processed)
             .sum::<u64>()
     );
-    let mega_files = load_mega_dir(dir)?;
-    let mega_builtins = mega_catalog();
-    if mega_files.len() != mega_builtins.len() {
-        return Err(format!(
-            "mega catalog drift: {} files on disk, {} built-in definitions",
-            mega_files.len(),
-            mega_builtins.len()
-        ));
-    }
-    for (path, spec) in &mega_files {
-        let builtin = mega_builtins
-            .iter()
-            .find(|b| b.name == spec.name)
-            .ok_or_else(|| format!("{}: no built-in mega definition", path.display()))?;
-        if builtin != spec {
-            return Err(format!(
-                "{}: drifted from the built-in definition (regenerate with --emit-catalog)",
-                path.display()
-            ));
-        }
-        spec.config.validate();
-        println!("ok  {}", path.display());
-    }
-    Ok(())
-}
-
-fn emit_catalog(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    for spec in builtin_catalog() {
-        spec.validate().map_err(|e| format!("{}: {e}", spec.name))?;
-        let path = dir.join(format!("{}.json", spec.name));
-        std::fs::write(&path, spec.to_json() + "\n")
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    }
-    let mega_dir = dir.join("mega");
-    std::fs::create_dir_all(&mega_dir).map_err(|e| format!("mkdir {}: {e}", mega_dir.display()))?;
     for spec in mega_catalog() {
-        spec.config.validate();
-        let path = mega_dir.join(format!("{}.json", spec.name));
-        let text = serde_json::to_string_pretty(&spec).expect("mega spec serialises");
-        std::fs::write(&path, text + "\n").map_err(|e| format!("write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
+        println!("ok  catalog/mega/{}.json", spec.name);
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut catalog_dir = default_catalog_dir();
     let mut jobs = job_count();
     let mut seeds: Vec<u64> = vec![1, 2, 3];
     let mut json_out: Option<PathBuf> = None;
     let mut list = false;
     let mut all = false;
     let mut do_check = false;
-    let mut emit: Option<PathBuf> = None;
     let mut target: Option<String> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut trace_until: Option<f64> = None;
@@ -327,9 +191,12 @@ fn main() -> ExitCode {
             "--list" => list = true,
             "--all" => all = true,
             "--check" => do_check = true,
-            "--emit-catalog" => emit = Some(PathBuf::from(value("--emit-catalog"))),
-            "--catalog" => catalog_dir = PathBuf::from(value("--catalog")),
-            "--jobs" => jobs = value("--jobs").parse().expect("--jobs N"),
+            "--jobs" => {
+                jobs = value("--jobs")
+                    .parse()
+                    .expect("--jobs must be a positive integer");
+                assert!(jobs > 0, "--jobs must be a positive integer");
+            }
             "--json" => json_out = Some(PathBuf::from(value("--json"))),
             "--trace" => trace_path = Some(PathBuf::from(value("--trace"))),
             "--trace-until" => {
@@ -366,24 +233,20 @@ fn main() -> ExitCode {
     });
 
     let outcome = (|| -> Result<(), String> {
-        if trace.is_some() && (all || do_check || list || emit.is_some()) {
+        if trace.is_some() && (all || do_check || list) {
             return Err("--trace needs a single scenario target".into());
         }
-        if let Some(dir) = emit {
-            return emit_catalog(&dir);
-        }
         if do_check {
-            return check(&catalog_dir, jobs);
+            return check(jobs);
         }
         if list {
-            for (path, spec) in load_catalog_dir(&catalog_dir)? {
+            for spec in builtin_catalog() {
                 println!(
                     "{:<22} {:>6.0} s  {}",
                     spec.name, spec.duration, spec.description
                 );
-                let _ = path;
             }
-            for (_, spec) in load_mega_dir(&catalog_dir)? {
+            for spec in mega_catalog() {
                 println!(
                     "{:<22} {:>6.0} s  {} (mega: run via `mega_smoke {}`)",
                     spec.name, spec.config.duration, spec.description, spec.name
@@ -392,27 +255,24 @@ fn main() -> ExitCode {
             return Ok(());
         }
         if all {
-            for (_, spec) in load_catalog_dir(&catalog_dir)? {
+            for spec in builtin_catalog() {
                 run_one(&spec, &seeds, jobs, None, None)?;
             }
             return Ok(());
         }
         let Some(target) = target else {
-            return Err(
-                "usage: lab [--list | --all | --check | --emit-catalog DIR | <name|spec.json>] \
+            return Err("usage: lab [--list | --all | --check | <name|spec.json>] \
                  [--seeds a,b,c | --replications N] [--jobs N] [--json PATH] \
-                 [--trace PATH [--trace-until SECS] [--trace-engine]] [--catalog DIR]"
-                    .into(),
-            );
+                 [--trace PATH [--trace-until SECS] [--trace-engine]]"
+                .into());
         };
         // A path to a spec file, or a catalog entry name.
         let spec = if target.ends_with(".json") {
             let text = std::fs::read_to_string(&target).map_err(|e| format!("{target}: {e}"))?;
             ScenarioSpec::from_json(&text).map_err(|e| format!("{target}: {e}"))?
         } else {
-            load_catalog_dir(&catalog_dir)?
+            builtin_catalog()
                 .into_iter()
-                .map(|(_, s)| s)
                 .find(|s| s.name == target)
                 .ok_or_else(|| format!("no catalog entry named {target:?} (try --list)"))?
         };

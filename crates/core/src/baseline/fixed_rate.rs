@@ -4,32 +4,21 @@
 //! introduction dismisses because it "easily leads to over- or underloading
 //! of devices": with `k` CPs probing a device at period `T`, the device
 //! load is `k/T` regardless of what the device can sustain. Experiment A3
-//! measures exactly that against SAPP and DCPP.
+//! measures exactly that against SAPP and DCPP. The shared lifecycle
+//! ([`Retransmitter`]) with the simplest delay rule: always `period`.
 
 use crate::config::ProbeCycleConfig;
-use crate::cycle::{ReplyDisposition, Retransmitter, TimerDisposition};
+use crate::cycle::Retransmitter;
 use crate::prober::Prober;
 use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Reply, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum Phase {
-    NotStarted,
-    Probing,
-    Sleeping,
-    Stopped,
-}
-
 /// A control point that probes with a fixed inter-cycle period.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FixedRateCp {
-    retx: Retransmitter,
+    cycle: Retransmitter,
     period: SimDuration,
-    phase: Phase,
-    wake: Option<TimerToken>,
-    /// The terminal verdict, once reached.
-    verdict: Option<Verdict>,
 }
 
 impl FixedRateCp {
@@ -42,11 +31,8 @@ impl FixedRateCp {
     pub fn new(cp: CpId, cycle: ProbeCycleConfig, period: SimDuration) -> Self {
         assert!(period > SimDuration::ZERO, "period must be positive");
         Self {
-            retx: Retransmitter::new(cp, cycle),
+            cycle: Retransmitter::new(cp, cycle),
             period,
-            phase: Phase::NotStarted,
-            wake: None,
-            verdict: None,
         }
     }
 
@@ -55,91 +41,46 @@ impl FixedRateCp {
     pub fn period(&self) -> SimDuration {
         self.period
     }
-
-    fn declare_absent(&mut self, now: SimTime, reason: AbsenceReason, out: &mut Vec<CpAction>) {
-        self.phase = Phase::Stopped;
-        self.verdict = Some(Verdict { at: now, reason });
-        if let Some(token) = self.wake.take() {
-            out.push(CpAction::CancelTimer { token });
-        }
-        self.retx.abort(out);
-        out.push(CpAction::DeviceAbsent { at: now, reason });
-    }
 }
 
 impl Prober for FixedRateCp {
     fn cp(&self) -> CpId {
-        self.retx.cp()
+        self.cycle.cp()
     }
 
     fn start(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        assert!(
-            self.phase == Phase::NotStarted,
-            "start called twice on FixedRateCp"
-        );
-        self.phase = Phase::Probing;
-        self.retx.begin_cycle(now, out);
+        self.cycle.start(now, out);
     }
 
     fn on_reply(&mut self, now: SimTime, reply: &Reply, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped || reply.probe.cp != self.retx.cp() {
-            return;
-        }
         // Any reply body is acceptable: the baseline ignores payloads.
-        match self.retx.on_reply(now, reply.probe.seq, now, out) {
-            ReplyDisposition::Accepted { .. } => {
-                let token = self.retx.mint_token();
-                self.wake = Some(token);
-                self.phase = Phase::Sleeping;
-                out.push(CpAction::StartTimer {
-                    token,
-                    after: self.period,
-                });
-            }
-            ReplyDisposition::Stale => {}
+        if self.cycle.on_reply(now, reply, out).is_some() {
+            self.cycle.sleep(self.period, out);
         }
     }
 
     fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        if self.wake == Some(token) {
-            self.wake = None;
-            self.phase = Phase::Probing;
-            self.retx.begin_cycle(now, out);
-            return;
-        }
-        match self.retx.on_timer(now, token, out) {
-            TimerDisposition::CycleFailed => {
-                self.declare_absent(now, AbsenceReason::ProbeTimeout, out);
-            }
-            TimerDisposition::Retransmitted | TimerDisposition::NotMine => {}
-        }
+        self.cycle.on_timer(now, token, out);
     }
 
     fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        if self.phase != Phase::Stopped {
-            self.declare_absent(now, AbsenceReason::ByeReceived, out);
-        }
+        self.cycle.stop(now, AbsenceReason::ByeReceived, out);
     }
 
     fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        if self.phase != Phase::Stopped {
-            self.declare_absent(now, AbsenceReason::NoticeReceived, out);
-        }
+        self.cycle.stop(now, AbsenceReason::NoticeReceived, out);
     }
 
     fn stats(&self) -> &CpStats {
-        self.retx.stats()
+        self.cycle.stats()
     }
 
     fn is_stopped(&self) -> bool {
-        self.phase == Phase::Stopped
+        self.cycle.is_stopped()
     }
 
     fn verdict(&self) -> Option<Verdict> {
-        self.verdict
+        self.cycle.verdict()
     }
 
     fn current_delay(&self) -> Option<SimDuration> {
@@ -202,47 +143,6 @@ mod tests {
             "ignores the reply's wait"
         );
         assert_eq!(c.current_delay(), Some(SimDuration::from_millis(250)));
-    }
-
-    #[test]
-    fn probes_again_after_wake() {
-        let mut c = cp(100);
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let r = reply_to(&out);
-        out.clear();
-        c.on_reply(t(0.001), &r, &mut out);
-        let wake = out
-            .iter()
-            .find_map(|a| match a {
-                CpAction::StartTimer { token, .. } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
-        out.clear();
-        c.on_timer(t(0.101), wake, &mut out);
-        assert_eq!(c.stats().cycles_started, 2);
-    }
-
-    #[test]
-    fn absence_detection_works() {
-        let mut c = cp(100);
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let mut now = 0.022;
-        for _ in 0..4 {
-            let timer = out
-                .iter()
-                .find_map(|a| match a {
-                    CpAction::StartTimer { token, .. } => Some(*token),
-                    _ => None,
-                })
-                .unwrap();
-            out.clear();
-            c.on_timer(t(now), timer, &mut out);
-            now += 0.021;
-        }
-        assert!(c.is_stopped());
     }
 
     #[test]

@@ -1,38 +1,26 @@
 //! DCPP control-point behaviour (§4, "CP behavior").
 //!
 //! "The CP behavior is, compared to the SAPP, much simpler": the same
-//! bounded-retransmission probe cycle, but the inter-cycle delay is simply
-//! the wait time the device put in its reply. No estimation, no adaptation
+//! lifecycle ([`Retransmitter`]), but the inter-cycle delay is simply the
+//! wait time the device put in its reply. No estimation, no adaptation
 //! — which is exactly why the protocol is fair and cheap enough for "small
-//! computing devices such as mobile phones, PDAs, and so on".
+//! computing devices such as mobile phones, PDAs, and so on". In code:
+//! the only method with a body is `on_reply`.
 
 use crate::config::DcppConfig;
-use crate::cycle::{ReplyDisposition, Retransmitter, TimerDisposition};
+use crate::cycle::Retransmitter;
 use crate::prober::Prober;
 use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum Phase {
-    NotStarted,
-    Probing,
-    Sleeping,
-    Stopped,
-}
-
 /// The control-point side of the device-controlled probe protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DcppCp {
     cfg: DcppConfig,
-    retx: Retransmitter,
-    phase: Phase,
+    cycle: Retransmitter,
     /// The wait the device assigned in the most recent reply.
     last_wait: Option<SimDuration>,
-    /// Outstanding wake timer, if sleeping.
-    wake: Option<TimerToken>,
-    /// The terminal verdict, once reached.
-    verdict: Option<Verdict>,
 }
 
 impl DcppCp {
@@ -46,12 +34,9 @@ impl DcppCp {
     pub fn new(cp: CpId, cfg: DcppConfig) -> Self {
         cfg.validate().expect("invalid DCPP configuration");
         Self {
-            retx: Retransmitter::new(cp, cfg.cycle),
+            cycle: Retransmitter::new(cp, cfg.cycle),
             cfg,
-            phase: Phase::NotStarted,
             last_wait: None,
-            wake: None,
-            verdict: None,
         }
     }
 
@@ -66,94 +51,50 @@ impl DcppCp {
     pub fn last_assigned_wait(&self) -> Option<SimDuration> {
         self.last_wait
     }
-
-    fn declare_absent(&mut self, now: SimTime, reason: AbsenceReason, out: &mut Vec<CpAction>) {
-        self.phase = Phase::Stopped;
-        self.verdict = Some(Verdict { at: now, reason });
-        if let Some(token) = self.wake.take() {
-            out.push(CpAction::CancelTimer { token });
-        }
-        self.retx.abort(out);
-        out.push(CpAction::DeviceAbsent { at: now, reason });
-    }
 }
 
 impl Prober for DcppCp {
     fn cp(&self) -> CpId {
-        self.retx.cp()
+        self.cycle.cp()
     }
 
     fn start(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        assert!(
-            self.phase == Phase::NotStarted,
-            "start called twice on DcppCp"
-        );
-        self.phase = Phase::Probing;
-        self.retx.begin_cycle(now, out);
+        self.cycle.start(now, out);
     }
 
     fn on_reply(&mut self, now: SimTime, reply: &Reply, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped || reply.probe.cp != self.retx.cp() {
-            return;
-        }
         let ReplyBody::Dcpp { wait } = reply.body else {
             debug_assert!(false, "DCPP CP received a non-DCPP reply");
             return;
         };
-        match self.retx.on_reply(now, reply.probe.seq, now, out) {
-            ReplyDisposition::Accepted { .. } => {
-                self.last_wait = Some(wait);
-                let token = self.retx.mint_token();
-                self.wake = Some(token);
-                self.phase = Phase::Sleeping;
-                out.push(CpAction::StartTimer { token, after: wait });
-            }
-            ReplyDisposition::Stale => {}
+        if self.cycle.on_reply(now, reply, out).is_some() {
+            self.last_wait = Some(wait);
+            self.cycle.sleep(wait, out);
         }
     }
 
     fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        if self.wake == Some(token) {
-            self.wake = None;
-            self.phase = Phase::Probing;
-            self.retx.begin_cycle(now, out);
-            return;
-        }
-        match self.retx.on_timer(now, token, out) {
-            TimerDisposition::CycleFailed => {
-                self.declare_absent(now, AbsenceReason::ProbeTimeout, out);
-            }
-            TimerDisposition::Retransmitted | TimerDisposition::NotMine => {}
-        }
+        self.cycle.on_timer(now, token, out);
     }
 
     fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        self.declare_absent(now, AbsenceReason::ByeReceived, out);
+        self.cycle.stop(now, AbsenceReason::ByeReceived, out);
     }
 
     fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        self.declare_absent(now, AbsenceReason::NoticeReceived, out);
+        self.cycle.stop(now, AbsenceReason::NoticeReceived, out);
     }
 
     fn stats(&self) -> &CpStats {
-        self.retx.stats()
+        self.cycle.stats()
     }
 
     fn is_stopped(&self) -> bool {
-        self.phase == Phase::Stopped
+        self.cycle.is_stopped()
     }
 
     fn verdict(&self) -> Option<Verdict> {
-        self.verdict
+        self.cycle.verdict()
     }
 
     fn current_delay(&self) -> Option<SimDuration> {
@@ -215,103 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn wake_starts_next_cycle() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let p1 = sent_probe(&out);
-        out.clear();
-        c.on_reply(t(0.001), &dcpp_reply(p1, 500), &mut out);
-        let wake = out
-            .iter()
-            .find_map(|a| match a {
-                CpAction::StartTimer { token, .. } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
-        out.clear();
-        c.on_timer(t(0.501), wake, &mut out);
-        let p2 = sent_probe(&out);
-        assert_eq!(p2.seq, p1.seq + 1);
-        assert_eq!(c.stats().cycles_started, 2);
-    }
-
-    #[test]
     fn no_delay_known_before_first_reply() {
         let mut c = cp();
         assert_eq!(c.current_delay(), None);
         let mut out = Vec::new();
         c.start(t(0.0), &mut out);
         assert_eq!(c.current_delay(), None);
-    }
-
-    #[test]
-    fn retransmits_then_succeeds() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let probe = sent_probe(&out);
-        let timeout = out
-            .iter()
-            .find_map(|a| match a {
-                CpAction::StartTimer { token, .. } => Some(*token),
-                _ => None,
-            })
-            .unwrap();
-        out.clear();
-        c.on_timer(t(0.022), timeout, &mut out);
-        assert_eq!(sent_probe(&out).seq, probe.seq, "retransmission");
-        out.clear();
-        c.on_reply(t(0.03), &dcpp_reply(probe, 500), &mut out);
-        assert_eq!(c.stats().cycles_succeeded, 1);
-        assert_eq!(c.stats().retransmissions, 1);
-        assert!(!c.is_stopped());
-    }
-
-    #[test]
-    fn four_timeouts_declare_absent() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let mut now = 0.022;
-        for _ in 0..4 {
-            let timer = out
-                .iter()
-                .find_map(|a| match a {
-                    CpAction::StartTimer { token, .. } => Some(*token),
-                    _ => None,
-                })
-                .unwrap();
-            out.clear();
-            c.on_timer(t(now), timer, &mut out);
-            now += 0.021;
-        }
-        assert!(c.is_stopped());
-        assert!(out.iter().any(|a| matches!(
-            a,
-            CpAction::DeviceAbsent {
-                reason: AbsenceReason::ProbeTimeout,
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn bye_cancels_pending_wake() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let probe = sent_probe(&out);
-        out.clear();
-        c.on_reply(t(0.001), &dcpp_reply(probe, 500), &mut out);
-        out.clear();
-        c.on_bye(t(0.2), &mut out);
-        assert!(c.is_stopped());
-        assert!(
-            out.iter()
-                .any(|a| matches!(a, CpAction::CancelTimer { .. })),
-            "pending wake timer must be cancelled"
-        );
     }
 
     #[test]
@@ -328,34 +178,5 @@ mod tests {
         assert!(out.is_empty(), "stale reply must be inert");
         assert_eq!(c.last_assigned_wait(), Some(SimDuration::from_millis(500)));
         assert_eq!(c.stats().stale_replies, 1);
-    }
-
-    #[test]
-    fn foreign_reply_ignored() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        out.clear();
-        let foreign = Reply {
-            probe: Probe {
-                cp: CpId(55),
-                seq: 0,
-            },
-            device: DeviceId(0),
-            body: ReplyBody::Dcpp {
-                wait: SimDuration::from_millis(100),
-            },
-        };
-        c.on_reply(t(0.001), &foreign, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "start called twice")]
-    fn double_start_panics() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        c.start(t(1.0), &mut out);
     }
 }

@@ -18,8 +18,9 @@
 //! Plus the substrate both share and the baselines the evaluation compares
 //! against:
 //!
-//! * the bounded-retransmission probe cycle ([`Retransmitter`]; TOF/TOS
-//!   timeouts, max 3 retransmissions, Fig. 1);
+//! * the CP lifecycle ([`Retransmitter`]): bounded-retransmission probe
+//!   cycles (TOF/TOS timeouts, max 3 retransmissions, Fig. 1), the sleep
+//!   between them, and the stop with a verdict;
 //! * the CP overlay and leave-notice dissemination ([`OverlayView`],
 //!   [`Disseminator`]) that the paper describes but defers;
 //! * baseline detectors: naive fixed-rate probing ([`FixedRateCp`]),
@@ -83,7 +84,7 @@ pub use baseline::{
     FixedRateCp, Heartbeat, HeartbeatDevice, HeartbeatMonitor, PhiAccrualDetector, PhiConfig,
 };
 pub use config::{DcppConfig, ProbeCycleConfig, SappConfig, SappDeviceConfig};
-pub use cycle::{ReplyDisposition, Retransmitter, TimerDisposition};
+pub use cycle::{Retransmitter, TimerDisposition};
 pub use dcpp::{DcppCp, DcppDevice};
 pub use error::ConfigError;
 pub use overlay::{Disseminator, NoticeDisposition, OverlayView};

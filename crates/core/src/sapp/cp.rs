@@ -1,8 +1,8 @@
 //! SAPP control-point behaviour (§2, "CP behavior" and "Adapting the
 //! probing frequency").
 //!
-//! A CP runs probe cycles through the shared [`Retransmitter`] and adapts
-//! its inter-cycle delay `δ` from the *experienced probe load*
+//! A CP runs the shared lifecycle ([`Retransmitter`]) and adapts its
+//! inter-cycle delay `δ` from the *experienced probe load*
 //!
 //! ```text
 //! L_exp = (pc' − pc) / (t' − t)
@@ -22,7 +22,7 @@
 //! so some CPs starve at `δ_max` while others oscillate near `δ_min`.
 
 use crate::config::SappConfig;
-use crate::cycle::{ReplyDisposition, Retransmitter, TimerDisposition};
+use crate::cycle::Retransmitter;
 use crate::prober::Prober;
 use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
@@ -39,37 +39,20 @@ pub struct AdaptationStats {
     pub holds: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum Phase {
-    /// `start` not called yet.
-    NotStarted,
-    /// A probe cycle is in flight.
-    Probing,
-    /// Waiting out the inter-cycle delay.
-    Sleeping,
-    /// The device was declared absent; the machine is inert.
-    Stopped,
-}
-
 /// The control-point side of the self-adaptive probe protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SappCp {
     cfg: SappConfig,
-    retx: Retransmitter,
-    phase: Phase,
+    cycle: Retransmitter,
     /// Current inter-probe-cycle delay `δ`.
     delay: SimDuration,
     /// `(t, pc)` of the last successful probe — the anchor for `L_exp`.
     anchor: Option<(SimTime, u64)>,
-    /// Outstanding wake timer, if sleeping.
-    wake: Option<TimerToken>,
     /// Most recent experienced load estimate.
     last_lexp: Option<f64>,
     adaptation: AdaptationStats,
     /// Overlay peers gleaned from the last reply.
     peers: [Option<CpId>; 2],
-    /// The terminal verdict, once reached.
-    verdict: Option<Verdict>,
 }
 
 impl SappCp {
@@ -83,16 +66,13 @@ impl SappCp {
     pub fn new(cp: CpId, cfg: SappConfig) -> Self {
         cfg.validate().expect("invalid SAPP configuration");
         Self {
-            retx: Retransmitter::new(cp, cfg.cycle),
+            cycle: Retransmitter::new(cp, cfg.cycle),
             cfg,
-            phase: Phase::NotStarted,
             delay: cfg.initial_delay,
             anchor: None,
-            wake: None,
             last_lexp: None,
             adaptation: AdaptationStats::default(),
             peers: [None, None],
-            verdict: None,
         }
     }
 
@@ -157,109 +137,58 @@ impl SappCp {
             self.adaptation.holds += 1;
         }
     }
-
-    fn go_to_sleep(&mut self, out: &mut Vec<CpAction>) {
-        let token = self.retx.mint_token();
-        self.wake = Some(token);
-        self.phase = Phase::Sleeping;
-        out.push(CpAction::StartTimer {
-            token,
-            after: self.delay,
-        });
-    }
-
-    fn declare_absent(&mut self, now: SimTime, reason: AbsenceReason, out: &mut Vec<CpAction>) {
-        self.phase = Phase::Stopped;
-        self.verdict = Some(Verdict { at: now, reason });
-        if let Some(token) = self.wake.take() {
-            out.push(CpAction::CancelTimer { token });
-        }
-        self.retx.abort(out);
-        out.push(CpAction::DeviceAbsent { at: now, reason });
-    }
 }
 
 impl Prober for SappCp {
     fn cp(&self) -> CpId {
-        self.retx.cp()
+        self.cycle.cp()
     }
 
     fn start(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        assert!(
-            self.phase == Phase::NotStarted,
-            "start called twice on SappCp"
-        );
-        self.phase = Phase::Probing;
-        self.retx.begin_cycle(now, out);
+        self.cycle.start(now, out);
     }
 
     fn on_reply(&mut self, now: SimTime, reply: &Reply, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped || reply.probe.cp != self.retx.cp() {
-            return;
-        }
         let ReplyBody::Sapp { pc, last_probers } = reply.body else {
             debug_assert!(false, "SAPP CP received a non-SAPP reply");
             return;
         };
-        match self.retx.on_reply(now, reply.probe.seq, now, out) {
-            ReplyDisposition::Accepted { anchor, .. } => {
-                self.peers = last_probers;
-                if let Some((prev_t, prev_pc)) = self.anchor {
-                    let dt = anchor.saturating_since(prev_t).as_secs_f64();
-                    if dt > 0.0 {
-                        let l_exp = (pc.saturating_sub(prev_pc)) as f64 / dt;
-                        self.adapt(l_exp);
-                    }
+        if let Some(anchor) = self.cycle.on_reply(now, reply, out) {
+            self.peers = last_probers;
+            if let Some((prev_t, prev_pc)) = self.anchor {
+                let dt = anchor.saturating_since(prev_t).as_secs_f64();
+                if dt > 0.0 {
+                    let l_exp = (pc.saturating_sub(prev_pc)) as f64 / dt;
+                    self.adapt(l_exp);
                 }
-                self.anchor = Some((anchor, pc));
-                self.go_to_sleep(out);
             }
-            ReplyDisposition::Stale => {}
+            self.anchor = Some((anchor, pc));
+            self.cycle.sleep(self.delay, out);
         }
     }
 
     fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        if self.wake == Some(token) {
-            self.wake = None;
-            self.phase = Phase::Probing;
-            self.retx.begin_cycle(now, out);
-            return;
-        }
-        match self.retx.on_timer(now, token, out) {
-            TimerDisposition::CycleFailed => {
-                self.declare_absent(now, AbsenceReason::ProbeTimeout, out);
-            }
-            TimerDisposition::Retransmitted | TimerDisposition::NotMine => {}
-        }
+        self.cycle.on_timer(now, token, out);
     }
 
     fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        self.declare_absent(now, AbsenceReason::ByeReceived, out);
+        self.cycle.stop(now, AbsenceReason::ByeReceived, out);
     }
 
     fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        if self.phase == Phase::Stopped {
-            return;
-        }
-        self.declare_absent(now, AbsenceReason::NoticeReceived, out);
+        self.cycle.stop(now, AbsenceReason::NoticeReceived, out);
     }
 
     fn stats(&self) -> &CpStats {
-        self.retx.stats()
+        self.cycle.stats()
     }
 
     fn is_stopped(&self) -> bool {
-        self.phase == Phase::Stopped
+        self.cycle.is_stopped()
     }
 
     fn verdict(&self) -> Option<Verdict> {
-        self.verdict
+        self.cycle.verdict()
     }
 
     fn current_delay(&self) -> Option<SimDuration> {
@@ -456,87 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn four_timeouts_declare_absent() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let mut now = 0.022;
-        for _ in 0..4 {
-            let timer = out
-                .iter()
-                .find_map(|a| match a {
-                    CpAction::StartTimer { token, .. } => Some(*token),
-                    _ => None,
-                })
-                .unwrap();
-            out.clear();
-            c.on_timer(t(now), timer, &mut out);
-            now += 0.021;
-        }
-        assert!(c.is_stopped());
-        assert!(out.iter().any(|a| matches!(
-            a,
-            CpAction::DeviceAbsent {
-                reason: AbsenceReason::ProbeTimeout,
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn bye_stops_probing() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        out.clear();
-        c.on_bye(t(0.5), &mut out);
-        assert!(c.is_stopped());
-        assert!(out.iter().any(|a| matches!(
-            a,
-            CpAction::DeviceAbsent {
-                reason: AbsenceReason::ByeReceived,
-                ..
-            }
-        )));
-        // Further events are inert.
-        out.clear();
-        c.on_timer(t(1.0), TimerToken(0), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn leave_notice_stops_probing() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        out.clear();
-        c.on_leave_notice(t(0.5), &mut out);
-        assert!(c.is_stopped());
-    }
-
-    #[test]
-    fn reply_for_other_cp_ignored() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let probe = sent_probe(&out);
-        out.clear();
-        let foreign = Reply {
-            probe: Probe {
-                cp: CpId(99),
-                seq: probe.seq,
-            },
-            device: DeviceId(0),
-            body: ReplyBody::Sapp {
-                pc: 100_000,
-                last_probers: [None, None],
-            },
-        };
-        c.on_reply(t(0.001), &foreign, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn peers_learned_from_reply() {
         let mut c = cp();
         let mut out = Vec::new();
@@ -559,14 +407,5 @@ mod tests {
     fn frequency_is_delay_inverse() {
         let c = cp();
         assert!((c.frequency() - 50.0).abs() < 1e-9, "1/0.02 = 50");
-    }
-
-    #[test]
-    #[should_panic(expected = "start called twice")]
-    fn double_start_panics() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        c.start(t(1.0), &mut out);
     }
 }

@@ -137,7 +137,7 @@ proptest! {
         };
         let mut e = Retransmitter::new(CpId(0), cfg);
         let mut out = Vec::new();
-        e.begin_cycle(t(0.0), &mut out);
+        e.start(t(0.0), &mut out);
         let mut transmissions = probes(&out).len() as u32;
         let mut now = 0.1;
         loop {
@@ -149,7 +149,7 @@ proptest! {
                     now += 0.1;
                 }
                 TimerDisposition::CycleFailed => break,
-                TimerDisposition::NotMine => prop_assert!(false, "live timer not recognised"),
+                other => prop_assert!(false, "live cycle timer read as {:?}", other),
             }
         }
         prop_assert_eq!(transmissions, 1 + max_retx);

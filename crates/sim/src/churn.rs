@@ -27,6 +27,7 @@
 //! deterministically.
 
 use crate::event::SimEvent;
+use crate::scenario::{err, SpecError};
 use crate::trace::ChurnTrace;
 use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime};
 use presence_stats::TimeSeries;
@@ -90,6 +91,50 @@ pub enum ChurnModel {
 }
 
 impl ChurnModel {
+    pub(crate) fn validate(self) -> Result<(), SpecError> {
+        match self {
+            ChurnModel::Static => {}
+            ChurnModel::BurstLeave { at, .. } => {
+                if !(at >= 0.0 && at.is_finite()) {
+                    return Err(err("burst-leave time must be non-negative"));
+                }
+            }
+            ChurnModel::UniformResample { min, max, rate } => {
+                if min > max {
+                    return Err(err("uniform-resample population bounds inverted"));
+                }
+                if !(rate > 0.0 && rate.is_finite()) {
+                    return Err(err("uniform-resample rate must be positive"));
+                }
+            }
+            ChurnModel::FlashCrowd { at, ramp, hold, .. } => {
+                if !(at >= 0.0 && at.is_finite()) {
+                    return Err(err("flash-crowd start must be non-negative"));
+                }
+                if !(ramp >= 0.0 && ramp.is_finite() && hold >= 0.0 && hold.is_finite()) {
+                    return Err(err("flash-crowd ramp and hold must be non-negative"));
+                }
+            }
+            ChurnModel::Diurnal {
+                period,
+                min,
+                max,
+                rate,
+            } => {
+                if !(period > 0.0 && period.is_finite()) {
+                    return Err(err("diurnal period must be positive"));
+                }
+                if min > max {
+                    return Err(err("diurnal population bounds inverted"));
+                }
+                if !(rate > 0.0 && rate.is_finite()) {
+                    return Err(err("diurnal rate must be positive"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The Figure 5 workload.
     #[must_use]
     pub fn paper_fig5() -> Self {

@@ -20,14 +20,15 @@
 //!   pool and merges them in seed order, so a [`LabReport`] is
 //!   byte-identical at any worker count.
 //!
-//! Shipped specs live in the repository's `catalog/` directory; the
-//! `lab` binary (`presence-bench`) loads, validates, runs, and prints
-//! them.
+//! Shipped specs are the repository's `catalog/*.json` files, edited by
+//! hand and embedded at build time ([`builtin_catalog`]); the `lab`
+//! binary (`presence-bench`) lists, validates, runs, and prints them, or
+//! any spec file given by path.
 
 use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
-use crate::scenario::{DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};
+use crate::scenario::{err, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError};
 use presence_core::AutoTuneConfig;
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
@@ -35,7 +36,6 @@ use presence_stats::{
     jain_index, merge_boundaries, slice_windows, step_mean, window_mean, window_slice,
 };
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// One timed phase of the delay regime: `delay` is active from `start`
 /// seconds until the next phase (or the horizon).
@@ -108,22 +108,6 @@ pub struct ScenarioSpec {
     pub duration: f64,
 }
 
-/// Why a [`ScenarioSpec`] was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(pub String);
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid scenario spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn err(msg: impl Into<String>) -> SpecError {
-    SpecError(msg.into())
-}
-
 /// Checks one phase timeline: non-empty, anchored at 0, strictly
 /// increasing, every start inside the horizon.
 fn check_phases(kind: &str, starts: &[f64], duration: f64) -> Result<(), SpecError> {
@@ -154,8 +138,8 @@ fn check_phases(kind: &str, starts: &[f64], duration: f64) -> Result<(), SpecErr
 
 impl ScenarioSpec {
     /// Wraps a stationary [`ScenarioConfig`] into a single-phase spec —
-    /// the bridge the paper-faithful catalog entries are generated
-    /// through.
+    /// the starting point for a spec built in code rather than read from
+    /// a file.
     #[must_use]
     pub fn from_config(name: &str, description: &str, cfg: ScenarioConfig) -> Self {
         Self {
@@ -214,7 +198,9 @@ impl ScenarioSpec {
 
     /// Validates every structural invariant a runnable spec must satisfy,
     /// as a `Result` (batch tooling reports all catalog problems instead
-    /// of panicking on the first).
+    /// of panicking on the first): the name, everything stationary
+    /// ([`ScenarioConfig::validate`] on the first phases), the later
+    /// phases, the three timelines, and the failure instant.
     ///
     /// # Errors
     ///
@@ -223,29 +209,7 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return Err(err("name must not be empty"));
         }
-        if self.cp_pool == 0 {
-            return Err(err("need at least one CP"));
-        }
-        if self.initially_active > self.cp_pool {
-            return Err(err("initially_active exceeds the pool"));
-        }
-        if self.buffer_capacity == 0 {
-            return Err(err("buffer capacity must be positive"));
-        }
-        if !(self.duration > 0.0 && self.duration.is_finite()) {
-            return Err(err("duration must be positive and finite"));
-        }
-        let (p_min, p_max) = self.processing;
-        if !(p_min >= 0.0 && p_min <= p_max && p_max.is_finite()) {
-            return Err(err("processing bounds must satisfy 0 <= min <= max"));
-        }
-        if !(self.join_stagger >= 0.0 && self.join_stagger.is_finite()) {
-            return Err(err("join stagger must be non-negative"));
-        }
-        if !(self.load_window > 0.0 && self.load_window.is_finite()) {
-            return Err(err("load window must be positive"));
-        }
-
+        // The timelines first: `base_config` needs a first phase of each.
         let delay_starts: Vec<f64> = self.delay.iter().map(|p| p.start).collect();
         let loss_starts: Vec<f64> = self.loss.iter().map(|p| p.start).collect();
         let churn_starts: Vec<f64> = self.churn.iter().map(|p| p.start).collect();
@@ -253,19 +217,17 @@ impl ScenarioSpec {
         check_phases("loss", &loss_starts, self.duration)?;
         check_phases("churn", &churn_starts, self.duration)?;
 
-        for phase in &self.delay {
-            validate_delay(phase.delay)?;
+        self.base_config().validate()?;
+        for phase in &self.delay[1..] {
+            phase.delay.validate()?;
         }
-        for phase in &self.loss {
-            validate_loss(phase.loss)?;
+        for phase in &self.loss[1..] {
+            phase.loss.validate()?;
         }
-        for phase in &self.churn {
-            validate_churn(phase.churn)?;
+        for phase in &self.churn[1..] {
+            phase.churn.validate()?;
         }
 
-        if self.sapp_auto_tune.is_some() && !matches!(self.protocol, Protocol::Sapp { .. }) {
-            return Err(err("sapp_auto_tune requires the SAPP protocol"));
-        }
         for (label, at) in [("crash_at", self.crash_at), ("bye_at", self.bye_at)] {
             if let Some(at) = at {
                 if !(at > 0.0 && at < self.duration) {
@@ -373,89 +335,6 @@ impl ScenarioSpec {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec serialises")
     }
-}
-
-fn validate_delay(kind: DelayKind) -> Result<(), SpecError> {
-    match kind {
-        DelayKind::Constant(s) => {
-            if !(s >= 0.0 && s.is_finite()) {
-                return Err(err("constant delay must be non-negative"));
-            }
-        }
-        DelayKind::Uniform(lo, hi) => {
-            if !(lo >= 0.0 && lo <= hi && hi.is_finite()) {
-                return Err(err("uniform delay bounds must satisfy 0 <= low <= high"));
-            }
-        }
-        DelayKind::ThreeModePaper => {}
-        DelayKind::Exponential { mean, cap } => {
-            if !(mean > 0.0 && mean.is_finite() && cap > 0.0 && cap.is_finite()) {
-                return Err(err("exponential delay needs positive mean and cap"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_loss(kind: LossKind) -> Result<(), SpecError> {
-    match kind {
-        LossKind::None => {}
-        LossKind::Bernoulli(p) => {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(err("Bernoulli loss probability must be in [0, 1]"));
-            }
-        }
-        LossKind::Bursty(r) => {
-            if !(r > 0.0 && r <= 0.5) {
-                return Err(err("bursty loss average rate must be in (0, 0.5]"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_churn(model: ChurnModel) -> Result<(), SpecError> {
-    match model {
-        ChurnModel::Static => {}
-        ChurnModel::BurstLeave { at, .. } => {
-            if !(at >= 0.0 && at.is_finite()) {
-                return Err(err("burst-leave time must be non-negative"));
-            }
-        }
-        ChurnModel::UniformResample { min, max, rate } => {
-            if min > max {
-                return Err(err("uniform-resample population bounds inverted"));
-            }
-            if !(rate > 0.0 && rate.is_finite()) {
-                return Err(err("uniform-resample rate must be positive"));
-            }
-        }
-        ChurnModel::FlashCrowd { at, ramp, hold, .. } => {
-            if !(at >= 0.0 && at.is_finite()) {
-                return Err(err("flash-crowd start must be non-negative"));
-            }
-            if !(ramp >= 0.0 && ramp.is_finite() && hold >= 0.0 && hold.is_finite()) {
-                return Err(err("flash-crowd ramp and hold must be non-negative"));
-            }
-        }
-        ChurnModel::Diurnal {
-            period,
-            min,
-            max,
-            rate,
-        } => {
-            if !(period > 0.0 && period.is_finite()) {
-                return Err(err("diurnal period must be positive"));
-            }
-            if min > max {
-                return Err(err("diurnal population bounds inverted"));
-            }
-            if !(rate > 0.0 && rate.is_finite()) {
-                return Err(err("diurnal rate must be positive"));
-            }
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -691,250 +570,47 @@ pub fn run_lab(spec: &ScenarioSpec, seeds: &[u64], jobs: usize) -> Result<LabRep
 // The shipped catalog
 // ---------------------------------------------------------------------------
 
-/// The specs behind the repository's `catalog/` directory, in shipping
-/// order. The JSON files are generated from these definitions
-/// (`lab --emit-catalog`), and an integration test pins the files against
-/// them so the two can never drift.
+/// `catalog/*.json`, embedded at build time, in shipping order. The files
+/// are the catalog: a new scenario is a new file plus its line here.
+#[rustfmt::skip]
+const CATALOG: [(&str, &str); 9] = [
+    ("paper-sapp", include_str!("../../../catalog/paper-sapp.json")),
+    ("paper-dcpp", include_str!("../../../catalog/paper-dcpp.json")),
+    ("paper-churn", include_str!("../../../catalog/paper-churn.json")),
+    ("partition-recovery", include_str!("../../../catalog/partition-recovery.json")),
+    ("flash-crowd", include_str!("../../../catalog/flash-crowd.json")),
+    ("diurnal-day", include_str!("../../../catalog/diurnal-day.json")),
+    ("bursty-loss-storm", include_str!("../../../catalog/bursty-loss-storm.json")),
+    ("crash-under-loss", include_str!("../../../catalog/crash-under-loss.json")),
+    ("mixed-regime-stress", include_str!("../../../catalog/mixed-regime-stress.json")),
+];
+
+/// The shipped catalog — the repository's `catalog/*.json` files, parsed
+/// and validated, in shipping order.
 ///
 /// The first three are the paper-faithful golden trio — single-phase
-/// specs whose trajectories are bit-identical to the hard-coded presets.
-/// The rest exercise what the paper only conjectures: partitions that
-/// heal, flash crowds, diurnal populations, bursty loss storms, and a
-/// mixed scenario where delay, loss, and churn all switch mid-run.
+/// specs whose trajectories are bit-identical to the hard-coded presets
+/// ([`crate::golden_trio`]). The rest exercise what the paper only
+/// conjectures: partitions that heal, flash crowds, diurnal populations,
+/// bursty loss storms, and a mixed scenario where delay, loss, and churn
+/// all switch mid-run.
+///
+/// # Panics
+///
+/// Panics, naming the file, if an embedded file does not parse, does not
+/// validate, or is not named after its file stem — a bug in the
+/// repository, not bad input.
 #[must_use]
 pub fn builtin_catalog() -> Vec<ScenarioSpec> {
-    let mut specs = Vec::new();
-
-    for ((name, cfg), description) in crate::scenario::golden_trio().into_iter().zip([
-        "Paper §3/Fig 2: SAPP, 10 CPs, 200 s — the golden-trio SAPP preset",
-        "Paper §3: DCPP, 30 CPs, 300 s — the golden-trio DCPP preset",
-        "Paper Fig 5: DCPP under uniform-resample churn — the golden-trio churn preset",
-    ]) {
-        specs.push(ScenarioSpec::from_config(
-            &format!("paper-{name}"),
-            description,
-            cfg,
-        ));
-    }
-
-    // Partition and recovery: the network blacks out completely for 60 s,
-    // then heals while a resample regime churns fresh joins through the
-    // pool (rejoining CPs restart their probers after the false verdicts
-    // the partition caused).
-    {
-        let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 12, 400.0, 17);
-        let mut spec = ScenarioSpec::from_config(
-            "partition-recovery",
-            "total 60 s network partition, then heal + churn-driven rejoin",
-            cfg,
-        );
-        spec.loss = vec![
-            LossPhase {
-                start: 0.0,
-                loss: LossKind::None,
-            },
-            LossPhase {
-                start: 150.0,
-                loss: LossKind::Bernoulli(1.0),
-            },
-            LossPhase {
-                start: 210.0,
-                loss: LossKind::None,
-            },
-        ];
-        spec.churn = vec![
-            ChurnPhase {
-                start: 0.0,
-                churn: ChurnModel::Static,
-            },
-            ChurnPhase {
-                start: 210.0,
-                churn: ChurnModel::UniformResample {
-                    min: 4,
-                    max: 12,
-                    rate: 0.1,
-                },
-            },
-        ];
-        specs.push(spec);
-    }
-
-    // Flash crowd: 8 CPs idle along until a 40-CP crowd ramps in over
-    // 30 s, holds two minutes, and drains back out.
-    {
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 40, 400.0, 23);
-        cfg.initially_active = 8;
-        let mut spec = ScenarioSpec::from_config(
-            "flash-crowd",
-            "join wave to 40 CPs over 30 s, 120 s hold, then drain",
-            cfg,
-        );
-        spec.churn = vec![ChurnPhase {
-            start: 0.0,
-            churn: ChurnModel::FlashCrowd {
-                at: 100.0,
-                peak: 40,
-                ramp: 30.0,
-                hold: 120.0,
-            },
-        }];
-        specs.push(spec);
-    }
-
-    // A compressed "day": the population follows a sinusoid between 4 and
-    // 48 CPs over a 300 s period, churning hardest near the peak.
-    {
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 48, 600.0, 29);
-        cfg.initially_active = 4;
-        let mut spec = ScenarioSpec::from_config(
-            "diurnal-day",
-            "sinusoid-modulated MMPP population, two compressed day cycles",
-            cfg,
-        );
-        spec.churn = vec![ChurnPhase {
-            start: 0.0,
-            churn: ChurnModel::Diurnal {
-                period: 300.0,
-                min: 4,
-                max: 48,
-                rate: 0.2,
-            },
-        }];
-        specs.push(spec);
-    }
-
-    // Bursty loss storm over SAPP: the §5 conjecture's weather — calm,
-    // a 10 % Gilbert–Elliott storm, a 30 % storm, then calm again, with
-    // mild churn refreshing CPs that false-verdicted during the bursts.
-    {
-        let cfg = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 12, 500.0, 31);
-        let mut spec = ScenarioSpec::from_config(
-            "bursty-loss-storm",
-            "Gilbert–Elliott storms (10 % then 30 %) over SAPP, §5 conjecture",
-            cfg,
-        );
-        spec.loss = vec![
-            LossPhase {
-                start: 0.0,
-                loss: LossKind::None,
-            },
-            LossPhase {
-                start: 150.0,
-                loss: LossKind::Bursty(0.1),
-            },
-            LossPhase {
-                start: 300.0,
-                loss: LossKind::Bursty(0.3),
-            },
-            LossPhase {
-                start: 400.0,
-                loss: LossKind::None,
-            },
-        ];
-        spec.churn = vec![ChurnPhase {
-            start: 0.0,
-            churn: ChurnModel::UniformResample {
-                min: 6,
-                max: 12,
-                rate: 0.05,
-            },
-        }];
-        specs.push(spec);
-    }
-
-    // Crash under loss: the device dies inside a lossy regime; the
-    // per-regime slices separate clean-network detection behaviour from
-    // loss-confounded behaviour.
-    {
-        let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 10, 300.0, 37);
-        let mut spec = ScenarioSpec::from_config(
-            "crash-under-loss",
-            "device crash at 200 s inside a 5 % i.i.d. loss regime",
-            cfg,
-        );
-        spec.loss = vec![
-            LossPhase {
-                start: 0.0,
-                loss: LossKind::None,
-            },
-            LossPhase {
-                start: 100.0,
-                loss: LossKind::Bernoulli(0.05),
-            },
-        ];
-        spec.crash_at = Some(200.0);
-        specs.push(spec);
-    }
-
-    // The acceptance scenario: delay, loss, AND churn all switch mid-run.
-    {
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 30, 600.0, 41);
-        cfg.initially_active = 10;
-        let mut spec = ScenarioSpec::from_config(
-            "mixed-regime-stress",
-            "delay, loss, and churn regimes all switching mid-run",
-            cfg,
-        );
-        spec.delay = vec![
-            DelayPhase {
-                start: 0.0,
-                delay: DelayKind::ThreeModePaper,
-            },
-            DelayPhase {
-                start: 200.0,
-                delay: DelayKind::Uniform(0.0002, 0.002),
-            },
-            DelayPhase {
-                start: 400.0,
-                delay: DelayKind::ThreeModePaper,
-            },
-        ];
-        spec.loss = vec![
-            LossPhase {
-                start: 0.0,
-                loss: LossKind::None,
-            },
-            LossPhase {
-                start: 250.0,
-                loss: LossKind::Bursty(0.15),
-            },
-            LossPhase {
-                start: 450.0,
-                loss: LossKind::None,
-            },
-        ];
-        spec.churn = vec![
-            ChurnPhase {
-                start: 0.0,
-                churn: ChurnModel::UniformResample {
-                    min: 2,
-                    max: 20,
-                    rate: 0.05,
-                },
-            },
-            ChurnPhase {
-                start: 300.0,
-                churn: ChurnModel::FlashCrowd {
-                    at: 300.0,
-                    peak: 30,
-                    ramp: 20.0,
-                    hold: 60.0,
-                },
-            },
-            ChurnPhase {
-                start: 450.0,
-                churn: ChurnModel::Diurnal {
-                    period: 150.0,
-                    min: 5,
-                    max: 25,
-                    rate: 0.1,
-                },
-            },
-        ];
-        specs.push(spec);
-    }
-
-    specs
+    CATALOG
+        .iter()
+        .map(|&(stem, text)| {
+            let spec = ScenarioSpec::from_json(text)
+                .unwrap_or_else(|e| panic!("catalog/{stem}.json: {e}"));
+            assert_eq!(spec.name, stem, "catalog/{stem}.json: name is not the stem");
+            spec
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1050,6 +726,34 @@ mod tests {
                 Box::new(|s| {
                     s.crash_at = Some(10.0);
                     s.bye_at = Some(20.0);
+                }),
+            ),
+            (
+                "bad DcppConfig",
+                Box::new(|s| {
+                    let mut cfg = presence_core::DcppConfig::paper_default();
+                    cfg.delta_min = presence_des::SimDuration::ZERO;
+                    s.protocol = Protocol::Dcpp { cfg };
+                }),
+            ),
+            (
+                "bad SappConfig",
+                Box::new(|s| {
+                    let mut cp = presence_core::SappConfig::paper_default();
+                    cp.beta = 0.5;
+                    s.protocol = Protocol::Sapp {
+                        cp,
+                        device: presence_core::SappDeviceConfig::paper_default(),
+                    };
+                }),
+            ),
+            (
+                "zero FixedRate period",
+                Box::new(|s| {
+                    s.protocol = Protocol::FixedRate {
+                        cycle: presence_core::ProbeCycleConfig::paper_default(),
+                        period: 0.0,
+                    };
                 }),
             ),
             (

@@ -56,7 +56,7 @@ pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{
     builtin_catalog, run_lab, run_spec_once, slice_result, ChurnPhase, DelayPhase, LabReport,
-    LabSeedResult, LossPhase, RegimeSlice, ScenarioSpec, SpecError,
+    LabSeedResult, LossPhase, RegimeSlice, ScenarioSpec,
 };
 pub use mega::{
     mega_catalog, run_mega_spec, MegaConfig, MegaDcppShard, MegaResult, MegaScenario, MegaSpec,
@@ -67,5 +67,7 @@ pub use output::{ascii_chart, kv_table, series_to_csv};
 pub use parallel::{for_each_indexed, job_count, run_indexed, ParamSweep};
 pub use regime::RegimeActor;
 pub use replication::{replicate, replicate_with_jobs, ReplicationPoint, ReplicationSummary};
-pub use scenario::{golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig};
+pub use scenario::{
+    golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError,
+};
 pub use trace::flow_id;

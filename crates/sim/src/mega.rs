@@ -146,30 +146,36 @@ pub struct MegaSpec {
     pub config: MegaConfig,
 }
 
-/// The built-in mega-scenario catalog, shipped as JSON under
-/// `catalog/mega/` and pinned by the scenario-lab test suite.
+/// `catalog/mega/*.json`, embedded at build time, in shipping order.
+#[rustfmt::skip]
+const CATALOG: [(&str, &str); 3] = [
+    ("mega-ci", include_str!("../../../catalog/mega/mega-ci.json")),
+    ("mega-1m", include_str!("../../../catalog/mega/mega-1m.json")),
+    ("mega-1m-lossy", include_str!("../../../catalog/mega/mega-1m-lossy.json")),
+];
+
+/// The mega-scenario catalog — the repository's `catalog/mega/*.json`
+/// files, parsed and validated, in shipping order.
+///
+/// # Panics
+///
+/// Panics, naming the file, if an embedded file does not parse, does not
+/// validate, or is not named after its file stem.
 #[must_use]
 pub fn mega_catalog() -> Vec<MegaSpec> {
-    vec![
-        MegaSpec {
-            name: "mega-ci".into(),
-            description: "100k devices / 1k CPs, lossless — the bounded-RSS CI smoke scale".into(),
-            config: MegaConfig::defaults(100_000, 1_000, 5.0, 606),
-        },
-        MegaSpec {
-            name: "mega-1m".into(),
-            description: "1M devices / 10k CPs, lossless — the headline mega-population run".into(),
-            config: MegaConfig::defaults(1_000_000, 10_000, 5.0, 601),
-        },
-        MegaSpec {
-            name: "mega-1m-lossy".into(),
-            description: "1M devices / 10k CPs under 5% independent loss".into(),
-            config: MegaConfig {
-                loss: 0.05,
-                ..MegaConfig::defaults(1_000_000, 10_000, 5.0, 602)
-            },
-        },
-    ]
+    CATALOG
+        .iter()
+        .map(|&(stem, text)| {
+            let spec: MegaSpec = serde_json::from_str(text)
+                .unwrap_or_else(|e| panic!("catalog/mega/{stem}.json: {e}"));
+            assert_eq!(
+                spec.name, stem,
+                "catalog/mega/{stem}.json: name is not the stem"
+            );
+            spec.config.validate();
+            spec
+        })
+        .collect()
 }
 
 /// Everything a finished mega run reports: aggregate counters and
@@ -343,8 +349,8 @@ impl MegaDcppShard {
         }
     }
 
-    /// Starts a new probe cycle for pair `p` (mirrors
-    /// [`presence_core::Retransmitter::begin_cycle`]).
+    /// Starts a new probe cycle for pair `p` (what
+    /// [`presence_core::Retransmitter::start`] and its wake timer do).
     fn begin_cycle(&mut self, ctx: &mut Context<'_, SimEvent>, p: u32) {
         let i = p as usize;
         self.seq[i] = self.seq[i].wrapping_add(1);

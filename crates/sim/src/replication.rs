@@ -117,7 +117,7 @@ pub fn replicate_with_jobs(
     jobs: usize,
 ) -> ReplicationSummary {
     assert!(!seeds.is_empty(), "need at least one seed");
-    base.validate();
+    base.validate().expect("cannot replicate");
     let points = run_indexed(seeds.len(), jobs, |i| run_one(base, seeds[i]));
     let mut load = Welford::new();
     let mut fairness = Welford::new();

@@ -15,7 +15,7 @@ use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::NetworkActor;
 use crate::trace::TraceCapture;
 use presence_core::{
-    AutoTuneConfig, AutoTuner, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine,
+    AutoTuneConfig, AutoTuner, ConfigError, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine,
     ProbeCycleConfig, SappConfig, SappDevice, SappDeviceConfig,
 };
 use presence_des::{ActorId, SimDuration, SimTime};
@@ -25,6 +25,23 @@ use presence_net::{
 };
 use presence_stats::jain_index;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why a [`ScenarioConfig`] or a [`crate::ScenarioSpec`] was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError(pub String);
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid scenario spec: {}", self.0)
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+pub(crate) fn err(msg: impl Into<String>) -> SpecError {
+    SpecError(msg.into())
+}
 
 /// Serialisable choice of one-way network delay model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,6 +62,28 @@ pub enum DelayKind {
 }
 
 impl DelayKind {
+    pub(crate) fn validate(self) -> Result<(), SpecError> {
+        match self {
+            DelayKind::Constant(s) => {
+                if !(s >= 0.0 && s.is_finite()) {
+                    return Err(err("constant delay must be non-negative"));
+                }
+            }
+            DelayKind::Uniform(lo, hi) => {
+                if !(lo >= 0.0 && lo <= hi && hi.is_finite()) {
+                    return Err(err("uniform delay bounds must satisfy 0 <= low <= high"));
+                }
+            }
+            DelayKind::ThreeModePaper => {}
+            DelayKind::Exponential { mean, cap } => {
+                if !(mean > 0.0 && mean.is_finite() && cap > 0.0 && cap.is_finite()) {
+                    return Err(err("exponential delay needs positive mean and cap"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     pub(crate) fn build(self) -> Box<dyn DelayModel> {
         match self {
             DelayKind::Constant(s) => Box::new(ConstantDelay(SimDuration::from_secs_f64(s))),
@@ -72,6 +111,23 @@ pub enum LossKind {
 }
 
 impl LossKind {
+    pub(crate) fn validate(self) -> Result<(), SpecError> {
+        match self {
+            LossKind::None => {}
+            LossKind::Bernoulli(p) => {
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(err("Bernoulli loss probability must be in [0, 1]"));
+                }
+            }
+            LossKind::Bursty(r) => {
+                if !(r > 0.0 && r <= 0.5) {
+                    return Err(err("bursty loss average rate must be in (0, 0.5]"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     pub(crate) fn build(self) -> Box<dyn LossModel> {
         match self {
             LossKind::None => Box::new(NoLoss),
@@ -120,6 +176,31 @@ impl Protocol {
     pub fn dcpp_paper() -> Self {
         Protocol::Dcpp {
             cfg: DcppConfig::paper_default(),
+        }
+    }
+
+    /// The checks the protocol machines would otherwise panic on when
+    /// they are built (the device at assembly, a CP at its first join).
+    fn validate(&self) -> Result<(), SpecError> {
+        let named = |field: &str, e: ConfigError| err(format!("{field}: {}", e.message()));
+        match self {
+            Protocol::Sapp { cp, device } => {
+                cp.validate().map_err(|e| named("protocol.Sapp.cp", e))?;
+                device
+                    .validate()
+                    .map_err(|e| named("protocol.Sapp.device", e))
+            }
+            Protocol::Dcpp { cfg } => cfg.validate().map_err(|e| named("protocol.Dcpp.cfg", e)),
+            Protocol::FixedRate { cycle, period } => {
+                cycle
+                    .validate()
+                    .map_err(|e| named("protocol.FixedRate.cycle", e))?;
+                // Under one clock tick the period rounds to zero.
+                if !(*period >= 1e-9 && period.is_finite()) {
+                    return Err(err("protocol.FixedRate.period must be positive"));
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -184,21 +265,51 @@ impl ScenarioConfig {
         }
     }
 
-    /// Checks the structural invariants a runnable configuration must
-    /// satisfy. [`Scenario::build`] calls this; batch runners (replication
-    /// studies, parameter sweeps) call it once up front so an invalid base
-    /// fails fast on the calling thread instead of once per worker.
+    /// Checks every invariant a runnable configuration must satisfy — the
+    /// one validator of everything stationary ([`crate::ScenarioSpec`]
+    /// adds only what its phases and failures bring). [`Scenario::build`]
+    /// calls this; batch runners (replication studies, parameter sweeps)
+    /// call it once up front so an invalid base fails fast on the calling
+    /// thread instead of once per worker.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the first violated invariant.
-    pub fn validate(&self) {
-        assert!(self.cp_pool > 0, "need at least one CP");
-        assert!(
-            self.initially_active <= self.cp_pool,
-            "initially_active exceeds the pool"
-        );
-        assert!(self.duration > 0.0, "duration must be positive");
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.cp_pool == 0 {
+            return Err(err("need at least one CP"));
+        }
+        if self.initially_active > self.cp_pool {
+            return Err(err("initially_active exceeds the pool"));
+        }
+        if self.buffer_capacity == 0 {
+            return Err(err("buffer capacity must be positive"));
+        }
+        if !(self.duration > 0.0 && self.duration.is_finite()) {
+            return Err(err("duration must be positive and finite"));
+        }
+        let (p_min, p_max) = self.processing;
+        if !(p_min >= 0.0 && p_min <= p_max && p_max.is_finite()) {
+            return Err(err("processing bounds must satisfy 0 <= min <= max"));
+        }
+        if !(self.join_stagger >= 0.0 && self.join_stagger.is_finite()) {
+            return Err(err("join stagger must be non-negative"));
+        }
+        if !(self.load_window > 0.0 && self.load_window.is_finite()) {
+            return Err(err("load window must be positive"));
+        }
+        self.delay.validate()?;
+        self.loss.validate()?;
+        self.churn.validate()?;
+        self.protocol.validate()?;
+        if let Some(tune) = self.sapp_auto_tune {
+            if !matches!(self.protocol, Protocol::Sapp { .. }) {
+                return Err(err("sapp_auto_tune requires the SAPP protocol"));
+            }
+            tune.validate()
+                .map_err(|e| err(format!("sapp_auto_tune: {}", e.message())))?;
+        }
+        Ok(())
     }
 }
 
@@ -261,7 +372,7 @@ impl Scenario {
         loss: Box<dyn LossModel>,
         churn_switches: &[(f64, ChurnModel)],
     ) -> Self {
-        cfg.validate();
+        cfg.validate().expect("cannot assemble a scenario");
 
         // Actor add order (network, device, CPs, churn, regime) fixes the
         // actor ids and with them every RNG stream.
@@ -774,6 +885,14 @@ mod tests {
             !actor.overlay().is_empty(),
             "cp00 learned no overlay peers from 60 s of SAPP replies"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "processing bounds")]
+    fn rejects_inverted_processing_bounds_before_the_run() {
+        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 0);
+        cfg.processing = (0.02, 0.001);
+        let _ = Scenario::build(cfg);
     }
 
     #[test]

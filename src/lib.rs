@@ -9,8 +9,8 @@
 //!   sans-io state machines, plus baseline failure detectors;
 //! * [`des`] (`presence-des`) — the deterministic discrete-event simulation
 //!   engine (the MODEST/MÖBIUS substitute);
-//! * [`net`] (`presence-net`) — delay models, loss models, bounded buffers,
-//!   and the network fabric;
+//! * [`net`] (`presence-net`) — delay models, loss models, and the network
+//!   fabric (whose admission is the paper's bounded buffer);
 //! * [`stats`] (`presence-stats`) — batch means, confidence intervals,
 //!   histograms, time series, fairness indices;
 //! * [`sim`] (`presence-sim`) — scenarios, churn workloads, and one

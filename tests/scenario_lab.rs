@@ -1,7 +1,7 @@
 //! Acceptance suite for the scenario lab.
 //!
-//! * Every shipped `catalog/*.json` file parses, validates, matches its
-//!   built-in definition, and runs green.
+//! * Every shipped `catalog/*.json` file is embedded in the catalog,
+//!   parses, validates, and runs green.
 //! * The paper-trio catalog entries reproduce the existing golden
 //!   `ScenarioResult` trajectories **bit-for-bit** (same fixtures the
 //!   single-hop golden suite pins) — the declarative layer lowers onto
@@ -14,87 +14,43 @@
 
 use presence::sim::{
     builtin_catalog, mega_catalog, run_lab, ChurnActor, ChurnModel, ChurnPhase, CpSummary,
-    MegaSpec, ScenarioSpec,
 };
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::Path;
 
-fn catalog_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("catalog")
-}
-
-fn shipped_specs() -> Vec<ScenarioSpec> {
-    let mut specs = Vec::new();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(catalog_dir())
-        .expect("catalog/ exists")
+/// The `*.json` file stems under `dir`, sorted.
+fn json_stems(dir: &Path) -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
+        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
         .collect();
-    paths.sort();
-    for path in paths {
-        let text = std::fs::read_to_string(&path).expect("catalog file readable");
-        let spec =
-            ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            path.file_stem().and_then(|s| s.to_str()),
-            Some(spec.name.as_str()),
-            "file stem must match the spec name"
-        );
-        specs.push(spec);
-    }
-    specs
+    stems.sort();
+    stems
 }
 
-/// The shipped `catalog/mega/*.json` files are exactly the built-in
-/// mega definitions — regenerating with `lab --emit-catalog catalog` is
-/// the only way to change them.
+/// The files are the catalog, and the catalog is all the files: a file
+/// added under `catalog/` but not embedded, or embedded but deleted, is
+/// red. (That every entry parses, validates and is named after its file
+/// stem is what reading either catalog asserts.)
 #[test]
-fn mega_catalog_files_match_builtin_definitions() {
-    let mega_dir = catalog_dir().join("mega");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&mega_dir)
-        .expect("catalog/mega/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
-        .collect();
-    // Sort by stem, not path: "mega-1m.json" > "mega-1m-lossy.json" as
-    // paths ('.' > '-') but "mega-1m" < "mega-1m-lossy" as names.
-    paths.sort_by_key(|p| p.file_stem().map(std::ffi::OsStr::to_os_string));
-    let mut builtins = mega_catalog();
-    builtins.sort_by(|a, b| a.name.cmp(&b.name));
+fn catalog_files_are_exactly_the_embedded_entries() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("catalog");
+    let mut names: Vec<String> = builtin_catalog().into_iter().map(|s| s.name).collect();
+    names.sort();
     assert_eq!(
-        paths.len(),
-        builtins.len(),
-        "mega catalog file count drifted from the built-ins"
+        json_stems(&dir),
+        names,
+        "catalog/*.json vs builtin_catalog()"
     );
-    for (path, builtin) in paths.iter().zip(&builtins) {
-        let text = std::fs::read_to_string(path).expect("mega catalog file readable");
-        let spec: MegaSpec =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            path.file_stem().and_then(|s| s.to_str()),
-            Some(spec.name.as_str()),
-            "file stem must match the spec name"
-        );
-        assert_eq!(&spec, builtin, "{} drifted from its built-in", builtin.name);
-        spec.config.validate();
-    }
-}
-
-/// The files on disk are exactly the built-in definitions — regenerating
-/// with `lab --emit-catalog catalog` is the only way to change them.
-#[test]
-fn catalog_files_match_builtin_definitions() {
-    let shipped = shipped_specs();
-    let mut builtins = builtin_catalog();
-    builtins.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut mega: Vec<String> = mega_catalog().into_iter().map(|s| s.name).collect();
+    mega.sort();
     assert_eq!(
-        shipped.len(),
-        builtins.len(),
-        "catalog file count drifted from the built-ins"
+        json_stems(&dir.join("mega")),
+        mega,
+        "catalog/mega/*.json vs mega_catalog()"
     );
-    for (file, builtin) in shipped.iter().zip(&builtins) {
-        assert_eq!(file, builtin, "{} drifted from its built-in", builtin.name);
-    }
 }
 
 /// Every catalog entry runs green end to end and reports a load sample in
@@ -102,7 +58,7 @@ fn catalog_files_match_builtin_definitions() {
 /// in a full-partition window).
 #[test]
 fn every_catalog_entry_runs_green() {
-    for spec in shipped_specs() {
+    for spec in builtin_catalog() {
         let report = run_lab(&spec, &[1], 1).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         assert_eq!(report.windows.len(), spec.regime_windows().len());
         assert!(
@@ -150,7 +106,7 @@ fn paper_trio_catalog_entries_match_golden_fixtures() {
         ("paper-dcpp", "dcpp"),
         ("paper-churn", "churn"),
     ] {
-        let spec = shipped_specs()
+        let spec = builtin_catalog()
             .into_iter()
             .find(|s| s.name == entry)
             .unwrap_or_else(|| panic!("catalog entry {entry} missing"));
@@ -178,7 +134,7 @@ fn paper_trio_catalog_entries_match_golden_fixtures() {
 /// worker count.
 #[test]
 fn mixed_regime_slices_and_is_jobs_invariant() {
-    let spec = shipped_specs()
+    let spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == "mixed-regime-stress")
         .expect("acceptance scenario shipped");
@@ -214,7 +170,7 @@ fn mixed_regime_slices_and_is_jobs_invariant() {
 /// Flash crowds surge to the configured peak and drain back.
 #[test]
 fn flash_crowd_peaks_and_drains() {
-    let spec = shipped_specs()
+    let spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == "flash-crowd")
         .expect("flash-crowd shipped");
@@ -238,7 +194,7 @@ fn flash_crowd_peaks_and_drains() {
 /// Diurnal populations stay inside the configured band and actually move.
 #[test]
 fn diurnal_population_tracks_the_sinusoid_band() {
-    let spec = shipped_specs()
+    let spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == "diurnal-day")
         .expect("diurnal-day shipped");
@@ -274,7 +230,7 @@ fn diurnal_population_tracks_the_sinusoid_band() {
 /// whose loss regime turns total mid-run stops delivering exactly then.
 #[test]
 fn scheduled_loss_switch_is_visible_in_the_slices() {
-    let mut spec = shipped_specs()
+    let mut spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == "partition-recovery")
         .expect("partition-recovery shipped");
