@@ -8,7 +8,7 @@
 //! count, so `--jobs` trades only wall-clock, never results.
 
 use presence_bench::parse_args;
-use presence_sim::{replicate_with_jobs, Protocol, ScenarioConfig};
+use presence_sim::{replicate, Protocol, ScenarioConfig};
 
 fn main() {
     let opts = parse_args();
@@ -26,7 +26,7 @@ fn main() {
         // The output deliberately omits the worker count: it is
         // byte-identical at any `--jobs` value, and keeping it so makes
         // that trivially checkable with `diff`.
-        let summary = replicate_with_jobs(&base, &seeds, 0.95, jobs);
+        let summary = replicate(&base, &seeds, 0.95, jobs);
         println!("{name} (k = 20, {duration:.0} s, {} seeds)", seeds.len());
         println!("{summary}");
     }

@@ -488,17 +488,6 @@ impl<'a, E> Context<'a, E> {
         self.core.reschedule(handle, at)
     }
 
-    /// [`Context::reschedule`] with a delay relative to now (the timer
-    /// rearm idiom).
-    pub fn reschedule_in(
-        &mut self,
-        handle: EventHandle,
-        delay: SimDuration,
-    ) -> Option<EventHandle> {
-        let at = self.core.now + delay;
-        self.core.reschedule(handle, at)
-    }
-
     /// The cancel-then-rearm fast path: moves the pending event behind
     /// `handle` to `now + delay` **and** replaces its payload in place
     /// (timers are rearmed with a fresh token, so the queued payload must
@@ -1098,7 +1087,8 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
             // Arm for t=1, then immediately push the deadline out to t=2.
             let h = ctx.set_timer(SimDuration::from_secs(1), 1);
-            self.handle = ctx.reschedule_in(h, SimDuration::from_secs(2));
+            let at = ctx.now() + SimDuration::from_secs(2);
+            self.handle = ctx.reschedule(h, at);
             assert!(self.handle.is_some());
             assert!(!ctx.is_pending(h), "old handle must be dead");
             assert!(ctx.is_pending(self.handle.unwrap()));
@@ -1107,7 +1097,8 @@ mod tests {
             self.fired.push(ev);
             // Rescheduling a fired handle is a no-op returning None.
             let dead = self.handle.take().unwrap();
-            assert!(ctx.reschedule_in(dead, SimDuration::from_secs(1)).is_none());
+            let at = ctx.now() + SimDuration::from_secs(1);
+            assert!(ctx.reschedule(dead, at).is_none());
         }
     }
 

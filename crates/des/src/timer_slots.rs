@@ -1,9 +1,9 @@
 //! A two-slot inline timer cache.
 //!
 //! The protocols this engine was built for hold very few timers per node —
-//! a control point arms at most two at once (the probe-cycle timer and a
-//! timeout), and the device tracks a handful of in-flight processing
-//! completions. A `HashMap<Token, EventHandle>` pays a hash, a probe
+//! a control point holds one at a time (its probe cycle either awaits a
+//! reply or sleeps until the next wake), and the device tracks a handful
+//! of in-flight processing completions. A `HashMap<Token, EventHandle>` pays a hash, a probe
 //! sequence, and (once, per actor) a heap allocation for what is almost
 //! always a one- or two-element collection on the hottest path in the
 //! simulator.

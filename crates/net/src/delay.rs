@@ -18,20 +18,6 @@ use presence_des::{SimDuration, SimTime, StreamRng};
 pub trait DelayModel: std::fmt::Debug + Send {
     /// Draws the delay for one message sent at `now`.
     fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration;
-
-    /// An upper bound on the delay, if the model has one: what the paper's
-    /// `TOF = 2·RTT_max + C_max` needs to know of a network. Nothing
-    /// outside this crate's tests reads it today.
-    fn max_delay(&self) -> Option<SimDuration>;
-
-    /// A guaranteed lower bound: every [`DelayModel::sample`] call, at any
-    /// `now`, returns at least this much — for every sample, never just in
-    /// expectation (pinned by the `samples_never_undershoot_min_delay`
-    /// proptest). Models that can produce arbitrarily small delays return
-    /// [`SimDuration::ZERO`].
-    fn min_delay(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
 }
 
 /// A constant (deterministic) delay.
@@ -40,12 +26,6 @@ pub struct ConstantDelay(pub SimDuration);
 
 impl DelayModel for ConstantDelay {
     fn sample(&mut self, _now: SimTime, _rng: &mut StreamRng) -> SimDuration {
-        self.0
-    }
-    fn max_delay(&self) -> Option<SimDuration> {
-        Some(self.0)
-    }
-    fn min_delay(&self) -> SimDuration {
         self.0
     }
 }
@@ -80,12 +60,6 @@ impl DelayModel for UniformDelay {
             self.high.as_nanos() as f64 + 1.0,
         );
         SimDuration::from_nanos((nanos as u64).min(self.high.as_nanos()))
-    }
-    fn max_delay(&self) -> Option<SimDuration> {
-        Some(self.high)
-    }
-    fn min_delay(&self) -> SimDuration {
-        self.low
     }
 }
 
@@ -141,12 +115,6 @@ impl DelayModel for ThreeMode {
             _ => self.fast,
         }
     }
-    fn max_delay(&self) -> Option<SimDuration> {
-        Some(self.slow)
-    }
-    fn min_delay(&self) -> SimDuration {
-        self.fast
-    }
 }
 
 /// Exponentially distributed delay with a hard cap (the cap keeps the
@@ -177,11 +145,6 @@ impl DelayModel for ExponentialDelay {
         let secs = rng.exponential(1.0 / self.mean);
         SimDuration::from_secs_f64(secs.min(self.cap.as_secs_f64()))
     }
-    fn max_delay(&self) -> Option<SimDuration> {
-        Some(self.cap)
-    }
-    // An exponential can land arbitrarily close to zero, so the inherited
-    // `min_delay() == ZERO` default is the honest bound.
 }
 
 /// Boxed models forward to their contents, so `Box<dyn DelayModel>` is
@@ -190,12 +153,6 @@ impl DelayModel for ExponentialDelay {
 impl<M: DelayModel + ?Sized> DelayModel for Box<M> {
     fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration {
         (**self).sample(now, rng)
-    }
-    fn max_delay(&self) -> Option<SimDuration> {
-        (**self).max_delay()
-    }
-    fn min_delay(&self) -> SimDuration {
-        (**self).min_delay()
     }
 }
 
@@ -214,7 +171,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(m.sample(SimTime::ZERO, &mut r), SimDuration::from_millis(5));
         }
-        assert_eq!(m.max_delay(), Some(SimDuration::from_millis(5)));
     }
 
     #[test]
@@ -271,7 +227,6 @@ mod tests {
         // RTT_max = 2 * one-way slow = 1 ms; TOF = 2*RTT + 20ms comp = 22ms.
         let rtt_max = m.slow + m.slow;
         assert_eq!(rtt_max, SimDuration::from_millis(1));
-        assert_eq!(m.max_delay(), Some(m.slow));
     }
 
     #[test]
@@ -298,29 +253,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.001).abs() < 1e-4, "exp delay mean {mean}");
-    }
-
-    #[test]
-    fn min_delay_bounds_are_the_expected_corners() {
-        assert_eq!(
-            ConstantDelay(SimDuration::from_millis(5)).min_delay(),
-            SimDuration::from_millis(5)
-        );
-        assert_eq!(
-            UniformDelay::new(SimDuration::from_micros(100), SimDuration::from_micros(500))
-                .min_delay(),
-            SimDuration::from_micros(100)
-        );
-        assert_eq!(
-            ThreeMode::paper_default().min_delay(),
-            SimDuration::from_micros(100)
-        );
-        // Exponential links admit arbitrarily small delays.
-        assert_eq!(
-            ExponentialDelay::new(0.001, SimDuration::from_secs(1)).min_delay(),
-            SimDuration::ZERO
-        );
-        let boxed: Box<dyn DelayModel> = Box::new(ThreeMode::paper_default());
-        assert_eq!(boxed.min_delay(), SimDuration::from_micros(100));
     }
 }

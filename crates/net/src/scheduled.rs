@@ -82,12 +82,6 @@ impl<M> Scheduled<M> {
         self
     }
 
-    /// Index of the segment active at `now` (after advancing the cursor).
-    pub fn active_index(&mut self, now: SimTime) -> usize {
-        self.advance(now);
-        self.current
-    }
-
     /// The number of segments.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -120,26 +114,6 @@ impl<M> Scheduled<M> {
 impl<M: DelayModel> DelayModel for Scheduled<M> {
     fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration {
         self.active(now).sample(now, rng)
-    }
-
-    /// The maximum over *all* segments — protocol timeout validation must
-    /// hold across every regime the run will visit. `None` if any segment
-    /// is unbounded.
-    fn max_delay(&self) -> Option<SimDuration> {
-        self.segments
-            .iter()
-            .map(|(_, m)| m.max_delay())
-            .try_fold(SimDuration::ZERO, |acc, d| d.map(|d| acc.max(d)))
-    }
-
-    /// The minimum over *all* segments — a lower bound must survive every
-    /// regime the run will visit, including ones not yet active.
-    fn min_delay(&self) -> SimDuration {
-        self.segments
-            .iter()
-            .map(|(_, m)| m.min_delay())
-            .min()
-            .expect("schedule is never empty")
     }
 }
 
@@ -188,7 +162,6 @@ mod tests {
         // A quiet network may not send for several regimes; the cursor
         // must catch up across all of them at once.
         assert_eq!(m.sample(t(2.5), &mut r), d(3));
-        assert_eq!(m.active_index(t(2.5)), 2);
         assert_eq!(m.sample(t(3.0), &mut r), d(4));
     }
 
@@ -212,12 +185,6 @@ mod tests {
         let mut m: Scheduled<Box<dyn DelayModel>> =
             Scheduled::new(Box::new(ConstantDelay(d(2))) as Box<dyn DelayModel>)
                 .then(t(1.0), Box::new(crate::delay::ThreeMode::paper_default()));
-        assert_eq!(m.max_delay(), Some(d(2)), "max over all segments");
-        assert_eq!(
-            m.min_delay(),
-            SimDuration::from_micros(100),
-            "min over all segments, even inactive ones"
-        );
         let mut r = rng();
         assert_eq!(m.sample(t(0.5), &mut r), d(2));
         let after = m.sample(t(1.5), &mut r);

@@ -82,12 +82,6 @@ impl ManualClock {
         assert!(t >= *now, "manual clock moved backwards");
         *now = t;
     }
-
-    /// Advances the clock by `secs` seconds.
-    pub fn advance_secs(&self, secs: f64) {
-        let mut now = self.now.lock().expect("clock lock poisoned");
-        *now += presence_des::SimDuration::from_secs_f64(secs);
-    }
 }
 
 impl Clock for ManualClock {
@@ -123,7 +117,7 @@ mod tests {
     fn manual_clock_advances() {
         let c = ManualClock::new();
         assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_secs(1.5);
+        c.set(SimTime::from_secs_f64(1.5));
         assert_eq!(c.now(), SimTime::from_secs_f64(1.5));
         c.set(SimTime::from_secs_f64(2.0));
         assert_eq!(c.now(), SimTime::from_secs_f64(2.0));

@@ -21,10 +21,10 @@
 //!   exponentially distributed instants whose rate is itself modulated by
 //!   the sinusoid (churn is busiest near the peak).
 //!
-//! Models can be **switched mid-run**: the regime scheduler (see
-//! [`crate::RegimeActor`]) sends [`crate::SimEvent::SetChurn`] at
-//! configured boundaries, and the churn actor re-arms under the new model
-//! deterministically.
+//! Models can be **switched mid-run**: the churn actor owns its regime
+//! schedule, posting itself one [`crate::SimEvent::SetChurn`] per
+//! configured boundary at start-up (absolute times, exact at the boundary
+//! instant), and re-arms under the new model deterministically.
 
 use crate::event::SimEvent;
 use crate::scenario::{err, SpecError};
@@ -145,17 +145,6 @@ impl ChurnModel {
         }
     }
 
-    /// The Figure 4 workload (given 20 CPs initially active).
-    #[must_use]
-    pub fn paper_fig4() -> Self {
-        // The paper shows the leave within the first half of the run; the
-        // exact instant is immaterial as the CPs never recover regardless.
-        ChurnModel::BurstLeave {
-            at: 2_000.0,
-            leavers: 18,
-        }
-    }
-
     /// The normalised sinusoid `s(t) = (1 − cos(2πt/period))/2 ∈ [0, 1]`
     /// shared by the [`ChurnModel::Diurnal`] population mean and resample
     /// rate.
@@ -189,9 +178,11 @@ pub struct ChurnActor {
     flash_step: u8,
     /// Population before the flash-crowd up-ramp (the drain target).
     flash_baseline: u32,
-    /// How many mid-run model switches have been applied (lab
-    /// diagnostics; see [`ChurnActor::switches_applied`]).
-    switches: u64,
+    /// The mid-run model switches `(absolute seconds, model)`, posted to
+    /// itself as [`SimEvent::SetChurn`] at start-up.
+    switches: Vec<(f64, ChurnModel)>,
+    /// How many of them have been applied (lab diagnostics).
+    switches_applied: u64,
     /// Regime-switch trace buffer; `None` (one predictable branch per
     /// switch) unless [`ChurnActor::set_trace`] armed it.
     trace: Option<Box<ChurnTrace>>,
@@ -202,11 +193,14 @@ impl ChurnActor {
     /// `initially_active` join at start (staggered uniformly over
     /// `join_stagger`). `horizon` is the configured run length (seconds),
     /// used to pre-size the population series for the expected number of
-    /// resamples.
+    /// resamples. `switches` replaces the model at each paired absolute
+    /// time (seconds).
     ///
     /// # Panics
     ///
-    /// Panics if `initially_active` exceeds the CP pool.
+    /// Panics if `initially_active` exceeds the CP pool, or unless the
+    /// switch times are strictly increasing and positive (a switch at
+    /// t = 0 should be the *initial* model, not a regime change).
     #[must_use]
     pub fn new(
         model: ChurnModel,
@@ -214,11 +208,21 @@ impl ChurnActor {
         initially_active: u32,
         join_stagger: SimDuration,
         horizon: f64,
+        switches: Vec<(f64, ChurnModel)>,
     ) -> Self {
         assert!(
             (initially_active as usize) <= cps.len(),
             "more initially active CPs than the pool holds"
         );
+        for pair in switches.windows(2) {
+            assert!(
+                pair[0].0 < pair[1].0,
+                "churn switch times must be strictly increasing"
+            );
+        }
+        if let Some(&(first, _)) = switches.first() {
+            assert!(first > 0.0, "first churn switch must be after t = 0");
+        }
         let active = vec![false; cps.len()];
         let samples_hint = Self::samples_hint(model, horizon);
         Self {
@@ -232,7 +236,8 @@ impl ChurnActor {
             wave: Vec::new(),
             flash_step: 0,
             flash_baseline: 0,
-            switches: 0,
+            switches,
+            switches_applied: 0,
             trace: None,
         }
     }
@@ -278,7 +283,7 @@ impl ChurnActor {
     /// How many mid-run model switches this actor has applied.
     #[must_use]
     pub fn switches_applied(&self) -> u64 {
-        self.switches
+        self.switches_applied
     }
 
     fn active_count(&self) -> u32 {
@@ -493,6 +498,10 @@ impl Actor<SimEvent> for ChurnActor {
         }
         self.record_population(ctx.now());
         self.arm(ctx);
+        let me = ctx.me();
+        for &(at, model) in &self.switches {
+            ctx.schedule_at(SimTime::from_secs_f64(at), me, SimEvent::SetChurn(model));
+        }
     }
 
     fn on_event(&mut self, ctx: &mut Context<'_, SimEvent>, event: SimEvent) {
@@ -566,9 +575,9 @@ impl Actor<SimEvent> for ChurnActor {
                     ctx.cancel(handle);
                 }
                 self.model = model;
-                self.switches += 1;
+                self.switches_applied += 1;
                 if let Some(t) = self.trace.as_deref_mut() {
-                    t.switch(ctx.now().as_nanos(), self.switches);
+                    t.switch(ctx.now().as_nanos(), self.switches_applied);
                 }
                 self.arm(ctx);
             }

@@ -67,10 +67,9 @@ pub struct CpActor {
     network: ActorId,
     device: presence_core::DeviceId,
     prober: Option<Box<dyn Prober + Send>>,
-    /// Live protocol timers. A CP arms at most two at once (cycle timer +
-    /// timeout), so the two inline slots make this allocation-free and
-    /// hash-free on the steady-state path; a hypothetical third timer
-    /// spills safely (ROADMAP hot path (c)).
+    /// Live protocol timers. A CP holds one at a time (its probe cycle
+    /// awaits a reply or sleeps until the next wake), so the inline slots
+    /// make this allocation-free and hash-free on the steady-state path.
     timers: TimerSlots<TimerToken>,
     /// A timer handle freed by a `CancelTimer` earlier in the current
     /// action batch, kept alive so a following `StartTimer` can rearm it
@@ -148,12 +147,6 @@ impl CpActor {
     #[must_use]
     pub fn id(&self) -> CpId {
         self.id
-    }
-
-    /// Whether the CP is currently probing.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Probe-cycle statistics over all sessions, the one in progress (if

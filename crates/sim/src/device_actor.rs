@@ -127,12 +127,6 @@ impl DeviceActor {
         self.tuner.as_ref()
     }
 
-    /// Whether the device is still answering probes.
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
     /// When the device crashed or left, if it did.
     #[must_use]
     pub fn stopped_at(&self) -> Option<SimTime> {

@@ -1,8 +1,9 @@
-//! The event vocabulary shared by all simulation actors.
+//! The event vocabulary of a hub simulation: the messages its four actor
+//! kinds (CP, device, network, churn) exchange. The mega shard runs alone
+//! on its own index event, [`crate::MegaEvent`].
 
 use crate::churn::ChurnModel;
 use presence_core::{CpId, DeviceId, TimerToken, WireMessage};
-use presence_des::SimDuration;
 
 /// Network-level address of a node actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -13,7 +14,7 @@ pub enum Addr {
     Device(DeviceId),
 }
 
-/// Everything that can be scheduled in a presence simulation.
+/// Everything that can be scheduled in a hub simulation.
 #[derive(Debug, Clone)]
 pub enum SimEvent {
     /// (to the network actor) Admit `msg` for unicast delivery to `to`.
@@ -51,10 +52,10 @@ pub enum SimEvent {
     GracefulLeave,
     /// (to the churn actor) Resample the target CP population.
     ResampleChurn,
-    /// (to the churn actor) Switch to a new churn model mid-run — sent by
-    /// the regime scheduler at a configured boundary. The churn actor
-    /// cancels its pending self-events, unwinds any not-yet-fired wave
-    /// joins/leaves, and re-arms under the new model.
+    /// (to the churn actor, from itself) Switch to a new churn model
+    /// mid-run at a configured boundary. The churn actor cancels its
+    /// pending self-events, unwinds any not-yet-fired wave joins/leaves,
+    /// and re-arms under the new model.
     SetChurn(ChurnModel),
     /// (to the churn actor, from itself) One step of a staggered
     /// join/leave wave: flip CP `index`'s membership now and forward the
@@ -68,31 +69,4 @@ pub enum SimEvent {
     },
     /// (to a device actor, SAPP Δ-retuning ablation) Multiply Δ by two.
     DoubleDelta,
-    /// (to a [`crate::MegaDcppShard`]) A probe from pair `pair` arrives at
-    /// its device. Mega events carry dense indices instead of wire structs:
-    /// at 10⁶ pairs the per-event footprint is what bounds queue memory.
-    MegaProbe {
-        /// Dense (CP, device) pair index inside the shard.
-        pair: u32,
-        /// Probe-cycle sequence number (per pair).
-        seq: u32,
-    },
-    /// (to a [`crate::MegaDcppShard`]) The device's reply for cycle `seq`
-    /// arrives back at pair `pair`'s CP.
-    MegaReply {
-        /// Dense pair index.
-        pair: u32,
-        /// The cycle it answers.
-        seq: u32,
-        /// The device-dictated wait until the next probe.
-        wait: SimDuration,
-    },
-    /// (to a [`crate::MegaDcppShard`]) Pair `pair`'s single outstanding
-    /// timer fired: a probe timeout while probing, the inter-cycle wake
-    /// while sleeping (the shard keeps at most one timer per pair, so the
-    /// pair's phase disambiguates).
-    MegaTimer {
-        /// Dense pair index.
-        pair: u32,
-    },
 }

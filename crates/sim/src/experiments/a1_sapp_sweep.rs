@@ -6,7 +6,7 @@
 //! multiplicative-adaptation design (as the paper's §3 analysis argues) or
 //! an artefact of one parameter choice.
 
-use crate::{ParamSweep, Protocol, Scenario, ScenarioConfig};
+use crate::{run_indexed, Protocol, Scenario, ScenarioConfig};
 use presence_core::{SappConfig, SappDeviceConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -64,19 +64,12 @@ impl fmt::Display for A1Report {
     }
 }
 
-/// Runs the sweep over a small grid around the paper's point, using
-/// `PRESENCE_JOBS` workers (see [`crate::parallel`]).
-#[must_use]
-pub fn a1_sapp_param_sweep(k: u32, duration: f64, seed: u64) -> A1Report {
-    a1_sapp_param_sweep_jobs(k, duration, seed, ParamSweep::new().jobs())
-}
-
-/// [`a1_sapp_param_sweep`] with an explicit worker count (the `--jobs`
-/// flag). Every `(cell, seed)` grid point is an independent simulation, so
-/// the pool fans them out; the report's cell order is the serial nested
+/// Runs the sweep over a small grid around the paper's point on `jobs`
+/// workers (the `--jobs` flag). Every cell is an independent simulation,
+/// so the pool fans them out; the report's cell order is the serial nested
 /// loop's order regardless of `jobs`.
 #[must_use]
-pub fn a1_sapp_param_sweep_jobs(k: u32, duration: f64, seed: u64, jobs: usize) -> A1Report {
+pub fn a1_sapp_param_sweep(k: u32, duration: f64, seed: u64, jobs: usize) -> A1Report {
     let mut grid = Vec::with_capacity(27);
     for &alpha_inc in &[1.5, 2.0, 3.0] {
         for &alpha_dec in &[1.25, 1.5, 2.0] {
@@ -85,33 +78,33 @@ pub fn a1_sapp_param_sweep_jobs(k: u32, duration: f64, seed: u64, jobs: usize) -
             }
         }
     }
-    let groups =
-        ParamSweep::with_jobs(jobs).run(&grid, &[seed], |&(alpha_inc, alpha_dec, beta), seed| {
-            let cp = SappConfig {
-                alpha_inc,
-                alpha_dec,
-                beta,
-                ..SappConfig::paper_default()
-            };
-            let protocol = Protocol::Sapp {
-                cp,
-                device: SappDeviceConfig::paper_default(),
-            };
-            let cfg = ScenarioConfig::paper_defaults(protocol, k, duration, seed);
-            let mut scenario = Scenario::build(cfg);
-            scenario.run();
-            let result = scenario.collect();
-            A1Cell {
-                alpha_inc,
-                alpha_dec,
-                beta,
-                fairness_jain: result.fairness_jain,
-                frequency_spread: result.frequency_spread(),
-                load_mean: result.load_mean,
-            }
-        });
+    let cells = run_indexed(grid.len(), jobs, |i| {
+        let (alpha_inc, alpha_dec, beta) = grid[i];
+        let cp = SappConfig {
+            alpha_inc,
+            alpha_dec,
+            beta,
+            ..SappConfig::paper_default()
+        };
+        let protocol = Protocol::Sapp {
+            cp,
+            device: SappDeviceConfig::paper_default(),
+        };
+        let cfg = ScenarioConfig::paper_defaults(protocol, k, duration, seed);
+        let mut scenario = Scenario::build(cfg);
+        scenario.run();
+        let result = scenario.collect();
+        A1Cell {
+            alpha_inc,
+            alpha_dec,
+            beta,
+            fairness_jain: result.fairness_jain,
+            frequency_spread: result.frequency_spread(),
+            load_mean: result.load_mean,
+        }
+    });
     A1Report {
-        cells: groups.into_iter().flatten().collect(),
+        cells,
         k,
         duration,
         seed,
@@ -121,10 +114,11 @@ pub fn a1_sapp_param_sweep_jobs(k: u32, duration: f64, seed: u64, jobs: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job_count;
 
     #[test]
     fn a1_covers_the_grid() {
-        let r = a1_sapp_param_sweep(3, 150.0, 1);
+        let r = a1_sapp_param_sweep(3, 150.0, 1, job_count());
         assert_eq!(r.cells.len(), 27);
         for c in &r.cells {
             assert!(c.load_mean.is_finite());
@@ -134,14 +128,14 @@ mod tests {
 
     #[test]
     fn a1_renders() {
-        let r = a1_sapp_param_sweep(2, 60.0, 1);
+        let r = a1_sapp_param_sweep(2, 60.0, 1, job_count());
         assert!(r.to_string().contains("A1"));
     }
 
     #[test]
     fn a1_worker_count_does_not_change_cells() {
-        let serial = a1_sapp_param_sweep_jobs(2, 60.0, 3, 1);
-        let parallel = a1_sapp_param_sweep_jobs(2, 60.0, 3, 4);
+        let serial = a1_sapp_param_sweep(2, 60.0, 3, 1);
+        let parallel = a1_sapp_param_sweep(2, 60.0, 3, 4);
         let bits = |r: &A1Report| {
             r.cells
                 .iter()

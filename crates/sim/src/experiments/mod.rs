@@ -40,7 +40,7 @@ mod e5_fig5;
 mod e6_dcpp_static;
 mod e7_loss;
 
-pub use a1_sapp_sweep::{a1_sapp_param_sweep, a1_sapp_param_sweep_jobs, A1Cell, A1Report};
+pub use a1_sapp_sweep::{a1_sapp_param_sweep, A1Cell, A1Report};
 pub use a2_delta_double::{a2_delta_doubling, A2Report};
 pub use a3_baseline::{a3_fixed_rate_baseline, A3Report, A3Row};
 pub use a4_detection::{a4_detection_latency, A4Report, A4Row};
@@ -56,7 +56,7 @@ pub use e5_fig5::{e5_fig5_dcpp_churn, E5Report};
 pub use e6_dcpp_static::{e6_dcpp_static_fairness, E6Report, E6Row};
 pub use e7_loss::{e7_dcpp_loss_spread, E7Report, E7Row};
 
-use crate::{replicate_with_jobs, Protocol, ScenarioConfig};
+use crate::{replicate, Protocol, ScenarioConfig};
 use serde::Serialize;
 use std::fmt::Display;
 
@@ -142,7 +142,7 @@ fn run_e1(args: &RunArgs) -> String {
         let check_duration = args.duration.min(5_000.0);
         let base =
             ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 20, check_duration, args.seed);
-        let summary = replicate_with_jobs(&base, &seeds, 0.95, args.jobs);
+        let summary = replicate(&base, &seeds, 0.95, args.jobs);
         out += &format!(
             "cross-check: independent replications ({} seeds × {check_duration:.0} s)\n{summary}",
             seeds.len()
@@ -183,7 +183,7 @@ pub const CATALOG: [Experiment; 15] = [
         plain(&e7_dcpp_loss_spread(a.duration, a.seed), a)
     }),
     row("a1", 2_000.0, 500.0, |a| {
-        plain(&a1_sapp_param_sweep_jobs(20, a.duration, a.seed, a.jobs), a)
+        plain(&a1_sapp_param_sweep(20, a.duration, a.seed, a.jobs), a)
     }),
     row("a2", 10_000.0, 8_000.0, |a| {
         plain(&a2_delta_doubling(20, a.duration, a.seed), a)

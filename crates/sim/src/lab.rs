@@ -11,8 +11,8 @@
 //!
 //! * delay/loss phases become a [`presence_net::Scheduled`] wrapper that
 //!   switches models exactly at the boundaries;
-//! * churn phases after the first are driven by a [`crate::RegimeActor`]
-//!   sending [`crate::SimEvent::SetChurn`] at each boundary;
+//! * churn phases after the first become the churn actor's own
+//!   [`crate::SimEvent::SetChurn`] switches, one per boundary;
 //! * every phase start becomes a **regime window**, and [`slice_result`]
 //!   reports device load, Jain fairness, population, and detection
 //!   latency per window;

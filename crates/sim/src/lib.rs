@@ -8,15 +8,16 @@
 //! * [`Scenario`] / [`ScenarioConfig`] — build and run one experiment
 //!   (protocol, population, network, churn, seed, duration) on the
 //!   paper's network: one process, one bounded buffer.
-//! * [`ChurnModel`] — static populations, the Figure 4 burst-leave, and the
-//!   Figure 5 uniform-resample churn.
+//! * [`ChurnModel`] — static populations, the Figure 4 burst-leave, the
+//!   Figure 5 uniform-resample churn, and the lab's flash-crowd and
+//!   diurnal workloads.
 //! * [`ScenarioResult`] — device load series, per-CP frequency series
 //!   (Figures 2–4), buffer occupancy, fairness indices.
 //! * [`experiments`] — one preset per paper artifact (E1–E7) and ablation
-//!   (A1–A4); the `presence-bench` binaries are thin wrappers over these.
-//! * [`parallel`] / [`replicate`] — seed- and parameter-parallel study
-//!   runners (`PRESENCE_JOBS` workers) whose merged results are
-//!   bit-identical to a serial run.
+//!   (A1–A8); the `presence-bench` binaries are thin wrappers over these.
+//! * [`parallel`] — the one worker loop behind every seed- and
+//!   parameter-parallel study (`PRESENCE_JOBS` / `--jobs` workers), whose
+//!   results are bit-identical to a serial run.
 //!
 //! ```
 //! use presence_sim::{Protocol, Scenario, ScenarioConfig};
@@ -43,13 +44,12 @@ mod metrics;
 mod network_actor;
 mod output;
 pub mod parallel;
-mod regime;
 mod replication;
 mod scenario;
 pub mod test_profile;
 pub mod trace;
 
-pub use actor_set::{CollectorActor, PresenceActorSet, PresenceSim};
+pub use actor_set::{PresenceActorSet, PresenceSim};
 pub use churn::{ChurnActor, ChurnModel};
 pub use cp_actor::{CpActor, CpRecord, ProberFactory};
 pub use device_actor::{DeviceActor, ProcessingModel};
@@ -59,14 +59,14 @@ pub use lab::{
     LabSeedResult, LossPhase, RegimeSlice, ScenarioSpec,
 };
 pub use mega::{
-    mega_catalog, run_mega_spec, MegaConfig, MegaDcppShard, MegaResult, MegaScenario, MegaSpec,
+    mega_catalog, run_mega_spec, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario,
+    MegaSpec,
 };
 pub use metrics::{CpSummary, ScenarioResult};
 pub use network_actor::NetworkActor;
 pub use output::{ascii_chart, kv_table, series_to_csv};
-pub use parallel::{for_each_indexed, job_count, run_indexed, ParamSweep};
-pub use regime::RegimeActor;
-pub use replication::{replicate, replicate_with_jobs, ReplicationPoint, ReplicationSummary};
+pub use parallel::{for_each_indexed, job_count, run_indexed};
+pub use replication::{replicate, ReplicationPoint, ReplicationSummary};
 pub use scenario::{
     golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError,
 };

@@ -7,12 +7,13 @@
 //! 10⁶ devices that layout would cost gigabytes before the first event
 //! fires. The [`MegaDcppShard`] replaces it with dense parallel vectors —
 //! one `u8` phase, one `u32` sequence number, one `u8` transmission count,
-//! and one timer handle per pair; one `nt` register per device — and three
-//! compact index-carrying events ([`SimEvent::MegaProbe`],
-//! [`SimEvent::MegaReply`], [`SimEvent::MegaTimer`]). The shard samples
-//! its own network delay, loss, and device processing times, so a mega run
-//! needs no [`crate::NetworkActor`]: the steady-state cost is ~3 engine
-//! events and zero allocations per probe cycle.
+//! and one timer handle per pair; one `nt` register per device — and its
+//! own three-variant index event, [`MegaEvent`]. The shard samples its
+//! own network delay, loss, and device processing times, so a mega run
+//! needs no [`crate::NetworkActor`]: it is a one-kind simulation,
+//! `Simulation<MegaEvent, MegaDcppShard>`, sharing nothing with the hub's
+//! actor set, and the steady-state cost is ~3 engine events and zero
+//! allocations per probe cycle.
 //!
 //! The protocol semantics are exactly those of the reference machines
 //! ([`presence_core::DcppCp`] / [`presence_core::Retransmitter`] /
@@ -30,14 +31,42 @@
 //! the per-completion `(t, pair, wait)` log the differential test
 //! compares.
 
-use crate::actor_set::PresenceSim;
-use crate::event::SimEvent;
 use presence_core::{CpStats, DcppConfig};
 use presence_des::{
     Actor, ActorId, Context, EventHandle, QueueProfile, SimDuration, SimTime, Simulation, StreamRng,
 };
 use presence_stats::{JumpingWindowRate, P2Quantile, Welford};
 use serde::{Deserialize, Serialize};
+
+/// Everything scheduled in a mega simulation. Mega events carry dense
+/// indices instead of wire structs: at 10⁶ pairs the per-event footprint
+/// is what bounds queue memory.
+#[derive(Debug, Clone, Copy)]
+pub enum MegaEvent {
+    /// A probe from pair `pair` arrives at its device.
+    Probe {
+        /// Dense (CP, device) pair index inside the shard.
+        pair: u32,
+        /// Probe-cycle sequence number (per pair).
+        seq: u32,
+    },
+    /// The device's reply for cycle `seq` arrives back at pair `pair`'s CP.
+    Reply {
+        /// Dense pair index.
+        pair: u32,
+        /// The cycle it answers.
+        seq: u32,
+        /// The device-dictated wait until the next probe.
+        wait: SimDuration,
+    },
+    /// Pair `pair`'s single outstanding timer fired: a probe timeout while
+    /// probing, the inter-cycle wake while sleeping (the shard keeps at
+    /// most one timer per pair, so the pair's phase disambiguates).
+    Timer {
+        /// Dense pair index.
+        pair: u32,
+    },
+}
 
 /// Pair phases (dense `u8` instead of an enum so the phase vector packs).
 const PROBING: u8 = 0;
@@ -333,7 +362,7 @@ impl MegaDcppShard {
 
     /// Transmits pair `p`'s current probe: samples loss and (if delivered)
     /// the uplink delay, scheduling the device-side arrival.
-    fn send_probe(&mut self, ctx: &mut Context<'_, SimEvent>, p: u32) {
+    fn send_probe(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32) {
         let lost = self.lost(ctx.rng());
         if !lost {
             let delay = self.net_delay(ctx.rng());
@@ -341,7 +370,7 @@ impl MegaDcppShard {
             ctx.schedule_in(
                 delay,
                 me,
-                SimEvent::MegaProbe {
+                MegaEvent::Probe {
                     pair: p,
                     seq: self.seq[p as usize],
                 },
@@ -351,7 +380,7 @@ impl MegaDcppShard {
 
     /// Starts a new probe cycle for pair `p` (what
     /// [`presence_core::Retransmitter::start`] and its wake timer do).
-    fn begin_cycle(&mut self, ctx: &mut Context<'_, SimEvent>, p: u32) {
+    fn begin_cycle(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32) {
         let i = p as usize;
         self.seq[i] = self.seq[i].wrapping_add(1);
         self.transmissions[i] = 1;
@@ -360,13 +389,13 @@ impl MegaDcppShard {
         self.stats.probes_sent += 1;
         self.send_probe(ctx, p);
         let me = ctx.me();
-        let handle = ctx.schedule_in(self.cfg.dcpp.cycle.tof, me, SimEvent::MegaTimer { pair: p });
+        let handle = ctx.schedule_in(self.cfg.dcpp.cycle.tof, me, MegaEvent::Timer { pair: p });
         self.timer[i] = Some(handle);
     }
 
     /// Pair `p`'s single outstanding timer fired: a probe timeout while
     /// probing, the inter-cycle wake while sleeping.
-    fn on_timer(&mut self, ctx: &mut Context<'_, SimEvent>, p: u32) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32) {
         let i = p as usize;
         self.timer[i] = None;
         match self.phase[i] {
@@ -382,11 +411,8 @@ impl MegaDcppShard {
                     self.stats.retransmissions += 1;
                     self.send_probe(ctx, p);
                     let me = ctx.me();
-                    let handle = ctx.schedule_in(
-                        self.cfg.dcpp.cycle.tos,
-                        me,
-                        SimEvent::MegaTimer { pair: p },
-                    );
+                    let handle =
+                        ctx.schedule_in(self.cfg.dcpp.cycle.tos, me, MegaEvent::Timer { pair: p });
                     self.timer[i] = Some(handle);
                     self.transmissions[i] += 1;
                 }
@@ -399,7 +425,7 @@ impl MegaDcppShard {
     /// `nt` schedule (the [`presence_core::DcppDevice`] formula) and, if
     /// neither the reply nor its flight is lost, schedule the reply's
     /// arrival back at the CP side.
-    fn on_probe_arrival(&mut self, ctx: &mut Context<'_, SimEvent>, p: u32, seq: u32) {
+    fn on_probe_arrival(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32, seq: u32) {
         let now = ctx.now();
         let d = (p / self.cfg.watchers_per_device) as usize;
         self.device_probes += 1;
@@ -419,7 +445,7 @@ impl MegaDcppShard {
             ctx.schedule_in(
                 processing + delay,
                 me,
-                SimEvent::MegaReply { pair: p, seq, wait },
+                MegaEvent::Reply { pair: p, seq, wait },
             );
         }
     }
@@ -427,7 +453,7 @@ impl MegaDcppShard {
     /// The device's reply for cycle `seq` arrives back at pair `p`'s CP.
     fn on_reply_arrival(
         &mut self,
-        ctx: &mut Context<'_, SimEvent>,
+        ctx: &mut Context<'_, MegaEvent>,
         p: u32,
         seq: u32,
         wait: SimDuration,
@@ -452,7 +478,7 @@ impl MegaDcppShard {
             }
             self.phase[i] = SLEEPING;
             let me = ctx.me();
-            let handle = ctx.schedule_in(wait, me, SimEvent::MegaTimer { pair: p });
+            let handle = ctx.schedule_in(wait, me, MegaEvent::Timer { pair: p });
             self.timer[i] = Some(handle);
         } else {
             self.stats.stale_replies += 1;
@@ -500,8 +526,8 @@ impl MegaDcppShard {
     }
 }
 
-impl Actor<SimEvent> for MegaDcppShard {
-    fn on_start(&mut self, ctx: &mut Context<'_, SimEvent>) {
+impl Actor<MegaEvent> for MegaDcppShard {
+    fn on_start(&mut self, ctx: &mut Context<'_, MegaEvent>) {
         let stagger = self.cfg.join_stagger;
         let me = ctx.me();
         for p in 0..self.cfg.pairs() {
@@ -510,25 +536,24 @@ impl Actor<SimEvent> for MegaDcppShard {
             } else {
                 SimDuration::ZERO
             };
-            let handle = ctx.schedule_in(offset, me, SimEvent::MegaTimer { pair: p });
+            let handle = ctx.schedule_in(offset, me, MegaEvent::Timer { pair: p });
             self.timer[p as usize] = Some(handle);
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, SimEvent>, event: SimEvent) {
+    fn on_event(&mut self, ctx: &mut Context<'_, MegaEvent>, event: MegaEvent) {
         match event {
-            SimEvent::MegaProbe { pair, seq } => self.on_probe_arrival(ctx, pair, seq),
-            SimEvent::MegaReply { pair, seq, wait } => self.on_reply_arrival(ctx, pair, seq, wait),
-            SimEvent::MegaTimer { pair } => self.on_timer(ctx, pair),
-            other => debug_assert!(false, "mega shard got unexpected event {other:?}"),
+            MegaEvent::Probe { pair, seq } => self.on_probe_arrival(ctx, pair, seq),
+            MegaEvent::Reply { pair, seq, wait } => self.on_reply_arrival(ctx, pair, seq, wait),
+            MegaEvent::Timer { pair } => self.on_timer(ctx, pair),
         }
     }
 }
 
-/// A built, runnable mega scenario: the shard on a calendar-queue
-/// simulation.
+/// A built, runnable mega scenario: the shard alone on a calendar-queue
+/// simulation of its own event type.
 pub struct MegaScenario {
-    sim: PresenceSim,
+    sim: Simulation<MegaEvent, MegaDcppShard>,
     shard: ActorId,
     cfg: MegaConfig,
 }
@@ -537,9 +562,8 @@ impl MegaScenario {
     /// Builds a mega scenario on the calendar queue profile.
     #[must_use]
     pub fn build(cfg: MegaConfig) -> Self {
-        let mut sim: PresenceSim =
-            Simulation::with_actor_set_and_profile(cfg.seed, QueueProfile::calendar());
-        let shard = sim.add_member(MegaDcppShard::new(cfg).into());
+        let mut sim = Simulation::with_actor_set_and_profile(cfg.seed, QueueProfile::calendar());
+        let shard = sim.add_member(MegaDcppShard::new(cfg));
         Self { sim, shard, cfg }
     }
 
@@ -561,14 +585,8 @@ impl MegaScenario {
         &self.cfg
     }
 
-    /// The shard actor id.
-    #[must_use]
-    pub fn shard_actor(&self) -> ActorId {
-        self.shard
-    }
-
     /// The underlying simulation.
-    pub fn sim_mut(&mut self) -> &mut PresenceSim {
+    pub fn sim_mut(&mut self) -> &mut Simulation<MegaEvent, MegaDcppShard> {
         &mut self.sim
     }
 
@@ -639,6 +657,13 @@ mod tests {
             let back: MegaSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(back, spec);
         }
+    }
+
+    /// The per-event footprint bounds queue memory (module docs): three
+    /// index words, never a wire struct.
+    #[test]
+    fn mega_event_stays_index_sized() {
+        assert!(std::mem::size_of::<MegaEvent>() <= 24);
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl ScenarioResult {
         v
     }
 
-    /// Descriptive statistics over the active CPs' mean delays (the §3
-    /// steady-state table's underlying distribution); `None` when no CP
-    /// completed a cycle.
-    #[must_use]
-    pub fn delay_summary(&self) -> Option<presence_stats::Summary> {
-        let delays: Vec<f64> = self.active_cps().iter().map(|c| c.mean_delay).collect();
-        presence_stats::describe(&delays)
-    }
-
     /// Ratio between the fastest and slowest active CP's mean frequency
     /// (1.0 = perfectly fair).
     #[must_use]
@@ -250,11 +241,6 @@ mod tests {
         assert_eq!(r.active_cps().len(), 2);
         assert_eq!(r.sorted_mean_delays(), vec![1.0, 4.0]);
         assert!((r.frequency_spread() - 4.0).abs() < 1e-9);
-        let summary = r.delay_summary().unwrap();
-        assert_eq!(summary.count, 2);
-        assert!((summary.mean - 2.5).abs() < 1e-9);
-        assert_eq!(summary.min, 1.0);
-        assert_eq!(summary.max, 4.0);
     }
 
     #[test]

@@ -161,10 +161,44 @@ impl Actor<SimEvent> for NetworkActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor_set::{CollectorActor, PresenceSim};
     use presence_core::{CpId, DeviceId, Probe, WireMessage};
     use presence_des::{SimTime, Simulation};
     use presence_net::Fabric;
+
+    /// The network plus sinks that log what reaches them.
+    #[allow(clippy::large_enum_variant)]
+    enum Node {
+        Net(NetworkActor),
+        Sink(Vec<SimEvent>),
+    }
+
+    impl Actor<SimEvent> for Node {
+        fn on_event(&mut self, ctx: &mut Context<'_, SimEvent>, event: SimEvent) {
+            match self {
+                Node::Net(net) => net.on_event(ctx, event),
+                Node::Sink(log) => log.push(event),
+            }
+        }
+    }
+
+    type NetSim = Simulation<SimEvent, Node>;
+
+    fn net(sim: &mut NetSim, id: ActorId) -> &mut NetworkActor {
+        match sim.actor_mut::<Node>(id) {
+            Some(Node::Net(net)) => net,
+            _ => panic!("not the network"),
+        }
+    }
+
+    fn deliveries(sim: &NetSim, id: ActorId) -> usize {
+        match sim.actor::<Node>(id) {
+            Some(Node::Sink(log)) => log
+                .iter()
+                .filter(|e| matches!(e, SimEvent::Deliver(_)))
+                .count(),
+            _ => panic!("not a sink"),
+        }
+    }
 
     fn probe() -> WireMessage {
         WireMessage::Probe(Probe {
@@ -175,12 +209,10 @@ mod tests {
 
     /// Satellite regression: messages to an unregistered address used to
     /// vanish with no trace at all — indistinguishable from network loss.
-    /// (These tests run on the typed actor set, so the network's enum
-    /// dispatch path is what they exercise.)
     #[test]
     fn unroutable_messages_are_counted_not_dropped_silently() {
-        let mut sim: PresenceSim = Simulation::with_actor_set(1);
-        let network = sim.add_member(NetworkActor::new(Fabric::paper_default()).into());
+        let mut sim: NetSim = Simulation::with_actor_set(1);
+        let network = sim.add_member(Node::Net(NetworkActor::new(Fabric::paper_default())));
         sim.schedule_at(
             SimTime::ZERO,
             network,
@@ -199,10 +231,7 @@ mod tests {
         );
         sim.run_until_idle();
         let now = sim.now();
-        let net = sim
-            .actor_mut::<NetworkActor>(network)
-            .expect("network actor");
-        let stats = net.fabric_stats(now);
+        let stats = net(&mut sim, network).fabric_stats(now);
         assert_eq!(stats.unroutable, 2);
         // Unroutable messages never reach the fabric: not offered, not
         // counted as loss, no buffer slot occupied.
@@ -214,12 +243,10 @@ mod tests {
     /// A registered route makes the same send a normal two-event delivery.
     #[test]
     fn registered_route_admits_and_delivers() {
-        let mut sim: PresenceSim = Simulation::with_actor_set(1);
-        let network = sim.add_member(NetworkActor::new(Fabric::paper_default()).into());
-        let sink = sim.add_member(CollectorActor::new().into());
-        sim.actor_mut::<NetworkActor>(network)
-            .expect("network actor")
-            .register(Addr::Cp(CpId(3)), sink);
+        let mut sim: NetSim = Simulation::with_actor_set(1);
+        let network = sim.add_member(Node::Net(NetworkActor::new(Fabric::paper_default())));
+        let sink = sim.add_member(Node::Sink(Vec::new()));
+        net(&mut sim, network).register(Addr::Cp(CpId(3)), sink);
         sim.schedule_at(
             SimTime::ZERO,
             network,
@@ -229,19 +256,11 @@ mod tests {
             },
         );
         sim.run_until_idle();
-        assert_eq!(
-            sim.actor::<CollectorActor>(sink)
-                .expect("sink")
-                .deliveries(),
-            1
-        );
+        assert_eq!(deliveries(&sim, sink), 1);
         // Exactly two events: the Send dispatch and the Deliver firing.
         assert_eq!(sim.events_processed(), 2);
         let now = sim.now();
-        let stats = sim
-            .actor_mut::<NetworkActor>(network)
-            .expect("network actor")
-            .fabric_stats(now);
+        let stats = net(&mut sim, network).fabric_stats(now);
         assert_eq!(stats.unroutable, 0);
         assert_eq!((stats.offered, stats.delivered), (1, 1));
     }
@@ -250,37 +269,23 @@ mod tests {
     /// without touching device routes.
     #[test]
     fn broadcast_reaches_every_registered_cp() {
-        let mut sim: PresenceSim = Simulation::with_actor_set(1);
-        let network = sim.add_member(NetworkActor::new(Fabric::paper_default()).into());
+        let mut sim: NetSim = Simulation::with_actor_set(1);
+        let network = sim.add_member(Node::Net(NetworkActor::new(Fabric::paper_default())));
         let mut sinks = Vec::new();
         for i in 0..4u32 {
-            let sink = sim.add_member(CollectorActor::new().into());
+            let sink = sim.add_member(Node::Sink(Vec::new()));
             sinks.push(sink);
-            sim.actor_mut::<NetworkActor>(network)
-                .expect("network actor")
-                .register(Addr::Cp(CpId(i)), sink);
+            net(&mut sim, network).register(Addr::Cp(CpId(i)), sink);
         }
         // A device route must not receive CP broadcasts.
-        let dev = sim.add_member(CollectorActor::new().into());
-        sim.actor_mut::<NetworkActor>(network)
-            .expect("network actor")
-            .register(Addr::Device(DeviceId(0)), dev);
+        let dev = sim.add_member(Node::Sink(Vec::new()));
+        net(&mut sim, network).register(Addr::Device(DeviceId(0)), dev);
         sim.schedule_at(SimTime::ZERO, network, SimEvent::Broadcast { msg: probe() });
         sim.run_until_idle();
         for &sink in &sinks {
-            assert_eq!(
-                sim.actor::<CollectorActor>(sink)
-                    .expect("sink")
-                    .deliveries(),
-                1
-            );
+            assert_eq!(deliveries(&sim, sink), 1);
         }
-        assert_eq!(
-            sim.actor::<CollectorActor>(dev)
-                .expect("device sink")
-                .deliveries(),
-            0
-        );
+        assert_eq!(deliveries(&sim, dev), 0);
         // 1 Broadcast dispatch + 4 Deliver firings.
         assert_eq!(sim.events_processed(), 5);
     }

@@ -4,23 +4,24 @@
 //! many independent replications, and each replication is an independent
 //! pure function of its `ScenarioConfig` (see `presence-des`'s determinism
 //! guarantees). That makes cross-seed and cross-parameter studies
-//! embarrassingly parallel — this module fans them out over
-//! `std::thread::scope` workers while keeping every result **bit-identical**
-//! to the serial run:
+//! embarrassingly parallel — this module fans them out over scoped worker
+//! threads while keeping every result **bit-identical** to the serial run:
 //!
 //! * work items are dispatched to workers through an atomic cursor
 //!   (work-stealing, so long seeds don't straggle behind short ones);
-//! * results come back tagged with their dispatch index and are restored to
-//!   dispatch order with [`presence_stats::merge_indexed`] before any
+//! * results come back tagged with their dispatch index and are parked
+//!   until their turn, so the caller sees them in dispatch order before any
 //!   order-sensitive (floating-point) folding happens;
 //! * with one worker (or one item) everything runs inline on the calling
 //!   thread — `PRESENCE_JOBS=1` is *exactly* the serial engine.
+//!
+//! There is one worker loop, [`for_each_indexed`]; [`run_indexed`] collects
+//! from it.
 //!
 //! The worker count comes from the `PRESENCE_JOBS` environment variable
 //! (or the `--jobs` flag in the experiment binaries, which overrides it)
 //! and defaults to the machine's available parallelism.
 
-use presence_stats::merge_indexed;
 use std::collections::BTreeMap;
 use std::env;
 use std::num::NonZeroUsize;
@@ -61,53 +62,6 @@ pub fn parse_jobs(var: Option<&str>) -> usize {
     }
 }
 
-/// Spawns the shared work-stealing loop: `jobs.min(n)` workers pull
-/// indices from `cursor` and send `(index, task(index))` down `tx`. The
-/// caller owns the drain strategy (collect-then-merge, or streamed) and
-/// must hand the returned handles to [`join_workers`].
-fn spawn_workers<'scope, T, F>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    n: usize,
-    jobs: usize,
-    cursor: &'scope AtomicUsize,
-    tx: &mpsc::Sender<(usize, T)>,
-    task: &'scope F,
-) -> Vec<thread::ScopedJoinHandle<'scope, ()>>
-where
-    T: Send + 'scope,
-    F: Fn(usize) -> T + Sync,
-{
-    (0..jobs.min(n))
-        .map(|_| {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // A send only fails when the receiver is gone, i.e. the
-                // caller is already unwinding from another worker's panic.
-                if tx.send((i, task(i))).is_err() {
-                    break;
-                }
-            })
-        })
-        .collect()
-}
-
-/// Joins every worker and re-raises the first panic (in spawn order) with
-/// its own payload. Leaving the join to `thread::scope` would replace the
-/// task's message with the fixed "a scoped thread panicked".
-fn join_workers(handles: Vec<thread::ScopedJoinHandle<'_, ()>>) {
-    let panics: Vec<_> = handles
-        .into_iter()
-        .filter_map(|handle| handle.join().err())
-        .collect();
-    if let Some(payload) = panics.into_iter().next() {
-        std::panic::resume_unwind(payload);
-    }
-}
-
 /// Runs `task(0..n)` across `jobs` workers and returns the results in
 /// index order.
 ///
@@ -126,30 +80,22 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(jobs > 0, "need at least one worker");
-    if jobs == 1 || n <= 1 {
-        // Inline serial path: no threads, no channels — byte-for-byte the
-        // behaviour every determinism test pins.
-        return (0..n).map(task).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
-    thread::scope(|scope| join_workers(spawn_workers(scope, n, jobs, &cursor, &tx, &task)));
-    drop(tx);
-    merge_indexed(rx.into_iter().collect())
+    let mut out = Vec::with_capacity(n);
+    for_each_indexed(n, jobs, task, |_, result| out.push(result));
+    out
 }
 
-/// Like [`run_indexed`], but streams: `consume(i, result)` runs on the
-/// calling thread, in index order, as soon as the in-order prefix is
-/// available — result `0` is delivered the moment it completes, not after
-/// the whole batch. Out-of-order completions are buffered until their
-/// turn. Use this when results should reach the user incrementally (e.g.
-/// printing experiment reports); use [`run_indexed`] when the whole batch
-/// is folded at once.
+/// The worker loop: runs `task(0..n)` across `jobs` workers and streams
+/// the results — `consume(i, result)` runs on the calling thread, in index
+/// order, as soon as the in-order prefix is available (result `0` is
+/// delivered the moment it completes, not after the whole batch).
+/// Out-of-order completions are parked until their turn. With one worker
+/// (or one item) everything runs inline: no threads, no channels.
 ///
 /// # Panics
 ///
-/// Panics if `jobs == 0`, or if any task panics.
+/// Panics if `jobs == 0`, or if any task panics (with the first panicking
+/// worker's own payload).
 pub fn for_each_indexed<T, F, C>(n: usize, jobs: usize, task: F, mut consume: C)
 where
     T: Send,
@@ -168,7 +114,23 @@ where
     let (tx, rx) = mpsc::channel();
     let mut next = 0usize;
     thread::scope(|scope| {
-        let workers = spawn_workers(scope, n, jobs, &cursor, &tx, &task);
+        // Work-stealing: each worker pulls the next index from `cursor`.
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                let (tx, cursor, task) = (tx.clone(), &cursor, &task);
+                scope.spawn(move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // A send only fails when the receiver is gone, i.e. the
+                    // caller is already unwinding from another worker's panic.
+                    if tx.send((i, task(i))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
         drop(tx);
         // Drain inside the scope so delivery overlaps the workers. If a
         // worker panics, the channel just closes early here and the join
@@ -181,88 +143,20 @@ where
                 next += 1;
             }
         }
-        join_workers(workers);
+        // Join every worker and re-raise the first panic (in spawn order)
+        // with its own payload. Leaving the join to the scope would replace
+        // the task's message with "a scoped thread panicked".
+        let panics: Vec<_> = workers
+            .into_iter()
+            .filter_map(|worker| worker.join().err())
+            .collect();
+        if let Some(payload) = panics.into_iter().next() {
+            std::panic::resume_unwind(payload);
+        }
     });
     // Only reachable when every worker exited cleanly, so every index must
     // have been delivered exactly once.
     assert_eq!(next, n, "worker pool lost results");
-}
-
-/// Runs a `(parameter × seed)` grid through the worker pool.
-///
-/// Experiments like the A1 sensitivity sweep evaluate a grid of parameter
-/// points, each potentially under several seeds. `ParamSweep` flattens the
-/// grid, dispatches every `(parameter, seed)` cell to the pool, and
-/// regroups the results per parameter point (seeds in input order within
-/// each group) — so a sweep's report is independent of the worker count.
-///
-/// # Examples
-///
-/// ```
-/// use presence_sim::ParamSweep;
-///
-/// let groups = ParamSweep::with_jobs(2).run(&[10, 20], &[1, 2, 3], |&p, seed| p + seed);
-/// assert_eq!(groups, vec![vec![11, 12, 13], vec![21, 22, 23]]);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ParamSweep {
-    jobs: usize,
-}
-
-impl Default for ParamSweep {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParamSweep {
-    /// A sweep using [`job_count`] workers (`PRESENCE_JOBS` / machine
-    /// parallelism).
-    #[must_use]
-    pub fn new() -> Self {
-        Self { jobs: job_count() }
-    }
-
-    /// A sweep with an explicit worker count (the `--jobs` flag).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs == 0`.
-    #[must_use]
-    pub fn with_jobs(jobs: usize) -> Self {
-        assert!(jobs > 0, "need at least one worker");
-        Self { jobs }
-    }
-
-    /// The worker count this sweep will use.
-    #[must_use]
-    pub fn jobs(self) -> usize {
-        self.jobs
-    }
-
-    /// Evaluates `task(param, seed)` for every grid cell, returning one
-    /// group per parameter point (in input order), each holding the
-    /// results for `seeds` (in input order).
-    pub fn run<P, R, F>(self, params: &[P], seeds: &[u64], task: F) -> Vec<Vec<R>>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P, u64) -> R + Sync,
-    {
-        if params.is_empty() || seeds.is_empty() {
-            return params.iter().map(|_| Vec::new()).collect();
-        }
-        let per_param = seeds.len();
-        let flat = run_indexed(params.len() * per_param, self.jobs, |i| {
-            task(&params[i / per_param], seeds[i % per_param])
-        });
-        let mut grouped = Vec::with_capacity(params.len());
-        let mut results = flat.into_iter();
-        for _ in 0..params.len() {
-            grouped.push(results.by_ref().take(per_param).collect());
-        }
-        grouped
-    }
 }
 
 #[cfg(test)]
@@ -342,27 +236,6 @@ mod tests {
         let mut seen = Vec::new();
         for_each_indexed(4, 1, |i| i, |i, r| seen.push((i, r)));
         assert_eq!(seen, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
-    }
-
-    #[test]
-    fn param_sweep_groups_by_param() {
-        let groups =
-            ParamSweep::with_jobs(3).run(&["a", "b"], &[10, 20, 30], |p, s| format!("{p}{s}"));
-        assert_eq!(
-            groups,
-            vec![
-                vec!["a10".to_string(), "a20".into(), "a30".into()],
-                vec!["b10".to_string(), "b20".into(), "b30".into()],
-            ]
-        );
-    }
-
-    #[test]
-    fn param_sweep_empty_edges() {
-        let none: Vec<Vec<u64>> = ParamSweep::with_jobs(2).run(&[] as &[u32], &[1], |_, s| s);
-        assert!(none.is_empty());
-        let empty_seeds = ParamSweep::with_jobs(2).run(&[1u32, 2], &[], |&p, _| p);
-        assert_eq!(empty_seeds, vec![Vec::<u32>::new(), Vec::new()]);
     }
 
     #[test]

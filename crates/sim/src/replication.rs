@@ -9,13 +9,13 @@
 //!
 //! Replications are independent by construction (each builds its own
 //! `Simulation` from its own seed), so [`replicate`] fans them out across
-//! a [`crate::parallel`] worker pool — `PRESENCE_JOBS` workers, or the
-//! `--jobs` flag via [`replicate_with_jobs`] — and merges the per-seed
-//! points back **in seed order** before folding the summary statistics.
+//! a [`crate::parallel`] worker pool of the caller's size (the binaries'
+//! `--jobs`, or [`crate::job_count`]) and takes the per-seed points back
+//! **in seed order** before folding the summary statistics.
 //! The resulting [`ReplicationSummary`] is bit-identical to a serial run
 //! at any worker count.
 
-use crate::parallel::{job_count, run_indexed};
+use crate::parallel::run_indexed;
 use crate::{Scenario, ScenarioConfig, ScenarioResult};
 use presence_stats::{ConfidenceInterval, Welford};
 use serde::{Deserialize, Serialize};
@@ -86,23 +86,12 @@ fn run_one(base: &ScenarioConfig, seed: u64) -> ReplicationPoint {
     }
 }
 
-/// Runs `base` under each seed (overriding `base.seed`) and summarises,
-/// using [`job_count`] workers (`PRESENCE_JOBS`, default: machine
-/// parallelism).
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty or `base` is invalid.
-#[must_use]
-pub fn replicate(base: &ScenarioConfig, seeds: &[u64], level: f64) -> ReplicationSummary {
-    replicate_with_jobs(base, seeds, level, job_count())
-}
-
-/// [`replicate`] with an explicit worker count (the binaries' `--jobs N`).
+/// Runs `base` under each seed (overriding `base.seed`) on `jobs` workers
+/// and summarises.
 ///
 /// The summary is **bit-identical for every `jobs` value**: replications
-/// are independent simulations, and the per-seed points are merged back in
-/// seed order before the (order-sensitive) statistics are folded.
+/// are independent simulations, and the per-seed points come back in seed
+/// order before the (order-sensitive) statistics are folded.
 ///
 /// # Panics
 ///
@@ -110,7 +99,7 @@ pub fn replicate(base: &ScenarioConfig, seeds: &[u64], level: f64) -> Replicatio
 /// configuration is validated once here, not once per seed inside the
 /// worker pool.
 #[must_use]
-pub fn replicate_with_jobs(
+pub fn replicate(
     base: &ScenarioConfig,
     seeds: &[u64],
     level: f64,
@@ -141,12 +130,12 @@ pub fn replicate_with_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Protocol;
+    use crate::{job_count, Protocol};
 
     #[test]
     fn dcpp_replications_are_tight() {
         let base = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 10, 200.0, 0);
-        let summary = replicate(&base, &[1, 2, 3, 4, 5], 0.95);
+        let summary = replicate(&base, &[1, 2, 3, 4, 5], 0.95, job_count());
         assert_eq!(summary.points.len(), 5);
         // DCPP is deterministic-by-design: seed-to-seed variation is tiny.
         assert!(
@@ -160,7 +149,7 @@ mod tests {
     #[test]
     fn sapp_replications_show_spread_above_one() {
         let base = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 5, 3_000.0, 0);
-        let summary = replicate(&base, &[1, 3, 7], 0.95);
+        let summary = replicate(&base, &[1, 3, 7], 0.95, job_count());
         assert!(summary.spread.mean >= 1.0);
         assert!(summary.load.mean > 3.0 && summary.load.mean < 25.0);
     }
@@ -169,7 +158,7 @@ mod tests {
     #[should_panic(expected = "at least one seed")]
     fn empty_seeds_rejected() {
         let base = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 2, 10.0, 0);
-        let _ = replicate(&base, &[], 0.95);
+        let _ = replicate(&base, &[], 0.95, 1);
     }
 
     #[test]
@@ -179,15 +168,15 @@ mod tests {
         base.cp_pool = 0;
         // Validation is hoisted out of the per-seed loop: this panics on
         // the calling thread, not inside a worker.
-        let _ = replicate_with_jobs(&base, &[1, 2, 3], 0.95, 4);
+        let _ = replicate(&base, &[1, 2, 3], 0.95, 4);
     }
 
     #[test]
     fn worker_count_does_not_change_the_summary() {
         let base = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 4, 60.0, 0);
         let seeds = [5, 6, 7, 8, 9];
-        let serial = replicate_with_jobs(&base, &seeds, 0.95, 1);
-        let parallel = replicate_with_jobs(&base, &seeds, 0.95, 3);
+        let serial = replicate(&base, &seeds, 0.95, 1);
+        let parallel = replicate(&base, &seeds, 0.95, 3);
         let json = |s: &ReplicationSummary| serde_json::to_string(s).expect("serialises");
         assert_eq!(
             json(&serial),
@@ -204,7 +193,7 @@ mod tests {
     #[test]
     fn summary_renders() {
         let base = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 3, 50.0, 0);
-        let summary = replicate(&base, &[1, 2], 0.95);
+        let summary = replicate(&base, &[1, 2], 0.95, job_count());
         let text = summary.to_string();
         assert!(text.contains("replications: n = 2"));
     }

@@ -357,14 +357,14 @@ impl Scenario {
     /// [`Scenario::build`] with explicit (possibly time-varying) network
     /// models and mid-run churn regime switches — the scenario-lab entry
     /// point. `cfg.delay`/`cfg.loss` are ignored in favour of `delay` and
-    /// `loss`; `churn_switches` (absolute seconds, ascending) are driven by
-    /// a [`crate::RegimeActor`] spawned only when the list is non-empty,
-    /// so a switch-free scenario is actor-for-actor identical to
-    /// [`Scenario::build`].
+    /// `loss`; the churn actor posts itself `churn_switches` (absolute
+    /// seconds, ascending) at start-up, so a switch-free scenario is
+    /// event-for-event identical to [`Scenario::build`].
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid ([`ScenarioConfig::validate`]).
+    /// Panics if `cfg` is invalid ([`ScenarioConfig::validate`]), or unless
+    /// the switch times are strictly increasing and positive.
     #[must_use]
     pub fn assemble(
         cfg: ScenarioConfig,
@@ -374,8 +374,8 @@ impl Scenario {
     ) -> Self {
         cfg.validate().expect("cannot assemble a scenario");
 
-        // Actor add order (network, device, CPs, churn, regime) fixes the
-        // actor ids and with them every RNG stream.
+        // Actor add order (network, device, CPs, churn) fixes the actor
+        // ids and with them every RNG stream.
         let mut sim = PresenceSim::with_actor_set(cfg.seed);
         let fabric = Fabric::new(cfg.buffer_capacity, delay, loss);
         let network = sim.add_member(NetworkActor::new(fabric).into());
@@ -446,12 +446,9 @@ impl Scenario {
             cfg.initially_active,
             SimDuration::from_secs_f64(cfg.join_stagger),
             cfg.duration,
+            churn_switches.to_vec(),
         );
         let churn = sim.add_member(churn_actor.into());
-
-        if !churn_switches.is_empty() {
-            sim.add_member(crate::RegimeActor::new(churn, churn_switches.to_vec()).into());
-        }
 
         Self {
             sim,
@@ -901,5 +898,22 @@ mod tests {
         let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 0);
         cfg.initially_active = 6;
         let _ = Scenario::build(cfg);
+    }
+
+    fn assemble_with_switches(switches: &[(f64, ChurnModel)]) -> Scenario {
+        let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 0);
+        Scenario::assemble(cfg, cfg.delay.build(), cfg.loss.build(), switches)
+    }
+
+    #[test]
+    #[should_panic(expected = "churn switch times must be strictly increasing")]
+    fn rejects_churn_switches_out_of_order() {
+        let _ = assemble_with_switches(&[(5.0, ChurnModel::Static), (5.0, ChurnModel::Static)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "first churn switch must be after t = 0")]
+    fn rejects_churn_switch_at_zero() {
+        let _ = assemble_with_switches(&[(0.0, ChurnModel::Static)]);
     }
 }

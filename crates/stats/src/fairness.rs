@@ -34,22 +34,6 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq_sum)
 }
 
-/// Coefficient of variation: sample standard deviation divided by mean.
-///
-/// Returns `NaN` for fewer than two samples or a zero mean.
-#[must_use]
-pub fn coefficient_of_variation(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    if mean == 0.0 {
-        return f64::NAN;
-    }
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt() / mean.abs()
-}
-
 /// Ratio of the largest to the smallest allocation; `+∞` when the smallest
 /// is zero but the largest is not, `NaN` for empty input or all-zero input.
 ///
@@ -118,23 +102,6 @@ mod tests {
         xs.extend([2.5, 2.5]);
         let j = jain_index(&xs);
         assert!(j < 0.4, "expected strong unfairness, got {j}");
-    }
-
-    #[test]
-    fn cv_zero_for_constant() {
-        assert!((coefficient_of_variation(&[3.0, 3.0, 3.0])).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_single_sample_nan() {
-        assert!(coefficient_of_variation(&[1.0]).is_nan());
-    }
-
-    #[test]
-    fn cv_known_value() {
-        // mean 2, sample var ((1)^2+(1)^2)/1 = 2, sd sqrt(2), cv = sqrt(2)/2.
-        let cv = coefficient_of_variation(&[1.0, 3.0]);
-        assert!((cv - std::f64::consts::SQRT_2 / 2.0).abs() < 1e-12);
     }
 
     #[test]

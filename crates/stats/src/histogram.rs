@@ -88,12 +88,6 @@ impl Histogram {
         }
     }
 
-    /// Number of bins.
-    #[must_use]
-    pub fn bin_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Width of each bin.
     #[must_use]
     pub fn bin_width(&self) -> f64 {
@@ -135,20 +129,6 @@ impl Histogram {
                 high: self.low + (i + 1) as f64 * width,
                 count,
             })
-    }
-
-    /// The bin with the most samples (ties broken towards the lower bin);
-    /// `None` if the histogram is empty in range.
-    #[must_use]
-    pub fn mode_bin(&self) -> Option<HistogramBin> {
-        if self.total_in_range == 0 {
-            return None;
-        }
-        self.bins().max_by(|a, b| {
-            a.count
-                .cmp(&b.count)
-                .then(b.low.partial_cmp(&a.low).expect("finite"))
-        })
     }
 
     /// Approximate quantile (linear interpolation inside the containing
@@ -274,15 +254,6 @@ mod tests {
     fn quantile_empty_is_none() {
         let h = Histogram::new(0.0, 1.0, 10);
         assert!(h.quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn mode_bin_finds_peak() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.extend([3.5, 3.6, 3.7, 8.1]);
-        let mode = h.mode_bin().unwrap();
-        assert_eq!(mode.count, 3);
-        assert!((mode.low - 3.0).abs() < 1e-9);
     }
 
     #[test]

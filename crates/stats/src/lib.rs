@@ -18,16 +18,14 @@
 //! * [`ConfidenceInterval`] and Student-t quantiles ([`t_quantile`]),
 //! * [`Histogram`] — fixed-width binning with quantile queries,
 //! * [`P2Quantile`] — constant-memory online quantile estimation,
-//! * [`TimeSeries`] — timestamped samples with windowed queries and
-//!   resampling (the substrate for reproducing Figures 2–5),
+//! * [`TimeSeries`] — timestamped samples (the substrate for reproducing
+//!   Figures 2–5),
 //! * [`TimeWeighted`] — time-weighted averages (e.g. mean buffer
 //!   occupancy ≈ 0.004 in the paper's steady-state study),
 //! * [`JumpingWindowRate`] — event rates over jumping windows (device
 //!   load in probes/second, Figure 5),
-//! * fairness metrics ([`jain_index`], [`coefficient_of_variation`]) used to
+//! * fairness metrics ([`jain_index`], [`max_min_ratio`]) used to
 //!   quantify the unfairness the paper demonstrates graphically,
-//! * [`merge_indexed`] — seed-ordered merging of parallel worker results,
-//!   so cross-seed summaries stay bit-identical to a serial fold,
 //! * [`slice_windows`] / [`window_slice`] — per-regime-window slicing of
 //!   time-stamped series (the scenario lab's sliced metrics).
 //!
@@ -42,7 +40,6 @@ mod batch_means;
 mod ci;
 mod fairness;
 mod histogram;
-mod merge;
 mod quantile;
 mod rate;
 mod slice;
@@ -52,12 +49,11 @@ mod welford;
 
 pub use batch_means::{BatchMeans, BatchMeansConfig, SteadyStateVerdict};
 pub use ci::{t_quantile, z_quantile, ConfidenceInterval};
-pub use fairness::{coefficient_of_variation, jain_index, max_min_ratio};
+pub use fairness::{jain_index, max_min_ratio};
 pub use histogram::{Histogram, HistogramBin};
-pub use merge::merge_indexed;
 pub use quantile::P2Quantile;
 pub use rate::JumpingWindowRate;
 pub use slice::{merge_boundaries, slice_windows, step_mean, window_mean, window_slice};
 pub use summary::{describe, Summary};
-pub use timeseries::{Sample, TimeSeries, TimeSeriesSummary, TimeWeighted};
+pub use timeseries::{Sample, TimeSeries, TimeWeighted};
 pub use welford::Welford;

@@ -28,30 +28,6 @@ pub struct Summary {
     pub max: f64,
 }
 
-impl Summary {
-    /// Interquartile range.
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.q75 - self.q25
-    }
-
-    /// Renders as a compact single line.
-    #[must_use]
-    pub fn one_line(&self) -> String {
-        format!(
-            "n={} mean={:.3} sd={:.3} min={:.3} q25={:.3} med={:.3} q75={:.3} max={:.3}",
-            self.count,
-            self.mean,
-            self.std_dev,
-            self.min,
-            self.q25,
-            self.median,
-            self.q75,
-            self.max
-        )
-    }
-}
-
 /// Exact quantile of a **sorted** slice with linear interpolation
 /// (type-7, the R/NumPy default).
 fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
@@ -122,7 +98,6 @@ mod tests {
         assert_eq!(s.q25, 2.0);
         assert_eq!(s.median, 3.0);
         assert_eq!(s.q75, 4.0);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]
@@ -148,13 +123,5 @@ mod tests {
         assert!((s.mean - 5.0).abs() < 1e-12);
         // sample sd of this classic set: sqrt(32/7).
         assert!((s.std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_line_renders() {
-        let s = describe(&[1.0, 2.0, 3.0]).unwrap();
-        let line = s.one_line();
-        assert!(line.contains("n=3"));
-        assert!(line.contains("med=2.000"));
     }
 }

@@ -119,12 +119,6 @@ impl Welford {
         self.sample_variance().sqrt()
     }
 
-    /// Standard error of the mean, `s / √n`.
-    #[must_use]
-    pub fn std_error(&self) -> f64 {
-        self.sample_std_dev() / (self.count as f64).sqrt()
-    }
-
     /// Smallest observation; `+∞` when empty.
     #[must_use]
     pub fn min(&self) -> f64 {

@@ -8,9 +8,7 @@
 //! floating-point metric must match to the last bit.
 
 use presence::core::ProbeCycleConfig;
-use presence::sim::{
-    replicate_with_jobs, ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig,
-};
+use presence::sim::{replicate, ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
 
 fn run_to_json(protocol: Protocol, seed: u64) -> String {
     let mut cfg = ScenarioConfig::paper_defaults(protocol, 12, 120.0, seed);
@@ -78,8 +76,8 @@ fn parallel_replication_equals_serial() {
             rate: 0.05,
         };
         let seeds = [11, 12, 13, 14, 15, 16];
-        let serial = replicate_with_jobs(&base, &seeds, 0.95, 1);
-        let parallel = replicate_with_jobs(&base, &seeds, 0.95, 4);
+        let serial = replicate(&base, &seeds, 0.95, 1);
+        let parallel = replicate(&base, &seeds, 0.95, 4);
         let a = serde_json::to_string(&serial).expect("summary serialises");
         let b = serde_json::to_string(&parallel).expect("summary serialises");
         assert_eq!(a, b, "{name}: 4-worker study diverged from serial");
