@@ -84,6 +84,13 @@ test_nonempty --release -q -p presence-des --lib queue::
 echo "==> golden replay (release)"
 test_nonempty --release -q --test golden_equivalence
 
+# The mega shard's unit tests optimised, as the benchmark and the bins run
+# it: overflow is where debug and release builds disagree (a debug build
+# panics where a release build wraps), and the shard counts transmissions
+# in a `u8`.
+echo "==> mega shard tests (release)"
+test_nonempty --release -q -p presence-sim --lib mega::
+
 # Conformance stage: the simulator is the oracle for the sharded UDP
 # serving runtime. The suite drives identical machine populations through
 # the simulator's own actors (zero-delay lossless fabric) and through real
@@ -110,9 +117,9 @@ echo "==> conformance idle: blocked shards at 0 and 10 probes/s, wake budgets"
 cargo run --release -q -p presence-bench --bin conformance -- --idle
 
 # Mega-scale smoke: the 100k-device calendar-queue + streaming-recorder
-# configuration (mega-ci) must finish with sane physics (wait mean at the
-# 0.5 s d_min floor, zero failed cycles) inside a bounded peak RSS — the
-# flat-memory claim of the streaming recorders, enforced via VmHWM.
+# configuration (mega-ci) must finish with sane physics (wait mean within
+# 10 % of the spec's d_min floor, zero failed cycles) inside a bounded peak
+# RSS — the flat-memory claim of the streaming recorders, enforced via VmHWM.
 echo "==> mega smoke: 100k-device shard, bounded RSS (mega_smoke --budget-mb 512)"
 cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 

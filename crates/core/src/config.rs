@@ -5,7 +5,7 @@
 //! is traceable to §3/§5 of the paper.
 
 use crate::error::ConfigError;
-use presence_des::SimDuration;
+use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Timing of the bounded-retransmission probe cycle (Fig. 1).
@@ -48,6 +48,16 @@ impl ProbeCycleConfig {
             ));
         }
         Ok(())
+    }
+
+    /// Fig. 1's bounded retransmission: after `transmissions` unanswered
+    /// transmissions of one cycle, the timeout to arm with the next one
+    /// (`TOS`), or `None` once all `1 + max_retransmissions` are spent and
+    /// the cycle fails.
+    #[inline]
+    #[must_use]
+    pub fn retry(&self, transmissions: u32) -> Option<SimDuration> {
+        (transmissions <= self.max_retransmissions).then_some(self.tos)
     }
 
     /// Worst-case time from the first probe transmission to the absence
@@ -215,6 +225,16 @@ impl DcppConfig {
     #[must_use]
     pub fn f_max(&self) -> f64 {
         1.0 / self.d_min.as_secs_f64()
+    }
+
+    /// The device's slot rule (§4), clamped as the
+    /// [`crate::DcppDevice`] docs derive: the instant a probe arriving at
+    /// `now` is scheduled for, when the previous one was scheduled for
+    /// `nt` — `max(max(nt, now) + δ_min, now + d_min)`.
+    #[inline]
+    #[must_use]
+    pub fn schedule(&self, nt: SimTime, now: SimTime) -> SimTime {
+        (nt.max(now) + self.delta_min).max(now + self.d_min)
     }
 
     /// Validates the configuration.

@@ -229,19 +229,15 @@ impl Retransmitter {
                 transmissions,
                 timer,
                 ..
-            } if timer == token => {
-                if transmissions > self.cfg.max_retransmissions {
-                    self.stats.cycles_failed += 1;
-                    self.declare_absent(now, AbsenceReason::ProbeTimeout, out);
-                    TimerDisposition::CycleFailed
-                } else {
+            } if timer == token => match self.cfg.retry(transmissions) {
+                Some(after) => {
                     let new_timer = self.mint_token();
                     self.stats.probes_sent += 1;
                     self.stats.retransmissions += 1;
                     out.push(CpAction::SendProbe(Probe { cp: self.cp, seq }));
                     out.push(CpAction::StartTimer {
                         token: new_timer,
-                        after: self.cfg.tos,
+                        after,
                     });
                     self.state = State::Awaiting {
                         seq,
@@ -251,7 +247,12 @@ impl Retransmitter {
                     };
                     TimerDisposition::Retransmitted
                 }
-            }
+                None => {
+                    self.stats.cycles_failed += 1;
+                    self.declare_absent(now, AbsenceReason::ProbeTimeout, out);
+                    TimerDisposition::CycleFailed
+                }
+            },
             State::Sleeping { wake } if wake == token => {
                 self.begin_cycle(now, out);
                 TimerDisposition::Woke

@@ -19,9 +19,17 @@
 //! wait after a quiet period, which contradicts the protocol's intent and
 //! its stated constraints. We therefore clamp the backlog term at zero:
 //! `Δ(nt, t) = max{δ_min, d_min − max(nt − t, 0)}`, equivalently
-//! `nt' = max{ max(nt, t) + δ_min, t + d_min }`. For every state the paper's
-//! analysis exercises (`nt ≥ t − d_min`) this coincides with the literal
-//! formula; see `DESIGN.md` for the derivation.
+//! `nt' = max{ max(nt, t) + δ_min, t + d_min }` ([`DcppConfig::schedule`]).
+//!
+//! The two agree exactly while the device is backlogged (`nt ≥ t`): there
+//! `max(nt − t, 0) = nt − t`, so the clamped `Δ` is the literal one. Once
+//! it is idle (`nt < t`) the literal `Δ` is `max{δ_min, d_min + (t − nt)} =
+//! d_min + (t − nt)` (as `d_min ≥ δ_min`), a wait of `d_min` plus the idle
+//! gap, where the clamped rule waits exactly `d_min`. With `δ_min = 0.1`,
+//! `d_min = 0.5`, `t = 1.0` and `nt = 0.8`, the literal formula gives
+//! `nt' = 1.7` and the clamped rule `1.5`. The proptest
+//! `dcpp_schedule_is_the_literal_rule_while_backlogged` in
+//! `crates/core/tests/proptests.rs` checks both statements.
 
 use crate::config::DcppConfig;
 use crate::types::{DeviceId, Probe, Reply, ReplyBody};
@@ -94,12 +102,8 @@ impl DcppDevice {
     #[inline]
     pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
         self.probes_received += 1;
-        // nt' = max(max(nt, now) + δ_min, now + d_min)  — see module docs.
-        let serialised = self.nt.max(now) + self.cfg.delta_min;
-        let per_cp_floor = now + self.cfg.d_min;
-        let nt_new = serialised.max(per_cp_floor);
-        let wait = nt_new - now;
-        self.nt = nt_new;
+        self.nt = self.cfg.schedule(self.nt, now);
+        let wait = self.nt - now;
         Reply {
             probe,
             device: self.id,

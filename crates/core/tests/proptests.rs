@@ -5,7 +5,8 @@
 //!
 //! * SAPP's delay always stays inside `[δ_min, δ_max]` (Eq. 1 clamps);
 //! * DCPP's device never schedules two probes closer than `δ_min` and never
-//!   asks a CP to wait less than `d_min` (§4 constraints (i) and (ii));
+//!   asks a CP to wait less than `d_min` (§4 constraints (i) and (ii)), and
+//!   its clamped slot rule is the literal one while it is backlogged;
 //! * the probe cycle never sends more than `1 + max_retransmissions`
 //!   transmissions per cycle.
 
@@ -66,6 +67,38 @@ proptest! {
                 prop_assert!(slot > prev, "schedule must be strictly increasing");
             }
             prev_slot = Some(slot);
+        }
+    }
+
+    /// `DcppConfig::schedule` is the paper's literal slot rule
+    /// `max{nt, t} + max{δ_min, d_min − (nt − t)}` while the device is
+    /// backlogged (`nt ≥ t`); once it is idle (`nt < t`) the wait is
+    /// exactly `d_min`, where the literal rule adds the idle gap `t − nt`.
+    #[test]
+    fn dcpp_schedule_is_the_literal_rule_while_backlogged(
+        delta_min in 1u64..2_000_000_000,
+        d_min_extra in 0u64..2_000_000_000,
+        now in 0u64..1_000_000_000_000,
+        nt_offset in -10_000_000_000i64..10_000_000_000,
+    ) {
+        let cfg = DcppConfig {
+            delta_min: SimDuration::from_nanos(delta_min),
+            d_min: SimDuration::from_nanos(delta_min + d_min_extra),
+            ..DcppConfig::paper_default()
+        };
+        prop_assert!(cfg.validate().is_ok());
+        let nt = now.saturating_add_signed(nt_offset);
+        let slot = cfg.schedule(SimTime::from_nanos(nt), SimTime::from_nanos(now));
+        // Signed nanoseconds: the literal backlog term may go negative.
+        let ns = |v: u64| i128::from(v);
+        let (t, nt, slot) = (ns(now), ns(nt), ns(slot.as_nanos()));
+        let (delta_min, d_min) = (ns(delta_min), ns(cfg.d_min.as_nanos()));
+        let literal = nt.max(t) + delta_min.max(d_min - (nt - t));
+        if nt >= t {
+            prop_assert_eq!(slot, literal);
+        } else {
+            prop_assert_eq!(slot - t, d_min);
+            prop_assert_eq!(literal - slot, t - nt);
         }
     }
 

@@ -11,7 +11,9 @@ use presence_stats::JumpingWindowRate;
 /// How long the device takes to process a probe before the reply leaves.
 ///
 /// The paper's timeout derivation assumes a maximal computation time
-/// `C_max = 20 ms`; we default to a uniform draw over `[1 ms, 20 ms]`.
+/// `C_max = 20 ms`; the paper-default scenarios draw uniformly over
+/// `[1 ms, 20 ms]`. The mega shard draws its uniform network delays with
+/// the same sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessingModel {
     /// Minimum processing time.
@@ -21,22 +23,23 @@ pub struct ProcessingModel {
 }
 
 impl ProcessingModel {
-    /// The default consistent with the paper's `TOF`/`TOS` constants.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self {
-            min: SimDuration::from_millis(1),
-            max: SimDuration::from_millis(20),
-        }
-    }
-
     /// A fixed processing time.
     #[must_use]
     pub fn constant(d: SimDuration) -> Self {
         Self { min: d, max: d }
     }
 
-    fn sample(&self, rng: &mut StreamRng) -> SimDuration {
+    /// A uniform draw over `[lo, hi]` seconds.
+    #[must_use]
+    pub fn between((lo, hi): (f64, f64)) -> Self {
+        Self {
+            min: SimDuration::from_secs_f64(lo),
+            max: SimDuration::from_secs_f64(hi),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut StreamRng) -> SimDuration {
         if self.min == self.max {
             self.min
         } else {

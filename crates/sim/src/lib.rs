@@ -59,8 +59,7 @@ pub use lab::{
     LabSeedResult, LossPhase, RegimeSlice, ScenarioSpec,
 };
 pub use mega::{
-    mega_catalog, run_mega_spec, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario,
-    MegaSpec,
+    mega_catalog, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario, MegaSpec,
 };
 pub use metrics::{CpSummary, ScenarioResult};
 pub use network_actor::NetworkActor;

@@ -15,11 +15,13 @@
 //! actor set, and the steady-state cost is ~3 engine events and zero
 //! allocations per probe cycle.
 //!
-//! The protocol semantics are exactly those of the reference machines
-//! ([`presence_core::DcppCp`] / [`presence_core::Retransmitter`] /
-//! [`presence_core::DcppDevice`]); the differential test in this module
-//! drives the real machines over a hand-rolled mini-DES and asserts the
-//! shard reproduces every completion instant and wait bit-for-bit.
+//! The shard calls the protocol rules [`presence_core::DcppDevice`] and
+//! [`presence_core::Retransmitter`] call — [`DcppConfig::schedule`] and
+//! [`presence_core::ProbeCycleConfig::retry`] — and draws with the hub's
+//! [`ProcessingModel`] sampler. What it owns is the scheduling around
+//! them, and the differential battery in this module pins that: it drives
+//! the real machines over a hand-rolled mini-DES and asserts the shard
+//! reproduces every completion instant and wait bit-for-bit.
 //!
 //! Recorders are streaming by construction. Every figure in the paper is
 //! plotted from a per-sample series (per-cycle frequencies, load windows),
@@ -31,6 +33,8 @@
 //! the per-completion `(t, pair, wait)` log the differential test
 //! compares.
 
+use crate::device_actor::ProcessingModel;
+use crate::scenario::{check_run, err, DelayKind, SpecError};
 use presence_core::{CpStats, DcppConfig};
 use presence_des::{
     Actor, ActorId, Context, EventHandle, QueueProfile, SimDuration, SimTime, Simulation, StreamRng,
@@ -87,7 +91,11 @@ pub struct MegaConfig {
     pub watchers_per_device: u32,
     /// The DCPP protocol constants shared by every pair.
     pub dcpp: DcppConfig,
-    /// Uniform one-way network delay bounds (seconds).
+    /// Uniform one-way network delay bounds (seconds). The catalog's
+    /// 0.2–1 ms is the LAN regime the paper's `TOF = 2·RTT_max + C_max =
+    /// 22 ms` derivation assumes: with delays beyond ~1 ms each way,
+    /// replies routinely overtake `TOF` and every cycle pays a spurious
+    /// retransmission.
     pub net_delay: (f64, f64),
     /// Independent per-transmission loss probability (each direction).
     pub loss: f64,
@@ -104,62 +112,45 @@ pub struct MegaConfig {
 }
 
 impl MegaConfig {
-    /// Paper-constant defaults at the given scale: DCPP §5 timing, no loss,
-    /// 1–20 ms processing (`C_max = 20 ms`), and 0.2–1 ms one-way delay —
-    /// the LAN regime the paper's `TOF = 2·RTT_max + C_max = 22 ms`
-    /// derivation assumes. (Delays beyond ~1 ms each way make replies
-    /// routinely overtake `TOF` and every cycle pays a spurious
-    /// retransmission.)
-    #[must_use]
-    pub fn defaults(devices: u32, cps: u32, duration: f64, seed: u64) -> Self {
-        Self {
-            devices,
-            cps,
-            watchers_per_device: 1,
-            dcpp: DcppConfig::paper_default(),
-            net_delay: (0.0002, 0.001),
-            loss: 0.0,
-            processing: (0.001, 0.020),
-            join_stagger: 1.0,
-            load_window: 1.0,
-            seed,
-            duration,
-        }
-    }
-
     /// Total (CP, device) pairs.
     #[must_use]
     pub fn pairs(&self) -> u32 {
         self.devices * self.watchers_per_device
     }
 
-    /// Checks the structural invariants a runnable configuration must
-    /// satisfy.
+    /// Checks every invariant a runnable configuration must satisfy, on
+    /// the hub's path: the run shape as [`crate::ScenarioConfig::validate`]
+    /// checks it, the delay band as a uniform [`DelayKind`], and the
+    /// protocol block through [`DcppConfig::validate`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the first violated invariant.
-    pub fn validate(&self) {
-        assert!(self.devices > 0, "need at least one device");
-        assert!(self.cps > 0, "need at least one CP");
-        assert!(self.watchers_per_device > 0, "need at least one watcher");
-        let pairs = u64::from(self.devices) * u64::from(self.watchers_per_device);
-        assert!(pairs <= u64::from(u32::MAX), "pair count overflows u32");
-        assert!(self.duration > 0.0, "duration must be positive");
-        assert!((0.0..1.0).contains(&self.loss), "loss must be in [0, 1)");
-        assert!(
-            self.net_delay.0 <= self.net_delay.1 && self.net_delay.0 >= 0.0,
-            "bad delay bounds"
-        );
-        assert!(
-            self.processing.0 <= self.processing.1 && self.processing.0 >= 0.0,
-            "bad processing bounds"
-        );
-        assert!(self.join_stagger >= 0.0, "negative join stagger");
-        assert!(
-            self.load_window > 0.0 && self.load_window.is_finite(),
-            "bad load window"
-        );
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.devices == 0 || self.cps == 0 || self.watchers_per_device == 0 {
+            return Err(err("need at least one device, CP and watcher"));
+        }
+        if u64::from(self.devices) * u64::from(self.watchers_per_device) > u64::from(u32::MAX) {
+            return Err(err("pair count overflows u32"));
+        }
+        if !(0.0..1.0).contains(&self.loss) {
+            return Err(err("loss must be in [0, 1)"));
+        }
+        check_run(
+            self.duration,
+            self.processing,
+            self.join_stagger,
+            self.load_window,
+        )?;
+        DelayKind::Uniform(self.net_delay.0, self.net_delay.1).validate()?;
+        self.dcpp
+            .validate()
+            .map_err(|e| err(format!("dcpp: {}", e.message())))?;
+        // The shard counts a cycle's transmissions in a `u8`.
+        if self.dcpp.cycle.max_retransmissions >= u32::from(u8::MAX) {
+            return Err(err("dcpp.cycle.max_retransmissions must be below 255"));
+        }
+        Ok(())
     }
 }
 
@@ -201,7 +192,9 @@ pub fn mega_catalog() -> Vec<MegaSpec> {
                 spec.name, stem,
                 "catalog/mega/{stem}.json: name is not the stem"
             );
-            spec.config.validate();
+            spec.config
+                .validate()
+                .unwrap_or_else(|e| panic!("catalog/mega/{stem}.json: {e}"));
             spec
         })
         .collect()
@@ -254,13 +247,17 @@ pub struct MegaResult {
 /// vectors, every recorder an aggregate (see the [module docs](self)).
 pub struct MegaDcppShard {
     cfg: MegaConfig,
+    /// `cfg.net_delay` and `cfg.processing` as samplers.
+    net_delay: ProcessingModel,
+    processing: ProcessingModel,
     /// Per-pair phase: [`PROBING`], [`SLEEPING`], or [`STOPPED`].
     phase: Vec<u8>,
     /// Per-pair current cycle sequence number (`u32::MAX` before the first
     /// cycle; the first cycle wraps to 0, matching the reference machine).
     seq: Vec<u32>,
     /// Per-pair transmissions of the in-flight cycle (1 after the initial
-    /// probe, as in [`presence_core::Retransmitter`]).
+    /// probe, as in [`presence_core::Retransmitter`]); a `u8`, so
+    /// [`MegaConfig::validate`] keeps `max_retransmissions` below 255.
     transmissions: Vec<u8>,
     /// Per-pair single outstanding timer (timeout while probing, wake
     /// while sleeping). Always cancelled before replacement, so a stale
@@ -291,9 +288,12 @@ impl MegaDcppShard {
     /// Panics if `cfg` is invalid (see [`MegaConfig::validate`]).
     #[must_use]
     pub fn new(cfg: MegaConfig) -> Self {
-        cfg.validate();
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("cannot build a mega shard: {e}"));
         let pairs = cfg.pairs() as usize;
         Self {
+            net_delay: ProcessingModel::between(cfg.net_delay),
+            processing: ProcessingModel::between(cfg.processing),
             phase: vec![SLEEPING; pairs],
             seq: vec![u32::MAX; pairs],
             transmissions: vec![0; pairs],
@@ -313,47 +313,11 @@ impl MegaDcppShard {
         }
     }
 
-    /// The configuration this shard runs.
-    #[must_use]
-    pub fn config(&self) -> &MegaConfig {
-        &self.cfg
-    }
-
     /// The completion log: `(t, pair, wait)` per accepted reply; empty
     /// unless [`MegaScenario::build_logged`] built the scenario.
     #[cfg(test)]
     fn completions(&self) -> &[(SimTime, u32, SimDuration)] {
         self.completions.as_deref().unwrap_or_default()
-    }
-
-    /// Probes the devices answered so far.
-    #[must_use]
-    pub fn device_probes(&self) -> u64 {
-        self.device_probes
-    }
-
-    fn sample_range(rng: &mut StreamRng, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        if lo == hi {
-            lo
-        } else {
-            SimDuration::from_nanos(rng.uniform(lo.as_nanos() as f64, hi.as_nanos() as f64) as u64)
-        }
-    }
-
-    fn net_delay(&self, rng: &mut StreamRng) -> SimDuration {
-        Self::sample_range(
-            rng,
-            SimDuration::from_secs_f64(self.cfg.net_delay.0),
-            SimDuration::from_secs_f64(self.cfg.net_delay.1),
-        )
-    }
-
-    fn processing(&self, rng: &mut StreamRng) -> SimDuration {
-        Self::sample_range(
-            rng,
-            SimDuration::from_secs_f64(self.cfg.processing.0),
-            SimDuration::from_secs_f64(self.cfg.processing.1),
-        )
     }
 
     fn lost(&self, rng: &mut StreamRng) -> bool {
@@ -365,7 +329,7 @@ impl MegaDcppShard {
     fn send_probe(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32) {
         let lost = self.lost(ctx.rng());
         if !lost {
-            let delay = self.net_delay(ctx.rng());
+            let delay = self.net_delay.sample(ctx.rng());
             let me = ctx.me();
             ctx.schedule_in(
                 delay,
@@ -400,29 +364,29 @@ impl MegaDcppShard {
         self.timer[i] = None;
         match self.phase[i] {
             SLEEPING => self.begin_cycle(ctx, p),
-            PROBING => {
-                if u32::from(self.transmissions[i]) > self.cfg.dcpp.cycle.max_retransmissions {
-                    // Cycle exhausted: declare the device absent and stop,
-                    // as DcppCp::declare_absent does.
-                    self.stats.cycles_failed += 1;
-                    self.phase[i] = STOPPED;
-                } else {
+            PROBING => match self.cfg.dcpp.cycle.retry(u32::from(self.transmissions[i])) {
+                Some(after) => {
                     self.stats.probes_sent += 1;
                     self.stats.retransmissions += 1;
                     self.send_probe(ctx, p);
                     let me = ctx.me();
-                    let handle =
-                        ctx.schedule_in(self.cfg.dcpp.cycle.tos, me, MegaEvent::Timer { pair: p });
+                    let handle = ctx.schedule_in(after, me, MegaEvent::Timer { pair: p });
                     self.timer[i] = Some(handle);
                     self.transmissions[i] += 1;
                 }
-            }
+                None => {
+                    // Cycle exhausted: declare the device absent and stop,
+                    // as DcppCp::declare_absent does.
+                    self.stats.cycles_failed += 1;
+                    self.phase[i] = STOPPED;
+                }
+            },
             _ => debug_assert!(false, "timer fired for stopped pair {p}"),
         }
     }
 
     /// A probe from pair `p` arrives at its device: advance the device's
-    /// `nt` schedule (the [`presence_core::DcppDevice`] formula) and, if
+    /// `nt` register by the slot rule ([`DcppConfig::schedule`]) and, if
     /// neither the reply nor its flight is lost, schedule the reply's
     /// arrival back at the CP side.
     fn on_probe_arrival(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32, seq: u32) {
@@ -431,16 +395,12 @@ impl MegaDcppShard {
         self.device_probes += 1;
         self.load.record(now.as_secs_f64());
         self.fold_closed_windows();
-        // nt' = max(max(nt, now) + δ_min, now + d_min)
-        let serialised = self.nt[d].max(now) + self.cfg.dcpp.delta_min;
-        let per_cp_floor = now + self.cfg.dcpp.d_min;
-        let nt_new = serialised.max(per_cp_floor);
-        let wait = nt_new - now;
-        self.nt[d] = nt_new;
-        let processing = self.processing(ctx.rng());
+        self.nt[d] = self.cfg.dcpp.schedule(self.nt[d], now);
+        let wait = self.nt[d] - now;
+        let processing = self.processing.sample(ctx.rng());
         let lost = self.lost(ctx.rng());
         if !lost {
-            let delay = self.net_delay(ctx.rng());
+            let delay = self.net_delay.sample(ctx.rng());
             let me = ctx.me();
             ctx.schedule_in(
                 processing + delay,
@@ -579,20 +539,13 @@ impl MegaScenario {
         scenario
     }
 
-    /// The configuration this scenario was built from.
-    #[must_use]
-    pub fn config(&self) -> &MegaConfig {
-        &self.cfg
-    }
-
     /// The underlying simulation.
     pub fn sim_mut(&mut self) -> &mut Simulation<MegaEvent, MegaDcppShard> {
         &mut self.sim
     }
 
-    /// The shard (for inspection: config, probes answered so far).
-    #[must_use]
-    pub fn shard(&self) -> &MegaDcppShard {
+    #[cfg(test)]
+    fn shard(&self) -> &MegaDcppShard {
         self.sim
             .actor::<MegaDcppShard>(self.shard)
             .expect("mega shard")
@@ -616,24 +569,20 @@ impl MegaScenario {
     }
 }
 
-/// Builds, runs, and collects one mega spec — the `mega_smoke` entry point.
-#[must_use]
-pub fn run_mega_spec(spec: &MegaSpec) -> MegaResult {
-    let mut scenario = MegaScenario::build(spec.config);
-    scenario.run();
-    scenario.collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `mega-ci`'s paper constants (DCPP §5 timing, no loss, 1–20 ms
+    /// processing, 0.2–1 ms delay) at a small scale.
     fn tiny(devices: u32, watchers: u32, duration: f64, seed: u64) -> MegaConfig {
         MegaConfig {
             devices,
             cps: devices.min(3),
             watchers_per_device: watchers,
-            ..MegaConfig::defaults(devices, devices.min(3), duration, seed)
+            duration,
+            seed,
+            ..mega_catalog()[0].config
         }
     }
 
@@ -646,8 +595,57 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), specs.len(), "duplicate catalog names");
         for spec in &specs {
-            spec.config.validate();
+            assert_eq!(spec.config.validate(), Ok(()), "{}", spec.name);
         }
+    }
+
+    #[test]
+    fn validation_catches_structural_errors() {
+        type Mutation = fn(&mut MegaConfig);
+        let cases: [(&str, Mutation); 10] = [
+            ("zero delta_min", |c| c.dcpp.delta_min = SimDuration::ZERO),
+            ("tos > tof", |c| {
+                c.dcpp.cycle.tos = c.dcpp.cycle.tof + SimDuration::from_millis(1);
+            }),
+            ("infinite duration", |c| c.duration = f64::INFINITY),
+            ("infinite join stagger", |c| c.join_stagger = f64::INFINITY),
+            ("infinite delay bound", |c| {
+                c.net_delay = (0.001, f64::INFINITY)
+            }),
+            ("inverted processing", |c| c.processing = (0.02, 0.001)),
+            ("certain loss", |c| c.loss = 1.0),
+            ("no devices", |c| c.devices = 0),
+            ("pair count over u32::MAX", |c| {
+                c.devices = 1 << 16;
+                c.watchers_per_device = 1 << 16;
+            }),
+            ("u8 transmission counter overflows", |c| {
+                c.dcpp.cycle.max_retransmissions = 255;
+            }),
+        ];
+        for (what, mutate) in cases {
+            let mut cfg = mega_catalog()[0].config;
+            mutate(&mut cfg);
+            assert!(cfg.validate().is_err(), "{what}: should be rejected");
+        }
+    }
+
+    /// 254 retransmissions still fit the `u8` counter: a pair whose every
+    /// transmission is lost fails its first cycle after exactly 254.
+    #[test]
+    fn largest_retransmission_budget_exhausts_exactly() {
+        let mut cfg = MegaConfig {
+            loss: 0.999_999,
+            ..tiny(1, 1, 30.0, 3)
+        };
+        cfg.dcpp.cycle.max_retransmissions = 254;
+        let mut sc = MegaScenario::build(cfg);
+        sc.run();
+        let r = sc.collect();
+        assert_eq!(r.retransmissions, 254);
+        assert_eq!(r.probes_sent, 255);
+        assert_eq!(r.cycles_failed, 1);
+        assert_eq!(r.stopped_pairs, 1);
     }
 
     #[test]
@@ -742,6 +740,27 @@ mod tests {
         assert_eq!(a, b, "same seed must replay exactly");
         let c = run(MegaConfig { seed: 43, ..cfg });
         assert_ne!(a.device_probes, c.device_probes, "different seeds diverge");
+    }
+
+    /// A lossy trajectory pinned to its recorded reading: the retransmit,
+    /// stale-reply and exhaustion paths, against numbers, not a reference.
+    #[test]
+    fn lossy_trajectory_is_pinned() {
+        let cfg = MegaConfig {
+            devices: 2000,
+            cps: 20,
+            watchers_per_device: 2,
+            loss: 0.05,
+            duration: 10.0,
+            ..mega_catalog()[0].config
+        };
+        let mut sc = MegaScenario::build(cfg);
+        sc.run();
+        let json = serde_json::to_string(&sc.collect()).unwrap();
+        assert_eq!(
+            json,
+            r#"{"duration":10.0,"events_processed":237189,"pairs":4000,"devices":2000,"cps":20,"probes_sent":83227,"cycles_started":74933,"cycles_succeeded":74807,"cycles_failed":14,"stale_replies":86,"retransmissions":8294,"device_probes":79054,"stopped_pairs":14,"wait_mean":0.5064594425981352,"wait_variance":0.000521378575410896,"wait_p50":0.5000000000071873,"wait_p99":0.593208358331892,"load_mean_per_device":4.0455}"#
+        );
     }
 
     #[test]

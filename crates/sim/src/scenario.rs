@@ -285,19 +285,12 @@ impl ScenarioConfig {
         if self.buffer_capacity == 0 {
             return Err(err("buffer capacity must be positive"));
         }
-        if !(self.duration > 0.0 && self.duration.is_finite()) {
-            return Err(err("duration must be positive and finite"));
-        }
-        let (p_min, p_max) = self.processing;
-        if !(p_min >= 0.0 && p_min <= p_max && p_max.is_finite()) {
-            return Err(err("processing bounds must satisfy 0 <= min <= max"));
-        }
-        if !(self.join_stagger >= 0.0 && self.join_stagger.is_finite()) {
-            return Err(err("join stagger must be non-negative"));
-        }
-        if !(self.load_window > 0.0 && self.load_window.is_finite()) {
-            return Err(err("load window must be positive"));
-        }
+        check_run(
+            self.duration,
+            self.processing,
+            self.join_stagger,
+            self.load_window,
+        )?;
         self.delay.validate()?;
         self.loss.validate()?;
         self.churn.validate()?;
@@ -311,6 +304,30 @@ impl ScenarioConfig {
         }
         Ok(())
     }
+}
+
+/// The run-shape checks a hub scenario and a mega run share: a finite
+/// horizon, device processing bounds, the join stagger and the load
+/// window.
+pub(crate) fn check_run(
+    duration: f64,
+    (p_min, p_max): (f64, f64),
+    join_stagger: f64,
+    load_window: f64,
+) -> Result<(), SpecError> {
+    if !(duration > 0.0 && duration.is_finite()) {
+        return Err(err("duration must be positive and finite"));
+    }
+    if !(p_min >= 0.0 && p_min <= p_max && p_max.is_finite()) {
+        return Err(err("processing bounds must satisfy 0 <= min <= max"));
+    }
+    if !(join_stagger >= 0.0 && join_stagger.is_finite()) {
+        return Err(err("join stagger must be non-negative"));
+    }
+    if !(load_window > 0.0 && load_window.is_finite()) {
+        return Err(err("load window must be positive"));
+    }
+    Ok(())
 }
 
 /// The three scenarios pinned by the golden-equivalence suite: one SAPP,
@@ -390,10 +407,7 @@ impl Scenario {
             // works; the baseline ignores reply payloads).
             Protocol::FixedRate { .. } => DeviceMachine::dcpp_paper(device_id),
         };
-        let processing = ProcessingModel {
-            min: SimDuration::from_secs_f64(cfg.processing.0),
-            max: SimDuration::from_secs_f64(cfg.processing.1),
-        };
+        let processing = ProcessingModel::between(cfg.processing);
         let mut device_actor =
             DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
         if let (
