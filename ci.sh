@@ -23,9 +23,11 @@ echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # A deleted or renamed item leaves [`links`] to it behind in prose that
-# nothing compiles; rustdoc resolves them, so a dead link fails here.
-echo "==> cargo doc (presence crates + facade, broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace \
+# nothing compiles; rustdoc resolves them, so a dead link fails here. So
+# does a public item's link to a private one, which renders as dead text.
+echo "==> cargo doc (presence crates + facade, broken or private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --offline --workspace \
     --exclude proptest --exclude serde --exclude serde_derive --exclude serde_json
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is a package of its own

@@ -713,8 +713,7 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         self.core.reschedule(handle, at)
     }
 
-    /// Dispatches either `on_start` (payload `None`) or `on_event` to
-    /// actor `me`.
+    /// Hands `ev` to actor `me`'s `on_event`.
     ///
     /// The member is borrowed **in place**: the actor table, the scheduler
     /// core, and the RNG table are disjoint, so no take/put-back swap is
@@ -722,17 +721,25 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     /// actor interacts with others only through queued events, and a
     /// message to itself fires in a later dispatch that observes every
     /// state change made here (pinned by the engine's self-send test).
-    fn dispatch(&mut self, me: ActorId, payload: Option<E>) {
-        let actor = &mut self.actors[me.0];
+    #[inline]
+    fn dispatch(&mut self, me: ActorId, ev: E) {
         let mut ctx = Context {
             core: &mut self.core,
             rng: &mut self.rngs[me.0],
             me,
         };
-        match payload {
-            Some(ev) => actor.on_event(&mut ctx, ev),
-            None => actor.on_start(&mut ctx),
-        }
+        self.actors[me.0].on_event(&mut ctx, ev);
+    }
+
+    /// Runs actor `me`'s `on_start`, borrowed in place as for
+    /// [`dispatch`](Self::dispatch).
+    fn start(&mut self, me: ActorId) {
+        let mut ctx = Context {
+            core: &mut self.core,
+            rng: &mut self.rngs[me.0],
+            me,
+        };
+        self.actors[me.0].on_start(&mut ctx);
     }
 
     /// Runs `on_start` for every member added since the last run. Called
@@ -742,7 +749,7 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         while self.next_start < self.actors.len() {
             let me = ActorId(self.next_start);
             self.next_start += 1;
-            self.dispatch(me, None);
+            self.start(me);
         }
     }
 
@@ -767,6 +774,7 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     /// Hands one popped event to one target. Observers see one record per
     /// member dispatch (a batch's members share its time and seq), so they
     /// still see every delivery.
+    #[inline]
     fn deliver(&mut self, key: EventKey, target: ActorId, payload: E) {
         if let Some(hook) = &mut self.trace {
             hook(&TraceRecord {
@@ -776,7 +784,7 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
             });
         }
         self.core.note_dispatch(key.time, target, key.seq);
-        self.dispatch(target, Some(payload));
+        self.dispatch(target, payload);
     }
 
     /// Pops and dispatches the next event — which may be a batch

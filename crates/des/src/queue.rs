@@ -28,9 +28,13 @@
 //! Layout, tuned so the indexing never taxes the pop-dominated hot path:
 //! keys live *inline* in the heap (`Vec<(EventKey, u32)>`), so sift
 //! comparisons walk contiguous memory exactly like a plain binary heap;
-//! payloads live in a slab (`Vec<Option<_>>` with a free list) whose slots
-//! the heap references, so payloads never move during sifts; and the
-//! `seq → slot` index is a `HashMap` hashed by one golden-ratio multiply
+//! payloads live in a slab (`Vec<Option<T>>` with a free list) whose slots
+//! the heap references, so payloads never move during sifts; where each
+//! slot's `(key, slot)` pair sits — heap position, bucket, far list — is a
+//! parallel `locs: Vec<Loc>`, so the upkeep every sift level and
+//! swap-remove does is one `Loc` store that never touches a payload, and
+//! a payload is written into its slot once and read out of it once; and
+//! the `seq → slot` index is a `HashMap` hashed by one golden-ratio multiply
 //! folded high-into-low ([`SeqHasher`]) instead of SipHash (sequence
 //! numbers are internal, monotonic `u64`s — no DoS surface; the table
 //! takes its bucket from the hash's low bits and a 7-bit tag from its top,
@@ -223,7 +227,7 @@ enum Route {
     Far,
 }
 
-/// Where an entry's `(key, slot)` pair currently lives.
+/// Where a slab slot's `(key, slot)` pair currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc {
     /// Position inside `heap`.
@@ -232,15 +236,6 @@ enum Loc {
     Bucket { slot: u32, pos: u32 },
     /// Position inside the calendar tier's far-overflow list.
     Far(u32),
-}
-
-/// Payload storage: the containers reference slots by index, so payloads
-/// stay put while the heap sifts or buckets shuffle.
-#[derive(Debug)]
-struct Entry<T> {
-    /// Current location of this entry's `(key, slot)` pair.
-    loc: Loc,
-    item: T,
 }
 
 /// The calendar (future) tiers of a [`QueueProfile::Calendar`] queue.
@@ -301,8 +296,13 @@ impl Calendar {
 pub struct EventQueue<T> {
     /// `(key, slab slot)` pairs arranged as a 4-ary min-heap on the keys.
     heap: Vec<(EventKey, u32)>,
-    /// Stable payload storage; `None` slots are parked on `free`.
-    slab: Vec<Option<Entry<T>>>,
+    /// Stable payload storage; `None` slots are parked on `free`. The
+    /// containers reference slots by index, so payloads stay put while the
+    /// heap sifts or buckets shuffle.
+    slab: Vec<Option<T>>,
+    /// `locs[slot]`: where the occupied slot's `(key, slot)` pair lives.
+    /// Parallel to `slab`; stale for a free slot.
+    locs: Vec<Loc>,
     /// Reusable slab slots.
     free: Vec<u32>,
     /// Live sequence numbers → slab slot. Never iterated, so hash order
@@ -372,6 +372,7 @@ impl<T> EventQueue<T> {
         Self {
             heap: Vec::new(),
             slab: Vec::new(),
+            locs: Vec::new(),
             free: Vec::new(),
             index: SeqMap::default(),
             cal,
@@ -379,17 +380,6 @@ impl<T> EventQueue<T> {
             run_time: None,
             max_seq: 0,
             vacant: false,
-        }
-    }
-
-    /// Creates an empty queue with room for `capacity` live events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            heap: Vec::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
-            index: SeqMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            ..Self::new()
         }
     }
 
@@ -487,6 +477,7 @@ impl<T> EventQueue<T> {
     ///
     /// Panics if `seq` is already pending (sequence numbers must be unique)
     /// or the queue holds `u32::MAX` live events.
+    #[inline]
     pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
         let key = EventKey { time, seq };
         if seq > self.max_seq {
@@ -509,22 +500,20 @@ impl<T> EventQueue<T> {
     /// Enqueues into slab, index and the tier `key.time` routes to,
     /// returning the slab slot. Panics (queue unchanged) if `key.seq` is
     /// already in the index; the caller has checked the run buffer.
+    #[inline]
     fn push_tiers(&mut self, key: EventKey, item: T) -> u32 {
         let seq = key.seq;
-        // A placeholder no container position equals, until `attach` routes
-        // the key to its tier and records where it went.
-        let entry = Entry {
-            loc: Loc::Far(u32::MAX),
-            item,
-        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(entry);
+                self.slab[slot as usize] = Some(item);
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slab.len()).expect("event queue overflow");
-                self.slab.push(Some(entry));
+                self.slab.push(Some(item));
+                // A placeholder no container position equals, until
+                // `attach` routes the key to its tier and records where.
+                self.locs.push(Loc::Far(u32::MAX));
                 slot
             }
         };
@@ -544,6 +533,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes and returns the earliest event (ties broken FIFO by `seq`).
+    #[inline]
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
         if let Some(&(run_key, _)) = self.run.front() {
             if self.heap_min().is_none_or(|key| run_key < key) {
@@ -585,11 +575,7 @@ impl<T> EventQueue<T> {
             return self.run.remove(pos).map(|(_, item)| item);
         };
         self.fill();
-        let loc = self.slab[slot as usize]
-            .as_ref()
-            .expect("indexed slab slot is occupied")
-            .loc;
-        let key = self.detach(loc);
+        let key = self.detach(self.locs[slot as usize]);
         debug_assert_eq!(key.seq, seq, "location out of sync with index");
         let item = self.release(seq, slot);
         if self.heap.is_empty() {
@@ -638,15 +624,12 @@ impl<T> EventQueue<T> {
             let (_, item) = self.run.remove(self.run_position(seq)?)?;
             self.max_seq = self.max_seq.max(new_seq);
             let slot = self.push_tiers(new_key, item);
-            return self.slab[slot as usize].as_mut().map(|e| &mut e.item);
+            return self.slab[slot as usize].as_mut();
         };
         self.max_seq = self.max_seq.max(new_seq);
         self.index.insert(new_seq, slot);
         self.fill();
-        let loc = self.slab[slot as usize]
-            .as_ref()
-            .expect("indexed slab slot is occupied")
-            .loc;
+        let loc = self.locs[slot as usize];
         if let (Loc::Heap(pos), Route::Heap) = (loc, self.route(new_time)) {
             // Fast path: the key stays in the heap and re-seats with a
             // single sift — the engine's cancel-then-rearm timer pattern.
@@ -665,7 +648,7 @@ impl<T> EventQueue<T> {
                 self.ensure_front();
             }
         }
-        self.slab[slot as usize].as_mut().map(|e| &mut e.item)
+        self.slab[slot as usize].as_mut()
     }
 
     /// Drops every pending event.
@@ -676,6 +659,7 @@ impl<T> EventQueue<T> {
         self.vacant = false;
         self.heap.clear();
         self.slab.clear();
+        self.locs.clear();
         self.free.clear();
         self.index.clear();
         if let Some(cal) = self.cal.as_mut() {
@@ -715,7 +699,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Inserts `(key, slot)` into the tier [`route`](Self::route) selects,
-    /// recording the location in the slab entry.
+    /// recording the location in `locs`.
     fn attach(&mut self, key: EventKey, slot: u32) {
         match self.route(key.time) {
             // One sift, no append: a push right after a pop is usually
@@ -723,10 +707,7 @@ impl<T> EventQueue<T> {
             Route::Heap if self.vacant => self.seat_at_root((key, slot)),
             Route::Heap => {
                 let pos = u32::try_from(self.heap.len()).expect("event queue overflow");
-                self.slab[slot as usize]
-                    .as_mut()
-                    .expect("attached slab slot is occupied")
-                    .loc = Loc::Heap(pos);
+                self.locs[slot as usize] = Loc::Heap(pos);
                 self.heap.push((key, slot));
                 self.sift_up(pos as usize);
             }
@@ -735,10 +716,7 @@ impl<T> EventQueue<T> {
                 let pos = u32::try_from(cal.ring[s].len()).expect("event queue overflow");
                 cal.ring[s].push((key, slot));
                 cal.in_ring += 1;
-                self.slab[slot as usize]
-                    .as_mut()
-                    .expect("attached slab slot is occupied")
-                    .loc = Loc::Bucket {
+                self.locs[slot as usize] = Loc::Bucket {
                     slot: s as u32,
                     pos,
                 };
@@ -749,10 +727,7 @@ impl<T> EventQueue<T> {
                 let idx = cal.bucket_index(key.time);
                 cal.far.push((key, slot));
                 cal.far_min_idx = cal.far_min_idx.min(idx);
-                self.slab[slot as usize]
-                    .as_mut()
-                    .expect("attached slab slot is occupied")
-                    .loc = Loc::Far(pos);
+                self.locs[slot as usize] = Loc::Far(pos);
             }
         }
     }
@@ -768,10 +743,7 @@ impl<T> EventQueue<T> {
                 let (key, _) = bucket.swap_remove(pos as usize);
                 cal.in_ring -= 1;
                 if let Some(&(_, moved)) = bucket.get(pos as usize) {
-                    self.slab[moved as usize]
-                        .as_mut()
-                        .expect("bucketed slab slot is occupied")
-                        .loc = Loc::Bucket { slot: s, pos };
+                    self.locs[moved as usize] = Loc::Bucket { slot: s, pos };
                 }
                 key
             }
@@ -781,10 +753,7 @@ impl<T> EventQueue<T> {
                 // far_min_idx may now be stale-low; that only costs a
                 // wasted pull scan, never correctness.
                 if let Some(&(_, moved)) = cal.far.get(pos as usize) {
-                    self.slab[moved as usize]
-                        .as_mut()
-                        .expect("far slab slot is occupied")
-                        .loc = Loc::Far(pos);
+                    self.locs[moved as usize] = Loc::Far(pos);
                 }
                 key
             }
@@ -793,14 +762,15 @@ impl<T> EventQueue<T> {
 
     /// Frees the slab slot and index entry of a removed event, returning
     /// its payload.
+    #[inline]
     fn release(&mut self, seq: u64, slot: u32) -> T {
-        let entry = self.slab[slot as usize]
+        let item = self.slab[slot as usize]
             .take()
             .expect("removed slab slot is occupied");
         self.free.push(slot);
         let removed = self.index.remove(&seq);
         debug_assert_eq!(removed, Some(slot), "index out of sync with slab");
-        entry.item
+        item
     }
 
     /// Restores the calendar invariant "heap empty ⟹ queue empty" by
@@ -828,12 +798,12 @@ impl<T> EventQueue<T> {
                 min_idx = min_idx.min(cal.bucket_index(key.time));
             }
             cal.base = min_idx;
-            Self::pull_far(cal, &mut self.slab);
+            Self::pull_far(cal, &mut self.locs);
             debug_assert!(cal.in_ring > 0, "rebase pulled nothing into the ring");
         }
         let s = loop {
             if cal.far_min_idx < cal.window_end() {
-                Self::pull_far(cal, &mut self.slab);
+                Self::pull_far(cal, &mut self.locs);
             }
             let s = (cal.base % ring_len) as usize;
             if !cal.ring[s].is_empty() {
@@ -847,10 +817,7 @@ impl<T> EventQueue<T> {
         cal.in_ring -= scratch.len();
         for (key, slot) in scratch.drain(..) {
             let pos = u32::try_from(self.heap.len()).expect("event queue overflow");
-            self.slab[slot as usize]
-                .as_mut()
-                .expect("migrated slab slot is occupied")
-                .loc = Loc::Heap(pos);
+            self.locs[slot as usize] = Loc::Heap(pos);
             self.heap.push((key, slot));
             self.sift_up(pos as usize);
         }
@@ -859,7 +826,7 @@ impl<T> EventQueue<T> {
 
     /// Moves every far event whose bucket fell inside the ring window into
     /// its bucket, and recomputes the exact far minimum.
-    fn pull_far(cal: &mut Calendar, slab: &mut [Option<Entry<T>>]) {
+    fn pull_far(cal: &mut Calendar, locs: &mut [Loc]) {
         let ring_len = cal.ring.len() as u64;
         let window_end = cal.window_end();
         let mut min_out = u64::MAX;
@@ -871,19 +838,13 @@ impl<T> EventQueue<T> {
                 debug_assert!(idx >= cal.base, "far event behind the window base");
                 cal.far.swap_remove(i);
                 if let Some(&(_, moved)) = cal.far.get(i) {
-                    slab[moved as usize]
-                        .as_mut()
-                        .expect("far slab slot is occupied")
-                        .loc = Loc::Far(i as u32);
+                    locs[moved as usize] = Loc::Far(i as u32);
                 }
                 let s = (idx % ring_len) as usize;
                 let pos = u32::try_from(cal.ring[s].len()).expect("event queue overflow");
                 cal.ring[s].push((key, slot));
                 cal.in_ring += 1;
-                slab[slot as usize]
-                    .as_mut()
-                    .expect("pulled slab slot is occupied")
-                    .loc = Loc::Bucket {
+                locs[slot as usize] = Loc::Bucket {
                     slot: s as u32,
                     pos,
                 };
@@ -933,18 +894,15 @@ impl<T> EventQueue<T> {
         (key, slot)
     }
 
-    /// Records `heap[heap_pos]`'s new position inside its slab entry.
+    /// Records `heap[heap_pos]`'s new position in `locs`.
     fn set_heap_pos(&mut self, heap_pos: usize) {
         let slot = self.heap[heap_pos].1;
-        let entry = self.slab[slot as usize]
-            .as_mut()
-            .expect("slab slot referenced by heap is occupied");
-        entry.loc = Loc::Heap(heap_pos as u32);
+        self.locs[slot as usize] = Loc::Heap(heap_pos as u32);
     }
 
     /// Hole-based sift: the moving element is held aside while displaced
     /// elements shift into the hole, so each level costs one heap write
-    /// and one slab `heap_pos` update instead of a full swap's two.
+    /// and one `locs` store instead of a full swap's two of each.
     fn sift_up(&mut self, start: usize) -> usize {
         let moving = self.heap[start];
         let mut pos = start;
@@ -1030,6 +988,15 @@ mod tests {
             "live slab entries out of sync"
         );
         assert_eq!(q.free.len() + live, q.slab.len(), "free list out of sync");
+        assert_eq!(q.locs.len(), q.slab.len(), "locs not parallel to slab");
+        // The recorded location of a slot a container holds.
+        let loc = |slot: u32| {
+            assert!(
+                q.slab[slot as usize].is_some(),
+                "container holds a free slot"
+            );
+            q.locs[slot as usize]
+        };
         // A vacant root holds the stale pair of the event last popped: it
         // is in neither slab nor index, and bounds nothing below it.
         let root = usize::from(q.vacant);
@@ -1038,8 +1005,7 @@ mod tests {
             "vacant root with no live entry below"
         );
         for (pos, &(key, slot)) in q.heap.iter().enumerate().skip(root) {
-            let entry = q.slab[slot as usize].as_ref().expect("occupied slot");
-            assert_eq!(entry.loc, Loc::Heap(pos as u32), "stale heap loc");
+            assert_eq!(loc(slot), Loc::Heap(pos as u32), "stale heap loc");
             assert_eq!(q.index.get(&key.seq), Some(&slot), "stale index");
             if pos > 0 {
                 let parent = (pos - 1) / ARITY;
@@ -1060,9 +1026,8 @@ mod tests {
         let mut in_ring = 0;
         for (s, bucket) in cal.ring.iter().enumerate() {
             for (pos, &(key, slot)) in bucket.iter().enumerate() {
-                let entry = q.slab[slot as usize].as_ref().expect("occupied slot");
                 assert_eq!(
-                    entry.loc,
+                    loc(slot),
                     Loc::Bucket {
                         slot: s as u32,
                         pos: pos as u32
@@ -1081,8 +1046,7 @@ mod tests {
         }
         assert_eq!(in_ring, cal.in_ring, "ring count out of sync");
         for (pos, &(key, slot)) in cal.far.iter().enumerate() {
-            let entry = q.slab[slot as usize].as_ref().expect("occupied slot");
-            assert_eq!(entry.loc, Loc::Far(pos as u32), "stale far loc");
+            assert_eq!(loc(slot), Loc::Far(pos as u32), "stale far loc");
             assert_eq!(q.index.get(&key.seq), Some(&slot), "stale index");
             assert!(
                 cal.bucket_index(key.time) >= cal.base,
@@ -1309,6 +1273,109 @@ mod tests {
             assert_eq!(q.cancel(seq), Some(survivor), "original must survive");
             assert_invariants(&q);
             q.push(t(5), 10 + seq, survivor);
+        }
+    }
+
+    /// Every payload that enters the queue is dropped exactly once, on
+    /// whichever path it leaves by: handed back by `pop` or `cancel`,
+    /// discarded by a caught duplicate-seq panic, cleared, or dropped with
+    /// the queue itself — on both profiles, from every tier.
+    #[test]
+    fn every_payload_is_dropped_exactly_once() {
+        use std::cell::Cell;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::rc::Rc;
+
+        struct Counted(Rc<Cell<usize>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        struct Tally {
+            drops: Rc<Cell<usize>>,
+            pushed: usize,
+        }
+        impl Tally {
+            fn item(&mut self) -> Counted {
+                self.pushed += 1;
+                Counted(Rc::clone(&self.drops))
+            }
+            fn check(&self, q: &EventQueue<Counted>) {
+                assert_invariants(q);
+                assert_eq!(
+                    self.drops.get(),
+                    self.pushed - q.len(),
+                    "drops ≠ pushed − len"
+                );
+            }
+        }
+        fn far_and_ring(q: &EventQueue<Counted>) -> (usize, usize) {
+            q.cal
+                .as_ref()
+                .map_or((0, 0), |cal| (cal.far.len(), cal.in_ring))
+        }
+
+        for calendar in [false, true] {
+            let mut tally = Tally {
+                drops: Rc::new(Cell::new(0)),
+                pushed: 0,
+            };
+            let mut q = if calendar {
+                small_calendar()
+            } else {
+                EventQueue::new()
+            };
+            // Heap (the calendar migrates bucket 5 and moves its base to
+            // 6), ring, far, and heap again (bucket 5 is behind the base).
+            for (time, seq) in [(5_000, 0), (8_000, 1), (90_000, 2), (5_000, 3)] {
+                q.push(t(time), seq, tally.item());
+                tally.check(&q);
+            }
+            assert_eq!(far_and_ring(&q), if calendar { (1, 1) } else { (0, 0) });
+            drop(q.pop().expect("four pending"));
+            tally.check(&q);
+            // The instant just popped, fresh seqs: the run buffer.
+            for seq in [4, 5] {
+                q.push(t(5_000), seq, tally.item());
+                tally.check(&q);
+            }
+            assert_eq!(q.run.len(), 2);
+            // Cancel from the run, then from the ring (heap profile: heap).
+            for seq in [5, 1] {
+                drop(q.cancel(seq).expect("pending"));
+                tally.check(&q);
+            }
+            // In place; far → ring (heap profile: in place); run → tiers.
+            for (seq, time, new_seq) in [(3, 5_500, 6), (2, 9_000, 7), (4, 9_500, 8)] {
+                assert!(q.reschedule(seq, t(time), new_seq).is_some());
+                tally.check(&q);
+            }
+            assert!(q.run.is_empty());
+            // A duplicate of an indexed seq, then of a run seq.
+            q.push(t(5_000), 9, tally.item());
+            assert_eq!(q.run.len(), 1);
+            for seq in [7, 9] {
+                let item = tally.item();
+                let panicked = catch_unwind(AssertUnwindSafe(|| q.push(t(20_000), seq, item)));
+                assert!(panicked.is_err());
+                tally.check(&q);
+            }
+            drop(q.pop().expect("pending"));
+            tally.check(&q);
+            q.clear();
+            tally.check(&q);
+            assert_eq!(tally.drops.get(), tally.pushed);
+            // Refill every tier and drop the queue whole.
+            for (time, seq) in [(100, 0), (3_000, 1), (80_000, 2)] {
+                q.push(t(time), seq, tally.item());
+            }
+            drop(q.pop().expect("three pending"));
+            q.push(t(100), 3, tally.item());
+            assert_eq!(q.run.len(), 1);
+            tally.check(&q);
+            drop(q);
+            assert_eq!(tally.drops.get(), tally.pushed, "dropping the queue");
         }
     }
 

@@ -190,8 +190,12 @@ impl<K: Copy + Eq + Hash> TimerSlots<K> {
                 }
             }
         }
+        // As in `insert`: an empty pre-warmed spill (the device's steady
+        // state) would still walk its whole table.
         if let Some(spill) = &mut self.spill {
-            spill.retain(|&k, &mut h| f(k, h));
+            if !spill.is_empty() {
+                spill.retain(|&k, &mut h| f(k, h));
+            }
         }
     }
 }

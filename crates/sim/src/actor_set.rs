@@ -26,7 +26,8 @@ use presence_des::{Actor, Context, ProjectActor, Simulation};
 pub type PresenceSim = Simulation<SimEvent, PresenceActorSet>;
 
 /// The actor kinds a hub simulation is built from, as an inline engine
-/// member type (see the [module docs](self)).
+/// member type: one variant per role of the paper, stored inline and
+/// dispatched through a direct `match`.
 #[allow(clippy::large_enum_variant)] // members live in a Vec, one per node
 pub enum PresenceActorSet {
     /// A control point (prober).

@@ -244,7 +244,9 @@ pub struct MegaResult {
 }
 
 /// The struct-of-arrays shard: every pair's protocol state in dense
-/// vectors, every recorder an aggregate (see the [module docs](self)).
+/// vectors, every recorder an aggregate. It runs alone on a
+/// `Simulation<MegaEvent, MegaDcppShard>` and needs no network actor: it
+/// samples its own delay, loss and processing times.
 pub struct MegaDcppShard {
     cfg: MegaConfig,
     /// `cfg.net_delay` and `cfg.processing` as samplers.

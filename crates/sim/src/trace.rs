@@ -123,7 +123,7 @@ impl DeviceTrace {
 }
 
 /// Network recorder: in-flight counter samples, at most one per
-/// [`SAMPLE_BUCKET_NS`] of simulated time.
+/// simulated millisecond.
 #[derive(Debug)]
 pub struct NetTrace {
     until_ns: u64,
