@@ -93,6 +93,12 @@ test_nonempty --release -q --test golden_equivalence
 echo "==> mega shard tests (release)"
 test_nonempty --release -q -p presence-sim --lib mega::
 
+# The host's own loopback tests optimised, as the benchmark and the bins
+# run the host: a burst of replies must leave as runs (UDP GSO sends) and
+# still arrive in probe order over IPv4 and IPv6, counted per datagram.
+echo "==> sharded host loopback tests (release)"
+test_nonempty --release -q -p presence-runtime --lib shard::
+
 # Conformance stage: the simulator is the oracle for the sharded UDP
 # serving runtime. The suite drives identical machine populations through
 # the simulator's own actors (zero-delay lossless fabric) and through real

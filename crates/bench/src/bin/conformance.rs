@@ -11,7 +11,9 @@
 //!   zero false absence verdicts from the `ShardCounters` surface. This
 //!   is the serving-runtime acceptance gate: the sharded host must
 //!   sustain a five-digit device population on a CI container without
-//!   shedding load — the busy path of the shard loop.
+//!   shedding load — the busy path of the shard loop. Each shard's line
+//!   also says how many datagrams one send call carried on average: how
+//!   well its flushes coalesce into runs.
 //! * `conformance --idle` — the idle path: one device host and one CP
 //!   host on the wall clock for 3 s, first with no CP at all, then with
 //!   five paper-default DCPP CPs holding the device at the paper's
@@ -171,11 +173,17 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
          recv_errors {recv_errors}, send_errors {send_errors}, unroutable {unroutable}, \
          false verdicts {false_verdicts}"
     );
-    for (i, s) in cp_report.per_shard.iter().enumerate() {
-        println!(
-            "  cp shard {i}: sent {} received {} timers {}",
-            s.datagrams_sent, s.datagrams_received, s.timers_fired
-        );
+    for (side, report) in [("cp", &cp_report), ("device", &device_report)] {
+        for (i, s) in report.per_shard.iter().enumerate() {
+            println!(
+                "  {side} shard {i}: sent {} received {} timers {}, \
+                 {:.1} datagrams per send call",
+                s.datagrams_sent,
+                s.datagrams_received,
+                s.timers_fired,
+                s.datagrams_sent as f64 / s.send_calls.max(1) as f64
+            );
+        }
     }
 
     let mut ok = true;

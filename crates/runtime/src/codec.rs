@@ -2,7 +2,7 @@
 //!
 //! A compact, explicit little-endian format (no serde reflection on the
 //! wire): every datagram starts with a one-byte message tag, followed by
-//! fixed-width fields. Probes are 13 bytes, replies at most 32 — small
+//! fixed-width fields. Probes are 13 bytes, replies at most 33 — small
 //! enough that even the paper's PDAs-and-mobile-phones deployment target
 //! would not blink.
 //!
@@ -113,10 +113,29 @@ fn get_prober(v: u32) -> Option<CpId> {
     v.checked_sub(1).map(CpId)
 }
 
+/// Longest bare encoding: a SAPP reply.
+const MAX_MESSAGE: usize = 33;
+
 /// Encodes a message into a fresh buffer.
 #[must_use]
 pub fn encode(msg: &WireMessage) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(33);
+    let mut buf = Vec::with_capacity(MAX_MESSAGE);
+    encode_into(&mut buf, msg);
+    buf
+}
+
+/// Encodes a message wrapped in the device-addressed host frame.
+#[must_use]
+pub fn encode_addressed(device: DeviceId, msg: &WireMessage) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(5 + MAX_MESSAGE);
+    buf.push(TAG_ADDRESSED);
+    buf.extend_from_slice(&device.0.to_le_bytes());
+    encode_into(&mut buf, msg);
+    buf
+}
+
+/// The one encoder: appends `msg`'s bytes to `buf`.
+fn encode_into(buf: &mut Vec<u8>, msg: &WireMessage) {
     match msg {
         WireMessage::Probe(p) => {
             buf.push(TAG_PROBE);
@@ -130,8 +149,8 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
                 buf.extend_from_slice(&r.probe.seq.to_le_bytes());
                 buf.extend_from_slice(&r.device.0.to_le_bytes());
                 buf.extend_from_slice(&pc.to_le_bytes());
-                put_prober(&mut buf, last_probers[0]);
-                put_prober(&mut buf, last_probers[1]);
+                put_prober(buf, last_probers[0]);
+                put_prober(buf, last_probers[1]);
             }
             ReplyBody::Dcpp { wait } => {
                 buf.push(TAG_REPLY_DCPP);
@@ -151,18 +170,6 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
             buf.extend_from_slice(&n.reporter.0.to_le_bytes());
         }
     }
-    buf
-}
-
-/// Encodes a message wrapped in the device-addressed host frame.
-#[must_use]
-pub fn encode_addressed(device: DeviceId, msg: &WireMessage) -> Vec<u8> {
-    let inner = encode(msg);
-    let mut buf = Vec::with_capacity(5 + inner.len());
-    buf.push(TAG_ADDRESSED);
-    buf.extend_from_slice(&device.0.to_le_bytes());
-    buf.extend_from_slice(&inner);
-    buf
 }
 
 /// One datagram as a shard socket sees it: either a plain wire message or

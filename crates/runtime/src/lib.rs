@@ -12,11 +12,15 @@
 //!   ([`ManualClock`]) time sources; [`Clock::wall_until`] is how an idle
 //!   shard learns how long it may block.
 //!
-//! The crate is safe Rust except for one private module, `wait`: an idle
-//! shard blocks in `ppoll(2)` until its socket is readable or its next
-//! timer is due, and std offers no such wait — it has no poll, and its
-//! only timed receive (`set_read_timeout`, i.e. `SO_RCVTIMEO`) is rounded
-//! to scheduler ticks, 8 ms for a 1 ms timeout at HZ = 250. Linux only.
+//! The crate is safe Rust except for one private module, `sys`, the two
+//! socket calls std lacks. An idle shard blocks in `ppoll(2)` until its
+//! socket is readable or its next timer is due, and std offers no such
+//! wait — it has no poll, and its only timed receive (`set_read_timeout`,
+//! i.e. `SO_RCVTIMEO`) is rounded to scheduler ticks, 8 ms for a 1 ms
+//! timeout at HZ = 250. And a shard hands each run of same-destination,
+//! same-length datagrams to the kernel as one `sendmsg(2)` with UDP
+//! segmentation offload (`UDP_SEGMENT`, Linux ≥ 4.18), where std sends one
+//! datagram per call. Linux only.
 //!
 //! The crate is the host and nothing else: it takes only
 //! `SimTime`/`SimDuration` from `presence-des`. The harness that pins it
@@ -55,7 +59,7 @@
 //! assert!(report.devices[0].probes_received >= 1);
 //! ```
 
-// `deny`, not `forbid`: exactly one module, `wait`, allows `unsafe`.
+// `deny`, not `forbid`: exactly one module, `sys`, allows `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -64,7 +68,7 @@ pub mod codec;
 mod clock;
 mod shard;
 mod stats;
-mod wait;
+mod sys;
 mod wheel;
 
 pub use clock::{Clock, ManualClock, SystemClock};

@@ -11,13 +11,23 @@
 //! [`codec`](crate::codec), flushes queued sends and republishes its
 //! earliest deadline.
 //!
+//! The flush sends *runs*, not datagrams: each maximal stretch of queued
+//! datagrams with one destination and one length (up to 64) goes to the
+//! kernel as a single UDP segmentation-offload `sendmsg`, which the
+//! kernel splits back into datagrams in queue order. What a loopback
+//! datagram costs is its trip through the network stack, and a run makes
+//! that trip once. Runs never merge across destinations or lengths, so
+//! every socket sees the order it would see from one `send_to` per
+//! datagram — the order DCPP's slots and SAPP's last-prober fields depend
+//! on.
+//!
 //! What an iteration that found no work does next is the loop's one idle
 //! rule. A wake-up costs tens of microseconds of CPU where a datagram
 //! costs a few, so under load the shard must not wake per datagram: right
 //! after work it sleeps one `poll_interval` — deaf to the socket, so the
 //! next batch gathers — and a second one if that window stayed empty.
 //! Only after two consecutive empty windows is the shard idle rather than
-//! between batches, and then it blocks (`wait::wait_readable`) until a
+//! between batches, and then it blocks (`sys::wait_readable`) until a
 //! datagram arrives or the wheel's next deadline is due on the wall
 //! ([`Clock::wall_until`]), re-checking the stop flag every
 //! `MAX_BLOCK`. A clock that cannot say how far away a deadline is (the
@@ -43,7 +53,7 @@
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
-use crate::wait::wait_readable;
+use crate::sys::{send_segments, wait_readable, MAX_SEGMENTS};
 use crate::wheel::TimerWheel;
 use presence_core::{
     CpAction, CpId, CpStats, DeviceId, DeviceMachine, Prober, TimerToken, Verdict, WireMessage,
@@ -132,6 +142,26 @@ fn parse_shards(var: Option<&str>) -> usize {
 /// [`ShardedHost::add_device`] puts it and where both `addr_of`s look.
 fn shard_of_device(device: DeviceId, shards: usize) -> usize {
     device.0 as usize % shards
+}
+
+/// `sends` cut into runs, in order: each run is the longest stretch of
+/// consecutive datagrams with the first one's destination and length, at
+/// most `MAX_SEGMENTS` long — what one UDP GSO send can carry. Runs never
+/// merge across a change of destination or length, so sending them one
+/// after another keeps every socket's arrival order.
+fn runs(sends: &[(SocketAddr, Vec<u8>)]) -> impl Iterator<Item = &[(SocketAddr, Vec<u8>)]> + '_ {
+    let mut rest = sends;
+    std::iter::from_fn(move || {
+        let (dest, bytes) = rest.first()?;
+        let n = rest
+            .iter()
+            .take(MAX_SEGMENTS)
+            .take_while(|(d, b)| d == dest && b.len() == bytes.len())
+            .count();
+        let (run, tail) = rest.split_at(n);
+        rest = tail;
+        Some(run)
+    })
 }
 
 /// Timer-wheel key for one shard: which machine, which timer.
@@ -371,22 +401,29 @@ impl Shard {
         }
     }
 
-    fn flush(&mut self, sends: &mut Vec<(SocketAddr, Vec<u8>)>) {
-        for (dest, bytes) in sends.drain(..) {
-            match self.socket.send_to(&bytes, dest) {
-                Ok(_) => {
-                    self.counters.datagrams_sent.fetch_add(1, Ordering::Release);
-                }
+    /// Hands the queued datagrams to the kernel one [run](runs) per call:
+    /// a run of one is a plain `send_to`, a longer one a single
+    /// `sendmsg` whose segments leave as separate datagrams in queue
+    /// order. A run succeeds or fails whole, and each of its datagrams is
+    /// counted under the outcome.
+    fn flush(&self, sends: &mut Vec<(SocketAddr, Vec<u8>)>) {
+        for run in runs(sends) {
+            let dest = run[0].0;
+            let sent = match run {
+                [(_, bytes)] => self.socket.send_to(bytes, dest).map(|_| ()),
+                _ => send_segments(&self.socket, dest, run.iter().map(|(_, b)| &b[..])),
+            };
+            let outcome = match sent {
+                Ok(()) => &self.counters.datagrams_sent,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.counters
-                        .dropped_sendpressure
-                        .fetch_add(1, Ordering::Release);
+                    &self.counters.dropped_sendpressure
                 }
-                Err(_) => {
-                    self.counters.send_errors.fetch_add(1, Ordering::Release);
-                }
-            }
+                Err(_) => &self.counters.send_errors,
+            };
+            outcome.fetch_add(run.len() as u64, Ordering::Release);
+            self.counters.send_calls.fetch_add(1, Ordering::Release);
         }
+        sends.clear();
     }
 
     fn run(
@@ -884,6 +921,121 @@ mod tests {
         }
         let report = handle.join();
         assert_eq!(report.devices[0].probes_received, 5);
+    }
+
+    /// Queues a 150-probe burst on a one-shard host serving two DCPP
+    /// devices (25-byte replies) and one SAPP device (33-byte replies)
+    /// *before* it starts, so the first iterations drain 64 / 64 / 22
+    /// probes and every flush holds runs of both lengths. Checks that the
+    /// replies come back in probe order and returns the host's counters.
+    fn serve_burst(bind: &str) -> ShardStats {
+        const PROBES: u64 = 150;
+        // Runs of five 25-byte replies, then three 33-byte ones.
+        const PATTERN: [u32; 8] = [0, 0, 0, 1, 1, 2, 2, 2];
+        let device_of = |seq: u64| DeviceId(PATTERN[seq as usize % PATTERN.len()]);
+        let config = HostConfig {
+            bind: bind.to_string(),
+            ..HostConfig::loopback(1)
+        };
+        let mut host = ShardedHost::bind(&config).unwrap();
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(1)), None);
+        host.add_device(DeviceMachine::sapp_paper(DeviceId(2)), None);
+        let addr = host.local_addrs()[0];
+
+        let sock = UdpSocket::bind(bind).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        for seq in 0..PROBES {
+            let probe = WireMessage::Probe(presence_core::Probe { cp: CpId(1), seq });
+            sock.send_to(&encode_addressed(device_of(seq), &probe), addr)
+                .unwrap();
+        }
+        let handle = host.start(Arc::new(SystemClock::new()));
+        let mut buf = [0u8; MAX_DATAGRAM];
+        for seq in 0..PROBES {
+            let (n, _) = sock.recv_from(&mut buf).expect("reply missing");
+            let reply = match decode_datagram(&buf[..n]).unwrap() {
+                Datagram::Direct(WireMessage::Reply(r)) => r,
+                other => panic!("unexpected datagram {other:?}"),
+            };
+            assert_eq!(reply.probe.seq, seq, "reply out of probe order");
+            assert_eq!(reply.device, device_of(seq));
+            assert_eq!(n, if reply.device == DeviceId(2) { 33 } else { 25 });
+        }
+        handle.join().stats
+    }
+
+    fn assert_burst_counted_per_datagram(stats: ShardStats) {
+        assert_eq!(stats.datagrams_sent, 150);
+        assert_eq!(stats.send_errors, 0);
+        assert_eq!(stats.dropped_sendpressure, 0);
+        // Runs formed: fewer calls than datagrams.
+        assert!(
+            stats.send_calls < stats.datagrams_sent,
+            "{} send calls for {} datagrams",
+            stats.send_calls,
+            stats.datagrams_sent
+        );
+    }
+
+    #[test]
+    fn a_burst_keeps_its_order_and_is_counted_per_datagram_over_ipv4() {
+        assert_burst_counted_per_datagram(serve_burst("127.0.0.1:0"));
+    }
+
+    #[test]
+    fn a_burst_keeps_its_order_and_is_counted_per_datagram_over_ipv6() {
+        assert_burst_counted_per_datagram(serve_burst("[::1]:0"));
+    }
+
+    #[test]
+    fn a_refused_run_is_counted_once_per_datagram() {
+        // Port 0 is no destination: the kernel refuses every send to it.
+        let refused: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        for cp in 0..3u32 {
+            let prober = DcppCp::new(CpId(cp), DcppConfig::paper_default());
+            host.add_prober(Box::new(prober), refused, DeviceId(0), SimTime::ZERO);
+        }
+        let handle = host.start(Arc::new(SystemClock::new()));
+        // Each prober transmits four times in TOF + 3·TOS = 85 ms, then
+        // gives up.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while handle.stats().send_errors < 12 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = handle.join();
+        let probes: u64 = report.probers.iter().map(|p| p.stats.probes_sent).sum();
+        assert_eq!(probes, 12);
+        assert_eq!(report.stats.send_errors, probes);
+        assert_eq!(report.stats.datagrams_sent, 0);
+        // Started together, the three probers time out together: every
+        // round of their probes is one run, refused by one call.
+        assert_eq!(report.stats.send_calls, 4);
+    }
+
+    #[test]
+    fn runs_split_on_destination_length_and_the_segment_cap_and_keep_order() {
+        let a: SocketAddr = "127.0.0.1:7".parse().unwrap();
+        let b: SocketAddr = "[::1]:7".parse().unwrap();
+        let mut shape = vec![(a, 25); 3];
+        shape.extend([(a, 33), (a, 33), (b, 33), (a, 25)]);
+        shape.extend(vec![(b, 25); MAX_SEGMENTS + 2]);
+        // Every payload starts with its queue index.
+        let sends: Vec<(SocketAddr, Vec<u8>)> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(dest, len))| {
+                let mut bytes = vec![0; len];
+                bytes[..2].copy_from_slice(&u16::try_from(i).unwrap().to_le_bytes());
+                (dest, bytes)
+            })
+            .collect();
+        let lens: Vec<usize> = runs(&sends).map(<[_]>::len).collect();
+        assert_eq!(lens, [3, 2, 1, 1, MAX_SEGMENTS, 2]);
+        let flattened: Vec<_> = runs(&sends).flatten().collect();
+        assert_eq!(flattened, sends.iter().collect::<Vec<_>>());
+        assert_eq!(runs(&[]).count(), 0);
     }
 
     /// `per_500ms` iterations scaled to however long the test thread

@@ -26,6 +26,10 @@ pub struct ShardCounters {
     pub datagrams_received: AtomicU64,
     /// Datagrams handed to the kernel.
     pub datagrams_sent: AtomicU64,
+    /// Send syscalls issued, whatever their outcome: one per run of
+    /// same-destination, same-length datagrams, so `datagrams_sent /
+    /// send_calls` is how well the shard coalesces.
+    pub send_calls: AtomicU64,
     /// Datagrams that failed to decode (garbage, truncation).
     pub decode_errors: AtomicU64,
     /// Socket receive calls that failed with anything but "no datagram
@@ -60,7 +64,8 @@ impl ShardCounters {
 
     /// Sum of all traffic-and-work counters — changes if and only if the
     /// shard did *anything* (received, sent, dropped, fired). Quiescence
-    /// detectors compare successive samples of this.
+    /// detectors compare successive samples of this. `send_calls` is left
+    /// out: it only moves with the send outcomes already counted.
     #[must_use]
     pub fn activity(&self) -> u64 {
         self.datagrams_received.load(Ordering::Acquire)
@@ -80,6 +85,7 @@ impl ShardCounters {
         ShardStats {
             datagrams_received: self.datagrams_received.load(Ordering::Acquire),
             datagrams_sent: self.datagrams_sent.load(Ordering::Acquire),
+            send_calls: self.send_calls.load(Ordering::Acquire),
             decode_errors: self.decode_errors.load(Ordering::Acquire),
             recv_errors: self.recv_errors.load(Ordering::Acquire),
             unroutable: self.unroutable.load(Ordering::Acquire),
@@ -99,6 +105,8 @@ pub struct ShardStats {
     pub datagrams_received: u64,
     /// Datagrams handed to the kernel.
     pub datagrams_sent: u64,
+    /// Send syscalls issued (one per run of datagrams).
+    pub send_calls: u64,
     /// Datagrams that failed to decode.
     pub decode_errors: u64,
     /// Failed socket receive calls (other than "no datagram waiting").
@@ -129,6 +137,7 @@ impl ShardStats {
         ShardStats {
             datagrams_received: self.datagrams_received + other.datagrams_received,
             datagrams_sent: self.datagrams_sent + other.datagrams_sent,
+            send_calls: self.send_calls + other.send_calls,
             decode_errors: self.decode_errors + other.decode_errors,
             recv_errors: self.recv_errors + other.recv_errors,
             unroutable: self.unroutable + other.unroutable,
@@ -153,8 +162,10 @@ mod tests {
         c.timers_fired.fetch_add(3, Ordering::Release);
         c.send_errors.fetch_add(4, Ordering::Release);
         assert_eq!(c.activity(), 10);
-        // loop_iterations is liveness, not activity.
+        // loop_iterations is liveness, not activity; send_calls only
+        // moves with the send outcomes.
         c.loop_iterations.fetch_add(10, Ordering::Release);
+        c.send_calls.fetch_add(1, Ordering::Release);
         assert_eq!(c.activity(), 10);
     }
 
@@ -162,12 +173,14 @@ mod tests {
     fn snapshot_and_merge() {
         let c = ShardCounters::new();
         c.datagrams_sent.fetch_add(4, Ordering::Release);
+        c.send_calls.fetch_add(2, Ordering::Release);
         c.unroutable.fetch_add(1, Ordering::Release);
         c.recv_errors.fetch_add(2, Ordering::Release);
         c.send_errors.fetch_add(3, Ordering::Release);
         let a = c.snapshot();
         let b = ShardStats {
             datagrams_sent: 1,
+            send_calls: 1,
             recv_errors: 1,
             send_errors: 1,
             dropped_sendpressure: 2,
@@ -175,6 +188,7 @@ mod tests {
         };
         let m = a.merged(b);
         assert_eq!(m.datagrams_sent, 5);
+        assert_eq!(m.send_calls, 3);
         assert_eq!(m.unroutable, 1);
         assert_eq!(m.recv_errors, 3);
         assert_eq!(m.send_errors, 4);
