@@ -95,9 +95,12 @@ test_nonempty --release -q -p presence-sim --lib mega::
 
 # The host's own loopback tests optimised, as the benchmark and the bins
 # run the host: a burst of replies must leave as runs (UDP GSO sends) and
-# still arrive in probe order over IPv4 and IPv6, counted per datagram.
-echo "==> sharded host loopback tests (release)"
+# still arrive in probe order over IPv4 and IPv6, a queued burst of runs
+# must be received whole (UDP GRO), counted per datagram; and the socket
+# calls under them (`sys::`) must send and receive a 64-segment run.
+echo "==> sharded host loopback and socket tests (release)"
 test_nonempty --release -q -p presence-runtime --lib shard::
+test_nonempty --release -q -p presence-runtime --lib sys::
 
 # Conformance stage: the simulator is the oracle for the sharded UDP
 # serving runtime. The suite drives identical machine populations through

@@ -177,11 +177,12 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
         for (i, s) in report.per_shard.iter().enumerate() {
             println!(
                 "  {side} shard {i}: sent {} received {} timers {}, \
-                 {:.1} datagrams per send call",
+                 {:.1} datagrams per send call, {:.1} per receive call",
                 s.datagrams_sent,
                 s.datagrams_received,
                 s.timers_fired,
-                s.datagrams_sent as f64 / s.send_calls.max(1) as f64
+                s.datagrams_sent as f64 / s.send_calls.max(1) as f64,
+                s.datagrams_received as f64 / s.recv_calls.max(1) as f64
             );
         }
     }

@@ -37,11 +37,13 @@ const TAG_BYE: u8 = 0x04;
 const TAG_NOTICE: u8 = 0x05;
 const TAG_ADDRESSED: u8 = 0x06;
 
-/// Receive-buffer size every transport allocates. Every encoding this
-/// module can produce — including the 5-byte [`encode_addressed`] envelope
-/// — fits with generous headroom (pinned by a proptest), so no datagram is
-/// ever truncated on receive (a truncated datagram would vanish silently
-/// as a decode error).
+/// Longest datagram a receiver needs room for. Every encoding this module
+/// can produce — including the 5-byte [`encode_addressed`] envelope —
+/// fits with generous headroom (pinned by a proptest). Decoding accepts
+/// exactly one encoding and rejects bytes after it
+/// ([`DecodeError::TrailingBytes`]), so a longer datagram is never valid.
+/// A receiver must read such a datagram whole to reject it: cut to this
+/// size, one whose head is a valid message would be answered.
 pub const MAX_DATAGRAM: usize = 256;
 
 /// A datagram could not be decoded.
@@ -51,6 +53,8 @@ pub enum DecodeError {
     Truncated,
     /// The leading tag byte is not a known message type.
     UnknownTag(u8),
+    /// This many bytes followed a complete message.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -58,6 +62,7 @@ impl fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "datagram truncated"),
             DecodeError::UnknownTag(t) => write!(f, "unknown message tag 0x{t:02x}"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} bytes after the message"),
         }
     }
 }
@@ -183,7 +188,7 @@ pub enum Datagram {
 }
 
 /// Decodes one datagram, accepting both bare messages and the
-/// device-addressed host frame.
+/// device-addressed host frame, with no bytes after the message.
 pub fn decode_datagram(buf: &[u8]) -> Result<Datagram, DecodeError> {
     match buf.first() {
         Some(&TAG_ADDRESSED) => {
@@ -195,9 +200,18 @@ pub fn decode_datagram(buf: &[u8]) -> Result<Datagram, DecodeError> {
     }
 }
 
-/// Decodes one datagram.
+/// Decodes one datagram: exactly one encoding, no bytes after it.
 pub fn decode(buf: &[u8]) -> Result<WireMessage, DecodeError> {
     let mut r = Reader { buf };
+    let msg = read_message(&mut r)?;
+    match r.buf.len() {
+        0 => Ok(msg),
+        n => Err(DecodeError::TrailingBytes(n)),
+    }
+}
+
+/// Reads one message off the front of `r`.
+fn read_message(r: &mut Reader<'_>) -> Result<WireMessage, DecodeError> {
     let tag = r.get_u8()?;
     match tag {
         TAG_PROBE => Ok(WireMessage::Probe(Probe {
@@ -394,5 +408,9 @@ mod tests {
     fn error_displays() {
         assert_eq!(DecodeError::Truncated.to_string(), "datagram truncated");
         assert!(DecodeError::UnknownTag(0xab).to_string().contains("0xab"));
+        assert_eq!(
+            DecodeError::TrailingBytes(3).to_string(),
+            "3 bytes after the message"
+        );
     }
 }

@@ -12,15 +12,18 @@
 //!   ([`ManualClock`]) time sources; [`Clock::wall_until`] is how an idle
 //!   shard learns how long it may block.
 //!
-//! The crate is safe Rust except for one private module, `sys`, the two
+//! The crate is safe Rust except for one private module, `sys`, the three
 //! socket calls std lacks. An idle shard blocks in `ppoll(2)` until its
 //! socket is readable or its next timer is due, and std offers no such
 //! wait — it has no poll, and its only timed receive (`set_read_timeout`,
 //! i.e. `SO_RCVTIMEO`) is rounded to scheduler ticks, 8 ms for a 1 ms
-//! timeout at HZ = 250. And a shard hands each run of same-destination,
+//! timeout at HZ = 250. A shard hands each run of same-destination,
 //! same-length datagrams to the kernel as one `sendmsg(2)` with UDP
-//! segmentation offload (`UDP_SEGMENT`, Linux ≥ 4.18), where std sends one
-//! datagram per call. Linux only.
+//! segmentation offload (`UDP_SEGMENT`), where std sends one datagram per
+//! call. And its socket has UDP generic receive offload on (`UDP_GRO`), so
+//! such a run arrives whole and is read by one `recvmsg(2)`, where std
+//! reads one datagram per call. Linux ≥ 5.0 only: on an older kernel
+//! [`ShardedHost::bind`] fails.
 //!
 //! The crate is the host and nothing else: it takes only
 //! `SimTime`/`SimDuration` from `presence-des`. The harness that pins it

@@ -11,13 +11,16 @@
 //! [`codec`](crate::codec), flushes queued sends and republishes its
 //! earliest deadline.
 //!
-//! The flush sends *runs*, not datagrams: each maximal stretch of queued
-//! datagrams with one destination and one length (up to 64) goes to the
-//! kernel as a single UDP segmentation-offload `sendmsg`, which the
-//! kernel splits back into datagrams in queue order. What a loopback
-//! datagram costs is its trip through the network stack, and a run makes
-//! that trip once. Runs never merge across destinations or lengths, so
-//! every socket sees the order it would see from one `send_to` per
+//! Datagrams travel in *runs*. The flush sends each maximal stretch of
+//! queued datagrams with one destination and one length (up to 64) as a
+//! single UDP segmentation-offload `sendmsg`. What a loopback datagram
+//! costs is its trip through the network stack, and a run makes that
+//! trip once. Every shard socket has UDP generic receive offload on, so
+//! a run arriving from another shard stays one packet: the drain reads it
+//! with one `recvmsg`, charged once to the receive buffer, and cuts it
+//! back into datagrams in the order they were queued. A lone datagram is
+//! a run of one. Runs never merge across destinations or lengths, so
+//! every machine sees the order it would see from one `send_to` per
 //! datagram — the order DCPP's slots and SAPP's last-prober fields depend
 //! on.
 //!
@@ -53,7 +56,7 @@
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
-use crate::sys::{send_segments, wait_readable, MAX_SEGMENTS};
+use crate::sys::{enable_gro, recv_segments, send_segments, wait_readable, MAX_SEGMENTS};
 use crate::wheel::TimerWheel;
 use presence_core::{
     CpAction, CpId, CpStats, DeviceId, DeviceMachine, Prober, TimerToken, Verdict, WireMessage,
@@ -67,8 +70,14 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Maximum datagrams drained from the socket per loop iteration.
+/// Datagrams drained from the socket per loop iteration: no further run
+/// is read once this many are handled, and a run is never split.
 const RECV_BATCH: usize = 64;
+
+/// The shard's one receive buffer: the longest run of valid datagrams
+/// the kernel coalesces (`MAX_SEGMENTS` of at most `MAX_DATAGRAM` bytes,
+/// 16 KiB). A longer run is not ours and is counted as one decode error.
+const RECV_BUFFER: usize = MAX_SEGMENTS * MAX_DATAGRAM;
 
 /// Consecutive `poll_interval` windows that must gather nothing before a
 /// shard blocks. One is not enough: a fleet whose bursts arrive a little
@@ -162,6 +171,14 @@ fn runs(sends: &[(SocketAddr, Vec<u8>)]) -> impl Iterator<Item = &[(SocketAddr, 
         rest = tail;
         Some(run)
     })
+}
+
+/// A received run cut back into its datagrams, in order: every
+/// `segment_size` bytes, the last one possibly shorter. An empty datagram
+/// is one empty segment, so it is counted like any other.
+fn segments(run: &[u8], segment_size: usize) -> impl Iterator<Item = &[u8]> {
+    let empty = run.is_empty().then_some(run);
+    run.chunks(segment_size.max(1)).chain(empty)
 }
 
 /// Timer-wheel key for one shard: which machine, which timer.
@@ -431,7 +448,7 @@ impl Shard {
         clock: Arc<dyn Clock>,
         stop: Arc<AtomicBool>,
     ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
-        let mut buf = [0u8; MAX_DATAGRAM];
+        let mut buf = vec![0u8; RECV_BUFFER];
         let mut sends: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
         let mut actions: Vec<CpAction> = Vec::new();
         // Zero from the start: a shard that has served nothing yet has no
@@ -442,12 +459,29 @@ impl Shard {
             let now = clock.now();
             work += self.fire_due(now, &mut actions, &mut sends);
 
-            for _ in 0..RECV_BATCH {
-                match self.socket.recv_from(&mut buf) {
-                    Ok((n, from)) => {
-                        work += 1;
-                        let now = clock.now();
-                        self.handle_datagram(now, &buf[..n], from, &mut actions, &mut sends);
+            let mut handled = 0;
+            while handled < RECV_BATCH {
+                match recv_segments(&self.socket, &mut buf) {
+                    Ok(run) => {
+                        self.counters.recv_calls.fetch_add(1, Ordering::Release);
+                        if run.truncated {
+                            // Longer than any run of valid datagrams.
+                            handled += 1;
+                            self.counters.decode_errors.fetch_add(1, Ordering::Release);
+                        } else {
+                            // A run's segments arrived together: one instant.
+                            let now = clock.now();
+                            for datagram in segments(&buf[..run.len], run.segment_size) {
+                                handled += 1;
+                                self.handle_datagram(
+                                    now,
+                                    datagram,
+                                    run.from,
+                                    &mut actions,
+                                    &mut sends,
+                                );
+                            }
+                        }
                     }
                     Err(e)
                         if e.kind() == io::ErrorKind::WouldBlock
@@ -462,7 +496,7 @@ impl Shard {
                 }
             }
 
-            work += sends.len() as u64;
+            work += handled as u64 + sends.len() as u64;
             self.flush(&mut sends);
             self.publish_deadline();
             self.counters
@@ -518,7 +552,13 @@ pub struct ShardedHost {
 }
 
 impl ShardedHost {
-    /// Binds one non-blocking UDP socket per shard.
+    /// Binds one non-blocking UDP socket per shard, with UDP generic
+    /// receive offload on.
+    ///
+    /// # Errors
+    ///
+    /// Any failure to bind or configure a socket, including a kernel
+    /// older than Linux 5.0, which has no `UDP_GRO`.
     pub fn bind(config: &HostConfig) -> io::Result<Self> {
         let n = config.shards.max(1);
         let mut shards = Vec::with_capacity(n);
@@ -527,6 +567,7 @@ impl ShardedHost {
         for _ in 0..n {
             let socket = UdpSocket::bind(&config.bind)?;
             socket.set_nonblocking(true)?;
+            enable_gro(&socket)?;
             addrs.push(socket.local_addr()?);
             let c = Arc::new(ShardCounters::new());
             counters.push(Arc::clone(&c));
@@ -759,6 +800,34 @@ mod tests {
         }
     }
 
+    /// Probe `seq` from CP 1, addressed to device 0.
+    fn addressed_probe(seq: u64) -> Vec<u8> {
+        let probe = presence_core::Probe { cp: CpId(1), seq };
+        encode_addressed(DeviceId(0), &WireMessage::Probe(probe))
+    }
+
+    /// Reads one reply from `sock` and returns the seq of the probe it
+    /// answers.
+    fn reply_seq(sock: &UdpSocket) -> u64 {
+        let mut buf = [0u8; MAX_DATAGRAM];
+        let (n, _) = sock.recv_from(&mut buf).expect("reply missing");
+        match decode_datagram(&buf[..n]).unwrap() {
+            Datagram::Direct(WireMessage::Reply(r)) => r.probe.seq,
+            other => panic!("unexpected datagram {other:?}"),
+        }
+    }
+
+    /// A one-shard host serving device 0, a client socket aimed at it,
+    /// and the running host.
+    fn one_device_host() -> (UdpSocket, SocketAddr, HostHandle) {
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
+        let addr = host.addr_of(DeviceId(0));
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (sock, addr, host.start(Arc::new(SystemClock::new())))
+    }
+
     #[test]
     fn parse_shards_resolves_env_values() {
         assert_eq!(parse_shards(Some("1")), 1);
@@ -898,26 +967,10 @@ mod tests {
     fn device_answers_each_addressed_probe() {
         // A device must answer exactly what it is sent, to whoever sent
         // it, with no wall-clock cycle-count assumptions.
-        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
-        let addr = host.addr_of(DeviceId(0));
-        let handle = host.start(Arc::new(SystemClock::new()));
-
-        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut buf = [0u8; MAX_DATAGRAM];
+        let (sock, addr, handle) = one_device_host();
         for seq in 0..5u64 {
-            let probe = presence_core::Probe { cp: CpId(1), seq };
-            sock.send_to(
-                &encode_addressed(DeviceId(0), &WireMessage::Probe(probe)),
-                addr,
-            )
-            .unwrap();
-            let (n, _) = sock.recv_from(&mut buf).expect("device did not answer");
-            match decode_datagram(&buf[..n]).unwrap() {
-                Datagram::Direct(WireMessage::Reply(r)) => assert_eq!(r.probe.seq, seq),
-                other => panic!("unexpected datagram {other:?}"),
-            }
+            sock.send_to(&addressed_probe(seq), addr).unwrap();
+            assert_eq!(reply_seq(&sock), seq);
         }
         let report = handle.join();
         assert_eq!(report.devices[0].probes_received, 5);
@@ -986,6 +1039,53 @@ mod tests {
     #[test]
     fn a_burst_keeps_its_order_and_is_counted_per_datagram_over_ipv6() {
         assert_burst_counted_per_datagram(serve_burst("[::1]:0"));
+    }
+
+    #[test]
+    fn a_queued_burst_of_runs_is_received_whole() {
+        // 16 runs of 64 probes queued before the host starts: 1 024
+        // datagrams, several times what the socket's receive buffer holds
+        // when each is queued on its own.
+        const RUNS: u64 = 16;
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
+        let addr = host.addr_of(DeviceId(0));
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let burst = RUNS * MAX_SEGMENTS as u64;
+        let probes: Vec<Vec<u8>> = (0..burst).map(addressed_probe).collect();
+        for run in probes.chunks(MAX_SEGMENTS) {
+            send_segments(&sock, addr, run.iter().map(|p| &p[..])).unwrap();
+        }
+        let handle = host.start(Arc::new(SystemClock::new()));
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while handle.stats().datagrams_received < burst && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        settle(&handle);
+        let report = handle.join();
+        assert_eq!(report.stats.datagrams_received, burst);
+        assert_eq!(report.devices[0].probes_received, burst);
+        assert!(
+            report.stats.recv_calls < report.stats.datagrams_received,
+            "{} receive calls for {} datagrams",
+            report.stats.recv_calls,
+            report.stats.datagrams_received
+        );
+    }
+
+    #[test]
+    fn a_bad_segment_in_a_run_is_one_decode_error_and_its_neighbours_are_answered() {
+        let (sock, addr, handle) = one_device_host();
+        let mut bad = addressed_probe(1);
+        bad[0] = 0xee;
+        let run = [addressed_probe(0), bad, addressed_probe(2)];
+        send_segments(&sock, addr, run.iter().map(|s| &s[..])).unwrap();
+        assert_eq!(reply_seq(&sock), 0);
+        assert_eq!(reply_seq(&sock), 2);
+        let report = handle.join();
+        assert_eq!(report.stats.decode_errors, 1);
+        assert_eq!(report.stats.datagrams_received, 2);
+        assert_eq!(report.devices[0].probes_received, 2);
     }
 
     #[test]
@@ -1226,15 +1326,14 @@ mod tests {
 
     #[test]
     fn unroutable_and_garbage_datagrams_are_counted() {
-        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
-        let addr = host.addr_of(DeviceId(0));
-        let handle = host.start(clock);
-
-        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (sock, addr, handle) = one_device_host();
         // Garbage.
         sock.send_to(&[0xff, 0x00], addr).unwrap();
+        // A valid probe followed by junk, longer than `MAX_DATAGRAM`: cut
+        // to that size on receive, it would be answered.
+        let mut long = addressed_probe(0);
+        long.resize(300, 0xab);
+        sock.send_to(&long, addr).unwrap();
         // Probe addressed to a device this host does not serve.
         let stray = encode_addressed(
             DeviceId(99),
@@ -1248,14 +1347,15 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while std::time::Instant::now() < deadline {
             let s = handle.stats();
-            if s.decode_errors >= 1 && s.unroutable >= 1 {
+            if s.decode_errors >= 2 && s.unroutable >= 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
         let report = handle.join();
-        assert_eq!(report.stats.decode_errors, 1);
+        assert_eq!(report.stats.decode_errors, 2);
         assert_eq!(report.stats.unroutable, 1);
         assert_eq!(report.stats.dropped(), 0);
+        assert_eq!(report.devices[0].probes_received, 0, "junk was answered");
     }
 }

@@ -24,13 +24,18 @@ pub const NO_DEADLINE: u64 = u64::MAX;
 pub struct ShardCounters {
     /// Datagrams received and decoded.
     pub datagrams_received: AtomicU64,
+    /// Receive syscalls that returned bytes: one per run or lone
+    /// datagram, so `datagrams_received / recv_calls` is how well runs
+    /// arrive whole.
+    pub recv_calls: AtomicU64,
     /// Datagrams handed to the kernel.
     pub datagrams_sent: AtomicU64,
     /// Send syscalls issued, whatever their outcome: one per run of
     /// same-destination, same-length datagrams, so `datagrams_sent /
     /// send_calls` is how well the shard coalesces.
     pub send_calls: AtomicU64,
-    /// Datagrams that failed to decode (garbage, truncation).
+    /// Datagrams that failed to decode (garbage, truncation, trailing
+    /// bytes), plus one per run too long for the receive buffer.
     pub decode_errors: AtomicU64,
     /// Socket receive calls that failed with anything but "no datagram
     /// waiting".
@@ -64,8 +69,9 @@ impl ShardCounters {
 
     /// Sum of all traffic-and-work counters — changes if and only if the
     /// shard did *anything* (received, sent, dropped, fired). Quiescence
-    /// detectors compare successive samples of this. `send_calls` is left
-    /// out: it only moves with the send outcomes already counted.
+    /// detectors compare successive samples of this. `send_calls` and
+    /// `recv_calls` are left out: they only move with the datagram
+    /// outcomes already counted.
     #[must_use]
     pub fn activity(&self) -> u64 {
         self.datagrams_received.load(Ordering::Acquire)
@@ -84,6 +90,7 @@ impl ShardCounters {
     pub fn snapshot(&self) -> ShardStats {
         ShardStats {
             datagrams_received: self.datagrams_received.load(Ordering::Acquire),
+            recv_calls: self.recv_calls.load(Ordering::Acquire),
             datagrams_sent: self.datagrams_sent.load(Ordering::Acquire),
             send_calls: self.send_calls.load(Ordering::Acquire),
             decode_errors: self.decode_errors.load(Ordering::Acquire),
@@ -103,6 +110,8 @@ impl ShardCounters {
 pub struct ShardStats {
     /// Datagrams received and decoded.
     pub datagrams_received: u64,
+    /// Receive syscalls that returned bytes (one per run).
+    pub recv_calls: u64,
     /// Datagrams handed to the kernel.
     pub datagrams_sent: u64,
     /// Send syscalls issued (one per run of datagrams).
@@ -136,6 +145,7 @@ impl ShardStats {
     pub fn merged(self, other: ShardStats) -> ShardStats {
         ShardStats {
             datagrams_received: self.datagrams_received + other.datagrams_received,
+            recv_calls: self.recv_calls + other.recv_calls,
             datagrams_sent: self.datagrams_sent + other.datagrams_sent,
             send_calls: self.send_calls + other.send_calls,
             decode_errors: self.decode_errors + other.decode_errors,
@@ -162,10 +172,11 @@ mod tests {
         c.timers_fired.fetch_add(3, Ordering::Release);
         c.send_errors.fetch_add(4, Ordering::Release);
         assert_eq!(c.activity(), 10);
-        // loop_iterations is liveness, not activity; send_calls only
-        // moves with the send outcomes.
+        // loop_iterations is liveness, not activity; send_calls and
+        // recv_calls only move with the datagram outcomes.
         c.loop_iterations.fetch_add(10, Ordering::Release);
         c.send_calls.fetch_add(1, Ordering::Release);
+        c.recv_calls.fetch_add(1, Ordering::Release);
         assert_eq!(c.activity(), 10);
     }
 
@@ -174,6 +185,7 @@ mod tests {
         let c = ShardCounters::new();
         c.datagrams_sent.fetch_add(4, Ordering::Release);
         c.send_calls.fetch_add(2, Ordering::Release);
+        c.recv_calls.fetch_add(5, Ordering::Release);
         c.unroutable.fetch_add(1, Ordering::Release);
         c.recv_errors.fetch_add(2, Ordering::Release);
         c.send_errors.fetch_add(3, Ordering::Release);
@@ -181,6 +193,7 @@ mod tests {
         let b = ShardStats {
             datagrams_sent: 1,
             send_calls: 1,
+            recv_calls: 2,
             recv_errors: 1,
             send_errors: 1,
             dropped_sendpressure: 2,
@@ -189,6 +202,7 @@ mod tests {
         let m = a.merged(b);
         assert_eq!(m.datagrams_sent, 5);
         assert_eq!(m.send_calls, 3);
+        assert_eq!(m.recv_calls, 7);
         assert_eq!(m.unroutable, 1);
         assert_eq!(m.recv_errors, 3);
         assert_eq!(m.send_errors, 4);

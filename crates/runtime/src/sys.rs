@@ -1,7 +1,8 @@
 //! The socket calls std lacks: `ppoll(2)` to wait, `sendmsg(2)` with UDP
-//! generic segmentation offload to send a run of datagrams.
+//! generic segmentation offload to send a run of datagrams, and
+//! `recvmsg(2)` with UDP generic receive offload to take a run whole.
 //!
-//! The crate's only `unsafe`, for two reasons:
+//! The crate's only `unsafe`, for three reasons:
 //!
 //! * **Waiting.** std's one timed socket wait, `set_read_timeout`, is
 //!   `SO_RCVTIMEO`, which the kernel rounds to scheduler ticks (4 ms at
@@ -12,25 +13,34 @@
 //!   loopback datagram costs is its trip through the network stack, not
 //!   the syscall. `send_segments` hands the kernel up to `MAX_SEGMENTS`
 //!   equal-length datagrams for one destination as a single `sendmsg`
-//!   carrying a `UDP_SEGMENT` control message: the stack is walked once,
-//!   and the run is cut back into separate datagrams, in order, on the
-//!   way out. `UDP_SEGMENT` exists since Linux 4.18. There is no
-//!   fallback: a kernel or route that cannot segment refuses every run,
-//!   and the shard counts each refused datagram in `send_errors`.
+//!   carrying a `UDP_SEGMENT` control message: the stack is walked once.
+//!   A receiver without `UDP_GRO` gets the run cut back into separate
+//!   datagrams, in order. There is no fallback: a kernel or route that
+//!   cannot segment refuses every run, and the shard counts each refused
+//!   datagram in `send_errors`.
+//! * **Receiving a run.** A socket with `UDP_GRO` on ([`enable_gro`])
+//!   keeps a run whole: one skb, charged once to the receive buffer, read
+//!   by one `recvmsg` ([`recv_segments`]) whose `UDP_GRO` control message
+//!   carries the segment size. A lone datagram arrives without one and is
+//!   a run of one.
 //!
-//! Linux only; `msghdr` and `cmsghdr` are laid out as glibc lays them out.
+//! `UDP_GRO` exists since Linux 5.0 (`UDP_SEGMENT` since 4.18), so the
+//! host needs Linux ≥ 5.0; on an older kernel `enable_gro` fails and the
+//! host does not bind. Linux only; `msghdr` and `cmsghdr` are laid out as
+//! glibc lays them out.
 #![allow(unsafe_code)]
 
 use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
 use std::io;
 use std::mem::size_of;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{SocketAddr, SocketAddrV6, UdpSocket};
 use std::os::fd::AsRawFd;
 use std::ptr;
 use std::time::Duration;
 
 /// Most datagrams one `send_segments` call carries: `UDP_MAX_SEGMENTS` on
-/// Linux 4.18, a cap later kernels only raised.
+/// Linux 4.18, a cap later kernels only raised. Also the most segments
+/// the kernel coalesces into one received run (`UDP_GRO_CNT_MAX`).
 pub(crate) const MAX_SEGMENTS: usize = 64;
 
 #[repr(C)]
@@ -82,8 +92,19 @@ struct SegmentCmsg {
     segment_size: u16,
 }
 
+/// The control message a received run carries: `SOL_UDP` / `UDP_GRO` and
+/// the segment size as an `int`. Its size is `CMSG_SPACE(4)`; `hdr.len`
+/// is `CMSG_LEN(4)`.
+#[repr(C)]
+struct GroCmsg {
+    hdr: CmsgHdr,
+    segment_size: c_int,
+}
+
 const SOL_UDP: c_int = 17;
 const UDP_SEGMENT: c_int = 103;
+const UDP_GRO: c_int = 104;
+const MSG_TRUNC: c_int = 0x20;
 
 #[repr(C)]
 #[derive(Clone, Copy)]
@@ -125,6 +146,11 @@ const _: () = {
     assert!(size_of::<MsgHdr>() == 56);
     assert!(size_of::<CmsgHdr>() + size_of::<u16>() == 18, "CMSG_LEN(2)");
     assert!(size_of::<SegmentCmsg>() == 24, "CMSG_SPACE(2)");
+    assert!(
+        size_of::<CmsgHdr>() + size_of::<c_int>() == 20,
+        "CMSG_LEN(4)"
+    );
+    assert!(size_of::<GroCmsg>() == 24, "CMSG_SPACE(4)");
 };
 
 extern "C" {
@@ -136,6 +162,10 @@ extern "C" {
     ) -> c_int;
 
     fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
+
+    fn recvmsg(fd: c_int, msg: *mut MsgHdr, flags: c_int) -> isize;
+
+    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
 }
 
 /// Blocks until `socket` has a datagram queued (`true`) or `timeout` has
@@ -161,8 +191,8 @@ pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> bool {
 }
 
 /// Sends `segments` to `dest` as one `sendmsg(2)`; the receiver sees
-/// them as separate datagrams, in order. All or nothing, like one
-/// `send_to`: on an error none of them left.
+/// them as separate datagrams, in order, or with `UDP_GRO` on as one run.
+/// All or nothing, like one `send_to`: on an error none of them left.
 ///
 /// # Panics
 ///
@@ -222,6 +252,139 @@ pub(crate) fn send_segments<'a>(
         Err(io::Error::last_os_error())
     } else {
         Ok(())
+    }
+}
+
+/// Turns on UDP generic receive offload: a run sent as one GSO `sendmsg`
+/// reaches `socket` whole, for [`recv_segments`] to read in one call.
+pub(crate) fn enable_gro(socket: &UdpSocket) -> io::Result<()> {
+    let on: c_int = 1;
+    // SAFETY: `on` is a live `int` for the whole call and the length
+    // passed is its size; the kernel only reads it, and validates the
+    // descriptor, which `socket` keeps open.
+    let rc = unsafe {
+        setsockopt(
+            socket.as_raw_fd(),
+            SOL_UDP,
+            UDP_GRO,
+            ptr::from_ref(&on).cast(),
+            size_of::<c_int>() as u32,
+        )
+    };
+    if rc < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(())
+    }
+}
+
+/// What one [`recv_segments`] call read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    /// Bytes written to the buffer: the run's segments back to back.
+    pub(crate) len: usize,
+    /// Where the bytes are cut: every segment but the last is this long
+    /// (the last may be shorter). A lone datagram is a run of one, so
+    /// this is `len`.
+    pub(crate) segment_size: usize,
+    /// Who sent it.
+    pub(crate) from: SocketAddr,
+    /// The run was longer than the buffer and its tail is lost
+    /// (`MSG_TRUNC`).
+    pub(crate) truncated: bool,
+}
+
+/// Reads the next queued run — or lone datagram — into `buf` with one
+/// `recvmsg(2)`. Fails as `recv_from` does: `WouldBlock` when a
+/// non-blocking socket has nothing queued.
+pub(crate) fn recv_segments(socket: &UdpSocket, buf: &mut [u8]) -> io::Result<Run> {
+    let iov = IoVec {
+        base: buf.as_mut_ptr().cast_const().cast(),
+        len: buf.len(),
+    };
+    let mut name = Sockaddr {
+        v6: SockaddrIn6 {
+            family: 0,
+            port: 0,
+            flowinfo: 0,
+            addr: [0; 16],
+            scope_id: 0,
+        },
+    };
+    let mut cmsg = GroCmsg {
+        hdr: CmsgHdr {
+            len: 0,
+            level: 0,
+            kind: 0,
+        },
+        segment_size: 0,
+    };
+    let mut msg = MsgHdr {
+        name: ptr::from_mut(&mut name).cast_const().cast(),
+        namelen: size_of::<Sockaddr>() as u32,
+        iov: &iov,
+        iovlen: 1,
+        control: ptr::from_mut(&mut cmsg).cast_const().cast(),
+        controllen: size_of::<GroCmsg>(),
+        flags: 0,
+    };
+    // SAFETY: every pointer in `msg` is to a live, correctly laid-out
+    // local or to `buf`, and each length covers exactly its buffer:
+    // `namelen` the larger `Sockaddr` variant, `iov` all of `buf`,
+    // `controllen` one `CMSG_SPACE(4)` message. The pointers the kernel
+    // writes through (`name`, `buf`, `cmsg`) come from exclusive borrows
+    // held across the call, and it writes no more than those lengths. It
+    // validates the descriptor, which `socket` keeps open.
+    let read = unsafe { recvmsg(socket.as_raw_fd(), &mut msg, 0) };
+    let len = usize::try_from(read).map_err(|_| io::Error::last_os_error())?;
+    let gro = msg.controllen >= size_of::<CmsgHdr>() + size_of::<c_int>()
+        && cmsg.hdr.level == SOL_UDP
+        && cmsg.hdr.kind == UDP_GRO;
+    let segment_size = match usize::try_from(cmsg.segment_size) {
+        Ok(size) if gro && size > 0 => size,
+        _ => len,
+    };
+    // SAFETY: `name` was built whole as its larger variant, and the
+    // kernel only overwrote bytes of it.
+    let from = unsafe { socket_addr(&name) }?;
+    Ok(Run {
+        len,
+        segment_size,
+        from,
+        truncated: msg.flags & MSG_TRUNC != 0,
+    })
+}
+
+/// The sender address the kernel wrote into `name`.
+///
+/// # Safety
+///
+/// Every byte of `name` must be initialised, as when it is built as its
+/// larger variant: then every field of either variant reads initialised
+/// bytes, since both are integers and byte arrays without padding.
+unsafe fn socket_addr(name: &Sockaddr) -> io::Result<SocketAddr> {
+    // SAFETY: both variants start with the `u16` family, initialised by
+    // the caller's guarantee.
+    match unsafe { name.v4.family } {
+        AF_INET => {
+            // SAFETY: initialised by the caller's guarantee.
+            let a = unsafe { name.v4 };
+            Ok(SocketAddr::from((a.addr, u16::from_be(a.port))))
+        }
+        AF_INET6 => {
+            // SAFETY: initialised by the caller's guarantee.
+            let a = unsafe { name.v6 };
+            Ok(SocketAddr::V6(SocketAddrV6::new(
+                a.addr.into(),
+                u16::from_be(a.port),
+                a.flowinfo,
+                a.scope_id,
+            )))
+        }
+        family => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("sender of address family {family}"),
+        )),
     }
 }
 
@@ -288,7 +451,8 @@ mod tests {
     }
 
     /// Sends a full run of numbered 3-byte segments from one socket bound
-    /// on `bind` to another and reads them back one datagram each.
+    /// on `bind` to another without `UDP_GRO` and reads them back one
+    /// datagram each.
     fn segments_arrive_as_datagrams_in_order(bind: &str) {
         let tx = UdpSocket::bind(bind).unwrap();
         let rx = UdpSocket::bind(bind).unwrap();
@@ -311,6 +475,72 @@ mod tests {
     #[test]
     fn a_run_arrives_as_separate_datagrams_in_order_over_ipv6() {
         segments_arrive_as_datagrams_in_order("[::1]:0");
+    }
+
+    /// Sends a full run of numbered 3-byte segments to a socket with
+    /// `UDP_GRO` on, both bound on `bind`, and reads it back in one call.
+    fn a_run_is_received_whole(bind: &str) {
+        let tx = UdpSocket::bind(bind).unwrap();
+        let rx = UdpSocket::bind(bind).unwrap();
+        enable_gro(&rx).unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let run: Vec<[u8; 3]> = (0..MAX_SEGMENTS as u8).map(|i| [i, i, !i]).collect();
+        send_segments(&tx, rx.local_addr().unwrap(), run.iter().map(|s| &s[..])).unwrap();
+        let mut buf = [0u8; 4 * MAX_SEGMENTS];
+        let got = recv_segments(&rx, &mut buf).unwrap();
+        let expected = Run {
+            len: 3 * MAX_SEGMENTS,
+            segment_size: 3,
+            from: tx.local_addr().unwrap(),
+            truncated: false,
+        };
+        assert_eq!(got, expected);
+        assert_eq!(&buf[..got.len], run.concat());
+    }
+
+    #[test]
+    fn a_run_is_received_whole_over_ipv4() {
+        a_run_is_received_whole("127.0.0.1:0");
+    }
+
+    #[test]
+    fn a_run_is_received_whole_over_ipv6() {
+        a_run_is_received_whole("[::1]:0");
+    }
+
+    #[test]
+    fn a_lone_datagram_is_a_run_of_one() {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        enable_gro(&rx).unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let me = rx.local_addr().unwrap();
+        rx.send_to(b"hello", me).unwrap();
+        let mut buf = [0u8; 16];
+        let got = recv_segments(&rx, &mut buf).unwrap();
+        let expected = Run {
+            len: 5,
+            segment_size: 5,
+            from: me,
+            truncated: false,
+        };
+        assert_eq!(got, expected);
+        assert_eq!(&buf[..5], b"hello");
+        let err = recv_segments(&rx, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "{err}");
+    }
+
+    #[test]
+    fn a_run_longer_than_the_buffer_is_marked_truncated() {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        enable_gro(&rx).unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let me = rx.local_addr().unwrap();
+        send_segments(&rx, me, [&b"abcd"[..], b"efgh"]).unwrap();
+        let mut buf = [0u8; 6];
+        let got = recv_segments(&rx, &mut buf).unwrap();
+        assert!(got.truncated);
+        assert_eq!((got.len, got.segment_size), (6, 4));
+        assert_eq!(&buf, b"abcdef");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use presence_core::{Bye, CpId, DeviceId, LeaveNotice, Probe, Reply, ReplyBody, WireMessage};
 use presence_des::SimDuration;
 use presence_runtime::codec::{
-    decode, decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM,
+    decode, decode_datagram, encode, encode_addressed, Datagram, DecodeError, MAX_DATAGRAM,
 };
 use proptest::prelude::*;
 
@@ -90,15 +90,19 @@ proptest! {
         }
     }
 
-    /// Trailing garbage after a complete message is ignored (datagram
-    /// framing supplies the length; extra bytes must not corrupt the
-    /// decoded value).
+    /// Any bytes after a complete message make the datagram invalid, bare
+    /// or addressed: a datagram is exactly one encoding, so an over-long
+    /// one is never answered for the message at its head.
     #[test]
-    fn trailing_bytes_ignored(msg in any_message(), extra in prop::collection::vec(any::<u8>(), 1..16)) {
-        let mut bytes = encode(&msg).to_vec();
-        bytes.extend(extra);
-        let back = decode(&bytes).expect("decode with trailing bytes");
-        prop_assert_eq!(back, msg);
+    fn trailing_bytes_rejected(msg in any_message(), dev in any::<u32>(), extra in prop::collection::vec(any::<u8>(), 1..300)) {
+        let trailing = DecodeError::TrailingBytes(extra.len());
+        let mut bare = encode(&msg);
+        bare.extend(&extra);
+        prop_assert_eq!(decode(&bare), Err(trailing.clone()));
+        prop_assert_eq!(decode_datagram(&bare), Err(trailing.clone()));
+        let mut addressed = encode_addressed(DeviceId(dev), &msg);
+        addressed.extend(&extra);
+        prop_assert_eq!(decode_datagram(&addressed), Err(trailing));
     }
 
     /// Encodings have exactly the documented fixed width per variant
@@ -137,9 +141,8 @@ proptest! {
     }
 
     /// Every encoding this codec can produce — bare or wrapped in the
-    /// device-addressed host frame — fits in the `MAX_DATAGRAM` receive
-    /// buffer every transport allocates. A violation would truncate the
-    /// datagram on receive, where it vanishes as a silent decode error.
+    /// device-addressed host frame — fits in `MAX_DATAGRAM`, the room a
+    /// receiver keeps per datagram.
     #[test]
     fn every_encoding_fits_the_receive_buffer(msg in any_message(), dev in any::<u32>()) {
         prop_assert!(encode(&msg).len() <= MAX_DATAGRAM);
