@@ -138,14 +138,30 @@ cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 # catalog) parses, validates, and is named after its stem, then the
 # mixed-regime acceptance scenario (delay + loss + churn all switching
 # mid-run) smoke-runs with per-regime metric slices — under the same
-# 2-worker pool as tier-1. Then a spec file with a bad protocol block
-# must be an error message and exit status 1, not a panic.
+# 2-worker pool as tier-1. Then a spec file with a bad protocol block, and
+# one with a key that names no spec field (the retired `sapp_auto_tune`),
+# must each be an error message and exit status 1, not a panic and not a
+# run that ignores the key.
 echo "==> scenario lab: catalog validation + mixed-regime smoke + bad-spec rejection (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo run --release -q -p presence-bench --bin lab -- --check
 bad_spec="$(mktemp --suffix=.json)"
 sed 's/"delta_min": [0-9]*/"delta_min": 0/' catalog/paper-dcpp.json >"$bad_spec"
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'invalid scenario spec'
+sed 's/^  "disseminate": false,$/&\n  "sapp_auto_tune": {"max_doublings": 6},/' catalog/paper-sapp.json >"$bad_spec"
+{ cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'unknown field'
 rm -f "$bad_spec"
+
+# Experiments stage: `experiments all` is documented as byte-identical at
+# any worker count (reports merge in catalog order); run it serially and
+# on two workers at its default reduced scale (~1 s on two cores) and
+# compare.
+echo "==> experiments all: byte-identical at --jobs 1 and --jobs 2"
+serial="$(mktemp)"
+pooled="$(mktemp)"
+cargo run --release -q -p presence-bench --bin experiments -- all --jobs 1 >"$serial"
+cargo run --release -q -p presence-bench --bin experiments -- all --jobs 2 >"$pooled"
+cmp "$serial" "$pooled"
+rm -f "$serial" "$pooled"
 
 # Trace stage: export a Perfetto trace from the mixed-regime acceptance
 # scenario (horizon-capped to keep the buffers CI-sized) and put it

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `<id>` is a row of [`presence_sim::experiments::CATALOG`] (`e1` … `e7`,
-//! `a1` … `a8`) and runs at paper scale unless `--duration` says otherwise.
+//! `a1` … `a4`, `a6` … `a8`) and runs at paper scale unless `--duration`
+//! says otherwise.
 //!
 //! `all` runs every experiment at reduced scale (`--duration` is a scale
 //! factor on the catalog's quick horizons, default 1) — a quick end-to-end

@@ -1,9 +1,5 @@
-//! Baseline presence/failure detectors the evaluation compares against.
+//! The naive fixed-rate probing baseline the evaluation compares against.
 
 mod fixed_rate;
-mod heartbeat;
-mod phi;
 
 pub use fixed_rate::FixedRateCp;
-pub use heartbeat::{Heartbeat, HeartbeatDevice, HeartbeatMonitor};
-pub use phi::{PhiAccrualDetector, PhiConfig};

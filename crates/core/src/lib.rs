@@ -15,7 +15,7 @@
 //!   prober explicitly, guaranteeing a load cap of `L_nom = 1/δ_min` and
 //!   near-equal per-CP frequencies.
 //!
-//! Plus the substrate both share and the baselines the evaluation compares
+//! Plus the substrate both share and the baseline the evaluation compares
 //! against:
 //!
 //! * the CP lifecycle ([`Retransmitter`]): bounded-retransmission probe
@@ -23,9 +23,8 @@
 //!   between them, and the stop with a verdict;
 //! * the CP overlay and leave-notice dissemination ([`OverlayView`],
 //!   [`Disseminator`]) that the paper describes but defers;
-//! * baseline detectors: naive fixed-rate probing ([`FixedRateCp`]),
-//!   push heartbeats ([`HeartbeatDevice`], [`HeartbeatMonitor`]), and a
-//!   φ-accrual detector ([`PhiAccrualDetector`]).
+//! * naive fixed-rate probing ([`FixedRateCp`]), the scheme the paper's
+//!   introduction dismisses.
 //!
 //! ## Sans-io design
 //!
@@ -80,9 +79,7 @@ mod responder;
 mod sapp;
 mod types;
 
-pub use baseline::{
-    FixedRateCp, Heartbeat, HeartbeatDevice, HeartbeatMonitor, PhiAccrualDetector, PhiConfig,
-};
+pub use baseline::FixedRateCp;
 pub use config::{DcppConfig, ProbeCycleConfig, SappConfig, SappDeviceConfig};
 pub use cycle::{Retransmitter, TimerDisposition};
 pub use dcpp::{DcppCp, DcppDevice};
@@ -90,7 +87,7 @@ pub use error::ConfigError;
 pub use overlay::{Disseminator, NoticeDisposition, OverlayView};
 pub use prober::Prober;
 pub use responder::{DeviceMachine, Responder};
-pub use sapp::{AdaptationStats, AutoTuneConfig, AutoTuner, SappCp, SappDevice, TuneDecision};
+pub use sapp::{AdaptationStats, SappCp, SappDevice};
 pub use types::{
     AbsenceReason, Bye, CpAction, CpId, CpStats, DeviceId, LeaveNotice, Probe, Reply, ReplyBody,
     TimerToken, Verdict, WireMessage,

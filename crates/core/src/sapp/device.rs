@@ -113,25 +113,6 @@ impl SappDevice {
     pub fn double_delta(&mut self) {
         self.delta = self.delta.saturating_mul(2);
     }
-
-    /// Retunes the nominal load to `l_nom`, recomputing `Δ = L_ideal/L_nom`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l_nom` is not strictly positive and finite or exceeds
-    /// `L_ideal`.
-    pub fn set_l_nom(&mut self, l_nom: f64) {
-        let cfg = SappDeviceConfig { l_nom, ..self.cfg };
-        cfg.validate().expect("invalid retuned l_nom");
-        self.cfg = cfg;
-        self.delta = cfg.delta();
-    }
-
-    /// The configured nominal load.
-    #[must_use]
-    pub fn l_nom(&self) -> f64 {
-        self.cfg.l_nom
-    }
 }
 
 #[cfg(test)]
@@ -246,21 +227,6 @@ mod tests {
             ReplyBody::Sapp { pc, .. } => assert_eq!(pc, 200_000),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn set_l_nom_recomputes_delta() {
-        let mut d = device();
-        d.set_l_nom(5.0);
-        assert_eq!(d.delta(), 200_000);
-        assert!((d.l_nom() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid retuned l_nom")]
-    fn set_l_nom_rejects_garbage() {
-        let mut d = device();
-        d.set_l_nom(-1.0);
     }
 
     #[test]

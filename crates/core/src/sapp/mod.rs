@@ -2,8 +2,6 @@
 
 mod cp;
 mod device;
-mod tuner;
 
 pub use cp::{AdaptationStats, SappCp};
 pub use device::SappDevice;
-pub use tuner::{AutoTuneConfig, AutoTuner, TuneDecision};

@@ -127,6 +127,21 @@ pub fn get_field<'v>(fields: &'v [(String, Value)], name: &str) -> Result<&'v Va
         .ok_or_else(|| DeError(format!("missing field `{name}`")))
 }
 
+/// Rejects an object whose keys are not all among `known` — what a struct
+/// deriving `Deserialize` with `#[serde(deny_unknown_fields)]` checks.
+pub fn deny_unknown_fields(fields: &[(String, Value)], known: &[&str]) -> Result<(), DeError> {
+    match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => {
+            let expected: Vec<String> = known.iter().map(|f| format!("`{f}`")).collect();
+            Err(DeError(format!(
+                "unknown field `{k}`, expected one of {}",
+                expected.join(", ")
+            )))
+        }
+        None => Ok(()),
+    }
+}
+
 /// Types that can render themselves into a [`Value`].
 pub trait Serialize {
     /// Converts `self` into the self-describing value tree.

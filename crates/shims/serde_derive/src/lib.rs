@@ -12,8 +12,11 @@
 //! * enums with unit, tuple, and struct variants, in serde's
 //!   externally-tagged representation.
 //!
-//! Generic types and `#[serde(...)]` attributes are intentionally not
-//! supported; the derive fails loudly if it meets one.
+//! The one `#[serde(...)]` attribute understood is `deny_unknown_fields`
+//! on a struct with named fields: deserializing an object with a key that
+//! names no field is then an error, as with real serde. Generic types and
+//! every other `#[serde(...)]` attribute are intentionally not supported;
+//! the derive fails loudly if it meets one.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -35,6 +38,7 @@ enum Item {
     Struct {
         name: String,
         shape: Shape,
+        deny_unknown_fields: bool,
     },
     Enum {
         name: String,
@@ -50,15 +54,36 @@ fn is_ident(tt: &TokenTree, s: &str) -> bool {
     matches!(tt, TokenTree::Ident(i) if i.to_string() == s)
 }
 
+/// The words inside a `#[serde(...)]` attribute's brackets; none for any
+/// other attribute.
+fn serde_words(attr: &TokenTree) -> Vec<String> {
+    let TokenTree::Group(g) = attr else {
+        return Vec::new();
+    };
+    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+    match inner.as_slice() {
+        [name, TokenTree::Group(args)] if is_ident(name, "serde") => args
+            .stream()
+            .into_iter()
+            .filter(|tt| !is_punct(tt, ','))
+            .map(|tt| tt.to_string())
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// Skips `#[...]` attributes and `pub` / `pub(...)` visibility starting at
-/// `i`, returning the next index.
-fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
+/// `i`, returning the next index and the words of every `#[serde(...)]`
+/// attribute skipped.
+fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> (usize, Vec<String>) {
+    let mut serde = Vec::new();
     loop {
         if i < tokens.len() && is_punct(&tokens[i], '#') {
             i += 1; // '#'
             if i < tokens.len()
                 && matches!(&tokens[i], TokenTree::Group(g) if g.delimiter() == Delimiter::Bracket)
             {
+                serde.extend(serde_words(&tokens[i]));
                 i += 1;
             }
             continue;
@@ -72,7 +97,19 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
             }
             continue;
         }
-        return i;
+        return (i, serde);
+    }
+}
+
+/// Skips attributes and visibility before a field or variant, which may
+/// carry no `#[serde(...)]` attribute.
+fn skip_member_attrs(tokens: &[TokenTree], i: usize) -> Result<usize, String> {
+    match skip_attrs_and_vis(tokens, i) {
+        (next, serde) if serde.is_empty() => Ok(next),
+        (_, serde) => Err(format!(
+            "serde shim derive does not support #[serde({})] on a field or variant",
+            serde.join(", ")
+        )),
     }
 }
 
@@ -109,7 +146,7 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        i = skip_attrs_and_vis(tokens, i);
+        i = skip_member_attrs(tokens, i)?;
         if i >= tokens.len() {
             break;
         }
@@ -142,7 +179,16 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<String>, String> {
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_attrs_and_vis(&tokens, 0);
+    let (mut i, serde) = skip_attrs_and_vis(&tokens, 0);
+    let mut deny_unknown_fields = false;
+    for word in serde {
+        if word != "deny_unknown_fields" {
+            return Err(format!(
+                "serde shim derive does not support #[serde({word})]"
+            ));
+        }
+        deny_unknown_fields = true;
+    }
 
     let kind = match &tokens.get(i) {
         Some(TokenTree::Ident(id)) if id.to_string() == "struct" => "struct",
@@ -176,7 +222,21 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Unit,
             other => return Err(format!("unexpected struct body: {other:?}")),
         };
-        return Ok(Item::Struct { name, shape });
+        if deny_unknown_fields && !matches!(shape, Shape::Named(_)) {
+            return Err(format!(
+                "#[serde(deny_unknown_fields)] needs a struct with named fields (`{name}`)"
+            ));
+        }
+        return Ok(Item::Struct {
+            name,
+            shape,
+            deny_unknown_fields,
+        });
+    }
+    if deny_unknown_fields {
+        return Err(format!(
+            "#[serde(deny_unknown_fields)] needs a struct with named fields (`{name}`)"
+        ));
     }
 
     // Enum.
@@ -187,7 +247,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let mut variants = Vec::new();
     let mut j = 0;
     while j < body.len() {
-        j = skip_attrs_and_vis(&body, j);
+        j = skip_member_attrs(&body, j)?;
         if j >= body.len() {
             break;
         }
@@ -228,14 +288,14 @@ fn compile_error(msg: &str) -> TokenStream {
 // ---------------------------------------------------------------------------
 
 /// Derives the shim `serde::Serialize` (`to_value`).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = match parse_item(input) {
         Ok(item) => item,
         Err(e) => return compile_error(&e),
     };
     let code = match item {
-        Item::Struct { name, shape } => {
+        Item::Struct { name, shape, .. } => {
             let body = match shape {
                 Shape::Unit => "::serde::Value::Null".to_string(),
                 Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
@@ -318,14 +378,18 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 // ---------------------------------------------------------------------------
 
 /// Derives the shim `serde::Deserialize` (`from_value`).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = match parse_item(input) {
         Ok(item) => item,
         Err(e) => return compile_error(&e),
     };
     let code = match item {
-        Item::Struct { name, shape } => {
+        Item::Struct {
+            name,
+            shape,
+            deny_unknown_fields,
+        } => {
             let body = match shape {
                 Shape::Unit => format!("{{ let _ = v; Ok({name}) }}"),
                 Shape::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(v)?))"),
@@ -351,9 +415,15 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                             )
                         })
                         .collect();
+                    let check = if deny_unknown_fields {
+                        format!("::serde::deny_unknown_fields(obj, &{fields:?})?;")
+                    } else {
+                        String::new()
+                    };
                     format!(
                         "{{\n\
                             let obj = v.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", v, {name:?}))?;\n\
+                            {check}\n\
                             Ok({name} {{\n{}\n}})\n\
                         }}",
                         gets.join("\n")

@@ -4,7 +4,7 @@
 
 use crate::event::{Addr, SimEvent};
 use crate::trace::DeviceTrace;
-use presence_core::{AutoTuner, Bye, DeviceMachine, TuneDecision, WireMessage};
+use presence_core::{Bye, DeviceMachine, WireMessage};
 use presence_des::{Actor, ActorId, Context, SimDuration, SimTime, StreamRng, TimerSlots};
 use presence_stats::JumpingWindowRate;
 
@@ -55,9 +55,6 @@ pub struct DeviceActor {
     machine: DeviceMachine,
     network: ActorId,
     processing: ProcessingModel,
-    /// Optional device-side Δ auto-tuner (SAPP only; see
-    /// [`presence_core::AutoTuner`]).
-    tuner: Option<AutoTuner>,
     alive: bool,
     /// Probes-per-second series in jumping windows (Figure 5's load curve).
     load: JumpingWindowRate,
@@ -98,7 +95,6 @@ impl DeviceActor {
             machine,
             network,
             processing,
-            tuner: None,
             alive: true,
             load: JumpingWindowRate::with_capacity(0.0, load_window, windows_hint),
             processing_replies: TimerSlots::with_spill_capacity(8),
@@ -118,16 +114,13 @@ impl DeviceActor {
         self.trace.take()
     }
 
-    /// Installs a device-side Δ auto-tuner (meaningful for SAPP devices;
-    /// ignored by DCPP, whose load control is inherent).
-    pub fn set_tuner(&mut self, tuner: AutoTuner) {
-        self.tuner = Some(tuner);
-    }
-
-    /// The installed tuner, if any.
-    #[must_use]
-    pub fn tuner(&self) -> Option<&AutoTuner> {
-        self.tuner.as_ref()
+    /// Doubles a SAPP device's Δ — §2's device-side load control ("it
+    /// can, say, double its value of Δ"). A DCPP device caps its load by
+    /// construction, so this does nothing to it.
+    pub fn double_delta(&mut self) {
+        if let DeviceMachine::Sapp(d) = &mut self.machine {
+            d.double_delta();
+        }
     }
 
     /// When the device crashed or left, if it did.
@@ -168,23 +161,6 @@ impl Actor<SimEvent> for DeviceActor {
                 }
                 let now = ctx.now();
                 self.load.record(now.as_secs_f64());
-                if let (Some(tuner), DeviceMachine::Sapp(dev)) =
-                    (self.tuner.as_mut(), &mut self.machine)
-                {
-                    match tuner.on_probe(now) {
-                        TuneDecision::Doubled => dev.double_delta(),
-                        TuneDecision::Halved => {
-                            // Halve by retuning l_nom back toward base:
-                            // Δ = base Δ · multiplier.
-                            let base = dev.l_nom();
-                            dev.set_l_nom(base); // recompute Δ from l_nom…
-                            for _ in 1..tuner.multiplier() {
-                                dev.double_delta();
-                            }
-                        }
-                        TuneDecision::Hold => {}
-                    }
-                }
                 let reply = self.machine.on_probe(now, probe);
                 let delay = self.processing.sample(ctx.rng());
                 if let Some(t) = self.trace.as_deref_mut() {
@@ -232,11 +208,6 @@ impl Actor<SimEvent> for DeviceActor {
                             }),
                         },
                     );
-                }
-            }
-            SimEvent::DoubleDelta => {
-                if let DeviceMachine::Sapp(d) = &mut self.machine {
-                    d.double_delta();
                 }
             }
             SimEvent::Deliver(_) => {

@@ -67,6 +67,4 @@ pub enum SimEvent {
         /// `true` joins the CP, `false` leaves it.
         join: bool,
     },
-    /// (to a device actor, SAPP Δ-retuning ablation) Multiply Δ by two.
-    DoubleDelta,
 }

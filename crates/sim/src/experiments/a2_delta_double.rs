@@ -12,7 +12,7 @@
 //! (doubled) experienced load re-enters the band, so the settled ratio
 //! lies in `[1/2, 1)` — halving is the bound, not the fixed point.
 
-use crate::{Protocol, Scenario, ScenarioConfig};
+use crate::{DeviceActor, Protocol, Scenario, ScenarioConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -60,7 +60,13 @@ pub fn a2_delta_doubling(k: u32, duration: f64, seed: u64) -> A2Report {
     let mut cfg = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), k, duration, seed);
     cfg.load_window = 5.0;
     let mut scenario = Scenario::build(cfg);
-    scenario.double_delta_at(double_at);
+    scenario.run_until(double_at);
+    let device = scenario.device_actor();
+    scenario
+        .sim_mut()
+        .actor_mut::<DeviceActor>(device)
+        .expect("device actor")
+        .double_delta();
     scenario.run();
     let result = scenario.collect();
 

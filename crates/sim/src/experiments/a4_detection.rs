@@ -4,16 +4,13 @@
 //! quickly (e.g., in the order of one second) while avoiding to overload
 //! nodes". This preset crashes the device mid-run and measures, per CP,
 //! the time from crash to verdict under SAPP and DCPP (with and without
-//! loss), and contrasts the pull-probe designs with the push baselines
-//! (plain heartbeat timeout and φ-accrual).
+//! loss). Every row runs through [`Scenario`]: the engine, the network and
+//! its loss model.
 //!
-//! Probe protocols pay `δ` (the probing interval in force) plus the
-//! `TOF + 3·TOS = 85 ms` verdict; push designs pay a multiple of the
-//! heartbeat interval.
+//! A probe protocol pays `δ` (the probing interval in force) plus the
+//! `TOF + 3·TOS = 85 ms` verdict.
 
 use crate::{LossKind, Protocol, Scenario, ScenarioConfig};
-use presence_core::{DeviceId, HeartbeatDevice, HeartbeatMonitor, PhiAccrualDetector, PhiConfig};
-use presence_des::{SimDuration, SimTime, StreamRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -102,11 +99,6 @@ fn probe_latencies(
             None => {}
         }
     }
-    let eligible = result.cps.len() - false_verdicts;
-    summarize(label, &latencies, eligible, false_verdicts)
-}
-
-fn summarize(label: &str, latencies: &[f64], total: usize, false_verdicts: usize) -> A4Row {
     // No detections (e.g. every CP false-verdicted pre-crash): report flat
     // zeros rather than ±∞ from empty folds; `detected: (0, _)` carries the
     // "nothing was measured" signal.
@@ -124,83 +116,12 @@ fn summarize(label: &str, latencies: &[f64], total: usize, false_verdicts: usize
         mean_latency: mean,
         max_latency: max,
         min_latency: min,
-        detected: (latencies.len(), total),
+        detected: (latencies.len(), result.cps.len() - false_verdicts),
         false_verdicts,
     }
 }
 
-/// Simulates `k` independent heartbeat monitors (interval `hb_interval`,
-/// timeout 3×interval) against a device that crashes at `crash_at`.
-fn heartbeat_latencies(k: u32, hb_interval: f64, crash_at: f64, seed: u64) -> A4Row {
-    let mut latencies = Vec::new();
-    let mut rng = StreamRng::new(seed, 0xbea7);
-    for m in 0..k {
-        // Each monitor's stream starts at a random phase.
-        let phase = rng.uniform(0.0, hb_interval);
-        let mut device = HeartbeatDevice::new(
-            DeviceId(0),
-            SimTime::from_secs_f64(phase),
-            SimDuration::from_secs_f64(hb_interval),
-        );
-        let mut monitor =
-            HeartbeatMonitor::new(DeviceId(0), SimDuration::from_secs_f64(3.0 * hb_interval));
-        // Deliver beats until the crash.
-        loop {
-            let at = device.next_heartbeat_at();
-            if at.as_secs_f64() > crash_at {
-                break;
-            }
-            let hb = device.emit(at);
-            monitor.on_heartbeat(at, hb);
-        }
-        let deadline = monitor
-            .suspicion_deadline()
-            .unwrap_or_else(|| panic!("monitor {m} never synchronised"));
-        latencies.push(deadline.as_secs_f64() - crash_at);
-    }
-    summarize(
-        &format!("heartbeat (T = {hb_interval}s, 3T timeout)"),
-        &latencies,
-        k as usize,
-        0,
-    )
-}
-
-/// Simulates `k` φ-accrual detectors fed with slightly jittered heartbeats.
-fn phi_latencies(k: u32, hb_interval: f64, crash_at: f64, seed: u64) -> A4Row {
-    let mut latencies = Vec::new();
-    let mut rng = StreamRng::new(seed, 0x9a11);
-    for _ in 0..k {
-        let mut det = PhiAccrualDetector::new(DeviceId(0), PhiConfig::default());
-        let mut t = rng.uniform(0.0, hb_interval);
-        while t <= crash_at {
-            det.on_arrival(SimTime::from_secs_f64(t));
-            t += hb_interval * rng.uniform(0.9, 1.1);
-        }
-        // Scan forward for the phi threshold crossing.
-        let mut probe_t = crash_at;
-        let latency = loop {
-            probe_t += 0.01;
-            if det.is_suspected(SimTime::from_secs_f64(probe_t)) {
-                break probe_t - crash_at;
-            }
-            if probe_t > crash_at + 100.0 {
-                break f64::NAN;
-            }
-        };
-        if latency.is_finite() {
-            latencies.push(latency);
-        }
-    }
-    summarize(
-        &format!("phi-accrual (T = {hb_interval}s, phi > 8)"),
-        &latencies,
-        k as usize,
-        0,
-    )
-}
-
-/// Runs the full detection-latency comparison with `k` monitors per
+/// Runs the full detection-latency comparison with `k` CPs per
 /// configuration.
 #[must_use]
 pub fn a4_detection_latency(k: u32, crash_at: f64, seed: u64) -> A4Report {
@@ -229,8 +150,6 @@ pub fn a4_detection_latency(k: u32, crash_at: f64, seed: u64) -> A4Report {
             crash_at,
             seed,
         ),
-        heartbeat_latencies(k, 1.0, crash_at, seed),
-        phi_latencies(k, 1.0, crash_at, seed),
     ];
     A4Report {
         rows,
@@ -271,20 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn a4_probe_beats_heartbeat() {
-        let r = a4_detection_latency(5, 120.0, 3);
-        let dcpp = r.rows[0].mean_latency;
-        let hb = r.rows[3].mean_latency;
-        assert!(
-            dcpp < hb,
-            "probe protocols should detect faster than 3T heartbeats: {dcpp} vs {hb}"
-        );
-    }
-
-    #[test]
     fn a4_renders() {
         let r = a4_detection_latency(2, 60.0, 1);
         assert!(r.to_string().contains("A4"));
-        assert_eq!(r.rows.len(), 5);
+        assert_eq!(r.rows.len(), 3);
     }
 }

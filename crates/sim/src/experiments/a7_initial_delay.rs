@@ -3,9 +3,8 @@
 //! The paper never says what δ a CP starts with. That choice decides the
 //! whole transient: greedy joiners (δ_min) cause a thundering herd that
 //! cascades upward; conservative joiners (δ_max) trickle down. Because
-//! SAPP's dead band freezes whatever configuration the transient produces
-//! (see EXPERIMENTS.md's E1 note), the initial δ materially shifts the
-//! steady state — this ablation quantifies how much, which is also our
+//! SAPP's dead band freezes whatever configuration the transient produces,
+//! the initial δ materially shifts the steady state — this ablation quantifies how much, which is also our
 //! best explanation for the magnitude gap between our E1 and the paper's.
 
 use crate::{Protocol, Scenario, ScenarioConfig};

@@ -133,8 +133,8 @@ mod tests {
 
     #[test]
     fn fig2_reproduces_divergence() {
-        // Seed 3 shows the starvation divergence within 20 000 s (see the
-        // EXPERIMENTS.md notes on seed sensitivity).
+        // Seed 3 shows the starvation divergence within 20 000 s; not
+        // every seed does.
         let r = e2_fig2_three_cps(20_000.0, 3);
         assert_eq!(r.series.len(), 3);
         assert!(

@@ -3,8 +3,8 @@
 //! The paper has no numbered tables; its quantitative evaluation consists of
 //! in-text steady-state numbers (§3, §5) and Figures 2–5. Each preset here
 //! regenerates one of those artifacts (E1–E7) or probes a design choice the
-//! paper discusses qualitatively (A1–A8). [`CATALOG`] lists them all for
-//! the one `experiments <id|all>` binary in `presence-bench`.
+//! paper discusses qualitatively (A1–A4, A6–A8). [`CATALOG`] lists them all
+//! for the one `experiments <id|all>` binary in `presence-bench`.
 //!
 //! | id | paper artifact |
 //! |----|----------------|
@@ -18,8 +18,7 @@
 //! | A1 | SAPP `α_inc`/`α_dec`/`β` sensitivity sweep |
 //! | A2 | §2 device-side Δ-doubling load control |
 //! | A3 | naive fixed-rate baseline over/underload |
-//! | A4 | detection latency across protocols and baselines |
-//! | A5 | (extension) device-side Δ auto-tuner under a population surge |
+//! | A4 | crash-detection latency of the probe protocols, with and without loss |
 //! | A6 | (extension) the overlay dissemination phase the paper defers |
 //! | A7 | (extension) sensitivity to SAPP's unstated initial δ |
 //! | A8 | (extension) false absence verdicts under i.i.d. vs bursty loss |
@@ -28,7 +27,6 @@ mod a1_sapp_sweep;
 mod a2_delta_double;
 mod a3_baseline;
 mod a4_detection;
-mod a5_auto_tune;
 mod a6_dissemination;
 mod a7_initial_delay;
 mod a8_false_positives;
@@ -44,7 +42,6 @@ pub use a1_sapp_sweep::{a1_sapp_param_sweep, A1Cell, A1Report};
 pub use a2_delta_double::{a2_delta_doubling, A2Report};
 pub use a3_baseline::{a3_fixed_rate_baseline, A3Report, A3Row};
 pub use a4_detection::{a4_detection_latency, A4Report, A4Row};
-pub use a5_auto_tune::{a5_auto_tune_surge, A5Report};
 pub use a6_dissemination::{a6_dissemination, A6Arm, A6Report};
 pub use a7_initial_delay::{a7_initial_delay, A7Report, A7Row};
 pub use a8_false_positives::{a8_false_positives, A8Report, A8Row};
@@ -160,8 +157,8 @@ fn run_e5(args: &RunArgs) -> String {
     out
 }
 
-/// Every experiment, in report order (E1…E7, A1…A8).
-pub const CATALOG: [Experiment; 15] = [
+/// Every experiment, in report order (E1…E7, A1…A4, A6…A8).
+pub const CATALOG: [Experiment; 14] = [
     row("e1", 20_000.0, 5_000.0, run_e1),
     row("e2", 20_000.0, 5_000.0, |a| {
         figure(&e2_fig2_three_cps(a.duration, a.seed), a)
@@ -193,9 +190,6 @@ pub const CATALOG: [Experiment; 15] = [
     }),
     row("a4", 300.0, 300.0, |a| {
         plain(&a4_detection_latency(20, a.duration, a.seed), a)
-    }),
-    row("a5", 3_000.0, 1_500.0, |a| {
-        plain(&a5_auto_tune_surge(a.duration, a.seed), a)
     }),
     row("a6", 2_000.0, 1_000.0, |a| {
         plain(&a6_dissemination(20, a.duration, a.seed), a)

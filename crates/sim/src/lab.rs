@@ -29,7 +29,6 @@ use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
 use crate::scenario::{err, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError};
-use presence_core::AutoTuneConfig;
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
 use presence_stats::{
@@ -67,8 +66,11 @@ pub struct ChurnPhase {
 
 /// A declarative, serialisable scenario: everything [`ScenarioConfig`]
 /// holds, with the three stationary model choices generalised to phased
-/// regime timelines plus an optional mid-run device failure.
+/// regime timelines plus an optional mid-run device failure. A key that
+/// names no field is an error, so a misspelt or retired option fails to
+/// parse instead of being silently ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Catalog name (kebab-case by convention).
     pub name: String,
@@ -96,8 +98,6 @@ pub struct ScenarioSpec {
     pub load_window: f64,
     /// Run SAPP's overlay dissemination of leave notices.
     pub disseminate: bool,
-    /// Install the device-side Δ auto-tuner (SAPP protocol only).
-    pub sapp_auto_tune: Option<AutoTuneConfig>,
     /// Crash the device (silent leave) at this instant, if set.
     pub crash_at: Option<f64>,
     /// Graceful device leave (Bye broadcast) at this instant, if set.
@@ -165,7 +165,6 @@ impl ScenarioSpec {
             join_stagger: cfg.join_stagger,
             load_window: cfg.load_window,
             disseminate: cfg.disseminate,
-            sapp_auto_tune: cfg.sapp_auto_tune,
             crash_at: None,
             bye_at: None,
             seed: cfg.seed,
@@ -190,7 +189,6 @@ impl ScenarioSpec {
             join_stagger: self.join_stagger,
             load_window: self.load_window,
             disseminate: self.disseminate,
-            sapp_auto_tune: self.sapp_auto_tune,
             seed: self.seed,
             duration: self.duration,
         }
@@ -667,6 +665,19 @@ mod tests {
     }
 
     #[test]
+    fn unknown_spec_key_is_an_error_naming_it() {
+        let (stem, text) = CATALOG[0];
+        let extended = text.replacen('{', "{\n  \"no_such_key\": 1,", 1);
+        let e = ScenarioSpec::from_json(&extended)
+            .expect_err("an unknown key must not parse")
+            .to_string();
+        assert!(
+            e.contains("unknown field `no_such_key`"),
+            "catalog/{stem}.json + no_such_key: {e}"
+        );
+    }
+
+    #[test]
     fn validation_catches_structural_errors() {
         type Mutation = Box<dyn Fn(&mut ScenarioSpec)>;
         let cases: Vec<(&str, Mutation)> = vec![
@@ -754,12 +765,6 @@ mod tests {
                         cycle: presence_core::ProbeCycleConfig::paper_default(),
                         period: 0.0,
                     };
-                }),
-            ),
-            (
-                "tuner without SAPP",
-                Box::new(|s| {
-                    s.sapp_auto_tune = Some(presence_core::AutoTuneConfig::default());
                 }),
             ),
         ];

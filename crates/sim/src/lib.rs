@@ -14,7 +14,8 @@
 //! * [`ScenarioResult`] — device load series, per-CP frequency series
 //!   (Figures 2–4), buffer occupancy, fairness indices.
 //! * [`experiments`] — one preset per paper artifact (E1–E7) and ablation
-//!   (A1–A8); the `presence-bench` binaries are thin wrappers over these.
+//!   (A1–A4, A6–A8); the `presence-bench` binaries are thin wrappers over
+//!   these.
 //! * [`parallel`] — the one worker loop behind every seed- and
 //!   parameter-parallel study (`PRESENCE_JOBS` / `--jobs` workers), whose
 //!   results are bit-identical to a serial run.

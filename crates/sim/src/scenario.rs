@@ -15,8 +15,8 @@ use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::NetworkActor;
 use crate::trace::TraceCapture;
 use presence_core::{
-    AutoTuneConfig, AutoTuner, ConfigError, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine,
-    ProbeCycleConfig, SappConfig, SappDevice, SappDeviceConfig,
+    ConfigError, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine, ProbeCycleConfig,
+    SappConfig, SappDevice, SappDeviceConfig,
 };
 use presence_des::{ActorId, SimDuration, SimTime};
 use presence_net::{
@@ -234,8 +234,6 @@ pub struct ScenarioConfig {
     pub load_window: f64,
     /// Run SAPP's overlay dissemination of leave notices.
     pub disseminate: bool,
-    /// Install the device-side Δ auto-tuner (SAPP protocol only).
-    pub sapp_auto_tune: Option<AutoTuneConfig>,
     /// Root seed.
     pub seed: u64,
     /// Virtual run length (seconds).
@@ -259,7 +257,6 @@ impl ScenarioConfig {
             join_stagger: 1.0,
             load_window: 5.0,
             disseminate: false,
-            sapp_auto_tune: None,
             seed,
             duration,
         }
@@ -294,15 +291,7 @@ impl ScenarioConfig {
         self.delay.validate()?;
         self.loss.validate()?;
         self.churn.validate()?;
-        self.protocol.validate()?;
-        if let Some(tune) = self.sapp_auto_tune {
-            if !matches!(self.protocol, Protocol::Sapp { .. }) {
-                return Err(err("sapp_auto_tune requires the SAPP protocol"));
-            }
-            tune.validate()
-                .map_err(|e| err(format!("sapp_auto_tune: {}", e.message())))?;
-        }
-        Ok(())
+        self.protocol.validate()
     }
 }
 
@@ -408,17 +397,8 @@ impl Scenario {
             Protocol::FixedRate { .. } => DeviceMachine::dcpp_paper(device_id),
         };
         let processing = ProcessingModel::between(cfg.processing);
-        let mut device_actor =
+        let device_actor =
             DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
-        if let (
-            Some(tune),
-            Protocol::Sapp {
-                device: dev_cfg, ..
-            },
-        ) = (cfg.sapp_auto_tune, cfg.protocol)
-        {
-            device_actor.set_tuner(AutoTuner::new(tune, dev_cfg.l_nom));
-        }
         let device = sim.add_member(device_actor.into());
 
         let factory = match cfg.protocol {
@@ -591,11 +571,6 @@ impl Scenario {
     /// Schedules a graceful device leave (Bye broadcast) at `at` seconds.
     pub fn device_bye_at(&mut self, at: f64) {
         self.schedule_on_device(at, SimEvent::GracefulLeave);
-    }
-
-    /// Schedules a SAPP device Δ-doubling at `at` seconds (A2 ablation).
-    pub fn double_delta_at(&mut self, at: f64) {
-        self.schedule_on_device(at, SimEvent::DoubleDelta);
     }
 
     /// Runs the scenario for its configured duration.

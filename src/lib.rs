@@ -6,7 +6,7 @@
 //! facade over the workspace crates:
 //!
 //! * [`core`] (`presence-core`) — the SAPP and DCPP probe protocols as
-//!   sans-io state machines, plus baseline failure detectors;
+//!   sans-io state machines, plus the naive fixed-rate baseline;
 //! * [`des`] (`presence-des`) — the deterministic discrete-event simulation
 //!   engine (the MODEST/MÖBIUS substitute);
 //! * [`net`] (`presence-net`) — delay models, loss models, and the network
@@ -37,9 +37,10 @@
 //!
 //! See `examples/` for runnable scenarios (including a live UDP demo) and
 //! `crates/bench/src/bin/` for the binaries that regenerate every figure
-//! and in-text number of the paper's evaluation. `EXPERIMENTS.md` records
-//! paper-vs-measured for each. `crates/bench/src/conformance.rs` is the
-//! harness that pins the UDP host against the simulator as oracle.
+//! and in-text number of the paper's evaluation (README's "Experiment
+//! binaries"; each experiment's module doc in `presence_sim::experiments`
+//! states what the paper reports). `crates/bench/src/conformance.rs` is
+//! the harness that pins the UDP host against the simulator as oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
