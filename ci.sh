@@ -164,13 +164,14 @@ cmp "$serial" "$pooled"
 rm -f "$serial" "$pooled"
 
 # Trace stage: export a Perfetto trace from the mixed-regime acceptance
-# scenario (horizon-capped to keep the buffers CI-sized) and put it
-# through the full read-back path — `spotter` parses it, checks every
-# structural invariant (named tracks, flow begin ≤ end, counter
-# monotonicity), and prints the digest; a malformed trace exits non-zero.
-echo "==> trace stage: lab --trace + spotter validation (mixed-regime-stress, first 30 s)"
+# scenario (horizon-capped to keep the buffers CI-sized), engine stream
+# included, and put it through the full read-back path — `spotter`
+# parses it, checks every structural invariant (named tracks, flow begin
+# ≤ end, counter monotonicity), and prints the digest; a malformed trace
+# exits non-zero.
+echo "==> trace stage: lab --trace --trace-engine + spotter validation (mixed-regime-stress, first 30 s)"
 cargo run --release -q -p presence-bench --bin lab -- \
-    mixed-regime-stress --seeds 1 --trace target/trace_ci.json --trace-until 30
+    mixed-regime-stress --seeds 1 --trace target/trace_ci.json --trace-until 30 --trace-engine
 cargo run --release -q -p presence-bench --bin spotter -- target/trace_ci.json
 rm -f target/trace_ci.json
 

@@ -23,8 +23,10 @@
 //! directly — one track per actor, probe→reply flow arrows, counter
 //! tracks for load/frequency/fabric occupancy. `--trace-until SECS` caps
 //! the traced horizon (the run still completes; only the buffers stop),
-//! `--trace-engine` adds the dense engine stream (dispatch spans, timer
-//! arm/cancel/fire). Inspect traces offline with the `spotter` bin.
+//! `--trace-engine` adds the dense engine stream (a dispatch span per
+//! delivery, from the engine's dispatch hook; timer arm/cancel/fire, from
+//! the CPs that own the timers). Inspect traces offline with the
+//! `spotter` bin.
 //!
 //! Reports are **byte-identical at any `--jobs` value** — replications
 //! merge in seed order before any cross-seed folding (pinned by

@@ -27,6 +27,15 @@
 //! events — and [`Simulation::add_member`] between two runs is the only
 //! late join.
 //!
+//! # One observer
+//!
+//! The engine owns the clock and the queue, and nothing else: it does not
+//! know which events are timers. Its one observer is the dispatch hook
+//! ([`Simulation::set_trace`]), which sees each delivery as a
+//! [`TraceRecord`]. What an event *means* — a timer arm, a cancel, a fire
+//! — is reported by the actor that scheduled it ([`Context::set_timer`]
+//! is a plain self-addressed [`Context::schedule_in`]).
+//!
 //! This is the stand-in for the paper's MODEST/MÖBIUS tool chain: a small,
 //! auditable kernel whose event semantics are plain enough to validate by
 //! inspection (the paper stresses that simulation results are only
@@ -144,51 +153,6 @@ pub struct TraceRecord {
     pub seq: u64,
 }
 
-/// What a structured [`EngineEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineEventKind {
-    /// An event was delivered to the actor (anything but a self-armed
-    /// timer: messages from other actors, external stimuli, batch
-    /// members).
-    Dispatch,
-    /// The actor armed a timer — [`Context::set_timer`], or a rearm of a
-    /// still-pending timer ([`Context::rearm_timer`] /
-    /// [`Context::reschedule`] on an armed handle).
-    TimerArm,
-    /// A pending timer was cancelled before it fired.
-    TimerCancel,
-    /// A self-armed timer fired.
-    TimerFire,
-}
-
-/// One entry of the structured engine trace (see
-/// [`Simulation::enable_engine_trace`]): what the scheduler did, when,
-/// and to whom. Engine sequence numbers are deliberately absent: they
-/// are scheduler-internal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineEvent {
-    /// Virtual time of the action.
-    pub time: SimTime,
-    /// The actor concerned: the dispatch target, or the timer's owner.
-    pub actor: ActorId,
-    /// What happened.
-    pub kind: EngineEventKind,
-}
-
-/// Buffered trace state behind [`Core::etrace`]. Lives in an
-/// `Option<Box<_>>` so the disabled path (the default) costs one
-/// predictable branch per scheduler operation and zero allocation —
-/// the PR 5 steady-state alloc gate stays green with tracing off.
-#[derive(Default)]
-struct EngineTraceState {
-    /// Structured [`EngineEvent`]s, drained by `take_engine_trace`.
-    events: Vec<EngineEvent>,
-    /// Sequence numbers of pending self-armed timers, so pops and
-    /// cancels can classify themselves. A rearm mints a fresh sequence
-    /// number ([`Core::reschedule_slot`]) and migrates membership to it.
-    armed: std::collections::HashSet<u64>,
-}
-
 /// Why a run loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -228,9 +192,6 @@ struct Core<E> {
     next_seq: u64,
     stop_requested: bool,
     actor_count: usize,
-    /// `Some` only while structured tracing is enabled; `None` keeps the
-    /// hot loop allocation-free (one predictable branch per operation).
-    etrace: Option<Box<EngineTraceState>>,
 }
 
 impl<E> Core<E> {
@@ -280,77 +241,12 @@ impl<E> Core<E> {
         let seq = self.next_seq;
         let entry = self.queue.reschedule(handle.seq, at, seq)?;
         self.next_seq += 1;
-        // A rearmed timer keeps its timer identity under the fresh
-        // sequence number; the trace sees the rearm as a new arm.
-        let rearmed_timer = self
-            .etrace
-            .as_deref_mut()
-            .is_some_and(|t| t.armed.remove(&handle.seq) && t.armed.insert(seq));
-        if rearmed_timer {
-            let Dest::One(actor) = entry.0 else {
-                unreachable!("timers are never batch events")
-            };
-            let now = self.now;
-            if let Some(t) = self.etrace.as_deref_mut() {
-                t.events.push(EngineEvent {
-                    time: now,
-                    actor,
-                    kind: EngineEventKind::TimerArm,
-                });
-            }
-        }
         Some((EventHandle { seq }, entry))
     }
 
-    /// Marks the event behind `handle` as a self-armed timer and records
-    /// the arm, when structured tracing is on (no-op otherwise).
-    fn note_timer_armed(&mut self, actor: ActorId, handle: EventHandle) {
-        let now = self.now;
-        if let Some(t) = self.etrace.as_deref_mut() {
-            t.armed.insert(handle.seq);
-            t.events.push(EngineEvent {
-                time: now,
-                actor,
-                kind: EngineEventKind::TimerArm,
-            });
-        }
-    }
-
-    /// Cancels a pending event, classifying a cancelled timer for the
-    /// structured trace. Returns whether the event was still pending.
+    /// Cancels a pending event. Returns whether it was still pending.
     fn cancel(&mut self, handle: EventHandle) -> bool {
-        let now = self.now;
-        match self.queue.cancel(handle.seq) {
-            None => false,
-            Some((dest, _payload)) => {
-                if let Some(t) = self.etrace.as_deref_mut() {
-                    if t.armed.remove(&handle.seq) {
-                        let Dest::One(actor) = dest else {
-                            unreachable!("timers are never batch events")
-                        };
-                        t.events.push(EngineEvent {
-                            time: now,
-                            actor,
-                            kind: EngineEventKind::TimerCancel,
-                        });
-                    }
-                }
-                true
-            }
-        }
-    }
-
-    /// Records the pop of event `seq` for `actor` when tracing is on, as
-    /// a timer fire or a plain dispatch.
-    fn note_dispatch(&mut self, time: SimTime, actor: ActorId, seq: u64) {
-        if let Some(t) = self.etrace.as_deref_mut() {
-            let kind = if t.armed.remove(&seq) {
-                EngineEventKind::TimerFire
-            } else {
-                EngineEventKind::Dispatch
-            };
-            t.events.push(EngineEvent { time, actor, kind });
-        }
+        self.queue.cancel(handle.seq).is_some()
     }
 
     fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
@@ -420,9 +316,7 @@ impl<'a, E> Context<'a, E> {
     /// Schedules `payload` for this actor after a delay (a timer).
     pub fn set_timer(&mut self, delay: SimDuration, payload: E) -> EventHandle {
         let me = self.me;
-        let handle = self.schedule_in(delay, me, payload);
-        self.core.note_timer_armed(me, handle);
-        handle
+        self.schedule_in(delay, me, payload)
     }
 
     /// Sends `payload` to `target` at the current instant (it fires after
@@ -583,7 +477,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
                 next_seq: 0,
                 stop_requested: false,
                 actor_count: 0,
-                etrace: None,
             },
             actors: Vec::new(),
             rngs: Vec::new(),
@@ -594,33 +487,13 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         }
     }
 
-    /// Installs a trace hook that observes every processed event exactly
-    /// once, at its dispatch, in firing order.
+    /// Installs the simulation's one observer: a hook that sees every
+    /// delivery exactly once, at its dispatch, in firing order (a batch
+    /// event shows once per member). A second call replaces the first
+    /// hook. Without one, dispatch pays one predictable branch and
+    /// allocates nothing.
     pub fn set_trace<F: FnMut(&TraceRecord) + 'static>(&mut self, hook: F) {
         self.trace = Some(Box::new(hook));
-    }
-
-    /// Switches the structured engine trace on (idempotent): every
-    /// dispatch, timer arm, timer cancel, and timer fire is buffered as
-    /// an [`EngineEvent`] until [`Simulation::take_engine_trace`] drains
-    /// it. Disabled (the default), the scheduler pays one predictable
-    /// branch per operation and allocates nothing.
-    pub fn enable_engine_trace(&mut self) {
-        self.core.etrace.get_or_insert_with(Box::default);
-    }
-
-    /// Drains the buffered structured trace in canonical `(time, actor)`
-    /// order: a *stable* sort of the execution order, so each actor's own
-    /// events keep the order they happened in. Empty when tracing was
-    /// never enabled.
-    pub fn take_engine_trace(&mut self) -> Vec<EngineEvent> {
-        let mut events = self
-            .core
-            .etrace
-            .as_deref_mut()
-            .map_or_else(Vec::new, |t| std::mem::take(&mut t.events));
-        events.sort_by_key(|e| (e.time, e.actor));
-        events
     }
 
     /// Registers an actor, given as the simulation's member type (for an
@@ -783,7 +656,6 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
                 seq: key.seq,
             });
         }
-        self.core.note_dispatch(key.time, target, key.seq);
         self.dispatch(target, payload);
     }
 
@@ -1476,66 +1348,6 @@ mod tests {
         let c = run(8);
         assert_eq!(a, b, "same seed must replay identically");
         assert_ne!(a, c, "different seeds should diverge");
-    }
-
-    /// The structured trace classifies timers end to end: arm, rearm
-    /// (which mints a fresh sequence number and must migrate the timer
-    /// identity), cancel, and fire, with plain sends staying `Dispatch`.
-    #[test]
-    fn engine_trace_classifies_timers_across_rearm() {
-        use EngineEventKind as K;
-        struct Timers {
-            peer: ActorId,
-        }
-        impl Actor<Ev> for Timers {
-            fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
-                // Armed then cancelled: TimerArm + TimerCancel.
-                let dead = ctx.set_timer(SimDuration::from_secs(1), 0);
-                assert!(ctx.cancel(dead));
-                // Armed then rearmed in place: the fire must still be a
-                // TimerFire even though the sequence number changed.
-                let h = ctx.set_timer(SimDuration::from_secs(2), 1);
-                ctx.rearm_timer(h, SimDuration::from_secs(3), 2).unwrap();
-                // A plain message to the peer stays a Dispatch.
-                ctx.schedule_in(SimDuration::from_secs(1), self.peer, 3);
-            }
-            fn on_event(&mut self, _: &mut Context<'_, Ev>, ev: Ev) {
-                assert_eq!(ev, 2, "only the rearmed timer fires");
-            }
-        }
-        let mut sim = Simulation::with_actor_set(1);
-        sim.enable_engine_trace();
-        let peer = sim.add_member(Cast::peer());
-        let t = sim.add_member(Cast::Driver(Timers { peer }));
-        sim.run_until_idle();
-        let kinds: Vec<(usize, K)> = sim
-            .take_engine_trace()
-            .into_iter()
-            .map(|e| (e.actor.index(), e.kind))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (t.index(), K::TimerArm),    // set_timer (cancelled)
-                (t.index(), K::TimerCancel), // cancel
-                (t.index(), K::TimerArm),    // set_timer (rearmed)
-                (t.index(), K::TimerArm),    // rearm_timer
-                (peer.index(), K::Dispatch), // message at t=1
-                (t.index(), K::TimerFire),   // rearmed timer at t=3
-            ]
-        );
-    }
-
-    /// Disabled tracing must stay disabled: no buffer appears unless
-    /// `enable_engine_trace` is called, and taking the trace then is
-    /// empty.
-    #[test]
-    fn engine_trace_disabled_is_empty() {
-        let mut sim = Simulation::with_actor_set(1);
-        let id = sim.add_member(Recorder { log: vec![] });
-        sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
-        sim.run_until_idle();
-        assert!(sim.take_engine_trace().is_empty());
     }
 
     /// No run method asks for `Send`: an actor may share an `Rc` with the

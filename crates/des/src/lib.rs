@@ -34,8 +34,7 @@ mod time;
 mod timer_slots;
 
 pub use engine::{
-    Actor, ActorId, Context, EngineEvent, EngineEventKind, EventHandle, ProjectActor, RunOutcome,
-    Simulation, TraceRecord,
+    Actor, ActorId, Context, EventHandle, ProjectActor, RunOutcome, Simulation, TraceRecord,
 };
 pub use queue::{EventKey, EventQueue, QueueProfile};
 pub use rng::{derive_seed, splitmix64, StreamRng};

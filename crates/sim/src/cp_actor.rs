@@ -13,6 +13,7 @@ use presence_core::{
 };
 use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime, TimerSlots};
 use presence_stats::{TimeSeries, Welford};
+use presence_trace::EngineEventKind;
 
 /// Factory for the prober machine a CP (re-)creates each time it joins.
 #[derive(Debug, Clone)]
@@ -133,9 +134,19 @@ impl CpActor {
         }
     }
 
-    /// Arms lifecycle tracing up to `until_ns` (virtual nanoseconds).
-    pub fn set_trace(&mut self, until_ns: u64) {
-        self.trace = Some(Box::new(CpTrace::new(until_ns)));
+    /// Arms lifecycle tracing up to `until_ns` (virtual nanoseconds);
+    /// `timers` also records each timer arm, cancel and fire (the engine
+    /// stream's timer records — the CP owns its timers, the engine does
+    /// not know them).
+    pub fn set_trace(&mut self, until_ns: u64, timers: bool) {
+        self.trace = Some(Box::new(CpTrace::new(until_ns, timers)));
+    }
+
+    /// Notes a timer action in the trace, when tracing is armed.
+    fn trace_timer(&mut self, now: SimTime, kind: EngineEventKind) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.timer(now.as_nanos(), kind);
+        }
     }
 
     /// Takes the trace buffer accumulated since [`CpActor::set_trace`].
@@ -217,15 +228,14 @@ impl CpActor {
                         .rearm_slot
                         .take()
                         .and_then(|h| ctx.rearm_timer(h, after, SimEvent::Timer(token)));
-                    // `set_timer`, not a bare self-`schedule_in`: same
-                    // queue push, same sequence number, but the engine
-                    // trace then classifies the event as a timer.
                     let handle =
                         rearmed.unwrap_or_else(|| ctx.set_timer(after, SimEvent::Timer(token)));
                     self.timers.insert(token, handle);
+                    self.trace_timer(ctx.now(), EngineEventKind::TimerArm);
                 }
                 CpAction::CancelTimer { token } => {
                     if let Some(handle) = self.timers.remove(token) {
+                        self.trace_timer(ctx.now(), EngineEventKind::TimerCancel);
                         // Defer: a StartTimer later in this batch usually
                         // rearms the same queue slot in place.
                         if let Some(stale) = self.rearm_slot.replace(handle) {
@@ -330,7 +340,12 @@ impl CpActor {
         self.active = false;
         // Cancel order is slot order (cancels commute; no trajectory
         // impact — see `TimerSlots::drain`).
+        let now = ctx.now().as_nanos();
+        let trace = &mut self.trace;
         self.timers.drain(|_, handle| {
+            if let Some(t) = trace.as_deref_mut() {
+                t.timer(now, EngineEventKind::TimerCancel);
+            }
             ctx.cancel(handle);
         });
     }
@@ -366,6 +381,7 @@ impl Actor<SimEvent> for CpActor {
                 if self.timers.remove(token).is_none() {
                     return;
                 }
+                self.trace_timer(ctx.now(), EngineEventKind::TimerFire);
                 let Some(prober) = self.prober.as_mut() else {
                     return;
                 };

@@ -69,7 +69,6 @@ pub struct DeviceActor {
     processing_replies: TimerSlots<u64>,
     /// Monotone key source for `processing_replies`.
     reply_seq: u64,
-    stopped_at: Option<SimTime>,
     /// Lifecycle trace buffer; `None` (one predictable branch per probe)
     /// unless [`DeviceActor::set_trace`] armed it.
     trace: Option<Box<DeviceTrace>>,
@@ -99,7 +98,6 @@ impl DeviceActor {
             load: JumpingWindowRate::with_capacity(0.0, load_window, windows_hint),
             processing_replies: TimerSlots::with_spill_capacity(8),
             reply_seq: 0,
-            stopped_at: None,
             trace: None,
         }
     }
@@ -121,12 +119,6 @@ impl DeviceActor {
         if let DeviceMachine::Sapp(d) = &mut self.machine {
             d.double_delta();
         }
-    }
-
-    /// When the device crashed or left, if it did.
-    #[must_use]
-    pub fn stopped_at(&self) -> Option<SimTime> {
-        self.stopped_at
     }
 
     /// Total probes answered.
@@ -191,14 +183,12 @@ impl Actor<SimEvent> for DeviceActor {
             SimEvent::Crash => {
                 if self.alive {
                     self.alive = false;
-                    self.stopped_at = Some(ctx.now());
                     self.abort_processing(ctx);
                 }
             }
             SimEvent::GracefulLeave => {
                 if self.alive {
                     self.alive = false;
-                    self.stopped_at = Some(ctx.now());
                     self.abort_processing(ctx);
                     ctx.send_now(
                         self.network,

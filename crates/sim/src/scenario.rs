@@ -25,7 +25,9 @@ use presence_net::{
 };
 use presence_stats::jain_index;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 /// Why a [`ScenarioConfig`] or a [`crate::ScenarioSpec`] was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -351,6 +353,9 @@ pub struct Scenario {
     cps: Vec<ActorId>,
     /// Trace horizon (ns) when [`Scenario::enable_trace`] armed tracing.
     trace_until_ns: Option<u64>,
+    /// `(time_ns, target actor)` per delivery, filled by the dispatch hook
+    /// that [`Scenario::enable_trace`] installs for the engine stream.
+    dispatches: Rc<RefCell<Vec<(u64, usize)>>>,
 }
 
 impl Scenario {
@@ -452,19 +457,33 @@ impl Scenario {
             churn,
             cps,
             trace_until_ns: None,
+            dispatches: Rc::default(),
         }
     }
 
     /// Arms presence tracing on every actor (and, when `engine` is set,
-    /// the structured engine event stream). `until` caps the horizon in
-    /// virtual seconds (`None` = the whole run). Call before [`Scenario::run`];
-    /// drain with [`Scenario::collect_trace`]. The simulated trajectory is
-    /// unchanged — tracing only buffers observations.
+    /// the engine stream). `until` caps the horizon in virtual seconds
+    /// (`None` = the whole run). Call before [`Scenario::run`]; drain with
+    /// [`Scenario::collect_trace`]. The simulated trajectory is unchanged —
+    /// tracing only buffers observations.
+    ///
+    /// The engine stream's `Dispatch` records come from the simulation's
+    /// one observer, its dispatch hook: while the engine stream is on, the
+    /// scenario owns that hook slot, so a hook installed through
+    /// [`Scenario::sim_mut`] replaces the recorder (and is replaced by it,
+    /// if installed first). Its timer records come from the CPs, which own
+    /// the protocol timers.
     pub fn enable_trace(&mut self, until: Option<f64>, engine: bool) {
         let until_ns = until.map_or(u64::MAX, |s| SimTime::from_secs_f64(s).as_nanos());
         self.trace_until_ns = Some(until_ns);
         if engine {
-            self.sim.enable_engine_trace();
+            let sink = Rc::clone(&self.dispatches);
+            self.sim.set_trace(move |record| {
+                let time_ns = record.time.as_nanos();
+                if time_ns <= until_ns {
+                    sink.borrow_mut().push((time_ns, record.target.index()));
+                }
+            });
         }
         self.sim
             .actor_mut::<NetworkActor>(self.network)
@@ -478,7 +497,7 @@ impl Scenario {
             self.sim
                 .actor_mut::<CpActor>(cp)
                 .expect("cp actor")
-                .set_trace(until_ns);
+                .set_trace(until_ns, engine);
         }
         self.sim
             .actor_mut::<ChurnActor>(self.churn)
@@ -529,7 +548,7 @@ impl Scenario {
             device: (self.device.index(), device_buf),
             cps,
             churn: (self.churn.index(), churn_buf),
-            engine: self.sim.take_engine_trace(),
+            dispatches: self.dispatches.take(),
         }
         .into_model(result)
     }

@@ -13,11 +13,18 @@
 //! All buffers share an `until_ns` horizon so a `--trace-until` cap bounds
 //! trace size uniformly: an event past the horizon is dropped by every
 //! recorder, never by just some of them (no orphan flow steps).
+//!
+//! The engine stream has two sources, neither of them inside the engine:
+//! its `Dispatch` records come from the simulation's dispatch hook, which
+//! the scenario installs, and its timer records from the CPs, which own
+//! every protocol timer and note each arm, cancel and fire in their
+//! [`CpTrace`]. `into_model` merges the two in a stable `(time, actor)`
+//! order: within one instant and actor, the deliveries come first, then
+//! the timer actions in the order the CP took them.
 
 use crate::metrics::ScenarioResult;
 use presence_core::CpId;
-use presence_des::EngineEvent;
-use presence_trace::{FlowPhase, PointKind, TraceModel};
+use presence_trace::{EngineEvent, EngineEventKind, FlowPhase, PointKind, TraceModel};
 use std::collections::BTreeSet;
 
 /// Nanoseconds per fabric-counter sampling bucket: the network recorders
@@ -35,7 +42,7 @@ pub fn flow_id(cp: CpId, seq: u64) -> u64 {
 }
 
 /// CP-side lifecycle recorder: probe sends, reply receipts, absence
-/// verdicts.
+/// verdicts and, for the engine stream, protocol timer actions.
 #[derive(Debug)]
 pub struct CpTrace {
     until_ns: u64,
@@ -43,6 +50,9 @@ pub struct CpTrace {
     pub flows: Vec<(u64, u64, FlowPhase)>,
     /// Absence-verdict instants (ns).
     pub absents: Vec<u64>,
+    /// `(time_ns, kind)` of every timer arm, cancel and fire, in the order
+    /// the CP took them; `None` unless the engine stream was requested.
+    pub timers: Option<Vec<(u64, EngineEventKind)>>,
     /// Sequence numbers whose flow start was recorded. A retransmission
     /// reuses its cycle's `seq`, and a re-joined CP's fresh prober restarts
     /// the sequence — both would duplicate a flow start, which the trace
@@ -54,11 +64,12 @@ pub struct CpTrace {
 }
 
 impl CpTrace {
-    pub(crate) fn new(until_ns: u64) -> Self {
+    pub(crate) fn new(until_ns: u64, timers: bool) -> Self {
         Self {
             until_ns,
             flows: Vec::new(),
             absents: Vec::new(),
+            timers: timers.then(Vec::new),
             started: BTreeSet::new(),
             done: BTreeSet::new(),
         }
@@ -81,6 +92,14 @@ impl CpTrace {
     pub(crate) fn absent(&mut self, time_ns: u64) {
         if time_ns <= self.until_ns {
             self.absents.push(time_ns);
+        }
+    }
+
+    pub(crate) fn timer(&mut self, time_ns: u64, kind: EngineEventKind) {
+        if let Some(timers) = &mut self.timers {
+            if time_ns <= self.until_ns {
+                timers.push((time_ns, kind));
+            }
         }
     }
 }
@@ -183,8 +202,8 @@ impl ChurnTrace {
     }
 }
 
-/// Everything a scenario drains out of its actors and engine after a
-/// traced run, keyed by actor index.
+/// Everything a scenario drains out of its actors and dispatch hook after
+/// a traced run, keyed by actor index.
 pub(crate) struct TraceCapture {
     pub(crate) until_ns: u64,
     pub(crate) net: (usize, Option<Box<NetTrace>>),
@@ -192,7 +211,9 @@ pub(crate) struct TraceCapture {
     /// `(actor index, buffer)` per CP, in `CpId` order.
     pub(crate) cps: Vec<(usize, Option<Box<CpTrace>>)>,
     pub(crate) churn: (usize, Option<Box<ChurnTrace>>),
-    pub(crate) engine: Vec<EngineEvent>,
+    /// `(time_ns, target actor)` per delivery, in firing order; empty
+    /// unless the engine stream was requested.
+    pub(crate) dispatches: Vec<(u64, usize)>,
 }
 
 /// Seconds → virtual nanoseconds, for series recorded in float seconds.
@@ -204,8 +225,8 @@ fn secs_ns(t: f64) -> u64 {
 impl TraceCapture {
     /// Assembles the final [`TraceModel`]: one track per actor, lifecycle
     /// points from the live buffers, counter tracks synthesised from the
-    /// collected result's series, and the engine stream capped at the
-    /// trace horizon.
+    /// collected result's series, and the engine stream merged from the
+    /// dispatch records and the CPs' timer records.
     pub(crate) fn into_model(self, result: &ScenarioResult) -> TraceModel {
         let cap = self.until_ns;
         let mut model = TraceModel::default();
@@ -223,7 +244,16 @@ impl TraceCapture {
                 model.push_point(t, device_track, PointKind::Flow { id, phase });
             }
         }
-        for ((_, buf), &track) in self.cps.into_iter().zip(&cp_tracks) {
+        let mut engine: Vec<EngineEvent> = self
+            .dispatches
+            .into_iter()
+            .map(|(time_ns, actor)| EngineEvent {
+                time_ns,
+                actor,
+                kind: EngineEventKind::Dispatch,
+            })
+            .collect();
+        for ((actor, buf), &track) in self.cps.into_iter().zip(&cp_tracks) {
             let Some(buf) = buf else { continue };
             for &(t, id, phase) in &buf.flows {
                 model.push_point(t, track, PointKind::Flow { id, phase });
@@ -231,7 +261,16 @@ impl TraceCapture {
             for &t in &buf.absents {
                 model.push_point(t, track, PointKind::Absent);
             }
+            for &(time_ns, kind) in buf.timers.iter().flatten() {
+                engine.push(EngineEvent {
+                    time_ns,
+                    actor,
+                    kind,
+                });
+            }
         }
+        engine.sort_by_key(|e| (e.time_ns, e.actor));
+        model.engine = engine;
         if let Some(churn) = self.churn.1 {
             for &(t, switch) in &churn.switches {
                 model.push_point(t, churn_track, PointKind::RegimeSwitch { switch });
@@ -264,12 +303,6 @@ impl TraceCapture {
         if !population.is_empty() {
             model.add_counter("population", population);
         }
-
-        model.engine = self
-            .engine
-            .into_iter()
-            .filter(|e| e.time.as_nanos() <= cap)
-            .collect();
         model
     }
 }
@@ -290,7 +323,7 @@ mod tests {
 
     #[test]
     fn cp_trace_dedups_restarts_and_stale_replies() {
-        let mut t = CpTrace::new(u64::MAX);
+        let mut t = CpTrace::new(u64::MAX, false);
         t.probe_send(10, CpId(0), 1);
         t.probe_send(20, CpId(0), 1); // retransmission: step elsewhere, no new start
         t.reply_recv(30, CpId(0), 1);
@@ -307,10 +340,12 @@ mod tests {
 
     #[test]
     fn until_cap_drops_late_events_everywhere() {
-        let mut cp = CpTrace::new(100);
+        let mut cp = CpTrace::new(100, true);
         cp.probe_send(101, CpId(0), 1);
         cp.absent(101);
+        cp.timer(101, EngineEventKind::TimerArm);
         assert!(cp.flows.is_empty() && cp.absents.is_empty());
+        assert_eq!(cp.timers, Some(vec![]));
         let mut dev = DeviceTrace::new(100);
         dev.probe(99, 101, CpId(0), 1);
         assert_eq!(dev.flows.len(), 1, "recv kept, capped reply send dropped");

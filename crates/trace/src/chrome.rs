@@ -12,8 +12,7 @@
 //! keys are insertion-ordered, and floats use shortest round-trip
 //! formatting — the properties the golden-fixture test pins.
 
-use crate::model::{FlowPhase, PointKind, TraceModel};
-use presence_des::EngineEventKind;
+use crate::model::{EngineEventKind, FlowPhase, PointKind, TraceModel};
 use serde::Value;
 use std::collections::HashMap;
 
@@ -227,9 +226,9 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
         }
     }
 
-    // The engine's structured stream, routed onto the actor tracks.
+    // The engine stream, routed onto the actor tracks.
     for event in &model.engine {
-        let Some(track) = model.track_of_actor(event.actor.index()) else {
+        let Some(track) = model.track_of_actor(event.actor) else {
             continue;
         };
         push_event(
@@ -239,7 +238,7 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
                 ("name", s(engine_slice_name(event.kind))),
                 ("cat", s("engine")),
                 ("ph", s("X")),
-                ("ts", Value::F64(ts_us(event.time.as_nanos()))),
+                ("ts", Value::F64(ts_us(event.time_ns))),
                 ("dur", Value::F64(0.0)),
                 ("pid", Value::U64(0)),
                 ("tid", Value::U64(u64::from(track))),

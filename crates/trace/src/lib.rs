@@ -2,7 +2,7 @@
 //! simulations.
 //!
 //! The simulation layer fills a [`TraceModel`] — actor tracks, probe→reply
-//! flow points, counter series, and the engine's structured event stream.
+//! flow points, counter series, and the engine stream.
 //! This crate turns that model into the [Chrome JSON trace format] that
 //! Perfetto's trace viewer loads directly
 //! ([`chrome::write_chrome_json`]), parses such a file back
@@ -28,7 +28,9 @@ pub mod stats;
 pub mod validate;
 
 pub use chrome::write_chrome_json;
-pub use model::{CounterTrack, FlowPhase, PointKind, TraceModel, TracePoint, Track};
+pub use model::{
+    CounterTrack, EngineEvent, EngineEventKind, FlowPhase, PointKind, TraceModel, TracePoint, Track,
+};
 pub use reader::{parse, ChromeEvent, ChromeTrace};
 pub use stats::{analyze, SpotterReport};
 pub use validate::{validate, TraceCheck};

@@ -4,8 +4,6 @@
 //! every point carries its actor track and virtual time, and the writer
 //! orders output by construction, not by engine internals.
 
-use presence_des::EngineEvent;
-
 /// One step of a probe→reply lifecycle, in flow order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowPhase {
@@ -50,6 +48,31 @@ pub struct TracePoint {
     pub kind: PointKind,
 }
 
+/// What an [`EngineEvent`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineEventKind {
+    /// The engine delivered an event to the actor — every delivery, timer
+    /// fires included; a batch event delivers once per member.
+    Dispatch,
+    /// The actor armed a protocol timer.
+    TimerArm,
+    /// The actor cancelled a pending protocol timer.
+    TimerCancel,
+    /// A pending protocol timer fired.
+    TimerFire,
+}
+
+/// One entry of the engine stream: what happened, when, and to whom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineEvent {
+    /// Virtual time in nanoseconds.
+    pub time_ns: u64,
+    /// Global actor index: the delivery's target, or the timer's owner.
+    pub actor: usize,
+    /// What happened.
+    pub kind: EngineEventKind,
+}
+
 /// One named timeline (a Perfetto "thread").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Track {
@@ -78,8 +101,8 @@ pub struct TraceModel {
     pub points: Vec<TracePoint>,
     /// Counter tracks.
     pub counters: Vec<CounterTrack>,
-    /// The engine's structured stream (dispatch/timer events), already in
-    /// canonical `(time, actor)` order. Empty unless engine tracing was
+    /// The engine stream (deliveries and timer actions) in a stable
+    /// `(time, actor)` order. Empty unless the engine stream was
     /// requested — it is by far the densest part of a trace.
     pub engine: Vec<EngineEvent>,
 }

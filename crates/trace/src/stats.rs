@@ -4,6 +4,7 @@
 //! probe-cycle latency percentiles from the flow events.
 
 use crate::reader::ChromeTrace;
+use presence_stats::jain_index;
 use std::collections::HashMap;
 
 /// Latency percentiles in microseconds.
@@ -58,19 +59,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     )]
     let index = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[index.min(sorted.len() - 1)]
-}
-
-fn jain(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|x| x * x).sum();
-    if sum_sq == 0.0 {
-        return Some(1.0);
-    }
-    #[allow(clippy::cast_precision_loss)]
-    Some(sum * sum / (values.len() as f64 * sum_sq))
 }
 
 /// Distils a [`SpotterReport`] from a parsed trace, keeping the `top_n`
@@ -157,7 +145,7 @@ pub fn analyze(trace: &ChromeTrace, top_n: usize) -> SpotterReport {
             report.phases.push(PhaseFairness {
                 begin_us: begin,
                 end_us: end,
-                jain: jain(&means),
+                jain: (!means.is_empty()).then(|| jain_index(&means)),
             });
         }
     }

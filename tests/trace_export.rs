@@ -3,9 +3,8 @@
 //! flow events, and counter tracks, deterministically and matching the
 //! recorded fixture byte for byte.
 
-use presence::des::EngineEventKind;
 use presence::sim::{Protocol, Scenario, ScenarioConfig};
-use presence::trace::{analyze, parse, validate, write_chrome_json};
+use presence::trace::{analyze, parse, validate, write_chrome_json, EngineEventKind, TraceModel};
 
 /// The full pipeline on a paper-default DCPP hub: model → Chrome JSON →
 /// parse → validate → spotter analytics.
@@ -109,27 +108,74 @@ fn paper_dcpp_trace_matches_golden_fixture() {
     assert!(check.flows_started > 0 && check.counter_tracks >= 3);
 }
 
-/// The engine stream classifies the protocol machines' timers as timers:
-/// every probe cycle arms a timeout and every wait arms a wake, so a
-/// paper-default DCPP run must show arms and fires (and no more fires
-/// than arms), not a stream of plain dispatches.
-#[test]
-fn paper_dcpp_engine_trace_sees_protocol_timers() {
+/// Runs the builtin catalog entry `name` over its whole horizon with the
+/// engine stream on; returns the model and the run's event count.
+fn engine_traced(name: &str) -> (TraceModel, u64) {
     let spec = presence::sim::builtin_catalog()
         .into_iter()
-        .find(|s| s.name == "paper-dcpp")
-        .expect("paper-dcpp is in the builtin catalog");
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("{name} is in the builtin catalog"));
     let mut scenario = spec.build().expect("spec builds");
-    scenario.enable_trace(Some(10.0), true);
+    scenario.enable_trace(None, true);
     scenario.run();
     let result = scenario.collect();
-    let model = scenario.collect_trace(&result);
-    let count = |kind| model.engine.iter().filter(|e| e.kind == kind).count();
-    let (arms, fires) = (
-        count(EngineEventKind::TimerArm),
-        count(EngineEventKind::TimerFire),
+    (scenario.collect_trace(&result), result.events_processed)
+}
+
+fn count(model: &TraceModel, actor: Option<usize>, kind: EngineEventKind) -> usize {
+    model
+        .engine
+        .iter()
+        .filter(|e| e.kind == kind && actor.is_none_or(|a| e.actor == a))
+        .count()
+}
+
+/// The engine stream sees every delivery and every protocol timer. A
+/// static scenario sends no batch events, so the dispatch hook records
+/// exactly one `Dispatch` per processed event; every timer a CP armed was
+/// cancelled, fired, or is its one timer still live at the horizon. Under
+/// churn, each batch event delivers once per member, so there are at
+/// least as many `Dispatch` records as processed events.
+#[test]
+fn paper_dcpp_engine_trace_sees_protocol_timers() {
+    let (model, events) = engine_traced("paper-dcpp");
+    let dispatches = count(&model, None, EngineEventKind::Dispatch);
+    assert_eq!(
+        dispatches as u64, events,
+        "one dispatch per processed event"
     );
-    assert!(arms > 0, "no timer-arm events in the engine stream");
-    assert!(fires > 0, "no timer-fire events in the engine stream");
-    assert!(fires <= arms, "{fires} timer fires but only {arms} arms");
+    let cps: Vec<usize> = model
+        .tracks
+        .iter()
+        .filter(|t| t.name.starts_with("cp"))
+        .filter_map(|t| t.actor)
+        .collect();
+    assert!(!cps.is_empty(), "no CP tracks");
+    assert!(
+        count(&model, None, EngineEventKind::TimerFire) > 0,
+        "no timer fires"
+    );
+    for cp in cps {
+        let arms = count(&model, Some(cp), EngineEventKind::TimerArm);
+        let cancels = count(&model, Some(cp), EngineEventKind::TimerCancel);
+        let fires = count(&model, Some(cp), EngineEventKind::TimerFire);
+        let live = arms.checked_sub(cancels + fires).unwrap_or_else(|| {
+            panic!("actor {cp}: {cancels} cancels + {fires} fires > {arms} arms")
+        });
+        assert!(live <= 1, "actor {cp}: {live} timers live at the horizon");
+    }
+    assert!(
+        model
+            .engine
+            .windows(2)
+            .all(|w| (w[0].time_ns, w[0].actor) <= (w[1].time_ns, w[1].actor)),
+        "engine stream out of (time, actor) order"
+    );
+
+    let (model, events) = engine_traced("paper-churn");
+    let dispatches = count(&model, None, EngineEventKind::Dispatch);
+    assert!(
+        dispatches as u64 >= events,
+        "{dispatches} dispatches for {events} processed events"
+    );
 }
