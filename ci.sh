@@ -69,13 +69,13 @@ test_nonempty() {
     rm -f "$log"
 }
 
-# Engine soak: the dispatch/timer machinery PR 5 rewrote gets a deeper
+# Engine soak: the event queue and the dispatch loop get a deeper
 # property-test pass than the tier-1 default (256 cases) — the EventQueue
-# and TimerSlots model-based suites plus the dispatch-semantics regression
-# battery (including the arm that holds step()/run(n)/run_until to one
-# trace across repeated stops), at 1024 cases — and the queue's
-# white-box unit tests (the invariant checker after every step of a seeded
-# walk) run optimised, as the simulator runs them.
+# model-based suites plus the dispatch-semantics regression battery
+# (including the arm that holds step()/run(n)/run_until to one trace,
+# resumed at random budgets and horizons), at 1024 cases — and the
+# queue's white-box unit tests (the invariant checker after every step of
+# a seeded walk) run optimised, as the simulator runs them.
 echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue tests (release)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test proptests --test dispatch
 test_nonempty --release -q -p presence-des --lib queue::
@@ -141,7 +141,7 @@ cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 # 2-worker pool as tier-1. Then a spec file with a bad protocol block, and
 # one with a key that names no spec field (the retired `sapp_auto_tune`),
 # must each be an error message and exit status 1, not a panic and not a
-# run that ignores the key.
+# run that ignores the key. So must a flag the command would ignore.
 echo "==> scenario lab: catalog validation + mixed-regime smoke + bad-spec rejection (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo run --release -q -p presence-bench --bin lab -- --check
 bad_spec="$(mktemp --suffix=.json)"
@@ -149,6 +149,7 @@ sed 's/"delta_min": [0-9]*/"delta_min": 0/' catalog/paper-dcpp.json >"$bad_spec"
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'invalid scenario spec'
 sed 's/^  "disseminate": false,$/&\n  "sapp_auto_tune": {"max_doublings": 6},/' catalog/paper-sapp.json >"$bad_spec"
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'unknown field'
+{ cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --trace-engine 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- '--trace-engine needs --trace'
 rm -f "$bad_spec"
 
 # Experiments stage: `experiments all` is documented as byte-identical at

@@ -26,7 +26,9 @@
 //! `--trace-engine` adds the dense engine stream (a dispatch span per
 //! delivery, from the engine's dispatch hook; timer arm/cancel/fire, from
 //! the CPs that own the timers). Inspect traces offline with the
-//! `spotter` bin.
+//! `spotter` bin. A flag that would be ignored is an error (exit 1):
+//! `--trace-until` or `--trace-engine` without `--trace`, and `--trace`
+//! or `--json` beside `--all`, `--check` or `--list`.
 //!
 //! Reports are **byte-identical at any `--jobs` value** — replications
 //! merge in seed order before any cross-seed folding (pinned by
@@ -235,8 +237,17 @@ fn main() -> ExitCode {
     });
 
     let outcome = (|| -> Result<(), String> {
+        if trace.is_none() && trace_until.is_some() {
+            return Err("--trace-until needs --trace PATH".into());
+        }
+        if trace.is_none() && trace_engine {
+            return Err("--trace-engine needs --trace PATH".into());
+        }
         if trace.is_some() && (all || do_check || list) {
             return Err("--trace needs a single scenario target".into());
+        }
+        if json_out.is_some() && (all || do_check || list) {
+            return Err("--json needs a single scenario target".into());
         }
         if do_check {
             return check(jobs);

@@ -67,8 +67,7 @@ pub struct EventHandle {
 ///
 /// Actors are passive: they only run when an event addressed to them fires.
 /// All interaction with the world — scheduling future events, sending to
-/// other actors, randomness, stopping the run — goes through the
-/// [`Context`].
+/// other actors, randomness — goes through the [`Context`].
 ///
 /// The trait doubles as the bound on a simulation's *member type*: a typed
 /// simulation stores an enum over its actor kinds whose `Actor` impl is a
@@ -160,8 +159,6 @@ pub enum RunOutcome {
     ReachedTime,
     /// The event queue drained completely.
     Idle,
-    /// An actor called [`Context::stop`].
-    Stopped,
     /// The event budget was exhausted.
     EventBudget,
 }
@@ -190,7 +187,6 @@ struct Core<E> {
     /// [`crate::queue`]), so there are no tombstones to skip at pop time.
     queue: EventQueue<(Dest, E)>,
     next_seq: u64,
-    stop_requested: bool,
     actor_count: usize,
 }
 
@@ -220,51 +216,9 @@ impl<E> Core<E> {
         EventHandle { seq }
     }
 
-    /// In-place rearm core: moves the pending event behind `handle` to
-    /// `at`, minting a fresh sequence number so the event re-enters the
-    /// FIFO order exactly as a newly scheduled one would. Consumes one
-    /// sequence number — the same as the `push` in a cancel-then-push
-    /// pair — so swapping the two idioms never perturbs a seeded
-    /// trajectory. Returns the fresh handle and the payload slot (target,
-    /// payload), still in place, for optional rewriting.
-    fn reschedule_slot(
-        &mut self,
-        handle: EventHandle,
-        at: SimTime,
-    ) -> Option<(EventHandle, &mut (Dest, E))> {
-        assert!(
-            at >= self.now,
-            "cannot reschedule into the past: {at} < now {}",
-            self.now
-        );
-        // The sequence number is minted only if the event was pending.
-        let seq = self.next_seq;
-        let entry = self.queue.reschedule(handle.seq, at, seq)?;
-        self.next_seq += 1;
-        Some((EventHandle { seq }, entry))
-    }
-
     /// Cancels a pending event. Returns whether it was still pending.
     fn cancel(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle.seq).is_some()
-    }
-
-    fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
-        self.reschedule_slot(handle, at).map(|(h, _)| h)
-    }
-
-    /// [`Core::reschedule`], additionally rewriting the queued payload in
-    /// its slot (the rearmed-timer-with-fresh-token idiom). The event's
-    /// target actor is unchanged.
-    fn reschedule_with(
-        &mut self,
-        handle: EventHandle,
-        at: SimTime,
-        payload: E,
-    ) -> Option<EventHandle> {
-        let (h, entry) = self.reschedule_slot(handle, at)?;
-        entry.1 = payload;
-        Some(h)
     }
 }
 
@@ -365,43 +319,33 @@ impl<'a, E> Context<'a, E> {
         self.core.queue.contains(handle.seq)
     }
 
-    /// Moves a pending event to fire at `at`, keeping its payload in place
-    /// (no slab free/alloc, no queue remove/insert — a single in-place
-    /// heap re-seat). Returns the fresh handle; the old one is dead. The
-    /// event re-enters the same-instant FIFO order as if scheduled now, and
-    /// one sequence number is consumed either way, so `reschedule` and
-    /// cancel-then-schedule produce bit-identical trajectories.
-    ///
-    /// Returns `None` (and consumes nothing) when the event already fired
-    /// or was cancelled — callers fall back to a fresh schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
-        self.core.reschedule(handle, at)
-    }
-
     /// The cancel-then-rearm fast path: moves the pending event behind
     /// `handle` to `now + delay` **and** replaces its payload in place
     /// (timers are rearmed with a fresh token, so the queued payload must
-    /// be rewritten along with the deadline). The event's target actor is
-    /// unchanged. Everything else matches [`Context::reschedule`]: fresh
-    /// handle out, one sequence number consumed, `None` if `handle` is no
-    /// longer pending.
+    /// be rewritten along with the deadline) — no slab free/alloc, no
+    /// queue remove/insert, a single in-place heap re-seat. The event's
+    /// target actor is unchanged. Returns the fresh handle; the old one is
+    /// dead. The event re-enters the same-instant FIFO order as if
+    /// scheduled now, and one sequence number is consumed either way, so
+    /// a rearm and cancel-then-schedule produce bit-identical
+    /// trajectories.
+    ///
+    /// Returns `None` (and consumes nothing) when the event already fired
+    /// or was cancelled — callers fall back to a fresh schedule.
     pub fn rearm_timer(
         &mut self,
         handle: EventHandle,
         delay: SimDuration,
         payload: E,
     ) -> Option<EventHandle> {
-        let at = self.core.now + delay;
-        self.core.reschedule_with(handle, at, payload)
-    }
-
-    /// Requests the run loop to stop after the current event completes.
-    pub fn stop(&mut self) {
-        self.core.stop_requested = true;
+        let core = &mut *self.core;
+        let at = core.now + delay;
+        // The sequence number is minted only if the event was pending.
+        let seq = core.next_seq;
+        let entry = core.queue.reschedule(handle.seq, at, seq)?;
+        core.next_seq += 1;
+        entry.1 = payload;
+        Some(EventHandle { seq })
     }
 }
 
@@ -475,7 +419,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
                 now: SimTime::ZERO,
                 queue: EventQueue::with_profile(profile),
                 next_seq: 0,
-                stop_requested: false,
                 actor_count: 0,
             },
             actors: Vec::new(),
@@ -530,12 +473,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         self.core.queue.len()
     }
 
-    /// Number of registered actors.
-    #[must_use]
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Immutable access to an actor, projected to its concrete type (a
     /// variant match for an enum set).
     ///
@@ -573,17 +510,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     /// or already-cancelled handle is a true no-op (nothing is retained).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.core.cancel(handle)
-    }
-
-    /// Moves a pending event to `at` in place, returning the fresh handle
-    /// (see [`Context::reschedule`]); `None` if it already fired or was
-    /// cancelled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn reschedule(&mut self, handle: EventHandle, at: SimTime) -> Option<EventHandle> {
-        self.core.reschedule(handle, at)
     }
 
     /// Hands `ev` to actor `me`'s `on_event`.
@@ -626,13 +552,10 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         }
     }
 
-    /// Clears a pending [`Context::stop`] request and classifies the run
-    /// that just returned; `unfinished` is the outcome when live events
-    /// remain and nobody stopped.
-    fn outcome(&mut self, unfinished: RunOutcome) -> RunOutcome {
-        if std::mem::take(&mut self.core.stop_requested) {
-            RunOutcome::Stopped
-        } else if self.core.queue.is_empty() {
+    /// Classifies the run that just returned; `unfinished` is the outcome
+    /// when live events remain.
+    fn outcome(&self, unfinished: RunOutcome) -> RunOutcome {
+        if self.core.queue.is_empty() {
             RunOutcome::Idle
         } else {
             unfinished
@@ -690,8 +613,7 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
         self.fire_next()
     }
 
-    /// Runs until the queue drains, an actor stops the run, or `max_events`
-    /// have been processed.
+    /// Runs until the queue drains or `max_events` have been processed.
     ///
     /// [`RunOutcome::EventBudget`] is returned only when live events remain
     /// unprocessed: `run(0)` on an idle simulation, or a budget that is
@@ -699,7 +621,7 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     pub fn run(&mut self, max_events: u64) -> RunOutcome {
         self.flush_starts();
         for _ in 0..max_events {
-            if self.core.stop_requested || !self.fire_next() {
+            if !self.fire_next() {
                 break;
             }
         }
@@ -707,32 +629,25 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
     }
 
     /// Runs until the virtual clock reaches `end` (processing every event
-    /// with `time ≤ end`), the queue drains, or an actor stops the run.
-    /// Unless stopped, the clock is left exactly at `end` (or where it
-    /// was, if already past).
+    /// with `time ≤ end`) or the queue drains. The clock is left exactly
+    /// at `end` (or where it was, if already past).
     pub fn run_until(&mut self, end: SimTime) -> RunOutcome {
         let outcome = self.run_through(end);
-        if outcome != RunOutcome::Stopped {
-            self.core.now = self.core.now.max(end);
-        }
+        self.core.now = self.core.now.max(end);
         outcome
     }
 
-    /// Runs until the queue is empty or an actor stops the run.
+    /// Runs until the queue is empty.
     pub fn run_until_idle(&mut self) -> RunOutcome {
         self.run_through(SimTime::MAX)
     }
 
     /// Runs the `on_start` backlog, then fires every queued event up to
-    /// and including `end`, or until an actor stops the run.
+    /// and including `end`.
     fn run_through(&mut self, end: SimTime) -> RunOutcome {
         self.flush_starts();
-        loop {
-            // The head of the queue is always live (true cancellation).
-            match self.core.queue.peek() {
-                Some(key) if key.time <= end && !self.core.stop_requested => {}
-                _ => break,
-            }
+        // The head of the queue is always live (true cancellation).
+        while self.core.queue.peek().is_some_and(|key| key.time <= end) {
             self.fire_next();
         }
         self.outcome(RunOutcome::ReachedTime)
@@ -965,20 +880,20 @@ mod tests {
 
     impl Actor<Ev> for Rearmer {
         fn on_start(&mut self, ctx: &mut Context<'_, Ev>) {
-            // Arm for t=1, then immediately push the deadline out to t=2.
+            // Arm for t=1, then immediately push the deadline out to t=2
+            // with a fresh payload.
             let h = ctx.set_timer(SimDuration::from_secs(1), 1);
-            let at = ctx.now() + SimDuration::from_secs(2);
-            self.handle = ctx.reschedule(h, at);
+            self.handle = ctx.rearm_timer(h, SimDuration::from_secs(2), 2);
             assert!(self.handle.is_some());
             assert!(!ctx.is_pending(h), "old handle must be dead");
             assert!(ctx.is_pending(self.handle.unwrap()));
         }
         fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
             self.fired.push(ev);
-            // Rescheduling a fired handle is a no-op returning None.
+            // Rearming a fired handle is a no-op returning None.
             let dead = self.handle.take().unwrap();
-            let at = ctx.now() + SimDuration::from_secs(1);
-            assert!(ctx.reschedule(dead, at).is_none());
+            let later = SimDuration::from_secs(1);
+            assert!(ctx.rearm_timer(dead, later, 3).is_none());
         }
     }
 
@@ -991,11 +906,11 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(sim.now(), SimTime::from_secs_f64(2.0));
-        assert_eq!(sim.actor::<Rearmer>(id).unwrap().fired, vec![1]);
+        assert_eq!(sim.actor::<Rearmer>(id).unwrap().fired, vec![2]);
         assert_eq!(sim.events_processed(), 1);
     }
 
-    /// `reschedule` and cancel-then-schedule consume sequence numbers
+    /// An in-place rearm and cancel-then-schedule consume sequence numbers
     /// identically, so the two idioms interleave same-instant events the
     /// same way — the property the CP timer fast path relies on.
     #[test]
@@ -1011,11 +926,10 @@ mod tests {
                     // An unrelated same-instant event competing for order.
                     ctx.schedule_at(SimTime::from_secs_f64(3.0), self.peer, 9);
                     if self.rearm_in_place {
-                        ctx.reschedule(h, SimTime::from_secs_f64(3.0)).unwrap();
+                        ctx.rearm_timer(h, SimDuration::from_secs(3), 8).unwrap();
                     } else {
                         ctx.cancel(h);
-                        let me = ctx.me();
-                        ctx.schedule_at(SimTime::from_secs_f64(3.0), me, 7);
+                        ctx.set_timer(SimDuration::from_secs(3), 8);
                     }
                 }
                 fn on_event(&mut self, _: &mut Context<'_, Ev>, _: Ev) {}
@@ -1186,25 +1100,6 @@ mod tests {
         let ra = sim.actor::<Ping>(a).unwrap().rounds;
         let rb = sim.actor::<Ping>(b).unwrap().rounds;
         assert_eq!(ra + rb, 19); // a fires 10 times, b 9 (b's 10th never sent)
-    }
-
-    #[test]
-    fn stop_from_actor() {
-        struct Stopper;
-        impl Actor<Ev> for Stopper {
-            fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
-                if ev == 3 {
-                    ctx.stop();
-                }
-                ctx.set_timer(SimDuration::from_secs(1), ev + 1);
-            }
-        }
-        let mut sim = Simulation::with_actor_set(1);
-        let id = sim.add_member(Stopper);
-        sim.schedule_at(SimTime::ZERO, id, 0);
-        let outcome = sim.run_until_idle();
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(sim.events_processed(), 4); // events 0,1,2,3
     }
 
     /// Satellite regression: an exhausted budget used to mask an empty

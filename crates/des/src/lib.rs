@@ -19,8 +19,8 @@
 //!
 //! There is one engine and one loop: a [`Simulation`] owns one event
 //! queue, one clock and one actor table, and pops and dispatches events in
-//! order until the queue drains, a horizon is reached or an actor stops
-//! the run.
+//! order until the queue drains, a horizon is reached or an event budget
+//! runs out.
 //!
 //! See [`Simulation`] for the entry point and an end-to-end example.
 

@@ -383,18 +383,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The profile this queue was built with.
-    #[must_use]
-    pub fn profile(&self) -> QueueProfile {
-        match &self.cal {
-            None => QueueProfile::Heap,
-            Some(cal) => QueueProfile::Calendar {
-                bucket_width: SimDuration::from_nanos(cal.width),
-                buckets: cal.ring.len(),
-            },
-        }
-    }
-
     /// Number of live (non-cancelled, non-fired) events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -1699,15 +1687,10 @@ mod tests {
     #[test]
     fn profile_roundtrips() {
         let q: EventQueue<()> = small_calendar();
-        assert_eq!(
-            q.profile(),
-            QueueProfile::Calendar {
-                bucket_width: SimDuration::from_nanos(1_000),
-                buckets: 16
-            }
-        );
+        let cal = q.cal.as_ref().expect("a calendar profile builds a ring");
+        assert_eq!((cal.width, cal.ring.len()), (1_000, 16));
         let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.profile(), QueueProfile::Heap);
+        assert!(q.cal.is_none(), "the heap profile has no ring");
         assert_eq!(QueueProfile::default(), QueueProfile::Heap);
     }
 

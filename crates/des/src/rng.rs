@@ -36,8 +36,6 @@ pub fn derive_seed(root: u64, stream: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct StreamRng {
     state: [u64; 4],
-    root: u64,
-    stream: u64,
 }
 
 impl StreamRng {
@@ -54,23 +52,7 @@ impl StreamRng {
             *s = splitmix64(z);
             z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
         }
-        Self {
-            state,
-            root,
-            stream,
-        }
-    }
-
-    /// The root seed this stream derives from.
-    #[must_use]
-    pub fn root(&self) -> u64 {
-        self.root
-    }
-
-    /// The stream index.
-    #[must_use]
-    pub fn stream(&self) -> u64 {
-        self.stream
+        Self { state }
     }
 
     /// Uniform `u64` in `[0, bound)` by rejection sampling (unbiased).

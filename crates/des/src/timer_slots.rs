@@ -1,12 +1,15 @@
 //! A two-slot inline timer cache.
 //!
-//! The protocols this engine was built for hold very few timers per node —
-//! a control point holds one at a time (its probe cycle either awaits a
-//! reply or sleeps until the next wake), and the device tracks a handful
-//! of in-flight processing completions. A `HashMap<Token, EventHandle>` pays a hash, a probe
-//! sequence, and (once, per actor) a heap allocation for what is almost
-//! always a one- or two-element collection on the hottest path in the
-//! simulator.
+//! No actor in the workspace uses it: a control point holds one live timer
+//! (`Option<(TimerToken, EventHandle)>`) and a device a `Vec` of the
+//! replies inside their processing window. It is kept only for the repo
+//! benchmark's `des.timer_slots.insert_remove_ns` kernel, and goes with
+//! that kernel.
+//!
+//! It was built for nodes holding very few keyed timers: a
+//! `HashMap<Token, EventHandle>` pays a hash, a probe sequence, and (once,
+//! per actor) a heap allocation for what is almost always a one- or
+//! two-element collection.
 //!
 //! [`TimerSlots`] stores the first two live entries **inline** — lookup is
 //! at most two key comparisons on a cache-resident 48-byte struct, and an
@@ -16,9 +19,7 @@
 //! population (pinned by a model-based proptest against a `HashMap`
 //! reference, spill path included).
 //!
-//! None of the operations touch the event queue or any RNG, so swapping a
-//! `HashMap` for `TimerSlots` cannot perturb a seeded trajectory — the
-//! golden-equivalence suite holds bit-for-bit across the swap.
+//! None of the operations touch the event queue or any RNG.
 
 use crate::engine::EventHandle;
 use std::collections::HashMap;

@@ -5,11 +5,11 @@
 //!   change the earlier dispatch made (the member is borrowed in place);
 //! * the queue's vacant root (a pop defers its heap repair to whoever
 //!   comes next) is invisible at the engine's surface: `queue_len`,
-//!   `is_pending` and external `cancel`/`reschedule`/`schedule_at` between
-//!   `step`s and after a `stop`;
+//!   `is_pending` and external `cancel`/`schedule_at` between `step`s;
 //! * the three ways to drive a simulation (`step`, `run(n)`, `run_until`)
-//!   agree event for event across repeated stops (a proptest over random
-//!   token rings; soaked in CI at `PROPTEST_CASES=1024`, see `ci.sh`).
+//!   agree event for event, and a run resumed after a budget or a horizon
+//!   loses nothing (a proptest over random token rings; soaked in CI at
+//!   `PROPTEST_CASES=1024`, see `ci.sh`).
 
 use presence_des::{
     Actor, ActorId, Context, EventHandle, RunOutcome, SimDuration, SimTime, Simulation,
@@ -55,11 +55,10 @@ fn self_send_during_handle_observes_all_state_changes() {
 }
 
 /// Logs its events with, for each, which of `handles` were pending while
-/// the handler ran; stops the run on `stop_on`. Never schedules anything,
-/// so every event it handles leaves the queue's root vacant.
+/// the handler ran. Never schedules anything, so every event it handles
+/// leaves the queue's root vacant.
 struct Watcher {
     handles: Vec<EventHandle>,
-    stop_on: Option<Ev>,
     log: Vec<(SimTime, Ev, Vec<bool>)>,
 }
 
@@ -67,18 +66,14 @@ impl Actor<Ev> for Watcher {
     fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
         let pending = self.handles.iter().map(|&h| ctx.is_pending(h)).collect();
         self.log.push((ctx.now(), ev, pending));
-        if self.stop_on == Some(ev) {
-            ctx.stop();
-        }
     }
 }
 
 /// Six events for one [`Watcher`] at 1 µs … 6 µs, payloads 0 … 5.
-fn watched(stop_on: Option<Ev>) -> (Simulation<Ev, Watcher>, ActorId, Vec<EventHandle>) {
+fn watched() -> (Simulation<Ev, Watcher>, ActorId, Vec<EventHandle>) {
     let mut sim = Simulation::with_actor_set(1);
     let id = sim.add_member(Watcher {
         handles: Vec::new(),
-        stop_on,
         log: Vec::new(),
     });
     let handles: Vec<EventHandle> = (0..6)
@@ -90,18 +85,14 @@ fn watched(stop_on: Option<Ev>) -> (Simulation<Ev, Watcher>, ActorId, Vec<EventH
 
 /// `step()` returns with the root of the queue vacant. Between steps the
 /// engine's readers must neither count nor find the fired event, and an
-/// external `cancel` / `reschedule` must land on a whole heap.
+/// external `cancel` must land on a whole heap.
 #[test]
 fn step_keeps_queue_len_and_is_pending_exact() {
-    let (mut sim, id, handles) = watched(None);
+    let (mut sim, id, handles) = watched();
     assert!(sim.step());
     assert_eq!(sim.queue_len(), 5);
     assert!(sim.cancel(handles[3]), "pending event");
     assert!(!sim.cancel(handles[0]), "fired event");
-    assert_eq!(sim.queue_len(), 4);
-    let moved = sim
-        .reschedule(handles[1], SimTime::from_nanos(10_000))
-        .expect("pending event");
     assert_eq!(sim.queue_len(), 4);
     let mut left = 4;
     while sim.step() {
@@ -111,27 +102,28 @@ fn step_keeps_queue_len_and_is_pending_exact() {
     assert_eq!(left, 0);
     let log = &sim.actor::<Watcher>(id).unwrap().log;
     let fired: Vec<Ev> = log.iter().map(|&(_, ev, _)| ev).collect();
-    assert_eq!(fired, vec![0, 2, 4, 5, 1]);
-    assert_eq!(log[4].0, SimTime::from_nanos(10_000));
+    assert_eq!(fired, vec![0, 1, 2, 4, 5]);
     // What each handler saw pending: the events still to fire, never its
-    // own, never the cancelled one, and the rescheduled one's old handle
-    // dead from the moment it moved.
+    // own, never the cancelled one.
     let expect = |pending: [usize; 6]| pending.map(|p| p == 1).to_vec();
     assert_eq!(log[0].2, expect([0, 1, 1, 1, 1, 1]));
-    assert_eq!(log[1].2, expect([0, 0, 0, 0, 1, 1]));
-    assert_eq!(log[2].2, expect([0, 0, 0, 0, 0, 1]));
-    assert_eq!(log[3].2, expect([0, 0, 0, 0, 0, 0]));
-    assert!(!sim.cancel(moved), "fired under its new handle");
+    assert_eq!(log[1].2, expect([0, 0, 1, 0, 1, 1]));
+    assert_eq!(log[2].2, expect([0, 0, 0, 0, 1, 1]));
+    assert_eq!(log[3].2, expect([0, 0, 0, 0, 0, 1]));
+    assert_eq!(log[4].2, expect([0, 0, 0, 0, 0, 0]));
+    assert!(!sim.cancel(handles[5]), "fired event");
 }
 
-/// A `stop()` from a handler that schedules nothing hands the caller a
-/// queue with a vacant root; events scheduled from outside — before, among
-/// and after what is pending — and the run that follows must fire in plain
+/// `step()` from a handler that schedules nothing hands the caller a queue
+/// with a vacant root; events scheduled from outside — before, among and
+/// after what is pending — and the run that follows must fire in plain
 /// `(time, seq)` order.
 #[test]
-fn stop_then_external_schedule_then_run_until_fires_in_order() {
-    let (mut sim, id, _) = watched(Some(2));
-    assert_eq!(sim.run_until_idle(), RunOutcome::Stopped);
+fn step_then_external_schedule_then_run_until_fires_in_order() {
+    let (mut sim, id, _) = watched();
+    for _ in 0..3 {
+        assert!(sim.step());
+    }
     assert_eq!((sim.events_processed(), sim.queue_len()), (3, 3));
     for (nanos, ev) in [(3_000, 10), (4_500, 11), (9_000, 12), (5_000, 13)] {
         sim.schedule_at(SimTime::from_nanos(nanos), id, ev);
@@ -173,13 +165,11 @@ const MIN_LINK: SimDuration = SimDuration::from_micros(10);
 /// Ring node: on start (if a token source) and on each received token,
 /// draw from its RNG stream, log, and forward to its successor until the
 /// token's hop budget runs out. `next` is patched in after every node has
-/// joined (actor ids are only minted at `add_member` time). One node stops
-/// the run on every token.
+/// joined (actor ids are only minted at `add_member` time).
 struct Node {
     next: Option<ActorId>,
     delay: SimDuration,
     source_hops: Option<u32>,
-    stops: bool,
     log: Vec<(u64, u32, u64)>,
 }
 
@@ -193,9 +183,6 @@ impl Actor<u32> for Node {
     fn on_event(&mut self, ctx: &mut Context<'_, u32>, hops_left: u32) {
         let draw = ctx.rng().next_u64();
         self.log.push((ctx.now().as_nanos(), hops_left, draw));
-        if self.stops {
-            ctx.stop();
-        }
         if hops_left > 0 {
             ctx.schedule_in(self.delay, self.next.expect("ring closed"), hops_left - 1);
         }
@@ -219,13 +206,8 @@ fn ring_spec() -> impl Strategy<Value = RingSpec> {
 type Trace = Rc<RefCell<Vec<(u64, usize, u64)>>>;
 
 /// The driver-agreement population: disjoint token rings joined ring
-/// after ring (node 0 of each is its token source), a trace hook, and the
-/// stopping behaviour switched on for one node.
-fn build_for_drivers(
-    rings: &[RingSpec],
-    seed: u64,
-    stopper: usize,
-) -> (Simulation<u32, Node>, Vec<ActorId>, Trace) {
+/// after ring (node 0 of each is its token source) and a trace hook.
+fn build_for_drivers(rings: &[RingSpec], seed: u64) -> (Simulation<u32, Node>, Trace) {
     let mut sim = Simulation::with_actor_set(seed);
     let mut ids = Vec::new();
     for ring in rings {
@@ -235,7 +217,6 @@ fn build_for_drivers(
                 next: None,
                 delay: MIN_LINK + SimDuration::from_nanos(extra),
                 source_hops: (i == 0).then_some(ring.hops),
-                stops: false,
                 log: Vec::new(),
             }));
         }
@@ -244,72 +225,60 @@ fn build_for_drivers(
             sim.actor_mut::<Node>(ids[base + i]).unwrap().next = Some(ids[base + (i + 1) % n]);
         }
     }
-    sim.actor_mut::<Node>(ids[stopper % ids.len()])
-        .unwrap()
-        .stops = true;
     let trace = Trace::default();
     let sink = Rc::clone(&trace);
     sim.set_trace(move |r| {
         sink.borrow_mut()
             .push((r.time.as_nanos(), r.target.index(), r.seq));
     });
-    (sim, ids, trace)
+    (sim, trace)
 }
 
 proptest! {
     /// The three ways to drive a simulation agree: `step()` until it
     /// returns `false` and `run(n)` in random chunks pop one event at a
-    /// time, `run_until` runs the bounded loop — same trace, same event
-    /// count, same clock, with one node calling `Context::stop()` on every
-    /// token. Each stop ends the run right after its own event, and a
-    /// resumed run loses nothing.
+    /// time, `run_until` runs the bounded loop — resumed at random
+    /// horizons, each of which leaves the clock exactly there — and all
+    /// three give the same trace, the same event count and the same clock.
     #[test]
-    fn one_lane_drivers_agree_and_stop_resumes(
+    fn one_lane_drivers_agree_and_resume(
         rings in prop::collection::vec(ring_spec(), 1..4),
         seed in any::<u64>(),
-        stopper in 0usize..16,
         chunks in prop::collection::vec(1u64..8, 1..6),
+        mut cuts in prop::collection::vec(0u64..100_000_000, 0..6),
     ) {
         // Hop budgets (< 40) times max per-hop delay (< 10 µs + 1 ms) keep
         // every token comfortably inside a 100 ms horizon.
         let end = SimTime::from_nanos(100_000_000);
         let last_time = |trace: &Trace| SimTime::from_nanos(trace.borrow().last().unwrap().0);
 
-        // `step()` neither honours nor clears a stop request.
-        let (mut stepped, ids, step_trace) = build_for_drivers(&rings, seed, stopper);
+        let (mut stepped, step_trace) = build_for_drivers(&rings, seed);
         while stepped.step() {}
         prop_assert_eq!(stepped.now(), last_time(&step_trace));
-        let stopper_id = ids[stopper % ids.len()];
-        let stops = stepped.actor::<Node>(stopper_id).unwrap().log.len();
 
-        let (mut chunked, _, run_trace) = build_for_drivers(&rings, seed, stopper);
-        let mut run_stops = 0;
+        let (mut chunked, run_trace) = build_for_drivers(&rings, seed);
         for &chunk in chunks.iter().cycle() {
             match chunked.run(chunk) {
                 RunOutcome::Idle => break,
-                RunOutcome::Stopped => {
-                    run_stops += 1;
-                    prop_assert_eq!(run_trace.borrow().last().unwrap().1, stopper_id.index());
-                }
                 outcome => prop_assert_eq!(outcome, RunOutcome::EventBudget),
             }
         }
-        prop_assert_eq!(run_stops, stops);
         prop_assert_eq!(chunked.now(), last_time(&run_trace));
 
-        let (mut bounded, _, bounded_trace) = build_for_drivers(&rings, seed, stopper);
-        let mut bounded_stops = 0;
-        while bounded.run_until(end) == RunOutcome::Stopped {
-            bounded_stops += 1;
-            prop_assert_eq!(bounded_trace.borrow().last().unwrap().1, stopper_id.index());
-            prop_assert_eq!(bounded.now(), last_time(&bounded_trace));
+        let (mut bounded, bounded_trace) = build_for_drivers(&rings, seed);
+        cuts.sort_unstable();
+        for &cut in &cuts {
+            let at = SimTime::from_nanos(cut);
+            let outcome = bounded.run_until(at);
+            prop_assert!(matches!(outcome, RunOutcome::ReachedTime | RunOutcome::Idle));
+            prop_assert_eq!(bounded.now(), at);
+            if let Some(&(last, _, _)) = bounded_trace.borrow().last() {
+                prop_assert!(last <= cut, "fired past its horizon");
+            }
         }
-        prop_assert_eq!(bounded_stops, stops);
 
-        // Bring the event-at-a-time runs to `end` as well (the first call
-        // of the stepped one only clears its stale stop request).
-        for sim in [&mut stepped, &mut chunked] {
-            while sim.run_until(end) == RunOutcome::Stopped {}
+        for sim in [&mut stepped, &mut chunked, &mut bounded] {
+            prop_assert_eq!(sim.run_until(end), RunOutcome::Idle);
         }
         prop_assert_eq!(&*step_trace.borrow(), &*bounded_trace.borrow());
         prop_assert_eq!(&*run_trace.borrow(), &*bounded_trace.borrow());

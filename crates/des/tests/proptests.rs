@@ -494,15 +494,15 @@ mod timer_slots_model {
                         }
                     }
                     2 => {
-                        // Rearm: pull the live handle, reschedule the
-                        // engine event in place, store the fresh handle.
+                        // Rearm: pull the live handle, move the engine
+                        // event to a later instant, store the fresh handle.
                         let (a, b) = (slots.remove(key), model.remove(&key));
                         prop_assert_eq!(a, b, "rearm found different handle");
                         if let Some(h) = a {
                             at += 1.0;
-                            let fresh = sim
-                                .reschedule(h, SimTime::from_secs_f64(at))
-                                .expect("handle minted by this run is pending");
+                            prop_assert!(sim.cancel(h), "handle minted by this run is pending");
+                            let fresh =
+                                sim.schedule_at(SimTime::from_secs_f64(at), actor, u32::from(key));
                             prop_assert_eq!(slots.insert(key, fresh), None);
                             model.insert(key, fresh);
                         }

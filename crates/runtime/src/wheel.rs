@@ -2,8 +2,7 @@
 //!
 //! A `BTreeMap<TimerToken, SimTime>` scanned in full on every loop
 //! iteration is fine for one prober with two timers and hopeless for a
-//! shard hosting thousands. [`TimerWheel`] follows
-//! the `TimerSlots` philosophy from the simulator: the *authoritative*
+//! shard hosting thousands. In a [`TimerWheel`] the *authoritative*
 //! state is a plain map from key to deadline, and the ordered structure is
 //! only a schedule cache that is reconciled lazily.
 //!

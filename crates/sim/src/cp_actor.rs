@@ -11,7 +11,7 @@ use presence_core::{
     NoticeDisposition, OverlayView, ProbeCycleConfig, Prober, Reply, ReplyBody, SappConfig, SappCp,
     TimerToken, Verdict, WireMessage,
 };
-use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime, TimerSlots};
+use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime};
 use presence_stats::{TimeSeries, Welford};
 use presence_trace::EngineEventKind;
 
@@ -68,10 +68,11 @@ pub struct CpActor {
     network: ActorId,
     device: presence_core::DeviceId,
     prober: Option<Box<dyn Prober + Send>>,
-    /// Live protocol timers. A CP holds one at a time (its probe cycle
-    /// awaits a reply or sleeps until the next wake), so the inline slots
-    /// make this allocation-free and hash-free on the steady-state path.
-    timers: TimerSlots<TimerToken>,
+    /// The one live protocol timer. Every machine arms through its
+    /// `Retransmitter`, so a CP holds at most one at a time: its probe
+    /// cycle awaits a reply under one TOF/TOS timeout, or sleeps until
+    /// one wake.
+    timer: Option<(TimerToken, EventHandle)>,
     /// A timer handle freed by a `CancelTimer` earlier in the current
     /// action batch, kept alive so a following `StartTimer` can rearm it
     /// in place ([`Context::rearm_timer`]) instead of paying a queue
@@ -114,7 +115,7 @@ impl CpActor {
             network,
             device,
             prober: None,
-            timers: TimerSlots::new(),
+            timer: None,
             rearm_slot: None,
             scratch: Vec::new(),
             disseminate,
@@ -230,11 +231,12 @@ impl CpActor {
                         .and_then(|h| ctx.rearm_timer(h, after, SimEvent::Timer(token)));
                     let handle =
                         rearmed.unwrap_or_else(|| ctx.set_timer(after, SimEvent::Timer(token)));
-                    self.timers.insert(token, handle);
+                    debug_assert!(self.timer.is_none(), "a CP holds one live timer");
+                    self.timer = Some((token, handle));
                     self.trace_timer(ctx.now(), EngineEventKind::TimerArm);
                 }
                 CpAction::CancelTimer { token } => {
-                    if let Some(handle) = self.timers.remove(token) {
+                    if let Some((_, handle)) = self.timer.take_if(|&mut (t, _)| t == token) {
                         self.trace_timer(ctx.now(), EngineEventKind::TimerCancel);
                         // Defer: a StartTimer later in this batch usually
                         // rearms the same queue slot in place.
@@ -338,16 +340,10 @@ impl CpActor {
         self.accumulate_session_stats();
         self.prober = None;
         self.active = false;
-        // Cancel order is slot order (cancels commute; no trajectory
-        // impact — see `TimerSlots::drain`).
-        let now = ctx.now().as_nanos();
-        let trace = &mut self.trace;
-        self.timers.drain(|_, handle| {
-            if let Some(t) = trace.as_deref_mut() {
-                t.timer(now, EngineEventKind::TimerCancel);
-            }
+        if let Some((_, handle)) = self.timer.take() {
+            self.trace_timer(ctx.now(), EngineEventKind::TimerCancel);
             ctx.cancel(handle);
-        });
+        }
     }
 }
 
@@ -377,8 +373,8 @@ impl Actor<SimEvent> for CpActor {
             }
             SimEvent::Timer(token) => {
                 // A timer for a past session may fire after a leave/join;
-                // only current-session timers are in the slots.
-                if self.timers.remove(token).is_none() {
+                // only the current session's timer is held.
+                if self.timer.take_if(|&mut (t, _)| t == token).is_none() {
                     return;
                 }
                 self.trace_timer(ctx.now(), EngineEventKind::TimerFire);

@@ -5,7 +5,7 @@
 use crate::event::{Addr, SimEvent};
 use crate::trace::DeviceTrace;
 use presence_core::{Bye, DeviceMachine, WireMessage};
-use presence_des::{Actor, ActorId, Context, SimDuration, SimTime, StreamRng, TimerSlots};
+use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime, StreamRng};
 use presence_stats::JumpingWindowRate;
 
 /// How long the device takes to process a probe before the reply leaves.
@@ -59,16 +59,13 @@ pub struct DeviceActor {
     /// Probes-per-second series in jumping windows (Figure 5's load curve).
     load: JumpingWindowRate,
     /// Replies scheduled on the network but still inside the processing
-    /// window, keyed by a private emission counter. A crash or leave
-    /// cancels them — the device dies *mid computation*, so a reply whose
-    /// processing has not finished must never escape. Fired handles are
-    /// pruned lazily before each insert; at L_nom ≈ 10 probes/s and a
-    /// ≤ 20 ms processing window the live depth is almost always ≤ 1, so
-    /// the two inline slots cover it (the spill map is pre-allocated for
-    /// overload phases, keeping the steady-state loop allocation-free).
-    processing_replies: TimerSlots<u64>,
-    /// Monotone key source for `processing_replies`.
-    reply_seq: u64,
+    /// window. A crash or leave cancels them — the device dies *mid
+    /// computation*, so a reply whose processing has not finished must
+    /// never escape. Fired handles are pruned before each push; at
+    /// L_nom ≈ 10 probes/s and a ≤ 20 ms processing window the live depth
+    /// is almost always ≤ 1, and the capacity reserved up front covers
+    /// overload phases, keeping the steady-state loop allocation-free.
+    processing_replies: Vec<EventHandle>,
     /// Lifecycle trace buffer; `None` (one predictable branch per probe)
     /// unless [`DeviceActor::set_trace`] armed it.
     trace: Option<Box<DeviceTrace>>,
@@ -96,8 +93,7 @@ impl DeviceActor {
             processing,
             alive: true,
             load: JumpingWindowRate::with_capacity(0.0, load_window, windows_hint),
-            processing_replies: TimerSlots::with_spill_capacity(8),
-            reply_seq: 0,
+            processing_replies: Vec::with_capacity(8),
             trace: None,
         }
     }
@@ -137,10 +133,11 @@ impl DeviceActor {
 
     /// Cancels every reply still inside its processing window: the device
     /// stopped mid-computation, so those replies never hit the wire.
+    /// Cancels commute, so their order does not matter.
     fn abort_processing(&mut self, ctx: &mut Context<'_, SimEvent>) {
-        self.processing_replies.drain(|_, handle| {
+        for handle in self.processing_replies.drain(..) {
             ctx.cancel(handle);
-        });
+        }
     }
 }
 
@@ -175,10 +172,8 @@ impl Actor<SimEvent> for DeviceActor {
                         msg: WireMessage::Reply(reply),
                     },
                 );
-                self.processing_replies.retain(|_, h| ctx.is_pending(h));
-                let key = self.reply_seq;
-                self.reply_seq += 1;
-                self.processing_replies.insert(key, handle);
+                self.processing_replies.retain(|&h| ctx.is_pending(h));
+                self.processing_replies.push(handle);
             }
             SimEvent::Crash => {
                 if self.alive {

@@ -785,6 +785,35 @@ mod tests {
         }
     }
 
+    /// The device dies mid-computation: a crash cancels every reply still
+    /// inside its processing window, however many there are. 30 CPs at
+    /// 10 probes/s each against a fixed 20 ms computation keep about six
+    /// replies in flight, so no cycle may complete after the crash.
+    #[test]
+    fn crash_suppresses_every_reply_in_processing() {
+        let protocol = Protocol::FixedRate {
+            cycle: ProbeCycleConfig::paper_default(),
+            period: 0.1,
+        };
+        let mut cfg = ScenarioConfig::paper_defaults(protocol, 30, 12.0, 5);
+        cfg.delay = DelayKind::Constant(0.0);
+        cfg.processing = (0.02, 0.02);
+        let mut sc = Scenario::build(cfg);
+        sc.crash_device_at(10.0);
+        sc.run();
+        let r = sc.collect();
+        for c in &r.cps {
+            let (last, _) = c.frequency_series.last().expect("cycles before the crash");
+            assert!(*last <= 10.0, "cp{} completed a cycle at {last}", c.id.0);
+            assert!(
+                c.detected_absent_at.is_some(),
+                "cp{} never detected the crash",
+                c.id.0
+            );
+        }
+        assert_eq!(r.cps.len(), 30);
+    }
+
     #[test]
     fn bye_stops_all_cps_immediately() {
         let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 120.0, 13);

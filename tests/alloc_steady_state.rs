@@ -10,11 +10,12 @@
 //! Mechanics: build the paper-default 30-CP DCPP scenario, run a warm-up
 //! long enough for every one-off allocation to happen (joins, prober
 //! boxes, recorder capacity hints, the event queue's high-water mark,
-//! the device's pre-warmed timer-slot spill), snapshot the allocation
-//! counter, run a further measurement window, and assert the counter did
-//! not move. Everything on the per-event path — typed enum dispatch,
-//! two-slot timer caches, the reusable CP action scratch, the slab-backed
-//! event queue — must hold that line.
+//! the device's reserved in-processing reply list), snapshot the
+//! allocation counter, run a further measurement window, and assert the
+//! counter did not move. Everything on the per-event path — typed enum
+//! dispatch, the CP's one timer slot and the device's reply list, the
+//! reusable CP action scratch, the slab-backed event queue — must hold
+//! that line.
 
 use presence::sim::{Protocol, Scenario, ScenarioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
