@@ -139,17 +139,21 @@ cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 # mixed-regime acceptance scenario (delay + loss + churn all switching
 # mid-run) smoke-runs with per-regime metric slices — under the same
 # 2-worker pool as tier-1. Then a spec file with a bad protocol block, and
-# one with a key that names no spec field (the retired `sapp_auto_tune`),
-# must each be an error message and exit status 1, not a panic and not a
-# run that ignores the key. So must a flag the command would ignore.
+# two with a key that names no field (the retired `sapp_auto_tune`, once at
+# the top level and once inside `config`), must each be an error message
+# and exit status 1, not a panic and not a run that ignores the key. So
+# must a flag `lab` or `experiments` would ignore.
 echo "==> scenario lab: catalog validation + mixed-regime smoke + bad-spec rejection (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo run --release -q -p presence-bench --bin lab -- --check
 bad_spec="$(mktemp --suffix=.json)"
 sed 's/"delta_min": [0-9]*/"delta_min": 0/' catalog/paper-dcpp.json >"$bad_spec"
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'invalid scenario spec'
-sed 's/^  "disseminate": false,$/&\n  "sapp_auto_tune": {"max_doublings": 6},/' catalog/paper-sapp.json >"$bad_spec"
+sed 's/^  "crash_at": null,$/&\n  "sapp_auto_tune": {"max_doublings": 6},/' catalog/paper-sapp.json >"$bad_spec"
+{ cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'unknown field'
+sed 's/^    "disseminate": false,$/&\n    "sapp_auto_tune": {"max_doublings": 6},/' catalog/paper-sapp.json >"$bad_spec"
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'unknown field'
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --trace-engine 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- '--trace-engine needs --trace'
+{ cargo run --release -q -p presence-bench --bin experiments -- all --json 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'experiments all: --json is not supported'
 rm -f "$bad_spec"
 
 # Experiments stage: `experiments all` is documented as byte-identical at

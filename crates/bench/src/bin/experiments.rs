@@ -7,7 +7,8 @@
 //!
 //! `<id>` is a row of [`presence_sim::experiments::CATALOG`] (`e1` … `e7`,
 //! `a1` … `a4`, `a6` … `a8`) and runs at paper scale unless `--duration`
-//! says otherwise.
+//! says otherwise. A flag the command would ignore — `--csv` on any row
+//! but the figures `e2` … `e4`, `--json` or `--csv` beside `all` — exits 1.
 //!
 //! `all` runs every experiment at reduced scale (`--duration` is a scale
 //! factor on the catalog's quick horizons, default 1) — a quick end-to-end
@@ -30,6 +31,7 @@ fn main() {
     let jobs = opts.resolved_jobs();
 
     if which == "all" {
+        opts.reject_output_flags("experiments all");
         let scale = opts.duration.unwrap_or(1.0);
         // Each experiment keeps its internal fan-out on the worker that
         // runs it: the outer pool already saturates the machine.
@@ -55,6 +57,10 @@ fn main() {
             ids.join(" ")
         );
     };
+    if opts.csv && !experiment.csv {
+        eprintln!("experiments {which}: --csv is not supported (figures e2–e4 only)");
+        std::process::exit(1);
+    }
     print!(
         "{}",
         (experiment.run)(&RunArgs {

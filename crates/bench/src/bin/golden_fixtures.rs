@@ -19,8 +19,8 @@
 use presence_sim::{builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult};
 use std::path::PathBuf;
 
-/// The lab spec pinned alongside the trio: regime switches in all three
-/// timelines (delay, loss, churn), shared with the shipped catalog.
+/// The lab spec pinned alongside the trio: delay, loss and churn switches,
+/// shared with the shipped catalog.
 const LAB_FIXTURE_SPEC: &str = "mixed-regime-stress";
 
 /// The scenario pinned as a Chrome JSON trace fixture

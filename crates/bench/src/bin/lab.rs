@@ -51,7 +51,7 @@ struct TraceRequest {
 /// — tracing does not change trajectories, but it does cost memory).
 fn export_trace(spec: &ScenarioSpec, seed: u64, request: &TraceRequest) -> Result<(), String> {
     let mut seeded = spec.clone();
-    seeded.seed = seed;
+    seeded.config.seed = seed;
     let err = |e: presence_sim::SpecError| format!("{}: {e}", spec.name);
     let mut scenario = seeded.build().map_err(err)?;
     scenario.enable_trace(request.until, request.engine);
@@ -256,7 +256,7 @@ fn main() -> ExitCode {
             for spec in builtin_catalog() {
                 println!(
                     "{:<22} {:>6.0} s  {}",
-                    spec.name, spec.duration, spec.description
+                    spec.name, spec.config.duration, spec.description
                 );
             }
             for spec in mega_catalog() {

@@ -5,13 +5,15 @@
 //!
 //! Seeds fan out across `--jobs N` worker threads (default `PRESENCE_JOBS`
 //! / machine parallelism); the summary is bit-identical at any worker
-//! count, so `--jobs` trades only wall-clock, never results.
+//! count, so `--jobs` trades only wall-clock, never results. The summary
+//! is text only: `--json` and `--csv` exit 1.
 
 use presence_bench::parse_args;
 use presence_sim::{replicate, Protocol, ScenarioConfig};
 
 fn main() {
     let opts = parse_args();
+    opts.reject_output_flags("replications");
     let duration = opts.duration.unwrap_or(5_000.0);
     let jobs = opts.resolved_jobs();
     let seeds: Vec<u64> = (1..=10)

@@ -6,7 +6,7 @@
 //! own arguments; timing lives in the repo's `benchmark/` package, not
 //! here).
 //!
-//! `experiments <id|all>` and `replications` accept the same optional
+//! `experiments <id|all>` and `replications` parse the same optional
 //! flags:
 //!
 //! ```text
@@ -14,8 +14,9 @@
 //! --duration <secs>   virtual run length where applicable
 //! --jobs <n>          worker threads for replication/sweep bins
 //!                     (default: PRESENCE_JOBS, else machine parallelism)
-//! --json              emit the report as JSON instead of text
-//! --csv               emit the figure's data series as CSV (figure bins)
+//! --json              emit the report as JSON (`experiments <id>` only)
+//! --csv               emit the figure's data series as CSV (`experiments
+//!                     e2|e3|e4` only)
 //! ```
 
 pub mod conformance;
@@ -57,6 +58,17 @@ impl Options {
     #[must_use]
     pub fn resolved_jobs(&self) -> usize {
         self.jobs.unwrap_or_else(presence_sim::job_count)
+    }
+
+    /// Exits with status 1, naming the flag, if `--json` or `--csv` was
+    /// given to `command`, which would ignore it.
+    pub fn reject_output_flags(&self, command: &str) {
+        for (flag, set) in [("--json", self.json), ("--csv", self.csv)] {
+            if set {
+                eprintln!("{command}: {flag} is not supported");
+                std::process::exit(1);
+            }
+        }
     }
 }
 
@@ -103,18 +115,6 @@ pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
         }
     }
     opts
-}
-
-/// Prints a report either as text (`Display`) or JSON (`Serialize`).
-pub fn emit<R: std::fmt::Display + serde::Serialize>(report: &R, opts: &Options) {
-    if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(report).expect("report serialises")
-        );
-    } else {
-        println!("{report}");
-    }
 }
 
 #[cfg(test)]

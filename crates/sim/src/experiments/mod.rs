@@ -71,8 +71,8 @@ pub struct RunArgs {
     pub jobs: usize,
     /// Render the report as JSON instead of text.
     pub json: bool,
-    /// Render the figure's data series as CSV (figure experiments only;
-    /// wins over `json`, ignored by the rest).
+    /// Render the figure's data series as CSV (only rows whose
+    /// [`Experiment::csv`] is set; wins over `json`).
     pub csv: bool,
     /// Append what a standalone text run shows beyond the report: the
     /// ASCII chart of a figure, E1's independent-replications cross-check.
@@ -90,12 +90,16 @@ pub struct Experiment {
     pub quick: f64,
     /// Runs the preset and renders its report; the text ends in a newline.
     pub run: fn(&RunArgs) -> String,
+    /// Whether the report has a CSV form ([`RunArgs::csv`]): the figure
+    /// experiments E2–E4.
+    pub csv: bool,
 }
 
 const fn row(
     id: &'static str,
     duration: f64,
     quick: f64,
+    csv: bool,
     run: fn(&RunArgs) -> String,
 ) -> Experiment {
     Experiment {
@@ -103,6 +107,7 @@ const fn row(
         duration,
         quick,
         run,
+        csv,
     }
 }
 
@@ -159,45 +164,45 @@ fn run_e5(args: &RunArgs) -> String {
 
 /// Every experiment, in report order (E1…E7, A1…A4, A6…A8).
 pub const CATALOG: [Experiment; 14] = [
-    row("e1", 20_000.0, 5_000.0, run_e1),
-    row("e2", 20_000.0, 5_000.0, |a| {
+    row("e1", 20_000.0, 5_000.0, false, run_e1),
+    row("e2", 20_000.0, 5_000.0, true, |a| {
         figure(&e2_fig2_three_cps(a.duration, a.seed), a)
     }),
-    row("e3", 12_300.0, 1_200.0, |a| {
+    row("e3", 12_300.0, 1_200.0, true, |a| {
         figure(&e3_fig3_twenty_cps_minute(a.duration, a.seed), a)
     }),
-    row("e4", 20_000.0, 5_000.0, |a| {
+    row("e4", 20_000.0, 5_000.0, true, |a| {
         figure(
             &e4_fig4_burst_leave(a.duration, a.duration / 10.0, a.seed),
             a,
         )
     }),
-    row("e5", 3_000.0, 1_800.0, run_e5),
-    row("e6", 2_000.0, 500.0, |a| {
+    row("e5", 3_000.0, 1_800.0, false, run_e5),
+    row("e6", 2_000.0, 500.0, false, |a| {
         plain(&e6_dcpp_static_fairness(&KS, a.duration, a.seed), a)
     }),
-    row("e7", 3_000.0, 1_000.0, |a| {
+    row("e7", 3_000.0, 1_000.0, false, |a| {
         plain(&e7_dcpp_loss_spread(a.duration, a.seed), a)
     }),
-    row("a1", 2_000.0, 500.0, |a| {
+    row("a1", 2_000.0, 500.0, false, |a| {
         plain(&a1_sapp_param_sweep(20, a.duration, a.seed, a.jobs), a)
     }),
-    row("a2", 10_000.0, 8_000.0, |a| {
+    row("a2", 10_000.0, 8_000.0, false, |a| {
         plain(&a2_delta_doubling(20, a.duration, a.seed), a)
     }),
-    row("a3", 1_000.0, 500.0, |a| {
+    row("a3", 1_000.0, 500.0, false, |a| {
         plain(&a3_fixed_rate_baseline(&KS, a.duration, a.seed), a)
     }),
-    row("a4", 300.0, 300.0, |a| {
+    row("a4", 300.0, 300.0, false, |a| {
         plain(&a4_detection_latency(20, a.duration, a.seed), a)
     }),
-    row("a6", 2_000.0, 1_000.0, |a| {
+    row("a6", 2_000.0, 1_000.0, false, |a| {
         plain(&a6_dissemination(20, a.duration, a.seed), a)
     }),
-    row("a7", 20_000.0, 2_000.0, |a| {
+    row("a7", 20_000.0, 2_000.0, false, |a| {
         plain(&a7_initial_delay(20, a.duration, a.seed), a)
     }),
-    row("a8", 5_000.0, 2_000.0, |a| {
+    row("a8", 5_000.0, 2_000.0, false, |a| {
         plain(&a8_false_positives(20, a.duration, a.seed), a)
     }),
 ];

@@ -1,21 +1,21 @@
 //! The scenario lab: declarative, time-varying experiment specifications.
 //!
 //! A [`ScenarioSpec`] is the JSON-authorable description of one lab
-//! experiment: a protocol, a population, **phased** network and churn
-//! regimes (each a timeline of models switching at configured sim-time
-//! boundaries), an optional device failure, and a horizon. It *lowers*
-//! onto the existing [`ScenarioConfig`] machinery — nothing about the
-//! engine changes; a single-phase spec builds an actor graph identical to
-//! [`Scenario::build`], which is how the paper-faithful catalog entries
-//! reproduce the golden trajectories bit-for-bit.
+//! experiment: a name, the [`ScenarioConfig`] that holds at `t = 0`, one
+//! time-ordered list of regime [`Switch`]es (a new delay, loss or churn
+//! model from a configured sim-time instant on), and an optional device
+//! failure. It *lowers* onto the existing scenario assembly — nothing
+//! about the engine changes; a switch-free spec builds an actor graph
+//! identical to [`Scenario::build`], which is how the paper-faithful
+//! catalog entries reproduce the golden trajectories bit-for-bit.
 //!
-//! * delay/loss phases become a [`presence_net::Scheduled`] wrapper that
-//!   switches models exactly at the boundaries;
-//! * churn phases after the first become the churn actor's own
-//!   [`crate::SimEvent::SetChurn`] switches, one per boundary;
-//! * every phase start becomes a **regime window**, and [`slice_result`]
-//!   reports device load, Jain fairness, population, and detection
-//!   latency per window;
+//! * delay and loss switches become a [`presence_net::Scheduled`] wrapper
+//!   that changes models exactly at their instants;
+//! * churn switches become the churn actor's own
+//!   [`crate::SimEvent::SetChurn`] events, one per switch;
+//! * `t = 0` and every switch instant open a **regime window**, and
+//!   [`slice_result`] reports device load, Jain fairness, population, and
+//!   detection latency per window;
 //! * [`run_lab`] fans replications across the [`crate::parallel`] worker
 //!   pool and merges them in seed order, so a [`LabReport`] is
 //!   byte-identical at any worker count.
@@ -28,47 +28,40 @@
 use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
-use crate::scenario::{err, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError};
+use crate::scenario::{err, DelayKind, LossKind, Scenario, ScenarioConfig, SpecError};
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
-use presence_stats::{
-    jain_index, merge_boundaries, slice_windows, step_mean, window_mean, window_slice,
-};
+use presence_stats::{jain_index, slice_windows, step_mean, window_mean, window_slice};
 use serde::{Deserialize, Serialize};
+use std::mem::discriminant;
 
-/// One timed phase of the delay regime: `delay` is active from `start`
-/// seconds until the next phase (or the horizon).
+/// The model a [`Switch`] puts in force.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DelayPhase {
-    /// Phase start (seconds; the first phase must start at 0).
-    pub start: f64,
-    /// The delay model active during this phase.
-    pub delay: DelayKind,
+pub enum Regime {
+    /// A new one-way delay model.
+    Delay(DelayKind),
+    /// A new loss model.
+    Loss(LossKind),
+    /// A new churn workload.
+    Churn(ChurnModel),
 }
 
-/// One timed phase of the loss regime.
+/// One regime change: `to` is in force from `at` seconds until the next
+/// switch of its kind (or the horizon).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LossPhase {
-    /// Phase start (seconds; the first phase must start at 0).
-    pub start: f64,
-    /// The loss model active during this phase.
-    pub loss: LossKind,
+#[serde(deny_unknown_fields)]
+pub struct Switch {
+    /// Switch instant (seconds, inside the run).
+    pub at: f64,
+    /// The model in force from `at` on.
+    pub to: Regime,
 }
 
-/// One timed phase of the churn regime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnPhase {
-    /// Phase start (seconds; the first phase must start at 0).
-    pub start: f64,
-    /// The churn model active during this phase.
-    pub churn: ChurnModel,
-}
-
-/// A declarative, serialisable scenario: everything [`ScenarioConfig`]
-/// holds, with the three stationary model choices generalised to phased
-/// regime timelines plus an optional mid-run device failure. A key that
-/// names no field is an error, so a misspelt or retired option fails to
-/// parse instead of being silently ignored.
+/// A declarative, serialisable scenario: a named [`ScenarioConfig`] (the
+/// models at `t = 0`), the regime switches after it, and an optional
+/// mid-run device failure. A key that names no field — here or inside
+/// `config` — is an error, so a misspelt or retired option fails to parse
+/// instead of being silently ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
@@ -76,129 +69,37 @@ pub struct ScenarioSpec {
     pub name: String,
     /// One-line human description of what the scenario stresses.
     pub description: String,
-    /// Protocol under test.
-    pub protocol: Protocol,
-    /// Size of the CP pool (upper bound on the population).
-    pub cp_pool: u32,
-    /// How many CPs are active from the start.
-    pub initially_active: u32,
-    /// Network buffer capacity (the paper: 20 000).
-    pub buffer_capacity: usize,
-    /// Delay regime timeline (first phase starts at 0).
-    pub delay: Vec<DelayPhase>,
-    /// Loss regime timeline (first phase starts at 0).
-    pub loss: Vec<LossPhase>,
-    /// Churn regime timeline (first phase starts at 0).
-    pub churn: Vec<ChurnPhase>,
-    /// Device processing time bounds (seconds): `(min, max)`.
-    pub processing: (f64, f64),
-    /// Stagger window for initial joins (seconds).
-    pub join_stagger: f64,
-    /// Width of the device-load measurement windows (seconds).
-    pub load_window: f64,
-    /// Run SAPP's overlay dissemination of leave notices.
-    pub disseminate: bool,
+    /// Everything stationary, and the delay, loss and churn models at
+    /// `t = 0`.
+    pub config: ScenarioConfig,
+    /// Later regime changes, in time order.
+    pub switches: Vec<Switch>,
     /// Crash the device (silent leave) at this instant, if set.
     pub crash_at: Option<f64>,
     /// Graceful device leave (Bye broadcast) at this instant, if set.
     pub bye_at: Option<f64>,
-    /// Root seed.
-    pub seed: u64,
-    /// Virtual run length (seconds).
-    pub duration: f64,
-}
-
-/// Checks one phase timeline: non-empty, anchored at 0, strictly
-/// increasing, every start inside the horizon.
-fn check_phases(kind: &str, starts: &[f64], duration: f64) -> Result<(), SpecError> {
-    if starts.is_empty() {
-        return Err(err(format!("{kind} timeline must have at least one phase")));
-    }
-    if starts[0] != 0.0 {
-        return Err(err(format!("first {kind} phase must start at t = 0")));
-    }
-    for pair in starts.windows(2) {
-        if pair[0] >= pair[1] {
-            return Err(err(format!(
-                "{kind} phase starts must be strictly increasing"
-            )));
-        }
-    }
-    let last = starts[starts.len() - 1];
-    if last >= duration {
-        return Err(err(format!(
-            "{kind} phase at {last} s starts at or after the {duration} s horizon"
-        )));
-    }
-    if starts.iter().any(|s| !s.is_finite()) {
-        return Err(err(format!("{kind} phase starts must be finite")));
-    }
-    Ok(())
 }
 
 impl ScenarioSpec {
-    /// Wraps a stationary [`ScenarioConfig`] into a single-phase spec —
-    /// the starting point for a spec built in code rather than read from
-    /// a file.
+    /// A switch-free spec over `config` — the starting point for a spec
+    /// built in code rather than read from a file.
     #[must_use]
-    pub fn from_config(name: &str, description: &str, cfg: ScenarioConfig) -> Self {
+    pub fn new(name: &str, description: &str, config: ScenarioConfig) -> Self {
         Self {
             name: name.to_string(),
             description: description.to_string(),
-            protocol: cfg.protocol,
-            cp_pool: cfg.cp_pool,
-            initially_active: cfg.initially_active,
-            buffer_capacity: cfg.buffer_capacity,
-            delay: vec![DelayPhase {
-                start: 0.0,
-                delay: cfg.delay,
-            }],
-            loss: vec![LossPhase {
-                start: 0.0,
-                loss: cfg.loss,
-            }],
-            churn: vec![ChurnPhase {
-                start: 0.0,
-                churn: cfg.churn,
-            }],
-            processing: cfg.processing,
-            join_stagger: cfg.join_stagger,
-            load_window: cfg.load_window,
-            disseminate: cfg.disseminate,
+            config,
+            switches: Vec::new(),
             crash_at: None,
             bye_at: None,
-            seed: cfg.seed,
-            duration: cfg.duration,
         }
     }
 
-    /// The stationary config this spec lowers onto: first phase of every
-    /// timeline. [`ScenarioSpec::build`] overrides the network models and
-    /// churn switches on top of it.
-    #[must_use]
-    pub fn base_config(&self) -> ScenarioConfig {
-        ScenarioConfig {
-            protocol: self.protocol,
-            cp_pool: self.cp_pool,
-            initially_active: self.initially_active,
-            buffer_capacity: self.buffer_capacity,
-            delay: self.delay[0].delay,
-            loss: self.loss[0].loss,
-            churn: self.churn[0].churn,
-            processing: self.processing,
-            join_stagger: self.join_stagger,
-            load_window: self.load_window,
-            disseminate: self.disseminate,
-            seed: self.seed,
-            duration: self.duration,
-        }
-    }
-
-    /// Validates every structural invariant a runnable spec must satisfy,
-    /// as a `Result` (batch tooling reports all catalog problems instead
-    /// of panicking on the first): the name, everything stationary
-    /// ([`ScenarioConfig::validate`] on the first phases), the later
-    /// phases, the three timelines, and the failure instant.
+    /// Validates every structural invariant a runnable spec must satisfy:
+    /// the name, [`ScenarioConfig::validate`], the failure instant, and
+    /// each switch — inside `(0, duration)`, no earlier than the one
+    /// before it, alone of its kind at its instant (to the nanosecond),
+    /// with a valid model.
     ///
     /// # Errors
     ///
@@ -207,28 +108,34 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return Err(err("name must not be empty"));
         }
-        // The timelines first: `base_config` needs a first phase of each.
-        let delay_starts: Vec<f64> = self.delay.iter().map(|p| p.start).collect();
-        let loss_starts: Vec<f64> = self.loss.iter().map(|p| p.start).collect();
-        let churn_starts: Vec<f64> = self.churn.iter().map(|p| p.start).collect();
-        check_phases("delay", &delay_starts, self.duration)?;
-        check_phases("loss", &loss_starts, self.duration)?;
-        check_phases("churn", &churn_starts, self.duration)?;
-
-        self.base_config().validate()?;
-        for phase in &self.delay[1..] {
-            phase.delay.validate()?;
-        }
-        for phase in &self.loss[1..] {
-            phase.loss.validate()?;
-        }
-        for phase in &self.churn[1..] {
-            phase.churn.validate()?;
+        self.config.validate()?;
+        let duration = self.config.duration;
+        for (k, &Switch { at, to }) in self.switches.iter().enumerate() {
+            let earlier = &self.switches[..k];
+            if !(at > 0.0 && at < duration) {
+                return Err(err(format!("switch at {at} s is outside (0, duration)")));
+            }
+            if earlier.last().is_some_and(|prev| prev.at > at) {
+                return Err(err(format!("switch at {at} s is out of time order")));
+            }
+            // At the engine's nanosecond resolution, a switch must not round
+            // onto `t = 0` or onto another switch of its kind.
+            let (tick, kind) = (SimTime::from_secs_f64(at), discriminant(&to));
+            let clash =
+                |p: &Switch| SimTime::from_secs_f64(p.at) == tick && discriminant(&p.to) == kind;
+            if tick == SimTime::ZERO || earlier.iter().any(clash) {
+                return Err(err(format!("two models of one kind at {at} s")));
+            }
+            match to {
+                Regime::Delay(delay) => delay.validate(),
+                Regime::Loss(loss) => loss.validate(),
+                Regime::Churn(churn) => churn.validate(),
+            }?;
         }
 
         for (label, at) in [("crash_at", self.crash_at), ("bye_at", self.bye_at)] {
             if let Some(at) = at {
-                if !(at > 0.0 && at < self.duration) {
+                if !(at > 0.0 && at < duration) {
                     return Err(err(format!("{label} must fall inside (0, duration)")));
                 }
             }
@@ -239,27 +146,20 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Every regime boundary of this spec (union of the three timelines'
-    /// phase starts), sorted and deduplicated, starting with 0 — the
-    /// window starts of the per-regime metric slices.
-    #[must_use]
-    pub fn regime_starts(&self) -> Vec<f64> {
-        let delay: Vec<f64> = self.delay.iter().map(|p| p.start).collect();
-        let loss: Vec<f64> = self.loss.iter().map(|p| p.start).collect();
-        let churn: Vec<f64> = self.churn.iter().map(|p| p.start).collect();
-        merge_boundaries(&[&delay, &loss, &churn], self.duration)
-    }
-
-    /// The per-regime `[start, end)` windows of this spec.
+    /// The per-regime `[start, end)` windows of this spec: one opens at
+    /// `t = 0` and at each distinct switch instant.
     #[must_use]
     pub fn regime_windows(&self) -> Vec<(f64, f64)> {
-        slice_windows(&self.regime_starts(), self.duration)
+        let mut starts = vec![0.0];
+        starts.extend(self.switches.iter().map(|s| s.at));
+        starts.dedup();
+        slice_windows(&starts, self.config.duration)
     }
 
-    /// Builds the runnable scenario this spec describes. A single-phase
+    /// Builds the runnable scenario this spec describes. A switch-free
     /// spec produces an actor graph identical to
-    /// [`Scenario::build`]`(self.base_config())` — same actors, same RNG
-    /// streams, bit-identical trajectory.
+    /// [`Scenario::build`]`(self.config)` — same actors, same RNG streams,
+    /// bit-identical trajectory.
     ///
     /// # Errors
     ///
@@ -267,12 +167,29 @@ impl ScenarioSpec {
     /// hand-built specs cannot skip it).
     pub fn build(&self) -> Result<Scenario, SpecError> {
         self.validate()?;
-        let mut scenario = Scenario::assemble(
-            self.base_config(),
-            self.delay_model(),
-            self.loss_model(),
-            &self.churn_switches(),
-        );
+        let cfg = self.config;
+        let mut delay = vec![(SimTime::ZERO, cfg.delay.build())];
+        let mut loss = vec![(SimTime::ZERO, cfg.loss.build())];
+        let mut churn = Vec::new();
+        for switch in &self.switches {
+            let at = SimTime::from_secs_f64(switch.at);
+            match switch.to {
+                Regime::Delay(d) => delay.push((at, d.build())),
+                Regime::Loss(l) => loss.push((at, l.build())),
+                Regime::Churn(c) => churn.push((switch.at, c)),
+            }
+        }
+        // A lone `t = 0` model stays bare, so its draws are those of
+        // `Scenario::build`; a timeline becomes one `Scheduled` model.
+        let delay: Box<dyn DelayModel> = match delay.len() {
+            1 => delay.remove(0).1,
+            _ => Box::new(Scheduled::from_segments(delay)),
+        };
+        let loss: Box<dyn LossModel> = match loss.len() {
+            1 => loss.remove(0).1,
+            _ => Box::new(Scheduled::from_segments(loss)),
+        };
+        let mut scenario = Scenario::assemble(cfg, delay, loss, &churn);
         if let Some(at) = self.crash_at {
             scenario.crash_device_at(at);
         }
@@ -280,40 +197,6 @@ impl ScenarioSpec {
             scenario.device_bye_at(at);
         }
         Ok(scenario)
-    }
-
-    /// The spec's delay model (phased specs get a [`Scheduled`] wrapper).
-    fn delay_model(&self) -> Box<dyn DelayModel> {
-        if self.delay.len() == 1 {
-            self.delay[0].delay.build()
-        } else {
-            Box::new(Scheduled::from_segments(
-                self.delay
-                    .iter()
-                    .map(|p| (SimTime::from_secs_f64(p.start), p.delay.build()))
-                    .collect(),
-            ))
-        }
-    }
-
-    /// The spec's loss model.
-    fn loss_model(&self) -> Box<dyn LossModel> {
-        if self.loss.len() == 1 {
-            self.loss[0].loss.build()
-        } else {
-            Box::new(Scheduled::from_segments(
-                self.loss
-                    .iter()
-                    .map(|p| (SimTime::from_secs_f64(p.start), p.loss.build()))
-                    .collect(),
-            ))
-        }
-    }
-
-    /// The mid-run churn regime switches (every churn phase after the
-    /// first).
-    fn churn_switches(&self) -> Vec<(f64, ChurnModel)> {
-        self.churn[1..].iter().map(|p| (p.start, p.churn)).collect()
     }
 
     /// Parses and validates a spec from JSON text.
@@ -527,7 +410,7 @@ pub fn run_lab(spec: &ScenarioSpec, seeds: &[u64], jobs: usize) -> Result<LabRep
 
     let per_seed = run_indexed(seeds.len(), jobs, |i| {
         let mut seeded = spec.clone();
-        seeded.seed = seeds[i];
+        seeded.config.seed = seeds[i];
         // The spec was validated above; a failure here would be a race on
         // the borrowed spec, which the worker pool forbids.
         let mut scenario = seeded.build().expect("validated spec builds");
@@ -586,7 +469,7 @@ const CATALOG: [(&str, &str); 9] = [
 /// The shipped catalog — the repository's `catalog/*.json` files, parsed
 /// and validated, in shipping order.
 ///
-/// The first three are the paper-faithful golden trio — single-phase
+/// The first three are the paper-faithful golden trio — switch-free
 /// specs whose trajectories are bit-identical to the hard-coded presets
 /// ([`crate::golden_trio`]). The rest exercise what the paper only
 /// conjectures: partitions that heal, flash crowds, diurnal populations,
@@ -614,18 +497,22 @@ pub fn builtin_catalog() -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::golden_trio;
+    use crate::scenario::{golden_trio, Protocol};
 
     fn quick_spec() -> ScenarioSpec {
         let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 6, 60.0, 3);
         cfg.load_window = 2.0;
-        ScenarioSpec::from_config("quick", "unit-test spec", cfg)
+        ScenarioSpec::new("quick", "unit-test spec", cfg)
+    }
+
+    fn switch(at: f64, to: Regime) -> Switch {
+        Switch { at, to }
     }
 
     #[test]
     fn single_phase_spec_matches_bare_scenario_bit_for_bit() {
         for (name, cfg) in golden_trio() {
-            let spec = ScenarioSpec::from_config(name, "paper preset", cfg);
+            let spec = ScenarioSpec::new(name, "paper preset", cfg);
             let via_spec = run_spec_once(&spec).expect("spec runs");
             let mut bare = Scenario::build(cfg);
             bare.run();
@@ -641,23 +528,19 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let mut spec = quick_spec();
-        spec.delay.push(DelayPhase {
-            start: 20.0,
-            delay: DelayKind::Uniform(0.0001, 0.001),
-        });
-        spec.loss.push(LossPhase {
-            start: 30.0,
-            loss: LossKind::Bursty(0.1),
-        });
-        spec.churn.push(ChurnPhase {
-            start: 40.0,
-            churn: ChurnModel::Diurnal {
-                period: 20.0,
-                min: 1,
-                max: 6,
-                rate: 0.5,
-            },
-        });
+        spec.switches = vec![
+            switch(20.0, Regime::Delay(DelayKind::Uniform(0.0001, 0.001))),
+            switch(30.0, Regime::Loss(LossKind::Bursty(0.1))),
+            switch(
+                40.0,
+                Regime::Churn(ChurnModel::Diurnal {
+                    period: 20.0,
+                    min: 1,
+                    max: 6,
+                    rate: 0.5,
+                }),
+            ),
+        ];
         spec.crash_at = Some(50.0);
         let json = spec.to_json();
         let back = ScenarioSpec::from_json(&json).expect("round-trips");
@@ -667,63 +550,92 @@ mod tests {
     #[test]
     fn unknown_spec_key_is_an_error_naming_it() {
         let (stem, text) = CATALOG[0];
-        let extended = text.replacen('{', "{\n  \"no_such_key\": 1,", 1);
-        let e = ScenarioSpec::from_json(&extended)
-            .expect_err("an unknown key must not parse")
-            .to_string();
-        assert!(
-            e.contains("unknown field `no_such_key`"),
-            "catalog/{stem}.json + no_such_key: {e}"
-        );
+        for (place, extended) in [
+            (
+                "top level",
+                text.replacen('{', "{\n  \"no_such_key\": 1,", 1),
+            ),
+            (
+                "config",
+                text.replacen("\"config\": {", "\"config\": {\n    \"no_such_key\": 1,", 1),
+            ),
+        ] {
+            assert_ne!(extended, text, "{place}: the key was not inserted");
+            let e = ScenarioSpec::from_json(&extended)
+                .expect_err("an unknown key must not parse")
+                .to_string();
+            assert!(
+                e.contains("unknown field `no_such_key`"),
+                "catalog/{stem}.json + no_such_key at {place}: {e}"
+            );
+        }
     }
 
     #[test]
     fn validation_catches_structural_errors() {
         type Mutation = Box<dyn Fn(&mut ScenarioSpec)>;
+        let calm = Regime::Loss(LossKind::None);
         let cases: Vec<(&str, Mutation)> = vec![
             ("empty name", Box::new(|s| s.name.clear())),
-            ("no CPs", Box::new(|s| s.cp_pool = 0)),
+            ("no CPs", Box::new(|s| s.config.cp_pool = 0)),
             (
                 "oversized active set",
-                Box::new(|s| s.initially_active = 99),
+                Box::new(|s| s.config.initially_active = 99),
             ),
-            ("zero buffer", Box::new(|s| s.buffer_capacity = 0)),
-            ("no delay phases", Box::new(|s| s.delay.clear())),
-            ("late first phase", Box::new(|s| s.delay[0].start = 1.0)),
             (
-                "phase past horizon",
+                "switch at 0",
+                Box::new(move |s| s.switches.push(switch(0.0, calm))),
+            ),
+            (
+                "switch at the horizon",
+                Box::new(move |s| s.switches.push(switch(60.0, calm))),
+            ),
+            (
+                "NaN switch instant",
+                Box::new(move |s| s.switches.push(switch(f64::NAN, calm))),
+            ),
+            (
+                "switches out of time order",
                 Box::new(|s| {
-                    s.loss.push(LossPhase {
-                        start: 60.0,
-                        loss: LossKind::None,
-                    });
+                    s.switches = vec![
+                        switch(30.0, Regime::Churn(ChurnModel::Static)),
+                        switch(20.0, Regime::Delay(DelayKind::ThreeModePaper)),
+                    ];
                 }),
             ),
             (
-                "non-increasing churn phases",
-                Box::new(|s| {
-                    s.churn.push(ChurnPhase {
-                        start: 0.0,
-                        churn: ChurnModel::Static,
-                    });
+                "two loss switches at one instant",
+                Box::new(move |s| s.switches = vec![switch(30.0, calm), switch(30.0, calm)]),
+            ),
+            (
+                "two loss switches within one nanosecond",
+                Box::new(move |s| {
+                    s.switches = vec![switch(30.0, calm), switch(30.0 + 1e-10, calm)]
                 }),
+            ),
+            (
+                "switch inside the first nanosecond",
+                Box::new(move |s| s.switches.push(switch(1e-10, calm))),
             ),
             (
                 "bad loss probability",
-                Box::new(|s| s.loss[0].loss = LossKind::Bernoulli(1.5)),
+                Box::new(|s| s.config.loss = LossKind::Bernoulli(1.5)),
             ),
             (
-                "bad bursty rate",
-                Box::new(|s| s.loss[0].loss = LossKind::Bursty(0.9)),
+                "bad bursty rate in a switch",
+                Box::new(|s| {
+                    s.switches
+                        .push(switch(30.0, Regime::Loss(LossKind::Bursty(0.9))))
+                }),
             ),
             (
                 "inverted uniform delay",
-                Box::new(|s| s.delay[0].delay = DelayKind::Uniform(0.5, 0.1)),
+                Box::new(|s| s.config.delay = DelayKind::Uniform(0.5, 0.1)),
             ),
             (
                 "inverted diurnal bounds",
                 Box::new(|s| {
-                    s.churn[0].churn = ChurnModel::Diurnal {
+                    s.config.churn = ChurnModel::Diurnal {
                         period: 10.0,
                         min: 9,
                         max: 2,
@@ -744,7 +656,7 @@ mod tests {
                 Box::new(|s| {
                     let mut cfg = presence_core::DcppConfig::paper_default();
                     cfg.delta_min = presence_des::SimDuration::ZERO;
-                    s.protocol = Protocol::Dcpp { cfg };
+                    s.config.protocol = Protocol::Dcpp { cfg };
                 }),
             ),
             (
@@ -752,7 +664,7 @@ mod tests {
                 Box::new(|s| {
                     let mut cp = presence_core::SappConfig::paper_default();
                     cp.beta = 0.5;
-                    s.protocol = Protocol::Sapp {
+                    s.config.protocol = Protocol::Sapp {
                         cp,
                         device: presence_core::SappDeviceConfig::paper_default(),
                     };
@@ -761,7 +673,7 @@ mod tests {
             (
                 "zero FixedRate period",
                 Box::new(|s| {
-                    s.protocol = Protocol::FixedRate {
+                    s.config.protocol = Protocol::FixedRate {
                         cycle: presence_core::ProbeCycleConfig::paper_default(),
                         period: 0.0,
                     };
@@ -774,23 +686,24 @@ mod tests {
             assert!(spec.validate().is_err(), "{what}: should be rejected");
         }
         assert!(quick_spec().validate().is_ok());
+        // Switches of different kinds may share an instant
+        // (`mixed-regime-stress` switches loss and churn at 450 s).
+        let mut shared = quick_spec();
+        shared.switches = vec![
+            switch(30.0, calm),
+            switch(30.0, Regime::Churn(ChurnModel::Static)),
+        ];
+        assert_eq!(shared.validate(), Ok(()));
     }
 
     #[test]
     fn regime_windows_union_all_timelines() {
         let mut spec = quick_spec();
-        spec.delay.push(DelayPhase {
-            start: 20.0,
-            delay: DelayKind::Constant(0.001),
-        });
-        spec.loss.push(LossPhase {
-            start: 30.0,
-            loss: LossKind::Bernoulli(0.05),
-        });
-        spec.churn.push(ChurnPhase {
-            start: 20.0,
-            churn: ChurnModel::Static,
-        });
+        spec.switches = vec![
+            switch(20.0, Regime::Delay(DelayKind::Constant(0.001))),
+            switch(20.0, Regime::Churn(ChurnModel::Static)),
+            switch(30.0, Regime::Loss(LossKind::Bernoulli(0.05))),
+        ];
         assert_eq!(
             spec.regime_windows(),
             vec![(0.0, 20.0), (20.0, 30.0), (30.0, 60.0)]
@@ -800,10 +713,8 @@ mod tests {
     #[test]
     fn lab_report_slices_and_is_jobs_invariant() {
         let mut spec = quick_spec();
-        spec.loss.push(LossPhase {
-            start: 30.0,
-            loss: LossKind::Bernoulli(0.2),
-        });
+        spec.switches
+            .push(switch(30.0, Regime::Loss(LossKind::Bernoulli(0.2))));
         let seeds = [1, 2, 3, 4];
         let serial = run_lab(&spec, &seeds, 1).expect("runs");
         let parallel = run_lab(&spec, &seeds, 3).expect("runs");
@@ -846,8 +757,16 @@ mod tests {
             .iter()
             .find(|s| s.name == "mixed-regime-stress")
             .expect("acceptance scenario shipped");
+        let switched = |kind: Regime| {
+            mixed
+                .switches
+                .iter()
+                .any(|s| discriminant(&s.to) == discriminant(&kind))
+        };
         assert!(
-            mixed.delay.len() > 1 && mixed.loss.len() > 1 && mixed.churn.len() > 1,
+            switched(Regime::Delay(DelayKind::ThreeModePaper))
+                && switched(Regime::Loss(LossKind::None))
+                && switched(Regime::Churn(ChurnModel::Static)),
             "mixed scenario must switch all three regimes"
         );
     }
@@ -855,10 +774,8 @@ mod tests {
     #[test]
     fn crash_detection_latency_lands_in_the_right_slice() {
         let mut spec = quick_spec();
-        spec.churn.push(ChurnPhase {
-            start: 30.0,
-            churn: ChurnModel::Static,
-        });
+        spec.switches
+            .push(switch(30.0, Regime::Churn(ChurnModel::Static)));
         spec.crash_at = Some(40.0);
         let report = run_lab(&spec, &[7], 1).expect("runs");
         assert_eq!(report.slices.len(), 2);

@@ -7,7 +7,8 @@
 //!
 //! * [`Scenario`] / [`ScenarioConfig`] — build and run one experiment
 //!   (protocol, population, network, churn, seed, duration) on the
-//!   paper's network: one process, one bounded buffer.
+//!   paper's network: one process, one buffer of [`BUFFER_CAPACITY`]
+//!   messages.
 //! * [`ChurnModel`] — static populations, the Figure 4 burst-leave, the
 //!   Figure 5 uniform-resample churn, and the lab's flash-crowd and
 //!   diurnal workloads.
@@ -56,8 +57,8 @@ pub use cp_actor::{CpActor, CpRecord, ProberFactory};
 pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{
-    builtin_catalog, run_lab, run_spec_once, slice_result, ChurnPhase, DelayPhase, LabReport,
-    LabSeedResult, LossPhase, RegimeSlice, ScenarioSpec,
+    builtin_catalog, run_lab, run_spec_once, slice_result, LabReport, LabSeedResult, Regime,
+    RegimeSlice, ScenarioSpec, Switch,
 };
 pub use mega::{
     mega_catalog, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario, MegaSpec,
@@ -69,5 +70,6 @@ pub use parallel::{for_each_indexed, job_count, run_indexed};
 pub use replication::{replicate, ReplicationPoint, ReplicationSummary};
 pub use scenario::{
     golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError,
+    BUFFER_CAPACITY,
 };
 pub use trace::flow_id;

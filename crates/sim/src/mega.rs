@@ -79,6 +79,7 @@ const STOPPED: u8 = 2;
 
 /// A complete description of one mega-scale DCPP run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MegaConfig {
     /// Number of devices.
     pub devices: u32,
@@ -155,8 +156,10 @@ impl MegaConfig {
 }
 
 /// A named, serialisable mega-scenario definition (the `catalog/mega/`
-/// file format).
+/// file format). A key that names no field — here or inside `config` — is
+/// an error.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MegaSpec {
     /// Unique scenario name (the catalog file stem).
     pub name: String,
@@ -648,6 +651,30 @@ mod tests {
         assert_eq!(r.probes_sent, 255);
         assert_eq!(r.cycles_failed, 1);
         assert_eq!(r.stopped_pairs, 1);
+    }
+
+    #[test]
+    fn unknown_spec_key_is_an_error_naming_it() {
+        let (stem, text) = CATALOG[0];
+        for (place, extended) in [
+            (
+                "top level",
+                text.replacen('{', "{\n  \"no_such_key\": 1,", 1),
+            ),
+            (
+                "config",
+                text.replacen("\"config\": {", "\"config\": {\n    \"no_such_key\": 1,", 1),
+            ),
+        ] {
+            assert_ne!(extended, text, "{place}: the key was not inserted");
+            let e = serde_json::from_str::<MegaSpec>(&extended)
+                .expect_err("an unknown key must not parse")
+                .to_string();
+            assert!(
+                e.contains("unknown field `no_such_key`"),
+                "catalog/mega/{stem}.json + no_such_key at {place}: {e}"
+            );
+        }
     }
 
     #[test]

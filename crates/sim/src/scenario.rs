@@ -3,7 +3,8 @@
 //! A [`ScenarioConfig`] is a complete, serialisable description of one
 //! simulation run: protocol, population, network, churn, and seed.
 //! [`Scenario::build`] wires the actors together on the paper's network
-//! (one process, one bounded buffer); [`Scenario::run`] executes and
+//! (one process, one buffer of [`BUFFER_CAPACITY`] messages);
+//! [`Scenario::run`] executes and
 //! [`Scenario::collect`] extracts a [`ScenarioResult`].
 
 use crate::actor_set::PresenceSim;
@@ -207,12 +208,18 @@ impl Protocol {
     }
 }
 
+/// The network buffer's capacity in messages: the paper's 20 000, the same
+/// for every scenario.
+pub const BUFFER_CAPACITY: usize = 20_000;
+
 /// A complete description of one simulation run.
 ///
 /// The config is `Copy`: every field is a plain value (model *choices*,
 /// not model *state*), so replication workers can stamp out per-seed
 /// variants from a borrowed base without cloning anything heap-allocated.
+/// Reading it from JSON, a key that names no field is an error.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioConfig {
     /// Protocol under test.
     pub protocol: Protocol,
@@ -220,8 +227,6 @@ pub struct ScenarioConfig {
     pub cp_pool: u32,
     /// How many CPs are active from the start.
     pub initially_active: u32,
-    /// Network buffer capacity (the paper: 20 000).
-    pub buffer_capacity: usize,
     /// One-way delay model.
     pub delay: DelayKind,
     /// Loss model.
@@ -243,15 +248,14 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A paper-faithful configuration: three-mode network, 20 000-element
-    /// buffer, no loss, 1–20 ms device processing, 1 s join stagger.
+    /// A paper-faithful configuration: three-mode network, no loss, 1–20 ms
+    /// device processing, 1 s join stagger.
     #[must_use]
     pub fn paper_defaults(protocol: Protocol, cps: u32, duration: f64, seed: u64) -> Self {
         Self {
             protocol,
             cp_pool: cps,
             initially_active: cps,
-            buffer_capacity: 20_000,
             delay: DelayKind::ThreeModePaper,
             loss: LossKind::None,
             churn: ChurnModel::Static,
@@ -266,7 +270,7 @@ impl ScenarioConfig {
 
     /// Checks every invariant a runnable configuration must satisfy — the
     /// one validator of everything stationary ([`crate::ScenarioSpec`]
-    /// adds only what its phases and failures bring). [`Scenario::build`]
+    /// adds only what its switches and failures bring). [`Scenario::build`]
     /// calls this; batch runners (replication studies, parameter sweeps)
     /// call it once up front so an invalid base fails fast on the calling
     /// thread instead of once per worker.
@@ -280,9 +284,6 @@ impl ScenarioConfig {
         }
         if self.initially_active > self.cp_pool {
             return Err(err("initially_active exceeds the pool"));
-        }
-        if self.buffer_capacity == 0 {
-            return Err(err("buffer capacity must be positive"));
         }
         check_run(
             self.duration,
@@ -365,19 +366,13 @@ impl Scenario {
         Self::assemble(cfg, cfg.delay.build(), cfg.loss.build(), &[])
     }
 
-    /// [`Scenario::build`] with explicit (possibly time-varying) network
-    /// models and mid-run churn regime switches — the scenario-lab entry
-    /// point. `cfg.delay`/`cfg.loss` are ignored in favour of `delay` and
-    /// `loss`; the churn actor posts itself `churn_switches` (absolute
-    /// seconds, ascending) at start-up, so a switch-free scenario is
-    /// event-for-event identical to [`Scenario::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid ([`ScenarioConfig::validate`]), or unless
-    /// the switch times are strictly increasing and positive.
+    /// [`Scenario::build`] with the network models `delay` and `loss` (in
+    /// place of `cfg`'s) and the churn actor's `churn_switches` (absolute
+    /// seconds, ascending) — what [`crate::ScenarioSpec::build`] lowers
+    /// onto. Panics if `cfg` is invalid or a switch time is not after the
+    /// one before it (or after 0).
     #[must_use]
-    pub fn assemble(
+    pub(crate) fn assemble(
         cfg: ScenarioConfig,
         delay: Box<dyn DelayModel>,
         loss: Box<dyn LossModel>,
@@ -388,7 +383,7 @@ impl Scenario {
         // Actor add order (network, device, CPs, churn) fixes the actor
         // ids and with them every RNG stream.
         let mut sim = PresenceSim::with_actor_set(cfg.seed);
-        let fabric = Fabric::new(cfg.buffer_capacity, delay, loss);
+        let fabric = Fabric::new(BUFFER_CAPACITY, delay, loss);
         let network = sim.add_member(NetworkActor::new(fabric).into());
 
         let device_id = DeviceId(0);

@@ -2,8 +2,8 @@
 //! that must hold for *any* configuration, not just the paper's points.
 
 use presence_sim::{
-    ChurnModel, ChurnPhase, DelayKind, DelayPhase, LossKind, LossPhase, Protocol, Scenario,
-    ScenarioConfig, ScenarioSpec,
+    ChurnModel, DelayKind, LossKind, Protocol, Regime, Scenario, ScenarioConfig, ScenarioSpec,
+    Switch,
 };
 use proptest::prelude::*;
 
@@ -64,10 +64,11 @@ fn any_delay_kind() -> impl Strategy<Value = DelayKind> {
     ]
 }
 
-/// A random multi-phase spec whose phase starts are strictly increasing
-/// inside the horizon — the whole authorable surface of the scenario lab.
+/// A random spec with up to three models of each kind — the first in
+/// `config`, the rest as switches at 25, 50 and 75 s (so kinds share
+/// instants) — the whole authorable surface of the scenario lab.
 fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
-    let phases = (
+    let models = (
         prop::collection::vec(any_delay_kind(), 1..4),
         prop::collection::vec(any_loss(), 1..4),
         prop::collection::vec(any_churn(8), 1..4),
@@ -75,7 +76,7 @@ fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
     (
         any_protocol(),
         2..10u32,
-        phases,
+        models,
         any::<u64>(),
         prop_oneof![Just(None), (10.0..90.0f64).prop_map(Some)],
     )
@@ -83,33 +84,19 @@ fn any_spec() -> impl Strategy<Value = ScenarioSpec> {
             |(protocol, pool, (delays, losses, churns), seed, crash_at)| {
                 let mut cfg = ScenarioConfig::paper_defaults(protocol, pool, 100.0, seed);
                 cfg.load_window = 5.0;
-                let mut spec = ScenarioSpec::from_config("prop-spec", "random lab spec", cfg);
-                // Spread phase k at 100·k/n seconds: strictly increasing,
-                // first at 0, all inside the horizon.
-                spec.delay = delays
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, delay)| DelayPhase {
-                        start: 100.0 * k as f64 / 4.0,
-                        delay,
-                    })
+                cfg.delay = delays[0];
+                cfg.loss = losses[0];
+                cfg.churn = churns[0];
+                let mut spec = ScenarioSpec::new("prop-spec", "random lab spec", cfg);
+                // Model k takes over at 100·k/4 seconds.
+                let later = |n: usize| (1..n).map(|k| 100.0 * k as f64 / 4.0);
+                spec.switches = later(delays.len())
+                    .zip(delays[1..].iter().map(|&d| Regime::Delay(d)))
+                    .chain(later(losses.len()).zip(losses[1..].iter().map(|&l| Regime::Loss(l))))
+                    .chain(later(churns.len()).zip(churns[1..].iter().map(|&c| Regime::Churn(c))))
+                    .map(|(at, to)| Switch { at, to })
                     .collect();
-                spec.loss = losses
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, loss)| LossPhase {
-                        start: 100.0 * k as f64 / 4.0,
-                        loss,
-                    })
-                    .collect();
-                spec.churn = churns
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, churn)| ChurnPhase {
-                        start: 100.0 * k as f64 / 4.0,
-                        churn,
-                    })
-                    .collect();
+                spec.switches.sort_by(|a, b| a.at.total_cmp(&b.at));
                 spec.crash_at = crash_at;
                 spec
             },
@@ -121,7 +108,7 @@ proptest! {
 
     /// Any valid spec serialises to JSON and parses back **losslessly** —
     /// the catalog's round-trip guarantee, over the whole authorable
-    /// surface (every model kind, multi-phase timelines, optional crash).
+    /// surface (every model kind, regime switches, optional crash).
     #[test]
     fn scenario_spec_round_trips_losslessly(spec in any_spec()) {
         prop_assert!(spec.validate().is_ok(), "generated spec must be valid");
@@ -139,11 +126,11 @@ proptest! {
     fn any_spec_builds_and_slices(spec in any_spec()) {
         let windows = spec.regime_windows();
         prop_assert_eq!(windows[0].0, 0.0);
-        prop_assert_eq!(windows[windows.len() - 1].1, spec.duration);
+        prop_assert_eq!(windows[windows.len() - 1].1, spec.config.duration);
         for pair in windows.windows(2) {
             prop_assert_eq!(pair[0].1, pair[1].0, "windows must tile");
         }
-        let report = presence_sim::run_lab(&spec, &[spec.seed], 1)
+        let report = presence_sim::run_lab(&spec, &[spec.config.seed], 1)
             .map_err(|e| TestCaseError::fail(format!("run: {e}")))?;
         prop_assert_eq!(report.per_seed.len(), 1);
         prop_assert!(report.per_seed[0].events_processed > 0);

@@ -53,7 +53,7 @@ pub use fairness::{jain_index, max_min_ratio};
 pub use histogram::{Histogram, HistogramBin};
 pub use quantile::P2Quantile;
 pub use rate::JumpingWindowRate;
-pub use slice::{merge_boundaries, slice_windows, step_mean, window_mean, window_slice};
+pub use slice::{slice_windows, step_mean, window_mean, window_slice};
 pub use summary::{describe, Summary};
 pub use timeseries::{Sample, TimeSeries, TimeWeighted};
 pub use welford::Welford;

@@ -9,26 +9,6 @@
 //! so the same slicing serves simulation output, bench reports, and the
 //! wall-clock runtime.
 
-/// Merges several boundary lists (each a set of regime start times in
-/// seconds) into one sorted, deduplicated list of window starts over
-/// `[0, horizon)`: always begins with `0.0`, drops values outside
-/// `(0, horizon)`, and removes exact duplicates (boundaries originate
-/// from the same spec values, so bitwise equality is the right notion).
-#[must_use]
-pub fn merge_boundaries(lists: &[&[f64]], horizon: f64) -> Vec<f64> {
-    let mut starts = vec![0.0];
-    for list in lists {
-        for &t in *list {
-            if t > 0.0 && t < horizon {
-                starts.push(t);
-            }
-        }
-    }
-    starts.sort_by(|a, b| a.partial_cmp(b).expect("boundaries are finite"));
-    starts.dedup();
-    starts
-}
-
 /// Turns sorted window starts into half-open `[start, end)` windows, the
 /// last one closing at `horizon`.
 ///
@@ -109,13 +89,6 @@ pub fn step_mean(series: &[(f64, f64)], from: f64, to: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_dedups_sorts_and_anchors_zero() {
-        let merged = merge_boundaries(&[&[5.0, 100.0], &[2.0, 5.0], &[]], 50.0);
-        assert_eq!(merged, vec![0.0, 2.0, 5.0]);
-        assert_eq!(merge_boundaries(&[], 10.0), vec![0.0]);
-    }
 
     #[test]
     fn windows_cover_the_horizon() {

@@ -17,54 +17,39 @@
 //! round-trip losslessly between the two forms.
 
 use presence::sim::{
-    run_lab, ChurnModel, ChurnPhase, LossKind, LossPhase, Protocol, ScenarioConfig, ScenarioSpec,
+    run_lab, ChurnModel, LossKind, Protocol, Regime, ScenarioConfig, ScenarioSpec, Switch,
 };
 
 fn main() {
     let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 24, 360.0, 7);
     cfg.initially_active = 6;
-    let mut spec = ScenarioSpec::from_config(
+    let mut spec = ScenarioSpec::new(
         "lab-tour",
         "calm start, loss storm + flash crowd, diurnal recovery",
         cfg,
     );
-    spec.loss = vec![
-        LossPhase {
-            start: 0.0,
-            loss: LossKind::None,
-        },
-        LossPhase {
-            start: 120.0,
-            loss: LossKind::Bursty(0.15),
-        },
-        LossPhase {
-            start: 240.0,
-            loss: LossKind::None,
-        },
-    ];
-    spec.churn = vec![
-        ChurnPhase {
-            start: 0.0,
-            churn: ChurnModel::Static,
-        },
-        ChurnPhase {
-            start: 120.0,
-            churn: ChurnModel::FlashCrowd {
+    let at = |at: f64, to: Regime| Switch { at, to };
+    spec.switches = vec![
+        at(120.0, Regime::Loss(LossKind::Bursty(0.15))),
+        at(
+            120.0,
+            Regime::Churn(ChurnModel::FlashCrowd {
                 at: 120.0,
                 peak: 24,
                 ramp: 20.0,
                 hold: 60.0,
-            },
-        },
-        ChurnPhase {
-            start: 240.0,
-            churn: ChurnModel::Diurnal {
+            }),
+        ),
+        at(240.0, Regime::Loss(LossKind::None)),
+        at(
+            240.0,
+            Regime::Churn(ChurnModel::Diurnal {
                 period: 120.0,
                 min: 4,
                 max: 20,
                 rate: 0.2,
-            },
-        },
+            }),
+        ),
     ];
     spec.validate().expect("spec is well-formed");
 
@@ -103,8 +88,7 @@ fn main() {
         lost
     );
     println!(
-        "regime windows come from the union of the loss and churn phase \
-         boundaries: {:?}",
+        "regime windows open at t = 0 and at each distinct switch instant: {:?}",
         report.windows
     );
 }

@@ -90,26 +90,28 @@ fn parallel_replication_equals_serial() {
 /// and churn regimes.
 #[test]
 fn lab_report_is_byte_identical_at_any_jobs_value() {
-    use presence::sim::{run_lab, ChurnPhase, DelayPhase, LossPhase, ScenarioSpec};
+    use presence::sim::{run_lab, DelayKind, Regime, ScenarioSpec, Switch};
 
     let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 10, 120.0, 0);
-    let mut spec = ScenarioSpec::from_config("determinism-lab", "jobs-invariance pin", cfg);
-    spec.delay.push(DelayPhase {
-        start: 40.0,
-        delay: presence::sim::DelayKind::Uniform(0.0002, 0.002),
-    });
-    spec.loss.push(LossPhase {
-        start: 60.0,
-        loss: LossKind::Bursty(0.1),
-    });
-    spec.churn.push(ChurnPhase {
-        start: 80.0,
-        churn: ChurnModel::UniformResample {
-            min: 2,
-            max: 10,
-            rate: 0.1,
+    let mut spec = ScenarioSpec::new("determinism-lab", "jobs-invariance pin", cfg);
+    spec.switches = vec![
+        Switch {
+            at: 40.0,
+            to: Regime::Delay(DelayKind::Uniform(0.0002, 0.002)),
         },
-    });
+        Switch {
+            at: 60.0,
+            to: Regime::Loss(LossKind::Bursty(0.1)),
+        },
+        Switch {
+            at: 80.0,
+            to: Regime::Churn(ChurnModel::UniformResample {
+                min: 2,
+                max: 10,
+                rate: 0.1,
+            }),
+        },
+    ];
     let seeds = [21, 22, 23, 24, 25];
     let serial = run_lab(&spec, &seeds, 1).expect("serial lab run");
     let a = serde_json::to_string(&serial).expect("report serialises");

@@ -13,7 +13,7 @@
 //!   drain; diurnal populations follow the sinusoid band).
 
 use presence::sim::{
-    builtin_catalog, mega_catalog, run_lab, ChurnActor, ChurnModel, ChurnPhase, CpSummary,
+    builtin_catalog, mega_catalog, run_lab, ChurnActor, ChurnModel, CpSummary, Regime,
 };
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -138,7 +138,11 @@ fn mixed_regime_slices_and_is_jobs_invariant() {
         .into_iter()
         .find(|s| s.name == "mixed-regime-stress")
         .expect("acceptance scenario shipped");
-    assert!(spec.delay.len() > 1 && spec.loss.len() > 1 && spec.churn.len() > 1);
+    let switched = |kind: fn(&Regime) -> bool| spec.switches.iter().filter(|s| kind(&s.to)).count();
+    assert!(switched(|r| matches!(r, Regime::Delay(_))) > 0);
+    assert!(switched(|r| matches!(r, Regime::Loss(_))) > 0);
+    let churn_switches = switched(|r| matches!(r, Regime::Churn(_)));
+    assert!(churn_switches > 0);
     let seeds = [1, 2, 3];
     let serial = run_lab(&spec, &seeds, 1).expect("serial run");
     for jobs in [2, 4] {
@@ -162,8 +166,8 @@ fn mixed_regime_slices_and_is_jobs_invariant() {
         .expect("churn actor");
     assert_eq!(
         actor.switches_applied(),
-        (spec.churn.len() - 1) as u64,
-        "every churn boundary applies exactly one switch"
+        churn_switches as u64,
+        "every churn switch applies exactly once"
     );
 }
 
@@ -174,7 +178,7 @@ fn flash_crowd_peaks_and_drains() {
         .into_iter()
         .find(|s| s.name == "flash-crowd")
         .expect("flash-crowd shipped");
-    let ChurnModel::FlashCrowd { peak, .. } = spec.churn[0].churn else {
+    let ChurnModel::FlashCrowd { peak, .. } = spec.config.churn else {
         panic!("flash-crowd entry must use the FlashCrowd model");
     };
     let mut scenario = spec.build().expect("builds");
@@ -186,7 +190,7 @@ fn flash_crowd_peaks_and_drains() {
     let last = *populations.last().expect("population recorded");
     assert_eq!(
         last,
-        f64::from(spec.initially_active),
+        f64::from(spec.config.initially_active),
         "population must drain back to the pre-surge baseline"
     );
 }
@@ -198,7 +202,7 @@ fn diurnal_population_tracks_the_sinusoid_band() {
         .into_iter()
         .find(|s| s.name == "diurnal-day")
         .expect("diurnal-day shipped");
-    let ChurnModel::Diurnal { min, max, .. } = spec.churn[0].churn else {
+    let ChurnModel::Diurnal { min, max, .. } = spec.config.churn else {
         panic!("diurnal-day entry must use the Diurnal model");
     };
     let mut scenario = spec.build().expect("builds");
@@ -235,10 +239,8 @@ fn scheduled_loss_switch_is_visible_in_the_slices() {
         .find(|s| s.name == "partition-recovery")
         .expect("partition-recovery shipped");
     // Single seed is enough; drop the churn recovery to isolate the loss.
-    spec.churn = vec![ChurnPhase {
-        start: 0.0,
-        churn: ChurnModel::Static,
-    }];
+    spec.config.churn = ChurnModel::Static;
+    spec.switches.retain(|s| !matches!(s.to, Regime::Churn(_)));
     let report = run_lab(&spec, &[9], 1).expect("runs");
     assert_eq!(report.slices.len(), 3);
     let healthy = report.slices[0].load_mean.expect("pre-partition load");
