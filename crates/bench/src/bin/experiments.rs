@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `<id>` is a row of [`presence_sim::experiments::CATALOG`] (`e1` … `e7`,
-//! `a1` … `a4`, `a6` … `a8`) and runs at paper scale unless `--duration`
+//! `a1` … `a4`, `a7` … `a8`) and runs at paper scale unless `--duration`
 //! says otherwise. A flag the command would ignore — `--csv` on any row
 //! but the figures `e2` … `e4`, `--json` or `--csv` beside `all` — exits 1.
 //!

@@ -150,7 +150,7 @@ pub fn run_oracle(scenario: &ConformanceScenario) -> ConformanceReport {
         routes.push((Addr::Device(spec.machine.id()), actor));
     }
     for spec in &scenario.cps {
-        let cp = CpActor::new(spec.id, spec.prober.clone(), network, spec.target, false, 0);
+        let cp = CpActor::new(spec.id, spec.prober.clone(), network, spec.target, 0);
         let actor = sim.add_member(cp.into());
         sim.schedule_at(spec.start_at, actor, SimEvent::Join);
         routes.push((Addr::Cp(spec.id), actor));

@@ -10,7 +10,7 @@
 use crate::config::ProbeCycleConfig;
 use crate::cycle::Retransmitter;
 use crate::prober::Prober;
-use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Reply, TimerToken, Verdict};
+use crate::types::{CpAction, CpId, CpStats, Reply, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -64,11 +64,7 @@ impl Prober for FixedRateCp {
     }
 
     fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        self.cycle.stop(now, AbsenceReason::ByeReceived, out);
-    }
-
-    fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        self.cycle.stop(now, AbsenceReason::NoticeReceived, out);
+        self.cycle.stop(now, out);
     }
 
     fn stats(&self) -> &CpStats {

@@ -261,10 +261,11 @@ impl Retransmitter {
         }
     }
 
-    /// Stops probing because a Bye or a leave notice said the device is
-    /// gone: cancels the outstanding timer, then declares the device absent
-    /// for `reason` as the fourth timeout does. Inert once stopped.
-    pub fn stop(&mut self, now: SimTime, reason: AbsenceReason, out: &mut Vec<CpAction>) {
+    /// Stops probing because the device's own Bye said it is gone: cancels
+    /// the outstanding timer, then declares the device absent with
+    /// [`AbsenceReason::ByeReceived`] as the fourth timeout declares it
+    /// with [`AbsenceReason::ProbeTimeout`]. Inert once stopped.
+    pub fn stop(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
         match self.state {
             State::Stopped(_) => return,
             State::Awaiting { timer: token, .. } | State::Sleeping { wake: token } => {
@@ -272,7 +273,7 @@ impl Retransmitter {
             }
             State::NotStarted | State::Accepted => {}
         }
-        self.declare_absent(now, reason, out);
+        self.declare_absent(now, AbsenceReason::ByeReceived, out);
     }
 
     fn declare_absent(&mut self, now: SimTime, reason: AbsenceReason, out: &mut Vec<CpAction>) {
@@ -652,37 +653,33 @@ mod tests {
     }
 
     #[test]
-    fn bye_and_leave_notice_cancel_the_outstanding_timer_then_declare_absent() {
+    fn bye_cancels_the_outstanding_timer_then_declares_absent() {
         let at = t(0.2);
-        for reason in [AbsenceReason::ByeReceived, AbsenceReason::NoticeReceived] {
-            for sleeping in [true, false] {
-                for (kind, mut cp, reply) in kinds() {
-                    // The outstanding timer: the wake, or the cycle timeout.
-                    let mut out = Vec::new();
-                    let token = if sleeping {
-                        start_and_sleep(kind, cp.as_mut(), reply).2
-                    } else {
-                        cp.start(t(0.0), &mut out);
-                        find_timer(&out).0
-                    };
-                    out.clear();
-                    match reason {
-                        AbsenceReason::ByeReceived => cp.on_bye(at, &mut out),
-                        _ => cp.on_leave_notice(at, &mut out),
-                    }
-                    let what = format!("{kind}, sleeping: {sleeping}, {reason:?}");
-                    assert_eq!(
-                        out,
-                        [
-                            CpAction::CancelTimer { token },
-                            CpAction::DeviceAbsent { at, reason },
-                        ],
-                        "{what}"
-                    );
-                    assert!(cp.is_stopped(), "{what}");
-                    assert_eq!(cp.verdict(), Some(Verdict { at, reason }), "{what}");
-                    assert_eq!(cp.stats().cycles_failed, 0, "{what}: no cycle timed out");
-                }
+        let reason = AbsenceReason::ByeReceived;
+        for sleeping in [true, false] {
+            for (kind, mut cp, reply) in kinds() {
+                // The outstanding timer: the wake, or the cycle timeout.
+                let mut out = Vec::new();
+                let token = if sleeping {
+                    start_and_sleep(kind, cp.as_mut(), reply).2
+                } else {
+                    cp.start(t(0.0), &mut out);
+                    find_timer(&out).0
+                };
+                out.clear();
+                cp.on_bye(at, &mut out);
+                let what = format!("{kind}, sleeping: {sleeping}");
+                assert_eq!(
+                    out,
+                    [
+                        CpAction::CancelTimer { token },
+                        CpAction::DeviceAbsent { at, reason },
+                    ],
+                    "{what}"
+                );
+                assert!(cp.is_stopped(), "{what}");
+                assert_eq!(cp.verdict(), Some(Verdict { at, reason }), "{what}");
+                assert_eq!(cp.stats().cycles_failed, 0, "{what}: no cycle timed out");
             }
         }
     }
@@ -764,7 +761,6 @@ mod tests {
             cp.on_timer(t(0.3), timeout, &mut out);
             cp.on_timer(t(0.3), wake, &mut out);
             cp.on_bye(t(0.3), &mut out);
-            cp.on_leave_notice(t(0.3), &mut out);
             assert!(out.is_empty(), "{kind}: {out:?}");
             assert_eq!(*cp.stats(), stats, "{kind}");
             assert_eq!(cp.verdict(), verdict, "{kind}: the first verdict stands");

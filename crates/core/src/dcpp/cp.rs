@@ -10,7 +10,7 @@
 use crate::config::DcppConfig;
 use crate::cycle::Retransmitter;
 use crate::prober::Prober;
-use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
+use crate::types::{CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -45,12 +45,6 @@ impl DcppCp {
     pub fn config(&self) -> &DcppConfig {
         &self.cfg
     }
-
-    /// The wait assigned by the device in the most recent reply.
-    #[must_use]
-    pub fn last_assigned_wait(&self) -> Option<SimDuration> {
-        self.last_wait
-    }
 }
 
 impl Prober for DcppCp {
@@ -78,11 +72,7 @@ impl Prober for DcppCp {
     }
 
     fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        self.cycle.stop(now, AbsenceReason::ByeReceived, out);
-    }
-
-    fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        self.cycle.stop(now, AbsenceReason::NoticeReceived, out);
+        self.cycle.stop(now, out);
     }
 
     fn stats(&self) -> &CpStats {
@@ -151,7 +141,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(timer, SimDuration::from_millis(500));
-        assert_eq!(c.last_assigned_wait(), Some(SimDuration::from_millis(500)));
+        assert_eq!(c.last_wait, Some(SimDuration::from_millis(500)));
         assert_eq!(c.current_delay(), Some(SimDuration::from_millis(500)));
     }
 
@@ -176,7 +166,7 @@ mod tests {
         // Duplicate reply (e.g. the device answered a retransmission too).
         c.on_reply(t(0.002), &dcpp_reply(probe, 700), &mut out);
         assert!(out.is_empty(), "stale reply must be inert");
-        assert_eq!(c.last_assigned_wait(), Some(SimDuration::from_millis(500)));
+        assert_eq!(c.last_wait, Some(SimDuration::from_millis(500)));
         assert_eq!(c.stats().stale_replies, 1);
     }
 }

@@ -20,9 +20,10 @@
 //!
 //! * the CP lifecycle ([`Retransmitter`]): bounded-retransmission probe
 //!   cycles (TOF/TOS timeouts, max 3 retransmissions, Fig. 1), the sleep
-//!   between them, and the stop with a verdict;
-//! * the CP overlay and leave-notice dissemination ([`OverlayView`],
-//!   [`Disseminator`]) that the paper describes but defers;
+//!   between them, and the stop with a verdict — the exhausted
+//!   retransmission budget or the device's own Bye, never another CP's
+//!   word (SAPP replies carry the paper's last-two-probers overlay field,
+//!   but the dissemination phase the paper defers is not built);
 //! * naive fixed-rate probing ([`FixedRateCp`]), the scheme the paper's
 //!   introduction dismisses.
 //!
@@ -73,7 +74,6 @@ mod config;
 mod cycle;
 mod dcpp;
 mod error;
-mod overlay;
 mod prober;
 mod responder;
 mod sapp;
@@ -84,11 +84,10 @@ pub use config::{DcppConfig, ProbeCycleConfig, SappConfig, SappDeviceConfig};
 pub use cycle::{Retransmitter, TimerDisposition};
 pub use dcpp::{DcppCp, DcppDevice};
 pub use error::ConfigError;
-pub use overlay::{Disseminator, NoticeDisposition, OverlayView};
 pub use prober::Prober;
 pub use responder::{DeviceMachine, Responder};
 pub use sapp::{AdaptationStats, SappCp, SappDevice};
 pub use types::{
-    AbsenceReason, Bye, CpAction, CpId, CpStats, DeviceId, LeaveNotice, Probe, Reply, ReplyBody,
-    TimerToken, Verdict, WireMessage,
+    AbsenceReason, Bye, CpAction, CpId, CpStats, DeviceId, Probe, Reply, ReplyBody, TimerToken,
+    Verdict, WireMessage,
 };

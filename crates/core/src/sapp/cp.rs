@@ -24,7 +24,7 @@
 use crate::config::SappConfig;
 use crate::cycle::Retransmitter;
 use crate::prober::Prober;
-use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
+use crate::types::{CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -92,13 +92,6 @@ impl SappCp {
     #[must_use]
     pub fn frequency(&self) -> f64 {
         1.0 / self.delay.as_secs_f64()
-    }
-
-    /// The most recent `L_exp` estimate, if two successful probes have
-    /// completed.
-    #[must_use]
-    pub fn last_experienced_load(&self) -> Option<f64> {
-        self.last_lexp
     }
 
     /// Adaptation decision counters.
@@ -172,11 +165,7 @@ impl Prober for SappCp {
     }
 
     fn on_bye(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        self.cycle.stop(now, AbsenceReason::ByeReceived, out);
-    }
-
-    fn on_leave_notice(&mut self, now: SimTime, out: &mut Vec<CpAction>) {
-        self.cycle.stop(now, AbsenceReason::NoticeReceived, out);
+        self.cycle.stop(now, out);
     }
 
     fn stats(&self) -> &CpStats {
@@ -269,7 +258,7 @@ mod tests {
         c.start(t(0.0), &mut out);
         let d = complete_cycle(&mut c, &mut out, 100_000, 0.001);
         assert_eq!(d, c.config().initial_delay, "no adaptation on first reply");
-        assert!(c.last_experienced_load().is_none());
+        assert!(c.last_lexp.is_none());
     }
 
     #[test]
@@ -294,7 +283,7 @@ mod tests {
         let expected = c.config().initial_delay.mul_f64(c.config().alpha_inc);
         assert_eq!(d, expected, "delay doubled by alpha_inc");
         assert_eq!(c.adaptation_stats().increases, 1);
-        assert!(c.last_experienced_load().unwrap() > 1.5e6);
+        assert!(c.last_lexp.unwrap() > 1.5e6);
     }
 
     #[test]

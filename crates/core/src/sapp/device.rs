@@ -21,7 +21,8 @@ pub struct SappDevice {
     /// The current increment `Δ` (starts at `cfg.delta()`, may be retuned).
     delta: u64,
     /// Last two *distinct* probing CPs, most recent first. Returned on each
-    /// reply so CPs can organise the dissemination overlay.
+    /// reply, as the paper's reply format specifies, so CPs could organise
+    /// the overlay of its deferred dissemination phase.
     last_probers: [Option<CpId>; 2],
     /// Total probes answered.
     probes_received: u64,

@@ -47,7 +47,9 @@ pub struct Probe {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ReplyBody {
     /// SAPP: the device's probe counter after incrementing by Δ, plus the
-    /// ids of the last two distinct probing CPs (the overlay links).
+    /// ids of the last two distinct probing CPs (the links of the paper's
+    /// CP overlay, whose dissemination phase the paper defers; no CP in
+    /// this tree reads them).
     Sapp {
         /// Probe counter value `pc` after this probe's increment.
         pc: u64,
@@ -79,17 +81,6 @@ pub struct Bye {
     pub device: DeviceId,
 }
 
-/// Notification that a device has been detected absent, disseminated over
-/// the CP overlay (the information-dissemination phase the paper defers;
-/// implemented here as the natural extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LeaveNotice {
-    /// The device detected as gone.
-    pub device: DeviceId,
-    /// The CP that detected (or relayed) the departure.
-    pub reporter: CpId,
-}
-
 /// Everything that can travel over the network between nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum WireMessage {
@@ -99,8 +90,6 @@ pub enum WireMessage {
     Reply(Reply),
     /// Device → all (graceful leave).
     Bye(Bye),
-    /// CP → CP (overlay dissemination).
-    LeaveNotice(LeaveNotice),
 }
 
 /// Opaque handle correlating a timer request with its firing.
@@ -141,14 +130,18 @@ pub enum CpAction {
 }
 
 /// Why a CP declared the device absent.
+///
+/// A verdict has exactly two sources: the CP's own exhausted
+/// retransmission budget (a whole probe cycle unanswered, which is
+/// [`ProbeCycleConfig::worst_case_detection`](crate::ProbeCycleConfig::worst_case_detection)
+/// of silence after the cycle's first probe), or the device's own Bye.
+/// No other node can make a CP declare a device absent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AbsenceReason {
     /// The initial probe and all retransmissions went unanswered.
     ProbeTimeout,
     /// The device announced its departure with a bye-message.
     ByeReceived,
-    /// Another CP disseminated a leave notice over the overlay.
-    NoticeReceived,
 }
 
 /// A terminal absence verdict: when it was reached and why.

@@ -137,12 +137,6 @@ impl GilbertElliott {
         Self::new(p_gb.min(1.0), p_bg, 0.001, 0.9)
     }
 
-    /// Whether the channel is currently in the bad (bursty-loss) state.
-    #[must_use]
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// The long-run (stationary) drop rate of this channel:
     /// `P(bad)·loss_bad + P(good)·loss_good`, with the stationary
     /// bad-state probability `p_gb / (p_gb + p_bg)`. A channel that can
@@ -264,7 +258,7 @@ mod tests {
         let mut saw_good = false;
         for _ in 0..100_000 {
             let _ = m.should_drop(SimTime::ZERO, &mut r);
-            if m.in_bad_state() {
+            if m.in_bad {
                 saw_bad = true;
             } else {
                 saw_good = true;

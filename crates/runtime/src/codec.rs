@@ -14,9 +14,13 @@
 //!                 (p0/p1 = last probers + 1; 0 encodes None)
 //! Reply(DCPP)  = 0x03 cp:u32 seq:u64 device:u32 wait_nanos:u64
 //! Bye          = 0x04 device:u32
-//! LeaveNotice  = 0x05 device:u32 reporter:u32
+//! (retired)    = 0x05 never reused: it once carried a CP-to-CP leave notice
 //! Addressed    = 0x06 device:u32 <any of the above>
 //! ```
+//!
+//! Tag `0x05` decodes as [`DecodeError::UnknownTag`]: no node can make a CP
+//! declare a device absent on another CP's word, and a new message takes a
+//! fresh tag so an old sender's datagram is never read as something else.
 //!
 //! The `Addressed` frame exists for the sharded presence host
 //! ([`crate::ShardedHost`]): a plain [`Probe`] does not name its target
@@ -25,7 +29,7 @@
 //! destination in the datagram. Replies travel back unwrapped — the
 //! `probe.cp` field already identifies the prober on a shared socket.
 
-use presence_core::{Bye, CpId, DeviceId, LeaveNotice, Probe, Reply, ReplyBody, WireMessage};
+use presence_core::{Bye, CpId, DeviceId, Probe, Reply, ReplyBody, WireMessage};
 use presence_des::SimDuration;
 use std::error::Error;
 use std::fmt;
@@ -34,7 +38,6 @@ const TAG_PROBE: u8 = 0x01;
 const TAG_REPLY_SAPP: u8 = 0x02;
 const TAG_REPLY_DCPP: u8 = 0x03;
 const TAG_BYE: u8 = 0x04;
-const TAG_NOTICE: u8 = 0x05;
 const TAG_ADDRESSED: u8 = 0x06;
 
 /// Longest datagram a receiver needs room for. Every encoding this module
@@ -169,11 +172,6 @@ fn encode_into(buf: &mut Vec<u8>, msg: &WireMessage) {
             buf.push(TAG_BYE);
             buf.extend_from_slice(&b.device.0.to_le_bytes());
         }
-        WireMessage::LeaveNotice(n) => {
-            buf.push(TAG_NOTICE);
-            buf.extend_from_slice(&n.device.0.to_le_bytes());
-            buf.extend_from_slice(&n.reporter.0.to_le_bytes());
-        }
     }
 }
 
@@ -248,10 +246,6 @@ fn read_message(r: &mut Reader<'_>) -> Result<WireMessage, DecodeError> {
         TAG_BYE => Ok(WireMessage::Bye(Bye {
             device: DeviceId(r.get_u32_le()?),
         })),
-        TAG_NOTICE => Ok(WireMessage::LeaveNotice(LeaveNotice {
-            device: DeviceId(r.get_u32_le()?),
-            reporter: CpId(r.get_u32_le()?),
-        })),
         other => Err(DecodeError::UnknownTag(other)),
     }
 }
@@ -315,14 +309,19 @@ mod tests {
     }
 
     #[test]
-    fn bye_and_notice_roundtrip() {
+    fn bye_roundtrip() {
         roundtrip(WireMessage::Bye(Bye {
             device: DeviceId(5),
         }));
-        roundtrip(WireMessage::LeaveNotice(LeaveNotice {
-            device: DeviceId(5),
-            reporter: CpId(2),
-        }));
+    }
+
+    #[test]
+    fn retired_notice_tag_is_unknown() {
+        // The 9-byte layout tag 0x05 once carried: device 5, reporter 2.
+        assert_eq!(
+            decode(&[0x05, 5, 0, 0, 0, 2, 0, 0, 0]),
+            Err(DecodeError::UnknownTag(0x05))
+        );
     }
 
     #[test]

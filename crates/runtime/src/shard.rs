@@ -43,8 +43,10 @@
 //!   ([`crate::codec::encode_addressed`]) — the shard looks the target
 //!   device up by id;
 //! * replies travel bare and route by `reply.probe.cp`;
-//! * `Bye`/`LeaveNotice` route to every hosted prober watching the named
-//!   device.
+//! * a `Bye`, the only broadcast, routes to every hosted prober watching
+//!   the named device;
+//! * anything that does not decode (including the retired tag `0x05`) is
+//!   counted in `decode_errors` and reaches no prober.
 //!
 //! Everything the host drops is counted ([`ShardCounters`]), never
 //! silently lost, mirroring `FabricStats` in the simulator's network
@@ -386,11 +388,10 @@ impl Shard {
                 }
             }
             Datagram::Direct(msg) | Datagram::Addressed(_, msg) => {
-                // A device's own Bye and a peer's leave notice both reach
-                // every hosted prober watching the named device.
-                let (device, is_bye) = match msg {
-                    WireMessage::Bye(bye) => (bye.device, true),
-                    WireMessage::LeaveNotice(notice) => (notice.device, false),
+                // A device's own Bye reaches every hosted prober watching
+                // it.
+                let device = match msg {
+                    WireMessage::Bye(bye) => bye.device,
                     // A bare probe has no target on a shared socket; an
                     // addressed reply makes no sense either.
                     WireMessage::Probe(_) | WireMessage::Reply(_) => {
@@ -406,11 +407,7 @@ impl Shard {
                     .collect();
                 for cp in watching {
                     if let Some(slot) = self.probers.get_mut(&cp) {
-                        if is_bye {
-                            slot.prober.on_bye(now, actions);
-                        } else {
-                            slot.prober.on_leave_notice(now, actions);
-                        }
+                        slot.prober.on_bye(now, actions);
                     }
                     self.execute(cp, now, actions, sends);
                 }
@@ -1257,7 +1254,6 @@ mod tests {
             out.push(CpAction::DeviceAbsent { at: now, reason });
         }
         fn on_bye(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
-        fn on_leave_notice(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
         fn stats(&self) -> &CpStats {
             &self.stats
         }
@@ -1357,5 +1353,57 @@ mod tests {
         assert_eq!(report.stats.unroutable, 1);
         assert_eq!(report.stats.dropped(), 0);
         assert_eq!(report.devices[0].probes_received, 0, "junk was answered");
+    }
+
+    #[test]
+    fn a_bye_stops_exactly_its_devices_watchers_and_the_retired_tag_stops_none() {
+        // CPs 0 and 1 watch device 0, CPs 2 and 3 device 1. The clock
+        // stands still, so no cycle ever times out: only a datagram can
+        // stop a prober. Their probes land on `sock`, which never answers.
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        for cp in 0..4u32 {
+            let device = DeviceId(cp / 2);
+            let prober = DcppCp::new(CpId(cp), DcppConfig::paper_default());
+            host.add_prober(
+                Box::new(prober),
+                sock.local_addr().unwrap(),
+                device,
+                SimTime::ZERO,
+            );
+        }
+        let addr = host.local_addrs()[0];
+        let handle = host.start(Arc::new(crate::clock::ManualClock::new()));
+        let received = |n: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while handle.stats().datagrams_received < n && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            settle(&handle);
+        };
+
+        // The 9 bytes tag 0x05 once decoded as a leave notice for device 0.
+        sock.send_to(&[0x05, 0, 0, 0, 0, 7, 0, 0, 0], addr).unwrap();
+        received(1);
+        assert_eq!(handle.stats().decode_errors, 1);
+
+        let bye = WireMessage::Bye(presence_core::Bye {
+            device: DeviceId(0),
+        });
+        sock.send_to(&encode(&bye), addr).unwrap();
+        received(2);
+
+        let report = handle.join();
+        assert_eq!(report.stats.decode_errors, 1);
+        assert_eq!(report.stats.unroutable, 0);
+        let reasons: Vec<_> = report
+            .probers
+            .iter()
+            .map(|p| p.verdict.map(|v| v.reason))
+            .collect();
+        // Had the first datagram stopped device 0's watchers, the Bye would
+        // have found them stopped and their verdicts would not be its.
+        let bye = Some(presence_core::AbsenceReason::ByeReceived);
+        assert_eq!(reasons, [bye, bye, None, None]);
     }
 }

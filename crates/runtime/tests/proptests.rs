@@ -2,7 +2,7 @@
 //! round-trips, and no byte mangling can cause a panic (only an error or a
 //! wrong-but-well-formed message).
 
-use presence_core::{Bye, CpId, DeviceId, LeaveNotice, Probe, Reply, ReplyBody, WireMessage};
+use presence_core::{Bye, CpId, DeviceId, Probe, Reply, ReplyBody, WireMessage};
 use presence_des::SimDuration;
 use presence_runtime::codec::{
     decode, decode_datagram, encode, encode_addressed, Datagram, DecodeError, MAX_DATAGRAM,
@@ -56,12 +56,6 @@ fn any_message() -> impl Strategy<Value = WireMessage> {
         any::<u32>().prop_map(|d| WireMessage::Bye(Bye {
             device: DeviceId(d)
         })),
-        (any::<u32>(), any::<u32>()).prop_map(|(d, r)| {
-            WireMessage::LeaveNotice(LeaveNotice {
-                device: DeviceId(d),
-                reporter: CpId(r),
-            })
-        }),
     ]
 }
 
@@ -116,7 +110,6 @@ proptest! {
                 ReplyBody::Dcpp { .. } => 25,
             },
             WireMessage::Bye(_) => 5,
-            WireMessage::LeaveNotice(_) => 9,
         };
         prop_assert_eq!(encode(&msg).len(), expected);
     }

@@ -148,8 +148,7 @@ impl ChurnModel {
     /// The normalised sinusoid `s(t) = (1 − cos(2πt/period))/2 ∈ [0, 1]`
     /// shared by the [`ChurnModel::Diurnal`] population mean and resample
     /// rate.
-    #[must_use]
-    pub fn diurnal_phase(period: f64, t: f64) -> f64 {
+    fn diurnal_phase(period: f64, t: f64) -> f64 {
         (1.0 - (2.0 * std::f64::consts::PI * t / period).cos()) / 2.0
     }
 }

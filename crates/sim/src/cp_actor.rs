@@ -1,15 +1,16 @@
 //! The control-point actor: wraps a [`Prober`] state machine, executes its
 //! actions against the simulated network and timer service, records the
-//! per-CP delay/frequency series behind Figures 2–4, and (optionally) runs
-//! the overlay dissemination of leave notices.
+//! per-CP delay/frequency series behind Figures 2–4. The machine's
+//! verdict comes from its own exhausted retransmission budget or from the
+//! device's Bye; no message from another CP reaches it (the paper defers
+//! the overlay dissemination phase, and so does this tree).
 
 use crate::event::{Addr, SimEvent};
 use crate::metrics::CpSummary;
 use crate::trace::CpTrace;
 use presence_core::{
-    CpAction, CpId, CpStats, DcppConfig, DcppCp, Disseminator, FixedRateCp, LeaveNotice,
-    NoticeDisposition, OverlayView, ProbeCycleConfig, Prober, Reply, ReplyBody, SappConfig, SappCp,
-    TimerToken, Verdict, WireMessage,
+    CpAction, CpId, CpStats, DcppConfig, DcppCp, FixedRateCp, ProbeCycleConfig, Prober, Reply,
+    SappConfig, SappCp, TimerToken, Verdict, WireMessage,
 };
 use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime};
 use presence_stats::{TimeSeries, Welford};
@@ -57,8 +58,6 @@ pub struct CpRecord {
     pub detected_absent_at: Option<SimTime>,
     /// Number of times this CP joined the network.
     pub joins: u64,
-    /// Leave notices forwarded by this CP.
-    pub notices_forwarded: u64,
 }
 
 /// The simulated control-point node.
@@ -84,10 +83,6 @@ pub struct CpActor {
     /// (b)). Taken out of `self` while a batch executes, then put back
     /// with its capacity intact.
     scratch: Vec<CpAction>,
-    /// Dissemination state (only consulted when `disseminate` is set).
-    disseminate: bool,
-    overlay: OverlayView,
-    gossip: Disseminator,
     record: CpRecord,
     active: bool,
     /// Lifecycle trace buffer; `None` (a single predictable branch per
@@ -106,7 +101,6 @@ impl CpActor {
         factory: ProberFactory,
         network: ActorId,
         device: presence_core::DeviceId,
-        disseminate: bool,
         samples_hint: usize,
     ) -> Self {
         Self {
@@ -118,9 +112,6 @@ impl CpActor {
             timer: None,
             rearm_slot: None,
             scratch: Vec::new(),
-            disseminate,
-            overlay: OverlayView::new(id),
-            gossip: Disseminator::new(id),
             record: CpRecord {
                 id,
                 frequency_series: TimeSeries::with_capacity(samples_hint),
@@ -128,7 +119,6 @@ impl CpActor {
                 stats: CpStats::default(),
                 detected_absent_at: None,
                 joins: 0,
-                notices_forwarded: 0,
             },
             active: false,
             trace: None,
@@ -182,12 +172,6 @@ impl CpActor {
     #[must_use]
     pub fn verdict(&self) -> Option<Verdict> {
         self.prober.as_ref().and_then(|p| p.verdict())
-    }
-
-    /// The overlay view (peers learned from replies).
-    #[must_use]
-    pub fn overlay(&self) -> &OverlayView {
-        &self.overlay
     }
 
     fn accumulate_session_stats(&mut self) {
@@ -252,20 +236,6 @@ impl CpActor {
                     if self.record.detected_absent_at.is_none() {
                         self.record.detected_absent_at = Some(at);
                     }
-                    if self.disseminate {
-                        let device = self.device;
-                        let notices = self.gossip.on_local_detection(device, &self.overlay);
-                        self.record.notices_forwarded += notices.len() as u64;
-                        for (peer, notice) in notices {
-                            ctx.send_now(
-                                self.network,
-                                SimEvent::Send {
-                                    to: Addr::Cp(peer),
-                                    msg: WireMessage::LeaveNotice(notice),
-                                },
-                            );
-                        }
-                    }
                 }
             }
         }
@@ -294,9 +264,6 @@ impl CpActor {
         if let Some(t) = self.trace.as_deref_mut() {
             t.reply_recv(ctx.now().as_nanos(), reply.probe.cp, reply.probe.seq);
         }
-        if let ReplyBody::Sapp { last_probers, .. } = reply.body {
-            self.overlay.observe(last_probers);
-        }
         let mut out = std::mem::take(&mut self.scratch);
         let before = prober.stats().cycles_succeeded;
         prober.on_reply(ctx.now(), &reply, &mut out);
@@ -305,34 +272,6 @@ impl CpActor {
         self.scratch = out;
         if completed {
             self.sample_delay(ctx.now());
-        }
-    }
-
-    fn on_notice(&mut self, ctx: &mut Context<'_, SimEvent>, notice: LeaveNotice) {
-        let disposition = self.gossip.on_notice(notice, &self.overlay);
-        if let NoticeDisposition::Fresh { forward_to } = disposition {
-            if let Some(prober) = self.prober.as_mut() {
-                let mut out = std::mem::take(&mut self.scratch);
-                prober.on_leave_notice(ctx.now(), &mut out);
-                self.execute(ctx, &mut out);
-                self.scratch = out;
-            }
-            if self.disseminate {
-                let restamped = LeaveNotice {
-                    device: notice.device,
-                    reporter: self.id,
-                };
-                self.record.notices_forwarded += forward_to.len() as u64;
-                for peer in forward_to {
-                    ctx.send_now(
-                        self.network,
-                        SimEvent::Send {
-                            to: Addr::Cp(peer),
-                            msg: WireMessage::LeaveNotice(restamped),
-                        },
-                    );
-                }
-            }
         }
     }
 
@@ -396,9 +335,6 @@ impl Actor<SimEvent> for CpActor {
                     self.execute(ctx, &mut out);
                     self.scratch = out;
                 }
-            }
-            SimEvent::Deliver(WireMessage::LeaveNotice(notice)) => {
-                self.on_notice(ctx, notice);
             }
             SimEvent::Deliver(WireMessage::Probe(_)) => {
                 // CPs are not probed; ignore.

@@ -11,7 +11,7 @@ use crate::{Protocol, Scenario, ScenarioConfig};
 
 /// The CP indices (zero-based) matching the paper's
 /// `cp_01/02/07/10/12/19/20_delay.txt` series.
-pub const FIG3_CPS: [u32; 7] = [0, 1, 6, 9, 11, 18, 19];
+const FIG3_CPS: [u32; 7] = [0, 1, 6, 9, 11, 18, 19];
 
 /// Runs the Figure 3 workload and returns the one-minute window
 /// `[window_start, window_start + 60)`.

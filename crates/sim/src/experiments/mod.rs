@@ -3,7 +3,7 @@
 //! The paper has no numbered tables; its quantitative evaluation consists of
 //! in-text steady-state numbers (§3, §5) and Figures 2–5. Each preset here
 //! regenerates one of those artifacts (E1–E7) or probes a design choice the
-//! paper discusses qualitatively (A1–A4, A6–A8). [`CATALOG`] lists them all
+//! paper discusses qualitatively (A1–A4, A7–A8). [`CATALOG`] lists them all
 //! for the one `experiments <id|all>` binary in `presence-bench`.
 //!
 //! | id | paper artifact |
@@ -19,7 +19,6 @@
 //! | A2 | §2 device-side Δ-doubling load control |
 //! | A3 | naive fixed-rate baseline over/underload |
 //! | A4 | crash-detection latency of the probe protocols, with and without loss |
-//! | A6 | (extension) the overlay dissemination phase the paper defers |
 //! | A7 | (extension) sensitivity to SAPP's unstated initial δ |
 //! | A8 | (extension) false absence verdicts under i.i.d. vs bursty loss |
 
@@ -27,7 +26,6 @@ mod a1_sapp_sweep;
 mod a2_delta_double;
 mod a3_baseline;
 mod a4_detection;
-mod a6_dissemination;
 mod a7_initial_delay;
 mod a8_false_positives;
 mod e1_steady_state;
@@ -42,7 +40,6 @@ pub use a1_sapp_sweep::{a1_sapp_param_sweep, A1Cell, A1Report};
 pub use a2_delta_double::{a2_delta_doubling, A2Report};
 pub use a3_baseline::{a3_fixed_rate_baseline, A3Report, A3Row};
 pub use a4_detection::{a4_detection_latency, A4Report, A4Row};
-pub use a6_dissemination::{a6_dissemination, A6Arm, A6Report};
 pub use a7_initial_delay::{a7_initial_delay, A7Report, A7Row};
 pub use a8_false_positives::{a8_false_positives, A8Report, A8Row};
 pub use e1_steady_state::{e1_sapp_steady_state, E1Report};
@@ -62,7 +59,7 @@ use std::fmt::Display;
 pub struct RunArgs {
     /// The experiment's `--duration`. What it measures is the
     /// experiment's own business: a run length for most, the window start
-    /// for E3, the crash instant for A4 and A6.
+    /// for E3, the crash instant for A4.
     pub duration: f64,
     /// Root seed.
     pub seed: u64,
@@ -162,8 +159,8 @@ fn run_e5(args: &RunArgs) -> String {
     out
 }
 
-/// Every experiment, in report order (E1…E7, A1…A4, A6…A8).
-pub const CATALOG: [Experiment; 14] = [
+/// Every experiment, in report order (E1…E7, A1…A4, A7…A8).
+pub const CATALOG: [Experiment; 13] = [
     row("e1", 20_000.0, 5_000.0, false, run_e1),
     row("e2", 20_000.0, 5_000.0, true, |a| {
         figure(&e2_fig2_three_cps(a.duration, a.seed), a)
@@ -195,9 +192,6 @@ pub const CATALOG: [Experiment; 14] = [
     }),
     row("a4", 300.0, 300.0, false, |a| {
         plain(&a4_detection_latency(20, a.duration, a.seed), a)
-    }),
-    row("a6", 2_000.0, 1_000.0, false, |a| {
-        plain(&a6_dissemination(20, a.duration, a.seed), a)
     }),
     row("a7", 20_000.0, 2_000.0, false, |a| {
         plain(&a7_initial_delay(20, a.duration, a.seed), a)

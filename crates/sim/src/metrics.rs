@@ -31,8 +31,6 @@ pub struct CpSummary {
     pub detected_absent_at: Option<f64>,
     /// How many times the CP joined.
     pub joins: u64,
-    /// Leave notices this CP forwarded over the overlay.
-    pub notices_forwarded: u64,
 }
 
 impl CpSummary {
@@ -69,7 +67,6 @@ impl CpSummary {
             retransmissions: stats.retransmissions,
             detected_absent_at: rec.detected_absent_at.map(|t| t.as_secs_f64()),
             joins: rec.joins,
-            notices_forwarded: rec.notices_forwarded,
         }
     }
 }
@@ -194,7 +191,6 @@ mod tests {
             },
             detected_absent_at: Some(SimTime::from_secs_f64(99.0)),
             joins: 1,
-            notices_forwarded: 0,
         }
     }
 

@@ -239,8 +239,6 @@ pub struct ScenarioConfig {
     pub join_stagger: f64,
     /// Width of the device-load measurement windows (seconds).
     pub load_window: f64,
-    /// Run SAPP's overlay dissemination of leave notices.
-    pub disseminate: bool,
     /// Root seed.
     pub seed: u64,
     /// Virtual run length (seconds).
@@ -262,7 +260,6 @@ impl ScenarioConfig {
             processing: (0.001, 0.020),
             join_stagger: 1.0,
             load_window: 5.0,
-            disseminate: false,
             seed,
             duration,
         }
@@ -417,14 +414,7 @@ impl Scenario {
             ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
         let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
         for i in 0..cfg.cp_pool {
-            let cp_actor = CpActor::new(
-                CpId(i),
-                factory.clone(),
-                network,
-                device_id,
-                cfg.disseminate,
-                samples_hint,
-            );
+            let cp_actor = CpActor::new(CpId(i), factory.clone(), network, device_id, samples_hint);
             cps.push(sim.add_member(cp_actor.into()));
         }
 
@@ -900,20 +890,6 @@ mod tests {
         let first = cp.frequency_series.first().unwrap().0;
         let last = cp.frequency_series.last().unwrap().0;
         assert!(first < 40.0 && last > 80.0);
-    }
-
-    #[test]
-    fn sapp_overlay_peers_learned_through_replies() {
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 5, 60.0, 3);
-        cfg.disseminate = true;
-        let mut sc = Scenario::build(cfg);
-        sc.run();
-        let cp0 = sc.cp_actors()[0];
-        let actor = sc.sim_mut().actor::<CpActor>(cp0).expect("cp actor");
-        assert!(
-            !actor.overlay().is_empty(),
-            "cp00 learned no overlay peers from 60 s of SAPP replies"
-        );
     }
 
     #[test]

@@ -89,15 +89,8 @@ impl Histogram {
     }
 
     /// Width of each bin.
-    #[must_use]
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.high - self.low) / self.counts.len() as f64
-    }
-
-    /// Samples that fell below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
     }
 
     /// Samples that fell above the range (including non-finite ones).
@@ -225,7 +218,7 @@ mod tests {
     fn under_and_overflow() {
         let mut h = Histogram::new(0.0, 1.0, 4);
         h.extend([-0.1, 1.1, f64::NAN, f64::INFINITY, 0.5]);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 3);
         assert_eq!(h.in_range(), 1);
         assert_eq!(h.total(), 5);

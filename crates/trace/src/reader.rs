@@ -49,8 +49,7 @@ impl ChromeEvent {
     }
 
     /// Convenience: a named argument as a string, if present.
-    #[must_use]
-    pub fn arg_str(&self, name: &str) -> Option<&str> {
+    fn arg_str(&self, name: &str) -> Option<&str> {
         self.args
             .iter()
             .find(|(k, _)| k == name)

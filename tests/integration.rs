@@ -1,6 +1,6 @@
 //! Workspace integration tests: cross-crate behaviour that no single crate
 //! can check alone — protocol machines under the full simulator, simulator
-//! vs wall-clock runtime agreement, and the overlay dissemination path.
+//! vs wall-clock runtime agreement, and the Bye broadcast path.
 
 use presence::core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine};
 use presence::des::{SimDuration, SimTime};
@@ -82,71 +82,6 @@ fn simulator_and_runtime_agree_on_dcpp_cadence() {
     assert!(
         (rt - sim).abs() / sim < 0.5,
         "cadence mismatch: runtime {rt} vs simulator {sim}"
-    );
-}
-
-/// SAPP with overlay dissemination: when the device crashes, leave notices
-/// propagate over the last-two-probers overlay, so CPs that have not yet
-/// timed out learn of the departure from peers.
-#[test]
-fn overlay_dissemination_spreads_the_news() {
-    let mut cfg = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 20, 400.0, 11);
-    cfg.disseminate = true;
-    let mut scenario = Scenario::build(cfg);
-    scenario.crash_device_at(300.0);
-    scenario.run();
-    let result = scenario.collect();
-    // Dissemination sends CP→CP unicast: every notice target must resolve.
-    debug_assert_eq!(result.messages_unroutable, 0, "misrouted leave notices");
-
-    let detected = result
-        .cps
-        .iter()
-        .filter(|c| c.detected_absent_at.is_some())
-        .count();
-    assert_eq!(detected, 20, "every CP must learn of the crash");
-
-    let forwarded: u64 = result.cps.iter().map(|c| c.notices_forwarded).sum();
-    assert!(
-        forwarded > 0,
-        "dissemination enabled but no notice was ever forwarded"
-    );
-}
-
-/// Without dissemination, starved SAPP CPs (δ near δ_max = 10 s) can take
-/// many seconds to notice a crash; with dissemination the slowest detection
-/// time improves (or at least never regresses).
-#[test]
-fn dissemination_speeds_up_worst_case_detection() {
-    // Crash late enough that SAPP's starvation (δ toward δ_max) has had
-    // time to develop, leaving δ_max + verdict + slack after it.
-    let crash_at = horizon(900.0, 2_500.0);
-    let worst_detection = |disseminate: bool| -> f64 {
-        let mut cfg =
-            ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 20, crash_at + 500.0, 13);
-        cfg.disseminate = disseminate;
-        let mut scenario = Scenario::build(cfg);
-        scenario.crash_device_at(crash_at);
-        scenario.run();
-        let result = scenario.collect();
-        result
-            .cps
-            .iter()
-            .filter_map(|c| c.detected_absent_at)
-            .map(|t| t - crash_at)
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    let plain = worst_detection(false);
-    let gossip = worst_detection(true);
-    // Guard against a vacuous pass: if nobody detects the crash, both arms
-    // fold to -inf and the comparison would hold trivially.
-    assert!(
-        plain.is_finite() && gossip.is_finite(),
-        "no CP detected the crash at all (plain {plain}, gossip {gossip})"
-    );
-    assert!(
-        gossip <= plain + 1e-9,
-        "dissemination regressed worst-case detection: {gossip} vs {plain}"
     );
 }
 
