@@ -75,10 +75,14 @@ test_nonempty() {
 # (including the arm that holds step()/run(n)/run_until to one trace,
 # resumed at random budgets and horizons), at 1024 cases — and the
 # queue's white-box unit tests (the invariant checker after every step of
-# a seeded walk) run optimised, as the simulator runs them.
-echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue tests (release)"
+# a seeded walk) run optimised, as the simulator runs them. So do the
+# engine's unit tests, among them the stale-handle ones: a handle names
+# its event's queue slot, and only the seq check keeps a handle whose slot
+# was reused from reaching the event that took it.
+echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue and engine tests (release)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test proptests --test dispatch
 test_nonempty --release -q -p presence-des --lib queue::
+test_nonempty --release -q -p presence-des --lib engine::
 
 # Release replay of the golden fixtures: tier-1 replays `sapp`, `dcpp`,
 # `churn` and `lab-mixed` in the debug profile; this is the same suite

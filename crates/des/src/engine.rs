@@ -44,6 +44,8 @@
 use crate::queue::{EventKey, EventQueue, QueueProfile};
 use crate::rng::StreamRng;
 use crate::time::{SimDuration, SimTime};
+use std::mem::size_of;
+use std::num::NonZeroU64;
 
 /// Identifies an actor within one [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,10 +60,35 @@ impl ActorId {
 }
 
 /// Handle to a scheduled event, usable to [cancel](Context::cancel) it.
+///
+/// It names the queue slot the event sits in, so cancelling, rearming or
+/// testing it goes straight to that slot. The slot's occupant must carry
+/// the handle's sequence number, which keeps a handle whose event fired or
+/// was cancelled from reaching the event that reused the slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle {
-    pub(crate) seq: u64,
+    /// The event's sequence number plus one: the niche that keeps
+    /// `Option<EventHandle>` at the handle's own size.
+    seq: NonZeroU64,
+    /// The slot [`EventQueue::push`] returned for the event.
+    slot: u32,
 }
+
+impl EventHandle {
+    fn new(seq: u64, slot: u32) -> Self {
+        let seq =
+            NonZeroU64::new(seq.wrapping_add(1)).expect("sequence numbers end below u64::MAX");
+        Self { seq, slot }
+    }
+
+    fn seq(self) -> u64 {
+        self.seq.get() - 1
+    }
+}
+
+// A timer slot (`Option<EventHandle>`) costs no tag: the mega shard keeps
+// one per device pair.
+const _: () = assert!(size_of::<Option<EventHandle>>() == 16);
 
 /// A simulation participant.
 ///
@@ -174,11 +201,19 @@ pub enum RunOutcome {
 /// therefore preserves seeded trajectories bit-for-bit while costing one
 /// queue operation instead of k (the churn actor's `drive_to` is the
 /// motivating caller).
-#[derive(Debug)]
+///
+/// Batches are rare, so their target lists wait in a side table of
+/// [`Core`] and the queued destination is one word, not a fat pointer.
+#[derive(Debug, Clone, Copy)]
 enum Dest {
-    One(ActorId),
-    Batch(Box<[ActorId]>),
+    /// The actor with this index.
+    One(u32),
+    /// Every actor of the target list at this index of `Core::batches`.
+    Batch(u32),
 }
+
+// Every queued event carries a `Dest` beside its payload.
+const _: () = assert!(size_of::<Dest>() <= 8);
 
 /// Mutable scheduler state shared between the engine loop and [`Context`].
 struct Core<E> {
@@ -186,39 +221,67 @@ struct Core<E> {
     /// Live events only: cancellation removes entries immediately (see
     /// [`crate::queue`]), so there are no tombstones to skip at pop time.
     queue: EventQueue<(Dest, E)>,
+    /// The target lists of pending batch events, at the index their
+    /// [`Dest::Batch`] names; a free entry is empty and listed in
+    /// `free_batches`.
+    batches: Vec<Vec<ActorId>>,
+    free_batches: Vec<u32>,
     next_seq: u64,
     actor_count: usize,
 }
 
 impl<E> Core<E> {
     fn push(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: {time} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(time, seq, (Dest::One(target), payload));
-        EventHandle { seq }
+        // `add_member` keeps every actor index below `u32::MAX`.
+        self.push_dest(time, Dest::One(target.0 as u32), payload)
     }
 
-    fn push_batch(&mut self, time: SimTime, targets: Box<[ActorId]>, payload: E) -> EventHandle {
+    fn push_batch(&mut self, time: SimTime, targets: Vec<ActorId>, payload: E) -> EventHandle {
+        assert!(!targets.is_empty(), "batch needs at least one target");
+        let index = match self.free_batches.pop() {
+            Some(index) => {
+                self.batches[index as usize] = targets;
+                index
+            }
+            None => {
+                let index = u32::try_from(self.batches.len()).expect("batch table overflow");
+                self.batches.push(targets);
+                index
+            }
+        };
+        self.push_dest(time, Dest::Batch(index), payload)
+    }
+
+    #[inline]
+    fn push_dest(&mut self, time: SimTime, dest: Dest, payload: E) -> EventHandle {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < now {}",
             self.now
         );
-        assert!(!targets.is_empty(), "batch needs at least one target");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(time, seq, (Dest::Batch(targets), payload));
-        EventHandle { seq }
+        let slot = self.queue.push(time, seq, (dest, payload));
+        EventHandle::new(seq, slot)
+    }
+
+    /// Takes the target list of a batch event that left the queue, freeing
+    /// its table entry.
+    fn take_batch(&mut self, index: u32) -> Vec<ActorId> {
+        self.free_batches.push(index);
+        std::mem::take(&mut self.batches[index as usize])
     }
 
     /// Cancels a pending event. Returns whether it was still pending.
     fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle.seq).is_some()
+        match self.queue.cancel_slot(handle.slot, handle.seq()) {
+            Some((Dest::Batch(index), _)) => {
+                self.take_batch(index);
+                true
+            }
+            Some((Dest::One(_), _)) => true,
+            None => false,
+        }
     }
 }
 
@@ -300,8 +363,7 @@ impl<'a, E> Context<'a, E> {
             );
         }
         let now = self.core.now;
-        self.core
-            .push_batch(now, targets.into_boxed_slice(), payload)
+        self.core.push_batch(now, targets, payload)
     }
 
     /// Cancels a previously scheduled event, returning whether it was
@@ -316,7 +378,7 @@ impl<'a, E> Context<'a, E> {
     /// nor cancelled).
     #[must_use]
     pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.core.queue.contains(handle.seq)
+        self.core.queue.contains_slot(handle.slot, handle.seq())
     }
 
     /// The cancel-then-rearm fast path: moves the pending event behind
@@ -342,10 +404,12 @@ impl<'a, E> Context<'a, E> {
         let at = core.now + delay;
         // The sequence number is minted only if the event was pending.
         let seq = core.next_seq;
-        let entry = core.queue.reschedule(handle.seq, at, seq)?;
+        let (slot, entry) = core
+            .queue
+            .reschedule_slot(handle.slot, handle.seq(), at, seq)?;
         core.next_seq += 1;
         entry.1 = payload;
-        Some(EventHandle { seq })
+        Some(EventHandle::new(seq, slot))
     }
 }
 
@@ -418,6 +482,8 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
             core: Core {
                 now: SimTime::ZERO,
                 queue: EventQueue::with_profile(profile),
+                batches: Vec::new(),
+                free_batches: Vec::new(),
                 next_seq: 0,
                 actor_count: 0,
             },
@@ -444,8 +510,13 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     /// joins at the next index, on the RNG stream of that index, and its
     /// `on_start` runs at the entry of the next run method — also when
     /// earlier runs have already happened.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table already holds `u32::MAX` members.
     pub fn add_member(&mut self, member: S) -> ActorId {
         let id = ActorId(self.actors.len());
+        assert!(id.0 < u32::MAX as usize, "actor table overflow");
         self.rngs.push(StreamRng::new(self.root_seed, id.0 as u64));
         self.actors.push(member);
         self.core.actor_count = self.actors.len();
@@ -594,8 +665,9 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
         self.core.now = key.time;
         self.events_processed += 1;
         match dest {
-            Dest::One(target) => self.deliver(key, target, payload),
-            Dest::Batch(targets) => {
+            Dest::One(target) => self.deliver(key, ActorId(target as usize), payload),
+            Dest::Batch(index) => {
+                let targets = self.core.take_batch(index);
                 let (&last, rest) = targets.split_last().expect("batch is never empty");
                 for &target in rest {
                     self.deliver(key, target, payload.clone());
@@ -908,6 +980,89 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs_f64(2.0));
         assert_eq!(sim.actor::<Rearmer>(id).unwrap().fired, vec![2]);
         assert_eq!(sim.events_processed(), 1);
+    }
+
+    /// Runs its script for every event it receives.
+    struct Scripted<F>(F);
+
+    impl<F: FnMut(&mut Context<'_, Ev>, Ev) + 'static> Actor<Ev> for Scripted<F> {
+        fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
+            (self.0)(ctx, ev);
+        }
+    }
+
+    /// Runs `script` as the one actor of a simulation, from one event `0`
+    /// at t = 1 s, and returns `(seconds, event)` per firing.
+    fn run_script(mut script: impl FnMut(&mut Context<'_, Ev>, Ev) + 'static) -> Vec<(f64, Ev)> {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let log2 = Rc::clone(&log);
+        let mut sim = Simulation::with_actor_set(1);
+        let id = sim.add_member(Scripted(move |ctx: &mut Context<'_, Ev>, ev| {
+            log2.borrow_mut().push((ctx.now().as_secs_f64(), ev));
+            script(ctx, ev);
+        }));
+        sim.schedule_at(SimTime::from_secs_f64(1.0), id, 0);
+        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        let out = log.borrow().clone();
+        out
+    }
+
+    /// `a`'s event is gone and `b`'s took its slot: `a` must reach nothing
+    /// — not cancel, test or rearm `b` — and `b` must stay pending.
+    fn assert_stale(ctx: &mut Context<'_, Ev>, a: EventHandle, b: EventHandle) {
+        assert_eq!(a.slot, b.slot, "b did not reuse a's slot");
+        assert!(!ctx.is_pending(a), "stale handle reads pending");
+        assert!(!ctx.cancel(a), "stale handle cancelled");
+        assert!(
+            ctx.rearm_timer(a, SimDuration::from_secs(5), 99).is_none(),
+            "stale handle rearmed"
+        );
+        assert!(ctx.is_pending(b), "the slot's new event was disturbed");
+    }
+
+    #[test]
+    fn stale_handle_of_a_fired_event_misses_its_slots_next_occupant() {
+        let mut a = None;
+        let log = run_script(move |ctx, ev| match ev {
+            0 => a = Some(ctx.set_timer(SimDuration::from_secs(1), 1)),
+            1 => {
+                let b = ctx.set_timer(SimDuration::from_secs(1), 2);
+                assert_stale(ctx, a.expect("armed"), b);
+            }
+            _ => {}
+        });
+        assert_eq!(log, vec![(1.0, 0), (2.0, 1), (3.0, 2)]);
+    }
+
+    #[test]
+    fn stale_handle_of_a_cancelled_event_misses_its_slots_next_occupant() {
+        let log = run_script(|ctx, ev| {
+            if ev == 0 {
+                let a = ctx.set_timer(SimDuration::from_secs(1), 1);
+                assert!(ctx.cancel(a));
+                let b = ctx.set_timer(SimDuration::from_secs(2), 2);
+                assert_stale(ctx, a, b);
+            }
+        });
+        assert_eq!(log, vec![(1.0, 0), (3.0, 2)]);
+    }
+
+    /// Events sent "now" wait in the queue's same-instant run buffer, and
+    /// every handle to one names the buffer's one reserved slot.
+    #[test]
+    fn stale_handle_of_a_fired_run_entry_misses_a_later_run_entry() {
+        let mut a = None;
+        let log = run_script(move |ctx, ev| match ev {
+            0 => a = Some(ctx.send_now(ctx.me(), 1)),
+            1 => {
+                let b = ctx.send_now(ctx.me(), 2);
+                assert_stale(ctx, a.expect("sent"), b);
+            }
+            _ => {}
+        });
+        assert_eq!(log, vec![(1.0, 0), (1.0, 1), (1.0, 2)]);
     }
 
     /// An in-place rearm and cancel-then-schedule consume sequence numbers

@@ -1,5 +1,5 @@
-//! The engine's event queue: an indexed d-ary min-heap with true
-//! cancellation.
+//! The engine's event queue: a d-ary min-heap with true cancellation by
+//! handle.
 //!
 //! The first engine used `BinaryHeap<Scheduled> + HashSet<u64>` with *lazy*
 //! cancellation: a cancelled sequence number was parked in the set and the
@@ -13,44 +13,54 @@
 //! * `len()` counted tombstones as live events, overstating queue depth to
 //!   backpressure and diagnostic readers.
 //!
-//! [`EventQueue`] instead keeps a `seq → slot` index beside a 4-ary heap so
-//! that cancellation removes the event *immediately*:
+//! [`EventQueue`] instead removes a cancelled event *immediately*, found
+//! through the handle [`push`](EventQueue::push) returned: the slab slot the
+//! payload sits in, held together with the event's seq.
 //!
 //! * [`pop`](EventQueue::pop) is `O(log₄ n)` and yields events in exactly
 //!   the engine's documented `(time, seq)` total order — FIFO for
 //!   simultaneous events, bit-for-bit identical to the old heap's order;
-//! * [`cancel`](EventQueue::cancel) is an O(1) hash lookup plus a local
-//!   heap repair (constant in the common cancel-a-pending-timeout case,
-//!   `O(log n)` worst case) and retains **zero** state afterwards:
-//!   cancelling an unknown or already-fired sequence number is a pure no-op;
+//! * [`cancel_slot`](EventQueue::cancel_slot) goes straight to the slot,
+//!   checks that its occupant still carries the handle's seq, and repairs
+//!   the heap locally (constant in the common cancel-a-pending-timeout
+//!   case, `O(log n)` worst case). It retains **zero** state afterwards,
+//!   and a handle whose event already fired or was cancelled is a pure
+//!   no-op — also once another event has reused its slot, because that
+//!   event carries another seq;
 //! * [`len`](EventQueue::len) is the exact live event count.
 //!
-//! Layout, tuned so the indexing never taxes the pop-dominated hot path:
-//! keys live *inline* in the heap (`Vec<(EventKey, u32)>`), so sift
-//! comparisons walk contiguous memory exactly like a plain binary heap;
-//! payloads live in a slab (`Vec<Option<T>>` with a free list) whose slots
-//! the heap references, so payloads never move during sifts; where each
-//! slot's `(key, slot)` pair sits — heap position, bucket, far list — is a
-//! parallel `locs: Vec<Loc>`, so the upkeep every sift level and
-//! swap-remove does is one `Loc` store that never touches a payload, and
-//! a payload is written into its slot once and read out of it once; and
-//! the `seq → slot` index is a `HashMap` hashed by one golden-ratio multiply
-//! folded high-into-low ([`SeqHasher`]) instead of SipHash (sequence
-//! numbers are internal, monotonic `u64`s — no DoS surface; the table
-//! takes its bucket from the hash's low bits and a 7-bit tag from its top,
-//! and one multiply plus the fold mixes both ends).
-//! Each `push`/`pop`/`cancel` of a tiered event performs exactly one
-//! hash-map operation, and the slab never grows beyond the high-water mark
-//! of *concurrently live* events.
+//! Layout, tuned for the pop-dominated hot path: keys live *inline* in the
+//! heap (`Vec<(EventKey, u32)>`), so sift comparisons walk contiguous
+//! memory exactly like a plain binary heap; payloads live in a slab
+//! (`Vec<Option<T>>` with a free list) whose slots the heap references, so
+//! payloads never move during sifts; and where each slot's `(key, slot)`
+//! pair sits — heap position, bucket, far list — is a parallel
+//! `locs: Vec<Loc>`, so the upkeep every sift level and swap-remove does is
+//! one `Loc` store that never touches a payload, and a payload is written
+//! into its slot once and read out of it once. The handle check reads the
+//! slot's occupancy, its `Loc`, and the seq of the key the `Loc` points
+//! at. No `push`, `pop`, `cancel_slot` or `reschedule_slot` does any
+//! hash-map work, and the slab never grows beyond the high-water mark of
+//! *concurrently live* events.
+//!
+//! [`cancel`](EventQueue::cancel), [`reschedule`](EventQueue::reschedule)
+//! and [`contains`](EventQueue::contains) still take a bare seq. They find
+//! its slot by a scan of every tier, `O(n)`, and then take the slot path.
+//! They are kept only for the repo benchmark's queue kernels, which
+//! address events by bare seq, and go when those kernels are re-pointed at
+//! handles. The same scan checks a push or reschedule whose seq is not
+//! above every seq seen so far for a duplicate; the engine never mints
+//! such a seq.
 //!
 //! # The same-instant run
 //!
 //! An actor that sends "now" pushes an event at the instant just popped.
 //! Through the tiers that event would sift to the heap root, take a slab
-//! slot and an index entry, and be popped again one dispatch later — all to
-//! order it against events it is already known to follow. Such a push goes
-//! to a **run buffer** instead, a `VecDeque<(EventKey, T)>` outside slab,
-//! index and tiers. A push is eligible when
+//! slot, and be popped again one dispatch later — all to order it against
+//! events it is already known to follow. Such a push goes to a **run
+//! buffer** instead, a `VecDeque<(EventKey, T)>` outside slab and tiers,
+//! and `push` returns the one slot value the slab never mints, which names
+//! the buffer. A push is eligible when
 //!
 //! * its time equals the run's instant — the time of the last event popped
 //!   from the tiers, frozen while the buffer holds events — and
@@ -61,9 +71,9 @@
 //! The second condition makes the buffer strictly ascending by
 //! construction (the new seq exceeds the buffer's back) and proves the seq
 //! is not pending anywhere, so the duplicate-seq check costs a comparison,
-//! not a lookup. Anything else — another instant, a seq below the mark —
-//! takes the tiers as before, after a binary search of the buffer for a
-//! duplicate when the seq is below the mark.
+//! not a scan. Anything else — another instant, a seq below the mark —
+//! takes the tiers as before, after the duplicate scan when the seq is
+//! below the mark.
 //!
 //! Order is unchanged because nothing about order is assumed: `pop` and
 //! `peek` compare the buffer's front with the heap root (the minimum of
@@ -72,10 +82,10 @@
 //! the past. The buffer is one more sorted source in a two-way merge; the
 //! pop sequence is the same total order on both profiles, which the
 //! `event_queue_model` and `calendar_queue_model` proptests pin with half
-//! their pushes landing on the instant last popped. `cancel`, `contains`
-//! and `reschedule` fall back to a binary search of the buffer when the
-//! index misses; a rescheduled buffer entry moves to the tiers (the buffer
-//! holds one instant). `len` counts both.
+//! their pushes landing on the instant last popped. A handle that names
+//! the buffer is looked up by a binary search of it on seq, so one that
+//! has fired finds nothing; a rescheduled buffer entry moves to the tiers
+//! (the buffer holds one instant) and gets a slab slot. `len` counts both.
 //!
 //! # The vacant root
 //!
@@ -87,12 +97,12 @@
 //! which an append would have to sift all the way up. So a `pop` that
 //! leaves at least one entry behind repairs nothing: it marks the root
 //! **vacant** (one `bool`; the popped pair stays in `heap[0]` as a stale
-//! placeholder, already released from slab and index). Then
+//! placeholder, its slot already released). Then
 //!
 //! * the next push routed to the heap tier is seated at the root and sifted
 //!   down once — no append, no `sift_up`;
-//! * anything else that needs a whole heap — the next tiered `pop`, an
-//!   indexed `cancel` or `reschedule` — first calls `fill`, which seats the
+//! * anything else that needs a whole heap — the next tiered `pop`, a
+//!   tiered cancel or reschedule — first calls `fill`, which seats the
 //!   heap's last entry at the root: exactly the textbook repair, deferred;
 //! * `peek`, and `pop`'s comparison with the run buffer, read the minimum
 //!   of the root's (at most four) children — the minimum of a heap without
@@ -138,8 +148,7 @@
 //! plain heap profile, which the `calendar_queue_model` proptest pins.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 /// Heap arity. A 4-ary heap halves the tree depth of a binary heap at the
 /// cost of three extra (contiguous, cheap) key comparisons per level — a
@@ -147,31 +156,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// misses.
 const ARITY: usize = 4;
 
-/// Hasher for the `seq → slot` index: one golden-ratio multiply, folded
-/// high-into-low. Sequence numbers are engine-internal monotonic counters,
-/// so collision attacks are impossible and SipHash's keyed security buys
-/// nothing here. The multiply alone mixes only upwards (its low bits are
-/// the key's low bits times an odd constant), and the table reads both
-/// ends of the hash — bucket from the low bits, 7-bit tag from the top —
-/// so the fold brings the well-mixed high half down while the tag bits
-/// stay the product's own.
-#[derive(Debug, Default)]
-pub struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("seq keys are u64 and hash via write_u64");
-    }
-    fn write_u64(&mut self, n: u64) {
-        let m = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = m ^ (m >> 32);
-    }
-}
-
-type SeqMap = HashMap<u64, u32, BuildHasherDefault<SeqHasher>>;
+/// The slot [`EventQueue::push`] returns for an event that joined the
+/// same-instant run: it has no slab slot, and slab growth never mints this
+/// value.
+const RUN: u32 = u32::MAX;
 
 /// Total-order key of a queued event: virtual time first, then the global
 /// schedule sequence number (FIFO tie-break within an instant).
@@ -186,7 +174,7 @@ pub struct EventKey {
 /// Storage-tier selection for an [`EventQueue`], fixed at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueProfile {
-    /// The indexed 4-ary heap alone: `O(log₄ n)` pops, best for the
+    /// The 4-ary heap alone: `O(log₄ n)` pops, best for the
     /// paper-scale populations every golden scenario runs at. This is the
     /// default ([`EventQueue::new`]).
     #[default]
@@ -272,7 +260,7 @@ impl Calendar {
 }
 
 /// A priority queue of events ordered by [`EventKey`], supporting true
-/// O(1)-indexed cancellation (no tombstones) and an exact live [`len`].
+/// cancellation by handle (no tombstones) and an exact live [`len`].
 ///
 /// [`len`]: EventQueue::len
 ///
@@ -284,9 +272,9 @@ impl Calendar {
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs_f64(2.0), 0, "late");
 /// q.push(SimTime::from_secs_f64(1.0), 1, "early");
-/// q.push(SimTime::from_secs_f64(3.0), 2, "cancelled");
-/// assert_eq!(q.cancel(2), Some("cancelled"));
-/// assert_eq!(q.cancel(2), None); // true no-op, nothing retained
+/// let slot = q.push(SimTime::from_secs_f64(3.0), 2, "cancelled");
+/// assert_eq!(q.cancel_slot(slot, 2), Some("cancelled"));
+/// assert_eq!(q.cancel_slot(slot, 2), None); // true no-op, nothing retained
 /// assert_eq!(q.len(), 2);
 /// assert_eq!(q.pop().map(|(_, item)| item), Some("early"));
 /// assert_eq!(q.pop().map(|(_, item)| item), Some("late"));
@@ -305,20 +293,17 @@ pub struct EventQueue<T> {
     locs: Vec<Loc>,
     /// Reusable slab slots.
     free: Vec<u32>,
-    /// Live sequence numbers → slab slot. Never iterated, so hash order
-    /// cannot perturb determinism.
-    index: SeqMap,
     /// The calendar tiers; `None` for [`QueueProfile::Heap`].
     cal: Option<Box<Calendar>>,
     /// The same-instant run: events all at `run_time`, strictly ascending
-    /// in seq, held outside slab, index and tiers (see the module docs).
+    /// in seq, held outside slab and tiers (see the module docs).
     run: VecDeque<(EventKey, T)>,
     /// The one instant whose pushes may join `run`: the time of the last
     /// event popped from the tiers while `run` was empty, so it cannot
     /// move under the events `run` holds. `None` until the first pop.
     run_time: Option<SimTime>,
     /// Largest seq ever pushed (tiers or run). A seq above it cannot be
-    /// pending anywhere, which is what lets a run push skip the index.
+    /// pending anywhere, which is what lets a push skip the duplicate scan.
     max_seq: u64,
     /// The root is vacant: `heap[0]` is the stale pair of the event last
     /// popped, and every other heap entry (at least one) is live and in
@@ -374,7 +359,6 @@ impl<T> EventQueue<T> {
             slab: Vec::new(),
             locs: Vec::new(),
             free: Vec::new(),
-            index: SeqMap::default(),
             cal,
             run: VecDeque::new(),
             run_time: None,
@@ -399,10 +383,23 @@ impl<T> EventQueue<T> {
         self.len() == 0
     }
 
-    /// Whether the event with this sequence number is still pending.
+    /// Whether the event [`push`](Self::push) put in `slot` as `seq` is
+    /// still pending. A handle whose event fired or was cancelled answers
+    /// `false`, also once another event has taken its slot.
+    #[must_use]
+    pub fn contains_slot(&self, slot: u32, seq: u64) -> bool {
+        if slot == RUN {
+            self.run_position(seq).is_some()
+        } else {
+            self.seq_in(slot) == Some(seq)
+        }
+    }
+
+    /// Whether the event with this sequence number is still pending: a
+    /// scan of every tier (see [`cancel`](Self::cancel)).
     #[must_use]
     pub fn contains(&self, seq: u64) -> bool {
-        self.index.contains_key(&seq) || self.run_position(seq).is_some()
+        self.find(seq).is_some()
     }
 
     /// Key of the next event to fire, if any.
@@ -459,14 +456,19 @@ impl<T> EventQueue<T> {
         best
     }
 
-    /// Enqueues `item` to fire at `(time, seq)`.
+    /// Enqueues `item` to fire at `(time, seq)` and returns the slot it
+    /// sits in: the handle [`cancel_slot`](Self::cancel_slot),
+    /// [`reschedule_slot`](Self::reschedule_slot) and
+    /// [`contains_slot`](Self::contains_slot) take together with `seq`.
+    /// An event that joined the same-instant run gets the one reserved
+    /// slot, which names the run buffer.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is already pending (sequence numbers must be unique)
     /// or the queue holds `u32::MAX` live events.
     #[inline]
-    pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
+    pub fn push(&mut self, time: SimTime, seq: u64, item: T) -> u32 {
         let key = EventKey { time, seq };
         if seq > self.max_seq {
             self.max_seq = seq;
@@ -474,30 +476,31 @@ impl<T> EventQueue<T> {
                 // A same-instant run: above every seq pushed so far, so it
                 // is not pending and sorts behind the buffer's back.
                 self.run.push_back((key, item));
-                return;
+                return RUN;
             }
         } else {
             assert!(
-                self.run_position(seq).is_none(),
+                self.find(seq).is_none(),
                 "duplicate event sequence number {seq}"
             );
         }
-        self.push_tiers(key, item);
+        self.push_tiers(key, item)
     }
 
-    /// Enqueues into slab, index and the tier `key.time` routes to,
-    /// returning the slab slot. Panics (queue unchanged) if `key.seq` is
-    /// already in the index; the caller has checked the run buffer.
+    /// Enqueues into the slab and the tier `key.time` routes to, returning
+    /// the slab slot. The caller has made sure `key.seq` is not pending.
     #[inline]
     fn push_tiers(&mut self, key: EventKey, item: T) -> u32 {
-        let seq = key.seq;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(item);
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slab.len()).expect("event queue overflow");
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot != RUN)
+                    .expect("event queue overflow");
                 self.slab.push(Some(item));
                 // A placeholder no container position equals, until
                 // `attach` routes the key to its tier and records where.
@@ -505,14 +508,6 @@ impl<T> EventQueue<T> {
                 slot
             }
         };
-        if let Some(prev_slot) = self.index.insert(seq, slot) {
-            // Roll back before panicking so a caught panic cannot leave the
-            // index pointing at a slot that never reached a container.
-            self.index.insert(seq, prev_slot);
-            self.slab[slot as usize] = None;
-            self.free.push(slot);
-            panic!("duplicate event sequence number {seq}");
-        }
         self.attach(key, slot);
         if self.heap.is_empty() {
             self.ensure_front();
@@ -538,7 +533,7 @@ impl<T> EventQueue<T> {
             }
         }
         let (key, slot) = self.heap[0];
-        let item = self.release(key.seq, slot);
+        let item = self.release(slot);
         if self.heap.len() > 1 {
             // Leave the root vacant: a handler's next push usually belongs
             // right there, and anything else seats the last entry first.
@@ -553,90 +548,126 @@ impl<T> EventQueue<T> {
         Some((key, item))
     }
 
-    /// Cancels the pending event with this sequence number, returning its
-    /// payload. Unknown sequence numbers — never scheduled, already fired,
-    /// or already cancelled — return `None` and leave the queue untouched:
-    /// nothing is retained, so cancel-after-fire cannot leak.
-    pub fn cancel(&mut self, seq: u64) -> Option<T> {
-        let Some(&slot) = self.index.get(&seq) else {
+    /// Cancels the pending event [`push`](Self::push) put in `slot` as
+    /// `seq`, returning its payload. A handle whose event already fired or
+    /// was cancelled returns `None` and leaves the queue untouched — also
+    /// once another event has taken its slot, since the slot's occupant
+    /// must carry `seq`. Nothing is retained, so cancel-after-fire cannot
+    /// leak.
+    pub fn cancel_slot(&mut self, slot: u32, seq: u64) -> Option<T> {
+        if slot == RUN {
             let pos = self.run_position(seq)?;
             return self.run.remove(pos).map(|(_, item)| item);
-        };
+        }
+        if self.seq_in(slot) != Some(seq) {
+            return None;
+        }
         self.fill();
-        let key = self.detach(self.locs[slot as usize]);
-        debug_assert_eq!(key.seq, seq, "location out of sync with index");
-        let item = self.release(seq, slot);
+        self.detach(self.locs[slot as usize]);
+        let item = self.release(slot);
         if self.heap.is_empty() {
             self.ensure_front();
         }
         Some(item)
     }
 
-    /// Reschedules the pending event `seq` to fire at `(new_time, new_seq)`,
-    /// in place: the payload stays in its slab slot, the heap entry's key is
-    /// rewritten and re-seated with a single sift, and the index swaps one
-    /// mapping. Compared to `cancel` + `push` this skips the slab
-    /// free/realloc and one full heap remove/insert pair — the win behind
-    /// the engine's cancel-then-rearm timer fast path. (An event waiting in
-    /// the same-instant run has no slot or heap entry yet and is moved to
-    /// the tiers.)
+    /// [`cancel_slot`](Self::cancel_slot) for a caller that kept only the
+    /// sequence number: the slot is found by a scan of every tier, `O(n)`.
+    /// Kept, with the scans behind [`reschedule`](Self::reschedule) and
+    /// [`contains`](Self::contains), only for the repo benchmark's queue
+    /// kernels, which address events by bare seq; the benchmark change
+    /// that re-points those kernels at handles deletes all three.
+    pub fn cancel(&mut self, seq: u64) -> Option<T> {
+        let slot = self.find(seq)?;
+        self.cancel_slot(slot, seq)
+    }
+
+    /// Reschedules the pending event [`push`](Self::push) put in `slot` as
+    /// `seq` to fire at `(new_time, new_seq)`, in place: the payload stays
+    /// in its slab slot and the heap entry's key is rewritten and
+    /// re-seated with a single sift. Compared to `cancel` + `push` this
+    /// skips the slab free/realloc and one full heap remove/insert pair —
+    /// the win behind the engine's cancel-then-rearm timer fast path. (An
+    /// event waiting in the same-instant run has no slot or heap entry yet
+    /// and is moved to the tiers.)
     ///
-    /// Returns a mutable reference to the (still in place) payload so the
-    /// caller can rewrite it for the new firing — e.g. a rearmed timer
-    /// carrying a fresh token — or `None` (queue untouched) when `seq` is
-    /// unknown: never scheduled, already fired, or already cancelled.
+    /// Returns the event's slot from now on — unchanged, except for an
+    /// event that left the run — and a mutable reference to the (still in
+    /// place) payload, so the caller can rewrite it for the new firing
+    /// (e.g. a rearmed timer carrying a fresh token). A stale handle, as
+    /// for [`cancel_slot`](Self::cancel_slot), returns `None` and leaves
+    /// the queue untouched.
     ///
     /// # Panics
     ///
     /// Panics if `new_seq` is already pending (sequence numbers must be
     /// unique, exactly as for [`push`](EventQueue::push)).
-    pub fn reschedule(&mut self, seq: u64, new_time: SimTime, new_seq: u64) -> Option<&mut T> {
+    pub fn reschedule_slot(
+        &mut self,
+        slot: u32,
+        seq: u64,
+        new_time: SimTime,
+        new_seq: u64,
+    ) -> Option<(u32, &mut T)> {
         // Every check comes before the first mutation, so a caught panic
         // leaves `seq` pending and findable. A `new_seq` above every seq
-        // pushed so far (what the engine always mints) needs no lookup.
-        if new_seq <= self.max_seq {
-            if !self.contains(seq) {
-                return None;
-            }
-            assert!(
-                new_seq == seq || !self.contains(new_seq),
-                "duplicate event sequence number {new_seq}"
-            );
+        // pushed so far (what the engine always mints) needs no scan.
+        if !self.contains_slot(slot, seq) {
+            return None;
         }
+        assert!(
+            new_seq > self.max_seq || new_seq == seq || self.find(new_seq).is_none(),
+            "duplicate event sequence number {new_seq}"
+        );
+        self.max_seq = self.max_seq.max(new_seq);
         let new_key = EventKey {
             time: new_time,
             seq: new_seq,
         };
-        let Some(slot) = self.index.remove(&seq) else {
+        let slot = if slot == RUN {
             // A run entry moves to the tiers: the buffer holds one instant.
-            let (_, item) = self.run.remove(self.run_position(seq)?)?;
-            self.max_seq = self.max_seq.max(new_seq);
-            let slot = self.push_tiers(new_key, item);
-            return self.slab[slot as usize].as_mut();
-        };
-        self.max_seq = self.max_seq.max(new_seq);
-        self.index.insert(new_seq, slot);
-        self.fill();
-        let loc = self.locs[slot as usize];
-        if let (Loc::Heap(pos), Route::Heap) = (loc, self.route(new_time)) {
-            // Fast path: the key stays in the heap and re-seats with a
-            // single sift — the engine's cancel-then-rearm timer pattern.
-            let heap_pos = pos as usize;
-            let old_key = self.heap[heap_pos].0;
-            self.heap[heap_pos].0 = new_key;
-            if new_key < old_key {
-                self.sift_up(heap_pos);
-            } else {
-                self.sift_down(heap_pos);
-            }
+            let pos = self.run_position(seq).expect("checked above");
+            let (_, item) = self.run.remove(pos).expect("checked above");
+            self.push_tiers(new_key, item)
         } else {
-            self.detach(loc);
-            self.attach(new_key, slot);
-            if self.heap.is_empty() {
-                self.ensure_front();
+            self.fill();
+            let loc = self.locs[slot as usize];
+            if let (Loc::Heap(pos), Route::Heap) = (loc, self.route(new_time)) {
+                // Fast path: the key stays in the heap and re-seats with a
+                // single sift — the engine's cancel-then-rearm timer pattern.
+                let heap_pos = pos as usize;
+                let old_key = self.heap[heap_pos].0;
+                self.heap[heap_pos].0 = new_key;
+                if new_key < old_key {
+                    self.sift_up(heap_pos);
+                } else {
+                    self.sift_down(heap_pos);
+                }
+            } else {
+                self.detach(loc);
+                self.attach(new_key, slot);
+                if self.heap.is_empty() {
+                    self.ensure_front();
+                }
             }
-        }
-        self.slab[slot as usize].as_mut()
+            slot
+        };
+        let item = self.slab[slot as usize]
+            .as_mut()
+            .expect("rescheduled slot is occupied");
+        Some((slot, item))
+    }
+
+    /// [`reschedule_slot`](Self::reschedule_slot) by bare sequence number:
+    /// a scan, kept only for the benchmark (see [`cancel`](Self::cancel)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_seq` is already pending.
+    pub fn reschedule(&mut self, seq: u64, new_time: SimTime, new_seq: u64) -> Option<&mut T> {
+        let slot = self.find(seq)?;
+        self.reschedule_slot(slot, seq, new_time, new_seq)
+            .map(|(_, item)| item)
     }
 
     /// Drops every pending event.
@@ -649,7 +680,6 @@ impl<T> EventQueue<T> {
         self.slab.clear();
         self.locs.clear();
         self.free.clear();
-        self.index.clear();
         if let Some(cal) = self.cal.as_mut() {
             for bucket in &mut cal.ring {
                 bucket.clear();
@@ -667,6 +697,38 @@ impl<T> EventQueue<T> {
             return None;
         }
         self.run.binary_search_by_key(&seq, |(key, _)| key.seq).ok()
+    }
+
+    /// The seq of the event occupying slab `slot`, `None` for a free or
+    /// never-minted slot: the check that keeps a stale handle from reaching
+    /// the event that reused its slot.
+    #[inline]
+    fn seq_in(&self, slot: u32) -> Option<u64> {
+        self.slab.get(slot as usize)?.as_ref()?;
+        let pair = match self.locs[slot as usize] {
+            Loc::Heap(pos) => self.heap[pos as usize],
+            Loc::Bucket { slot: s, pos } => {
+                self.cal.as_ref().expect("bucket loc implies calendar").ring[s as usize]
+                    [pos as usize]
+            }
+            Loc::Far(pos) => self.cal.as_ref().expect("far loc implies calendar").far[pos as usize],
+        };
+        Some(pair.0.seq)
+    }
+
+    /// The slot of the pending event `seq` — the run's reserved slot for a
+    /// run entry — by a scan of every tier; `None` when it is not pending.
+    fn find(&self, seq: u64) -> Option<u32> {
+        let live = &self.heap[usize::from(self.vacant)..];
+        let future = self
+            .cal
+            .iter()
+            .flat_map(|cal| cal.ring.iter().flatten().chain(&cal.far));
+        live.iter()
+            .chain(future)
+            .find(|(key, _)| key.seq == seq)
+            .map(|&(_, slot)| slot)
+            .or_else(|| self.run_position(seq).map(|_| RUN))
     }
 
     /// Which tier a key scheduled at `time` belongs to right now.
@@ -721,43 +783,38 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes the `(key, slot)` pair at `loc` from its container and
-    /// repairs the container. Slab and index are left untouched.
-    fn detach(&mut self, loc: Loc) -> EventKey {
+    /// repairs the container. The slab is left untouched.
+    fn detach(&mut self, loc: Loc) {
         match loc {
-            Loc::Heap(pos) => self.remove_heap_entry(pos as usize).0,
+            Loc::Heap(pos) => self.remove_heap_entry(pos as usize),
             Loc::Bucket { slot: s, pos } => {
                 let cal = self.cal.as_mut().expect("bucket loc implies calendar");
                 let bucket = &mut cal.ring[s as usize];
-                let (key, _) = bucket.swap_remove(pos as usize);
+                bucket.swap_remove(pos as usize);
                 cal.in_ring -= 1;
                 if let Some(&(_, moved)) = bucket.get(pos as usize) {
                     self.locs[moved as usize] = Loc::Bucket { slot: s, pos };
                 }
-                key
             }
             Loc::Far(pos) => {
                 let cal = self.cal.as_mut().expect("far loc implies calendar");
-                let (key, _) = cal.far.swap_remove(pos as usize);
+                cal.far.swap_remove(pos as usize);
                 // far_min_idx may now be stale-low; that only costs a
                 // wasted pull scan, never correctness.
                 if let Some(&(_, moved)) = cal.far.get(pos as usize) {
                     self.locs[moved as usize] = Loc::Far(pos);
                 }
-                key
             }
         }
     }
 
-    /// Frees the slab slot and index entry of a removed event, returning
-    /// its payload.
+    /// Frees the slab slot of a removed event, returning its payload.
     #[inline]
-    fn release(&mut self, seq: u64, slot: u32) -> T {
+    fn release(&mut self, slot: u32) -> T {
         let item = self.slab[slot as usize]
             .take()
             .expect("removed slab slot is occupied");
         self.free.push(slot);
-        let removed = self.index.remove(&seq);
-        debug_assert_eq!(removed, Some(slot), "index out of sync with slab");
         item
     }
 
@@ -861,12 +918,12 @@ impl<T> EventQueue<T> {
         self.sift_down(0);
     }
 
-    /// Removes the heap entry at `heap_pos` and repairs the heap. Slab and
-    /// index are left untouched.
-    fn remove_heap_entry(&mut self, heap_pos: usize) -> (EventKey, u32) {
+    /// Removes the heap entry at `heap_pos` and repairs the heap. The slab
+    /// is left untouched.
+    fn remove_heap_entry(&mut self, heap_pos: usize) {
         let last = self.heap.len() - 1;
         self.heap.swap(heap_pos, last);
-        let (key, slot) = self.heap.pop().expect("heap non-empty");
+        self.heap.pop().expect("heap non-empty");
         // If the removed entry was not the heap's last, a filler from the
         // bottom now sits at `heap_pos` and must be re-seated.
         if heap_pos < self.heap.len() {
@@ -879,7 +936,6 @@ impl<T> EventQueue<T> {
                 self.sift_up(heap_pos);
             }
         }
-        (key, slot)
     }
 
     /// Records `heap[heap_pos]`'s new position in `locs`.
@@ -956,45 +1012,72 @@ mod tests {
     /// Checks every structural invariant the queue relies on, across the
     /// run buffer and all three tiers.
     fn assert_invariants<T>(q: &EventQueue<T>) {
+        use std::collections::HashSet;
+        let mut seqs = HashSet::new();
         for (pos, &(key, _)) in q.run.iter().enumerate() {
             assert_eq!(Some(key.time), q.run_time, "run entry off its instant");
-            assert!(!q.index.contains_key(&key.seq), "run entry indexed");
             assert!(key.seq <= q.max_seq, "max_seq below a run entry");
+            assert!(seqs.insert(key.seq), "seq {} pending twice", key.seq);
             if pos > 0 {
                 assert!(q.run[pos - 1].0.seq < key.seq, "run not ascending");
             }
         }
-        assert!(
-            q.index.keys().all(|&seq| seq <= q.max_seq),
-            "max_seq below an indexed entry"
-        );
-        assert_eq!(q.len(), q.index.len() + q.run.len(), "len out of sync");
-        let live = q.index.len();
-        assert_eq!(
-            q.slab.iter().filter(|e| e.is_some()).count(),
-            live,
-            "live slab entries out of sync"
-        );
-        assert_eq!(q.free.len() + live, q.slab.len(), "free list out of sync");
         assert_eq!(q.locs.len(), q.slab.len(), "locs not parallel to slab");
+        assert!(
+            q.slab.len() <= RUN as usize,
+            "slab minted the run's reserved slot"
+        );
+        // Free slots hold nothing and are listed once; every occupied
+        // slot's `locs` entry leads to a container entry that holds a key
+        // and names the slot back.
+        let mut free = vec![false; q.slab.len()];
+        for &slot in &q.free {
+            assert!(q.slab[slot as usize].is_none(), "free slot occupied");
+            assert!(
+                !std::mem::replace(&mut free[slot as usize], true),
+                "slot freed twice"
+            );
+        }
+        for (slot, entry) in q.slab.iter().enumerate() {
+            assert_eq!(
+                entry.is_none(),
+                free[slot],
+                "slot {slot} neither free nor occupied"
+            );
+            if entry.is_some() {
+                let seq = q.seq_in(slot as u32).expect("occupied slot holds a key");
+                assert_eq!(
+                    q.find(seq),
+                    Some(slot as u32),
+                    "slot {slot} not where its loc says"
+                );
+            }
+        }
+        let live = q.slab.len() - q.free.len();
         // The recorded location of a slot a container holds.
-        let loc = |slot: u32| {
+        let loc = |slot: u32, key: EventKey, seqs: &mut HashSet<u64>| {
+            assert_ne!(slot, RUN, "container holds the run's reserved slot");
             assert!(
                 q.slab[slot as usize].is_some(),
                 "container holds a free slot"
             );
+            assert!(key.seq <= q.max_seq, "max_seq below a tiered entry");
+            assert!(seqs.insert(key.seq), "seq {} pending twice", key.seq);
             q.locs[slot as usize]
         };
-        // A vacant root holds the stale pair of the event last popped: it
-        // is in neither slab nor index, and bounds nothing below it.
+        // A vacant root holds the stale pair of the event last popped: its
+        // slot is released, and it bounds nothing below it.
         let root = usize::from(q.vacant);
         assert!(
             !q.vacant || q.heap.len() > 1,
             "vacant root with no live entry below"
         );
         for (pos, &(key, slot)) in q.heap.iter().enumerate().skip(root) {
-            assert_eq!(loc(slot), Loc::Heap(pos as u32), "stale heap loc");
-            assert_eq!(q.index.get(&key.seq), Some(&slot), "stale index");
+            assert_eq!(
+                loc(slot, key, &mut seqs),
+                Loc::Heap(pos as u32),
+                "stale heap loc"
+            );
             if pos > 0 {
                 let parent = (pos - 1) / ARITY;
                 assert!(
@@ -1003,7 +1086,11 @@ mod tests {
                 );
             }
         }
-        let Some(cal) = &q.cal else { return };
+        let Some(cal) = &q.cal else {
+            assert_eq!(q.len(), seqs.len(), "len out of sync");
+            assert_eq!(q.heap.len() - root, live, "live slab entries out of sync");
+            return;
+        };
         let ring_len = cal.ring.len() as u64;
         for &(key, _) in &q.heap[root..] {
             assert!(
@@ -1015,14 +1102,13 @@ mod tests {
         for (s, bucket) in cal.ring.iter().enumerate() {
             for (pos, &(key, slot)) in bucket.iter().enumerate() {
                 assert_eq!(
-                    loc(slot),
+                    loc(slot, key, &mut seqs),
                     Loc::Bucket {
                         slot: s as u32,
                         pos: pos as u32
                     },
                     "stale bucket loc"
                 );
-                assert_eq!(q.index.get(&key.seq), Some(&slot), "stale index");
                 let idx = cal.bucket_index(key.time);
                 assert!(
                     idx >= cal.base && idx < cal.window_end(),
@@ -1034,8 +1120,11 @@ mod tests {
         }
         assert_eq!(in_ring, cal.in_ring, "ring count out of sync");
         for (pos, &(key, slot)) in cal.far.iter().enumerate() {
-            assert_eq!(loc(slot), Loc::Far(pos as u32), "stale far loc");
-            assert_eq!(q.index.get(&key.seq), Some(&slot), "stale index");
+            assert_eq!(
+                loc(slot, key, &mut seqs),
+                Loc::Far(pos as u32),
+                "stale far loc"
+            );
             assert!(
                 cal.bucket_index(key.time) >= cal.base,
                 "far event behind the window base"
@@ -1045,6 +1134,8 @@ mod tests {
                 "far_min_idx overshoots"
             );
         }
+        assert_eq!(q.len(), seqs.len(), "len out of sync");
+        assert_eq!(q.len() - q.run.len(), live, "live slab entries out of sync");
         if cal.in_ring + cal.far.len() > 0 {
             assert!(
                 !q.heap.is_empty(),
@@ -1124,14 +1215,14 @@ mod tests {
     fn million_fire_then_cancel_cycles_retain_nothing() {
         let mut q = EventQueue::new();
         for seq in 0..1_000_000u64 {
-            q.push(t(seq), seq, ());
+            let slot = q.push(t(seq), seq, ());
             let (key, ()) = q.pop().expect("just pushed");
             assert_eq!(key.seq, seq);
             // The event already "fired" (was popped): cancel is a no-op.
+            assert_eq!(q.cancel_slot(slot, seq), None);
             assert_eq!(q.cancel(seq), None);
         }
         assert_eq!(q.len(), 0);
-        assert!(q.index.is_empty(), "index leaked {} seqs", q.index.len());
         assert!(q.slab.len() <= 1, "slab grew to {}", q.slab.len());
         assert!(q.free.len() <= 1, "free list grew to {}", q.free.len());
         assert!(q.heap.capacity() <= 4, "heap storage grew");
@@ -1157,6 +1248,39 @@ mod tests {
         assert_eq!(q.len(), 0);
         assert!(q.slab.len() <= 10, "slab grew to {}", q.slab.len());
         assert_invariants(&q);
+    }
+
+    /// A slot handle is checked against the seq it was minted with: once
+    /// its event fired or was cancelled and another event took the slot,
+    /// the old handle reaches nothing.
+    #[test]
+    fn stale_slot_handles_miss_the_slots_new_occupant() {
+        for calendar in [false, true] {
+            let mut q = if calendar {
+                small_calendar()
+            } else {
+                EventQueue::new()
+            };
+            let a = q.push(t(1_000), 0, 'a');
+            let c = q.push(t(2_000), 1, 'c');
+            assert_eq!(q.cancel_slot(c, 1), Some('c'));
+            assert_eq!(q.pop().map(|(_, x)| x), Some('a'));
+            let b = q.push(t(3_000), 2, 'b');
+            let d = q.push(t(4_000), 3, 'd');
+            let (mut old, mut new) = ([a, c], [b, d]);
+            old.sort_unstable();
+            new.sort_unstable();
+            assert_eq!(old, new, "the new events took the freed slots");
+            for (slot, seq) in [(a, 0), (c, 1)] {
+                assert!(!q.contains_slot(slot, seq));
+                assert_eq!(q.cancel_slot(slot, seq), None);
+                assert!(q.reschedule_slot(slot, seq, t(9_000), 10).is_none());
+            }
+            assert_invariants(&q);
+            assert!(q.contains_slot(b, 2) && q.contains_slot(d, 3));
+            let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, x)| x)).collect();
+            assert_eq!(order, vec!['b', 'd']);
+        }
     }
 
     #[test]
@@ -1340,7 +1464,7 @@ mod tests {
                 tally.check(&q);
             }
             assert!(q.run.is_empty());
-            // A duplicate of an indexed seq, then of a run seq.
+            // A duplicate of a tiered seq, then of a run seq.
             q.push(t(5_000), 9, tally.item());
             assert_eq!(q.run.len(), 1);
             for seq in [7, 9] {
@@ -1384,13 +1508,13 @@ mod tests {
     #[test]
     fn same_instant_push_bypasses_slab_index_and_heap() {
         let mut q = mid_instant();
-        let (slab, index, heap) = (q.slab.len(), q.index.len(), q.heap.len());
-        q.push(t(10), 3, 'x');
-        q.push(t(10), 4, 'y');
+        let (slab, free, heap) = (q.slab.len(), q.free.len(), q.heap.len());
+        assert_eq!(q.push(t(10), 3, 'x'), RUN);
+        assert_eq!(q.push(t(10), 4, 'y'), RUN);
         assert_eq!(q.run.len(), 2);
         assert_eq!(
-            (q.slab.len(), q.index.len(), q.heap.len()),
-            (slab, index, heap)
+            (q.slab.len(), q.free.len(), q.heap.len()),
+            (slab, free, heap)
         );
         assert_eq!(q.len(), 4);
         assert!(q.contains(3) && q.contains(4) && !q.contains(5));
@@ -1521,20 +1645,25 @@ mod tests {
     }
 
     /// A seeded walk over every operation on both profiles, half the pushes
-    /// right after a pop (so at a vacant root), with the white-box
-    /// invariants and the public readers checked after every step and every
-    /// pop compared with a sorted reference.
+    /// right after a pop (so at a vacant root) and half the cancels and
+    /// reschedules through the slot `push` returned (the rest by bare seq),
+    /// with the white-box invariants and the public readers checked after
+    /// every step and every pop compared with a sorted reference.
     #[test]
     fn seeded_walk_holds_invariants_after_every_step() {
         use crate::rng::StreamRng;
         use std::collections::BTreeMap;
 
-        fn check(q: &EventQueue<u64>, model: &BTreeMap<EventKey, u64>, probe: u64) {
+        fn check(q: &EventQueue<u64>, model: &BTreeMap<EventKey, u64>, probe: u64, slots: &[u32]) {
             assert_invariants(q);
             assert_eq!(q.len(), model.len());
             assert_eq!(q.is_empty(), model.is_empty());
             assert_eq!(q.peek(), model.keys().next().copied());
-            assert_eq!(q.contains(probe), model.keys().any(|k| k.seq == probe));
+            let pending = model.keys().any(|k| k.seq == probe);
+            assert_eq!(q.contains(probe), pending);
+            if let Some(&slot) = slots.get(probe as usize) {
+                assert_eq!(q.contains_slot(slot, probe), pending);
+            }
         }
 
         let (mut vacancies, mut seated) = (0u32, 0u32);
@@ -1547,6 +1676,8 @@ mod tests {
                     EventQueue::new()
                 };
                 let mut model = BTreeMap::new();
+                // `slots[seq]`: the slot the queue handed out for `seq`.
+                let mut slots: Vec<u32> = Vec::new();
                 let (mut now, mut next_seq, mut push_next) = (0u64, 0u64, false);
                 // Offsets of 0 join the run; up to 40 µs crosses the small
                 // calendar's 16 µs window into the far tier.
@@ -1579,7 +1710,7 @@ mod tests {
                                 seq: next_seq,
                             };
                             seated += u32::from(q.vacant && q.route(key.time) == Route::Heap);
-                            q.push(key.time, key.seq, key.seq);
+                            slots.push(q.push(key.time, key.seq, key.seq));
                             model.insert(key, key.seq);
                             next_seq += 1;
                         }
@@ -1595,7 +1726,11 @@ mod tests {
                         10..=11 => {
                             let seq = pick(&mut rng, next_seq);
                             let key = model.keys().find(|k| k.seq == seq).copied();
-                            assert_eq!(q.cancel(seq), key.and_then(|k| model.remove(&k)));
+                            let got = match slots.get(seq as usize) {
+                                Some(&slot) if rng.index(2) == 0 => q.cancel_slot(slot, seq),
+                                _ => q.cancel(seq),
+                            };
+                            assert_eq!(got, key.and_then(|k| model.remove(&k)));
                         }
                         12..=14 => {
                             let seq = pick(&mut rng, next_seq);
@@ -1604,10 +1739,19 @@ mod tests {
                                 seq: next_seq,
                             };
                             let old = model.keys().find(|k| k.seq == seq).copied();
-                            let moved = q.reschedule(seq, new_key.time, new_key.seq).copied();
-                            assert_eq!(moved, old.and_then(|k| model.remove(&k)));
-                            if let Some(item) = moved {
+                            let moved = match slots.get(seq as usize) {
+                                Some(&slot) if rng.index(2) == 0 => q
+                                    .reschedule_slot(slot, seq, new_key.time, new_key.seq)
+                                    .map(|(slot, &mut item)| (slot, item)),
+                                _ => q
+                                    .reschedule(seq, new_key.time, new_key.seq)
+                                    .copied()
+                                    .map(|item| (q.find(new_key.seq).expect("pending"), item)),
+                            };
+                            assert_eq!(moved.map(|m| m.1), old.and_then(|k| model.remove(&k)));
+                            if let Some((slot, item)) = moved {
                                 model.insert(new_key, item);
+                                slots.push(slot);
                                 next_seq += 1;
                             }
                         }
@@ -1617,11 +1761,11 @@ mod tests {
                         }
                         _ => {}
                     }
-                    check(&q, &model, pick(&mut rng, next_seq));
+                    check(&q, &model, pick(&mut rng, next_seq), &slots);
                 }
                 while let Some(expected) = model.pop_first() {
                     assert_eq!(q.pop(), Some(expected));
-                    check(&q, &model, expected.0.seq);
+                    check(&q, &model, expected.0.seq, &slots);
                 }
                 assert!(q.pop().is_none());
             }
@@ -1629,33 +1773,6 @@ mod tests {
         // The walk is only worth its name if it lives in the new state.
         assert!(vacancies > 5_000, "only {vacancies} pops left a vacancy");
         assert!(seated > 2_000, "only {seated} pushes found a vacant root");
-    }
-
-    /// The index hashes seqs the engine mints consecutively, and the table
-    /// reads the hash at both ends: low bits pick the bucket, the top seven
-    /// are the tag compared before any key. Identity hashing fails the
-    /// second half (one tag for every seq below 2⁵⁷).
-    #[test]
-    fn seq_hasher_spreads_consecutive_seqs_at_both_ends() {
-        const N: u64 = 1 << 16;
-        let mut buckets = vec![false; N as usize];
-        let mut tags = [0u64; 128];
-        for seq in 1_000_000..1_000_000 + N {
-            let mut h = SeqHasher::default();
-            h.write_u64(seq);
-            let hash = h.finish();
-            buckets[(hash & (N - 1)) as usize] = true;
-            tags[(hash >> 57) as usize] += 1;
-        }
-        let hit = buckets.iter().filter(|&&b| b).count() as u64;
-        assert!(hit >= N / 2, "only {hit} of {N} low-16-bit buckets hit");
-        let uniform = N / 128;
-        for (tag, &count) in tags.iter().enumerate() {
-            assert!(
-                (uniform / 2..=uniform * 2).contains(&count),
-                "tag {tag} seen {count} times, uniform is {uniform}"
-            );
-        }
     }
 
     #[test]
@@ -1851,17 +1968,18 @@ mod tests {
             buckets: 256,
         });
         let mut last = None;
-        for seq in 0..100_000u64 {
-            q.push(t((seq * 48_271) % 10_000_000), seq, ());
-        }
+        let slots: Vec<u32> = (0..100_000u64)
+            .map(|seq| q.push(t((seq * 48_271) % 10_000_000), seq, ()))
+            .collect();
         while let Some((key, ())) = q.pop() {
             if let Some(prev) = last {
                 assert!(prev < key, "order violated");
             }
             last = Some(key);
-            assert_eq!(q.cancel(key.seq), None, "fired seq cancellable");
+            let slot = slots[key.seq as usize];
+            assert_eq!(q.cancel_slot(slot, key.seq), None, "fired seq cancellable");
         }
         assert_eq!(q.len(), 0);
-        assert!(q.index.is_empty());
+        assert!(q.slab.iter().all(Option::is_none));
     }
 }

@@ -138,12 +138,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// EventQueue model checking: the indexed d-ary heap must agree with a
-// brute-force reference model under arbitrary push/pop/cancel/reschedule
-// interleavings. About half the pushes land on the instant last popped (the
-// engine's `send_now`), so the same-instant run buffer is filled, cancelled
-// from, rescheduled out of, overtaken by pushes into the past and popped
-// interleaved with equal-time heap entries of smaller seq.
+// EventQueue model checking: the d-ary heap must agree with a brute-force
+// reference model under arbitrary push/pop/cancel/reschedule interleavings.
+// About half the pushes land on the instant last popped (the engine's
+// `send_now`), so the same-instant run buffer is filled, cancelled from,
+// rescheduled out of, overtaken by pushes into the past and popped
+// interleaved with equal-time heap entries of smaller seq. About half the
+// cancels, reschedules and contains checks go through the slot `push`
+// returned (the engine's handle path), the rest by bare seq.
 // ---------------------------------------------------------------------------
 
 /// The seq a destructive op aims at: an arbitrary one when bit 0 of the pick
@@ -163,6 +165,20 @@ fn target_time(pick: u64, drawn: u64, last_popped: Option<u64>) -> u64 {
         Some(t) if pick & 2 == 0 => t,
         _ => drawn,
     }
+}
+
+/// The slot an op on `seq` goes through, or `None` to send it by bare seq:
+/// a slot when the op draws the handle path and the queue handed one out
+/// for `seq`. `slots[seq]` is that slot (`None` for a seq minted by a
+/// reschedule by bare seq, which returns no slot). A handle whose event
+/// fired or was cancelled still names its old slot, which a later event
+/// may hold.
+fn handle_slot(by_handle: bool, slots: &[Option<u32>], seq: u64) -> Option<u32> {
+    slots
+        .get(seq as usize)
+        .copied()
+        .flatten()
+        .filter(|_| by_handle)
 }
 
 mod event_queue_model {
@@ -232,44 +248,66 @@ mod event_queue_model {
         /// `len` / `contains` / `peek` stay exact.
         #[test]
         fn interleaved_ops_match_reference(
-            ops in prop::collection::vec((0u64..64, 0u64..200, 0u32..6), 1..300),
+            ops in prop::collection::vec(
+                (0u64..64, 0u64..200, 0u32..6, any::<bool>()),
+                1..300,
+            ),
         ) {
             let mut q = EventQueue::new();
             let mut model = Model::default();
+            let mut slots: Vec<Option<u32>> = Vec::new();
             let mut next_seq = 0u64;
             let mut last_popped = None;
-            for &(time, pick, kind) in &ops {
+            for &(time, pick, kind, by_handle) in &ops {
                 let at = super::target_time(pick, time, last_popped);
                 let seq = super::target_seq(pick, next_seq);
+                let handle = super::handle_slot(by_handle, &slots, seq);
                 match kind {
                     // Push twice as often as the other ops so the queue
                     // actually fills up.
                     0 | 1 => {
-                        q.push(SimTime::from_nanos(at), next_seq, ());
+                        slots.push(Some(q.push(SimTime::from_nanos(at), next_seq, ())));
                         model.push(at, next_seq);
                         next_seq += 1;
                     }
                     2 => {
                         // Cancel a seq — pending, fired, or never issued;
                         // queue and model must agree.
-                        let got = q.cancel(seq).is_some();
+                        let got = match handle {
+                            Some(slot) => q.cancel_slot(slot, seq),
+                            None => q.cancel(seq),
+                        };
                         let expect = model.cancel(seq);
-                        prop_assert_eq!(got, expect, "cancel({}) disagreed", seq);
+                        prop_assert_eq!(got.is_some(), expect, "cancel({}) disagreed", seq);
                         prop_assert!(!q.contains(seq), "cancelled seq still pending");
                     }
                     3 => {
                         // The fresh seq is minted like the engine does:
                         // only when the event was pending.
-                        let got = q.reschedule(seq, SimTime::from_nanos(at), next_seq).is_some();
-                        let expect = model.reschedule(seq, at, next_seq);
-                        prop_assert_eq!(got, expect, "reschedule({}) disagreed", seq);
-                        if got {
+                        let at = SimTime::from_nanos(at);
+                        let got = match handle {
+                            Some(slot) => q
+                                .reschedule_slot(slot, seq, at, next_seq)
+                                .map(|(slot, _)| Some(slot)),
+                            None => q.reschedule(seq, at, next_seq).map(|_| None),
+                        };
+                        let expect = model.reschedule(seq, at.as_nanos(), next_seq);
+                        prop_assert_eq!(got.is_some(), expect, "reschedule({}) disagreed", seq);
+                        if let Some(slot) = got {
                             prop_assert!(q.contains(next_seq) && !q.contains(seq));
+                            if let Some(slot) = slot {
+                                prop_assert!(q.contains_slot(slot, next_seq), "new slot misses");
+                            }
+                            slots.push(slot);
                             next_seq += 1;
                         }
                     }
                     4 => {
-                        prop_assert_eq!(q.contains(seq), model.contains(seq));
+                        let got = match handle {
+                            Some(slot) => q.contains_slot(slot, seq),
+                            None => q.contains(seq),
+                        };
+                        prop_assert_eq!(got, model.contains(seq));
                         let head = model.live.iter().min().copied();
                         prop_assert_eq!(
                             q.peek().map(|k| (k.time.as_nanos(), k.seq)),
@@ -366,10 +404,15 @@ mod calendar_queue_model {
         }
 
         /// Arbitrary interleavings of push / cancel / reschedule / pop /
-        /// peek agree with the heap profile at every step.
+        /// peek agree with the heap profile at every step. An op that draws
+        /// the handle path sends the calendar queue's half through its slot
+        /// and the heap's by bare seq; the other half the other way round.
         #[test]
         fn interleaved_ops_match_heap(
-            ops in prop::collection::vec((0u64..50_000, 0u64..400, 0u32..8), 1..400),
+            ops in prop::collection::vec(
+                (0u64..50_000, 0u64..400, 0u32..8, any::<bool>()),
+                1..400,
+            ),
             width in 1u64..3_000,
             buckets in 2usize..24,
         ) {
@@ -378,38 +421,73 @@ mod calendar_queue_model {
                 buckets,
             });
             let mut heap = EventQueue::new();
+            let (mut cal_slots, mut heap_slots): (Vec<Option<u32>>, Vec<Option<u32>>) =
+                (Vec::new(), Vec::new());
             let mut next_seq = 0u64;
             let mut last_popped = None;
-            for &(time, pick, kind) in &ops {
+            for &(time, pick, kind, by_handle) in &ops {
                 let at = SimTime::from_nanos(super::target_time(pick, time, last_popped));
                 let seq = super::target_seq(pick, next_seq);
+                let cal_handle = super::handle_slot(by_handle, &cal_slots, seq);
+                let heap_handle = super::handle_slot(!by_handle, &heap_slots, seq);
                 match kind {
                     // Push three times as often as the destructive ops so
                     // the tiers actually fill up.
                     0..=2 => {
-                        cal.push(at, next_seq, next_seq);
-                        heap.push(at, next_seq, next_seq);
+                        cal_slots.push(Some(cal.push(at, next_seq, next_seq)));
+                        heap_slots.push(Some(heap.push(at, next_seq, next_seq)));
                         next_seq += 1;
                     }
                     3 => {
-                        let got = cal.cancel(seq);
-                        let expect = heap.cancel(seq);
+                        let got = match cal_handle {
+                            Some(slot) => cal.cancel_slot(slot, seq),
+                            None => cal.cancel(seq),
+                        };
+                        let expect = match heap_handle {
+                            Some(slot) => heap.cancel_slot(slot, seq),
+                            None => heap.cancel(seq),
+                        };
                         prop_assert_eq!(got, expect, "cancel({}) disagreed", seq);
                         prop_assert_eq!(cal.contains(seq), heap.contains(seq));
                     }
                     4 => {
                         // The fresh seq is minted like the engine does.
                         let new_seq = next_seq;
-                        let got = cal.reschedule(seq, at, new_seq).map(|item| *item);
-                        let expect = heap.reschedule(seq, at, new_seq).map(|item| *item);
-                        prop_assert_eq!(got, expect, "reschedule({}) disagreed", seq);
-                        if got.is_some() {
+                        let got = match cal_handle {
+                            Some(slot) => cal
+                                .reschedule_slot(slot, seq, at, new_seq)
+                                .map(|(slot, &mut item)| (Some(slot), item)),
+                            None => cal.reschedule(seq, at, new_seq).map(|&mut item| (None, item)),
+                        };
+                        let expect = match heap_handle {
+                            Some(slot) => heap
+                                .reschedule_slot(slot, seq, at, new_seq)
+                                .map(|(slot, &mut item)| (Some(slot), item)),
+                            None => heap.reschedule(seq, at, new_seq).map(|&mut item| (None, item)),
+                        };
+                        prop_assert_eq!(
+                            got.map(|(_, item)| item),
+                            expect.map(|(_, item)| item),
+                            "reschedule({}) disagreed",
+                            seq
+                        );
+                        if let (Some((cal_slot, _)), Some((heap_slot, _))) = (got, expect) {
+                            cal_slots.push(cal_slot);
+                            heap_slots.push(heap_slot);
                             next_seq += 1;
                         }
                     }
                     5 => {
                         prop_assert_eq!(cal.peek(), heap.peek(), "peek disagreed");
-                        prop_assert_eq!(cal.contains(seq), heap.contains(seq));
+                        let got = match cal_handle {
+                            Some(slot) => cal.contains_slot(slot, seq),
+                            None => cal.contains(seq),
+                        };
+                        let expect = match heap_handle {
+                            Some(slot) => heap.contains_slot(slot, seq),
+                            None => heap.contains(seq),
+                        };
+                        prop_assert_eq!(got, expect, "contains({}) disagreed", seq);
                     }
                     _ => {
                         let got = cal.pop();

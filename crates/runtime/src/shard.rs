@@ -25,17 +25,19 @@
 //! on.
 //!
 //! What an iteration that found no work does next is the loop's one idle
-//! rule. A wake-up costs tens of microseconds of CPU where a datagram
-//! costs a few, so under load the shard must not wake per datagram: right
-//! after work it sleeps one `poll_interval` — deaf to the socket, so the
-//! next batch gathers — and a second one if that window stayed empty.
-//! Only after two consecutive empty windows is the shard idle rather than
-//! between batches, and then it blocks (`sys::wait_readable`) until a
-//! datagram arrives or the wheel's next deadline is due on the wall
-//! ([`Clock::wall_until`]), re-checking the stop flag every
-//! `MAX_BLOCK`. A clock that cannot say how far away a deadline is (the
-//! lockstep `ManualClock`) is polled every `poll_interval` as before, the
-//! wait merely ending early on a datagram.
+//! rule. An iteration that did work is followed at once by the next one:
+//! it drains what arrived meanwhile and sleeps nowhere. A wake-up costs
+//! tens of microseconds of CPU where a datagram costs a few, so the shard
+//! must not wake per datagram either: the first iteration that finds
+//! nothing sleeps one `poll_interval` — deaf to the socket, so the next
+//! batch gathers — and a second one if the iteration after that window
+//! found nothing too. Only after two consecutive empty windows is the
+//! shard idle rather than between batches, and then it blocks
+//! (`sys::wait_readable`) until a datagram arrives or the wheel's next
+//! deadline is due on the wall ([`Clock::wall_until`]), re-checking the
+//! stop flag every `MAX_BLOCK`. A clock that cannot say how far away a
+//! deadline is (the lockstep `ManualClock`) is polled every
+//! `poll_interval` as before, the wait merely ending early on a datagram.
 //!
 //! Routing on a shared socket:
 //!
@@ -100,11 +102,12 @@ pub struct HostConfig {
     /// Bind address for every shard socket (use port `0` to let the OS
     /// pick distinct ports).
     pub bind: String,
-    /// The coalescing window: how long a shard that has just done work
-    /// sleeps, deaf to its socket, so that the next batch gathers (an idle
-    /// shard blocks until a datagram or a due timer instead). Also the
-    /// polling period under a [`Clock`] without
-    /// [`wall_until`](Clock::wall_until).
+    /// The coalescing window: how long a shard sleeps, deaf to its
+    /// socket, after an iteration that found no work, so that the next
+    /// batch gathers. An iteration that did work is followed at once by
+    /// the next; after two empty windows in a row the shard is idle and
+    /// blocks until a datagram or a due timer instead. Also the polling
+    /// period under a [`Clock`] without [`wall_until`](Clock::wall_until).
     pub poll_interval: Duration,
 }
 

@@ -68,3 +68,7 @@ pub enum SimEvent {
         join: bool,
     },
 }
+
+// The hub's queue holds each event beside the engine's 8-byte destination,
+// 64 bytes in all: the payload may shrink from here, never grow.
+const _: () = assert!(std::mem::size_of::<SimEvent>() <= 56);
