@@ -146,7 +146,8 @@ cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 # two with a key that names no field (the retired `sapp_auto_tune`, once at
 # the top level and once inside `config`), must each be an error message
 # and exit status 1, not a panic and not a run that ignores the key. So
-# must a flag `lab` or `experiments` would ignore.
+# must a flag `lab` or `experiments` would ignore, and a `lab` flag with a
+# malformed value (`--seeds 1,x`, `--jobs 0`), whose message names it.
 echo "==> scenario lab: catalog validation + mixed-regime smoke + bad-spec rejection (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo run --release -q -p presence-bench --bin lab -- --check
 bad_spec="$(mktemp --suffix=.json)"
@@ -157,6 +158,8 @@ sed 's/^  "crash_at": null,$/&\n  "sapp_auto_tune": {"max_doublings": 6},/' cata
 sed 's/^    "seed": 11,$/&\n    "sapp_auto_tune": {"max_doublings": 6},/' catalog/paper-sapp.json >"$bad_spec"
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'unknown field'
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --trace-engine 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- '--trace-engine needs --trace'
+{ cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --seeds 1,x 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --seeds'
+{ cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --jobs 0 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --jobs'
 { cargo run --release -q -p presence-bench --bin experiments -- all --json 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'experiments all: --json is not supported'
 rm -f "$bad_spec"
 
@@ -171,6 +174,18 @@ cargo run --release -q -p presence-bench --bin experiments -- all --jobs 1 >"$se
 cargo run --release -q -p presence-bench --bin experiments -- all --jobs 2 >"$pooled"
 cmp "$serial" "$pooled"
 rm -f "$serial" "$pooled"
+
+# Examples stage: `cargo test` compiles examples/ but never runs them, and
+# they are the only callers of a few public items (`BatchMeans::batches`
+# and `verdict`, `kv_table`, `ascii_chart`). Run every one in release
+# (~2.5 s together, most of it the UDP demo's wall-clock wait); a
+# non-zero exit fails the stage.
+echo "==> examples: run every example (release)"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "--> $name"
+    cargo run --release -q --example "$name" >/dev/null
+done
 
 # Trace stage: export a Perfetto trace from the mixed-regime acceptance
 # scenario (horizon-capped to keep the buffers CI-sized), engine stream

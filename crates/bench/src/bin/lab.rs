@@ -28,7 +28,9 @@
 //! the CPs that own the timers). Inspect traces offline with the
 //! `spotter` bin. A flag that would be ignored is an error (exit 1):
 //! `--trace-until` or `--trace-engine` without `--trace`, and `--trace`
-//! or `--json` beside `--all`, `--check` or `--list`.
+//! or `--json` beside `--all`, `--check` or `--list`. So is a flag whose
+//! value is missing or malformed (`--seeds 1,x`, `--jobs 0`); the message
+//! names the flag.
 //!
 //! Reports are **byte-identical at any `--jobs` value** — replications
 //! merge in seed order before any cross-seed folding (pinned by
@@ -188,55 +190,66 @@ fn main() -> ExitCode {
     let mut trace_until: Option<f64> = None;
     let mut trace_engine = false;
 
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| it.next().unwrap_or_else(|| panic!("{what} needs a value"));
-        match arg.as_str() {
-            "--list" => list = true,
-            "--all" => all = true,
-            "--check" => do_check = true,
-            "--jobs" => {
-                jobs = value("--jobs")
-                    .parse()
-                    .expect("--jobs must be a positive integer");
-                assert!(jobs > 0, "--jobs must be a positive integer");
-            }
-            "--json" => json_out = Some(PathBuf::from(value("--json"))),
-            "--trace" => trace_path = Some(PathBuf::from(value("--trace"))),
-            "--trace-until" => {
-                let secs: f64 = value("--trace-until")
-                    .parse()
-                    .expect("--trace-until SECS (virtual seconds)");
-                assert!(secs > 0.0, "--trace-until must be positive");
-                trace_until = Some(secs);
-            }
-            "--trace-engine" => trace_engine = true,
-            "--seeds" => {
-                seeds = value("--seeds")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--seeds a,b,c"))
-                    .collect();
-            }
-            "--replications" => {
-                let n: u64 = value("--replications").parse().expect("--replications N");
-                assert!(n > 0, "--replications must be positive");
-                seeds = (1..=n).collect();
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-            other => target = Some(other.to_string()),
-        }
-    }
-
-    let trace = trace_path.map(|path| TraceRequest {
-        path,
-        until: trace_until,
-        engine: trace_engine,
-    });
-
     let outcome = (|| -> Result<(), String> {
+        // `text` as a `flag` value that `valid` accepts, or an error naming
+        // the flag and `what` it takes.
+        fn parsed<T: std::str::FromStr>(
+            flag: &str,
+            text: &str,
+            what: &str,
+            valid: impl Fn(&T) -> bool,
+        ) -> Result<T, String> {
+            text.trim()
+                .parse()
+                .ok()
+                .filter(valid)
+                .ok_or_else(|| format!("{flag} must be {what}, got {text:?}"))
+        }
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match arg.as_str() {
+                "--list" => list = true,
+                "--all" => all = true,
+                "--check" => do_check = true,
+                "--jobs" => {
+                    let text = value("--jobs")?;
+                    jobs = parsed("--jobs", &text, "a positive integer", |&n| n > 0)?;
+                }
+                "--json" => json_out = Some(PathBuf::from(value("--json")?)),
+                "--trace" => trace_path = Some(PathBuf::from(value("--trace")?)),
+                "--trace-until" => {
+                    let text = value("--trace-until")?;
+                    let what = "positive virtual seconds";
+                    let secs = parsed("--trace-until", &text, what, |&s: &f64| {
+                        s > 0.0 && s.is_finite()
+                    })?;
+                    trace_until = Some(secs);
+                }
+                "--trace-engine" => trace_engine = true,
+                "--seeds" => {
+                    let text = value("--seeds")?;
+                    seeds = text
+                        .split(',')
+                        .map(|s| s.trim().parse())
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| format!("--seeds takes integers a,b,c, got {text:?}"))?;
+                }
+                "--replications" => {
+                    let text = value("--replications")?;
+                    let n: u64 = parsed("--replications", &text, "a positive integer", |&n| n > 0)?;
+                    seeds = (1..=n).collect();
+                }
+                other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+                other => target = Some(other.to_string()),
+            }
+        }
+
+        let trace = trace_path.map(|path| TraceRequest {
+            path,
+            until: trace_until,
+            engine: trace_engine,
+        });
         if trace.is_none() && trace_until.is_some() {
             return Err("--trace-until needs --trace PATH".into());
         }

@@ -45,16 +45,14 @@
 //! counted; any due timer would have fired. Three such windows in a row
 //! are required for margin.
 
-use presence_core::{
-    CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine, ProbeCycleConfig, SappConfig,
-};
+use presence_core::{CpId, DcppConfig, DeviceId, DeviceMachine, ProbeCycleConfig};
 use presence_des::{ActorId, SimDuration, SimTime, Simulation};
 use presence_net::{ConstantDelay, Fabric, NoLoss};
 use presence_runtime::{
     Clock, DeviceReport, HostConfig, HostHandle, ManualClock, ProberReport, ShardedHost,
 };
 use presence_sim::{
-    Addr, CpActor, DeviceActor, NetworkActor, PresenceSim, ProberFactory, ProcessingModel, SimEvent,
+    Addr, CpActor, DeviceActor, NetworkActor, PresenceSim, ProcessingModel, Protocol, SimEvent,
 };
 use std::io;
 use std::sync::Arc;
@@ -66,7 +64,7 @@ pub struct CpSpec {
     /// Its identity.
     pub id: CpId,
     /// Its protocol and configuration.
-    pub prober: ProberFactory,
+    pub protocol: Protocol,
     /// The device it watches.
     pub target: DeviceId,
     /// When it starts probing (virtual time).
@@ -150,7 +148,7 @@ pub fn run_oracle(scenario: &ConformanceScenario) -> ConformanceReport {
         routes.push((Addr::Device(spec.machine.id()), actor));
     }
     for spec in &scenario.cps {
-        let cp = CpActor::new(spec.id, spec.prober.clone(), network, spec.target, 0);
+        let cp = CpActor::new(spec.id, spec.protocol, network, spec.target, 0);
         let actor = sim.add_member(cp.into());
         sim.schedule_at(spec.start_at, actor, SimEvent::Join);
         routes.push((Addr::Cp(spec.id), actor));
@@ -297,7 +295,7 @@ pub fn run_udp(scenario: &ConformanceScenario, shards: usize) -> io::Result<Conf
     let mut cps = ShardedHost::bind(&config)?;
     for spec in &scenario.cps {
         cps.add_prober(
-            spec.prober.build(spec.id),
+            spec.protocol.prober(spec.id),
             devices.addr_of(spec.target),
             spec.target,
             spec.start_at,
@@ -340,18 +338,19 @@ fn fast_dcpp() -> DcppConfig {
     cfg
 }
 
-fn dcpp_device(id: u32, cfg: DcppConfig, silence_at: Option<SimTime>) -> DeviceSpec {
+/// Device `id` of `protocol`, silent from `silence_at` if given.
+fn device(id: u32, protocol: Protocol, silence_at: Option<SimTime>) -> DeviceSpec {
     DeviceSpec {
-        machine: DeviceMachine::Dcpp(DcppDevice::new(DeviceId(id), cfg)),
+        machine: protocol.device(DeviceId(id)),
         silence_at,
     }
 }
 
 /// CP `id` watching device `id`.
-fn cp(id: u32, prober: ProberFactory, start_at: SimTime) -> CpSpec {
+fn cp(id: u32, protocol: Protocol, start_at: SimTime) -> CpSpec {
     CpSpec {
         id: CpId(id),
-        prober,
+        protocol,
         target: DeviceId(id),
         start_at,
     }
@@ -360,11 +359,11 @@ fn cp(id: u32, prober: ProberFactory, start_at: SimTime) -> CpSpec {
 /// One DCPP CP probing one present device.
 #[must_use]
 pub fn dcpp_pair() -> ConformanceScenario {
-    let cfg = fast_dcpp();
+    let dcpp = Protocol::Dcpp { cfg: fast_dcpp() };
     ConformanceScenario {
         name: "dcpp-pair",
-        cps: vec![cp(0, ProberFactory::Dcpp(cfg), SimTime::ZERO)],
-        devices: vec![dcpp_device(0, cfg, None)],
+        cps: vec![cp(0, dcpp, SimTime::ZERO)],
+        devices: vec![device(0, dcpp, None)],
         horizon: at_ms(5_000),
     }
 }
@@ -374,15 +373,15 @@ pub fn dcpp_pair() -> ConformanceScenario {
 /// compared.
 #[must_use]
 pub fn dcpp_fleet(pairs: u32) -> ConformanceScenario {
-    let cfg = fast_dcpp();
+    let dcpp = Protocol::Dcpp { cfg: fast_dcpp() };
     ConformanceScenario {
         name: "dcpp-fleet",
         cps: (0..pairs)
-            .map(|d| cp(d, ProberFactory::Dcpp(cfg), at_ms(u64::from(d) * 7)))
+            .map(|d| cp(d, dcpp, at_ms(u64::from(d) * 7)))
             .collect(),
         // The last device departs halfway through.
         devices: (0..pairs)
-            .map(|d| dcpp_device(d, cfg, (d == pairs - 1).then(|| at_ms(1_500))))
+            .map(|d| device(d, dcpp, (d == pairs - 1).then(|| at_ms(1_500))))
             .collect(),
         horizon: at_ms(3_000),
     }
@@ -391,17 +390,11 @@ pub fn dcpp_fleet(pairs: u32) -> ConformanceScenario {
 /// One SAPP CP adapting against one SAPP device.
 #[must_use]
 pub fn sapp_pair() -> ConformanceScenario {
+    let sapp = Protocol::sapp_paper();
     ConformanceScenario {
         name: "sapp-pair",
-        cps: vec![cp(
-            0,
-            ProberFactory::Sapp(SappConfig::paper_default()),
-            SimTime::ZERO,
-        )],
-        devices: vec![DeviceSpec {
-            machine: DeviceMachine::sapp_paper(DeviceId(0)),
-            silence_at: None,
-        }],
+        cps: vec![cp(0, sapp, SimTime::ZERO)],
+        devices: vec![device(0, sapp, None)],
         horizon: at_ms(2_000),
     }
 }
@@ -410,25 +403,19 @@ pub fn sapp_pair() -> ConformanceScenario {
 /// SAPP device that departs.
 #[must_use]
 pub fn mixed_fleet() -> ConformanceScenario {
-    let dcpp = fast_dcpp();
-    let sapp = ProberFactory::Sapp(SappConfig::paper_default());
+    let dcpp = Protocol::Dcpp { cfg: fast_dcpp() };
+    let sapp = Protocol::sapp_paper();
     ConformanceScenario {
         name: "mixed-fleet",
         cps: vec![
-            cp(0, ProberFactory::Dcpp(dcpp), SimTime::ZERO),
-            cp(1, sapp.clone(), at_ms(3)),
+            cp(0, dcpp, SimTime::ZERO),
+            cp(1, sapp, at_ms(3)),
             cp(2, sapp, at_ms(6)),
         ],
         devices: vec![
-            dcpp_device(0, dcpp, None),
-            DeviceSpec {
-                machine: DeviceMachine::sapp_paper(DeviceId(1)),
-                silence_at: None,
-            },
-            DeviceSpec {
-                machine: DeviceMachine::sapp_paper(DeviceId(2)),
-                silence_at: Some(at_ms(900)),
-            },
+            device(0, dcpp, None),
+            device(1, sapp, None),
+            device(2, sapp, Some(at_ms(900))),
         ],
         horizon: at_ms(2_000),
     }
@@ -443,10 +430,17 @@ pub fn fixed_rate_pair() -> ConformanceScenario {
         name: "fixed-rate-pair",
         cps: vec![cp(
             0,
-            ProberFactory::FixedRate(ProbeCycleConfig::paper_default(), ms(100)),
+            Protocol::FixedRate {
+                cycle: ProbeCycleConfig::paper_default(),
+                period: 0.1,
+            },
             SimTime::ZERO,
         )],
-        devices: vec![dcpp_device(0, fast_dcpp(), Some(at_ms(1_250)))],
+        devices: vec![device(
+            0,
+            Protocol::Dcpp { cfg: fast_dcpp() },
+            Some(at_ms(1_250)),
+        )],
         horizon: at_ms(2_000),
     }
 }
@@ -481,6 +475,59 @@ mod tests {
         assert_eq!(departed.stats.retransmissions, 3);
         for cp in &report.cps[..report.cps.len() - 1] {
             assert!(cp.verdict.is_none(), "false verdict for {:?}", cp.cp);
+        }
+    }
+
+    /// The paper's detection bound, on the three scenarios with a silent
+    /// device. A CP whose device goes silent at `T` declares it absent no
+    /// earlier than `T + worst_case_detection()`: the last cycle it starts
+    /// after `T` must run out its whole retransmission budget. When the
+    /// CP's wait between cycles is bounded by `w` it declares it no later
+    /// than `T + w + worst_case_detection()`. That `w` is `d_min` for a
+    /// DCPP CP that is its device's only watcher and the period for a
+    /// fixed-rate CP; a SAPP CP's wait adapts, so it gets the lower bound
+    /// only. No CP whose device stays gets a verdict. Conformance requires
+    /// the UDP report to equal the oracle's, so this holds for the host
+    /// too.
+    #[test]
+    fn oracle_verdicts_keep_the_detection_bound() {
+        for scenario in [dcpp_fleet(6), fixed_rate_pair(), mixed_fleet()] {
+            let report = run_oracle(&scenario);
+            for cp in &report.cps {
+                let spec = scenario.cps.iter().find(|s| s.id == cp.cp).unwrap();
+                let watchers = scenario.cps.iter().filter(|s| s.target == spec.target);
+                assert_eq!(watchers.count(), 1, "{}: one CP per device", scenario.name);
+                let device = scenario
+                    .devices
+                    .iter()
+                    .find(|d| d.machine.id() == spec.target);
+                let silent_at = device.unwrap().silence_at;
+                let (cycle, wait) = match spec.protocol {
+                    Protocol::Dcpp { cfg } => (cfg.cycle, Some(cfg.d_min)),
+                    Protocol::FixedRate { cycle, period } => {
+                        (cycle, Some(SimDuration::from_secs_f64(period)))
+                    }
+                    Protocol::Sapp { cp, .. } => (cp.cycle, None),
+                };
+                let detection = cycle.worst_case_detection();
+                let name = format!("{} {:?}", scenario.name, cp.cp);
+                match (silent_at, cp.verdict) {
+                    (None, verdict) => assert!(verdict.is_none(), "{name}: false {verdict:?}"),
+                    (Some(_), None) => panic!("{name}: silent device never detected"),
+                    (Some(t), Some(v)) => {
+                        assert_eq!(v.reason, AbsenceReason::ProbeTimeout, "{name}");
+                        assert!(
+                            v.at >= t + detection,
+                            "{name}: silent {t}, verdict {}",
+                            v.at
+                        );
+                        if let Some(w) = wait {
+                            let latest = t + w + detection;
+                            assert!(v.at <= latest, "{name}: verdict {} after {latest}", v.at);
+                        }
+                    }
+                }
+            }
         }
     }
 

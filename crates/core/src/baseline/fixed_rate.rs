@@ -35,12 +35,6 @@ impl FixedRateCp {
             period,
         }
     }
-
-    /// The fixed probing period.
-    #[must_use]
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
 }
 
 impl Prober for FixedRateCp {

@@ -20,21 +20,6 @@ use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Probe, Reply, TimerTo
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// What a timer firing meant to the lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TimerDisposition {
-    /// A retransmission was sent; the cycle continues.
-    Retransmitted,
-    /// The cycle exhausted all transmissions; the device was declared
-    /// absent and the machine stopped.
-    CycleFailed,
-    /// The inter-cycle sleep ended; the next cycle has begun.
-    Woke,
-    /// The token is not the outstanding timer's (a stale timer, or any
-    /// timer after the stop).
-    NotMine,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum State {
     /// `start` not called yet.
@@ -216,13 +201,9 @@ impl Retransmitter {
 
     /// Processes a timer firing with the given token: a cycle timeout
     /// retransmits or — once the budget is spent — declares the device
-    /// absent; the wake timer begins the next cycle.
-    pub fn on_timer(
-        &mut self,
-        now: SimTime,
-        token: TimerToken,
-        out: &mut Vec<CpAction>,
-    ) -> TimerDisposition {
+    /// absent; the wake timer begins the next cycle. Any other token (a
+    /// stale timer, or any timer after the stop) is ignored.
+    pub fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
         match self.state {
             State::Awaiting {
                 seq,
@@ -245,19 +226,14 @@ impl Retransmitter {
                         last_send: now,
                         timer: new_timer,
                     };
-                    TimerDisposition::Retransmitted
                 }
                 None => {
                     self.stats.cycles_failed += 1;
                     self.declare_absent(now, AbsenceReason::ProbeTimeout, out);
-                    TimerDisposition::CycleFailed
                 }
             },
-            State::Sleeping { wake } if wake == token => {
-                self.begin_cycle(now, out);
-                TimerDisposition::Woke
-            }
-            _ => TimerDisposition::NotMine,
+            State::Sleeping { wake } if wake == token => self.begin_cycle(now, out),
+            _ => {}
         }
     }
 
@@ -362,8 +338,8 @@ mod tests {
         let (tok, _) = find_timer(&out);
 
         out.clear();
-        let disp = e.on_timer(t(0.022), tok, &mut out);
-        assert_eq!(disp, TimerDisposition::Retransmitted);
+        e.on_timer(t(0.022), tok, &mut out);
+        assert!(!e.is_stopped());
         let re = find_probe(&out);
         assert_eq!(re.seq, probe.seq, "retransmission reuses the cycle seq");
         let (_, after) = find_timer(&out);
@@ -399,15 +375,16 @@ mod tests {
         for i in 0..3 {
             let (tok, _) = find_timer(&out);
             out.clear();
-            let disp = e.on_timer(t(now), tok, &mut out);
-            assert_eq!(disp, TimerDisposition::Retransmitted, "retry {i}");
+            e.on_timer(t(now), tok, &mut out);
+            assert_eq!(find_probe(&out).seq, 0, "retry {i}");
+            assert!(!e.is_stopped(), "retry {i}");
             now += 0.021;
         }
         // …the fourth timeout fails the cycle.
         let (tok, _) = find_timer(&out);
         out.clear();
-        let disp = e.on_timer(t(now), tok, &mut out);
-        assert_eq!(disp, TimerDisposition::CycleFailed);
+        e.on_timer(t(now), tok, &mut out);
+        assert!(!out.iter().any(|a| matches!(a, CpAction::SendProbe(_))));
         assert!(e.is_stopped());
         assert_eq!(e.stats().probes_sent, 4);
         assert_eq!(e.stats().cycles_failed, 1);
@@ -462,8 +439,7 @@ mod tests {
         e.sleep(SimDuration::from_millis(500), &mut out);
         out.clear();
         // The cancelled timeout fires anyway (drivers may race) — ignored.
-        let disp = e.on_timer(t(0.022), tok, &mut out);
-        assert_eq!(disp, TimerDisposition::NotMine);
+        e.on_timer(t(0.022), tok, &mut out);
         assert!(out.is_empty());
     }
 
@@ -478,7 +454,7 @@ mod tests {
         e.sleep(SimDuration::from_secs(1), &mut out);
         let (wake, _) = find_timer(&out);
         out.clear();
-        assert_eq!(e.on_timer(t(1.01), wake, &mut out), TimerDisposition::Woke);
+        e.on_timer(t(1.01), wake, &mut out);
         assert_eq!(find_probe(&out).seq, p1.seq + 1);
     }
 
@@ -501,16 +477,13 @@ mod tests {
         e.start(t(0.0), &mut out);
         let (tok, _) = find_timer(&out);
         out.clear();
-        assert_eq!(
-            e.on_timer(t(0.022), tok, &mut out),
-            TimerDisposition::Retransmitted
-        );
+        e.on_timer(t(0.022), tok, &mut out);
+        find_probe(&out);
+        assert!(!e.is_stopped());
         let (tok, _) = find_timer(&out);
         out.clear();
-        assert_eq!(
-            e.on_timer(t(0.043), tok, &mut out),
-            TimerDisposition::CycleFailed
-        );
+        e.on_timer(t(0.043), tok, &mut out);
+        assert!(e.is_stopped());
     }
 
     // -----------------------------------------------------------------

@@ -39,12 +39,6 @@ impl DcppCp {
             last_wait: None,
         }
     }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &DcppConfig {
-        &self.cfg
-    }
 }
 
 impl Prober for DcppCp {

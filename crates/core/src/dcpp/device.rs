@@ -71,12 +71,6 @@ impl DcppDevice {
         self.id
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &DcppConfig {
-        &self.cfg
-    }
-
     /// The next-probe-time register `nt`.
     #[must_use]
     pub fn next_slot(&self) -> SimTime {

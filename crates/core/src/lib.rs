@@ -23,7 +23,8 @@
 //!   between them, and the stop with a verdict — the exhausted
 //!   retransmission budget or the device's own Bye, never another CP's
 //!   word (SAPP replies carry the paper's last-two-probers overlay field,
-//!   but the dissemination phase the paper defers is not built);
+//!   but the dissemination phase the paper defers is not built, and no CP
+//!   reads the field);
 //! * naive fixed-rate probing ([`FixedRateCp`]), the scheme the paper's
 //!   introduction dismisses.
 //!
@@ -81,12 +82,12 @@ mod types;
 
 pub use baseline::FixedRateCp;
 pub use config::{DcppConfig, ProbeCycleConfig, SappConfig, SappDeviceConfig};
-pub use cycle::{Retransmitter, TimerDisposition};
+pub use cycle::Retransmitter;
 pub use dcpp::{DcppCp, DcppDevice};
 pub use error::ConfigError;
 pub use prober::Prober;
 pub use responder::{DeviceMachine, Responder};
-pub use sapp::{AdaptationStats, SappCp, SappDevice};
+pub use sapp::{SappCp, SappDevice};
 pub use types::{
     AbsenceReason, Bye, CpAction, CpId, CpStats, DeviceId, Probe, Reply, ReplyBody, TimerToken,
     Verdict, WireMessage,

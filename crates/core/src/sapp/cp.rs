@@ -28,17 +28,6 @@ use crate::types::{CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdic
 use presence_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Adaptation decisions taken so far (for analysis and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct AdaptationStats {
-    /// Times the delay was lengthened (load too high).
-    pub increases: u64,
-    /// Times the delay was shortened (load too low).
-    pub decreases: u64,
-    /// Times the load was inside the dead band.
-    pub holds: u64,
-}
-
 /// The control-point side of the self-adaptive probe protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SappCp {
@@ -48,11 +37,6 @@ pub struct SappCp {
     delay: SimDuration,
     /// `(t, pc)` of the last successful probe — the anchor for `L_exp`.
     anchor: Option<(SimTime, u64)>,
-    /// Most recent experienced load estimate.
-    last_lexp: Option<f64>,
-    adaptation: AdaptationStats,
-    /// Overlay peers gleaned from the last reply.
-    peers: [Option<CpId>; 2],
 }
 
 impl SappCp {
@@ -70,48 +54,12 @@ impl SappCp {
             cfg,
             delay: cfg.initial_delay,
             anchor: None,
-            last_lexp: None,
-            adaptation: AdaptationStats::default(),
-            peers: [None, None],
         }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &SappConfig {
-        &self.cfg
-    }
-
-    /// Current inter-cycle delay `δ`.
-    #[must_use]
-    pub fn delay(&self) -> SimDuration {
-        self.delay
-    }
-
-    /// Current probe frequency `1/δ` in probes per second.
-    #[must_use]
-    pub fn frequency(&self) -> f64 {
-        1.0 / self.delay.as_secs_f64()
-    }
-
-    /// Adaptation decision counters.
-    #[must_use]
-    pub fn adaptation_stats(&self) -> AdaptationStats {
-        self.adaptation
-    }
-
-    /// Overlay peers (last two distinct probers) learned from the most
-    /// recent reply.
-    #[must_use]
-    pub fn peers(&self) -> [Option<CpId>; 2] {
-        self.peers
     }
 
     /// Applies Eq. (1) to the current delay given an experienced load.
     fn adapt(&mut self, l_exp: f64) {
-        self.last_lexp = Some(l_exp);
         if l_exp > self.cfg.beta * self.cfg.l_ideal {
-            self.adaptation.increases += 1;
             let widened = self.delay.mul_f64(self.cfg.alpha_inc);
             self.delay = if widened > self.cfg.delta_max {
                 self.cfg.delta_max
@@ -119,15 +67,12 @@ impl SappCp {
                 widened
             };
         } else if l_exp < self.cfg.l_ideal / self.cfg.beta {
-            self.adaptation.decreases += 1;
             let shortened = self.delay.mul_f64(1.0 / self.cfg.alpha_dec);
             self.delay = if shortened < self.cfg.delta_min {
                 self.cfg.delta_min
             } else {
                 shortened
             };
-        } else {
-            self.adaptation.holds += 1;
         }
     }
 }
@@ -142,12 +87,11 @@ impl Prober for SappCp {
     }
 
     fn on_reply(&mut self, now: SimTime, reply: &Reply, out: &mut Vec<CpAction>) {
-        let ReplyBody::Sapp { pc, last_probers } = reply.body else {
+        let ReplyBody::Sapp { pc, .. } = reply.body else {
             debug_assert!(false, "SAPP CP received a non-SAPP reply");
             return;
         };
         if let Some(anchor) = self.cycle.on_reply(now, reply, out) {
-            self.peers = last_probers;
             if let Some((prev_t, prev_pc)) = self.anchor {
                 let dt = anchor.saturating_since(prev_t).as_secs_f64();
                 if dt > 0.0 {
@@ -257,8 +201,8 @@ mod tests {
         let mut out = Vec::new();
         c.start(t(0.0), &mut out);
         let d = complete_cycle(&mut c, &mut out, 100_000, 0.001);
-        assert_eq!(d, c.config().initial_delay, "no adaptation on first reply");
-        assert!(c.last_lexp.is_none());
+        assert_eq!(d, c.cfg.initial_delay, "no adaptation on first reply");
+        assert_eq!(c.anchor, Some((t(0.001), 100_000)));
     }
 
     #[test]
@@ -280,10 +224,8 @@ mod tests {
         c.on_timer(t(0.021), wake, &mut out);
         // 1.0 s later: Δpc = 2_000_000 over ~1.02 s → ~1.96e6 > 1.5e6.
         let d = complete_cycle(&mut c, &mut out, 2_100_000, 1.021);
-        let expected = c.config().initial_delay.mul_f64(c.config().alpha_inc);
+        let expected = c.cfg.initial_delay.mul_f64(c.cfg.alpha_inc);
         assert_eq!(d, expected, "delay doubled by alpha_inc");
-        assert_eq!(c.adaptation_stats().increases, 1);
-        assert!(c.last_lexp.unwrap() > 1.5e6);
     }
 
     #[test]
@@ -307,7 +249,6 @@ mod tests {
         let d = complete_cycle(&mut c, &mut out, 200_000, 2.002);
         let expected = SimDuration::from_secs(1).mul_f64(1.0 / 1.5);
         assert_eq!(d, expected);
-        assert_eq!(c.adaptation_stats().decreases, 1);
     }
 
     #[test]
@@ -327,8 +268,7 @@ mod tests {
         c.on_timer(t(0.021), wake, &mut out);
         // Δpc = 1_000_000 over ~1.0 s → 1e6 = L_ideal: inside dead band.
         let d = complete_cycle(&mut c, &mut out, 1_100_000, 1.001);
-        assert_eq!(d, c.config().initial_delay);
-        assert_eq!(c.adaptation_stats().holds, 1);
+        assert_eq!(d, c.cfg.initial_delay);
     }
 
     #[test]
@@ -370,31 +310,6 @@ mod tests {
         c.on_timer(t(10.0), wake, &mut out);
         // Underload over 10 s → would shorten below δ_min, clamped.
         let d = complete_cycle(&mut c, &mut out, 200_000, 20.0);
-        assert_eq!(d, c.config().delta_min);
-    }
-
-    #[test]
-    fn peers_learned_from_reply() {
-        let mut c = cp();
-        let mut out = Vec::new();
-        c.start(t(0.0), &mut out);
-        let probe = sent_probe(&out);
-        out.clear();
-        let reply = Reply {
-            probe,
-            device: DeviceId(0),
-            body: ReplyBody::Sapp {
-                pc: 100_000,
-                last_probers: [Some(CpId(4)), Some(CpId(9))],
-            },
-        };
-        c.on_reply(t(0.001), &reply, &mut out);
-        assert_eq!(c.peers(), [Some(CpId(4)), Some(CpId(9))]);
-    }
-
-    #[test]
-    fn frequency_is_delay_inverse() {
-        let c = cp();
-        assert!((c.frequency() - 50.0).abs() < 1e-9, "1/0.02 = 50");
+        assert_eq!(d, c.cfg.delta_min);
     }
 }

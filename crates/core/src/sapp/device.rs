@@ -21,8 +21,9 @@ pub struct SappDevice {
     /// The current increment `Δ` (starts at `cfg.delta()`, may be retuned).
     delta: u64,
     /// Last two *distinct* probing CPs, most recent first. Returned on each
-    /// reply, as the paper's reply format specifies, so CPs could organise
-    /// the overlay of its deferred dissemination phase.
+    /// reply, as the paper's reply format specifies; they are the links of
+    /// the overlay whose dissemination phase the paper defers, and no CP in
+    /// this tree reads them.
     last_probers: [Option<CpId>; 2],
     /// Total probes answered.
     probes_received: u64,
@@ -55,18 +56,6 @@ impl SappDevice {
     #[must_use]
     pub fn id(&self) -> DeviceId {
         self.id
-    }
-
-    /// Current probe-counter value.
-    #[must_use]
-    pub fn pc(&self) -> u64 {
-        self.pc
-    }
-
-    /// Current increment `Δ`.
-    #[must_use]
-    pub fn delta(&self) -> u64 {
-        self.delta
     }
 
     /// Total probes answered.
@@ -136,7 +125,7 @@ mod tests {
     #[test]
     fn pc_increments_by_delta() {
         let mut d = device();
-        assert_eq!(d.delta(), 100_000);
+        assert_eq!(d.delta, 100_000);
         let r1 = d.on_probe(t(0.0), probe(1, 0));
         match r1.body {
             ReplyBody::Sapp { pc, .. } => assert_eq!(pc, 100_000),
@@ -222,7 +211,7 @@ mod tests {
     fn double_delta_doubles() {
         let mut d = device();
         d.double_delta();
-        assert_eq!(d.delta(), 200_000);
+        assert_eq!(d.delta, 200_000);
         let r = d.on_probe(t(0.0), probe(1, 0));
         match r.body {
             ReplyBody::Sapp { pc, .. } => assert_eq!(pc, 200_000),
@@ -235,6 +224,6 @@ mod tests {
         let mut d = device();
         d.pc = u64::MAX - 1;
         d.on_probe(t(0.0), probe(1, 0));
-        assert_eq!(d.pc(), u64::MAX);
+        assert_eq!(d.pc, u64::MAX);
     }
 }

@@ -3,5 +3,5 @@
 mod cp;
 mod device;
 
-pub use cp::{AdaptationStats, SappCp};
+pub use cp::SappCp;
 pub use device::SappDevice;

@@ -12,7 +12,7 @@
 
 use presence_core::{
     CpAction, CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, Probe, ProbeCycleConfig, Prober,
-    Reply, ReplyBody, Retransmitter, SappConfig, SappCp, TimerDisposition,
+    Reply, ReplyBody, Retransmitter, SappConfig, SappCp,
 };
 use presence_des::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -150,11 +150,11 @@ proptest! {
                 },
                 &mut out,
             );
-            prop_assert!(cp.delay() >= cfg.delta_min, "delay below delta_min");
-            prop_assert!(cp.delay() <= cfg.delta_max, "delay above delta_max");
+            prop_assert!(cp.current_delay().unwrap() >= cfg.delta_min, "delay below delta_min");
+            prop_assert!(cp.current_delay().unwrap() <= cfg.delta_max, "delay above delta_max");
             // Wake up for the next cycle.
             let wake = *timers(&out).last().expect("wake timer");
-            now += cp.delay().as_secs_f64();
+            now += cp.current_delay().unwrap().as_secs_f64();
             out.clear();
             cp.on_timer(t(now), wake, &mut out);
         }
@@ -173,17 +173,12 @@ proptest! {
         e.start(t(0.0), &mut out);
         let mut transmissions = probes(&out).len() as u32;
         let mut now = 0.1;
-        loop {
+        while !e.is_stopped() {
             let tok = *timers(&out).last().expect("timer armed");
             out.clear();
-            match e.on_timer(t(now), tok, &mut out) {
-                TimerDisposition::Retransmitted => {
-                    transmissions += probes(&out).len() as u32;
-                    now += 0.1;
-                }
-                TimerDisposition::CycleFailed => break,
-                other => prop_assert!(false, "live cycle timer read as {:?}", other),
-            }
+            e.on_timer(t(now), tok, &mut out);
+            transmissions += probes(&out).len() as u32;
+            now += 0.1;
         }
         prop_assert_eq!(transmissions, 1 + max_retx);
         prop_assert_eq!(e.stats().probes_sent, (1 + max_retx) as u64);
@@ -248,7 +243,7 @@ proptest! {
                 device: DeviceId(0),
                 body: ReplyBody::Sapp { pc: 1 + l_exp as u64, last_probers: [None, None] },
             }, &mut out);
-            cp.delay().as_secs_f64()
+            cp.current_delay().unwrap().as_secs_f64()
         };
         prop_assert!(run(l_high) >= run(l_low) - 1e-12);
     }

@@ -5,7 +5,8 @@
 //! notes that "we have experimented with several other types of networks,
 //! and obtained similar phenomena for all of them". We therefore make the
 //! delay model a trait with the paper's [`ThreeMode`] model as the default
-//! and several alternatives for sensitivity studies.
+//! and two alternatives for sensitivity studies: [`ConstantDelay`] and
+//! [`UniformDelay`].
 
 use presence_des::{SimDuration, SimTime, StreamRng};
 
@@ -117,36 +118,6 @@ impl DelayModel for ThreeMode {
     }
 }
 
-/// Exponentially distributed delay with a hard cap (the cap keeps the
-/// model compatible with the protocols' bounded-timeout design; samples
-/// beyond the cap are truncated to it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExponentialDelay {
-    mean: f64,
-    cap: SimDuration,
-}
-
-impl ExponentialDelay {
-    /// Creates an exponential delay with the given mean (seconds), truncated
-    /// at `cap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not strictly positive and finite.
-    #[must_use]
-    pub fn new(mean: f64, cap: SimDuration) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "mean must be positive");
-        Self { mean, cap }
-    }
-}
-
-impl DelayModel for ExponentialDelay {
-    fn sample(&mut self, _now: SimTime, rng: &mut StreamRng) -> SimDuration {
-        let secs = rng.exponential(1.0 / self.mean);
-        SimDuration::from_secs_f64(secs.min(self.cap.as_secs_f64()))
-    }
-}
-
 /// Boxed models forward to their contents, so `Box<dyn DelayModel>` is
 /// itself a [`DelayModel`] — which lets the time-varying
 /// [`crate::Scheduled`] wrapper hold heterogeneous boxed segments.
@@ -237,21 +208,5 @@ mod tests {
             SimDuration::from_micros(2),
             SimDuration::from_micros(3),
         );
-    }
-
-    #[test]
-    fn exponential_mean_and_cap() {
-        let cap = SimDuration::from_secs(1);
-        let mut m = ExponentialDelay::new(0.001, cap);
-        let mut r = rng();
-        let n = 20_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let d = m.sample(SimTime::ZERO, &mut r);
-            assert!(d <= cap);
-            sum += d.as_secs_f64();
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 0.001).abs() < 1e-4, "exp delay mean {mean}");
     }
 }

@@ -181,12 +181,6 @@ impl Fabric {
         self.in_flight
     }
 
-    /// The buffer capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lifetime counters as of `now` (deliveries due by `now` are settled
     /// first).
     #[must_use]
@@ -322,7 +316,7 @@ mod tests {
     #[test]
     fn paper_default_shape() {
         let mut f = Fabric::paper_default();
-        assert_eq!(f.capacity(), 20_000);
+        assert_eq!(f.capacity, 20_000);
         assert_eq!(f.in_flight_at(SimTime::ZERO), 0);
     }
 }

@@ -8,7 +8,7 @@
 //! parts:
 //!
 //! * [`DelayModel`] with [`ThreeMode`] (the paper's model),
-//!   [`ConstantDelay`], [`UniformDelay`], and [`ExponentialDelay`];
+//!   [`ConstantDelay`] and [`UniformDelay`];
 //! * [`LossModel`] with [`NoLoss`], [`BernoulliLoss`], and the bursty
 //!   [`GilbertElliott`] channel (for the paper's §5 loss conjecture);
 //! * [`Scheduled`] — a piecewise wrapper that switches any delay or loss
@@ -30,7 +30,7 @@ mod fabric;
 mod loss;
 mod scheduled;
 
-pub use delay::{ConstantDelay, DelayModel, ExponentialDelay, ThreeMode, UniformDelay};
+pub use delay::{ConstantDelay, DelayModel, ThreeMode, UniformDelay};
 pub use fabric::{Fabric, FabricStats, SendOutcome};
 pub use loss::{BernoulliLoss, GilbertElliott, LossModel, NoLoss};
 pub use scheduled::Scheduled;

@@ -57,12 +57,6 @@ impl BernoulliLoss {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
         Self { p }
     }
-
-    /// The drop probability.
-    #[must_use]
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
 }
 
 impl LossModel for BernoulliLoss {
@@ -135,21 +129,6 @@ impl GilbertElliott {
         let want_p_bad = ((avg_loss - 0.001) / (0.9 - 0.001)).clamp(1e-6, 0.999);
         let p_gb = want_p_bad * p_bg / (1.0 - want_p_bad);
         Self::new(p_gb.min(1.0), p_bg, 0.001, 0.9)
-    }
-
-    /// The long-run (stationary) drop rate of this channel:
-    /// `P(bad)·loss_bad + P(good)·loss_good`, with the stationary
-    /// bad-state probability `p_gb / (p_gb + p_bg)`. A channel that can
-    /// never transition (`p_gb = p_bg = 0`) stays in its initial good
-    /// state, so the stationary rate is `loss_good`.
-    #[must_use]
-    pub fn stationary_rate(&self) -> f64 {
-        let p_bad = if self.p_gb + self.p_bg > 0.0 {
-            self.p_gb / (self.p_gb + self.p_bg)
-        } else {
-            0.0
-        };
-        p_bad * self.loss_bad + (1.0 - p_bad) * self.loss_good
     }
 }
 

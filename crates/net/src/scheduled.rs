@@ -32,16 +32,6 @@ pub struct Scheduled<M> {
 }
 
 impl<M> Scheduled<M> {
-    /// A schedule with a single segment active from t = 0 — behaviourally
-    /// identical to the bare `model`.
-    #[must_use]
-    pub fn new(model: M) -> Self {
-        Self {
-            segments: vec![(SimTime::ZERO, model)],
-            current: 0,
-        }
-    }
-
     /// Builds a schedule from explicit segments.
     ///
     /// # Panics
@@ -67,36 +57,6 @@ impl<M> Scheduled<M> {
             segments,
             current: 0,
         }
-    }
-
-    /// Chains another segment starting at `at` (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is not after the last segment's start.
-    #[must_use]
-    pub fn then(mut self, at: SimTime, model: M) -> Self {
-        let last = self.segments.last().expect("schedule is never empty").0;
-        assert!(at > last, "segment starts must be strictly increasing");
-        self.segments.push((at, model));
-        self
-    }
-
-    /// The number of segments.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Whether the schedule is empty (it never is; see `from_segments`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// The segment start times (regime boundaries), including t = 0.
-    pub fn boundaries(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.segments.iter().map(|&(at, _)| at)
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -143,7 +103,10 @@ mod tests {
 
     #[test]
     fn switches_exactly_at_the_boundary() {
-        let mut m = Scheduled::new(ConstantDelay(d(1))).then(t(10.0), ConstantDelay(d(5)));
+        let mut m = Scheduled::from_segments(vec![
+            (SimTime::ZERO, ConstantDelay(d(1))),
+            (t(10.0), ConstantDelay(d(5))),
+        ]);
         let mut r = rng();
         assert_eq!(m.sample(t(0.0), &mut r), d(1));
         assert_eq!(m.sample(t(9.999_999), &mut r), d(1), "just before");
@@ -154,10 +117,12 @@ mod tests {
 
     #[test]
     fn walks_multiple_boundaries_in_one_step() {
-        let mut m = Scheduled::new(ConstantDelay(d(1)))
-            .then(t(1.0), ConstantDelay(d(2)))
-            .then(t(2.0), ConstantDelay(d(3)))
-            .then(t(3.0), ConstantDelay(d(4)));
+        let mut m = Scheduled::from_segments(vec![
+            (SimTime::ZERO, ConstantDelay(d(1))),
+            (t(1.0), ConstantDelay(d(2))),
+            (t(2.0), ConstantDelay(d(3))),
+            (t(3.0), ConstantDelay(d(4))),
+        ]);
         let mut r = rng();
         // A quiet network may not send for several regimes; the cursor
         // must catch up across all of them at once.
@@ -167,24 +132,29 @@ mod tests {
 
     #[test]
     fn loss_schedule_switches() {
-        let mut m = Scheduled::new(NoLoss);
+        let mut m = Scheduled::from_segments(vec![(SimTime::ZERO, NoLoss)]);
         // NoLoss → NoLoss keeps the type uniform; dyn-box heterogeneous
         // schedules are covered below.
         let mut r = rng();
         assert!(!m.should_drop(t(0.0), &mut r));
 
-        let mut m: Scheduled<Box<dyn LossModel>> =
-            Scheduled::new(Box::new(NoLoss) as Box<dyn LossModel>)
-                .then(t(5.0), Box::new(BernoulliLoss::new(1.0)));
+        let mut m: Scheduled<Box<dyn LossModel>> = Scheduled::from_segments(vec![
+            (SimTime::ZERO, Box::new(NoLoss) as Box<dyn LossModel>),
+            (t(5.0), Box::new(BernoulliLoss::new(1.0))),
+        ]);
         assert!(!m.should_drop(t(4.9), &mut r));
         assert!(m.should_drop(t(5.0), &mut r), "certain loss after switch");
     }
 
     #[test]
     fn heterogeneous_boxed_delay_schedule() {
-        let mut m: Scheduled<Box<dyn DelayModel>> =
-            Scheduled::new(Box::new(ConstantDelay(d(2))) as Box<dyn DelayModel>)
-                .then(t(1.0), Box::new(crate::delay::ThreeMode::paper_default()));
+        let mut m: Scheduled<Box<dyn DelayModel>> = Scheduled::from_segments(vec![
+            (
+                SimTime::ZERO,
+                Box::new(ConstantDelay(d(2))) as Box<dyn DelayModel>,
+            ),
+            (t(1.0), Box::new(crate::delay::ThreeMode::paper_default())),
+        ]);
         let mut r = rng();
         assert_eq!(m.sample(t(0.5), &mut r), d(2));
         let after = m.sample(t(1.5), &mut r);
@@ -194,22 +164,16 @@ mod tests {
     #[test]
     fn degenerate_schedule_matches_bare_model_draw_for_draw() {
         let mut bare = crate::delay::ThreeMode::paper_default();
-        let mut scheduled = Scheduled::new(crate::delay::ThreeMode::paper_default());
+        let mut scheduled = Scheduled::from_segments(vec![(
+            SimTime::ZERO,
+            crate::delay::ThreeMode::paper_default(),
+        )]);
         let mut r1 = StreamRng::new(42, 7);
         let mut r2 = StreamRng::new(42, 7);
         for i in 0..10_000 {
             let now = t(f64::from(i) * 0.01);
             assert_eq!(bare.sample(now, &mut r1), scheduled.sample(now, &mut r2));
         }
-    }
-
-    #[test]
-    fn boundaries_are_exposed() {
-        let m = Scheduled::new(ConstantDelay(d(1))).then(t(7.0), ConstantDelay(d(2)));
-        let b: Vec<SimTime> = m.boundaries().collect();
-        assert_eq!(b, vec![SimTime::ZERO, t(7.0)]);
-        assert_eq!(m.len(), 2);
-        assert!(!m.is_empty());
     }
 
     #[test]

@@ -180,8 +180,9 @@ pub struct ChurnActor {
     /// The mid-run model switches `(absolute seconds, model)`, posted to
     /// itself as [`SimEvent::SetChurn`] at start-up.
     switches: Vec<(f64, ChurnModel)>,
-    /// How many of them have been applied (lab diagnostics).
-    switches_applied: u64,
+    /// How many of them have been applied: the ordinal the trace labels
+    /// each switch with.
+    switch_ordinal: u64,
     /// Regime-switch trace buffer; `None` (one predictable branch per
     /// switch) unless [`ChurnActor::set_trace`] armed it.
     trace: Option<Box<ChurnTrace>>,
@@ -236,7 +237,7 @@ impl ChurnActor {
             flash_step: 0,
             flash_baseline: 0,
             switches,
-            switches_applied: 0,
+            switch_ordinal: 0,
             trace: None,
         }
     }
@@ -271,18 +272,6 @@ impl ChurnActor {
     #[must_use]
     pub fn population_series(&self) -> &TimeSeries {
         &self.population
-    }
-
-    /// The model currently driving the population.
-    #[must_use]
-    pub fn model(&self) -> ChurnModel {
-        self.model
-    }
-
-    /// How many mid-run model switches this actor has applied.
-    #[must_use]
-    pub fn switches_applied(&self) -> u64 {
-        self.switches_applied
     }
 
     fn active_count(&self) -> u32 {
@@ -574,9 +563,9 @@ impl Actor<SimEvent> for ChurnActor {
                     ctx.cancel(handle);
                 }
                 self.model = model;
-                self.switches_applied += 1;
+                self.switch_ordinal += 1;
                 if let Some(t) = self.trace.as_deref_mut() {
-                    t.switch(ctx.now().as_nanos(), self.switches_applied);
+                    t.switch(ctx.now().as_nanos(), self.switch_ordinal);
                 }
                 self.arm(ctx);
             }

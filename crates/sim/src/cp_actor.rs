@@ -7,39 +7,12 @@
 
 use crate::event::{Addr, SimEvent};
 use crate::metrics::CpSummary;
+use crate::scenario::Protocol;
 use crate::trace::CpTrace;
-use presence_core::{
-    CpAction, CpId, CpStats, DcppConfig, DcppCp, FixedRateCp, ProbeCycleConfig, Prober, Reply,
-    SappConfig, SappCp, TimerToken, Verdict, WireMessage,
-};
-use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime};
+use presence_core::{CpAction, CpId, CpStats, Prober, Reply, TimerToken, Verdict, WireMessage};
+use presence_des::{Actor, ActorId, Context, EventHandle, SimTime};
 use presence_stats::{TimeSeries, Welford};
 use presence_trace::EngineEventKind;
-
-/// Factory for the prober machine a CP (re-)creates each time it joins.
-#[derive(Debug, Clone)]
-pub enum ProberFactory {
-    /// Build SAPP CPs with this configuration.
-    Sapp(SappConfig),
-    /// Build DCPP CPs with this configuration.
-    Dcpp(DcppConfig),
-    /// Build fixed-rate baseline CPs with this cycle config and period.
-    FixedRate(ProbeCycleConfig, SimDuration),
-}
-
-impl ProberFactory {
-    /// A fresh prober machine for CP `id`.
-    #[must_use]
-    pub fn build(&self, id: CpId) -> Box<dyn Prober + Send> {
-        match self {
-            ProberFactory::Sapp(cfg) => Box::new(SappCp::new(id, *cfg)),
-            ProberFactory::Dcpp(cfg) => Box::new(DcppCp::new(id, *cfg)),
-            ProberFactory::FixedRate(cycle, period) => {
-                Box::new(FixedRateCp::new(id, *cycle, *period))
-            }
-        }
-    }
-}
 
 /// Everything a finished run wants to know about one CP.
 #[derive(Debug, Clone)]
@@ -63,7 +36,9 @@ pub struct CpRecord {
 /// The simulated control-point node.
 pub struct CpActor {
     id: CpId,
-    factory: ProberFactory,
+    /// The protocol whose prober machine the CP (re-)creates each time it
+    /// joins.
+    protocol: Protocol,
     network: ActorId,
     device: presence_core::DeviceId,
     prober: Option<Box<dyn Prober + Send>>,
@@ -98,14 +73,14 @@ impl CpActor {
     #[must_use]
     pub fn new(
         id: CpId,
-        factory: ProberFactory,
+        protocol: Protocol,
         network: ActorId,
         device: presence_core::DeviceId,
         samples_hint: usize,
     ) -> Self {
         Self {
             id,
-            factory,
+            protocol,
             network,
             device,
             prober: None,
@@ -143,12 +118,6 @@ impl CpActor {
     /// Takes the trace buffer accumulated since [`CpActor::set_trace`].
     pub fn take_trace(&mut self) -> Option<Box<CpTrace>> {
         self.trace.take()
-    }
-
-    /// The CP's identity.
-    #[must_use]
-    pub fn id(&self) -> CpId {
-        self.id
     }
 
     /// Probe-cycle statistics over all sessions, the one in progress (if
@@ -295,7 +264,7 @@ impl Actor<SimEvent> for CpActor {
                 }
                 self.active = true;
                 self.record.joins += 1;
-                let mut prober = self.factory.build(self.id);
+                let mut prober = self.protocol.prober(self.id);
                 let mut out = std::mem::take(&mut self.scratch);
                 prober.start(ctx.now(), &mut out);
                 self.prober = Some(prober);

@@ -210,12 +210,6 @@ impl ScenarioSpec {
         spec.validate()?;
         Ok(spec)
     }
-
-    /// Serialises the spec as pretty JSON (the catalog file format).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("spec serialises")
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +536,7 @@ mod tests {
             ),
         ];
         spec.crash_at = Some(50.0);
-        let json = spec.to_json();
+        let json = serde_json::to_string_pretty(&spec).unwrap();
         let back = ScenarioSpec::from_json(&json).expect("round-trips");
         assert_eq!(back, spec);
     }
@@ -749,8 +743,9 @@ mod tests {
         for spec in &catalog {
             spec.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-            let back = ScenarioSpec::from_json(&spec.to_json())
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            let json = serde_json::to_string_pretty(spec).unwrap();
+            let back =
+                ScenarioSpec::from_json(&json).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert_eq!(&back, spec, "{} must round-trip", spec.name);
         }
         let mixed = catalog

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use actor_set::{PresenceActorSet, PresenceSim};
 pub use churn::{ChurnActor, ChurnModel};
-pub use cp_actor::{CpActor, CpRecord, ProberFactory};
+pub use cp_actor::{CpActor, CpRecord};
 pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{

@@ -9,20 +9,20 @@
 
 use crate::actor_set::PresenceSim;
 use crate::churn::{ChurnActor, ChurnModel};
-use crate::cp_actor::{CpActor, ProberFactory};
+use crate::cp_actor::CpActor;
 use crate::device_actor::{DeviceActor, ProcessingModel};
 use crate::event::{Addr, SimEvent};
 use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::NetworkActor;
 use crate::trace::TraceCapture;
 use presence_core::{
-    ConfigError, CpId, DcppConfig, DcppDevice, DeviceId, DeviceMachine, ProbeCycleConfig,
-    SappConfig, SappDevice, SappDeviceConfig,
+    ConfigError, CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine, FixedRateCp,
+    ProbeCycleConfig, Prober, SappConfig, SappCp, SappDevice, SappDeviceConfig,
 };
 use presence_des::{ActorId, SimDuration, SimTime};
 use presence_net::{
-    BernoulliLoss, ConstantDelay, DelayModel, ExponentialDelay, Fabric, GilbertElliott, LossModel,
-    NoLoss, ThreeMode, UniformDelay,
+    BernoulliLoss, ConstantDelay, DelayModel, Fabric, GilbertElliott, LossModel, NoLoss, ThreeMode,
+    UniformDelay,
 };
 use presence_stats::jain_index;
 use serde::{Deserialize, Serialize};
@@ -55,13 +55,6 @@ pub enum DelayKind {
     Uniform(f64, f64),
     /// The paper's three-mode model with its default constants.
     ThreeModePaper,
-    /// Exponential with the given mean, truncated at `cap` (seconds).
-    Exponential {
-        /// Mean one-way delay.
-        mean: f64,
-        /// Hard cap.
-        cap: f64,
-    },
 }
 
 impl DelayKind {
@@ -78,11 +71,6 @@ impl DelayKind {
                 }
             }
             DelayKind::ThreeModePaper => {}
-            DelayKind::Exponential { mean, cap } => {
-                if !(mean > 0.0 && mean.is_finite() && cap > 0.0 && cap.is_finite()) {
-                    return Err(err("exponential delay needs positive mean and cap"));
-                }
-            }
         }
         Ok(())
     }
@@ -95,9 +83,6 @@ impl DelayKind {
                 SimDuration::from_secs_f64(hi),
             )),
             DelayKind::ThreeModePaper => Box::new(ThreeMode::paper_default()),
-            DelayKind::Exponential { mean, cap } => {
-                Box::new(ExponentialDelay::new(mean, SimDuration::from_secs_f64(cap)))
-            }
         }
     }
 }
@@ -179,6 +164,33 @@ impl Protocol {
     pub fn dcpp_paper() -> Self {
         Protocol::Dcpp {
             cfg: DcppConfig::paper_default(),
+        }
+    }
+
+    /// A fresh prober machine for CP `id`, as a CP builds one each time it
+    /// joins.
+    #[must_use]
+    pub fn prober(&self, id: CpId) -> Box<dyn Prober + Send> {
+        match *self {
+            Protocol::Sapp { cp, .. } => Box::new(SappCp::new(id, cp)),
+            Protocol::Dcpp { cfg } => Box::new(DcppCp::new(id, cfg)),
+            Protocol::FixedRate { cycle, period } => Box::new(FixedRateCp::new(
+                id,
+                cycle,
+                SimDuration::from_secs_f64(period),
+            )),
+        }
+    }
+
+    /// A fresh device machine `id` for this protocol's CPs to probe. The
+    /// fixed-rate baseline probes a DCPP device (any responder works; the
+    /// baseline ignores reply payloads).
+    #[must_use]
+    pub fn device(&self, id: DeviceId) -> DeviceMachine {
+        match *self {
+            Protocol::Sapp { device, .. } => DeviceMachine::Sapp(SappDevice::new(id, device)),
+            Protocol::Dcpp { cfg } => DeviceMachine::Dcpp(DcppDevice::new(id, cfg)),
+            Protocol::FixedRate { .. } => DeviceMachine::dcpp_paper(id),
         }
     }
 
@@ -384,27 +396,11 @@ impl Scenario {
         let network = sim.add_member(NetworkActor::new(fabric).into());
 
         let device_id = DeviceId(0);
-        let machine = match cfg.protocol {
-            Protocol::Sapp { device, .. } => {
-                DeviceMachine::Sapp(SappDevice::new(device_id, device))
-            }
-            Protocol::Dcpp { cfg: c } => DeviceMachine::Dcpp(DcppDevice::new(device_id, c)),
-            // The fixed-rate baseline probes a DCPP device (any responder
-            // works; the baseline ignores reply payloads).
-            Protocol::FixedRate { .. } => DeviceMachine::dcpp_paper(device_id),
-        };
+        let machine = cfg.protocol.device(device_id);
         let processing = ProcessingModel::between(cfg.processing);
         let device_actor =
             DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
         let device = sim.add_member(device_actor.into());
-
-        let factory = match cfg.protocol {
-            Protocol::Sapp { cp, .. } => ProberFactory::Sapp(cp),
-            Protocol::Dcpp { cfg: c } => ProberFactory::Dcpp(c),
-            Protocol::FixedRate { cycle, period } => {
-                ProberFactory::FixedRate(cycle, SimDuration::from_secs_f64(period))
-            }
-        };
 
         // One frequency sample lands per completed cycle; the protocols
         // hold the device near L_nom = 10 cycles/s shared across the pool,
@@ -414,7 +410,7 @@ impl Scenario {
             ((cfg.duration * 20.0 / f64::from(cfg.cp_pool)).min(4e6) as usize).max(16);
         let mut cps = Vec::with_capacity(cfg.cp_pool as usize);
         for i in 0..cfg.cp_pool {
-            let cp_actor = CpActor::new(CpId(i), factory.clone(), network, device_id, samples_hint);
+            let cp_actor = CpActor::new(CpId(i), cfg.protocol, network, device_id, samples_hint);
             cps.push(sim.add_member(cp_actor.into()));
         }
 

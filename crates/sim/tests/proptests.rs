@@ -59,8 +59,6 @@ fn any_delay_kind() -> impl Strategy<Value = DelayKind> {
         Just(DelayKind::ThreeModePaper),
         (0.0001..0.01f64).prop_map(DelayKind::Constant),
         (0.0001..0.001f64, 0.001..0.01f64).prop_map(|(lo, hi)| DelayKind::Uniform(lo, hi)),
-        (0.0001..0.002f64, 0.005..0.05f64)
-            .prop_map(|(mean, cap)| DelayKind::Exponential { mean, cap }),
     ]
 }
 
@@ -112,12 +110,12 @@ proptest! {
     #[test]
     fn scenario_spec_round_trips_losslessly(spec in any_spec()) {
         prop_assert!(spec.validate().is_ok(), "generated spec must be valid");
-        let json = spec.to_json();
+        let json = serde_json::to_string_pretty(&spec).unwrap();
         let back = ScenarioSpec::from_json(&json)
             .map_err(|e| TestCaseError::fail(format!("reparse: {e}")))?;
         prop_assert_eq!(&back, &spec, "round-trip must be lossless");
         // And serialisation is deterministic: a second trip is identical.
-        prop_assert_eq!(back.to_json(), json);
+        prop_assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
     }
 
     /// Any valid spec *runs*: the lowering produces a live scenario whose

@@ -108,7 +108,6 @@ pub struct BatchMeans {
     current_batch: Welford,
     batch_means: Welford,
     all_post_warmup: Welford,
-    means_history: Vec<f64>,
 }
 
 impl BatchMeans {
@@ -121,7 +120,6 @@ impl BatchMeans {
             current_batch: Welford::new(),
             batch_means: Welford::new(),
             all_post_warmup: Welford::new(),
-            means_history: Vec::new(),
         })
     }
 
@@ -136,15 +134,8 @@ impl BatchMeans {
         if self.current_batch.count() >= self.cfg.batch_size {
             let m = self.current_batch.mean();
             self.batch_means.push(m);
-            self.means_history.push(m);
             self.current_batch = Welford::new();
         }
-    }
-
-    /// Total observations seen, including warm-up.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.seen
     }
 
     /// Number of completed batches.
@@ -165,12 +156,6 @@ impl BatchMeans {
     #[must_use]
     pub fn observation_variance(&self) -> f64 {
         self.all_post_warmup.sample_variance()
-    }
-
-    /// The completed batch means, in order.
-    #[must_use]
-    pub fn batch_means(&self) -> &[f64] {
-        &self.means_history
     }
 
     /// Current confidence interval over the batch means.
@@ -260,9 +245,11 @@ mod tests {
         for i in 0..12 {
             bm.push(i as f64);
         }
+        // Batches [0..=3], [4..=7], [8..=11]: means 1.5, 5.5 and 9.5.
         assert_eq!(bm.batches(), 3);
-        let means = bm.batch_means();
-        assert_eq!(means, &[1.5, 5.5, 9.5]);
+        assert_eq!(bm.batch_means.min(), 1.5);
+        assert_eq!(bm.batch_means.max(), 9.5);
+        assert_eq!(bm.mean(), 5.5);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`BatchMeans`] — steady-state point estimates with Student-t
 //!   confidence intervals and a relative-half-width stopping rule,
 //! * [`ConfidenceInterval`] and Student-t quantiles ([`t_quantile`]),
-//! * [`Histogram`] — fixed-width binning with quantile queries,
+//! * [`Histogram`] — fixed-width binning with a mode count (the bimodality
+//!   check behind E1),
 //! * [`P2Quantile`] — constant-memory online quantile estimation,
 //! * [`TimeSeries`] — timestamped samples (the substrate for reproducing
 //!   Figures 2–5),
@@ -50,7 +51,7 @@ mod welford;
 pub use batch_means::{BatchMeans, BatchMeansConfig, SteadyStateVerdict};
 pub use ci::{t_quantile, z_quantile, ConfidenceInterval};
 pub use fairness::{jain_index, max_min_ratio};
-pub use histogram::{Histogram, HistogramBin};
+pub use histogram::Histogram;
 pub use quantile::P2Quantile;
 pub use rate::JumpingWindowRate;
 pub use slice::{slice_windows, step_mean, window_mean, window_slice};

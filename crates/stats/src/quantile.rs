@@ -55,12 +55,6 @@ impl P2Quantile {
         }
     }
 
-    /// The quantile this estimator tracks.
-    #[must_use]
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
     /// Number of samples pushed.
     #[must_use]
     pub fn count(&self) -> usize {

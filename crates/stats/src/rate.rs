@@ -107,24 +107,6 @@ impl JumpingWindowRate {
             f(start, rate);
         }
     }
-
-    /// Consumes the meter, closing the current window at `end` first.
-    ///
-    /// The window containing `end` is only emitted when it actually covers
-    /// part of the horizon: when `end` falls exactly on a window boundary,
-    /// the (empty, zero-length) window `[end, end + width)` is *not*
-    /// emitted — unless events were already recorded into it, in which
-    /// case dropping them would be worse than the phantom window.
-    #[must_use]
-    pub fn finish(mut self, end: f64) -> Vec<(f64, f64)> {
-        let idx = self.index_of(end);
-        self.close_until(idx);
-        let start = self.origin + idx as f64 * self.width;
-        if end > start || self.current_count > 0 {
-            self.close_until(idx.saturating_add(1));
-        }
-        self.closed
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +123,8 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s[0], (0.0, 2.0));
         assert_eq!(s[1], (1.0, 0.0));
-        let all = j.finish(2.5);
+        j.advance_to(3.0);
+        let all = j.series();
         assert_eq!(all.len(), 3);
         assert_eq!(all[2], (2.0, 1.0));
     }
@@ -167,7 +150,8 @@ mod tests {
         for i in 0..10 {
             j.record(i as f64 * 0.1); // 10 events in [0, 1)
         }
-        let s = j.finish(1.0);
+        j.advance_to(1.0);
+        let s = j.series();
         // Two windows of width 0.5 with 5 events each → rate 10/s. The
         // horizon ends exactly on a window boundary, so no third (empty)
         // window `[1.0, 1.5)` is emitted.
@@ -178,38 +162,45 @@ mod tests {
 
     #[test]
     fn finish_on_boundary_emits_no_phantom_window() {
-        // Regression: `finish(end)` with `end` exactly on a window boundary
-        // used to emit a spurious zero-rate window `[end, end + width)`.
+        // A run that finishes exactly on a window boundary: `advance_to(end)`
+        // closes every window before `end` and no zero-rate window
+        // `[end, end + width)`.
         let mut j = JumpingWindowRate::new(0.0, 0.5);
         j.record(0.2);
-        let s = j.finish(1.0);
-        assert_eq!(s, vec![(0.0, 2.0), (0.5, 0.0)]);
+        j.advance_to(1.0);
+        assert_eq!(j.series(), &[(0.0, 2.0), (0.5, 0.0)]);
 
-        // Earlier-window events still flush even when the final window at
-        // the boundary is empty.
+        // Earlier-window events still flush even when the window at the
+        // boundary is empty.
         let mut j = JumpingWindowRate::new(0.0, 0.5);
         j.record(0.2);
-        let s = j.finish(0.5);
-        assert_eq!(s, vec![(0.0, 2.0)]);
+        j.advance_to(0.5);
+        assert_eq!(j.series(), &[(0.0, 2.0)]);
     }
 
     #[test]
-    fn finish_mid_window_still_closes_it() {
-        // `end` strictly inside a window → that window is closed as before.
+    fn advance_mid_window_leaves_it_open() {
+        // `end` strictly inside a window → that window stays open, its
+        // events kept, until time passes its end.
         let mut j = JumpingWindowRate::new(0.0, 0.5);
         j.record(0.6);
-        let s = j.finish(0.75);
-        assert_eq!(s, vec![(0.0, 0.0), (0.5, 2.0)]);
+        j.advance_to(0.75);
+        assert_eq!(j.series(), &[(0.0, 0.0)]);
+        j.advance_to(1.0);
+        assert_eq!(j.series(), &[(0.0, 0.0), (0.5, 2.0)]);
     }
 
     #[test]
     fn finish_on_boundary_keeps_recorded_events() {
         // An event recorded exactly at the boundary belongs to the window
-        // starting there; `finish` at that same boundary must not drop it.
+        // starting there; a run finishing at that same boundary must not
+        // drop it — the window stays open and closes with its event.
         let mut j = JumpingWindowRate::new(0.0, 0.5);
         j.record(0.5);
-        let s = j.finish(0.5);
-        assert_eq!(s, vec![(0.0, 0.0), (0.5, 2.0)]);
+        j.advance_to(0.5);
+        assert_eq!(j.series(), &[(0.0, 0.0)]);
+        j.advance_to(1.0);
+        assert_eq!(j.series(), &[(0.0, 0.0), (0.5, 2.0)]);
     }
 
     #[test]

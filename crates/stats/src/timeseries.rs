@@ -152,12 +152,6 @@ impl TimeWeighted {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Current (latest) value; `None` before the first `set`.
-    #[must_use]
-    pub fn current(&self) -> Option<f64> {
-        self.started.then_some(self.last_v)
-    }
 }
 
 #[cfg(test)]
@@ -198,14 +192,14 @@ mod tests {
         let b = tw.mean_until(10.0).unwrap();
         assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         assert_eq!(tw.max(), 4.0);
-        assert_eq!(tw.current(), Some(1.0));
+        assert_eq!(tw.last_v, 1.0);
     }
 
     #[test]
     fn time_weighted_empty() {
         let tw = TimeWeighted::new();
         assert!(tw.mean_until(10.0).is_none());
-        assert!(tw.current().is_none());
+        assert!(!tw.started);
     }
 
     #[test]

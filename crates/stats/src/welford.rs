@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(w.count(), 8);
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Welford {
@@ -103,16 +103,6 @@ impl Welford {
         }
     }
 
-    /// Population variance (`n` denominator); `NaN` when empty.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation; `NaN` for fewer than two observations.
     #[must_use]
     pub fn sample_std_dev(&self) -> f64 {
@@ -136,28 +126,6 @@ impl Welford {
     pub fn sum(&self) -> f64 {
         self.mean * self.count as f64
     }
-
-    /// Merges another accumulator into this one (parallel Welford / Chan's
-    /// method). The result is identical (up to rounding) to having pushed all
-    /// samples into a single accumulator.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +141,6 @@ mod tests {
         let w = Welford::new();
         assert!(w.mean().is_nan());
         assert!(w.sample_variance().is_nan());
-        assert!(w.population_variance().is_nan());
         assert!(w.is_empty());
         assert_eq!(w.count(), 0);
     }
@@ -184,7 +151,6 @@ mod tests {
         w.push(42.0);
         assert_eq!(w.count(), 1);
         assert_close(w.mean(), 42.0, 1e-12);
-        assert_close(w.population_variance(), 0.0, 1e-12);
         assert!(w.sample_variance().is_nan());
         assert_eq!(w.min(), 42.0);
         assert_eq!(w.max(), 42.0);
@@ -210,37 +176,6 @@ mod tests {
         w.push(3.0);
         assert_eq!(w.count(), 2);
         assert_close(w.mean(), 2.0, 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.7).cos() * 5.0).collect();
-        let (a, b) = xs.split_at(137);
-        let mut wa = Welford::new();
-        wa.extend(a.iter().copied());
-        let mut wb = Welford::new();
-        wb.extend(b.iter().copied());
-        let mut whole = Welford::new();
-        whole.extend(xs.iter().copied());
-        wa.merge(&wb);
-        assert_eq!(wa.count(), whole.count());
-        assert_close(wa.mean(), whole.mean(), 1e-9);
-        assert_close(wa.sample_variance(), whole.sample_variance(), 1e-9);
-        assert_eq!(wa.min(), whole.min());
-        assert_eq!(wa.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut w = Welford::new();
-        w.extend([1.0, 2.0, 3.0]);
-        let snapshot = w;
-        w.merge(&Welford::new());
-        assert_eq!(w, snapshot);
-
-        let mut e = Welford::new();
-        e.merge(&snapshot);
-        assert_eq!(e, snapshot);
     }
 
     #[test]

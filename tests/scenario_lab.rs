@@ -156,17 +156,25 @@ fn mixed_regime_slices_and_is_jobs_invariant() {
     assert!(serial.windows.len() >= 5, "windows: {:?}", serial.windows);
     // The loss storm must actually have dropped traffic…
     assert!(serial.per_seed.iter().all(|s| s.messages_dropped_loss > 0));
-    // …and the churn switches must have been applied.
+    // …and the churn switches must have been applied, each once, in order.
     let mut scenario = spec.build().expect("builds");
-    scenario.run();
     let churn = scenario.churn_actor();
-    let actor = scenario
+    scenario
         .sim_mut()
-        .actor::<ChurnActor>(churn)
-        .expect("churn actor");
+        .actor_mut::<ChurnActor>(churn)
+        .expect("churn actor")
+        .set_trace(u64::MAX);
+    scenario.run();
+    let trace = scenario
+        .sim_mut()
+        .actor_mut::<ChurnActor>(churn)
+        .expect("churn actor")
+        .take_trace()
+        .expect("armed");
+    let ordinals: Vec<u64> = trace.switches.iter().map(|&(_, n)| n).collect();
     assert_eq!(
-        actor.switches_applied(),
-        churn_switches as u64,
+        ordinals,
+        (1..=churn_switches as u64).collect::<Vec<_>>(),
         "every churn switch applies exactly once"
     );
 }
