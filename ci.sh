@@ -85,8 +85,10 @@ test_nonempty --release -q -p presence-des --lib queue::
 test_nonempty --release -q -p presence-des --lib engine::
 
 # Release replay of the golden fixtures: tier-1 replays `sapp`, `dcpp`,
-# `churn` and `lab-mixed` in the debug profile; this is the same suite
-# optimised, as the benchmark and the bins run the simulator.
+# `churn` (each from `golden_trio()` and from its `paper-*` catalog entry,
+# with the single-hop event-count and events-per-message records) and
+# `lab-mixed` in the debug profile; this is the same suite optimised, as
+# the benchmark and the bins run the simulator.
 echo "==> golden replay (release)"
 test_nonempty --release -q --test golden_equivalence
 
@@ -102,15 +104,22 @@ test_nonempty --release -q -p presence-sim --lib mega::
 # still arrive in probe order over IPv4 and IPv6, a queued burst of runs
 # must be received whole (UDP GRO), counted per datagram; and the socket
 # calls under them (`sys::`) must send and receive a 64-segment run.
-echo "==> sharded host loopback and socket tests (release)"
+# This stage is also the shard loop's idle-path gate: with no CP, and
+# with five CPs at the paper's own 10 probes/s, a shard must block rather
+# than poll (loop-iteration budgets of 120/s per idle shard and 400/s for
+# the paper-rate pair), still fire every timer and answer every probe,
+# and `join` must not wait for a blocked shard (< 250 ms). `-- --nocapture`
+# prints their iterations/s, join latency and shard CPU.
+echo "==> sharded host loopback, socket and idle-path tests (release)"
 test_nonempty --release -q -p presence-runtime --lib shard::
 test_nonempty --release -q -p presence-runtime --lib sys::
 
 # Conformance stage: the simulator is the oracle for the sharded UDP
-# serving runtime. The suite drives identical machine populations through
-# the simulator's own actors (zero-delay lossless fabric) and through real
-# loopback sockets under a lockstep virtual clock, requiring
-# verdict-for-verdict agreement — at one shard and at four, so both the
+# serving runtime, and the conformance suite is the gate. It drives
+# identical machine populations through the simulator's own actors
+# (zero-delay lossless fabric) and through real loopback sockets under a
+# lockstep virtual clock, requiring verdict-for-verdict agreement and the
+# oracle's pinned counts — at one shard and at four, so both the
 # single-socket path and the cross-shard routing/demux paths are proven.
 # Then the stress gate: the sharded host must sustain 10k devices + 10k
 # probers on the wall clock with zero backpressure drops, zero decode
@@ -119,17 +128,8 @@ test_nonempty --release -q -p presence-runtime --lib sys::
 echo "==> conformance: sim oracle vs UDP runtime at RUNTIME_SHARDS=1 and =4"
 RUNTIME_SHARDS=1 cargo test --release -q -p presence-bench --test conformance
 RUNTIME_SHARDS=4 cargo test --release -q -p presence-bench --test conformance
-RUNTIME_SHARDS=1 cargo run --release -q -p presence-bench --bin conformance
-RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance
 echo "==> conformance stress: 10k devices on loopback, zero-drop gate (RUNTIME_SHARDS=4)"
 RUNTIME_SHARDS=4 cargo run --release -q -p presence-bench --bin conformance -- --stress 10000
-# The stress line gates the shard loop's busy path (batching); this one
-# gates its idle path: with no CP, and with five CPs at the paper's own
-# 10 probes/s, a shard must block rather than poll (loop-iteration
-# budgets), still fire every timer and answer every probe, and `join`
-# must not wait for a blocked shard.
-echo "==> conformance idle: blocked shards at 0 and 10 probes/s, wake budgets"
-cargo run --release -q -p presence-bench --bin conformance -- --idle
 
 # Mega-scale smoke: the 100k-device calendar-queue + streaming-recorder
 # configuration (mega-ci) must finish with sane physics (wait mean within
@@ -146,8 +146,11 @@ cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 # two with a key that names no field (the retired `sapp_auto_tune`, once at
 # the top level and once inside `config`), must each be an error message
 # and exit status 1, not a panic and not a run that ignores the key. So
-# must a flag `lab` or `experiments` would ignore, and a `lab` flag with a
-# malformed value (`--seeds 1,x`, `--jobs 0`), whose message names it.
+# must a flag `lab` or `experiments` would ignore, and a flag with a
+# malformed value (`lab --seeds 1,x`, `lab --jobs 0`, `experiments
+# --seed x`, `conformance --stress 0`), whose message names it; and
+# `golden_fixtures --bogus`, which must not take the flag for its output
+# directory.
 echo "==> scenario lab: catalog validation + mixed-regime smoke + bad-spec rejection (lab --check, PRESENCE_JOBS=$PRESENCE_JOBS)"
 cargo run --release -q -p presence-bench --bin lab -- --check
 bad_spec="$(mktemp --suffix=.json)"
@@ -161,6 +164,10 @@ sed 's/^    "seed": 11,$/&\n    "sapp_auto_tune": {"max_doublings": 6},/' catalo
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --seeds 1,x 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --seeds'
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --jobs 0 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --jobs'
 { cargo run --release -q -p presence-bench --bin experiments -- all --json 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'experiments all: --json is not supported'
+{ cargo run --release -q -p presence-bench --bin experiments -- e2 --seed x 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'experiments: --seed'
+{ cargo run --release -q -p presence-bench --bin conformance -- --stress 0 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'conformance: --stress'
+{ cargo run --release -q -p presence-bench --bin golden_fixtures -- --bogus 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'golden_fixtures: usage'
+[[ ! -e ./--bogus ]]
 rm -f "$bad_spec"
 
 # Experiments stage: `experiments all` is documented as byte-identical at

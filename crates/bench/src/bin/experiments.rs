@@ -8,7 +8,8 @@
 //! `<id>` is a row of [`presence_sim::experiments::CATALOG`] (`e1` … `e7`,
 //! `a1` … `a4`, `a7` … `a8`) and runs at paper scale unless `--duration`
 //! says otherwise. A flag the command would ignore — `--csv` on any row
-//! but the figures `e2` … `e4`, `--json` or `--csv` beside `all` — exits 1.
+//! but the figures `e2` … `e4`, `--json` or `--csv` beside `all` — exits 1,
+//! and so does an unknown id, an unknown flag or a malformed value.
 //!
 //! `all` runs every experiment at reduced scale (`--duration` is a scale
 //! factor on the catalog's quick horizons, default 1) — a quick end-to-end
@@ -20,14 +21,14 @@
 //! byte-identical at any worker count, and with `--jobs 1` each report
 //! still appears the moment its experiment finishes.
 
-use presence_bench::parse_from;
+use presence_bench::{exit_bad_argument, parse_from};
 use presence_sim::experiments::{RunArgs, CATALOG};
 use presence_sim::for_each_indexed;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let which = args.next().unwrap_or_default();
-    let opts = parse_from(args);
+    let opts = parse_from(args).unwrap_or_else(|e| exit_bad_argument("experiments", &e));
     let jobs = opts.resolved_jobs();
 
     if which == "all" {
@@ -51,15 +52,20 @@ fn main() {
 
     let Some(experiment) = CATALOG.iter().find(|e| e.id == which) else {
         let ids: Vec<&str> = CATALOG.iter().map(|e| e.id).collect();
-        panic!(
-            "usage: experiments <id|all> [--seed N] [--duration SECS] [--jobs N] [--json] \
-             [--csv]; ids: {}",
-            ids.join(" ")
+        exit_bad_argument(
+            "experiments",
+            &format!(
+                "unknown experiment {which:?}; usage: experiments <id|all> [--seed N] \
+                 [--duration SECS] [--jobs N] [--json] [--csv]; ids: {}",
+                ids.join(" ")
+            ),
         );
     };
     if opts.csv && !experiment.csv {
-        eprintln!("experiments {which}: --csv is not supported (figures e2–e4 only)");
-        std::process::exit(1);
+        exit_bad_argument(
+            &format!("experiments {which}"),
+            "--csv is not supported (figures e2–e4 only)",
+        );
     }
     print!(
         "{}",

@@ -13,9 +13,11 @@
 //! legitimately changes counts (a new event-collapsing fast path) must
 //! regenerate the fixtures and say so.
 //!
-//! Usage: `cargo run --release -p presence-bench --bin golden_fixtures`
-//! (writes into `tests/golden/` relative to the workspace root).
+//! Usage: `cargo run --release -p presence-bench --bin golden_fixtures
+//! [OUT_DIR]` (writes into `tests/golden/` relative to the workspace root
+//! unless given a directory; an argument starting with `-` exits 1).
 
+use presence_bench::exit_bad_argument;
 use presence_sim::{builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult};
 use std::path::PathBuf;
 
@@ -45,9 +47,15 @@ fn write_fixture(out_dir: &std::path::Path, name: &str, result: &ScenarioResult)
 }
 
 fn main() {
-    let out_dir = std::env::args()
-        .nth(1)
-        .map_or_else(|| PathBuf::from("tests/golden"), PathBuf::from);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out_dir = match args.as_slice() {
+        [] => PathBuf::from("tests/golden"),
+        [dir] if !dir.starts_with('-') => PathBuf::from(dir),
+        _ => exit_bad_argument(
+            "golden_fixtures",
+            &format!("usage: golden_fixtures [OUT_DIR], got {args:?}"),
+        ),
+    };
     std::fs::create_dir_all(&out_dir).expect("create fixture directory");
     for (name, cfg) in golden_trio() {
         let mut scenario = Scenario::build(cfg);

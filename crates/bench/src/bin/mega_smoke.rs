@@ -54,12 +54,13 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--budget-mb" => {
-                budget_mb = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--budget-mb N");
-            }
+            "--budget-mb" => match it.next().map(|v| v.parse()) {
+                Some(Ok(mb)) => budget_mb = mb,
+                _ => {
+                    eprintln!("mega_smoke: --budget-mb takes a size in MiB");
+                    return ExitCode::FAILURE;
+                }
+            },
             other if other.starts_with("--") => {
                 eprintln!("mega_smoke: unknown argument {other}");
                 return ExitCode::FAILURE;

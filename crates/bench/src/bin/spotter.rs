@@ -78,15 +78,15 @@ fn main() -> ExitCode {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--top" => {
-                top_n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--top N (a positive integer)");
-                assert!(top_n > 0, "--top must be positive");
-            }
+            "--top" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => top_n = n,
+                _ => {
+                    eprintln!("spotter: --top takes a positive integer");
+                    return ExitCode::FAILURE;
+                }
+            },
             other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
+                eprintln!("spotter: unknown flag {other}");
                 return ExitCode::FAILURE;
             }
             other => path = Some(other.to_string()),

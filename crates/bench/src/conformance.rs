@@ -465,30 +465,18 @@ mod tests {
         assert_eq!(report.devices[0].probes_received, cp.stats.probes_sent);
     }
 
-    #[test]
-    fn oracle_detects_departed_device() {
-        let report = run_oracle(&dcpp_fleet(4));
-        let departed = report.cps.last().unwrap();
-        let v = departed.verdict.expect("departed device never detected");
-        assert_eq!(v.reason, AbsenceReason::ProbeTimeout);
-        assert!(v.at > at_ms(1_500), "verdict before the device departed");
-        assert_eq!(departed.stats.retransmissions, 3);
-        for cp in &report.cps[..report.cps.len() - 1] {
-            assert!(cp.verdict.is_none(), "false verdict for {:?}", cp.cp);
-        }
-    }
-
     /// The paper's detection bound, on the three scenarios with a silent
     /// device. A CP whose device goes silent at `T` declares it absent no
     /// earlier than `T + worst_case_detection()`: the last cycle it starts
-    /// after `T` must run out its whole retransmission budget. When the
-    /// CP's wait between cycles is bounded by `w` it declares it no later
-    /// than `T + w + worst_case_detection()`. That `w` is `d_min` for a
-    /// DCPP CP that is its device's only watcher and the period for a
-    /// fixed-rate CP; a SAPP CP's wait adapts, so it gets the lower bound
-    /// only. No CP whose device stays gets a verdict. Conformance requires
-    /// the UDP report to equal the oracle's, so this holds for the host
-    /// too.
+    /// after `T` must run out its whole retransmission budget, and over
+    /// the lossless fabric that cycle is the only one that retransmits.
+    /// When the CP's wait between cycles is bounded by `w` it declares it
+    /// no later than `T + w + worst_case_detection()`. That `w` is
+    /// `d_min` for a DCPP CP that is its device's only watcher and the
+    /// period for a fixed-rate CP; a SAPP CP's wait adapts, so it gets the
+    /// lower bound only. No CP whose device stays gets a verdict.
+    /// Conformance requires the UDP report to equal the oracle's, so this
+    /// holds for the host too.
     #[test]
     fn oracle_verdicts_keep_the_detection_bound() {
         for scenario in [dcpp_fleet(6), fixed_rate_pair(), mixed_fleet()] {
@@ -516,6 +504,11 @@ mod tests {
                     (Some(_), None) => panic!("{name}: silent device never detected"),
                     (Some(t), Some(v)) => {
                         assert_eq!(v.reason, AbsenceReason::ProbeTimeout, "{name}");
+                        assert_eq!(
+                            cp.stats.retransmissions,
+                            u64::from(cycle.max_retransmissions),
+                            "{name}: retransmissions"
+                        );
                         assert!(
                             v.at >= t + detection,
                             "{name}: silent {t}, verdict {}",

@@ -1,10 +1,11 @@
-//! What the `presence-bench` binaries share: the sim/runtime
-//! [`conformance`] harness (the `conformance` bin and
-//! `tests/conformance.rs` drive it), and flag parsing for the
-//! `experiments` and `replications` binaries (the other bins — `lab`,
+//! What the `presence-bench` targets share: the sim/runtime
+//! [`conformance`] harness (`tests/conformance.rs` is the suite that
+//! drives it), flag parsing for the `experiments` and `replications`
+//! binaries, and [`exit_bad_argument`]. The other bins — `lab`,
 //! `conformance`, `mega_smoke`, `spotter`, `golden_fixtures` — parse their
-//! own arguments; timing lives in the repo's `benchmark/` package, not
-//! here).
+//! own arguments, and every bin reports one it cannot use as
+//! `<bin>: <message>` with exit status 1, never a panic. Timing lives in
+//! the repo's `benchmark/` package, not here.
 //!
 //! `experiments <id|all>` and `replications` parse the same optional
 //! flags:
@@ -22,6 +23,8 @@
 pub mod conformance;
 
 use std::env;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,56 +68,64 @@ impl Options {
     pub fn reject_output_flags(&self, command: &str) {
         for (flag, set) in [("--json", self.json), ("--csv", self.csv)] {
             if set {
-                eprintln!("{command}: {flag} is not supported");
-                std::process::exit(1);
+                exit_bad_argument(command, &format!("{flag} is not supported"));
             }
         }
     }
 }
 
-/// Parses `std::env::args`. Unknown flags abort with a usage message.
-#[must_use]
-pub fn parse_args() -> Options {
+/// Prints `<command>: <message>` and exits with status 1: how the
+/// `presence-bench` binaries report an argument they cannot use.
+pub fn exit_bad_argument(command: &str, message: &str) -> ! {
+    eprintln!("{command}: {message}");
+    std::process::exit(1);
+}
+
+/// Parses `std::env::args`; see [`parse_from`].
+///
+/// # Errors
+///
+/// As [`parse_from`].
+pub fn parse_args() -> Result<Options, String> {
     parse_from(env::args().skip(1))
 }
 
 /// Parses an explicit argument list (testable core of [`parse_args`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on malformed or unknown arguments, printing usage — acceptable
-/// for experiment binaries whose only user is the harness.
-#[must_use]
-pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
+/// An unknown argument, a flag without its value, or a value of the wrong
+/// kind (`--jobs 0`, `--seed x`) is an error whose message names the flag.
+pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = iter.next().expect("--seed needs a value");
-                opts.seed = v.parse().expect("--seed must be a u64");
-            }
-            "--duration" => {
-                let v = iter.next().expect("--duration needs a value");
-                opts.duration = Some(v.parse().expect("--duration must be a number"));
-            }
+            "--seed" => opts.seed = value(&arg, iter.next(), "a u64")?,
+            "--duration" => opts.duration = Some(value(&arg, iter.next(), "a number")?),
             "--jobs" => {
-                let v = iter.next().expect("--jobs needs a value");
-                let jobs: usize = v.parse().expect("--jobs must be a positive integer");
-                assert!(jobs > 0, "--jobs must be a positive integer");
-                opts.jobs = Some(jobs);
+                let jobs: NonZeroUsize = value(&arg, iter.next(), "a positive integer")?;
+                opts.jobs = Some(jobs.get());
             }
             "--json" => opts.json = true,
             "--csv" => opts.csv = true,
             other => {
-                panic!(
+                return Err(format!(
                     "unknown argument {other}; supported: --seed N --duration SECS --jobs N \
                      --json --csv"
-                )
+                ))
             }
         }
     }
-    opts
+    Ok(opts)
+}
+
+/// `text`, the value given after `flag`, parsed; or an error naming the
+/// flag and `what` it takes.
+fn value<T: FromStr>(flag: &str, text: Option<String>, what: &str) -> Result<T, String> {
+    let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag} must be {what}, got {text:?}"))
 }
 
 #[cfg(test)]
@@ -127,7 +138,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let o = parse_from(args(&[]));
+        let o = parse_from(args(&[])).unwrap();
         assert_eq!(o, Options::default());
     }
 
@@ -142,7 +153,8 @@ mod tests {
             "4",
             "--json",
             "--csv",
-        ]));
+        ]))
+        .unwrap();
         assert_eq!(o.seed, 42);
         assert_eq!(o.duration, Some(123.5));
         assert_eq!(o.jobs, Some(4));
@@ -155,21 +167,30 @@ mod tests {
         assert!(Options::default().resolved_jobs() >= 1);
     }
 
+    // A bad argument is an `Err` naming the flag; unwrapping it panics
+    // with that message, which `expected` matches.
+
     #[test]
-    #[should_panic(expected = "positive integer")]
+    #[should_panic(expected = r#"--jobs must be a positive integer, got \"0\""#)]
     fn zero_jobs_rejected() {
-        let _ = parse_from(args(&["--jobs", "0"]));
+        parse_from(args(&["--jobs", "0"])).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
+    #[should_panic(expected = "unknown argument --frobnicate")]
     fn unknown_flag_panics() {
-        let _ = parse_from(args(&["--frobnicate"]));
+        parse_from(args(&["--frobnicate"])).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "--seed needs a value")]
     fn missing_value_panics() {
-        let _ = parse_from(args(&["--seed"]));
+        parse_from(args(&["--seed"])).unwrap();
+    }
+
+    #[test]
+    fn malformed_value_names_the_flag() {
+        let err = parse_from(args(&["--seed", "x"])).unwrap_err();
+        assert_eq!(err, r#"--seed must be a u64, got "x""#);
     }
 }

@@ -12,80 +12,102 @@
 //! runs the suite at 1 and at 4); each test also pins one explicit shard
 //! count so a plain `cargo test` covers both single- and multi-shard
 //! routing.
+//!
+//! Each scenario's oracle counts are pinned too, so a change that moves
+//! both paths alike (a machine or scenario edit) is red here as well.
+//! Every test prints its agreement line; `--nocapture` shows them.
 
 use presence_bench::conformance::{
     dcpp_fleet, dcpp_pair, fixed_rate_pair, mixed_fleet, run_oracle, run_udp, sapp_pair,
-    ConformanceScenario,
+    ConformanceReport, ConformanceScenario,
 };
 use presence_runtime::shards_from_env;
 
-fn assert_conformance(scenario: &ConformanceScenario, shards: usize) {
+/// CPs, devices, verdicts, probes sent and timers fired.
+type Counts = (usize, usize, usize, u64, u64);
+
+fn counts(report: &ConformanceReport) -> Counts {
+    (
+        report.cps.len(),
+        report.devices.len(),
+        report.cps.iter().filter(|c| c.verdict.is_some()).count(),
+        report.cps.iter().map(|c| c.stats.probes_sent).sum(),
+        report.timers_fired,
+    )
+}
+
+/// Runs `scenario` through the oracle and over UDP at `shards`, requires
+/// the two reports to be equal and the oracle's counts to be `pinned`.
+fn assert_conformance(scenario: &ConformanceScenario, shards: usize, pinned: Counts) {
     let oracle = run_oracle(scenario);
     let udp = run_udp(scenario, shards).expect("udp conformance run failed");
+    let (cps, devices, verdicts, probes, timers) = counts(&oracle);
+    println!(
+        "{} at {shards} shard(s): {cps} CPs, {devices} devices, {verdicts} verdicts, \
+         {probes} probes, {timers} timers: {}",
+        scenario.name,
+        if oracle == udp { "EXACT" } else { "DIVERGED" }
+    );
+    for (o, u) in oracle.cps.iter().zip(&udp.cps) {
+        if o != u {
+            println!("  cp {:?}: oracle {o:?}\n           udp    {u:?}", o.cp);
+        }
+    }
+    for (o, u) in oracle.devices.iter().zip(&udp.devices) {
+        if o != u {
+            println!("  device {:?}: oracle {o:?} udp {u:?}", o.device);
+        }
+    }
     assert_eq!(
         oracle, udp,
         "scenario `{}` diverged between sim oracle and UDP runtime at {} shard(s)",
         scenario.name, shards
     );
+    assert_eq!(
+        counts(&oracle),
+        pinned,
+        "scenario `{}`: oracle (CPs, devices, verdicts, probes, timers) moved",
+        scenario.name
+    );
 }
 
 #[test]
 fn dcpp_pair_conforms() {
-    assert_conformance(&dcpp_pair(), shards_from_env());
+    assert_conformance(&dcpp_pair(), shards_from_env(), (1, 1, 0, 51, 51));
 }
 
 #[test]
 fn dcpp_fleet_conforms_single_shard() {
-    assert_conformance(&dcpp_fleet(6), 1);
+    assert_conformance(&dcpp_fleet(6), 1, (6, 6, 1, 170, 172));
 }
 
 #[test]
 fn dcpp_fleet_conforms_multi_shard() {
-    assert_conformance(&dcpp_fleet(6), shards_from_env().max(2));
+    assert_conformance(
+        &dcpp_fleet(6),
+        shards_from_env().max(2),
+        (6, 6, 1, 170, 172),
+    );
 }
 
 #[test]
 fn sapp_pair_conforms() {
-    assert_conformance(&sapp_pair(), shards_from_env());
+    assert_conformance(&sapp_pair(), shards_from_env(), (1, 1, 0, 27, 27));
 }
 
 #[test]
 fn mixed_fleet_conforms() {
-    assert_conformance(&mixed_fleet(), shards_from_env());
+    assert_conformance(&mixed_fleet(), shards_from_env(), (3, 3, 1, 65, 67));
 }
 
 /// `FixedRateCp` is the one `Prober` the UDP host had never run under the
 /// oracle; pinned at both shard counts like the DCPP fleet.
 #[test]
 fn fixed_rate_pair_conforms_single_shard() {
-    assert_conformance(&fixed_rate_pair(), 1);
+    assert_conformance(&fixed_rate_pair(), 1, (1, 1, 1, 17, 19));
 }
 
 #[test]
 fn fixed_rate_pair_conforms_multi_shard() {
-    assert_conformance(&fixed_rate_pair(), 4);
-}
-
-/// The deflaked successor of the old `dcpp_over_in_memory_transport`
-/// test, which slept 400 wall-clock milliseconds and hoped for ≥ 3
-/// cycles. On the virtual clock the cycle count is *exact*, the verdict
-/// check is *exact*, and CI load cannot perturb either.
-#[test]
-fn dcpp_runtime_cycles_are_exact_on_virtual_clock() {
-    let scenario = dcpp_pair();
-    let report = run_udp(&scenario, 1).expect("udp run failed");
-    let cp = &report.cps[0];
-    assert!(cp.verdict.is_none(), "false absence verdict");
-    // horizon 5 s, d_min 100 ms: the oracle pins the exact count; here we
-    // assert the envelope so the test documents the workload by itself.
-    assert!(
-        (40..=52).contains(&cp.stats.cycles_succeeded),
-        "cycle count {} outside the d_min-determined envelope",
-        cp.stats.cycles_succeeded
-    );
-    assert_eq!(cp.stats.retransmissions, 0, "loopback lost probes");
-    assert_eq!(
-        report.devices[0].probes_received, cp.stats.probes_sent,
-        "device answered a different number of probes than the CP sent"
-    );
+    assert_conformance(&fixed_rate_pair(), 4, (1, 1, 1, 17, 19));
 }

@@ -290,19 +290,3 @@ fn overlay_field_is_last_two_distinct() {
     };
     assert_eq!(last_probers, [Some(CpId(6)), Some(CpId(5))]);
 }
-
-/// §2: "the maximal frequency at which a CP may probe a device — given
-/// that the protocol is in a stabilized situation — is given by
-/// min(1/δ_min, β·L_nom)". With the paper's numbers: min(50, 15) = 15/s.
-/// We check the weaker, machine-checkable half: the CP's frequency can
-/// never exceed 1/δ_min.
-#[test]
-fn sapp_frequency_cap() {
-    let cfg = SappConfig::paper_default();
-    let mut cp = SappCp::new(CpId(0), cfg);
-    let mut out = Vec::new();
-    cp.start(t(0.0), &mut out);
-    // Whatever happens, δ ≥ δ_min, so frequency ≤ 50/s.
-    let frequency = 1.0 / cp.current_delay().unwrap().as_secs_f64();
-    assert!(frequency <= 1.0 / cfg.delta_min.as_secs_f64() + 1e-9);
-}

@@ -1146,28 +1146,75 @@ mod tests {
         per_500ms * ms.max(500) / 500
     }
 
+    /// `join` on blocked shards: one stop re-check (`MAX_BLOCK`) plus slack.
+    const JOIN_LIMIT: Duration = Duration::from_millis(250);
+
+    /// Joins `handle`, requiring it to return within [`JOIN_LIMIT`] though
+    /// its shards may be blocked.
+    fn timed_join(handle: HostHandle) -> (HostReport, Duration) {
+        let t0 = std::time::Instant::now();
+        let report = handle.join();
+        let took = t0.elapsed();
+        assert!(took < JOIN_LIMIT, "join took {took:?}");
+        (report, took)
+    }
+
+    /// On-CPU nanoseconds so far of the process's live shard threads: the
+    /// first field of `/proc/self/task/<tid>/schedstat` of every thread
+    /// named `presence-shard-*` (0 where `/proc` has no such file). Tests
+    /// running beside this one add their shards; run with
+    /// `--test-threads=1` for a reading of one test's hosts.
+    fn shard_cpu_ns() -> u64 {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return 0;
+        };
+        tasks
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|comm| comm.starts_with("presence-shard"))
+            })
+            .filter_map(|task| {
+                let stat = std::fs::read_to_string(task.path().join("schedstat")).ok()?;
+                stat.split_whitespace().next()?.parse::<u64>().ok()
+            })
+            .sum()
+    }
+
+    /// The shard loop's idle-path gate, with the next test: a shard must
+    /// block rather than poll, still fire every timer and answer every
+    /// probe, and `join` must not wait for a blocked shard. Both print
+    /// loop iterations/s, `join` latency and shard CPU ms/s (`cargo test
+    /// --release -p presence-runtime --lib shard:: -- --nocapture`).
     #[test]
     fn idle_host_blocks_instead_of_polling_and_still_joins_promptly() {
         // No prober, no timer: nothing can wake the shards but the stop
-        // re-check every MAX_BLOCK (25 iterations in 500 ms; the polling
-        // loop made ~400).
+        // re-check every MAX_BLOCK (25 iterations in 500 ms, 120/s of
+        // budget; the polling loop made ~400).
         let mut host = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
         host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
         let handle = host.start(Arc::new(SystemClock::new()));
         let t0 = std::time::Instant::now();
         std::thread::sleep(Duration::from_millis(500));
+        let slept = t0.elapsed();
         let iterations = handle.iterations();
-        let budget = iteration_budget(60, t0.elapsed());
+        let cpu_ms_per_s = shard_cpu_ns() as f64 / 1e6 / slept.as_secs_f64();
+        let budget = iteration_budget(60, slept);
+        // Both shards are blocked right now; the stop flag must still
+        // reach them.
+        let (report, join) = timed_join(handle);
+        let per_s: Vec<f64> = iterations
+            .iter()
+            .map(|&n| n as f64 / slept.as_secs_f64())
+            .collect();
+        println!(
+            "idle host: loop iterations/s {per_s:.0?}, join {:.1} ms, shard CPU {cpu_ms_per_s:.1} ms/s",
+            join.as_secs_f64() * 1e3
+        );
         assert!(
             iterations.iter().all(|&n| n <= budget),
             "idle shards iterated {iterations:?} times, budget {budget} each"
         );
-        // Both shards are blocked right now; the stop flag must still
-        // reach them.
-        let t0 = std::time::Instant::now();
-        let report = handle.join();
-        let took = t0.elapsed();
-        assert!(took < Duration::from_millis(250), "join took {took:?}");
         assert_eq!(report.stats, ShardStats::default());
     }
 
@@ -1175,14 +1222,15 @@ mod tests {
     fn paper_rate_pair_wakes_per_event_not_per_millisecond() {
         // The paper's own load: five paper-default DCPP CPs hold one
         // device at L_nom = 10 probes/s. Twenty probe cycles in 2 s cost
-        // a few hundred iterations across both hosts (the polling loop
-        // made ~3 400), and blocking loses nothing.
+        // a few hundred iterations across both hosts (400/s of budget; the
+        // polling loop made ~3 400), and blocking loses nothing.
         let cfg = DcppConfig::paper_default();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let mut devices = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
         devices.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
         let mut cps = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        for cp in 0..5u32 {
+        let n_cps = 5u32;
+        for cp in 0..n_cps {
             cps.add_prober(
                 Box::new(DcppCp::new(CpId(cp), cfg)),
                 devices.addr_of(DeviceId(0)),
@@ -1194,15 +1242,29 @@ mod tests {
         let cp_handle = cps.start(Arc::clone(&clock));
         let t0 = std::time::Instant::now();
         std::thread::sleep(Duration::from_secs(2));
+        let slept = t0.elapsed();
         let iterations = dev_handle.iterations()[0] + cp_handle.iterations()[0];
-        let budget = iteration_budget(200, t0.elapsed());
+        let cpu_ms_per_s = shard_cpu_ns() as f64 / 1e6 / slept.as_secs_f64();
+        let budget = iteration_budget(200, slept);
 
-        let cp_report = cp_handle.join();
+        let (cp_report, cp_join) = timed_join(cp_handle);
         settle(&dev_handle);
-        let dev_report = dev_handle.join();
+        let (dev_report, dev_join) = timed_join(dev_handle);
 
         let sent: u64 = cp_report.probers.iter().map(|p| p.stats.probes_sent).sum();
-        assert!(sent >= 15, "only {sent} probes in 2 s");
+        println!(
+            "paper-rate pair: loop iterations/s {:.0}, {sent} probes, join {:.1} ms, \
+             shard CPU {cpu_ms_per_s:.1} ms/s",
+            iterations as f64 / slept.as_secs_f64(),
+            cp_join.max(dev_join).as_secs_f64() * 1e3
+        );
+        // Each CP owes ~2 probes a second: a loop that blocks through its
+        // timers falls short.
+        let owed = 1.6 * f64::from(n_cps) * slept.as_secs_f64();
+        assert!(
+            sent as f64 >= owed,
+            "only {sent} probes in {slept:?}, owed {owed:.0}"
+        );
         assert_eq!(dev_report.devices[0].probes_received, sent);
         assert!(cp_report.probers.iter().all(|p| p.verdict.is_none()));
         assert_eq!(cp_report.stats.dropped() + dev_report.stats.dropped(), 0);

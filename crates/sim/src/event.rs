@@ -37,7 +37,7 @@ pub enum SimEvent {
     /// One `Send` dispatch plus one `Deliver` firing is the complete
     /// per-message event cost (the events-per-delivered-message ≤ 2
     /// contract pinned by
-    /// `tests/golden_equivalence.rs::golden_trio_meets_two_events_per_message_contract`).
+    /// `tests/golden_equivalence.rs::typed_dispatch_preserves_golden_trio_trajectories`).
     Deliver(WireMessage),
     /// (to a node actor) A protocol timer fired.
     Timer(TimerToken),

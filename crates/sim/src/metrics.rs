@@ -115,7 +115,7 @@ impl ScenarioResult {
     /// dispatch per offered message plus one `Deliver` firing per
     /// delivered one. The single-hop delivery path holds this at 2 plus
     /// the drop/in-flight share (the old route cost 3);
-    /// `tests/golden_equivalence.rs::golden_trio_meets_two_events_per_message_contract`
+    /// `tests/golden_equivalence.rs::typed_dispatch_preserves_golden_trio_trajectories`
     /// fails above 2.05. `None` when nothing was delivered.
     ///
     /// Approximation: a `Broadcast` is one engine dispatch but increments

@@ -1,12 +1,14 @@
 //! The golden replay suite: every recorded fixture under `tests/golden/`
 //! (`sapp`, `dcpp`, `churn`, `lab-mixed`) must replay bit-for-bit through
-//! [`Scenario`].
+//! [`Scenario`], and so must the catalog entries that state the trio as
+//! specs (`paper-sapp`, `paper-dcpp`, `paper-churn`).
 //!
 //! The fixtures are full `ScenarioResult` dumps recorded **before** the
 //! typed-dispatch + timer-slot rewrite (PR 5), so a divergence is a
 //! changed trajectory, never fixture drift. Every metric must match,
 //! **including `events_processed`**: dispatch and timer refactors must not
-//! change what is scheduled.
+//! change what is scheduled. A divergence names the first differing line
+//! of the pretty-printed result, with both sides.
 //!
 //! Regenerate with `cargo run --release -p presence-bench --bin
 //! golden_fixtures` — but only in a PR that *intends* a trajectory (or
@@ -14,50 +16,98 @@
 
 use presence::sim::{builtin_catalog, golden_trio, Scenario, ScenarioResult};
 
-/// The recorded result, as canonical JSON plus its event count. Compared
-/// as JSON, not structs: never-active CPs carry NaN metrics (serialised
-/// as null), and NaN ≠ NaN would fail a field-level comparison of two
-/// bit-identical trajectories.
-fn fixture(name: &str) -> (String, u64) {
+/// The recorded result, pretty-printed. Compared as JSON, not structs:
+/// never-active CPs carry NaN metrics (serialised as null), and NaN ≠ NaN
+/// would fail a field-level comparison of two bit-identical trajectories.
+fn fixture(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("fixture {path} unreadable ({e}); regenerate with the golden_fixtures bin")
     });
     let golden: ScenarioResult = serde_json::from_str(&text).expect("fixture deserialises");
-    (
-        serde_json::to_string(&golden).expect("golden serialises"),
-        golden.events_processed,
-    )
+    serde_json::to_string_pretty(&golden).expect("golden serialises")
 }
 
-/// Runs `scenario` and compares the result with the fixture recorded for
-/// `name`.
-fn replay(name: &str, mut scenario: Scenario) {
-    let (golden, golden_events) = fixture(name);
+/// Panics at the first line where two pretty-printed results differ,
+/// naming the line and showing both sides.
+fn assert_same_lines(label: &str, replayed: &str, golden: &str) {
+    let (mut replayed, mut golden) = (replayed.lines(), golden.lines());
+    for line in 1.. {
+        match (replayed.next(), golden.next()) {
+            (None, None) => return,
+            (r, g) if r == g => {}
+            (r, g) => panic!(
+                "{label}: trajectory diverged from the recorded run at line {line} of the \
+                 pretty-printed result\n  replayed: {}\n  golden:   {}",
+                r.unwrap_or("<end of result>"),
+                g.unwrap_or("<end of fixture>")
+            ),
+        }
+    }
+}
+
+/// Runs `scenario` and compares the result with `golden`, a recorded
+/// [`fixture`]; `label` names the run in a failure.
+fn replay(label: &str, golden: &str, mut scenario: Scenario) -> ScenarioResult {
     scenario.run();
     let result = scenario.collect();
-
     assert_eq!(
         result.messages_unroutable, 0,
-        "{name}: messages went unroutable"
+        "{label}: messages went unroutable"
     );
-    assert_eq!(
-        result.events_processed, golden_events,
-        "{name}: events_processed diverged from the recorded run"
-    );
-    assert_eq!(
-        serde_json::to_string(&result).expect("result serialises"),
-        golden,
-        "{name}: trajectory diverged from the recorded run"
-    );
+    let replayed = serde_json::to_string_pretty(&result).expect("result serialises");
+    assert_same_lines(label, &replayed, golden);
+    result
 }
 
+/// Events each trio scenario processed on the engine before the
+/// single-hop refactor, which spent three events per message (CHANGES.md
+/// records the run). Hard-coded, not read from the fixtures: the fixtures
+/// are regenerated whenever a change intends a different trajectory,
+/// while these are a historical fact.
+const PRE_SINGLE_HOP_EVENTS: [(&str, u64); 3] =
+    [("sapp", 14_552), ("dcpp", 24_200), ("churn", 47_512)];
+
 /// Typed dispatch, inline timer slots and every engine refactor since
-/// must leave the trio's recorded trajectories untouched.
+/// must leave the trio's recorded trajectories untouched, whether a run is
+/// built from `golden_trio()` or lowered from its `paper-*` catalog entry.
+/// Each replayed run must also keep the single-hop fast path's two
+/// records: at most 0.75 × the pre-refactor event count (a regression that
+/// re-adds per-message hops pushes it back up), and at most 2.05 engine
+/// events per delivered message.
 #[test]
 fn typed_dispatch_preserves_golden_trio_trajectories() {
+    let catalog = builtin_catalog();
     for (name, cfg) in golden_trio() {
-        replay(name, Scenario::build(cfg));
+        let golden = fixture(name);
+        let entry = format!("paper-{name}");
+        let spec = catalog
+            .iter()
+            .find(|s| s.name == entry)
+            .unwrap_or_else(|| panic!("catalog entry {entry} missing"));
+        let (_, baseline) = PRE_SINGLE_HOP_EVENTS
+            .into_iter()
+            .find(|&(n, _)| n == name)
+            .expect("trio name has a recorded baseline");
+        for (label, scenario) in [
+            (name, Scenario::build(cfg)),
+            (entry.as_str(), spec.build().expect("paper spec builds")),
+        ] {
+            let result = replay(label, &golden, scenario);
+            let events = result.events_processed;
+            assert!(
+                (events as f64) <= 0.75 * baseline as f64,
+                "{label}: events_processed {events} did not drop ≥ 25% from the \
+                 pre-refactor {baseline}"
+            );
+            let epm = result
+                .events_per_delivered_message()
+                .expect("trio delivers messages");
+            assert!(
+                epm <= 2.05,
+                "{label}: events-per-delivered-message {epm} exceeds the 2.05 gate"
+            );
+        }
     }
 }
 
@@ -70,49 +120,9 @@ fn typed_dispatch_preserves_mixed_regime_lab_trajectory() {
         .into_iter()
         .find(|s| s.name == "mixed-regime-stress")
         .expect("mixed-regime-stress is in the builtin catalog");
-    replay("lab-mixed", spec.build().expect("spec builds"));
-}
-
-/// The events_processed acceptance record for the single-hop refactor,
-/// against the counts the **pre-refactor** engine produced for the trio
-/// (hard-coded, not read from the fixtures: the fixtures are regenerated
-/// whenever a PR intends a trajectory change, while these baselines are a
-/// historical fact of the 3-events-per-message engine). A regression that
-/// re-adds per-message hops pushes the counts back up and fails here.
-#[test]
-fn single_hop_fast_path_cuts_events_processed_by_a_quarter() {
-    // Recorded at the PR 3 boundary (see CHANGES.md).
-    let pre_refactor_events = [("sapp", 14_552u64), ("dcpp", 24_200), ("churn", 47_512)];
-    for (name, cfg) in golden_trio() {
-        let (_, baseline) = *pre_refactor_events
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("trio name has a recorded baseline");
-        let mut scenario = Scenario::build(cfg);
-        scenario.run();
-        let events = scenario.collect().events_processed;
-        assert!(
-            (events as f64) <= 0.75 * baseline as f64,
-            "{name}: events_processed {events} did not drop ≥ 25% from the \
-             pre-refactor {baseline}"
-        );
-    }
-}
-
-/// The events-per-delivered-message ≤ 2 (+ drop/in-flight share) contract,
-/// on the same trio the fixtures pin.
-#[test]
-fn golden_trio_meets_two_events_per_message_contract() {
-    for (name, cfg) in golden_trio() {
-        let mut scenario = Scenario::build(cfg);
-        scenario.run();
-        let result = scenario.collect();
-        let epm = result
-            .events_per_delivered_message()
-            .expect("trio delivers messages");
-        assert!(
-            epm <= 2.05,
-            "{name}: events-per-delivered-message {epm} exceeds the 2.05 gate"
-        );
-    }
+    replay(
+        "mixed-regime-stress",
+        &fixture("lab-mixed"),
+        spec.build().expect("spec builds"),
+    );
 }

@@ -2,20 +2,13 @@
 //!
 //! * Every shipped `catalog/*.json` file is embedded in the catalog,
 //!   parses, validates, and runs green.
-//! * The paper-trio catalog entries reproduce the existing golden
-//!   `ScenarioResult` trajectories **bit-for-bit** (same fixtures the
-//!   single-hop golden suite pins) — the declarative layer lowers onto
-//!   the engine without perturbing it.
 //! * The mixed-regime acceptance scenario (delay + loss + churn all
 //!   switching mid-run) produces per-regime metric slices and is
 //!   byte-identical across worker counts.
 //! * The new churn generators behave as specified (flash crowds peak and
 //!   drain; diurnal populations follow the sinusoid band).
 
-use presence::sim::{
-    builtin_catalog, mega_catalog, run_lab, ChurnActor, ChurnModel, CpSummary, Regime,
-};
-use serde::{Deserialize, Serialize};
+use presence::sim::{builtin_catalog, mega_catalog, run_lab, ChurnActor, ChurnModel, Regime};
 use std::path::Path;
 
 /// The `*.json` file stems under `dir`, sorted.
@@ -75,57 +68,6 @@ fn every_catalog_entry_runs_green() {
                 slice.end
             );
         }
-    }
-}
-
-/// Every `ScenarioResult` field except `events_processed` (and counters
-/// introduced after the fixtures were recorded) — the same shape the
-/// golden-equivalence suite compares.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
-struct TrajectoryMetrics {
-    duration: f64,
-    device_probes: u64,
-    load_series: Vec<(f64, f64)>,
-    load_mean: f64,
-    load_variance: f64,
-    mean_buffer_occupancy: Option<f64>,
-    messages_offered: u64,
-    messages_dropped_overflow: u64,
-    messages_dropped_loss: u64,
-    population_series: Vec<(f64, f64)>,
-    cps: Vec<CpSummary>,
-    fairness_jain: f64,
-}
-
-/// The paper-trio catalog entries replay the recorded golden fixtures
-/// bit-for-bit: lowering a spec through the lab is trajectory-neutral.
-#[test]
-fn paper_trio_catalog_entries_match_golden_fixtures() {
-    for (entry, fixture) in [
-        ("paper-sapp", "sapp"),
-        ("paper-dcpp", "dcpp"),
-        ("paper-churn", "churn"),
-    ] {
-        let spec = builtin_catalog()
-            .into_iter()
-            .find(|s| s.name == entry)
-            .unwrap_or_else(|| panic!("catalog entry {entry} missing"));
-        let mut scenario = spec.build().expect("paper spec builds");
-        scenario.run();
-        let result = scenario.collect();
-        let fresh: TrajectoryMetrics =
-            serde_json::from_str(&serde_json::to_string(&result).expect("result serialises"))
-                .expect("result narrows");
-
-        let path = format!("{}/tests/golden/{fixture}.json", env!("CARGO_MANIFEST_DIR"));
-        let golden: TrajectoryMetrics =
-            serde_json::from_str(&std::fs::read_to_string(&path).expect("fixture readable"))
-                .expect("fixture deserialises");
-        assert_eq!(
-            serde_json::to_string(&fresh).unwrap(),
-            serde_json::to_string(&golden).unwrap(),
-            "{entry}: catalog spec diverged from the recorded golden run"
-        );
     }
 }
 
