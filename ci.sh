@@ -147,7 +147,8 @@ cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 512
 # the top level and once inside `config`), must each be an error message
 # and exit status 1, not a panic and not a run that ignores the key. So
 # must a flag `lab` or `experiments` would ignore, and a flag with a
-# malformed value (`lab --seeds 1,x`, `lab --jobs 0`, `experiments
+# malformed value (`lab --seeds 1,x`, a repeated seed as in `lab --seeds
+# 1,1`, which would count one run twice, `lab --jobs 0`, `experiments
 # --seed x`, `conformance --stress 0`), whose message names it; and
 # `golden_fixtures --bogus`, which must not take the flag for its output
 # directory.
@@ -162,6 +163,7 @@ sed 's/^    "seed": 11,$/&\n    "sapp_auto_tune": {"max_doublings": 6},/' catalo
 { cargo run --release -q -p presence-bench --bin lab -- "$bad_spec" 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q 'unknown field'
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --trace-engine 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- '--trace-engine needs --trace'
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --seeds 1,x 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --seeds'
+{ cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --seeds 1,1 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --seeds'
 { cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --jobs 0 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'lab: --jobs'
 { cargo run --release -q -p presence-bench --bin experiments -- all --json 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'experiments all: --json is not supported'
 { cargo run --release -q -p presence-bench --bin experiments -- e2 --seed x 2>&1 >/dev/null || [[ $? -eq 1 ]]; } | grep -q -- 'experiments: --seed'
@@ -195,14 +197,17 @@ for example in examples/*.rs; do
 done
 
 # Trace stage: export a Perfetto trace from the mixed-regime acceptance
-# scenario (horizon-capped to keep the buffers CI-sized), engine stream
-# included, and put it through the full read-back path — `spotter`
-# parses it, checks every structural invariant (named tracks, flow begin
-# ≤ end, counter monotonicity), and prints the digest; a malformed trace
-# exits non-zero.
-echo "==> trace stage: lab --trace --trace-engine + spotter validation (mixed-regime-stress, first 30 s)"
+# scenario, engine stream included, and put it through the full read-back
+# path — `spotter` parses it, checks every structural invariant (events at
+# all, named tracks, flow begin ≤ end, counter monotonicity), and prints
+# the digest with `lab`'s regime windows read from the trace; a malformed
+# or empty trace exits non-zero. The 260 s cap takes in the delay switch
+# at 200 s and the loss switch at 250 s, so the read-back crosses regime
+# boundaries of both kinds a network model makes without an event
+# (release, 2-core guest: `lab` 0.1 s, `spotter` 0.3 s, a 5.1 MB trace).
+echo "==> trace stage: lab --trace --trace-engine + spotter validation (mixed-regime-stress, first 260 s)"
 cargo run --release -q -p presence-bench --bin lab -- \
-    mixed-regime-stress --seeds 1 --trace target/trace_ci.json --trace-until 30 --trace-engine
+    mixed-regime-stress --seeds 1 --trace target/trace_ci.json --trace-until 260 --trace-engine
 cargo run --release -q -p presence-bench --bin spotter -- target/trace_ci.json
 rm -f target/trace_ci.json
 

@@ -20,23 +20,28 @@
 //!
 //! Tracing: `--trace PATH` re-runs the first seed with presence tracing
 //! armed and writes a Chrome JSON trace that Perfetto's viewer loads
-//! directly — one track per actor, probe→reply flow arrows, counter
+//! directly — one track per actor, probe→reply flow arrows, the spec's
+//! timeline (regime switches, device failure, the run's end), counter
 //! tracks for load/frequency/fabric occupancy. `--trace-until SECS` caps
 //! the traced horizon (the run still completes; only the buffers stop),
 //! `--trace-engine` adds the dense engine stream (a dispatch span per
 //! delivery, from the engine's dispatch hook; timer arm/cancel/fire, from
 //! the CPs that own the timers). Inspect traces offline with the
-//! `spotter` bin. A flag that would be ignored is an error (exit 1):
+//! `spotter` bin, which prints this run's regime windows as `lab` does.
+//! A flag that would be ignored is an error (exit 1):
 //! `--trace-until` or `--trace-engine` without `--trace`, and `--trace`
 //! or `--json` beside `--all`, `--check` or `--list`. So is a flag whose
 //! value is missing or malformed (`--seeds 1,x`, `--jobs 0`); the message
-//! names the flag.
+//! names the flag, and so does a seed given twice (`--seeds 1,1`).
 //!
 //! Reports are **byte-identical at any `--jobs` value** — replications
 //! merge in seed order before any cross-seed folding (pinned by
 //! `tests/determinism.rs`).
 
-use presence_sim::{builtin_catalog, job_count, mega_catalog, run_lab, LabReport, ScenarioSpec};
+use presence_bench::print_windows;
+use presence_sim::{
+    builtin_catalog, check_seeds, job_count, mega_catalog, run_lab, LabReport, ScenarioSpec,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -74,13 +79,6 @@ fn export_trace(spec: &ScenarioSpec, seed: u64, request: &TraceRequest) -> Resul
     Ok(())
 }
 
-fn fmt_opt(v: Option<f64>, width: usize, precision: usize) -> String {
-    match v {
-        Some(v) => format!("{v:>width$.precision$}"),
-        None => format!("{:>width$}", "—"),
-    }
-}
-
 fn print_report(report: &LabReport) {
     println!(
         "\n=== {} · seeds {:?} · {} regime window(s) ===",
@@ -88,24 +86,7 @@ fn print_report(report: &LabReport) {
         report.seeds,
         report.windows.len()
     );
-    // "detΣ": verdict counts are totals across all seeds; the other
-    // columns are cross-seed means.
-    println!(
-        "{:>12} {:>12} | {:>9} {:>9} {:>9} {:>6} {:>9}",
-        "from (s)", "to (s)", "load/s", "jain", "popul.", "detΣ", "lat. (s)"
-    );
-    for s in &report.slices {
-        println!(
-            "{:>12.1} {:>12.1} | {} {} {} {:>6} {}",
-            s.start,
-            s.end,
-            fmt_opt(s.load_mean, 9, 2),
-            fmt_opt(s.fairness_jain, 9, 3),
-            fmt_opt(s.population_mean, 9, 1),
-            s.detections,
-            fmt_opt(s.detection_latency_mean, 9, 3),
-        );
-    }
+    print_windows(&report.slices);
     let events: u64 = report.per_seed.iter().map(|s| s.events_processed).sum();
     let delivered: u64 = report.per_seed.iter().map(|s| s.messages_delivered).sum();
     let lost: u64 = report
@@ -234,6 +215,7 @@ fn main() -> ExitCode {
                         .map(|s| s.trim().parse())
                         .collect::<Result<_, _>>()
                         .map_err(|_| format!("--seeds takes integers a,b,c, got {text:?}"))?;
+                    check_seeds(&seeds).map_err(|e| format!("--seeds: {}", e.0))?;
                 }
                 "--replications" => {
                     let text = value("--replications")?;

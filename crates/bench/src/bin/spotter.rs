@@ -1,7 +1,15 @@
 //! The trace inspector: read a Chrome JSON trace exported by
 //! `lab --trace` back in, check its structural invariants, and print the
-//! terminal digest — busiest actors, the regime-switch timeline,
-//! per-phase fairness, and probe-cycle latency percentiles.
+//! terminal digest — busiest actors, the run's regime windows, and
+//! probe-cycle latency percentiles.
+//!
+//! The windows are `lab`'s own: cut at the regime switches and closed at
+//! the run's end that the trace marks (both fixed by the run's spec),
+//! sliced by the lab's fold (`presence_sim::slice_trace`) from the trace's
+//! counter tracks and verdict instants, and printed by `lab`'s table
+//! printer. On a trace of a whole run (`lab <entry> --seeds N --trace`)
+//! they read as `lab <entry> --seeds N` prints them; a `--trace-until`
+//! cap ends the last window at the cap.
 //!
 //! ```text
 //! spotter out.json            # validate + full digest (top 10 actors)
@@ -11,12 +19,10 @@
 //! Exit status: 0 when the trace parses and validates, 1 otherwise — the
 //! CI trace stage relies on this.
 
+use presence_bench::print_windows;
+use presence_sim::slice_trace;
 use presence_trace::{analyze, parse, validate};
 use std::process::ExitCode;
-
-fn us_to_s(us: f64) -> f64 {
-    us / 1e6
-}
 
 fn run(path: &str, top_n: usize) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -37,24 +43,10 @@ fn run(path: &str, top_n: usize) -> Result<(), String> {
         println!("  {name:<16} {activity:>8}");
     }
 
-    println!("\nregime switches:");
-    if report.regime_switches.is_empty() {
-        println!("  (none — single-regime run)");
-    }
-    for (ts, ordinal) in &report.regime_switches {
-        println!("  #{ordinal:<3} at {:>10.3} s", us_to_s(*ts));
-    }
-
-    println!("\nper-phase fairness (Jain over per-CP probe frequency):");
-    for phase in &report.phases {
-        let jain = phase
-            .jain
-            .map_or_else(|| "    —".to_string(), |j| format!("{j:.3}"));
-        println!(
-            "  {:>10.3} s .. {:>10.3} s   {jain}",
-            us_to_s(phase.begin_us),
-            us_to_s(phase.end_us)
-        );
+    println!("\nregime windows:");
+    match slice_trace(&report.run) {
+        Some(slices) => print_windows(&slices),
+        None => println!("  (none — the trace marks no run end)"),
     }
 
     println!(

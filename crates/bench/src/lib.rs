@@ -1,9 +1,10 @@
 //! What the `presence-bench` targets share: the sim/runtime
 //! [`conformance`] harness (`tests/conformance.rs` is the suite that
 //! drives it), flag parsing for the `experiments` and `replications`
-//! binaries, and [`exit_bad_argument`]. The other bins — `lab`,
-//! `conformance`, `mega_smoke`, `spotter`, `golden_fixtures` — parse their
-//! own arguments, and every bin reports one it cannot use as
+//! binaries, [`exit_bad_argument`], and the regime-window table
+//! ([`print_windows`]) that `lab` and `spotter` both print. The other
+//! bins — `lab`, `conformance`, `mega_smoke`, `spotter`, `golden_fixtures`
+//! — parse their own arguments, and every bin reports one it cannot use as
 //! `<bin>: <message>` with exit status 1, never a panic. Timing lives in
 //! the repo's `benchmark/` package, not here.
 //!
@@ -22,6 +23,7 @@
 
 pub mod conformance;
 
+use presence_sim::RegimeSlice;
 use std::env;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
@@ -79,6 +81,36 @@ impl Options {
 pub fn exit_bad_argument(command: &str, message: &str) -> ! {
     eprintln!("{command}: {message}");
     std::process::exit(1);
+}
+
+fn fmt_opt(v: Option<f64>, width: usize, precision: usize) -> String {
+    match v {
+        Some(v) => format!("{v:>width$.precision$}"),
+        None => format!("{:>width$}", "—"),
+    }
+}
+
+/// Prints a regime-window table, one row per slice: `lab`'s report of a
+/// run and `spotter`'s reading of that run's trace go through this one
+/// printer. In a cross-seed report, "detΣ" (verdict counts) is a total
+/// across the seeds; the other columns are cross-seed means.
+pub fn print_windows(slices: &[RegimeSlice]) {
+    println!(
+        "{:>12} {:>12} | {:>9} {:>9} {:>9} {:>6} {:>9}",
+        "from (s)", "to (s)", "load/s", "jain", "popul.", "detΣ", "lat. (s)"
+    );
+    for s in slices {
+        println!(
+            "{:>12.1} {:>12.1} | {} {} {} {:>6} {}",
+            s.start,
+            s.end,
+            fmt_opt(s.load_mean, 9, 2),
+            fmt_opt(s.fairness_jain, 9, 3),
+            fmt_opt(s.population_mean, 9, 1),
+            s.detections,
+            fmt_opt(s.detection_latency_mean, 9, 3),
+        );
+    }
 }
 
 /// Parses `std::env::args`; see [`parse_from`].

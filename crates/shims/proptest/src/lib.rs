@@ -5,9 +5,10 @@
 //! property tests exercise:
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(..)]`),
-//! * [`Strategy`] with `prop_map`, integer/float range strategies, tuple
-//!   strategies, [`Just`], [`prop_oneof!`], `prop::collection::vec`, and
-//!   [`any`] for primitives,
+//! * [`Strategy`] with `prop_map`, integer and `f64` range strategies,
+//!   tuple strategies (up to six), [`Just`], [`prop_oneof!`],
+//!   `prop::collection::vec`, and [`any`] for `bool`, `u8`, `u32` and
+//!   `u64`,
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!` / `prop_assume!`.
 //!
 //! Differences from real proptest, by design:
@@ -115,29 +116,6 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Generates with `self`, then generates from the strategy `f` returns.
-    fn prop_flat_map<S2, F>(self, f: F) -> FlatMap<Self, F>
-    where
-        Self: Sized,
-        S2: Strategy,
-        F: Fn(Self::Value) -> S2,
-    {
-        FlatMap { inner: self, f }
-    }
-
-    /// Filters generated values; too many rejections fail the test.
-    fn prop_filter<F>(self, reason: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            inner: self,
-            f,
-            reason,
-        }
-    }
-
     /// Type-erases this strategy.
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -153,13 +131,6 @@ pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
 impl<T> Strategy for Box<dyn Strategy<Value = T>> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
-        (**self).generate(rng)
-    }
-}
-
-impl<S: Strategy + ?Sized> Strategy for &S {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
         (**self).generate(rng)
     }
 }
@@ -190,53 +161,6 @@ where
     type Value = U;
     fn generate(&self, rng: &mut TestRng) -> U {
         (self.f)(self.inner.generate(rng))
-    }
-}
-
-/// See [`Strategy::prop_flat_map`].
-#[derive(Debug, Clone)]
-pub struct FlatMap<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S, F, S2> Strategy for FlatMap<S, F>
-where
-    S: Strategy,
-    S2: Strategy,
-    F: Fn(S::Value) -> S2,
-{
-    type Value = S2::Value;
-    fn generate(&self, rng: &mut TestRng) -> S2::Value {
-        (self.f)(self.inner.generate(rng)).generate(rng)
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-#[derive(Debug, Clone)]
-pub struct Filter<S, F> {
-    inner: S,
-    f: F,
-    reason: &'static str,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!(
-            "prop_filter rejected 1000 candidates in a row: {}",
-            self.reason
-        );
     }
 }
 
@@ -288,7 +212,7 @@ macro_rules! impl_int_range {
     )*};
 }
 
-impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_range!(u8, u32, u64, usize, i32, i64);
 
 impl Strategy for Range<f64> {
     type Value = f64;
@@ -301,21 +225,6 @@ impl Strategy for Range<f64> {
         } else {
             x
         }
-    }
-}
-
-impl Strategy for RangeInclusive<f64> {
-    type Value = f64;
-    fn generate(&self, rng: &mut TestRng) -> f64 {
-        let (lo, hi) = (*self.start(), *self.end());
-        lo + rng.next_f64() * (hi - lo)
-    }
-}
-
-impl Strategy for Range<f32> {
-    type Value = f32;
-    fn generate(&self, rng: &mut TestRng) -> f32 {
-        (self.start as f64..self.end as f64).generate(rng) as f32
     }
 }
 
@@ -338,8 +247,6 @@ impl_tuple_strategy!(
     (A: 0, B: 1, C: 2, D: 3),
     (A: 0, B: 1, C: 2, D: 3, E: 4),
     (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7)
 );
 
 // ---------------------------------------------------------------------------
@@ -362,27 +269,11 @@ macro_rules! impl_arbitrary_int {
     )*};
 }
 
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_arbitrary_int!(u8, u32, u64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
-        // Finite, roughly log-uniform magnitude — useful without the real
-        // proptest's NaN/∞ corners, which this workspace filters anyway.
-        let mantissa = rng.next_f64() * 2.0 - 1.0;
-        let exp = (rng.below(61) as i32 - 30) as f64;
-        mantissa * exp.exp2()
-    }
-}
-
-impl Arbitrary for char {
-    fn arbitrary(rng: &mut TestRng) -> char {
-        char::from_u32(rng.below(0xD800) as u32).unwrap_or('\u{fffd}')
     }
 }
 
@@ -414,7 +305,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 /// Collection strategies (`prop::collection`).
 pub mod collection {
     use super::{Strategy, TestRng};
-    use std::ops::{Range, RangeInclusive};
+    use std::ops::Range;
 
     /// A size specification for generated collections.
     #[derive(Debug, Clone)]
@@ -423,27 +314,12 @@ pub mod collection {
         hi_incl: usize,
     }
 
-    impl From<usize> for SizeRange {
-        fn from(n: usize) -> Self {
-            SizeRange { lo: n, hi_incl: n }
-        }
-    }
-
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
             SizeRange {
                 lo: r.start,
                 hi_incl: r.end - 1,
-            }
-        }
-    }
-
-    impl From<RangeInclusive<usize>> for SizeRange {
-        fn from(r: RangeInclusive<usize>) -> Self {
-            SizeRange {
-                lo: *r.start(),
-                hi_incl: *r.end(),
             }
         }
     }
@@ -542,13 +418,6 @@ impl Default for ProptestConfig {
     }
 }
 
-/// Effective case count for a run (the configured count; the env variable
-/// is folded in by [`ProptestConfig::default`]).
-#[must_use]
-pub fn effective_cases(config: &ProptestConfig) -> u32 {
-    config.cases
-}
-
 /// Runs `body` over `config.cases` generated cases. Used by [`proptest!`];
 /// not part of the public API of real proptest.
 pub fn run_cases(
@@ -564,10 +433,11 @@ pub fn run_cases(
         name_hash ^= u64::from(b);
         name_hash = name_hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    // The configured count: `PROPTEST_CASES` is folded into the default.
     let cases = if forced_seed.is_some() {
         1
     } else {
-        effective_cases(config)
+        config.cases
     };
     let mut passed = 0u32;
     let mut rejected = 0u32;

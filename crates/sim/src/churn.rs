@@ -28,7 +28,6 @@
 
 use crate::event::SimEvent;
 use crate::scenario::{err, SpecError};
-use crate::trace::ChurnTrace;
 use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime};
 use presence_stats::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -180,12 +179,6 @@ pub struct ChurnActor {
     /// The mid-run model switches `(absolute seconds, model)`, posted to
     /// itself as [`SimEvent::SetChurn`] at start-up.
     switches: Vec<(f64, ChurnModel)>,
-    /// How many of them have been applied: the ordinal the trace labels
-    /// each switch with.
-    switch_ordinal: u64,
-    /// Regime-switch trace buffer; `None` (one predictable branch per
-    /// switch) unless [`ChurnActor::set_trace`] armed it.
-    trace: Option<Box<ChurnTrace>>,
 }
 
 impl ChurnActor {
@@ -237,19 +230,7 @@ impl ChurnActor {
             flash_step: 0,
             flash_baseline: 0,
             switches,
-            switch_ordinal: 0,
-            trace: None,
         }
-    }
-
-    /// Arms regime-switch tracing up to `until_ns` (virtual nanoseconds).
-    pub fn set_trace(&mut self, until_ns: u64) {
-        self.trace = Some(Box::new(ChurnTrace::new(until_ns)));
-    }
-
-    /// Takes the trace buffer accumulated since [`ChurnActor::set_trace`].
-    pub fn take_trace(&mut self) -> Option<Box<ChurnTrace>> {
-        self.trace.take()
     }
 
     /// One sample at start plus one per resample; 1.5× headroom keeps an
@@ -563,10 +544,6 @@ impl Actor<SimEvent> for ChurnActor {
                     ctx.cancel(handle);
                 }
                 self.model = model;
-                self.switch_ordinal += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.switch(ctx.now().as_nanos(), self.switch_ordinal);
-                }
                 self.arm(ctx);
             }
             other => {

@@ -13,9 +13,11 @@
 //!   that changes models exactly at their instants;
 //! * churn switches become the churn actor's own
 //!   [`crate::SimEvent::SetChurn`] events, one per switch;
-//! * `t = 0` and every switch instant open a **regime window**, and
-//!   [`slice_result`] reports device load, Jain fairness, population, and
-//!   detection latency per window;
+//! * `t = 0` and every switch instant open a **regime window**, and one
+//!   fold reports device load, Jain fairness, population, and detection
+//!   latency per window — over a run's [`ScenarioResult`] in [`run_lab`],
+//!   and over the same run read back from its trace in [`slice_trace`],
+//!   so the `spotter` bin prints the windows `lab` prints;
 //! * [`run_lab`] fans replications across the [`crate::parallel`] worker
 //!   pool and merges them in seed order, so a [`LabReport`] is
 //!   byte-identical at any worker count.
@@ -29,9 +31,11 @@ use crate::churn::ChurnModel;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
 use crate::scenario::{err, DelayKind, LossKind, Scenario, ScenarioConfig, SpecError};
+use crate::trace::Timeline;
 use presence_des::SimTime;
 use presence_net::{DelayModel, LossModel, Scheduled};
 use presence_stats::{jain_index, slice_windows, step_mean, window_mean, window_slice};
+use presence_trace::TraceRun;
 use serde::{Deserialize, Serialize};
 use std::mem::discriminant;
 
@@ -150,10 +154,8 @@ impl ScenarioSpec {
     /// `t = 0` and at each distinct switch instant.
     #[must_use]
     pub fn regime_windows(&self) -> Vec<(f64, f64)> {
-        let mut starts = vec![0.0];
-        starts.extend(self.switches.iter().map(|s| s.at));
-        starts.dedup();
-        slice_windows(&starts, self.config.duration)
+        let switches: Vec<f64> = self.switches.iter().map(|s| s.at).collect();
+        regime_windows(&switches, self.config.duration)
     }
 
     /// Builds the runnable scenario this spec describes. A switch-free
@@ -190,6 +192,11 @@ impl ScenarioSpec {
             _ => Box::new(Scheduled::from_segments(loss)),
         };
         let mut scenario = Scenario::assemble(cfg, delay, loss, &churn);
+        let ns = |at| SimTime::from_secs_f64(at).as_nanos();
+        scenario.timeline = Timeline {
+            switches: self.switches.iter().map(|s| ns(s.at)).collect(),
+            failure: self.crash_at.or(self.bye_at).map(ns),
+        };
         if let Some(at) = self.crash_at {
             scenario.crash_device_at(at);
         }
@@ -240,26 +247,56 @@ pub struct RegimeSlice {
     pub detection_latency_mean: Option<f64>,
 }
 
-/// Slices one run's result along the given regime windows. `failure_at`
-/// (the spec's `crash_at`/`bye_at`) anchors detection latency.
-#[must_use]
-pub fn slice_result(
-    result: &ScenarioResult,
+/// The `[start, end)` regime windows of a run whose regimes switch at
+/// `switches` (seconds, in time order): one opens at `t = 0` and at each
+/// distinct switch instant inside `(0, end)`, and the last closes at
+/// `end`, which must be positive.
+fn regime_windows(switches: &[f64], end: f64) -> Vec<(f64, f64)> {
+    let mut starts = vec![0.0];
+    starts.extend(switches.iter().copied().filter(|&at| at > 0.0 && at < end));
+    starts.dedup();
+    slice_windows(&starts, end)
+}
+
+/// A run's series as its trace carries them, for [`run_lab`]'s window
+/// fold. The timeline marks stay empty: the spec, not the result, holds
+/// them.
+impl From<&ScenarioResult> for TraceRun {
+    fn from(result: &ScenarioResult) -> Self {
+        Self {
+            load: result.load_series.clone(),
+            population: result.population_series.clone(),
+            frequencies: (result.cps.iter())
+                .map(|cp| cp.frequency_series.clone())
+                .collect(),
+            verdicts: (result.cps.iter())
+                .filter_map(|cp| cp.detected_absent_at)
+                .collect(),
+            ..Self::default()
+        }
+    }
+}
+
+/// Slices one run's series along the given regime windows. `failure_at`
+/// (the spec's `crash_at`/`bye_at`) anchors detection latency; `run`'s
+/// own timeline marks are not read.
+fn slice_result(
+    run: &TraceRun,
     windows: &[(f64, f64)],
     failure_at: Option<f64>,
 ) -> Vec<RegimeSlice> {
     windows
         .iter()
         .map(|&(start, end)| {
-            let load = window_slice(&result.load_series, start, end);
-            let population = step_mean(&result.population_series, start, end);
+            let load = window_slice(&run.load, start, end);
+            let population = step_mean(&run.population, start, end);
 
             // Per-CP mean frequency within the window, over CPs that
             // completed a cycle here.
-            let freqs: Vec<f64> = result
-                .cps
+            let freqs: Vec<f64> = run
+                .frequencies
                 .iter()
-                .filter_map(|cp| window_mean(window_slice(&cp.frequency_series, start, end)))
+                .filter_map(|frequency| window_mean(window_slice(frequency, start, end)))
                 .collect();
             let fairness = if freqs.is_empty() {
                 None
@@ -267,10 +304,10 @@ pub fn slice_result(
                 Some(jain_index(&freqs))
             };
 
-            let verdicts: Vec<f64> = result
-                .cps
+            let verdicts: Vec<f64> = run
+                .verdicts
                 .iter()
-                .filter_map(|cp| cp.detected_absent_at)
+                .copied()
                 .filter(|&t| t >= start && t < end)
                 .collect();
             let latency = failure_at.and_then(|at| {
@@ -297,6 +334,18 @@ pub fn slice_result(
             }
         })
         .collect()
+}
+
+/// The regime windows of the run a trace records, sliced by the fold
+/// behind [`run_lab`]'s per-seed slices: windows open at `t = 0` and at
+/// the trace's `regime_switch` instants and close at its `run_end`, and
+/// detection latency counts from its `failure`. A trace without a
+/// `run_end` has no windows (`None`).
+#[must_use]
+pub fn slice_trace(run: &TraceRun) -> Option<Vec<RegimeSlice>> {
+    let end = run.end.filter(|&end| end > 0.0)?;
+    let windows = regime_windows(&run.switches, end);
+    Some(slice_result(run, &windows, run.failure))
 }
 
 // ---------------------------------------------------------------------------
@@ -382,6 +431,21 @@ pub fn run_spec_once(spec: &ScenarioSpec) -> Result<ScenarioResult, SpecError> {
     Ok(scenario.collect())
 }
 
+/// Checks that no seed repeats in `seeds`: [`run_lab`] would count a
+/// repeated seed's run twice in its cross-seed folds.
+///
+/// # Errors
+///
+/// Names the first repeated seed.
+pub fn check_seeds(seeds: &[u64]) -> Result<(), SpecError> {
+    for (i, seed) in seeds.iter().enumerate() {
+        if seeds[..i].contains(seed) {
+            return Err(err(format!("seed {seed} is repeated in {seeds:?}")));
+        }
+    }
+    Ok(())
+}
+
 /// Runs `spec` under each seed (overriding `spec.seed`) across `jobs`
 /// workers and reports per-regime-sliced metrics. The report is
 /// **byte-identical for every `jobs` value**: replications are
@@ -391,7 +455,7 @@ pub fn run_spec_once(spec: &ScenarioSpec) -> Result<ScenarioResult, SpecError> {
 /// # Errors
 ///
 /// Returns the spec's first violated invariant (checked once, before any
-/// worker spawns).
+/// worker spawns), or [`check_seeds`]' error on a repeated seed.
 ///
 /// # Panics
 ///
@@ -399,6 +463,7 @@ pub fn run_spec_once(spec: &ScenarioSpec) -> Result<ScenarioResult, SpecError> {
 pub fn run_lab(spec: &ScenarioSpec, seeds: &[u64], jobs: usize) -> Result<LabReport, SpecError> {
     assert!(!seeds.is_empty(), "need at least one seed");
     spec.validate()?;
+    check_seeds(seeds)?;
     let windows = spec.regime_windows();
     let failure_at = spec.crash_at.or(spec.bye_at);
 
@@ -419,7 +484,7 @@ pub fn run_lab(spec: &ScenarioSpec, seeds: &[u64], jobs: usize) -> Result<LabRep
             messages_dropped_loss: result.messages_dropped_loss,
             messages_dropped_overflow: result.messages_dropped_overflow,
             messages_unroutable: result.messages_unroutable,
-            slices: slice_result(&result, &windows, failure_at),
+            slices: slice_result(&TraceRun::from(&result), &windows, failure_at),
         }
     });
 
@@ -712,6 +777,8 @@ mod tests {
         let seeds = [1, 2, 3, 4];
         let serial = run_lab(&spec, &seeds, 1).expect("runs");
         let parallel = run_lab(&spec, &seeds, 3).expect("runs");
+        let repeated = run_lab(&spec, &[1, 2, 1], 1).expect_err("a repeated seed");
+        assert_eq!(repeated.0, "seed 1 is repeated in [1, 2, 1]");
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap(),

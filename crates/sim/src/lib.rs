@@ -57,8 +57,8 @@ pub use cp_actor::{CpActor, CpRecord};
 pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{
-    builtin_catalog, run_lab, run_spec_once, slice_result, LabReport, LabSeedResult, Regime,
-    RegimeSlice, ScenarioSpec, Switch,
+    builtin_catalog, check_seeds, run_lab, run_spec_once, slice_trace, LabReport, LabSeedResult,
+    Regime, RegimeSlice, ScenarioSpec, Switch,
 };
 pub use mega::{
     mega_catalog, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario, MegaSpec,

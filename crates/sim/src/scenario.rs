@@ -14,7 +14,7 @@ use crate::device_actor::{DeviceActor, ProcessingModel};
 use crate::event::{Addr, SimEvent};
 use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::NetworkActor;
-use crate::trace::TraceCapture;
+use crate::trace::{Timeline, TraceCapture};
 use presence_core::{
     ConfigError, CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine, FixedRateCp,
     ProbeCycleConfig, Prober, SappConfig, SappCp, SappDevice, SappDeviceConfig,
@@ -361,6 +361,10 @@ pub struct Scenario {
     network: ActorId,
     churn: ActorId,
     cps: Vec<ActorId>,
+    /// The run's timeline as its spec fixed it (empty for a scenario
+    /// built from a bare config): what the trace marks as regime
+    /// switches and device failure.
+    pub(crate) timeline: Timeline,
     /// Trace horizon (ns) when [`Scenario::enable_trace`] armed tracing.
     trace_until_ns: Option<u64>,
     /// `(time_ns, target actor)` per delivery, filled by the dispatch hook
@@ -437,6 +441,7 @@ impl Scenario {
             network,
             churn,
             cps,
+            timeline: Timeline::default(),
             trace_until_ns: None,
             dispatches: Rc::default(),
         }
@@ -480,15 +485,13 @@ impl Scenario {
                 .expect("cp actor")
                 .set_trace(until_ns, engine);
         }
-        self.sim
-            .actor_mut::<ChurnActor>(self.churn)
-            .expect("churn actor")
-            .set_trace(until_ns);
     }
 
     /// Drains the trace buffers into a [`presence_trace::TraceModel`]
     /// (counter tracks are synthesised from `result`'s series, so pass the
-    /// [`Scenario::collect`] output of the same run).
+    /// [`Scenario::collect`] output of the same run). The model also marks
+    /// the run's timeline: the spec's regime switches and device failure,
+    /// and the run's end — the horizon, or the trace cap when earlier.
     ///
     /// # Panics
     ///
@@ -518,17 +521,14 @@ impl Scenario {
                     .take_trace(),
             ));
         }
-        let churn_buf = self
-            .sim
-            .actor_mut::<ChurnActor>(self.churn)
-            .expect("churn actor")
-            .take_trace();
+        let horizon_ns = SimTime::from_secs_f64(self.cfg.duration).as_nanos();
         TraceCapture {
-            until_ns,
+            end_ns: until_ns.min(horizon_ns),
+            timeline: &self.timeline,
             net: (self.network.index(), net_buf),
             device: (self.device.index(), device_buf),
             cps,
-            churn: (self.churn.index(), churn_buf),
+            churn: self.churn.index(),
             dispatches: self.dispatches.take(),
         }
         .into_model(result)

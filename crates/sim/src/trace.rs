@@ -14,6 +14,13 @@
 //! trace size uniformly: an event past the horizon is dropped by every
 //! recorder, never by just some of them (no orphan flow steps).
 //!
+//! No actor records the run's timeline. Its regime switches (delay and
+//! loss ones happen inside `Scheduled` models, seen by no actor) and its
+//! device failure are fixed by the spec that built the run, which hands
+//! them to the scenario as a `Timeline`; `into_model` writes them, and
+//! the run's end, as instants on the device track. A trace reader cuts
+//! its regime windows at exactly the instants [`crate::run_lab`] does.
+//!
 //! The engine stream has two sources, neither of them inside the engine:
 //! its `Dispatch` records come from the simulation's dispatch hook, which
 //! the scenario installs, and its timer records from the CPs, which own
@@ -179,38 +186,28 @@ impl NetTrace {
     }
 }
 
-/// Churn-driver recorder: regime-switch instants.
-#[derive(Debug)]
-pub struct ChurnTrace {
-    until_ns: u64,
-    /// `(time_ns, switch ordinal)`.
-    pub switches: Vec<(u64, u64)>,
-}
-
-impl ChurnTrace {
-    pub(crate) fn new(until_ns: u64) -> Self {
-        Self {
-            until_ns,
-            switches: Vec::new(),
-        }
-    }
-
-    pub(crate) fn switch(&mut self, time_ns: u64, ordinal: u64) {
-        if time_ns <= self.until_ns {
-            self.switches.push((time_ns, ordinal));
-        }
-    }
+/// The run's timeline, fixed by the spec that built it before the run
+/// starts — the trace's only source of regime-window boundaries.
+#[derive(Debug, Default)]
+pub(crate) struct Timeline {
+    /// Every regime switch instant (ns), of any kind, in spec order.
+    pub(crate) switches: Vec<u64>,
+    /// The scheduled device crash or Bye (ns).
+    pub(crate) failure: Option<u64>,
 }
 
 /// Everything a scenario drains out of its actors and dispatch hook after
 /// a traced run, keyed by actor index.
-pub(crate) struct TraceCapture {
-    pub(crate) until_ns: u64,
+pub(crate) struct TraceCapture<'a> {
+    /// The run's end: its horizon, or the trace cap when that is earlier.
+    pub(crate) end_ns: u64,
+    pub(crate) timeline: &'a Timeline,
     pub(crate) net: (usize, Option<Box<NetTrace>>),
     pub(crate) device: (usize, Option<Box<DeviceTrace>>),
     /// `(actor index, buffer)` per CP, in `CpId` order.
     pub(crate) cps: Vec<(usize, Option<Box<CpTrace>>)>,
-    pub(crate) churn: (usize, Option<Box<ChurnTrace>>),
+    /// The churn actor's index (its track carries its engine stream).
+    pub(crate) churn: usize,
     /// `(time_ns, target actor)` per delivery, in firing order; empty
     /// unless the engine stream was requested.
     pub(crate) dispatches: Vec<(u64, usize)>,
@@ -222,13 +219,13 @@ fn secs_ns(t: f64) -> u64 {
     (t * 1e9).round().max(0.0) as u64
 }
 
-impl TraceCapture {
+impl TraceCapture<'_> {
     /// Assembles the final [`TraceModel`]: one track per actor, lifecycle
-    /// points from the live buffers, counter tracks synthesised from the
-    /// collected result's series, and the engine stream merged from the
-    /// dispatch records and the CPs' timer records.
+    /// points from the live buffers, the run's timeline, counter tracks
+    /// synthesised from the collected result's series, and the engine
+    /// stream merged from the dispatch records and the CPs' timer records.
     pub(crate) fn into_model(self, result: &ScenarioResult) -> TraceModel {
-        let cap = self.until_ns;
+        let cap = self.end_ns;
         let mut model = TraceModel::default();
         // `net0`: the track and counter names the trace fixture pins.
         model.add_track("net0", Some(self.net.0));
@@ -237,7 +234,7 @@ impl TraceCapture {
         for (i, &(actor, _)) in self.cps.iter().enumerate() {
             cp_tracks.push(model.add_track(format!("cp{i}"), Some(actor)));
         }
-        let churn_track = model.add_track("churn", Some(self.churn.0));
+        model.add_track("churn", Some(self.churn));
 
         if let Some(dev) = self.device.1 {
             for (t, id, phase) in dev.sorted_flows() {
@@ -271,11 +268,16 @@ impl TraceCapture {
         }
         engine.sort_by_key(|e| (e.time_ns, e.actor));
         model.engine = engine;
-        if let Some(churn) = self.churn.1 {
-            for &(t, switch) in &churn.switches {
-                model.push_point(t, churn_track, PointKind::RegimeSwitch { switch });
-            }
+        // The timeline's marks land on the device track. A mark at or past
+        // the end falls outside the traced run (a switch there would open
+        // an empty window), so it is left out.
+        let switches = self.timeline.switches.iter();
+        let marks = switches.map(|&t| (t, PointKind::RegimeSwitch));
+        let failure = self.timeline.failure.map(|t| (t, PointKind::Failure));
+        for (t, kind) in marks.chain(failure).filter(|&(t, _)| t < cap) {
+            model.push_point(t, device_track, kind);
         }
+        model.push_point(cap, device_track, PointKind::RunEnd);
 
         if let Some(buf) = self.net.1 {
             if !buf.in_flight.is_empty() {
@@ -351,9 +353,6 @@ mod tests {
         assert_eq!(dev.flows.len(), 1, "recv kept, capped reply send dropped");
         let mut net = NetTrace::new(100);
         assert!(!net.wants_sample(101));
-        let mut churn = ChurnTrace::new(100);
-        churn.switch(101, 1);
-        assert!(churn.switches.is_empty());
     }
 
     #[test]

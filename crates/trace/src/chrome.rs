@@ -6,7 +6,8 @@
 //! slices to bind to), a real-duration `process` slice on the device track
 //! for each probe's service time, `s`/`t`/`f` flow events stitching every
 //! probe→reply lifecycle across the network hops, `i` instants for absence
-//! verdicts / regime switches, and `C` counter samples.
+//! verdicts and for the run's timeline (regime switches, the device
+//! failure, the run's end), and `C` counter samples.
 //!
 //! Output is byte-deterministic: events are emitted in model order, object
 //! keys are insertion-ordered, and floats use shortest round-trip
@@ -106,25 +107,26 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
     }
 
     // Device service spans: a real-duration `process` slice per probe that
-    // has both its recv and its send on the same track.
+    // has both its recv and its send on the same track. A flow id can be
+    // processed more than once (a retransmitted probe, or a re-joined CP
+    // whose fresh prober restarts its sequence), so each send pairs with
+    // the latest recv before it (each track's flow points are in time
+    // order); a send timed before that recv breaks the order and gets no
+    // span rather than a wrapped duration.
     let mut recv_at: HashMap<(u32, u64), u64> = HashMap::new();
-    for point in &model.points {
-        if let PointKind::Flow {
-            id,
-            phase: FlowPhase::ProbeRecv,
-        } = point.kind
-        {
-            recv_at.insert((point.track, id), point.time_ns);
-        }
-    }
     for point in &model.points {
         let PointKind::Flow { id, phase } = point.kind else {
             continue;
         };
+        if phase == FlowPhase::ProbeRecv {
+            recv_at.insert((point.track, id), point.time_ns);
+        }
         if phase != FlowPhase::ReplySend {
             continue;
         }
-        let Some(&begin) = recv_at.get(&(point.track, id)) else {
+        let Some((begin, dur)) = (recv_at.get(&(point.track, id)))
+            .and_then(|&begin| Some((begin, point.time_ns.checked_sub(begin)?)))
+        else {
             continue;
         };
         push_event(
@@ -135,7 +137,7 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
                 ("cat", s("device")),
                 ("ph", s("X")),
                 ("ts", Value::F64(ts_us(begin))),
-                ("dur", Value::F64(ts_us(point.time_ns - begin))),
+                ("dur", Value::F64(ts_us(dur))),
                 ("pid", Value::U64(0)),
                 ("tid", Value::U64(u64::from(point.track))),
                 ("args", obj(vec![("flow", Value::U64(id))])),
@@ -144,7 +146,7 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
     }
 
     // Lifecycle points: a dur-0 slice (the flow's anchor) plus the flow
-    // event itself; instants for verdicts and regime switches.
+    // event itself; instants for verdicts and the run's timeline.
     for point in &model.points {
         let tid = Value::U64(u64::from(point.track));
         let ts = Value::F64(ts_us(point.time_ns));
@@ -192,20 +194,28 @@ pub fn write_chrome_json(model: &TraceModel) -> String {
                     ("s", s("t")),
                 ]),
             ),
-            PointKind::RegimeSwitch { switch } => push_event(
-                &mut out,
-                &mut first,
-                &obj(vec![
-                    ("name", s("regime_switch")),
-                    ("cat", s("regime")),
-                    ("ph", s("i")),
-                    ("ts", ts),
-                    ("pid", Value::U64(0)),
-                    ("tid", tid),
-                    ("s", s("t")),
-                    ("args", obj(vec![("switch", Value::U64(switch))])),
-                ]),
-            ),
+            PointKind::RegimeSwitch | PointKind::Failure | PointKind::RunEnd => {
+                let name = match point.kind {
+                    PointKind::RegimeSwitch => "regime_switch",
+                    PointKind::Failure => "failure",
+                    _ => "run_end",
+                };
+                // Global scope: a mark of the run's timeline spans every
+                // track in the viewer.
+                push_event(
+                    &mut out,
+                    &mut first,
+                    &obj(vec![
+                        ("name", s(name)),
+                        ("cat", s("timeline")),
+                        ("ph", s("i")),
+                        ("ts", ts),
+                        ("pid", Value::U64(0)),
+                        ("tid", tid),
+                        ("s", s("g")),
+                    ]),
+                );
+            }
         }
     }
 

@@ -2,13 +2,16 @@
 //! simulations.
 //!
 //! The simulation layer fills a [`TraceModel`] — actor tracks, probe→reply
-//! flow points, counter series, and the engine stream.
+//! flow points, the run's timeline (its regime switches, device failure
+//! and end, all fixed by the spec that built it), counter series, and the
+//! engine stream.
 //! This crate turns that model into the [Chrome JSON trace format] that
 //! Perfetto's trace viewer loads directly
 //! ([`chrome::write_chrome_json`]), parses such a file back
 //! ([`reader::parse`]), checks its structural invariants
 //! ([`validate::validate`]), and distils terminal-friendly statistics from
-//! it ([`stats::analyze`] — the `spotter` bin's engine).
+//! it ([`stats::analyze`] — the `spotter` bin's engine — whose
+//! [`TraceRun`] is what the scenario lab's regime-window fold reads back).
 //!
 //! Everything is std-only: JSON goes through the workspace's serde shim,
 //! so the output is byte-deterministic (insertion-ordered object keys,
@@ -32,5 +35,5 @@ pub use model::{
     CounterTrack, EngineEvent, EngineEventKind, FlowPhase, PointKind, TraceModel, TracePoint, Track,
 };
 pub use reader::{parse, ChromeEvent, ChromeTrace};
-pub use stats::{analyze, SpotterReport};
+pub use stats::{analyze, SpotterReport, TraceRun};
 pub use validate::{validate, TraceCheck};

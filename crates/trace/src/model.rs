@@ -30,11 +30,15 @@ pub enum PointKind {
     },
     /// A CP declared the device absent.
     Absent,
-    /// The churn process switched regimes (`switch` counts from 1).
-    RegimeSwitch {
-        /// Ordinal of the switch (1-based).
-        switch: u64,
-    },
+    /// A regime switch of any kind (delay, loss or churn) that the run's
+    /// spec scheduled. The run's regime windows open at these instants.
+    RegimeSwitch,
+    /// The device failure the run's spec scheduled, a silent crash or a
+    /// Bye: the instant its detection latency counts from.
+    Failure,
+    /// The run's end, where its last regime window closes: the horizon,
+    /// or the trace cap when that is earlier.
+    RunEnd,
 }
 
 /// One timestamped point on an actor's track.
@@ -97,7 +101,9 @@ pub struct CounterTrack {
 pub struct TraceModel {
     /// Actor tracks, in tid order (track index == Perfetto tid).
     pub tracks: Vec<Track>,
-    /// Flow and instant points emitted by the actors.
+    /// Flow and instant points emitted by the actors. Each track's flow
+    /// points are in time order: the writer pairs a device's reply with
+    /// the latest receipt of its probe before it.
     pub points: Vec<TracePoint>,
     /// Counter tracks.
     pub counters: Vec<CounterTrack>,
@@ -118,7 +124,8 @@ impl TraceModel {
         tid
     }
 
-    /// Records a point (flow step or instant) on `track`.
+    /// Records a point (flow step or instant) on `track`; a flow step
+    /// must not precede the track's earlier ones.
     pub fn push_point(&mut self, time_ns: u64, track: u32, kind: PointKind) {
         self.points.push(TracePoint {
             time_ns,
@@ -137,8 +144,7 @@ impl TraceModel {
     }
 
     /// The track index backing a global actor id, if one was registered.
-    #[must_use]
-    pub fn track_of_actor(&self, actor: usize) -> Option<u32> {
+    pub(crate) fn track_of_actor(&self, actor: usize) -> Option<u32> {
         self.tracks
             .iter()
             .position(|t| t.actor == Some(actor))

@@ -32,20 +32,8 @@ pub struct ChromeEvent {
 
 impl ChromeEvent {
     /// Convenience: a named argument as `f64`, if present and numeric.
-    #[must_use]
-    pub fn arg_f64(&self, name: &str) -> Option<f64> {
-        self.args
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| {
-                #[allow(clippy::cast_precision_loss)]
-                match v {
-                    Value::F64(x) => Some(*x),
-                    Value::U64(n) => Some(*n as f64),
-                    Value::I64(n) => Some(*n as f64),
-                    _ => None,
-                }
-            })
+    pub(crate) fn arg_f64(&self, name: &str) -> Option<f64> {
+        field(&self.args, name).and_then(as_f64)
     }
 
     /// Convenience: a named argument as a string, if present.
@@ -72,8 +60,7 @@ pub struct ChromeTrace {
 
 impl ChromeTrace {
     /// The name a `thread_name` metadata event gave `tid`, if any.
-    #[must_use]
-    pub fn thread_name(&self, tid: u64) -> Option<&str> {
+    pub(crate) fn thread_name(&self, tid: u64) -> Option<&str> {
         self.events
             .iter()
             .find(|e| e.ph == "M" && e.name == "thread_name" && e.tid == Some(tid))

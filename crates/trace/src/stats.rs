@@ -1,11 +1,11 @@
 //! Terminal-friendly analytics over a parsed trace — the `spotter` bin's
-//! engine: busiest actors, the regime-switch timeline, per-phase fairness
-//! (Jain's index over the per-CP frequency counters between switches), and
-//! probe-cycle latency percentiles from the flow events.
+//! engine: busiest actors, probe-cycle latency percentiles from the flow
+//! events, and the run the trace records ([`TraceRun`]). That last part
+//! holds no fold of its own: `spotter` slices it into regime windows with
+//! the scenario lab's code, so it prints what `lab` prints for the run.
 
 use crate::reader::ChromeTrace;
-use presence_stats::jain_index;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Latency percentiles in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,17 +18,26 @@ pub struct Percentiles {
     pub p99: f64,
 }
 
-/// One regime phase and its fairness figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseFairness {
-    /// Phase start (µs).
-    pub begin_us: f64,
-    /// Phase end (µs).
-    pub end_us: f64,
-    /// Jain's fairness index over per-CP mean probe frequency in the
-    /// phase (1.0 = perfectly fair), or `None` when no CP counter
-    /// samples fall inside the phase.
-    pub jain: Option<f64>,
+/// What a trace records of its run, in seconds: the timeline marks that
+/// bound its regime windows, and the series the scenario lab's window
+/// fold reads.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceRun {
+    /// `regime_switch` instants, in time order.
+    pub switches: Vec<f64>,
+    /// The `failure` instant, if the run had a device crash or Bye.
+    pub failure: Option<f64>,
+    /// The `run_end` instant; `None` in a trace that does not mark it.
+    pub end: Option<f64>,
+    /// `device.load` samples.
+    pub load: Vec<(f64, f64)>,
+    /// `population` samples.
+    pub population: Vec<(f64, f64)>,
+    /// The samples of each `cpN.frequency` counter, in file order.
+    pub frequencies: Vec<Vec<(f64, f64)>>,
+    /// The first `absent` instant of each track that has one, in file
+    /// order: each CP's first verdict.
+    pub verdicts: Vec<f64>,
 }
 
 /// Everything `spotter` prints.
@@ -37,11 +46,8 @@ pub struct SpotterReport {
     /// `(track name, activity)` sorted busiest-first, where activity is
     /// the number of slices and instants on the track.
     pub busiest: Vec<(String, usize)>,
-    /// `(time µs, switch ordinal)` of every regime switch, in time order.
-    pub regime_switches: Vec<(f64, u64)>,
-    /// Fairness per regime phase (phases are delimited by the switches
-    /// and the trace's own time bounds).
-    pub phases: Vec<PhaseFairness>,
+    /// The run the trace records.
+    pub run: TraceRun,
     /// Probe cycles started (`s` flow events).
     pub cycles_started: usize,
     /// Probe cycles completed (`s` matched by `f`).
@@ -89,66 +95,40 @@ pub fn analyze(trace: &ChromeTrace, top_n: usize) -> SpotterReport {
     busiest.truncate(top_n);
     report.busiest = busiest;
 
-    // Regime-switch timeline.
+    // The run: timeline marks, the counters the window fold reads, and
+    // each track's first verdict.
+    let run = &mut report.run;
+    let mut frequency_of: HashMap<&str, usize> = HashMap::new();
+    let mut verdict_tracks: HashSet<Option<u64>> = HashSet::new();
     for event in &trace.events {
-        if event.ph == "i" && event.name == "regime_switch" {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let ordinal = event.arg_f64("switch").unwrap_or(0.0) as u64;
-            report.regime_switches.push((event.ts, ordinal));
-        }
-    }
-    report
-        .regime_switches
-        .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    // Per-phase fairness from the per-CP frequency counters.
-    let mut cp_samples: HashMap<&str, Vec<(f64, f64)>> = HashMap::new();
-    let mut bounds: Option<(f64, f64)> = None;
-    for event in &trace.events {
-        if event.ph == "M" {
-            continue;
-        }
-        let (lo, hi) = bounds.get_or_insert((event.ts, event.ts));
-        *lo = lo.min(event.ts);
-        *hi = hi.max(event.ts);
-        if event.ph == "C" && event.name.starts_with("cp") && event.name.ends_with(".frequency") {
-            if let Some(value) = event.arg_f64("value") {
-                cp_samples
-                    .entry(event.name.as_str())
-                    .or_default()
-                    .push((event.ts, value));
+        let secs = event.ts / 1e6;
+        match (event.ph.as_str(), event.name.as_str()) {
+            ("i", "regime_switch") => run.switches.push(secs),
+            ("i", "failure") => {
+                run.failure.get_or_insert(secs);
             }
+            ("i", "run_end") => run.end = Some(secs),
+            ("i", "absent") if verdict_tracks.insert(event.tid) => run.verdicts.push(secs),
+            ("C", name) => {
+                let Some(sample) = event.arg_f64("value").map(|v| (secs, v)) else {
+                    continue;
+                };
+                if name == "device.load" {
+                    run.load.push(sample);
+                } else if name == "population" {
+                    run.population.push(sample);
+                } else if name.starts_with("cp") && name.ends_with(".frequency") {
+                    let index = *frequency_of.entry(name).or_insert_with(|| {
+                        run.frequencies.push(Vec::new());
+                        run.frequencies.len() - 1
+                    });
+                    run.frequencies[index].push(sample);
+                }
+            }
+            _ => {}
         }
     }
-    if let Some((lo, hi)) = bounds {
-        let mut cuts = vec![lo];
-        cuts.extend(report.regime_switches.iter().map(|&(ts, _)| ts));
-        cuts.push(hi);
-        for window in cuts.windows(2) {
-            let (begin, end) = (window[0], window[1]);
-            let means: Vec<f64> = cp_samples
-                .values()
-                .filter_map(|samples| {
-                    let in_phase: Vec<f64> = samples
-                        .iter()
-                        .filter(|&&(ts, _)| ts >= begin && ts <= end)
-                        .map(|&(_, v)| v)
-                        .collect();
-                    if in_phase.is_empty() {
-                        None
-                    } else {
-                        #[allow(clippy::cast_precision_loss)]
-                        Some(in_phase.iter().sum::<f64>() / in_phase.len() as f64)
-                    }
-                })
-                .collect();
-            report.phases.push(PhaseFairness {
-                begin_us: begin,
-                end_us: end,
-                jain: (!means.is_empty()).then(|| jain_index(&means)),
-            });
-        }
-    }
+    run.switches.sort_by(f64::total_cmp);
 
     // Probe-cycle latency from the flow events.
     let mut starts: HashMap<u64, f64> = HashMap::new();

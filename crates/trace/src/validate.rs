@@ -1,8 +1,9 @@
 //! Structural invariants a well-formed presence trace must satisfy.
 //!
-//! Checked by the CI trace stage and the proptest battery: phases are from
-//! the known set, every sliced/instant event lands on a named track, every
-//! flow begins before it ends, and every counter series is time-monotone.
+//! Checked by the CI trace stage and the proptest battery: the trace has
+//! events at all, phases are from the known set, every sliced/instant
+//! event lands on a named track, every flow begins before it ends, and
+//! every counter series is time-monotone.
 
 use crate::reader::ChromeTrace;
 use std::collections::{HashMap, HashSet};
@@ -37,11 +38,15 @@ struct FlowAgg {
 ///
 /// # Errors
 ///
-/// Returns a description of the first violated invariant: an unknown
-/// phase, an unnamed track, a negative-duration slice, a flow that ends
-/// before it starts (or never started), a duplicated flow endpoint, or a
-/// counter whose samples go backwards in time.
+/// Returns a description of the first violated invariant: no events at
+/// all (an export that wrote nothing), an unknown phase, an unnamed
+/// track, a negative-duration slice, a flow that ends before it starts
+/// (or never started), a duplicated flow endpoint, or a counter whose
+/// samples go backwards in time.
 pub fn validate(trace: &ChromeTrace) -> Result<TraceCheck, String> {
+    if trace.events.is_empty() {
+        return Err("the trace has no events".to_string());
+    }
     let mut check = TraceCheck {
         events: trace.events.len(),
         ..TraceCheck::default()
@@ -137,4 +142,19 @@ pub fn validate(trace: &ChromeTrace) -> Result<TraceCheck, String> {
         }
     }
     Ok(check)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reader::parse;
+
+    #[test]
+    fn a_trace_without_events_is_rejected() {
+        let empty = parse("{\"traceEvents\":[]}").expect("parses");
+        assert_eq!(validate(&empty), Err("the trace has no events".to_string()));
+        let named = parse("{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0}]}")
+            .expect("parses");
+        assert_eq!(validate(&named).map(|check| check.events), Ok(1));
+    }
 }

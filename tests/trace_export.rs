@@ -3,8 +3,10 @@
 //! flow events, and counter tracks, deterministically and matching the
 //! recorded fixture byte for byte.
 
-use presence::sim::{Protocol, Scenario, ScenarioConfig};
-use presence::trace::{analyze, parse, validate, write_chrome_json, EngineEventKind, TraceModel};
+use presence::sim::{run_lab, slice_trace, Protocol, RegimeSlice, Scenario, ScenarioConfig};
+use presence::trace::{
+    analyze, parse, validate, write_chrome_json, EngineEventKind, PointKind, TraceModel,
+};
 
 /// The full pipeline on a paper-default DCPP hub: model → Chrome JSON →
 /// parse → validate → spotter analytics.
@@ -178,4 +180,100 @@ fn paper_dcpp_engine_trace_sees_protocol_timers() {
         dispatches as u64 >= events,
         "{dispatches} dispatches for {events} processed events"
     );
+}
+
+/// `spotter` reads a run back from its trace into the regime windows
+/// `lab` reports for that run: the same windows, starts and ends, and
+/// every figure equal at the precision `lab` prints (load 2 decimals,
+/// Jain 3, population 1, latency 3, verdict count exact). The three runs
+/// switch every regime kind, cut a window at a loss-only partition, and
+/// anchor a detection latency on a crash.
+#[test]
+fn spotter_reads_labs_windows_from_the_trace() {
+    let printed = |s: &RegimeSlice| {
+        let at = |v: Option<f64>, places: usize| v.map(|v| format!("{v:.places$}"));
+        (
+            at(s.load_mean, 2),
+            at(s.fairness_jain, 3),
+            at(s.population_mean, 1),
+            s.detections,
+            at(s.detection_latency_mean, 3),
+        )
+    };
+    for name in [
+        "mixed-regime-stress",
+        "partition-recovery",
+        "crash-under-loss",
+    ] {
+        let mut spec = presence::sim::builtin_catalog()
+            .into_iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{name} is in the builtin catalog"));
+        let lab = run_lab(&spec, &[1], 1).expect("lab runs");
+        spec.config.seed = 1;
+        let mut scenario = spec.build().expect("spec builds");
+        scenario.enable_trace(None, false);
+        scenario.run();
+        let result = scenario.collect();
+        let json = write_chrome_json(&scenario.collect_trace(&result));
+        let trace = parse(&json).expect("exported trace parses");
+        let slices = slice_trace(&analyze(&trace, 1).run).expect("the trace marks its end");
+
+        let windows: Vec<(f64, f64)> = slices.iter().map(|s| (s.start, s.end)).collect();
+        assert_eq!(windows, lab.windows, "{name}: spotter's windows vs lab's");
+        for (read, ran) in slices.iter().zip(&lab.slices) {
+            assert_eq!(
+                printed(read),
+                printed(ran),
+                "{name}: window {:?}, spotter vs lab",
+                (read.start, read.end)
+            );
+        }
+    }
+}
+
+/// A trace cap (`lab --trace-until`) ends the traced run: the timeline
+/// keeps the switches before the cap and marks the run's end at it, and
+/// `spotter`'s last window closes there. A switch at the cap itself would
+/// open an empty window, so the timeline leaves it out too.
+#[test]
+fn a_trace_cap_ends_the_run_timeline() {
+    let spec = presence::sim::builtin_catalog()
+        .into_iter()
+        .find(|s| s.name == "mixed-regime-stress")
+        .expect("mixed-regime-stress is in the builtin catalog");
+    let ns = |secs: u64| secs * 1_000_000_000;
+    for (cap, switches, windows) in [
+        (
+            260,
+            vec![200, 250],
+            vec![(0.0, 200.0), (200.0, 250.0), (250.0, 260.0)],
+        ),
+        (250, vec![200], vec![(0.0, 200.0), (200.0, 250.0)]),
+    ] {
+        let mut scenario = spec.build().expect("spec builds");
+        scenario.enable_trace(Some(cap as f64), false);
+        scenario.run();
+        let result = scenario.collect();
+        let model = scenario.collect_trace(&result);
+        let marks: Vec<(u64, PointKind)> = (model.points.iter())
+            .filter(|p| {
+                matches!(
+                    p.kind,
+                    PointKind::RegimeSwitch | PointKind::Failure | PointKind::RunEnd
+                )
+            })
+            .map(|p| (p.time_ns, p.kind))
+            .collect();
+        let mut expected: Vec<(u64, PointKind)> = (switches.into_iter())
+            .map(|at| (ns(at), PointKind::RegimeSwitch))
+            .collect();
+        expected.push((ns(cap), PointKind::RunEnd));
+        assert_eq!(marks, expected, "cap {cap} s: the timeline marks");
+
+        let trace = parse(&write_chrome_json(&model)).expect("exported trace parses");
+        let slices = slice_trace(&analyze(&trace, 1).run).expect("the trace marks its end");
+        let read: Vec<(f64, f64)> = slices.iter().map(|s| (s.start, s.end)).collect();
+        assert_eq!(read, windows, "cap {cap} s: spotter's windows");
+    }
 }
