@@ -214,7 +214,10 @@ rm -f target/trace_ci.json
 # Zero-cost-when-off: with tracing disarmed (the default everywhere
 # else), the steady-state loop must allocate nothing — in release mode
 # too, where tier-1's debug-profile run of the same suite does not reach.
-echo "==> tracing-off re-check: alloc steady-state gate (release)"
+# The host's row: a warm UDP shard pair (64 DCPP CPs on 8 devices, wall
+# clock) must serve a steady probe load without allocating either.
+echo "==> tracing-off re-check: alloc steady-state gates, simulator and UDP host (release)"
 cargo test --release -q --test alloc_steady_state
+cargo test --release -q --test alloc_host_steady_state
 
 echo "==> ci.sh: all green"

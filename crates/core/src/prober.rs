@@ -14,6 +14,14 @@ use presence_des::{SimDuration, SimTime};
 /// as the environment observes them. Every call may emit
 /// [`CpAction`]s that the driver must execute (send a probe, arm or cancel
 /// a timer, surface an absence verdict).
+///
+/// A prober holds at most one live timer: it emits
+/// [`CpAction::StartTimer`] only once its last timer has fired or been
+/// cancelled (by a [`CpAction::CancelTimer`] earlier in the same batch, at
+/// the latest). [`Retransmitter`](crate::Retransmitter), which every
+/// prober in this crate arms its timers through, keeps the rule, and the
+/// simulator's CP actor and the UDP host both rely on it: each keeps one
+/// timer slot per prober.
 pub trait Prober {
     /// The identity of this control point.
     fn cp(&self) -> CpId;

@@ -124,7 +124,8 @@ fn get_prober(v: u32) -> Option<CpId> {
 /// Longest bare encoding: a SAPP reply.
 const MAX_MESSAGE: usize = 33;
 
-/// Encodes a message into a fresh buffer.
+/// Encodes a message into a fresh buffer. The host itself appends to a
+/// buffer it keeps instead.
 #[must_use]
 pub fn encode(msg: &WireMessage) -> Vec<u8> {
     let mut buf = Vec::with_capacity(MAX_MESSAGE);
@@ -132,18 +133,24 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
     buf
 }
 
-/// Encodes a message wrapped in the device-addressed host frame.
+/// Encodes a message wrapped in the device-addressed host frame into a
+/// fresh buffer.
 #[must_use]
 pub fn encode_addressed(device: DeviceId, msg: &WireMessage) -> Vec<u8> {
     let mut buf = Vec::with_capacity(5 + MAX_MESSAGE);
-    buf.push(TAG_ADDRESSED);
-    buf.extend_from_slice(&device.0.to_le_bytes());
-    encode_into(&mut buf, msg);
+    encode_addressed_into(&mut buf, device, msg);
     buf
 }
 
+/// Appends `msg` wrapped in the device-addressed host frame to `buf`.
+pub(crate) fn encode_addressed_into(buf: &mut Vec<u8>, device: DeviceId, msg: &WireMessage) {
+    buf.push(TAG_ADDRESSED);
+    buf.extend_from_slice(&device.0.to_le_bytes());
+    encode_into(buf, msg);
+}
+
 /// The one encoder: appends `msg`'s bytes to `buf`.
-fn encode_into(buf: &mut Vec<u8>, msg: &WireMessage) {
+pub(crate) fn encode_into(buf: &mut Vec<u8>, msg: &WireMessage) {
     match msg {
         WireMessage::Probe(p) => {
             buf.push(TAG_PROBE);

@@ -5,9 +5,11 @@
 //! real time and real sockets:
 //!
 //! * [`codec`] — a compact binary wire format (13-byte probes);
-//! * [`ShardedHost`] — the one UDP host: device and prober machines hashed
-//!   over worker threads, one socket and one [`TimerWheel`] per shard;
-//!   a single shard is the small case, not a separate code path;
+//! * [`ShardedHost`] — the one UDP host: device and prober machines spread
+//!   over worker threads by id, one socket, one timer queue (the
+//!   simulator's [`EventQueue`](presence_des::EventQueue)) and one send
+//!   arena per shard; a single shard is the small case, not a separate
+//!   code path;
 //! * [`Clock`] — wall-clock ([`SystemClock`]) or hand-cranked
 //!   ([`ManualClock`]) time sources; [`Clock::wall_until`] is how an idle
 //!   shard learns how long it may block.
@@ -25,8 +27,9 @@
 //! reads one datagram per call. Linux ≥ 5.0 only: on an older kernel
 //! [`ShardedHost::bind`] fails.
 //!
-//! The crate is the host and nothing else: it takes only
-//! `SimTime`/`SimDuration` from `presence-des`. The harness that pins it
+//! The crate is the host and nothing else: it takes `SimTime`,
+//! `SimDuration` and the `EventQueue` its shards keep their timers in from
+//! `presence-des`, and no engine. The harness that pins it
 //! against the simulator as oracle needs both sides, so it lives above
 //! both, in `presence-bench` (`crates/bench/src/conformance.rs`).
 //!

@@ -2,14 +2,24 @@
 //! device and prober machines from a fixed pool of worker threads.
 //!
 //! One machine per thread is hopeless for the paper's deployment target
-//! of thousands of devices, so [`ShardedHost`] hashes machines across
-//! `RUNTIME_SHARDS` worker threads; a single pair is simply a one-shard
-//! host. Each shard owns exactly one UDP socket (no cross-thread socket
-//! contention), a [`TimerWheel`] keyed by `(machine, token)`, and a batch
-//! buffer: per loop iteration it fires every due timer, drains up to a
-//! batch of datagrams non-blockingly, routes each through the
+//! of thousands of devices, so [`ShardedHost`] spreads machines over
+//! `RUNTIME_SHARDS` worker threads by id (`id % shards`); a single pair is
+//! simply a one-shard host. Each shard owns exactly one UDP socket (no
+//! cross-thread socket contention), its machines in dense tables indexed
+//! by `id / shards`, its timers in one [`EventQueue`] — the simulator's
+//! own queue, addressed by handle — and one byte arena its sends are
+//! encoded into. Per loop iteration it fires every due timer, drains up to
+//! a batch of datagrams non-blockingly, routes each through the
 //! [`codec`](crate::codec), flushes queued sends and republishes its
-//! earliest deadline.
+//! earliest deadline. Once the tables, the queue and the arena have grown
+//! to the load, an iteration neither hashes nor allocates.
+//!
+//! A prober holds at most one live timer (the [`Prober`] contract), and
+//! its slot keeps that timer's token and queue handle, as the simulator's
+//! CP actor does: a cancel removes the event from the queue, and a
+//! popped event fires only if it is still the slot's live timer. Every
+//! event gets the next sequence number when it is armed, so timers due at
+//! one instant fire in the order they were armed.
 //!
 //! Datagrams travel in *runs*. The flush sends each maximal stretch of
 //! queued datagrams with one destination and one length (up to 64) as a
@@ -33,7 +43,7 @@
 //! batch gathers — and a second one if the iteration after that window
 //! found nothing too. Only after two consecutive empty windows is the
 //! shard idle rather than between batches, and then it blocks
-//! (`sys::wait_readable`) until a datagram arrives or the wheel's next
+//! (`sys::wait_readable`) until a datagram arrives or the queue's next
 //! deadline is due on the wall ([`Clock::wall_until`]), re-checking the
 //! stop flag every `MAX_BLOCK`. A clock that cannot say how far away a
 //! deadline is (the lockstep `ManualClock`) is polled every
@@ -46,7 +56,9 @@
 //!   device up by id;
 //! * replies travel bare and route by `reply.probe.cp`;
 //! * a `Bye`, the only broadcast, routes to every hosted prober watching
-//!   the named device;
+//!   the named device, in ascending CP id;
+//! * a datagram naming a machine this shard does not host is counted in
+//!   `unroutable`;
 //! * anything that does not decode (including the retired tag `0x05`) is
 //!   counted in `decode_errors` and reaches no prober.
 //!
@@ -58,15 +70,13 @@
 //! to do.
 
 use crate::clock::Clock;
-use crate::codec::{decode_datagram, encode, encode_addressed, Datagram, MAX_DATAGRAM};
+use crate::codec::{decode_datagram, encode_addressed_into, encode_into, Datagram, MAX_DATAGRAM};
 use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
 use crate::sys::{enable_gro, recv_segments, send_segments, wait_readable, MAX_SEGMENTS};
-use crate::wheel::TimerWheel;
 use presence_core::{
     CpAction, CpId, CpStats, DeviceId, DeviceMachine, Prober, TimerToken, Verdict, WireMessage,
 };
-use presence_des::SimTime;
-use std::collections::HashMap;
+use presence_des::{EventQueue, SimTime};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,7 +106,7 @@ const MAX_BLOCK: Duration = Duration::from_millis(20);
 /// Configuration of a [`ShardedHost`].
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Worker threads (= sockets). Machines are hashed across shards by
+    /// Worker threads (= sockets). Machines are spread across shards by
     /// id.
     pub shards: usize,
     /// Bind address for every shard socket (use port `0` to let the OS
@@ -158,24 +168,77 @@ fn shard_of_device(device: DeviceId, shards: usize) -> usize {
     device.0 as usize % shards
 }
 
-/// `sends` cut into runs, in order: each run is the longest stretch of
-/// consecutive datagrams with the first one's destination and length, at
-/// most `MAX_SEGMENTS` long — what one UDP GSO send can carry. Runs never
-/// merge across a change of destination or length, so sending them one
-/// after another keeps every socket's arrival order.
-fn runs(sends: &[(SocketAddr, Vec<u8>)]) -> impl Iterator<Item = &[(SocketAddr, Vec<u8>)]> + '_ {
-    let mut rest = sends;
-    std::iter::from_fn(move || {
-        let (dest, bytes) = rest.first()?;
-        let n = rest
-            .iter()
-            .take(MAX_SEGMENTS)
-            .take_while(|(d, b)| d == dest && b.len() == bytes.len())
-            .count();
-        let (run, tail) = rest.split_at(n);
-        rest = tail;
-        Some(run)
-    })
+/// The datagrams one loop iteration queues, in order: their bytes back to
+/// back in one arena, each datagram named by its destination and length.
+/// Cleared by every flush, it keeps its capacity, so queueing a datagram
+/// allocates nothing once the arena has grown to the load.
+#[derive(Debug, Default)]
+struct Sends {
+    bytes: Vec<u8>,
+    datagrams: Vec<(SocketAddr, usize)>,
+}
+
+/// One run of [`Sends`]: consecutive datagrams with one destination and
+/// one length, whose bytes lie back to back in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Run<'a> {
+    dest: SocketAddr,
+    /// The length of every datagram in the run (never 0: every encoding
+    /// has a tag byte).
+    len: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> Run<'a> {
+    /// The run's datagrams, in queue order.
+    fn datagrams(self) -> std::slice::Chunks<'a, u8> {
+        self.bytes.chunks(self.len)
+    }
+
+    fn count(self) -> usize {
+        self.bytes.len() / self.len
+    }
+}
+
+impl Sends {
+    /// Queues one datagram to `dest`, whose bytes `encode` appends.
+    fn push(&mut self, dest: SocketAddr, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        encode(&mut self.bytes);
+        self.datagrams.push((dest, self.bytes.len() - start));
+    }
+
+    fn len(&self) -> usize {
+        self.datagrams.len()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.datagrams.clear();
+    }
+
+    /// The queued datagrams cut into runs, in order: each run is the
+    /// longest stretch of consecutive datagrams with the first one's
+    /// destination and length, at most `MAX_SEGMENTS` long — what one UDP
+    /// GSO send can carry. Runs never merge across a change of
+    /// destination or length, so sending them one after another keeps
+    /// every socket's arrival order.
+    fn runs(&self) -> impl Iterator<Item = Run<'_>> {
+        let mut rest = &self.datagrams[..];
+        let mut offset = 0;
+        std::iter::from_fn(move || {
+            let &(dest, len) = rest.first()?;
+            let n = rest
+                .iter()
+                .take(MAX_SEGMENTS)
+                .take_while(|&&d| d == (dest, len))
+                .count();
+            rest = &rest[n..];
+            let bytes = &self.bytes[offset..offset + n * len];
+            offset += n * len;
+            Some(Run { dest, len, bytes })
+        })
+    }
 }
 
 /// A received run cut back into its datagrams, in order: every
@@ -186,15 +249,57 @@ fn segments(run: &[u8], segment_size: usize) -> impl Iterator<Item = &[u8]> {
     run.chunks(segment_size.max(1)).chain(empty)
 }
 
-/// Timer-wheel key for one shard: which machine, which timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum WheelKey {
-    /// Start the prober with this CP id.
-    StartProber(u32),
-    /// A protocol timer armed by the prober with this CP id.
-    ProberTimer(u32, TimerToken),
-    /// Silence (depart) the device with this id.
-    SilenceDevice(u32),
+/// What a queued shard timer does when it fires. The index is the
+/// machine's place in the shard's dense prober or device table.
+#[derive(Debug, Clone, Copy)]
+enum Timer {
+    /// Start the prober at this index.
+    StartProber(usize),
+    /// The live protocol timer of the prober at this index.
+    Prober(usize),
+    /// Silence (depart) the device at this index.
+    SilenceDevice(usize),
+}
+
+/// A prober's one live protocol timer: the token its machine armed it
+/// with and the handle of its queued event.
+#[derive(Debug, Clone, Copy)]
+struct Armed {
+    token: TimerToken,
+    slot: u32,
+    seq: u64,
+}
+
+/// One shard's timers: the simulator's event queue, with a sequence
+/// number minted per armed event.
+#[derive(Debug, Default)]
+struct Timers {
+    queue: EventQueue<Timer>,
+    /// The next sequence number to mint; every event gets a fresh one, so
+    /// a sequence number names one arming for the queue's lifetime.
+    next_seq: u64,
+}
+
+impl Timers {
+    /// Queues `timer` to fire at `at`, returning its handle `(slot, seq)`.
+    fn arm(&mut self, at: SimTime, timer: Timer) -> (u32, u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (self.queue.push(at, seq, timer), seq)
+    }
+
+    /// Removes and returns the earliest event, with its sequence number,
+    /// if it is due at `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<(u64, Timer)> {
+        if self.queue.peek()?.time > now {
+            return None;
+        }
+        self.queue.pop().map(|(key, timer)| (key.seq, timer))
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.queue.peek().map(|key| key.time)
+    }
 }
 
 struct DeviceSlot {
@@ -210,6 +315,58 @@ struct ProberSlot {
     /// The device the prober watches (for the addressed probe frame).
     target: DeviceId,
     started: bool,
+    /// The prober's one live protocol timer.
+    timer: Option<Armed>,
+}
+
+impl ProberSlot {
+    /// Executes the prober's pending actions; `index` is its place in the
+    /// prober table. `emitted_at` is the instant the machine was called
+    /// with — timers arm relative to it, not to a fresh clock read: the
+    /// prober computed its deadlines against the `now` it was handed, and
+    /// re-reading the clock after a slow send (or under load) would drift
+    /// every deadline late by the handling latency.
+    fn execute(
+        &mut self,
+        index: usize,
+        emitted_at: SimTime,
+        actions: &mut Vec<CpAction>,
+        timers: &mut Timers,
+        sends: &mut Sends,
+    ) {
+        for action in actions.drain(..) {
+            match action {
+                CpAction::SendProbe(p) => {
+                    let target = self.target;
+                    sends.push(self.peer, |buf| {
+                        encode_addressed_into(buf, target, &WireMessage::Probe(p));
+                    });
+                }
+                CpAction::StartTimer { token, after } => {
+                    debug_assert!(self.timer.is_none(), "a prober holds one live timer");
+                    let (slot, seq) = timers.arm(emitted_at + after, Timer::Prober(index));
+                    self.timer = Some(Armed { token, slot, seq });
+                }
+                CpAction::CancelTimer { token } => {
+                    if let Some(armed) = self.timer.take_if(|armed| armed.token == token) {
+                        timers.queue.cancel_slot(armed.slot, armed.seq);
+                    }
+                }
+                // Verdicts are read back from `Prober::verdict()` at
+                // report time.
+                CpAction::DeviceAbsent { .. } => {}
+            }
+        }
+    }
+}
+
+/// The dense-table entry at `index`, grown to hold it, for a machine
+/// being registered.
+fn vacant<T>(table: &mut Vec<Option<T>>, index: usize) -> &mut Option<T> {
+    if table.len() <= index {
+        table.resize_with(index + 1, || None);
+    }
+    &mut table[index]
 }
 
 /// Final state of one hosted prober.
@@ -245,20 +402,35 @@ pub struct HostReport {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// One worker: socket, machines, wheel, counters.
+/// One worker: socket, machines, timers, sends, counters.
 struct Shard {
     socket: UdpSocket,
     counters: Arc<ShardCounters>,
-    devices: HashMap<u32, DeviceSlot>,
-    probers: HashMap<u32, ProberSlot>,
-    wheel: TimerWheel<WheelKey>,
+    /// This shard's place in the host, and the host's shard count: the
+    /// shard serves exactly the ids `≡ index (mod stride)`, machine `id`
+    /// at table index `id / stride`.
+    index: usize,
+    stride: usize,
+    devices: Vec<Option<DeviceSlot>>,
+    probers: Vec<Option<ProberSlot>>,
+    timers: Timers,
+    sends: Sends,
+    /// Scratch buffer the machines emit their actions into: empty between
+    /// calls.
+    actions: Vec<CpAction>,
     poll_interval: Duration,
 }
 
 impl Shard {
+    /// The table index of machine `id` if this shard serves it.
+    fn local(&self, id: u32) -> Option<usize> {
+        let id = id as usize;
+        (id % self.stride == self.index).then_some(id / self.stride)
+    }
+
     fn publish_deadline(&mut self) {
         let nanos = self
-            .wheel
+            .timers
             .next_deadline()
             .map_or(NO_DEADLINE, SimTime::as_nanos);
         self.counters
@@ -266,70 +438,37 @@ impl Shard {
             .store(nanos, Ordering::Release);
     }
 
-    /// Executes one prober's pending actions. `emitted_at` is the instant
-    /// the machine was called with — timers arm relative to it, not to a
-    /// fresh clock read: the prober computed its deadlines against the
-    /// `now` it was handed, and re-reading the clock after a slow send (or
-    /// under load) would drift every deadline late by the handling
-    /// latency.
-    fn execute(
-        &mut self,
-        cp: u32,
-        emitted_at: SimTime,
-        actions: &mut Vec<CpAction>,
-        sends: &mut Vec<(SocketAddr, Vec<u8>)>,
-    ) {
-        for action in actions.drain(..) {
-            match action {
-                CpAction::SendProbe(p) => {
-                    let slot = &self.probers[&cp];
-                    sends.push((
-                        slot.peer,
-                        encode_addressed(slot.target, &WireMessage::Probe(p)),
-                    ));
-                }
-                CpAction::StartTimer { token, after } => {
-                    self.wheel
-                        .insert(WheelKey::ProberTimer(cp, token), emitted_at + after);
-                }
-                CpAction::CancelTimer { token } => {
-                    self.wheel.cancel(WheelKey::ProberTimer(cp, token));
-                }
-                // Verdicts are read back from `Prober::verdict()` at
-                // report time.
-                CpAction::DeviceAbsent { .. } => {}
-            }
-        }
-    }
-
-    /// `actions` is `run`'s scratch buffer: empty on entry and on return.
-    fn fire_due(
-        &mut self,
-        now: SimTime,
-        actions: &mut Vec<CpAction>,
-        sends: &mut Vec<(SocketAddr, Vec<u8>)>,
-    ) -> u64 {
+    /// Fires every timer due at `now`, in `(deadline, arming)` order, and
+    /// returns how many fired. A popped prober timer that is no longer
+    /// its slot's live one is not a firing.
+    fn fire_due(&mut self, now: SimTime) -> u64 {
         let mut fired = 0;
-        while let Some((key, _at)) = self.wheel.pop_due(now) {
-            fired += 1;
-            match key {
-                WheelKey::StartProber(cp) => {
-                    if let Some(slot) = self.probers.get_mut(&cp) {
+        while let Some((seq, timer)) = self.timers.pop_due(now) {
+            match timer {
+                Timer::StartProber(i) => {
+                    fired += 1;
+                    if let Some(slot) = self.probers[i].as_mut() {
                         slot.started = true;
-                        slot.prober.start(now, actions);
-                        self.execute(cp, now, actions, sends);
+                        slot.prober.start(now, &mut self.actions);
+                        slot.execute(i, now, &mut self.actions, &mut self.timers, &mut self.sends);
                     }
                 }
-                WheelKey::ProberTimer(cp, token) => {
-                    if let Some(slot) = self.probers.get_mut(&cp) {
-                        if !slot.prober.is_stopped() {
-                            slot.prober.on_timer(now, token, actions);
-                            self.execute(cp, now, actions, sends);
-                        }
+                Timer::Prober(i) => {
+                    let Some(slot) = self.probers[i].as_mut() else {
+                        continue;
+                    };
+                    let Some(armed) = slot.timer.take_if(|armed| armed.seq == seq) else {
+                        continue;
+                    };
+                    fired += 1;
+                    if !slot.prober.is_stopped() {
+                        slot.prober.on_timer(now, armed.token, &mut self.actions);
+                        slot.execute(i, now, &mut self.actions, &mut self.timers, &mut self.sends);
                     }
                 }
-                WheelKey::SilenceDevice(dev) => {
-                    if let Some(slot) = self.devices.get_mut(&dev) {
+                Timer::SilenceDevice(i) => {
+                    fired += 1;
+                    if let Some(slot) = self.devices[i].as_mut() {
                         slot.silenced = true;
                     }
                 }
@@ -341,15 +480,7 @@ impl Shard {
         fired
     }
 
-    /// `actions` is `run`'s scratch buffer: empty on entry and on return.
-    fn handle_datagram(
-        &mut self,
-        now: SimTime,
-        buf: &[u8],
-        from: SocketAddr,
-        actions: &mut Vec<CpAction>,
-        sends: &mut Vec<(SocketAddr, Vec<u8>)>,
-    ) {
+    fn handle_datagram(&mut self, now: SimTime, buf: &[u8], from: SocketAddr) {
         let datagram = match decode_datagram(buf) {
             Ok(d) => d,
             Err(_) => {
@@ -362,15 +493,18 @@ impl Shard {
             .fetch_add(1, Ordering::Release);
         match datagram {
             Datagram::Addressed(device, WireMessage::Probe(probe)) => {
-                match self.devices.get_mut(&device.0) {
+                let slot = self
+                    .local(device.0)
+                    .and_then(|i| self.devices.get_mut(i)?.as_mut());
+                match slot {
                     Some(slot) if slot.silenced => {
                         self.counters
                             .dropped_departed
                             .fetch_add(1, Ordering::Release);
                     }
                     Some(slot) => {
-                        let reply = slot.host.on_probe(now, probe);
-                        sends.push((from, encode(&WireMessage::Reply(reply))));
+                        let reply = WireMessage::Reply(slot.host.on_probe(now, probe));
+                        self.sends.push(from, |buf| encode_into(buf, &reply));
                     }
                     None => {
                         self.counters.unroutable.fetch_add(1, Ordering::Release);
@@ -378,21 +512,21 @@ impl Shard {
                 }
             }
             Datagram::Direct(WireMessage::Reply(reply)) => {
-                let cp = reply.probe.cp.0;
-                match self.probers.get_mut(&cp) {
-                    Some(slot) if slot.started && !slot.prober.is_stopped() => {
-                        slot.prober.on_reply(now, &reply, actions);
-                        self.execute(cp, now, actions, sends);
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.counters.unroutable.fetch_add(1, Ordering::Release);
-                    }
+                let Some((i, slot)) = self
+                    .local(reply.probe.cp.0)
+                    .and_then(|i| Some((i, self.probers.get_mut(i)?.as_mut()?)))
+                else {
+                    self.counters.unroutable.fetch_add(1, Ordering::Release);
+                    return;
+                };
+                if slot.started && !slot.prober.is_stopped() {
+                    slot.prober.on_reply(now, &reply, &mut self.actions);
+                    slot.execute(i, now, &mut self.actions, &mut self.timers, &mut self.sends);
                 }
             }
             Datagram::Direct(msg) | Datagram::Addressed(_, msg) => {
                 // A device's own Bye reaches every hosted prober watching
-                // it.
+                // it, in table order: ascending CP id.
                 let device = match msg {
                     WireMessage::Bye(bye) => bye.device,
                     // A bare probe has no target on a shared socket; an
@@ -402,33 +536,28 @@ impl Shard {
                         return;
                     }
                 };
-                let watching: Vec<u32> = self
-                    .probers
-                    .iter()
-                    .filter(|(_, s)| s.target == device && s.started && !s.prober.is_stopped())
-                    .map(|(&cp, _)| cp)
-                    .collect();
-                for cp in watching {
-                    if let Some(slot) = self.probers.get_mut(&cp) {
-                        slot.prober.on_bye(now, actions);
+                for (i, slot) in self.probers.iter_mut().enumerate() {
+                    let Some(slot) = slot else { continue };
+                    if slot.target == device && slot.started && !slot.prober.is_stopped() {
+                        slot.prober.on_bye(now, &mut self.actions);
+                        slot.execute(i, now, &mut self.actions, &mut self.timers, &mut self.sends);
                     }
-                    self.execute(cp, now, actions, sends);
                 }
             }
         }
     }
 
-    /// Hands the queued datagrams to the kernel one [run](runs) per call:
-    /// a run of one is a plain `send_to`, a longer one a single
+    /// Hands the queued datagrams to the kernel one [run](Sends::runs)
+    /// per call: a run of one is a plain `send_to`, a longer one a single
     /// `sendmsg` whose segments leave as separate datagrams in queue
     /// order. A run succeeds or fails whole, and each of its datagrams is
     /// counted under the outcome.
-    fn flush(&self, sends: &mut Vec<(SocketAddr, Vec<u8>)>) {
-        for run in runs(sends) {
-            let dest = run[0].0;
-            let sent = match run {
-                [(_, bytes)] => self.socket.send_to(bytes, dest).map(|_| ()),
-                _ => send_segments(&self.socket, dest, run.iter().map(|(_, b)| &b[..])),
+    fn flush(&mut self) {
+        for run in self.sends.runs() {
+            let sent = if run.count() == 1 {
+                self.socket.send_to(run.bytes, run.dest).map(|_| ())
+            } else {
+                send_segments(&self.socket, run.dest, run.datagrams())
             };
             let outcome = match sent {
                 Ok(()) => &self.counters.datagrams_sent,
@@ -437,10 +566,10 @@ impl Shard {
                 }
                 Err(_) => &self.counters.send_errors,
             };
-            outcome.fetch_add(run.len() as u64, Ordering::Release);
+            outcome.fetch_add(run.count() as u64, Ordering::Release);
             self.counters.send_calls.fetch_add(1, Ordering::Release);
         }
-        sends.clear();
+        self.sends.clear();
     }
 
     fn run(
@@ -449,15 +578,13 @@ impl Shard {
         stop: Arc<AtomicBool>,
     ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
         let mut buf = vec![0u8; RECV_BUFFER];
-        let mut sends: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
-        let mut actions: Vec<CpAction> = Vec::new();
         // Zero from the start: a shard that has served nothing yet has no
         // next batch to gather, so its first empty iteration blocks.
         let mut windows_left = 0;
         while !stop.load(Ordering::SeqCst) {
             let mut work = 0u64;
             let now = clock.now();
-            work += self.fire_due(now, &mut actions, &mut sends);
+            work += self.fire_due(now);
 
             let mut handled = 0;
             while handled < RECV_BATCH {
@@ -473,13 +600,7 @@ impl Shard {
                             let now = clock.now();
                             for datagram in segments(&buf[..run.len], run.segment_size) {
                                 handled += 1;
-                                self.handle_datagram(
-                                    now,
-                                    datagram,
-                                    run.from,
-                                    &mut actions,
-                                    &mut sends,
-                                );
+                                self.handle_datagram(now, datagram, run.from);
                             }
                         }
                     }
@@ -496,8 +617,8 @@ impl Shard {
                 }
             }
 
-            work += handled as u64 + sends.len() as u64;
-            self.flush(&mut sends);
+            work += handled as u64 + self.sends.len() as u64;
+            self.flush();
             self.publish_deadline();
             self.counters
                 .loop_iterations
@@ -509,7 +630,7 @@ impl Shard {
                 windows_left -= 1;
                 thread::sleep(self.poll_interval);
             } else {
-                let deadline = self.wheel.next_deadline().unwrap_or(SimTime::MAX);
+                let deadline = self.timers.next_deadline().unwrap_or(SimTime::MAX);
                 let timeout = clock
                     .wall_until(deadline)
                     .map_or(self.poll_interval, |wall| wall.min(MAX_BLOCK));
@@ -517,25 +638,26 @@ impl Shard {
             }
         }
 
-        let mut probers: Vec<ProberReport> = self
+        // The tables are in index order, which is ascending id order.
+        let probers = self
             .probers
-            .into_values()
+            .into_iter()
+            .flatten()
             .map(|s| ProberReport {
                 cp: s.prober.cp(),
                 verdict: s.prober.verdict(),
                 stats: *s.prober.stats(),
             })
             .collect();
-        probers.sort_by_key(|r| r.cp.0);
-        let mut devices: Vec<DeviceReport> = self
+        let devices = self
             .devices
-            .into_values()
+            .into_iter()
+            .flatten()
             .map(|s| DeviceReport {
                 device: s.host.id(),
                 probes_received: s.host.probes_received(),
             })
             .collect();
-        devices.sort_by_key(|r| r.device.0);
         (probers, devices)
     }
 }
@@ -564,7 +686,7 @@ impl ShardedHost {
         let mut shards = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
+        for index in 0..n {
             let socket = UdpSocket::bind(&config.bind)?;
             socket.set_nonblocking(true)?;
             enable_gro(&socket)?;
@@ -574,9 +696,13 @@ impl ShardedHost {
             shards.push(Shard {
                 socket,
                 counters: c,
-                devices: HashMap::new(),
-                probers: HashMap::new(),
-                wheel: TimerWheel::new(),
+                index,
+                stride: n,
+                devices: Vec::new(),
+                probers: Vec::new(),
+                timers: Timers::default(),
+                sends: Sends::default(),
+                actions: Vec::new(),
                 poll_interval: config.poll_interval,
             });
         }
@@ -592,25 +718,35 @@ impl ShardedHost {
     }
 
     /// Adds a device machine, optionally scheduling the instant it goes
-    /// silent (models departure without deregistration).
+    /// silent (models departure without deregistration). Machines are
+    /// kept in tables indexed by id, so ids should be dense from 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host already serves a device with this id.
     pub fn add_device(&mut self, host: DeviceMachine, silence_at: Option<SimTime>) {
         let id = host.id();
-        let idx = shard_of_device(id, self.shards.len());
-        let shard = &mut self.shards[idx];
+        let shards = self.shards.len();
+        let shard = &mut self.shards[shard_of_device(id, shards)];
+        let index = id.0 as usize / shards;
+        let entry = vacant(&mut shard.devices, index);
+        assert!(entry.is_none(), "device {} is already hosted", id.0);
+        *entry = Some(DeviceSlot {
+            host,
+            silenced: false,
+        });
         if let Some(at) = silence_at {
-            shard.wheel.insert(WheelKey::SilenceDevice(id.0), at);
+            shard.timers.arm(at, Timer::SilenceDevice(index));
         }
-        shard.devices.insert(
-            id.0,
-            DeviceSlot {
-                host,
-                silenced: false,
-            },
-        );
     }
 
     /// Adds a prober watching the device `target` served at `peer`,
-    /// starting at `start_at` on the host clock.
+    /// starting at `start_at` on the host clock. Machines are kept in
+    /// tables indexed by id, so ids should be dense from 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host already runs a prober with this CP id.
     pub fn add_prober(
         &mut self,
         prober: Box<dyn Prober + Send>,
@@ -620,17 +756,18 @@ impl ShardedHost {
     ) {
         let cp = prober.cp();
         let idx = self.shard_of_cp(cp);
+        let index = cp.0 as usize / self.shards.len();
         let shard = &mut self.shards[idx];
-        shard.wheel.insert(WheelKey::StartProber(cp.0), start_at);
-        shard.probers.insert(
-            cp.0,
-            ProberSlot {
-                prober,
-                peer,
-                target,
-                started: false,
-            },
-        );
+        let entry = vacant(&mut shard.probers, index);
+        assert!(entry.is_none(), "CP {} is already hosted", cp.0);
+        *entry = Some(ProberSlot {
+            prober,
+            peer,
+            target,
+            started: false,
+            timer: None,
+        });
+        shard.timers.arm(start_at, Timer::StartProber(index));
     }
 
     /// The socket address serving `device` (valid once the device is
@@ -653,7 +790,7 @@ impl ShardedHost {
         let stop = Arc::new(AtomicBool::new(false));
         // Publish each shard's seeded deadline BEFORE its thread exists,
         // so a controller sampling immediately after `start` never sees
-        // an empty wheel that is about to become non-empty.
+        // an empty timer queue that is about to become non-empty.
         for shard in &mut self.shards {
             shard.publish_deadline();
         }
@@ -783,7 +920,9 @@ impl HostHandle {
 mod tests {
     use super::*;
     use crate::clock::SystemClock;
+    use crate::codec::{encode, encode_addressed};
     use presence_core::{DcppConfig, DcppCp, DcppDevice};
+    use std::sync::Mutex;
 
     /// Waits (2 s at most) until the host's activity counter stops moving:
     /// whatever was in flight has been drained.
@@ -1122,7 +1261,7 @@ mod tests {
         shape.extend([(a, 33), (a, 33), (b, 33), (a, 25)]);
         shape.extend(vec![(b, 25); MAX_SEGMENTS + 2]);
         // Every payload starts with its queue index.
-        let sends: Vec<(SocketAddr, Vec<u8>)> = shape
+        let queued: Vec<(SocketAddr, Vec<u8>)> = shape
             .iter()
             .enumerate()
             .map(|(i, &(dest, len))| {
@@ -1131,11 +1270,30 @@ mod tests {
                 (dest, bytes)
             })
             .collect();
-        let lens: Vec<usize> = runs(&sends).map(<[_]>::len).collect();
-        assert_eq!(lens, [3, 2, 1, 1, MAX_SEGMENTS, 2]);
-        let flattened: Vec<_> = runs(&sends).flatten().collect();
-        assert_eq!(flattened, sends.iter().collect::<Vec<_>>());
-        assert_eq!(runs(&[]).count(), 0);
+        let mut sends = Sends::default();
+        for (dest, bytes) in &queued {
+            sends.push(*dest, |buf| buf.extend_from_slice(bytes));
+        }
+        let cut: Vec<_> = sends.runs().map(|r| (r.dest, r.len, r.count())).collect();
+        assert_eq!(
+            cut,
+            [
+                (a, 25, 3),
+                (a, 33, 2),
+                (b, 33, 1),
+                (a, 25, 1),
+                (b, 25, MAX_SEGMENTS),
+                (b, 25, 2)
+            ]
+        );
+        let flattened: Vec<(SocketAddr, &[u8])> = sends
+            .runs()
+            .flat_map(|r| r.datagrams().map(move |d| (r.dest, d)))
+            .collect();
+        let expected: Vec<(SocketAddr, &[u8])> = queued.iter().map(|(d, b)| (*d, &b[..])).collect();
+        assert_eq!(flattened, expected);
+        sends.clear();
+        assert_eq!(sends.runs().count(), 0);
     }
 
     /// `per_500ms` iterations scaled to however long the test thread
@@ -1290,19 +1448,43 @@ mod tests {
         }
     }
 
-    /// A prober that arms one 100 ms timer at start and declares absence
-    /// the instant it fires — exposing exactly when the shard fired it —
-    /// or, with `panic_on_start`, takes its shard thread down.
+    /// A call a [`TestProber`] logs: which timer fired, or a Bye.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Timer(u64),
+        Bye,
+    }
+
+    /// Calls made on every [`TestProber`] sharing it, as `(cp, call)`.
+    type CallLog = Arc<Mutex<Vec<(u32, Call)>>>;
+
+    /// A prober that arms timer 1 (100 ms) at start and declares absence
+    /// the instant a timer fires — exposing exactly when the shard fired
+    /// it. A reply cancels timer 1 and, with `wake`, arms timer 2 (10 ms).
+    /// With `panic_on_start` it takes its shard thread down instead.
     #[derive(Default)]
-    struct OneShotProber {
+    struct TestProber {
+        cp: u32,
         panic_on_start: bool,
+        wake: bool,
+        log: CallLog,
         verdict: Option<Verdict>,
         stats: CpStats,
     }
 
-    impl Prober for OneShotProber {
+    impl TestProber {
+        fn new(cp: u32, log: &CallLog) -> Self {
+            Self {
+                cp,
+                log: Arc::clone(log),
+                ..Self::default()
+            }
+        }
+    }
+
+    impl Prober for TestProber {
         fn cp(&self) -> CpId {
-            CpId(0)
+            CpId(self.cp)
         }
         fn start(&mut self, _: SimTime, out: &mut Vec<CpAction>) {
             assert!(!self.panic_on_start, "boom");
@@ -1311,14 +1493,29 @@ mod tests {
                 after: presence_des::SimDuration::from_millis(100),
             });
         }
-        fn on_reply(&mut self, _: SimTime, _: &presence_core::Reply, _: &mut Vec<CpAction>) {}
+        fn on_reply(&mut self, _: SimTime, _: &presence_core::Reply, out: &mut Vec<CpAction>) {
+            out.push(CpAction::CancelTimer {
+                token: TimerToken(1),
+            });
+            if self.wake {
+                out.push(CpAction::StartTimer {
+                    token: TimerToken(2),
+                    after: presence_des::SimDuration::from_millis(10),
+                });
+            }
+        }
         fn on_timer(&mut self, now: SimTime, token: TimerToken, out: &mut Vec<CpAction>) {
-            assert_eq!(token, TimerToken(1));
+            self.log
+                .lock()
+                .unwrap()
+                .push((self.cp, Call::Timer(token.0)));
             let reason = presence_core::AbsenceReason::ProbeTimeout;
             self.verdict = Some(Verdict { at: now, reason });
             out.push(CpAction::DeviceAbsent { at: now, reason });
         }
-        fn on_bye(&mut self, _: SimTime, _: &mut Vec<CpAction>) {}
+        fn on_bye(&mut self, _: SimTime, _: &mut Vec<CpAction>) {
+            self.log.lock().unwrap().push((self.cp, Call::Bye));
+        }
         fn stats(&self) -> &CpStats {
             &self.stats
         }
@@ -1333,11 +1530,35 @@ mod tests {
         }
     }
 
-    fn one_shot_host(prober: OneShotProber) -> ShardedHost {
+    fn one_shot_host(prober: TestProber) -> ShardedHost {
         let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
         let nowhere = host.local_addrs()[0];
         host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
         host
+    }
+
+    /// The one shard of a one-shard host, driven by hand: no thread, no
+    /// clock, no flush.
+    fn bare_shard(host: ShardedHost) -> Shard {
+        host.shards.into_iter().next().unwrap()
+    }
+
+    fn ms(ms: u64) -> SimTime {
+        SimTime::from_nanos(ms * 1_000_000)
+    }
+
+    /// A bare DCPP reply to CP `cp`'s probe 0.
+    fn reply_to(cp: u32) -> Vec<u8> {
+        encode(&WireMessage::Reply(presence_core::Reply {
+            probe: presence_core::Probe {
+                cp: CpId(cp),
+                seq: 0,
+            },
+            device: DeviceId(0),
+            body: presence_core::ReplyBody::Dcpp {
+                wait: presence_des::SimDuration::from_millis(10),
+            },
+        }))
     }
 
     #[test]
@@ -1352,9 +1573,9 @@ mod tests {
             now: std::sync::Mutex::new(SimTime::ZERO),
             step: presence_des::SimDuration::from_millis(5),
         };
-        let handle = one_shot_host(OneShotProber::default()).start(Arc::new(clock));
+        let handle = one_shot_host(TestProber::default()).start(Arc::new(clock));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        // Two wheel entries fire: the prober's start, then its timer.
+        // Two timers fire: the prober's start, then its timer.
         while handle.stats().timers_fired < 2 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1373,9 +1594,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn join_reraises_a_shard_panic_with_its_message() {
-        let prober = OneShotProber {
+        let prober = TestProber {
             panic_on_start: true,
-            ..OneShotProber::default()
+            ..TestProber::default()
         };
         let handle = one_shot_host(prober).start(Arc::new(SystemClock::new()));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -1470,5 +1691,134 @@ mod tests {
         // have found them stopped and their verdicts would not be its.
         let bye = Some(presence_core::AbsenceReason::ByeReceived);
         assert_eq!(reasons, [bye, bye, None, None]);
+    }
+
+    #[test]
+    fn prober_timers_due_at_one_deadline_fire_in_arming_order() {
+        // CP 1 is registered, so started and armed, before CP 0: both
+        // timers are due at 100 ms, and CP 1's must fire first, not the
+        // lower id or table index.
+        let log = CallLog::default();
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        let nowhere = host.local_addrs()[0];
+        for cp in [1, 0] {
+            let prober = TestProber::new(cp, &log);
+            host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
+        }
+        let mut shard = bare_shard(host);
+        assert_eq!(shard.fire_due(SimTime::ZERO), 2);
+        assert_eq!(shard.fire_due(ms(99)), 0);
+        assert_eq!(shard.fire_due(ms(100)), 2);
+        let fired = log.lock().unwrap().clone();
+        assert_eq!(fired, [(1, Call::Timer(1)), (0, Call::Timer(1))]);
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires() {
+        let log = CallLog::default();
+        let mut shard = bare_shard(one_shot_host(TestProber::new(0, &log)));
+        let from = shard.socket.local_addr().unwrap();
+        assert_eq!(shard.fire_due(SimTime::ZERO), 1);
+        shard.handle_datagram(ms(5), &reply_to(0), from);
+        assert_eq!(
+            shard.timers.next_deadline(),
+            None,
+            "the cancel left an event"
+        );
+        assert_eq!(shard.fire_due(SimTime::MAX), 0);
+        assert!(log.lock().unwrap().is_empty());
+        assert_eq!(shard.counters.snapshot().timers_fired, 1, "only the start");
+    }
+
+    #[test]
+    fn a_replys_cancel_and_wake_count_only_the_wake() {
+        let log = CallLog::default();
+        let prober = TestProber {
+            wake: true,
+            ..TestProber::new(0, &log)
+        };
+        let mut shard = bare_shard(one_shot_host(prober));
+        let from = shard.socket.local_addr().unwrap();
+        assert_eq!(shard.fire_due(SimTime::ZERO), 1);
+        shard.handle_datagram(ms(5), &reply_to(0), from);
+        assert_eq!(shard.timers.next_deadline(), Some(ms(15)));
+        assert_eq!(shard.fire_due(SimTime::MAX), 1);
+        assert_eq!(*log.lock().unwrap(), [(0, Call::Timer(2))]);
+        assert_eq!(shard.counters.snapshot().timers_fired, 2, "start + wake");
+    }
+
+    #[test]
+    #[should_panic(expected = "device 3 is already hosted")]
+    fn a_second_device_with_a_hosted_id_is_refused() {
+        let mut host = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(3)), None);
+        host.add_device(DeviceMachine::sapp_paper(DeviceId(3)), Some(SimTime::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "CP 3 is already hosted")]
+    fn a_second_prober_with_a_hosted_id_is_refused() {
+        let mut host = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
+        let nowhere = host.local_addrs()[0];
+        for _ in 0..2 {
+            let prober = DcppCp::new(CpId(3), DcppConfig::paper_default());
+            host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
+        }
+    }
+
+    #[test]
+    fn a_bye_reaches_its_devices_started_watchers_in_ascending_cp_order() {
+        // Registered out of order: even CPs watch device 0, odd ones
+        // device 1, and CP 8 watches device 0 but starts only at 10 s.
+        let order = [5u32, 2, 7, 0, 3, 6, 1, 4, 8];
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        let nowhere = host.local_addrs()[0];
+        for cp in order {
+            let prober = DcppCp::new(CpId(cp), DcppConfig::paper_default());
+            let start = if cp == 8 { ms(10_000) } else { SimTime::ZERO };
+            host.add_prober(Box::new(prober), nowhere, DeviceId(cp % 2), start);
+        }
+        let mut shard = bare_shard(host);
+        shard.fire_due(SimTime::ZERO);
+        let bye_0 = encode(&WireMessage::Bye(presence_core::Bye {
+            device: DeviceId(0),
+        }));
+        shard.handle_datagram(ms(1), &bye_0, nowhere);
+        let reasons: Vec<_> = shard
+            .probers
+            .iter()
+            .map(|slot| slot.as_ref().unwrap().prober.verdict().map(|v| v.reason))
+            .collect();
+        let bye = Some(presence_core::AbsenceReason::ByeReceived);
+        assert_eq!(reasons, [bye, None, bye, None, bye, None, bye, None, None]);
+
+        // Device 1's watchers keep probing: at TOF each retransmits.
+        shard.sends.clear();
+        shard.fire_due(ms(30));
+        let mut probing: Vec<u32> = shard
+            .sends
+            .runs()
+            .flat_map(Run::datagrams)
+            .map(|d| match decode_datagram(d).unwrap() {
+                Datagram::Addressed(DeviceId(1), WireMessage::Probe(p)) => p.cp.0,
+                other => panic!("unexpected datagram {other:?}"),
+            })
+            .collect();
+        probing.sort_unstable();
+        assert_eq!(probing, [1, 3, 5, 7]);
+
+        // The fan-out walks the table: ascending CP id, whatever the
+        // registration order.
+        let log = CallLog::default();
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        for cp in order {
+            let prober = TestProber::new(cp, &log);
+            host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
+        }
+        let mut shard = bare_shard(host);
+        shard.fire_due(SimTime::ZERO);
+        shard.handle_datagram(ms(1), &bye_0, nowhere);
+        let called: Vec<u32> = log.lock().unwrap().iter().map(|&(cp, _)| cp).collect();
+        assert_eq!(called, [0, 1, 2, 3, 4, 5, 6, 7, 8]);
     }
 }

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel stored in [`ShardCounters::next_deadline_nanos`] when the
-/// shard's timer wheel is empty.
+/// shard has no timer queued.
 pub const NO_DEADLINE: u64 = u64::MAX;
 
 /// Live counters owned by one shard thread, sampled by controllers.
@@ -50,7 +50,8 @@ pub struct ShardCounters {
     /// Outbound datagrams lost to a send that failed with anything but
     /// "would block".
     pub send_errors: AtomicU64,
-    /// Timer-wheel entries fired.
+    /// Timers fired: prober starts, protocol timers and device silences.
+    /// A cancelled timer never fires and is not counted.
     pub timers_fired: AtomicU64,
     /// Completed shard-loop iterations (drain + fire + publish).
     pub loop_iterations: AtomicU64,
@@ -128,7 +129,8 @@ pub struct ShardStats {
     pub dropped_sendpressure: u64,
     /// Failed socket sends (other than "would block").
     pub send_errors: u64,
-    /// Timer-wheel entries fired.
+    /// Timers fired: prober starts, protocol timers and device silences.
+    /// A cancelled timer never fires and is not counted.
     pub timers_fired: u64,
 }
 

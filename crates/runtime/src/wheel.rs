@@ -1,4 +1,10 @@
-//! A lazily-reconciled timer wheel for the wall-clock hosts.
+//! A lazily-reconciled timer wheel, with no product caller.
+//!
+//! The shards keep their timers in the simulator's own
+//! [`EventQueue`](presence_des::EventQueue), addressed by handle. The
+//! wheel stays exported only because the repo benchmark's
+//! `runtime.wheel.*` kernels time it; it goes when those kernels move to
+//! the queue.
 //!
 //! A `BTreeMap<TimerToken, SimTime>` scanned in full on every loop
 //! iteration is fine for one prober with two timers and hopeless for a
@@ -15,7 +21,7 @@
 //!   `insert` calls and each is discarded exactly once: amortised
 //!   O(log n) per armed timer, no tombstone leak.
 //!
-//! Keys are generic: a shard keys its wheel by `(machine, token)`.
+//! Keys are generic: the shards once keyed theirs by `(machine, token)`.
 
 use presence_des::SimTime;
 use std::cmp::Reverse;

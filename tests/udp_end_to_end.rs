@@ -97,7 +97,7 @@ fn sapp_over_udp_adapts_and_detects_crash() {
     );
 
     // A live prober always has a timer armed (cycle timeout or next
-    // wake); the wheel runs empty only once it has reached its verdict.
+    // wake); the timer queue runs empty only once it has reached its verdict.
     let deadline = Instant::now() + Duration::from_secs(20);
     while cp.next_deadline().is_some() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(5));
