@@ -109,7 +109,9 @@ test_nonempty --release -q -p presence-sim --lib mega::
 # than poll (loop-iteration budgets of 120/s per idle shard and 400/s for
 # the paper-rate pair), still fire every timer and answer every probe,
 # and `join` must not wait for a blocked shard (< 250 ms). `-- --nocapture`
-# prints their iterations/s, join latency and shard CPU.
+# prints their iterations/s, join latency and shard CPU. The same filter
+# takes in the shard's socket-free core tests: two `ShardCore`s stepped
+# back to back by hand must reproduce conformance's pinned counts.
 echo "==> sharded host loopback, socket and idle-path tests (release)"
 test_nonempty --release -q -p presence-runtime --lib shard::
 test_nonempty --release -q -p presence-runtime --lib sys::

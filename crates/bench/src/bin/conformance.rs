@@ -4,7 +4,8 @@
 //! and `N` probers over loopback UDP on the wall clock for a few seconds
 //! and requires **zero** backpressure drops, zero decode errors, zero
 //! receive and send errors, zero unroutable datagrams, and zero false
-//! absence verdicts from the `ShardCounters` surface. This is the
+//! absence verdicts, read from the `HostReport` each host's `join`
+//! returns (its summed `ShardStats` and its probers' verdicts). This is the
 //! serving-runtime acceptance gate: the sharded host must sustain a
 //! five-digit device population on a CI container without shedding load
 //! — the busy path of the shard loop. Each shard's line also says how

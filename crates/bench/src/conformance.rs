@@ -25,25 +25,28 @@
 //! disagreement is a runtime bug (mis-armed timer, mis-routed datagram,
 //! dropped message), not noise.
 //!
-//! # What the simulator as oracle makes cheap
+//! # What this path is for
 //!
-//! The oracle's network is an argument, not code: a lossy or delayed
-//! oracle is `Fabric::new(cap, delay, loss)` with other models, drawing
-//! from the engine's seeded streams. That is the starting point of
-//! lossy-lockstep conformance (ROADMAP item 2(a)) — what is left to build
-//! there is the UDP-side shaper that makes the same draws.
+//! Zero delay and zero loss are the only network this socket path can
+//! run in lockstep, and that is its whole job: to show the socket loop
+//! moves the bytes the shard's protocol core emits, unchanged. Loss,
+//! delay and stalls belong in the engine, where a core can be hosted
+//! behind the network actor (ROADMAP item 4(a)); no UDP-side shaper is
+//! built.
 //!
 //! # The quiescence proof
 //!
 //! Sampling "no traffic for a while" would race a descheduled shard
-//! thread. Instead the controller uses the shards' own counters for a
-//! timing-free proof: a host is quiescent once, over two consecutive
-//! observation windows, **every** shard completed at least one full
-//! loop iteration (socket drained, due timers fired) while the summed
-//! activity counters did not move. Any datagram still in a kernel
-//! buffer would have been drained by one of those iterations and
-//! counted; any due timer would have fired. Three such windows in a row
-//! are required for margin.
+//! thread. Instead the controller reads what each shard publishes at the
+//! end of every loop iteration, before it sleeps or blocks — one
+//! snapshot holding the iteration count and that iteration's counts
+//! together — for a timing-free proof: a host is quiescent once, over two
+//! consecutive observation windows, **every** shard completed at least
+//! one full loop iteration (due timers fired, socket drained) while the
+//! summed activity did not move. Any datagram still in a kernel buffer
+//! would have been drained by one of those iterations and counted in the
+//! same snapshot; any due timer would have fired. Three such windows in a
+//! row are required for margin.
 
 use presence_core::{CpId, DcppConfig, DeviceId, DeviceMachine, ProbeCycleConfig};
 use presence_des::{ActorId, SimDuration, SimTime, Simulation};

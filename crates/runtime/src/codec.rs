@@ -205,8 +205,8 @@ pub fn decode_datagram(buf: &[u8]) -> Result<Datagram, DecodeError> {
     }
 }
 
-/// Decodes one datagram: exactly one encoding, no bytes after it.
-pub fn decode(buf: &[u8]) -> Result<WireMessage, DecodeError> {
+/// Decodes one bare message: exactly one encoding, no bytes after it.
+fn decode(buf: &[u8]) -> Result<WireMessage, DecodeError> {
     let mut r = Reader { buf };
     let msg = read_message(&mut r)?;
     match r.buf.len() {

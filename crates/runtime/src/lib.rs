@@ -9,7 +9,10 @@
 //!   over worker threads by id, one socket, one timer queue (the
 //!   simulator's [`EventQueue`](presence_des::EventQueue)) and one send
 //!   arena per shard; a single shard is the small case, not a separate
-//!   code path;
+//!   code path. Each shard is a protocol core that holds no socket and
+//!   reads no clock, counting in a plain [`ShardStats`], inside a socket
+//!   loop that owns the clock and publishes one snapshot per loop
+//!   iteration for the [`HostHandle`] to read;
 //! * [`Clock`] — wall-clock ([`SystemClock`]) or hand-cranked
 //!   ([`ManualClock`]) time sources; [`Clock::wall_until`] is how an idle
 //!   shard learns how long it may block.
@@ -84,5 +87,5 @@ pub use presence_core::DeviceMachine as DeviceHost;
 pub use shard::{
     shards_from_env, DeviceReport, HostConfig, HostHandle, HostReport, ProberReport, ShardedHost,
 };
-pub use stats::{ShardCounters, ShardStats, NO_DEADLINE};
+pub use stats::ShardStats;
 pub use wheel::TimerWheel;

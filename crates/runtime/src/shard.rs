@@ -4,15 +4,21 @@
 //! One machine per thread is hopeless for the paper's deployment target
 //! of thousands of devices, so [`ShardedHost`] spreads machines over
 //! `RUNTIME_SHARDS` worker threads by id (`id % shards`); a single pair is
-//! simply a one-shard host. Each shard owns exactly one UDP socket (no
-//! cross-thread socket contention), its machines in dense tables indexed
-//! by `id / shards`, its timers in one [`EventQueue`] — the simulator's
-//! own queue, addressed by handle — and one byte arena its sends are
-//! encoded into. Per loop iteration it fires every due timer, drains up to
-//! a batch of datagrams non-blockingly, routes each through the
-//! [`codec`](crate::codec), flushes queued sends and republishes its
-//! earliest deadline. Once the tables, the queue and the arena have grown
-//! to the load, an iteration neither hashes nor allocates.
+//! simply a one-shard host.
+//!
+//! A shard is two parts. Its [`ShardCore`] is the protocol half: its
+//! machines in dense tables indexed by `id / shards`, its timers in one
+//! [`EventQueue`] — the simulator's own queue, addressed by handle — one
+//! byte arena its sends are encoded into, and the counts of what it did.
+//! The core reads no clock and owns no socket: it is handed an instant to
+//! fire due timers at, or an instant and a received run to route, and
+//! leaves its sends queued. The socket loop around it owns the socket and
+//! the clock. Per loop iteration it reads the clock once and fires what is
+//! due, drains up to a batch of runs non-blockingly (one more clock read
+//! per run), flushes the queued sends and publishes one snapshot — counts,
+//! iteration count, next deadline — before it sleeps or blocks. Once the
+//! tables, the queue and the arena have grown to the load, an iteration
+//! neither hashes nor allocates.
 //!
 //! A prober holds at most one live timer (the [`Prober`] contract), and
 //! its slot keeps that timer's token and queue handle, as the simulator's
@@ -27,12 +33,12 @@
 //! costs is its trip through the network stack, and a run makes that
 //! trip once. Every shard socket has UDP generic receive offload on, so
 //! a run arriving from another shard stays one packet: the drain reads it
-//! with one `recvmsg`, charged once to the receive buffer, and cuts it
-//! back into datagrams in the order they were queued. A lone datagram is
-//! a run of one. Runs never merge across destinations or lengths, so
-//! every machine sees the order it would see from one `send_to` per
-//! datagram — the order DCPP's slots and SAPP's last-prober fields depend
-//! on.
+//! with one `recvmsg`, charged once to the receive buffer, and the core
+//! cuts it back into datagrams in the order they were queued. A lone
+//! datagram is a run of one. Runs never merge across destinations or
+//! lengths, so every machine sees the order it would see from one
+//! `send_to` per datagram — the order DCPP's slots and SAPP's last-prober
+//! fields depend on.
 //!
 //! What an iteration that found no work does next is the loop's one idle
 //! rule. An iteration that did work is followed at once by the next one:
@@ -62,16 +68,16 @@
 //! * anything that does not decode (including the retired tag `0x05`) is
 //!   counted in `decode_errors` and reaches no prober.
 //!
-//! Everything the host drops is counted ([`ShardCounters`]), never
-//! silently lost, mirroring `FabricStats` in the simulator's network
-//! fabric. The counters double as the conformance controller's quiescence
-//! instrument: `loop_iterations` proves a shard completed full
-//! drain-and-fire passes, `activity()` proves those passes found nothing
-//! to do.
+//! Everything the host drops is counted ([`ShardStats`]), never silently
+//! lost, mirroring `FabricStats` in the simulator's network fabric. The
+//! published snapshot doubles as the conformance controller's quiescence
+//! instrument: its iteration count proves a shard completed full
+//! drain-and-fire passes, and its counts, published by the same pass,
+//! prove those passes found nothing to do.
 
 use crate::clock::Clock;
 use crate::codec::{decode_datagram, encode_addressed_into, encode_into, Datagram, MAX_DATAGRAM};
-use crate::stats::{ShardCounters, ShardStats, NO_DEADLINE};
+use crate::stats::ShardStats;
 use crate::sys::{enable_gro, recv_segments, send_segments, wait_readable, MAX_SEGMENTS};
 use presence_core::{
     CpAction, CpId, CpStats, DeviceId, DeviceMachine, Prober, TimerToken, Verdict, WireMessage,
@@ -80,7 +86,7 @@ use presence_des::{EventQueue, SimTime};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -163,15 +169,16 @@ fn parse_shards(var: Option<&str>) -> usize {
 }
 
 /// The shard serving `device` on a host of `shards` shards: where
-/// [`ShardedHost::add_device`] puts it and where both `addr_of`s look.
+/// [`ShardedHost::add_device`] puts it and where `addr_of` looks.
 fn shard_of_device(device: DeviceId, shards: usize) -> usize {
     device.0 as usize % shards
 }
 
-/// The datagrams one loop iteration queues, in order: their bytes back to
-/// back in one arena, each datagram named by its destination and length.
-/// Cleared by every flush, it keeps its capacity, so queueing a datagram
-/// allocates nothing once the arena has grown to the load.
+/// The datagrams a core queued since the last flush, in order: their
+/// bytes back to back in one arena, each datagram named by its
+/// destination and length. Cleared by every flush, it keeps its capacity,
+/// so queueing a datagram allocates nothing once the arena has grown to
+/// the load.
 #[derive(Debug, Default)]
 struct Sends {
     bytes: Vec<u8>,
@@ -296,10 +303,6 @@ impl Timers {
         }
         self.queue.pop().map(|(key, timer)| (key.seq, timer))
     }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.queue.peek().map(|key| key.time)
-    }
 }
 
 struct DeviceSlot {
@@ -402,10 +405,11 @@ pub struct HostReport {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// One worker: socket, machines, timers, sends, counters.
-struct Shard {
-    socket: UdpSocket,
-    counters: Arc<ShardCounters>,
+/// The protocol half of a shard: its machines, their timers, the sends
+/// they queue and the counts of what they did. It holds no socket and
+/// reads no clock — whoever drives it passes the instant in — so the same
+/// core runs behind a UDP socket and, stepped by hand, in a test.
+pub(crate) struct ShardCore {
     /// This shard's place in the host, and the host's shard count: the
     /// shard serves exactly the ids `≡ index (mod stride)`, machine `id`
     /// at table index `id / stride`.
@@ -414,34 +418,81 @@ struct Shard {
     devices: Vec<Option<DeviceSlot>>,
     probers: Vec<Option<ProberSlot>>,
     timers: Timers,
+    /// What the machines queued since the socket loop last flushed it.
     sends: Sends,
     /// Scratch buffer the machines emit their actions into: empty between
     /// calls.
     actions: Vec<CpAction>,
-    poll_interval: Duration,
+    /// The core's counts, to which the socket loop adds its outcomes.
+    stats: ShardStats,
 }
 
-impl Shard {
+impl ShardCore {
+    fn new(index: usize, stride: usize) -> Self {
+        Self {
+            index,
+            stride,
+            devices: Vec::new(),
+            probers: Vec::new(),
+            timers: Timers::default(),
+            sends: Sends::default(),
+            actions: Vec::new(),
+            stats: ShardStats::default(),
+        }
+    }
+
     /// The table index of machine `id` if this shard serves it.
     fn local(&self, id: u32) -> Option<usize> {
         let id = id as usize;
         (id % self.stride == self.index).then_some(id / self.stride)
     }
 
-    fn publish_deadline(&mut self) {
-        let nanos = self
-            .timers
-            .next_deadline()
-            .map_or(NO_DEADLINE, SimTime::as_nanos);
-        self.counters
-            .next_deadline_nanos
-            .store(nanos, Ordering::Release);
+    /// See [`ShardedHost::add_device`].
+    fn add_device(&mut self, host: DeviceMachine, silence_at: Option<SimTime>) {
+        let id = host.id();
+        let index = id.0 as usize / self.stride;
+        let entry = vacant(&mut self.devices, index);
+        assert!(entry.is_none(), "device {} is already hosted", id.0);
+        *entry = Some(DeviceSlot {
+            host,
+            silenced: false,
+        });
+        if let Some(at) = silence_at {
+            self.timers.arm(at, Timer::SilenceDevice(index));
+        }
+    }
+
+    /// See [`ShardedHost::add_prober`].
+    fn add_prober(
+        &mut self,
+        prober: Box<dyn Prober + Send>,
+        peer: SocketAddr,
+        target: DeviceId,
+        start_at: SimTime,
+    ) {
+        let cp = prober.cp();
+        let index = cp.0 as usize / self.stride;
+        let entry = vacant(&mut self.probers, index);
+        assert!(entry.is_none(), "CP {} is already hosted", cp.0);
+        *entry = Some(ProberSlot {
+            prober,
+            peer,
+            target,
+            started: false,
+            timer: None,
+        });
+        self.timers.arm(start_at, Timer::StartProber(index));
+    }
+
+    /// The earliest armed timer deadline.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        self.timers.queue.peek().map(|key| key.time)
     }
 
     /// Fires every timer due at `now`, in `(deadline, arming)` order, and
     /// returns how many fired. A popped prober timer that is no longer
     /// its slot's live one is not a firing.
-    fn fire_due(&mut self, now: SimTime) -> u64 {
+    pub(crate) fn fire_due(&mut self, now: SimTime) -> u64 {
         let mut fired = 0;
         while let Some((seq, timer)) = self.timers.pop_due(now) {
             match timer {
@@ -474,41 +525,45 @@ impl Shard {
                 }
             }
         }
-        self.counters
-            .timers_fired
-            .fetch_add(fired, Ordering::Release);
+        self.stats.timers_fired += fired;
         fired
     }
 
-    fn handle_datagram(&mut self, now: SimTime, buf: &[u8], from: SocketAddr) {
-        let datagram = match decode_datagram(buf) {
-            Ok(d) => d,
-            Err(_) => {
-                self.counters.decode_errors.fetch_add(1, Ordering::Release);
-                return;
-            }
+    /// Routes every datagram of one run received from `from` at `now`,
+    /// cut every `segment_size` bytes, and returns how many it held.
+    pub(crate) fn on_run(
+        &mut self,
+        now: SimTime,
+        from: SocketAddr,
+        run: &[u8],
+        segment_size: usize,
+    ) -> usize {
+        let mut handled = 0;
+        for datagram in segments(run, segment_size) {
+            handled += 1;
+            self.on_datagram(now, from, datagram);
+        }
+        handled
+    }
+
+    fn on_datagram(&mut self, now: SimTime, from: SocketAddr, buf: &[u8]) {
+        let Ok(datagram) = decode_datagram(buf) else {
+            self.stats.decode_errors += 1;
+            return;
         };
-        self.counters
-            .datagrams_received
-            .fetch_add(1, Ordering::Release);
+        self.stats.datagrams_received += 1;
         match datagram {
             Datagram::Addressed(device, WireMessage::Probe(probe)) => {
                 let slot = self
                     .local(device.0)
                     .and_then(|i| self.devices.get_mut(i)?.as_mut());
                 match slot {
-                    Some(slot) if slot.silenced => {
-                        self.counters
-                            .dropped_departed
-                            .fetch_add(1, Ordering::Release);
-                    }
+                    Some(slot) if slot.silenced => self.stats.dropped_departed += 1,
                     Some(slot) => {
                         let reply = WireMessage::Reply(slot.host.on_probe(now, probe));
                         self.sends.push(from, |buf| encode_into(buf, &reply));
                     }
-                    None => {
-                        self.counters.unroutable.fetch_add(1, Ordering::Release);
-                    }
+                    None => self.stats.unroutable += 1,
                 }
             }
             Datagram::Direct(WireMessage::Reply(reply)) => {
@@ -516,7 +571,7 @@ impl Shard {
                     .local(reply.probe.cp.0)
                     .and_then(|i| Some((i, self.probers.get_mut(i)?.as_mut()?)))
                 else {
-                    self.counters.unroutable.fetch_add(1, Ordering::Release);
+                    self.stats.unroutable += 1;
                     return;
                 };
                 if slot.started && !slot.prober.is_stopped() {
@@ -532,7 +587,7 @@ impl Shard {
                     // A bare probe has no target on a shared socket; an
                     // addressed reply makes no sense either.
                     WireMessage::Probe(_) | WireMessage::Reply(_) => {
-                        self.counters.unroutable.fetch_add(1, Ordering::Release);
+                        self.stats.unroutable += 1;
                         return;
                     }
                 };
@@ -547,98 +602,9 @@ impl Shard {
         }
     }
 
-    /// Hands the queued datagrams to the kernel one [run](Sends::runs)
-    /// per call: a run of one is a plain `send_to`, a longer one a single
-    /// `sendmsg` whose segments leave as separate datagrams in queue
-    /// order. A run succeeds or fails whole, and each of its datagrams is
-    /// counted under the outcome.
-    fn flush(&mut self) {
-        for run in self.sends.runs() {
-            let sent = if run.count() == 1 {
-                self.socket.send_to(run.bytes, run.dest).map(|_| ())
-            } else {
-                send_segments(&self.socket, run.dest, run.datagrams())
-            };
-            let outcome = match sent {
-                Ok(()) => &self.counters.datagrams_sent,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    &self.counters.dropped_sendpressure
-                }
-                Err(_) => &self.counters.send_errors,
-            };
-            outcome.fetch_add(run.count() as u64, Ordering::Release);
-            self.counters.send_calls.fetch_add(1, Ordering::Release);
-        }
-        self.sends.clear();
-    }
-
-    fn run(
-        mut self,
-        clock: Arc<dyn Clock>,
-        stop: Arc<AtomicBool>,
-    ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
-        let mut buf = vec![0u8; RECV_BUFFER];
-        // Zero from the start: a shard that has served nothing yet has no
-        // next batch to gather, so its first empty iteration blocks.
-        let mut windows_left = 0;
-        while !stop.load(Ordering::SeqCst) {
-            let mut work = 0u64;
-            let now = clock.now();
-            work += self.fire_due(now);
-
-            let mut handled = 0;
-            while handled < RECV_BATCH {
-                match recv_segments(&self.socket, &mut buf) {
-                    Ok(run) => {
-                        self.counters.recv_calls.fetch_add(1, Ordering::Release);
-                        if run.truncated {
-                            // Longer than any run of valid datagrams.
-                            handled += 1;
-                            self.counters.decode_errors.fetch_add(1, Ordering::Release);
-                        } else {
-                            // A run's segments arrived together: one instant.
-                            let now = clock.now();
-                            for datagram in segments(&buf[..run.len], run.segment_size) {
-                                handled += 1;
-                                self.handle_datagram(now, datagram, run.from);
-                            }
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        break;
-                    }
-                    Err(_) => {
-                        self.counters.recv_errors.fetch_add(1, Ordering::Release);
-                        break;
-                    }
-                }
-            }
-
-            work += handled as u64 + self.sends.len() as u64;
-            self.flush();
-            self.publish_deadline();
-            self.counters
-                .loop_iterations
-                .fetch_add(1, Ordering::Release);
-
-            if work > 0 {
-                windows_left = EMPTY_WINDOWS_BEFORE_BLOCK;
-            } else if windows_left > 0 {
-                windows_left -= 1;
-                thread::sleep(self.poll_interval);
-            } else {
-                let deadline = self.timers.next_deadline().unwrap_or(SimTime::MAX);
-                let timeout = clock
-                    .wall_until(deadline)
-                    .map_or(self.poll_interval, |wall| wall.min(MAX_BLOCK));
-                wait_readable(&self.socket, timeout);
-            }
-        }
-
-        // The tables are in index order, which is ascending id order.
+    /// The final state of every hosted machine, each table in index
+    /// order, which is ascending id order.
+    fn reports(self) -> (Vec<ProberReport>, Vec<DeviceReport>) {
         let probers = self
             .probers
             .into_iter()
@@ -662,6 +628,127 @@ impl Shard {
     }
 }
 
+/// What a shard's socket loop publishes at the end of every loop iteration,
+/// before it sleeps or blocks: one consistent view of the shard.
+#[derive(Debug, Clone, Copy, Default)]
+struct Published {
+    stats: ShardStats,
+    /// Completed loop iterations (fire + drain + flush).
+    iterations: u64,
+    next_deadline: Option<SimTime>,
+}
+
+/// A shard's published view, written by its thread, read by the handle.
+type Cell = Arc<Mutex<Published>>;
+
+/// The cell's snapshot. A publish is one store of a `Copy` value, so even
+/// a poisoned cell holds a whole one.
+fn read(cell: &Cell) -> Published {
+    *cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One worker: the socket loop around a [`ShardCore`]. It owns the
+/// clock, reading it once per iteration and once per received run.
+struct Shard {
+    socket: UdpSocket,
+    core: ShardCore,
+    poll_interval: Duration,
+}
+
+impl Shard {
+    /// Hands the queued datagrams to the kernel one [run](Sends::runs)
+    /// per call: a run of one is a plain `send_to`, a longer one a single
+    /// `sendmsg` whose segments leave as separate datagrams in queue
+    /// order. A run succeeds or fails whole, and each of its datagrams is
+    /// counted under the outcome.
+    fn flush(&mut self) {
+        let ShardCore { sends, stats, .. } = &mut self.core;
+        for run in sends.runs() {
+            let sent = if run.count() == 1 {
+                self.socket.send_to(run.bytes, run.dest).map(|_| ())
+            } else {
+                send_segments(&self.socket, run.dest, run.datagrams())
+            };
+            let outcome = match sent {
+                Ok(()) => &mut stats.datagrams_sent,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => &mut stats.dropped_sendpressure,
+                Err(_) => &mut stats.send_errors,
+            };
+            *outcome += run.count() as u64;
+            stats.send_calls += 1;
+        }
+        sends.clear();
+    }
+
+    fn run(
+        mut self,
+        clock: Arc<dyn Clock>,
+        stop: Arc<AtomicBool>,
+        published: Cell,
+    ) -> (Vec<ProberReport>, Vec<DeviceReport>) {
+        let mut buf = vec![0u8; RECV_BUFFER];
+        let mut iterations = 0;
+        // Zero from the start: a shard that has served nothing yet has no
+        // next batch to gather, so its first empty iteration blocks.
+        let mut windows_left = 0;
+        while !stop.load(Ordering::SeqCst) {
+            let mut work = self.core.fire_due(clock.now());
+
+            let mut handled = 0;
+            while handled < RECV_BATCH {
+                match recv_segments(&self.socket, &mut buf) {
+                    Ok(run) => {
+                        self.core.stats.recv_calls += 1;
+                        if run.truncated {
+                            // Longer than any run of valid datagrams.
+                            handled += 1;
+                            self.core.stats.decode_errors += 1;
+                        } else {
+                            // A run's segments arrived together: one instant.
+                            let now = clock.now();
+                            let bytes = &buf[..run.len];
+                            handled += self.core.on_run(now, run.from, bytes, run.segment_size);
+                        }
+                    }
+                    Err(e)
+                        if e.kind() == io::ErrorKind::WouldBlock
+                            || e.kind() == io::ErrorKind::TimedOut =>
+                    {
+                        break;
+                    }
+                    Err(_) => {
+                        self.core.stats.recv_errors += 1;
+                        break;
+                    }
+                }
+            }
+
+            work += handled as u64 + self.core.sends.len() as u64;
+            self.flush();
+            iterations += 1;
+            let next_deadline = self.core.next_deadline();
+            *published.lock().unwrap_or_else(PoisonError::into_inner) = Published {
+                stats: self.core.stats,
+                iterations,
+                next_deadline,
+            };
+
+            if work > 0 {
+                windows_left = EMPTY_WINDOWS_BEFORE_BLOCK;
+            } else if windows_left > 0 {
+                windows_left -= 1;
+                thread::sleep(self.poll_interval);
+            } else {
+                let timeout = clock
+                    .wall_until(next_deadline.unwrap_or(SimTime::MAX))
+                    .map_or(self.poll_interval, |wall| wall.min(MAX_BLOCK));
+                wait_readable(&self.socket, timeout);
+            }
+        }
+        self.core.reports()
+    }
+}
+
 /// A multi-socket sharded UDP host, configured between [`bind`] and
 /// [`start`].
 ///
@@ -670,7 +757,6 @@ impl Shard {
 pub struct ShardedHost {
     shards: Vec<Shard>,
     addrs: Vec<SocketAddr>,
-    counters: Vec<Arc<ShardCounters>>,
 }
 
 impl ShardedHost {
@@ -685,36 +771,18 @@ impl ShardedHost {
         let n = config.shards.max(1);
         let mut shards = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
-        let mut counters = Vec::with_capacity(n);
         for index in 0..n {
             let socket = UdpSocket::bind(&config.bind)?;
             socket.set_nonblocking(true)?;
             enable_gro(&socket)?;
             addrs.push(socket.local_addr()?);
-            let c = Arc::new(ShardCounters::new());
-            counters.push(Arc::clone(&c));
             shards.push(Shard {
                 socket,
-                counters: c,
-                index,
-                stride: n,
-                devices: Vec::new(),
-                probers: Vec::new(),
-                timers: Timers::default(),
-                sends: Sends::default(),
-                actions: Vec::new(),
+                core: ShardCore::new(index, n),
                 poll_interval: config.poll_interval,
             });
         }
-        Ok(Self {
-            shards,
-            addrs,
-            counters,
-        })
-    }
-
-    fn shard_of_cp(&self, cp: CpId) -> usize {
-        cp.0 as usize % self.shards.len()
+        Ok(Self { shards, addrs })
     }
 
     /// Adds a device machine, optionally scheduling the instant it goes
@@ -725,19 +793,8 @@ impl ShardedHost {
     ///
     /// Panics if the host already serves a device with this id.
     pub fn add_device(&mut self, host: DeviceMachine, silence_at: Option<SimTime>) {
-        let id = host.id();
-        let shards = self.shards.len();
-        let shard = &mut self.shards[shard_of_device(id, shards)];
-        let index = id.0 as usize / shards;
-        let entry = vacant(&mut shard.devices, index);
-        assert!(entry.is_none(), "device {} is already hosted", id.0);
-        *entry = Some(DeviceSlot {
-            host,
-            silenced: false,
-        });
-        if let Some(at) = silence_at {
-            shard.timers.arm(at, Timer::SilenceDevice(index));
-        }
+        let shard = shard_of_device(host.id(), self.shards.len());
+        self.shards[shard].core.add_device(host, silence_at);
     }
 
     /// Adds a prober watching the device `target` served at `peer`,
@@ -754,20 +811,10 @@ impl ShardedHost {
         target: DeviceId,
         start_at: SimTime,
     ) {
-        let cp = prober.cp();
-        let idx = self.shard_of_cp(cp);
-        let index = cp.0 as usize / self.shards.len();
-        let shard = &mut self.shards[idx];
-        let entry = vacant(&mut shard.probers, index);
-        assert!(entry.is_none(), "CP {} is already hosted", cp.0);
-        *entry = Some(ProberSlot {
-            prober,
-            peer,
-            target,
-            started: false,
-            timer: None,
-        });
-        shard.timers.arm(start_at, Timer::StartProber(index));
+        let shard = prober.cp().0 as usize % self.shards.len();
+        self.shards[shard]
+            .core
+            .add_prober(prober, peer, target, start_at);
     }
 
     /// The socket address serving `device` (valid once the device is
@@ -784,92 +831,84 @@ impl ShardedHost {
     }
 
     /// Spawns the shard threads. The host serves until
-    /// [`HostHandle::stop`].
+    /// [`HostHandle::join`].
     #[must_use]
-    pub fn start(mut self, clock: Arc<dyn Clock>) -> HostHandle {
+    pub fn start(self, clock: Arc<dyn Clock>) -> HostHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        // Publish each shard's seeded deadline BEFORE its thread exists,
-        // so a controller sampling immediately after `start` never sees
-        // an empty timer queue that is about to become non-empty.
-        for shard in &mut self.shards {
-            shard.publish_deadline();
-        }
+        let mut published = Vec::with_capacity(self.shards.len());
         let threads = self
             .shards
             .into_iter()
             .enumerate()
             .map(|(i, shard)| {
+                // Each shard's seeded deadline is published before its
+                // thread exists, so a controller sampling right after
+                // `start` never sees an empty timer queue about to fill.
+                let cell = Arc::new(Mutex::new(Published {
+                    next_deadline: shard.core.next_deadline(),
+                    ..Published::default()
+                }));
+                published.push(Arc::clone(&cell));
                 let clock = Arc::clone(&clock);
                 let stop = Arc::clone(&stop);
                 thread::Builder::new()
                     .name(format!("presence-shard-{i}"))
-                    .spawn(move || shard.run(clock, stop))
+                    .spawn(move || shard.run(clock, stop, cell))
                     .expect("spawn shard thread")
             })
             .collect();
         HostHandle {
             threads,
-            counters: self.counters,
-            addrs: self.addrs,
+            published,
             stop,
         }
     }
 }
 
 /// A running [`ShardedHost`]: live counters, shutdown, and the final
-/// report.
+/// report. Everything it reads, each shard published at the end of its
+/// latest loop iteration.
 pub struct HostHandle {
     threads: Vec<JoinHandle<(Vec<ProberReport>, Vec<DeviceReport>)>>,
-    counters: Vec<Arc<ShardCounters>>,
-    addrs: Vec<SocketAddr>,
+    published: Vec<Cell>,
     /// Cooperative shutdown flag every shard loop polls.
     stop: Arc<AtomicBool>,
 }
 
 impl HostHandle {
-    /// The socket address serving `device`.
-    #[must_use]
-    pub fn addr_of(&self, device: DeviceId) -> SocketAddr {
-        self.addrs[shard_of_device(device, self.addrs.len())]
-    }
-
     /// Summed live counters across shards.
     #[must_use]
     pub fn stats(&self) -> ShardStats {
-        self.counters
+        self.published
             .iter()
-            .fold(ShardStats::default(), |acc, c| acc.merged(c.snapshot()))
+            .fold(ShardStats::default(), |acc, c| acc.merged(read(c).stats))
     }
 
-    /// Summed activity across shards (see [`ShardCounters::activity`]).
+    /// Summed activity across shards: every traffic and work counter
+    /// added up, so it changes if and only if a shard did anything
+    /// (received, sent, dropped, fired). Quiescence detectors compare
+    /// successive samples of it.
     #[must_use]
     pub fn activity(&self) -> u64 {
-        self.counters.iter().map(|c| c.activity()).sum()
+        self.published
+            .iter()
+            .map(|c| read(c).stats.activity())
+            .sum()
     }
 
     /// Completed loop iterations, per shard.
     #[must_use]
     pub fn iterations(&self) -> Vec<u64> {
-        self.counters
-            .iter()
-            .map(|c| c.loop_iterations.load(Ordering::Acquire))
-            .collect()
+        self.published.iter().map(|c| read(c).iterations).collect()
     }
 
     /// Earliest armed timer deadline across shards.
     #[must_use]
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.counters
+        self.published
             .iter()
-            .map(|c| c.next_deadline_nanos.load(Ordering::Acquire))
+            .filter_map(|c| read(c).next_deadline)
             .min()
-            .filter(|&n| n != NO_DEADLINE)
-            .map(SimTime::from_nanos)
-    }
-
-    /// Requests shutdown (idempotent).
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
     }
 
     /// Stops the host and collects the final report.
@@ -880,7 +919,7 @@ impl HostHandle {
     /// panicked, after every shard has been joined.
     #[must_use]
     pub fn join(self) -> HostReport {
-        self.stop();
+        self.stop.store(true, Ordering::SeqCst);
         let mut probers = Vec::new();
         let mut devices = Vec::new();
         // Every shard is joined even after one panicked; the first panic
@@ -903,7 +942,8 @@ impl HostHandle {
         }
         probers.sort_by_key(|r| r.cp.0);
         devices.sort_by_key(|r| r.device.0);
-        let per_shard: Vec<ShardStats> = self.counters.iter().map(|c| c.snapshot()).collect();
+        // A stopped shard's last publish is its final state.
+        let per_shard: Vec<ShardStats> = self.published.iter().map(|c| read(c).stats).collect();
         let stats = per_shard
             .iter()
             .fold(ShardStats::default(), |acc, s| acc.merged(*s));
@@ -921,8 +961,8 @@ mod tests {
     use super::*;
     use crate::clock::SystemClock;
     use crate::codec::{encode, encode_addressed};
-    use presence_core::{DcppConfig, DcppCp, DcppDevice};
-    use std::sync::Mutex;
+    use presence_core::{DcppConfig, DcppCp, DcppDevice, SappConfig, SappCp};
+    use std::net::{Ipv4Addr, SocketAddrV4};
 
     /// Waits (2 s at most) until the host's activity counter stops moving:
     /// whatever was in flight has been drained.
@@ -1113,6 +1153,38 @@ mod tests {
         }
         let report = handle.join();
         assert_eq!(report.devices[0].probes_received, 5);
+    }
+
+    #[test]
+    fn a_blocked_shards_snapshot_already_shows_its_last_pass() {
+        // A probe queued before the host starts: the first pass serves it,
+        // two coalescing windows find nothing, and the fourth pass blocks.
+        // Every pass publishes before it sleeps or blocks, so once the
+        // iteration count stops moving it counts all four, and the stats
+        // already hold the probe and its reply.
+        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        host.add_device(DeviceMachine::dcpp_paper(DeviceId(0)), None);
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.send_to(&addressed_probe(0), host.addr_of(DeviceId(0)))
+            .unwrap();
+        let handle = host.start(Arc::new(SystemClock::new()));
+        // Blocked: the count holds still over two 5 ms windows (a blocked
+        // shard re-checks its stop flag every 20 ms).
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut samples = vec![handle.iterations()];
+        while samples.len() < 3 || samples[samples.len() - 3] != samples[samples.len() - 1] {
+            assert!(std::time::Instant::now() < deadline, "never blocked");
+            std::thread::sleep(Duration::from_millis(5));
+            samples.push(handle.iterations());
+        }
+        let last = samples.last().unwrap();
+        let blocked = handle.stats();
+        assert!(last[0] >= 4, "blocked after {last:?} published passes");
+        assert_eq!((blocked.datagrams_received, blocked.datagrams_sent), (1, 1));
+        assert_eq!(reply_seq(&sock), 0);
+        let report = handle.join();
+        assert_eq!(report.per_shard, [blocked]);
+        assert_eq!(report.stats, blocked);
     }
 
     /// Queues a 150-probe burst on a one-shard host serving two DCPP
@@ -1537,10 +1609,22 @@ mod tests {
         host
     }
 
-    /// The one shard of a one-shard host, driven by hand: no thread, no
-    /// clock, no flush.
-    fn bare_shard(host: ShardedHost) -> Shard {
-        host.shards.into_iter().next().unwrap()
+    /// An address no datagram of a hand-driven core reaches.
+    const NOWHERE: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 9));
+
+    /// A one-shard core running `probers`, each watching device 0 from
+    /// time zero: no socket, no thread, no clock.
+    fn core_with(probers: impl IntoIterator<Item = TestProber>) -> ShardCore {
+        let mut core = ShardCore::new(0, 1);
+        for prober in probers {
+            core.add_prober(Box::new(prober), NOWHERE, DeviceId(0), SimTime::ZERO);
+        }
+        core
+    }
+
+    /// Hands `core` one datagram, a run of one, at `now`.
+    fn deliver(core: &mut ShardCore, now: SimTime, datagram: &[u8]) {
+        core.on_run(now, NOWHERE, datagram, datagram.len());
     }
 
     fn ms(ms: u64) -> SimTime {
@@ -1643,47 +1727,29 @@ mod tests {
 
     #[test]
     fn a_bye_stops_exactly_its_devices_watchers_and_the_retired_tag_stops_none() {
-        // CPs 0 and 1 watch device 0, CPs 2 and 3 device 1. The clock
-        // stands still, so no cycle ever times out: only a datagram can
-        // stop a prober. Their probes land on `sock`, which never answers.
-        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
+        // CPs 0 and 1 watch device 0, CPs 2 and 3 device 1. Time stands
+        // still, so no cycle ever times out: only a datagram can stop a
+        // prober.
+        let mut core = ShardCore::new(0, 1);
         for cp in 0..4u32 {
-            let device = DeviceId(cp / 2);
             let prober = DcppCp::new(CpId(cp), DcppConfig::paper_default());
-            host.add_prober(
-                Box::new(prober),
-                sock.local_addr().unwrap(),
-                device,
-                SimTime::ZERO,
-            );
+            core.add_prober(Box::new(prober), NOWHERE, DeviceId(cp / 2), SimTime::ZERO);
         }
-        let addr = host.local_addrs()[0];
-        let handle = host.start(Arc::new(crate::clock::ManualClock::new()));
-        let received = |n: u64| {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while handle.stats().datagrams_received < n && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            settle(&handle);
-        };
+        core.fire_due(SimTime::ZERO);
 
         // The 9 bytes tag 0x05 once decoded as a leave notice for device 0.
-        sock.send_to(&[0x05, 0, 0, 0, 0, 7, 0, 0, 0], addr).unwrap();
-        received(1);
-        assert_eq!(handle.stats().decode_errors, 1);
+        deliver(&mut core, SimTime::ZERO, &[0x05, 0, 0, 0, 0, 7, 0, 0, 0]);
+        assert_eq!(core.stats.decode_errors, 1);
 
         let bye = WireMessage::Bye(presence_core::Bye {
             device: DeviceId(0),
         });
-        sock.send_to(&encode(&bye), addr).unwrap();
-        received(2);
+        deliver(&mut core, SimTime::ZERO, &encode(&bye));
 
-        let report = handle.join();
-        assert_eq!(report.stats.decode_errors, 1);
-        assert_eq!(report.stats.unroutable, 0);
-        let reasons: Vec<_> = report
-            .probers
+        assert_eq!(core.stats.decode_errors, 1);
+        assert_eq!(core.stats.unroutable, 0);
+        let (probers, _) = core.reports();
+        let reasons: Vec<_> = probers
             .iter()
             .map(|p| p.verdict.map(|v| v.reason))
             .collect();
@@ -1699,16 +1765,10 @@ mod tests {
         // timers are due at 100 ms, and CP 1's must fire first, not the
         // lower id or table index.
         let log = CallLog::default();
-        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        let nowhere = host.local_addrs()[0];
-        for cp in [1, 0] {
-            let prober = TestProber::new(cp, &log);
-            host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
-        }
-        let mut shard = bare_shard(host);
-        assert_eq!(shard.fire_due(SimTime::ZERO), 2);
-        assert_eq!(shard.fire_due(ms(99)), 0);
-        assert_eq!(shard.fire_due(ms(100)), 2);
+        let mut core = core_with([1, 0].map(|cp| TestProber::new(cp, &log)));
+        assert_eq!(core.fire_due(SimTime::ZERO), 2);
+        assert_eq!(core.fire_due(ms(99)), 0);
+        assert_eq!(core.fire_due(ms(100)), 2);
         let fired = log.lock().unwrap().clone();
         assert_eq!(fired, [(1, Call::Timer(1)), (0, Call::Timer(1))]);
     }
@@ -1716,18 +1776,13 @@ mod tests {
     #[test]
     fn a_cancelled_timer_never_fires() {
         let log = CallLog::default();
-        let mut shard = bare_shard(one_shot_host(TestProber::new(0, &log)));
-        let from = shard.socket.local_addr().unwrap();
-        assert_eq!(shard.fire_due(SimTime::ZERO), 1);
-        shard.handle_datagram(ms(5), &reply_to(0), from);
-        assert_eq!(
-            shard.timers.next_deadline(),
-            None,
-            "the cancel left an event"
-        );
-        assert_eq!(shard.fire_due(SimTime::MAX), 0);
+        let mut core = core_with([TestProber::new(0, &log)]);
+        assert_eq!(core.fire_due(SimTime::ZERO), 1);
+        deliver(&mut core, ms(5), &reply_to(0));
+        assert_eq!(core.next_deadline(), None, "the cancel left an event");
+        assert_eq!(core.fire_due(SimTime::MAX), 0);
         assert!(log.lock().unwrap().is_empty());
-        assert_eq!(shard.counters.snapshot().timers_fired, 1, "only the start");
+        assert_eq!(core.stats.timers_fired, 1, "only the start");
     }
 
     #[test]
@@ -1737,32 +1792,31 @@ mod tests {
             wake: true,
             ..TestProber::new(0, &log)
         };
-        let mut shard = bare_shard(one_shot_host(prober));
-        let from = shard.socket.local_addr().unwrap();
-        assert_eq!(shard.fire_due(SimTime::ZERO), 1);
-        shard.handle_datagram(ms(5), &reply_to(0), from);
-        assert_eq!(shard.timers.next_deadline(), Some(ms(15)));
-        assert_eq!(shard.fire_due(SimTime::MAX), 1);
+        let mut core = core_with([prober]);
+        assert_eq!(core.fire_due(SimTime::ZERO), 1);
+        deliver(&mut core, ms(5), &reply_to(0));
+        assert_eq!(core.next_deadline(), Some(ms(15)));
+        assert_eq!(core.fire_due(SimTime::MAX), 1);
         assert_eq!(*log.lock().unwrap(), [(0, Call::Timer(2))]);
-        assert_eq!(shard.counters.snapshot().timers_fired, 2, "start + wake");
+        assert_eq!(core.stats.timers_fired, 2, "start + wake");
     }
 
     #[test]
     #[should_panic(expected = "device 3 is already hosted")]
     fn a_second_device_with_a_hosted_id_is_refused() {
-        let mut host = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
-        host.add_device(DeviceMachine::dcpp_paper(DeviceId(3)), None);
-        host.add_device(DeviceMachine::sapp_paper(DeviceId(3)), Some(SimTime::ZERO));
+        // Shard 1 of 2 serves the odd ids.
+        let mut core = ShardCore::new(1, 2);
+        core.add_device(DeviceMachine::dcpp_paper(DeviceId(3)), None);
+        core.add_device(DeviceMachine::sapp_paper(DeviceId(3)), Some(SimTime::ZERO));
     }
 
     #[test]
     #[should_panic(expected = "CP 3 is already hosted")]
     fn a_second_prober_with_a_hosted_id_is_refused() {
-        let mut host = ShardedHost::bind(&HostConfig::loopback(2)).unwrap();
-        let nowhere = host.local_addrs()[0];
+        let mut core = ShardCore::new(1, 2);
         for _ in 0..2 {
             let prober = DcppCp::new(CpId(3), DcppConfig::paper_default());
-            host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
+            core.add_prober(Box::new(prober), NOWHERE, DeviceId(0), SimTime::ZERO);
         }
     }
 
@@ -1771,20 +1825,18 @@ mod tests {
         // Registered out of order: even CPs watch device 0, odd ones
         // device 1, and CP 8 watches device 0 but starts only at 10 s.
         let order = [5u32, 2, 7, 0, 3, 6, 1, 4, 8];
-        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        let nowhere = host.local_addrs()[0];
+        let mut core = ShardCore::new(0, 1);
         for cp in order {
             let prober = DcppCp::new(CpId(cp), DcppConfig::paper_default());
             let start = if cp == 8 { ms(10_000) } else { SimTime::ZERO };
-            host.add_prober(Box::new(prober), nowhere, DeviceId(cp % 2), start);
+            core.add_prober(Box::new(prober), NOWHERE, DeviceId(cp % 2), start);
         }
-        let mut shard = bare_shard(host);
-        shard.fire_due(SimTime::ZERO);
+        core.fire_due(SimTime::ZERO);
         let bye_0 = encode(&WireMessage::Bye(presence_core::Bye {
             device: DeviceId(0),
         }));
-        shard.handle_datagram(ms(1), &bye_0, nowhere);
-        let reasons: Vec<_> = shard
+        deliver(&mut core, ms(1), &bye_0);
+        let reasons: Vec<_> = core
             .probers
             .iter()
             .map(|slot| slot.as_ref().unwrap().prober.verdict().map(|v| v.reason))
@@ -1793,9 +1845,9 @@ mod tests {
         assert_eq!(reasons, [bye, None, bye, None, bye, None, bye, None, None]);
 
         // Device 1's watchers keep probing: at TOF each retransmits.
-        shard.sends.clear();
-        shard.fire_due(ms(30));
-        let mut probing: Vec<u32> = shard
+        core.sends.clear();
+        core.fire_due(ms(30));
+        let mut probing: Vec<u32> = core
             .sends
             .runs()
             .flat_map(Run::datagrams)
@@ -1810,15 +1862,126 @@ mod tests {
         // The fan-out walks the table: ascending CP id, whatever the
         // registration order.
         let log = CallLog::default();
-        let mut host = ShardedHost::bind(&HostConfig::loopback(1)).unwrap();
-        for cp in order {
-            let prober = TestProber::new(cp, &log);
-            host.add_prober(Box::new(prober), nowhere, DeviceId(0), SimTime::ZERO);
-        }
-        let mut shard = bare_shard(host);
-        shard.fire_due(SimTime::ZERO);
-        shard.handle_datagram(ms(1), &bye_0, nowhere);
+        let mut core = core_with(order.map(|cp| TestProber::new(cp, &log)));
+        core.fire_due(SimTime::ZERO);
+        deliver(&mut core, ms(1), &bye_0);
         let called: Vec<u32> = log.lock().unwrap().iter().map(|&(cp, _)| cp).collect();
         assert_eq!(called, [0, 1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// CPs, devices, verdicts, probes sent and timers fired: what the
+    /// conformance suite pins per scenario.
+    type Counts = (usize, usize, usize, u64, u64);
+
+    /// Runs a device core and a prober core back to back, without a
+    /// socket or a thread, in the lockstep controller's semantics: at each
+    /// instant both fire what is due and every queued send is delivered,
+    /// at that same instant, until none is left; then time jumps to the
+    /// earliest deadline, until the next one is past `horizon`.
+    fn lockstep(
+        devices: Vec<(DeviceMachine, Option<SimTime>)>,
+        probers: Vec<(Box<dyn Prober + Send>, SimTime)>,
+        horizon: SimTime,
+    ) -> Counts {
+        let device_addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let cp_addr: SocketAddr = "127.0.0.1:2".parse().unwrap();
+        let mut device_core = ShardCore::new(0, 1);
+        for (machine, silence_at) in devices {
+            device_core.add_device(machine, silence_at);
+        }
+        let mut cp_core = ShardCore::new(0, 1);
+        for (prober, start_at) in probers {
+            // Every CP watches the device with its own id.
+            let target = DeviceId(prober.cp().0);
+            cp_core.add_prober(prober, device_addr, target, start_at);
+        }
+        let mut now = SimTime::ZERO;
+        loop {
+            device_core.fire_due(now);
+            cp_core.fire_due(now);
+            while cp_core.sends.len() + device_core.sends.len() > 0 {
+                hand_over(&mut cp_core, cp_addr, &mut device_core, device_addr, now);
+                hand_over(&mut device_core, device_addr, &mut cp_core, cp_addr, now);
+            }
+            match device_core
+                .next_deadline()
+                .into_iter()
+                .chain(cp_core.next_deadline())
+                .min()
+            {
+                Some(next) if next <= horizon => now = next,
+                _ => break,
+            }
+        }
+        let timers = device_core.stats.timers_fired + cp_core.stats.timers_fired;
+        let (cps, _) = cp_core.reports();
+        let (_, devices) = device_core.reports();
+        (
+            cps.len(),
+            devices.len(),
+            cps.iter().filter(|c| c.verdict.is_some()).count(),
+            cps.iter().map(|c| c.stats.probes_sent).sum(),
+            timers,
+        )
+    }
+
+    /// Delivers everything `from` queued to `to` at `now`, run by run.
+    fn hand_over(
+        from: &mut ShardCore,
+        from_addr: SocketAddr,
+        to: &mut ShardCore,
+        to_addr: SocketAddr,
+        now: SimTime,
+    ) {
+        for run in from.sends.runs() {
+            assert_eq!(run.dest, to_addr);
+            to.on_run(now, from_addr, run.bytes, run.len);
+        }
+        from.sends.clear();
+    }
+
+    /// The conformance catalogue's DCPP: paper defaults with the waits
+    /// tightened (`bench/src/conformance.rs`, `fast_dcpp`).
+    fn fast_dcpp() -> DcppConfig {
+        let mut cfg = DcppConfig::paper_default();
+        cfg.delta_min = presence_des::SimDuration::from_millis(20);
+        cfg.d_min = presence_des::SimDuration::from_millis(100);
+        cfg
+    }
+
+    #[test]
+    fn two_cores_in_lockstep_reproduce_the_conformance_oracles_counts() {
+        // dcpp-pair: one DCPP CP probing one present device for 5 s.
+        let dcpp = fast_dcpp();
+        let pair = lockstep(
+            vec![(
+                DeviceMachine::Dcpp(DcppDevice::new(DeviceId(0), dcpp)),
+                None,
+            )],
+            vec![(Box::new(DcppCp::new(CpId(0), dcpp)), SimTime::ZERO)],
+            ms(5_000),
+        );
+        assert_eq!(pair, (1, 1, 0, 51, 51), "dcpp-pair");
+
+        // mixed-fleet: a DCPP pair and two SAPP pairs, SAPP device 2
+        // departing at 900 ms, for 2 s.
+        let sapp = SappConfig::paper_default();
+        let mixed = lockstep(
+            vec![
+                (
+                    DeviceMachine::Dcpp(DcppDevice::new(DeviceId(0), dcpp)),
+                    None,
+                ),
+                (DeviceMachine::sapp_paper(DeviceId(1)), None),
+                (DeviceMachine::sapp_paper(DeviceId(2)), Some(ms(900))),
+            ],
+            vec![
+                (Box::new(DcppCp::new(CpId(0), dcpp)), SimTime::ZERO),
+                (Box::new(SappCp::new(CpId(1), sapp)), ms(3)),
+                (Box::new(SappCp::new(CpId(2), sapp)), ms(6)),
+            ],
+            ms(2_000),
+        );
+        assert_eq!(mixed, (3, 3, 1, 65, 67), "mixed-fleet");
     }
 }

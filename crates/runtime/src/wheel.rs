@@ -59,18 +59,6 @@ impl<K: Copy + Eq + Hash + Ord> TimerWheel<K> {
         }
     }
 
-    /// Number of live timers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether no timers are live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
     /// Arms (or re-arms) the timer under `key` to fire at `at`. Returns
     /// the previous deadline if the key was already armed.
     pub fn insert(&mut self, key: K, at: SimTime) -> Option<SimTime> {
@@ -84,12 +72,6 @@ impl<K: Copy + Eq + Hash + Ord> TimerWheel<K> {
     /// The stale schedule-cache entry is discarded lazily.
     pub fn cancel(&mut self, key: K) -> Option<SimTime> {
         self.live.remove(&key).map(|(t, _)| t)
-    }
-
-    /// The deadline armed under `key`, if live.
-    #[must_use]
-    pub fn deadline_of(&self, key: K) -> Option<SimTime> {
-        self.live.get(&key).map(|&(t, _)| t)
     }
 
     /// Discards stale heap entries until the top is live (or the heap is
@@ -148,7 +130,7 @@ mod tests {
         assert_eq!(w.pop_due(t(25)), Some((2, t(10))));
         assert_eq!(w.pop_due(t(25)), Some((3, t(20))));
         assert_eq!(w.pop_due(t(25)), None, "deadline 30 not due at 25");
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.live.len(), 1);
     }
 
     #[test]
@@ -160,7 +142,7 @@ mod tests {
         assert_eq!(w.cancel(1), None);
         assert_eq!(w.next_deadline(), Some(t(20)), "stale entry skipped");
         assert_eq!(w.pop_due(t(100)), Some((2, t(20))));
-        assert!(w.is_empty());
+        assert!(w.live.is_empty());
         assert_eq!(w.pop_due(t(100)), None);
     }
 
@@ -174,7 +156,7 @@ mod tests {
         w.insert(1, t(10));
         assert_eq!(w.pop_due(t(10)), Some((1, t(10))));
         assert_eq!(w.pop_due(t(10)), None, "stale duplicate fired");
-        assert!(w.is_empty());
+        assert!(w.live.is_empty());
     }
 
     #[test]
@@ -207,7 +189,10 @@ mod tests {
                 }
                 2 => assert_eq!(w.cancel(key), reference.remove(&key)),
                 _ => {
-                    assert_eq!(w.deadline_of(key), reference.get(&key).copied());
+                    assert_eq!(
+                        w.live.get(&key).map(|&(t, _)| t),
+                        reference.get(&key).copied()
+                    );
                     assert_eq!(
                         w.next_deadline(),
                         reference.values().min().copied(),
@@ -215,7 +200,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(w.len(), reference.len());
+            assert_eq!(w.live.len(), reference.len());
         }
         // Drain everything due; order must be deadline-sorted and the set
         // must equal the reference's.

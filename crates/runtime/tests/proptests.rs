@@ -5,7 +5,7 @@
 use presence_core::{Bye, CpId, DeviceId, Probe, Reply, ReplyBody, WireMessage};
 use presence_des::SimDuration;
 use presence_runtime::codec::{
-    decode, decode_datagram, encode, encode_addressed, Datagram, DecodeError, MAX_DATAGRAM,
+    decode_datagram, encode, encode_addressed, Datagram, DecodeError, MAX_DATAGRAM,
 };
 use proptest::prelude::*;
 
@@ -64,14 +64,14 @@ proptest! {
     #[test]
     fn roundtrip(msg in any_message()) {
         let bytes = encode(&msg);
-        let back = decode(&bytes).expect("decode");
-        prop_assert_eq!(back, msg);
+        let back = decode_datagram(&bytes).expect("decode");
+        prop_assert_eq!(back, Datagram::Direct(msg));
     }
 
     /// Decoding arbitrary bytes never panics.
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let _ = decode(&bytes);
+        let _ = decode_datagram(&bytes);
     }
 
     /// Every strict prefix of a valid encoding is rejected as truncated
@@ -80,7 +80,7 @@ proptest! {
     fn prefixes_rejected(msg in any_message()) {
         let bytes = encode(&msg);
         for n in 0..bytes.len() {
-            prop_assert!(decode(&bytes[..n]).is_err(), "prefix {n} accepted");
+            prop_assert!(decode_datagram(&bytes[..n]).is_err(), "prefix {n} accepted");
         }
     }
 
@@ -92,7 +92,6 @@ proptest! {
         let trailing = DecodeError::TrailingBytes(extra.len());
         let mut bare = encode(&msg);
         bare.extend(&extra);
-        prop_assert_eq!(decode(&bare), Err(trailing.clone()));
         prop_assert_eq!(decode_datagram(&bare), Err(trailing.clone()));
         let mut addressed = encode_addressed(DeviceId(dev), &msg);
         addressed.extend(&extra);
@@ -121,7 +120,7 @@ proptest! {
         let mut bytes = encode(&msg).to_vec();
         let idx = (pos % bytes.len() as u64) as usize;
         bytes[idx] ^= flip;
-        let _ = decode(&bytes);
+        let _ = decode_datagram(&bytes);
     }
 
     /// Encoding is injective: two messages that differ produce different
