@@ -78,7 +78,9 @@ test_nonempty() {
 # a seeded walk) run optimised, as the simulator runs them. So do the
 # engine's unit tests, among them the stale-handle ones: a handle names
 # its event's queue slot, and only the seq check keeps a handle whose slot
-# was reused from reaching the event that took it.
+# was reused from reaching the event that took it. The run methods return
+# nothing, so that arm reads `queue_len` to see that a budget or a horizon
+# left events, and a run that ends with 0 drained the queue.
 echo "==> engine soak: des proptests + dispatch semantics (PROPTEST_CASES=1024) + white-box queue and engine tests (release)"
 PROPTEST_CASES=1024 cargo test --release -q -p presence-des --test proptests --test dispatch
 test_nonempty --release -q -p presence-des --lib queue::
@@ -221,5 +223,23 @@ rm -f target/trace_ci.json
 echo "==> tracing-off re-check: alloc steady-state gates, simulator and UDP host (release)"
 cargo test --release -q --test alloc_steady_state
 cargo test --release -q --test alloc_host_steady_state
+
+# Size ledger (ROADMAP aim 2): the non-test lines under crates/*/src,
+# shims excluded, and beside it the shims' whole line count (every build
+# compiles them). It prints and does not gate. A file is cut at the
+# `#[cfg(test)]` that opens a `mod`, not at its first `#[cfg(test)]` (a
+# `#[cfg(test)]` field, as in `mega.rs`'s shard, would stop the count
+# mid-file).
+echo "==> size ledger (prints, does not gate)"
+tree_lines="$(find crates -path crates/shims -prune -o -path '*/src/*' -name '*.rs' -print0 |
+    xargs -0 awk '
+        FNR == 1 { cut = 0; cfg = 0 }
+        cut { next }
+        cfg && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { cut = 1; n--; next }
+        { n++; cfg = /^[[:space:]]*#\[cfg\(test\)\]/ }
+        END { print n }')"
+shim_lines="$(cat crates/shims/*/src/*.rs | wc -l)"
+echo "tree: $tree_lines non-test lines under crates/*/src (shims excluded)"
+echo "shims: $shim_lines lines under crates/shims/*/src"
 
 echo "==> ci.sh: all green"

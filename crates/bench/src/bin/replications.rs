@@ -8,11 +8,12 @@
 //! count, so `--jobs` trades only wall-clock, never results. The summary
 //! is text only: `--json` and `--csv` exit 1, as does a malformed flag.
 
-use presence_bench::{exit_bad_argument, parse_args};
+use presence_bench::{exit_bad_argument, parse_from};
 use presence_sim::{replicate, Protocol, ScenarioConfig};
 
 fn main() {
-    let opts = parse_args().unwrap_or_else(|e| exit_bad_argument("replications", &e));
+    let opts = parse_from(std::env::args().skip(1))
+        .unwrap_or_else(|e| exit_bad_argument("replications", &e));
     opts.reject_output_flags("replications");
     let duration = opts.duration.unwrap_or(5_000.0);
     let jobs = opts.resolved_jobs();

@@ -63,25 +63,25 @@ use std::time::{Duration, Instant};
 
 /// One control point in a conformance scenario.
 #[derive(Debug, Clone)]
-pub struct CpSpec {
+struct CpSpec {
     /// Its identity.
-    pub id: CpId,
+    id: CpId,
     /// Its protocol and configuration.
-    pub protocol: Protocol,
+    protocol: Protocol,
     /// The device it watches.
-    pub target: DeviceId,
+    target: DeviceId,
     /// When it starts probing (virtual time).
-    pub start_at: SimTime,
+    start_at: SimTime,
 }
 
 /// One device in a conformance scenario.
 #[derive(Debug, Clone)]
-pub struct DeviceSpec {
+struct DeviceSpec {
     /// The fresh machine (identity, protocol, configuration); each run
     /// hosts its own clone.
-    pub machine: DeviceMachine,
+    machine: DeviceMachine,
     /// When it goes silent (departs without a Bye), if ever.
-    pub silence_at: Option<SimTime>,
+    silence_at: Option<SimTime>,
 }
 
 /// A population of CPs and devices plus a virtual-time horizon.
@@ -90,12 +90,12 @@ pub struct ConformanceScenario {
     /// Scenario name (for reports).
     pub name: &'static str,
     /// The control points.
-    pub cps: Vec<CpSpec>,
+    cps: Vec<CpSpec>,
     /// The devices.
-    pub devices: Vec<DeviceSpec>,
+    devices: Vec<DeviceSpec>,
     /// Virtual end time: timers with deadlines `≤ horizon` fire, matching
     /// `Simulation::run_until`.
-    pub horizon: SimTime,
+    horizon: SimTime,
 }
 
 /// Everything one execution path reports, in the host's own report
@@ -126,7 +126,7 @@ pub struct ConformanceReport {
 /// # Panics
 ///
 /// Panics, naming the scenario, if the fabric did not deliver every
-/// message — which is what a [`CpSpec`] targeting a device the scenario
+/// message — which is what a CP targeting a device the scenario
 /// does not list comes to.
 #[must_use]
 pub fn run_oracle(scenario: &ConformanceScenario) -> ConformanceReport {

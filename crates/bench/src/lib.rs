@@ -24,7 +24,6 @@
 pub mod conformance;
 
 use presence_sim::RegimeSlice;
-use std::env;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 
@@ -113,16 +112,7 @@ pub fn print_windows(slices: &[RegimeSlice]) {
     }
 }
 
-/// Parses `std::env::args`; see [`parse_from`].
-///
-/// # Errors
-///
-/// As [`parse_from`].
-pub fn parse_args() -> Result<Options, String> {
-    parse_from(env::args().skip(1))
-}
-
-/// Parses an explicit argument list (testable core of [`parse_args`]).
+/// Parses an argument list (`std::env::args().skip(1)` in the bins).
 ///
 /// # Errors
 ///

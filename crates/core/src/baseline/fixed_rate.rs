@@ -12,10 +12,9 @@ use crate::cycle::Retransmitter;
 use crate::prober::Prober;
 use crate::types::{CpAction, CpId, CpStats, Reply, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A control point that probes with a fixed inter-cycle period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixedRateCp {
     cycle: Retransmitter,
     period: SimDuration,

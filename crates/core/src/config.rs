@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// A cycle starts with a probe; if no reply arrives within `tof`, the probe
 /// is retransmitted up to `max_retransmissions` times with timeout `tos`
 /// each. A cycle with no reply at all declares the device absent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize, Serialize)]
 pub struct ProbeCycleConfig {
     /// Timeout after the first probe (`TOF`). The paper: 2·RTT_max + C_max.
     pub tof: SimDuration,
@@ -73,7 +73,7 @@ impl ProbeCycleConfig {
 }
 
 /// Configuration of the self-adaptive probe protocol (SAPP, §2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub struct SappConfig {
     /// Probe-cycle timing.
     pub cycle: ProbeCycleConfig,
@@ -144,7 +144,7 @@ impl SappConfig {
 }
 
 /// Configuration of a SAPP device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub struct SappDeviceConfig {
     /// The reference ideal probe load `L_ideal` (must match the CPs').
     pub l_ideal: f64,
@@ -191,7 +191,7 @@ impl SappDeviceConfig {
 }
 
 /// Configuration of the device-controlled probe protocol (DCPP, §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize, Serialize)]
 pub struct DcppConfig {
     /// Probe-cycle timing (same bounded retransmission as SAPP).
     pub cycle: ProbeCycleConfig,

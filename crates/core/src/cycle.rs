@@ -18,9 +18,8 @@
 use crate::config::ProbeCycleConfig;
 use crate::types::{AbsenceReason, CpAction, CpId, CpStats, Probe, Reply, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// `start` not called yet.
     NotStarted,
@@ -41,7 +40,7 @@ enum State {
 }
 
 /// The lifecycle engine embedded in every CP machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Retransmitter {
     cfg: ProbeCycleConfig,
     cp: CpId,

@@ -34,10 +34,9 @@
 use crate::config::DcppConfig;
 use crate::types::{DeviceId, Probe, Reply, ReplyBody};
 use presence_des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The device side of the device-controlled probe protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcppDevice {
     id: DeviceId,
     cfg: DcppConfig,

@@ -26,10 +26,9 @@ use crate::cycle::Retransmitter;
 use crate::prober::Prober;
 use crate::types::{CpAction, CpId, CpStats, Reply, ReplyBody, TimerToken, Verdict};
 use presence_des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The control-point side of the self-adaptive probe protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SappCp {
     cfg: SappConfig,
     cycle: Retransmitter,

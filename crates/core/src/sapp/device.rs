@@ -9,10 +9,9 @@
 use crate::config::SappDeviceConfig;
 use crate::types::{CpId, DeviceId, Probe, Reply, ReplyBody};
 use presence_des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The device side of the self-adaptive probe protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SappDevice {
     id: DeviceId,
     cfg: SappDeviceConfig,

@@ -21,7 +21,7 @@ impl fmt::Display for CpId {
 }
 
 /// Identity of a device — the probed role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -35,7 +35,7 @@ impl fmt::Display for DeviceId {
 /// `seq` identifies the probe *cycle*; retransmissions within a cycle reuse
 /// it, so a late reply to an earlier transmission of the same cycle still
 /// counts (and a reply to a previous cycle is recognisably stale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Probe {
     /// The probing CP.
     pub cp: CpId,
@@ -44,7 +44,7 @@ pub struct Probe {
 }
 
 /// Protocol-specific payload of a reply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplyBody {
     /// SAPP: the device's probe counter after incrementing by Δ, plus the
     /// ids of the last two distinct probing CPs (the links of the paper's
@@ -64,7 +64,7 @@ pub enum ReplyBody {
 }
 
 /// A device's answer to a [`Probe`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reply {
     /// The probe this reply answers (CP id + cycle sequence).
     pub probe: Probe,
@@ -75,14 +75,14 @@ pub struct Reply {
 }
 
 /// Graceful-leave announcement ("bye-message" in the paper's introduction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bye {
     /// The departing device.
     pub device: DeviceId,
 }
 
 /// Everything that can travel over the network between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireMessage {
     /// CP → device.
     Probe(Probe),
@@ -96,7 +96,7 @@ pub enum WireMessage {
 ///
 /// State machines mint monotonically increasing tokens; drivers map them to
 /// whatever their environment uses (DES event handles, wall-clock timers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerToken(pub u64);
 
 /// An instruction from a CP-side state machine to its driver.
@@ -104,7 +104,7 @@ pub struct TimerToken(pub u64);
 /// The state machines are *sans-io*: they never talk to a network or a
 /// clock, they only return actions. The same machines therefore run under
 /// the discrete-event simulator and the wall-clock UDP runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CpAction {
     /// Transmit a probe to the device.
     SendProbe(Probe),
@@ -136,7 +136,7 @@ pub enum CpAction {
 /// [`ProbeCycleConfig::worst_case_detection`](crate::ProbeCycleConfig::worst_case_detection)
 /// of silence after the cycle's first probe), or the device's own Bye.
 /// No other node can make a CP declare a device absent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsenceReason {
     /// The initial probe and all retransmissions went unanswered.
     ProbeTimeout,
@@ -151,7 +151,7 @@ pub enum AbsenceReason {
 /// actor, which is also the conformance oracle, and the wall-clock UDP
 /// host) read the outcome from the machine instead of scraping the action
 /// stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verdict {
     /// When the verdict was reached (protocol time).
     pub at: SimTime,
@@ -160,7 +160,7 @@ pub struct Verdict {
 }
 
 /// Running statistics every CP-side machine maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpStats {
     /// Probe transmissions (including retransmissions).
     pub probes_sent: u64,
@@ -233,40 +233,5 @@ mod tests {
         set.insert(CpId(2));
         assert_eq!(set.len(), 2);
         assert!(CpId(1) < CpId(2));
-    }
-
-    #[test]
-    fn wire_message_roundtrips_through_serde() {
-        let msg = WireMessage::Reply(Reply {
-            probe: Probe {
-                cp: CpId(4),
-                seq: 17,
-            },
-            device: DeviceId(0),
-            body: ReplyBody::Sapp {
-                pc: 1_700_000,
-                last_probers: [Some(CpId(2)), None],
-            },
-        });
-        let json = serde_json::to_string(&msg).unwrap();
-        let back: WireMessage = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, msg);
-    }
-
-    #[test]
-    fn dcpp_reply_roundtrip() {
-        let msg = WireMessage::Reply(Reply {
-            probe: Probe {
-                cp: CpId(1),
-                seq: 2,
-            },
-            device: DeviceId(7),
-            body: ReplyBody::Dcpp {
-                wait: SimDuration::from_millis(500),
-            },
-        });
-        let json = serde_json::to_string(&msg).unwrap();
-        let back: WireMessage = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, msg);
     }
 }

@@ -179,17 +179,6 @@ pub struct TraceRecord {
     pub seq: u64,
 }
 
-/// Why a run loop returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The requested end time was reached (queue may still hold events).
-    ReachedTime,
-    /// The event queue drained completely.
-    Idle,
-    /// The event budget was exhausted.
-    EventBudget,
-}
-
 /// The destination of one queued event: a single actor, or a batch
 /// delivered to every listed actor in order within one engine event.
 ///
@@ -446,7 +435,7 @@ type TraceHook = Box<dyn FnMut(&TraceRecord)>;
 ///
 /// let mut sim: Simulation<&'static str, Counter> = Simulation::with_actor_set(42);
 /// let id = sim.add_member(Counter { fired: 0 });
-/// sim.run_until_idle();
+/// sim.run(u64::MAX);
 /// assert_eq!(sim.now(), SimTime::from_secs_f64(3.0));
 /// assert_eq!(sim.actor::<Counter>(id).unwrap().fired, 3);
 /// ```
@@ -536,9 +525,9 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
         self.events_processed
     }
 
-    /// Number of live events currently queued. Cancelled events are
-    /// removed eagerly, so the count is exact — never inflated by
-    /// tombstones.
+    /// Number of live events currently queued: 0 after a run means the
+    /// queue drained. Cancelled events are removed eagerly, so the count is
+    /// exact — never inflated by tombstones.
     #[must_use]
     pub fn queue_len(&self) -> usize {
         self.core.queue.len()
@@ -622,16 +611,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
             self.start(me);
         }
     }
-
-    /// Classifies the run that just returned; `unfinished` is the outcome
-    /// when live events remain.
-    fn outcome(&self, unfinished: RunOutcome) -> RunOutcome {
-        if self.core.queue.is_empty() {
-            RunOutcome::Idle
-        } else {
-            unfinished
-        }
-    }
 }
 
 /// The run loop. Requires `E: Clone` so a batch event
@@ -685,44 +664,28 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
         self.fire_next()
     }
 
-    /// Runs until the queue drains or `max_events` have been processed.
-    ///
-    /// [`RunOutcome::EventBudget`] is returned only when live events remain
-    /// unprocessed: `run(0)` on an idle simulation, or a budget that is
-    /// consumed exactly as the queue drains, report [`RunOutcome::Idle`].
-    pub fn run(&mut self, max_events: u64) -> RunOutcome {
+    /// Runs until the queue drains or `max_events` have been processed;
+    /// `run(u64::MAX)` runs until the queue is empty. Whether events are
+    /// left is [`Simulation::queue_len`].
+    pub fn run(&mut self, max_events: u64) {
         self.flush_starts();
         for _ in 0..max_events {
             if !self.fire_next() {
                 break;
             }
         }
-        self.outcome(RunOutcome::EventBudget)
     }
 
     /// Runs until the virtual clock reaches `end` (processing every event
     /// with `time ≤ end`) or the queue drains. The clock is left exactly
     /// at `end` (or where it was, if already past).
-    pub fn run_until(&mut self, end: SimTime) -> RunOutcome {
-        let outcome = self.run_through(end);
-        self.core.now = self.core.now.max(end);
-        outcome
-    }
-
-    /// Runs until the queue is empty.
-    pub fn run_until_idle(&mut self) -> RunOutcome {
-        self.run_through(SimTime::MAX)
-    }
-
-    /// Runs the `on_start` backlog, then fires every queued event up to
-    /// and including `end`.
-    fn run_through(&mut self, end: SimTime) -> RunOutcome {
+    pub fn run_until(&mut self, end: SimTime) {
         self.flush_starts();
         // The head of the queue is always live (true cancellation).
         while self.core.queue.peek().is_some_and(|key| key.time <= end) {
             self.fire_next();
         }
-        self.outcome(RunOutcome::ReachedTime)
+        self.core.now = self.core.now.max(end);
     }
 }
 
@@ -786,7 +749,8 @@ mod tests {
         sim.schedule_at(SimTime::from_secs_f64(3.0), id, 3);
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.schedule_at(SimTime::from_secs_f64(2.0), id, 2);
-        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        sim.run(u64::MAX);
+        assert_eq!(sim.queue_len(), 0);
         let events: Vec<Ev> = sim
             .actor::<Recorder>(id)
             .unwrap()
@@ -806,7 +770,7 @@ mod tests {
         for i in 0..100 {
             sim.schedule_at(t, id, i);
         }
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         let events: Vec<Ev> = sim
             .actor::<Recorder>(id)
             .unwrap()
@@ -823,12 +787,13 @@ mod tests {
         let id = sim.add_member(Recorder { log: vec![] });
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         sim.schedule_at(SimTime::from_secs_f64(5.0), id, 5);
-        let outcome = sim.run_until(SimTime::from_secs_f64(2.0));
-        assert_eq!(outcome, RunOutcome::ReachedTime);
+        sim.run_until(SimTime::from_secs_f64(2.0));
+        assert_eq!(sim.queue_len(), 1, "the 5 s event is still queued");
         assert_eq!(sim.now(), SimTime::from_secs_f64(2.0));
         assert_eq!(sim.actor::<Recorder>(id).unwrap().log.len(), 1);
         // Continue to the rest.
-        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        sim.run(u64::MAX);
+        assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.actor::<Recorder>(id).unwrap().log.len(), 2);
     }
 
@@ -845,10 +810,8 @@ mod tests {
     fn idle_run_until_advances_clock() {
         let mut sim: Simulation<Ev, Recorder> = Simulation::with_actor_set(1);
         let _ = sim.add_member(Recorder { log: vec![] });
-        assert_eq!(
-            sim.run_until(SimTime::from_secs_f64(10.0)),
-            RunOutcome::Idle
-        );
+        sim.run_until(SimTime::from_secs_f64(10.0));
+        assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.now(), SimTime::from_secs_f64(10.0));
     }
 
@@ -862,7 +825,7 @@ mod tests {
         let mut sim = Simulation::with_actor_set(1);
         let id = sim.add_member(Bad);
         sim.schedule_at(SimTime::from_secs_f64(5.0), id, 0);
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         // now == 5.0; scheduling at 1.0 must panic.
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 0);
     }
@@ -895,7 +858,7 @@ mod tests {
     fn cancelled_events_do_not_fire() {
         let mut sim = Simulation::with_actor_set(1);
         let id = sim.add_member(Canceller { fired: false });
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert!(sim.actor::<Canceller>(id).unwrap().fired);
         assert_eq!(sim.events_processed(), 1);
     }
@@ -905,12 +868,12 @@ mod tests {
         let mut sim = Simulation::with_actor_set(1);
         let id = sim.add_member(Recorder { log: vec![] });
         let h = sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         // Already fired — must not disturb anything, and must report the
         // no-op rather than parking a tombstone.
         assert!(!sim.cancel(h));
         sim.schedule_at(SimTime::from_secs_f64(2.0), id, 2);
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert_eq!(sim.actor::<Recorder>(id).unwrap().log.len(), 2);
     }
 
@@ -921,7 +884,7 @@ mod tests {
         let h = sim.schedule_at(SimTime::from_secs_f64(1.0), id, 1);
         assert!(sim.cancel(h), "pending event");
         assert!(!sim.cancel(h), "double cancel");
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert!(sim.actor::<Recorder>(id).unwrap().log.is_empty());
     }
 
@@ -939,7 +902,7 @@ mod tests {
             assert!(sim.cancel(*h), "handle {i} was pending");
             assert_eq!(sim.queue_len(), 10 - i - 1);
         }
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.actor::<Recorder>(id).unwrap().log.len(), 5);
     }
@@ -976,7 +939,7 @@ mod tests {
             handle: None,
             fired: vec![],
         });
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert_eq!(sim.now(), SimTime::from_secs_f64(2.0));
         assert_eq!(sim.actor::<Rearmer>(id).unwrap().fired, vec![2]);
         assert_eq!(sim.events_processed(), 1);
@@ -1004,7 +967,8 @@ mod tests {
             script(ctx, ev);
         }));
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 0);
-        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        sim.run(u64::MAX);
+        assert_eq!(sim.queue_len(), 0);
         let out = log.borrow().clone();
         out
     }
@@ -1100,7 +1064,7 @@ mod tests {
             let log = Rc::new(RefCell::new(Vec::new()));
             let log2 = Rc::clone(&log);
             sim.set_trace(move |rec| log2.borrow_mut().push((rec.seq, rec.target.0 as Ev)));
-            sim.run_until_idle();
+            sim.run(u64::MAX);
             let out = log.borrow().clone();
             out
         }
@@ -1139,7 +1103,7 @@ mod tests {
                 peers: peers.clone(),
             }));
             sim.schedule_at(SimTime::from_secs_f64(1.0), d, 0);
-            sim.run_until_idle();
+            sim.run(u64::MAX);
             let mut log = Vec::new();
             for (i, &p) in peers.iter().enumerate() {
                 for e in sim.actor::<Cast<Driver>>(p).unwrap().received() {
@@ -1184,7 +1148,7 @@ mod tests {
             let r2 = Rc::clone(&records);
             sim.set_trace(move |rec| r2.borrow_mut().push((rec.seq, rec.target)));
             sim.schedule_at(SimTime::ZERO, b, 0);
-            sim.run_until_idle();
+            sim.run(u64::MAX);
             let delivered: usize = peers
                 .iter()
                 .map(|&p| sim.actor::<Cast<Batcher>>(p).unwrap().received().len())
@@ -1215,7 +1179,7 @@ mod tests {
         let mut sim = Simulation::with_actor_set(1);
         let id = sim.add_member(Empty);
         sim.schedule_at(SimTime::ZERO, id, 0);
-        sim.run_until_idle();
+        sim.run(u64::MAX);
     }
 
     /// Ping-pong pair demonstrating actor-to-actor messaging.
@@ -1251,25 +1215,25 @@ mod tests {
         sim.actor_mut::<Ping>(a).unwrap().peer = Some(b);
         sim.actor_mut::<Ping>(b).unwrap().peer = Some(a);
         sim.schedule_at(SimTime::ZERO, a, 0);
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         let ra = sim.actor::<Ping>(a).unwrap().rounds;
         let rb = sim.actor::<Ping>(b).unwrap().rounds;
         assert_eq!(ra + rb, 19); // a fires 10 times, b 9 (b's 10th never sent)
     }
 
-    /// Satellite regression: an exhausted budget used to mask an empty
-    /// queue — `run(0)` on an idle sim reported `EventBudget` even though
-    /// nothing was pending.
+    /// A budget on an idle sim processes nothing and leaves it idle.
     #[test]
     fn run_zero_on_idle_sim_reports_idle() {
         let mut sim: Simulation<Ev, Recorder> = Simulation::with_actor_set(1);
         let _ = sim.add_member(Recorder { log: vec![] });
-        assert_eq!(sim.run(0), RunOutcome::Idle);
-        assert_eq!(sim.run(10), RunOutcome::Idle);
+        sim.run(0);
+        assert_eq!(sim.queue_len(), 0);
+        sim.run(10);
+        assert_eq!((sim.queue_len(), sim.events_processed()), (0, 0));
     }
 
-    /// Satellite regression: a budget consumed exactly as the queue drains
-    /// must report `Idle` (nothing pending), not `EventBudget`.
+    /// A budget consumed exactly as the queue drains leaves nothing
+    /// pending.
     #[test]
     fn run_budget_exactly_consumed_by_drain_reports_idle() {
         let mut sim = Simulation::with_actor_set(1);
@@ -1277,11 +1241,12 @@ mod tests {
         for i in 0..5 {
             sim.schedule_at(SimTime::from_secs_f64(f64::from(i)), id, i as Ev);
         }
-        assert_eq!(sim.run(5), RunOutcome::Idle);
+        sim.run(5);
+        assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.events_processed(), 5);
     }
 
-    /// A budget smaller than the queue still reports `EventBudget`.
+    /// A budget smaller than the queue stops with the rest still queued.
     #[test]
     fn run_budget_with_events_left_reports_event_budget() {
         let mut sim = Simulation::with_actor_set(1);
@@ -1289,9 +1254,12 @@ mod tests {
         for i in 0..5 {
             sim.schedule_at(SimTime::from_secs_f64(f64::from(i)), id, i as Ev);
         }
-        assert_eq!(sim.run(3), RunOutcome::EventBudget);
-        assert_eq!(sim.run(0), RunOutcome::EventBudget, "2 events still queued");
-        assert_eq!(sim.run(2), RunOutcome::Idle);
+        sim.run(3);
+        assert_eq!((sim.queue_len(), sim.events_processed()), (2, 3));
+        sim.run(0);
+        assert_eq!(sim.queue_len(), 2, "2 events still queued");
+        sim.run(2);
+        assert_eq!((sim.queue_len(), sim.events_processed()), (0, 5));
     }
 
     #[test]
@@ -1307,7 +1275,8 @@ mod tests {
         }
         let mut sim = Simulation::with_actor_set(1);
         sim.add_member(Endless);
-        assert_eq!(sim.run(100), RunOutcome::EventBudget);
+        sim.run(100);
+        assert_eq!(sim.queue_len(), 1, "the next tick is queued");
         assert_eq!(sim.events_processed(), 100);
     }
 
@@ -1344,7 +1313,8 @@ mod tests {
         let mut sim = Simulation::with_actor_set(1);
         let first = sim.add_member(Joiner::default());
         let two = SimTime::from_secs_f64(2.0);
-        assert_eq!(sim.run_until(two), RunOutcome::Idle);
+        sim.run_until(two);
+        assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.actor::<Joiner>(first).unwrap().got, vec![100]);
 
         let late = sim.add_member(Joiner::default());
@@ -1358,7 +1328,8 @@ mod tests {
         let joiner = sim.actor::<Joiner>(late).unwrap();
         assert_eq!(joiner.started_at, Some(two));
         assert_eq!(joiner.got, vec![2]);
-        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        sim.run(u64::MAX);
+        assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.actor::<Joiner>(late).unwrap().got, vec![2, 100]);
         assert_eq!(sim.now(), SimTime::from_secs_f64(3.0));
         // The first member was not started a second time.
@@ -1389,7 +1360,7 @@ mod tests {
             let log = Rc::new(RefCell::new(Vec::new()));
             let log2 = Rc::clone(&log);
             sim.set_trace(move |rec| log2.borrow_mut().push(rec.time.as_nanos()));
-            sim.run_until_idle();
+            sim.run(u64::MAX);
             times.extend(log.borrow().iter().copied());
             times
         }
@@ -1418,7 +1389,8 @@ mod tests {
         sim.schedule_at(SimTime::from_secs_f64(1.0), id, 2);
         sim.schedule_at(SimTime::from_secs_f64(2.0), id, 3);
         assert!(sim.step());
-        assert_eq!(sim.run_until(SimTime::from_secs_f64(5.0)), RunOutcome::Idle);
+        sim.run_until(SimTime::from_secs_f64(5.0));
+        assert_eq!(sim.queue_len(), 0);
         assert_eq!(total.get(), 5);
     }
 
@@ -1434,7 +1406,7 @@ mod tests {
         for i in 0..5 {
             sim.schedule_at(SimTime::from_secs_f64(i as f64), id, i);
         }
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert_eq!(*count.borrow(), 5);
     }
 }

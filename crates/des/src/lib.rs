@@ -20,7 +20,8 @@
 //! There is one engine and one loop: a [`Simulation`] owns one event
 //! queue, one clock and one actor table, and pops and dispatches events in
 //! order until the queue drains, a horizon is reached or an event budget
-//! runs out.
+//! runs out. The run methods return nothing: [`Simulation::queue_len`]
+//! says whether events are left.
 //!
 //! See [`Simulation`] for the entry point and an end-to-end example.
 
@@ -33,10 +34,8 @@ mod rng;
 mod time;
 mod timer_slots;
 
-pub use engine::{
-    Actor, ActorId, Context, EventHandle, ProjectActor, RunOutcome, Simulation, TraceRecord,
-};
+pub use engine::{Actor, ActorId, Context, EventHandle, ProjectActor, Simulation, TraceRecord};
 pub use queue::{EventKey, EventQueue, QueueProfile};
-pub use rng::{derive_seed, splitmix64, StreamRng};
-pub use time::{SimDuration, SimTime, NANOS_PER_SEC};
+pub use rng::{derive_seed, StreamRng};
+pub use time::{SimDuration, SimTime};
 pub use timer_slots::TimerSlots;

@@ -14,7 +14,7 @@
 /// SplitMix64 mixing step — a high-quality 64-bit finalizer used to derive
 /// stream seeds from `(root, stream)` pairs.
 #[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -13,11 +13,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Nanoseconds per second, the resolution of the virtual clock.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// A span of virtual time (non-negative).
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Deserialize, Serialize,
 )]
 pub struct SimDuration(u64);
 
@@ -47,13 +47,6 @@ impl SimDuration {
     #[must_use]
     pub const fn from_secs(secs: u64) -> Self {
         Self(secs * NANOS_PER_SEC)
-    }
-
-    /// Subtracts `other`, clamping at zero (like
-    /// `Duration::saturating_sub`).
-    #[must_use]
-    pub const fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -88,12 +81,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Saturating duration addition.
-    #[must_use]
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
-
     /// Scales the duration by a non-negative factor, rounding to the nearest
     /// nanosecond.
     ///
@@ -124,9 +111,7 @@ impl Add for SimDuration {
 }
 
 /// An instant on the virtual clock (nanoseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -164,18 +149,6 @@ impl SimTime {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// The later of two instants.
-    #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[must_use]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
     /// Time elapsed since `earlier`; [`SimDuration::ZERO`] if `earlier` is in
     /// the future (saturating, like `Instant::saturating_duration_since`).
     #[must_use]
@@ -184,8 +157,7 @@ impl SimTime {
     }
 
     /// Checked addition of a duration.
-    #[must_use]
-    pub const fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+    const fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         match self.0.checked_add(d.as_nanos()) {
             Some(n) => Some(SimTime(n)),
             None => None,
@@ -304,9 +276,5 @@ mod tests {
         assert!(SimTime::MAX
             .checked_add(SimDuration::from_nanos(1))
             .is_none());
-        assert_eq!(
-            SimDuration::from_nanos(u64::MAX).saturating_add(SimDuration::from_nanos(1)),
-            SimDuration::from_nanos(u64::MAX)
-        );
     }
 }

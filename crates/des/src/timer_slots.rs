@@ -76,20 +76,6 @@ impl<K> TimerSlots<K> {
 }
 
 impl<K: Copy + Eq + Hash> TimerSlots<K> {
-    /// Creates an empty cache whose spill map is pre-allocated for
-    /// `capacity` overflow entries. For nodes where occasional bursts past
-    /// two live timers are expected (the device under overload), this
-    /// moves the one-off spill allocation to construction time so the
-    /// steady-state loop stays allocation-free even across its first
-    /// burst.
-    #[must_use]
-    pub fn with_spill_capacity(capacity: usize) -> Self {
-        Self {
-            slots: [None, None],
-            spill: Some(Box::new(HashMap::with_capacity(capacity))),
-        }
-    }
-
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -131,8 +117,8 @@ impl<K: Copy + Eq + Hash> TimerSlots<K> {
             }
         }
         // A key can only live in the spill if the spill is non-empty; the
-        // emptiness check keeps the pre-warmed-spill common case (device
-        // steady state) from paying a hash per insert.
+        // emptiness check keeps a spill emptied after a burst (it is kept
+        // allocated) from paying a hash per insert.
         if let Some(spill) = &mut self.spill {
             if !spill.is_empty() {
                 if let Some(old) = spill.get_mut(&key) {
@@ -191,8 +177,8 @@ impl<K: Copy + Eq + Hash> TimerSlots<K> {
                 }
             }
         }
-        // As in `insert`: an empty pre-warmed spill (the device's steady
-        // state) would still walk its whole table.
+        // As in `insert`: an empty spill kept from an earlier burst would
+        // still walk its whole table.
         if let Some(spill) = &mut self.spill {
             if !spill.is_empty() {
                 spill.retain(|&k, &mut h| f(k, h));
@@ -270,17 +256,5 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.contains(0) && t.contains(2));
         assert!(!t.contains(1) && !t.contains(3));
-    }
-
-    #[test]
-    fn with_spill_capacity_preallocates() {
-        let hs = handles(3);
-        let mut t: TimerSlots<u8> = TimerSlots::with_spill_capacity(8);
-        assert!(t.is_empty());
-        for (i, &h) in hs.iter().enumerate() {
-            t.insert(i as u8, h);
-        }
-        assert_eq!(t.len(), 3);
-        assert!(t.spill.as_ref().is_some_and(|m| m.capacity() >= 8));
     }
 }

@@ -11,9 +11,7 @@
 //!   loses nothing (a proptest over random token rings; soaked in CI at
 //!   `PROPTEST_CASES=1024`, see `ci.sh`).
 
-use presence_des::{
-    Actor, ActorId, Context, EventHandle, RunOutcome, SimDuration, SimTime, Simulation,
-};
+use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,7 +47,7 @@ fn self_send_during_handle_observes_all_state_changes() {
         observed: vec![],
     });
     sim.schedule_at(SimTime::ZERO, id, 0);
-    sim.run_until_idle();
+    sim.run(u64::MAX);
     let observed = &sim.actor::<SelfCounter>(id).unwrap().observed;
     assert_eq!(observed, &[0, 11, 22, 33]);
 }
@@ -129,12 +127,10 @@ fn step_then_external_schedule_then_run_until_fires_in_order() {
         sim.schedule_at(SimTime::from_nanos(nanos), id, ev);
     }
     assert_eq!(sim.queue_len(), 7);
-    assert_eq!(
-        sim.run_until(SimTime::from_nanos(8_000)),
-        RunOutcome::ReachedTime
-    );
+    sim.run_until(SimTime::from_nanos(8_000));
     assert_eq!(sim.queue_len(), 1);
-    assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+    sim.run(u64::MAX);
+    assert_eq!(sim.queue_len(), 0);
     let fired: Vec<(u64, Ev)> = sim
         .actor::<Watcher>(id)
         .unwrap()
@@ -258,9 +254,9 @@ proptest! {
 
         let (mut chunked, run_trace) = build_for_drivers(&rings, seed);
         for &chunk in chunks.iter().cycle() {
-            match chunked.run(chunk) {
-                RunOutcome::Idle => break,
-                outcome => prop_assert_eq!(outcome, RunOutcome::EventBudget),
+            chunked.run(chunk);
+            if chunked.queue_len() == 0 {
+                break;
             }
         }
         prop_assert_eq!(chunked.now(), last_time(&run_trace));
@@ -269,8 +265,7 @@ proptest! {
         cuts.sort_unstable();
         for &cut in &cuts {
             let at = SimTime::from_nanos(cut);
-            let outcome = bounded.run_until(at);
-            prop_assert!(matches!(outcome, RunOutcome::ReachedTime | RunOutcome::Idle));
+            bounded.run_until(at);
             prop_assert_eq!(bounded.now(), at);
             if let Some(&(last, _, _)) = bounded_trace.borrow().last() {
                 prop_assert!(last <= cut, "fired past its horizon");
@@ -278,7 +273,8 @@ proptest! {
         }
 
         for sim in [&mut stepped, &mut chunked, &mut bounded] {
-            prop_assert_eq!(sim.run_until(end), RunOutcome::Idle);
+            sim.run_until(end);
+            prop_assert_eq!(sim.queue_len(), 0);
         }
         prop_assert_eq!(&*step_trace.borrow(), &*bounded_trace.borrow());
         prop_assert_eq!(&*run_trace.borrow(), &*bounded_trace.borrow());

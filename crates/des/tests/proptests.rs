@@ -1,7 +1,7 @@
 //! Property-based tests for the DES engine: ordering, determinism,
 //! cancellation, and clock monotonicity under arbitrary schedules.
 
-use presence_des::{Actor, Context, RunOutcome, SimDuration, SimTime, Simulation};
+use presence_des::{Actor, Context, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 
 /// Actor that records (time, tag) for every event it receives.
@@ -24,7 +24,7 @@ proptest! {
         for (tag, &t) in times.iter().enumerate() {
             sim.schedule_at(SimTime::from_nanos(t), id, tag as u32);
         }
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         let log = &sim.actor::<Sink>(id).unwrap().log;
         prop_assert_eq!(log.len(), times.len());
         for w in log.windows(2) {
@@ -44,7 +44,7 @@ proptest! {
             for (tag, &t) in times.iter().enumerate() {
                 sim.schedule_at(SimTime::from_nanos(t), id, tag as u32);
             }
-            sim.run_until_idle();
+            sim.run(u64::MAX);
             sim.actor::<Sink>(id).unwrap().log.clone()
         };
         prop_assert_eq!(run(seed), run(seed));
@@ -67,7 +67,7 @@ proptest! {
                 expected.push(tag as u32);
             }
         }
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         let mut fired: Vec<u32> = sim.actor::<Sink>(id).unwrap().log.iter().map(|&(_, e)| e).collect();
         fired.sort_unstable();
         expected.sort_unstable();
@@ -113,8 +113,8 @@ proptest! {
         let total: u64 = delays.iter().sum();
         let mut sim = Simulation::with_actor_set(0);
         sim.add_member(Chain { delays, next: 0 });
-        let outcome = sim.run_until_idle();
-        prop_assert_eq!(outcome, RunOutcome::Idle);
+        sim.run(u64::MAX);
+        prop_assert_eq!(sim.queue_len(), 0);
         prop_assert_eq!(sim.now().as_nanos(), total);
     }
 
@@ -132,7 +132,8 @@ proptest! {
         }
         let mut sim = Simulation::with_actor_set(0);
         sim.add_member(Endless);
-        prop_assert_eq!(sim.run(budget), RunOutcome::EventBudget);
+        sim.run(budget);
+        prop_assert_eq!(sim.queue_len(), 1, "the next tick is queued");
         prop_assert_eq!(sim.events_processed(), budget);
     }
 }

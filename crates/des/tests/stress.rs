@@ -2,7 +2,7 @@
 //! large actor populations, deep timer cancellation churn, and long
 //! timer chains — the regimes the experiment harness actually exercises.
 
-use presence_des::{Actor, Context, RunOutcome, SimDuration, SimTime, Simulation};
+use presence_des::{Actor, Context, SimDuration, SimTime, Simulation};
 
 type Ev = u64;
 
@@ -43,7 +43,8 @@ fn thousand_actor_gossip_terminates_deterministically() {
         for (i, &id) in ids.iter().take(50).enumerate() {
             sim.schedule_at(SimTime::from_nanos(i as u64), id, 100);
         }
-        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        sim.run(u64::MAX);
+        assert_eq!(sim.queue_len(), 0);
         let total: u64 = ids
             .iter()
             .map(|&id| sim.actor::<Gossiper>(id).unwrap().received)
@@ -88,7 +89,8 @@ fn heavy_cancellation_churn() {
         remaining: 100_000,
         live_fired: 0,
     });
-    assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+    sim.run(u64::MAX);
+    assert_eq!(sim.queue_len(), 0);
     let churner = sim.actor::<Churner>(id).unwrap();
     assert_eq!(churner.live_fired, 100_001);
 }
@@ -142,7 +144,7 @@ fn long_chain_no_time_drift() {
     const STEPS: u64 = 1_000_000;
     let mut sim = Simulation::with_actor_set(1);
     sim.add_member(Chain { remaining: STEPS });
-    sim.run_until_idle();
+    sim.run(u64::MAX);
     assert_eq!(sim.now().as_nanos(), (STEPS + 1) * 3);
     assert_eq!(sim.events_processed(), STEPS + 1);
 }

@@ -16,11 +16,14 @@
 //! * non-finite floats serialize as `null` (matching serde_json's
 //!   lossy-float behaviour closely enough for metrics structs);
 //! * enums use serde's externally-tagged representation.
+//!
+//! The impls cover exactly the field types the workspace's derived types
+//! hold: `u32`, `u64`, `f64`, `String`, `Option`, `Vec` and pairs both
+//! ways, and `usize` and `bool` one way (no type that is read back holds
+//! either). A field of any other type fails to compile until its impl is
+//! added here.
 
 #![forbid(unsafe_code)]
-
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -65,7 +68,7 @@ impl Value {
     }
 
     /// A short name for error messages.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -92,7 +95,7 @@ impl Deserialize for Value {
 }
 
 /// Deserialization error.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct DeError(pub String);
 
 impl DeError {
@@ -103,20 +106,7 @@ impl DeError {
             found.kind()
         ))
     }
-
-    /// Free-form error.
-    pub fn msg(m: impl Into<String>) -> Self {
-        DeError(m.into())
-    }
 }
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for DeError {}
 
 /// Looks up a struct field by name in an object's field list.
 pub fn get_field<'v>(fields: &'v [(String, Value)], name: &str) -> Result<&'v Value, DeError> {
@@ -177,58 +167,11 @@ macro_rules! impl_unsigned {
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64);
+impl_unsigned!(u32, u64);
 
 impl Serialize for usize {
     fn to_value(&self) -> Value {
         Value::U64(*self as u64)
-    }
-}
-
-impl Deserialize for usize {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        u64::from_value(v).and_then(|n| {
-            usize::try_from(n).map_err(|_| DeError(format!("{n} out of range for usize")))
-        })
-    }
-}
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = i64::from(*self);
-                if n < 0 { Value::I64(n) } else { Value::U64(n as u64) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let wide: i64 = match v {
-                    Value::I64(n) => *n,
-                    Value::U64(n) => i64::try_from(*n)
-                        .map_err(|_| DeError(format!("{n} out of range for {}", stringify!($t))))?,
-                    other => return Err(DeError::expected("integer", other, stringify!($t))),
-                };
-                <$t>::try_from(wide)
-                    .map_err(|_| DeError(format!("{wide} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64);
-
-impl Serialize for isize {
-    fn to_value(&self) -> Value {
-        (*self as i64).to_value()
-    }
-}
-
-impl Deserialize for isize {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        i64::from_value(v).and_then(|n| {
-            isize::try_from(n).map_err(|_| DeError(format!("{n} out of range for isize")))
-        })
     }
 }
 
@@ -254,30 +197,9 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        f64::from(*self).to_value()
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|x| x as f32)
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::expected("bool", other, "bool")),
-        }
     }
 }
 
@@ -296,38 +218,9 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = String::from_value(v)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::msg("expected single-character string for char")),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Container impls
 // ---------------------------------------------------------------------------
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
 
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
@@ -362,120 +255,23 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for VecDeque<T> {
+/// Pairs serialize as two-element arrays, the only tuple shape the
+/// workspace's derived types hold.
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
     }
 }
 
-impl<T: Deserialize> Deserialize for VecDeque<T> {
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::from_value(v)
-            .map(Vec::into_iter)
-            .map(Iterator::collect)
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::from_value(v)
-            .map(Vec::into_iter)
-            .map(Iterator::collect)
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        let len = items.len();
-        items
-            .try_into()
-            .map_err(|_| DeError(format!("expected array of length {N}, found {len}")))
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+)),+ $(,)?) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
+        match v.as_array() {
+            Some([a, b]) => Ok((A::from_value(a)?, B::from_value(b)?)),
+            Some(items) => Err(DeError(format!(
+                "expected tuple of length 2, found {}",
+                items.len()
+            ))),
+            None => Err(DeError::expected("array", v, "tuple")),
         }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                const LEN: usize = [$($idx),+].len();
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| DeError::expected("array", v, "tuple"))?;
-                if items.len() != LEN {
-                    return Err(DeError(format!(
-                        "expected tuple of length {LEN}, found {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    )+};
-}
-
-impl_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3),
-    (A: 0, B: 1, C: 2, D: 3, E: 4),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
-);
-
-impl<K: fmt::Display + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v, "BTreeMap"))?;
-        fields
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
     }
 }

@@ -3,14 +3,14 @@
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against
 //! the shim `serde` crate's `to_value`/`from_value` model, by hand-parsing
 //! the item's token stream (the environment has no syn/quote). Supported
-//! shapes — everything this workspace derives on:
+//! shapes — exactly what this workspace derives on:
 //!
 //! * structs with named fields;
-//! * tuple structs (newtype structs serialize transparently, wider ones as
-//!   arrays);
-//! * unit structs;
+//! * newtype structs (one unnamed field), which serialize transparently;
 //! * enums with unit, tuple, and struct variants, in serde's
 //!   externally-tagged representation.
+//!
+//! Unit structs and tuple structs of other widths are refused.
 //!
 //! The one `#[serde(...)]` attribute understood is `deny_unknown_fields`
 //! on a struct with named fields: deserializing an object with a key that
@@ -217,9 +217,15 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                Shape::Tuple(count_tuple_fields(&inner))
+                match count_tuple_fields(&inner) {
+                    1 => Shape::Tuple(1),
+                    n => {
+                        return Err(format!(
+                            "serde shim derive supports one unnamed field, `{name}` has {n}"
+                        ))
+                    }
+                }
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Unit,
             other => return Err(format!("unexpected struct body: {other:?}")),
         };
         if deny_unknown_fields && !matches!(shape, Shape::Named(_)) {
@@ -297,13 +303,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let code = match item {
         Item::Struct { name, shape, .. } => {
             let body = match shape {
-                Shape::Unit => "::serde::Value::Null".to_string(),
-                Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..n)
-                        .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                // A newtype: `parse_item` admits no other unnamed shape.
+                Shape::Unit | Shape::Tuple(_) => {
+                    "::serde::Serialize::to_value(&self.0)".to_string()
                 }
                 Shape::Named(fields) => {
                     let items: Vec<String> = fields
@@ -391,20 +393,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             deny_unknown_fields,
         } => {
             let body = match shape {
-                Shape::Unit => format!("{{ let _ = v; Ok({name}) }}"),
-                Shape::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(v)?))"),
-                Shape::Tuple(n) => {
-                    let gets: Vec<String> = (0..n)
-                        .map(|k| format!("::serde::Deserialize::from_value(&items[{k}])?"))
-                        .collect();
-                    format!(
-                        "{{\n\
-                            let items = v.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", v, {name:?}))?;\n\
-                            if items.len() != {n} {{ return Err(::serde::DeError::msg(format!(\"expected {n} elements for {name}, found {{}}\", items.len()))); }}\n\
-                            Ok({name}({}))\n\
-                        }}",
-                        gets.join(", ")
-                    )
+                // A newtype, as in `derive_serialize`.
+                Shape::Unit | Shape::Tuple(_) => {
+                    format!("Ok({name}(::serde::Deserialize::from_value(v)?))")
                 }
                 Shape::Named(fields) => {
                     let gets: Vec<String> = fields
@@ -453,7 +444,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         tagged_arms.push(format!(
                             "{vn:?} => {{\n\
                                 let items = inner.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", inner, {vn:?}))?;\n\
-                                if items.len() != {n} {{ return Err(::serde::DeError::msg(format!(\"expected {n} elements for {name}::{vn}, found {{}}\", items.len()))); }}\n\
+                                if items.len() != {n} {{ return Err(::serde::DeError(format!(\"expected {n} elements for {name}::{vn}, found {{}}\", items.len()))); }}\n\
                                 Ok({name}::{vn}({}))\n\
                             }}",
                             gets.join(", ")
@@ -484,13 +475,13 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                          match v {{\n\
                              ::serde::Value::Str(s) => match s.as_str() {{\n\
                                  {}\n\
-                                 other => Err(::serde::DeError::msg(format!(\"unknown unit variant {{other}} for {name}\"))),\n\
+                                 other => Err(::serde::DeError(format!(\"unknown unit variant {{other}} for {name}\"))),\n\
                              }},\n\
                              ::serde::Value::Object(fields) if fields.len() == 1 => {{\n\
                                  let (tag, inner) = &fields[0];\n\
                                  match tag.as_str() {{\n\
                                      {}\n\
-                                     other => Err(::serde::DeError::msg(format!(\"unknown variant {{other}} for {name}\"))),\n\
+                                     other => Err(::serde::DeError(format!(\"unknown variant {{other}} for {name}\"))),\n\
                                  }}\n\
                              }},\n\
                              other => Err(::serde::DeError::expected(\"enum representation\", other, {name:?})),\n\

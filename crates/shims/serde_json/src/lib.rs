@@ -11,7 +11,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Serialization/deserialization error.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Error(String);
 
 impl fmt::Display for Error {
@@ -19,8 +19,6 @@ impl fmt::Display for Error {
         write!(f, "{}", self.0)
     }
 }
-
-impl std::error::Error for Error {}
 
 impl From<DeError> for Error {
     fn from(e: DeError) -> Self {
@@ -369,12 +367,12 @@ mod tests {
     fn scalar_roundtrips() {
         assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
         assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
-        assert_eq!(from_str::<i64>("-42").unwrap(), -42);
+        assert_eq!(from_str::<Value>("-42").unwrap(), Value::I64(-42));
         assert_eq!(to_string(&0.1f64).unwrap(), "0.1");
         assert_eq!(from_str::<f64>("0.1").unwrap(), 0.1);
         assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
         assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string("a\"b\n").unwrap(), "\"a\\\"b\\n\"");
+        assert_eq!(to_string(&String::from("a\"b\n")).unwrap(), "\"a\\\"b\\n\"");
         assert_eq!(from_str::<String>("\"a\\\"b\\n\"").unwrap(), "a\"b\n");
     }
 
@@ -385,7 +383,7 @@ mod tests {
     #[test]
     fn every_string_escape_roundtrips() {
         let raw = "q\" b\\ s/ n\n r\r t\t b\u{8} f\u{c} nul\u{0} esc\u{1b}";
-        let json = to_string(raw).unwrap();
+        let json = to_string(&String::from(raw)).unwrap();
         assert_eq!(parse(&json).unwrap(), raw);
         // Every escape the grammar allows, including the optional `\/`.
         assert_eq!(
@@ -402,7 +400,7 @@ mod tests {
         // and both ends of the string: run slicing must stay on character
         // boundaries.
         let raw = "é\"€\\𝄞\n→é€𝄞\tü";
-        let json = to_string(raw).unwrap();
+        let json = to_string(&String::from(raw)).unwrap();
         assert_eq!(parse(&json).unwrap(), raw);
         assert_eq!(parse(r#""é\u00e9€\n𝄞\\é""#).unwrap(), "éé€\n𝄞\\é");
         assert_eq!(parse("\"𝄞\"").unwrap(), "𝄞");

@@ -33,7 +33,7 @@ use presence_stats::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 /// A population workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub enum ChurnModel {
     /// All initially active CPs stay for the whole run.
     Static,
@@ -251,7 +251,7 @@ impl ChurnActor {
 
     /// The `(t, population)` series recorded so far.
     #[must_use]
-    pub fn population_series(&self) -> &TimeSeries {
+    pub(crate) fn population_series(&self) -> &TimeSeries {
         &self.population
     }
 

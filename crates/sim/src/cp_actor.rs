@@ -16,7 +16,7 @@ use presence_trace::EngineEventKind;
 
 /// Everything a finished run wants to know about one CP.
 #[derive(Debug, Clone)]
-pub struct CpRecord {
+pub(crate) struct CpRecord {
     /// The CP's identity.
     pub id: CpId,
     /// `(t, 1/δ)` samples — one per completed probe cycle (the exact series
@@ -104,7 +104,7 @@ impl CpActor {
     /// `timers` also records each timer arm, cancel and fire (the engine
     /// stream's timer records — the CP owns its timers, the engine does
     /// not know them).
-    pub fn set_trace(&mut self, until_ns: u64, timers: bool) {
+    pub(crate) fn set_trace(&mut self, until_ns: u64, timers: bool) {
         self.trace = Some(Box::new(CpTrace::new(until_ns, timers)));
     }
 
@@ -116,7 +116,7 @@ impl CpActor {
     }
 
     /// Takes the trace buffer accumulated since [`CpActor::set_trace`].
-    pub fn take_trace(&mut self) -> Option<Box<CpTrace>> {
+    pub(crate) fn take_trace(&mut self) -> Option<Box<CpTrace>> {
         self.trace.take()
     }
 
@@ -136,8 +136,8 @@ impl CpActor {
         CpSummary::from_record(&self.record, self.prober.as_ref().map(|p| p.stats()))
     }
 
-    /// The live prober's terminal verdict, reason included ([`CpRecord`]
-    /// keeps only the instant). `None` while the CP is offline.
+    /// The live prober's terminal verdict, reason included (the run's
+    /// record keeps only the instant). `None` while the CP is offline.
     #[must_use]
     pub fn verdict(&self) -> Option<Verdict> {
         self.prober.as_ref().and_then(|p| p.verdict())

@@ -99,19 +99,19 @@ impl DeviceActor {
     }
 
     /// Arms lifecycle tracing up to `until_ns` (virtual nanoseconds).
-    pub fn set_trace(&mut self, until_ns: u64) {
+    pub(crate) fn set_trace(&mut self, until_ns: u64) {
         self.trace = Some(Box::new(DeviceTrace::new(until_ns)));
     }
 
     /// Takes the trace buffer accumulated since [`DeviceActor::set_trace`].
-    pub fn take_trace(&mut self) -> Option<Box<DeviceTrace>> {
+    pub(crate) fn take_trace(&mut self) -> Option<Box<DeviceTrace>> {
         self.trace.take()
     }
 
     /// Doubles a SAPP device's Δ — §2's device-side load control ("it
     /// can, say, double its value of Δ"). A DCPP device caps its load by
     /// construction, so this does nothing to it.
-    pub fn double_delta(&mut self) {
+    pub(crate) fn double_delta(&mut self) {
         if let DeviceMachine::Sapp(d) = &mut self.machine {
             d.double_delta();
         }
@@ -126,7 +126,7 @@ impl DeviceActor {
     /// Flushes load windows up to `now` and returns the full series of
     /// `(window_start, probes_per_second)` points.
     #[must_use]
-    pub fn load_series_until(&mut self, now: SimTime) -> Vec<(f64, f64)> {
+    pub(crate) fn load_series_until(&mut self, now: SimTime) -> Vec<(f64, f64)> {
         self.load.advance_to(now.as_secs_f64());
         self.load.series().to_vec()
     }

@@ -8,11 +8,11 @@
 
 use crate::{run_indexed, Protocol, Scenario, ScenarioConfig};
 use presence_core::{SappConfig, SappDeviceConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One parameter point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct A1Cell {
     /// Delay growth factor.
     pub alpha_inc: f64,
@@ -29,7 +29,7 @@ pub struct A1Cell {
 }
 
 /// The full sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A1Report {
     /// All parameter points evaluated.
     pub cells: Vec<A1Cell>,

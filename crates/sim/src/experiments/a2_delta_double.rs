@@ -13,11 +13,11 @@
 //! lies in `[1/2, 1)` — halving is the bound, not the fixed point.
 
 use crate::{DeviceActor, Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Result of the Δ-doubling experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A2Report {
     /// When Δ was doubled (seconds).
     pub double_at: f64,

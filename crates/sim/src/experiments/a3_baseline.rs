@@ -8,11 +8,11 @@
 
 use crate::{Protocol, Scenario, ScenarioConfig};
 use presence_core::ProbeCycleConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One population point comparing the three protocols.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct A3Row {
     /// CP population.
     pub k: u32,
@@ -25,7 +25,7 @@ pub struct A3Row {
 }
 
 /// The population sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A3Report {
     /// One row per population.
     pub rows: Vec<A3Row>,

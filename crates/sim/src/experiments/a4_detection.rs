@@ -11,11 +11,11 @@
 //! `TOF + 3·TOS = 85 ms` verdict.
 
 use crate::{LossKind, Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Latency statistics for one detector configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A4Row {
     /// Human-readable configuration label.
     pub label: String,
@@ -35,7 +35,7 @@ pub struct A4Row {
 }
 
 /// The detection-latency comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A4Report {
     /// One row per configuration.
     pub rows: Vec<A4Row>,

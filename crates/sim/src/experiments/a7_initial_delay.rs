@@ -10,11 +10,11 @@
 use crate::{Protocol, Scenario, ScenarioConfig};
 use presence_core::{SappConfig, SappDeviceConfig};
 use presence_des::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One initial-delay choice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A7Row {
     /// The initial δ (seconds).
     pub initial_delay: f64,
@@ -31,7 +31,7 @@ pub struct A7Row {
 }
 
 /// The initial-delay sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A7Report {
     /// One row per starting point.
     pub rows: Vec<A7Row>,

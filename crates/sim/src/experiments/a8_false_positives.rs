@@ -16,11 +16,11 @@
 //! checks the i.i.d. case against the closed form.
 
 use crate::{LossKind, Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One loss configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct A8Row {
     /// Loss probability per message.
     pub loss: f64,
@@ -38,7 +38,7 @@ pub struct A8Row {
 }
 
 /// The false-positive study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct A8Report {
     /// One row per loss setting.
     pub rows: Vec<A8Row>,

@@ -13,11 +13,11 @@
 
 use crate::{Protocol, Scenario, ScenarioConfig};
 use presence_stats::{jain_index, max_min_ratio, BatchMeans, BatchMeansConfig, Histogram};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Result of the E1 steady-state study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct E1Report {
     /// Virtual seconds simulated.
     pub duration: f64,

@@ -7,11 +7,11 @@
 //! variance."
 
 use crate::{ascii_chart, series_to_csv, Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A reproduced figure: one frequency series per CP, plus summary metrics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FigureReport {
     /// Which figure this reproduces.
     pub figure: String,

@@ -10,11 +10,11 @@
 //! off very quickly again towards L_nom = 10".
 
 use crate::{ascii_chart, ChurnModel, Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Result of the E5 churn study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct E5Report {
     /// Mean device load (paper: 9.7 probes/s).
     pub load_mean: f64,

@@ -10,11 +10,11 @@
 //! Jain fairness ≈ 1.
 
 use crate::{Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One population point of the sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct E6Row {
     /// Static CP population.
     pub k: u32,
@@ -31,7 +31,7 @@ pub struct E6Row {
 }
 
 /// The full sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct E6Report {
     /// One row per population size.
     pub rows: Vec<E6Row>,

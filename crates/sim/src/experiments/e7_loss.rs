@@ -11,11 +11,11 @@
 //! as loss grows.
 
 use crate::{ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One loss setting of the sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct E7Row {
     /// Average loss rate simulated.
     pub loss_rate: f64,
@@ -36,7 +36,7 @@ pub struct E7Row {
 }
 
 /// The full loss sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct E7Report {
     /// One row per loss configuration.
     pub rows: Vec<E7Row>,

@@ -36,19 +36,19 @@ mod e5_fig5;
 mod e6_dcpp_static;
 mod e7_loss;
 
-pub use a1_sapp_sweep::{a1_sapp_param_sweep, A1Cell, A1Report};
-pub use a2_delta_double::{a2_delta_doubling, A2Report};
-pub use a3_baseline::{a3_fixed_rate_baseline, A3Report, A3Row};
-pub use a4_detection::{a4_detection_latency, A4Report, A4Row};
-pub use a7_initial_delay::{a7_initial_delay, A7Report, A7Row};
-pub use a8_false_positives::{a8_false_positives, A8Report, A8Row};
-pub use e1_steady_state::{e1_sapp_steady_state, E1Report};
-pub use e2_fig2::{e2_fig2_three_cps, FigureReport};
-pub use e3_fig3::e3_fig3_twenty_cps_minute;
-pub use e4_fig4::e4_fig4_burst_leave;
-pub use e5_fig5::{e5_fig5_dcpp_churn, E5Report};
-pub use e6_dcpp_static::{e6_dcpp_static_fairness, E6Report, E6Row};
-pub use e7_loss::{e7_dcpp_loss_spread, E7Report, E7Row};
+use a1_sapp_sweep::a1_sapp_param_sweep;
+use a2_delta_double::a2_delta_doubling;
+use a3_baseline::a3_fixed_rate_baseline;
+use a4_detection::a4_detection_latency;
+use a7_initial_delay::a7_initial_delay;
+use a8_false_positives::a8_false_positives;
+use e1_steady_state::e1_sapp_steady_state;
+use e2_fig2::{e2_fig2_three_cps, FigureReport};
+use e3_fig3::e3_fig3_twenty_cps_minute;
+use e4_fig4::e4_fig4_burst_leave;
+use e5_fig5::e5_fig5_dcpp_churn;
+use e6_dcpp_static::e6_dcpp_static_fairness;
+use e7_loss::e7_dcpp_loss_spread;
 
 use crate::{replicate, Protocol, ScenarioConfig};
 use serde::Serialize;

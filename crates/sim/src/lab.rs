@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use std::mem::discriminant;
 
 /// The model a [`Switch`] puts in force.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub enum Regime {
     /// A new one-way delay model.
     Delay(DelayKind),
@@ -52,7 +52,7 @@ pub enum Regime {
 
 /// One regime change: `to` is in force from `at` seconds until the next
 /// switch of its kind (or the horizon).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
 pub struct Switch {
     /// Switch instant (seconds, inside the run).
@@ -66,7 +66,7 @@ pub struct Switch {
 /// mid-run device failure. A key that names no field — here or inside
 /// `config` — is an error, so a misspelt or retired option fails to parse
 /// instead of being silently ignored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Catalog name (kebab-case by convention).
@@ -224,7 +224,7 @@ impl ScenarioSpec {
 // ---------------------------------------------------------------------------
 
 /// Metrics of one regime window of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RegimeSlice {
     /// Window start (seconds).
     pub start: f64,
@@ -353,7 +353,7 @@ pub fn slice_trace(run: &TraceRun) -> Option<Vec<RegimeSlice>> {
 // ---------------------------------------------------------------------------
 
 /// Whole-run numbers of one replication.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LabSeedResult {
     /// Seed of this replication.
     pub seed: u64,
@@ -379,7 +379,7 @@ pub struct LabSeedResult {
 /// The lab's aggregate answer for one spec: per-seed results plus
 /// cross-seed means per regime window. Byte-identical at any worker
 /// count (replications merge in seed order before any folding).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LabReport {
     /// Spec name.
     pub name: String,

@@ -49,11 +49,11 @@ pub mod parallel;
 mod replication;
 mod scenario;
 pub mod test_profile;
-pub mod trace;
+mod trace;
 
 pub use actor_set::{PresenceActorSet, PresenceSim};
 pub use churn::{ChurnActor, ChurnModel};
-pub use cp_actor::{CpActor, CpRecord};
+pub use cp_actor::CpActor;
 pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{
@@ -72,4 +72,3 @@ pub use scenario::{
     golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError,
     BUFFER_CAPACITY,
 };
-pub use trace::flow_id;

@@ -78,7 +78,7 @@ const SLEEPING: u8 = 1;
 const STOPPED: u8 = 2;
 
 /// A complete description of one mega-scale DCPP run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
 pub struct MegaConfig {
     /// Number of devices.
@@ -158,7 +158,7 @@ impl MegaConfig {
 /// A named, serialisable mega-scenario definition (the `catalog/mega/`
 /// file format). A key that names no field — here or inside `config` — is
 /// an error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
 pub struct MegaSpec {
     /// Unique scenario name (the catalog file stem).
@@ -205,7 +205,7 @@ pub fn mega_catalog() -> Vec<MegaSpec> {
 
 /// Everything a finished mega run reports: aggregate counters and
 /// constant-memory summary statistics (no per-pair series at any scale).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MegaResult {
     /// Virtual seconds simulated.
     pub duration: f64,

@@ -39,7 +39,7 @@ impl CpSummary {
     /// of a session still in progress, which the record has not folded in
     /// yet.
     #[must_use]
-    pub fn from_record(rec: &CpRecord, live: Option<&CpStats>) -> Self {
+    pub(crate) fn from_record(rec: &CpRecord, live: Option<&CpStats>) -> Self {
         let freq_series: Vec<(f64, f64)> = rec
             .frequency_series
             .samples()

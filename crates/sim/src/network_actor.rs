@@ -57,12 +57,12 @@ impl NetworkActor {
     }
 
     /// Arms counter-sample tracing up to `until_ns` (virtual nanoseconds).
-    pub fn set_trace(&mut self, until_ns: u64) {
+    pub(crate) fn set_trace(&mut self, until_ns: u64) {
         self.trace = Some(Box::new(NetTrace::new(until_ns)));
     }
 
     /// Takes the buffer accumulated since [`NetworkActor::set_trace`].
-    pub fn take_trace(&mut self) -> Option<Box<NetTrace>> {
+    pub(crate) fn take_trace(&mut self) -> Option<Box<NetTrace>> {
         self.trace.take()
     }
 
@@ -110,7 +110,7 @@ impl NetworkActor {
     /// The paper's "average buffer length": time-weighted mean in-flight
     /// count up to `now`.
     #[must_use]
-    pub fn mean_occupancy(&mut self, now: SimTime) -> Option<f64> {
+    pub(crate) fn mean_occupancy(&mut self, now: SimTime) -> Option<f64> {
         self.fabric.mean_occupancy(now)
     }
 
@@ -229,7 +229,7 @@ mod tests {
                 msg: probe(),
             },
         );
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         let now = sim.now();
         let stats = net(&mut sim, network).fabric_stats(now);
         assert_eq!(stats.unroutable, 2);
@@ -255,7 +255,7 @@ mod tests {
                 msg: probe(),
             },
         );
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         assert_eq!(deliveries(&sim, sink), 1);
         // Exactly two events: the Send dispatch and the Deliver firing.
         assert_eq!(sim.events_processed(), 2);
@@ -281,7 +281,7 @@ mod tests {
         let dev = sim.add_member(Node::Sink(Vec::new()));
         net(&mut sim, network).register(Addr::Device(DeviceId(0)), dev);
         sim.schedule_at(SimTime::ZERO, network, SimEvent::Broadcast { msg: probe() });
-        sim.run_until_idle();
+        sim.run(u64::MAX);
         for &sink in &sinks {
             assert_eq!(deliveries(&sim, sink), 1);
         }

@@ -48,7 +48,7 @@ pub fn job_count() -> usize {
 ///
 /// Panics on a non-numeric or zero value.
 #[must_use]
-pub fn parse_jobs(var: Option<&str>) -> usize {
+fn parse_jobs(var: Option<&str>) -> usize {
     match var {
         // `PRESENCE_JOBS= cmd` is the shell idiom for clearing a variable
         // for one command; treat it as unset, not as a typo.

@@ -47,7 +47,7 @@ pub(crate) fn err(msg: impl Into<String>) -> SpecError {
 }
 
 /// Serialisable choice of one-way network delay model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub enum DelayKind {
     /// Fixed delay (seconds).
     Constant(f64),
@@ -88,7 +88,7 @@ impl DelayKind {
 }
 
 /// Serialisable choice of loss model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub enum LossKind {
     /// No loss (the paper's Figure 5 assumption).
     None,
@@ -126,7 +126,7 @@ impl LossKind {
 }
 
 /// Which protocol the scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 pub enum Protocol {
     /// SAPP with the given CP and device configurations.
     Sapp {
@@ -230,7 +230,7 @@ pub const BUFFER_CAPACITY: usize = 20_000;
 /// not model *state*), so replication workers can stamp out per-seed
 /// variants from a borrowed base without cloning anything heap-allocated.
 /// Reading it from JSON, a key that names no field is an error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
 pub struct ScenarioConfig {
     /// Protocol under test.

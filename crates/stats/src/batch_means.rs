@@ -9,10 +9,9 @@
 
 use crate::ci::ConfidenceInterval;
 use crate::welford::Welford;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`BatchMeans`] estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchMeansConfig {
     /// Number of initial observations discarded as warm-up transient.
     pub warmup: u64,
@@ -62,7 +61,7 @@ impl BatchMeansConfig {
 }
 
 /// The estimator's answer to "have we simulated long enough?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteadyStateVerdict {
     /// Still inside the warm-up transient.
     WarmingUp,
@@ -101,7 +100,7 @@ pub enum SteadyStateVerdict {
 /// let ci = bm.interval();
 /// assert!(ci.contains(bm.mean()));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchMeans {
     cfg: BatchMeansConfig,
     seen: u64,

@@ -7,8 +7,6 @@
 //! (Abramowitz & Stegun 26.7.5), which is accurate to well below the noise
 //! floor of any simulation estimate for `df ≥ 1`.
 
-use serde::{Deserialize, Serialize};
-
 /// Quantile function (inverse CDF) of the standard normal distribution.
 ///
 /// Uses Acklam's rational approximation (relative error < 1.15e−9 over the
@@ -109,7 +107,7 @@ pub fn t_quantile(p: f64, df: u64) -> f64 {
 }
 
 /// A two-sided confidence interval around a point estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (sample mean).
     pub mean: f64,

@@ -5,12 +5,10 @@
 //! distribution is *bimodal* under SAPP (most CPs near δ_max = 10 s, a few
 //! near 0.4 s), which a histogram makes directly visible.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over a fixed range with uniform bin width.
 ///
 /// Samples outside the range (non-finite ones included) are not binned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     low: f64,
     high: f64,

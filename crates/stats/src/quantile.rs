@@ -5,8 +5,6 @@
 //! Chlamtac, 1985) tracks a single quantile with five markers and O(1)
 //! update cost, which is plenty for the harness's p50/p95/p99 summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Online estimator of a single quantile using the P² algorithm.
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let est = p95.estimate().unwrap();
 /// assert!((est - 950.0).abs() < 15.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights.

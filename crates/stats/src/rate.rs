@@ -5,13 +5,11 @@
 //! experiment, and Figure 5 plots the DCPP device's observed load over time.
 //! [`JumpingWindowRate`] produces the per-interval series used for plotting.
 
-use serde::{Deserialize, Serialize};
-
 /// Jumping (non-overlapping) window rate series.
 ///
 /// Closes a window every `width` seconds and reports `(window_start, rate)`
 /// pairs — exactly the series plotted as "Device Load" in Figure 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JumpingWindowRate {
     width: f64,
     origin: f64,

@@ -5,10 +5,8 @@
 //! (exact order statistics, not streaming estimates — report-sized inputs
 //! are small).
 
-use serde::{Deserialize, Serialize};
-
 /// Descriptive statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of finite samples described.
     pub count: usize,

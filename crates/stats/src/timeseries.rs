@@ -7,10 +7,8 @@
 //! samples back (the lab's per-window views are [`crate::window_slice`] and
 //! friends). [`TimeWeighted`] is the O(1)-memory time-weighted mean.
 
-use serde::{Deserialize, Serialize};
-
 /// One timestamped observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Time of the observation, in seconds.
     pub t: f64,
@@ -19,7 +17,7 @@ pub struct Sample {
 }
 
 /// An append-only time series with monotonically non-decreasing timestamps.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     samples: Vec<Sample>,
 }
@@ -84,7 +82,7 @@ impl TimeSeries {
 /// The paper reports "the average buffer length is very small (≈ 0.004)";
 /// that is a time-weighted average of the buffer-occupancy step signal, and
 /// this accumulator computes exactly that in O(1) memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWeighted {
     last_t: f64,
     last_v: f64,

@@ -5,8 +5,6 @@
 //! tens of millions of samples whose magnitudes differ wildly (probe delays
 //! range from 0.02 s to 10 s in the paper's SAPP configuration).
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
 /// assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
