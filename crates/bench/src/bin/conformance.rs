@@ -1,22 +1,21 @@
 //! Loopback stress driver for the sharded UDP host.
 //!
-//! `conformance --stress [N]` serves `N` (default 10 000) DCPP devices
-//! and `N` probers over loopback UDP on the wall clock for a few seconds
-//! and requires **zero** backpressure drops, zero decode errors, zero
-//! receive and send errors, zero unroutable datagrams, and zero false
-//! absence verdicts, read from the `HostReport` each host's `join`
-//! returns (its summed `ShardStats` and its probers' verdicts). This is the
-//! serving-runtime acceptance gate: the sharded host must sustain a
-//! five-digit device population on a CI container without shedding load
-//! — the busy path of the shard loop. Each shard's line also says how
-//! many datagrams one send call carried on average: how well its flushes
-//! coalesce into runs. `RUNTIME_SHARDS` sets the shard count of both
-//! hosts.
+//! `conformance` serves 10 000 DCPP devices and 10 000 probers over
+//! loopback UDP on the wall clock for a few seconds and requires **zero**
+//! backpressure drops, zero decode errors, zero receive and send errors,
+//! zero unroutable datagrams, and zero false absence verdicts, read from
+//! the `HostReport` each host's `join` returns (its summed `ShardStats`
+//! and its probers' verdicts). This is the serving-runtime acceptance
+//! gate: the sharded host must sustain a five-digit device population on
+//! a CI container without shedding load — the busy path of the shard
+//! loop. Each shard's line also says how many datagrams one send call
+//! carried on average: how well its flushes coalesce into runs.
+//! `RUNTIME_SHARDS` sets the shard count of both hosts.
 //!
 //! Sim/runtime agreement is not checked here: the conformance suite
 //! (`cargo test -p presence-bench --test conformance`) is that gate, and
 //! the shard loop's idle path is gated by the runtime's own `shard::`
-//! tests. Any other argument, or none, prints the usage and exits 1.
+//! tests. It takes no argument: any argument is an error (exit 1).
 
 use presence_bench::exit_bad_argument;
 use presence_core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine};
@@ -40,21 +39,24 @@ fn settle(host: &HostHandle, limit: Duration) {
     }
 }
 
-fn run_stress(devices_n: u32, shards: usize) -> bool {
+/// Devices, and probers, each host serves.
+const DEVICES: u32 = 10_000;
+
+fn run_stress(shards: usize) -> bool {
     let cfg = DcppConfig::paper_default(); // d_min = 500 ms: ~2 probes/s/CP
     let host_cfg = HostConfig::loopback(shards);
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
 
     let mut devices = ShardedHost::bind(&host_cfg).expect("bind device host");
-    for d in 0..devices_n {
+    for d in 0..DEVICES {
         devices.add_device(DeviceMachine::Dcpp(DcppDevice::new(DeviceId(d), cfg)), None);
     }
     let mut cps = ShardedHost::bind(&host_cfg).expect("bind cp host");
     // Stagger starts across one full probe period so the steady state is
     // phase-spread: a thundering herd of 10k simultaneous probes would
     // measure the kernel's socket buffer, not the host.
-    let stagger = cfg.d_min.as_nanos() / u64::from(devices_n.max(1));
-    for d in 0..devices_n {
+    let stagger = cfg.d_min.as_nanos() / u64::from(DEVICES);
+    for d in 0..DEVICES {
         cps.add_prober(
             Box::new(DcppCp::new(CpId(d), cfg)),
             devices.addr_of(DeviceId(d)),
@@ -64,7 +66,7 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
     }
 
     println!(
-        "stress: {devices_n} DCPP devices / {devices_n} CPs, {shards} shard(s) per host, \
+        "stress: {DEVICES} DCPP devices / {DEVICES} CPs, {shards} shard(s) per host, \
          d_min {:.3} s",
         cfg.d_min.as_secs_f64()
     );
@@ -130,7 +132,7 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
         println!("FAIL: {false_verdicts} false absence verdicts under load");
         ok = false;
     }
-    let min_cycles = u64::from(devices_n) * 4; // ≥ 4 full cycles per CP in 4 s
+    let min_cycles = u64::from(DEVICES) * 4; // ≥ 4 full cycles per CP in 4 s
     let cycles: u64 = cp_report
         .probers
         .iter()
@@ -143,29 +145,14 @@ fn run_stress(devices_n: u32, shards: usize) -> bool {
     ok
 }
 
-const USAGE: &str = "usage: conformance --stress [N] (N devices, default 10000)";
-
-/// The `--stress` device count `args` ask for.
-fn parse(args: &[String]) -> Result<u32, String> {
-    match args {
-        [flag, rest @ ..] if flag == "--stress" => match rest {
-            [] => Ok(10_000),
-            [n] => n
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--stress takes a positive device count, got {n:?}")),
-            [_, extra, ..] => Err(format!("unexpected argument {extra}; {USAGE}")),
-        },
-        [] => Err(USAGE.to_string()),
-        [other, ..] => Err(format!("unknown argument {other}; {USAGE}")),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let devices = parse(&args).unwrap_or_else(|e| exit_bad_argument("conformance", &e));
-    if !run_stress(devices, shards_from_env()) {
+    if let Some(arg) = std::env::args().nth(1) {
+        exit_bad_argument(
+            "conformance",
+            &format!("unexpected argument {arg}; usage: conformance (no arguments)"),
+        );
+    }
+    if !run_stress(shards_from_env()) {
         std::process::exit(1);
     }
 }

@@ -1,15 +1,15 @@
 //! The paper's evaluation, one experiment at a time or all at once:
 //!
 //! ```text
-//! experiments <id> [--seed N] [--duration SECS] [--jobs N] [--json] [--csv]
+//! experiments <id> [--seed N] [--duration SECS] [--jobs N] [--json]
 //! experiments all  [--seed N] [--duration SCALE] [--jobs N]
 //! ```
 //!
 //! `<id>` is a row of [`presence_sim::experiments::CATALOG`] (`e1` … `e7`,
 //! `a1` … `a4`, `a7` … `a8`) and runs at paper scale unless `--duration`
-//! says otherwise. A flag the command would ignore — `--csv` on any row
-//! but the figures `e2` … `e4`, `--json` or `--csv` beside `all` — exits 1,
-//! and so does an unknown id, an unknown flag or a malformed value.
+//! says otherwise. A flag the command would ignore — `--json` beside
+//! `all` — exits 1, and so does an unknown id, an unknown flag or a
+//! malformed value.
 //!
 //! `all` runs every experiment at reduced scale (`--duration` is a scale
 //! factor on the catalog's quick horizons, default 1) — a quick end-to-end
@@ -42,7 +42,6 @@ fn main() {
                 seed: opts.seed,
                 jobs: 1,
                 json: false,
-                csv: false,
                 extras: false,
             })
         };
@@ -56,17 +55,11 @@ fn main() {
             "experiments",
             &format!(
                 "unknown experiment {which:?}; usage: experiments <id|all> [--seed N] \
-                 [--duration SECS] [--jobs N] [--json] [--csv]; ids: {}",
+                 [--duration SECS] [--jobs N] [--json]; ids: {}",
                 ids.join(" ")
             ),
         );
     };
-    if opts.csv && !experiment.csv {
-        exit_bad_argument(
-            &format!("experiments {which}"),
-            "--csv is not supported (figures e2–e4 only)",
-        );
-    }
     print!(
         "{}",
         (experiment.run)(&RunArgs {
@@ -74,7 +67,6 @@ fn main() {
             seed: opts.seed,
             jobs,
             json: opts.json,
-            csv: opts.csv,
             extras: !opts.json,
         })
     );

@@ -14,9 +14,9 @@
 //!                                    # mixed-regime scenario
 //! ```
 //!
-//! Options: `--seeds 1,2,3` (explicit seeds), `--replications N` (seeds
-//! 1..=N), `--jobs N` (worker pool width, default `PRESENCE_JOBS` /
-//! machine parallelism), `--json PATH` (write the full `LabReport`).
+//! Options: `--seeds 1,2,3` (explicit seeds; default 1,2,3), `--jobs N`
+//! (worker pool width, default `PRESENCE_JOBS` / machine parallelism),
+//! `--json PATH` (write the full `LabReport`).
 //!
 //! Tracing: `--trace PATH` re-runs the first seed with presence tracing
 //! armed and writes a Chrome JSON trace that Perfetto's viewer loads
@@ -217,11 +217,6 @@ fn main() -> ExitCode {
                         .map_err(|_| format!("--seeds takes integers a,b,c, got {text:?}"))?;
                     check_seeds(&seeds).map_err(|e| format!("--seeds: {}", e.0))?;
                 }
-                "--replications" => {
-                    let text = value("--replications")?;
-                    let n: u64 = parsed("--replications", &text, "a positive integer", |&n| n > 0)?;
-                    seeds = (1..=n).collect();
-                }
                 other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
                 other => target = Some(other.to_string()),
             }
@@ -270,7 +265,7 @@ fn main() -> ExitCode {
         }
         let Some(target) = target else {
             return Err("usage: lab [--list | --all | --check | <name|spec.json>] \
-                 [--seeds a,b,c | --replications N] [--jobs N] [--json PATH] \
+                 [--seeds a,b,c] [--jobs N] [--json PATH] \
                  [--trace PATH [--trace-until SECS] [--trace-engine]]"
                 .into());
         };

@@ -6,7 +6,7 @@
 //! Seeds fan out across `--jobs N` worker threads (default `PRESENCE_JOBS`
 //! / machine parallelism); the summary is bit-identical at any worker
 //! count, so `--jobs` trades only wall-clock, never results. The summary
-//! is text only: `--json` and `--csv` exit 1, as does a malformed flag.
+//! is text only: `--json` exits 1, as does a malformed flag.
 
 use presence_bench::{exit_bad_argument, parse_from};
 use presence_sim::{replicate, Protocol, ScenarioConfig};

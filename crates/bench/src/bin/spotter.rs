@@ -13,7 +13,6 @@
 //!
 //! ```text
 //! spotter out.json            # validate + full digest (top 10 actors)
-//! spotter out.json --top 5    # keep the 5 busiest actors
 //! ```
 //!
 //! Exit status: 0 when the trace parses and validates, 1 otherwise — the
@@ -24,7 +23,10 @@ use presence_sim::slice_trace;
 use presence_trace::{analyze, parse, validate};
 use std::process::ExitCode;
 
-fn run(path: &str, top_n: usize) -> Result<(), String> {
+/// Busiest tracks the digest lists.
+const TOP: usize = 10;
+
+fn run(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let check = validate(&trace).map_err(|e| format!("{path}: invalid trace: {e}"))?;
@@ -33,7 +35,7 @@ fn run(path: &str, top_n: usize) -> Result<(), String> {
         check.events, check.tracks, check.slices, check.instants, check.counter_tracks
     );
 
-    let report = analyze(&trace, top_n);
+    let report = analyze(&trace, TOP);
 
     println!("\nbusiest actors (slices + instants):");
     if report.busiest.is_empty() {
@@ -66,17 +68,8 @@ fn run(path: &str, top_n: usize) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
-    let mut top_n = 10usize;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
-            "--top" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => top_n = n,
-                _ => {
-                    eprintln!("spotter: --top takes a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             other if other.starts_with("--") => {
                 eprintln!("spotter: unknown flag {other}");
                 return ExitCode::FAILURE;
@@ -85,10 +78,10 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else {
-        eprintln!("usage: spotter <trace.json> [--top N]");
+        eprintln!("usage: spotter <trace.json>");
         return ExitCode::FAILURE;
     };
-    match run(&path, top_n) {
+    match run(&path) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("spotter: {e}");

@@ -40,13 +40,18 @@
 //! thread. Instead the controller reads what each shard publishes at the
 //! end of every loop iteration, before it sleeps or blocks — one
 //! snapshot holding the iteration count and that iteration's counts
-//! together — for a timing-free proof: a host is quiescent once, over two
-//! consecutive observation windows, **every** shard completed at least
-//! one full loop iteration (due timers fired, socket drained) while the
-//! summed activity did not move. Any datagram still in a kernel buffer
-//! would have been drained by one of those iterations and counted in the
-//! same snapshot; any due timer would have fired. Three such windows in a
-//! row are required for margin.
+//! together — for a timing-free proof. An observation window closes only
+//! once **every** shard of both hosts has completed at least one full
+//! loop iteration (due timers fired, socket drained) since it opened,
+//! however long the shards' own idle sleeps make that; the window is
+//! silent if the summed activity did not move across it. Any datagram
+//! still in a kernel buffer would have been drained by one of those
+//! iterations and counted in the same snapshot; any due timer would have
+//! fired. Three silent windows in a row prove the hosts quiescent, with
+//! margin. No wall-clock interval enters the proof, so the hosts run
+//! with the shard loop's own coalescing window, as every other host
+//! does; a shard that stops iterating altogether fails the run, naming
+//! its host and shard.
 
 use presence_core::{CpId, DcppConfig, DeviceId, DeviceMachine, ProbeCycleConfig};
 use presence_des::{ActorId, SimDuration, SimTime, Simulation};
@@ -218,50 +223,90 @@ pub fn run_oracle(scenario: &ConformanceScenario) -> ConformanceReport {
 // UDP path: real sockets, lockstep virtual clock.
 // ---------------------------------------------------------------------
 
-/// Waits until every shard of every host has completed, in each of three
-/// consecutive observation windows, at least one full loop iteration with
-/// zero activity across all hosts (see the module docs for why this
-/// proves no datagram is in flight and no timer is due).
-fn wait_quiescent(hosts: &[&HostHandle], guard: Instant) {
-    let sample = |hosts: &[&HostHandle]| -> (Vec<Vec<u64>>, u64) {
-        (
-            hosts.iter().map(|h| h.iterations()).collect(),
-            hosts.iter().map(|h| h.activity()).sum(),
-        )
-    };
-    let (mut prev_iters, mut prev_activity) = sample(hosts);
+/// What the controller reads of its hosts at one instant: each host's
+/// per-shard completed loop iterations, and the activity summed over all
+/// of them.
+#[derive(Clone)]
+struct Sample {
+    iterations: Vec<Vec<u64>>,
+    activity: u64,
+}
+
+fn sample(hosts: &[(&str, &HostHandle)]) -> Sample {
+    Sample {
+        iterations: hosts.iter().map(|(_, h)| h.iterations()).collect(),
+        activity: hosts.iter().map(|(_, h)| h.activity()).sum(),
+    }
+}
+
+/// The first shard, as `(host, shard)` indices, that has not completed a
+/// loop iteration between `opened` and `now`.
+fn lagging(opened: &Sample, now: &Sample) -> Option<(usize, usize)> {
+    opened
+        .iterations
+        .iter()
+        .zip(&now.iterations)
+        .enumerate()
+        .find_map(|(h, (before, after))| {
+            let s = before.iter().zip(after).position(|(b, a)| a <= b)?;
+            Some((h, s))
+        })
+}
+
+/// Waits until three consecutive observation windows were silent (see the
+/// module docs for why that proves no datagram is in flight and no timer
+/// is due). A window closes only once every shard has completed a loop
+/// iteration since it opened; it is silent if the summed activity did not
+/// move across it. `read` samples the hosts named by `names`, in order.
+///
+/// # Panics
+///
+/// Panics if the hosts are not quiescent by `guard`, naming the host and
+/// the shard if some shard completed no iteration in the open window.
+fn wait_quiescent(names: &[&str], mut read: impl FnMut() -> Sample, guard: Instant) {
+    let mut opened = read();
     let mut silent_windows = 0;
     while silent_windows < 3 {
-        assert!(
-            Instant::now() < guard,
-            "conformance controller stalled waiting for quiescence \
-             (activity {prev_activity})"
-        );
-        std::thread::sleep(Duration::from_micros(300));
-        let (iters, activity) = sample(hosts);
-        let advanced = iters
-            .iter()
-            .zip(&prev_iters)
-            .all(|(now, before)| now.iter().zip(before).all(|(n, b)| n > b));
-        if advanced && activity == prev_activity {
-            silent_windows += 1;
-        } else {
-            silent_windows = 0;
+        let now = read();
+        let lag = lagging(&opened, &now);
+        if Instant::now() >= guard {
+            let stalled = lag.map_or(
+                "every shard iterates but activity still moves".into(),
+                |(h, s)| {
+                    format!(
+                        "{} shard {s} completed no loop iteration since iteration {}",
+                        names[h], opened.iterations[h][s]
+                    )
+                },
+            );
+            panic!(
+                "conformance controller stalled waiting for quiescence: {stalled} (activity {})",
+                now.activity
+            );
         }
-        prev_iters = iters;
-        prev_activity = activity;
+        if lag.is_some() {
+            std::thread::sleep(Duration::from_micros(100));
+            continue;
+        }
+        silent_windows = if now.activity == opened.activity {
+            silent_windows + 1
+        } else {
+            0
+        };
+        opened = now;
     }
 }
 
 /// Advances the shared [`ManualClock`] deadline-by-deadline until every
 /// armed timer past `horizon` (or no timers remain).
-fn lockstep(clock: &ManualClock, hosts: &[&HostHandle], horizon: SimTime) {
+fn lockstep(clock: &ManualClock, hosts: &[(&str, &HostHandle)], horizon: SimTime) {
     // Generous wall-clock guard: a conformance run is hundreds of
     // quiescence rounds of a few milliseconds each.
     let guard = Instant::now() + Duration::from_secs(120);
+    let names: Vec<&str> = hosts.iter().map(|&(name, _)| name).collect();
     loop {
-        wait_quiescent(hosts, guard);
-        let Some(next) = hosts.iter().filter_map(|h| h.next_deadline()).min() else {
+        wait_quiescent(&names, || sample(hosts), guard);
+        let Some(next) = hosts.iter().filter_map(|(_, h)| h.next_deadline()).min() else {
             break;
         };
         if next > horizon {
@@ -282,12 +327,7 @@ fn lockstep(clock: &ManualClock, hosts: &[&HostHandle], horizon: SimTime) {
 /// CPs on another, both on a shared [`ManualClock`] advanced in lockstep
 /// with the armed timer deadlines.
 pub fn run_udp(scenario: &ConformanceScenario, shards: usize) -> io::Result<ConformanceReport> {
-    let config = HostConfig {
-        // Aggressive polling: the controller's quiescence windows wait on
-        // full loop iterations, so idle sleeps bound the per-step latency.
-        poll_interval: Duration::from_micros(200),
-        ..HostConfig::loopback(shards)
-    };
+    let config = HostConfig::loopback(shards);
     let clock = ManualClock::new();
     let shared: Arc<dyn Clock> = Arc::new(clock.clone());
 
@@ -308,7 +348,8 @@ pub fn run_udp(scenario: &ConformanceScenario, shards: usize) -> io::Result<Conf
     let device_handle = devices.start(Arc::clone(&shared));
     let cp_handle = cps.start(Arc::clone(&shared));
 
-    lockstep(&clock, &[&device_handle, &cp_handle], scenario.horizon);
+    let hosts = [("device host", &device_handle), ("CP host", &cp_handle)];
+    lockstep(&clock, &hosts, scenario.horizon);
 
     // `join` hands both lists back sorted by id.
     let cp_report = cp_handle.join();
@@ -535,6 +576,58 @@ mod tests {
         let mut scenario = dcpp_pair();
         scenario.cps[0].target = DeviceId(9);
         let _ = run_oracle(&scenario);
+    }
+
+    fn at(iterations: &[&[u64]], activity: u64) -> Sample {
+        Sample {
+            iterations: iterations.iter().map(|shards| shards.to_vec()).collect(),
+            activity,
+        }
+    }
+
+    #[test]
+    fn a_window_waits_for_every_shard_of_every_host() {
+        let opened = at(&[&[5, 5], &[7]], 10);
+        assert_eq!(lagging(&opened, &at(&[&[6, 6], &[8]], 10)), None);
+        assert_eq!(lagging(&opened, &at(&[&[6, 5], &[8]], 10)), Some((0, 1)));
+        assert_eq!(lagging(&opened, &at(&[&[9, 9], &[7]], 10)), Some((1, 0)));
+    }
+
+    /// Three silent windows take three rounds in which every shard
+    /// iterated; a round with a lagging shard closes no window, and one
+    /// whose activity moved starts the count again.
+    #[test]
+    fn quiescence_needs_three_silent_windows_closed_by_iterations() {
+        let rounds = [
+            at(&[&[0, 0]], 4),
+            at(&[&[1, 0]], 4), // shard 1 lags: the window stays open
+            at(&[&[1, 1]], 5), // closes, not silent
+            at(&[&[2, 2]], 5),
+            at(&[&[3, 3]], 5),
+            at(&[&[4, 4]], 5),
+        ];
+        let mut reads = 0;
+        let guard = Instant::now() + Duration::from_secs(60);
+        wait_quiescent(
+            &["host"],
+            || {
+                reads += 1;
+                rounds[reads - 1].clone()
+            },
+            guard,
+        );
+        assert_eq!(reads, rounds.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "CP host shard 1 completed no loop iteration since iteration 3")]
+    fn a_stall_names_the_host_and_shard_that_stopped_iterating() {
+        let mut round = 0;
+        let read = || {
+            round += 1;
+            at(&[&[round], &[round, 3]], 0)
+        };
+        wait_quiescent(&["device host", "CP host"], read, Instant::now());
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! --duration <secs>   virtual run length where applicable
 //! --jobs <n>          worker threads for replication/sweep bins
 //!                     (default: PRESENCE_JOBS, else machine parallelism)
-//! --json              emit the report as JSON (`experiments <id>` only)
-//! --csv               emit the figure's data series as CSV (`experiments
-//!                     e2|e3|e4` only)
+//! --json              emit the report as JSON (`experiments <id>` only;
+//!                     a figure's JSON holds its data series)
 //! ```
 
 pub mod conformance;
@@ -38,8 +37,6 @@ pub struct Options {
     pub jobs: Option<usize>,
     /// Emit JSON.
     pub json: bool,
-    /// Emit CSV series.
-    pub csv: bool,
 }
 
 impl Default for Options {
@@ -49,7 +46,6 @@ impl Default for Options {
             duration: None,
             jobs: None,
             json: false,
-            csv: false,
         }
     }
 }
@@ -64,13 +60,11 @@ impl Options {
         self.jobs.unwrap_or_else(presence_sim::job_count)
     }
 
-    /// Exits with status 1, naming the flag, if `--json` or `--csv` was
-    /// given to `command`, which would ignore it.
+    /// Exits with status 1, naming the flag, if the output flag `--json`
+    /// was given to `command`, which would ignore it.
     pub fn reject_output_flags(&self, command: &str) {
-        for (flag, set) in [("--json", self.json), ("--csv", self.csv)] {
-            if set {
-                exit_bad_argument(command, &format!("{flag} is not supported"));
-            }
+        if self.json {
+            exit_bad_argument(command, "--json is not supported");
         }
     }
 }
@@ -130,11 +124,9 @@ pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
                 opts.jobs = Some(jobs.get());
             }
             "--json" => opts.json = true,
-            "--csv" => opts.csv = true,
             other => {
                 return Err(format!(
-                    "unknown argument {other}; supported: --seed N --duration SECS --jobs N \
-                     --json --csv"
+                    "unknown argument {other}; supported: --seed N --duration SECS --jobs N --json"
                 ))
             }
         }
@@ -174,14 +166,13 @@ mod tests {
             "--jobs",
             "4",
             "--json",
-            "--csv",
         ]))
         .unwrap();
         assert_eq!(o.seed, 42);
         assert_eq!(o.duration, Some(123.5));
         assert_eq!(o.jobs, Some(4));
         assert_eq!(o.resolved_jobs(), 4);
-        assert!(o.json && o.csv);
+        assert!(o.json);
     }
 
     #[test]

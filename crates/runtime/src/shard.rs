@@ -45,15 +45,16 @@
 //! it drains what arrived meanwhile and sleeps nowhere. A wake-up costs
 //! tens of microseconds of CPU where a datagram costs a few, so the shard
 //! must not wake per datagram either: the first iteration that finds
-//! nothing sleeps one `poll_interval` — deaf to the socket, so the next
-//! batch gathers — and a second one if the iteration after that window
-//! found nothing too. Only after two consecutive empty windows is the
-//! shard idle rather than between batches, and then it blocks
-//! (`sys::wait_readable`) until a datagram arrives or the queue's next
-//! deadline is due on the wall ([`Clock::wall_until`]), re-checking the
-//! stop flag every `MAX_BLOCK`. A clock that cannot say how far away a
-//! deadline is (the lockstep `ManualClock`) is polled every
-//! `poll_interval` as before, the wait merely ending early on a datagram.
+//! nothing sleeps one coalescing window (`COALESCING_WINDOW`, 1 ms, a
+//! constant) — deaf to the socket, so the next batch gathers — and a
+//! second one if the iteration after that window found nothing too. Only
+//! after two consecutive empty windows is the shard idle rather than
+//! between batches, and then it blocks (`sys::wait_readable`) until a
+//! datagram arrives or the queue's next deadline is due on the wall
+//! ([`Clock::wall_until`]), re-checking the stop flag every `MAX_BLOCK`.
+//! A clock that cannot say how far away a deadline is (the lockstep
+//! `ManualClock`) is polled every coalescing window as before, the wait
+//! merely ending early on a datagram.
 //!
 //! Routing on a shared socket:
 //!
@@ -99,7 +100,12 @@ const RECV_BATCH: usize = 64;
 /// 16 KiB). A longer run is not ours and is counted as one decode error.
 const RECV_BUFFER: usize = MAX_SEGMENTS * MAX_DATAGRAM;
 
-/// Consecutive `poll_interval` windows that must gather nothing before a
+/// How long a shard sleeps, deaf to its socket, after an iteration that
+/// found no work, so that the next batch gathers; also the polling period
+/// under a [`Clock`] without [`wall_until`](Clock::wall_until).
+const COALESCING_WINDOW: Duration = Duration::from_millis(1);
+
+/// Consecutive coalescing windows that must gather nothing before a
 /// shard blocks. One is not enough: a fleet whose bursts arrive a little
 /// further apart than the window sees an empty window between bursts by
 /// accident of phase, and blocking on it adds a wake-up per burst.
@@ -109,7 +115,10 @@ const EMPTY_WINDOWS_BEFORE_BLOCK: u32 = 2;
 /// flag can get.
 const MAX_BLOCK: Duration = Duration::from_millis(20);
 
-/// Configuration of a [`ShardedHost`].
+/// Configuration of a [`ShardedHost`]. The idle rule's timings — the
+/// 1 ms coalescing window a shard sleeps after an iteration that found no
+/// work, and the 20 ms longest block of an idle shard — are constants of
+/// the shard loop, not settings.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Worker threads (= sockets). Machines are spread across shards by
@@ -118,13 +127,6 @@ pub struct HostConfig {
     /// Bind address for every shard socket (use port `0` to let the OS
     /// pick distinct ports).
     pub bind: String,
-    /// The coalescing window: how long a shard sleeps, deaf to its
-    /// socket, after an iteration that found no work, so that the next
-    /// batch gathers. An iteration that did work is followed at once by
-    /// the next; after two empty windows in a row the shard is idle and
-    /// blocks until a datagram or a due timer instead. Also the polling
-    /// period under a [`Clock`] without [`wall_until`](Clock::wall_until).
-    pub poll_interval: Duration,
 }
 
 impl HostConfig {
@@ -135,7 +137,6 @@ impl HostConfig {
         Self {
             shards: shards.max(1),
             bind: "127.0.0.1:0".to_string(),
-            poll_interval: Duration::from_millis(1),
         }
     }
 }
@@ -652,7 +653,6 @@ fn read(cell: &Cell) -> Published {
 struct Shard {
     socket: UdpSocket,
     core: ShardCore,
-    poll_interval: Duration,
 }
 
 impl Shard {
@@ -737,11 +737,11 @@ impl Shard {
                 windows_left = EMPTY_WINDOWS_BEFORE_BLOCK;
             } else if windows_left > 0 {
                 windows_left -= 1;
-                thread::sleep(self.poll_interval);
+                thread::sleep(COALESCING_WINDOW);
             } else {
                 let timeout = clock
                     .wall_until(next_deadline.unwrap_or(SimTime::MAX))
-                    .map_or(self.poll_interval, |wall| wall.min(MAX_BLOCK));
+                    .map_or(COALESCING_WINDOW, |wall| wall.min(MAX_BLOCK));
                 wait_readable(&self.socket, timeout);
             }
         }
@@ -779,7 +779,6 @@ impl ShardedHost {
             shards.push(Shard {
                 socket,
                 core: ShardCore::new(index, n),
-                poll_interval: config.poll_interval,
             });
         }
         Ok(Self { shards, addrs })

@@ -152,6 +152,10 @@ impl ChurnModel {
     }
 }
 
+/// How far the initial joins are staggered, uniformly: it avoids the
+/// artificial lock-step of all CPs starting at exactly t = 0.
+const JOIN_STAGGER: SimDuration = SimDuration::from_secs(1);
+
 /// The actor that drives joins and leaves according to a [`ChurnModel`].
 pub struct ChurnActor {
     model: ChurnModel,
@@ -159,9 +163,6 @@ pub struct ChurnActor {
     active: Vec<bool>,
     /// `(t, population)` step series — Figure 5's second curve.
     population: TimeSeries,
-    /// How far to stagger the initial joins (avoids the artificial
-    /// lock-step of all CPs starting at exactly t = 0).
-    join_stagger: SimDuration,
     initially_active: u32,
     /// The next scheduled self-event (resample / wave step), cancelled on
     /// a model switch so stale events from the old regime never fire.
@@ -183,8 +184,8 @@ pub struct ChurnActor {
 
 impl ChurnActor {
     /// Creates the churn driver for `cps`, of which the first
-    /// `initially_active` join at start (staggered uniformly over
-    /// `join_stagger`). `horizon` is the configured run length (seconds),
+    /// `initially_active` join at start (staggered uniformly over the
+    /// first second). `horizon` is the configured run length (seconds),
     /// used to pre-size the population series for the expected number of
     /// resamples. `switches` replaces the model at each paired absolute
     /// time (seconds).
@@ -199,7 +200,6 @@ impl ChurnActor {
         model: ChurnModel,
         cps: Vec<ActorId>,
         initially_active: u32,
-        join_stagger: SimDuration,
         horizon: f64,
         switches: Vec<(f64, ChurnModel)>,
     ) -> Self {
@@ -223,7 +223,6 @@ impl ChurnActor {
             cps,
             active,
             population: TimeSeries::with_capacity(samples_hint),
-            join_stagger,
             initially_active,
             pending_self: None,
             wave: Vec::new(),
@@ -272,9 +271,8 @@ impl ChurnActor {
     /// event** per direction ([`Context::send_now_batch`]) instead of one
     /// event per membership change — same delivery order, k − 1 fewer
     /// queue operations (ROADMAP open item (d)). A single-change step (the
-    /// common diurnal case) skips the batch and its allocation: a batch of
-    /// one and a plain `send_now` consume one sequence number each, so the
-    /// two paths are trajectory-identical.
+    /// common diurnal case) is a batch of one: one event and one sequence
+    /// number, as a plain `send_now` would be.
     fn drive_to(&mut self, ctx: &mut Context<'_, SimEvent>, target: u32) {
         let current = self.active_count();
         if current < target {
@@ -305,17 +303,11 @@ impl ChurnActor {
         self.record_population(ctx.now());
     }
 
-    /// One membership event for the whole change set: nothing for an
-    /// empty set, a plain `send_now` for a single CP, a batch otherwise.
+    /// One membership event for the whole change set; nothing for an
+    /// empty set.
     fn send_membership(ctx: &mut Context<'_, SimEvent>, changed: Vec<ActorId>, event: SimEvent) {
-        match changed.len() {
-            0 => {}
-            1 => {
-                ctx.send_now(changed[0], event);
-            }
-            _ => {
-                ctx.send_now_batch(changed, event);
-            }
+        if !changed.is_empty() {
+            ctx.send_now_batch(changed, event);
         }
     }
 
@@ -455,13 +447,9 @@ impl Actor<SimEvent> for ChurnActor {
         let n = self.initially_active;
         for i in 0..n {
             let idx = i as usize;
-            let offset = if self.join_stagger == SimDuration::ZERO {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_nanos(
-                    ctx.rng().uniform(0.0, self.join_stagger.as_nanos() as f64) as u64
-                )
-            };
+            let offset = SimDuration::from_nanos(
+                ctx.rng().uniform(0.0, JOIN_STAGGER.as_nanos() as f64) as u64,
+            );
             self.active[idx] = true;
             ctx.schedule_in(offset, self.cps[idx], SimEvent::Join);
         }

@@ -6,7 +6,7 @@
 //! their probing frequencies, [but] there remains to be a rather high
 //! variance."
 
-use crate::{ascii_chart, series_to_csv, Protocol, Scenario, ScenarioConfig};
+use crate::{ascii_chart, Protocol, Scenario, ScenarioConfig};
 use serde::Serialize;
 use std::fmt;
 
@@ -28,19 +28,6 @@ pub struct FigureReport {
 }
 
 impl FigureReport {
-    /// Renders every CP's series as CSV (columns `t, cp00, cp01, …`).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let names: Vec<String> = self
-            .series
-            .iter()
-            .map(|(id, _)| format!("cp{id:02}"))
-            .collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let series: Vec<Vec<(f64, f64)>> = self.series.iter().map(|(_, s)| s.clone()).collect();
-        series_to_csv(&name_refs, &series)
-    }
-
     /// Renders a terminal chart of each CP's series.
     #[must_use]
     pub fn to_ascii(&self) -> String {
@@ -149,10 +136,8 @@ mod tests {
     }
 
     #[test]
-    fn fig2_csv_and_ascii_render() {
+    fn fig2_ascii_and_text_render() {
         let r = e2_fig2_three_cps(500.0, 1);
-        let csv = r.to_csv();
-        assert!(csv.starts_with("t,cp00,cp01,cp02"));
         assert!(r.to_ascii().contains("cp00"));
         assert!(r.to_string().contains("Figure 2"));
     }

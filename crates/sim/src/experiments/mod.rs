@@ -46,7 +46,7 @@ use e1_steady_state::e1_sapp_steady_state;
 use e2_fig2::{e2_fig2_three_cps, FigureReport};
 use e3_fig3::e3_fig3_twenty_cps_minute;
 use e4_fig4::e4_fig4_burst_leave;
-use e5_fig5::e5_fig5_dcpp_churn;
+use e5_fig5::{e5_fig5_dcpp_churn, E5Report};
 use e6_dcpp_static::e6_dcpp_static_fairness;
 use e7_loss::e7_dcpp_loss_spread;
 
@@ -68,9 +68,6 @@ pub struct RunArgs {
     pub jobs: usize,
     /// Render the report as JSON instead of text.
     pub json: bool,
-    /// Render the figure's data series as CSV (only rows whose
-    /// [`Experiment::csv`] is set; wins over `json`).
-    pub csv: bool,
     /// Append what a standalone text run shows beyond the report: the
     /// ASCII chart of a figure, E1's independent-replications cross-check.
     pub extras: bool,
@@ -87,16 +84,12 @@ pub struct Experiment {
     pub quick: f64,
     /// Runs the preset and renders its report; the text ends in a newline.
     pub run: fn(&RunArgs) -> String,
-    /// Whether the report has a CSV form ([`RunArgs::csv`]): the figure
-    /// experiments E2–E4.
-    pub csv: bool,
 }
 
 const fn row(
     id: &'static str,
     duration: f64,
     quick: f64,
-    csv: bool,
     run: fn(&RunArgs) -> String,
 ) -> Experiment {
     Experiment {
@@ -104,7 +97,6 @@ const fn row(
         duration,
         quick,
         run,
-        csv,
     }
 }
 
@@ -118,13 +110,12 @@ fn plain<R: Display + Serialize>(report: &R, args: &RunArgs) -> String {
     }
 }
 
-fn figure(report: &FigureReport, args: &RunArgs) -> String {
-    if args.csv {
-        return report.to_csv();
-    }
+/// The report, then its ASCII `chart` when a standalone text run shows
+/// extras.
+fn charted<R: Display + Serialize>(report: &R, chart: fn(&R) -> String, args: &RunArgs) -> String {
     let mut out = plain(report, args);
     if args.extras {
-        out += &report.to_ascii();
+        out += &chart(report);
     }
     out
 }
@@ -150,53 +141,47 @@ fn run_e1(args: &RunArgs) -> String {
     out
 }
 
-fn run_e5(args: &RunArgs) -> String {
-    let report = e5_fig5_dcpp_churn(args.duration, args.seed);
-    let mut out = plain(&report, args);
-    if args.extras {
-        out += &report.to_ascii();
-    }
-    out
-}
-
 /// Every experiment, in report order (E1…E7, A1…A4, A7…A8).
 pub const CATALOG: [Experiment; 13] = [
-    row("e1", 20_000.0, 5_000.0, false, run_e1),
-    row("e2", 20_000.0, 5_000.0, true, |a| {
-        figure(&e2_fig2_three_cps(a.duration, a.seed), a)
+    row("e1", 20_000.0, 5_000.0, run_e1),
+    row("e2", 20_000.0, 5_000.0, |a| {
+        let report = e2_fig2_three_cps(a.duration, a.seed);
+        charted(&report, FigureReport::to_ascii, a)
     }),
-    row("e3", 12_300.0, 1_200.0, true, |a| {
-        figure(&e3_fig3_twenty_cps_minute(a.duration, a.seed), a)
+    row("e3", 12_300.0, 1_200.0, |a| {
+        let report = e3_fig3_twenty_cps_minute(a.duration, a.seed);
+        charted(&report, FigureReport::to_ascii, a)
     }),
-    row("e4", 20_000.0, 5_000.0, true, |a| {
-        figure(
-            &e4_fig4_burst_leave(a.duration, a.duration / 10.0, a.seed),
-            a,
-        )
+    row("e4", 20_000.0, 5_000.0, |a| {
+        let report = e4_fig4_burst_leave(a.duration, a.duration / 10.0, a.seed);
+        charted(&report, FigureReport::to_ascii, a)
     }),
-    row("e5", 3_000.0, 1_800.0, false, run_e5),
-    row("e6", 2_000.0, 500.0, false, |a| {
+    row("e5", 3_000.0, 1_800.0, |a| {
+        let report = e5_fig5_dcpp_churn(a.duration, a.seed);
+        charted(&report, E5Report::to_ascii, a)
+    }),
+    row("e6", 2_000.0, 500.0, |a| {
         plain(&e6_dcpp_static_fairness(&KS, a.duration, a.seed), a)
     }),
-    row("e7", 3_000.0, 1_000.0, false, |a| {
+    row("e7", 3_000.0, 1_000.0, |a| {
         plain(&e7_dcpp_loss_spread(a.duration, a.seed), a)
     }),
-    row("a1", 2_000.0, 500.0, false, |a| {
+    row("a1", 2_000.0, 500.0, |a| {
         plain(&a1_sapp_param_sweep(20, a.duration, a.seed, a.jobs), a)
     }),
-    row("a2", 10_000.0, 8_000.0, false, |a| {
+    row("a2", 10_000.0, 8_000.0, |a| {
         plain(&a2_delta_doubling(20, a.duration, a.seed), a)
     }),
-    row("a3", 1_000.0, 500.0, false, |a| {
+    row("a3", 1_000.0, 500.0, |a| {
         plain(&a3_fixed_rate_baseline(&KS, a.duration, a.seed), a)
     }),
-    row("a4", 300.0, 300.0, false, |a| {
+    row("a4", 300.0, 300.0, |a| {
         plain(&a4_detection_latency(20, a.duration, a.seed), a)
     }),
-    row("a7", 20_000.0, 2_000.0, false, |a| {
+    row("a7", 20_000.0, 2_000.0, |a| {
         plain(&a7_initial_delay(20, a.duration, a.seed), a)
     }),
-    row("a8", 5_000.0, 2_000.0, false, |a| {
+    row("a8", 5_000.0, 2_000.0, |a| {
         plain(&a8_false_positives(20, a.duration, a.seed), a)
     }),
 ];

@@ -33,7 +33,7 @@ use crate::parallel::run_indexed;
 use crate::scenario::{err, DelayKind, LossKind, Scenario, ScenarioConfig, SpecError};
 use crate::trace::Timeline;
 use presence_des::SimTime;
-use presence_net::{DelayModel, LossModel, Scheduled};
+use presence_net::Scheduled;
 use presence_stats::{jain_index, slice_windows, step_mean, window_mean, window_slice};
 use presence_trace::TraceRun;
 use serde::{Deserialize, Serialize};
@@ -181,16 +181,10 @@ impl ScenarioSpec {
                 Regime::Churn(c) => churn.push((switch.at, c)),
             }
         }
-        // A lone `t = 0` model stays bare, so its draws are those of
-        // `Scenario::build`; a timeline becomes one `Scheduled` model.
-        let delay: Box<dyn DelayModel> = match delay.len() {
-            1 => delay.remove(0).1,
-            _ => Box::new(Scheduled::from_segments(delay)),
-        };
-        let loss: Box<dyn LossModel> = match loss.len() {
-            1 => loss.remove(0).1,
-            _ => Box::new(Scheduled::from_segments(loss)),
-        };
+        // Each timeline is one `Scheduled` model. A lone `t = 0` segment
+        // adds no draw, so its draws are those of `Scenario::build`.
+        let delay = Box::new(Scheduled::from_segments(delay));
+        let loss = Box::new(Scheduled::from_segments(loss));
         let mut scenario = Scenario::assemble(cfg, delay, loss, &churn);
         let ns = |at| SimTime::from_secs_f64(at).as_nanos();
         scenario.timeline = Timeline {

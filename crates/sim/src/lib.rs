@@ -65,7 +65,7 @@ pub use mega::{
 };
 pub use metrics::{CpSummary, ScenarioResult};
 pub use network_actor::NetworkActor;
-pub use output::{ascii_chart, kv_table, series_to_csv};
+pub use output::{ascii_chart, kv_table};
 pub use parallel::{for_each_indexed, job_count, run_indexed};
 pub use replication::{replicate, ReplicationPoint, ReplicationSummary};
 pub use scenario::{

@@ -34,7 +34,7 @@
 //! compares.
 
 use crate::device_actor::ProcessingModel;
-use crate::scenario::{check_run, err, DelayKind, SpecError};
+use crate::scenario::{check_duration, err, DelayKind, SpecError};
 use presence_core::{CpStats, DcppConfig};
 use presence_des::{
     Actor, ActorId, Context, EventHandle, QueueProfile, SimDuration, SimTime, Simulation, StreamRng,
@@ -77,6 +77,9 @@ const PROBING: u8 = 0;
 const SLEEPING: u8 = 1;
 const STOPPED: u8 = 2;
 
+/// Width of the aggregate load windows (seconds).
+const LOAD_WINDOW: f64 = 1.0;
+
 /// A complete description of one mega-scale DCPP run.
 #[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
@@ -104,8 +107,6 @@ pub struct MegaConfig {
     pub processing: (f64, f64),
     /// Stagger window for initial pair wakes (seconds).
     pub join_stagger: f64,
-    /// Width of the aggregate load windows (seconds).
-    pub load_window: f64,
     /// Root seed.
     pub seed: u64,
     /// Virtual run length (seconds).
@@ -120,7 +121,7 @@ impl MegaConfig {
     }
 
     /// Checks every invariant a runnable configuration must satisfy, on
-    /// the hub's path: the run shape as [`crate::ScenarioConfig::validate`]
+    /// the hub's path: the horizon as [`crate::ScenarioConfig::validate`]
     /// checks it, the delay band as a uniform [`DelayKind`], and the
     /// protocol block through [`DcppConfig::validate`].
     ///
@@ -137,12 +138,14 @@ impl MegaConfig {
         if !(0.0..1.0).contains(&self.loss) {
             return Err(err("loss must be in [0, 1)"));
         }
-        check_run(
-            self.duration,
-            self.processing,
-            self.join_stagger,
-            self.load_window,
-        )?;
+        check_duration(self.duration)?;
+        let (p_min, p_max) = self.processing;
+        if !(p_min >= 0.0 && p_min <= p_max && p_max.is_finite()) {
+            return Err(err("processing bounds must satisfy 0 <= min <= max"));
+        }
+        if !(self.join_stagger >= 0.0 && self.join_stagger.is_finite()) {
+            return Err(err("join stagger must be non-negative"));
+        }
         DelayKind::Uniform(self.net_delay.0, self.net_delay.1).validate()?;
         self.dcpp
             .validate()
@@ -309,7 +312,7 @@ impl MegaDcppShard {
             wait_stats: Welford::new(),
             wait_p50: P2Quantile::new(0.5),
             wait_p99: P2Quantile::new(0.99),
-            load: JumpingWindowRate::new(0.0, cfg.load_window),
+            load: JumpingWindowRate::new(0.0, LOAD_WINDOW),
             load_acc: Welford::new(),
             load_windows_seen: 0,
             #[cfg(test)]
@@ -981,7 +984,6 @@ mod tests {
                 loss: 0.0,
                 processing: (PROC, PROC),
                 join_stagger: 0.0,
-                load_window: 1.0,
                 seed,
                 duration,
             };

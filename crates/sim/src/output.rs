@@ -1,39 +1,7 @@
-//! Rendering helpers: CSV series export, key/value tables, and quick ASCII
-//! charts for terminal inspection.
+//! Rendering helpers: key/value tables and quick ASCII charts for
+//! terminal inspection.
 
 use std::fmt::Write as _;
-
-/// Renders several aligned series as CSV with the given header names.
-/// Series may have different lengths; missing cells are left empty.
-#[must_use]
-pub fn series_to_csv(names: &[&str], series: &[Vec<(f64, f64)>]) -> String {
-    assert_eq!(names.len(), series.len(), "one name per series");
-    let mut s = String::new();
-    let mut header = String::from("t");
-    for n in names {
-        let _ = write!(header, ",{n}");
-    }
-    let _ = writeln!(s, "{header}");
-    let rows = series.iter().map(Vec::len).max().unwrap_or(0);
-    for i in 0..rows {
-        // Use the first series that has this row for the time column.
-        let t = series
-            .iter()
-            .find_map(|v| v.get(i).map(|&(t, _)| t))
-            .unwrap_or(f64::NAN);
-        let mut row = format!("{t:.6}");
-        for v in series {
-            match v.get(i) {
-                Some(&(_, y)) => {
-                    let _ = write!(row, ",{y:.6}");
-                }
-                None => row.push(','),
-            }
-        }
-        let _ = writeln!(s, "{row}");
-    }
-    s
-}
 
 /// A quick ASCII line chart of a series, `width`×`height` characters.
 ///
@@ -99,23 +67,6 @@ pub fn kv_table(rows: &[(&str, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_ragged_series() {
-        let a = vec![(0.0, 1.0), (1.0, 2.0)];
-        let b = vec![(0.0, 9.0)];
-        let out = series_to_csv(&["a", "b"], &[a, b]);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines[0], "t,a,b");
-        assert!(lines[1].starts_with("0.000000,1.000000,9.000000"));
-        assert!(lines[2].ends_with(","), "missing cell must be empty");
-    }
-
-    #[test]
-    #[should_panic(expected = "one name per series")]
-    fn csv_name_mismatch_panics() {
-        let _ = series_to_csv(&["a"], &[vec![], vec![]]);
-    }
 
     #[test]
     fn ascii_chart_renders() {

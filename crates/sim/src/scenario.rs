@@ -224,6 +224,11 @@ impl Protocol {
 /// for every scenario.
 pub const BUFFER_CAPACITY: usize = 20_000;
 
+/// The device's processing time per probe (seconds), drawn uniformly from
+/// `(min, max)`: the paper's 1–20 ms, the same for every hub scenario (its
+/// 20 ms is the `C_max` in `TOF = 2·RTT_max + C_max`).
+const DEVICE_PROCESSING: (f64, f64) = (0.001, 0.020);
+
 /// A complete description of one simulation run.
 ///
 /// The config is `Copy`: every field is a plain value (model *choices*,
@@ -245,10 +250,6 @@ pub struct ScenarioConfig {
     pub loss: LossKind,
     /// Churn workload.
     pub churn: ChurnModel,
-    /// Device processing time bounds (seconds): `(min, max)`.
-    pub processing: (f64, f64),
-    /// Stagger window for initial joins (seconds).
-    pub join_stagger: f64,
     /// Width of the device-load measurement windows (seconds).
     pub load_window: f64,
     /// Root seed.
@@ -258,8 +259,9 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A paper-faithful configuration: three-mode network, no loss, 1–20 ms
-    /// device processing, 1 s join stagger.
+    /// A paper-faithful configuration: three-mode network, no loss, no
+    /// churn, 5 s load windows. Every hub scenario has the paper's 1–20 ms
+    /// device processing and staggers its initial joins over 1 s.
     #[must_use]
     pub fn paper_defaults(protocol: Protocol, cps: u32, duration: f64, seed: u64) -> Self {
         Self {
@@ -269,8 +271,6 @@ impl ScenarioConfig {
             delay: DelayKind::ThreeModePaper,
             loss: LossKind::None,
             churn: ChurnModel::Static,
-            processing: (0.001, 0.020),
-            join_stagger: 1.0,
             load_window: 5.0,
             seed,
             duration,
@@ -294,12 +294,10 @@ impl ScenarioConfig {
         if self.initially_active > self.cp_pool {
             return Err(err("initially_active exceeds the pool"));
         }
-        check_run(
-            self.duration,
-            self.processing,
-            self.join_stagger,
-            self.load_window,
-        )?;
+        check_duration(self.duration)?;
+        if !(self.load_window > 0.0 && self.load_window.is_finite()) {
+            return Err(err("load window must be positive"));
+        }
         self.delay.validate()?;
         self.loss.validate()?;
         self.churn.validate()?;
@@ -307,28 +305,14 @@ impl ScenarioConfig {
     }
 }
 
-/// The run-shape checks a hub scenario and a mega run share: a finite
-/// horizon, device processing bounds, the join stagger and the load
-/// window.
-pub(crate) fn check_run(
-    duration: f64,
-    (p_min, p_max): (f64, f64),
-    join_stagger: f64,
-    load_window: f64,
-) -> Result<(), SpecError> {
-    if !(duration > 0.0 && duration.is_finite()) {
-        return Err(err("duration must be positive and finite"));
+/// The run-shape check a hub scenario and a mega run share: a finite,
+/// positive horizon.
+pub(crate) fn check_duration(duration: f64) -> Result<(), SpecError> {
+    if duration > 0.0 && duration.is_finite() {
+        Ok(())
+    } else {
+        Err(err("duration must be positive and finite"))
     }
-    if !(p_min >= 0.0 && p_min <= p_max && p_max.is_finite()) {
-        return Err(err("processing bounds must satisfy 0 <= min <= max"));
-    }
-    if !(join_stagger >= 0.0 && join_stagger.is_finite()) {
-        return Err(err("join stagger must be non-negative"));
-    }
-    if !(load_window > 0.0 && load_window.is_finite()) {
-        return Err(err("load window must be positive"));
-    }
-    Ok(())
 }
 
 /// The three scenarios pinned by the golden-equivalence suite: one SAPP,
@@ -401,7 +385,7 @@ impl Scenario {
 
         let device_id = DeviceId(0);
         let machine = cfg.protocol.device(device_id);
-        let processing = ProcessingModel::between(cfg.processing);
+        let processing = ProcessingModel::between(DEVICE_PROCESSING);
         let device_actor =
             DeviceActor::new(machine, network, processing, cfg.load_window, cfg.duration);
         let device = sim.add_member(device_actor.into());
@@ -428,7 +412,6 @@ impl Scenario {
             cfg.churn,
             cps.clone(),
             cfg.initially_active,
-            SimDuration::from_secs_f64(cfg.join_stagger),
             cfg.duration,
             churn_switches.to_vec(),
         );
@@ -778,7 +761,6 @@ mod tests {
         };
         let mut cfg = ScenarioConfig::paper_defaults(protocol, 30, 12.0, 5);
         cfg.delay = DelayKind::Constant(0.0);
-        cfg.processing = (0.02, 0.02);
         let mut sc = Scenario::build(cfg);
         sc.crash_device_at(10.0);
         sc.run();
@@ -866,8 +848,7 @@ mod tests {
     #[test]
     fn cp_rejoin_accumulates_sessions() {
         // A CP leaves and rejoins: its record must count both sessions.
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 3, 120.0, 31);
-        cfg.join_stagger = 0.0;
+        let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 3, 120.0, 31);
         let mut sc = Scenario::build(cfg);
         let cp0 = sc.cp_actors()[0];
         {
@@ -886,14 +867,6 @@ mod tests {
         let first = cp.frequency_series.first().unwrap().0;
         let last = cp.frequency_series.last().unwrap().0;
         assert!(first < 40.0 && last > 80.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "processing bounds")]
-    fn rejects_inverted_processing_bounds_before_the_run() {
-        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 0);
-        cfg.processing = (0.02, 0.001);
-        let _ = Scenario::build(cfg);
     }
 
     #[test]
