@@ -184,6 +184,41 @@ sed 's/^    "seed": 11,$/&\n    "sapp_auto_tune": {"max_doublings": 6},/' catalo
 [[ ! -e ./--bogus ]]
 rm -f "$bad_spec"
 
+# The cross-seed study lives in `lab`: from two seeds on, a report ends
+# with the whole-run 95 % intervals of device load, fairness and
+# frequency spread (the block the deleted `replications` bin printed);
+# one seed has no interval and prints none.
+echo "==> lab cross-seed intervals: paper-dcpp at --seeds 1,2,3 prints the block, at --seeds 1 none"
+cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --seeds 1,2,3 | grep -q '^replications: n = 3$'
+if cargo run --release -q -p presence-bench --bin lab -- paper-dcpp --seeds 1 | grep -q 'replications\|inf'; then
+    echo "ci.sh: a one-seed lab report printed an interval block" >&2
+    exit 1
+fi
+
+# A reader that closes stdout early ends the printing, not the run: every
+# bin prints through `presence_bench::{out!, outln!}`, which drop a write
+# to a broken pipe instead of panicking. The exit status stays the one
+# the run's own checks decide: `lab` exits 0, and `mega_smoke` over its
+# budget still exits 1 and names the budget on stderr (`pipefail` is on,
+# so the bin's status is the pipeline's).
+echo "==> broken pipe: lab --all | head -2 exits 0, mega_smoke --budget-mb 1 | head -1 still exits 1"
+pipe_err="$(mktemp)"
+cargo run --release -q -p presence-bench --bin lab -- --all --seeds 1 2>"$pipe_err" | head -2 >/dev/null
+if grep -q panicked "$pipe_err"; then
+    cat "$pipe_err" >&2
+    exit 1
+fi
+if cargo run --release -q -p presence-bench --bin mega_smoke -- --budget-mb 1 2>"$pipe_err" | head -1 >/dev/null; then
+    echo "ci.sh: mega_smoke over its budget exited 0" >&2
+    exit 1
+fi
+grep -q 'exceeds the 1 MiB budget' "$pipe_err"
+if grep -q panicked "$pipe_err"; then
+    cat "$pipe_err" >&2
+    exit 1
+fi
+rm -f "$pipe_err"
+
 # Experiments stage: `experiments all` is documented as byte-identical at
 # any worker count (reports merge in catalog order); run it serially and
 # on two workers at its default reduced scale (~1 s on two cores) and

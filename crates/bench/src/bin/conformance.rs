@@ -17,7 +17,7 @@
 //! the shard loop's idle path is gated by the runtime's own `shard::`
 //! tests. It takes no argument: any argument is an error (exit 1).
 
-use presence_bench::exit_bad_argument;
+use presence_bench::{exit_bad_argument, outln};
 use presence_core::{CpId, DcppConfig, DcppCp, DcppDevice, DeviceId, DeviceMachine};
 use presence_des::{SimDuration, SimTime};
 use presence_runtime::{shards_from_env, Clock, HostConfig, HostHandle, ShardedHost, SystemClock};
@@ -65,7 +65,7 @@ fn run_stress(shards: usize) -> bool {
         );
     }
 
-    println!(
+    outln!(
         "stress: {DEVICES} DCPP devices / {DEVICES} CPs, {shards} shard(s) per host, \
          d_min {:.3} s",
         cfg.d_min.as_secs_f64()
@@ -99,19 +99,19 @@ fn run_stress(shards: usize) -> bool {
     let send_errors = cp_report.stats.send_errors + device_report.stats.send_errors;
     let unroutable = cp_report.stats.unroutable + device_report.stats.unroutable;
 
-    println!(
+    outln!(
         "stress: {sent} probes sent, {answered} answered, {datagrams} datagrams \
          in {wall:.1} s ({:.0} datagrams/s)",
         datagrams as f64 / wall
     );
-    println!(
+    outln!(
         "stress: backpressure drops {drops}, decode errors {decode_errors}, \
          recv_errors {recv_errors}, send_errors {send_errors}, unroutable {unroutable}, \
          false verdicts {false_verdicts}"
     );
     for (side, report) in [("cp", &cp_report), ("device", &device_report)] {
         for (i, s) in report.per_shard.iter().enumerate() {
-            println!(
+            outln!(
                 "  {side} shard {i}: sent {} received {} timers {}, \
                  {:.1} datagrams per send call, {:.1} per receive call",
                 s.datagrams_sent,
@@ -125,11 +125,11 @@ fn run_stress(shards: usize) -> bool {
 
     let mut ok = true;
     if drops + decode_errors + recv_errors + send_errors + unroutable != 0 {
-        println!("FAIL: host shed load (the backpressure counters must read zero)");
+        eprintln!("conformance: FAIL: host shed load (the backpressure counters must read zero)");
         ok = false;
     }
     if false_verdicts != 0 {
-        println!("FAIL: {false_verdicts} false absence verdicts under load");
+        eprintln!("conformance: FAIL: {false_verdicts} false absence verdicts under load");
         ok = false;
     }
     let min_cycles = u64::from(DEVICES) * 4; // ≥ 4 full cycles per CP in 4 s
@@ -139,7 +139,7 @@ fn run_stress(shards: usize) -> bool {
         .map(|p| p.stats.cycles_succeeded)
         .sum();
     if cycles < min_cycles {
-        println!("FAIL: only {cycles} cycles completed (need ≥ {min_cycles})");
+        eprintln!("conformance: FAIL: only {cycles} cycles completed (need ≥ {min_cycles})");
         ok = false;
     }
     ok

@@ -7,7 +7,17 @@
 //!
 //! `<id>` is a row of [`presence_sim::experiments::CATALOG`] (`e1` … `e7`,
 //! `a1` … `a4`, `a7` … `a8`) and runs at paper scale unless `--duration`
-//! says otherwise. A flag the command would ignore — `--json` beside
+//! says otherwise. The flags:
+//!
+//! ```text
+//! --seed <u64>        root seed (default 3)
+//! --duration <secs>   virtual run length where applicable
+//! --jobs <n>          worker threads (default: PRESENCE_JOBS, else machine
+//!                     parallelism)
+//! --json              emit the report as JSON (`<id>` only; a figure's
+//!                     JSON holds its data series)
+//! ```
+//! A flag the command would ignore — `--json` beside
 //! `all` — exits 1, and so does an unknown id, an unknown flag or a
 //! malformed value.
 //!
@@ -21,7 +31,7 @@
 //! byte-identical at any worker count, and with `--jobs 1` each report
 //! still appears the moment its experiment finishes.
 
-use presence_bench::{exit_bad_argument, parse_from};
+use presence_bench::{exit_bad_argument, out, outln, parse_from};
 use presence_sim::experiments::{RunArgs, CATALOG};
 use presence_sim::for_each_indexed;
 
@@ -32,7 +42,9 @@ fn main() {
     let jobs = opts.resolved_jobs();
 
     if which == "all" {
-        opts.reject_output_flags("experiments all");
+        if opts.json {
+            exit_bad_argument("experiments all", "--json is not supported");
+        }
         let scale = opts.duration.unwrap_or(1.0);
         // Each experiment keeps its internal fan-out on the worker that
         // runs it: the outer pool already saturates the machine.
@@ -45,7 +57,7 @@ fn main() {
                 extras: false,
             })
         };
-        for_each_indexed(CATALOG.len(), jobs, run, |_, report| println!("{report}"));
+        for_each_indexed(CATALOG.len(), jobs, run, |_, report| outln!("{report}"));
         return;
     }
 
@@ -60,7 +72,7 @@ fn main() {
             ),
         );
     };
-    print!(
+    out!(
         "{}",
         (experiment.run)(&RunArgs {
             duration: opts.duration.unwrap_or(experiment.duration),

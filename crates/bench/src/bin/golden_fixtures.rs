@@ -17,7 +17,7 @@
 //! [OUT_DIR]` (writes into `tests/golden/` relative to the workspace root
 //! unless given a directory; an argument starting with `-` exits 1).
 
-use presence_bench::exit_bad_argument;
+use presence_bench::{exit_bad_argument, outln};
 use presence_sim::{builtin_catalog, golden_trio, run_spec_once, Scenario, ScenarioResult};
 use std::path::PathBuf;
 
@@ -37,7 +37,7 @@ fn write_fixture(out_dir: &std::path::Path, name: &str, result: &ScenarioResult)
     let json = serde_json::to_string_pretty(result).expect("result serialises");
     let path = out_dir.join(format!("{name}.json"));
     std::fs::write(&path, json).expect("write fixture");
-    println!(
+    outln!(
         "{}: {} events, {} probes -> {}",
         name,
         result.events_processed,
@@ -85,7 +85,7 @@ fn main() {
     let json = presence_trace::write_chrome_json(&traced.collect_trace(&result));
     let path = out_dir.join(format!("trace-{TRACE_FIXTURE_SPEC}.json"));
     std::fs::write(&path, &json).expect("write trace fixture");
-    println!(
+    outln!(
         "trace-{TRACE_FIXTURE_SPEC}: {} bytes (first {TRACE_FIXTURE_UNTIL} s) -> {}",
         json.len(),
         path.display()

@@ -1,7 +1,17 @@
 //! The scenario-lab runner: take a declarative scenario — a catalog entry
 //! (the repository's `catalog/*.json`, embedded at build time) or any spec
 //! file — fan replications across the worker pool, and print
-//! per-regime-sliced metrics.
+//! per-regime-sliced metrics. From two seeds on, the report ends with the
+//! 95 % Student-t intervals of the whole-run device load, fairness and
+//! frequency spread across the seeds (`LabReport::intervals`), the
+//! workspace's one cross-seed study:
+//!
+//! ```text
+//! replications: n = 10
+//!   device load  8.39 ± 0.29 probes/s
+//!   fairness     0.999 ± 0.000
+//!   freq spread  1.11 ± 0.05×
+//! ```
 //!
 //! ```text
 //! lab --list                         # show the catalog
@@ -36,9 +46,11 @@
 //!
 //! Reports are **byte-identical at any `--jobs` value** — replications
 //! merge in seed order before any cross-seed folding (pinned by
-//! `tests/determinism.rs`).
+//! `tests/determinism.rs`). Output goes through `presence_bench::out!`,
+//! so a reader that stops early (`lab --all | head`) ends the printing,
+//! not the run.
 
-use presence_bench::print_windows;
+use presence_bench::{out, outln, windows_table};
 use presence_sim::{
     builtin_catalog, check_seeds, job_count, mega_catalog, run_lab, LabReport, ScenarioSpec,
 };
@@ -68,7 +80,7 @@ fn export_trace(spec: &ScenarioSpec, seed: u64, request: &TraceRequest) -> Resul
     let json = presence_trace::write_chrome_json(&model);
     std::fs::write(&request.path, &json)
         .map_err(|e| format!("write {}: {e}", request.path.display()))?;
-    println!(
+    outln!(
         "trace -> {} (seed {seed}, {} tracks, {} flow/instant points, {} counters, {} bytes)",
         request.path.display(),
         model.tracks.len(),
@@ -79,14 +91,9 @@ fn export_trace(spec: &ScenarioSpec, seed: u64, request: &TraceRequest) -> Resul
     Ok(())
 }
 
-fn print_report(report: &LabReport) {
-    println!(
-        "\n=== {} · seeds {:?} · {} regime window(s) ===",
-        report.name,
-        report.seeds,
-        report.windows.len()
-    );
-    print_windows(&report.slices);
+/// The text `lab` prints for one report: its header, the regime-window
+/// table, the totals line, and from two seeds on the whole-run intervals.
+fn report_text(report: &LabReport) -> String {
     let events: u64 = report.per_seed.iter().map(|s| s.events_processed).sum();
     let delivered: u64 = report.per_seed.iter().map(|s| s.messages_delivered).sum();
     let lost: u64 = report
@@ -94,10 +101,19 @@ fn print_report(report: &LabReport) {
         .iter()
         .map(|s| s.messages_dropped_loss)
         .sum();
-    println!(
-        "totals over {} seed(s): {events} events, {delivered} delivered, {lost} lost to the loss regime",
+    let mut text = format!(
+        "\n=== {} · seeds {:?} · {} regime window(s) ===\n{}\
+         totals over {} seed(s): {events} events, {delivered} delivered, {lost} lost to the loss regime\n",
+        report.name,
+        report.seeds,
+        report.windows.len(),
+        windows_table(&report.slices),
         report.per_seed.len()
     );
+    if let Some(intervals) = report.intervals() {
+        text += &intervals.to_string();
+    }
+    text
 }
 
 fn run_one(
@@ -108,11 +124,11 @@ fn run_one(
     trace: Option<&TraceRequest>,
 ) -> Result<(), String> {
     let report = run_lab(spec, seeds, jobs).map_err(|e| format!("{}: {e}", spec.name))?;
-    print_report(&report);
+    out!("{}", report_text(&report));
     if let Some(path) = json_out {
         let text = serde_json::to_string_pretty(&report).expect("report serialises");
         std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
-        println!("report -> {}", path.display());
+        outln!("report -> {}", path.display());
     }
     if let Some(request) = trace {
         export_trace(spec, seeds[0], request)?;
@@ -127,7 +143,7 @@ fn run_one(
 fn check(jobs: usize) -> Result<(), String> {
     let catalog = builtin_catalog();
     for spec in &catalog {
-        println!("ok  catalog/{}.json", spec.name);
+        outln!("ok  catalog/{}.json", spec.name);
     }
     let mixed = catalog
         .iter()
@@ -143,7 +159,7 @@ fn check(jobs: usize) -> Result<(), String> {
     if !report.slices.iter().all(|s| s.load_mean.is_some()) {
         return Err("mixed-regime smoke left a regime window without load samples".into());
     }
-    println!(
+    outln!(
         "ok  mixed-regime smoke: {} windows, {} events",
         report.slices.len(),
         report
@@ -153,7 +169,7 @@ fn check(jobs: usize) -> Result<(), String> {
             .sum::<u64>()
     );
     for spec in mega_catalog() {
-        println!("ok  catalog/mega/{}.json", spec.name);
+        outln!("ok  catalog/mega/{}.json", spec.name);
     }
     Ok(())
 }
@@ -244,15 +260,20 @@ fn main() -> ExitCode {
         }
         if list {
             for spec in builtin_catalog() {
-                println!(
+                outln!(
                     "{:<22} {:>6.0} s  {}",
-                    spec.name, spec.config.duration, spec.description
+                    spec.name,
+                    spec.config.duration,
+                    spec.description
                 );
             }
             for spec in mega_catalog() {
-                println!(
+                outln!(
                     "{:<22} {:>6.0} s  {} (mega: run via `mega_smoke {}`)",
-                    spec.name, spec.config.duration, spec.description, spec.name
+                    spec.name,
+                    spec.config.duration,
+                    spec.description,
+                    spec.name
                 );
             }
             return Ok(());
@@ -288,5 +309,31 @@ fn main() -> ExitCode {
             eprintln!("lab: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use presence_sim::{Protocol, ScenarioConfig};
+
+    #[test]
+    fn the_interval_block_follows_the_totals_from_two_seeds_on() {
+        let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 4, 30.0, 0);
+        let spec = ScenarioSpec::new("tiny", "a short DCPP run", cfg);
+        let text = |seeds: &[u64]| report_text(&run_lab(&spec, seeds, 1).expect("runs"));
+
+        let one = text(&[1]);
+        assert!(one.ends_with("lost to the loss regime\n"), "{one}");
+        assert!(
+            !one.contains("replications") && !one.contains("inf"),
+            "{one}"
+        );
+
+        let two = text(&[1, 2]);
+        let (head, block) = two.split_once("regime\nreplications: n = 2\n").expect(&two);
+        assert!(head.contains("totals over 2 seed(s)"), "{two}");
+        assert_eq!(block.lines().count(), 3, "{two}");
+        assert!(!block.contains("inf"), "{two}");
     }
 }

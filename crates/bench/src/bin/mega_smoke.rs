@@ -15,6 +15,7 @@
 //! the run still validates the protocol invariants and reports throughput,
 //! skipping only the memory assertion.
 
+use presence_bench::outln;
 use presence_sim::{mega_catalog, MegaScenario, MegaSpec};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -76,16 +77,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    outln!(
         "{name}: {} devices / {} CPs, {} s virtual, budget {budget_mb} MiB…",
-        spec.config.devices, spec.config.cps, spec.config.duration
+        spec.config.devices,
+        spec.config.cps,
+        spec.config.duration
     );
     let start = Instant::now();
     let mut scenario = MegaScenario::build(spec.config);
     scenario.run();
     let result = scenario.collect();
     let wall = start.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "{name}: {} events in {wall:.2} s ({:.0} events/s), {} cycles, \
          wait mean {:.3} s, {:.2} probes/s/device",
         result.events_processed,
@@ -117,7 +120,7 @@ fn main() -> ExitCode {
     }
     match vm_hwm_kib() {
         Some(kib) => {
-            println!("peak RSS {:.1} MiB", kib as f64 / 1024.0);
+            outln!("peak RSS {:.1} MiB", kib as f64 / 1024.0);
             if kib > budget_mb * 1024 {
                 failures.push(format!(
                     "peak RSS {:.1} MiB exceeds the {budget_mb} MiB budget",
@@ -125,11 +128,11 @@ fn main() -> ExitCode {
                 ));
             }
         }
-        None => println!("(no /proc/self/status here; skipping the RSS budget assertion)"),
+        None => outln!("(no /proc/self/status here; skipping the RSS budget assertion)"),
     }
 
     if failures.is_empty() {
-        println!("ok  mega smoke");
+        outln!("ok  mega smoke");
         ExitCode::SUCCESS
     } else {
         for f in &failures {

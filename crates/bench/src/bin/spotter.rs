@@ -18,7 +18,7 @@
 //! Exit status: 0 when the trace parses and validates, 1 otherwise — the
 //! CI trace stage relies on this.
 
-use presence_bench::print_windows;
+use presence_bench::{out, outln, windows_table};
 use presence_sim::slice_trace;
 use presence_trace::{analyze, parse, validate};
 use std::process::ExitCode;
@@ -30,37 +30,44 @@ fn run(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let check = validate(&trace).map_err(|e| format!("{path}: invalid trace: {e}"))?;
-    println!(
+    outln!(
         "{path}: {} events · {} tracks · {} slices · {} instants · {} counter tracks",
-        check.events, check.tracks, check.slices, check.instants, check.counter_tracks
+        check.events,
+        check.tracks,
+        check.slices,
+        check.instants,
+        check.counter_tracks
     );
 
     let report = analyze(&trace, TOP);
 
-    println!("\nbusiest actors (slices + instants):");
+    outln!("\nbusiest actors (slices + instants):");
     if report.busiest.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     for (name, activity) in &report.busiest {
-        println!("  {name:<16} {activity:>8}");
+        outln!("  {name:<16} {activity:>8}");
     }
 
-    println!("\nregime windows:");
+    outln!("\nregime windows:");
     match slice_trace(&report.run) {
-        Some(slices) => print_windows(&slices),
-        None => println!("  (none — the trace marks no run end)"),
+        Some(slices) => out!("{}", windows_table(&slices)),
+        None => outln!("  (none — the trace marks no run end)"),
     }
 
-    println!(
+    outln!(
         "\nprobe cycles: {} started, {} completed",
-        report.cycles_started, report.cycles_completed
+        report.cycles_started,
+        report.cycles_completed
     );
     match report.cycle_latency {
-        Some(p) => println!(
+        Some(p) => outln!(
             "cycle latency: p50 {:.1} µs · p90 {:.1} µs · p99 {:.1} µs",
-            p.p50, p.p90, p.p99
+            p.p50,
+            p.p90,
+            p.p99
         ),
-        None => println!("cycle latency: no completed cycles in the trace"),
+        None => outln!("cycle latency: no completed cycles in the trace"),
     }
     Ok(())
 }

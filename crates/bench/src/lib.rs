@@ -1,32 +1,94 @@
 //! What the `presence-bench` targets share: the sim/runtime
 //! [`conformance`] harness (`tests/conformance.rs` is the suite that
-//! drives it), flag parsing for the `experiments` and `replications`
-//! binaries, [`exit_bad_argument`], and the regime-window table
-//! ([`print_windows`]) that `lab` and `spotter` both print. The other
-//! bins — `lab`, `conformance`, `mega_smoke`, `spotter`, `golden_fixtures`
-//! — parse their own arguments, and every bin reports one it cannot use as
+//! drives it), [`exit_bad_argument`], the stdout writer every bin prints
+//! through ([`out!`], [`outln!`]), the regime-window table
+//! ([`windows_table`]) that `lab` and `spotter` both print, and the
+//! `experiments` bin's flag parser ([`parse_from`]; its flags are listed
+//! in that bin's docs). The other bins — `lab`, `conformance`,
+//! `mega_smoke`, `spotter`, `golden_fixtures` — parse their own
+//! arguments, and every bin reports one it cannot use as
 //! `<bin>: <message>` with exit status 1, never a panic. Timing lives in
 //! the repo's `benchmark/` package, not here.
-//!
-//! `experiments <id|all>` and `replications` parse the same optional
-//! flags:
-//!
-//! ```text
-//! --seed <u64>        root seed (default 3)
-//! --duration <secs>   virtual run length where applicable
-//! --jobs <n>          worker threads for replication/sweep bins
-//!                     (default: PRESENCE_JOBS, else machine parallelism)
-//! --json              emit the report as JSON (`experiments <id>` only;
-//!                     a figure's JSON holds its data series)
-//! ```
 
 pub mod conformance;
 
 use presence_sim::RegimeSlice;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write as _};
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 
-/// Parsed common command-line options.
+/// Writes to stdout as `print!` does, except when the reader has closed
+/// the pipe (`lab --all | head`): then the write is dropped quietly
+/// instead of panicking, as is every later one, and the run goes on to
+/// the exit status its own checks decide. Any other write error panics,
+/// as `print!` would.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Prints `<command>: <message>` and exits with status 1: how the
+/// `presence-bench` binaries report an argument they cannot use.
+pub fn exit_bad_argument(command: &str, message: &str) -> ! {
+    eprintln!("{command}: {message}");
+    std::process::exit(1);
+}
+
+fn fmt_opt(v: Option<f64>, width: usize, precision: usize) -> String {
+    match v {
+        Some(v) => format!("{v:>width$.precision$}"),
+        None => format!("{:>width$}", "—"),
+    }
+}
+
+/// A regime-window table, one row per slice: `lab`'s report of a run and
+/// `spotter`'s reading of that run's trace print this one table. In a
+/// cross-seed report, "detΣ" (verdict counts) is a total across the
+/// seeds; the other columns are cross-seed means.
+#[must_use]
+pub fn windows_table(slices: &[RegimeSlice]) -> String {
+    let mut table = format!(
+        "{:>12} {:>12} | {:>9} {:>9} {:>9} {:>6} {:>9}\n",
+        "from (s)", "to (s)", "load/s", "jain", "popul.", "detΣ", "lat. (s)"
+    );
+    for s in slices {
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(
+            table,
+            "{:>12.1} {:>12.1} | {} {} {} {:>6} {}",
+            s.start,
+            s.end,
+            fmt_opt(s.load_mean, 9, 2),
+            fmt_opt(s.fairness_jain, 9, 3),
+            fmt_opt(s.population_mean, 9, 1),
+            s.detections,
+            fmt_opt(s.detection_latency_mean, 9, 3),
+        );
+    }
+    table
+}
+
+/// The `experiments` bin's parsed flags.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Options {
     /// Root seed for the run.
@@ -51,62 +113,18 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Worker count for replication/sweep bins: the `--jobs` flag if given,
-    /// otherwise `PRESENCE_JOBS` / machine parallelism (see
-    /// [`presence_sim::parallel::job_count`]). The results are
-    /// bit-identical at any value — only wall-clock changes.
+    /// The worker count: the `--jobs` flag if given, otherwise
+    /// `PRESENCE_JOBS` / machine parallelism (see
+    /// [`presence_sim::job_count`]). The results are bit-identical at any
+    /// value — only wall-clock changes.
     #[must_use]
     pub fn resolved_jobs(&self) -> usize {
         self.jobs.unwrap_or_else(presence_sim::job_count)
     }
-
-    /// Exits with status 1, naming the flag, if the output flag `--json`
-    /// was given to `command`, which would ignore it.
-    pub fn reject_output_flags(&self, command: &str) {
-        if self.json {
-            exit_bad_argument(command, "--json is not supported");
-        }
-    }
 }
 
-/// Prints `<command>: <message>` and exits with status 1: how the
-/// `presence-bench` binaries report an argument they cannot use.
-pub fn exit_bad_argument(command: &str, message: &str) -> ! {
-    eprintln!("{command}: {message}");
-    std::process::exit(1);
-}
-
-fn fmt_opt(v: Option<f64>, width: usize, precision: usize) -> String {
-    match v {
-        Some(v) => format!("{v:>width$.precision$}"),
-        None => format!("{:>width$}", "—"),
-    }
-}
-
-/// Prints a regime-window table, one row per slice: `lab`'s report of a
-/// run and `spotter`'s reading of that run's trace go through this one
-/// printer. In a cross-seed report, "detΣ" (verdict counts) is a total
-/// across the seeds; the other columns are cross-seed means.
-pub fn print_windows(slices: &[RegimeSlice]) {
-    println!(
-        "{:>12} {:>12} | {:>9} {:>9} {:>9} {:>6} {:>9}",
-        "from (s)", "to (s)", "load/s", "jain", "popul.", "detΣ", "lat. (s)"
-    );
-    for s in slices {
-        println!(
-            "{:>12.1} {:>12.1} | {} {} {} {:>6} {}",
-            s.start,
-            s.end,
-            fmt_opt(s.load_mean, 9, 2),
-            fmt_opt(s.fairness_jain, 9, 3),
-            fmt_opt(s.population_mean, 9, 1),
-            s.detections,
-            fmt_opt(s.detection_latency_mean, 9, 3),
-        );
-    }
-}
-
-/// Parses an argument list (`std::env::args().skip(1)` in the bins).
+/// Parses the flags after the experiment id
+/// (`std::env::args().skip(2)` in the `experiments` bin).
 ///
 /// # Errors
 ///
@@ -145,6 +163,30 @@ fn value<T: FromStr>(flag: &str, text: Option<String>, what: &str) -> Result<T, 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn windows_table_has_a_header_and_one_row_per_slice_with_dashes_for_undefined() {
+        let slice = RegimeSlice {
+            start: 0.0,
+            end: 300.0,
+            load_mean: Some(10.08),
+            fairness_jain: None,
+            population_mean: Some(30.0),
+            detections: 2,
+            detection_latency_mean: None,
+        };
+        let table = windows_table(&[slice]);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 2, "{table}");
+        assert!(
+            lines[0].contains("load/s") && lines[0].contains("detΣ"),
+            "{table}"
+        );
+        assert_eq!(
+            lines[1],
+            "         0.0        300.0 |     10.08         —      30.0      2         —"
+        );
+    }
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()

@@ -64,10 +64,6 @@ impl Prober for FixedRateCp {
         self.cycle.stats()
     }
 
-    fn is_stopped(&self) -> bool {
-        self.cycle.is_stopped()
-    }
-
     fn verdict(&self) -> Option<Verdict> {
         self.cycle.verdict()
     }

@@ -72,10 +72,6 @@ impl Prober for DcppCp {
         self.cycle.stats()
     }
 
-    fn is_stopped(&self) -> bool {
-        self.cycle.is_stopped()
-    }
-
     fn verdict(&self) -> Option<Verdict> {
         self.cycle.verdict()
     }

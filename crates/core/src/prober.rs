@@ -51,11 +51,12 @@ pub trait Prober {
     fn stats(&self) -> &CpStats;
 
     /// Whether the machine has reached a terminal state (device declared
-    /// absent).
-    fn is_stopped(&self) -> bool;
+    /// absent): exactly when [`Prober::verdict`] is `Some`.
+    fn is_stopped(&self) -> bool {
+        self.verdict().is_some()
+    }
 
-    /// The terminal absence verdict, once reached. `Some` exactly when
-    /// [`Prober::is_stopped`] holds; mirrors the
+    /// The terminal absence verdict, once reached; mirrors the
     /// [`CpAction::DeviceAbsent`] the machine emitted, so drivers can read
     /// the outcome without scraping the action stream.
     fn verdict(&self) -> Option<Verdict>;

@@ -115,10 +115,6 @@ impl Prober for SappCp {
         self.cycle.stats()
     }
 
-    fn is_stopped(&self) -> bool {
-        self.cycle.is_stopped()
-    }
-
     fn verdict(&self) -> Option<Verdict> {
         self.cycle.verdict()
     }

@@ -1590,9 +1590,6 @@ mod tests {
         fn stats(&self) -> &CpStats {
             &self.stats
         }
-        fn is_stopped(&self) -> bool {
-            self.verdict.is_some()
-        }
         fn verdict(&self) -> Option<Verdict> {
             self.verdict
         }

@@ -50,7 +50,7 @@ use e5_fig5::{e5_fig5_dcpp_churn, E5Report};
 use e6_dcpp_static::e6_dcpp_static_fairness;
 use e7_loss::e7_dcpp_loss_spread;
 
-use crate::{replicate, Protocol, ScenarioConfig};
+use crate::{run_lab, Protocol, ScenarioConfig, ScenarioSpec};
 use serde::Serialize;
 use std::fmt::Display;
 
@@ -132,9 +132,11 @@ fn run_e1(args: &RunArgs) -> String {
         let check_duration = args.duration.min(5_000.0);
         let base =
             ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 20, check_duration, args.seed);
-        let summary = replicate(&base, &seeds, 0.95, args.jobs);
+        let spec = ScenarioSpec::new("e1-cross-check", "E1 at independent seeds", base);
+        let report = run_lab(&spec, &seeds, args.jobs).expect("E1's cross-check spec is valid");
+        let intervals = report.intervals().expect("four seeds give intervals");
         out += &format!(
-            "cross-check: independent replications ({} seeds × {check_duration:.0} s)\n{summary}",
+            "cross-check: independent replications ({} seeds × {check_duration:.0} s)\n{intervals}",
             seeds.len()
         );
     }

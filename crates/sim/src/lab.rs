@@ -20,7 +20,9 @@
 //!   so the `spotter` bin prints the windows `lab` prints;
 //! * [`run_lab`] fans replications across the [`crate::parallel`] worker
 //!   pool and merges them in seed order, so a [`LabReport`] is
-//!   byte-identical at any worker count.
+//!   byte-identical at any worker count — the crate's one cross-seed
+//!   runner; [`LabReport::intervals`] folds its per-seed whole-run numbers
+//!   into Student-t intervals.
 //!
 //! Shipped specs are the repository's `catalog/*.json` files, edited by
 //! hand and embedded at build time ([`builtin_catalog`]); the `lab`
@@ -351,10 +353,15 @@ pub fn slice_trace(run: &TraceRun) -> Option<Vec<RegimeSlice>> {
 pub struct LabSeedResult {
     /// Seed of this replication.
     pub seed: u64,
-    /// Mean device load over the whole run.
+    /// Mean device load over the run, its first (warm-up) load window
+    /// excluded as in [`ScenarioResult::load_mean`]; the regime slices
+    /// count that window, so a one-window report's two loads differ.
     pub load_mean: f64,
     /// Whole-run Jain fairness.
     pub fairness_jain: f64,
+    /// Max/min ratio of the active CPs' mean probe frequencies
+    /// ([`ScenarioResult::frequency_spread`]).
+    pub frequency_spread: f64,
     /// Engine events processed.
     pub events_processed: u64,
     /// Messages delivered by the fabric.
@@ -473,6 +480,7 @@ pub fn run_lab(spec: &ScenarioSpec, seeds: &[u64], jobs: usize) -> Result<LabRep
             seed: seeds[i],
             load_mean: result.load_mean,
             fairness_jain: result.fairness_jain,
+            frequency_spread: result.frequency_spread(),
             events_processed: result.events_processed,
             messages_delivered: result.messages_delivered,
             messages_dropped_loss: result.messages_dropped_loss,
@@ -519,15 +527,27 @@ const CATALOG: [(&str, &str); 9] = [
     ("mixed-regime-stress", include_str!("../../../catalog/mixed-regime-stress.json")),
 ];
 
+/// One embedded catalog file, parsed, validated and checked to be named
+/// after its stem.
+///
+/// # Panics
+///
+/// Panics, naming the file, on any of the three — a bug in the
+/// repository, not bad input.
+fn catalog_entry((stem, text): (&str, &str)) -> ScenarioSpec {
+    let spec = ScenarioSpec::from_json(text).unwrap_or_else(|e| panic!("catalog/{stem}.json: {e}"));
+    assert_eq!(spec.name, stem, "catalog/{stem}.json: name is not the stem");
+    spec
+}
+
 /// The shipped catalog — the repository's `catalog/*.json` files, parsed
 /// and validated, in shipping order.
 ///
-/// The first three are the paper-faithful golden trio — switch-free
-/// specs whose trajectories are bit-identical to the hard-coded presets
-/// ([`crate::golden_trio`]). The rest exercise what the paper only
-/// conjectures: partitions that heal, flash crowds, diurnal populations,
-/// bursty loss storms, and a mixed scenario where delay, loss, and churn
-/// all switch mid-run.
+/// The first three are the paper-faithful golden trio
+/// ([`golden_trio`]). The rest exercise what the paper only conjectures:
+/// partitions that heal, flash crowds, diurnal populations, bursty loss
+/// storms, and a mixed scenario where delay, loss, and churn all switch
+/// mid-run.
 ///
 /// # Panics
 ///
@@ -536,21 +556,34 @@ const CATALOG: [(&str, &str); 9] = [
 /// repository, not bad input.
 #[must_use]
 pub fn builtin_catalog() -> Vec<ScenarioSpec> {
-    CATALOG
-        .iter()
-        .map(|&(stem, text)| {
-            let spec = ScenarioSpec::from_json(text)
-                .unwrap_or_else(|e| panic!("catalog/{stem}.json: {e}"));
-            assert_eq!(spec.name, stem, "catalog/{stem}.json: name is not the stem");
-            spec
-        })
-        .collect()
+    CATALOG.into_iter().map(catalog_entry).collect()
+}
+
+/// The three scenarios pinned by the golden-equivalence suite, as
+/// `(name, config)`: the configs of the switch-free catalog entries
+/// `paper-sapp`, `paper-dcpp` (the paper-default 30-CP configuration the
+/// events-per-message acceptance gate measures) and `paper-churn` (a
+/// Figure-5 churn run), named `sapp`, `dcpp` and `churn`. The recorded
+/// fixtures live in `tests/golden/` and are regenerated with the
+/// `golden_fixtures` bin.
+///
+/// # Panics
+///
+/// As [`builtin_catalog`], on a broken embedded file.
+#[must_use]
+pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
+    let config = |k: usize| catalog_entry(CATALOG[k]).config;
+    [
+        ("sapp", config(0)),
+        ("dcpp", config(1)),
+        ("churn", config(2)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{golden_trio, Protocol};
+    use crate::Protocol;
 
     fn quick_spec() -> ScenarioSpec {
         let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 6, 60.0, 3);

@@ -57,8 +57,8 @@ pub use cp_actor::CpActor;
 pub use device_actor::{DeviceActor, ProcessingModel};
 pub use event::{Addr, SimEvent};
 pub use lab::{
-    builtin_catalog, check_seeds, run_lab, run_spec_once, slice_trace, LabReport, LabSeedResult,
-    Regime, RegimeSlice, ScenarioSpec, Switch,
+    builtin_catalog, check_seeds, golden_trio, run_lab, run_spec_once, slice_trace, LabReport,
+    LabSeedResult, Regime, RegimeSlice, ScenarioSpec, Switch,
 };
 pub use mega::{
     mega_catalog, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario, MegaSpec,
@@ -67,8 +67,6 @@ pub use metrics::{CpSummary, ScenarioResult};
 pub use network_actor::NetworkActor;
 pub use output::{ascii_chart, kv_table};
 pub use parallel::{for_each_indexed, job_count, run_indexed};
-pub use replication::{replicate, ReplicationPoint, ReplicationSummary};
 pub use scenario::{
-    golden_trio, DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError,
-    BUFFER_CAPACITY,
+    DelayKind, LossKind, Protocol, Scenario, ScenarioConfig, SpecError, BUFFER_CAPACITY,
 };

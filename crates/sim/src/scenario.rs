@@ -315,22 +315,6 @@ pub(crate) fn check_duration(duration: f64) -> Result<(), SpecError> {
     }
 }
 
-/// The three scenarios pinned by the golden-equivalence suite: one SAPP,
-/// one DCPP (the paper-default 30-CP configuration the events-per-message
-/// acceptance gate measures), and one Figure-5 churn run. The recorded
-/// fixtures live in `tests/golden/` and are regenerated with the
-/// `golden_fixtures` bin; the golden test asserts that engine refactors
-/// preserve every `ScenarioResult` field, `events_processed` included.
-#[must_use]
-pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
-    let sapp = ScenarioConfig::paper_defaults(Protocol::sapp_paper(), 10, 200.0, 11);
-    let dcpp = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 30, 300.0, 7);
-    let mut churn = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 60, 600.0, 21);
-    churn.initially_active = 20;
-    churn.churn = ChurnModel::paper_fig5();
-    [("sapp", sapp), ("dcpp", dcpp), ("churn", churn)]
-}
-
 /// A built, runnable scenario.
 ///
 /// Runs on the typed actor set ([`crate::PresenceSim`]): every node is an

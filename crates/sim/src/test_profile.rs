@@ -4,11 +4,10 @@
 //! The paper's headline experiments use horizons of 10 000–20 000 virtual
 //! seconds and multi-replication studies. Those are cheap enough in release
 //! mode but dominate `cargo test` wall-clock in debug builds, so the test
-//! pyramid routes every long horizon through [`horizon`] (and replication
-//! counts through [`replications`]):
+//! pyramid routes every long horizon through [`horizon`]:
 //!
 //! * profile **full** — the paper's numbers, exactly;
-//! * profile **ci** — a reduced horizon/count *chosen per test site* such
+//! * profile **ci** — a reduced horizon *chosen per test site* such
 //!   that every assertion still holds (the caller supplies both values;
 //!   this module only picks which one applies). Assertions are never
 //!   scaled — only runtime is.
@@ -20,7 +19,7 @@ use std::env;
 /// Which test profile is in force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Paper-exact horizons and replication counts.
+    /// Paper-exact horizons.
     Full,
     /// Reduced (but assertion-preserving) horizons for fast CI.
     Ci,
@@ -52,15 +51,6 @@ pub fn horizon(ci: f64, full: f64) -> f64 {
     }
 }
 
-/// Picks a replication count for the current profile.
-#[must_use]
-pub fn replications(ci: u32, full: u32) -> u32 {
-    match current() {
-        Profile::Full => full,
-        Profile::Ci => ci,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +61,6 @@ mod tests {
         if env::var("PRESENCE_TEST_PROFILE").is_err() {
             assert_eq!(current(), Profile::Ci);
             assert_eq!(horizon(100.0, 20_000.0), 100.0);
-            assert_eq!(replications(3, 30), 3);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! floating-point metric must match to the last bit.
 
 use presence::core::ProbeCycleConfig;
-use presence::sim::{replicate, ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
+use presence::sim::{ChurnModel, LossKind, Protocol, Scenario, ScenarioConfig};
 
 fn run_to_json(protocol: Protocol, seed: u64) -> String {
     let mut cfg = ScenarioConfig::paper_defaults(protocol, 12, 120.0, seed);
@@ -59,9 +59,12 @@ fn fixed_rate_replay_is_bit_identical() {
 /// The parallel replication engine must be invisible in the results: a
 /// replication study fanned over 4 workers (`PRESENCE_JOBS=4` /
 /// `--jobs 4`) is bit-identical to the serial run (`PRESENCE_JOBS=1`),
-/// for both protocols. Only wall-clock may differ.
+/// per-seed results and interval block alike, for both protocols. Only
+/// wall-clock may differ.
 #[test]
 fn parallel_replication_equals_serial() {
+    use presence::sim::{run_lab, LabReport, ScenarioSpec};
+
     for (name, protocol) in [
         ("SAPP", Protocol::sapp_paper()),
         ("DCPP", Protocol::dcpp_paper()),
@@ -75,50 +78,71 @@ fn parallel_replication_equals_serial() {
             max: 8,
             rate: 0.05,
         };
+        let spec = ScenarioSpec::new("replications", "jobs-invariance pin", base);
         let seeds = [11, 12, 13, 14, 15, 16];
-        let serial = replicate(&base, &seeds, 0.95, 1);
-        let parallel = replicate(&base, &seeds, 0.95, 4);
         // `{:?}` prints every float to the last bit.
-        let (a, b) = (format!("{serial:?}"), format!("{parallel:?}"));
-        assert_eq!(a, b, "{name}: 4-worker study diverged from serial");
+        let study = |report: &LabReport| {
+            let intervals = report.intervals().expect("six seeds give intervals");
+            format!("{:?}\n{intervals}", report.per_seed)
+        };
+        let serial = study(&run_lab(&spec, &seeds, 1).expect("serial study"));
+        let parallel = study(&run_lab(&spec, &seeds, 4).expect("parallel study"));
+        assert_eq!(
+            serial, parallel,
+            "{name}: 4-worker study diverged from serial"
+        );
     }
 }
 
-/// The scenario lab inherits the same contract: a `LabReport` (per-seed
-/// results **and** per-regime metric slices) serialises to byte-identical
-/// JSON at any `--jobs` value, including under time-varying delay, loss,
-/// and churn regimes.
+/// The parallel fan-out must be invisible in the results: a `LabReport`
+/// (per-seed results, `frequency_spread` included, **and** per-regime
+/// metric slices) serialises to byte-identical JSON at any `--jobs` value,
+/// and renders the same interval block, under time-varying delay, loss,
+/// and churn regimes, for both protocols. Only wall-clock may differ.
 #[test]
 fn lab_report_is_byte_identical_at_any_jobs_value() {
-    use presence::sim::{run_lab, DelayKind, Regime, ScenarioSpec, Switch};
+    use presence::sim::{run_lab, DelayKind, LabReport, Regime, ScenarioSpec, Switch};
 
-    let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 10, 120.0, 0);
-    let mut spec = ScenarioSpec::new("determinism-lab", "jobs-invariance pin", cfg);
-    spec.switches = vec![
-        Switch {
-            at: 40.0,
-            to: Regime::Delay(DelayKind::Uniform(0.0002, 0.002)),
-        },
-        Switch {
-            at: 60.0,
-            to: Regime::Loss(LossKind::Bursty(0.1)),
-        },
-        Switch {
-            at: 80.0,
-            to: Regime::Churn(ChurnModel::UniformResample {
-                min: 2,
-                max: 10,
-                rate: 0.1,
-            }),
-        },
-    ];
-    let seeds = [21, 22, 23, 24, 25];
-    let serial = run_lab(&spec, &seeds, 1).expect("serial lab run");
-    let a = serde_json::to_string(&serial).expect("report serialises");
-    for jobs in [2, 4, 8] {
-        let parallel = run_lab(&spec, &seeds, jobs).expect("parallel lab run");
-        let b = serde_json::to_string(&parallel).expect("report serialises");
-        assert_eq!(a, b, "lab report diverged at jobs = {jobs}");
+    for (name, protocol) in [
+        ("SAPP", Protocol::sapp_paper()),
+        ("DCPP", Protocol::dcpp_paper()),
+    ] {
+        let cfg = ScenarioConfig::paper_defaults(protocol, 10, 120.0, 0);
+        let mut spec = ScenarioSpec::new("determinism-lab", "jobs-invariance pin", cfg);
+        spec.switches = vec![
+            Switch {
+                at: 40.0,
+                to: Regime::Delay(DelayKind::Uniform(0.0002, 0.002)),
+            },
+            Switch {
+                at: 60.0,
+                to: Regime::Loss(LossKind::Bursty(0.1)),
+            },
+            Switch {
+                at: 80.0,
+                to: Regime::Churn(ChurnModel::UniformResample {
+                    min: 2,
+                    max: 10,
+                    rate: 0.1,
+                }),
+            },
+        ];
+        let seeds = [21, 22, 23, 24, 25];
+        let text = |report: &LabReport| {
+            let json = serde_json::to_string(report).expect("report serialises");
+            let intervals = report.intervals().expect("five seeds give intervals");
+            format!("{json}\n{intervals}")
+        };
+        let serial = text(&run_lab(&spec, &seeds, 1).expect("serial lab run"));
+        assert!(serial.contains("\"frequency_spread\":"), "{serial}");
+        assert!(serial.contains("replications: n = 5"), "{serial}");
+        for jobs in [2, 4, 8] {
+            let parallel = text(&run_lab(&spec, &seeds, jobs).expect("parallel lab run"));
+            assert_eq!(
+                serial, parallel,
+                "{name}: lab report diverged at jobs = {jobs}"
+            );
+        }
     }
 }
 
