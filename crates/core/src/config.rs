@@ -234,7 +234,7 @@ impl DcppConfig {
     #[inline]
     #[must_use]
     pub fn schedule(&self, nt: SimTime, now: SimTime) -> SimTime {
-        (nt.max(now) + self.delta_min).max(now + self.d_min)
+        slot(nt, now, (self.delta_min, self.d_min))
     }
 
     /// Validates the configuration.
@@ -253,6 +253,13 @@ impl DcppConfig {
         }
         Ok(())
     }
+}
+
+/// [`DcppConfig::schedule`] for a holder of only the rule's two
+/// spacings, `δ_min` and `d_min` ([`crate::DcppDevice`] keeps no more).
+#[inline]
+pub(crate) fn slot(nt: SimTime, now: SimTime, (delta, d): (SimDuration, SimDuration)) -> SimTime {
+    (nt.max(now) + delta).max(now + d)
 }
 
 #[cfg(test)]

@@ -82,12 +82,6 @@ impl Retransmitter {
         &self.stats
     }
 
-    /// Whether the device was declared absent.
-    #[must_use]
-    pub fn is_stopped(&self) -> bool {
-        matches!(self.state, State::Stopped(_))
-    }
-
     /// The terminal verdict, once reached; mirrors the
     /// [`CpAction::DeviceAbsent`] emitted at the stop.
     #[must_use]
@@ -338,7 +332,7 @@ mod tests {
 
         out.clear();
         e.on_timer(t(0.022), tok, &mut out);
-        assert!(!e.is_stopped());
+        assert!(e.verdict().is_none());
         let re = find_probe(&out);
         assert_eq!(re.seq, probe.seq, "retransmission reuses the cycle seq");
         let (_, after) = find_timer(&out);
@@ -376,7 +370,7 @@ mod tests {
             out.clear();
             e.on_timer(t(now), tok, &mut out);
             assert_eq!(find_probe(&out).seq, 0, "retry {i}");
-            assert!(!e.is_stopped(), "retry {i}");
+            assert!(e.verdict().is_none(), "retry {i}");
             now += 0.021;
         }
         // …the fourth timeout fails the cycle.
@@ -384,7 +378,7 @@ mod tests {
         out.clear();
         e.on_timer(t(now), tok, &mut out);
         assert!(!out.iter().any(|a| matches!(a, CpAction::SendProbe(_))));
-        assert!(e.is_stopped());
+        assert!(e.verdict().is_some());
         assert_eq!(e.stats().probes_sent, 4);
         assert_eq!(e.stats().cycles_failed, 1);
         // Total detection time: TOF + 3 TOS = 0.085 s.
@@ -478,11 +472,11 @@ mod tests {
         out.clear();
         e.on_timer(t(0.022), tok, &mut out);
         find_probe(&out);
-        assert!(!e.is_stopped());
+        assert!(e.verdict().is_none());
         let (tok, _) = find_timer(&out);
         out.clear();
         e.on_timer(t(0.043), tok, &mut out);
-        assert!(e.is_stopped());
+        assert!(e.verdict().is_some());
     }
 
     // -----------------------------------------------------------------

@@ -16,7 +16,6 @@ use presence_des::{SimDuration, SimTime};
 /// The control-point side of the device-controlled probe protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcppCp {
-    cfg: DcppConfig,
     cycle: Retransmitter,
     /// The wait the device assigned in the most recent reply.
     last_wait: Option<SimDuration>,
@@ -34,11 +33,14 @@ impl DcppCp {
         cfg.validate().expect("invalid DCPP configuration");
         Self {
             cycle: Retransmitter::new(cp, cfg.cycle),
-            cfg,
             last_wait: None,
         }
     }
 }
+
+// A DCPP prober is the machine every hub CP and every UDP prober slot
+// boxes: it keeps only its lifecycle and the last wait, never its config.
+const _: () = assert!(std::mem::size_of::<DcppCp>() <= 144);
 
 impl Prober for DcppCp {
     fn cp(&self) -> CpId {

@@ -31,7 +31,7 @@
 //! `dcpp_schedule_is_the_literal_rule_while_backlogged` in
 //! `crates/core/tests/proptests.rs` checks both statements.
 
-use crate::config::DcppConfig;
+use crate::config::{slot, DcppConfig};
 use crate::types::{DeviceId, Probe, Reply, ReplyBody};
 use presence_des::{SimDuration, SimTime};
 
@@ -39,7 +39,8 @@ use presence_des::{SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcppDevice {
     id: DeviceId,
-    cfg: DcppConfig,
+    /// `(δ_min, d_min)`: all of its config the slot rule reads.
+    spacing: (SimDuration, SimDuration),
     /// The time instant for which the last probing CP was scheduled.
     nt: SimTime,
     /// Total probes answered.
@@ -58,7 +59,7 @@ impl DcppDevice {
         cfg.validate().expect("invalid DCPP configuration");
         Self {
             id,
-            cfg,
+            spacing: (cfg.delta_min, cfg.d_min),
             nt: SimTime::ZERO,
             probes_received: 0,
         }
@@ -95,7 +96,7 @@ impl DcppDevice {
     #[inline]
     pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
         self.probes_received += 1;
-        self.nt = self.cfg.schedule(self.nt, now);
+        self.nt = slot(self.nt, now, self.spacing);
         let wait = self.nt - now;
         Reply {
             probe,

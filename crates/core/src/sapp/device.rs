@@ -14,7 +14,6 @@ use presence_des::SimTime;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SappDevice {
     id: DeviceId,
-    cfg: SappDeviceConfig,
     /// The probe counter `pc`.
     pc: u64,
     /// The current increment `Δ` (starts at `cfg.delta()`, may be retuned).
@@ -26,8 +25,6 @@ pub struct SappDevice {
     last_probers: [Option<CpId>; 2],
     /// Total probes answered.
     probes_received: u64,
-    /// Time of the most recent probe (for load bookkeeping).
-    last_probe_at: Option<SimTime>,
 }
 
 impl SappDevice {
@@ -42,12 +39,10 @@ impl SappDevice {
         cfg.validate().expect("invalid SAPP device configuration");
         Self {
             id,
-            cfg,
             pc: 0,
             delta: cfg.delta(),
             last_probers: [None, None],
             probes_received: 0,
-            last_probe_at: None,
         }
     }
 
@@ -63,13 +58,13 @@ impl SappDevice {
         self.probes_received
     }
 
-    /// Handles a probe arriving at `now`: increments `pc` by `Δ`, updates
-    /// the last-probers list, and produces the reply.
+    /// Handles a probe: increments `pc` by `Δ`, updates the last-probers
+    /// list, and produces the reply. SAPP's reply does not depend on the
+    /// arrival instant; the parameter keeps both devices' signatures one.
     #[inline]
-    pub fn on_probe(&mut self, now: SimTime, probe: Probe) -> Reply {
+    pub fn on_probe(&mut self, _now: SimTime, probe: Probe) -> Reply {
         self.pc = self.pc.saturating_add(self.delta);
         self.probes_received += 1;
-        self.last_probe_at = Some(now);
         let reply = Reply {
             probe,
             device: self.id,

@@ -160,7 +160,7 @@ proptest! {
         e.start(t(0.0), &mut out);
         let mut transmissions = probes(&out).len() as u32;
         let mut now = 0.1;
-        while !e.is_stopped() {
+        while e.verdict().is_none() {
             let tok = *timers(&out).last().expect("timer armed");
             out.clear();
             e.on_timer(t(now), tok, &mut out);

@@ -163,7 +163,6 @@ pub struct ChurnActor {
     active: Vec<bool>,
     /// `(t, population)` step series — Figure 5's second curve.
     population: TimeSeries,
-    initially_active: u32,
     /// The next scheduled self-event (resample / wave step), cancelled on
     /// a model switch so stale events from the old regime never fire.
     pending_self: Option<EventHandle>,
@@ -216,14 +215,16 @@ impl ChurnActor {
         if let Some(&(first, _)) = switches.first() {
             assert!(first > 0.0, "first churn switch must be after t = 0");
         }
-        let active = vec![false; cps.len()];
+        // The initial joiners are marked now; `on_start` sends their joins.
+        let active = (0..cps.len())
+            .map(|i| i < initially_active as usize)
+            .collect();
         let samples_hint = Self::samples_hint(model, horizon);
         Self {
             model,
             cps,
             active,
             population: TimeSeries::with_capacity(samples_hint),
-            initially_active,
             pending_self: None,
             wave: Vec::new(),
             flash_step: 0,
@@ -444,13 +445,10 @@ impl ChurnActor {
 impl Actor<SimEvent> for ChurnActor {
     fn on_start(&mut self, ctx: &mut Context<'_, SimEvent>) {
         // Stagger the initial joins.
-        let n = self.initially_active;
-        for i in 0..n {
-            let idx = i as usize;
+        for idx in 0..self.active_count() as usize {
             let offset = SimDuration::from_nanos(
                 ctx.rng().uniform(0.0, JOIN_STAGGER.as_nanos() as f64) as u64,
             );
-            self.active[idx] = true;
             ctx.schedule_in(offset, self.cps[idx], SimEvent::Join);
         }
         self.record_population(ctx.now());

@@ -35,12 +35,12 @@ pub(crate) struct CpRecord {
 
 /// The simulated control-point node.
 pub struct CpActor {
-    id: CpId,
     /// The protocol whose prober machine the CP (re-)creates each time it
     /// joins.
     protocol: Protocol,
     network: ActorId,
     device: presence_core::DeviceId,
+    /// The live session's machine: `Some` exactly while the CP is online.
     prober: Option<Box<dyn Prober + Send>>,
     /// The one live protocol timer. Every machine arms through its
     /// `Retransmitter`, so a CP holds at most one at a time: its probe
@@ -58,8 +58,8 @@ pub struct CpActor {
     /// (b)). Taken out of `self` while a batch executes, then put back
     /// with its capacity intact.
     scratch: Vec<CpAction>,
+    /// The run's record of this CP; its `id` is the CP's identity.
     record: CpRecord,
-    active: bool,
     /// Lifecycle trace buffer; `None` (a single predictable branch per
     /// emission point) unless [`CpActor::set_trace`] armed it.
     trace: Option<Box<CpTrace>>,
@@ -79,7 +79,6 @@ impl CpActor {
         samples_hint: usize,
     ) -> Self {
         Self {
-            id,
             protocol,
             network,
             device,
@@ -95,7 +94,6 @@ impl CpActor {
                 detected_absent_at: None,
                 joins: 0,
             },
-            active: false,
             trace: None,
         }
     }
@@ -247,7 +245,6 @@ impl CpActor {
     fn leave(&mut self, ctx: &mut Context<'_, SimEvent>) {
         self.accumulate_session_stats();
         self.prober = None;
-        self.active = false;
         if let Some((_, handle)) = self.timer.take() {
             self.trace_timer(ctx.now(), EngineEventKind::TimerCancel);
             ctx.cancel(handle);
@@ -259,12 +256,11 @@ impl Actor<SimEvent> for CpActor {
     fn on_event(&mut self, ctx: &mut Context<'_, SimEvent>, event: SimEvent) {
         match event {
             SimEvent::Join => {
-                if self.active {
+                if self.prober.is_some() {
                     return;
                 }
-                self.active = true;
                 self.record.joins += 1;
-                let mut prober = self.protocol.prober(self.id);
+                let mut prober = self.protocol.prober(self.record.id);
                 let mut out = std::mem::take(&mut self.scratch);
                 prober.start(ctx.now(), &mut out);
                 self.prober = Some(prober);
@@ -275,7 +271,7 @@ impl Actor<SimEvent> for CpActor {
                 self.sample_delay(ctx.now());
             }
             SimEvent::Leave => {
-                if self.active {
+                if self.prober.is_some() {
                     self.leave(ctx);
                 }
             }

@@ -23,6 +23,18 @@
 //! the real machines over a hand-rolled mini-DES and asserts the shard
 //! reproduces every completion instant and wait bit-for-bit.
 //!
+//! The copy is kept because it was measured (2-core guest, `mega_smoke`):
+//! hosting the real machines instead, a `Vec<DcppCp>` and a
+//! `Vec<DcppDevice>` on this same loop, reproduced every count (mega-ci
+//! 2 787 770 events / 927 735 cycles, mega-1m 27 878 472 / 9 277 449) but
+//! took mega-ci from 0.94–1.36 s to 1.45–1.82 s (slower in 4 of 4
+//! alternated pairs) and 70.8 to 89.2 MiB peak RSS, and mega-1m from
+//! 22.8 s / 599.5 MiB to 28.3 s / 822.7 MiB. The calendar queue is kept the
+//! same way: on the heap profile mega-ci took 1.23–1.60 s (median 1.36)
+//! against 0.75–1.21 s (median 0.90) over 8 alternated runs, and mega-1m
+//! 30.3 s against 20.8 s, though the heap peaks far lower (11.8 against
+//! 70.8 MiB, 97.3 against 599.6 MiB).
+//!
 //! Recorders are streaming by construction. Every figure in the paper is
 //! plotted from a per-sample series (per-cycle frequencies, load windows),
 //! so the hub scenarios ([`crate::Scenario`]) retain theirs; at this scale
@@ -255,9 +267,6 @@ pub struct MegaResult {
 /// samples its own delay, loss and processing times.
 pub struct MegaDcppShard {
     cfg: MegaConfig,
-    /// `cfg.net_delay` and `cfg.processing` as samplers.
-    net_delay: ProcessingModel,
-    processing: ProcessingModel,
     /// Per-pair phase: [`PROBING`], [`SLEEPING`], or [`STOPPED`].
     phase: Vec<u8>,
     /// Per-pair current cycle sequence number (`u32::MAX` before the first
@@ -300,8 +309,6 @@ impl MegaDcppShard {
             .unwrap_or_else(|e| panic!("cannot build a mega shard: {e}"));
         let pairs = cfg.pairs() as usize;
         Self {
-            net_delay: ProcessingModel::between(cfg.net_delay),
-            processing: ProcessingModel::between(cfg.processing),
             phase: vec![SLEEPING; pairs],
             seq: vec![u32::MAX; pairs],
             transmissions: vec![0; pairs],
@@ -337,7 +344,7 @@ impl MegaDcppShard {
     fn send_probe(&mut self, ctx: &mut Context<'_, MegaEvent>, p: u32) {
         let lost = self.lost(ctx.rng());
         if !lost {
-            let delay = self.net_delay.sample(ctx.rng());
+            let delay = ProcessingModel::between(self.cfg.net_delay).sample(ctx.rng());
             let me = ctx.me();
             ctx.schedule_in(
                 delay,
@@ -405,10 +412,10 @@ impl MegaDcppShard {
         self.fold_closed_windows();
         self.nt[d] = self.cfg.dcpp.schedule(self.nt[d], now);
         let wait = self.nt[d] - now;
-        let processing = self.processing.sample(ctx.rng());
+        let processing = ProcessingModel::between(self.cfg.processing).sample(ctx.rng());
         let lost = self.lost(ctx.rng());
         if !lost {
-            let delay = self.net_delay.sample(ctx.rng());
+            let delay = ProcessingModel::between(self.cfg.net_delay).sample(ctx.rng());
             let me = ctx.me();
             ctx.schedule_in(
                 processing + delay,
@@ -523,7 +530,6 @@ impl Actor<MegaEvent> for MegaDcppShard {
 pub struct MegaScenario {
     sim: Simulation<MegaEvent, MegaDcppShard>,
     shard: ActorId,
-    cfg: MegaConfig,
 }
 
 impl MegaScenario {
@@ -532,7 +538,7 @@ impl MegaScenario {
     pub fn build(cfg: MegaConfig) -> Self {
         let mut sim = Simulation::with_actor_set_and_profile(cfg.seed, QueueProfile::calendar());
         let shard = sim.add_member(MegaDcppShard::new(cfg));
-        Self { sim, shard, cfg }
+        Self { sim, shard }
     }
 
     /// [`MegaScenario::build`] with the shard's completion log switched on.
@@ -552,7 +558,6 @@ impl MegaScenario {
         &mut self.sim
     }
 
-    #[cfg(test)]
     fn shard(&self) -> &MegaDcppShard {
         self.sim
             .actor::<MegaDcppShard>(self.shard)
@@ -561,7 +566,7 @@ impl MegaScenario {
 
     /// Runs the scenario for its configured duration.
     pub fn run(&mut self) {
-        let end = SimTime::from_secs_f64(self.cfg.duration);
+        let end = SimTime::from_secs_f64(self.shard().cfg.duration);
         self.sim.run_until(end);
     }
 

@@ -324,7 +324,7 @@ pub(crate) fn check_duration(duration: f64) -> Result<(), SpecError> {
 /// directly, as in the paper.
 pub struct Scenario {
     sim: PresenceSim,
-    cfg: ScenarioConfig,
+    duration: f64,
     device: ActorId,
     network: ActorId,
     churn: ActorId,
@@ -403,7 +403,7 @@ impl Scenario {
 
         Self {
             sim,
-            cfg,
+            duration: cfg.duration,
             device,
             network,
             churn,
@@ -488,7 +488,7 @@ impl Scenario {
                     .take_trace(),
             ));
         }
-        let horizon_ns = SimTime::from_secs_f64(self.cfg.duration).as_nanos();
+        let horizon_ns = SimTime::from_secs_f64(self.duration).as_nanos();
         TraceCapture {
             end_ns: until_ns.min(horizon_ns),
             timeline: &self.timeline,
@@ -542,7 +542,7 @@ impl Scenario {
 
     /// Runs the scenario for its configured duration.
     pub fn run(&mut self) {
-        self.run_until(self.cfg.duration);
+        self.run_until(self.duration);
     }
 
     /// Runs until the given virtual time (may be called repeatedly for
