@@ -34,7 +34,7 @@
 //! memory exactly like a plain binary heap; payloads live in a slab
 //! (`Vec<Option<T>>` with a free list) whose slots the heap references, so
 //! payloads never move during sifts; and where each slot's `(key, slot)`
-//! pair sits — heap position, bucket, far list — is a parallel
+//! pair sits — heap position or ring bucket — is a parallel
 //! `locs: Vec<Loc>`, so the upkeep every sift level and swap-remove does is
 //! one `Loc` store that never touches a payload, and a payload is written
 //! into its slot once and read out of it once. The handle check reads the
@@ -129,23 +129,26 @@
 //! At mega scale (millions of pending events) even a 4-ary heap pays
 //! `O(log n)` with poor locality per operation. A queue built with
 //! [`EventQueue::with_profile`] and a calendar profile keeps the heap as a
-//! small *near* tier and adds two *future* tiers:
+//! small *near* tier in front of one **ring of buckets**, after Brown's
+//! calendar queue ("Calendar queues: a fast O(1) priority queue
+//! implementation for the simulation event set problem", CACM 31(10),
+//! 1988): `buckets` unordered `Vec`s, each covering one `bucket_width` span
+//! of virtual time per revolution of the ring — push/cancel are O(1)
+//! appends and swap-removes.
 //!
-//! * a **bucket ring**: `buckets` unordered `Vec`s, each covering one
-//!   `bucket_width` span of virtual time — push/cancel are O(1) appends and
-//!   swap-removes;
-//! * a **far overflow** list for events beyond the ring's window.
-//!
-//! The tier boundary is the absolute bucket index `base`: events in buckets
-//! `< base` live in the heap, `[base, base + buckets)` in the ring,
-//! `≥ base + buckets` in `far`. Pops always come off the heap; when it
-//! drains, the earliest non-empty bucket is migrated wholesale into the
-//! heap and `base` advances past it, pulling far events whose bucket
-//! entered the window along the way. Because every heap event strictly
-//! precedes every ring event, which strictly precedes every far event
-//! (modulo the pull-before-migrate discipline), the pop sequence is the
-//! exact sorted `(time, seq)` order — **bit-for-bit identical** to the
-//! plain heap profile, which the `calendar_queue_model` proptest pins.
+//! The tier boundary is the absolute bucket index `base`: an event of
+//! bucket index `< base` lives in the heap, any other in ring bucket
+//! `index % buckets`, whatever its *year* (revolution). Pops always come
+//! off the heap; when it drains, the first bucket from `base` on that holds
+//! an event of the current year (bucket index `base`) is taken whole, its
+//! current-year events move into the heap, its later years go back into a
+//! fresh `Vec`, the drained one is dropped, and `base` advances past it. If
+//! a whole revolution holds only later years, `base` jumps to the ring's
+//! earliest bucket index. Because every heap event strictly precedes every
+//! ring event, the pop sequence is the exact sorted `(time, seq)` order —
+//! **bit-for-bit identical** to the plain heap profile, which the
+//! `calendar_queue_model` proptest pins — and no bucket keeps the capacity
+//! of a burst it once held.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -179,7 +182,7 @@ pub enum QueueProfile {
     /// default ([`EventQueue::new`]).
     #[default]
     Heap,
-    /// Heap + calendar bucket ring + far overflow: O(1) scheduling and
+    /// Heap + one calendar ring of buckets: O(1) scheduling and
     /// cancellation at millions of pending events. Pop order is identical
     /// to [`QueueProfile::Heap`].
     Calendar {
@@ -187,17 +190,18 @@ pub enum QueueProfile {
         /// roughly one bucket's worth of time collapse into a single
         /// unordered `Vec`.
         bucket_width: SimDuration,
-        /// Number of buckets in the ring; the window covers
-        /// `buckets × bucket_width` of virtual time ahead of the cursor.
+        /// Number of buckets in the ring; one revolution covers
+        /// `buckets × bucket_width` of virtual time, and a bucket holds
+        /// events of every revolution that maps to it.
         buckets: usize,
     },
 }
 
 impl QueueProfile {
     /// A calendar profile tuned for the mega scenarios: 1 ms buckets and a
-    /// 4096-bucket ring (a ~4 s window), sized so DCPP's 21–22 ms cycle
-    /// timers and sub-second wake timers land in the ring and only deeply
-    /// backlogged wake times spill to the far tier.
+    /// 4096-bucket ring (a ~4 s revolution), sized so DCPP's 21–22 ms cycle
+    /// timers and sub-second wake timers land in the current revolution and
+    /// only deeply backlogged wake times wait a revolution or more.
     #[must_use]
     pub fn calendar() -> Self {
         Self::Calendar {
@@ -212,7 +216,6 @@ impl QueueProfile {
 enum Route {
     Heap,
     Bucket(usize),
-    Far,
 }
 
 /// Where a slab slot's `(key, slot)` pair currently lives.
@@ -222,40 +225,26 @@ enum Loc {
     Heap(u32),
     /// `ring[slot][pos]` of the calendar tier.
     Bucket { slot: u32, pos: u32 },
-    /// Position inside the calendar tier's far-overflow list.
-    Far(u32),
 }
 
-/// The calendar (future) tiers of a [`QueueProfile::Calendar`] queue.
+/// The calendar (future) tier of a [`QueueProfile::Calendar`] queue.
 #[derive(Debug)]
 struct Calendar {
     /// Bucket width in nanoseconds (> 0).
     width: u64,
-    /// The bucket ring; slot `i` holds the unique absolute bucket index
-    /// `≡ i (mod ring.len())` inside the window `[base, base + ring.len())`.
+    /// The bucket ring; slot `i` holds the events whose absolute bucket
+    /// index is `≡ i (mod ring.len())`, of any year.
     ring: Vec<Vec<(EventKey, u32)>>,
     /// Absolute bucket index of the tier boundary: heap events have bucket
     /// index `< base`, ring events `≥ base`.
     base: u64,
     /// Live events across all ring buckets.
     in_ring: usize,
-    /// Events beyond the ring window (absolute index `≥ base + ring.len()`).
-    far: Vec<(EventKey, u32)>,
-    /// Lower bound on the minimum bucket index in `far`; `u64::MAX` when
-    /// empty. May be stale-low after removals (only costs a wasted scan).
-    far_min_idx: u64,
-    /// Reusable migration buffer, swapped with a bucket being drained so
-    /// steady-state migration never allocates.
-    scratch: Vec<(EventKey, u32)>,
 }
 
 impl Calendar {
     fn bucket_index(&self, time: SimTime) -> u64 {
         time.as_nanos() / self.width
-    }
-
-    fn window_end(&self) -> u64 {
-        self.base.saturating_add(self.ring.len() as u64)
     }
 }
 
@@ -348,9 +337,6 @@ impl<T> EventQueue<T> {
                     ring: (0..buckets).map(|_| Vec::new()).collect(),
                     base: 0,
                     in_ring: 0,
-                    far: Vec::new(),
-                    far_min_idx: u64::MAX,
-                    scratch: Vec::new(),
                 }))
             }
         };
@@ -370,10 +356,7 @@ impl<T> EventQueue<T> {
     /// Number of live (non-cancelled, non-fired) events.
     #[must_use]
     pub fn len(&self) -> usize {
-        let future = self
-            .cal
-            .as_ref()
-            .map_or(0, |cal| cal.in_ring + cal.far.len());
+        let future = self.cal.as_ref().map_or(0, |cal| cal.in_ring);
         self.heap.len() - usize::from(self.vacant) + future + self.run.len()
     }
 
@@ -406,7 +389,7 @@ impl<T> EventQueue<T> {
     ///
     /// With a calendar profile this is O(1) in practice: every mutating
     /// operation restores the "heap empty ⟹ queue empty" invariant by
-    /// migrating eagerly, so the fallback scan over the future tiers only
+    /// migrating eagerly, so the fallback scan over the ring only
     /// runs if that discipline is ever broken.
     #[must_use]
     pub fn peek(&self) -> Option<EventKey> {
@@ -429,31 +412,12 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Earliest key across heap, ring and far.
+    /// Earliest key across heap and ring.
     fn peek_tiers(&self) -> Option<EventKey> {
-        if let Some(key) = self.heap_min() {
-            return Some(key);
-        }
-        let cal = self.cal.as_ref()?;
-        // Fallback: the earliest non-empty bucket's minimum precedes every
-        // later bucket; far events may share the window's last bucket index
-        // with ring events, so take the global minimum across both.
-        let mut best: Option<EventKey> = None;
-        if cal.in_ring > 0 {
-            for off in 0..cal.ring.len() as u64 {
-                let s = ((cal.base + off) % cal.ring.len() as u64) as usize;
-                if let Some(m) = cal.ring[s].iter().map(|&(k, _)| k).min() {
-                    best = Some(m);
-                    break;
-                }
-            }
-        }
-        for &(k, _) in &cal.far {
-            if best.is_none_or(|b| k < b) {
-                best = Some(k);
-            }
-        }
-        best
+        self.heap_min().or_else(|| {
+            let cal = self.cal.as_ref()?;
+            cal.ring.iter().flatten().map(|&(key, _)| key).min()
+        })
     }
 
     /// Enqueues `item` to fire at `(time, seq)` and returns the slot it
@@ -504,7 +468,7 @@ impl<T> EventQueue<T> {
                 self.slab.push(Some(item));
                 // A placeholder no container position equals, until
                 // `attach` routes the key to its tier and records where.
-                self.locs.push(Loc::Far(u32::MAX));
+                self.locs.push(Loc::Heap(u32::MAX));
                 slot
             }
         };
@@ -686,8 +650,6 @@ impl<T> EventQueue<T> {
             }
             cal.base = 0;
             cal.in_ring = 0;
-            cal.far.clear();
-            cal.far_min_idx = u64::MAX;
         }
     }
 
@@ -711,7 +673,6 @@ impl<T> EventQueue<T> {
                 self.cal.as_ref().expect("bucket loc implies calendar").ring[s as usize]
                     [pos as usize]
             }
-            Loc::Far(pos) => self.cal.as_ref().expect("far loc implies calendar").far[pos as usize],
         };
         Some(pair.0.seq)
     }
@@ -720,10 +681,7 @@ impl<T> EventQueue<T> {
     /// run entry — by a scan of every tier; `None` when it is not pending.
     fn find(&self, seq: u64) -> Option<u32> {
         let live = &self.heap[usize::from(self.vacant)..];
-        let future = self
-            .cal
-            .iter()
-            .flat_map(|cal| cal.ring.iter().flatten().chain(&cal.far));
+        let future = self.cal.iter().flat_map(|cal| cal.ring.iter().flatten());
         live.iter()
             .chain(future)
             .find(|(key, _)| key.seq == seq)
@@ -739,10 +697,8 @@ impl<T> EventQueue<T> {
                 let idx = cal.bucket_index(time);
                 if idx < cal.base {
                     Route::Heap
-                } else if idx < cal.window_end() {
-                    Route::Bucket((idx % cal.ring.len() as u64) as usize)
                 } else {
-                    Route::Far
+                    Route::Bucket((idx % cal.ring.len() as u64) as usize)
                 }
             }
         }
@@ -771,14 +727,6 @@ impl<T> EventQueue<T> {
                     pos,
                 };
             }
-            Route::Far => {
-                let cal = self.cal.as_mut().expect("far route implies calendar");
-                let pos = u32::try_from(cal.far.len()).expect("event queue overflow");
-                let idx = cal.bucket_index(key.time);
-                cal.far.push((key, slot));
-                cal.far_min_idx = cal.far_min_idx.min(idx);
-                self.locs[slot as usize] = Loc::Far(pos);
-            }
         }
     }
 
@@ -796,15 +744,6 @@ impl<T> EventQueue<T> {
                     self.locs[moved as usize] = Loc::Bucket { slot: s, pos };
                 }
             }
-            Loc::Far(pos) => {
-                let cal = self.cal.as_mut().expect("far loc implies calendar");
-                cal.far.swap_remove(pos as usize);
-                // far_min_idx may now be stale-low; that only costs a
-                // wasted pull scan, never correctness.
-                if let Some(&(_, moved)) = cal.far.get(pos as usize) {
-                    self.locs[moved as usize] = Loc::Far(pos);
-                }
-            }
         }
     }
 
@@ -818,11 +757,13 @@ impl<T> EventQueue<T> {
         item
     }
 
-    /// Restores the calendar invariant "heap empty ⟹ queue empty" by
-    /// migrating the earliest non-empty bucket into the heap, rebasing the
-    /// window from the far tier when the whole ring is empty, and pulling
-    /// far events whose bucket slides into the window as `base` advances
-    /// (so `base` never passes an event still parked in `far`).
+    /// Restores the calendar invariant "heap empty ⟹ queue empty": finds
+    /// the first bucket from `base` on that holds an event of the current
+    /// year (bucket index `base`), jumping `base` to the ring's earliest
+    /// bucket index when a whole revolution holds only later years, and
+    /// moves that year's events into the heap. The bucket's later years go
+    /// back into a fresh `Vec` and the drained one is dropped, so no bucket
+    /// keeps the capacity of a burst it once held.
     fn ensure_front(&mut self) {
         if !self.heap.is_empty() {
             return;
@@ -830,75 +771,52 @@ impl<T> EventQueue<T> {
         let Some(cal) = self.cal.as_mut() else {
             return;
         };
-        if cal.in_ring == 0 && cal.far.is_empty() {
+        if cal.in_ring == 0 {
             return;
         }
-        let ring_len = cal.ring.len() as u64;
-        if cal.in_ring == 0 {
-            // Ring exhausted: rebase the window onto the earliest far
-            // bucket. The heap is empty, so moving `base` backwards (far
-            // events may predate the old window after it slid) is safe.
-            let mut min_idx = u64::MAX;
-            for &(key, _) in &cal.far {
-                min_idx = min_idx.min(cal.bucket_index(key.time));
-            }
-            cal.base = min_idx;
-            Self::pull_far(cal, &mut self.locs);
-            debug_assert!(cal.in_ring > 0, "rebase pulled nothing into the ring");
-        }
-        let s = loop {
-            if cal.far_min_idx < cal.window_end() {
-                Self::pull_far(cal, &mut self.locs);
-            }
+        let (ring_len, width) = (cal.ring.len() as u64, cal.width);
+        // Every ring event has bucket index ≥ `base`, so its time is at
+        // least `year_start` and the subtraction cannot underflow; the
+        // year's end, `year_start + width`, can pass `u64::MAX`.
+        let mut steps = 0;
+        let (s, year_start) = loop {
             let s = (cal.base % ring_len) as usize;
-            if !cal.ring[s].is_empty() {
-                break s;
+            let year_start = cal.base * width;
+            if cal.ring[s]
+                .iter()
+                .any(|&(key, _)| key.time.as_nanos() - year_start < width)
+            {
+                break (s, year_start);
             }
-            cal.base += 1;
+            steps += 1;
+            cal.base = if steps < ring_len {
+                cal.base + 1
+            } else {
+                let earliest = cal.ring.iter().flatten().map(|&(key, _)| key.time).min();
+                cal.bucket_index(earliest.expect("the ring holds an event"))
+            };
         };
         cal.base += 1;
-        let mut scratch = std::mem::take(&mut cal.scratch);
-        std::mem::swap(&mut cal.ring[s], &mut scratch);
-        cal.in_ring -= scratch.len();
-        for (key, slot) in scratch.drain(..) {
-            let pos = u32::try_from(self.heap.len()).expect("event queue overflow");
-            self.locs[slot as usize] = Loc::Heap(pos);
-            self.heap.push((key, slot));
-            self.sift_up(pos as usize);
-        }
-        self.cal.as_mut().expect("calendar profile").scratch = scratch;
-    }
-
-    /// Moves every far event whose bucket fell inside the ring window into
-    /// its bucket, and recomputes the exact far minimum.
-    fn pull_far(cal: &mut Calendar, locs: &mut [Loc]) {
-        let ring_len = cal.ring.len() as u64;
-        let window_end = cal.window_end();
-        let mut min_out = u64::MAX;
-        let mut i = 0;
-        while i < cal.far.len() {
-            let (key, slot) = cal.far[i];
-            let idx = key.time.as_nanos() / cal.width;
-            if idx < window_end {
-                debug_assert!(idx >= cal.base, "far event behind the window base");
-                cal.far.swap_remove(i);
-                if let Some(&(_, moved)) = cal.far.get(i) {
-                    locs[moved as usize] = Loc::Far(i as u32);
-                }
-                let s = (idx % ring_len) as usize;
-                let pos = u32::try_from(cal.ring[s].len()).expect("event queue overflow");
-                cal.ring[s].push((key, slot));
-                cal.in_ring += 1;
-                locs[slot as usize] = Loc::Bucket {
-                    slot: s as u32,
-                    pos,
-                };
+        let drained = std::mem::take(&mut cal.ring[s]);
+        let mut later = Vec::new();
+        for (key, slot) in drained {
+            if key.time.as_nanos() - year_start < width {
+                let pos = u32::try_from(self.heap.len()).expect("event queue overflow");
+                self.locs[slot as usize] = Loc::Heap(pos);
+                self.heap.push((key, slot));
+                self.sift_up(pos as usize);
             } else {
-                min_out = min_out.min(idx);
-                i += 1;
+                self.locs[slot as usize] = Loc::Bucket {
+                    slot: s as u32,
+                    pos: later.len() as u32,
+                };
+                later.push((key, slot));
             }
         }
-        cal.far_min_idx = min_out;
+        let cal = self.cal.as_mut().expect("calendar profile");
+        // The heap was empty: all it holds now came out of the bucket.
+        cal.in_ring -= self.heap.len();
+        cal.ring[s] = later;
     }
 
     /// Seats the heap's last entry at a vacant root — the repair `pop`
@@ -1010,7 +928,7 @@ mod tests {
     }
 
     /// Checks every structural invariant the queue relies on, across the
-    /// run buffer and all three tiers.
+    /// run buffer, the heap and the calendar ring.
     fn assert_invariants<T>(q: &EventQueue<T>) {
         use std::collections::HashSet;
         let mut seqs = HashSet::new();
@@ -1110,33 +1028,15 @@ mod tests {
                     "stale bucket loc"
                 );
                 let idx = cal.bucket_index(key.time);
-                assert!(
-                    idx >= cal.base && idx < cal.window_end(),
-                    "ring event outside the window"
-                );
+                assert!(idx >= cal.base, "ring event behind the base");
                 assert_eq!((idx % ring_len) as usize, s, "event in the wrong bucket");
                 in_ring += 1;
             }
         }
         assert_eq!(in_ring, cal.in_ring, "ring count out of sync");
-        for (pos, &(key, slot)) in cal.far.iter().enumerate() {
-            assert_eq!(
-                loc(slot, key, &mut seqs),
-                Loc::Far(pos as u32),
-                "stale far loc"
-            );
-            assert!(
-                cal.bucket_index(key.time) >= cal.base,
-                "far event behind the window base"
-            );
-            assert!(
-                cal.bucket_index(key.time) >= cal.far_min_idx,
-                "far_min_idx overshoots"
-            );
-        }
         assert_eq!(q.len(), seqs.len(), "len out of sync");
         assert_eq!(q.len() - q.run.len(), live, "live slab entries out of sync");
-        if cal.in_ring + cal.far.len() > 0 {
+        if cal.in_ring > 0 {
             assert!(
                 !q.heap.is_empty(),
                 "eager migration invariant broken: empty heap with future events"
@@ -1422,10 +1322,8 @@ mod tests {
                 );
             }
         }
-        fn far_and_ring(q: &EventQueue<Counted>) -> (usize, usize) {
-            q.cal
-                .as_ref()
-                .map_or((0, 0), |cal| (cal.far.len(), cal.in_ring))
+        fn in_ring(q: &EventQueue<Counted>) -> usize {
+            q.cal.as_ref().map_or(0, |cal| cal.in_ring)
         }
 
         for calendar in [false, true] {
@@ -1439,12 +1337,13 @@ mod tests {
                 EventQueue::new()
             };
             // Heap (the calendar migrates bucket 5 and moves its base to
-            // 6), ring, far, and heap again (bucket 5 is behind the base).
+            // 6), ring, the ring a later year on (bucket 90 sits in slot
+            // 10), and heap again (bucket 5 is behind the base).
             for (time, seq) in [(5_000, 0), (8_000, 1), (90_000, 2), (5_000, 3)] {
                 q.push(t(time), seq, tally.item());
                 tally.check(&q);
             }
-            assert_eq!(far_and_ring(&q), if calendar { (1, 1) } else { (0, 0) });
+            assert_eq!(in_ring(&q), if calendar { 2 } else { 0 });
             drop(q.pop().expect("four pending"));
             tally.check(&q);
             // The instant just popped, fresh seqs: the run buffer.
@@ -1458,7 +1357,8 @@ mod tests {
                 drop(q.cancel(seq).expect("pending"));
                 tally.check(&q);
             }
-            // In place; far → ring (heap profile: in place); run → tiers.
+            // In place; a later year → this year (heap profile: in place);
+            // run → tiers.
             for (seq, time, new_seq) in [(3, 5_500, 6), (2, 9_000, 7), (4, 9_500, 8)] {
                 assert!(q.reschedule(seq, t(time), new_seq).is_some());
                 tally.check(&q);
@@ -1627,7 +1527,7 @@ mod tests {
         assert!(!q.vacant);
         assert_eq!((q.heap.len(), q.heap[0].0.seq), (6, 6));
         assert_invariants(&q);
-        // A far push after the next pop sinks from the root to a leaf.
+        // A late push after the next pop sinks from the root to a leaf.
         assert_eq!(q.pop().map(|(_, s)| s), Some(6));
         q.push(t(99), 7, 7);
         assert_eq!(q.heap.len(), 6);
@@ -1680,7 +1580,7 @@ mod tests {
                 let mut slots: Vec<u32> = Vec::new();
                 let (mut now, mut next_seq, mut push_next) = (0u64, 0u64, false);
                 // Offsets of 0 join the run; up to 40 µs crosses the small
-                // calendar's 16 µs window into the far tier.
+                // calendar's 16 µs revolution into later years.
                 let when = |rng: &mut StreamRng, now: u64| match rng.index(8) {
                     0 => now,
                     1 => now.saturating_sub(rng.index(2_000) as u64),
@@ -1792,8 +1692,8 @@ mod tests {
 
     // -- calendar profile ---------------------------------------------------
 
-    /// A small calendar: 16 buckets of 1 µs, so tests cross bucket, window
-    /// and far boundaries with tiny time values.
+    /// A small calendar: 16 buckets of 1 µs, so tests cross bucket and
+    /// year (16 µs revolution) boundaries with tiny time values.
     fn small_calendar<T>() -> EventQueue<T> {
         EventQueue::with_profile(QueueProfile::Calendar {
             bucket_width: SimDuration::from_nanos(1_000),
@@ -1814,8 +1714,8 @@ mod tests {
     #[test]
     fn calendar_pops_in_time_then_seq_order() {
         let mut q = small_calendar();
-        // Spread across near bucket, mid ring, and far overflow, with a tie.
-        q.push(t(40_000), 0, 'f'); // far (idx 40 ≥ 16)
+        // Spread across near bucket, mid ring, and a later year, with a tie.
+        q.push(t(40_000), 0, 'f'); // year 2 (idx 40, slot 8)
         q.push(t(3), 1, 'a');
         q.push(t(2_500), 2, 'c');
         q.push(t(3), 3, 'b'); // same instant as seq 1 → fires after it
@@ -1847,29 +1747,29 @@ mod tests {
         q.push(t(100), 0, "near");
         q.push(t(5_000), 1, "ring");
         q.push(t(5_100), 2, "ring2");
-        q.push(t(90_000), 3, "far");
-        q.push(t(91_000), 4, "far2");
+        q.push(t(85_000), 3, "later"); // year 5, slot 5: shares ring's bucket
+        q.push(t(91_000), 4, "later2");
         assert_invariants(&q);
         assert_eq!(q.cancel(1), Some("ring"));
         assert_invariants(&q);
-        assert_eq!(q.cancel(3), Some("far"));
+        assert_eq!(q.cancel(3), Some("later"));
         assert_invariants(&q);
         assert_eq!(q.cancel(3), None, "double cancel");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, s)| s)).collect();
-        assert_eq!(order, vec!["near", "ring2", "far2"]);
+        assert_eq!(order, vec!["near", "ring2", "later2"]);
         assert_invariants(&q);
     }
 
     #[test]
     fn calendar_window_slides_over_long_horizons() {
-        // Events far beyond the initial window, scheduled in pop-interleaved
-        // rounds, keep arriving in order as the window slides and rebases.
+        // Events many revolutions beyond the first, scheduled in rounds,
+        // keep arriving in order as the base slides and jumps.
         let mut q = small_calendar();
         let mut seq = 0u64;
         let mut expected = Vec::new();
         for round in 0..50u64 {
             for k in 0..4u64 {
-                let time = round * 20_000 + k * 6_000; // crosses window spans
+                let time = round * 20_000 + k * 6_000; // crosses revolutions
                 q.push(t(time), seq, (time, seq));
                 expected.push((time, seq));
                 seq += 1;
@@ -1906,10 +1806,10 @@ mod tests {
         q.push(t(2_000), 0, "a");
         q.push(t(3_000), 1, "b");
         q.push(t(50_000), 2, "c");
-        // ring → far
+        // this year → a later year
         assert!(q.reschedule(0, t(60_000), 10).is_some());
         assert_invariants(&q);
-        // far → ring
+        // a later year → this year
         assert!(q.reschedule(2, t(4_000), 11).is_some());
         assert_invariants(&q);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, s)| s)).collect();
@@ -1943,19 +1843,58 @@ mod tests {
     }
 
     #[test]
-    fn calendar_far_tier_rebases_backwards_safely() {
+    fn calendar_push_behind_a_slid_base_pops_first() {
         let mut q = small_calendar();
-        // Drain a late event so the base slides far forward…
+        // Drain a late event so the base jumps well ahead…
         q.push(t(200_000), 0, ());
         assert_eq!(q.pop().map(|(k, ())| k.seq), Some(0));
-        // …then queue events that are all "past" relative to pushes but in
-        // the future of the (empty) queue — they route via heap or far and
-        // must still drain in order.
+        // …then queue one event a few revolutions on (the ring) and one
+        // behind the base it slid to since (the heap): they still drain in
+        // order.
         q.push(t(250_000), 1, ());
         q.push(t(210_000), 2, ());
         assert_invariants(&q);
         assert_eq!(q.pop().map(|(k, ())| k.seq), Some(2));
         assert_eq!(q.pop().map(|(k, ())| k.seq), Some(1));
+    }
+
+    /// A lone event about 10¹² revolutions ahead pops at once: after one
+    /// revolution of later years the base jumps to it instead of stepping
+    /// through every bucket on the way.
+    #[test]
+    fn calendar_base_jumps_a_revolution_of_later_years() {
+        let mut q = small_calendar();
+        let ahead = 16_000 * 1_000_000_000_000 + 3_500;
+        q.push(t(ahead), 0, ());
+        assert_invariants(&q);
+        assert_eq!(q.pop().map(|(k, ())| k.time), Some(t(ahead)));
+        let cal = q.cal.as_ref().expect("calendar profile");
+        assert_eq!(cal.base, ahead / 1_000 + 1);
+        // The last instant there is: its year ends past `u64::MAX`
+        // nanoseconds, and it still counts as the current year.
+        q.push(SimTime::MAX, 1, ());
+        assert_invariants(&q);
+        assert_eq!(q.pop().map(|(k, ())| k.time), Some(SimTime::MAX));
+    }
+
+    /// A burst spread over many buckets and years drains without leaving
+    /// its capacity behind: each drained bucket's `Vec` is dropped, not
+    /// handed round the ring.
+    #[test]
+    fn calendar_drained_buckets_keep_no_capacity() {
+        let mut q = small_calendar();
+        for seq in 0..5_000u64 {
+            q.push(t((seq * 7_919) % 64_000), seq, ());
+        }
+        assert_invariants(&q);
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, 5_000);
+        let cal = q.cal.as_ref().expect("calendar profile");
+        let kept: Vec<usize> = cal.ring.iter().map(Vec::capacity).collect();
+        assert!(kept.iter().all(|&c| c == 0), "bucket capacities {kept:?}");
     }
 
     #[test]

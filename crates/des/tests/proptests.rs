@@ -370,7 +370,7 @@ mod event_queue_model {
 // agree with the plain 4-ary heap EventQueue — the engine's proven
 // reference — step for step under arbitrary push / cancel / reschedule /
 // pop interleavings. Bucket widths and ring lengths are drawn tiny so every
-// run crosses bucket, window-slide, far-overflow, and rebase boundaries.
+// run crosses bucket, year-wrap and revolution-jump boundaries.
 // ---------------------------------------------------------------------------
 
 mod calendar_queue_model {

@@ -32,8 +32,8 @@
 //! 22.8 s / 599.5 MiB to 28.3 s / 822.7 MiB. The calendar queue is kept the
 //! same way: on the heap profile mega-ci took 1.23–1.60 s (median 1.36)
 //! against 0.75–1.21 s (median 0.90) over 8 alternated runs, and mega-1m
-//! 30.3 s against 20.8 s, though the heap peaks far lower (11.8 against
-//! 70.8 MiB, 97.3 against 599.6 MiB).
+//! 30.3 s against 20.8 s, and the heap peaks only a little lower: 11.7
+//! against 13.8 MiB on mega-ci, 97.3 against 118.1 MiB on mega-1m.
 //!
 //! Recorders are streaming by construction. Every figure in the paper is
 //! plotted from a per-sample series (per-cycle frequencies, load windows),
