@@ -94,6 +94,22 @@ test_nonempty --release -q -p presence-des --lib engine::
 echo "==> golden replay (release)"
 test_nonempty --release -q --test golden_equivalence
 
+# The committed fixtures must be what `golden_fixtures` writes from this
+# tree: regenerate all five into a scratch directory and compare each
+# with `tests/golden/` byte for byte, so a fixture left stale by a change
+# that moved a count (or edited by hand) stops here and is named.
+echo "==> golden fixtures: golden_fixtures output cmp tests/golden/"
+fixtures_dir="$(mktemp -d)"
+cargo run --release -q -p presence-bench --bin golden_fixtures -- "$fixtures_dir" >/dev/null
+# Every file either side has (five today), so a missing one fails too.
+for fixture in $( (ls "$fixtures_dir"; ls tests/golden) | sort -u); do
+    if ! cmp "$fixtures_dir/$fixture" "tests/golden/$fixture"; then
+        echo "ci.sh: tests/golden/$fixture differs from what golden_fixtures writes" >&2
+        exit 1
+    fi
+done
+rm -rf "$fixtures_dir"
+
 # The mega shard's unit tests optimised, as the benchmark and the bins run
 # it: overflow is where debug and release builds disagree (a debug build
 # panics where a release build wraps), and the shard counts transmissions

@@ -9,9 +9,10 @@
 //! The replay suite (`tests/golden_equivalence.rs`) asserts
 //! **every** metric, `events_processed` included: since the PR 5 typed
 //! dispatch rewrite, engine refactors are expected to preserve event
-//! counts exactly, so a changed count is a changed trajectory. A PR that
-//! legitimately changes counts (a new event-collapsing fast path) must
-//! regenerate the fixtures and say so.
+//! counts exactly, so a changed count is a changed trajectory. A change
+//! that moves a count on purpose (one that collapses or splits engine
+//! events without reordering deliveries) must regenerate the fixtures and
+//! say which counts moved and why.
 //!
 //! Usage: `cargo run --release -p presence-bench --bin golden_fixtures
 //! [OUT_DIR]` (writes into `tests/golden/` relative to the workspace root

@@ -41,7 +41,7 @@
 //! inspection (the paper stresses that simulation results are only
 //! trustworthy when the simulator's semantics are).
 
-use crate::queue::{EventKey, EventQueue, QueueProfile};
+use crate::queue::{EventQueue, QueueProfile};
 use crate::rng::StreamRng;
 use crate::time::{SimDuration, SimTime};
 use std::mem::size_of;
@@ -179,30 +179,27 @@ pub struct TraceRecord {
     pub seq: u64,
 }
 
-/// The destination of one queued event: a single actor, or a batch
-/// delivered to every listed actor in order within one engine event.
+/// The actor a queued event goes to.
 ///
-/// A batch occupies **one** queue slot and one sequence number. Because a
-/// loop of same-instant `send_now` calls mints consecutive sequence
-/// numbers (nothing can be scheduled between them), collapsing the loop
-/// into a batch cannot reorder anything: every other event either precedes
-/// the whole run of sends or follows it, exactly as before. The batch
-/// therefore preserves seeded trajectories bit-for-bit while costing one
-/// queue operation instead of k (the churn actor's `drive_to` is the
-/// motivating caller).
-///
-/// Batches are rare, so their target lists wait in a side table of
-/// [`Core`] and the queued destination is one word, not a fat pointer.
+/// A one-variant `repr(u32)` enum rather than a bare index, for the layout
+/// of a queue slab slot, `Option<(Dest, E)>`: the tag is a `u32` with one
+/// valid value, so it is the largest niche in the pair and `None` is
+/// stored in it, at byte 0. Beside a bare `u32`, `NonZeroU32` or `ActorId`
+/// the payload's own enum tag (byte 8 for the hub's `SimEvent`) takes
+/// `None` instead, and that slot read 6 to 13 % slower on the `sim-hub`
+/// benchmark at the same 64 bytes (ROADMAP, "Measured and rejected").
 #[derive(Debug, Clone, Copy)]
+#[repr(u32)]
 enum Dest {
     /// The actor with this index.
     One(u32),
-    /// Every actor of the target list at this index of `Core::batches`.
-    Batch(u32),
 }
 
-// Every queued event carries a `Dest` beside its payload.
+// Every queued event carries a `Dest` beside its payload, and a slot's
+// `None` lives in it: a payload with no niche of its own still makes a
+// 64-byte slot.
 const _: () = assert!(size_of::<Dest>() <= 8);
+const _: () = assert!(size_of::<Option<(Dest, [u64; 7])>>() == 64);
 
 /// Mutable scheduler state shared between the engine loop and [`Context`].
 struct Core<E> {
@@ -210,39 +207,13 @@ struct Core<E> {
     /// Live events only: cancellation removes entries immediately (see
     /// [`crate::queue`]), so there are no tombstones to skip at pop time.
     queue: EventQueue<(Dest, E)>,
-    /// The target lists of pending batch events, at the index their
-    /// [`Dest::Batch`] names; a free entry is empty and listed in
-    /// `free_batches`.
-    batches: Vec<Vec<ActorId>>,
-    free_batches: Vec<u32>,
     next_seq: u64,
     actor_count: usize,
 }
 
 impl<E> Core<E> {
-    fn push(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
-        // `add_member` keeps every actor index below `u32::MAX`.
-        self.push_dest(time, Dest::One(target.0 as u32), payload)
-    }
-
-    fn push_batch(&mut self, time: SimTime, targets: Vec<ActorId>, payload: E) -> EventHandle {
-        assert!(!targets.is_empty(), "batch needs at least one target");
-        let index = match self.free_batches.pop() {
-            Some(index) => {
-                self.batches[index as usize] = targets;
-                index
-            }
-            None => {
-                let index = u32::try_from(self.batches.len()).expect("batch table overflow");
-                self.batches.push(targets);
-                index
-            }
-        };
-        self.push_dest(time, Dest::Batch(index), payload)
-    }
-
     #[inline]
-    fn push_dest(&mut self, time: SimTime, dest: Dest, payload: E) -> EventHandle {
+    fn push(&mut self, time: SimTime, target: ActorId, payload: E) -> EventHandle {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < now {}",
@@ -250,27 +221,16 @@ impl<E> Core<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.queue.push(time, seq, (dest, payload));
+        // `add_member` keeps every actor index below `u32::MAX`.
+        let slot = self
+            .queue
+            .push(time, seq, (Dest::One(target.0 as u32), payload));
         EventHandle::new(seq, slot)
-    }
-
-    /// Takes the target list of a batch event that left the queue, freeing
-    /// its table entry.
-    fn take_batch(&mut self, index: u32) -> Vec<ActorId> {
-        self.free_batches.push(index);
-        std::mem::take(&mut self.batches[index as usize])
     }
 
     /// Cancels a pending event. Returns whether it was still pending.
     fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.queue.cancel_slot(handle.slot, handle.seq()) {
-            Some((Dest::Batch(index), _)) => {
-                self.take_batch(index);
-                true
-            }
-            Some((Dest::One(_), _)) => true,
-            None => false,
-        }
+        self.queue.cancel_slot(handle.slot, handle.seq()).is_some()
     }
 }
 
@@ -330,29 +290,6 @@ impl<'a, E> Context<'a, E> {
     pub fn send_now(&mut self, target: ActorId, payload: E) -> EventHandle {
         let now = self.core.now;
         self.schedule_at(now, target, payload)
-    }
-
-    /// Sends one copy of `payload` to every target at the current instant
-    /// as a **single** engine event: one queue slot, one sequence number,
-    /// one `events_processed` tick; the targets are dispatched in list
-    /// order when it fires. Equivalent to a loop of [`Context::send_now`]
-    /// calls in every observable ordering (a same-instant `send_now` run
-    /// mints consecutive sequence numbers, so nothing can interleave), but
-    /// k − 1 queue operations cheaper. Cancelling the returned handle
-    /// cancels delivery to the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets` is empty or names an unknown actor.
-    pub fn send_now_batch(&mut self, targets: Vec<ActorId>, payload: E) -> EventHandle {
-        for &target in &targets {
-            assert!(
-                target.0 < self.core.actor_count,
-                "scheduling for unknown actor {target:?}"
-            );
-        }
-        let now = self.core.now;
-        self.core.push_batch(now, targets, payload)
     }
 
     /// Cancels a previously scheduled event, returning whether it was
@@ -471,8 +408,6 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
             core: Core {
                 now: SimTime::ZERO,
                 queue: EventQueue::with_profile(profile),
-                batches: Vec::new(),
-                free_batches: Vec::new(),
                 next_seq: 0,
                 actor_count: 0,
             },
@@ -486,10 +421,9 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
     }
 
     /// Installs the simulation's one observer: a hook that sees every
-    /// delivery exactly once, at its dispatch, in firing order (a batch
-    /// event shows once per member). A second call replaces the first
-    /// hook. Without one, dispatch pays one predictable branch and
-    /// allocates nothing.
+    /// delivery exactly once, at its dispatch, in firing order. A second
+    /// call replaces the first hook. Without one, dispatch pays one
+    /// predictable branch and allocates nothing.
     pub fn set_trace<F: FnMut(&TraceRecord) + 'static>(&mut self, hook: F) {
         self.trace = Some(Box::new(hook));
     }
@@ -611,17 +545,18 @@ impl<E: 'static, S: Actor<E>> Simulation<E, S> {
             self.start(me);
         }
     }
-}
 
-/// The run loop. Requires `E: Clone` so a batch event
-/// ([`Context::send_now_batch`]) can hand each target its own copy of the
-/// payload (the final target receives the original without cloning).
-impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
-    /// Hands one popped event to one target. Observers see one record per
-    /// member dispatch (a batch's members share its time and seq), so they
-    /// still see every delivery.
-    #[inline]
-    fn deliver(&mut self, key: EventKey, target: ActorId, payload: E) {
+    /// Pops the next event, shows it to the trace hook and dispatches it.
+    /// Returns `false` when the queue is empty. Cancelled events were
+    /// removed at cancel time, so every pop is live.
+    fn fire_next(&mut self) -> bool {
+        let Some((key, (Dest::One(target), payload))) = self.core.queue.pop() else {
+            return false;
+        };
+        debug_assert!(key.time >= self.core.now, "event queue went backwards");
+        self.core.now = key.time;
+        self.events_processed += 1;
+        let target = ActorId(target as usize);
         if let Some(hook) = &mut self.trace {
             hook(&TraceRecord {
                 time: key.time,
@@ -630,35 +565,10 @@ impl<E: Clone + 'static, S: Actor<E>> Simulation<E, S> {
             });
         }
         self.dispatch(target, payload);
-    }
-
-    /// Pops and dispatches the next event — which may be a batch
-    /// delivering to several actors in order. Returns `false` when the
-    /// queue is empty. Cancelled events were removed at cancel time, so
-    /// every pop is live.
-    fn fire_next(&mut self) -> bool {
-        let Some((key, (dest, payload))) = self.core.queue.pop() else {
-            return false;
-        };
-        debug_assert!(key.time >= self.core.now, "event queue went backwards");
-        self.core.now = key.time;
-        self.events_processed += 1;
-        match dest {
-            Dest::One(target) => self.deliver(key, ActorId(target as usize), payload),
-            Dest::Batch(index) => {
-                let targets = self.core.take_batch(index);
-                let (&last, rest) = targets.split_last().expect("batch is never empty");
-                for &target in rest {
-                    self.deliver(key, target, payload.clone());
-                }
-                self.deliver(key, last, payload);
-            }
-        }
         true
     }
 
-    /// Processes a single event — which may be a batch delivering to
-    /// several actors in order. Returns `false` when the queue is empty.
+    /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.flush_starts();
         self.fire_next()
@@ -716,14 +626,6 @@ mod tests {
     impl<D> Cast<D> {
         fn peer() -> Self {
             Cast::Peer(Recorder { log: vec![] })
-        }
-
-        /// The events a peer received, in firing order.
-        fn received(&self) -> Vec<Ev> {
-            match self {
-                Cast::Peer(r) => r.log.iter().map(|&(_, e)| e).collect(),
-                Cast::Driver(_) => panic!("not a peer"),
-            }
         }
     }
 
@@ -1069,117 +971,6 @@ mod tests {
             out
         }
         assert_eq!(trace(true), trace(false));
-    }
-
-    /// A batch send must be indistinguishable from a loop of `send_now`
-    /// calls in everything but event count: same delivery order, same
-    /// interleaving with competing same-instant events.
-    #[test]
-    fn batch_send_orders_like_send_now_loop() {
-        fn run(batch: bool) -> (Vec<(usize, Ev)>, u64) {
-            struct Driver {
-                batch: bool,
-                peers: Vec<ActorId>,
-            }
-            impl Actor<Ev> for Driver {
-                fn on_event(&mut self, ctx: &mut Context<'_, Ev>, _: Ev) {
-                    // A competing event minted before the sends…
-                    ctx.send_now(self.peers[0], 99);
-                    if self.batch {
-                        ctx.send_now_batch(self.peers.clone(), 7);
-                    } else {
-                        for &p in &self.peers {
-                            ctx.send_now(p, 7);
-                        }
-                    }
-                    // …and one minted after.
-                    ctx.send_now(self.peers[2], 42);
-                }
-            }
-            let mut sim = Simulation::with_actor_set(1);
-            let peers: Vec<ActorId> = (0..3).map(|_| sim.add_member(Cast::peer())).collect();
-            let d = sim.add_member(Cast::Driver(Driver {
-                batch,
-                peers: peers.clone(),
-            }));
-            sim.schedule_at(SimTime::from_secs_f64(1.0), d, 0);
-            sim.run(u64::MAX);
-            let mut log = Vec::new();
-            for (i, &p) in peers.iter().enumerate() {
-                for e in sim.actor::<Cast<Driver>>(p).unwrap().received() {
-                    log.push((i, e));
-                }
-            }
-            (log, sim.events_processed())
-        }
-        let (batched, batched_events) = run(true);
-        let (serial, serial_events) = run(false);
-        assert_eq!(batched, serial, "delivery must match the serial loop");
-        // driver + 99 + batch(1 vs 3) + 42
-        assert_eq!(serial_events, 6);
-        assert_eq!(batched_events, 4, "3 sends collapse into one event");
-    }
-
-    #[test]
-    fn batch_send_traces_every_member_and_cancels_whole() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        struct Batcher {
-            peers: Vec<ActorId>,
-            cancel_it: bool,
-        }
-        impl Actor<Ev> for Batcher {
-            fn on_event(&mut self, ctx: &mut Context<'_, Ev>, _: Ev) {
-                let h = ctx.send_now_batch(self.peers.clone(), 5);
-                assert!(ctx.is_pending(h));
-                if self.cancel_it {
-                    assert!(ctx.cancel(h));
-                }
-            }
-        }
-        for cancel_it in [false, true] {
-            let mut sim = Simulation::with_actor_set(1);
-            let peers: Vec<ActorId> = (0..4).map(|_| sim.add_member(Cast::peer())).collect();
-            let b = sim.add_member(Cast::Driver(Batcher {
-                peers: peers.clone(),
-                cancel_it,
-            }));
-            let records = Rc::new(RefCell::new(Vec::new()));
-            let r2 = Rc::clone(&records);
-            sim.set_trace(move |rec| r2.borrow_mut().push((rec.seq, rec.target)));
-            sim.schedule_at(SimTime::ZERO, b, 0);
-            sim.run(u64::MAX);
-            let delivered: usize = peers
-                .iter()
-                .map(|&p| sim.actor::<Cast<Batcher>>(p).unwrap().received().len())
-                .sum();
-            if cancel_it {
-                assert_eq!(delivered, 0, "cancelled batch must not deliver");
-                assert_eq!(records.borrow().len(), 1, "only the driver event");
-            } else {
-                assert_eq!(delivered, 4);
-                // 1 driver record + 4 member records sharing one seq.
-                let recs = records.borrow();
-                assert_eq!(recs.len(), 5);
-                let batch_seq = recs[1].0;
-                assert!(recs[1..].iter().all(|&(s, _)| s == batch_seq));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one target")]
-    fn empty_batch_panics() {
-        struct Empty;
-        impl Actor<Ev> for Empty {
-            fn on_event(&mut self, ctx: &mut Context<'_, Ev>, _: Ev) {
-                ctx.send_now_batch(Vec::new(), 1);
-            }
-        }
-        let mut sim = Simulation::with_actor_set(1);
-        let id = sim.add_member(Empty);
-        sim.schedule_at(SimTime::ZERO, id, 0);
-        sim.run(u64::MAX);
     }
 
     /// Ping-pong pair demonstrating actor-to-actor messaging.

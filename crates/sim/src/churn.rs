@@ -268,48 +268,28 @@ impl ChurnActor {
     /// index order) or leaving active ones (highest index first — matching
     /// the "18 of 20 leave, CPs 1–2 stay" reading of Figure 4).
     ///
-    /// All changes of one resample go out as a **single batched engine
-    /// event** per direction ([`Context::send_now_batch`]) instead of one
-    /// event per membership change — same delivery order, k − 1 fewer
-    /// queue operations (ROADMAP open item (d)). A single-change step (the
-    /// common diurnal case) is a batch of one: one event and one sequence
-    /// number, as a plain `send_now` would be.
+    /// Each changed CP gets its own same-instant `Join`/`Leave`, sent as its
+    /// flag flips: the sends mint consecutive sequence numbers, so the CPs
+    /// react in that order before anything else scheduled for this instant.
     fn drive_to(&mut self, ctx: &mut Context<'_, SimEvent>, target: u32) {
-        let current = self.active_count();
-        if current < target {
-            let mut changed = Vec::with_capacity((target - current) as usize);
-            let mut current = current;
-            while current < target {
-                let Some(idx) = self.active.iter().position(|&a| !a) else {
-                    break;
-                };
-                self.active[idx] = true;
-                changed.push(self.cps[idx]);
-                current += 1;
-            }
-            Self::send_membership(ctx, changed, SimEvent::Join);
-        } else if current > target {
-            let mut changed = Vec::with_capacity((current - target) as usize);
-            let mut current = current;
-            while current > target {
-                let Some(idx) = self.active.iter().rposition(|&a| a) else {
-                    break;
-                };
-                self.active[idx] = false;
-                changed.push(self.cps[idx]);
-                current -= 1;
-            }
-            Self::send_membership(ctx, changed, SimEvent::Leave);
+        let mut current = self.active_count();
+        while current < target {
+            let Some(idx) = self.active.iter().position(|&a| !a) else {
+                break;
+            };
+            self.active[idx] = true;
+            ctx.send_now(self.cps[idx], SimEvent::Join);
+            current += 1;
+        }
+        while current > target {
+            let Some(idx) = self.active.iter().rposition(|&a| a) else {
+                break;
+            };
+            self.active[idx] = false;
+            ctx.send_now(self.cps[idx], SimEvent::Leave);
+            current -= 1;
         }
         self.record_population(ctx.now());
-    }
-
-    /// One membership event for the whole change set; nothing for an
-    /// empty set.
-    fn send_membership(ctx: &mut Context<'_, SimEvent>, changed: Vec<ActorId>, event: SimEvent) {
-        if !changed.is_empty() {
-            ctx.send_now_batch(changed, event);
-        }
     }
 
     /// Schedules the next self-event the current model needs (if any).

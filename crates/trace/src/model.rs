@@ -56,7 +56,7 @@ pub struct TracePoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineEventKind {
     /// The engine delivered an event to the actor — every delivery, timer
-    /// fires included; a batch event delivers once per member.
+    /// fires included.
     Dispatch,
     /// The actor armed a protocol timer.
     TimerArm,

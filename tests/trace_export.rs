@@ -132,12 +132,11 @@ fn count(model: &TraceModel, actor: Option<usize>, kind: EngineEventKind) -> usi
         .count()
 }
 
-/// The engine stream sees every delivery and every protocol timer. A
-/// static scenario sends no batch events, so the dispatch hook records
-/// exactly one `Dispatch` per processed event; every timer a CP armed was
-/// cancelled, fired, or is its one timer still live at the horizon. Under
-/// churn, each batch event delivers once per member, so there are at
-/// least as many `Dispatch` records as processed events.
+/// The engine stream sees every delivery and every protocol timer. Every
+/// processed event is one delivery, so the dispatch hook records exactly
+/// one `Dispatch` per processed event, with and without churn; every timer
+/// a CP armed was cancelled, fired, or is its one timer still live at the
+/// horizon.
 #[test]
 fn paper_dcpp_engine_trace_sees_protocol_timers() {
     let (model, events) = engine_traced("paper-dcpp");
@@ -176,9 +175,9 @@ fn paper_dcpp_engine_trace_sees_protocol_timers() {
 
     let (model, events) = engine_traced("paper-churn");
     let dispatches = count(&model, None, EngineEventKind::Dispatch);
-    assert!(
-        dispatches as u64 >= events,
-        "{dispatches} dispatches for {events} processed events"
+    assert_eq!(
+        dispatches as u64, events,
+        "one dispatch per processed event under churn"
     );
 }
 
