@@ -275,7 +275,7 @@ done
 # the digest with `lab`'s regime windows read from the trace; a malformed
 # or empty trace exits non-zero. The 260 s cap takes in the delay switch
 # at 200 s and the loss switch at 250 s, so the read-back crosses regime
-# boundaries of both kinds a network model makes without an event
+# boundaries of both network kinds, each a `dispatch` on `net0`
 # (release, 2-core guest: `lab` 0.1 s, `spotter` 0.3 s, a 5.1 MB trace).
 echo "==> trace stage: lab --trace --trace-engine + spotter validation (mixed-regime-stress, first 260 s)"
 cargo run --release -q -p presence-bench --bin lab -- \
@@ -293,21 +293,25 @@ cargo test --release -q --test alloc_steady_state
 cargo test --release -q --test alloc_host_steady_state
 
 # Size ledger (ROADMAP aim 2): the non-test lines under crates/*/src,
-# shims excluded, and beside it the shims' whole line count (every build
-# compiles them). It prints and does not gate. A file is cut at the
-# `#[cfg(test)]` that opens a `mod`, not at its first `#[cfg(test)]` (a
-# `#[cfg(test)]` field, as in `mega.rs`'s shard, would stop the count
-# mid-file).
+# shims excluded, beside it the shims' whole line count (every build
+# compiles them), and the test lines: the in-file test modules the tree
+# line cuts plus the out-of-line test files. It prints and does not gate.
+# A file is cut at the `#[cfg(test)]` that opens a `mod`, not at its
+# first `#[cfg(test)]` (a `#[cfg(test)]` field, as in `mega.rs`'s shard,
+# would stop the count mid-file).
 echo "==> size ledger (prints, does not gate)"
-tree_lines="$(find crates -path crates/shims -prune -o -path '*/src/*' -name '*.rs' -print0 |
+read -r tree_lines inline_test_lines < <(
+    find crates -path crates/shims -prune -o -path '*/src/*' -name '*.rs' -print0 |
     xargs -0 awk '
         FNR == 1 { cut = 0; cfg = 0 }
-        cut { next }
-        cfg && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { cut = 1; n--; next }
+        cut { t++; next }
+        cfg && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { cut = 1; n--; t += 2; next }
         { n++; cfg = /^[[:space:]]*#\[cfg\(test\)\]/ }
-        END { print n }')"
+        END { print n, t }')
 shim_lines="$(cat crates/shims/*/src/*.rs | wc -l)"
+test_file_lines="$(cat tests/*.rs crates/*/tests/*.rs | wc -l)"
 echo "tree: $tree_lines non-test lines under crates/*/src (shims excluded)"
 echo "shims: $shim_lines lines under crates/shims/*/src"
+echo "tests: $((inline_test_lines + test_file_lines)) test lines ($inline_test_lines in-file test modules under crates/*/src, $test_file_lines in tests/*.rs and crates/*/tests/*.rs)"
 
 echo "==> ci.sh: all green"

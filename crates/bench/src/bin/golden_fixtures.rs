@@ -2,9 +2,9 @@
 //!
 //! Each fixture is the full `ScenarioResult` JSON of one pinned scenario:
 //! the three `golden_trio()` presets plus the `mixed-regime-stress` lab
-//! spec (a regime-switching churn trajectory that exercises the
-//! `Scheduled` network models, the churn actor's own regime switches,
-//! and every churn generator — the coverage the paper trio lacks).
+//! spec (a regime-switching churn trajectory that exercises delay, loss
+//! and churn switches as engine events, and every churn generator — the
+//! coverage the paper trio lacks).
 //!
 //! The replay suite (`tests/golden_equivalence.rs`) asserts
 //! **every** metric, `events_processed` included: since the PR 5 typed

@@ -8,17 +8,16 @@
 //! and two alternatives for sensitivity studies: [`ConstantDelay`] and
 //! [`UniformDelay`].
 
-use presence_des::{SimDuration, SimTime, StreamRng};
+use presence_des::{SimDuration, StreamRng};
 
 /// Samples a one-way network delay for each transmitted message.
 ///
-/// `now` is the simulation time of the send: stationary models ignore it,
-/// while time-varying wrappers ([`crate::Scheduled`]) use it to pick the
-/// active regime. Callers must query with non-decreasing `now` values (the
-/// fabric does, since event time is monotone).
+/// A model is stationary: it reads no clock. A regime that changes during
+/// a run replaces the fabric's model at its instant
+/// ([`crate::Fabric::set_delay`]).
 pub trait DelayModel: std::fmt::Debug + Send {
-    /// Draws the delay for one message sent at `now`.
-    fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration;
+    /// Draws the delay for one message.
+    fn sample(&mut self, rng: &mut StreamRng) -> SimDuration;
 }
 
 /// A constant (deterministic) delay.
@@ -26,7 +25,7 @@ pub trait DelayModel: std::fmt::Debug + Send {
 pub struct ConstantDelay(pub SimDuration);
 
 impl DelayModel for ConstantDelay {
-    fn sample(&mut self, _now: SimTime, _rng: &mut StreamRng) -> SimDuration {
+    fn sample(&mut self, _rng: &mut StreamRng) -> SimDuration {
         self.0
     }
 }
@@ -52,7 +51,7 @@ impl UniformDelay {
 }
 
 impl DelayModel for UniformDelay {
-    fn sample(&mut self, _now: SimTime, rng: &mut StreamRng) -> SimDuration {
+    fn sample(&mut self, rng: &mut StreamRng) -> SimDuration {
         if self.low == self.high {
             return self.low;
         }
@@ -109,21 +108,12 @@ impl ThreeMode {
 }
 
 impl DelayModel for ThreeMode {
-    fn sample(&mut self, _now: SimTime, rng: &mut StreamRng) -> SimDuration {
+    fn sample(&mut self, rng: &mut StreamRng) -> SimDuration {
         match rng.index(3) {
             0 => self.slow,
             1 => self.medium,
             _ => self.fast,
         }
-    }
-}
-
-/// Boxed models forward to their contents, so `Box<dyn DelayModel>` is
-/// itself a [`DelayModel`] — which lets the time-varying
-/// [`crate::Scheduled`] wrapper hold heterogeneous boxed segments.
-impl<M: DelayModel + ?Sized> DelayModel for Box<M> {
-    fn sample(&mut self, now: SimTime, rng: &mut StreamRng) -> SimDuration {
-        (**self).sample(now, rng)
     }
 }
 
@@ -140,7 +130,7 @@ mod tests {
         let mut m = ConstantDelay(SimDuration::from_millis(5));
         let mut r = rng();
         for _ in 0..100 {
-            assert_eq!(m.sample(SimTime::ZERO, &mut r), SimDuration::from_millis(5));
+            assert_eq!(m.sample(&mut r), SimDuration::from_millis(5));
         }
     }
 
@@ -151,7 +141,7 @@ mod tests {
         let mut m = UniformDelay::new(lo, hi);
         let mut r = rng();
         for _ in 0..10_000 {
-            let d = m.sample(SimTime::ZERO, &mut r);
+            let d = m.sample(&mut r);
             assert!(d >= lo && d <= hi, "sample {d} out of bounds");
         }
     }
@@ -160,7 +150,7 @@ mod tests {
     fn uniform_degenerate_point() {
         let d = SimDuration::from_micros(7);
         let mut m = UniformDelay::new(d, d);
-        assert_eq!(m.sample(SimTime::ZERO, &mut rng()), d);
+        assert_eq!(m.sample(&mut rng()), d);
     }
 
     #[test]
@@ -175,7 +165,7 @@ mod tests {
         let mut r = rng();
         let mut counts = [0u32; 3];
         for _ in 0..30_000 {
-            let d = m.sample(SimTime::ZERO, &mut r);
+            let d = m.sample(&mut r);
             if d == m.slow {
                 counts[0] += 1;
             } else if d == m.medium {

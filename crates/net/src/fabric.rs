@@ -155,7 +155,7 @@ impl Fabric {
             self.stats.dropped_overflow += 1;
             return SendOutcome::DroppedOverflow;
         }
-        if self.loss.should_drop(now, rng) {
+        if self.loss.should_drop(rng) {
             self.stats.dropped_loss += 1;
             return SendOutcome::DroppedLoss;
         }
@@ -163,9 +163,19 @@ impl Fabric {
         self.stats.admitted += 1;
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
         self.occupancy.set(now.as_secs_f64(), self.in_flight as f64);
-        let at = now + self.delay.sample(now, rng);
+        let at = now + self.delay.sample(rng);
         self.pending.push(Reverse(at));
         SendOutcome::Deliver(at)
+    }
+
+    /// Replaces the delay model for every later [`send`](Fabric::send).
+    pub fn set_delay(&mut self, delay: Box<dyn DelayModel>) {
+        self.delay = delay;
+    }
+
+    /// Replaces the loss model for every later [`send`](Fabric::send).
+    pub fn set_loss(&mut self, loss: Box<dyn LossModel>) {
+        self.loss = loss;
     }
 
     /// Records a message that could not be routed (no registered

@@ -11,13 +11,13 @@
 //!   [`ConstantDelay`] and [`UniformDelay`];
 //! * [`LossModel`] with [`NoLoss`], [`BernoulliLoss`], and the bursty
 //!   [`GilbertElliott`] channel (for the paper's §5 loss conjecture);
-//! * [`Scheduled`] — a piecewise wrapper that switches any delay or loss
-//!   model at configured sim-time boundaries (the scenario lab's
-//!   time-varying network regimes);
 //! * [`Fabric`] — the complete network: bounded-buffer admission with
 //!   time-weighted occupancy accounting (the paper's "average buffer
 //!   length ≈ 0.004"), loss, delay, and delivery bookkeeping, independent
-//!   of any particular event loop.
+//!   of any particular event loop. Its models are stationary; a run whose
+//!   network changes mid-way swaps them at each instant
+//!   ([`Fabric::set_delay`], [`Fabric::set_loss`]) — the scenario lab's
+//!   time-varying network regimes.
 //!
 //! Everything is payload-agnostic; the simulation glue in `presence-sim`
 //! marries the fabric to the DES engine and to protocol messages.
@@ -28,9 +28,7 @@
 mod delay;
 mod fabric;
 mod loss;
-mod scheduled;
 
 pub use delay::{ConstantDelay, DelayModel, ThreeMode, UniformDelay};
 pub use fabric::{Fabric, FabricStats, SendOutcome};
 pub use loss::{BernoulliLoss, GilbertElliott, LossModel, NoLoss};
-pub use scheduled::Scheduled;

@@ -8,25 +8,16 @@
 //! independent ([`BernoulliLoss`]) and a bursty ([`GilbertElliott`]) loss
 //! model.
 
-use presence_des::{SimTime, StreamRng};
+use presence_des::StreamRng;
 
 /// Decides, per message, whether the network drops it.
 ///
-/// `now` is the simulation time of the send: stationary models ignore it,
-/// while time-varying wrappers ([`crate::Scheduled`]) use it to pick the
-/// active regime. Callers must query with non-decreasing `now` values.
+/// A model is stationary: it reads no clock. A regime that changes during
+/// a run replaces the fabric's model at its instant
+/// ([`crate::Fabric::set_loss`]).
 pub trait LossModel: std::fmt::Debug + Send {
-    /// Returns `true` if a message sent at `now` should be dropped.
-    fn should_drop(&mut self, now: SimTime, rng: &mut StreamRng) -> bool;
-}
-
-/// Boxed models forward to their contents, so `Box<dyn LossModel>` is
-/// itself a [`LossModel`] — which lets the time-varying
-/// [`crate::Scheduled`] wrapper hold heterogeneous boxed segments.
-impl<M: LossModel + ?Sized> LossModel for Box<M> {
-    fn should_drop(&mut self, now: SimTime, rng: &mut StreamRng) -> bool {
-        (**self).should_drop(now, rng)
-    }
+    /// Returns `true` if the message should be dropped.
+    fn should_drop(&mut self, rng: &mut StreamRng) -> bool;
 }
 
 /// The lossless network of the paper's baseline experiments.
@@ -34,7 +25,7 @@ impl<M: LossModel + ?Sized> LossModel for Box<M> {
 pub struct NoLoss;
 
 impl LossModel for NoLoss {
-    fn should_drop(&mut self, _now: SimTime, _rng: &mut StreamRng) -> bool {
+    fn should_drop(&mut self, _rng: &mut StreamRng) -> bool {
         false
     }
 }
@@ -60,7 +51,7 @@ impl BernoulliLoss {
 }
 
 impl LossModel for BernoulliLoss {
-    fn should_drop(&mut self, _now: SimTime, rng: &mut StreamRng) -> bool {
+    fn should_drop(&mut self, rng: &mut StreamRng) -> bool {
         rng.bernoulli(self.p)
     }
 }
@@ -133,7 +124,7 @@ impl GilbertElliott {
 }
 
 impl LossModel for GilbertElliott {
-    fn should_drop(&mut self, _now: SimTime, rng: &mut StreamRng) -> bool {
+    fn should_drop(&mut self, rng: &mut StreamRng) -> bool {
         // Transition first, then sample loss in the new state.
         if self.in_bad {
             if rng.bernoulli(self.p_bg) {
@@ -163,16 +154,14 @@ mod tests {
     fn no_loss_never_drops() {
         let mut m = NoLoss;
         let mut r = rng();
-        assert!((0..10_000).all(|_| !m.should_drop(SimTime::ZERO, &mut r)));
+        assert!((0..10_000).all(|_| !m.should_drop(&mut r)));
     }
 
     #[test]
     fn bernoulli_rate_matches() {
         let mut m = BernoulliLoss::new(0.2);
         let mut r = rng();
-        let drops = (0..100_000)
-            .filter(|_| m.should_drop(SimTime::ZERO, &mut r))
-            .count();
+        let drops = (0..100_000).filter(|_| m.should_drop(&mut r)).count();
         let rate = drops as f64 / 100_000.0;
         assert!((rate - 0.2).abs() < 0.01, "drop rate {rate}");
     }
@@ -180,8 +169,8 @@ mod tests {
     #[test]
     fn bernoulli_extremes() {
         let mut r = rng();
-        assert!(!BernoulliLoss::new(0.0).should_drop(SimTime::ZERO, &mut r));
-        assert!(BernoulliLoss::new(1.0).should_drop(SimTime::ZERO, &mut r));
+        assert!(!BernoulliLoss::new(0.0).should_drop(&mut r));
+        assert!(BernoulliLoss::new(1.0).should_drop(&mut r));
     }
 
     #[test]
@@ -195,9 +184,7 @@ mod tests {
         let mut m = GilbertElliott::bursty(0.1);
         let mut r = rng();
         let n = 500_000;
-        let drops = (0..n)
-            .filter(|_| m.should_drop(SimTime::ZERO, &mut r))
-            .count();
+        let drops = (0..n).filter(|_| m.should_drop(&mut r)).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.02, "long-run loss rate {rate}");
     }
@@ -210,7 +197,7 @@ mod tests {
             let mut max = 0;
             let mut cur = 0;
             for _ in 0..n {
-                if m.should_drop(SimTime::ZERO, r) {
+                if m.should_drop(r) {
                     cur += 1;
                     max = max.max(cur);
                 } else {
@@ -236,7 +223,7 @@ mod tests {
         let mut saw_bad = false;
         let mut saw_good = false;
         for _ in 0..100_000 {
-            let _ = m.should_drop(SimTime::ZERO, &mut r);
+            let _ = m.should_drop(&mut r);
             if m.in_bad {
                 saw_bad = true;
             } else {

@@ -2,7 +2,7 @@
 
 use presence_des::{SimDuration, SimTime, StreamRng};
 use presence_net::{
-    BernoulliLoss, ConstantDelay, DelayModel, Fabric, GilbertElliott, LossModel, NoLoss, Scheduled,
+    BernoulliLoss, ConstantDelay, DelayModel, Fabric, GilbertElliott, LossModel, NoLoss,
     SendOutcome, ThreeMode, UniformDelay,
 };
 use proptest::prelude::*;
@@ -41,7 +41,7 @@ proptest! {
         let max = SimDuration::from_nanos(if kind == 0 { a } else { b });
         let mut rng = StreamRng::new(seed, 0);
         for _ in 0..500 {
-            let d = model.sample(SimTime::ZERO, &mut rng);
+            let d = model.sample(&mut rng);
             prop_assert!(d <= max, "sample {d} above stated max {max}");
         }
     }
@@ -126,13 +126,13 @@ proptest! {
                 if self.in_flight >= self.capacity {
                     return SendOutcome::DroppedOverflow;
                 }
-                if self.loss.should_drop(now, rng) {
+                if self.loss.should_drop(rng) {
                     return SendOutcome::DroppedLoss;
                 }
                 self.in_flight += 1;
                 self.peak = self.peak.max(self.in_flight);
                 self.occupancy.set(now.as_secs_f64(), self.in_flight as f64);
-                let at = now + self.delay.sample(now, rng);
+                let at = now + self.delay.sample(rng);
                 self.pending.push(std::cmp::Reverse(at));
                 SendOutcome::Deliver(at)
             }
@@ -207,7 +207,7 @@ proptest! {
         let mut model = GilbertElliott::bursty(target);
         let mut rng = StreamRng::new(seed, 3);
         let n = 200_000;
-        let drops = (0..n).filter(|_| model.should_drop(SimTime::ZERO, &mut rng)).count();
+        let drops = (0..n).filter(|_| model.should_drop(&mut rng)).count();
         let rate = drops as f64 / n as f64;
         prop_assert!(
             (rate - target).abs() < 0.05 + target * 0.3,
@@ -232,7 +232,7 @@ proptest! {
         let expected = p_bad * loss_bad + (1.0 - p_bad) * loss_good;
         let mut rng = StreamRng::new(seed, 5);
         let n = 400_000;
-        let drops = (0..n).filter(|_| model.should_drop(SimTime::ZERO, &mut rng)).count();
+        let drops = (0..n).filter(|_| model.should_drop(&mut rng)).count();
         let rate = drops as f64 / n as f64;
         // Mixing time scales with 1/(p_gb + p_bg); the sampling error of
         // n draws with that correlation length is ~sqrt(T/n) in spirit.
@@ -241,70 +241,5 @@ proptest! {
             (rate - expected).abs() < tolerance,
             "stationary {expected:.4}, measured {rate:.4}, tolerance {tolerance:.4}"
         );
-    }
-
-    /// A `Scheduled` delay switches exactly at its boundaries: strictly
-    /// before a boundary the old model answers, from the boundary on the
-    /// new one does — for arbitrary boundary layouts and query points.
-    #[test]
-    fn scheduled_switches_exactly_at_boundaries(
-        boundaries in prop::collection::vec(1..1_000_000u64, 1..6),
-        queries in prop::collection::vec(0..1_100_000u64, 1..200),
-        seed in any::<u64>(),
-    ) {
-        let mut starts: Vec<u64> = boundaries.clone();
-        starts.sort_unstable();
-        starts.dedup();
-        // Segment i (starting at starts[i-1], with segment 0 at t = 0)
-        // answers a constant delay of i+1 µs, so the answer identifies
-        // the active segment.
-        let mut segments: Vec<(SimTime, ConstantDelay)> =
-            vec![(SimTime::ZERO, ConstantDelay(SimDuration::from_micros(1)))];
-        for (i, &at) in starts.iter().enumerate() {
-            segments.push((
-                SimTime::from_nanos(at * 1_000),
-                ConstantDelay(SimDuration::from_micros(i as u64 + 2)),
-            ));
-        }
-        let mut model = Scheduled::from_segments(segments);
-        let mut rng = StreamRng::new(seed, 6);
-        let mut sorted_queries = queries.clone();
-        sorted_queries.sort_unstable();
-        for &q in &sorted_queries {
-            let now = SimTime::from_nanos(q * 1_000);
-            // Expected segment: number of boundaries <= q.
-            let expected = starts.iter().filter(|&&b| b <= q).count() as u64 + 1;
-            let got = model.sample(now, &mut rng);
-            prop_assert_eq!(
-                got,
-                SimDuration::from_micros(expected),
-                "query at {} µs expected segment delay {} µs",
-                q,
-                expected
-            );
-        }
-    }
-
-    /// A degenerate single-segment schedule is draw-for-draw identical to
-    /// the bare model under the identical RNG stream — the property that
-    /// keeps paper-faithful catalog entries bit-identical to the
-    /// hard-coded presets.
-    #[test]
-    fn degenerate_schedule_is_transparent(
-        (kind, a, b) in any_delay(),
-        seed in any::<u64>(),
-        steps in 1..500usize,
-    ) {
-        let mut bare = build_delay(kind, a, b);
-        let mut scheduled = Scheduled::from_segments(vec![(SimTime::ZERO, build_delay(kind, a, b))]);
-        let mut rng_bare = StreamRng::new(seed, 7);
-        let mut rng_sched = StreamRng::new(seed, 7);
-        for i in 0..steps {
-            let now = SimTime::from_nanos(i as u64 * 12_345);
-            prop_assert_eq!(
-                bare.sample(now, &mut rng_bare),
-                scheduled.sample(now, &mut rng_sched)
-            );
-        }
     }
 }

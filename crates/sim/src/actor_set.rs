@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn projection_matches_variant_and_rejects_others() {
         let mut sim: PresenceSim = Simulation::with_actor_set(1);
-        let churn = ChurnActor::new(ChurnModel::Static, Vec::new(), 0, 1.0, Vec::new());
+        let churn = ChurnActor::new(ChurnModel::Static, Vec::new(), 0, 1.0);
         let c = sim.add_member(churn.into());
         let n = sim.add_member(NetworkActor::new(Fabric::paper_default()).into());
         assert!(sim.actor::<ChurnActor>(c).is_some());

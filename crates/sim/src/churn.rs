@@ -21,12 +21,13 @@
 //!   exponentially distributed instants whose rate is itself modulated by
 //!   the sinusoid (churn is busiest near the peak).
 //!
-//! Models can be **switched mid-run**: the churn actor owns its regime
-//! schedule, posting itself one [`crate::SimEvent::SetChurn`] per
-//! configured boundary at start-up (absolute times, exact at the boundary
-//! instant), and re-arms under the new model deterministically.
+//! Models can be **switched mid-run**: each switch is a
+//! [`crate::SimEvent::Switch`] the scenario posts to the churn actor
+//! before the run, so it is the first event at its instant and the model
+//! it replaces takes no action there; the actor re-arms under the new
+//! model deterministically.
 
-use crate::event::SimEvent;
+use crate::event::{Regime, SimEvent};
 use crate::scenario::{err, SpecError};
 use presence_des::{Actor, ActorId, Context, EventHandle, SimDuration, SimTime};
 use presence_stats::TimeSeries;
@@ -176,9 +177,6 @@ pub struct ChurnActor {
     flash_step: u8,
     /// Population before the flash-crowd up-ramp (the drain target).
     flash_baseline: u32,
-    /// The mid-run model switches `(absolute seconds, model)`, posted to
-    /// itself as [`SimEvent::SetChurn`] at start-up.
-    switches: Vec<(f64, ChurnModel)>,
 }
 
 impl ChurnActor {
@@ -186,35 +184,17 @@ impl ChurnActor {
     /// `initially_active` join at start (staggered uniformly over the
     /// first second). `horizon` is the configured run length (seconds),
     /// used to pre-size the population series for the expected number of
-    /// resamples. `switches` replaces the model at each paired absolute
-    /// time (seconds).
+    /// resamples.
     ///
     /// # Panics
     ///
-    /// Panics if `initially_active` exceeds the CP pool, or unless the
-    /// switch times are strictly increasing and positive (a switch at
-    /// t = 0 should be the *initial* model, not a regime change).
+    /// Panics if `initially_active` exceeds the CP pool.
     #[must_use]
-    pub fn new(
-        model: ChurnModel,
-        cps: Vec<ActorId>,
-        initially_active: u32,
-        horizon: f64,
-        switches: Vec<(f64, ChurnModel)>,
-    ) -> Self {
+    pub fn new(model: ChurnModel, cps: Vec<ActorId>, initially_active: u32, horizon: f64) -> Self {
         assert!(
             (initially_active as usize) <= cps.len(),
             "more initially active CPs than the pool holds"
         );
-        for pair in switches.windows(2) {
-            assert!(
-                pair[0].0 < pair[1].0,
-                "churn switch times must be strictly increasing"
-            );
-        }
-        if let Some(&(first, _)) = switches.first() {
-            assert!(first > 0.0, "first churn switch must be after t = 0");
-        }
         // The initial joiners are marked now; `on_start` sends their joins.
         let active = (0..cps.len())
             .map(|i| i < initially_active as usize)
@@ -229,7 +209,6 @@ impl ChurnActor {
             wave: Vec::new(),
             flash_step: 0,
             flash_baseline: 0,
-            switches,
         }
     }
 
@@ -433,10 +412,6 @@ impl Actor<SimEvent> for ChurnActor {
         }
         self.record_population(ctx.now());
         self.arm(ctx);
-        let me = ctx.me();
-        for &(at, model) in &self.switches {
-            ctx.schedule_at(SimTime::from_secs_f64(at), me, SimEvent::SetChurn(model));
-        }
     }
 
     fn on_event(&mut self, ctx: &mut Context<'_, SimEvent>, event: SimEvent) {
@@ -499,7 +474,7 @@ impl Actor<SimEvent> for ChurnActor {
                 self.record_population(ctx.now());
                 self.wave.retain(|&h| ctx.is_pending(h));
             }
-            SimEvent::SetChurn(model) => {
+            SimEvent::Switch(Regime::Churn(model)) => {
                 if let Some(handle) = self.pending_self.take() {
                     ctx.cancel(handle);
                 }

@@ -3,7 +3,9 @@
 //! on its own index event, [`crate::MegaEvent`].
 
 use crate::churn::ChurnModel;
+use crate::scenario::{DelayKind, LossKind};
 use presence_core::{CpId, DeviceId, TimerToken, WireMessage};
+use serde::{Deserialize, Serialize};
 
 /// Network-level address of a node actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -12,6 +14,17 @@ pub enum Addr {
     Cp(CpId),
     /// A device.
     Device(DeviceId),
+}
+
+/// The model a [`crate::Switch`] puts in force.
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
+pub enum Regime {
+    /// A new one-way delay model.
+    Delay(DelayKind),
+    /// A new loss model.
+    Loss(LossKind),
+    /// A new churn workload.
+    Churn(ChurnModel),
 }
 
 /// Everything that can be scheduled in a hub simulation.
@@ -52,11 +65,15 @@ pub enum SimEvent {
     GracefulLeave,
     /// (to the churn actor) Resample the target CP population.
     ResampleChurn,
-    /// (to the churn actor, from itself) Switch to a new churn model
-    /// mid-run at a configured boundary. The churn actor cancels its
-    /// pending self-events, unwinds any not-yet-fired wave joins/leaves,
-    /// and re-arms under the new model.
-    SetChurn(ChurnModel),
+    /// (to the network actor for a delay or loss model, to the churn actor
+    /// for a churn model) Put a new regime in force. The scenario posts
+    /// every switch before the run starts, so each has a lower sequence
+    /// number than any event the run creates: **a switch is the first
+    /// event at its instant**, and a message sent at that instant already
+    /// meets the new network model. The network actor swaps the fabric's
+    /// model; the churn actor cancels its pending self-events and
+    /// not-yet-fired wave steps, and re-arms under the new model.
+    Switch(Regime),
     /// (to the churn actor, from itself) One step of a staggered
     /// join/leave wave: flip CP `index`'s membership now and forward the
     /// `Join`/`Leave`, so flags and the population series move when the

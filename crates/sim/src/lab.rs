@@ -4,15 +4,16 @@
 //! experiment: a name, the [`ScenarioConfig`] that holds at `t = 0`, one
 //! time-ordered list of regime [`Switch`]es (a new delay, loss or churn
 //! model from a configured sim-time instant on), and an optional device
-//! failure. It *lowers* onto the existing scenario assembly — nothing
-//! about the engine changes; a switch-free spec builds an actor graph
-//! identical to [`Scenario::build`], which is how the paper-faithful
-//! catalog entries reproduce the golden trajectories bit-for-bit.
+//! failure. It *lowers* onto [`Scenario::build`] — nothing about the
+//! engine changes; a switch-free spec builds an actor graph identical to
+//! [`Scenario::build`]'s, which is how the paper-faithful catalog entries
+//! reproduce the golden trajectories bit-for-bit.
 //!
-//! * delay and loss switches become a [`presence_net::Scheduled`] wrapper
-//!   that changes models exactly at their instants;
-//! * churn switches become the churn actor's own
-//!   [`crate::SimEvent::SetChurn`] events, one per switch;
+//! * every switch becomes one engine event, [`crate::SimEvent::Switch`],
+//!   that the scenario posts before the run: a delay or loss switch goes
+//!   to the network actor, which swaps the fabric's model, and a churn
+//!   switch to the churn actor, which re-arms. Posted before the run, a
+//!   switch is the first event at its instant, whatever its kind;
 //! * `t = 0` and every switch instant open a **regime window**, and one
 //!   fold reports device load, Jain fairness, population, and detection
 //!   latency per window — over a run's [`ScenarioResult`] in [`run_lab`],
@@ -29,35 +30,24 @@
 //! binary (`presence-bench`) lists, validates, runs, and prints them, or
 //! any spec file given by path.
 
-use crate::churn::ChurnModel;
+use crate::event::Regime;
 use crate::metrics::ScenarioResult;
 use crate::parallel::run_indexed;
-use crate::scenario::{err, DelayKind, LossKind, Scenario, ScenarioConfig, SpecError};
-use crate::trace::Timeline;
+use crate::scenario::{err, Scenario, ScenarioConfig, SpecError};
 use presence_des::SimTime;
-use presence_net::Scheduled;
 use presence_stats::{jain_index, slice_windows, step_mean, window_mean, window_slice};
 use presence_trace::TraceRun;
 use serde::{Deserialize, Serialize};
 use std::mem::discriminant;
-
-/// The model a [`Switch`] puts in force.
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
-pub enum Regime {
-    /// A new one-way delay model.
-    Delay(DelayKind),
-    /// A new loss model.
-    Loss(LossKind),
-    /// A new churn workload.
-    Churn(ChurnModel),
-}
 
 /// One regime change: `to` is in force from `at` seconds until the next
 /// switch of its kind (or the horizon).
 #[derive(Debug, Clone, Copy, PartialEq, Deserialize, Serialize)]
 #[serde(deny_unknown_fields)]
 pub struct Switch {
-    /// Switch instant (seconds, inside the run).
+    /// Switch instant (seconds, inside the run). The switch is the first
+    /// event at this instant: a message sent at `at` meets the new model,
+    /// and a replaced churn model takes no action at `at`.
     pub at: f64,
     /// The model in force from `at` on.
     pub to: Regime,
@@ -171,28 +161,14 @@ impl ScenarioSpec {
     /// hand-built specs cannot skip it).
     pub fn build(&self) -> Result<Scenario, SpecError> {
         self.validate()?;
-        let cfg = self.config;
-        let mut delay = vec![(SimTime::ZERO, cfg.delay.build())];
-        let mut loss = vec![(SimTime::ZERO, cfg.loss.build())];
-        let mut churn = Vec::new();
-        for switch in &self.switches {
-            let at = SimTime::from_secs_f64(switch.at);
-            match switch.to {
-                Regime::Delay(d) => delay.push((at, d.build())),
-                Regime::Loss(l) => loss.push((at, l.build())),
-                Regime::Churn(c) => churn.push((switch.at, c)),
-            }
+        let mut scenario = Scenario::build(self.config);
+        // Posted first, each switch precedes every other event at its
+        // instant: the crash or Bye below, and all the run creates.
+        for &Switch { at, to } in &self.switches {
+            scenario.switch_at(at, to);
         }
-        // Each timeline is one `Scheduled` model. A lone `t = 0` segment
-        // adds no draw, so its draws are those of `Scenario::build`.
-        let delay = Box::new(Scheduled::from_segments(delay));
-        let loss = Box::new(Scheduled::from_segments(loss));
-        let mut scenario = Scenario::assemble(cfg, delay, loss, &churn);
-        let ns = |at| SimTime::from_secs_f64(at).as_nanos();
-        scenario.timeline = Timeline {
-            switches: self.switches.iter().map(|s| ns(s.at)).collect(),
-            failure: self.crash_at.or(self.bye_at).map(ns),
-        };
+        let failure = self.crash_at.or(self.bye_at);
+        scenario.timeline.failure = failure.map(|at| SimTime::from_secs_f64(at).as_nanos());
         if let Some(at) = self.crash_at {
             scenario.crash_device_at(at);
         }
@@ -583,7 +559,7 @@ pub fn golden_trio() -> [(&'static str, ScenarioConfig); 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Protocol;
+    use crate::{ChurnModel, DelayKind, LossKind, Protocol};
 
     fn quick_spec() -> ScenarioSpec {
         let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 6, 60.0, 3);

@@ -55,10 +55,10 @@ pub use actor_set::{PresenceActorSet, PresenceSim};
 pub use churn::{ChurnActor, ChurnModel};
 pub use cp_actor::CpActor;
 pub use device_actor::{DeviceActor, ProcessingModel};
-pub use event::{Addr, SimEvent};
+pub use event::{Addr, Regime, SimEvent};
 pub use lab::{
     builtin_catalog, check_seeds, golden_trio, run_lab, run_spec_once, slice_trace, LabReport,
-    LabSeedResult, Regime, RegimeSlice, ScenarioSpec, Switch,
+    LabSeedResult, RegimeSlice, ScenarioSpec, Switch,
 };
 pub use mega::{
     mega_catalog, MegaConfig, MegaDcppShard, MegaEvent, MegaResult, MegaScenario, MegaSpec,

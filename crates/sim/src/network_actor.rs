@@ -26,7 +26,7 @@
 //! `unroutable` in [`FabricStats`] — they never reach the fabric, so a
 //! wiring bug cannot masquerade as network loss.
 
-use crate::event::{Addr, SimEvent};
+use crate::event::{Addr, Regime, SimEvent};
 use crate::trace::NetTrace;
 use presence_des::{Actor, ActorId, Context, SimTime};
 use presence_net::{Fabric, FabricStats, SendOutcome};
@@ -149,6 +149,15 @@ impl Actor<SimEvent> for NetworkActor {
                         self.admit(ctx, target, msg);
                     }
                 }
+            }
+            // A switch sends nothing, so it takes no counter sample.
+            SimEvent::Switch(Regime::Delay(delay)) => {
+                self.fabric.set_delay(delay.build());
+                return;
+            }
+            SimEvent::Switch(Regime::Loss(loss)) => {
+                self.fabric.set_loss(loss.build());
+                return;
             }
             other => {
                 debug_assert!(false, "network actor got unexpected event {other:?}");

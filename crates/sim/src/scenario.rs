@@ -11,7 +11,7 @@ use crate::actor_set::PresenceSim;
 use crate::churn::{ChurnActor, ChurnModel};
 use crate::cp_actor::CpActor;
 use crate::device_actor::{DeviceActor, ProcessingModel};
-use crate::event::{Addr, SimEvent};
+use crate::event::{Addr, Regime, SimEvent};
 use crate::metrics::{CpSummary, ScenarioResult};
 use crate::network_actor::NetworkActor;
 use crate::trace::{Timeline, TraceCapture};
@@ -341,30 +341,15 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Wires up all actors for `cfg`.
+    /// Wires up all actors for `cfg`. Panics if `cfg` is invalid.
     #[must_use]
     pub fn build(cfg: ScenarioConfig) -> Self {
-        Self::assemble(cfg, cfg.delay.build(), cfg.loss.build(), &[])
-    }
-
-    /// [`Scenario::build`] with the network models `delay` and `loss` (in
-    /// place of `cfg`'s) and the churn actor's `churn_switches` (absolute
-    /// seconds, ascending) — what [`crate::ScenarioSpec::build`] lowers
-    /// onto. Panics if `cfg` is invalid or a switch time is not after the
-    /// one before it (or after 0).
-    #[must_use]
-    pub(crate) fn assemble(
-        cfg: ScenarioConfig,
-        delay: Box<dyn DelayModel>,
-        loss: Box<dyn LossModel>,
-        churn_switches: &[(f64, ChurnModel)],
-    ) -> Self {
-        cfg.validate().expect("cannot assemble a scenario");
+        cfg.validate().expect("cannot build a scenario");
 
         // Actor add order (network, device, CPs, churn) fixes the actor
         // ids and with them every RNG stream.
         let mut sim = PresenceSim::with_actor_set(cfg.seed);
-        let fabric = Fabric::new(BUFFER_CAPACITY, delay, loss);
+        let fabric = Fabric::new(BUFFER_CAPACITY, cfg.delay.build(), cfg.loss.build());
         let network = sim.add_member(NetworkActor::new(fabric).into());
 
         let device_id = DeviceId(0);
@@ -392,13 +377,8 @@ impl Scenario {
             net.register(Addr::Cp(CpId(i as u32)), actor);
         }
 
-        let churn_actor = ChurnActor::new(
-            cfg.churn,
-            cps.clone(),
-            cfg.initially_active,
-            cfg.duration,
-            churn_switches.to_vec(),
-        );
+        let churn_actor =
+            ChurnActor::new(cfg.churn, cps.clone(), cfg.initially_active, cfg.duration);
         let churn = sim.add_member(churn_actor.into());
 
         Self {
@@ -528,6 +508,20 @@ impl Scenario {
     fn schedule_on_device(&mut self, at: f64, event: SimEvent) {
         self.sim
             .schedule_at(SimTime::from_secs_f64(at), self.device, event);
+    }
+
+    /// Posts the regime switch `to` at `at` seconds — to the network actor
+    /// for a delay or loss model, to the churn actor for a churn model —
+    /// and marks it on the trace timeline. Called before the run, so the
+    /// switch is the first event at its instant.
+    pub(crate) fn switch_at(&mut self, at: f64, to: Regime) {
+        let target = match to {
+            Regime::Delay(_) | Regime::Loss(_) => self.network,
+            Regime::Churn(_) => self.churn,
+        };
+        let at = SimTime::from_secs_f64(at);
+        self.sim.schedule_at(at, target, SimEvent::Switch(to));
+        self.timeline.switches.push(at.as_nanos());
     }
 
     /// Schedules a device crash (silent leave) at `at` seconds.
@@ -859,22 +853,5 @@ mod tests {
         let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 0);
         cfg.initially_active = 6;
         let _ = Scenario::build(cfg);
-    }
-
-    fn assemble_with_switches(switches: &[(f64, ChurnModel)]) -> Scenario {
-        let cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 10.0, 0);
-        Scenario::assemble(cfg, cfg.delay.build(), cfg.loss.build(), switches)
-    }
-
-    #[test]
-    #[should_panic(expected = "churn switch times must be strictly increasing")]
-    fn rejects_churn_switches_out_of_order() {
-        let _ = assemble_with_switches(&[(5.0, ChurnModel::Static), (5.0, ChurnModel::Static)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "first churn switch must be after t = 0")]
-    fn rejects_churn_switch_at_zero() {
-        let _ = assemble_with_switches(&[(0.0, ChurnModel::Static)]);
     }
 }

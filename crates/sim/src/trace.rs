@@ -14,11 +14,11 @@
 //! trace size uniformly: an event past the horizon is dropped by every
 //! recorder, never by just some of them (no orphan flow steps).
 //!
-//! No actor records the run's timeline. Its regime switches (delay and
-//! loss ones happen inside `Scheduled` models, seen by no actor) and its
-//! device failure are fixed by the spec that built the run, which hands
-//! them to the scenario as a `Timeline`; `into_model` writes them, and
-//! the run's end, as instants on the device track. A trace reader cuts
+//! No actor records the run's timeline. Its regime switches and its
+//! device failure are fixed by the spec that built the run: the scenario
+//! marks each switch on its `Timeline` as it posts the switch's event,
+//! and the spec sets the failure; `into_model` writes them, and the run's
+//! end, as instants on the device track. A trace reader cuts
 //! its regime windows at exactly the instants [`crate::run_lab`] does.
 //!
 //! The engine stream has two sources, neither of them inside the engine:

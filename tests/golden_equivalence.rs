@@ -111,9 +111,9 @@ fn typed_dispatch_preserves_golden_trio_trajectories() {
     }
 }
 
-/// …and the regime-switching lab trajectory — mid-run churn-model
-/// switches (`SetChurn`), staggered wave events, `Scheduled` delay/loss —
-/// which rides engine paths the paper trio never touches.
+/// …and the regime-switching lab trajectory — mid-run delay, loss and
+/// churn switches (`SimEvent::Switch`), staggered wave events — which
+/// rides engine paths the paper trio never touches.
 #[test]
 fn typed_dispatch_preserves_mixed_regime_lab_trajectory() {
     let spec = builtin_catalog()

@@ -7,8 +7,13 @@
 //!   byte-identical across worker counts.
 //! * The new churn generators behave as specified (flash crowds peak and
 //!   drain; diurnal populations follow the sinusoid band).
+//! * A switch is the first event at its instant, for every kind.
 
-use presence::sim::{builtin_catalog, mega_catalog, run_lab, ChurnModel, Regime};
+use presence::des::SimTime;
+use presence::sim::{
+    builtin_catalog, mega_catalog, run_lab, run_spec_once, ChurnModel, DelayKind, Protocol, Regime,
+    ScenarioConfig, ScenarioSpec, Switch,
+};
 use std::path::Path;
 
 /// The `*.json` file stems under `dir`, sorted.
@@ -164,7 +169,7 @@ fn diurnal_population_tracks_the_sinusoid_band() {
 /// A regime switch mid-run changes observable network behaviour: a spec
 /// whose loss regime turns total mid-run stops delivering exactly then.
 #[test]
-fn scheduled_loss_switch_is_visible_in_the_slices() {
+fn loss_switch_is_visible_in_the_slices() {
     let mut spec = builtin_catalog()
         .into_iter()
         .find(|s| s.name == "partition-recovery")
@@ -184,4 +189,53 @@ fn scheduled_loss_switch_is_visible_in_the_slices() {
         report.slices[1].detections > 0,
         "a total partition must trigger absence verdicts"
     );
+}
+
+/// A churn switch at the instant the replaced model would act comes
+/// first, so the old model's action never happens: the burst leave due at
+/// 50 s is switched off at 50 s, and all ten CPs stay.
+#[test]
+fn a_churn_switch_precedes_the_replaced_models_action_at_its_instant() {
+    let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 10, 100.0, 5);
+    cfg.churn = ChurnModel::BurstLeave {
+        at: 50.0,
+        leavers: 8,
+    };
+    let mut spec = ScenarioSpec::new("burst-switched-off", "switch at the burst", cfg);
+    spec.switches = vec![Switch {
+        at: 50.0,
+        to: Regime::Churn(ChurnModel::Static),
+    }];
+    let report = run_lab(&spec, &[1], 1).expect("runs");
+    let populations: Vec<Option<f64>> = report.slices.iter().map(|s| s.population_mean).collect();
+    assert_eq!(populations, vec![Some(10.0), Some(10.0)]);
+}
+
+/// A delay switch at the instant of the device's Bye comes first, so the
+/// Bye leaves under the new model: every verdict lands exactly 5 ms after
+/// it. One nanosecond later, the Bye still meets the old 1 ms delay.
+#[test]
+fn a_message_sent_at_a_delay_switch_meets_the_new_model() {
+    let bye = 30.0;
+    let verdicts = |switch_ns: u64| {
+        let mut cfg = ScenarioConfig::paper_defaults(Protocol::dcpp_paper(), 5, 60.0, 3);
+        cfg.delay = DelayKind::Constant(0.001);
+        let mut spec = ScenarioSpec::new("bye-at-switch", "Bye at a delay switch", cfg);
+        spec.switches = vec![Switch {
+            at: (SimTime::from_secs_f64(bye).as_nanos() + switch_ns) as f64 / 1e9,
+            to: Regime::Delay(DelayKind::Constant(0.005)),
+        }];
+        spec.bye_at = Some(bye);
+        let result = run_spec_once(&spec).expect("runs");
+        let verdicts: Vec<u64> = result
+            .cps
+            .iter()
+            .map(|cp| SimTime::from_secs_f64(cp.detected_absent_at.expect("Bye seen")).as_nanos())
+            .collect();
+        assert_eq!(verdicts.len(), 5);
+        verdicts
+    };
+    let at = |delay_ms: u64| SimTime::from_secs_f64(bye).as_nanos() + delay_ms * 1_000_000;
+    assert_eq!(verdicts(0), vec![at(5); 5], "switch at the Bye");
+    assert_eq!(verdicts(1), vec![at(1); 5], "switch 1 ns after the Bye");
 }

@@ -3,7 +3,10 @@
 //! flow events, and counter tracks, deterministically and matching the
 //! recorded fixture byte for byte.
 
-use presence::sim::{run_lab, slice_trace, Protocol, RegimeSlice, Scenario, ScenarioConfig};
+use presence::des::SimTime;
+use presence::sim::{
+    run_lab, slice_trace, ChurnModel, Protocol, Regime, RegimeSlice, Scenario, ScenarioConfig,
+};
 use presence::trace::{
     analyze, parse, validate, write_chrome_json, EngineEventKind, PointKind, TraceModel,
 };
@@ -179,6 +182,47 @@ fn paper_dcpp_engine_trace_sees_protocol_timers() {
         dispatches as u64, events,
         "one dispatch per processed event under churn"
     );
+}
+
+/// Every regime switch is one engine event: the engine stream holds
+/// exactly one `Dispatch` on the network actor at each delay or loss
+/// switch, and one on the churn actor at each churn switch — two when the
+/// new model is a flash crowd starting at that very instant, which fires
+/// its own start right after the switch.
+#[test]
+fn every_regime_switch_is_one_dispatch_on_its_actor() {
+    let spec = presence::sim::builtin_catalog()
+        .into_iter()
+        .find(|s| s.name == "mixed-regime-stress")
+        .expect("mixed-regime-stress is in the builtin catalog");
+    let (model, _) = engine_traced("mixed-regime-stress");
+    let track = |name: &str| {
+        model
+            .tracks
+            .iter()
+            .find(|t| t.name == name)
+            .and_then(|t| t.actor)
+            .unwrap_or_else(|| panic!("no {name} track"))
+    };
+    let (net, churn) = (track("net0"), track("churn"));
+    for switch in &spec.switches {
+        let at = SimTime::from_secs_f64(switch.at).as_nanos();
+        let (actor, expected) = match switch.to {
+            Regime::Delay(_) | Regime::Loss(_) => (net, 1),
+            Regime::Churn(ChurnModel::FlashCrowd { at: start, .. }) if start == switch.at => {
+                (churn, 2)
+            }
+            Regime::Churn(_) => (churn, 1),
+        };
+        let dispatches = (model.engine.iter())
+            .filter(|e| e.kind == EngineEventKind::Dispatch && e.time_ns == at && e.actor == actor)
+            .count();
+        assert_eq!(
+            dispatches, expected,
+            "switch at {} s to {:?}",
+            switch.at, switch.to
+        );
+    }
 }
 
 /// `spotter` reads a run back from its trace into the regime windows
